@@ -130,7 +130,9 @@ def generate_queries(
         region = rect_from_center_area(cx, cy, area, aspect, space)
 
         count = max(1, int(rng.poisson(target_tokens)))
-        anchor_tokens = list(anchor.tokens)
+        # Sorted first: a frozenset iterates in hash order, which moves
+        # with PYTHONHASHSEED, and the shuffle would carry that through.
+        anchor_tokens = sorted(anchor.tokens)
         rng.shuffle(anchor_tokens)
         take = min(len(anchor_tokens), max(1, int(round(count * 0.7))))
         tokens = set(anchor_tokens[:take])

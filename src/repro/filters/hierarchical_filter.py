@@ -13,8 +13,9 @@ experiments (Figures 16–17).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Collection, Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.errors import ConfigurationError
 from repro.core.method import SearchMethod
@@ -23,13 +24,65 @@ from repro.core.stats import SearchStats
 from repro.geometry import Rect
 from repro.geometry.rect import mbr_of
 from repro.grid.hierarchy import GridHierarchy, HierCell
+from repro.index.columnar import directory_rows
 from repro.index.inverted import InvertedIndex
 from repro.index.postings import DualBoundPostingList
 from repro.index.storage import IndexSizeReport, measure_index
-from repro.signatures.hierarchical import TokenGrids, select_token_grids
-from repro.signatures.prefix import select_prefix, suffix_bounds
+from repro.signatures.hierarchical import TokenGrids, select_token_grids_many
+from repro.signatures.prefix import select_prefix
 from repro.signatures.textual import TextualScheme
 from repro.text.weights import TokenWeighter
+
+
+def _overlap(regions: np.ndarray, boxes: np.ndarray):
+    """Closed-interval intersection test and intersection area of
+    ``regions[..., 4]`` against ``boxes[..., 4]`` (broadcast together) —
+    :meth:`HierarchicalFilter._region_cells` for arrays."""
+    x_lo = np.maximum(regions[..., 0], boxes[..., 0])
+    y_lo = np.maximum(regions[..., 1], boxes[..., 1])
+    x_hi = np.minimum(regions[..., 2], boxes[..., 2])
+    y_hi = np.minimum(regions[..., 3], boxes[..., 3])
+    dx = x_hi - x_lo
+    dy = y_hi - y_lo
+    return (
+        (x_lo <= x_hi) & (y_lo <= y_hi),
+        np.where((dx > 0.0) & (dy > 0.0), dx * dy, 0.0),
+    )
+
+
+def _token_cell_postings(
+    rows: np.ndarray, offsets: np.ndarray, token_of: np.ndarray, grids: Sequence[TokenGrids]
+):
+    """Which (occurrence, cell) pairs post, and their spatial bounds.
+
+    ``rows`` holds the region of every (object, token) occurrence,
+    grouped by token (``offsets``; ``token_of`` names each row's token).
+    Per token, one (objects × cells) matrix of closed-interval overlaps
+    and intersection areas, cells in the token's global order; a
+    right-to-left cumulative sum along the cells gives every object's
+    Lemma-3 bounds at once (cells a region misses weigh 0.0, so they
+    leave the running sum untouched).  Tokens with a single cell — the
+    whole Zipf tail — share one flat pass.
+
+    Returns:
+        ``(row, cell rank, spatial bound)`` of every posting, as arrays.
+    """
+    width = np.array([len(grid) for grid in grids], dtype=np.int64)
+    first_box = np.array([grid.boxes[0] for grid in grids]).reshape(len(grids), 4)
+    single = np.flatnonzero(width[token_of] == 1)
+    hit, weight = _overlap(rows[single], first_box[token_of[single]])
+    found = [single[hit]]
+    cell = [np.zeros(len(found[0]), dtype=np.int64)]
+    r_bounds = [weight[hit]]
+    for token in np.flatnonzero(width > 1).tolist():
+        lo, hi = offsets[token], offsets[token + 1]
+        hit, weight = _overlap(rows[lo:hi, None, :], np.array(grids[token].boxes))
+        suffix = np.cumsum(weight[:, ::-1], axis=1)[:, ::-1]
+        which, where = np.nonzero(hit)
+        found.append(lo + which)
+        cell.append(where)
+        r_bounds.append(suffix[which, where])
+    return np.concatenate(found), np.concatenate(cell), np.concatenate(r_bounds)
 
 
 class HierarchicalFilter(SearchMethod):
@@ -92,36 +145,60 @@ class HierarchicalFilter(SearchMethod):
                 space = space.buffer(max(space.width, space.height, 1.0) * 0.5)
         self.hierarchy = GridHierarchy(space, max_level)
 
-        # Pass 1: group object regions per token (the paper's I(t)).
-        per_token_regions: Dict[str, List[Rect]] = defaultdict(list)
-        for obj in self.corpus:
-            for token in obj.tokens:
-                per_token_regions[token].append(obj.region)
+        # Pass 1: every object's textual signature with its Lemma-3
+        # bounds, as flat arrays, then the same occurrences grouped by
+        # token — the paper's I(t), each token's objects in corpus order.
+        vocabulary, sizes, tokens, t_bounds = self.textual.corpus_signatures(self.corpus)
+        regions = np.array(
+            [obj.region.as_tuple() for obj in self.corpus], dtype=np.float64
+        ).reshape(len(self.corpus), 4)
+        owner = np.repeat(np.arange(len(self.corpus)), sizes)
+        by_token = np.argsort(tokens, kind="stable")
+        list_sizes = np.bincount(tokens, minlength=len(vocabulary))
+        offsets = np.concatenate([[0], np.cumsum(list_sizes)])
+        rows = regions[owner[by_token]]
 
-        # Pass 2: HSS-Greedy per token.
+        # Pass 2: HSS-Greedy for all tokens, lock-step (one array kernel
+        # per refinement round instead of one call per node and child).
         def token_budget(list_size: int) -> int:
             if budget_scaling is None:
                 return mt
             return max(4, min(mt, round(budget_scaling * list_size)))
 
-        self.token_grids: Dict[str, TokenGrids] = {
-            token: select_token_grids(
-                regions, self.hierarchy, token_budget(len(regions)), min_objects=min_objects
-            )
-            for token, regions in per_token_regions.items()
-        }
+        grids = select_token_grids_many(
+            rows,
+            offsets,
+            self.hierarchy,
+            [token_budget(size) for size in list_sizes.tolist()],
+            min_objects=min_objects,
+        )
+        self.token_grids: Dict[str, TokenGrids] = dict(zip(vocabulary, grids))
 
-        # Pass 3: build the (token, cell) inverted index with dual bounds.
+        # Pass 3: the (token, cell) postings with dual bounds, then one
+        # bulk load.
+        found, cell, r_bounds = _token_cell_postings(rows, offsets, tokens[by_token], grids)
+        found = by_token[found]
+        # The scalar build staged postings object by object, each object's
+        # tokens in signature order, each token's cells in global order:
+        # `found` indexes exactly that (object, token) sequence, so sorting
+        # on (found, cell) replays the staging order and with it the
+        # directory's.
+        span = max(map(len, grids), default=1)
+        staged = np.argsort(found * span + cell)
+        found, cell = found[staged], cell[staged]
+        posting_rows, first = directory_rows(tokens[found] * span + cell)
         self.index: InvertedIndex = InvertedIndex(DualBoundPostingList)
-        for obj in self.corpus:
-            token_sig = self.textual.object_signature(obj)
-            token_bounds = suffix_bounds([w for _, w in token_sig])
-            for (token, _), t_bound in zip(token_sig, token_bounds):
-                cells = self._region_cells(self.token_grids[token], obj.region)
-                cell_bounds = suffix_bounds([w for _, w in cells])
-                for (cell, _), r_bound in zip(cells, cell_bounds):
-                    self.index.list_for((token, cell)).add(obj.oid, r_bound, t_bound)
-        self.index.freeze(backend=backend)
+        self.index.bulk_load(
+            [
+                (vocabulary[token], grids[token].cells[rank])
+                for token, rank in zip(tokens[found[first]].tolist(), cell[first].tolist())
+            ],
+            posting_rows,
+            owner[found],
+            r_bounds[staged],
+            t_bounds[found],
+            backend=backend,
+        )
         self.backend = self.index.backend
 
     @staticmethod
@@ -130,8 +207,9 @@ class HierarchicalFilter(SearchMethod):
         token's global order, weighted by intersection area.
 
         ``G_t`` holds at most ``mt`` cells, so a linear scan with inlined
-        rectangle arithmetic beats any spatial structure here — and this
-        runs once per (object, token) pair at build time.
+        rectangle arithmetic beats any spatial structure here.  This is
+        the probe path's scalar form; the build runs the same test and
+        weights for all of a token's objects at once (:func:`_overlap`).
         """
         rx1, ry1, rx2, ry2 = region.x1, region.y1, region.x2, region.y2
         out: List[Tuple[HierCell, float]] = []

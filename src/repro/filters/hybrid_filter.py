@@ -19,14 +19,17 @@ from __future__ import annotations
 import zlib
 from typing import Collection, Sequence
 
+import numpy as np
+
 from repro.core.method import SearchMethod
 from repro.core.objects import Query, SpatioTextualObject
 from repro.core.stats import SearchStats
 from repro.geometry import Rect
+from repro.index.columnar import directory_rows
 from repro.index.inverted import InvertedIndex
 from repro.index.postings import DualBoundPostingList
 from repro.index.storage import IndexSizeReport, measure_index
-from repro.signatures.prefix import select_prefix, suffix_bounds
+from repro.signatures.prefix import segmented_suffix_bounds, select_prefix
 from repro.signatures.spatial import GridScheme
 from repro.signatures.textual import TextualScheme
 from repro.text.weights import TokenWeighter
@@ -81,17 +84,38 @@ class HybridFilter(SearchMethod):
         self.num_buckets = num_buckets
         self.textual = TextualScheme(self.weighter)
         self.spatial = GridScheme.from_corpus(objects, granularity, space=space, order=order)
+        # Both signature halves of every object as flat arrays, then the
+        # per-object cross product by index arithmetic: postings come out
+        # object by object, token-major, in signature order — the order
+        # the directory is numbered in.
+        vocabulary, num_tokens, tokens, t_bounds = self.textual.corpus_signatures(self.corpus)
+        cell_sigs = [self.spatial.object_signature(obj) for obj in self.corpus]
+        num_cells = np.array([len(sig) for sig in cell_sigs], dtype=np.int64)
+        cells = np.array([cell for sig in cell_sigs for cell, _ in sig], dtype=np.int64)
+        r_bounds = segmented_suffix_bounds(
+            np.array([weight for sig in cell_sigs for _, weight in sig], dtype=np.float64),
+            num_cells,
+        )
+        per_object = num_tokens * num_cells
+        oids = np.repeat(np.arange(len(self.corpus)), per_object)
+        within = np.arange(len(oids)) - np.repeat(np.cumsum(per_object) - per_object, per_object)
+        token_at = (np.cumsum(num_tokens) - num_tokens)[oids] + within // num_cells[oids]
+        cell_at = (np.cumsum(num_cells) - num_cells)[oids] + within % num_cells[oids]
+        span = self.spatial.grid.num_cells
+        rows, first = directory_rows(tokens[token_at] * span + cells[cell_at])
+        elements = [
+            self._key(vocabulary[token], cell)
+            for token, cell in zip(tokens[token_at[first]].tolist(), cells[cell_at[first]].tolist())
+        ]
+        if num_buckets is not None:
+            # Colliding pairs share a list: renumber by bucket.
+            buckets = np.array(elements, dtype=np.int64)[rows]
+            rows, first = directory_rows(buckets)
+            elements = buckets[first].tolist()
         self.index: InvertedIndex = InvertedIndex(DualBoundPostingList)
-        for obj in self.corpus:
-            token_sig = self.textual.object_signature(obj)
-            token_bounds = suffix_bounds([w for _, w in token_sig])
-            cell_sig = self.spatial.object_signature(obj)
-            cell_bounds = suffix_bounds([w for _, w in cell_sig])
-            for (token, _), t_bound in zip(token_sig, token_bounds):
-                for (cell, _), r_bound in zip(cell_sig, cell_bounds):
-                    key = self._key(token, cell)
-                    self.index.list_for(key).add(obj.oid, r_bound, t_bound)
-        self.index.freeze(backend=backend)
+        self.index.bulk_load(
+            elements, rows, oids, r_bounds[cell_at], t_bounds[token_at], backend=backend
+        )
         self.backend = self.index.backend
 
     def _key(self, token: str, cell: int):

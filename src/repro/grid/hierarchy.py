@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Iterator, List, Tuple
 
+import numpy as np
+
 from repro.core.errors import ConfigurationError
 from repro.geometry import Rect
 from repro.grid.uniform import UniformGrid
@@ -72,6 +74,29 @@ class GridHierarchy:
         level, row, col = cell
         grid = self.level_grid(level)
         return grid.cell_rect(grid.cell_id(row, col))
+
+    def cell_boxes(self, cells: np.ndarray) -> np.ndarray:
+        """:meth:`cell_rect` for many cells at once.
+
+        Args:
+            cells: ``(m, 3)`` integer array of ``(level, row, col)``.
+
+        Returns:
+            ``(m, 4)`` float array ``[x1, y1, x2, y2]``, bit-identical to
+            ``cell_rect(cell).as_tuple()`` row by row (same operations in
+            the same order).
+        """
+        level, row, col = cells[:, 0], cells[:, 1], cells[:, 2]
+        if len(cells) and not (0 <= level.min() and level.max() <= self.max_level):
+            raise ValueError(f"level outside [0, {self.max_level}]")
+        side = np.left_shift(1, level)
+        if np.any((row < 0) | (row >= side) | (col < 0) | (col >= side)):
+            raise ValueError("cell position out of range for its level")
+        cell_w = self.space.width / side
+        cell_h = self.space.height / side
+        x1 = self.space.x1 + col * cell_w
+        y1 = self.space.y1 + row * cell_h
+        return np.stack([x1, y1, x1 + cell_w, y1 + cell_h], axis=1)
 
     def cell_area(self, cell: HierCell) -> float:
         level = cell[0]

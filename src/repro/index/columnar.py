@@ -117,6 +117,26 @@ def resolve_arrays(source: Sequence):
         _EXTERN_SOURCE = previous
 
 
+def directory_rows(codes):
+    """Number posting lists in order of first appearance.
+
+    A build that stages postings one by one creates each list the first
+    time its element is posted to, so the directory's order is the order
+    of first appearance.  Given one integer element code per posting, in
+    that staging order, this returns the same numbering without staging.
+
+    Returns:
+        ``(rows, first)`` — the row of every posting, and per row the
+        index of its first posting (``codes[first]`` are the rows' codes
+        in directory order).
+    """
+    _, first, inverse = _np.unique(codes, return_index=True, return_inverse=True)
+    order = _np.argsort(first)
+    rank = _np.empty(len(order), dtype=_np.int64)
+    rank[order] = _np.arange(len(order))
+    return rank[inverse], first[order]
+
+
 class CandidateScratch:
     """Reusable candidate-union buffer: collect heads, dedup once.
 
@@ -200,7 +220,9 @@ class CSRPostingStore:
 
     Build via :meth:`from_lists` over already-frozen Python posting
     lists, so the ``(-bound, oid)`` ordering — and therefore every probe
-    answer and statistic — is inherited rather than re-derived.
+    answer and statistic — is inherited rather than re-derived; or via
+    :meth:`from_postings` over flat posting columns, which sorts every
+    row into that same order in one ``lexsort``.
 
     Attributes:
         rows: element → row interning table (insertion order preserved).
@@ -279,6 +301,46 @@ class CSRPostingStore:
             if rows_unique and len(set(plist_oids)) != len(plist_oids):
                 rows_unique = False
         return cls(rows, offsets, oids, neg_bounds, t_bounds, rows_unique=rows_unique)
+
+    @classmethod
+    def from_postings(
+        cls, elements: Sequence[Hashable], rows, oids, bounds, t_bounds=None
+    ) -> "CSRPostingStore":
+        """Build from flat posting columns (the bulk-load path).
+
+        Args:
+            elements: Directory keys, one per row, in directory order.
+            rows: Row of each posting, in ``[0, len(elements))``; every
+                row must own at least one posting.
+            oids: Object id of each posting.
+            bounds: Primary (threshold) bound of each posting.
+            t_bounds: Second (textual) bound column for dual-bound stores.
+
+        Each row ends up in ``(-bound, oid)`` order, postings that tie on
+        both keeping their arrival order — exactly what staging them one
+        by one and freezing produces (a stable sort on the same key).
+        """
+        rows = _np.asarray(rows, dtype=_np.int64)
+        oids = _np.asarray(oids, dtype=_np.int32)
+        neg_bounds = -_np.asarray(bounds, dtype=_np.float64)
+        lengths = _np.bincount(rows, minlength=len(elements))
+        if len(lengths) != len(elements) or (len(lengths) and lengths.min() == 0):
+            raise ValueError("every directory row needs at least one posting, and no others")
+        order = _np.lexsort((oids, neg_bounds, rows))
+        offsets = _np.zeros(len(elements) + 1, dtype=_np.int64)
+        _np.cumsum(lengths, out=offsets[1:])
+        # A row repeats an oid iff some (row, oid) pair occurs twice.
+        pairs = rows * (int(oids.max()) + 1 if len(oids) else 1) + oids
+        pairs.sort()
+        rows_unique = not bool((pairs[1:] == pairs[:-1]).any())
+        return cls(
+            {element: row for row, element in enumerate(elements)},
+            offsets,
+            oids[order],
+            neg_bounds[order],
+            None if t_bounds is None else _np.asarray(t_bounds, dtype=_np.float64)[order],
+            rows_unique=rows_unique,
+        )
 
     # ------------------------------------------------------------------
     # Shape

@@ -16,6 +16,10 @@ Storage is pluggable at :meth:`freeze` time:
   arrays and drops the Python lists; probes become vectorised kernels
   returning zero-copy head views.
 
+An index is filled either posting by posting (:meth:`list_for` +
+``add``, then :meth:`freeze`) or in one array-native step
+(:meth:`bulk_load`); the frozen result is the same.
+
 Both backends answer the same probe API (:meth:`probe`, :meth:`probe_dual`,
 :meth:`get`, :meth:`items`) with identical oids in identical order, so the
 filters run one algorithm over either.
@@ -23,7 +27,7 @@ filters run one algorithm over either.
 
 from __future__ import annotations
 
-from typing import Dict, Generic, Hashable, Iterator, Tuple, Type, TypeVar
+from typing import Dict, Generic, Hashable, Iterator, Sequence, Tuple, Type, TypeVar
 
 from repro.index.columnar import CSRPostingStore, resolve_backend
 from repro.index.postings import DualBoundPostingList, PostingList
@@ -104,6 +108,63 @@ class InvertedIndex(Generic[Key, PList]):
                 self._lists, dual=self._list_class is DualBoundPostingList
             )
             self._lists = {}
+
+    def bulk_load(
+        self,
+        elements: Sequence[Key],
+        rows,
+        oids,
+        bounds,
+        t_bounds=None,
+        *,
+        backend: str | None = None,
+    ) -> None:
+        """Load every posting at once and freeze — the array-native twin
+        of ``list_for(element).add(...)`` per posting plus :meth:`freeze`,
+        and indistinguishable from it afterwards on either backend.
+
+        Args:
+            elements: Directory keys, one per posting list, in the order
+                the lists would have been created.
+            rows: Index into ``elements`` of each posting's list.
+            oids: Object id of each posting.
+            bounds: Threshold bound of each posting (the spatial bound of
+                a dual-bound index).
+            t_bounds: Textual bound of each posting; required exactly
+                when the index holds :class:`DualBoundPostingList`.
+            backend: As for :meth:`freeze`.
+
+        Postings may arrive in any order, except that postings of one
+        list tying on ``(bound, oid)`` keep their arrival order, as
+        staged postings do.
+
+        Raises:
+            RuntimeError: If the index is frozen or already holds lists.
+        """
+        if self._frozen or self._lists:
+            raise RuntimeError("bulk_load needs an empty, un-frozen index")
+        dual = self._list_class is DualBoundPostingList
+        if dual != (t_bounds is not None):
+            raise ValueError("t_bounds goes with dual-bound posting lists, and only with them")
+        resolved = resolve_backend(backend)
+        store = CSRPostingStore.from_postings(elements, rows, oids, bounds, t_bounds)
+        if resolved == "columnar":
+            self.store = store
+        else:
+            # The python oracle keeps one list object per element; cut
+            # the sorted columns at the row boundaries.
+            columns = [store.oids.tolist(), store.neg_bounds.tolist()]
+            if dual:
+                columns.append(store.t_bounds.tolist())
+            cuts = store.offsets.tolist()
+            self._lists = {
+                element: self._list_class.from_columns(
+                    *(column[cuts[row] : cuts[row + 1]] for column in columns)
+                )
+                for element, row in store.rows.items()
+            }
+        self._frozen = True
+        self.backend = resolved
 
     # ------------------------------------------------------------------
     # Probe phase

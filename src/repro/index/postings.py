@@ -44,6 +44,16 @@ class PostingList:
         self.oids: List[int] = []
         self._neg_bounds: List[float] = []
 
+    @classmethod
+    def from_columns(cls, oids: List[int], neg_bounds: List[float]) -> "PostingList":
+        """A frozen list over columns already in ``(-bound, oid)`` order
+        (the bulk-load path; what :meth:`freeze` would have produced)."""
+        plist = cls()
+        plist._staging = None
+        plist.oids = oids
+        plist._neg_bounds = neg_bounds
+        return plist
+
     def add(self, oid: int, bound: float) -> None:
         """Stage one posting (only before :meth:`freeze`)."""
         if self._staging is None:
@@ -107,6 +117,18 @@ class DualBoundPostingList:
         self.oids: List[int] = []
         self._neg_r_bounds: List[float] = []
         self.t_bounds: List[float] = []
+
+    @classmethod
+    def from_columns(
+        cls, oids: List[int], neg_r_bounds: List[float], t_bounds: List[float]
+    ) -> "DualBoundPostingList":
+        """A frozen list over columns already in ``(-r_bound, oid)`` order."""
+        plist = cls()
+        plist._staging = None
+        plist.oids = oids
+        plist._neg_r_bounds = neg_r_bounds
+        plist.t_bounds = t_bounds
+        return plist
 
     def add(self, oid: int, r_bound: float, t_bound: float) -> None:
         if self._staging is None:

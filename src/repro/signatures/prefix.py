@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple, TypeVar
 
+import numpy as np
+
 Element = TypeVar("Element")
 
 
@@ -42,6 +44,33 @@ def suffix_bounds(weights: Sequence[float]) -> List[float]:
     for i in range(len(weights) - 1, -1, -1):
         acc += weights[i]
         bounds[i] = acc
+    return bounds
+
+
+def segmented_suffix_bounds(weights: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """:func:`suffix_bounds` of many signatures laid end to end.
+
+    Bit-identical to calling :func:`suffix_bounds` per signature — the
+    same right-to-left additions — but signatures of equal length are
+    stacked into one matrix, so a build pays one cumulative sum per
+    distinct length instead of a Python loop per object.
+
+    Args:
+        weights: Flat signature weights, each signature in global order.
+        sizes: Elements per signature; ``sizes.sum() == len(weights)``.
+
+    Examples:
+        >>> segmented_suffix_bounds(np.array([3.0, 2.0, 1.0, 5.0]), np.array([3, 1])).tolist()
+        [6.0, 3.0, 1.0, 5.0]
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    bounds = np.empty_like(weights)
+    for size in np.unique(sizes).tolist():
+        if size:
+            block = starts[sizes == size][:, None] + np.arange(size)
+            bounds[block] = np.cumsum(weights[block][:, ::-1], axis=1)[:, ::-1]
     return bounds
 
 

@@ -12,9 +12,12 @@ query's own total weight.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.objects import Query, SpatioTextualObject
+from repro.signatures.prefix import segmented_suffix_bounds
 from repro.text.weights import TokenWeighter
 
 
@@ -39,6 +42,38 @@ class TextualScheme:
     def query_signature(self, query: Query) -> List[Tuple[str, float]]:
         """``S_T(q) = q.T`` — same construction as for objects."""
         return self._signature(query.tokens)
+
+    def corpus_signatures(
+        self, objects: Sequence[SpatioTextualObject]
+    ) -> Tuple[List[str], np.ndarray, np.ndarray, np.ndarray]:
+        """Every object's signature with its Lemma-3 bounds, as arrays.
+
+        The build-side twin of :meth:`object_signature` followed by
+        :func:`~repro.signatures.prefix.suffix_bounds`: same order, same
+        bounds to the bit, without a sort and a list per object.
+
+        Returns:
+            ``(vocabulary, sizes, tokens, bounds)`` — the distinct tokens
+            (ids index into this list), ``|o.T|`` per object, and flat
+            token ids and threshold bounds, object after object, each
+            object's tokens in global order.
+        """
+        sizes = [len(obj.tokens) for obj in objects]
+        occurrences = [token for obj in objects for token in obj.tokens]
+        vocabulary = list(dict.fromkeys(occurrences))
+        ids: Dict[str, int] = {token: i for i, token in enumerate(vocabulary)}
+        flat = list(map(ids.__getitem__, occurrences))
+        weighter = self.weighter
+        rank = np.empty(len(vocabulary), dtype=np.int64)
+        rank[[ids[token] for token in weighter.sort_tokens(vocabulary)]] = np.arange(
+            len(vocabulary)
+        )
+        weight = np.array([weighter.weight(token) for token in vocabulary], dtype=np.float64)
+        size_array = np.array(sizes, dtype=np.int64)
+        tokens = np.array(flat, dtype=np.int64)
+        owner = np.repeat(np.arange(len(sizes)), size_array)
+        tokens = tokens[np.lexsort((rank[tokens], owner))]
+        return vocabulary, size_array, tokens, segmented_suffix_bounds(weight[tokens], size_array)
 
     def _signature(self, tokens) -> List[Tuple[str, float]]:
         weighter = self.weighter

@@ -18,7 +18,7 @@ from repro.core.engine import METHOD_REGISTRY
 from repro.core.errors import ConfigurationError
 from repro.core.stats import SearchStats
 from repro.datasets import generate_queries
-from repro.index.columnar import BACKENDS, CSRPostingStore, resolve_backend
+from repro.index.columnar import BACKENDS, CSRPostingStore, directory_rows, resolve_backend
 from repro.index.inverted import InvertedIndex
 from repro.index.postings import DualBoundPostingList, PostingList
 
@@ -85,6 +85,86 @@ def test_csr_dual_probe_equals_python_and_brute_force(entries, min_r, min_t):
     assert col_scanned == py_scanned
     assert sorted(col_oids) == expected
     assert col_scanned >= len(col_oids)
+
+
+# ----------------------------------------------------------------------
+# Bulk load vs staging
+# ----------------------------------------------------------------------
+
+
+def _same_frozen_index(bulk, staged, backend):
+    assert bulk.backend == staged.backend == backend
+    assert list(dict(bulk.items())) == list(dict(staged.items()))
+    if backend == "columnar":
+        for column in ("offsets", "oids", "neg_bounds", "t_bounds"):
+            ours, theirs = getattr(bulk.store, column), getattr(staged.store, column)
+            assert (ours is None) == (theirs is None)
+            if ours is not None:
+                assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+                assert not ours.flags.writeable
+        assert bulk.store.rows_unique == staged.store.rows_unique
+    else:
+        for element, plist in bulk.items():
+            assert plist.columns() == staged.get(element).columns()
+
+
+@given(st.lists(st.tuples(st.sampled_from("abcde"), st.integers(0, 9),
+                          st.sampled_from([0.0, 0.5, 1.0, 2.5]), st.floats(0, 10)),
+                min_size=0, max_size=40))
+def test_bulk_load_equals_staging_and_freezing(entries):
+    """Same directory order, same (-bound, oid) rows, ties on both keys in
+    arrival order, same rows_unique — on both backends, both list kinds."""
+    elements = list(dict.fromkeys(element for element, *_ in entries))
+    rows = np.array([elements.index(element) for element, *_ in entries], dtype=np.int64)
+    oids = np.array([oid for _, oid, _, _ in entries], dtype=np.int64)
+    bounds = np.array([r for _, _, r, _ in entries], dtype=np.float64)
+    t_bounds = np.array([t for _, _, _, t in entries], dtype=np.float64)
+    for backend in BACKENDS:
+        staged = InvertedIndex(DualBoundPostingList)
+        for element, oid, r, t in entries:
+            staged.list_for(element).add(oid, r, t)
+        staged.freeze(backend=backend)
+        bulk = InvertedIndex(DualBoundPostingList)
+        bulk.bulk_load(elements, rows, oids, bounds, t_bounds, backend=backend)
+        _same_frozen_index(bulk, staged, backend)
+
+        staged = InvertedIndex(PostingList)
+        for element, oid, r, _ in entries:
+            staged.list_for(element).add(oid, r)
+        staged.freeze(backend=backend)
+        bulk = InvertedIndex(PostingList)
+        bulk.bulk_load(elements, rows, oids, bounds, backend=backend)
+        _same_frozen_index(bulk, staged, backend)
+        assert list(bulk.probe("a", 0.5)) == list(staged.probe("a", 0.5))
+
+
+def test_bulk_load_rejects_misuse():
+    index = InvertedIndex(DualBoundPostingList)
+    with pytest.raises(ValueError):  # dual lists need the textual column
+        index.bulk_load(["e"], [0], [1], [2.0])
+    with pytest.raises(ValueError):  # a row without postings
+        index.bulk_load(["e", "f"], [0], [1], [2.0], [3.0])
+    with pytest.raises(ValueError):  # a posting without a row
+        index.bulk_load(["e"], [0, 1], [1, 2], [2.0, 2.0], [3.0, 3.0])
+    with pytest.raises(ConfigurationError):
+        index.bulk_load(["e"], [0], [1], [2.0], [3.0], backend="rowwise")
+    index.bulk_load(["e"], [0], [1], [2.0], [3.0])  # ... and is still loadable
+    with pytest.raises(RuntimeError):
+        index.bulk_load(["e"], [0], [1], [2.0], [3.0])
+    with pytest.raises(RuntimeError):
+        index.list_for("new")
+    staged = InvertedIndex(PostingList)
+    staged.list_for("e").add(1, 2.0)
+    with pytest.raises(RuntimeError):
+        staged.bulk_load(["e"], [0], [1], [2.0])
+
+
+def test_directory_rows_numbers_by_first_appearance():
+    rows, first = directory_rows(np.array([7, 3, 7, 9, 3, 1]))
+    assert rows.tolist() == [0, 1, 0, 2, 1, 3]
+    assert first.tolist() == [0, 1, 3, 5]
+    rows, first = directory_rows(np.empty(0, dtype=np.int64))
+    assert len(rows) == len(first) == 0
 
 
 def test_probe_miss_returns_empty_of_consistent_type():

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core.errors import ConfigurationError
 from repro.datasets import ZipfVocabulary, generate_queries, generate_twitter, generate_usa
 from repro.datasets.spatial_gen import rect_from_center_area, sample_log_area
@@ -126,6 +132,28 @@ class TestQueries:
         a = generate_queries(twitter_small, "large", 20, seed=9)
         b = generate_queries(twitter_small, "large", 20, seed=9)
         assert list(a) == list(b)
+
+    def test_independent_of_hash_seed(self):
+        """The anchor's token frozenset iterates in hash order; the
+        generator must not let that order reach its output."""
+        script = (
+            "from repro.datasets import generate_queries, generate_twitter\n"
+            "corpus = generate_twitter(200, seed=5)\n"
+            "for q in generate_queries(corpus, 'small', 25, seed=9):\n"
+            "    print(q.region.as_tuple(), sorted(q.tokens))\n"
+        )
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(Path(repro.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, timeout=120, check=True,
+            )
+            outputs.append(done.stdout)
+        assert outputs[0] and outputs[0] == outputs[1]
 
     def test_unknown_kind(self, twitter_small):
         with pytest.raises(ConfigurationError):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,3 +100,22 @@ def test_level_cells_cover_clipped_region(region, level):
     cells = h.cells_overlapping(region, level)
     covered = sum(h.cell_weight(c, region) for c in cells)
     assert covered == pytest.approx(region.intersection_area(SPACE))
+
+
+class TestCellBoxes:
+    def test_bit_identical_to_cell_rect(self):
+        # A space whose cell sides are not exactly representable.
+        h = GridHierarchy(Rect(-3.3, 0.7, 96.4, 101.9), 6)
+        cells = [(0, 0, 0), (1, 1, 0), (3, 7, 2), (6, 63, 63), (6, 0, 41), (5, 17, 30)]
+        boxes = h.cell_boxes(np.array(cells))
+        assert boxes.tolist() == [list(h.cell_rect(cell).as_tuple()) for cell in cells]
+
+    def test_empty(self):
+        h = GridHierarchy(SPACE, 3)
+        assert h.cell_boxes(np.empty((0, 3), dtype=np.int64)).shape == (0, 4)
+
+    @pytest.mark.parametrize("cell", [(4, 0, 0), (-1, 0, 0), (2, 4, 0), (2, 0, -1)])
+    def test_out_of_range(self, cell):
+        h = GridHierarchy(SPACE, 3)
+        with pytest.raises(ValueError):
+            h.cell_boxes(np.array([cell]))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +91,23 @@ class TestSelectTokenGrids:
         assert levels == sorted(levels)
         for i, cell in enumerate(grids.cells):
             assert grids.rank(cell) == i
+
+    def test_payload_is_plain_python(self):
+        """What a snapshot pickles: tuples of int and float, whichever
+        kernel produced them — the shape format-5 snapshots hold."""
+        f = np.float64  # generated corpora carry NumPy scalars
+        h = GridHierarchy(Rect(f(0.0), f(0.0), f(100.0), f(100.0)), 4)
+        regions = [Rect(f(5), f(5), f(20), f(20)), Rect(60, 60, 95, 95), Rect(70, 70, 90, 90)]
+        for grids in (
+            select_token_grids(regions, h, mt=12, min_objects=0),
+            select_token_grids(regions, h, mt=12, min_objects=5),
+        ):
+            assert type(grids.cells) is tuple and type(grids.boxes) is tuple
+            assert all(type(v) is int for cell in grids.cells for v in cell)
+            assert all(type(v) is float for box in grids.boxes for v in box)
+            assert all(type(c) is tuple for c in grids.cells + grids.boxes)
+            assert grids.ranks == {cell: i for i, cell in enumerate(grids.cells)}
+            assert grids.__slots__ == ("cells", "ranks", "boxes")
 
     def test_len(self):
         h = GridHierarchy(SPACE, 3)

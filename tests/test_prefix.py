@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.signatures.prefix import prefix_elements, select_prefix, suffix_bounds
+from repro.signatures.prefix import (
+    prefix_elements,
+    segmented_suffix_bounds,
+    select_prefix,
+    suffix_bounds,
+)
 
 weights_lists = st.lists(
     st.integers(min_value=0, max_value=40).map(lambda n: n * 0.25), min_size=0, max_size=12
@@ -31,6 +37,15 @@ class TestSuffixBounds:
         bounds = suffix_bounds(weights)
         assert bounds[4] == 550.0
         assert bounds[3] == 700.0
+
+
+@given(st.lists(st.lists(st.floats(0.0, 1e6), min_size=0, max_size=9), min_size=0, max_size=12))
+def test_segmented_suffix_bounds_is_suffix_bounds_per_segment(signatures):
+    """Bit for bit — arbitrary floats, so any other addition order shows."""
+    flat = np.array([w for sig in signatures for w in sig], dtype=np.float64)
+    sizes = np.array([len(sig) for sig in signatures], dtype=np.int64)
+    expected = [b for sig in signatures for b in suffix_bounds(sig)]
+    assert segmented_suffix_bounds(flat, sizes).tolist() == expected
 
 
 class TestSelectPrefix:

@@ -10,8 +10,10 @@ from repro.core.errors import ConfigurationError
 from repro.core.objects import Query, SpatioTextualObject, make_corpus
 from repro.geometry import Rect
 from repro.geometry.rect import spatial_jaccard
+from repro.signatures.prefix import suffix_bounds
 from repro.signatures.spatial import GridScheme, min_weight_similarity
 from repro.signatures.textual import TextualScheme
+from repro.text.weights import TokenWeighter
 
 from tests.conftest import FIGURE1_SPACE
 from tests.strategies import rects
@@ -39,6 +41,33 @@ class TestTextualScheme:
         sig = scheme.query_signature(figure1_query)
         for token, weight in sig:
             assert weight == figure1_weighter.weight(token)
+
+
+    def test_corpus_signatures_match_per_object(self, twitter_small, twitter_small_weighter):
+        scheme = TextualScheme(twitter_small_weighter)
+        vocabulary, sizes, tokens, bounds = scheme.corpus_signatures(twitter_small)
+        assert sizes.tolist() == [len(obj.tokens) for obj in twitter_small]
+        assert sorted(vocabulary) == sorted({t for obj in twitter_small for t in obj.tokens})
+        expected_tokens, expected_bounds = [], []
+        for obj in twitter_small:
+            sig = scheme.object_signature(obj)
+            expected_tokens.extend(token for token, _ in sig)
+            expected_bounds.extend(suffix_bounds([w for _, w in sig]))
+        assert [vocabulary[i] for i in tokens.tolist()] == expected_tokens
+        assert bounds.tolist() == expected_bounds
+
+    def test_corpus_signatures_with_foreign_weighter(self, figure1_objects):
+        """A segment indexes under corpus-wide weights: its own tokens may
+        be unknown to the weighter and then sort first, by name."""
+        weighter = TokenWeighter.from_counts({"t1": 2, "t2": 3}, 7)
+        scheme = TextualScheme(weighter)
+        vocabulary, _, tokens, bounds = scheme.corpus_signatures(figure1_objects)
+        flat = iter(zip(tokens.tolist(), bounds.tolist()))
+        for obj in figure1_objects:
+            sig = scheme.object_signature(obj)
+            for (token, _), bound in zip(sig, suffix_bounds([w for _, w in sig])):
+                index, got = next(flat)
+                assert (vocabulary[index], got) == (token, bound)
 
 
 class TestGridScheme:

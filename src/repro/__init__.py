@@ -26,12 +26,8 @@ through the canonical filter→verify pipeline
 (:func:`repro.exec.pipeline.execute_query`); the same pipeline drives:
 
 * ``engine.search_batch(queries)`` — a :class:`~repro.exec.BatchExecutor`
-  runs the batch with shared verification scratch (vectorised spatial
-  checks over per-corpus NumPy buffers) and aggregate
+  runs the workload through that path and aggregates
   :class:`~repro.exec.BatchStats`;
-* :class:`~repro.exec.ShardedSealSearch` — the corpus partitioned into K
-  shards (round-robin or spatial policy), one index per shard, queries
-  fanned out over a thread pool and answers merged back to global oids.
 * :class:`~repro.exec.SegmentedSealSearch` — the updatable engine: a
   write buffer sealed into immutable segments, deletes as tombstones,
   size-tiered merges, queries fanned over segments through the same
@@ -42,9 +38,10 @@ through the canonical filter→verify pipeline
   :func:`repro.exec.durable.recover` replays ``snapshot + WAL tail``
   into the exact pre-crash engine.
 
-Executors never change answers — batched and sharded results are
-guaranteed identical to sequential per-query search, and the test suite
-pins that for every registry method.
+Verification is one step on every path
+(:class:`~repro.core.verification.Verifier`), so batched, planned and
+segmented results are identical to sequential per-query search — the
+test suite pins that for every registry method.
 
 See ``DESIGN.md`` for the module map and ``EXPERIMENTS.md`` for the
 reproduction of the paper's evaluation.
@@ -58,9 +55,8 @@ from repro.core.similarity import spatial_similarity, textual_similarity
 from repro.core.stats import SearchResult, SearchStats
 from repro.exec.batch import BatchExecutor, BatchResult, BatchStats
 from repro.exec.durable import DurableSegmentedSealSearch
-from repro.exec.pipeline import Executor, SerialExecutor, execute_query
+from repro.exec.pipeline import execute_query
 from repro.exec.segments import SegmentedSealSearch
-from repro.exec.sharded import ShardedSealSearch
 from repro.filters import GridFilter, HierarchicalFilter, HybridFilter, TokenFilter
 from repro.geometry import Rect
 from repro.service import (
@@ -92,7 +88,6 @@ __all__ = [
     "DeadlineExceeded",
     "DurableSegmentedSealSearch",
     "EngineManager",
-    "Executor",
     "GridFilter",
     "HierarchicalFilter",
     "HybridFilter",
@@ -115,8 +110,6 @@ __all__ = [
     "SearchStats",
     "ServiceError",
     "SegmentedSealSearch",
-    "SerialExecutor",
-    "ShardedSealSearch",
     "SpatialFirstSearch",
     "SpatioTextualObject",
     "TokenFilter",

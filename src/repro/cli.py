@@ -10,8 +10,6 @@ Everything the library does, scriptable without writing Python::
     seal-repro build corpus.jsonl --method seal --out engine.pkl
     seal-repro build corpus.jsonl --method seal --backend python \\
         --out oracle.pkl
-    seal-repro build corpus.jsonl --method seal --shards 4 \\
-        --partition spatial --out sharded.pkl
     seal-repro build corpus.jsonl --method seal --segmented \\
         --out live.pkl
     seal-repro build corpus.jsonl --method seal --segmented \\
@@ -57,9 +55,8 @@ from repro.bench import format_series_table, measure_workload, sweep as run_swee
 from repro.core.engine import METHOD_REGISTRY
 from repro.exec.batch import BatchExecutor
 from repro.exec.durable import DurableSegmentedSealSearch, recover as recover_engine
-from repro.exec.partition import PARTITION_POLICIES
+from repro.exec.pipeline import run_query
 from repro.exec.segments import SegmentedSealSearch
-from repro.exec.sharded import ShardedSealSearch
 from repro.io.atomic import atomic_write_text
 from repro.io.wal import SYNC_POLICIES, WriteAheadLog
 from repro.service import QueryService
@@ -139,14 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "are bit-identical to every fixed method)",
     )
     build.add_argument("--out", required=True, help="snapshot path (.pkl)")
-    build.add_argument(
-        "--shards", type=int, default=None,
-        help="build a sharded engine with this many partitions",
-    )
-    build.add_argument(
-        "--partition", choices=sorted(PARTITION_POLICIES), default="round-robin",
-        help="shard partitioning policy (with --shards)",
-    )
     build.add_argument(
         "--segmented", action="store_true",
         help="build an updatable segmented engine (accepts update/delete/compact)",
@@ -234,8 +223,8 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument("--queries", help="JSONL workload instead of a single query")
     query.add_argument(
         "--batch-file",
-        help="JSONL workload run through the batch executor (shared scratch, "
-             "throughput summary) instead of query-at-a-time",
+        help="JSONL workload run as one batch (throughput summary) "
+             "instead of query-at-a-time",
     )
     query.add_argument(
         "--mmap", action="store_true",
@@ -626,9 +615,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         from repro.exec.planner import load_coefficients
 
         params["coefficients"] = load_coefficients(args.coefficients)
-    if args.segmented and args.shards is not None:
-        print("error: --segmented and --shards are mutually exclusive", file=sys.stderr)
-        return 2
     if not args.segmented and (
         args.buffer_capacity is not None or args.merge_fanout is not None
     ):
@@ -642,16 +628,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
               "takes mutations to log)", file=sys.stderr)
         return 2
     started = time.perf_counter()
-    if args.shards is not None:
-        engine = ShardedSealSearch(
-            ((obj.region, obj.tokens) for obj in objects),
-            args.method,
-            shards=args.shards,
-            partition=args.partition,
-            **params,
-        )
-        label = f"{args.method} × {engine.num_shards} {args.partition} shards"
-    elif args.segmented:
+    if args.segmented:
         knobs = {}
         if args.buffer_capacity is not None:
             knobs["buffer_capacity"] = args.buffer_capacity
@@ -684,13 +661,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
     print(f"built {label} over {len(objects)} objects in {elapsed:.1f}s{size}; "
           f"snapshot at {args.out}{wal_note}")
     return 0
-
-
-def _engine_search(engine, query: Query):
-    """Run one query against either a method or a sharded engine."""
-    if hasattr(engine, "search_query"):
-        return engine.search_query(query)
-    return engine.search(query)
 
 
 def _parse_region(text: str) -> Rect | None:
@@ -897,10 +867,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
             started = time.perf_counter()
             if service is not None:
                 results = service.query_batch(queries)
-            elif hasattr(engine, "search_batch"):
-                results = list(engine.search_batch(queries))
             else:
-                results = list(BatchExecutor().run(engine, queries))
+                results = BatchExecutor().run(engine, queries).results
             elapsed = time.perf_counter() - started
             for i, result in enumerate(results):
                 print(_print_answers(i, result, args.show))
@@ -931,7 +899,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             if service is not None:
                 result = service.query(query)
             else:
-                result = _engine_search(engine, query)
+                result = run_query(engine, query)
             print(f"{_print_answers(i, result, args.show)} — "
                   f"{1000 * result.stats.total_seconds:.2f} ms, "
                   f"{result.stats.candidates} candidates")
@@ -990,7 +958,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         for p in planners:
             p.start_recording(args.record)
         for query in queries:
-            _engine_search(engine, query)
+            run_query(engine, query)
         rows = [row for p in planners for row in p.recorded_rows]
         # One combined write: with several embedded planners the
         # auto-flush would otherwise interleave partial files.
@@ -1333,7 +1301,7 @@ def _cmd_client(args: argparse.Namespace) -> int:
     expected = None
     if args.oracle:
         oracle = load_engine(args.oracle)
-        expected = [_engine_search(oracle, query).answers for query in queries]
+        expected = [run_query(oracle, query).answers for query in queries]
     failures: List[str] = []
     mismatches: List[str] = []
     reconnects = [0]

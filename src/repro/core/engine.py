@@ -72,7 +72,7 @@ def build_method(
         **params: Method-specific knobs (``granularity``, ``mt``,
             ``num_buckets``, ``max_entries``, …), all keyword-only on the
             constructors, so any registry entry builds with one uniform
-            call — executors rely on that.
+            call — the planner and the segmented engine rely on that.
 
     Raises:
         ConfigurationError: For unknown method names.
@@ -130,22 +130,11 @@ class SealSearch:
         """Search with a prebuilt :class:`~repro.core.objects.Query`."""
         return self.method.search(query)
 
-    def search_batch(
-        self, queries: Sequence[Query], *, executor: BatchExecutor | None = None
-    ) -> BatchResult:
-        """Run many queries with shared per-batch setup.
-
-        Answers are identical to calling :meth:`search_query` per query;
-        the batch executor amortises verification scratch across the
-        batch and aggregates a :class:`~repro.exec.batch.BatchStats`.
-
-        Args:
-            queries: Prebuilt queries, executed in order.
-            executor: Override the default :class:`BatchExecutor` (e.g.
-                to disable vectorised verification).
-        """
-        batcher = executor if executor is not None else BatchExecutor()
-        return batcher.run(self.method, list(queries))
+    def search_batch(self, queries: Sequence[Query]) -> BatchResult:
+        """Run many queries and aggregate a
+        :class:`~repro.exec.batch.BatchStats`; answers are those of
+        :meth:`search_query` per query, in order."""
+        return BatchExecutor().run(self.method, queries)
 
     def object(self, oid: int) -> SpatioTextualObject:
         """Resolve an answer oid back to its object."""

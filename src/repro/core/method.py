@@ -5,8 +5,8 @@ the four baselines — is a :class:`SearchMethod`: it owns its index, turns
 a query into a candidate oid collection (*filter step*), and delegates the
 *verification step* to the shared :class:`~repro.core.verification.Verifier`.
 ``search`` delegates the wiring of the two steps to the execution
-pipeline (:func:`repro.exec.pipeline.execute_query`), so batching and
-sharding executors can drive any method through the exact same path.
+pipeline (:func:`repro.exec.pipeline.execute_query`), so batches and the
+segment fan-out drive any method through the exact same path.
 """
 
 from __future__ import annotations
@@ -57,8 +57,7 @@ class SearchMethod(abc.ABC):
     def search(self, query: Query) -> SearchResult:
         """Filter, then verify; answers come back sorted by oid.
 
-        One query through the canonical execution pipeline; use an
-        executor from :mod:`repro.exec` for batched or sharded workloads.
+        One query through the canonical execution pipeline.
         """
         return execute_query(self, query)
 

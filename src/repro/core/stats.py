@@ -61,7 +61,7 @@ class SearchStats:
         return self.filter_seconds + self.verify_seconds
 
     def copy(self) -> "SearchStats":
-        """An independent copy (executors merge into copies, never share)."""
+        """An independent copy (aggregates merge into copies, never share)."""
         return SearchStats(
             lists_probed=self.lists_probed,
             entries_retrieved=self.entries_retrieved,
@@ -106,9 +106,7 @@ class SearchResult:
         """An independent copy: fresh answer list, fresh stats.
 
         The serving layer's result cache stores and serves copies so two
-        clients never alias one mutable stats object (subclasses such as
-        :class:`~repro.exec.sharded.ShardedSearchResult` copy down to a
-        plain ``SearchResult``; per-shard breakdowns are not cached).
+        clients never alias one mutable stats object.
         """
         return SearchResult(answers=list(self.answers), stats=self.stats.copy())
 

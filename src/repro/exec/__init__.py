@@ -1,13 +1,10 @@
 """The execution layer: how queries run, separate from what filters compute.
 
 * :mod:`repro.exec.pipeline` — the canonical filter→verify pipeline
-  (``execute_query``) and the :class:`Executor` interface with the
-  reference :class:`SerialExecutor`.
-* :mod:`repro.exec.batch` — :class:`BatchExecutor`: batches share scratch
-  (vectorised verification buffers) and aggregate :class:`BatchStats`.
-* :mod:`repro.exec.partition` — corpus partitioning policies for sharding.
-* :mod:`repro.exec.sharded` — :class:`ShardedSealSearch`: K per-shard
-  indexes behind one facade, answers identical to the unsharded engine.
+  (``execute_query``) and ``run_query``, the one way the layers above
+  reach it through any engine shape.
+* :mod:`repro.exec.batch` — :class:`BatchExecutor`: a workload through
+  that same path, aggregated into :class:`BatchStats`.
 * :mod:`repro.exec.segments` — :class:`SegmentedSealSearch`: the
   updatable engine (write buffer + immutable segments + tombstones with
   size-tiered merges), searches fanned over segments through the same
@@ -19,38 +16,31 @@
   cost-model dispatch over a portfolio of answer-identical methods, with
   a record→fit→serve calibration loop and planner decision metrics.
 
-Every executor preserves exact answer semantics: batching and sharding
-change *throughput*, never results.
+Every path preserves exact answer semantics: batching, planning and
+segmentation change *throughput*, never results.
 """
 
 from repro.exec.batch import BatchExecutor, BatchResult, BatchStats
-from repro.exec.partition import PARTITION_POLICIES, get_partition_policy
-from repro.exec.pipeline import Executor, SerialExecutor, execute_query
+from repro.exec.pipeline import execute_query, run_query
 
 __all__ = [
     "BatchExecutor",
     "BatchResult",
     "BatchStats",
     "DurableSegmentedSealSearch",
-    "Executor",
-    "PARTITION_POLICIES",
     "PlannedSealSearch",
     "PlannerMetrics",
     "SegmentedSealSearch",
-    "SerialExecutor",
-    "ShardedSealSearch",
-    "ShardedSearchResult",
     "collect_planner_metrics",
     "execute_query",
     "fit_coefficients",
-    "get_partition_policy",
     "recover",
-    "shutdown_shared_pool",
+    "run_query",
 ]
 
-#: Names resolved lazily (PEP 562): ``sharded`` imports the engine, which
-#: imports the method base class, which imports this package — so eager
-#: import here would cycle.  Lazy resolution breaks the loop.
+#: Names resolved lazily (PEP 562): the engines import the method base
+#: class, which imports this package for the pipeline — an eager import
+#: here would cycle.
 _LAZY = {
     "DurableSegmentedSealSearch": "repro.exec.durable",
     "PlannedSealSearch": "repro.exec.planner",
@@ -58,10 +48,7 @@ _LAZY = {
     "SegmentedSealSearch": "repro.exec.segments",
     "collect_planner_metrics": "repro.exec.planner",
     "fit_coefficients": "repro.exec.planner",
-    "ShardedSealSearch": "repro.exec.sharded",
-    "ShardedSearchResult": "repro.exec.sharded",
     "recover": "repro.exec.durable",
-    "shutdown_shared_pool": "repro.exec.sharded",
 }
 
 

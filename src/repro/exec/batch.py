@@ -1,51 +1,24 @@
-"""Batched query execution with shared per-batch setup.
+"""Batched query execution: a workload in, per-query results and totals out.
 
-Running a workload query-by-query pays per-query overheads — and, much
-more importantly, verifies every candidate with per-object Python
-arithmetic.  :class:`BatchExecutor` amortises work across the batch:
-
-* a per-method *scratch* (corpus rectangle coordinates, areas and token
-  weight totals packed into NumPy arrays) is built once and reused by
-  every query in the batch — and cached across batches per method;
-* with the columnar index backend the *filter* step is vectorised too:
-  probes return zero-copy CSR head views, each query's candidate union
-  runs through the method's single reusable
-  :class:`~repro.index.columnar.CandidateScratch` buffer (allocated once,
-  epoch-reset per query across the whole batch), and the resulting int64
-  candidate array flows into verification without re-materialisation;
-* verification of each query's candidate set runs the spatial check
-  vectorised over all candidates at once, falling back to the exact
-  per-object textual check only for the spatial survivors;
-* stats aggregate into one :class:`BatchStats` alongside the per-query
-  :class:`~repro.core.stats.SearchResult` objects.
-
-The vectorised verification replicates
-:meth:`repro.core.verification.Verifier.verify` operation-for-operation
-in float64, so batched answers are guaranteed identical to per-query
-answers — the invariant ``tests/test_exec_batch.py`` pins for every
-registry method.  When NumPy is unavailable the executor degrades to the
-scalar verifier and still aggregates batch stats.
+:class:`BatchExecutor` runs each query of a batch through
+:func:`~repro.exec.pipeline.run_query` — the same path a single query
+takes, against any engine shape — and aggregates the per-query
+:class:`~repro.core.stats.SearchResult` objects into one
+:class:`BatchStats`.  A batch is therefore answer-identical to a loop of
+single queries by construction; what the callers (the service's burst
+coalescing, ``search_batch`` on the facades, the CLI's ``--batch-file``)
+get from it is the aggregate and one timing around the whole workload.
 """
 
 from __future__ import annotations
 
 import time
-import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, List, Sequence
+from typing import Any, Iterator, List, Sequence
 
 from repro.core.objects import Query
 from repro.core.stats import SearchResult, SearchStats
-from repro.core.verification import Verifier
-from repro.exec.pipeline import Executor, execute_query
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.method import SearchMethod
-
-try:  # pragma: no cover - exercised implicitly by every batch test
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
+from repro.exec.pipeline import run_query
 
 
 @dataclass(slots=True)
@@ -55,8 +28,7 @@ class BatchStats:
     Attributes:
         queries: Number of queries executed.
         totals: Sum of every per-query :class:`SearchStats`.
-        elapsed_seconds: Wall time for the whole batch, including shared
-            scratch setup (so throughput numbers stay honest).
+        elapsed_seconds: Wall time for the whole batch.
     """
 
     queries: int = 0
@@ -103,144 +75,13 @@ class BatchResult:
         return [result.answers for result in self.results]
 
 
-class _VectorVerifier:
-    """Vectorised drop-in for :class:`Verifier` over one method's corpus.
+class BatchExecutor:
+    """Run a query batch against one engine and aggregate its stats."""
 
-    The spatial threshold check mirrors ``Verifier.verify`` exactly:
-    identical float64 operations applied elementwise, including the
-    degenerate zero-union branch, so the surviving oid set is identical
-    bit-for-bit.  The textual check then runs the *same* per-object
-    Python arithmetic as the scalar verifier, only over the (much
-    smaller) spatial survivor set.
-
-    Candidate sets below ``min_candidates`` delegate to the scalar
-    verifier outright — array setup would cost more than it saves.
-    """
-
-    __slots__ = (
-        "corpus", "weighter", "scalar", "totals", "min_candidates",
-        "x1", "y1", "x2", "y2", "areas",
-    )
-
-    def __init__(self, verifier: Verifier, min_candidates: int = 32) -> None:
-        self.corpus = verifier.corpus
-        self.weighter = verifier.weighter
-        self.scalar = verifier.verify
-        self.totals = verifier._token_totals
-        self.min_candidates = min_candidates
-        n = len(verifier.corpus)
-        self.x1 = _np.empty(n, dtype=_np.float64)
-        self.y1 = _np.empty(n, dtype=_np.float64)
-        self.x2 = _np.empty(n, dtype=_np.float64)
-        self.y2 = _np.empty(n, dtype=_np.float64)
-        for i, obj in enumerate(verifier.corpus):
-            region = obj.region
-            self.x1[i] = region.x1
-            self.y1[i] = region.y1
-            self.x2[i] = region.x2
-            self.y2[i] = region.y2
-        self.areas = (self.x2 - self.x1) * (self.y2 - self.y1)
-
-    def verify(self, query: Query, candidates, stats: SearchStats | None = None) -> List[int]:
-        n = len(candidates)
-        if n < self.min_candidates:
-            return self.scalar(query, candidates, stats)
-        if isinstance(candidates, _np.ndarray):
-            # Columnar filters already hand over an integer candidate
-            # array — fancy indexing takes it as-is, so the handoff is
-            # genuinely zero-copy (astype to intp would copy int32).
-            oids = candidates
-        else:
-            oids = _np.fromiter(candidates, dtype=_np.intp, count=n)
-        q_rect = query.region
-        qx1, qy1, qx2, qy2 = q_rect.x1, q_rect.y1, q_rect.x2, q_rect.y2
-        q_area = q_rect.area
-        tau_r = query.tau_r
-        x1 = self.x1[oids]
-        y1 = self.y1[oids]
-        x2 = self.x2[oids]
-        y2 = self.y2[oids]
-        dx = _np.minimum(qx2, x2) - _np.maximum(qx1, x1)
-        dy = _np.minimum(qy2, y2) - _np.maximum(qy1, y1)
-        inter = dx * dy
-        inter[(dx <= 0.0) | (dy <= 0.0)] = 0.0
-        union = (q_area + self.areas[oids]) - inter
-        # Mirror Verifier.verify: positive union compares inter against
-        # tau_r*union; zero union (two degenerate regions) passes only
-        # when the rectangles are identical or tau_r is vacuous.
-        mask = inter >= tau_r * union
-        degenerate = union <= 0.0
-        if degenerate.any():
-            if tau_r > 0.0:
-                mask[degenerate] = (
-                    (x1[degenerate] == qx1) & (y1[degenerate] == qy1)
-                    & (x2[degenerate] == qx2) & (y2[degenerate] == qy2)
-                )
-            else:
-                mask[degenerate] = True
-        survivors = oids[mask].tolist()
-
-        q_tokens = query.tokens
-        q_total = self.weighter.total_weight(q_tokens)
-        tau_t = query.tau_t
-        weight = self.weighter.weight
-        totals = self.totals
-        corpus = self.corpus
-        answers: List[int] = []
-        for oid in survivors:
-            obj = corpus[oid]
-            inter_w = sum(weight(t) for t in obj.tokens & q_tokens)
-            union_w = q_total + totals[oid] - inter_w
-            if union_w > 0.0 and inter_w < tau_t * union_w:
-                continue
-            answers.append(oid)
-        if stats is not None:
-            stats.results = len(answers)
-        return answers
-
-
-#: Per-method scratch cache.  Weak keys so a discarded method releases its
-#: arrays; kept module-level (not on the method) so engine snapshots never
-#: pickle scratch buffers.
-_SCRATCH: "weakref.WeakKeyDictionary[SearchMethod, _VectorVerifier]" = weakref.WeakKeyDictionary()
-
-
-def _scratch_for(method: "SearchMethod", min_candidates: int) -> _VectorVerifier:
-    scratch = _SCRATCH.get(method)
-    if scratch is None or scratch.min_candidates != min_candidates:
-        scratch = _VectorVerifier(method.verifier, min_candidates)
-        _SCRATCH[method] = scratch
-    return scratch
-
-
-class BatchExecutor(Executor):
-    """Run a query batch through one method with shared setup.
-
-    Args:
-        vectorized: Use the NumPy verification scratch when available
-            (answers are identical either way; this only changes speed).
-        min_vector_candidates: Candidate sets smaller than this verify
-            through the scalar path — array setup isn't worth it.
-    """
-
-    def __init__(self, *, vectorized: bool = True, min_vector_candidates: int = 32) -> None:
-        self.vectorized = vectorized
-        self.min_vector_candidates = min_vector_candidates
-
-    def run(self, method: "SearchMethod", queries: Sequence[Query]) -> BatchResult:
-        # Segmented engines are not one method but a fan-out of them;
-        # they publish ``batch_fanout`` and this executor drives each of
-        # their sources (segments + write buffer) through the normal
-        # batched path below, so batch workloads survive churn.
-        fanout = getattr(method, "batch_fanout", None)
-        if fanout is not None:
-            return fanout(queries, executor=self)
+    def run(self, engine: Any, queries: Sequence[Query]) -> BatchResult:
         queries = list(queries)
         started = time.perf_counter()
-        verify = None
-        if self.vectorized and _np is not None and queries:
-            verify = _scratch_for(method, self.min_vector_candidates).verify
-        results = [execute_query(method, query, verify=verify) for query in queries]
+        results = [run_query(engine, query) for query in queries]
         elapsed = time.perf_counter() - started
         totals = SearchStats()
         for result in results:

@@ -140,8 +140,8 @@ class DurableSegmentedSealSearch:
     logged (see the module docstring for the durability contract).
 
     Facade-compatible with the wrapped engine: every read-side method
-    (``search``, ``search_query``, ``search_batch``, ``batch_fanout``,
-    ``object``, ``len``, stats/introspection properties) delegates
+    (``search``, ``search_query``, ``search_batch``, ``object``,
+    ``len``, stats/introspection properties) delegates
     untouched, so the wrapper drops into :class:`~repro.service.manager.
     EngineManager`, :class:`~repro.exec.batch.BatchExecutor` and the CLI
     exactly like the raw engine.  Mutations are intercepted and logged

@@ -1,23 +1,16 @@
 """The query execution pipeline: filter → verify → stats, as data flow.
 
-Historically every :class:`~repro.core.method.SearchMethod` hardwired the
-two framework steps inside ``search``.  This module lifts that wiring out
-into a reusable pipeline so *how* queries execute (one at a time, in
-batches with shared scratch, fanned out over shards) is a property of an
-:class:`Executor` object, while the methods keep owning only *what* the
-filter step computes.
-
-``execute_query`` is the canonical single-query pipeline —
-``SearchMethod.search`` delegates to it — and accepts an optional
-``verify`` callable so executors can substitute equivalent-but-faster
-verification (e.g. the batch executor's vectorised spatial check) without
-touching any method.
+The framework's two steps are wired here once, so the methods keep owning
+only *what* the filter step computes.  :func:`execute_query` is the
+canonical pipeline — ``SearchMethod.search``, the segment fan-out, the
+write-buffer scan and every batch run one query through it — and
+:func:`run_query` is how the layers above (service, CLI, batch loop)
+reach it through whichever engine shape they were handed.
 """
 
 from __future__ import annotations
 
-import abc
-from typing import TYPE_CHECKING, Callable, Collection, List, Sequence
+from typing import TYPE_CHECKING, Any
 
 from repro.core.objects import Query
 from repro.core.stats import SearchResult, SearchStats, Stopwatch
@@ -25,27 +18,14 @@ from repro.core.stats import SearchResult, SearchStats, Stopwatch
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.method import SearchMethod
 
-#: Signature of a verification callable: ``(query, candidate_oids, stats)
-#: -> answer oids``.  Must set ``stats.results`` and produce exactly the
-#: answers of :meth:`repro.core.verification.Verifier.verify`.
-VerifyFn = Callable[[Query, Collection[int], SearchStats], List[int]]
 
-
-def execute_query(
-    method: "SearchMethod",
-    query: Query,
-    *,
-    verify: VerifyFn | None = None,
-) -> SearchResult:
+def execute_query(method: "SearchMethod", query: Query) -> SearchResult:
     """Run one query through the filter-and-verify pipeline.
 
     Args:
-        method: The search method supplying the filter step (its
-            ``candidates``) and, by default, the verification step (its
-            ``verifier``).
+        method: Supplies the filter step (its ``candidates``) and the
+            verification step (its ``verifier``).
         query: The query to execute.
-        verify: Optional verification override; must return exactly the
-            oids the method's own verifier would.
 
     Returns:
         The answers (sorted by oid) plus filled :class:`SearchStats`.
@@ -57,37 +37,23 @@ def execute_query(
     candidate_oids = method.candidates(query, stats)
     stats.filter_seconds = watch.lap()
     stats.candidates = len(candidate_oids)
-    if verify is None:
-        verify = method.verifier.verify
-    answers = verify(query, candidate_oids, stats)
+    answers = method.verifier.verify(query, candidate_oids, stats)
     stats.verify_seconds = watch.lap()
     answers.sort()
     return SearchResult(answers=answers, stats=stats)
 
 
-class Executor(abc.ABC):
-    """How a sequence of queries runs against one search method.
+def run_query(engine: Any, query: Query) -> SearchResult:
+    """One query against any engine shape.
 
-    Executors are stateless with respect to any particular method or
-    corpus: the same executor instance can drive any method, and the
-    answers must be identical to running ``method.search`` per query.
+    Facades (``SealSearch``, the segmented and durable engines) take a
+    prebuilt query through ``search_query``; bare methods and wrappers
+    around them through ``search``; an object that only supplies the two
+    framework steps (``candidates`` + ``verifier``) goes straight through
+    :func:`execute_query`.
     """
-
-    @abc.abstractmethod
-    def run(self, method: "SearchMethod", queries: Sequence[Query]):
-        """Execute ``queries`` against ``method``; see subclasses for the
-        concrete return type (a list of results, or a batch aggregate)."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}()"
-
-
-class SerialExecutor(Executor):
-    """The reference executor: one query at a time, no shared state.
-
-    Exists so tests and benchmarks have a named baseline to compare the
-    optimised executors against.
-    """
-
-    def run(self, method: "SearchMethod", queries: Sequence[Query]) -> List[SearchResult]:
-        return [execute_query(method, query) for query in queries]
+    for entry in ("search_query", "search"):
+        run = getattr(engine, entry, None)
+        if run is not None:
+            return run(query)
+    return execute_query(engine, query)

@@ -36,7 +36,7 @@ coefficients from those rows (NumPy only).  The workflow is
 Observability lives in :class:`PlannerMetrics` (per-method selection
 counts, per-method latency histograms, a mispredict counter fed by
 recording mode); :func:`collect_planner_metrics` aggregates every
-planner hiding inside an engine (facade, segmented, sharded) into the
+planner hiding inside an engine (facade, segmented) into the
 ``planner`` block of ``QueryService.metrics_json``.
 """
 
@@ -231,9 +231,11 @@ class PlannedSealSearch(SearchMethod):
             if method_name == self.name:
                 raise ConfigurationError("a planner cannot plan over itself")
             accepted = _accepted_knobs(method_name, params)
-            self.methods[method_name] = build_method(
-                self.corpus, method_name, self.weighter, **accepted
-            )
+            member = build_method(self.corpus, method_name, self.weighter, **accepted)
+            # Same corpus, same weighter: one verifier (and one set of
+            # lazily built coordinate columns) serves the whole portfolio.
+            member.verifier = self.verifier
+            self.methods[method_name] = member
         self.coefficients: Dict[str, List[float]] = {
             method_name: list(DEFAULT_COEFFICIENTS) for method_name in names
         }
@@ -727,8 +729,8 @@ def iter_planners(engine: Any) -> Iterator[PlannedSealSearch]:
     """Every planner reachable inside an engine, deduplicated.
 
     Walks the shapes the service layer serves: a bare method, the
-    ``SealSearch`` facade (``.method``), the segmented engine
-    (``segment_methods()``), and the sharded engine (``.shards``).
+    ``SealSearch`` facade (``.method``) and the segmented engine
+    (``segment_methods()``).
     """
     seen: set[int] = set()
 
@@ -746,8 +748,6 @@ def iter_planners(engine: Any) -> Iterator[PlannedSealSearch]:
         if callable(segment_methods):
             for method in segment_methods():
                 yield from walk(method)
-        for shard in getattr(node, "shards", ()) or ():
-            yield from walk(shard)
 
     yield from walk(engine)
 

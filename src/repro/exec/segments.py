@@ -1,11 +1,9 @@
 """Segmented updatable engine: immutable segments + write buffer (LSM-style).
 
 SEAL's signatures are corpus-dependent (idf weights, cell orders, HSS
-partitions), so the static indexes cannot absorb writes in place.  The
-first-generation answer (``repro.extensions.updates``) rebuilt the whole
-index once a delta pool outgrew a threshold — O(n) work per rebuild,
-no deletes, and no empty bootstrap.  This module replaces it with the
-standard streaming-systems design (FAST, Mahmood et al.):
+partitions), so the static indexes cannot absorb writes in place, and
+rebuilding the whole index per batch of writes is O(n) each time.  This
+module is the standard streaming-systems design (FAST, Mahmood et al.):
 
 * **Write buffer** — inserts append to a small in-memory pool that is
   scanned *exactly* at query time (the pool is bounded, so this is
@@ -37,22 +35,20 @@ that leaves a single segment holding the entire corpus); between those
 points idf weights drift from a from-scratch build — tokens inserted
 since get the unknown-token maximum idf — and converge exactly at the
 next compaction.  This is the same deferred-maintenance trade every
-updatable text index makes, inherited from the rebuild-the-world
-predecessor.  While the engine has *no* sealed segment yet (the empty
-bootstrap), the live set *is* the buffer, so the weighter tracks it
-exactly and there is no drift at all.
+updatable text index makes.  While the engine has *no* sealed segment
+yet (the empty bootstrap), the live set *is* the buffer, so the weighter
+tracks it exactly and there is no drift at all.
 """
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Set
 
 from repro.baselines.naive import NaiveSearch
 from repro.core.engine import build_method
 from repro.core.objects import Query, SpatioTextualObject
 from repro.core.stats import SearchResult, SearchStats
-from repro.exec.batch import BatchExecutor, BatchResult, BatchStats
+from repro.exec.batch import BatchExecutor, BatchResult
 from repro.exec.pipeline import execute_query
 from repro.geometry import Rect
 from repro.index.storage import IndexSizeReport
@@ -100,7 +96,7 @@ class SegmentedSealSearch:
         buffer_capacity: Seal the write buffer into a segment once it
             holds this many objects.  ``None`` disables auto-sealing —
             the caller then controls sealing via :meth:`flush` /
-            :meth:`compact` (the rebuild-the-world shim uses this).
+            :meth:`compact`.
         merge_fanout: Merge whenever this many segments share a size
             tier (tier ``t`` holds segments of ``capacity·fanout^t`` to
             ``capacity·fanout^(t+1)`` objects).
@@ -412,38 +408,10 @@ class SegmentedSealSearch:
         query = Query(region=region, tokens=frozenset(tokens), tau_r=tau_r, tau_t=tau_t)
         return self.search_query(query)
 
-    def batch_fanout(self, queries: Sequence[Query], *, executor: BatchExecutor) -> BatchResult:
-        """The :class:`BatchExecutor` path over a segmented engine.
-
-        Each segment (and the buffer scan) processes the whole batch with
-        the executor's shared scratch; answers then merge per query with
-        tombstone masking — identical to per-query :meth:`search_query`.
-        """
-        queries = list(queries)
-        started = time.perf_counter()
-        sources = self._sources()
-        batches = [executor.run(method, queries) for method, _ in sources]
-        mappings = [m for _, m in sources]
-        results = [
-            self._merge_source_results([batch.results[i] for batch in batches], mappings)
-            for i in range(len(queries))
-        ]
-        elapsed = time.perf_counter() - started
-        totals = SearchStats()
-        for result in results:
-            totals.merge(result.stats)
-        return BatchResult(
-            results=results,
-            stats=BatchStats(queries=len(queries), totals=totals, elapsed_seconds=elapsed),
-        )
-
-    def search_batch(
-        self, queries: Sequence[Query], *, executor: BatchExecutor | None = None
-    ) -> BatchResult:
-        """Run many queries with shared per-batch setup (see ``batch_fanout``)."""
-        return self.batch_fanout(
-            queries, executor=executor if executor is not None else BatchExecutor()
-        )
+    def search_batch(self, queries: Sequence[Query]) -> BatchResult:
+        """Run many queries and aggregate a :class:`BatchStats`; answers
+        are those of :meth:`search_query` per query."""
+        return BatchExecutor().run(self, queries)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -12,9 +12,6 @@ top of the core library:
   by threshold descent over any filter method.
 * :mod:`~repro.extensions.multiregion` — multi-region ROIs (clustered
   user activity) with exact union-of-rectangles similarity.
-* :mod:`~repro.extensions.updates` — the deprecated rebuild-the-world
-  updatable engine, now a shim over the segmented LSM-style engine
-  (:class:`repro.exec.segments.SegmentedSealSearch`).
 """
 
 from repro.extensions.join import brute_force_join, similarity_join
@@ -32,7 +29,6 @@ from repro.extensions.multiregion import (
     multi_region_spatial_similarity,
     union_area,
 )
-from repro.extensions.updates import UpdatableSealSearch
 
 __all__ = [
     "CosinePredicate",
@@ -41,7 +37,6 @@ __all__ = [
     "MultiRegionObject",
     "PredicateSearch",
     "TopKResult",
-    "UpdatableSealSearch",
     "brute_force_join",
     "cluster_points_to_regions",
     "multi_region_search",

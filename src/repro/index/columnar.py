@@ -146,8 +146,7 @@ class CandidateScratch:
     the union once per query instead of once per probed list is what
     keeps short-head probes competitive with the python backend's
     ``set.update`` while long heads get full vectorisation.  One instance
-    serves every query against its store (the batch executor's "one
-    scratch candidate buffer across the batch"); the buffer grows to the
+    serves every query against its store; the buffer grows to the
     high-water total head length and is then reused round after round.
     """
 

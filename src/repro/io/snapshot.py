@@ -6,40 +6,26 @@ Pickle is appropriate here: snapshots are trusted, same-codebase
 artifacts (an index is meaningless under different code anyway); the
 envelope records the library version for a clear error message.
 
-**Format 3** splits columnar index payloads out of the pickle stream:
+**Layout.**  Columnar index payloads stay out of the pickle stream:
 while the engine pickles, every :class:`~repro.index.columnar.
 CSRPostingStore` externalises its CSR arrays (offsets, oids, bound
 columns) into an uncompressed ``<snapshot>.npz`` sidecar next to the
 snapshot file, leaving only small markers in the pickle.  Loading
 resolves the markers back from the sidecar — eagerly by default, or as
-zero-copy memory maps with ``load_engine(path, mmap=True)``, in which
-case the posting payload never transits the pickle deserialiser at all
-and a sharded engine's load cost stops being pickle-bound.  Engines
+zero-copy memory maps with ``load_engine(path, mmap=True)``.  Engines
 with no columnar store (pure-python backends, baselines) write no
-sidecar and behave exactly as before.
-
-**Format 4** adds the update subsystem: a snapshot of a segmented
-engine (:class:`~repro.exec.segments.SegmentedSealSearch`) carries a
-*manifest* block in the envelope — per-segment object/live counts and
-size tiers, buffer and tombstone accounting — readable via
-:func:`read_manifest` without deserialising the engine blob.  Each
-segment's columnar store externalises its own CSR arrays to the shared
-sidecar exactly as format 3 did for a single index, so segments +
-tombstones round-trip and ``load_engine(mmap=True)`` memory-maps every
-segment's posting payload in place.  Engines without a manifest (plain
-methods, sharded engines) store ``manifest: None`` and behave exactly
-as before.
-
-**Format 5** adds the durability layer: a snapshot written as a WAL
+sidecar.  The envelope around the engine blob carries a *manifest*
+(a segmented engine's per-segment object/live counts, size tiers,
+buffer and tombstone accounting; a planner's portfolio) readable via
+:func:`read_manifest` without deserialising the engine, and a ``wal``
+block — the ``{"generation", "offset"}`` position a durability
 *checkpoint* (:meth:`~repro.exec.durable.DurableSegmentedSealSearch.
-checkpoint`) records the checkpoint's WAL position — ``{"generation",
-"offset"}`` — in a ``wal`` envelope block, which is what lets recovery
-align ``snapshot + WAL tail`` without double-applying logged operations
-(see :mod:`repro.io.wal`).  Plain ``save_engine`` stores ``wal: None``.
-Every write path now follows the full crash-safe recipe from
+checkpoint`) was taken at, which is what lets recovery align
+``snapshot + WAL tail`` without double-applying logged operations (see
+:mod:`repro.io.wal`); plain ``save_engine`` stores ``wal: None``.
+Every write follows the full crash-safe recipe from
 :mod:`repro.io.atomic` — fsync the temp file, atomic rename, fsync the
-parent directory — because ``os.replace`` alone does not survive power
-loss (the rename can surface as a zero-length or missing file).
+parent directory.
 
 Snapshot + sidecar travel as a pair: move or rename them together.
 
@@ -62,18 +48,8 @@ try:  # pragma: no cover - exercised implicitly by every snapshot test
 except ImportError:  # pragma: no cover - the image bakes numpy in
     _np = None
 
-#: Bump when index internals change incompatibly.
-#: 2: execution-layer refactor — keyword-only method constructors and
-#:    sharded engines (``ShardedSealSearch``) inside snapshots.
-#: 3: columnar index storage — CSR arrays externalised to an ``.npz``
-#:    sidecar (mmap-able), engine pickled as a nested blob so the
-#:    envelope is checked before any engine bytes deserialise.
-#: 4: segmented updatable engines — a snapshot manifest block (segment /
-#:    tombstone accounting) in the envelope; formats 1–3 predate the
-#:    update subsystem and are rejected.
-#: 5: durability layer — a ``wal`` envelope block recording the WAL
-#:    checkpoint position (``None`` outside checkpoints); format 4
-#:    predates WAL alignment and is rejected.
+#: Bump when index internals change incompatibly; any other format is
+#: rejected at the envelope with "rebuild the index".
 SNAPSHOT_FORMAT = 5
 
 _MAGIC = "repro-seal-snapshot"
@@ -259,7 +235,7 @@ def read_manifest(path: str | Path) -> Any:
     """The snapshot's manifest block, without loading the engine.
 
     Segmented engines store their segment/tombstone accounting here;
-    plain methods and sharded engines store ``None``.  Validates the
+    plain methods store ``None``.  Validates the
     envelope (magic + format) exactly like :func:`load_engine` but never
     touches the engine blob or the sidecar.
     """

@@ -18,7 +18,7 @@ answers.
 * :mod:`repro.service.metrics` — latency histogram and counters behind
   the JSON metrics surface.
 * :mod:`repro.service.service` — :class:`QueryService`: the facade
-  composing all of the above (cache → admission → executor → engine).
+  composing all of the above (cache → admission → engine).
 * :mod:`repro.service.protocol` — the length-prefixed JSON wire format
   (pure codec, dependency-free).
 * :mod:`repro.service.server` — the socket edge: per-connection request

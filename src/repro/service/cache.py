@@ -20,8 +20,6 @@ the result, so the client that computed it can mutate its own copy
 (e.g. merge stats into workload totals) without poisoning the cache;
 ``get`` hands every hit a *fresh* copy, so two clients hitting the same
 entry never alias one mutable :class:`~repro.core.stats.SearchStats`.
-This is the same aliasing family as the PR 1 ``UpdatableSealSearch``
-stats fix, now enforced at the cache boundary.
 """
 
 from __future__ import annotations

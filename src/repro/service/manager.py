@@ -96,9 +96,8 @@ class EngineManager:
     """Owns one engine reference plus its monotonically increasing epoch.
 
     Wraps *any* engine the library builds — :class:`~repro.core.engine.
-    SealSearch`, :class:`~repro.exec.sharded.ShardedSealSearch`,
-    :class:`~repro.exec.segments.SegmentedSealSearch`, or a bare
-    :class:`~repro.core.method.SearchMethod`.  Update methods delegate to
+    SealSearch`, :class:`~repro.exec.segments.SegmentedSealSearch`, or a
+    bare :class:`~repro.core.method.SearchMethod`.  Update methods delegate to
     the engine when it supports them and raise a clear
     :class:`~repro.core.errors.ServiceError` when it does not.
 

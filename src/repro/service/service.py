@@ -1,4 +1,4 @@
-"""The concurrent query service: cache → admission → executor → engine.
+"""The concurrent query service: cache → admission → engine.
 
 :class:`QueryService` is the layer a deployment talks to.  It composes
 the serving primitives into one request path::
@@ -7,7 +7,7 @@ the serving primitives into one request path::
                  │  1. ResultCache.get((query, epoch))        — hit? done.
                  │  2. AdmissionController.submit(...)        — or reject.
                  │  3. EngineManager.reading() → (engine, E)  — shared lock
-                 │  4. engine.search_query / BatchExecutor    — the work
+                 │  4. run_query / BatchExecutor().run        — the work
                  │  5. ResultCache.put((query, E), result)
                  └─ metrics: latency histogram + counters, JSON export
 
@@ -22,12 +22,12 @@ Correctness properties the tests pin:
   share one mutable :class:`~repro.core.stats.SearchStats`;
 * overload rejects loudly at admission instead of queueing unboundedly.
 
-Single queries route through the engine's canonical
-:func:`~repro.exec.pipeline.execute_query` path; bursts submitted via
-:meth:`QueryService.query_batch` deduplicate identical queries, check
-the cache per member, and run the misses through one
-:class:`~repro.exec.batch.BatchExecutor` trip (shared verification
-scratch), filling the cache on the way out.
+Single queries reach the engine through
+:func:`~repro.exec.pipeline.run_query` (any engine shape); bursts
+submitted via :meth:`QueryService.query_batch` deduplicate identical
+queries, check the cache per member, and run the misses as one admitted
+:class:`~repro.exec.batch.BatchExecutor` trip over the same path,
+filling the cache on the way out.
 """
 
 from __future__ import annotations
@@ -40,27 +40,12 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.core.objects import Query
 from repro.core.stats import SearchResult
 from repro.exec.batch import BatchExecutor
+from repro.exec.pipeline import run_query
 from repro.geometry import Rect
 from repro.service.admission import AdmissionController
 from repro.service.cache import ResultCache, canonical_key
 from repro.service.manager import EngineManager
 from repro.service.metrics import LatencyHistogram, RequestCounters
-
-
-def _run_single(engine: Any, query: Query) -> SearchResult:
-    """One query against any engine flavor (facade or bare method)."""
-    if hasattr(engine, "search_query"):
-        return engine.search_query(query)
-    return engine.search(query)
-
-
-def _run_batch(engine: Any, queries: List[Query], executor: BatchExecutor) -> List[SearchResult]:
-    """A query batch against any engine flavor, through shared scratch."""
-    if hasattr(engine, "search_batch"):
-        return list(engine.search_batch(queries, executor=executor))
-    if hasattr(engine, "candidates") and hasattr(engine, "verifier"):
-        return list(executor.run(engine, queries))
-    return [_run_single(engine, query) for query in queries]
 
 
 def _value_key(query: Query) -> Tuple:
@@ -73,9 +58,9 @@ class QueryService:
 
     Args:
         engine: The engine to serve — any of :class:`~repro.core.engine.
-            SealSearch`, :class:`~repro.exec.sharded.ShardedSealSearch`,
-            :class:`~repro.exec.segments.SegmentedSealSearch`, a bare
-            :class:`~repro.core.method.SearchMethod` — or an existing
+            SealSearch`, :class:`~repro.exec.segments.SegmentedSealSearch`,
+            a bare :class:`~repro.core.method.SearchMethod`, anything else
+            :func:`~repro.exec.pipeline.run_query` accepts — or an existing
             :class:`~repro.service.manager.EngineManager` to share one
             versioned engine between services.
         cache_capacity: Result-cache entries (LRU past it).
@@ -88,8 +73,6 @@ class QueryService:
             past that.
         default_deadline: Per-request queue-wait deadline in seconds
             (None: no deadline unless a request brings one).
-        batch_executor: Override the :class:`BatchExecutor` used for
-            burst coalescing (e.g. ``vectorized=False``).
 
     Examples:
         >>> from repro import Rect, SealSearch
@@ -110,7 +93,6 @@ class QueryService:
         workers: int = 4,
         max_queue: int = 32,
         default_deadline: float | None = None,
-        batch_executor: BatchExecutor | None = None,
     ) -> None:
         self._manager = engine if isinstance(engine, EngineManager) else EngineManager(engine)
         self._cache: Optional[ResultCache] = (
@@ -121,7 +103,6 @@ class QueryService:
         self._admission = AdmissionController(
             workers=workers, max_queue=max_queue, default_deadline=default_deadline
         )
-        self._batch_executor = batch_executor if batch_executor is not None else BatchExecutor()
         self._histogram = LatencyHistogram()
         self._counters = RequestCounters()
 
@@ -209,8 +190,8 @@ class QueryService:
 
         Identical queries inside the burst coalesce into one execution;
         the miss set runs as a single admitted task through the
-        :class:`BatchExecutor` (shared verification scratch), and every
-        member's answer is a private copy, in input order.
+        :class:`BatchExecutor`, and every member's answer is a private
+        copy, in input order.
         """
         queries = list(queries)
         if not queries:
@@ -256,7 +237,7 @@ class QueryService:
     def _timed_execute(self, query: Query, use_cache: bool, started: float) -> SearchResult:
         try:
             with self._manager.reading() as (engine, epoch):
-                result = _run_single(engine, query)
+                result = run_query(engine, query)
         except Exception:
             self._counters.error()
             raise
@@ -268,7 +249,7 @@ class QueryService:
     def _execute_batch(self, queries: List[Query]) -> Tuple[int, List[SearchResult]]:
         try:
             with self._manager.reading() as (engine, epoch):
-                return epoch, _run_batch(engine, queries, self._batch_executor)
+                return epoch, BatchExecutor().run(engine, queries).results
         except Exception:
             self._counters.error()
             raise

@@ -108,21 +108,6 @@ class TestBuildAndQuery:
                    "--granularity", "8"])
         assert rc == 0
 
-    def test_build_sharded_then_query(self, corpus_file, tmp_path, capsys):
-        engine = tmp_path / "sharded.pkl"
-        rc = main(
-            ["build", str(corpus_file), "--method", "seal", "--out", str(engine),
-             "--shards", "3", "--partition", "spatial", "--mt", "8", "--max-level", "4"]
-        )
-        assert rc == 0
-        assert "seal × 3 spatial shards over 7 objects" in capsys.readouterr().out
-        rc = main(
-            ["query", str(engine), "--region", "35,10,75,70",
-             "--tokens", "t1,t2,t3", "--tau-r", "0.25", "--tau-t", "0.3"]
-        )
-        assert rc == 0
-        assert "1 answers [1]" in capsys.readouterr().out
-
     def test_build_backend_and_query_mmap(self, corpus_file, tmp_path, capsys):
         """--backend selects the index storage backend; --mmap memory-maps
         a columnar snapshot's sidecar.  Answers match in all combinations."""
@@ -173,10 +158,10 @@ class TestBuildAndQuery:
         assert "query 1: 1 answers [1]" in out
         assert "batch: 2 queries" in out
 
-    def test_query_batch_file_sharded_engine(self, corpus_file, tmp_path, capsys, figure1_query):
-        engine = tmp_path / "sharded.pkl"
+    def test_query_batch_file_segmented_engine(self, corpus_file, tmp_path, capsys, figure1_query):
+        engine = tmp_path / "live.pkl"
         main(["build", str(corpus_file), "--method", "token", "--out", str(engine),
-              "--shards", "2"])
+              "--segmented", "--buffer-capacity", "4"])
         capsys.readouterr()
         workload = tmp_path / "q.jsonl"
         save_queries([figure1_query], workload)
@@ -268,12 +253,6 @@ class TestSegmentedCommands:
             rc = main(argv)
             assert rc == 2
             assert "does not hold a segmented engine" in capsys.readouterr().err
-
-    def test_segmented_and_shards_conflict(self, corpus_file, tmp_path, capsys):
-        rc = main(["build", str(corpus_file), "--method", "token", "--segmented",
-                   "--shards", "2", "--out", str(tmp_path / "x.pkl")])
-        assert rc == 2
-        assert "mutually exclusive" in capsys.readouterr().err
 
 
 class TestWALCommands:

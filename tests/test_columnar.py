@@ -3,7 +3,7 @@
 The ``python`` backend is the reference oracle; these tests pin that the
 columnar backend retrieves identical oids in an identical order, reports
 bit-identical probe statistics, and answers identically through every
-execution path (per-query, batch, sharded).
+execution path (per-query, batch).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import BatchExecutor, ShardedSealSearch, build_method
+from repro import BatchExecutor, build_method
 from repro.core.engine import METHOD_REGISTRY
 from repro.core.errors import ConfigurationError
 from repro.core.stats import SearchStats
@@ -325,24 +325,6 @@ def test_batch_executor_backend_parity(twitter_small, twitter_small_weighter, pa
         for py_result, col_result in zip(py_batch, col_batch):
             assert col_result.stats.entries_retrieved == py_result.stats.entries_retrieved
             assert col_result.stats.candidates == py_result.stats.candidates
-
-
-def test_sharded_backend_parity(twitter_small, parity_workload):
-    pairs = [(obj.region, obj.tokens) for obj in twitter_small]
-    py = ShardedSealSearch(
-        pairs, "seal", shards=3, partition="spatial", mt=8, max_level=5, backend="python"
-    )
-    col = ShardedSealSearch(
-        pairs, "seal", shards=3, partition="spatial", mt=8, max_level=5, backend="columnar"
-    )
-    for query in parity_workload:
-        py_result = py.search_query(query)
-        col_result = col.search_query(query)
-        assert col_result.answers == py_result.answers
-        assert col_result.stats.entries_retrieved == py_result.stats.entries_retrieved
-    assert col.search_batch(parity_workload).answers() == py.search_batch(
-        parity_workload
-    ).answers()
 
 
 def test_concurrent_queries_share_one_columnar_engine(twitter_small,

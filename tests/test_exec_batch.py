@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import sys
+from unittest import mock
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -12,11 +16,22 @@ from repro import (
     Query,
     Rect,
     SealSearch,
+    TokenWeighter,
     build_method,
+    make_corpus,
 )
+from repro.core import verification
 from repro.datasets import generate_queries
 
 from tests.strategies import corpora, queries as query_strategy
+
+#: The verifier's two private spatial branches, forced by moving its cut.
+BRANCHES = {"loop": sys.maxsize, "mask": 0}
+
+
+def forced(branch: str):
+    """While open, every candidate set verifies through ``branch``."""
+    return mock.patch.object(verification, "VECTOR_MIN_CANDIDATES", BRANCHES[branch])
 
 #: Keep indexes small and the threshold grid low enough that candidate
 #: sets exceed the vectorisation cutoff on the 400-object corpus.
@@ -51,18 +66,21 @@ class TestBatchEqualsPerQuery:
         batch = BatchExecutor().run(method, workload)
         assert batch.answers() == expected, name
 
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
     @pytest.mark.parametrize("name", sorted(METHOD_REGISTRY))
-    def test_vector_path_forced(self, name, twitter_small, twitter_small_weighter, workload):
-        """min_vector_candidates=1 pushes every candidate set through the
-        vectorised verifier; answers must not change."""
+    def test_each_verifier_branch_forced(
+        self, name, branch, twitter_small, twitter_small_weighter, workload
+    ):
+        """Pushing every candidate set through one spatial branch — the
+        per-object loop or the NumPy mask — must not change an answer,
+        single query or batch."""
         method = build_method(
             twitter_small, name, twitter_small_weighter, **METHOD_PARAMS.get(name, {})
         )
         expected = [method.search(q).answers for q in workload]
-        vectorised = BatchExecutor(min_vector_candidates=1).run(method, workload)
-        scalar = BatchExecutor(vectorized=False).run(method, workload)
-        assert vectorised.answers() == expected, name
-        assert scalar.answers() == expected, name
+        with forced(branch):
+            assert [method.search(q).answers for q in workload] == expected, name
+            assert BatchExecutor().run(method, workload).answers() == expected, name
 
     def test_per_query_stats_counters_match(self, twitter_small, twitter_small_weighter, workload):
         method = build_method(twitter_small, "token", twitter_small_weighter)
@@ -75,17 +93,153 @@ class TestBatchEqualsPerQuery:
             assert result.stats.entries_retrieved == reference.stats.entries_retrieved
 
 
-class TestBatchVectorVerifierProperty:
+class TestVerifierBranchProperty:
     @settings(max_examples=60, deadline=None)
     @given(corpus_query=corpora(min_size=1, max_size=12).flatmap(
         lambda objs: query_strategy().map(lambda q: (objs, q))
     ))
-    def test_vectorised_verify_equals_scalar(self, corpus_query):
+    def test_mask_equals_loop(self, corpus_query):
         objects, query = corpus_query
         method = build_method(objects, "naive")
-        expected = method.search(query).answers
-        batch = BatchExecutor(min_vector_candidates=1).run(method, [query])
-        assert batch.answers() == [expected]
+        with forced("loop"):
+            expected = method.search(query).answers
+        with forced("mask"):
+            assert method.search(query).answers == expected
+            assert BatchExecutor().run(method, [query]).answers() == [expected]
+
+
+def _boundary_corpus():
+    """Forty objects, eight archetypes × 5, around the query region
+    ``[0,4]²`` with tokens ``{a, b}``.  Coordinates are small powers of
+    two, so every spatial similarity below is exact in float64; ``a`` and
+    ``b`` have equal document frequency, hence equal idf weight."""
+    archetypes = [
+        (Rect(0, 0, 4, 4), {"a", "b"}),       # 0 identical: simR 1, simT 1
+        (Rect(0, 0, 2, 4), {"a"}),            # 1 half: simR = 0.5, simT = w/2w
+        (Rect(4, 0, 8, 4), {"a"}),            # 2 shares an edge only: simR 0
+        (Rect(1, 1, 1, 1), {"b"}),            # 3 a point inside: simR 0
+        (Rect(0, 0, 4, 0), {"a", "b"}),       # 4 a zero-area line: simR 0, simT 1
+        (Rect(10, 10, 12, 12), {"c"}),        # 5 disjoint on both axes
+        (Rect(0, 0, 2, 2), {"a", "b", "c"}),  # 6 quarter: simR = 0.25
+        (Rect(0, 0, 8, 4), {"b"}),            # 7 double: simR = 0.5
+    ]
+    return make_corpus([archetypes[i % 8] for i in range(40)])
+
+
+class TestVerifierBoundaries:
+    """Loop branch ≡ mask branch ≡ NaiveSearch where they could part:
+    at the 32-candidate cut, on zero-area and edge-touching regions, at
+    vacuous thresholds, and on objects sitting exactly on τ."""
+
+    REGION = Rect(0, 0, 4, 4)
+    TOKENS = frozenset({"a", "b"})
+
+    @pytest.fixture(scope="class")
+    def naive(self):
+        corpus = _boundary_corpus()
+        return build_method(corpus, "naive", TokenWeighter(o.tokens for o in corpus))
+
+    def _three_ways(self, naive, query, candidates):
+        verify = naive.verifier.verify
+        default = verify(query, candidates)
+        with forced("loop"):
+            loop = verify(query, candidates)
+        with forced("mask"):
+            mask = verify(query, candidates)
+        wanted = set(int(oid) for oid in candidates)
+        oracle = [oid for oid in naive.search(query).answers if oid in wanted]
+        assert sorted(default) == sorted(loop) == sorted(mask) == oracle
+        assert all(type(oid) is int for oid in default + loop + mask)
+        return oracle
+
+    @pytest.mark.parametrize("tau_r, tau_t", [
+        (0.5, 0.5), (0.25, 0.0), (0.0, 0.5), (0.0, 0.0), (1.0, 1.0), (0.5, 2 / 3), (0.3, 0.3),
+    ])
+    @pytest.mark.parametrize("size", [31, 32, 33])
+    @pytest.mark.parametrize("kind", ["list", "range", "set", "int32"])
+    def test_around_the_cut_on_every_candidate_type(self, naive, kind, size, tau_r, tau_t):
+        candidates = {
+            "list": list(range(size)),
+            "range": range(size),
+            "set": set(range(size)),
+            "int32": np.arange(size, dtype=np.int32),
+        }[kind]
+        query = Query(self.REGION, self.TOKENS, tau_r, tau_t)
+        self._three_ways(naive, query, candidates)
+
+    def test_spatial_similarity_exactly_tau_is_kept(self, naive):
+        """simR = 8/16 and 16/32 equal τR = 0.5 to the bit: kept (≥)."""
+        query = Query(self.REGION, self.TOKENS, 0.5, 0.0)
+        kept = self._three_ways(naive, query, range(40))
+        assert sorted({oid % 8 for oid in kept}) == [0, 1, 7]
+        just_above = Query(self.REGION, self.TOKENS, float(np.nextafter(0.5, 1.0)), 0.0)
+        kept = self._three_ways(naive, just_above, range(40))
+        assert sorted({oid % 8 for oid in kept}) == [0]
+
+    def test_zero_area_and_edge_touching_regions(self, naive):
+        """A shared edge, an interior point and a line all have simR 0:
+        in at τR = 0, out at any positive τR."""
+        vacuous = self._three_ways(naive, Query(self.REGION, self.TOKENS, 0.0, 0.0), range(40))
+        assert vacuous == list(range(40))
+        positive = self._three_ways(naive, Query(self.REGION, self.TOKENS, 1e-12, 0.0), range(40))
+        assert sorted({oid % 8 for oid in positive}) == [0, 1, 6, 7]
+
+    @pytest.mark.parametrize("tau_r, archetypes", [(0.0, list(range(8))), (0.3, [3])])
+    def test_degenerate_query_region(self, naive, tau_r, archetypes):
+        """A point query against zero-area objects: the union is 0, so
+        only the identical point is similar — unless τR is vacuous."""
+        query = Query(Rect(1, 1, 1, 1), self.TOKENS, tau_r, 0.0)
+        kept = self._three_ways(naive, query, range(40))
+        assert sorted({oid % 8 for oid in kept}) == archetypes
+
+    def test_textual_similarity_on_tau(self, naive):
+        """τT set to an object's own simT, computed the verifier's way:
+        whichever side rounding puts it on, all three agree."""
+        weight = naive.weighter.weight
+        assert weight("a") == weight("b")
+        q_total = naive.weighter.total_weight(self.TOKENS)
+        for oid in (1, 6):  # {a} ⊂ q.T, and {a, b, c} ⊃ q.T
+            tokens = naive.corpus[oid].tokens
+            inter_w = sum(weight(t) for t in tokens & self.TOKENS)
+            union_w = q_total + naive.weighter.total_weight(tokens) - inter_w
+            for tau_t in (inter_w / union_w, np.nextafter(inter_w / union_w, 1.0)):
+                query = Query(self.REGION, self.TOKENS, 0.0, float(tau_t))
+                self._three_ways(naive, query, range(40))
+
+
+class TestLazyColumnsUnderThreads:
+    def test_first_large_verifies_race_to_build_the_columns(self, twitter_small,
+                                                            twitter_small_weighter):
+        """The coordinate columns are built by whichever service worker
+        first sees ≥ 32 candidates; racing builders must all answer like
+        the loop branch, every round, on a fresh verifier."""
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        queries = list(generate_queries(
+            twitter_small, "large", num_queries=8, seed=13, tau_r=0.05, tau_t=0.0
+        ))
+        with forced("loop"):
+            reference = build_method(twitter_small, "naive", twitter_small_weighter)
+            expected = [reference.search(q).answers for q in queries]
+        workers = 8
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                for _ in range(10):
+                    method = build_method(twitter_small, "naive", twitter_small_weighter)
+                    barrier = threading.Barrier(workers)
+
+                    def client():
+                        barrier.wait(timeout=30)
+                        return [method.search(q).answers for q in queries]
+
+                    futures = [pool.submit(client) for _ in range(workers)]
+                    assert all(f.result(timeout=60) == expected for f in futures)
+                    assert method.verifier._columns is not None
+        finally:
+            sys.setswitchinterval(previous)
 
 
 class TestBatchResultAndStats:
@@ -132,9 +286,3 @@ class TestSearchBatchFacade:
         ]
         batch = engine.search_batch(batch_queries)
         assert batch.answers() == [engine.search_query(q).answers for q in batch_queries]
-
-    def test_custom_executor(self):
-        engine = SealSearch([(Rect(0, 0, 1, 1), {"a"})], method="naive")
-        query = Query(Rect(0, 0, 1, 1), frozenset({"a"}), 0.5, 0.5)
-        batch = engine.search_batch([query], executor=BatchExecutor(vectorized=False))
-        assert batch.answers() == [[0]]

@@ -1,11 +1,18 @@
-"""Tests for the execution pipeline and the executor interface."""
+"""Tests for the execution pipeline and the engine shapes it accepts."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro import METHOD_REGISTRY, SerialExecutor, build_method, execute_query
-from repro.core.stats import SearchResult
+from repro import (
+    METHOD_REGISTRY,
+    BatchExecutor,
+    QueryService,
+    SealSearch,
+    build_method,
+    execute_query,
+)
+from repro.exec.pipeline import run_query
 
 
 class TestExecuteQuery:
@@ -24,18 +31,6 @@ class TestExecuteQuery:
         assert stats.filter_seconds >= 0.0
         assert stats.verify_seconds >= 0.0
 
-    def test_verify_override_used(self, figure1_objects, figure1_weighter, figure1_query):
-        method = build_method(figure1_objects, "naive", figure1_weighter)
-        calls = []
-
-        def fake_verify(query, candidates, stats):
-            calls.append(len(candidates))
-            return method.verifier.verify(query, candidates, stats)
-
-        result = execute_query(method, figure1_query, verify=fake_verify)
-        assert calls == [len(figure1_objects)]
-        assert result.answers == [1]
-
     def test_answers_sorted(self, figure1_objects, figure1_weighter):
         from repro import Query, Rect
 
@@ -46,18 +41,92 @@ class TestExecuteQuery:
         assert result.answers == list(range(len(figure1_objects)))
 
 
-class TestSerialExecutor:
-    def test_runs_in_order(self, figure1_objects, figure1_weighter, twitter_small_queries):
-        method = build_method(figure1_objects, "token", figure1_weighter)
-        results = SerialExecutor().run(method, list(twitter_small_queries))
-        assert len(results) == len(twitter_small_queries)
-        for result, query in zip(results, twitter_small_queries):
-            assert isinstance(result, SearchResult)
-            assert result.answers == method.search(query).answers
+class _OnlySearch:
+    """An engine that is nothing but ``search(query)``."""
 
-    def test_empty_workload(self, figure1_objects, figure1_weighter):
-        method = build_method(figure1_objects, "token", figure1_weighter)
-        assert SerialExecutor().run(method, []) == []
+    def __init__(self, method):
+        self.search = method.search
+
+
+class _OnlySearchQuery:
+    def __init__(self, method):
+        self.search_query = method.search
+
+
+class _CountingVerifier:
+    """A verifier wrapper exposing only ``verify`` — no ``corpus``, no
+    ``_token_totals`` — like the perf ledger's traced one."""
+
+    def __init__(self, verifier):
+        self._verifier = verifier
+        self.calls = 0
+
+    def verify(self, query, candidates, stats=None):
+        self.calls += 1
+        return self._verifier.verify(query, candidates, stats)
+
+
+class _OnlySteps:
+    """The two framework steps and nothing else."""
+
+    name = "duck"
+
+    def __init__(self, method):
+        self.candidates = method.candidates
+        self.verifier = _CountingVerifier(method.verifier)
+
+
+class _StepsAndSearch(_OnlySteps):
+    """What ``QueryService`` is handed by the ledger's ``TracedPlanner``."""
+
+    def search(self, query):
+        return execute_query(self, query)
+
+
+class TestEngineShapes:
+    """``run_query`` is the one place that tells engine shapes apart."""
+
+    @pytest.fixture()
+    def workload(self, twitter_small_queries):
+        # Large regions + vacuous thresholds push candidate sets past the
+        # verifier's vector cut; the generated ones stay below it.
+        wide = [q.with_thresholds(tau_r=0.0, tau_t=0.0) for q in twitter_small_queries[:3]]
+        return list(twitter_small_queries) + wide
+
+    @pytest.fixture()
+    def method(self, twitter_small, twitter_small_weighter):
+        return build_method(twitter_small, "token", twitter_small_weighter)
+
+    @pytest.fixture()
+    def expected(self, twitter_small, twitter_small_weighter, workload):
+        naive = build_method(twitter_small, "naive", twitter_small_weighter)
+        return [naive.search(q).answers for q in workload]
+
+    @pytest.mark.parametrize(
+        "shape", [_OnlySearch, _OnlySearchQuery, _OnlySteps, _StepsAndSearch, lambda m: m]
+    )
+    def test_every_shape_answers_like_naive(self, shape, method, workload, expected):
+        engine = shape(method)
+        assert [run_query(engine, q).answers for q in workload] == expected
+        assert BatchExecutor().run(engine, workload).answers() == expected
+
+    def test_facade_goes_through_search_query(self, twitter_small, workload, expected):
+        pairs = [(obj.region, obj.tokens) for obj in twitter_small]
+        engine = SealSearch(pairs, method="token")
+        assert [run_query(engine, q).answers for q in workload] == expected
+
+    @pytest.mark.parametrize("shape", [_OnlySearch, _OnlySteps, _StepsAndSearch])
+    def test_duck_typed_engine_through_the_service(self, shape, method, workload, expected):
+        """Regression: an engine the service accepted for singles crashed
+        ``query_batch`` with ``'_TracedVerifier' object has no attribute
+        'corpus'`` — the batch path reached into the verifier's fields."""
+        engine = shape(method)
+        with QueryService(engine, workers=2, enable_cache=False) as service:
+            assert [service.query(q).answers for q in workload] == expected
+            assert [r.answers for r in service.query_batch(workload)] == expected
+        assert BatchExecutor().run(engine, workload).answers() == expected
+        if hasattr(engine, "verifier"):
+            assert engine.verifier.calls == 3 * len(workload)
 
 
 class TestUniformRegistryConstruction:

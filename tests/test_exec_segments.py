@@ -197,6 +197,28 @@ class TestStats:
         assert first.stats.candidates == snapshot.candidates
         assert first.stats.results == snapshot.results
 
+    def test_buffer_counts_on_top_and_searches_do_not_accumulate(self):
+        """Buffered objects are candidates on top of the sealed scan's,
+        in a fresh stats object each time; an earlier result's counters
+        never move retroactively."""
+        engine = SegmentedSealSearch(
+            [(Rect(i * 10, 0, i * 10 + 5, 5), {"coffee", f"tag{i}"}) for i in range(20)],
+            method="token",
+        )
+        probe = (Rect(0, 0, 5, 5), {"coffee", "tag0"}, 0.2, 0.2)
+        before = engine.search(*probe)
+        sealed_candidates = before.stats.candidates
+        engine.insert(Rect(100, 100, 105, 105), {"tea"})
+        assert engine.pending == 1
+        merged = engine.search(*probe)
+        again = engine.search(*probe)
+        assert merged.stats is not before.stats
+        assert merged.stats.results == len(merged.answers)
+        assert merged.stats.candidates == sealed_candidates + engine.pending
+        assert again.stats.candidates == merged.stats.candidates
+        assert again.answers == merged.answers
+        assert before.stats.candidates == sealed_candidates
+
 
 class TestChurnOracle:
     """Randomized interleaved workloads pinned answer-identical to a
@@ -258,8 +280,7 @@ class TestChurnOracle:
     @pytest.mark.parametrize("backend", ["python", "columnar"])
     def test_churn_through_batch_executor(self, backend):
         """BatchExecutor over a churned segmented engine must be
-        answer-identical to per-query search (the segmented-engine path
-        through the executor's fan-out delegation)."""
+        answer-identical to per-query search."""
         rng = random.Random(23)
         engine = SegmentedSealSearch(
             method="token", buffer_capacity=4, merge_fanout=2, backend=backend

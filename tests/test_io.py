@@ -126,65 +126,68 @@ class TestSnapshot:
         with pytest.raises(SnapshotError, match="format 99"):
             load_engine(path)
 
-    def test_pre_exec_layer_snapshots_rejected(self, tmp_path):
-        """Format 1 predates keyword-only constructors and sharded
-        engines; those snapshots must fail loudly, not deserialise."""
+    @pytest.mark.parametrize("stale", [1, 2, 3, 4])
+    def test_earlier_formats_rejected(self, tmp_path, stale):
+        """Formats 1–4 (pre keyword-only constructors, pre sidecar, pre
+        segment manifest, pre WAL block) fail loudly at the envelope."""
+        import pickle
+
+        path = tmp_path / "stale.pkl"
+        path.write_bytes(
+            pickle.dumps({"magic": "repro-seal-snapshot", "format": stale, "engine": None})
+        )
+        with pytest.raises(SnapshotError, match=f"format {stale}.*rebuild the index"):
+            load_engine(path)
+
+    @pytest.mark.parametrize("module, name", [
+        ("repro.exec.sharded", "Sharded" "SealSearch"),   # module gone
+        ("repro.exec.pipeline", "Serial" "Executor"),     # class gone
+    ])
+    def test_blob_naming_a_removed_class_is_a_snapshot_error(self, tmp_path, module, name):
+        """Current format, valid envelope, but the engine blob pickles a
+        class deleted since: ``SnapshotError``, never a bare
+        ``ModuleNotFoundError`` / ``AttributeError``."""
         import pickle
 
         from repro.io.snapshot import SNAPSHOT_FORMAT
 
-        assert SNAPSHOT_FORMAT >= 2
-        path = tmp_path / "v1.pkl"
-        path.write_bytes(
-            pickle.dumps({"magic": "repro-seal-snapshot", "format": 1, "engine": None})
-        )
-        with pytest.raises(SnapshotError, match="rebuild the index"):
+        path = tmp_path / "removed.pkl"
+        path.write_bytes(pickle.dumps({
+            "magic": "repro-seal-snapshot", "format": SNAPSHOT_FORMAT,
+            "manifest": None, "wal": None, "num_arrays": 0, "array_meta": [],
+            "engine": f"c{module}\n{name}\n.".encode(),
+        }))
+        with pytest.raises(SnapshotError, match="incompatible snapshot"):
             load_engine(path)
 
-    def test_pre_columnar_snapshots_rejected(self, tmp_path):
-        """Format 2 pickled the engine inline with python posting lists;
-        format 3 readers must reject it loudly, not deserialise."""
-        import pickle
+    @pytest.mark.parametrize("backend", ["python", "columnar"])
+    def test_snapshot_bytes_unchanged_by_serving(self, tmp_path, twitter_small,
+                                                 twitter_small_weighter, backend):
+        """The verifier's coordinate columns are transient: an engine
+        that has answered large-candidate queries pickles to the same
+        bytes (snapshot and sidecar) as it did fresh from the build."""
+        from repro.core.verification import VECTOR_MIN_CANDIDATES
+        from repro.io.snapshot import sidecar_path
 
-        from repro.io.snapshot import SNAPSHOT_FORMAT
-
-        assert SNAPSHOT_FORMAT >= 3
-        path = tmp_path / "v2.pkl"
-        path.write_bytes(
-            pickle.dumps({"magic": "repro-seal-snapshot", "format": 2, "engine": None})
+        engine = build_method(
+            twitter_small, "planned", twitter_small_weighter, backend=backend,
+            granularity=32, mt=8, max_level=6, min_objects=4,
         )
-        with pytest.raises(SnapshotError, match="format 2.*rebuild the index"):
-            load_engine(path)
 
-    def test_pre_segmented_snapshots_rejected(self, tmp_path):
-        """Format 3 predates the update subsystem (segment manifests,
-        tombstones); format-4 readers must reject it loudly."""
-        import pickle
+        def saved(path):
+            save_engine(engine, path)
+            sidecar = sidecar_path(path)
+            return path.read_bytes(), sidecar.read_bytes() if sidecar.exists() else None
 
-        from repro.io.snapshot import SNAPSHOT_FORMAT
-
-        assert SNAPSHOT_FORMAT >= 4
-        path = tmp_path / "v3.pkl"
-        path.write_bytes(
-            pickle.dumps({"magic": "repro-seal-snapshot", "format": 3, "engine": None})
-        )
-        with pytest.raises(SnapshotError, match="format 3.*rebuild the index"):
-            load_engine(path)
-
-    def test_pre_durability_snapshots_rejected(self, tmp_path):
-        """Format 4 predates the WAL envelope block (checkpoint
-        position); format-5 readers must reject it loudly."""
-        import pickle
-
-        from repro.io.snapshot import SNAPSHOT_FORMAT
-
-        assert SNAPSHOT_FORMAT >= 5
-        path = tmp_path / "v4.pkl"
-        path.write_bytes(
-            pickle.dumps({"magic": "repro-seal-snapshot", "format": 4, "engine": None})
-        )
-        with pytest.raises(SnapshotError, match="format 4.*rebuild the index"):
-            load_engine(path)
+        fresh = saved(tmp_path / "fresh.pkl")
+        assert engine.verifier._columns is None
+        query = Query(Rect(0, 0, 1, 1), frozenset(), 0.0, 0.0)
+        assert engine.search(query).stats.candidates >= VECTOR_MIN_CANDIDATES
+        assert engine.verifier._columns is not None
+        assert saved(tmp_path / "served.pkl") == fresh
+        restored = load_engine(tmp_path / "served.pkl")
+        assert restored.verifier._columns is None
+        assert restored.search(query).answers == engine.search(query).answers
 
     def test_save_engine_fsyncs_files_and_directory(self, tmp_path, figure1_objects,
                                                     figure1_weighter):
@@ -383,45 +386,3 @@ class TestSnapshot:
         )
         save_engine(python, path)
         assert not sidecar_path(path).exists()
-
-    def test_round_trip_sharded_engine_mmap(self, tmp_path, figure1_objects, figure1_query):
-        """A sharded columnar engine round-trips through one shared
-        sidecar and serves identical answers when memory-mapped."""
-        from repro import ShardedSealSearch
-        from repro.io.snapshot import sidecar_path
-
-        pairs = [(obj.region, obj.tokens) for obj in figure1_objects]
-        engine = ShardedSealSearch(
-            pairs, "seal", shards=3, partition="spatial", mt=4, max_level=4
-        )
-        queries = [figure1_query, figure1_query.with_thresholds(tau_r=0.5)]
-        expected = [engine.search_query(q).answers for q in queries]
-        path = tmp_path / "sharded.pkl"
-        save_engine(engine, path)
-        assert sidecar_path(path).exists()
-        restored = load_engine(path, mmap=True)
-        assert [restored.search_query(q).answers for q in queries] == expected
-        assert restored.search_batch(queries).answers() == expected
-
-    def test_round_trip_sharded_engine(self, tmp_path, figure1_objects, figure1_query):
-        from repro import ShardedSealSearch
-
-        pairs = [(obj.region, obj.tokens) for obj in figure1_objects]
-        queries = [
-            figure1_query,
-            figure1_query.with_thresholds(tau_r=0.0, tau_t=0.0),
-            figure1_query.with_thresholds(tau_r=0.5),
-        ]
-        for partition in ("round-robin", "spatial"):
-            engine = ShardedSealSearch(
-                pairs, "seal", shards=3, partition=partition, mt=4, max_level=4
-            )
-            expected = [engine.search_query(q).answers for q in queries]
-            path = tmp_path / f"sharded-{partition}.pkl"
-            save_engine(engine, path)
-            restored = load_engine(path)
-            assert restored.num_shards == engine.num_shards
-            assert [restored.search_query(q).answers for q in queries] == expected
-            # The batch path (thread-pool fan-out) must also survive the
-            # round trip — pools are rebuilt lazily, never pickled.
-            assert restored.search_batch(queries).answers() == expected

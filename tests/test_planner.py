@@ -411,6 +411,22 @@ class TestServiceAndSnapshots:
         assert loaded.metrics.as_dict()["decisions"] == 4
         assert loaded.flush_recording() is None
 
+    def test_one_verifier_for_the_whole_portfolio(self, tmp_path, planner, fixed_methods,
+                                                  twitter_small_queries):
+        """Members verify through the planner's instance — one set of
+        token totals and coordinate columns, not five — before and after
+        a snapshot round-trip, and a member searched on its own (the
+        ledger's regret probe) still answers like the stand-alone build."""
+        from repro.io import load_engine, save_engine
+
+        path = tmp_path / "planned.pkl"
+        save_engine(planner, path)
+        for engine in (planner, load_engine(path)):
+            for name, member in engine.methods.items():
+                assert member.verifier is engine.verifier
+                for query in _mixed_queries(twitter_small_queries):
+                    assert member.search(query).answers == fixed_methods[name].search(query).answers
+
     def test_network_server_serves_planned_engine(self, twitter_small,
                                                   twitter_small_queries):
         from repro.service import NetworkClient, NetworkServer, QueryService

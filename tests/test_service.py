@@ -21,7 +21,6 @@ from repro import (
     Rect,
     SealSearch,
     SegmentedSealSearch,
-    ShardedSealSearch,
 )
 from repro.core.stats import SearchResult, SearchStats
 from repro.service import AdmissionController, EngineManager, QueryService
@@ -136,14 +135,6 @@ class TestAnswers:
     def test_empty_batch(self):
         with QueryService(make_engine(), workers=2) as service:
             assert service.query_batch([]) == []
-
-    def test_sharded_engine_through_service(self):
-        corpus = [(Rect(i * 2, 0, i * 2 + 3, 3), {"a", f"t{i % 3}"}) for i in range(9)]
-        sharded = ShardedSealSearch(corpus, "token", shards=3)
-        direct = [sharded.search_query(q).answers for q in workload()]
-        with QueryService(sharded, workers=2) as service:
-            assert [service.query(q).answers for q in workload()] == direct
-            assert [r.answers for r in service.query_batch(workload())] == direct
 
     def test_service_over_shared_manager(self):
         manager = EngineManager(make_engine())

@@ -3,9 +3,7 @@
 The two load-bearing properties: keys embed the engine epoch (so churn
 invalidates by construction), and every entry is a defensive copy both
 on the way in and on the way out (so no two clients — and never the
-cache itself — alias one mutable stats object).  The aliasing cases are
-the regression suite for the same bug family as the PR 1
-``UpdatableSealSearch`` stats fix.
+cache itself — alias one mutable stats object).
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro import Query, Rect, SearchResult, SearchStats
-from repro.exec.sharded import ShardedSearchResult
 from repro.service import ResultCache, canonical_key
 
 
@@ -223,14 +220,3 @@ class TestDefensiveCopies:
         assert dup.answers == result.answers and dup.answers is not result.answers
         assert dup.stats is not result.stats
         assert dup.stats == result.stats
-
-    def test_sharded_result_copies_to_plain_result(self):
-        sharded = ShardedSearchResult(
-            answers=[3, 4],
-            stats=SearchStats(results=2),
-            per_shard=[SearchStats(results=1), SearchStats(results=1)],
-        )
-        dup = sharded.copy()
-        assert type(dup) is SearchResult
-        assert dup.answers == [3, 4]
-        assert dup.stats.results == 2

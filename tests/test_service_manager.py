@@ -182,6 +182,27 @@ class TestHotSwap:
         assert manager.engine is old
         assert manager.epoch == 0
 
+    def test_snapshot_of_a_removed_class_refused_before_swap(self, tmp_path):
+        """A well-formed format-5 envelope whose engine blob names a
+        class this library no longer has passes the envelope pre-gate;
+        the load itself must still refuse it as a ``SnapshotError``."""
+        import pickle
+
+        from repro.io.snapshot import SNAPSHOT_FORMAT
+
+        path = tmp_path / "sharded.pkl"
+        path.write_bytes(pickle.dumps({
+            "magic": "repro-seal-snapshot", "format": SNAPSHOT_FORMAT,
+            "manifest": None, "wal": None, "num_arrays": 0, "array_meta": [],
+            "engine": b"crepro.exec.sharded\nSharded" b"SealSearch\n.",
+        }))
+        assert validate_snapshot(path)["format"] == SNAPSHOT_FORMAT
+        old = make_segmented(3)
+        manager = EngineManager(old)
+        with pytest.raises(SnapshotError, match="incompatible snapshot"):
+            manager.load_snapshot(path)
+        assert manager.engine is old and manager.epoch == 0
+
     def test_missing_sidecar_rejected_before_swap(self, tmp_path):
         pytest.importorskip("numpy")
         corpus = [(Rect(i, 0, i + 1, 1), {"a", f"t{i}"}) for i in range(12)]

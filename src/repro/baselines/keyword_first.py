@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Collection, List, Sequence
 
-from repro.core.method import SearchMethod
+from repro.core.method import SearchMethod, WorkEstimate
 from repro.core.objects import Query, SpatioTextualObject
 from repro.core.stats import SearchStats
 from repro.index.inverted import InvertedIndex
@@ -72,6 +72,11 @@ class KeywordFirstSearch(SearchMethod):
             if union_w <= 0.0 or inter_w >= tau_t * union_w:
                 out.append(oid)
         return out
+
+    def estimate_work(self, query: Query) -> WorkEstimate:
+        """One full list per query token: the document-frequency sum."""
+        entries = float(sum(self.weighter.count(token) for token in query.tokens))
+        return float(len(query.tokens)), entries, min(float(len(self.corpus)), entries), None
 
     def index_size(self) -> IndexSizeReport:
         return measure_index(self.index, bounds_per_posting=0)

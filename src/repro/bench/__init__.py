@@ -8,9 +8,7 @@ series line up with the paper's figures one-for-one.
 """
 
 from repro.bench.harness import (
-    ThroughputMeasurement,
     WorkloadMeasurement,
-    measure_throughput,
     measure_workload,
     sweep,
 )
@@ -22,12 +20,10 @@ from repro.bench.reporting import (
 )
 
 __all__ = [
-    "ThroughputMeasurement",
     "WorkloadMeasurement",
     "format_json_report",
     "format_series_table",
     "format_table",
-    "measure_throughput",
     "measure_workload",
     "sweep",
     "write_json_report",

@@ -1,10 +1,9 @@
-"""Workload measurement, threshold sweeps, and batch throughput."""
+"""Workload measurement and threshold sweeps."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Sequence
+from typing import Dict, Iterable, Sequence
 
 from repro.core.method import SearchMethod
 from repro.core.objects import Query
@@ -54,61 +53,6 @@ def measure_workload(method: SearchMethod, queries: Sequence[Query]) -> Workload
         entries_retrieved=totals.entries_retrieved / n,
         lists_probed=totals.lists_probed / n,
         results=totals.results / n,
-    )
-
-
-@dataclass(frozen=True, slots=True)
-class ThroughputMeasurement:
-    """Wall-clock throughput of one execution strategy over a workload.
-
-    Attributes:
-        queries: Workload size.
-        elapsed_seconds: Best wall time over the measurement repeats
-            (standard practice: the minimum is the least noisy estimate).
-        qps: Queries per second at that best time.
-        mean_ms: Mean wall milliseconds per query.
-    """
-
-    queries: int
-    elapsed_seconds: float
-    qps: float
-    mean_ms: float
-
-
-def measure_throughput(
-    run: Callable[[Sequence[Query]], object],
-    queries: Sequence[Query],
-    *,
-    repeats: int = 3,
-) -> ThroughputMeasurement:
-    """Best-of-``repeats`` throughput of ``run(queries)``.
-
-    ``run`` is any workload strategy — a per-query loop, an executor's
-    ``run`` bound to a method, an engine's ``search_batch`` — measured
-    end-to-end so setup amortisation (or the lack of it) is included.
-
-    Args:
-        run: Executes the whole workload; its return value is ignored.
-        queries: The workload.
-        repeats: Timed repetitions; the best (smallest) wall time wins.
-    """
-    if not queries:
-        raise ValueError("measure_throughput requires a non-empty workload")
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        run(queries)
-        elapsed = time.perf_counter() - started
-        if elapsed < best:
-            best = elapsed
-    n = len(queries)
-    return ThroughputMeasurement(
-        queries=n,
-        elapsed_seconds=best,
-        qps=n / best if best > 0.0 else 0.0,
-        mean_ms=1000.0 * best / n,
     )
 
 

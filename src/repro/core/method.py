@@ -12,7 +12,7 @@ segment fan-out drive any method through the exact same path.
 from __future__ import annotations
 
 import abc
-from typing import Collection, Sequence
+from typing import Collection, Sequence, Tuple
 
 from repro.core.objects import Corpus, Query, SpatioTextualObject
 from repro.core.stats import SearchResult, SearchStats
@@ -20,6 +20,9 @@ from repro.core.verification import Verifier
 from repro.exec.pipeline import execute_query
 from repro.index.storage import IndexSizeReport
 from repro.text.weights import TokenWeighter
+
+#: What :meth:`SearchMethod.estimate_work` returns.
+WorkEstimate = Tuple[float, float, float, object]
 
 
 class SearchMethod(abc.ABC):
@@ -60,6 +63,24 @@ class SearchMethod(abc.ABC):
         One query through the canonical execution pipeline.
         """
         return execute_query(self, query)
+
+    def estimate_work(self, query: Query) -> WorkEstimate:
+        """Predicted filter-step work for ``query``, for the planner to price.
+
+        Returns:
+            ``(lists, entries, candidates, probes)`` — inverted lists
+            probed, posting entries retrieved and candidates handed to
+            verification, as floats, from directory-level statistics only
+            (no posting is read); and ``probes``: ``None``, or what the
+            method derived on the way and takes back as the third
+            positional argument of its ``candidates``, so the member the
+            planner picks does not derive it twice.
+
+        The default prices a full scan — no list opened, every object a
+        candidate — so the planner picks a method without a modelled
+        probe structure only when every other member degenerates too.
+        """
+        return 0.0, 0.0, float(len(self.corpus)), None
 
     # ------------------------------------------------------------------
     # Introspection

@@ -14,15 +14,21 @@ methods built over one corpus + weighter, and per query:
 
 1. extracts **cheap features** — query region area, per-token document
    frequencies (O(1) from the :class:`~repro.text.weights.TokenWeighter`
-   / posting directory), the derived thresholds ``c_T``/``c_R``, and a
-   grid-cell count straight from the uniform grid's O(1) ``cell_span``;
-2. turns them into per-method **work estimates** (lists probed, posting
-   entries retrieved, candidates verified) mirroring each filter's probe
-   structure — the same structure :func:`repro.index.iomodel.
-   charge_method_io` charges pages for;
+   / posting directory) and the derived thresholds ``c_T``/``c_R`` —
+   what ``explain`` reports and recording mode logs beside a decision;
+2. asks each method for its **work estimate** (lists probed, posting
+   entries retrieved, candidates verified) through
+   :meth:`~repro.core.method.SearchMethod.estimate_work`.  The planner
+   knows no method's structure: ``token`` and ``seal`` read the estimate
+   off their own ``probes`` — the one description of what a query opens,
+   which their ``candidates`` runs and :func:`repro.index.iomodel.
+   charge_method_io` charges pages for — ``grid`` and ``hash-hybrid``
+   price the uniform grid's O(1) ``cell_span`` arithmetic, and a method
+   that models nothing is priced as a full scan;
 3. scores each method with the linear cost model
    ``cost = c0 + c1·lists + c2·entries + c3·candidates`` and dispatches
-   to the predicted-cheapest method.
+   to the predicted-cheapest method — handing it the probes its
+   estimate already derived, so the winner's lists are walked once.
 
 The cost coefficients start at analytic defaults (referenced against the
 I/O model's page pricing collapsed to in-memory latencies) and graduate
@@ -44,22 +50,16 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Collection, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
-from repro.baselines.keyword_first import KeywordFirstSearch
 from repro.core.errors import ConfigurationError
 from repro.core.method import SearchMethod
 from repro.core.objects import Query, SpatioTextualObject
 from repro.core.stats import SearchStats
 from repro.exec.pipeline import execute_query
-from repro.filters.base import SingleSchemeFilter
-from repro.filters.grid_filter import GridFilter
-from repro.filters.hierarchical_filter import HierarchicalFilter
-from repro.filters.hybrid_filter import HybridFilter
 from repro.io.atomic import atomic_write_text
 from repro.service.metrics import LatencyHistogram
-from repro.signatures.prefix import select_prefix
 from repro.text.weights import TokenWeighter
 
 #: The method portfolio a planner builds by default: one representative
@@ -92,6 +92,9 @@ class MethodEstimate:
         entries: Predicted posting entries retrieved.
         candidates: Predicted candidate-set size handed to verification.
         cost: Predicted seconds under the method's cost coefficients.
+        probes: What the method's ``estimate_work`` wants handed to its
+            ``candidates`` if it is chosen (``None``: nothing).  In-process
+            plumbing, not part of the estimate: never exported.
     """
 
     method: str
@@ -99,6 +102,7 @@ class MethodEstimate:
     entries: float
     candidates: float
     cost: float
+    probes: object = field(default=None, repr=False, compare=False)
 
     def as_dict(self) -> Dict[str, float]:
         return {
@@ -241,12 +245,6 @@ class PlannedSealSearch(SearchMethod):
         }
         if coefficients:
             self.set_coefficients(coefficients)
-        #: Cached mean list length per sub-index (O(lists) on the python
-        #: backend, so computed once here, not per query).
-        self._avg_list_len: Dict[str, float] = {
-            method_name: _average_list_length(method)
-            for method_name, method in self.methods.items()
-        }
         self.metrics = PlannerMetrics()
         self._record_path = record_to
         self._rows: List[dict] = []
@@ -258,10 +256,8 @@ class PlannedSealSearch(SearchMethod):
     def features(self, query: Query) -> Dict[str, float]:
         """The cheap per-query feature vector the estimators consume.
 
-        Everything here is O(|q.T| log |q.T|) or better: token document
-        frequencies are dictionary lookups, the region's cell count comes
-        from the grid's arithmetic ``cell_span``, and no posting data is
-        touched.
+        Everything here is O(|q.T|): token document frequencies are
+        dictionary lookups, and no posting data is touched.
         """
         weighter = self.weighter
         dfs = [weighter.count(token) for token in query.tokens]
@@ -306,29 +302,25 @@ class PlannedSealSearch(SearchMethod):
     def _estimate(
         self, method_name: str, method: SearchMethod, query: Query
     ) -> MethodEstimate:
-        lists, entries, candidates = _estimate_work(
-            method, query, self._avg_list_len[method_name], len(self.corpus)
-        )
+        lists, entries, candidates, probes = method.estimate_work(query)
         c0, c1, c2, c3 = self.coefficients[method_name]
         cost = c0 + c1 * lists + c2 * entries + c3 * candidates
-        return MethodEstimate(
-            method=method_name,
-            lists=lists,
-            entries=entries,
-            candidates=candidates,
-            cost=cost,
-        )
+        return MethodEstimate(method_name, lists, entries, candidates, cost, probes)
 
     # ------------------------------------------------------------------
     # The filter step: dispatch to the predicted-cheapest method
     # ------------------------------------------------------------------
 
     def candidates(self, query: Query, stats: SearchStats) -> Collection[int]:
-        chosen = self.plan(query)[0].method
+        best = self.plan(query)[0]
+        chosen = best.method
         delegate = self.methods[chosen]
         stats.method = f"{self.name}:{chosen}"
         started = time.perf_counter()
-        candidate_oids = delegate.candidates(query, stats)
+        if best.probes is None:
+            candidate_oids = delegate.candidates(query, stats)
+        else:
+            candidate_oids = delegate.candidates(query, stats, best.probes)
         elapsed = time.perf_counter() - started
         self.metrics.observe(chosen, elapsed)
         if self._record_path is not None:
@@ -490,15 +482,8 @@ class PlannedSealSearch(SearchMethod):
 
 
 # ----------------------------------------------------------------------
-# Work estimators (mirror each filter's probe structure, O(features))
+# Portfolio construction
 # ----------------------------------------------------------------------
-
-
-def _average_list_length(method: SearchMethod) -> float:
-    index = getattr(method, "index", None)
-    if index is None or not hasattr(index, "average_list_length"):
-        return 0.0
-    return index.average_list_length()
 
 
 def _accepted_knobs(method_name: str, params: Mapping[str, Any]) -> Dict[str, Any]:
@@ -529,100 +514,6 @@ def _accepted_knobs(method_name: str, params: Mapping[str, Any]) -> Dict[str, An
     return {
         knob: value for knob, value in params.items() if knob in signature.parameters
     }
-
-
-def _grid_cells_in(grid, region) -> int:
-    """Cells the region's bounding box covers — O(1) arithmetic."""
-    span = grid.cell_span(region)
-    if span is None:
-        return 0
-    row_lo, row_hi, col_lo, col_hi = span
-    return (row_hi - row_lo + 1) * (col_hi - col_lo + 1)
-
-
-def _cell_prefix_len(num_cells: int, tau_r: float) -> float:
-    """Predicted Lemma-2 prefix over a region's grid cells.
-
-    Cell weights are intersection areas summing to ~the region area; the
-    prefix drops the lightest suffix whose weight stays under
-    ``c_R = τ_R·area``, so under roughly uniform weights it keeps a
-    ``(1 - τ_R)`` fraction (plus the boundary element).
-    """
-    if num_cells <= 0:
-        return 0.0
-    return min(float(num_cells), num_cells * max(0.0, 1.0 - tau_r) + 1.0)
-
-
-def _token_prefix(method, query: Query) -> List[Tuple[str, float]]:
-    signature = method.scheme.query_signature(query) if isinstance(
-        method, SingleSchemeFilter
-    ) else method.textual.query_signature(query)
-    threshold = (
-        method.scheme.threshold(query)
-        if isinstance(method, SingleSchemeFilter)
-        else method.textual.threshold(query)
-    )
-    return signature[: select_prefix([w for _, w in signature], threshold)]
-
-
-def _estimate_work(
-    method: SearchMethod, query: Query, avg_list_len: float, corpus_size: int
-) -> Tuple[float, float, float]:
-    """Predicted ``(lists, entries, candidates)`` for one method.
-
-    Degenerate queries (a vacuous threshold the method's signature scheme
-    cannot filter on) cost a full scan: zero probes, every object a
-    candidate — matching each filter's ``all_oids`` fallback exactly.
-    """
-    full_scan = (0.0, 0.0, float(corpus_size))
-    if isinstance(method, GridFilter):
-        if query.tau_r <= 0.0:
-            return full_scan
-        cells = _grid_cells_in(method.scheme.grid, query.region)
-        lists = _cell_prefix_len(cells, query.tau_r)
-        entries = lists * avg_list_len
-        return lists, entries, min(float(corpus_size), entries)
-    if isinstance(method, SingleSchemeFilter):  # the token filter
-        if method.scheme.threshold(query) <= 0.0:
-            return full_scan
-        prefix = _token_prefix(method, query)
-        lists = float(len(prefix))
-        entries = float(sum(method.index.list_length(token) for token, _ in prefix))
-        return lists, entries, min(float(corpus_size), entries)
-    if isinstance(method, HybridFilter):
-        if method._is_degenerate(query):
-            return full_scan
-        token_prefix = _token_prefix(method, query)
-        cells = _grid_cells_in(method.spatial.grid, query.region)
-        lists = len(token_prefix) * _cell_prefix_len(cells, query.tau_r)
-        entries = lists * avg_list_len
-        return lists, entries, min(float(corpus_size), entries)
-    if isinstance(method, HierarchicalFilter):
-        if method._is_degenerate(query):
-            return full_scan
-        c_r = query.tau_r * query.region.area
-        lists = 0.0
-        entries = 0.0
-        for token, _ in _token_prefix(method, query):
-            grids = method.token_grids.get(token)
-            if grids is None:
-                continue
-            cells = method._region_cells(grids, query.region)
-            prefix = cells[: select_prefix([w for _, w in cells], c_r)]
-            lists += len(prefix)
-            entries += sum(
-                method.index.list_length((token, cell)) for cell, _ in prefix
-            )
-        return lists, entries, min(float(corpus_size), entries)
-    if isinstance(method, KeywordFirstSearch):
-        entries = float(
-            sum(method.weighter.count(token) for token in query.tokens)
-        )
-        return float(len(query.tokens)), entries, min(float(corpus_size), entries)
-    # Baselines without a modelled probe structure (naive, irtree, …):
-    # assume a full scan so the planner only picks them when every
-    # signature filter degenerates to one too.
-    return full_scan
 
 
 # ----------------------------------------------------------------------

@@ -31,7 +31,7 @@ from repro.core.similarity import (
     textual_dice_similarity,
     textual_similarity,
 )
-from repro.core.stats import SearchResult, SearchStats, Stopwatch
+from repro.core.stats import SearchStats
 from repro.filters.base import SingleSchemeFilter
 from repro.geometry.rect import spatial_jaccard
 from repro.text.weights import TokenWeighter
@@ -133,12 +133,41 @@ class _PredicateScheme:
         return self.predicate.threshold(query)
 
 
+class _PredicateVerifier:
+    """The verification step under a pluggable textual predicate: the
+    paper's spatial Jaccard, then the predicate's exact similarity."""
+
+    def __init__(self, corpus: Sequence[SpatioTextualObject], predicate: TextualPredicate) -> None:
+        self.corpus = corpus
+        self.predicate = predicate
+
+    def verify(self, query: Query, candidates, stats: SearchStats | None = None) -> List[int]:
+        if hasattr(candidates, "tolist"):
+            # Columnar filters hand over an integer array; convert like
+            # Verifier does so answers stay plain ints.
+            candidates = candidates.tolist()
+        answers = []
+        for oid in candidates:
+            obj = self.corpus[oid]
+            if spatial_jaccard(query.region, obj.region) < query.tau_r:
+                continue
+            if self.predicate.similarity(query.tokens, obj.tokens) < query.tau_t:
+                continue
+            answers.append(oid)
+        if stats is not None:
+            stats.results = len(answers)
+        return answers
+
+
 class PredicateSearch(SingleSchemeFilter):
     """Token filtering + verification under a pluggable textual predicate.
 
     The spatial predicate stays the paper's spatial Jaccard; only the
-    textual side changes.  Verification overrides the base class's
-    Jaccard check with the predicate's exact similarity.
+    textual side changes.  The filter step is the base class's over the
+    predicate's weights and threshold; the verification step swaps the
+    shared Jaccard :class:`~repro.core.verification.Verifier` for the
+    predicate's exact similarity, so every pipeline that runs this method
+    (``search``, ``execute_query``, batches) verifies the same way.
 
     Examples:
         >>> from repro import Rect, make_corpus, TokenWeighter
@@ -163,26 +192,4 @@ class PredicateSearch(SingleSchemeFilter):
         super().__init__(
             objects, _PredicateScheme(predicate), weighter, prefix_pruning=prefix_pruning
         )
-
-    def search(self, query: Query) -> SearchResult:
-        stats = SearchStats()
-        watch = Stopwatch()
-        candidate_oids = self.candidates(query, stats)
-        if hasattr(candidate_oids, "tolist"):
-            # Columnar filters hand over an integer array; convert like
-            # Verifier.verify does so answers stay plain ints.
-            candidate_oids = candidate_oids.tolist()
-        stats.filter_seconds = watch.lap()
-        stats.candidates = len(candidate_oids)
-        answers = []
-        for oid in candidate_oids:
-            obj = self.corpus[oid]
-            if spatial_jaccard(query.region, obj.region) < query.tau_r:
-                continue
-            if self.predicate.similarity(query.tokens, obj.tokens) < query.tau_t:
-                continue
-            answers.append(oid)
-        stats.verify_seconds = watch.lap()
-        stats.results = len(answers)
-        answers.sort()
-        return SearchResult(answers=answers, stats=stats)
+        self.verifier = _PredicateVerifier(self.corpus, predicate)

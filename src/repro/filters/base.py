@@ -1,32 +1,95 @@
-"""Shared machinery for single-scheme signature filters.
+"""What every signature filter shares: ``probes`` and the one filter step.
 
-``TokenFilter`` and ``GridFilter`` are the same algorithm instantiated
-with different signature schemes; :class:`SingleSchemeFilter` implements
-that algorithm once, in two variants:
+The paper's Sig-Filter+ (Figure 6) and Hybrid-Sig-Filter+ (Figure 8) are
+one algorithm — derive the thresholds, cut the Lemma-2 prefixes, open
+the bound-sorted lists of the prefix elements, union the heads.  The
+four signature filters (``token`` and ``grid`` through
+:class:`SingleSchemeFilter`, ``hash-hybrid``, ``seal``) differ only in
+*which* lists a query opens, and each says so in one method:
+
+``probes(query)`` returns plain data, ``(elements, bound, t_bound)`` —
+the directory keys of the lists to open, in probe order and without
+repeats; the primary bound a posting must reach (``c_T`` for tokens,
+``c_R`` for everything spatial); and the textual bound of a dual-bound
+index, else ``None`` — or :data:`FULL_SCAN` when the scheme cannot
+filter the query (a vacuous derived threshold, under which objects
+sharing *no* signature element with the query may still be answers).
+It is a pure function of the query and the built index: no statistics,
+no state left on the filter (engines are shared between threads).
+
+Everything downstream reads that one description.  ``candidates`` is
+:func:`candidates_from_probes` — ``probes`` handed to the one probe loop,
+:meth:`InvertedIndex.union_heads <repro.index.inverted.InvertedIndex.
+union_heads>`, which owns the backend split and the accounting rule (a
+single-bound probe of a missing list counts as a probe, a dual-bound one
+does not, so ``len(elements)`` equals ``lists_probed`` on the former and
+bounds it on the latter); the planner's work estimate counts the lists
+and their full lengths (:func:`work_from_probes`); the I/O model charges
+the pages of the same heads (:mod:`repro.index.iomodel`).
+
+:class:`SingleSchemeFilter` is ``TokenFilter`` and ``GridFilter`` — the
+same filter instantiated with different signature schemes — in two
+variants:
 
 * **Sig-Filter+** (default, Figure 6): postings carry Lemma 3 suffix
   bounds, the query probes only its Lemma 2 prefix, and each probed list
   returns only the head whose bound reaches the threshold.
 * **Sig-Filter** (``prefix_pruning=False``, Figure 3): postings carry raw
-  element weights, the query probes its *whole* signature, and the filter
-  accumulates the exact signature similarity ``Σ min(w(s|q), w(s|o))``,
-  keeping objects that reach the threshold.  Kept for the pruning
-  ablation — it shows precisely what the `+` buys.
+  element weights, the query opens its *whole* signature's lists in full
+  (which is what its ``probes`` says: every element, bound ``-inf``),
+  and the filter accumulates the exact signature similarity
+  ``Σ min(w(s|q), w(s|o))``, keeping objects that reach the threshold.
+  Kept for the pruning ablation — it shows precisely what the `+` buys.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Collection, List, Protocol, Sequence, Tuple
+from typing import Collection, Hashable, List, Optional, Protocol, Sequence, Tuple
 
-from repro.core.method import SearchMethod
+from repro.core.method import SearchMethod, WorkEstimate
 from repro.core.objects import Query, SpatioTextualObject
 from repro.core.stats import SearchStats
 from repro.index.inverted import InvertedIndex
 from repro.index.postings import PostingList
 from repro.index.storage import IndexSizeReport, measure_index
-from repro.signatures.prefix import select_prefix, suffix_bounds
+from repro.signatures.prefix import prefix_elements, suffix_bounds
 from repro.text.weights import TokenWeighter
+
+#: What ``probes`` returns: ``(elements, bound, t_bound)`` …
+Probes = Tuple[List[Hashable], float, Optional[float]]
+
+#: … or this, when the scheme cannot filter the query: the filter step is
+#: then every oid, and nothing is opened, priced or charged.
+FULL_SCAN = object()
+
+
+def candidates_from_probes(
+    method, query: Query, stats: SearchStats, probes: Probes | None = None
+) -> Collection[int]:
+    """``candidates`` of every signature filter: ``probes`` → the probe loop.
+
+    ``probes`` is what :meth:`probes` returned for this query, when the
+    caller already has it (the planner derives it to price the method and
+    hands it back to the member it picks); derived here otherwise.
+    """
+    if probes is None:
+        probes = method.probes(query)
+    if probes is FULL_SCAN:
+        return method.all_oids()
+    return method.index.union_heads(*probes, stats)
+
+
+def work_from_probes(method, query: Query) -> WorkEstimate:
+    """``estimate_work`` read straight off ``probes``: the lists it names
+    and their full lengths (an upper bound on the heads), plus the probes
+    themselves so the planner can hand them back."""
+    probes = method.probes(query)
+    if probes is FULL_SCAN:
+        return 0.0, 0.0, float(len(method.corpus)), probes
+    elements = probes[0]
+    entries = float(sum(map(method.index.list_length, elements)))
+    return float(len(elements)), entries, min(float(len(method.corpus)), entries), probes
 
 
 class SignatureScheme(Protocol):
@@ -51,7 +114,7 @@ class SingleSchemeFilter(SearchMethod):
         prefix_pruning: True → Sig-Filter+ (threshold-aware); False →
             plain Sig-Filter.
         backend: Index storage backend (``"python"``, ``"columnar"``, or
-            ``None`` for the environment default).  Answers and probe
+            ``None`` for the default, columnar).  Answers and probe
             statistics are identical across backends; only speed differs.
     """
 
@@ -93,42 +156,27 @@ class SingleSchemeFilter(SearchMethod):
         """
         return self.scheme.threshold(query) <= 0.0
 
-    def candidates(self, query: Query, stats: SearchStats) -> Collection[int]:
+    def probes(self, query: Query) -> Probes:
+        if self._is_degenerate(query):
+            return FULL_SCAN
+        signature = self.scheme.query_signature(query)
+        if not self.prefix_pruning:
+            return [element for element, _ in signature], float("-inf"), None
+        threshold = self.scheme.threshold(query)
+        return [element for element, _ in prefix_elements(signature, threshold)], threshold, None
+
+    def candidates(
+        self, query: Query, stats: SearchStats, probes: Probes | None = None
+    ) -> Collection[int]:
+        if self.prefix_pruning:
+            return candidates_from_probes(self, query, stats, probes)
         if self._is_degenerate(query):
             return self.all_oids()
-        threshold = self.scheme.threshold(query)
-        signature = self.scheme.query_signature(query)
-        if self.prefix_pruning:
-            return self._candidates_prefix(signature, threshold, stats)
-        return self._candidates_plain(signature, threshold, stats)
+        return self._candidates_plain(
+            self.scheme.query_signature(query), self.scheme.threshold(query), stats
+        )
 
-    def _candidates_prefix(
-        self,
-        signature: Sequence[Tuple[object, float]],
-        threshold: float,
-        stats: SearchStats,
-    ) -> Collection[int]:
-        """Sig-Filter+: union of threshold-bounded heads over the prefix.
-
-        Probing a missing element still counts as a probe (the directory
-        lookup happens either way) and retrieves an empty head, so the
-        statistics are backend-independent by construction.
-        """
-        prefix_len = select_prefix([w for _, w in signature], threshold)
-        store = self.index.store
-        scratch = store.begin_union() if store is not None else None
-        out: set[int] = set()
-        probe = self.index.probe
-        for element, _ in signature[:prefix_len]:
-            retrieved = probe(element, threshold)
-            stats.lists_probed += 1
-            stats.entries_retrieved += len(retrieved)
-            stats.entries_matched += len(retrieved)
-            if scratch is not None:
-                scratch.add(retrieved)
-            else:
-                out.update(retrieved)
-        return scratch.result() if scratch is not None else out
+    estimate_work = work_from_probes
 
     def _candidates_plain(
         self,

@@ -13,14 +13,14 @@ experiments (Figures 16–17).
 
 from __future__ import annotations
 
-from typing import Collection, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.errors import ConfigurationError
 from repro.core.method import SearchMethod
 from repro.core.objects import Query, SpatioTextualObject
-from repro.core.stats import SearchStats
+from repro.filters.base import FULL_SCAN, Probes, candidates_from_probes, work_from_probes
 from repro.geometry import Rect
 from repro.geometry.rect import mbr_of
 from repro.grid.hierarchy import GridHierarchy, HierCell
@@ -29,7 +29,7 @@ from repro.index.inverted import InvertedIndex
 from repro.index.postings import DualBoundPostingList
 from repro.index.storage import IndexSizeReport, measure_index
 from repro.signatures.hierarchical import TokenGrids, select_token_grids_many
-from repro.signatures.prefix import select_prefix
+from repro.signatures.prefix import prefix_elements
 from repro.signatures.textual import TextualScheme
 from repro.text.weights import TokenWeighter
 
@@ -107,7 +107,7 @@ class HierarchicalFilter(SearchMethod):
             lets hierarchical signatures match fixed-granularity
             filtering power at a smaller total budget.
         backend: Index storage backend (``"python"``, ``"columnar"``, or
-            ``None`` for the environment default).
+            ``None`` for the default, columnar).
 
     Raises:
         ConfigurationError: On an empty corpus or ``mt < 1``.
@@ -227,39 +227,25 @@ class HierarchicalFilter(SearchMethod):
     def _is_degenerate(self, query: Query) -> bool:
         return self.textual.threshold(query) <= 0.0 or query.tau_r <= 0.0
 
-    def candidates(self, query: Query, stats: SearchStats) -> Collection[int]:
+    def probes(self, query: Query) -> Probes:
         if self._is_degenerate(query):
-            return self.all_oids()
+            return FULL_SCAN
         c_t = self.textual.threshold(query)
         c_r = query.tau_r * query.region.area
-        token_sig = self.textual.query_signature(query)
-        token_prefix = token_sig[: select_prefix([w for _, w in token_sig], c_t)]
-        index = self.index
-        store = index.store
-        scratch = store.begin_union() if store is not None else None
-        out: set[int] = set()
-        for token, _ in token_prefix:
+        elements = []
+        for token, _ in prefix_elements(self.textual.query_signature(query), c_t):
             grids = self.token_grids.get(token)
             if grids is None:
                 # No object contains this token: nothing to probe, and no
                 # answer can hinge on it (it contributes weight only to
                 # the union, which the threshold already accounts for).
                 continue
-            cells = self._region_cells(grids, query.region)
-            spatial_prefix = cells[: select_prefix([w for _, w in cells], c_r)]
-            for cell, _ in spatial_prefix:
-                result = index.probe_dual((token, cell), c_r, c_t)
-                if result is None:
-                    continue
-                retrieved, scanned = result
-                stats.lists_probed += 1
-                stats.entries_retrieved += scanned
-                stats.entries_matched += len(retrieved)
-                if scratch is not None:
-                    scratch.add(retrieved)
-                else:
-                    out.update(retrieved)
-        return scratch.result() if scratch is not None else out
+            cells = prefix_elements(self._region_cells(grids, query.region), c_r)
+            elements.extend((token, cell) for cell, _ in cells)
+        return elements, c_r, c_t
+
+    candidates = candidates_from_probes
+    estimate_work = work_from_probes
 
     # ------------------------------------------------------------------
     # Introspection

@@ -17,19 +17,19 @@ both axes.
 from __future__ import annotations
 
 import zlib
-from typing import Collection, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.core.method import SearchMethod
+from repro.core.method import SearchMethod, WorkEstimate
 from repro.core.objects import Query, SpatioTextualObject
-from repro.core.stats import SearchStats
+from repro.filters.base import FULL_SCAN, Probes, candidates_from_probes
 from repro.geometry import Rect
 from repro.index.columnar import directory_rows
 from repro.index.inverted import InvertedIndex
 from repro.index.postings import DualBoundPostingList
 from repro.index.storage import IndexSizeReport, measure_index
-from repro.signatures.prefix import segmented_suffix_bounds, select_prefix
+from repro.signatures.prefix import prefix_elements, segmented_suffix_bounds
 from repro.signatures.spatial import GridScheme
 from repro.signatures.textual import TextualScheme
 from repro.text.weights import TokenWeighter
@@ -63,7 +63,7 @@ class HybridFilter(SearchMethod):
         space: Grid space override (defaults to the corpus MBR).
         order: Global cell order name.
         backend: Index storage backend (``"python"``, ``"columnar"``, or
-            ``None`` for the environment default).
+            ``None`` for the default, columnar).
     """
 
     name = "hash-hybrid"
@@ -132,40 +132,33 @@ class HybridFilter(SearchMethod):
         # with the query; either predicate being vacuous breaks that.
         return self.textual.threshold(query) <= 0.0 or query.tau_r <= 0.0
 
-    def candidates(self, query: Query, stats: SearchStats) -> Collection[int]:
+    def probes(self, query: Query) -> Probes:
         if self._is_degenerate(query):
-            return self.all_oids()
+            return FULL_SCAN
         c_t = self.textual.threshold(query)
         c_r = self.spatial.threshold(query)
-        token_sig = self.textual.query_signature(query)
-        cell_sig = self.spatial.query_signature(query)
-        token_prefix = token_sig[: select_prefix([w for _, w in token_sig], c_t)]
-        cell_prefix = cell_sig[: select_prefix([w for _, w in cell_sig], c_r)]
-        index = self.index
-        store = index.store
-        scratch = store.begin_union() if store is not None else None
-        out: set[int] = set()
-        probed: set = set()
-        for token, _ in token_prefix:
-            for cell, _ in cell_prefix:
-                key = self._key(token, cell)
-                if key in probed:
-                    # Bucketed keys can collide across (t, g) pairs; one
-                    # probe with the same thresholds covers them all.
-                    continue
-                probed.add(key)
-                result = index.probe_dual(key, c_r, c_t)
-                if result is None:
-                    continue
-                retrieved, scanned = result
-                stats.lists_probed += 1
-                stats.entries_retrieved += scanned
-                stats.entries_matched += len(retrieved)
-                if scratch is not None:
-                    scratch.add(retrieved)
-                else:
-                    out.update(retrieved)
-        return scratch.result() if scratch is not None else out
+        token_prefix = prefix_elements(self.textual.query_signature(query), c_t)
+        cell_prefix = prefix_elements(self.spatial.query_signature(query), c_r)
+        # Bucketed keys can collide across (t, g) pairs; one probe with
+        # the same thresholds covers them all, so each key is named once.
+        keys = dict.fromkeys(
+            self._key(token, cell) for token, _ in token_prefix for cell, _ in cell_prefix
+        )
+        return list(keys), c_r, c_t
+
+    candidates = candidates_from_probes
+
+    def estimate_work(self, query: Query) -> WorkEstimate:
+        """O(|q.T|): prefix tokens × predicted prefix cells × the mean
+        list length — the cross product is priced, not enumerated."""
+        if self._is_degenerate(query):
+            return super().estimate_work(query)
+        token_prefix = prefix_elements(
+            self.textual.query_signature(query), self.textual.threshold(query)
+        )
+        lists = len(token_prefix) * self.spatial.expected_prefix_len(query)
+        entries = lists * self.index.average_list_length()
+        return lists, entries, min(float(len(self.corpus)), entries), None
 
     # ------------------------------------------------------------------
     # Introspection

@@ -45,13 +45,10 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterator, List, Sequence, Tuple
 
+import numpy as _np
+
 from repro.core.errors import ConfigurationError
 from repro.index.postings import DualBoundPostingList, PostingList
-
-try:  # pragma: no cover - exercised implicitly by every columnar test
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
 
 #: Index storage backends an :meth:`InvertedIndex.freeze` accepts.
 BACKENDS = ("python", "columnar")
@@ -59,14 +56,14 @@ BACKENDS = ("python", "columnar")
 
 def default_backend() -> str:
     """The backend ``freeze(backend=None)`` resolves to."""
-    return "columnar" if _np is not None else "python"
+    return "columnar"
 
 
 def resolve_backend(backend: str | None) -> str:
-    """Validate a backend name; ``None`` means the environment default.
+    """Validate a backend name; ``None`` means the default.
 
     Raises:
-        ConfigurationError: Unknown name, or ``columnar`` without NumPy.
+        ConfigurationError: Unknown name.
     """
     if backend is None:
         return default_backend()
@@ -75,8 +72,6 @@ def resolve_backend(backend: str | None) -> str:
         raise ConfigurationError(
             f"unknown index backend {backend!r}; valid backends: {valid}"
         )
-    if backend == "columnar" and _np is None:
-        raise ConfigurationError("the columnar index backend requires numpy")
     return backend
 
 
@@ -358,7 +353,7 @@ class CSRPostingStore:
         return int(self.offsets[-1])
 
     def row_length(self, row: int) -> int:
-        return int(self.offsets[row + 1] - self.offsets[row])
+        return self._starts[row + 1] - self._starts[row]
 
     def nbytes(self) -> int:
         """Bytes held by the CSR columns (the mmap-able payload)."""
@@ -543,8 +538,5 @@ class ColumnarListView:
 
 
 #: Shared empty probe result (read-only so a view cannot be mutated).
-if _np is not None:
-    _EMPTY_OIDS = _np.empty(0, dtype=_np.int32)
-    _EMPTY_OIDS.setflags(write=False)
-else:  # pragma: no cover - numpy-less fallback never probes columnar
-    _EMPTY_OIDS = None
+_EMPTY_OIDS = _np.empty(0, dtype=_np.int32)
+_EMPTY_OIDS.setflags(write=False)

@@ -10,7 +10,7 @@ Storage is pluggable at :meth:`freeze` time:
 * ``backend="python"`` keeps the per-element
   :class:`~repro.index.postings.PostingList` objects — the reference
   oracle the equivalence tests compare against;
-* ``backend="columnar"`` (the default whenever NumPy is available)
+* ``backend="columnar"`` (the default)
   consolidates every list into one
   :class:`~repro.index.columnar.CSRPostingStore` of contiguous parallel
   arrays and drops the Python lists; probes become vectorised kernels
@@ -21,14 +21,17 @@ An index is filled either posting by posting (:meth:`list_for` +
 (:meth:`bulk_load`); the frozen result is the same.
 
 Both backends answer the same probe API (:meth:`probe`, :meth:`probe_dual`,
-:meth:`get`, :meth:`items`) with identical oids in identical order, so the
-filters run one algorithm over either.
+:meth:`get`, :meth:`items`) with identical oids in identical order, and
+:meth:`union_heads` — the one probe loop every signature filter's
+``candidates`` runs — is the only place that knows which backend it is
+on.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generic, Hashable, Iterator, Sequence, Tuple, Type, TypeVar
+from typing import Collection, Dict, Generic, Hashable, Iterator, Sequence, Tuple, Type, TypeVar
 
+from repro.core.stats import SearchStats
 from repro.index.columnar import CSRPostingStore, resolve_backend
 from repro.index.postings import DualBoundPostingList, PostingList
 
@@ -80,9 +83,9 @@ class InvertedIndex(Generic[Key, PList]):
 
         Args:
             backend: ``"python"``, ``"columnar"``, or ``None`` for the
-                environment default (columnar when NumPy is available).
-                Columnar freezing consolidates all postings into one
-                :class:`CSRPostingStore` and releases the Python lists.
+                default (columnar).  Columnar freezing consolidates all
+                postings into one :class:`CSRPostingStore` and releases
+                the Python lists.
 
         Raises:
             RuntimeError: Re-freezing with a *different* explicit backend
@@ -200,6 +203,60 @@ class InvertedIndex(Generic[Key, PList]):
             return None
         return plist.retrieve(min_r_bound, min_t_bound)
 
+    def union_heads(
+        self,
+        elements: Sequence[Key],
+        bound: float,
+        t_bound: float | None,
+        stats: SearchStats,
+    ) -> Collection[int]:
+        """The filter step of Sig-Filter+ and Hybrid-Sig-Filter+: open each
+        element's list, take the head its bound(s) qualify, union the heads.
+
+        Args:
+            elements: The lists to open, in probe order.
+            bound: Primary threshold (the spatial one of a dual-bound index).
+            t_bound: Textual threshold of a dual-bound index, else ``None``.
+            stats: Receives the probe accounting.
+
+        A single-bound probe of an element with no list still counts as a
+        probe (the directory lookup happens either way) and retrieves an
+        empty head; a dual-bound one does not — a hybrid key nothing was
+        posted to is no list at all.  ``entries_retrieved`` is the head
+        the primary bound cuts, ``entries_matched`` what survives the
+        textual bound too.  Both rules hold on either backend, so the
+        statistics are backend-independent by construction.
+
+        Returns:
+            The union — a set (python) or a sorted, deduplicated array
+            from this thread's scratch buffer (columnar).
+        """
+        store = self.store
+        if store is not None:
+            scratch = store.begin_union()
+            add, probe, probe_dual = scratch.add, store.probe, store.probe_dual
+        else:
+            out: set[int] = set()
+            add, probe, probe_dual = out.update, self.probe, self.probe_dual
+        lists = retrieved = matched = 0
+        for element in elements:
+            if t_bound is None:
+                head = probe(element, bound)
+                scanned = len(head)
+            else:
+                result = probe_dual(element, bound, t_bound)
+                if result is None:
+                    continue
+                head, scanned = result
+            lists += 1
+            retrieved += scanned
+            matched += len(head)
+            add(head)
+        stats.lists_probed += lists
+        stats.entries_retrieved += retrieved
+        stats.entries_matched += matched
+        return scratch.result() if store is not None else out
+
     def __contains__(self, element: Key) -> bool:
         if self.store is not None:
             return element in self.store.rows
@@ -235,8 +292,8 @@ class InvertedIndex(Generic[Key, PList]):
         """Mean postings per non-empty list (0.0 for an empty index).
 
         O(1) on the columnar backend, O(lists) on the python oracle; the
-        query planner computes it once per sub-index at registration and
-        uses the cached value to price probes without touching postings.
+        grid and hash-hybrid filters price a probe with it
+        (``estimate_work``) without touching postings.
         """
         num_lists = len(self)
         if num_lists == 0:

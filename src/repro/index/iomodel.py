@@ -27,13 +27,9 @@ from repro.baselines.spatial_first import SpatialFirstSearch
 from repro.core.errors import ConfigurationError
 from repro.core.method import SearchMethod
 from repro.core.objects import Query
-from repro.core.stats import SearchStats
-from repro.filters.base import SingleSchemeFilter
-from repro.filters.hierarchical_filter import HierarchicalFilter
-from repro.filters.hybrid_filter import HybridFilter
+from repro.filters.base import FULL_SCAN
 from repro.index.storage import BOUND_BYTES, OID_BYTES, PAGE_BYTES
 from repro.rtree import Node
-from repro.signatures.prefix import select_prefix
 
 
 class BufferPool:
@@ -119,8 +115,15 @@ def charge_method_io(
 
     Charging rules (mirroring the paper's disk layout):
 
-    * signature filters — the head of each probed inverted list, i.e.
-      the pages holding the bound-qualified prefix entries;
+    * signature filters (anything with ``probes``, see
+      :mod:`repro.filters.base`) — for each list the filter's own
+      ``probes(query)`` names, the pages holding the head its primary
+      bound cuts, one page at least (the list must be opened to find the
+      head empty); a hybrid key nothing was posted to has no list and
+      costs nothing, a full-scan query opens no list at all.  Exactly
+      the lists ``candidates`` opens and the entries it reports as
+      retrieved — for a ``prefix_pruning=False`` filter, its whole
+      signature's lists in full;
     * keyword-first — every probed token list in full (no bounds);
     * spatial-first / IR-tree — one page per visited R-tree node, plus
       (IR-tree) the pages of each visited node's inverted file.
@@ -150,12 +153,8 @@ def charge_method_io(
 
 
 def _charge_one(method: SearchMethod, query: Query, pool: BufferPool) -> None:
-    if isinstance(method, SingleSchemeFilter):
-        _charge_single_scheme(method, query, pool)
-    elif isinstance(method, HybridFilter):
-        _charge_hybrid(method, query, pool)
-    elif isinstance(method, HierarchicalFilter):
-        _charge_hierarchical(method, query, pool)
+    if hasattr(method, "probes"):
+        _charge_probes(method, query, pool)
     elif isinstance(method, KeywordFirstSearch):
         for token in query.tokens:
             plist = method.index.get(token)
@@ -172,59 +171,20 @@ def _charge_one(method: SearchMethod, query: Query, pool: BufferPool) -> None:
         )
 
 
-def _charge_single_scheme(method: SingleSchemeFilter, query: Query, pool: BufferPool) -> None:
-    if method._is_degenerate(query):
+def _charge_probes(method: SearchMethod, query: Query, pool: BufferPool) -> None:
+    probes = method.probes(query)
+    if probes is FULL_SCAN:
         return
-    threshold = method.scheme.threshold(query)
-    signature = method.scheme.query_signature(query)
-    prefix_len = select_prefix([w for _, w in signature], threshold)
-    for element, _ in signature[:prefix_len]:
-        retrieved = method.index.probe(element, threshold)
-        # len(), not truthiness: columnar probes return ndarray heads.
-        if len(retrieved):
-            pool.access_run(("sig", element), _posting_pages(len(retrieved), 1))
+    elements, bound, t_bound = probes
+    for element in elements:
+        if t_bound is None:
+            scanned = len(method.index.probe(element, bound))
         else:
-            pool.access(("sig", element, "head"))
-
-
-def _charge_hybrid(method: HybridFilter, query: Query, pool: BufferPool) -> None:
-    if method._is_degenerate(query):
-        return
-    c_t = method.textual.threshold(query)
-    c_r = method.spatial.threshold(query)
-    token_sig = method.textual.query_signature(query)
-    cell_sig = method.spatial.query_signature(query)
-    token_prefix = token_sig[: select_prefix([w for _, w in token_sig], c_t)]
-    cell_prefix = cell_sig[: select_prefix([w for _, w in cell_sig], c_r)]
-    for token, _ in token_prefix:
-        for cell, _ in cell_prefix:
-            key = method._key(token, cell)
-            plist = method.index.get(key)
-            if plist is None:
+            result = method.index.probe_dual(element, bound, t_bound)
+            if result is None:
                 continue
-            _, scanned = plist.retrieve(c_r, c_t)
-            pool.access_run(("hyb", key), _posting_pages(max(1, scanned), 2))
-
-
-def _charge_hierarchical(method: HierarchicalFilter, query: Query, pool: BufferPool) -> None:
-    if method._is_degenerate(query):
-        return
-    c_t = method.textual.threshold(query)
-    c_r = query.tau_r * query.region.area
-    token_sig = method.textual.query_signature(query)
-    token_prefix = token_sig[: select_prefix([w for _, w in token_sig], c_t)]
-    for token, _ in token_prefix:
-        grids = method.token_grids.get(token)
-        if grids is None:
-            continue
-        cells = method._region_cells(grids, query.region)
-        prefix = cells[: select_prefix([w for _, w in cells], c_r)]
-        for cell, _ in prefix:
-            plist = method.index.get((token, cell))
-            if plist is None:
-                continue
-            _, scanned = plist.retrieve(c_r, c_t)
-            pool.access_run(("hier", token, cell), _posting_pages(max(1, scanned), 2))
+            scanned = result[1]
+        pool.access_run(("sig", element), _posting_pages(scanned, 1 if t_bound is None else 2))
 
 
 def _charge_irtree(method: IRTreeSearch, query: Query, pool: BufferPool) -> None:

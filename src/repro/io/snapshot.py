@@ -39,14 +39,11 @@ import zipfile
 from pathlib import Path
 from typing import Any, List
 
+import numpy as _np
+
 from repro.core.errors import SealError
 from repro.io.atomic import atomic_write, fsync_directory
 from repro.index.columnar import externalize_arrays, resolve_arrays
-
-try:  # pragma: no cover - exercised implicitly by every snapshot test
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
 
 #: Bump when index internals change incompatibly; any other format is
 #: rejected at the envelope with "rebuild the index".
@@ -162,10 +159,6 @@ def load_engine(path: str | Path, *, mmap: bool = False) -> Any:
     num_arrays = envelope.get("num_arrays", 0)
     arrays: List[Any] = []
     if num_arrays:
-        if _np is None:
-            raise SnapshotError(
-                f"{path} holds columnar index arrays; loading it requires numpy"
-            )
         sidecar = sidecar_path(path)
         if not sidecar.exists():
             raise SnapshotError(

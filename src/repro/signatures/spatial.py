@@ -118,6 +118,24 @@ class GridScheme:
         """``c_R = τ_R · |q.R|`` (Lemma 1)."""
         return query.tau_r * query.region.area
 
+    def expected_prefix_len(self, query: Query) -> float:
+        """Predicted Lemma-2 prefix over the query region's cells, from
+        the grid's O(1) ``cell_span`` arithmetic — what the grid and
+        hash-hybrid filters price a query with instead of building its
+        signature.
+
+        Cell weights are intersection areas summing to ~the region area;
+        the prefix drops the lightest suffix whose weight stays under
+        ``c_R = τ_R·area``, so under roughly uniform weights it keeps a
+        ``(1 - τ_R)`` fraction (plus the boundary element).
+        """
+        span = self.grid.cell_span(query.region)
+        if span is None:
+            return 0.0
+        row_lo, row_hi, col_lo, col_hi = span
+        num_cells = (row_hi - row_lo + 1) * (col_hi - col_lo + 1)
+        return min(float(num_cells), num_cells * max(0.0, 1.0 - query.tau_r) + 1.0)
+
 
 def min_weight_similarity(
     sig_a: Iterable[Tuple[int, float]], sig_b: Iterable[Tuple[int, float]]

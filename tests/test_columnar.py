@@ -327,22 +327,35 @@ def test_batch_executor_backend_parity(twitter_small, twitter_small_weighter, pa
             assert col_result.stats.candidates == py_result.stats.candidates
 
 
+@pytest.mark.parametrize("name, threads", [("token", 4), ("planned", 8)])
 def test_concurrent_queries_share_one_columnar_engine(twitter_small,
                                                       twitter_small_weighter,
-                                                      parity_workload):
+                                                      parity_workload, name, threads):
     """Probe state is thread-local per store, so threads sharing one
     columnar engine get exactly the per-query answers (regression: a
-    store-global scratch let one thread clear another's union mid-query)."""
+    store-global scratch let one thread clear another's union mid-query).
+    The planned engine adds the probes ``plan()`` hands to the member it
+    picks: per-call data, never state on the shared filters."""
+    import sys
     from concurrent.futures import ThreadPoolExecutor
 
     method = build_method(
-        twitter_small, "token", twitter_small_weighter, backend="columnar"
+        twitter_small, name, twitter_small_weighter, backend="columnar",
+        **({"granularity": 8, "mt": 8, "max_level": 5} if name == "planned" else {}),
     )
-    expected = [method.search(q).answers for q in parity_workload]
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        for _ in range(5):
-            futures = [pool.submit(method.search, q) for q in parity_workload]
-            assert [f.result().answers for f in futures] == expected
+    serial = [method.search(q) for q in parity_workload]
+    expected = [result.answers for result in serial]
+    if name == "planned":
+        assert {"planned:token", "planned:seal"} & {r.stats.method for r in serial}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            for _ in range(5):
+                futures = [pool.submit(method.search, q) for q in parity_workload]
+                assert [f.result(timeout=120).answers for f in futures] == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_refreeze_with_conflicting_backend_raises():

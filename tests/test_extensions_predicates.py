@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from repro import Query, Rect, TokenWeighter
+from repro import Query, Rect, TokenWeighter, execute_query, make_corpus
 from repro.core.similarity import (
     textual_cosine_similarity,
     textual_dice_similarity,
@@ -17,6 +17,8 @@ from repro.extensions.predicates import (
     JaccardPredicate,
     PredicateSearch,
 )
+from repro.exec.batch import BatchExecutor
+from repro.exec.pipeline import run_query
 from repro.geometry.rect import spatial_jaccard
 
 from tests.strategies import corpus_and_query
@@ -89,6 +91,36 @@ class TestPredicateSearch:
         dice = PredicateSearch(twitter_small, DicePredicate(twitter_small_weighter))
         for q in generate_queries(twitter_small, "small", 5, seed=5, tau_r=0.1, tau_t=0.3):
             assert set(jac.search(q).answers) <= set(dice.search(q).answers)
+
+
+@pytest.mark.parametrize("tau_t", [0.3, 0.6])
+@pytest.mark.parametrize("predicate_cls", [DicePredicate, CosinePredicate])
+def test_every_pipeline_verifies_with_the_predicate(predicate_cls, tau_t):
+    """Regression: ``search`` carried a private copy of the pipeline, so
+    ``execute_query`` and everything built on it verified with the
+    shared Jaccard verifier instead.  Three objects on which Jaccard
+    disagrees with Dice and Cosine at both thresholds."""
+    region = Rect(0, 0, 10, 10)
+    corpus = make_corpus(
+        [(region, {"a", "b", "c"}), (region, {"b", "c", "d"}), (region, {"a", "d"})]
+    )
+    weighter = TokenWeighter(obj.tokens for obj in corpus)
+    predicate = predicate_cls(weighter)
+    query = Query(region, frozenset({"a", "b", "c"}), 0.5, tau_t)
+    expected = _brute_force(corpus, weighter, query, predicate)
+    assert expected == ([0, 1, 2] if tau_t == 0.3 else [0, 1])
+    assert expected != _brute_force(corpus, weighter, query, JaccardPredicate(weighter))
+    engine = PredicateSearch(corpus, predicate, weighter)
+    results = [
+        engine.search(query),
+        execute_query(engine, query),
+        run_query(engine, query),
+        BatchExecutor().run(engine, [query])[0],
+    ]
+    for result in results:
+        assert result.answers == expected
+        assert result.stats.method == "predicate-token"
+        assert result.stats.results == len(expected)
 
 
 @pytest.mark.parametrize("predicate_cls", [DicePredicate, CosinePredicate])

@@ -107,6 +107,35 @@ class TestChargeMethodIO:
         slow = charge_method_io(methods["grid"], queries, read_latency_ms=1.0)
         assert slow.io_ms_per_query == pytest.approx(100 * fast.io_ms_per_query)
 
+    @pytest.mark.parametrize("name, params", [("token", {}), ("grid", {"granularity": 64})])
+    def test_plain_filter_is_charged_for_the_lists_it_opens(self, name, params):
+        """Regression: a ``prefix_pruning=False`` filter opens its whole
+        signature's lists in full, but was charged for the Lemma-2 prefix
+        at a bound its raw-weight postings give no meaning to (172 page
+        reads for the 255 lists the token filter opens here)."""
+        from repro.core.stats import SearchStats
+        from repro.datasets import generate_queries, generate_twitter
+
+        corpus = generate_twitter(2000, seed=42)
+        queries = list(generate_queries(corpus, "small", num_queries=20, seed=3,
+                                        tau_r=0.2, tau_t=0.2))
+        plain = build_method(corpus, name, prefix_pruning=False, **params)
+        plus = build_method(corpus, name, **params)
+        opened = SearchStats()
+        for query in queries:
+            elements, bound, t_bound = plain.probes(query)
+            assert (bound, t_bound) == (float("-inf"), None)
+            stats = SearchStats()
+            plain.candidates(query, stats)
+            assert len(elements) >= stats.lists_probed  # (absent lists are skipped)
+            opened.merge(stats)
+        assert opened.lists_probed > 0
+        charged = charge_method_io(plain, queries, pool=BufferPool(0))
+        assert charged.logical_reads >= opened.lists_probed
+        assert charged.logical_reads >= charge_method_io(
+            plus, queries, pool=BufferPool(0)
+        ).logical_reads
+
     def test_compare_methods_io(self, methods, twitter_small_queries):
         reports = compare_methods_io(methods, list(twitter_small_queries))
         assert set(reports) == set(methods)

@@ -13,7 +13,8 @@ the constrained regime the hierarchical signatures answer queries with
 fewer candidates — bucket collisions cost the hash scheme false
 candidates, while HSS spends the same elements where the data lives.
 (At generous budgets the collision penalty vanishes and the two
-converge; EXPERIMENTS.md discusses the crossover.)
+converge; the README's "Tests and benchmarks" section says how to rerun
+this at other scales to see the crossover.)
 """
 
 from __future__ import annotations

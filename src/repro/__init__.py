@@ -43,8 +43,8 @@ Verification is one step on every path
 segmented results are identical to sequential per-query search — the
 test suite pins that for every registry method.
 
-See ``DESIGN.md`` for the module map and ``EXPERIMENTS.md`` for the
-reproduction of the paper's evaluation.
+See the README's "Layout" section for the module map and "Tests and
+benchmarks" for the reproduction of the paper's evaluation.
 """
 
 from repro.baselines import IRTreeSearch, KeywordFirstSearch, NaiveSearch, SpatialFirstSearch

@@ -305,10 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--no-cache", action="store_true",
                        help="disable the result cache (every request runs the engine)")
     serve.add_argument("--cache-capacity", type=int, default=1024)
-    serve.add_argument("--cache-ttl", type=float, default=None,
-                       help="seconds a cached result stays servable")
     serve.add_argument("--workers", type=int, default=4,
-                       help="admission worker threads")
+                       help="requests executing at once (admission slots)")
     serve.add_argument("--max-queue", type=int, default=64,
                        help="requests allowed to queue past the busy workers")
     serve.add_argument("--deadline-ms", type=float, default=None,
@@ -839,14 +837,31 @@ def _service_summary(service: QueryService) -> str:
     )
 
 
-def _explain_line(planner, query: Query) -> str:
-    """One-line planner decision summary for ``query --explain``."""
-    decision = planner.explain(query)
+def _plan_summary(decision: dict) -> str:
+    """One planner decision: the chosen method and the ranked cost
+    estimates (``query --explain`` and ``plan`` print the same text)."""
     costs = ", ".join(
         f"{name} {1000.0 * decision['estimates'][name]['cost_s']:.3f} ms"
         for name in decision["ranking"]
     )
-    return f"  plan: {decision['chosen']}  [{costs}]"
+    return f"{decision['chosen']}  [{costs}]"
+
+
+def _queries_from_args(args: argparse.Namespace, alternatives: str) -> List[Query] | None:
+    """The ``--queries`` workload, else the one query spelled by
+    ``--region/--tokens/--tau-r/--tau-t``; ``None`` after printing the
+    usage error (``alternatives`` names the command's other inputs)."""
+    if args.queries:
+        return load_queries(args.queries)
+    if not args.region or args.tokens is None:
+        print(f"error: provide --region and --tokens, {alternatives}", file=sys.stderr)
+        return None
+    region = _parse_region(args.region)
+    if region is None:
+        print("error: --region needs x1,y1,x2,y2", file=sys.stderr)
+        return None
+    tokens = frozenset(t for t in args.tokens.split(",") if t)
+    return [Query(region, tokens, args.tau_r, args.tau_t)]
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
@@ -873,7 +888,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             for i, result in enumerate(results):
                 print(_print_answers(i, result, args.show))
                 if planner is not None:
-                    print(_explain_line(planner, queries[i]))
+                    print(f"  plan: {_plan_summary(planner.explain(queries[i]))}")
             qps = len(results) / elapsed if elapsed else 0.0
             mean_ms = 1000.0 * elapsed / len(results) if results else 0.0
             print(f"batch: {len(results)} queries in {elapsed:.3f}s "
@@ -881,20 +896,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
             if service is not None:
                 print(_service_summary(service))
             return 0
-        if args.queries:
-            queries = load_queries(args.queries)
-        else:
-            if not args.region or args.tokens is None:
-                print("error: provide --region and --tokens, --queries, or --batch-file",
-                      file=sys.stderr)
-                return 2
-            region = _parse_region(args.region)
-            if region is None:
-                print("error: --region needs x1,y1,x2,y2", file=sys.stderr)
-                return 2
-            tokens = frozenset(t for t in args.tokens.split(",") if t)
-            queries = [Query(region, tokens, args.tau_r, args.tau_t)]
-
+        queries = _queries_from_args(args, "--queries, or --batch-file")
+        if queries is None:
+            return 2
         for i, query in enumerate(queries):
             if service is not None:
                 result = service.query(query)
@@ -904,7 +908,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
                   f"{1000 * result.stats.total_seconds:.2f} ms, "
                   f"{result.stats.candidates} candidates")
             if planner is not None:
-                print(_explain_line(planner, query))
+                print(f"  plan: {_plan_summary(planner.explain(query))}")
         if service is not None:
             print(_service_summary(service))
         return 0
@@ -934,19 +938,9 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         print(f"error: {args.engine} holds no query planner; "
               "build with --method planned", file=sys.stderr)
         return 2
-    if args.queries:
-        queries = list(load_queries(args.queries))
-    else:
-        if not args.region or args.tokens is None:
-            print("error: provide --region and --tokens, or --queries",
-                  file=sys.stderr)
-            return 2
-        region = _parse_region(args.region)
-        if region is None:
-            print("error: --region needs x1,y1,x2,y2", file=sys.stderr)
-            return 2
-        tokens = frozenset(t for t in args.tokens.split(",") if t)
-        queries = [Query(region, tokens, args.tau_r, args.tau_t)]
+    queries = _queries_from_args(args, "or --queries")
+    if queries is None:
+        return 2
 
     document: dict = {"engine": args.engine, "queries": []}
     planner = planners[0]
@@ -983,13 +977,9 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         print(json.dumps(document, indent=2, sort_keys=True))
         return 0
     tally: dict = {}
-    for i, (query, decision) in enumerate(zip(queries, document["queries"])):
+    for i, decision in enumerate(document["queries"]):
         tally[decision["chosen"]] = tally.get(decision["chosen"], 0) + 1
-        costs = ", ".join(
-            f"{name} {1000.0 * decision['estimates'][name]['cost_s']:.3f} ms"
-            for name in decision["ranking"]
-        )
-        print(f"query {i}: -> {decision['chosen']}  [{costs}]")
+        print(f"query {i}: -> {_plan_summary(decision)}")
     if len(queries) > 1:
         summary = ", ".join(f"{name}: {count}" for name, count in sorted(tally.items()))
         print(f"selections over {len(queries)} queries: {summary}")
@@ -1005,7 +995,6 @@ def _service_config(args: argparse.Namespace) -> dict:
     return {
         "enable_cache": not args.no_cache,
         "cache_capacity": args.cache_capacity,
-        "cache_ttl": args.cache_ttl,
         "workers": args.workers,
         "max_queue": args.max_queue,
         "default_deadline": (
@@ -1066,10 +1055,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"(cache {'off' if args.no_cache else 'on'}, {args.workers} workers)")
     started = time.perf_counter()
     try:
-        # The context manager is the teardown guarantee: the admission
-        # pool drains on every exit path (checkpoint failure included),
-        # so `serve` never leaves worker threads behind on interpreter
-        # exit.
+        # The context manager is the teardown guarantee: the service
+        # stops admitting on every exit path (checkpoint failure
+        # included).
         with service:
             threads = [
                 threading.Thread(target=client, name=f"client-{i}")
@@ -1223,7 +1211,6 @@ def _serve_replica(args: argparse.Namespace) -> int:
 
 def _serve_net(args: argparse.Namespace) -> int:
     """The multi-process network server: publish, fork, serve, drain."""
-    import signal
     import threading
     from pathlib import Path
 
@@ -1252,13 +1239,7 @@ def _serve_net(args: argparse.Namespace) -> int:
     )
     generation, snapshot = publish_snapshot(serving_dir, source_path=engine_path)
     stop = threading.Event()
-
-    def on_signal(signum, frame) -> None:
-        stop.set()
-
-    if threading.current_thread() is threading.main_thread():
-        signal.signal(signal.SIGINT, on_signal)
-        signal.signal(signal.SIGTERM, on_signal)
+    _install_stop_signals(stop)
     supervisor = ProcessSupervisor(
         serving_dir,
         workers=args.workers_procs,
@@ -1273,13 +1254,7 @@ def _serve_net(args: argparse.Namespace) -> int:
               f"processes over one mmap-shared snapshot "
               f"(cache {'off' if args.no_cache else 'on'}, "
               f"{args.workers} threads/worker)", flush=True)
-        deadline = (
-            time.monotonic() + args.max_seconds if args.max_seconds is not None else None
-        )
-        while not stop.is_set():
-            if deadline is not None and time.monotonic() >= deadline:
-                break
-            time.sleep(0.2)
+        _wait_until_stopped(stop, args.max_seconds)
     print(f"drained: generation {supervisor.generation}, "
           f"{supervisor.respawns} worker respawns")
     return 0

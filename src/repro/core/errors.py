@@ -30,15 +30,16 @@ class ServiceError(SealError, RuntimeError):
 
 
 class AdmissionRejected(ServiceError):
-    """The service is saturated: worker pool busy and the queue full.
+    """The service is saturated: every execution slot busy and the
+    queue full.
 
-    Raised *loudly* at submit time instead of queueing unboundedly —
+    Raised *loudly* on arrival instead of queueing unboundedly —
     back-pressure is the client's signal to retry later or shed load.
     """
 
 
 class DeadlineExceeded(ServiceError):
-    """A request's deadline passed before a worker could start it."""
+    """A request's deadline passed while it waited for an execution slot."""
 
 
 class ReplicationError(ServiceError):

@@ -9,7 +9,7 @@ by their integer ``oid``, assigned densely at corpus construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, Iterator, Sequence
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.errors import InvalidQueryError
 from repro.geometry import Rect
@@ -83,6 +83,70 @@ class Query:
             f"Query({self.region.as_tuple()}, {{{toks}{more}}}, "
             f"tau_r={self.tau_r}, tau_t={self.tau_t})"
         )
+
+
+# ----------------------------------------------------------------------
+# The JSON shape {region, tokens, tau_r, tau_t}: workload-file lines and
+# wire requests are the same record, encoded and validated here once.
+# ----------------------------------------------------------------------
+
+
+def query_to_record(query: Query) -> Dict[str, Any]:
+    """``query`` as its JSON-safe record (tokens sorted: equal queries
+    encode to equal bytes)."""
+    return {
+        "region": list(query.region.as_tuple()),
+        "tokens": sorted(query.tokens),
+        "tau_r": query.tau_r,
+        "tau_t": query.tau_t,
+    }
+
+
+def _number(value: Any, complaint: str) -> float:
+    """A decoded JSON number as a float.  ``true`` is an ``int`` to
+    Python but not a number here, and neither is an integer literal too
+    large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidQueryError(complaint)
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidQueryError(complaint) from None
+
+
+def region_from_record(value: Any) -> Rect:
+    """Validate a decoded ``[x1, y1, x2, y2]`` field into a :class:`Rect`.
+
+    Raises:
+        InvalidQueryError: Not four numbers, or not a rectangle.
+    """
+    complaint = "'region' must be [x1, y1, x2, y2] numbers"
+    if not isinstance(value, (list, tuple)) or len(value) != 4:
+        raise InvalidQueryError(complaint)
+    corners = [_number(v, complaint) for v in value]
+    try:
+        return Rect(*corners)
+    except ValueError as exc:
+        raise InvalidQueryError(str(exc)) from exc
+
+
+def query_from_record(fields: Mapping[str, Any]) -> Query:
+    """Validate a decoded query record (input from outside the program)
+    into a :class:`Query`.  ``tokens`` may be absent (no tokens); the
+    thresholds may not.
+
+    Raises:
+        InvalidQueryError: Any field is missing, mistyped or out of range.
+    """
+    region = region_from_record(fields.get("region"))
+    tokens = fields.get("tokens", [])
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise InvalidQueryError("'tokens' must be a list of strings")
+    tau_r, tau_t = (
+        _number(fields.get(name), f"'{name}' must be a number in [0, 1]")
+        for name in ("tau_r", "tau_t")
+    )
+    return Query(region, frozenset(tokens), tau_r, tau_t)
 
 
 def make_corpus(

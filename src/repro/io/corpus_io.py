@@ -15,8 +15,14 @@ import json
 from pathlib import Path
 from typing import Iterable, List, Sequence
 
-from repro.core.errors import SealError
-from repro.core.objects import Query, SpatioTextualObject
+from repro.core.errors import InvalidQueryError, SealError
+from repro.core.objects import (
+    Query,
+    SpatioTextualObject,
+    query_from_record,
+    query_to_record,
+    region_from_record,
+)
 from repro.geometry import Rect
 from repro.io.atomic import atomic_write
 
@@ -78,19 +84,14 @@ def save_queries(queries: Iterable[Query], path: str | Path) -> int:
     path = Path(path)
     lines: List[str] = []
     for query in queries:
-        record = {
-            "region": list(query.region.as_tuple()),
-            "tokens": sorted(query.tokens),
-            "tau_r": query.tau_r,
-            "tau_t": query.tau_t,
-        }
-        lines.append(json.dumps(record, separators=(",", ":")) + "\n")
+        lines.append(json.dumps(query_to_record(query), separators=(",", ":")) + "\n")
     atomic_write(path, lambda handle: handle.write("".join(lines).encode("utf-8")))
     return len(lines)
 
 
 def load_queries(path: str | Path) -> List[Query]:
-    """Read a JSONL query workload.
+    """Read a JSONL query workload; a line without a threshold means
+    0.0 for it.
 
     Raises:
         CorpusFormatError: On malformed lines (1-based line number).
@@ -102,21 +103,11 @@ def load_queries(path: str | Path) -> List[Query]:
             line = line.strip()
             if not line:
                 continue
-            record = _parse_line(line, lineno)
-            region = _parse_region(record, lineno, path)
-            tokens = record.get("tokens", [])
-            if not isinstance(tokens, list):
-                raise CorpusFormatError(f"{path}:{lineno}: 'tokens' must be a list")
+            record = {"tau_r": 0.0, "tau_t": 0.0, **_parse_line(line, lineno)}
             try:
-                query = Query(
-                    region=region,
-                    tokens=frozenset(tokens),
-                    tau_r=float(record.get("tau_r", 0.0)),
-                    tau_t=float(record.get("tau_t", 0.0)),
-                )
-            except (TypeError, ValueError) as exc:
+                queries.append(query_from_record(record))
+            except InvalidQueryError as exc:
                 raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
-            queries.append(query)
     return queries
 
 
@@ -131,14 +122,7 @@ def _parse_line(line: str, lineno: int) -> dict:
 
 
 def _parse_region(record: dict, lineno: int, path: Path) -> Rect:
-    region = record.get("region")
-    if (
-        not isinstance(region, list)
-        or len(region) != 4
-        or not all(isinstance(v, (int, float)) for v in region)
-    ):
-        raise CorpusFormatError(f"{path}:{lineno}: 'region' must be [x1, y1, x2, y2]")
     try:
-        return Rect(*map(float, region))
-    except ValueError as exc:
+        return region_from_record(record.get("region"))
+    except InvalidQueryError as exc:
         raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc

@@ -66,7 +66,7 @@ import threading
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.errors import SealError
 from repro.io.atomic import atomic_write_bytes
@@ -179,61 +179,99 @@ def _frame(payload: bytes) -> bytes:
     return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
 
 
-def read_wal(path: Union[str, Path]) -> WALContents:
-    """Scan a WAL into records, tolerating (and measuring) a torn tail.
-
-    Raises:
-        WALError: The file is missing, too short for a header, carries
-            the wrong magic or format, or holds a checksummed record
-            that does not decode (a writer bug, never a torn write —
-            the checksum proves the bytes are exactly what was written).
-    """
-    path = Path(path)
-    if not path.exists():
-        raise WALError(f"WAL not found: {path}")
-    data = path.read_bytes()
-    if len(data) < _HEADER.size:
+def _check_header(header: bytes, path: Path) -> int:
+    """Validate a file's first :data:`HEADER_SIZE` bytes; returns the
+    generation they name."""
+    if len(header) < _HEADER.size:
         raise WALError(f"{path} is too short to hold a WAL header")
-    magic, fmt, generation = _HEADER.unpack_from(data)
+    magic, fmt, generation = _HEADER.unpack(header)
     if magic != _MAGIC:
         raise WALError(f"{path} is not a repro WAL file")
     if fmt != WAL_FORMAT:
         raise WALError(
             f"{path} uses WAL format {fmt}, this library reads format {WAL_FORMAT}"
         )
+    return generation
+
+
+def _scan_frames(
+    data: bytes,
+    *,
+    base: int,
+    where: str,
+    max_bytes: Optional[int] = None,
+) -> Tuple[List[WALRecord], int, Optional[str]]:
+    """The one frame reader: decode the run of intact records at the
+    front of ``data`` (bytes that sit at file offset ``base``).
+
+    Returns ``(records, end, stopped)``.  ``end`` is the position in
+    ``data`` just past the last intact frame, and ``stopped`` is why the
+    run ended there: ``None`` (the bytes ran out on a frame boundary, or
+    ``end`` reached ``max_bytes``), ``"header"`` (fewer bytes than a
+    frame header remain), ``"payload"`` (the frame claims more payload
+    than remains) or ``"checksum"`` (the payload fails its CRC).  What a
+    stop *means* — a torn tail, a writer mid-append, a corrupt shipment,
+    a reader off the frame grid — is each caller's policy.
+
+    Raises:
+        WALError: A checksummed payload does not decode to an operation
+            object (a writer bug, never a torn write — the checksum
+            proves the bytes are exactly what was written); ``where``
+            names the source in the message.
+    """
     records: List[WALRecord] = []
-    offset = _HEADER.size
-    good_end = offset
-    while offset < len(data):
-        if offset + _FRAME.size > len(data):
-            break  # torn frame header
-        length, crc = _FRAME.unpack_from(data, offset)
-        start, end = offset + _FRAME.size, offset + _FRAME.size + length
+    position = 0
+    while position < len(data):
+        if position + _FRAME.size > len(data):
+            return records, position, "header"
+        length, crc = _FRAME.unpack_from(data, position)
+        start, end = position + _FRAME.size, position + _FRAME.size + length
         if end > len(data):
-            break  # torn payload
+            return records, position, "payload"
         payload = data[start:end]
         if zlib.crc32(payload) != crc:
-            break  # torn or bit-flipped; nothing past this point is trusted
+            return records, position, "checksum"
         try:
             decoded = json.loads(payload.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise WALError(
-                f"{path}: record at offset {offset} is checksummed but does not "
-                f"decode ({exc}); this is writer corruption, not a torn tail"
+                f"{where} {base + position} is checksummed but does not "
+                f"decode ({exc}); this is writer corruption, not a torn write"
             ) from exc
         if not isinstance(decoded, dict) or "op" not in decoded:
-            raise WALError(
-                f"{path}: record at offset {offset} is not an operation object"
-            )
-        records.append(WALRecord(offset=offset, payload=decoded))
-        offset = end
-        good_end = end
+            raise WALError(f"{where} {base + position} is not an operation object")
+        records.append(WALRecord(offset=base + position, payload=decoded))
+        position = end
+        if max_bytes is not None and position >= max_bytes:
+            break
+    return records, position, None
+
+
+def read_wal(path: Union[str, Path]) -> WALContents:
+    """Scan a WAL into records, tolerating (and measuring) a torn tail:
+    the scan stops at the first frame that is short or fails its
+    checksum, and nothing past that point is trusted.
+
+    Raises:
+        WALError: The file is missing, too short for a header, carries
+            the wrong magic or format, or holds a checksummed record
+            that does not decode.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise WALError(f"WAL not found: {path}")
+    with path.open("rb") as handle:
+        generation = _check_header(handle.read(_HEADER.size), path)
+        body = handle.read()
+    records, end, _ = _scan_frames(
+        body, base=_HEADER.size, where=f"{path}: record at offset"
+    )
     return WALContents(
         path=path,
         generation=generation,
         records=records,
-        good_end=good_end,
-        trailing_bytes=len(data) - good_end,
+        good_end=_HEADER.size + end,
+        trailing_bytes=len(body) - end,
     )
 
 
@@ -261,6 +299,14 @@ class WALShipment:
         return len(self.records)
 
 
+#: What each way a shipped run can stop short means to its receiver.
+_SHIPMENT_FAULTS = {
+    "header": "shipped frames end mid-header at byte {at}",
+    "payload": "shipped frame at byte {at} is truncated",
+    "checksum": "shipped frame at byte {at} fails its checksum",
+}
+
+
 def decode_frames(data: bytes, *, base_offset: int = 0) -> List[WALRecord]:
     """Decode a shipped run of frames, verifying every checksum.
 
@@ -274,38 +320,11 @@ def decode_frames(data: bytes, *, base_offset: int = 0) -> List[WALRecord]:
     Raises:
         WALError: Any byte of ``data`` fails to parse as intact frames.
     """
-    records: List[WALRecord] = []
-    offset = 0
-    while offset < len(data):
-        if offset + _FRAME.size > len(data):
-            raise WALError(
-                f"shipped frames end mid-header at byte {base_offset + offset}"
-            )
-        length, crc = _FRAME.unpack_from(data, offset)
-        start, end = offset + _FRAME.size, offset + _FRAME.size + length
-        if end > len(data):
-            raise WALError(
-                f"shipped frame at byte {base_offset + offset} is truncated"
-            )
-        payload = data[start:end]
-        if zlib.crc32(payload) != crc:
-            raise WALError(
-                f"shipped frame at byte {base_offset + offset} fails its checksum"
-            )
-        try:
-            decoded = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise WALError(
-                f"shipped frame at byte {base_offset + offset} is checksummed "
-                f"but does not decode ({exc})"
-            ) from exc
-        if not isinstance(decoded, dict) or "op" not in decoded:
-            raise WALError(
-                f"shipped frame at byte {base_offset + offset} is not an "
-                "operation object"
-            )
-        records.append(WALRecord(offset=base_offset + offset, payload=decoded))
-        offset = end
+    records, end, stopped = _scan_frames(
+        data, base=base_offset, where="shipped frame at byte"
+    )
+    if stopped is not None:
+        raise WALError(_SHIPMENT_FAULTS[stopped].format(at=base_offset + end))
     return records
 
 
@@ -335,36 +354,21 @@ class WALCursor:
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
 
-    def _header(self, handle) -> int:
-        header = handle.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            raise WALError(f"{self.path} is too short to hold a WAL header")
-        magic, fmt, generation = _HEADER.unpack(header)
-        if magic != _MAGIC:
-            raise WALError(f"{self.path} is not a repro WAL file")
-        if fmt != WAL_FORMAT:
-            raise WALError(
-                f"{self.path} uses WAL format {fmt}, this library reads "
-                f"format {WAL_FORMAT}"
-            )
-        return generation
-
     def _parent_checkpoint(self, handle) -> Optional[Dict]:
-        """The current log's parent-checkpoint marker (first record)."""
+        """The current log's parent-checkpoint marker (first record), or
+        ``None`` when that record is absent, incomplete or no config."""
         handle.seek(_HEADER.size)
-        frame_header = handle.read(_FRAME.size)
-        if len(frame_header) < _FRAME.size:
-            return None
-        length, crc = _FRAME.unpack(frame_header)
-        payload = handle.read(length)
-        if len(payload) < length or zlib.crc32(payload) != crc:
-            return None
+        first = handle.read(_FRAME.size)
+        if len(first) == _FRAME.size:
+            first += handle.read(_FRAME.unpack(first)[0])
         try:
-            decoded = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
+            records, _, _ = _scan_frames(
+                first, base=_HEADER.size, where=f"{self.path}: record at offset"
+            )
+        except WALError:
             return None
-        if isinstance(decoded, dict) and decoded.get("op") == "config":
-            parent = decoded.get("checkpoint")
+        if records and records[0].payload["op"] == "config":
+            parent = records[0].payload.get("checkpoint")
             return dict(parent) if isinstance(parent, dict) else None
         return None
 
@@ -406,7 +410,7 @@ class WALCursor:
         except OSError as exc:
             raise WALError(f"cannot read WAL {self.path}: {exc}") from exc
         with handle:
-            current = self._header(handle)
+            current = _check_header(handle.read(_HEADER.size), self.path)
             if current != generation:
                 parent = self._parent_checkpoint(handle)
                 raise WALLineageError(
@@ -462,43 +466,23 @@ class WALCursor:
                             f"sealed bound {limit} — not on this log's "
                             "frame grid"
                         )
-        cut = 0
-        records: List[WALRecord] = []
-        position = 0
-        while position < len(data):
-            if position + _FRAME.size > len(data):
-                break  # incomplete frame header: nothing more yet
-            length, crc = _FRAME.unpack_from(data, position)
-            start, end = position + _FRAME.size, position + _FRAME.size + length
-            if end > len(data):
-                break  # incomplete payload: writer mid-append (or capped)
-            payload = data[start:end]
-            if zlib.crc32(payload) != crc:
-                # First frame failing means the offset is not a frame
-                # boundary (divergent reader); a mid-run mismatch after
-                # good frames is on-disk corruption.  Both are loud —
-                # the reader must re-bootstrap, not skip bytes.
-                raise WALError(
-                    f"{self.path}: bytes at offset {offset + position} fail "
-                    "their frame checksum — not on this log's frame grid"
-                )
-            try:
-                decoded = json.loads(payload.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise WALError(
-                    f"{self.path}: record at offset {offset + position} is "
-                    f"checksummed but does not decode ({exc})"
-                ) from exc
-            if not isinstance(decoded, dict) or "op" not in decoded:
-                raise WALError(
-                    f"{self.path}: record at offset {offset + position} is not "
-                    "an operation object"
-                )
-            records.append(WALRecord(offset=offset + position, payload=decoded))
-            position = end
-            cut = end
-            if cut >= max_bytes:
-                break
+        # A short frame at the end of the read is the writer mid-append
+        # (or the byte cap): nothing more yet.
+        records, cut, stopped = _scan_frames(
+            data,
+            base=offset,
+            where=f"{self.path}: record at offset",
+            max_bytes=max_bytes,
+        )
+        if stopped == "checksum":
+            # First frame failing means the offset is not a frame
+            # boundary (divergent reader); a mid-run mismatch after
+            # good frames is on-disk corruption.  Both are loud —
+            # the reader must re-bootstrap, not skip bytes.
+            raise WALError(
+                f"{self.path}: bytes at offset {offset + cut} fail "
+                "their frame checksum — not on this log's frame grid"
+            )
         return WALShipment(
             generation=generation,
             start=offset,

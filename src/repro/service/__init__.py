@@ -9,12 +9,12 @@ answers.
 * :mod:`repro.service.manager` — :class:`EngineManager`: the versioned
   engine holder (epoch counter bumped by every answer-affecting
   mutation, readers-writer discipline, atomic snapshot hot-swap).
-* :mod:`repro.service.cache` — :class:`ResultCache`: LRU + TTL, keyed
-  on canonicalized ``(query, epoch)`` so churn invalidates by
-  construction; entries are defensive copies both ways.
+* :mod:`repro.service.cache` — :class:`ResultCache`: LRU, keyed on
+  ``(epoch, query)`` so churn invalidates by construction; entries are
+  defensive copies both ways.
 * :mod:`repro.service.admission` — :class:`AdmissionController`:
-  bounded worker pool + queue-depth limit + per-request deadlines;
-  overflow rejects loudly.
+  bounded concurrency + queue-depth limit + per-request deadlines, all
+  on the caller's thread; overflow rejects loudly.
 * :mod:`repro.service.metrics` — latency histogram and counters behind
   the JSON metrics surface.
 * :mod:`repro.service.service` — :class:`QueryService`: the facade
@@ -43,7 +43,7 @@ from repro.core.errors import (
 )
 from repro.service.replication import ReplicaApplier, ReplicationPrimary
 from repro.service.admission import AdmissionController
-from repro.service.cache import ResultCache, canonical_key
+from repro.service.cache import ResultCache
 from repro.service.manager import EngineManager
 from repro.service.metrics import LatencyHistogram, RequestCounters
 from repro.service.server import NetworkClient, NetworkServer
@@ -67,5 +67,4 @@ __all__ = [
     "RequestCounters",
     "ResultCache",
     "ServiceError",
-    "canonical_key",
 ]

@@ -1,32 +1,30 @@
-"""Admission control: a bounded worker pool that rejects overflow loudly.
+"""Admission control: bounded concurrency that rejects overflow loudly.
 
-An unbounded executor converts overload into unbounded queueing — every
+An unbounded server converts overload into unbounded queueing — every
 request eventually "succeeds" after a latency nobody would call service.
-This controller implements the standard alternative: a fixed worker pool
-fronted by a bounded queue, with three explicit outcomes per request:
+This controller implements the standard alternative on the thread that
+already carries the request (a connection handler, or the in-process
+caller): at most ``workers`` requests execute at once, at most
+``max_queue`` more wait in line, with three explicit outcomes:
 
-* **admitted** — a slot (worker or queue position) was free; the request
-  runs and its future resolves with the result;
-* **rejected** — pool busy *and* queue full at submit time:
-  :class:`~repro.core.errors.AdmissionRejected` raises immediately in
-  the caller (back-pressure, not silent queueing);
-* **expired** — admitted, but its deadline passed while it waited for a
-  worker: the worker discards it without executing and its future raises
-  :class:`~repro.core.errors.DeadlineExceeded`.  Deadlines bound *queue
-  wait*, the component of latency admission control owns; once execution
-  starts the request runs to completion (a half-executed query has no
-  useful refund).
-
-On this container (1 CPU, GIL) the pool buys concurrency structure, not
-parallel speed-up — the point is bounded queue depth and honest failure
-modes under burst load, which is what the tests pin.
+* **admitted** — a place (executing or in line) was free; the thread
+  that brought the request runs it as soon as an execution slot frees
+  up, and :meth:`AdmissionController.run` returns its result;
+* **rejected** — every execution slot busy *and* the line full on
+  arrival: :class:`~repro.core.errors.AdmissionRejected` raises
+  immediately (back-pressure, not silent queueing);
+* **expired** — admitted, but no execution slot freed up before its
+  deadline: the waiting thread itself wakes *at the deadline*, gives
+  its place in line back, and raises
+  :class:`~repro.core.errors.DeadlineExceeded` without executing.
+  Deadlines bound *queue wait*, the component of latency admission
+  control owns; once execution starts the request runs to completion (a
+  half-executed query has no useful refund).
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Dict, TypeVar
 
 from repro.core.errors import (
@@ -40,15 +38,15 @@ T = TypeVar("T")
 
 
 class AdmissionController:
-    """A bounded executor: ``workers`` threads, at most ``max_queue`` waiting.
+    """A bounded gate: ``workers`` executing, at most ``max_queue`` waiting.
 
     Args:
-        workers: Concurrent worker threads executing requests.
+        workers: Requests allowed to execute at once.
         max_queue: Requests allowed to wait beyond the ones executing;
             total in-flight capacity is ``workers + max_queue``.
-        default_deadline: Seconds a request may wait for a worker before
-            it expires; ``None`` disables deadlines unless a request
-            brings its own.
+        default_deadline: Seconds a request may wait for an execution
+            slot before it expires; ``None`` disables deadlines unless a
+            request brings its own.
     """
 
     def __init__(
@@ -67,84 +65,68 @@ class AdmissionController:
         self.workers = workers
         self.max_queue = max_queue
         self.default_deadline = default_deadline
-        self._slots = threading.BoundedSemaphore(workers + max_queue)
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="seal-service"
-        )
+        self._executing = threading.Semaphore(workers)
+        # Guards the counters and ``_closed``; never held while a request
+        # waits for an execution slot or runs.
         self._lock = threading.Lock()
+        self._drained = threading.Condition(self._lock)
         self._in_flight = 0
         self.submitted = 0
         self.rejected = 0
         self.expired = 0
         self._closed = False
 
-    def submit(
-        self,
-        fn: Callable[..., T],
-        /,
-        *args,
-        deadline: float | None = None,
-        **kwargs,
-    ) -> "Future[T]":
-        """Admit one request, or raise :class:`AdmissionRejected` now.
+    def run(self, fn: Callable[..., T], /, *args, deadline: float | None = None, **kwargs) -> T:
+        """Admit one request and execute it on the calling thread.
 
         Args:
-            fn: The work to run on a pool worker.
-            deadline: Seconds from now the request may wait for a worker
-                (overrides ``default_deadline``; ``None`` inherits it).
+            fn: The work to run once an execution slot is free.
+            deadline: Seconds from now the request may wait for that
+                slot (overrides ``default_deadline``; ``None`` inherits
+                it).
 
         Returns:
-            A future resolving to ``fn(*args, **kwargs)``; it raises
-            :class:`DeadlineExceeded` if the deadline lapsed in queue.
+            ``fn(*args, **kwargs)``; whatever it raises propagates as is.
+
+        Raises:
+            AdmissionRejected: No place was free on arrival.
+            DeadlineExceeded: The deadline lapsed while waiting in line.
+            ServiceError: The controller is shut down.
         """
-        if self._closed:
-            raise ServiceError("AdmissionController is shut down")
         if deadline is None:
             deadline = self.default_deadline
-        expires_at = time.monotonic() + deadline if deadline is not None else None
-        if not self._slots.acquire(blocking=False):
-            with self._lock:
-                self.rejected += 1
-            raise AdmissionRejected(
-                f"service saturated: {self.workers} workers busy and "
-                f"admission queue full ({self.max_queue} waiting); retry later"
-            )
         with self._lock:
+            if self._closed:
+                raise ServiceError("AdmissionController is shut down")
+            if self._in_flight >= self.workers + self.max_queue:
+                self.rejected += 1
+                raise AdmissionRejected(
+                    f"service saturated: {self.workers} workers busy and "
+                    f"admission queue full ({self.max_queue} waiting); retry later"
+                )
             self.submitted += 1
             self._in_flight += 1
-
-        def run():
+        try:
+            if not self._executing.acquire(timeout=deadline):
+                with self._lock:
+                    self.expired += 1
+                raise DeadlineExceeded(
+                    f"request waited past its {deadline:.3f}s deadline "
+                    "before a worker was free"
+                )
             try:
-                if expires_at is not None and time.monotonic() > expires_at:
-                    with self._lock:
-                        self.expired += 1
-                    raise DeadlineExceeded(
-                        f"request waited past its {deadline:.3f}s deadline "
-                        "before a worker was free"
-                    )
                 return fn(*args, **kwargs)
             finally:
-                with self._lock:
-                    self._in_flight -= 1
-                self._slots.release()
-
-        try:
-            return self._pool.submit(run)
-        except RuntimeError:
-            # Pool shut down between the check and the submit: give the
-            # slot back so the controller's accounting stays exact.
+                self._executing.release()
+        finally:
             with self._lock:
                 self._in_flight -= 1
-            self._slots.release()
-            raise
-
-    def run(self, fn: Callable[..., T], /, *args, deadline: float | None = None, **kwargs) -> T:
-        """Submit and wait: the synchronous convenience path."""
-        return self.submit(fn, *args, deadline=deadline, **kwargs).result()
+                if not self._in_flight:
+                    self._drained.notify_all()
 
     @property
     def in_flight(self) -> int:
-        """Requests currently executing or queued."""
+        """Requests currently executing or waiting in line."""
         with self._lock:
             return self._in_flight
 
@@ -162,9 +144,12 @@ class AdmissionController:
             }
 
     def shutdown(self, *, wait: bool = True) -> None:
-        """Stop accepting work and (optionally) drain the pool."""
-        self._closed = True
-        self._pool.shutdown(wait=wait)
+        """Refuse new requests and (optionally) wait until every admitted
+        one — executing or still in line — has finished."""
+        with self._lock:
+            self._closed = True
+            if wait:
+                self._drained.wait_for(lambda: not self._in_flight)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

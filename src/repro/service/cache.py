@@ -1,4 +1,4 @@
-"""The result cache: LRU + TTL, keyed on canonicalized (query, epoch).
+"""The result cache: LRU, keyed on (epoch, query).
 
 SEAL's evaluation workloads (and any real map service) repeat queries:
 the same hot regions and token sets arrive over and over, and a full
@@ -6,8 +6,10 @@ filter-and-verify trip costs milliseconds where a dict lookup costs
 microseconds.  The cache exploits that — with two correctness rules the
 serving layer is built around:
 
-**Invalidation is by construction, not by bookkeeping.**  Every key
-embeds the engine *epoch* (the :class:`~repro.service.manager.
+**Invalidation is by construction, not by bookkeeping.**  A key is the
+frozen :class:`~repro.core.objects.Query` itself — equal as a value
+however its token set was built or its coordinates were spelled — paired
+with the engine *epoch* (the :class:`~repro.service.manager.
 EngineManager` version counter, bumped by every answer-affecting
 mutation).  A cached entry therefore can never be served after the
 engine changed: the post-mutation epoch produces different keys, and the
@@ -25,69 +27,34 @@ entry never alias one mutable :class:`~repro.core.stats.SearchStats`.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.objects import Query
 from repro.core.stats import SearchResult
 
-#: A canonical cache key: epoch + the query's value identity.
-CacheKey = Tuple[int, Tuple[float, float, float, float], Tuple[str, ...], float, float]
-
-
-def canonical_key(epoch: int, query: Query) -> CacheKey:
-    """The cache key of ``query`` against engine version ``epoch``.
-
-    Token sets canonicalize to a sorted tuple, so any two queries equal
-    as values — regardless of token iteration order or how the frozenset
-    was built — share one entry.
-    """
-    region = query.region
-    return (
-        epoch,
-        (region.x1, region.y1, region.x2, region.y2),
-        tuple(sorted(query.tokens)),
-        query.tau_r,
-        query.tau_t,
-    )
-
 
 class ResultCache:
-    """A bounded LRU result cache with optional TTL expiry.
+    """A bounded LRU result cache.
 
     Args:
         capacity: Maximum live entries; inserting past it evicts the
             least-recently-used entry.
-        ttl: Seconds an entry stays servable; ``None`` disables expiry.
-            Expired entries count as misses (and are removed on sight).
-        clock: Monotonic time source, injectable for deterministic tests.
 
     Thread-safe; every operation holds one internal lock (the critical
     sections are dict moves, far cheaper than the queries being saved).
     """
 
-    def __init__(
-        self,
-        capacity: int = 1024,
-        *,
-        ttl: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, capacity: int = 1024) -> None:
         if capacity < 1:
             raise ConfigurationError("cache capacity must be a positive int")
-        if ttl is not None and ttl <= 0.0:
-            raise ConfigurationError("cache ttl must be positive seconds or None")
         self.capacity = capacity
-        self.ttl = ttl
-        self._clock = clock
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[CacheKey, Tuple[float, SearchResult]]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple[int, Query], SearchResult]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.expirations = 0
         self.stores = 0
         self.invalidated = 0
         self.stale_puts = 0
@@ -96,20 +63,16 @@ class ResultCache:
         self._epoch_floor = 0
 
     def get(self, epoch: int, query: Query) -> Optional[SearchResult]:
-        """A fresh copy of the cached result, or None on miss/expiry."""
-        key = canonical_key(epoch, query)
+        """A fresh copy of the cached result, or None on a miss."""
+        key = (epoch, query)
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                expires_at, result = entry
-                if self.ttl is None or self._clock() < expires_at:
-                    self._entries.move_to_end(key)
-                    self.hits += 1
-                    return result.copy()
-                del self._entries[key]
-                self.expirations += 1
-            self.misses += 1
-            return None
+            result = self._entries.get(key)
+            if result is None:
+                self.misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return result.copy()
 
     def put(self, epoch: int, query: Query, result: SearchResult) -> None:
         """Store a defensive copy of ``result`` under the epoch-keyed slot.
@@ -121,13 +84,12 @@ class ResultCache:
         the engine bumps to E+1 mid-flight, and the result lands after
         the purge.
         """
-        key = canonical_key(epoch, query)
-        expires_at = self._clock() + self.ttl if self.ttl is not None else 0.0
+        key = (epoch, query)
         with self._lock:
             if epoch < self._epoch_floor:
                 self.stale_puts += 1
                 return
-            self._entries[key] = (expires_at, result.copy())
+            self._entries[key] = result.copy()
             self._entries.move_to_end(key)
             self.stores += 1
             while len(self._entries) > self.capacity:
@@ -173,13 +135,11 @@ class ResultCache:
             return {
                 "size": len(self._entries),
                 "capacity": self.capacity,
-                "ttl_seconds": self.ttl,
                 "hits": self.hits,
                 "misses": self.misses,
                 "hit_rate": self.hits / lookups if lookups else 0.0,
                 "stores": self.stores,
                 "evictions": self.evictions,
-                "expirations": self.expirations,
                 "invalidated": self.invalidated,
                 "stale_puts": self.stale_puts,
             }
@@ -187,5 +147,5 @@ class ResultCache:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ResultCache(size={len(self)}, capacity={self.capacity}, "
-            f"ttl={self.ttl}, hits={self.hits}, misses={self.misses})"
+            f"hits={self.hits}, misses={self.misses})"
         )

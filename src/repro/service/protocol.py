@@ -62,9 +62,8 @@ from repro.core.errors import (
     SealError,
     ServiceError,
 )
-from repro.core.objects import Query
+from repro.core.objects import Query, query_from_record, query_to_record
 from repro.core.stats import SearchResult, SearchStats
-from repro.geometry import Rect
 
 #: Hard per-frame byte cap (length prefix included payload only).  Large
 #: enough for any sane batch, small enough that a garbage length prefix
@@ -176,14 +175,9 @@ def bytes_from_wire(text: Any) -> bytes:
 # ----------------------------------------------------------------------
 
 
-def query_to_wire(query: Query) -> Dict[str, Any]:
-    """The query's wire fields (merged into the request object)."""
-    return {
-        "region": list(query.region.as_tuple()),
-        "tokens": sorted(query.tokens),
-        "tau_r": query.tau_r,
-        "tau_t": query.tau_t,
-    }
+#: The query's wire fields (merged into the request object): the same
+#: record a workload file holds per line.
+query_to_wire = query_to_record
 
 
 def query_from_wire(fields: Mapping[str, Any]) -> Query:
@@ -193,28 +187,9 @@ def query_from_wire(fields: Mapping[str, Any]) -> Query:
         ProtocolError: Malformed region/tokens/threshold fields — the
             server answers a loud error frame instead of a stack trace.
     """
-    region = fields.get("region")
-    if (
-        not isinstance(region, (list, tuple))
-        or len(region) != 4
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in region)
-    ):
-        raise ProtocolError("'region' must be [x1, y1, x2, y2] numbers")
-    tokens = fields.get("tokens", [])
-    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-        raise ProtocolError("'tokens' must be a list of strings")
-    for name in ("tau_r", "tau_t"):
-        value = fields.get(name)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ProtocolError(f"'{name}' must be a number in [0, 1]")
     try:
-        return Query(
-            region=Rect(*map(float, region)),
-            tokens=frozenset(tokens),
-            tau_r=float(fields["tau_r"]),
-            tau_t=float(fields["tau_t"]),
-        )
-    except (InvalidQueryError, ValueError) as exc:
+        return query_from_record(fields)
+    except InvalidQueryError as exc:
         raise ProtocolError(str(exc)) from exc
 
 

@@ -241,6 +241,44 @@ def serve_connection(
         _close_socket(conn)
 
 
+def accept_connections(
+    listener: socket.socket,
+    service: Any,
+    *,
+    stop: threading.Event,
+    meta: Callable[[], Dict[str, Any]],
+    max_frame: int,
+    thread_name: str,
+) -> None:
+    """The accept loop every server flavor runs: one
+    :func:`serve_connection` thread per accepted connection until
+    ``stop`` sets (or ``listener`` is closed), then a bounded wait per
+    handler for its in-flight request to be answered."""
+    listener.settimeout(_POLL_SECONDS)
+    handlers: List[threading.Thread] = []
+    while not stop.is_set():
+        try:
+            conn, _ = listener.accept()
+        except socket.timeout:
+            continue
+        except OSError:
+            break
+        thread = threading.Thread(
+            target=serve_connection,
+            args=(conn, service),
+            kwargs={"stop": stop, "meta": meta, "max_frame": max_frame},
+            name=thread_name,
+            daemon=True,
+        )
+        thread.start()
+        handlers.append(thread)
+        # Prune finished handlers so a long-lived server's thread list
+        # doesn't grow with every connection ever served.
+        handlers = [t for t in handlers if t.is_alive()]
+    for thread in handlers:
+        thread.join(timeout=_DRAIN_GRACE + 2.0)
+
+
 def _best_effort_send(conn: socket.socket, payload: Dict[str, Any], max_frame: int) -> None:
     try:
         _send_frame(conn, payload, max_frame=max_frame)
@@ -265,7 +303,8 @@ class NetworkServer:
     """A threaded TCP front end over one in-process :class:`QueryService`.
 
     One accept loop, one thread per connection, every connection sharing
-    the service (whose admission controller bounds the real concurrency).
+    the service — whose admission controller bounds how many of those
+    threads are inside the engine at once.
     This is the 1-core serving topology *and* the answer-identity oracle
     the multi-process pool is pinned against.
 
@@ -298,12 +337,10 @@ class NetworkServer:
         self._generation = generation
         self._max_frame = max_frame
         self._stop = threading.Event()
-        self._threads: List[threading.Thread] = []
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
         self._listener.listen(backlog)
-        self._listener.settimeout(_POLL_SECONDS)
         self._accept_thread: Optional[threading.Thread] = None
 
     @property
@@ -322,40 +359,28 @@ class NetworkServer:
         """Begin accepting connections (idempotent)."""
         if self._accept_thread is None:
             self._accept_thread = threading.Thread(
-                target=self._accept_loop, name="seal-net-accept", daemon=True
+                target=accept_connections,
+                args=(self._listener, self._service),
+                kwargs={
+                    "stop": self._stop,
+                    "meta": self._meta,
+                    "max_frame": self._max_frame,
+                    "thread_name": "seal-net-conn",
+                },
+                name="seal-net-accept",
+                daemon=True,
             )
             self._accept_thread.start()
         return self
-
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            thread = threading.Thread(
-                target=serve_connection,
-                args=(conn, self._service),
-                kwargs={"stop": self._stop, "meta": self._meta, "max_frame": self._max_frame},
-                name="seal-net-conn",
-                daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
-            # Prune finished handlers so a long-lived server's thread
-            # list doesn't grow with every connection ever served.
-            self._threads = [t for t in self._threads if t.is_alive()]
 
     def close(self) -> None:
         """Drain: stop accepting, finish in-flight requests, close."""
         self._stop.set()
         self._listener.close()
         if self._accept_thread is not None:
-            self._accept_thread.join(timeout=_DRAIN_GRACE + 2.0)
-        for thread in self._threads:
-            thread.join(timeout=_DRAIN_GRACE + 2.0)
+            # Returns once the accept loop has joined its handlers (each
+            # join is bounded, so this one needs no bound of its own).
+            self._accept_thread.join()
 
     def __enter__(self) -> "NetworkServer":
         return self.start()

@@ -3,13 +3,18 @@
 :class:`QueryService` is the layer a deployment talks to.  It composes
 the serving primitives into one request path::
 
-    client ──> QueryService
-                 │  1. ResultCache.get((query, epoch))        — hit? done.
-                 │  2. AdmissionController.submit(...)        — or reject.
+    client ──> QueryService            (every step on the caller's thread)
+                 │  1. ResultCache.get(epoch, query)          — hit? done.
+                 │  2. AdmissionController.run(...)           — reject now,
+                 │       expire at the deadline, or hold an execution slot
                  │  3. EngineManager.reading() → (engine, E)  — shared lock
                  │  4. run_query / BatchExecutor().run        — the work
-                 │  5. ResultCache.put((query, E), result)
+                 │  5. ResultCache.put(E, query, result)
                  └─ metrics: latency histogram + counters, JSON export
+
+No request changes threads inside the service: behind a
+:class:`~repro.service.server.NetworkServer` the engine runs on the
+connection's own thread, in-process on the caller's.
 
 Correctness properties the tests pin:
 
@@ -34,7 +39,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import Future
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.objects import Query
@@ -43,14 +47,9 @@ from repro.exec.batch import BatchExecutor
 from repro.exec.pipeline import run_query
 from repro.geometry import Rect
 from repro.service.admission import AdmissionController
-from repro.service.cache import ResultCache, canonical_key
+from repro.service.cache import ResultCache
 from repro.service.manager import EngineManager
 from repro.service.metrics import LatencyHistogram, RequestCounters
-
-
-def _value_key(query: Query) -> Tuple:
-    """A query's canonical value identity (epoch-independent)."""
-    return canonical_key(0, query)[1:]
 
 
 class QueryService:
@@ -64,13 +63,13 @@ class QueryService:
             :class:`~repro.service.manager.EngineManager` to share one
             versioned engine between services.
         cache_capacity: Result-cache entries (LRU past it).
-        cache_ttl: Seconds a cached result stays servable (None: no TTL).
         enable_cache: ``False`` serves every request from the engine —
             the differential-test oracle mode and the bench baseline.
-        workers: Admission worker threads.
+        workers: Requests allowed to execute at once (each on its
+            caller's thread; cache hits do not count).
         max_queue: Requests allowed to wait beyond the executing ones;
-            submit raises :class:`~repro.core.errors.AdmissionRejected`
-            past that.
+            a query past that raises
+            :class:`~repro.core.errors.AdmissionRejected`.
         default_deadline: Per-request queue-wait deadline in seconds
             (None: no deadline unless a request brings one).
 
@@ -88,7 +87,6 @@ class QueryService:
         engine: Any,
         *,
         cache_capacity: int = 1024,
-        cache_ttl: float | None = None,
         enable_cache: bool = True,
         workers: int = 4,
         max_queue: int = 32,
@@ -96,7 +94,7 @@ class QueryService:
     ) -> None:
         self._manager = engine if isinstance(engine, EngineManager) else EngineManager(engine)
         self._cache: Optional[ResultCache] = (
-            ResultCache(cache_capacity, ttl=cache_ttl) if enable_cache else None
+            ResultCache(cache_capacity) if enable_cache else None
         )
         if self._cache is not None:
             self._manager.add_epoch_listener(self._cache.drop_stale)
@@ -137,41 +135,26 @@ class QueryService:
     # Query paths
     # ------------------------------------------------------------------
 
-    def submit(
-        self, query: Query, *, deadline: float | None = None, use_cache: bool = True
-    ) -> "Future[SearchResult]":
-        """Admit one query asynchronously; the future yields its result.
+    def query(self, query: Query, *, deadline: float | None = None) -> SearchResult:
+        """Execute one query through the full service path, on the
+        calling thread.
 
-        Cache hits resolve immediately without consuming an admission
-        slot — that bypass is the throughput win caching exists for.
+        Cache hits return without consuming an admission slot — that
+        bypass is the throughput win caching exists for.
 
         Raises:
-            AdmissionRejected: Synchronously, when the service is
-                saturated (the request never enters the queue).
+            AdmissionRejected: The service is saturated (the request
+                never waits).
+            DeadlineExceeded: The deadline lapsed before an execution
+                slot was free.
         """
         started = time.perf_counter()
         self._counters.request()
-        hit = self._cache_lookup(query) if use_cache else None
+        hit = self._cache_lookup(query)
         if hit is not None:
             self._histogram.observe(time.perf_counter() - started)
-            future: "Future[SearchResult]" = Future()
-            future.set_result(hit)
-            return future
-        return self._admission.submit(
-            self._timed_execute, query, use_cache, started, deadline=deadline
-        )
-
-    def query(
-        self, query: Query, *, deadline: float | None = None, use_cache: bool = True
-    ) -> SearchResult:
-        """Execute one query synchronously through the full service path.
-
-        Raises:
-            AdmissionRejected: Saturated at submit time.
-            DeadlineExceeded: The deadline lapsed before a worker
-                started the request.
-        """
-        return self.submit(query, deadline=deadline, use_cache=use_cache).result()
+            return hit
+        return self._admission.run(self._timed_execute, query, started, deadline=deadline)
 
     def search(
         self, region: Rect, tokens: Iterable[str], tau_r: float, tau_t: float
@@ -184,12 +167,11 @@ class QueryService:
         queries: Sequence[Query],
         *,
         deadline: float | None = None,
-        use_cache: bool = True,
     ) -> List[SearchResult]:
         """Serve a burst: dedupe, check cache per member, batch the misses.
 
-        Identical queries inside the burst coalesce into one execution;
-        the miss set runs as a single admitted task through the
+        Queries equal as values coalesce into one execution; the miss
+        set runs as a single admitted call through the
         :class:`BatchExecutor`, and every member's answer is a private
         copy, in input order.
         """
@@ -199,22 +181,20 @@ class QueryService:
         started = time.perf_counter()
         self._counters.batch(len(queries))
         results: List[Optional[SearchResult]] = [None] * len(queries)
-        pending: Dict[Tuple, List[int]] = {}
+        pending: Dict[Query, List[int]] = {}
         for i, query in enumerate(queries):
-            hit = self._cache_lookup(query) if use_cache else None
+            hit = self._cache_lookup(query)
             if hit is not None:
                 results[i] = hit
                 continue
-            pending.setdefault(_value_key(query), []).append(i)
+            pending.setdefault(query, []).append(i)
         if pending:
-            positions = list(pending.values())
-            unique = [queries[group[0]] for group in positions]
-            epoch, miss_results = self._admission.submit(
-                self._execute_batch, unique, deadline=deadline
-            ).result()
-            for group, result in zip(positions, miss_results):
-                if use_cache and self._cache is not None:
-                    self._cache.put(epoch, queries[group[0]], result)
+            epoch, miss_results = self._admission.run(
+                self._execute_batch, list(pending), deadline=deadline
+            )
+            for (query, group), result in zip(pending.items(), miss_results):
+                if self._cache is not None:
+                    self._cache.put(epoch, query, result)
                 results[group[0]] = result
                 for duplicate in group[1:]:
                     results[duplicate] = result.copy()
@@ -226,7 +206,7 @@ class QueryService:
         return results  # type: ignore[return-value]  # every slot filled above
 
     # ------------------------------------------------------------------
-    # Execution internals (run on admission workers)
+    # Execution internals (run while holding an execution slot)
     # ------------------------------------------------------------------
 
     def _cache_lookup(self, query: Query) -> Optional[SearchResult]:
@@ -234,14 +214,14 @@ class QueryService:
             return None
         return self._cache.get(self._manager.epoch, query)
 
-    def _timed_execute(self, query: Query, use_cache: bool, started: float) -> SearchResult:
+    def _timed_execute(self, query: Query, started: float) -> SearchResult:
         try:
             with self._manager.reading() as (engine, epoch):
                 result = run_query(engine, query)
         except Exception:
             self._counters.error()
             raise
-        if use_cache and self._cache is not None:
+        if self._cache is not None:
             self._cache.put(epoch, query, result)
         self._histogram.observe(time.perf_counter() - started)
         return result
@@ -345,7 +325,7 @@ class QueryService:
         return json.dumps(self.metrics(), indent=indent)
 
     def close(self) -> None:
-        """Drain the worker pool and stop accepting requests.
+        """Stop accepting requests and wait for the admitted ones.
 
         Also detaches this service's cache from the manager's epoch
         listeners, so a shared long-lived :class:`EngineManager` never

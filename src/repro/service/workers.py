@@ -1,9 +1,9 @@
 """The pre-fork worker pool: N processes, one mmap-shared snapshot.
 
-On a GIL-bound interpreter the PR 4 thread pool buys concurrency
-*structure* but zero wall-clock — queries serialize on one core.  This
-module escapes the process boundary with the classic pre-fork topology
-(the nginx/gunicorn shape):
+On a GIL-bound interpreter the connection threads of one process
+overlap their socket waits but not their queries — those serialize on
+one core.  This module escapes the process boundary with the classic
+pre-fork topology (the nginx/gunicorn shape):
 
 * the **supervisor** binds the listening socket, publishes snapshot
   generations (:mod:`repro.io.generations`), forks workers, and
@@ -50,7 +50,7 @@ from repro.core.errors import ConfigurationError, ServiceError
 from repro.io.generations import current_snapshot, publish_snapshot
 from repro.io.snapshot import load_engine
 from repro.service.protocol import MAX_FRAME_BYTES
-from repro.service.server import DEFAULT_HOST, _POLL_SECONDS, serve_connection
+from repro.service.server import DEFAULT_HOST, _POLL_SECONDS, accept_connections
 from repro.service.service import QueryService
 
 _LOG = logging.getLogger(__name__)
@@ -98,30 +98,17 @@ def _worker_main(
     def meta() -> Dict[str, Any]:
         return {"epoch": service.epoch, "generation": generation, "pid": os.getpid()}
 
-    connections: List[threading.Thread] = []
-    listener.settimeout(_POLL_SECONDS)
     try:
         with service:
             control.send({"ready": os.getpid(), "generation": generation})
-            while not stop.is_set():
-                try:
-                    conn, _ = listener.accept()
-                except socket.timeout:
-                    continue
-                except OSError:
-                    break
-                thread = threading.Thread(
-                    target=serve_connection,
-                    args=(conn, service),
-                    kwargs={"stop": stop, "meta": meta, "max_frame": max_frame},
-                    name="seal-worker-conn",
-                    daemon=True,
-                )
-                thread.start()
-                connections.append(thread)
-                connections = [t for t in connections if t.is_alive()]
-            for thread in connections:
-                thread.join(timeout=DRAIN_TIMEOUT)
+            accept_connections(
+                listener,
+                service,
+                stop=stop,
+                meta=meta,
+                max_frame=max_frame,
+                thread_name="seal-worker-conn",
+            )
     finally:
         listener.close()
         try:
@@ -152,7 +139,7 @@ class ProcessSupervisor:
         port: TCP port (0 picks a free one; see :attr:`address`).
         service_config: Keyword arguments for each worker's in-process
             :class:`~repro.service.service.QueryService` (cache knobs,
-            admission threads, …).  Defaults to the service defaults.
+            admission limits, …).  Defaults to the service defaults.
         max_frame: Wire-protocol frame cap, both directions.
         respawn: Automatically refork workers that die (the crash-
             containment property the kill tests pin).  Recycled workers

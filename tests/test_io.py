@@ -40,6 +40,13 @@ class TestCorpusRoundTrip:
         with pytest.raises(CorpusFormatError, match="region"):
             load_corpus(path)
 
+    def test_boolean_coordinate_is_not_a_number(self, tmp_path):
+        """JSON ``true`` is an ``int`` to Python; it used to load as x1 = 1.0."""
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"oid":0,"region":[true,0,2,2],"tokens":["a"]}\n')
+        with pytest.raises(CorpusFormatError, match=r"c\.jsonl:1: 'region'"):
+            load_corpus(path)
+
     def test_inverted_region(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"oid":0,"region":[5,0,1,1],"tokens":["a"]}\n')
@@ -74,9 +81,49 @@ class TestQueriesRoundTrip:
 
     def test_defaults(self, tmp_path):
         path = tmp_path / "q.jsonl"
-        path.write_text('{"region":[0,0,1,1],"tokens":["a"]}\n')
-        q = load_queries(path)[0]
+        path.write_text('{"region":[0,0,1,1],"tokens":["a"]}\n{"region":[0,0,1,1],"tau_t":0.5}\n')
+        q, bare = load_queries(path)
         assert q.tau_r == 0.0 and q.tau_t == 0.0
+        assert bare.tokens == frozenset() and (bare.tau_r, bare.tau_t) == (0.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            # Each of the first three used to load into a Query whose own
+            # repr (and every filter's token sort) raised TypeError.
+            ('{"region":[0,0,1,1],"tokens":[1,"a"],"tau_r":0.1,"tau_t":0.1}', "tokens"),
+            ('{"region":[0,0,1,1],"tokens":["a"],"tau_r":true,"tau_t":0.1}', "tau_r"),
+            ('{"region":[true,0,2,2],"tokens":["a"],"tau_r":0.1,"tau_t":0.1}', "region"),
+            ('{"region":[0,0,1,1],"tokens":"ab","tau_r":0.1,"tau_t":0.1}', "tokens"),
+            ('{"region":[0,0,1,1],"tokens":["a"],"tau_r":0.1,"tau_t":"0.1"}', "tau_t"),
+            ('{"region":[0,0,1,1],"tokens":["a"],"tau_r":null,"tau_t":0.1}', "tau_r"),
+            ('{"region":[0,0,1,1' + "0" * 400 + '],"tokens":["a"],"tau_r":0.1,"tau_t":0.1}',
+             "region"),
+        ],
+    )
+    def test_malformed_fields_name_the_line(self, tmp_path, line, field):
+        """Workload files get the wire protocol's validation (one
+        validator beside Query), reported with path:line."""
+        from repro.core.errors import ProtocolError
+        from repro.service.protocol import decode_payload, query_from_wire
+
+        path = tmp_path / "q.jsonl"
+        path.write_text('{"region":[0,0,1,1],"tokens":["a"],"tau_r":0.1,"tau_t":0.1}\n' + line + "\n")
+        with pytest.raises(CorpusFormatError, match=rf"q\.jsonl:2: '{field}'"):
+            load_queries(path)
+        with pytest.raises(ProtocolError, match=f"^'{field}'"):
+            query_from_wire(decode_payload(line.encode()))
+
+    def test_file_lines_and_wire_fields_are_one_record(self, tmp_path, figure1_query):
+        import json
+
+        from repro.service.protocol import query_from_wire, query_to_wire
+
+        path = tmp_path / "q.jsonl"
+        save_queries([figure1_query], path)
+        record = json.loads(path.read_text())
+        assert record == query_to_wire(figure1_query)
+        assert query_from_wire(record) == figure1_query
 
 
 class TestSnapshot:

@@ -13,10 +13,22 @@ import threading
 
 import pytest
 
-from repro import SegmentedSealSearch
-from repro.core.errors import ProtocolError, ServiceError
+from repro import Query, Rect, SegmentedSealSearch
+from repro.core.errors import (
+    AdmissionRejected,
+    DeadlineExceeded,
+    ProtocolError,
+    ServiceError,
+)
 from repro.index.columnar import BACKENDS
 from repro.service import NetworkClient, NetworkServer, QueryService
+from service_testlib import (
+    Caller,
+    GatedEngine,
+    ThreadReportingEngine,
+    decode_threads,
+    wait_until,
+)
 
 
 @pytest.fixture(params=BACKENDS)
@@ -115,6 +127,58 @@ class TestIdentityAndErrors:
                 with pytest.raises((ServiceError, ProtocolError)):
                     client._rpc({"op": "query", "region": [0, 0, 1, 1],
                                  "tokens": ["a"], "tau_r": 0.1, "tau_t": 0.1})
+
+
+class TestAdmissionOverTheWire:
+    """A request runs on its connection's thread, so saturation and
+    deadlines are decided there — and answered as typed error frames on
+    a connection that stays usable."""
+
+    QUERY = Query(Rect(0, 0, 1, 1), frozenset({"a"}), 0.1, 0.1)
+
+    @pytest.mark.parametrize(
+        "config, refusal",
+        [
+            ({"workers": 1, "max_queue": 0}, AdmissionRejected),
+            ({"workers": 1, "max_queue": 1, "default_deadline": 0.05}, DeadlineExceeded),
+        ],
+    )
+    def test_second_client_is_refused_typed_and_retries_after_release(self, config, refusal):
+        engine = GatedEngine()
+        with QueryService(engine, enable_cache=False, **config) as service, \
+                NetworkServer(service) as server:
+            host, port = server.address
+            try:
+                with NetworkClient(host, port, timeout=10.0) as first, \
+                        NetworkClient(host, port, timeout=10.0) as second:
+                    holder = Caller(first.query, self.QUERY)
+                    wait_until(lambda: engine.calls == 1,
+                               message="the first client's query to enter the engine")
+                    with pytest.raises(refusal) as raised:
+                        second.query(self.QUERY)
+                    assert type(raised.value) is refusal
+                    assert second.ping()["ok"] is True  # same connection, still in step
+                    engine.release.set()
+                    assert holder.finish().answers == []
+                    assert second.query(self.QUERY).answers == []
+                    admission = second.metrics()["admission"]
+                    assert admission["submitted"] == (3 if refusal is DeadlineExceeded else 2)
+                    assert admission["rejected"] + admission["deadline_expired"] == 1
+                    assert admission["in_flight"] == 0
+            finally:
+                engine.release.set()
+
+    def test_engine_runs_on_the_connection_thread(self):
+        engine = ThreadReportingEngine()
+        with QueryService(engine, enable_cache=False) as service, \
+                NetworkServer(service) as server:
+            with NetworkClient(*server.address, timeout=10.0) as client:
+                caller, live = decode_threads(client.query(self.QUERY))
+                client.query_batch([self.QUERY])
+        assert caller == "seal-net-conn"
+        assert [thread.name for thread in engine.threads] == ["seal-net-conn"] * 2
+        assert len(set(engine.threads)) == 1  # one connection, one thread
+        assert not any(name.startswith("seal-service") for name in live)
 
 
 class TestLifecycle:

@@ -20,11 +20,12 @@ import time
 
 import pytest
 
-from repro import SegmentedSealSearch
+from repro import Query, Rect, SegmentedSealSearch
 from repro.core.errors import ProtocolError
 from repro.index.columnar import BACKENDS
 from repro.io import GenerationError, publish_snapshot, save_engine
 from repro.service import NetworkClient, ProcessSupervisor
+from service_testlib import ThreadReportingEngine, decode_threads
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -237,6 +238,28 @@ def test_swap_snapshot_from_file(twitter_small, twitter_small_queries, tmp_path)
             for i, query in enumerate(twitter_small_queries):
                 assert client.query(query).answers == expected[i]
                 assert client.last_meta["generation"] == 2
+
+
+def test_worker_runs_the_engine_on_its_connection_thread(twitter_small, tmp_path, monkeypatch):
+    """No hand-off inside a worker either: the engine call happens on
+    the ``seal-worker-conn`` thread that read the frame."""
+    publish_snapshot(tmp_path / "serving", engine=_build_engine(twitter_small[:20]))
+    # Forked workers inherit the patched loader, so each serves an engine
+    # that answers with the names of its own process's threads.
+    monkeypatch.setattr(
+        "repro.service.workers.load_engine",
+        lambda path, mmap=False: ThreadReportingEngine(),
+    )
+    with ProcessSupervisor(
+        tmp_path / "serving", workers=1, service_config={"enable_cache": False},
+    ) as supervisor:
+        with _connect(supervisor.address) as client:
+            result = client.query(Query(Rect(0, 0, 1, 1), frozenset({"a"}), 0.1, 0.1))
+            assert client.last_meta["pid"] in supervisor.worker_pids()
+    caller, live = decode_threads(result)
+    assert caller == "seal-worker-conn"
+    assert "seal-worker-control" in live
+    assert not any(name.startswith("seal-service") for name in live)
 
 
 def test_close_reaps_every_worker(twitter_small, tmp_path):

@@ -9,6 +9,7 @@ reflects what actually happened.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 
@@ -22,9 +23,11 @@ from repro import (
     SealSearch,
     SegmentedSealSearch,
 )
+from repro.core.errors import ServiceError
 from repro.core.stats import SearchResult, SearchStats
 from repro.service import AdmissionController, EngineManager, QueryService
 from repro.service.metrics import LatencyHistogram
+from service_testlib import Caller, GatedEngine, ThreadReportingEngine, wait_until
 
 
 def make_engine(n: int = 8) -> SealSearch:
@@ -39,19 +42,6 @@ def workload(n: int = 6):
         Query(Rect(i, 0, i + 4, 3), frozenset({"a", f"t{i % 3}"}), 0.1, 0.1)
         for i in range(n)
     ]
-
-
-class GatedEngine:
-    """An engine whose queries block until released (admission tests)."""
-
-    def __init__(self):
-        self.release = threading.Event()
-        self.calls = 0
-
-    def search_query(self, query: Query) -> SearchResult:
-        self.calls += 1
-        assert self.release.wait(timeout=10.0)
-        return SearchResult(answers=[], stats=SearchStats())
 
 
 class CountingEngine:
@@ -96,14 +86,6 @@ class TestAnswers:
             assert engine.calls == 2
             assert service.metrics()["cache"] is None
 
-    def test_use_cache_false_bypasses_lookup_but_still_serves(self):
-        engine = CountingEngine()
-        with QueryService(engine, workers=2) as service:
-            query = workload(1)[0]
-            service.query(query)
-            service.query(query, use_cache=False)
-            assert engine.calls == 2
-
     def test_batch_matches_per_query_in_order(self):
         engine = make_engine()
         queries = workload()
@@ -121,6 +103,23 @@ class TestAnswers:
         assert [r.answers for r in results] == [[1], [1], [1]]
         assert results[0] is not results[1] and results[1] is not results[2]
         assert results[0].stats is not results[1].stats
+
+    def test_batch_coalesces_value_equal_queries(self):
+        """The burst dedupe keys on the query's value: token iterables
+        of any type, order or multiplicity name one execution."""
+        engine = CountingEngine()
+        region = Rect(0, 0, 4, 3)
+        burst = [
+            Query(region, frozenset({"a", "b", "c"}), 0.1, 0.1),
+            Query(region, ["c", "a", "b"], 0.1, 0.1),
+            Query(Rect(0.0, -0.0, 4.0, 3.0), ("b", "c", "a", "a"), 0.1, 0.1),
+        ]
+        with QueryService(engine, workers=2) as service:
+            results = service.query_batch(burst)
+            assert engine.calls == 1
+            assert [r.answers for r in results] == [[1], [1], [1]]
+            assert service.query(burst[2]).answers == [1]  # cached under the value too
+            assert engine.calls == 1
 
     def test_batch_mixes_cache_hits_and_misses(self):
         queries = workload(4)
@@ -168,20 +167,22 @@ class TestResultPrivacy:
             assert service.query(query).answers == hit_b.answers
 
 
+def admission_of(service: QueryService) -> dict:
+    return service.metrics()["admission"]
+
+
 class TestAdmission:
     def test_overflow_rejected_loudly(self):
         engine = GatedEngine()
         service = QueryService(engine, enable_cache=False, workers=1, max_queue=0)
         try:
-            future = service.submit(workload(1)[0])
-            deadline = time.monotonic() + 5.0
-            while engine.calls == 0 and time.monotonic() < deadline:
-                time.sleep(0.005)  # wait until the worker actually started
+            holder = Caller(service.query, workload(1)[0])
+            wait_until(lambda: engine.calls == 1, message="the holder to enter the engine")
             with pytest.raises(AdmissionRejected, match="saturated"):
                 service.query(workload(2)[1])
             engine.release.set()
-            assert future.result(timeout=10.0).answers == []
-            assert service.metrics()["admission"]["rejected"] == 1
+            assert holder.finish().answers == []
+            assert admission_of(service)["rejected"] == 1
         finally:
             engine.release.set()
             service.close()
@@ -190,21 +191,154 @@ class TestAdmission:
         engine = GatedEngine()
         service = QueryService(engine, enable_cache=False, workers=1, max_queue=4)
         try:
-            slow = service.submit(workload(1)[0])
-            deadline = time.monotonic() + 5.0
-            while engine.calls == 0 and time.monotonic() < deadline:
-                time.sleep(0.005)
+            holder = Caller(service.query, workload(1)[0])
+            wait_until(lambda: engine.calls == 1, message="the holder to enter the engine")
             # Queued behind the gated request with a deadline it will miss.
-            queued = service.submit(workload(2)[1], deadline=0.01)
-            time.sleep(0.05)
+            with pytest.raises(DeadlineExceeded, match="0.010s deadline"):
+                service.query(workload(2)[1], deadline=0.01)
             engine.release.set()
-            slow.result(timeout=10.0)
-            with pytest.raises(DeadlineExceeded):
-                queued.result(timeout=10.0)
-            assert service.metrics()["admission"]["deadline_expired"] == 1
+            holder.finish()
+            assert engine.calls == 1  # the expired request never executed
+            assert admission_of(service)["deadline_expired"] == 1
         finally:
             engine.release.set()
             service.close()
+
+    def test_deadline_raises_at_the_deadline_and_frees_its_place(self):
+        """The waiting thread notices its own deadline — while the gate
+        is still closed — and stops occupying the line: the next arrival
+        waits instead of being rejected by a dead request."""
+        engine = GatedEngine()
+        service = QueryService(engine, enable_cache=False, workers=1, max_queue=1)
+        queries = workload(3)
+        try:
+            holder = Caller(service.query, queries[0])
+            wait_until(lambda: engine.calls == 1, message="the holder to enter the engine")
+            started = time.monotonic()
+            with pytest.raises(DeadlineExceeded):
+                service.query(queries[1], deadline=0.05)
+            waited = time.monotonic() - started
+            assert 0.04 <= waited < 0.5
+            assert not engine.release.is_set()
+            assert admission_of(service)["in_flight"] == 1
+            third = Caller(service.query, queries[2])
+            wait_until(lambda: admission_of(service)["in_flight"] == 2,
+                       message="the third request to wait in line")
+            assert third.is_alive() and engine.calls == 1
+            engine.release.set()
+            assert holder.finish().answers == []
+            assert third.finish().answers == []
+            admission = admission_of(service)
+            assert (admission["submitted"], admission["rejected"]) == (3, 0)
+            assert admission["deadline_expired"] == 1
+            assert admission["in_flight"] == 0
+            # Neither refusal nor expiry is an engine error or a latency sample.
+            assert service.metrics()["requests"]["errors"] == 0
+            assert service.metrics()["latency_ms"]["count"] == 2
+        finally:
+            engine.release.set()
+            service.close()
+
+    def test_workers_execute_queue_waits_overflow_is_rejected(self):
+        engine = GatedEngine()
+        service = QueryService(engine, enable_cache=False, workers=2, max_queue=2)
+        try:
+            callers = [Caller(service.query, query) for query in workload(6)]
+            wait_until(
+                lambda: engine.calls == 2
+                and admission_of(service)["in_flight"] == 4
+                and admission_of(service)["rejected"] == 2,
+                message="two executing, two waiting, two rejected",
+            )
+            time.sleep(0.05)
+            assert engine.calls == 2  # the two in line stay out of the engine
+            engine.release.set()
+            served = rejected = 0
+            for caller in callers:
+                try:
+                    assert caller.finish().answers == []
+                    served += 1
+                except AdmissionRejected:
+                    rejected += 1
+            assert (served, rejected) == (4, 2)
+            assert engine.calls == 4
+            admission = admission_of(service)
+            assert (admission["submitted"], admission["rejected"]) == (4, 2)
+            assert admission["in_flight"] == 0
+        finally:
+            engine.release.set()
+            service.close()
+
+    def test_stress_bounds_concurrency_and_counts_every_request(self):
+        """More client threads than slots, on a short switch interval: a
+        lost counter update or a leaked slot would break the totals."""
+        controller = AdmissionController(workers=2, max_queue=2)
+        lock = threading.Lock()
+        seen = {"inside": 0, "peak": 0, "ran": 0}
+
+        def work() -> None:
+            with lock:
+                seen["inside"] += 1
+                seen["ran"] += 1
+                seen["peak"] = max(seen["peak"], seen["inside"])
+            time.sleep(0)  # let another thread in while this one holds its slot
+            with lock:
+                seen["inside"] -= 1
+
+        def client() -> None:
+            for _ in range(300):
+                try:
+                    controller.run(work)
+                except AdmissionRejected:
+                    pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in [Caller(client) for _ in range(8)]:
+                caller.finish(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        counters = controller.counters()
+        assert 1 <= seen["peak"] <= 2
+        assert counters["submitted"] + counters["rejected"] == 8 * 300
+        assert counters["submitted"] == seen["ran"]
+        assert counters["in_flight"] == 0 and seen["inside"] == 0
+        controller.shutdown()  # nothing in flight: returns at once
+
+    def test_close_drains_executing_and_waiting_requests(self):
+        engine = GatedEngine()
+        service = QueryService(engine, enable_cache=False, workers=1, max_queue=1)
+        queries = workload(3)
+
+        def refuses_as_shut_down() -> bool:
+            try:
+                service.query(queries[2])
+            except AdmissionRejected:
+                return False  # still open (and full)
+            except ServiceError as exc:
+                return "shut down" in str(exc)
+            return False
+
+        try:
+            running = Caller(service.query, queries[0])
+            wait_until(lambda: engine.calls == 1, message="the first request to execute")
+            waiting = Caller(service.query, queries[1])
+            wait_until(lambda: admission_of(service)["in_flight"] == 2,
+                       message="the second request to wait in line")
+            closer = Caller(service.close)
+            wait_until(refuses_as_shut_down, message="close() to refuse new requests")
+            time.sleep(0.05)
+            assert closer.is_alive()  # blocked on the two admitted requests
+            engine.release.set()
+            assert running.finish().answers == []
+            assert waiting.finish().answers == []  # admitted before close: still served
+            closer.finish()
+            assert engine.calls == 2 and admission_of(service)["in_flight"] == 0
+            with pytest.raises(ServiceError, match="shut down"):
+                service.query(queries[2])
+        finally:
+            engine.release.set()
 
     def test_cache_hits_bypass_admission_slots(self):
         engine = make_engine()
@@ -231,18 +365,49 @@ class TestAdmission:
             service.query(workload(1)[0])
 
 
+class TestOneThreadPerRequest:
+    def test_engine_runs_on_the_calling_thread_and_no_thread_is_created(self):
+        engine = ThreadReportingEngine()
+        before = set(threading.enumerate())
+        with QueryService(engine, enable_cache=False) as service:
+            service.query(workload(1)[0])
+            service.search(Rect(0, 0, 4, 3), {"a"}, 0.1, 0.1)
+            service.query_batch(workload(3))
+            assert set(engine.threads) == {threading.current_thread()}
+            for _ in range(100):
+                service.query(workload(1)[0])
+            assert set(threading.enumerate()) <= before
+            other = Caller(service.query, workload(1)[0])
+            other.finish()
+            assert engine.threads[-1] is other
+        assert len(engine.threads) == 106
+        assert set(engine.threads) == {threading.current_thread(), other}
+        assert not any(
+            thread.name.startswith("seal-service") for thread in threading.enumerate()
+        )
+
+
 class TestErrors:
     def test_engine_errors_counted_and_propagated(self):
         class Exploding:
             def search_query(self, query):
                 raise ZeroDivisionError("engine blew up")
 
-        with QueryService(Exploding(), enable_cache=False, workers=1) as service:
-            with pytest.raises(ZeroDivisionError):
+        with QueryService(
+            Exploding(), enable_cache=False, workers=1, max_queue=0
+        ) as service:
+            # The caller sees the engine's own exception, not a wrapper,
+            # and the failed request gives its only slot back each time.
+            with pytest.raises(ZeroDivisionError, match="^engine blew up$"):
                 service.query(workload(1)[0])
-            with pytest.raises(ZeroDivisionError):
+            assert service.metrics()["requests"]["errors"] == 1
+            with pytest.raises(ZeroDivisionError, match="^engine blew up$"):
                 service.query_batch(workload(2))
-            assert service.metrics()["requests"]["errors"] == 2
+            metrics = service.metrics()
+            assert metrics["requests"]["errors"] == 2
+            assert metrics["admission"]["in_flight"] == 0
+            assert metrics["admission"]["submitted"] == 2
+            assert metrics["latency_ms"]["count"] == 0
 
 
 class TestMetrics:

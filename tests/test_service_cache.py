@@ -1,4 +1,4 @@
-"""Tests for the epoch-keyed LRU+TTL result cache.
+"""Tests for the epoch-keyed LRU result cache.
 
 The two load-bearing properties: keys embed the engine epoch (so churn
 invalidates by construction), and every entry is a defensive copy both
@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Query, Rect, SearchResult, SearchStats
-from repro.service import ResultCache, canonical_key
+from repro.service import ResultCache
 
 
 def make_query(x: float = 0.0, tokens=("a", "b"), tau: float = 0.3) -> Query:
@@ -24,21 +24,44 @@ def make_result(answers=(1, 2, 3), candidates: int = 9) -> SearchResult:
     )
 
 
-class TestCanonicalKey:
+class TestKeyIsTheQueryValue:
+    """Queries equal as values share one entry; any field (or the
+    epoch) that differs gets its own."""
+
     def test_token_order_is_canonicalized(self):
-        a = Query(Rect(0, 0, 1, 1), frozenset(["x", "y", "z"]), 0.2, 0.2)
-        b = Query(Rect(0, 0, 1, 1), frozenset(["z", "x", "y"]), 0.2, 0.2)
-        assert canonical_key(5, a) == canonical_key(5, b)
+        cache = ResultCache(capacity=4)
+        cache.put(5, Query(Rect(0, 0, 1, 1), frozenset(["x", "y", "z"]), 0.2, 0.2), make_result())
+        # Query normalises any token iterable, in any order, to one frozenset.
+        for tokens in (frozenset(["z", "x", "y"]), ["y", "z", "x"], ("z", "y", "x", "x")):
+            assert cache.get(5, Query(Rect(0, 0, 1, 1), tokens, 0.2, 0.2)) is not None
+        assert len(cache) == 1 and cache.hits == 3
+
+    def test_numeric_spelling_of_coordinates_is_canonicalized(self):
+        cache = ResultCache(capacity=4)
+        cache.put(0, Query(Rect(0, 0, 1, 1), frozenset("a"), 0.5, 0), make_result())
+        assert cache.get(0, Query(Rect(0.0, 0.0, 1.0, 1.0), frozenset("a"), 0.5, 0.0)) is not None
+        assert cache.get(0, Query(Rect(-0.0, 0.0, 1.0, 1.0), frozenset("a"), 0.5, -0.0)) is not None
+        cache.put(0, Query(Rect(-0.0, -0.0, 1, 1), frozenset("a"), 0.5, 0.0), make_result())
+        assert len(cache) == 1
 
     def test_epoch_distinguishes_keys(self):
+        cache = ResultCache(capacity=4)
         q = make_query()
-        assert canonical_key(1, q) != canonical_key(2, q)
+        cache.put(1, q, make_result())
+        assert cache.get(2, q) is None
+        cache.put(2, q, make_result())
+        assert len(cache) == 2
 
     def test_value_fields_distinguish_keys(self):
+        cache = ResultCache(capacity=8)
+        cache.put(0, make_query(), make_result())
+        assert cache.get(0, make_query(x=1.0)) is None
+        assert cache.get(0, make_query(tokens=("a",))) is None
+        assert cache.get(0, make_query(tau=0.4)) is None
         base = make_query()
-        assert canonical_key(0, base) != canonical_key(0, make_query(x=1.0))
-        assert canonical_key(0, base) != canonical_key(0, make_query(tokens=("a",)))
-        assert canonical_key(0, base) != canonical_key(0, make_query(tau=0.4))
+        assert cache.get(0, Query(base.region, base.tokens, 0.3, 0.4)) is None
+        assert cache.get(0, Query(base.region, base.tokens, 0.4, 0.3)) is None
+        assert cache.get(0, make_query()) is not None
 
 
 class TestLookupAndLRU:
@@ -88,50 +111,6 @@ class TestLookupAndLRU:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             ResultCache(capacity=0)
-        with pytest.raises(ValueError):
-            ResultCache(capacity=4, ttl=0.0)
-
-
-class TestTTL:
-    def test_entries_expire(self):
-        now = [100.0]
-        cache = ResultCache(capacity=4, ttl=5.0, clock=lambda: now[0])
-        q = make_query()
-        cache.put(0, q, make_result())
-        now[0] = 104.9
-        assert cache.get(0, q) is not None
-        now[0] = 105.0
-        assert cache.get(0, q) is None
-        assert cache.expirations == 1
-        assert len(cache) == 0  # expired entry removed on sight
-
-    def test_no_ttl_never_expires(self):
-        now = [0.0]
-        cache = ResultCache(capacity=4, clock=lambda: now[0])
-        q = make_query()
-        cache.put(0, q, make_result())
-        now[0] = 1e9
-        assert cache.get(0, q) is not None
-
-    def test_expiry_boundary_is_exclusive(self):
-        """Pinned contract: an entry is servable strictly *before*
-        ``expires_at`` and expired at exactly ``expires_at`` — the
-        half-open window [stored, stored + ttl).  A scraper-facing miss
-        at the boundary beats ever serving a result at full TTL age."""
-        now = [1000.0]
-        cache = ResultCache(capacity=4, ttl=2.5, clock=lambda: now[0])
-        q = make_query()
-        cache.put(0, q, make_result())
-        now[0] = 1002.5 - 1e-9  # one tick before the boundary: a hit
-        assert cache.get(0, q) is not None
-        now[0] = 1002.5  # exactly expires_at: expired, not servable
-        assert cache.get(0, q) is None
-        assert cache.expirations == 1
-        assert cache.misses == 1 and cache.hits == 1
-        # Re-storing restarts the window from the current clock.
-        cache.put(0, q, make_result())
-        now[0] = 1005.0 - 1e-9
-        assert cache.get(0, q) is not None
 
 
 class TestInvalidation:
@@ -165,12 +144,15 @@ class TestInvalidation:
         assert len(cache) == 0 and cache.invalidated == 1
 
     def test_counters_shape(self):
-        cache = ResultCache(capacity=8, ttl=30.0)
+        cache = ResultCache(capacity=8)
         cache.put(0, make_query(), make_result())
         cache.get(0, make_query())
         counters = cache.counters()
+        assert set(counters) == {
+            "size", "capacity", "hits", "misses", "hit_rate", "stores",
+            "evictions", "invalidated", "stale_puts",
+        }
         assert counters["size"] == 1 and counters["capacity"] == 8
-        assert counters["ttl_seconds"] == 30.0
         assert counters["hits"] == 1 and counters["misses"] == 0
         assert counters["hit_rate"] == 1.0
 

@@ -73,7 +73,7 @@ class KeywordFirstSearch(SearchMethod):
                 out.append(oid)
         return out
 
-    def estimate_work(self, query: Query) -> WorkEstimate:
+    def estimate_work(self, query: Query, text=None) -> WorkEstimate:
         """One full list per query token: the document-frequency sum."""
         entries = float(sum(self.weighter.count(token) for token in query.tokens))
         return float(len(query.tokens)), entries, min(float(len(self.corpus)), entries), None

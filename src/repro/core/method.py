@@ -64,21 +64,30 @@ class SearchMethod(abc.ABC):
         """
         return execute_query(self, query)
 
-    def estimate_work(self, query: Query) -> WorkEstimate:
+    def estimate_work(self, query: Query, text=None) -> WorkEstimate:
         """Predicted filter-step work for ``query``, for the planner to price.
 
+        Args:
+            query: The query to price.
+            text: ``TextualScheme.query_prefix(query)`` — the query's
+                textual prefix and ``c_T`` — when the caller already has
+                it (the planner derives it once for the whole portfolio);
+                a method that filters on text derives it itself
+                otherwise, every other method ignores it.
+
         Returns:
-            ``(lists, entries, candidates, probes)`` — inverted lists
+            ``(lists, entries, candidates, text)`` — inverted lists
             probed, posting entries retrieved and candidates handed to
             verification, as floats, from directory-level statistics only
-            (no posting is read); and ``probes``: ``None``, or what the
-            method derived on the way and takes back as the third
-            positional argument of its ``candidates``, so the member the
-            planner picks does not derive it twice.
+            (no posting is read); and the ``text`` the method worked
+            from, which it takes back as the third positional argument of
+            its ``candidates`` — ``None`` from a method whose
+            ``candidates`` takes two.
 
-        The default prices a full scan — no list opened, every object a
-        candidate — so the planner picks a method without a modelled
-        probe structure only when every other member degenerates too.
+        The default is a full scan — no list opened, every object a
+        candidate — which the planner ranks after every estimate that
+        filters, so it picks a method without a modelled probe structure
+        only when every other member degenerates too.
         """
         return 0.0, 0.0, float(len(self.corpus)), None
 

@@ -16,28 +16,33 @@ methods built over one corpus + weighter, and per query:
    frequencies (O(1) from the :class:`~repro.text.weights.TokenWeighter`
    / posting directory) and the derived thresholds ``c_T``/``c_R`` —
    what ``explain`` reports and recording mode logs beside a decision;
-2. asks each method for its **work estimate** (lists probed, posting
+2. derives the query's **textual prefix** once —
+   :meth:`TextualScheme.query_prefix
+   <repro.signatures.textual.TextualScheme.query_prefix>`: the one sort
+   and the one weight sum a planned query pays, whatever the portfolio —
+   and asks each method for its **work estimate** (lists probed, posting
    entries retrieved, candidates verified) through
-   :meth:`~repro.core.method.SearchMethod.estimate_work`.  The planner
-   knows no method's structure: ``token`` and ``seal`` read the estimate
-   off their own ``probes`` — the one description of what a query opens,
-   which their ``candidates`` runs and :func:`repro.index.iomodel.
-   charge_method_io` charges pages for — ``grid`` and ``hash-hybrid``
-   price the uniform grid's O(1) ``cell_span`` arithmetic, and a method
-   that models nothing is priced as a full scan;
+   :meth:`~repro.core.method.SearchMethod.estimate_work`, handing it
+   that prefix.  The planner knows no method's structure, and no
+   estimate walks one: ``token`` counts its prefix tokens' lists and
+   their directory lengths, ``grid``, ``hash-hybrid`` and ``seal`` price
+   (prefix tokens ×) predicted prefix cells × the mean list length from
+   O(1) ``cell_span`` arithmetic — O(|prefix|) each — and a method that
+   models nothing is priced as a full scan;
 3. scores each method with the linear cost model
    ``cost = c0 + c1·lists + c2·entries + c3·candidates`` and dispatches
-   to the predicted-cheapest method — handing it the probes its
-   estimate already derived, so the winner's lists are walked once.
+   to the predicted-cheapest method that can filter the query (a full
+   scan runs only when no member can) — handing it the prefix back, so
+   the winner sorts nothing again and only its lists are ever walked.
 
-The cost coefficients start at analytic defaults (referenced against the
-I/O model's page pricing collapsed to in-memory latencies) and graduate
-to *fitted* values: a *recording mode* appends
+The cost coefficients default to values *fitted* on the perf ledger's
+query workloads (:data:`DEFAULT_COEFFICIENTS`) and are refitted for a
+deployment the way those were: a *recording mode* appends
 ``(features, predictions, observed per-method stats + wall time)`` rows
 to a JSONL log via the crash-safe atomic-write helpers, and
-:func:`fit_coefficients` least-squares-calibrates each method's
-coefficients from those rows (NumPy only).  The workflow is
-``record → fit → serve``.
+:func:`fit_coefficients` calibrates each method's coefficients from
+those rows (NumPy only; relative error, no negative price).  The
+workflow is ``record → fit → serve``.
 
 Observability lives in :class:`PlannerMetrics` (per-method selection
 counts, per-method latency histograms, a mispredict counter fed by
@@ -48,7 +53,9 @@ planner hiding inside an engine (facade, segmented) into the
 
 from __future__ import annotations
 
+import itertools
 import json
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Any, Collection, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
@@ -60,6 +67,7 @@ from repro.core.stats import SearchStats
 from repro.exec.pipeline import execute_query
 from repro.io.atomic import atomic_write_text
 from repro.service.metrics import LatencyHistogram
+from repro.signatures.textual import TextualScheme
 from repro.text.weights import TokenWeighter
 
 #: The method portfolio a planner builds by default: one representative
@@ -70,13 +78,28 @@ DEFAULT_METHODS: Tuple[str, ...] = ("token", "grid", "hash-hybrid", "seal")
 #: posting entry, per verified candidate.
 COST_TERMS: Tuple[str, ...] = ("intercept", "lists", "entries", "candidates")
 
-#: Analytic default coefficients (seconds).  Referenced against
-#: ``index/iomodel.py``'s charging rules with its page reads collapsed to
-#: in-memory latencies: a probed list costs a directory lookup + head
-#: slice (~µs), retrieved entries stream through vectorised unions
-#: (~tens of ns), and every candidate pays one exact verification
-#: (~µs).  ``fit_coefficients`` replaces these with measured values.
-DEFAULT_COEFFICIENTS: Tuple[float, float, float, float] = (3e-5, 3e-6, 2e-8, 1.2e-6)
+#: Default cost coefficients (seconds) of the default portfolio, fitted,
+#: not guessed: ``tests/fixtures/make_planner_coefficients.py`` ran this
+#: module's own record → fit workflow over the perf ledger's
+#: ``fig16_large`` and ``mixed_regimes`` queries (canonical scale,
+#: N = 10 000, seed 7; each member's time the minimum of 5 runs) and
+#: printed these rows.  They price what a unit of each member's
+#: *predicted* work costs on the columnar backend; ``plan --record --fit``
+#: replaces them with a deployment's own.
+DEFAULT_COEFFICIENTS: Dict[str, Tuple[float, float, float, float]] = {
+    "token": (5.418e-05, 3.904e-06, 3.538e-09, 4.768e-08),
+    "grid": (7.46e-05, 0.0, 0.0, 1.034e-06),
+    "hash-hybrid": (4.205e-05, 2.818e-06, 0.0, 5.861e-08),
+    "seal": (8.212e-05, 1.443e-06, 0.0, 5.4e-08),
+}
+
+#: The analytic guess a member without a fitted row above is priced with.
+#: Referenced against ``index/iomodel.py``'s charging rules with its page
+#: reads collapsed to in-memory latencies: a probed list costs a
+#: directory lookup + head slice (~µs), retrieved entries stream through
+#: vectorised unions (~tens of ns), and every candidate pays one exact
+#: verification (~µs).
+UNFITTED_COEFFICIENTS: Tuple[float, float, float, float] = (3e-5, 3e-6, 2e-8, 1.2e-6)
 
 #: Recording mode rewrites the JSONL log (atomically) every this many rows.
 RECORD_FLUSH_EVERY = 32
@@ -92,9 +115,10 @@ class MethodEstimate:
         entries: Predicted posting entries retrieved.
         candidates: Predicted candidate-set size handed to verification.
         cost: Predicted seconds under the method's cost coefficients.
-        probes: What the method's ``estimate_work`` wants handed to its
-            ``candidates`` if it is chosen (``None``: nothing).  In-process
-            plumbing, not part of the estimate: never exported.
+        text: What the method's ``estimate_work`` wants handed to its
+            ``candidates`` if it is chosen: the query's textual prefix,
+            or ``None`` for nothing.  In-process plumbing, not part of
+            the estimate: never exported.
     """
 
     method: str
@@ -102,7 +126,7 @@ class MethodEstimate:
     entries: float
     candidates: float
     cost: float
-    probes: object = field(default=None, repr=False, compare=False)
+    text: object = field(default=None, repr=False, compare=False)
 
     def as_dict(self) -> Dict[str, float]:
         return {
@@ -195,8 +219,9 @@ class PlannedSealSearch(SearchMethod):
         methods: Registry names to build and plan over (default
             :data:`DEFAULT_METHODS`).  At least one is required.
         coefficients: Per-method cost coefficients
-            ``{name: [c0, c1, c2, c3]}``; missing methods fall back to
-            the analytic defaults.  Typically produced by
+            ``{name: [c0, c1, c2, c3]}``; missing methods keep their
+            :data:`DEFAULT_COEFFICIENTS` row (:data:`UNFITTED_COEFFICIENTS`
+            for a method that has none).  Typically produced by
             :func:`fit_coefficients`.
         record_to: JSONL path enabling *recording mode*: every query
             additionally runs each sub-method end to end and appends a
@@ -241,7 +266,8 @@ class PlannedSealSearch(SearchMethod):
             member.verifier = self.verifier
             self.methods[method_name] = member
         self.coefficients: Dict[str, List[float]] = {
-            method_name: list(DEFAULT_COEFFICIENTS) for method_name in names
+            method_name: list(DEFAULT_COEFFICIENTS.get(method_name, UNFITTED_COEFFICIENTS))
+            for method_name in names
         }
         if coefficients:
             self.set_coefficients(coefficients)
@@ -274,17 +300,25 @@ class PlannedSealSearch(SearchMethod):
         }
 
     def plan(self, query: Query) -> List[MethodEstimate]:
-        """Every method's estimate, cheapest first (ties keep registration
+        """Every method's estimate, cheapest first — the methods that can
+        filter the query, then those that cannot (ties keep registration
         order — the sort is stable)."""
+        text = TextualScheme(self.weighter).query_prefix(query)
         estimates = [
-            self._estimate(method_name, method, query)
+            self._estimate(method_name, method, query, text)
             for method_name, method in self.methods.items()
         ]
-        estimates.sort(key=lambda estimate: estimate.cost)
+        # More candidates than entries retrieved is a full scan: the same
+        # work whichever member runs it, and what a fit prices worst —
+        # verifying an object costs 20× more under a vacuous spatial
+        # threshold than under a vacuous textual one, one coefficient
+        # serves both, and it is 0 when no recorded query degenerated.
+        # So a full scan never outranks a filter.
+        estimates.sort(key=lambda estimate: (estimate.candidates > estimate.entries, estimate.cost))
         return estimates
 
     def choose(self, query: Query) -> str:
-        """The registry name of the predicted-cheapest method."""
+        """The registry name of the method :meth:`plan` ranks first."""
         return self.plan(query)[0].method
 
     def explain(self, query: Query) -> Dict[str, object]:
@@ -300,12 +334,12 @@ class PlannedSealSearch(SearchMethod):
         }
 
     def _estimate(
-        self, method_name: str, method: SearchMethod, query: Query
+        self, method_name: str, method: SearchMethod, query: Query, text
     ) -> MethodEstimate:
-        lists, entries, candidates, probes = method.estimate_work(query)
+        lists, entries, candidates, text = method.estimate_work(query, text)
         c0, c1, c2, c3 = self.coefficients[method_name]
         cost = c0 + c1 * lists + c2 * entries + c3 * candidates
-        return MethodEstimate(method_name, lists, entries, candidates, cost, probes)
+        return MethodEstimate(method_name, lists, entries, candidates, cost, text)
 
     # ------------------------------------------------------------------
     # The filter step: dispatch to the predicted-cheapest method
@@ -317,10 +351,10 @@ class PlannedSealSearch(SearchMethod):
         delegate = self.methods[chosen]
         stats.method = f"{self.name}:{chosen}"
         started = time.perf_counter()
-        if best.probes is None:
+        if best.text is None:
             candidate_oids = delegate.candidates(query, stats)
         else:
-            candidate_oids = delegate.candidates(query, stats, best.probes)
+            candidate_oids = delegate.candidates(query, stats, best.text)
         elapsed = time.perf_counter() - started
         self.metrics.observe(chosen, elapsed)
         if self._record_path is not None:
@@ -398,7 +432,8 @@ class PlannedSealSearch(SearchMethod):
         return self._rows
 
     def fit(self, rows: Iterable[dict] | None = None) -> Dict[str, List[float]]:
-        """Least-squares-calibrate this planner's coefficients in place.
+        """Calibrate this planner's coefficients in place
+        (:func:`fit_coefficients`).
 
         Args:
             rows: Training rows (default: this planner's own recorded
@@ -537,13 +572,22 @@ def fit_coefficients(
     *,
     methods: Sequence[str] | None = None,
 ) -> Dict[str, List[float]]:
-    """Least-squares cost coefficients from recorded training rows.
+    """Non-negative, relative-error cost coefficients from recorded rows.
 
-    For each method, solves ``argmin_c ||X c - y||`` with one row per
-    recorded query, ``X = [1, lists, entries, candidates]`` taken from
-    the *predicted* work estimates (the quantities available at plan
-    time) and ``y`` the method's *observed* end-to-end seconds — so the
-    fitted model directly maps plan-time estimates to wall time.
+    For each method, solves ``argmin_{c ≥ 0} ||(X c - y) / b||`` with one
+    row per recorded query, ``X = [1, lists, entries, candidates]`` taken
+    from the *predicted* work estimates (the quantities available at plan
+    time), ``y`` the method's *observed* end-to-end seconds — so the
+    fitted model directly maps plan-time estimates to wall time — and
+    ``b`` the seconds of the fastest method recorded for that query: what
+    the query costs when it is routed right.  That is the scale a ranking
+    is decided on — a method mispriced by 20 µs changes the plan of a
+    50 µs query, not of one whose every method takes milliseconds, whose
+    rows would otherwise own the fit — and it does not move with the
+    fitted method's own timing, so a method whose cost has a long tail
+    is priced near its mean, not under its median.  No coefficient is
+    negative: a negative price tells the planner that more work is
+    cheaper on every query outside the training mix.
 
     Args:
         rows: Training rows (from :attr:`PlannedSealSearch.recorded_rows`)
@@ -560,19 +604,22 @@ def fit_coefficients(
     if isinstance(rows, str):
         rows = load_rows(rows)
     rows = list(rows)
+    # Per method, the weighted system: every row already divided by ``b``.
     per_method: Dict[str, Tuple[List[List[float]], List[float]]] = {}
     for row in rows:
         predicted = row.get("predicted", {})
         observed = row.get("observed", {})
+        if not observed:
+            continue
+        weight = 1.0 / max(min(float(t["seconds"]) for t in observed.values()), 1e-9)
         for method_name, truth in observed.items():
             estimate = predicted.get(method_name)
             if estimate is None:
                 continue
             xs, ys = per_method.setdefault(method_name, ([], []))
-            xs.append(
-                [1.0, estimate["lists"], estimate["entries"], estimate["candidates"]]
-            )
-            ys.append(float(truth["seconds"]))
+            work = (1.0, estimate["lists"], estimate["entries"], estimate["candidates"])
+            xs.append([weight * term for term in work])
+            ys.append(weight * float(truth["seconds"]))
     names = methods if methods is not None else sorted(per_method)
     fitted: Dict[str, List[float]] = {}
     for method_name in names:
@@ -581,8 +628,20 @@ def fit_coefficients(
             continue
         x = np.asarray(data[0], dtype=np.float64)
         y = np.asarray(data[1], dtype=np.float64)
-        solution, *_ = np.linalg.lstsq(x, y, rcond=None)
-        fitted[method_name] = [float(v) for v in solution]
+        # The non-negative optimum is the plain least-squares solution
+        # over the terms it leaves positive: with four terms, try every
+        # subset and keep the best feasible one (the intercept alone
+        # always is).
+        best, best_residual = None, float("inf")
+        for size in range(1, len(COST_TERMS) + 1):
+            for terms in itertools.combinations(range(len(COST_TERMS)), size):
+                solution, *_ = np.linalg.lstsq(x[:, terms], y, rcond=None)
+                error = x[:, terms] @ solution - y
+                residual = float(error @ error)
+                if (solution >= 0.0).all() and residual < best_residual:
+                    best, best_residual = np.zeros(len(COST_TERMS)), residual
+                    best[list(terms)] = solution
+        fitted[method_name] = [float(v) for v in best]
     return fitted
 
 
@@ -600,14 +659,37 @@ def save_coefficients(coefficients: Mapping[str, Sequence[float]], path: str) ->
 
 
 def load_coefficients(path: str) -> Dict[str, List[float]]:
-    """Read coefficients saved by :func:`save_coefficients`."""
+    """Read coefficients saved by :func:`save_coefficients`.
+
+    Raises:
+        ConfigurationError: When the file is not one — naming the file
+            and the method whose row is not ``len(COST_TERMS)`` finite
+            numbers.
+    """
     with open(path, encoding="utf-8") as handle:
-        document = json.load(handle)
+        try:
+            document = json.load(handle)
+        except ValueError:
+            document = None
     if not isinstance(document, dict) or document.get("schema") != 1:
         raise ConfigurationError(f"{path} is not a planner-coefficients file")
+    coefficients = document.get("coefficients")
+    if not isinstance(coefficients, dict):
+        raise ConfigurationError(f'{path}: "coefficients" must map method names to rows')
+    for method_name, values in coefficients.items():
+        # ``true`` is an int to Python but no number here; NaN, the
+        # infinities and integers past the floats fail the comparison.
+        if not (
+            isinstance(values, list)
+            and len(values) == len(COST_TERMS)
+            and all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in values)
+        ):
+            raise ConfigurationError(
+                f"{path}: coefficients for {method_name!r} must be {len(COST_TERMS)} "
+                f"finite numbers {COST_TERMS}, got {values!r}"
+            )
     return {
-        method_name: [float(v) for v in values]
-        for method_name, values in document["coefficients"].items()
+        method_name: [float(v) for v in values] for method_name, values in coefficients.items()
     }
 
 

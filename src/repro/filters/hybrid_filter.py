@@ -23,7 +23,13 @@ import numpy as np
 
 from repro.core.method import SearchMethod, WorkEstimate
 from repro.core.objects import Query, SpatioTextualObject
-from repro.filters.base import FULL_SCAN, Probes, candidates_from_probes
+from repro.filters.base import (
+    FULL_SCAN,
+    Probes,
+    TextPrefix,
+    candidates_from_probes,
+    work_from_lists,
+)
 from repro.geometry import Rect
 from repro.index.columnar import directory_rows
 from repro.index.inverted import InvertedIndex
@@ -127,38 +133,30 @@ class HybridFilter(SearchMethod):
     # Filter step (Hybrid-Sig-Filter+, Figure 8)
     # ------------------------------------------------------------------
 
-    def _is_degenerate(self, query: Query) -> bool:
+    def probes(self, query: Query, text: TextPrefix | None = None) -> Probes:
+        tokens, c_t = text if text is not None else self.textual.query_prefix(query)
         # Hybrid lists can only reach objects sharing a token AND a cell
         # with the query; either predicate being vacuous breaks that.
-        return self.textual.threshold(query) <= 0.0 or query.tau_r <= 0.0
-
-    def probes(self, query: Query) -> Probes:
-        if self._is_degenerate(query):
+        if c_t <= 0.0 or query.tau_r <= 0.0:
             return FULL_SCAN
-        c_t = self.textual.threshold(query)
         c_r = self.spatial.threshold(query)
-        token_prefix = prefix_elements(self.textual.query_signature(query), c_t)
         cell_prefix = prefix_elements(self.spatial.query_signature(query), c_r)
         # Bucketed keys can collide across (t, g) pairs; one probe with
         # the same thresholds covers them all, so each key is named once.
         keys = dict.fromkeys(
-            self._key(token, cell) for token, _ in token_prefix for cell, _ in cell_prefix
+            self._key(token, cell) for token in tokens for cell, _ in cell_prefix
         )
         return list(keys), c_r, c_t
 
     candidates = candidates_from_probes
 
-    def estimate_work(self, query: Query) -> WorkEstimate:
-        """O(|q.T|): prefix tokens × predicted prefix cells × the mean
+    def estimate_work(self, query: Query, text: TextPrefix | None = None) -> WorkEstimate:
+        """O(|prefix|): prefix tokens × predicted prefix cells × the mean
         list length — the cross product is priced, not enumerated."""
-        if self._is_degenerate(query):
-            return super().estimate_work(query)
-        token_prefix = prefix_elements(
-            self.textual.query_signature(query), self.textual.threshold(query)
-        )
-        lists = len(token_prefix) * self.spatial.expected_prefix_len(query)
-        entries = lists * self.index.average_list_length()
-        return lists, entries, min(float(len(self.corpus)), entries), None
+        tokens, c_t = text if text is not None else self.textual.query_prefix(query)
+        if c_t <= 0.0 or query.tau_r <= 0.0:
+            return 0.0, 0.0, float(len(self.corpus)), text
+        return work_from_lists(self, len(tokens) * self.spatial.expected_prefix_len(query), text)
 
     # ------------------------------------------------------------------
     # Introspection

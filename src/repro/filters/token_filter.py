@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.objects import SpatioTextualObject
-from repro.filters.base import SingleSchemeFilter
+from repro.core.objects import Query, SpatioTextualObject
+from repro.filters.base import FULL_SCAN, Probes, SingleSchemeFilter, TextPrefix
 from repro.signatures.textual import TextualScheme
 from repro.text.weights import TokenWeighter
 
@@ -43,3 +43,11 @@ class TokenFilter(SingleSchemeFilter):
         super().__init__(
             objects, scheme, weighter, prefix_pruning=prefix_pruning, backend=backend
         )
+
+    def probes(self, query: Query, text: TextPrefix | None = None) -> Probes:
+        if not self.prefix_pruning:
+            return super().probes(query)
+        tokens, c_t = text if text is not None else self.scheme.query_prefix(query)
+        if c_t <= 0.0:
+            return FULL_SCAN
+        return tokens, c_t, None

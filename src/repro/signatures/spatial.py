@@ -26,6 +26,7 @@ from repro.geometry import Rect
 from repro.geometry.rect import mbr_of
 from repro.grid.uniform import UniformGrid
 from repro.signatures.orders import get_order_builder
+from repro.signatures.prefix import expected_prefix_len
 
 
 class GridScheme:
@@ -120,21 +121,9 @@ class GridScheme:
 
     def expected_prefix_len(self, query: Query) -> float:
         """Predicted Lemma-2 prefix over the query region's cells, from
-        the grid's O(1) ``cell_span`` arithmetic — what the grid and
-        hash-hybrid filters price a query with instead of building its
-        signature.
-
-        Cell weights are intersection areas summing to ~the region area;
-        the prefix drops the lightest suffix whose weight stays under
-        ``c_R = τ_R·area``, so under roughly uniform weights it keeps a
-        ``(1 - τ_R)`` fraction (plus the boundary element).
-        """
-        span = self.grid.cell_span(query.region)
-        if span is None:
-            return 0.0
-        row_lo, row_hi, col_lo, col_hi = span
-        num_cells = (row_hi - row_lo + 1) * (col_hi - col_lo + 1)
-        return min(float(num_cells), num_cells * max(0.0, 1.0 - query.tau_r) + 1.0)
+        the grid's O(1) ``cell_span`` arithmetic (see
+        :func:`repro.signatures.prefix.expected_prefix_len`)."""
+        return expected_prefix_len(self.grid.cell_count(query.region), query.tau_r)
 
 
 def min_weight_similarity(

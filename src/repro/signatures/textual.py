@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.objects import Query, SpatioTextualObject
-from repro.signatures.prefix import segmented_suffix_bounds
+from repro.signatures.prefix import segmented_suffix_bounds, select_prefix
 from repro.text.weights import TokenWeighter
 
 
@@ -74,6 +74,20 @@ class TextualScheme:
         owner = np.repeat(np.arange(len(sizes)), size_array)
         tokens = tokens[np.lexsort((rank[tokens], owner))]
         return vocabulary, size_array, tokens, segmented_suffix_bounds(weight[tokens], size_array)
+
+    def query_prefix(self, query: Query) -> Tuple[List[str], float]:
+        """The query's Lemma-2 prefix tokens, in global order, and ``c_T``.
+
+        Everything a textual filter needs of a query's text, from the one
+        sort and the one weight sum it costs: what
+        ``prefix_elements(query_signature(query), threshold(query))`` and
+        ``threshold(query)`` give, to the bit.  The planner derives it
+        once per query for all of its members.
+        """
+        weighter = self.weighter
+        c_t = self.threshold(query)
+        ordered = weighter.sort_tokens(query.tokens)
+        return ordered[: select_prefix([weighter.weight(t) for t in ordered], c_t)], c_t
 
     def _signature(self, tokens) -> List[Tuple[str, float]]:
         weighter = self.weighter

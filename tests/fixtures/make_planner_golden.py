@@ -5,18 +5,33 @@ behaviour is the reference, never at the one under test:
 
 It records, per query of a seeded workload over the perf ledger's four
 regimes (large, small, spatial-only, textual-only; plus large regions at
-loose thresholds, where prefixes run deep), what the default planner
-portfolio chose, the work the chosen filter reported, the answers, and
-every member's ``(lists, entries, candidates)`` estimate — floats
-survive JSON exactly (``repr`` round-trips).  ``tests/test_probes.py``
-replays the table on both index backends.  The committed file was written by commit e6f8f1e
-(PR 16), the parent of the change that introduced ``probes()``; the
-script refuses to write a table the two backends disagree on.
+loose thresholds, where prefixes run deep): the answers; the work each
+portfolio member reports when it is run directly (``members``), so the
+probe behaviour of all four filters stays pinned whatever the planner
+picks; what the default planner chose; and every member's ``(lists,
+entries, candidates)`` estimate — floats survive JSON exactly (``repr``
+round-trips).  ``tests/test_probes.py`` replays the table on both index
+backends; the script refuses to write a table the two backends disagree
+on.
+
+The committed file's ``query``, ``answers`` and ``members`` columns were
+written by commit 5c18c8d (PR 18), the parent of the change that made
+the planner price every member in O(|prefix|) and ship fitted default
+coefficients (PR 20).  That change moved what it meant to move —
+``seal``'s estimate and, with the coefficients, ``chosen`` — and
+re-recorded those two with
+
+    PYTHONPATH=src python tests/fixtures/make_planner_golden.py --replan
+
+which refuses to write unless every other value (answers, every member's
+work, the ``token``, ``grid`` and ``hash-hybrid`` estimates bit for bit)
+reproduces the committed table.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from repro import Rect
@@ -45,6 +60,8 @@ REGIMES = (
     ("large", 0.1, 0.1, 9),
 )
 QUERIES_PER_REGIME = 8
+#: The work a filter reports for one query (``SearchStats`` counters).
+COUNTERS = ("lists_probed", "entries_retrieved", "entries_matched", "candidates")
 
 
 def table(backend: str) -> dict:
@@ -61,20 +78,33 @@ def table(backend: str) -> dict:
     for query in queries:
         estimates = {e.method: [e.lists, e.entries, e.candidates] for e in planner.plan(query)}
         result = planner.search(query)
-        stats = result.stats
+        members = {}
+        for name, member in planner.methods.items():
+            direct = member.search(query)
+            if direct.answers != result.answers:
+                raise SystemExit(f"{name} and the planner disagree; not a reference")
+            members[name] = {counter: getattr(direct.stats, counter) for counter in COUNTERS}
         rows.append(
             {
                 "query": query_to_wire(query),
-                "chosen": stats.method.partition(":")[2],
-                "lists_probed": stats.lists_probed,
-                "entries_retrieved": stats.entries_retrieved,
-                "entries_matched": stats.entries_matched,
-                "candidates": stats.candidates,
                 "answers": result.answers,
+                "members": members,
+                "chosen": result.stats.method.partition(":")[2],
                 "estimates": estimates,
             }
         )
     return {"corpus": CORPUS, "knobs": KNOBS, "rows": rows}
+
+
+def _without_plan(table: dict) -> list:
+    """The rows minus what ``--replan`` may move."""
+    return [
+        {
+            **{key: value for key, value in row.items() if key != "chosen"},
+            "estimates": {m: e for m, e in row["estimates"].items() if m != "seal"},
+        }
+        for row in table["rows"]
+    ]
 
 
 def main() -> None:
@@ -82,6 +112,9 @@ def main() -> None:
     if any(other != tables[0] for other in tables[1:]):
         raise SystemExit("the index backends disagree; not a reference")
     out = Path(__file__).with_name("planner_golden.json")
+    if sys.argv[1:] == ["--replan"]:
+        if _without_plan(tables[0]) != _without_plan(json.loads(out.read_text("utf-8"))):
+            raise SystemExit("more than `chosen` and seal's estimate moved; not a replan")
     head = json.dumps({"corpus": CORPUS, "knobs": KNOBS}, sort_keys=True)
     rows = ",\n".join(json.dumps(row, sort_keys=True) for row in tables[0]["rows"])
     # One row per line, so a changed row is a one-line diff.

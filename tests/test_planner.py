@@ -22,6 +22,7 @@ free — and on its observability being truthful.  These tests pin:
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import pytest
 
@@ -29,9 +30,12 @@ from repro import Query, Rect, SealSearch, SegmentedSealSearch, build_method
 from repro.core.errors import ConfigurationError
 from repro.core.stats import SearchStats
 from repro.exec.batch import BatchExecutor
+from repro.datasets import generate_twitter
 from repro.exec.planner import (
+    COST_TERMS,
     DEFAULT_COEFFICIENTS,
     DEFAULT_METHODS,
+    UNFITTED_COEFFICIENTS,
     PlannedSealSearch,
     collect_planner_metrics,
     fit_coefficients,
@@ -132,6 +136,22 @@ class TestPlanning:
     def test_vacuous_spatial_threshold_avoids_grid(self, planner, twitter_small_queries):
         query = twitter_small_queries[0].with_thresholds(tau_r=0.0, tau_t=0.3)
         assert planner.choose(query) == "token"
+
+    def test_full_scan_never_outranks_a_filter_whatever_its_price(
+        self, planner, twitter_small_queries
+    ):
+        # What a fit returns when no recorded query degenerated: nothing
+        # identifies the candidate price, so it is 0 and a full scan
+        # costs the intercept.
+        free_scans = {name: [1e-5, 1e-5, 1e-8, 0.0] for name in planner.methods}
+        query = twitter_small_queries[0]
+        with mock.patch.dict(planner.coefficients, free_scans):
+            assert planner.choose(query.with_thresholds(tau_r=0.3, tau_t=0.0)) == "grid"
+            assert planner.choose(query.with_thresholds(tau_r=0.0, tau_t=0.3)) == "token"
+            # No member can filter: by price again (equal here, so the
+            # first registered).
+            ranking = planner.plan(query.with_thresholds(tau_r=0.0, tau_t=0.0))
+            assert [e.method for e in ranking] == list(planner.methods)
 
     def test_stats_method_label_refined_to_chosen(self, planner, twitter_small_queries):
         query = twitter_small_queries[0]
@@ -266,7 +286,152 @@ class TestRecordFitServe:
         assert planner.metrics.as_dict()["mispredicts"] > 0
 
     def test_default_coefficients_are_positive(self):
-        assert all(c > 0 for c in DEFAULT_COEFFICIENTS)
+        from repro.core.engine import METHOD_REGISTRY
+
+        assert set(DEFAULT_COEFFICIENTS) == set(DEFAULT_METHODS)
+        for name, row in {**DEFAULT_COEFFICIENTS, "naive": UNFITTED_COEFFICIENTS}.items():
+            assert name in METHOD_REGISTRY
+            assert len(row) == len(COST_TERMS) == 4
+            assert row[0] > 0 and all(c >= 0 for c in row), name
+
+    def test_method_without_a_fitted_row_gets_the_old_tuple(self, twitter_small):
+        planner = PlannedSealSearch(twitter_small, methods=("token", "naive"))
+        assert planner.coefficients == {
+            "token": list(DEFAULT_COEFFICIENTS["token"]),
+            "naive": list(UNFITTED_COEFFICIENTS),
+        }
+
+
+def _rows(method, work_and_seconds):
+    """Training rows for one method from ``((lists, entries, candidates),
+    seconds)`` pairs."""
+    return [
+        {
+            "predicted": {method: {"lists": l, "entries": e, "candidates": c}},
+            "observed": {method: {"seconds": seconds}},
+        }
+        for (l, e, c), seconds in work_and_seconds
+    ]
+
+
+class TestFitIsNonNegativeAndRelative:
+    """The first two fail at the parent's plain least squares."""
+
+    def test_negative_least_squares_term_is_fitted_out(self):
+        import numpy as np
+
+        # seconds = 50 µs + 2 µs per list, plus an entries column that
+        # runs *against* the residual: plain least squares prices an
+        # entry below zero.
+        rng = np.random.default_rng(5)
+        lists = rng.integers(1, 20, size=200).astype(float)
+        noise = rng.normal(0.0, 2e-6, size=200)
+        entries = 40.0 * lists - noise * 4e6
+        seconds = 5e-5 + 2e-6 * lists + noise
+        rows = _rows("grid", zip(zip(lists, entries, entries), seconds))
+        x = np.column_stack([np.ones(200), lists, entries, entries])
+        plain, *_ = np.linalg.lstsq(x[:, :3], seconds, rcond=None)
+        assert plain.min() < 0.0  # the parent's answer
+        (fitted,) = fit_coefficients(rows).values()
+        assert len(fitted) == 4 and all(c >= 0.0 for c in fitted)
+        assert fitted[0] > 0.0
+        predicted = x @ np.array(fitted)
+        assert np.median(np.abs(predicted - seconds) / seconds) < 0.1
+
+    def test_microsecond_intercept_survives_millisecond_rows(self):
+        import numpy as np
+
+        # seconds = 50 µs + 2 µs per list + 0.5 µs per candidate: 150
+        # probes of 50-90 µs (± 5 %) and 50 full scans of 2.5-10 ms
+        # (± 40 %).  Unweighted, the scans' millisecond residuals own
+        # the fit and the intercept lands anywhere (-233 µs here).
+        rng = np.random.default_rng(4)
+
+        def seconds(lists, candidates, spread):
+            exact = 5e-5 + 2e-6 * lists + 5e-7 * candidates
+            return exact * rng.uniform(1.0 - spread, 1.0 + spread)
+
+        probes = [
+            ((float(l), float(e), float(e)), seconds(l, e, 0.05))
+            for l, e in zip(rng.integers(1, 7, size=150), rng.integers(5, 60, size=150))
+        ]
+        scans = [
+            ((0.0, 0.0, float(n)), seconds(0, n, 0.4))
+            for n in rng.integers(5_000, 20_000, size=50)
+        ]
+        (fitted,) = fit_coefficients(_rows("token", probes + scans)).values()
+        assert all(c >= 0.0 for c in fitted)
+        assert abs(fitted[0] - 5e-5) <= 0.2 * 5e-5
+
+
+    def test_rows_weigh_by_the_query_not_by_the_fitted_method(self):
+        # Two methods, the same predicted work on every query.  "steady"
+        # always takes 50 µs; "tailed" takes 50 µs on half of the queries
+        # and 500 µs on the other half, and nothing predicted tells them
+        # apart.  Every row weighs 1 / 50 µs (its fastest method), so
+        # "tailed" is priced at its mean, 275 µs — weighing its rows by
+        # its own seconds would price it at 54 µs, level with "steady".
+        work = {"lists": 2.0, "entries": 10.0, "candidates": 10.0}
+        rows = [
+            {
+                "predicted": {"steady": work, "tailed": work},
+                "observed": {"steady": {"seconds": 5e-5},
+                             "tailed": {"seconds": 5e-4 if i % 2 else 5e-5}},
+            }
+            for i in range(40)
+        ]
+        fitted = fit_coefficients(rows)
+        price = {
+            name: c[0] + 2.0 * c[1] + 10.0 * (c[2] + c[3]) for name, c in fitted.items()
+        }
+        assert price["steady"] == pytest.approx(5e-5)
+        assert price["tailed"] == pytest.approx(2.75e-4)
+
+
+MALFORMED = {
+    "no-coefficients": {"schema": 1},
+    "not-a-number": {"schema": 1, "coefficients": {"token": ["a", 1, 2, 3]}},
+    "not-a-mapping": {"schema": 1, "coefficients": [1, 2]},
+    "two-values": {"schema": 1, "coefficients": {"token": [1, 2]}},
+    "boolean": {"schema": 1, "coefficients": {"token": [True, 1, 2, 3]}},
+    "not-finite": {"schema": 1, "coefficients": {"token": [1, 2, float("nan"), 3]}},
+    "past-the-floats": {"schema": 1, "coefficients": {"token": [1, 2, 10 ** 400, 3]}},
+    "not-json": "{",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+class TestMalformedCoefficientsFile:
+    """Outside input: a bad file is a ``ConfigurationError`` naming it —
+    ``error: …`` and exit 2 from the CLI — never a traceback."""
+
+    @pytest.fixture()
+    def bad(self, tmp_path, case):
+        path = tmp_path / "bad.json"
+        document = MALFORMED[case]
+        path.write_text(document if isinstance(document, str) else json.dumps(document))
+        return path
+
+    def test_load_raises_configuration_error(self, bad, case):
+        with pytest.raises(ConfigurationError) as caught:
+            load_coefficients(str(bad))
+        assert "bad.json" in str(caught.value)
+        if "token" in json.dumps(MALFORMED[case]):
+            assert "'token'" in str(caught.value)
+
+    def test_build_exits_2_with_one_error_line(self, bad, tmp_path, capsys):
+        from repro.cli import main
+        from repro.io.corpus_io import save_corpus
+
+        corpus = tmp_path / "corpus.jsonl"
+        save_corpus(generate_twitter(40, seed=1), corpus)
+        code = main(["build", str(corpus), "--method", "planned", "--coefficients", str(bad),
+                     "--out", str(tmp_path / "engine.pkl")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "engine.pkl").exists()
 
 
 class TestStatsAttribution:

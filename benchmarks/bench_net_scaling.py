@@ -36,7 +36,7 @@ from repro.datasets import generate_queries
 from repro.io import publish_snapshot, save_engine
 from repro.service import NetworkClient, ProcessSupervisor
 
-from benchmarks.conftest import emit, make_twitter_corpus, record_trajectory, report_json
+from benchmarks.conftest import emit, make_twitter_corpus, report_json
 
 NET_N = int(os.environ.get("REPRO_BENCH_N", "10000"))
 NET_QUERIES = int(os.environ.get("REPRO_BENCH_QUERIES", "16"))
@@ -164,15 +164,6 @@ def test_net_worker_scaling(benchmark, engine, snapshot, net_queries, tmp_path):
     report_json(
         "bench_net_scaling.json", title,
         {"rows": rows, "scaling_vs_min": scaling, "cores": cores},
-    )
-    record_trajectory(
-        "net_scaling",
-        {
-            **{f"qps_{procs}proc": stats["qps"] for procs, stats in rows.items()},
-            **{f"scaling_{label}": value for label, value in scaling.items()},
-            "cores": cores,
-        },
-        scale={"objects": NET_N, "queries": NET_QUERIES, "repeats": NET_REPEATS},
     )
 
     # The acceptance bar only binds where the hardware can express it:

@@ -41,13 +41,7 @@ from repro.bench import format_table
 from repro.datasets import generate_queries
 from repro.exec.planner import PlannedSealSearch
 
-from benchmarks.conftest import (
-    BENCH_N,
-    BENCH_QUERIES,
-    emit,
-    record_trajectory,
-    report_json,
-)
+from benchmarks.conftest import BENCH_QUERIES, emit, report_json
 
 #: The fixed methods the planner is raced against — exactly its portfolio,
 #: at the canonical matrix configurations.
@@ -183,18 +177,6 @@ def test_planner_vs_fixed_methods(benchmark, twitter_corpus, fixed_methods,
         "per_method_suite_ms": {n: round(v, 3) for n, v in fixed_totals.items()},
     }
     report_json("bench_planner.json", "Planner vs fixed methods (mixed workload)", data)
-    record_trajectory(
-        "planner_vs_fixed",
-        {
-            "planner_ms": planner_ms,
-            "best_fixed_ms": best_ms,
-            "worst_fixed_ms": worst_ms,
-            "speedup_vs_worst": worst_ms / planner_ms,
-            "ratio_vs_best": best_ms / planner_ms,
-            "mispredicts": fitted_planner.metrics.as_dict()["mispredicts"],
-        },
-        scale={"objects": BENCH_N, "queries": 4 * BENCH_QUERIES},
-    )
 
     # The headline claims, enforced: within 5% of the best fixed method,
     # at least 1.5x over the worst.

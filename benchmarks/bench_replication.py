@@ -37,7 +37,7 @@ from repro.exec.durable import DurableSegmentedSealSearch
 from repro.service import NetworkServer, QueryService
 from repro.service.replication import ReplicaApplier, ReplicationPrimary
 
-from benchmarks.conftest import emit, make_twitter_corpus, record_trajectory, report_json
+from benchmarks.conftest import emit, make_twitter_corpus, report_json
 
 REPL_N = int(os.environ.get("REPRO_BENCH_REPL_N", "4000"))
 REPL_INSERTS = int(os.environ.get("REPRO_BENCH_REPL_INSERTS", "600"))
@@ -193,18 +193,6 @@ def test_replica_catchup_keeps_pace_with_ingest(
     emit(format_table(title, "phase", ["measured"], table))
     report_json("bench_replication.json", title, {"stats": stats,
                                                   "ingest_rate": ingest_rate})
-    record_trajectory(
-        "replication_catchup",
-        {
-            "bootstrap_seconds": stats["bootstrap_seconds"],
-            "ingest_rate": ingest_rate,
-            "catchup_seconds": stats["catchup_seconds"],
-            "max_lag_bytes": stats["max_lag_bytes"],
-            "mean_lag_bytes": stats["mean_lag_bytes"],
-            "applied_records": stats["applied_records"],
-        },
-        scale={"objects": REPL_N, "inserts": REPL_INSERTS, "rate": REPL_RATE},
-    )
 
     # The replica must have applied every ingested record (the engines
     # already answered identically above; this pins the op count too).

@@ -41,7 +41,7 @@ from repro.bench import format_table
 from repro.datasets import generate_queries
 from repro.service import QueryService
 
-from benchmarks.conftest import emit, make_twitter_corpus, record_trajectory, report_json
+from benchmarks.conftest import emit, make_twitter_corpus, report_json
 
 SERVICE_N = int(os.environ.get("REPRO_BENCH_N", "10000"))
 SERVICE_QUERIES = int(os.environ.get("REPRO_BENCH_QUERIES", "16"))
@@ -185,14 +185,6 @@ def test_service_throughput_grid(benchmark, corpus_pairs, service_queries):
         "bench_service_throughput.json",
         title,
         {"rows": rows, "cache_speedup_no_churn": speedups},
-    )
-    record_trajectory(
-        "service_throughput",
-        {
-            "max_qps": max(stats["qps"] for stats in rows.values()),
-            **{f"cache_speedup_{label}": value for label, value in speedups.items()},
-        },
-        scale={"objects": SERVICE_N, "queries": SERVICE_QUERIES, "repeats": REPEATS},
     )
 
     # The acceptance bar: on a repeated workload the cache must be worth

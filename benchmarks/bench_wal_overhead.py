@@ -39,7 +39,7 @@ from repro.bench import format_table
 from repro.exec.durable import DurableSegmentedSealSearch, recover
 from repro.exec.segments import SegmentedSealSearch
 
-from benchmarks.conftest import emit, make_twitter_corpus, record_trajectory, report_json
+from benchmarks.conftest import emit, make_twitter_corpus, report_json
 
 WAL_N = int(os.environ.get("REPRO_BENCH_N", "10000"))
 METHOD = os.environ.get("REPRO_BENCH_WAL_METHOD", "token")
@@ -116,16 +116,6 @@ def test_wal_insert_overhead(benchmark, churn_objects, tmp_path):
     )
     emit(format_table(title, "engine", ["inserts/s", "vs no wal", "fsyncs"], rows))
     report_json("bench_wal_overhead.json", title, stats)
-    record_trajectory(
-        "wal_overhead",
-        {
-            "no_wal_inserts_per_sec": stats["no wal"]["inserts_per_sec"],
-            "wal_batch_inserts_per_sec": stats["wal batch"]["inserts_per_sec"],
-            "wal_always_inserts_per_sec": stats["wal always"]["inserts_per_sec"],
-            "recover_seconds": stats["recover_seconds"],
-        },
-        scale={"inserts": len(churn_objects), "group_size": GROUP_SIZE},
-    )
 
     batch_ratio = stats["wal batch"]["inserts_per_sec"] / ceiling
     assert batch_ratio >= BATCH_FLOOR, (

@@ -227,10 +227,6 @@ def usa_methods(usa_corpus, usa_weighter):
 #: is swallowed by pytest's fd-level capture).
 _REPORTS: list[str] = []
 
-#: Headline scalars accumulated by record_trajectory, appended to the
-#: committed BENCH_trajectory.json after the run.
-_TRAJECTORY: list[dict] = []
-
 
 def emit(text: str) -> None:
     """Queue a report table for printing after the benchmark run."""
@@ -250,97 +246,8 @@ def report_json(name: str, title: str, data: object) -> None:
         write_json_report(os.path.join(directory, name), title, data)
 
 
-def record_trajectory(benchmark: str, metrics: dict, *, scale: "dict | None" = None) -> None:
-    """Queue one headline-scalar entry for ``BENCH_trajectory.json``.
-
-    The trajectory file is the committed history of the numbers this
-    repo claims: every bench run appends its headline scalars (q/s,
-    speedups, recovery seconds …) stamped with the UTC time and the git
-    commit, so a perf regression shows up as a kink in a time series
-    instead of vanishing into an overwritten artifact.  Schema (stable,
-    version-gated)::
-
-        {"schema": 1,
-         "entries": [{"benchmark": "...", "recorded": "...Z",
-                      "commit": "abc1234", "scale": {...},
-                      "metrics": {"name": number, ...}}, ...]}
-
-    ``metrics`` values must be plain numbers.  ``scale`` records the
-    knobs the run used (object/query counts) so entries at different
-    ``REPRO_BENCH_N`` are never compared as if they measured the same
-    thing.  Set ``REPRO_BENCH_TRAJECTORY`` to redirect the file (CI
-    smoke runs point it at the artifact dir) or to the empty string to
-    disable recording.
-    """
-    cleaned = {}
-    for key, value in metrics.items():
-        if value is None or isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise TypeError(f"trajectory metric {key!r} must be a number, got {value!r}")
-        cleaned[key] = round(float(value), 6)
-    _TRAJECTORY.append(
-        {"benchmark": benchmark, "scale": dict(scale or {}), "metrics": cleaned}
-    )
-
-
-def _git_commit() -> "str | None":
-    import subprocess
-
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=10,
-            cwd=os.path.dirname(__file__),
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    return out.stdout.strip() or None if out.returncode == 0 else None
-
-
-def _flush_trajectory() -> "str | None":
-    """Append this run's entries to the trajectory file; returns its path."""
-    import json
-    import time
-
-    from repro.io.atomic import atomic_write_text
-
-    target = os.environ.get("REPRO_BENCH_TRAJECTORY")
-    if target == "" or not _TRAJECTORY:
-        return None
-    path = target or os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), os.pardir, "BENCH_trajectory.json"
-    )
-    path = os.path.normpath(path)
-    document = {"schema": 1, "entries": []}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            existing = json.load(handle)
-    except FileNotFoundError:
-        existing = None
-    except (OSError, json.JSONDecodeError) as exc:
-        raise RuntimeError(
-            f"refusing to overwrite unreadable trajectory file {path}: {exc}"
-        ) from exc
-    if existing is not None:
-        if (
-            not isinstance(existing, dict)
-            or existing.get("schema") != 1
-            or not isinstance(existing.get("entries"), list)
-        ):
-            raise RuntimeError(
-                f"{path} does not carry trajectory schema 1; refusing to append"
-            )
-        document = existing
-    stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    commit = _git_commit()
-    for entry in _TRAJECTORY:
-        document["entries"].append({"recorded": stamp, "commit": commit, **entry})
-    atomic_write_text(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def pytest_terminal_summary(terminalreporter):
-    trajectory_path = _flush_trajectory()
-    if not _REPORTS and trajectory_path is None:
+    if not _REPORTS:
         return
     terminalreporter.write_line("")
     terminalreporter.write_sep("=", "paper figure/table reproductions")
@@ -348,9 +255,3 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line("")
         for line in text.splitlines():
             terminalreporter.write_line(line)
-    if trajectory_path is not None:
-        terminalreporter.write_line("")
-        terminalreporter.write_line(
-            f"{len(_TRAJECTORY)} trajectory entr"
-            f"{'y' if len(_TRAJECTORY) == 1 else 'ies'} appended to {trajectory_path}"
-        )

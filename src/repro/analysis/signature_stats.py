@@ -41,7 +41,7 @@ def index_stats(index: InvertedIndex) -> IndexStats:
     Raises:
         ConfigurationError: For an empty index (no lists to summarise).
     """
-    lengths = np.array([len(plist) for _, plist in index.items()], dtype=np.int64)
+    lengths = index.list_lengths()
     if lengths.size == 0:
         raise ConfigurationError("index_stats requires a non-empty index")
     return IndexStats(

@@ -11,13 +11,14 @@ information could have pruned.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Collection, List, Sequence
+from typing import Collection, Dict, List, Sequence
+
+import numpy as np
 
 from repro.core.method import SearchMethod, WorkEstimate
 from repro.core.objects import Query, SpatioTextualObject
 from repro.core.stats import SearchStats
 from repro.index.inverted import InvertedIndex
-from repro.index.postings import PostingList
 from repro.index.storage import IndexSizeReport, measure_index
 from repro.text.weights import TokenWeighter
 
@@ -34,15 +35,15 @@ class KeywordFirstSearch(SearchMethod):
     ) -> None:
         super().__init__(objects, weighter)
         # Plain postings: no bounds, bound slot reused as 0.0.
-        self.index: InvertedIndex = InvertedIndex(PostingList)
+        directory: Dict[str, int] = {}
+        rows: List[int] = []
+        oids: List[int] = []
         for obj in self.corpus:
-            for token in obj.tokens:
-                self.index.list_for(token).add(obj.oid, 0.0)
-        # Python backend on purpose: the filter walks every retrieved
-        # entry in a dict-accumulation loop, which iterates plain lists
-        # faster than array scalars — and bounds here are all 0.0, so
-        # the columnar head kernels have nothing to vectorise.
-        self.index.freeze(backend="python")
+            rows.extend(directory.setdefault(token, len(directory)) for token in obj.tokens)
+            oids.extend([obj.oid] * len(obj.tokens))
+        self.index = InvertedIndex.from_postings(
+            list(directory), rows, oids, np.zeros(len(oids))
+        )
         self._token_totals = [self.weighter.total_weight(obj.tokens) for obj in self.corpus]
 
     def candidates(self, query: Query, stats: SearchStats) -> Collection[int]:
@@ -56,13 +57,15 @@ class KeywordFirstSearch(SearchMethod):
         weight = self.weighter.weight
         overlap: defaultdict[int, float] = defaultdict(float)
         for token in query.tokens:
-            plist = self.index.get(token)
-            if plist is None:
+            # Every posting's bound is 0.0, so the head is the whole
+            # list — and empty exactly when the token has none.
+            head = self.index.probe(token, 0.0).tolist()
+            if not head:
                 continue
             stats.lists_probed += 1
+            stats.entries_retrieved += len(head)
             w = weight(token)
-            for oid in plist.retrieve(0.0):
-                stats.entries_retrieved += 1
+            for oid in head:
                 overlap[oid] += w
         tau_t = query.tau_t
         totals = self._token_totals

@@ -8,8 +8,6 @@ Everything the library does, scriptable without writing Python::
     seal-repro inspect engine.pkl
     seal-repro inspect live.pkl.serving --json
     seal-repro build corpus.jsonl --method seal --out engine.pkl
-    seal-repro build corpus.jsonl --method seal --backend python \\
-        --out oracle.pkl
     seal-repro build corpus.jsonl --method seal --segmented \\
         --out live.pkl
     seal-repro build corpus.jsonl --method seal --segmented \\
@@ -43,7 +41,6 @@ Everything the library does, scriptable without writing Python::
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 import time
 from typing import List, Sequence
@@ -52,7 +49,7 @@ import numpy as np
 
 from repro import Query, Rect, SealError, TokenWeighter, build_method
 from repro.bench import format_series_table, measure_workload, sweep as run_sweep
-from repro.core.engine import METHOD_REGISTRY
+from repro.core.engine import METHOD_REGISTRY, check_params
 from repro.exec.batch import BatchExecutor
 from repro.exec.durable import DurableSegmentedSealSearch, recover as recover_engine
 from repro.exec.pipeline import run_query
@@ -72,10 +69,6 @@ _METHOD_PARAMS = {
     "max_entries": int,
     "min_objects": int,
     "budget_scaling": float,
-    # Index storage backend for the signature filters: "columnar"
-    # (CSR arrays + vectorized probes, the default with NumPy) or
-    # "python" (per-list reference oracle).
-    "backend": str,
 }
 
 
@@ -229,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--mmap", action="store_true",
         help="memory-map the snapshot's columnar-array sidecar instead of "
-             "reading it into memory (format-3 snapshots of columnar engines)",
+             "reading it into memory",
     )
     query.add_argument("--show", type=int, default=10, help="answers to print per query")
     query.add_argument(
@@ -583,24 +576,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         for name in _METHOD_PARAMS
         if getattr(args, name, None) is not None
     }
-    # Knobs are method-specific; reject unsupported ones with a friendly
-    # error instead of a constructor TypeError traceback (e.g. --backend
-    # on a baseline without a signature index).  A ``**params``
-    # constructor (the planner wrapper) accepts the whole namespace and
-    # distributes knobs to its portfolio itself.
-    signature = inspect.signature(METHOD_REGISTRY[args.method])
-    accepts_any = any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for parameter in signature.parameters.values()
-    )
-    unsupported = (
-        [] if accepts_any
-        else [name for name in params if name not in signature.parameters]
-    )
-    if unsupported:
-        flags = ", ".join("--" + name.replace("_", "-") for name in unsupported)
-        print(f"error: method {args.method!r} does not accept {flags}", file=sys.stderr)
-        return 2
     if (args.planner_methods or args.coefficients) and args.method != "planned":
         print("error: --planner-methods/--coefficients require --method planned",
               file=sys.stderr)
@@ -609,6 +584,10 @@ def _cmd_build(args: argparse.Namespace) -> int:
         params["methods"] = tuple(
             m.strip() for m in args.planner_methods.split(",") if m.strip()
         )
+    # Knobs are method-specific: a flag the method (for ``planned``, every
+    # member of its portfolio) has no use for is an error, not a
+    # constructor TypeError traceback and not a silent no-op.
+    check_params(args.method, params)
     if args.coefficients:
         from repro.exec.planner import load_coefficients
 

@@ -8,7 +8,8 @@ regions, token iterables and thresholds without touching internal types.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Sequence
+import inspect
+from typing import Any, Callable, Dict, Iterable, Mapping, Sequence
 
 from repro.baselines.irtree import IRTreeSearch
 from repro.baselines.keyword_first import KeywordFirstSearch
@@ -53,6 +54,60 @@ METHOD_REGISTRY: Dict[str, Callable[..., SearchMethod]] = {
 }
 
 
+def _constructor(name: str) -> Callable[..., SearchMethod]:
+    try:
+        return METHOD_REGISTRY[name]
+    except KeyError:
+        valid = ", ".join(sorted(METHOD_REGISTRY))
+        raise ConfigurationError(f"unknown method {name!r}; valid methods: {valid}") from None
+
+
+def accepted_params(name: str, params: Mapping[str, Any]) -> Dict[str, Any]:
+    """The subset of ``params`` that method ``name`` accepts.
+
+    A method accepts its constructor's keyword-only parameters.
+    ``planned`` exposes one flat knob namespace and hands each portfolio
+    member its share, so it accepts its own parameters plus whatever at
+    least one member of its portfolio (``params["methods"]``, else the
+    default one) accepts.
+
+    Raises:
+        ConfigurationError: For an unknown method name.
+    """
+    ctor = _constructor(name)
+    accepted = set()
+    if ctor is _build_planned:
+        from repro.exec.planner import DEFAULT_METHODS, PlannedSealSearch
+
+        ctor = PlannedSealSearch
+        for member in params.get("methods") or DEFAULT_METHODS:
+            if member != name:  # the planner itself refuses to plan over itself
+                accepted.update(accepted_params(member, params))
+    accepted.update(
+        knob
+        for knob, parameter in inspect.signature(ctor).parameters.items()
+        if parameter.kind is inspect.Parameter.KEYWORD_ONLY
+    )
+    return {knob: value for knob, value in params.items() if knob in accepted}
+
+
+def check_params(name: str, params: Mapping[str, Any]) -> None:
+    """Refuse knobs that method ``name`` does not accept.
+
+    Everything that builds methods later from knobs it is configured with
+    now — the planner's portfolio, the segmented engine's per-seal
+    builds, the CLI — asks here first, so a misspelt or stale knob fails
+    where the engine is configured, not inside some later index build.
+
+    Raises:
+        ConfigurationError: Naming the knob(s) and the method.
+    """
+    accepted = accepted_params(name, params)
+    unknown = ", ".join(repr(knob) for knob in params if knob not in accepted)
+    if unknown:
+        raise ConfigurationError(f"method {name!r} does not accept {unknown}")
+
+
 def build_method(
     objects: Sequence[SpatioTextualObject],
     name: str,
@@ -77,12 +132,7 @@ def build_method(
     Raises:
         ConfigurationError: For unknown method names.
     """
-    try:
-        ctor = METHOD_REGISTRY[name]
-    except KeyError:
-        valid = ", ".join(sorted(METHOD_REGISTRY))
-        raise ConfigurationError(f"unknown method {name!r}; valid methods: {valid}") from None
-    return ctor(objects, weighter, **params)
+    return _constructor(name)(objects, weighter, **params)
 
 
 class SealSearch:

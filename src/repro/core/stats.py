@@ -26,8 +26,7 @@ class SearchStats:
             bound check.  Equals ``entries_retrieved`` for single-bound
             lists; for dual-bound hybrid lists it is the post-textual-mask
             count, so ``retrieved - matched`` measures how much work the
-            second bound column rejects.  Identical across index storage
-            backends (both derive it from the same cut points).
+            second bound column rejects.
         candidates: Size of the candidate set handed to verification.
         results: Number of final answers.
         filter_seconds: Wall time spent in the filter step.

@@ -106,7 +106,7 @@ class Verifier:
         the same float64 operations elementwise, degenerate zero-union
         branch included, so the survivors are identical bit for bit."""
         if isinstance(candidates, np.ndarray):
-            # Fancy indexing takes any integer array as-is, so a columnar
+            # Fancy indexing takes any integer array as-is, so a signature
             # filter's candidate array is never copied or widened.
             oids = candidates
         else:
@@ -148,7 +148,7 @@ class Verifier:
 
     def __getstate__(self):
         # The shape slotted classes pickle to by default, minus the
-        # columns — byte-compatible with every format-5 snapshot.
+        # columns.
         return None, {name: getattr(self, name) for name in _PERSISTENT}
 
     def __setstate__(self, state) -> None:

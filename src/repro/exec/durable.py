@@ -18,7 +18,7 @@ the standard write-ahead-logging contract:
   rolled back off the log tail, keeping log ≡ engine for the caller
   that just saw the error.
 * **Checkpoint = snapshot + log truncation.**  :meth:`checkpoint`
-  fsyncs the WAL, records its ``(generation, offset)`` into the format-5
+  fsyncs the WAL, records its ``(generation, offset)`` into the format-6
   snapshot envelope, durably saves the snapshot, and only then resets
   the log to ``generation + 1``.  Recovery aligns the two files on that
   pair, so a crash at *any* instant inside the checkpoint leaves a
@@ -47,6 +47,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Dict, Iterable, Optional, Union
 
+from repro.core.errors import ConfigurationError
 from repro.exec.segments import SegmentedSealSearch
 from repro.geometry import Rect
 from repro.io.snapshot import load_engine, save_engine, validate_snapshot
@@ -55,26 +56,36 @@ from repro.io.wal import DEFAULT_GROUP_SIZE, WALError, WriteAheadLog, read_wal
 PathLike = Union[str, Path]
 
 
-def _engine_from_config(config: Dict) -> SegmentedSealSearch:
-    """An empty engine with the knobs a WAL config record describes."""
-    params = dict(config.get("params") or {})
-    return SegmentedSealSearch(
-        method=config["method"],
-        buffer_capacity=config["buffer_capacity"],
-        merge_fanout=config["merge_fanout"],
-        **params,
-    )
-
-
-def engine_from_config(config: Dict) -> SegmentedSealSearch:
+def engine_from_config(config: Dict, *, source: Any = "stream") -> SegmentedSealSearch:
     """An empty segmented engine matching a WAL/replication config record.
 
-    The public face of the bootstrap path: a replication replica with no
-    snapshot to ship starts from exactly the engine the primary's WAL
-    config record describes, then replays the stream — the same
-    construction :func:`recover` uses for a wal-only recovery.
+    The one place such a record becomes an engine: a wal-only
+    :func:`recover` and a replication replica with no snapshot to ship
+    both start from exactly the engine the primary's WAL config record
+    describes, then replay the log.
+
+    Args:
+        config: The decoded ``config`` record.
+        source: A label for error messages (a path or peer name).
+
+    Raises:
+        WALError: If the record names a method or a knob this library
+            does not build with — before anything is replayed.
     """
-    return _engine_from_config(config)
+    params = dict(config.get("params") or {})
+    # Logs written before snapshot format 6 may name an index storage
+    # backend; both values always replayed to identical answers and
+    # statistics, and there is one store now.
+    params.pop("backend", None)
+    try:
+        return SegmentedSealSearch(
+            method=config["method"],
+            buffer_capacity=config["buffer_capacity"],
+            merge_fanout=config["merge_fanout"],
+            **params,
+        )
+    except ConfigurationError as exc:
+        raise WALError(f"{source}: unusable engine-config record: {exc}") from exc
 
 
 def apply_record(engine: SegmentedSealSearch, payload: Dict, *, source: Any = "stream") -> None:
@@ -503,7 +514,7 @@ def recover(
                 f"WAL {wal_path} holds no engine-config record and no snapshot "
                 "exists; nothing to replay onto"
             )
-        engine = _engine_from_config(config)
+        engine = engine_from_config(config, source=wal_path)
         start = 0
     replayed = 0
     for record in contents.operations(start):

@@ -84,8 +84,8 @@ COST_TERMS: Tuple[str, ...] = ("intercept", "lists", "entries", "candidates")
 #: ``fig16_large`` and ``mixed_regimes`` queries (canonical scale,
 #: N = 10 000, seed 7; each member's time the minimum of 5 runs) and
 #: printed these rows.  They price what a unit of each member's
-#: *predicted* work costs on the columnar backend; ``plan --record --fit``
-#: replaces them with a deployment's own.
+#: *predicted* work costs; ``plan --record --fit`` replaces them with a
+#: deployment's own.
 DEFAULT_COEFFICIENTS: Dict[str, Tuple[float, float, float, float]] = {
     "token": (5.418e-05, 3.904e-06, 3.538e-09, 4.768e-08),
     "grid": (7.46e-05, 0.0, 0.0, 1.034e-06),
@@ -228,11 +228,12 @@ class PlannedSealSearch(SearchMethod):
             ``(features, predictions, observations)`` training row —
             expensive by design, for offline calibration only.
         **params: Method-constructor knobs (``granularity``, ``mt``,
-            ``num_buckets``, ``backend``, …), distributed to the
-            sub-methods whose constructors accept them.
+            ``num_buckets``, …), distributed to the sub-methods whose
+            constructors accept them.
 
     Raises:
-        ConfigurationError: On an empty method list or unknown names.
+        ConfigurationError: On an empty method list, unknown names, or a
+            knob no portfolio member accepts.
     """
 
     name = "planned"
@@ -253,14 +254,18 @@ class PlannedSealSearch(SearchMethod):
             raise ConfigurationError("PlannedSealSearch requires at least one method")
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate method names in {names}")
-        from repro.core.engine import build_method
+        if self.name in names:
+            raise ConfigurationError("a planner cannot plan over itself")
+        from repro.core.engine import accepted_params, build_method, check_params
 
+        check_params(self.name, {"methods": names, **params})
         self.methods: Dict[str, SearchMethod] = {}
         for method_name in names:
-            if method_name == self.name:
-                raise ConfigurationError("a planner cannot plan over itself")
-            accepted = _accepted_knobs(method_name, params)
-            member = build_method(self.corpus, method_name, self.weighter, **accepted)
+            # One flat knob namespace (the CLI's): ``granularity`` reaches
+            # the grid and hybrid members but not the token filter.
+            member = build_method(
+                self.corpus, method_name, self.weighter, **accepted_params(method_name, params)
+            )
             # Same corpus, same weighter: one verifier (and one set of
             # lazily built coordinate columns) serves the whole portfolio.
             member.verifier = self.verifier
@@ -514,41 +519,6 @@ class PlannedSealSearch(SearchMethod):
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self.metrics = PlannerMetrics()
-
-
-# ----------------------------------------------------------------------
-# Portfolio construction
-# ----------------------------------------------------------------------
-
-
-def _accepted_knobs(method_name: str, params: Mapping[str, Any]) -> Dict[str, Any]:
-    """The subset of ``params`` that ``method_name``'s constructor accepts.
-
-    The planner exposes one flat knob namespace (the CLI's), so
-    ``granularity`` must reach the grid and hybrid members but not the
-    token filter; filtering by constructor signature does that for any
-    portfolio without a hand-kept table.
-    """
-    import inspect
-
-    from repro.core.engine import METHOD_REGISTRY
-
-    try:
-        ctor = METHOD_REGISTRY[method_name]
-    except KeyError:
-        valid = ", ".join(sorted(METHOD_REGISTRY))
-        raise ConfigurationError(
-            f"unknown method {method_name!r}; valid methods: {valid}"
-        ) from None
-    signature = inspect.signature(ctor)
-    if any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for parameter in signature.parameters.values()
-    ):
-        return dict(params)
-    return {
-        knob: value for knob, value in params.items() if knob in signature.parameters
-    }
 
 
 # ----------------------------------------------------------------------

@@ -9,9 +9,8 @@ module is the standard streaming-systems design (FAST, Mahmood et al.):
   scanned *exactly* at query time (the pool is bounded, so this is
   cheap and always answer-correct);
 * **Immutable segments** — when the buffer reaches ``buffer_capacity``
-  it is *sealed*: a full index (any registry method, either storage
-  backend, reusing the columnar freeze path) is built over just those
-  objects;
+  it is *sealed*: a full index (any registry method) is built over just
+  those objects;
 * **Tombstones** — deletes mark a global oid dead; dead oids are masked
   out of every answer and physically dropped the next time a merge
   touches their segment;
@@ -20,6 +19,12 @@ module is the standard streaming-systems design (FAST, Mahmood et al.):
   object is therefore rebuilt O(log n) times over its lifetime instead
   of O(n / threshold) times, which is what makes sustained insert
   throughput possible.
+
+Every mutation either completes or leaves the engine as it was: a seal,
+a merge cascade or a compaction builds its replacement segments first
+and moves engine state only once they all exist, so an index build that
+raises (a bad knob, memory) loses nothing — and the durability layer
+can roll the operation's log record back knowing log ≡ engine.
 
 Searches fan out across segments plus the buffer through the canonical
 :func:`~repro.exec.pipeline.execute_query` pipeline and merge per-source
@@ -45,7 +50,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Set
 
 from repro.baselines.naive import NaiveSearch
-from repro.core.engine import build_method
+from repro.core.engine import build_method, check_params
 from repro.core.objects import Query, SpatioTextualObject
 from repro.core.stats import SearchResult, SearchStats
 from repro.exec.batch import BatchExecutor, BatchResult
@@ -101,7 +106,11 @@ class SegmentedSealSearch:
             tier (tier ``t`` holds segments of ``capacity·fanout^t`` to
             ``capacity·fanout^(t+1)`` objects).
         **params: Method constructor knobs, passed to every segment
-            build (``backend=...``, ``granularity=...``, …).
+            build (``granularity=...``, ``mt=...``, …).
+
+    Raises:
+        ConfigurationError: For an unknown method, or a knob it does not
+            accept — here, not at the first seal.
 
     Examples:
         >>> engine = SegmentedSealSearch(method="token")   # empty bootstrap
@@ -125,6 +134,7 @@ class SegmentedSealSearch:
             raise ValueError("buffer_capacity must be a positive int or None")
         if merge_fanout < 2:
             raise ValueError("merge_fanout must be at least 2")
+        check_params(method, params)
         self._method_name = method
         self._params = dict(params)
         self.buffer_capacity = buffer_capacity
@@ -151,7 +161,7 @@ class SegmentedSealSearch:
             self._next_oid = len(initial)
             self._live = {obj.oid: obj for obj in initial}
             self._weighter = TokenWeighter(obj.tokens for obj in initial)
-            self._add_segment(initial)
+            self._segments = [self._build_segment(initial, self._weighter)]
 
     @property
     def weighter(self) -> TokenWeighter:
@@ -183,12 +193,23 @@ class SegmentedSealSearch:
         self._live[oid] = obj
         self._buffer.append(obj)
         self._buffer_method = None
+        stale = self._weights_stale
         self._bookkeep_weights()
         if (
             self.buffer_capacity is not None
             and len(self._buffer) >= self.buffer_capacity
         ):
-            self._seal_buffer()
+            try:
+                self._seal_buffer()
+            except BaseException:
+                # The failed seal moved nothing; take the insert back too.
+                self._next_oid = oid
+                del self._live[oid]
+                self._buffer.pop()
+                self._buffer_method = None
+                self._weights_stale = stale
+                self._weighter_dirty = not self._segments
+                raise
         return oid
 
     def delete(self, oid: int) -> bool:
@@ -231,17 +252,14 @@ class SegmentedSealSearch:
         ):
             return
         live = self._live_in_layout_order()
-        self._segments = []
+        weighter = TokenWeighter(obj.tokens for obj in live) if live else _empty_weighter()
+        self._segments = [self._build_segment(live, weighter)] if live else []
         self._buffer = []
         self._buffer_method = None
         self._tombstones = set()
-        self._weighter = (
-            TokenWeighter(obj.tokens for obj in live) if live else _empty_weighter()
-        )
+        self._weighter = weighter
         self._weighter_dirty = False
         self._weights_stale = False
-        if live:
-            self._add_segment(live)
         self.compactions += 1
 
     # ------------------------------------------------------------------
@@ -264,14 +282,16 @@ class SegmentedSealSearch:
             self._weighter_dirty = True
             self._weights_stale = False
 
-    def _add_segment(self, objects: Sequence[SpatioTextualObject]) -> None:
-        """Build an index over ``objects`` (re-oided locally) and append."""
+    def _build_segment(
+        self, objects: Sequence[SpatioTextualObject], weighter: TokenWeighter
+    ) -> _Segment:
+        """An index over ``objects`` (re-oided locally); moves no engine state."""
         local = [
             SpatioTextualObject(i, obj.region, obj.tokens)
             for i, obj in enumerate(objects)
         ]
-        method = build_method(local, self._method_name, self.weighter, **self._params)
-        self._segments.append(_Segment(method, [obj.oid for obj in objects]))
+        method = build_method(local, self._method_name, weighter, **self._params)
+        return _Segment(method, [obj.oid for obj in objects])
 
     def _seal_buffer(self) -> None:
         if not self._buffer:
@@ -280,12 +300,43 @@ class SegmentedSealSearch:
         # compaction point: force the lazy weighter rebuild *while the
         # buffer still holds the objects*, so the fresh segment carries
         # fresh weights.
-        self.weighter
-        sealed = self._buffer
+        weighter = self.weighter
+        segments = self._segments + [self._build_segment(self._buffer, weighter)]
+        # Size-tiered compaction over the proposed layout: merge the
+        # lowest tier holding >= fanout segments until none does.
+        dropped: Set[int] = set()
+        refreshed = False
+        tombstones = self._tombstones
+        while (group := self._mergeable(segments)) is not None:
+            live = [
+                self._live[oid]
+                for segment in group
+                for oid in segment.to_global
+                if oid not in tombstones
+            ]
+            if len(group) == len(segments) and self._weights_stale:
+                # The merge output will hold the entire corpus (the
+                # buffer is being sealed away), so refresh the weighter
+                # *before* building — a free full compaction.
+                weighter = (
+                    TokenWeighter(obj.tokens for obj in live) if live else _empty_weighter()
+                )
+                refreshed = True
+            segments = [s for s in segments if s not in group]
+            if live:
+                segments.append(self._build_segment(live, weighter))
+            for segment in group:
+                dropped.update(segment.to_global)
+        # Every index exists: adopt the layout.
+        self._segments = segments
         self._buffer = []
         self._buffer_method = None
-        self._add_segment(sealed)
-        self._maybe_merge()
+        tombstones -= dropped
+        if refreshed:
+            self._weighter = weighter
+            self._weighter_dirty = False
+            self._weights_stale = False
+            self.compactions += 1
 
     def _tier(self, size: int) -> int:
         base = max(1, self.buffer_capacity or 1)
@@ -294,46 +345,15 @@ class SegmentedSealSearch:
             tier += 1
         return tier
 
-    def _maybe_merge(self) -> None:
-        """Size-tiered compaction: merge any tier holding ≥ fanout segments."""
-        while True:
-            by_tier: Dict[int, List[_Segment]] = {}
-            for segment in self._segments:
-                by_tier.setdefault(self._tier(len(segment)), []).append(segment)
-            group = None
-            for tier in sorted(by_tier):
-                if len(by_tier[tier]) >= self.merge_fanout:
-                    group = by_tier[tier]
-                    break
-            if group is None:
-                return
-            self._merge_group(group)
-
-    def _merge_group(self, group: List[_Segment]) -> None:
-        tombstones = self._tombstones
-        live: List[SpatioTextualObject] = [
-            self._live[oid]
-            for segment in group
-            for oid in segment.to_global
-            if oid not in tombstones
-        ]
-        merged_all = len(group) == len(self._segments) and not self._buffer
-        self._segments = [s for s in self._segments if s not in group]
-        for segment in group:
-            tombstones.difference_update(segment.to_global)
-        if merged_all and self._weights_stale:
-            # The merge output will hold the entire corpus, so refresh
-            # the weighter *before* building — a free full compaction.
-            self._weighter = (
-                TokenWeighter(obj.tokens for obj in live)
-                if live
-                else _empty_weighter()
-            )
-            self._weighter_dirty = False
-            self._weights_stale = False
-            self.compactions += 1
-        if live:
-            self._add_segment(live)
+    def _mergeable(self, segments: List[_Segment]) -> List[_Segment] | None:
+        """The segments of the lowest size tier holding >= fanout of them."""
+        by_tier: Dict[int, List[_Segment]] = {}
+        for segment in segments:
+            by_tier.setdefault(self._tier(len(segment)), []).append(segment)
+        for tier in sorted(by_tier):
+            if len(by_tier[tier]) >= self.merge_fanout:
+                return by_tier[tier]
+        return None
 
     def _live_in_layout_order(self) -> List[SpatioTextualObject]:
         """Live objects, segments first (in segment order) then buffer."""

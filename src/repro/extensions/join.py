@@ -79,8 +79,8 @@ def similarity_join(
     # t_bound)].  Postings carry corpus *positions*, never oids — oids
     # may be sparse or permuted, so indexing ``objects`` by oid would
     # silently pair the wrong records.  Lists stay small (prefix
-    # postings only), so plain lists beat the frozen PostingList
-    # machinery here.
+    # postings only) and grow as the join advances, so plain lists
+    # beat a bulk-loaded index here.
     index: Dict[Tuple[str, int], List[Tuple[int, float, float]]] = {}
     results: List[Tuple[int, int]] = []
 

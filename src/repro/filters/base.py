@@ -20,7 +20,7 @@ no state left on the filter (engines are shared between threads).
 Everything downstream reads that one description.  ``candidates`` is
 :func:`candidates_from_probes` — ``probes`` handed to the one probe loop,
 :meth:`InvertedIndex.union_heads <repro.index.inverted.InvertedIndex.
-union_heads>`, which owns the backend split and the accounting rule (a
+union_heads>`, which owns the accounting rule (a
 single-bound probe of a missing list counts as a probe, a dual-bound one
 does not, so ``len(elements)`` equals ``lists_probed`` on the former and
 bounds it on the latter); the I/O model charges the pages of the same
@@ -59,14 +59,12 @@ variants:
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Collection, Hashable, List, Optional, Protocol, Sequence, Tuple
+from typing import Collection, Dict, Hashable, List, Optional, Protocol, Sequence, Tuple
 
 from repro.core.method import SearchMethod, WorkEstimate
 from repro.core.objects import Query, SpatioTextualObject
 from repro.core.stats import SearchStats
 from repro.index.inverted import InvertedIndex
-from repro.index.postings import PostingList
 from repro.index.storage import IndexSizeReport, measure_index
 from repro.signatures.prefix import prefix_elements, suffix_bounds
 from repro.text.weights import TokenWeighter
@@ -138,9 +136,6 @@ class SingleSchemeFilter(SearchMethod):
         weighter: Corpus idf statistics (built if omitted).
         prefix_pruning: True → Sig-Filter+ (threshold-aware); False →
             plain Sig-Filter.
-        backend: Index storage backend (``"python"``, ``"columnar"``, or
-            ``None`` for the default, columnar).  Answers and probe
-            statistics are identical across backends; only speed differs.
     """
 
     def __init__(
@@ -150,23 +145,23 @@ class SingleSchemeFilter(SearchMethod):
         weighter: TokenWeighter | None = None,
         *,
         prefix_pruning: bool = True,
-        backend: str | None = None,
     ) -> None:
         super().__init__(objects, weighter)
         self.scheme = scheme
         self.prefix_pruning = prefix_pruning
-        self.index: InvertedIndex = InvertedIndex(PostingList)
+        # Every posting as flat columns, object after object in signature
+        # order; the directory numbers elements as they first appear.
+        directory: Dict[Hashable, int] = {}
+        rows: List[int] = []
+        oids: List[int] = []
+        bounds: List[float] = []
         for obj in self.corpus:
             signature = scheme.object_signature(obj)
-            if prefix_pruning:
-                bounds = suffix_bounds([w for _, w in signature])
-                for (element, _), bound in zip(signature, bounds):
-                    self.index.list_for(element).add(obj.oid, bound)
-            else:
-                for element, weight in signature:
-                    self.index.list_for(element).add(obj.oid, weight)
-        self.index.freeze(backend=backend)
-        self.backend = self.index.backend
+            weights = [w for _, w in signature]
+            rows.extend(directory.setdefault(element, len(directory)) for element, _ in signature)
+            oids.extend([obj.oid] * len(signature))
+            bounds.extend(suffix_bounds(weights) if prefix_pruning else weights)
+        self.index = InvertedIndex.from_postings(list(directory), rows, oids, bounds)
 
     # ------------------------------------------------------------------
     # Filter step
@@ -211,38 +206,24 @@ class SingleSchemeFilter(SearchMethod):
     ) -> Collection[int]:
         """Sig-Filter: accumulate exact signature similarity over all lists.
 
-        Both paths accumulate ``Σ min(w(s|q), w(s|o))`` in float64 with
-        identical per-oid addition order (lists visited in signature
-        order, one entry per oid per list), so the surviving candidate
-        sets are identical — the columnar path just runs it as array
+        ``Σ min(w(s|q), w(s|o))`` accumulates in float64, lists visited
+        in signature order with one entry per oid per list, as array
         kernels over the CSR columns.
         """
-        store = self.index.store
-        if store is not None:
-            scratch = store.begin_union()
-            acc = scratch.accumulator(len(self.corpus))
-            for element, query_weight in signature:
-                entries = store.accumulate(acc, element, query_weight, scratch)
-                if entries is None:
-                    continue
-                stats.lists_probed += 1
-                stats.entries_retrieved += entries
-                stats.entries_matched += entries
-            touched = scratch.result()
-            out = touched[acc[touched] >= threshold]
-            acc[touched] = 0.0  # keep the reusable accumulator zeroed
-            return out
-        acc: defaultdict[int, float] = defaultdict(float)
+        index = self.index
+        scratch = index.begin_union()
+        acc = scratch.accumulator(len(self.corpus))
         for element, query_weight in signature:
-            plist = self.index.get(element)
-            if plist is None:
+            entries = index.accumulate(acc, element, query_weight, scratch)
+            if entries is None:
                 continue
             stats.lists_probed += 1
-            for oid, object_weight in plist:
-                stats.entries_retrieved += 1
-                stats.entries_matched += 1
-                acc[oid] += object_weight if object_weight < query_weight else query_weight
-        return [oid for oid, sim in acc.items() if sim >= threshold]
+            stats.entries_retrieved += entries
+            stats.entries_matched += entries
+        touched = scratch.result()
+        out = touched[acc[touched] >= threshold]
+        acc[touched] = 0.0  # keep the reusable accumulator zeroed
+        return out
 
     # ------------------------------------------------------------------
     # Introspection

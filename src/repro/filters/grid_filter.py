@@ -48,12 +48,9 @@ class GridFilter(SingleSchemeFilter):
         space: Rect | None = None,
         order: str = "count_asc",
         prefix_pruning: bool = True,
-        backend: str | None = None,
     ) -> None:
         scheme = GridScheme.from_corpus(objects, granularity, space=space, order=order)
-        super().__init__(
-            objects, scheme, weighter, prefix_pruning=prefix_pruning, backend=backend
-        )
+        super().__init__(objects, scheme, weighter, prefix_pruning=prefix_pruning)
         self.granularity = granularity
 
     def _is_degenerate(self, query: Query) -> bool:

@@ -34,9 +34,7 @@ from repro.filters.base import (
 from repro.geometry import Rect
 from repro.geometry.rect import mbr_of
 from repro.grid.hierarchy import GridHierarchy, HierCell
-from repro.index.columnar import directory_rows
-from repro.index.inverted import InvertedIndex
-from repro.index.postings import DualBoundPostingList
+from repro.index.inverted import InvertedIndex, directory_rows
 from repro.index.storage import IndexSizeReport, measure_index
 from repro.signatures.hierarchical import TokenGrids, select_token_grids_many
 from repro.signatures.prefix import expected_prefix_len, prefix_elements
@@ -116,8 +114,6 @@ class HierarchicalFilter(SearchMethod):
             scheme's element count scales with |I(t)|), which is what
             lets hierarchical signatures match fixed-granularity
             filtering power at a smaller total budget.
-        backend: Index storage backend (``"python"``, ``"columnar"``, or
-            ``None`` for the default, columnar).
 
     Raises:
         ConfigurationError: On an empty corpus or ``mt < 1``.
@@ -135,7 +131,6 @@ class HierarchicalFilter(SearchMethod):
         space: Rect | None = None,
         min_objects: int = 4,
         budget_scaling: float | None = None,
-        backend: str | None = None,
     ) -> None:
         super().__init__(objects, weighter)
         if mt < 1:
@@ -197,8 +192,7 @@ class HierarchicalFilter(SearchMethod):
         staged = np.argsort(found * span + cell)
         found, cell = found[staged], cell[staged]
         posting_rows, first = directory_rows(tokens[found] * span + cell)
-        self.index: InvertedIndex = InvertedIndex(DualBoundPostingList)
-        self.index.bulk_load(
+        self.index = InvertedIndex.from_postings(
             [
                 (vocabulary[token], grids[token].cells[rank])
                 for token, rank in zip(tokens[found[first]].tolist(), cell[first].tolist())
@@ -207,9 +201,7 @@ class HierarchicalFilter(SearchMethod):
             owner[found],
             r_bounds[staged],
             t_bounds[found],
-            backend=backend,
         )
-        self.backend = self.index.backend
 
     @staticmethod
     def _region_cells(grids: TokenGrids, region: Rect) -> List[Tuple[HierCell, float]]:

@@ -31,9 +31,7 @@ from repro.filters.base import (
     work_from_lists,
 )
 from repro.geometry import Rect
-from repro.index.columnar import directory_rows
-from repro.index.inverted import InvertedIndex
-from repro.index.postings import DualBoundPostingList
+from repro.index.inverted import InvertedIndex, directory_rows
 from repro.index.storage import IndexSizeReport, measure_index
 from repro.signatures.prefix import prefix_elements, segmented_suffix_bounds
 from repro.signatures.spatial import GridScheme
@@ -68,8 +66,6 @@ class HybridFilter(SearchMethod):
             posting is verified.
         space: Grid space override (defaults to the corpus MBR).
         order: Global cell order name.
-        backend: Index storage backend (``"python"``, ``"columnar"``, or
-            ``None`` for the default, columnar).
     """
 
     name = "hash-hybrid"
@@ -83,7 +79,6 @@ class HybridFilter(SearchMethod):
         num_buckets: int | None = None,
         space: Rect | None = None,
         order: str = "count_asc",
-        backend: str | None = None,
     ) -> None:
         super().__init__(objects, weighter)
         self.granularity = granularity
@@ -118,11 +113,9 @@ class HybridFilter(SearchMethod):
             buckets = np.array(elements, dtype=np.int64)[rows]
             rows, first = directory_rows(buckets)
             elements = buckets[first].tolist()
-        self.index: InvertedIndex = InvertedIndex(DualBoundPostingList)
-        self.index.bulk_load(
-            elements, rows, oids, r_bounds[cell_at], t_bounds[token_at], backend=backend
+        self.index = InvertedIndex.from_postings(
+            elements, rows, oids, r_bounds[cell_at], t_bounds[token_at]
         )
-        self.backend = self.index.backend
 
     def _key(self, token: str, cell: int):
         if self.num_buckets is None:

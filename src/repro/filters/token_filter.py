@@ -35,14 +35,11 @@ class TokenFilter(SingleSchemeFilter):
         weighter: TokenWeighter | None = None,
         *,
         prefix_pruning: bool = True,
-        backend: str | None = None,
     ) -> None:
         if weighter is None:
             weighter = TokenWeighter(obj.tokens for obj in objects)
         scheme = TextualScheme(weighter)
-        super().__init__(
-            objects, scheme, weighter, prefix_pruning=prefix_pruning, backend=backend
-        )
+        super().__init__(objects, scheme, weighter, prefix_pruning=prefix_pruning)
 
     def probes(self, query: Query, text: TextPrefix | None = None) -> Probes:
         if not self.prefix_pruning:

@@ -5,23 +5,15 @@ objects.  The threshold-aware variant augments each posting with the
 Lemma 3 suffix bound and keeps lists sorted descending by bound, so a
 probe with threshold ``c`` touches exactly the qualifying head of the
 list (found by binary search).  Hybrid lists carry two bounds (spatial and
-textual).  Storage is pluggable: the ``python`` backend keeps per-element
-lists (the reference oracle), the ``columnar`` backend
-(:mod:`repro.index.columnar`, the default with NumPy) freezes everything
-into CSR arrays probed by vectorised kernels.  :mod:`repro.index.storage`
-provides the byte-accounting model behind Table 1's index sizes.
+textual).  There is one storage layout and one loader:
+:class:`~repro.index.inverted.InvertedIndex` holds every list of an index
+in CSR columns, built from flat posting columns by
+:meth:`~repro.index.inverted.InvertedIndex.from_postings` and probed by
+vectorised kernels; the per-list reference it is tested against lives in
+``tests/reference_postings.py``.  :mod:`repro.index.storage` provides the
+byte-accounting model behind Table 1's index sizes.
 """
 
-from repro.index.columnar import BACKENDS, CSRPostingStore, default_backend, resolve_backend
 from repro.index.inverted import InvertedIndex
-from repro.index.postings import DualBoundPostingList, PostingList
 
-__all__ = [
-    "BACKENDS",
-    "CSRPostingStore",
-    "DualBoundPostingList",
-    "InvertedIndex",
-    "PostingList",
-    "default_backend",
-    "resolve_backend",
-]
+__all__ = ["InvertedIndex"]

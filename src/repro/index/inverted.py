@@ -1,215 +1,353 @@
-"""Inverted indexes over signature elements.
+"""The inverted index over signature elements: one CSR posting store.
 
-:class:`InvertedIndex` maps a signature element (token, cell id, or
-hybrid key) to its posting list.  It is generic over the posting-list
-class so the single-bound and dual-bound variants share construction,
-freezing, statistics and size accounting.
+The paper has one index structure — an inverted list per signature
+element (token, cell id, or hybrid key), sorted by threshold bound and
+probed by a cut (Section 4.2, Lemma 3, Figure 5; the hybrid lists of
+Section 5.1 add a second bound column).  :class:`InvertedIndex` holds
+*every* list of one index in one set of contiguous parallel NumPy arrays
+in CSR layout:
 
-Storage is pluggable at :meth:`freeze` time:
+* ``offsets[row] .. offsets[row + 1]`` delimits one list's postings;
+* ``oids`` holds the object ids, ``neg_bounds`` the negated primary
+  (threshold) bounds — negated so each row is *ascending* and a probe is
+  one ``searchsorted``; ``t_bounds`` carries the second (textual) bound
+  column of a dual-bound hybrid index and is ``None`` otherwise;
+* an element → row interning dict is the directory.
 
-* ``backend="python"`` keeps the per-element
-  :class:`~repro.index.postings.PostingList` objects — the reference
-  oracle the equivalence tests compare against;
-* ``backend="columnar"`` (the default)
-  consolidates every list into one
-  :class:`~repro.index.columnar.CSRPostingStore` of contiguous parallel
-  arrays and drops the Python lists; probes become vectorised kernels
-  returning zero-copy head views.
+There is one way in: :meth:`InvertedIndex.from_postings` takes flat
+posting columns (one row id, oid and bound(s) per posting, in any order)
+and sorts every row into ``(-bound, oid)`` order in one ``lexsort``.
+Every filter gathers its postings as such columns and loads once.
 
-An index is filled either posting by posting (:meth:`list_for` +
-``add``, then :meth:`freeze`) or in one array-native step
-(:meth:`bulk_load`); the frozen result is the same.
+There is one probe loop: :meth:`InvertedIndex.union_heads` — what every
+signature filter's ``candidates`` runs — opens each named list, takes
+the head its bound(s) qualify as a zero-copy view and unions the heads
+through a reusable :class:`CandidateScratch` buffer (heads collected per
+query, one concatenate + dedup) instead of a per-query Python set.
+:meth:`probe` is its single-list form, for the callers that want one
+head (the I/O model, the keyword-first baseline).
 
-Both backends answer the same probe API (:meth:`probe`, :meth:`probe_dual`,
-:meth:`get`, :meth:`items`) with identical oids in identical order, and
-:meth:`union_heads` — the one probe loop every signature filter's
-``candidates`` runs — is the only place that knows which backend it is
-on.
+The per-list reference — staged Python posting lists sorted at freeze,
+probed with ``bisect`` — lives in ``tests/reference_postings.py``; the
+differential tests build both ways and require the same index posting
+for posting and the same heads and statistics probe for probe.
+
+The module also owns the array-externalisation hooks snapshots use:
+inside :func:`externalize_arrays` a pickled index replaces its arrays
+with :class:`_ExternArray` markers and appends the arrays to the sink
+(they are then written to an ``.npz`` sidecar); inside
+:func:`resolve_arrays` unpickling resolves the markers from the loaded
+(optionally memory-mapped) sidecar.  Outside those contexts indexes
+pickle self-contained, arrays inline.
+
+Concurrency: the columns are read-only once loaded, and all mutable
+probe state (:class:`CandidateScratch`) is thread-local per index, so
+concurrent queries against one engine stay correct while each thread
+reuses its own buffers query after query.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Dict, Generic, Hashable, Iterator, Sequence, Tuple, Type, TypeVar
+import contextlib
+import threading
+from dataclasses import dataclass
+from typing import Dict, Hashable, List, Sequence
+
+import numpy as _np
 
 from repro.core.stats import SearchStats
-from repro.index.columnar import CSRPostingStore, resolve_backend
-from repro.index.postings import DualBoundPostingList, PostingList
-
-Key = TypeVar("Key", bound=Hashable)
-PList = TypeVar("PList", PostingList, DualBoundPostingList)
 
 
-class InvertedIndex(Generic[Key, PList]):
-    """element -> posting list, with build/freeze lifecycle.
+@dataclass(frozen=True)
+class _ExternArray:
+    """Pickle placeholder for an array moved to the snapshot sidecar."""
 
-    Args:
-        list_class: :class:`PostingList` (single bound) or
-            :class:`DualBoundPostingList` (hybrid).
+    index: int
+
+
+#: Active externalisation sink/source (snapshot save/load only; snapshot
+#: operations are not concurrent in this library).
+_EXTERN_SINK: List | None = None
+_EXTERN_SOURCE: Sequence | None = None
+
+
+@contextlib.contextmanager
+def externalize_arrays(sink: List):
+    """While active, pickling an index appends its arrays to ``sink``."""
+    global _EXTERN_SINK
+    previous = _EXTERN_SINK
+    _EXTERN_SINK = sink
+    try:
+        yield sink
+    finally:
+        _EXTERN_SINK = previous
+
+
+@contextlib.contextmanager
+def resolve_arrays(source: Sequence):
+    """While active, unpickling an index resolves extern markers from ``source``."""
+    global _EXTERN_SOURCE
+    previous = _EXTERN_SOURCE
+    _EXTERN_SOURCE = source
+    try:
+        yield
+    finally:
+        _EXTERN_SOURCE = previous
+
+
+def directory_rows(codes):
+    """Number posting lists in order of first appearance.
+
+    The directory lists each element where it is first posted to.  Given
+    one integer element code per posting, in posting order, this returns
+    that numbering.
+
+    Returns:
+        ``(rows, first)`` — the row of every posting, and per row the
+        index of its first posting (``codes[first]`` are the rows' codes
+        in directory order).
+    """
+    _, first, inverse = _np.unique(codes, return_index=True, return_inverse=True)
+    order = _np.argsort(first)
+    rank = _np.empty(len(order), dtype=_np.int64)
+    rank[order] = _np.arange(len(order))
+    return rank[inverse], first[order]
+
+
+class CandidateScratch:
+    """Reusable candidate-union buffer: collect heads, dedup once.
+
+    A probe only appends its zero-copy head view to ``heads`` (a Python
+    ``list.append``, no array work); ``result`` concatenates every head
+    into one reusable buffer and deduplicates with a single sort.  Doing
+    the union once per query instead of once per probed list is what
+    keeps short-head probes cheap while long heads get full
+    vectorisation.  One instance serves every query a thread runs against
+    its index; the buffer grows to the high-water total head length and
+    is then reused round after round.
+    """
+
+    __slots__ = ("heads", "buffer", "acc", "rows_unique")
+
+    def __init__(self, *, rows_unique: bool = False) -> None:
+        self.heads: List = []
+        self.buffer = _np.empty(0, dtype=_np.int32)
+        #: Similarity accumulator for the plain Sig-Filter kernel; zeroed
+        #: lazily, then kept zeroed by resetting only the touched oids.
+        self.acc = None
+        #: The owning index guarantees no single head repeats an oid, so
+        #: a one-head round needs no dedup at all (cross-head duplicates
+        #: are the only other source, and one head has no "cross").
+        self.rows_unique = rows_unique
+
+    def result(self):
+        """The deduplicated union as an owned array."""
+        heads = self.heads
+        if not heads:
+            return _EMPTY_OIDS
+        if len(heads) == 1 and self.rows_unique:
+            out = heads[0].copy()  # heads are views into the index
+            heads.clear()
+            return out
+        total = sum(map(len, heads))
+        if len(self.buffer) < total:
+            self.buffer = _np.empty(total, dtype=_np.int32)
+        gathered = self.buffer[:total]
+        if len(heads) == 1:
+            # Copy even a single head: probe heads are views into the
+            # index's oids column, and the dedup sorts in place.
+            _np.copyto(gathered, heads[0])
+        else:
+            _np.concatenate(heads, out=gathered)
+        heads.clear()
+        # Sort + neighbour mask, not np.unique: NumPy's hash-based unique
+        # kernel is an order of magnitude slower at candidate-set sizes.
+        gathered.sort()
+        if total == 1:
+            return gathered.copy()
+        keep = _np.empty(total, dtype=bool)
+        keep[0] = True
+        _np.not_equal(gathered[1:], gathered[:-1], out=keep[1:])
+        return gathered[keep]
+
+    def accumulator(self, size: int):
+        """A zeroed float64 accumulator over ``size`` oids, reused across
+        rounds — the caller must zero the slots it touched when done
+        (``acc[touched] = 0.0``), which keeps the per-query reset cost
+        O(touched) instead of O(corpus)."""
+        acc = self.acc
+        if acc is None or len(acc) < size:
+            acc = self.acc = _np.zeros(size, dtype=_np.float64)
+        return acc
+
+
+class InvertedIndex:
+    """element → bound-sorted posting list, all lists in CSR columns.
+
+    Build with :meth:`from_postings`; the constructor takes columns that
+    are already in CSR layout.
+
+    Attributes:
+        rows: element → row interning table (directory order preserved).
+        offsets: ``int64[num_rows + 1]`` CSR row boundaries.
+        oids: ``int32[num_postings]`` object ids, row-major — the 4-byte
+            oid of the storage model (Table 1); also what keeps the
+            candidate sort fast.
+        neg_bounds: ``float64[num_postings]`` negated primary bounds
+            (ascending within each row — what ``searchsorted`` wants).
+        t_bounds: ``float64[num_postings]`` textual bounds of a
+            dual-bound index; ``None`` on a single-bound one.
+        rows_unique: No row repeats an oid — true for every index except
+            bucketed hybrids, where two colliding ``(token, cell)`` pairs
+            of one object land in the same list.
 
     Examples:
-        >>> index = InvertedIndex(PostingList)
-        >>> index.list_for("tea").add(0, bound=1.5)
-        >>> index.freeze(backend="python")
-        >>> list(index.probe("tea", 1.0))
+        >>> index = InvertedIndex.from_postings(["tea"], [0, 0], [0, 1], [1.5, 0.5])
+        >>> index.probe("tea", 1.0).tolist()
         [0]
     """
 
-    __slots__ = ("_lists", "_list_class", "_frozen", "store", "backend")
+    __slots__ = (
+        "rows", "offsets", "oids", "neg_bounds", "t_bounds", "rows_unique",
+        "_starts", "_scratch",
+    )
 
-    def __init__(self, list_class: Type[PList] = PostingList) -> None:
-        self._lists: Dict[Key, PList] = {}
-        self._list_class = list_class
-        self._frozen = False
-        #: The columnar store after a columnar freeze; ``None`` otherwise.
-        self.store: CSRPostingStore | None = None
-        self.backend = "python"
-
-    # ------------------------------------------------------------------
-    # Build phase
-    # ------------------------------------------------------------------
-
-    def list_for(self, element: Key) -> PList:
-        """The (created-on-demand) posting list of ``element``."""
-        plist = self._lists.get(element)
-        if plist is None:
-            if self._frozen:
-                raise RuntimeError("InvertedIndex is frozen; cannot create new lists")
-            plist = self._list_class()
-            self._lists[element] = plist
-        return plist
-
-    def freeze(self, backend: str | None = None) -> None:
-        """Freeze every posting list (sorts by bound); idempotent.
-
-        Args:
-            backend: ``"python"``, ``"columnar"``, or ``None`` for the
-                default (columnar).  Columnar freezing consolidates all
-                postings into one :class:`CSRPostingStore` and releases
-                the Python lists.
-
-        Raises:
-            RuntimeError: Re-freezing with a *different* explicit backend
-                — the first freeze fixes the storage layout; re-freezing
-                with the same (or no) backend is a no-op.
-        """
-        if self._frozen:
-            if backend is not None and backend != self.backend:
-                raise RuntimeError(
-                    f"index already frozen with backend {self.backend!r}; "
-                    f"cannot re-freeze as {backend!r}"
-                )
-            return
-        # Validate before mutating: a bad backend name must leave the
-        # index un-frozen so the caller can retry with a valid one.
-        resolved = resolve_backend(backend)
-        for plist in self._lists.values():
-            plist.freeze()
-        self._frozen = True
-        self.backend = resolved
-        if self.backend == "columnar":
-            self.store = CSRPostingStore.from_lists(
-                self._lists, dual=self._list_class is DualBoundPostingList
-            )
-            self._lists = {}
-
-    def bulk_load(
-        self,
-        elements: Sequence[Key],
-        rows,
-        oids,
-        bounds,
-        t_bounds=None,
-        *,
-        backend: str | None = None,
+    def __init__(
+        self, rows, offsets, oids, neg_bounds, t_bounds=None, *, rows_unique=False
     ) -> None:
-        """Load every posting at once and freeze — the array-native twin
-        of ``list_for(element).add(...)`` per posting plus :meth:`freeze`,
-        and indistinguishable from it afterwards on either backend.
+        self.rows: Dict[Hashable, int] = rows
+        self.rows_unique = rows_unique
+        self._attach(offsets, oids, neg_bounds, t_bounds)
+
+    def _attach(self, offsets, oids, neg_bounds, t_bounds) -> None:
+        self.offsets = offsets
+        self.oids = oids
+        self.neg_bounds = neg_bounds
+        self.t_bounds = t_bounds
+        # Probe results are zero-copy views into these columns; freeze
+        # them so a caller mutating a returned head (e.g. sorting it)
+        # cannot silently corrupt the index.  Internal kernels copy
+        # before mutating, so this costs nothing.
+        for column in (offsets, oids, neg_bounds, t_bounds):
+            if column is not None:
+                column.setflags(write=False)
+        # Row boundaries as plain ints: probes slice with them constantly,
+        # and Python-int slicing beats NumPy-scalar indexing.  Derived,
+        # never pickled.
+        self._starts: List[int] = offsets.tolist()
+        # One scratch per thread: concurrent queries against one index
+        # (e.g. user threads sharing an engine) must not share union
+        # state, while each thread still reuses its buffers query after
+        # query.
+        self._scratch = threading.local()
+
+    @classmethod
+    def from_postings(
+        cls, elements: Sequence[Hashable], rows, oids, bounds, t_bounds=None
+    ) -> "InvertedIndex":
+        """Build from flat posting columns — the one way in.
 
         Args:
-            elements: Directory keys, one per posting list, in the order
-                the lists would have been created.
-            rows: Index into ``elements`` of each posting's list.
+            elements: Directory keys, one per posting list, in directory
+                order (the order elements are first posted to).
+            rows: Index into ``elements`` of each posting's list; every
+                list must own at least one posting.
             oids: Object id of each posting.
             bounds: Threshold bound of each posting (the spatial bound of
                 a dual-bound index).
-            t_bounds: Textual bound of each posting; required exactly
-                when the index holds :class:`DualBoundPostingList`.
-            backend: As for :meth:`freeze`.
+            t_bounds: Textual bound of each posting; its presence is what
+                makes the index dual-bound.
 
-        Postings may arrive in any order, except that postings of one
-        list tying on ``(bound, oid)`` keep their arrival order, as
-        staged postings do.
-
-        Raises:
-            RuntimeError: If the index is frozen or already holds lists.
+        Postings may arrive in any order.  Each row ends up in
+        ``(-bound, oid)`` order, postings that tie on both keeping their
+        arrival order (a stable sort) — exactly what staging them one by
+        one into per-element lists and sorting each list produces.
         """
-        if self._frozen or self._lists:
-            raise RuntimeError("bulk_load needs an empty, un-frozen index")
-        dual = self._list_class is DualBoundPostingList
-        if dual != (t_bounds is not None):
-            raise ValueError("t_bounds goes with dual-bound posting lists, and only with them")
-        resolved = resolve_backend(backend)
-        store = CSRPostingStore.from_postings(elements, rows, oids, bounds, t_bounds)
-        if resolved == "columnar":
-            self.store = store
-        else:
-            # The python oracle keeps one list object per element; cut
-            # the sorted columns at the row boundaries.
-            columns = [store.oids.tolist(), store.neg_bounds.tolist()]
-            if dual:
-                columns.append(store.t_bounds.tolist())
-            cuts = store.offsets.tolist()
-            self._lists = {
-                element: self._list_class.from_columns(
-                    *(column[cuts[row] : cuts[row + 1]] for column in columns)
-                )
-                for element, row in store.rows.items()
-            }
-        self._frozen = True
-        self.backend = resolved
+        rows = _np.asarray(rows, dtype=_np.int64)
+        oids = _np.asarray(oids, dtype=_np.int32)
+        neg_bounds = -_np.asarray(bounds, dtype=_np.float64)
+        lengths = _np.bincount(rows, minlength=len(elements))
+        if len(lengths) != len(elements) or (len(lengths) and lengths.min() == 0):
+            raise ValueError("every directory row needs at least one posting, and no others")
+        order = _np.lexsort((oids, neg_bounds, rows))
+        offsets = _np.zeros(len(elements) + 1, dtype=_np.int64)
+        _np.cumsum(lengths, out=offsets[1:])
+        # A row repeats an oid iff some (row, oid) pair occurs twice.
+        pairs = rows * (int(oids.max()) + 1 if len(oids) else 1) + oids
+        pairs.sort()
+        rows_unique = not bool((pairs[1:] == pairs[:-1]).any())
+        return cls(
+            {element: row for row, element in enumerate(elements)},
+            offsets,
+            oids[order],
+            neg_bounds[order],
+            None if t_bounds is None else _np.asarray(t_bounds, dtype=_np.float64)[order],
+            rows_unique=rows_unique,
+        )
 
     # ------------------------------------------------------------------
-    # Probe phase
+    # Shape and statistics
     # ------------------------------------------------------------------
 
-    def get(self, element: Key):
-        """The element's posting list (or columnar row view), else None."""
-        if self.store is not None:
-            return self.store.view(element)
-        return self._lists.get(element)
+    def __contains__(self, element) -> bool:
+        return element in self.rows
 
-    def probe(self, element: Key, min_bound: float):
-        """Single-bound probe: qualifying oids of ``element``'s list.
+    def __len__(self) -> int:
+        """Number of posting lists."""
+        return len(self.rows)
 
-        Returns a backend-native sequence — a ``list`` (python) or a
-        zero-copy int64 view (columnar) — that is *empty* on a directory
-        miss, never a different type.
-        """
-        if self.store is not None:
-            return self.store.probe(element, min_bound)
-        plist = self._lists.get(element)
-        if plist is None:
-            return []
-        return plist.retrieve(min_bound)
+    def num_postings(self) -> int:
+        return self._starts[-1]
 
-    def probe_dual(self, element: Key, min_r_bound: float, min_t_bound: float):
-        """Dual-bound probe: ``(qualifying oids, scanned)``, or ``None``
-        on a directory miss (which filters do not count as a probe)."""
-        if self.store is not None:
-            return self.store.probe_dual(element, min_r_bound, min_t_bound)
-        plist = self._lists.get(element)
-        if plist is None:
-            return None
-        return plist.retrieve(min_r_bound, min_t_bound)
+    def list_length(self, element) -> int:
+        """Postings in ``element``'s list (0 when it has none)."""
+        row = self.rows.get(element)
+        if row is None:
+            return 0
+        return self._starts[row + 1] - self._starts[row]
+
+    def list_lengths(self):
+        """Postings per list, as an array in directory order (the order
+        ``rows`` iterates its keys in)."""
+        return _np.diff(self.offsets)
+
+    def average_list_length(self) -> float:
+        """Mean postings per list (0.0 for an empty index), in O(1); the
+        grid and hash-hybrid filters price a probe with it
+        (``estimate_work``) without touching postings."""
+        num_lists = len(self.rows)
+        if num_lists == 0:
+            return 0.0
+        return self._starts[-1] / num_lists
+
+    # ------------------------------------------------------------------
+    # Probe kernels
+    # ------------------------------------------------------------------
+
+    def probe(self, element, min_bound: float):
+        """One list's head: the oids of ``element``'s postings whose
+        primary bound reaches ``min_bound`` — the paper's ``I_c(s)``
+        (Section 4.2) — as a zero-copy int32 view, empty on a directory
+        miss.  On a dual-bound index this is the head the spatial bound
+        cuts, before the textual bound is checked."""
+        row = self.rows.get(element)
+        if row is None:
+            return _EMPTY_OIDS
+        start = self._starts[row]
+        # ndarray.searchsorted (not np.searchsorted): the module-level
+        # wrapper's dispatch costs microseconds per probe.
+        cut = start + int(
+            self.neg_bounds[start : self._starts[row + 1]].searchsorted(-min_bound, side="right")
+        )
+        return self.oids[start:cut]
 
     def union_heads(
         self,
-        elements: Sequence[Key],
+        elements: Sequence[Hashable],
         bound: float,
         t_bound: float | None,
         stats: SearchStats,
-    ) -> Collection[int]:
+    ):
         """The filter step of Sig-Filter+ and Hybrid-Sig-Filter+: open each
         element's list, take the head its bound(s) qualify, union the heads.
 
@@ -224,78 +362,107 @@ class InvertedIndex(Generic[Key, PList]):
         empty head; a dual-bound one does not — a hybrid key nothing was
         posted to is no list at all.  ``entries_retrieved`` is the head
         the primary bound cuts, ``entries_matched`` what survives the
-        textual bound too.  Both rules hold on either backend, so the
-        statistics are backend-independent by construction.
+        textual bound too.
 
         Returns:
-            The union — a set (python) or a sorted, deduplicated array
-            from this thread's scratch buffer (columnar).
+            The union as a deduplicated array (sorted whenever more than
+            one head went into it).
         """
-        store = self.store
-        if store is not None:
-            scratch = store.begin_union()
-            add, probe, probe_dual = scratch.add, store.probe, store.probe_dual
-        else:
-            out: set[int] = set()
-            add, probe, probe_dual = out.update, self.probe, self.probe_dual
-        lists = retrieved = matched = 0
+        scratch = self.begin_union()
+        heads = scratch.heads
+        row_of = self.rows.get
+        starts, oids, neg_bounds, t_bounds = self._starts, self.oids, self.neg_bounds, self.t_bounds
+        neg_bound = -bound
+        opened = retrieved = matched = 0
         for element in elements:
-            if t_bound is None:
-                head = probe(element, bound)
-                scanned = len(head)
-            else:
-                result = probe_dual(element, bound, t_bound)
-                if result is None:
-                    continue
-                head, scanned = result
-            lists += 1
+            row = row_of(element)
+            if row is None:
+                continue
+            opened += 1
+            start = starts[row]
+            # int(): a NumPy scalar must not leak into the statistics.
+            scanned = int(
+                neg_bounds[start : starts[row + 1]].searchsorted(neg_bound, side="right")
+            )
+            if not scanned:
+                continue
             retrieved += scanned
+            head = oids[start : start + scanned]
+            if t_bound is not None:
+                head = head[t_bounds[start : start + scanned] >= t_bound]
+                if not len(head):
+                    continue
             matched += len(head)
-            add(head)
-        stats.lists_probed += lists
+            heads.append(head)
+        stats.lists_probed += len(elements) if t_bound is None else opened
         stats.entries_retrieved += retrieved
         stats.entries_matched += matched
-        return scratch.result() if store is not None else out
+        return scratch.result()
 
-    def __contains__(self, element: Key) -> bool:
-        if self.store is not None:
-            return element in self.store.rows
-        return element in self._lists
+    def accumulate(self, acc, element, query_weight: float, scratch) -> int | None:
+        """Plain Sig-Filter kernel: ``acc[oid] += min(weight, query_weight)``
+        over one *full* list, marking the touched oids in ``scratch``.
 
-    def __len__(self) -> int:
-        if self.store is not None:
-            return self.store.num_rows
-        return len(self._lists)
-
-    def items(self) -> Iterator[Tuple[Key, PList]]:
-        if self.store is not None:
-            return self.store.items()
-        return iter(self._lists.items())
-
-    # ------------------------------------------------------------------
-    # Statistics
-    # ------------------------------------------------------------------
-
-    def num_postings(self) -> int:
-        if self.store is not None:
-            return self.store.num_postings
-        return sum(len(plist) for plist in self._lists.values())
-
-    def list_length(self, element: Key) -> int:
-        if self.store is not None:
-            row = self.store.rows.get(element)
-            return self.store.row_length(row) if row is not None else 0
-        plist = self._lists.get(element)
-        return len(plist) if plist is not None else 0
-
-    def average_list_length(self) -> float:
-        """Mean postings per non-empty list (0.0 for an empty index).
-
-        O(1) on the columnar backend, O(lists) on the python oracle; the
-        grid and hash-hybrid filters price a probe with it
-        (``estimate_work``) without touching postings.
+        Sound because single-scheme lists hold at most one posting per
+        oid (signature elements are unique per object), so the fancy-
+        indexed add never collides.  Returns the entry count, or ``None``
+        on a directory miss.
         """
-        num_lists = len(self)
-        if num_lists == 0:
-            return 0.0
-        return self.num_postings() / num_lists
+        row = self.rows.get(element)
+        if row is None:
+            return None
+        start = self._starts[row]
+        end = self._starts[row + 1]
+        weights = -self.neg_bounds[start:end]
+        _np.minimum(weights, query_weight, out=weights)
+        oids = self.oids[start:end]
+        acc[oids] += weights
+        scratch.heads.append(oids)
+        return end - start
+
+    def begin_union(self) -> CandidateScratch:
+        """This thread's (lazily created) scratch, reset for a new round."""
+        local = self._scratch
+        scratch = getattr(local, "scratch", None)
+        if scratch is None:
+            scratch = local.scratch = CandidateScratch(rows_unique=self.rows_unique)
+        scratch.heads.clear()
+        return scratch
+
+    # ------------------------------------------------------------------
+    # Pickling (snapshots externalise the arrays)
+    # ------------------------------------------------------------------
+
+    def __getstate__(self):
+        arrays = [self.offsets, self.oids, self.neg_bounds, self.t_bounds]
+        if _EXTERN_SINK is not None:
+            packed = []
+            for array in arrays:
+                if array is None:
+                    packed.append(None)
+                else:
+                    _EXTERN_SINK.append(array)
+                    packed.append(_ExternArray(len(_EXTERN_SINK) - 1))
+            arrays = packed
+        return {"rows": self.rows, "arrays": arrays, "rows_unique": self.rows_unique}
+
+    def __setstate__(self, state) -> None:
+        self.rows = state["rows"]
+        self.rows_unique = state["rows_unique"]
+        arrays = []
+        for item in state["arrays"]:
+            if isinstance(item, _ExternArray):
+                if _EXTERN_SOURCE is None:
+                    raise RuntimeError(
+                        "index arrays were externalized to a snapshot "
+                        "sidecar; load via repro.io.snapshot.load_engine"
+                    )
+                arrays.append(_EXTERN_SOURCE[item.index])
+            else:
+                arrays.append(item)
+        self._attach(*arrays)
+
+
+#: Shared empty probe result (read-only so a view cannot be mutated).
+_EMPTY_OIDS = _np.empty(0, dtype=_np.int32)
+_EMPTY_OIDS.setflags(write=False)

@@ -157,9 +157,9 @@ def _charge_one(method: SearchMethod, query: Query, pool: BufferPool) -> None:
         _charge_probes(method, query, pool)
     elif isinstance(method, KeywordFirstSearch):
         for token in query.tokens:
-            plist = method.index.get(token)
-            if plist is not None:
-                pool.access_run(("kw", token), _posting_pages(len(plist), 0))
+            entries = method.index.list_length(token)
+            if entries:
+                pool.access_run(("kw", token), _posting_pages(entries, 0))
     elif isinstance(method, IRTreeSearch):
         _charge_irtree(method, query, pool)
     elif isinstance(method, SpatialFirstSearch):
@@ -176,14 +176,11 @@ def _charge_probes(method: SearchMethod, query: Query, pool: BufferPool) -> None
     if probes is FULL_SCAN:
         return
     elements, bound, t_bound = probes
+    index = method.index
     for element in elements:
-        if t_bound is None:
-            scanned = len(method.index.probe(element, bound))
-        else:
-            result = method.index.probe_dual(element, bound, t_bound)
-            if result is None:
-                continue
-            scanned = result[1]
+        if t_bound is not None and element not in index:
+            continue
+        scanned = len(index.probe(element, bound))
         pool.access_run(("sig", element), _posting_pages(scanned, 1 if t_bound is None else 2))
 
 

@@ -79,40 +79,28 @@ def measure_index(
 ) -> IndexSizeReport:
     """Measure an inverted index under the storage model.
 
-    Works over either storage backend: ``index.items()`` yields Python
-    posting lists or columnar row views, and only their lengths and keys
-    are read.  The serialization model matches what the columnar backend
-    materialises — oid + bound columns per posting plus a key directory —
-    so the measured bytes are the snapshot-sidecar payload shape.
+    Only the directory keys and the row lengths are read.  The
+    serialization model matches what the index materialises — oid + bound
+    columns per posting plus a key directory — so the measured bytes are
+    the snapshot-sidecar payload shape.
 
     Args:
-        index: A frozen (or staging) inverted index.
+        index: The inverted index to measure.
         bounds_per_posting: 0 for plain lists (keyword-first baseline),
             1 for single-bound lists, 2 for hybrid dual-bound lists.
         paged: Round each list's payload up to whole 4 KB pages instead
             of packing lists end-to-end.
     """
     posting_size = OID_BYTES + bounds_per_posting * BOUND_BYTES
-    num_lists = 0
-    num_postings = 0
-    directory = 0
-    raw = 0
-    pages = 0
-    for key, plist in index.items():
-        n = len(plist)
-        num_lists += 1
-        num_postings += n
-        directory += key_bytes(key) + OFFSET_BYTES
-        payload = n * posting_size
-        raw += payload
-        if paged:
-            pages += ((payload + PAGE_BYTES - 1) // PAGE_BYTES) * PAGE_BYTES
-    if not paged:
-        pages = raw
+    raw = index.num_postings() * posting_size
+    pages = raw
+    if paged:
+        payloads = index.list_lengths() * posting_size
+        pages = int(((payloads + PAGE_BYTES - 1) // PAGE_BYTES).sum()) * PAGE_BYTES
     return IndexSizeReport(
-        num_lists=num_lists,
-        num_postings=num_postings,
-        directory_bytes=directory,
+        num_lists=len(index),
+        num_postings=index.num_postings(),
+        directory_bytes=sum(map(key_bytes, index.rows)) + len(index) * OFFSET_BYTES,
         posting_bytes=raw,
         page_bytes=pages,
     )

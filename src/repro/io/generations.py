@@ -6,7 +6,7 @@ is no shared reference to swap — what the supervisor and its workers
 share is a *directory*, and this module gives that directory the same
 semantics:
 
-* a **generation** is one immutable snapshot (plus sidecar) the format-5
+* a **generation** is one immutable snapshot (plus sidecar) the format-6
   loader can ``load_engine(mmap=True)`` — published once, never mutated;
 * ``CURRENT`` is a tiny JSON pointer file naming the active generation,
   replaced atomically (:mod:`repro.io.atomic`), so a worker booting at

@@ -6,15 +6,15 @@ Pickle is appropriate here: snapshots are trusted, same-codebase
 artifacts (an index is meaningless under different code anyway); the
 envelope records the library version for a clear error message.
 
-**Layout.**  Columnar index payloads stay out of the pickle stream:
-while the engine pickles, every :class:`~repro.index.columnar.
-CSRPostingStore` externalises its CSR arrays (offsets, oids, bound
-columns) into an uncompressed ``<snapshot>.npz`` sidecar next to the
+**Layout.**  Index payloads stay out of the pickle stream: while the
+engine pickles, every :class:`~repro.index.inverted.InvertedIndex`
+externalises its CSR arrays (offsets, oids, bound columns) into an
+uncompressed ``<snapshot>.npz`` sidecar next to the
 snapshot file, leaving only small markers in the pickle.  Loading
 resolves the markers back from the sidecar — eagerly by default, or as
 zero-copy memory maps with ``load_engine(path, mmap=True)``.  Engines
-with no columnar store (pure-python backends, baselines) write no
-sidecar.  The envelope around the engine blob carries a *manifest*
+without a posting store (the naive, spatial-first and IR-tree
+baselines) write no sidecar.  The envelope around the engine blob carries a *manifest*
 (a segmented engine's per-segment object/live counts, size tiers,
 buffer and tombstone accounting; a planner's portfolio) readable via
 :func:`read_manifest` without deserialising the engine, and a ``wal``
@@ -43,11 +43,11 @@ import numpy as _np
 
 from repro.core.errors import SealError
 from repro.io.atomic import atomic_write, fsync_directory
-from repro.index.columnar import externalize_arrays, resolve_arrays
+from repro.index.inverted import externalize_arrays, resolve_arrays
 
 #: Bump when index internals change incompatibly; any other format is
 #: rejected at the envelope with "rebuild the index".
-SNAPSHOT_FORMAT = 5
+SNAPSHOT_FORMAT = 6
 
 _MAGIC = "repro-seal-snapshot"
 

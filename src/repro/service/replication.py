@@ -24,7 +24,7 @@ CRC-by-CRC on arrival via :func:`repro.io.wal.decode_frames`), so the
 replica inherits the primary's own byte offsets as its clock.
 
 **Bootstrap.**  A fresh replica subscribes, downloads the primary's
-format-5 checkpoint snapshot (chunked, with its embedded WAL position),
+format-6 checkpoint snapshot (chunked, with its embedded WAL position),
 loads it, and starts fetching from that position.  A primary that has
 never checkpointed but still owns its complete generation-0 log instead
 ships its WAL config record and the replica replays from an empty
@@ -285,7 +285,7 @@ class ReplicationPrimary:
             )
         target = path if which == "snapshot" else sidecar_path(path)
         if not target.exists():
-            # A columnar-less engine has no sidecar; ship it as empty.
+            # An engine without a posting store has no sidecar; ship it as empty.
             return {
                 "replication": {
                     "file": which, "offset": 0, "size": 0, "eof": True,
@@ -560,7 +560,7 @@ class ReplicaApplier:
                     "its log is past generation 0 (records before its last "
                     "checkpoint are gone) — checkpoint the primary"
                 )
-            engine = engine_from_config(config)
+            engine = engine_from_config(config, source=f"primary {self._host}:{self._port}")
             lineage = (0, HEADER_SIZE)
             source = "config"
         self.bootstraps += 1

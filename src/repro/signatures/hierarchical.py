@@ -38,7 +38,7 @@ all those nodes:
   the child is popped, so a pop that only selects touches no array.
 
 Per-node sums are segmented reductions (``reduceat`` over the CSR row
-blocks, the idiom of :mod:`repro.index.columnar`).  Why this keeps the
+blocks, the idiom of :mod:`repro.index.inverted`).  Why this keeps the
 greedy's order: a node's priority is still computed from exactly the
 operands the scalar kernel used — that node's rows in corpus order,
 against boxes derived by the same midpoint halving — with identical

@@ -41,6 +41,23 @@ def make_durable(
     )
 
 
+def make_uncheckpointed(root: Path, *, params: dict, buffer_capacity: int = 4):
+    """A generation-0 durable ``token`` engine with no snapshot yet, whose
+    WAL config record carries ``params`` verbatim — whatever an earlier
+    version of this library (or anyone else) may have written there."""
+    from repro import SegmentedSealSearch
+    from repro.io.wal import WriteAheadLog
+
+    engine = SegmentedSealSearch((), "token", buffer_capacity=buffer_capacity)
+    wal = WriteAheadLog.create(wal_of(root), config={**engine.config(), "params": params})
+    return DurableSegmentedSealSearch(engine, wal, snapshot_path=snapshot_of(root))
+
+
+#: ``"params"`` of config records `build --segmented --wal --backend …`
+#: wrote before there was one posting store.
+LEGACY_BACKEND_PARAMS = [{"backend": "python"}, {"backend": "columnar"}]
+
+
 def fill(engine, count: int = 9, start: int = 0) -> None:
     from repro import Rect
 

@@ -10,9 +10,7 @@ portfolio member reports when it is run directly (``members``), so the
 probe behaviour of all four filters stays pinned whatever the planner
 picks; what the default planner chose; and every member's ``(lists,
 entries, candidates)`` estimate — floats survive JSON exactly (``repr``
-round-trips).  ``tests/test_probes.py`` replays the table on both index
-backends; the script refuses to write a table the two backends disagree
-on.
+round-trips).  ``tests/test_probes.py`` replays the table.
 
 The committed file's ``query``, ``answers`` and ``members`` columns were
 written by commit 5c18c8d (PR 18), the parent of the change that made
@@ -37,7 +35,6 @@ from pathlib import Path
 from repro import Rect
 from repro.datasets import generate_queries, generate_twitter
 from repro.exec.planner import PlannedSealSearch
-from repro.index.columnar import BACKENDS
 from repro.service.protocol import query_to_wire
 
 #: ``generate_twitter`` arguments.  The space is density-scaled like the
@@ -64,9 +61,9 @@ QUERIES_PER_REGIME = 8
 COUNTERS = ("lists_probed", "entries_retrieved", "entries_matched", "candidates")
 
 
-def table(backend: str) -> dict:
+def table() -> dict:
     corpus = generate_twitter(**{**CORPUS, "space": Rect(*CORPUS["space"])})
-    planner = PlannedSealSearch(corpus, backend=backend, **KNOBS)
+    planner = PlannedSealSearch(corpus, **KNOBS)
     queries = [
         query
         for kind, tau_r, tau_t, seed in REGIMES
@@ -108,18 +105,16 @@ def _without_plan(table: dict) -> list:
 
 
 def main() -> None:
-    tables = [table(backend) for backend in BACKENDS]
-    if any(other != tables[0] for other in tables[1:]):
-        raise SystemExit("the index backends disagree; not a reference")
+    built = table()
     out = Path(__file__).with_name("planner_golden.json")
     if sys.argv[1:] == ["--replan"]:
-        if _without_plan(tables[0]) != _without_plan(json.loads(out.read_text("utf-8"))):
+        if _without_plan(built) != _without_plan(json.loads(out.read_text("utf-8"))):
             raise SystemExit("more than `chosen` and seal's estimate moved; not a replan")
     head = json.dumps({"corpus": CORPUS, "knobs": KNOBS}, sort_keys=True)
-    rows = ",\n".join(json.dumps(row, sort_keys=True) for row in tables[0]["rows"])
+    rows = ",\n".join(json.dumps(row, sort_keys=True) for row in built["rows"])
     # One row per line, so a changed row is a one-line diff.
     out.write_text(f'{head[:-1]}, "rows": [\n{rows}\n]}}\n', encoding="utf-8")
-    print(f"{out}: {len(tables[0]['rows'])} rows")
+    print(f"{out}: {len(built['rows'])} rows")
 
 
 if __name__ == "__main__":

@@ -2,10 +2,10 @@
 
 This is the per-token, per-node HSS-Greedy and the per-posting index
 assembly exactly as they stood before construction became array
-kernels: one ``_ihat`` call per (node, child), one
-``list_for(key).add(...)`` per posting, staging lists sorted at freeze.
-The differential tests build both ways and require identical frontiers
-(set and order) and an identical frozen index, posting for posting.
+kernels: one ``_ihat`` call per (node, child), one ``add`` per posting
+into the staged lists of ``tests/reference_postings.py``, sorted at
+freeze.  The differential tests build both ways and require identical
+frontiers (set and order) and an identical index, posting for posting.
 
 Nothing under ``src/`` imports this module.
 """
@@ -22,11 +22,11 @@ from repro.core.errors import ConfigurationError
 from repro.core.objects import SpatioTextualObject
 from repro.geometry import Rect
 from repro.grid.hierarchy import GridHierarchy, HierCell
-from repro.index.inverted import InvertedIndex
-from repro.index.postings import DualBoundPostingList
 from repro.signatures.hierarchical import TokenGrids
 from repro.signatures.prefix import suffix_bounds
 from repro.signatures.textual import TextualScheme
+
+from tests.reference_postings import ReferenceIndex
 
 _Box = Tuple[float, float, float, float]
 
@@ -205,10 +205,9 @@ def hierarchical_index(
     corpus: Sequence[SpatioTextualObject],
     textual: TextualScheme,
     grids: Dict[str, TokenGrids],
-    backend: str | None,
-) -> InvertedIndex:
+) -> ReferenceIndex:
     """Pass 3 of ``HierarchicalFilter`` as it was: one ``add`` per posting."""
-    index: InvertedIndex = InvertedIndex(DualBoundPostingList)
+    index = ReferenceIndex(dual=True)
     for obj in corpus:
         token_sig = textual.object_signature(obj)
         token_bounds = suffix_bounds([w for _, w in token_sig])
@@ -216,16 +215,13 @@ def hierarchical_index(
             cells = region_cells(grids[token], obj.region)
             cell_bounds = suffix_bounds([w for _, w in cells])
             for (cell, _), r_bound in zip(cells, cell_bounds):
-                index.list_for((token, cell)).add(obj.oid, r_bound, t_bound)
-    index.freeze(backend=backend)
-    return index
+                index.add((token, cell), obj.oid, r_bound, t_bound)
+    return index.freeze()
 
 
-def hybrid_index(
-    corpus: Sequence[SpatioTextualObject], method, backend: str | None
-) -> InvertedIndex:
+def hybrid_index(corpus: Sequence[SpatioTextualObject], method) -> ReferenceIndex:
     """``HybridFilter``'s triple loop as it was, keyed by ``method._key``."""
-    index: InvertedIndex = InvertedIndex(DualBoundPostingList)
+    index = ReferenceIndex(dual=True)
     for obj in corpus:
         token_sig = method.textual.object_signature(obj)
         token_bounds = suffix_bounds([w for _, w in token_sig])
@@ -233,27 +229,5 @@ def hybrid_index(
         cell_bounds = suffix_bounds([w for _, w in cell_sig])
         for (token, _), t_bound in zip(token_sig, token_bounds):
             for (cell, _), r_bound in zip(cell_sig, cell_bounds):
-                index.list_for(method._key(token, cell)).add(obj.oid, r_bound, t_bound)
-    index.freeze(backend=backend)
-    return index
-
-
-def assert_same_index(built: InvertedIndex, expected: InvertedIndex, backend: str) -> None:
-    """Two frozen indexes are the same index: directory order, row
-    boundaries, oids and every bound column, bit for bit."""
-    assert built.backend == expected.backend == backend
-    if backend == "columnar":
-        ours, theirs = built.store, expected.store
-        assert list(ours.rows.items()) == list(theirs.rows.items())
-        for column in ("offsets", "oids", "neg_bounds", "t_bounds"):
-            mine, ref = getattr(ours, column), getattr(theirs, column)
-            assert mine.dtype == ref.dtype, column
-            assert mine.tobytes() == ref.tobytes(), column
-        assert ours.rows_unique == theirs.rows_unique
-    else:
-        assert list(built._lists) == list(expected._lists)
-        for element, plist in built._lists.items():
-            assert plist.columns() == expected._lists[element].columns(), element
-        # The oracle stores plain Python numbers, as staged lists do.
-        first = next(iter(built._lists.values()))
-        assert type(first.oids[0]) is int and type(first.t_bounds[0]) is float
+                index.add(method._key(token, cell), obj.oid, r_bound, t_bound)
+    return index.freeze()

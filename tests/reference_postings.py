@@ -1,28 +1,40 @@
-"""Posting lists sorted descending by threshold bound (Lemma 3).
+"""Per-list reference for the inverted index (test-only oracle).
 
-A posting ``(oid, bound)`` says: object ``oid`` keeps this element in its
-signature prefix for any similarity threshold ``c ≤ bound``.  Storing
-postings in descending bound order turns a threshold probe into a binary
-search for the cut point — the paper's "inverted index with threshold
-bounds" (Figure 5).
-
-Two flavours:
+This is the posting storage ``src/`` used to carry next to the CSR
+columns: one Python posting list per signature element, filled one
+``add`` per posting in *staging* mode (cheap appends), sorted once at
+:meth:`freeze <PostingList.freeze>` into descending bound order (ties by
+ascending oid, then arrival), probed with ``bisect`` (Lemma 3,
+Figure 5):
 
 * :class:`PostingList` — one bound (textual or spatial filtering).
 * :class:`DualBoundPostingList` — spatial *and* textual bounds per
   posting, for the hybrid ``(token, cell)`` lists of Section 5.1; sorted
   by the spatial bound (binary-searched), the textual bound checked on
   the qualifying head.
+* :class:`ReferenceIndex` — a dict of those lists with the probe loop
+  and its accounting in plain Python.
 
-Lists are built in *staging* mode (cheap appends) and must be
-:meth:`frozen <PostingList.freeze>` before probing; freezing sorts once
-and converts to compact parallel arrays.
+The differential tests build every filter's index both ways —
+``reference_*`` here and in ``tests/reference_hss.py`` stage posting by
+posting exactly as the filters once did — and require the bulk-loaded
+:class:`~repro.index.inverted.InvertedIndex` to be the same index,
+posting for posting (:func:`assert_same_index`), and to answer every
+probe with the same heads and statistics.
+
+Nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import List, Sequence, Tuple
+from typing import Dict, Hashable, List, Sequence, Set, Tuple
+
+import numpy as np
+
+from repro.core.stats import SearchStats
+from repro.index.inverted import InvertedIndex
+from repro.signatures.prefix import suffix_bounds
 
 
 class PostingList:
@@ -43,16 +55,6 @@ class PostingList:
         self._staging: List[Tuple[float, int]] | None = []
         self.oids: List[int] = []
         self._neg_bounds: List[float] = []
-
-    @classmethod
-    def from_columns(cls, oids: List[int], neg_bounds: List[float]) -> "PostingList":
-        """A frozen list over columns already in ``(-bound, oid)`` order
-        (the bulk-load path; what :meth:`freeze` would have produced)."""
-        plist = cls()
-        plist._staging = None
-        plist.oids = oids
-        plist._neg_bounds = neg_bounds
-        return plist
 
     def add(self, oid: int, bound: float) -> None:
         """Stage one posting (only before :meth:`freeze`)."""
@@ -83,8 +85,7 @@ class PostingList:
     def columns(self) -> Tuple[List[int], List[float]]:
         """The frozen ``(oids, negated bounds)`` columns, probe order.
 
-        This is the exact layout the columnar backend concatenates into
-        CSR arrays, so both backends inherit one ``(-bound, oid)`` order.
+        This is the layout the CSR index concatenates row after row.
         """
         if self._staging is not None:
             raise RuntimeError("PostingList must be frozen before export")
@@ -117,18 +118,6 @@ class DualBoundPostingList:
         self.oids: List[int] = []
         self._neg_r_bounds: List[float] = []
         self.t_bounds: List[float] = []
-
-    @classmethod
-    def from_columns(
-        cls, oids: List[int], neg_r_bounds: List[float], t_bounds: List[float]
-    ) -> "DualBoundPostingList":
-        """A frozen list over columns already in ``(-r_bound, oid)`` order."""
-        plist = cls()
-        plist._staging = None
-        plist.oids = oids
-        plist._neg_r_bounds = neg_r_bounds
-        plist.t_bounds = t_bounds
-        return plist
 
     def add(self, oid: int, r_bound: float, t_bound: float) -> None:
         if self._staging is None:
@@ -177,3 +166,104 @@ class DualBoundPostingList:
         return iter(
             (oid, -nr, t) for oid, nr, t in zip(self.oids, self._neg_r_bounds, self.t_bounds)
         )
+
+
+class ReferenceIndex:
+    """element → staged posting list, probed list by list in Python.
+
+    Args:
+        dual: Whether postings carry a second (textual) bound.
+    """
+
+    def __init__(self, *, dual: bool = False) -> None:
+        self.dual = dual
+        self.lists: Dict[Hashable, PostingList | DualBoundPostingList] = {}
+
+    def add(self, element, oid: int, bound: float, t_bound: float | None = None) -> None:
+        """Stage one posting; the list is created on first use, which is
+        what fixes the directory order."""
+        plist = self.lists.get(element)
+        if plist is None:
+            plist = self.lists[element] = DualBoundPostingList() if self.dual else PostingList()
+        if self.dual:
+            plist.add(oid, bound, t_bound)
+        else:
+            plist.add(oid, bound)
+
+    def freeze(self) -> "ReferenceIndex":
+        for plist in self.lists.values():
+            plist.freeze()
+        return self
+
+    def union_heads(
+        self, elements: Sequence[Hashable], bound: float, t_bound: float | None, stats: SearchStats
+    ) -> Set[int]:
+        """The probe loop and its accounting rule, one list at a time: a
+        single-bound miss counts as a probe, a dual-bound one does not."""
+        out: Set[int] = set()
+        for element in elements:
+            plist = self.lists.get(element)
+            if t_bound is None:
+                head = plist.retrieve(bound) if plist is not None else []
+                scanned = len(head)
+            elif plist is None:
+                continue
+            else:
+                head, scanned = plist.retrieve(bound, t_bound)
+            stats.lists_probed += 1
+            stats.entries_retrieved += scanned
+            stats.entries_matched += len(head)
+            out.update(head)
+        return out
+
+
+def _float64_bytes(values) -> bytes:
+    return np.fromiter(values, dtype=np.float64).tobytes()
+
+
+def assert_same_index(built: InvertedIndex, expected: ReferenceIndex) -> None:
+    """The bulk-loaded index is the staged one: directory order, row
+    boundaries, oids and every bound column, bit for bit; ties on
+    ``(bound, oid)`` in arrival order; ``rows_unique`` iff no list
+    repeats an oid."""
+    assert (built.t_bounds is not None) == expected.dual
+    assert list(built.rows.items()) == [
+        (element, row) for row, element in enumerate(expected.lists)
+    ]
+    columns = [plist.columns() for plist in expected.lists.values()]
+    cuts = [0]
+    for oids, *_ in columns:
+        cuts.append(cuts[-1] + len(oids))
+    assert built.offsets.tolist() == cuts
+    assert built.oids.tolist() == [oid for oids, *_ in columns for oid in oids]
+    assert built.neg_bounds.tobytes() == _float64_bytes(b for _, neg, *_ in columns for b in neg)
+    if expected.dual:
+        assert built.t_bounds.tobytes() == _float64_bytes(t for *_, ts in columns for t in ts)
+    else:
+        assert built.t_bounds is None
+    assert built.rows_unique == all(len(set(oids)) == len(oids) for oids, *_ in columns)
+    for column in (built.offsets, built.oids, built.neg_bounds, built.t_bounds):
+        assert column is None or not column.flags.writeable
+
+
+def single_scheme_index(method) -> ReferenceIndex:
+    """``SingleSchemeFilter``'s build as it was: one ``add`` per signature
+    element of every object, Lemma-3 bounds under prefix pruning and raw
+    weights without."""
+    index = ReferenceIndex()
+    for obj in method.corpus:
+        signature = method.scheme.object_signature(obj)
+        weights = [w for _, w in signature]
+        bounds = suffix_bounds(weights) if method.prefix_pruning else weights
+        for (element, _), bound in zip(signature, bounds):
+            index.add(element, obj.oid, bound)
+    return index.freeze()
+
+
+def keyword_index(method) -> ReferenceIndex:
+    """``KeywordFirstSearch``'s plain postings: every bound 0.0."""
+    index = ReferenceIndex()
+    for obj in method.corpus:
+        for token in obj.tokens:
+            index.add(token, obj.oid, 0.0)
+    return index.freeze()

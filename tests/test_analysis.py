@@ -9,15 +9,13 @@ from repro.analysis import filtering_power, index_stats
 from repro.analysis.signature_stats import compare_filtering_power
 from repro.core.errors import ConfigurationError
 from repro.index.inverted import InvertedIndex
-from repro.index.postings import PostingList
 
 
 class TestIndexStats:
     def test_basic(self):
-        index = InvertedIndex(PostingList)
-        for oid in range(10):
-            index.list_for("heavy").add(oid, 0.0)
-        index.list_for("light").add(0, 0.0)
+        index = InvertedIndex.from_postings(
+            ["heavy", "light"], [0] * 10 + [1], list(range(10)) + [0], [0.0] * 11
+        )
         stats = index_stats(index)
         assert stats.num_lists == 2
         assert stats.num_postings == 11
@@ -26,7 +24,7 @@ class TestIndexStats:
 
     def test_empty_index_rejected(self):
         with pytest.raises(ConfigurationError):
-            index_stats(InvertedIndex(PostingList))
+            index_stats(InvertedIndex.from_postings([], [], [], []))
 
     def test_on_real_filter(self, figure1_objects, figure1_weighter):
         f = TokenFilter(figure1_objects, figure1_weighter)

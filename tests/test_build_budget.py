@@ -1,12 +1,15 @@
 """Ratio guard on SEAL index construction cost (ROADMAP item 2a).
 
-``seal`` build seconds over ``token`` build seconds on one seeded corpus.
-A ratio, so host speed cancels; both builds are single-threaded and
-interpreter-or-NumPy bound.  Measured when construction became array
-kernels: 7.0-8.2 at this corpus (the scalar per-node greedy stood at
-93-140 here, ≈ 50 at the ledger's 10k), so the guard sits at twice the
-measured ratio — loose enough for a noisy host, an order of magnitude
-below what losing the kernels would cost.
+``seal`` build seconds over ``hash-hybrid`` build seconds on one seeded
+corpus.  A ratio, so host speed cancels; both builds are single-threaded
+array kernels feeding one bulk load, and the denominator is the other
+hybrid index — not ``token``, whose build is a tenth of this one and
+moves whenever the single-scheme loader does (seal / token read 7.0-8.2
+while ``token`` staged a posting at a time, 10.0-10.8 once it loaded
+columns).  Measured: 6.0-6.4 at this corpus, so the guard sits at twice
+the measured ratio — loose enough for a noisy host, an order of
+magnitude below what losing the kernels would cost (the scalar per-node
+greedy stood at 93-140 × the staged ``token`` build here).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from repro import TokenWeighter, build_method
 from repro.datasets import generate_twitter
 
 NUM_OBJECTS = 3000
-MAX_SEAL_OVER_TOKEN = 16.0
+MAX_SEAL_OVER_HYBRID = 13.0
 
 
 def _best_build_seconds(corpus, weighter, name: str, repeats: int) -> float:
@@ -29,12 +32,12 @@ def _best_build_seconds(corpus, weighter, name: str, repeats: int) -> float:
     return best
 
 
-def test_seal_build_stays_within_budget_of_token_build():
+def test_seal_build_stays_within_budget_of_hash_hybrid_build():
     corpus = generate_twitter(NUM_OBJECTS, seed=17)
     weighter = TokenWeighter(obj.tokens for obj in corpus)
-    token = _best_build_seconds(corpus, weighter, "token", repeats=3)
+    hybrid = _best_build_seconds(corpus, weighter, "hash-hybrid", repeats=3)
     seal = _best_build_seconds(corpus, weighter, "seal", repeats=2)
-    assert seal / token < MAX_SEAL_OVER_TOKEN, (
-        f"seal build {seal:.3f}s is {seal / token:.1f}x the token build {token:.3f}s "
-        f"(budget {MAX_SEAL_OVER_TOKEN}x)"
+    assert seal / hybrid < MAX_SEAL_OVER_HYBRID, (
+        f"seal build {seal:.3f}s is {seal / hybrid:.1f}x the hash-hybrid build "
+        f"{hybrid:.3f}s (budget {MAX_SEAL_OVER_HYBRID}x)"
     )

@@ -108,16 +108,19 @@ class TestBuildAndQuery:
                    "--granularity", "8"])
         assert rc == 0
 
-    def test_build_backend_and_query_mmap(self, corpus_file, tmp_path, capsys):
-        """--backend selects the index storage backend; --mmap memory-maps
-        a columnar snapshot's sidecar.  Answers match in all combinations."""
+    def test_build_and_query_mmap(self, corpus_file, tmp_path, capsys):
+        """A signature index writes its CSR arrays to a sidecar that
+        --mmap memory-maps; a baseline without a posting store writes
+        none.  Answers match in all combinations."""
         from repro.io.snapshot import sidecar_path
 
-        for backend, has_sidecar in (("columnar", True), ("python", False)):
-            engine = tmp_path / f"{backend}.pkl"
+        for method, knobs, has_sidecar in (
+            ("seal", ["--mt", "8", "--max-level", "4"], True),
+            ("spatial-first", [], False),
+        ):
+            engine = tmp_path / f"{method}.pkl"
             rc = main(
-                ["build", str(corpus_file), "--method", "seal", "--out", str(engine),
-                 "--mt", "8", "--max-level", "4", "--backend", backend]
+                ["build", str(corpus_file), "--method", method, "--out", str(engine), *knobs]
             )
             assert rc == 0
             assert sidecar_path(engine).exists() == has_sidecar
@@ -131,19 +134,49 @@ class TestBuildAndQuery:
                 assert rc == 0
                 assert "1 answers [1]" in capsys.readouterr().out
 
-    def test_build_invalid_backend_errors(self, corpus_file, tmp_path, capsys):
-        rc = main(["build", str(corpus_file), "--method", "token",
-                   "--out", str(tmp_path / "x.pkl"), "--backend", "sqlite"])
-        assert rc == 2
-        assert "unknown index backend" in capsys.readouterr().err
+    def test_build_has_no_backend_flag(self, corpus_file, tmp_path, capsys):
+        """There is one posting store; the flag that chose one is gone."""
+        with pytest.raises(SystemExit) as usage:
+            main(["build", str(corpus_file), "--method", "token",
+                  "--out", str(tmp_path / "x.pkl"), "--backend", "python"])
+        assert usage.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+        assert not (tmp_path / "x.pkl").exists()
 
-    def test_build_unsupported_knob_errors_cleanly(self, corpus_file, tmp_path, capsys):
-        """Knobs a method does not take exit 2 with a message, not a
-        constructor TypeError traceback."""
-        rc = main(["build", str(corpus_file), "--method", "keyword-first",
-                   "--out", str(tmp_path / "x.pkl"), "--backend", "python"])
+    @pytest.mark.parametrize("segmented", [[], ["--segmented"]], ids=["flat", "segmented"])
+    @pytest.mark.parametrize(
+        "method, flag, knob",
+        [
+            ("keyword-first", "--granularity", "granularity"),
+            ("token", "--mt", "mt"),
+            # No member of the default portfolio is an R-tree.
+            ("planned", "--max-entries", "max_entries"),
+        ],
+    )
+    def test_build_unsupported_knob_errors_cleanly(
+        self, corpus_file, tmp_path, capsys, method, flag, knob, segmented
+    ):
+        """A knob the method (for ``planned``, every portfolio member) has
+        no use for exits 2 naming the knob and the method — not a
+        constructor TypeError traceback, not a silent no-op — and writes
+        no snapshot."""
+        rc = main(["build", str(corpus_file), "--method", method,
+                   "--out", str(tmp_path / "x.pkl"), flag, "8", *segmented])
         assert rc == 2
-        assert "does not accept --backend" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(knob) in err and repr(method) in err
+        assert not (tmp_path / "x.pkl").exists()
+
+    def test_build_planned_knob_follows_the_portfolio(self, corpus_file, tmp_path, capsys):
+        """``--max-entries`` is a knob of ``planned`` exactly when its
+        portfolio holds an R-tree member."""
+        rc = main(["build", str(corpus_file), "--method", "planned", "--max-entries", "8",
+                   "--planner-methods", "token,spatial-first", "--out", str(tmp_path / "p.pkl")])
+        assert rc == 0
+        rc = main(["build", str(corpus_file), "--method", "planned", "--granularity", "8",
+                   "--planner-methods", "token,spatial-first", "--out", str(tmp_path / "q.pkl")])
+        assert rc == 2
+        assert "'granularity'" in capsys.readouterr().err
 
     def test_query_batch_file(self, corpus_file, tmp_path, capsys, figure1_query):
         engine = tmp_path / "engine.pkl"
@@ -533,7 +566,7 @@ class TestInspect:
         rc = main(["inspect", str(plain_engine)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "format:             5" in out
+        assert "format:             6" in out
         assert "columnar arrays:" in out
         assert "not a segmented engine" in out
 
@@ -566,7 +599,7 @@ class TestInspect:
         rc = main(["inspect", str(plain_engine), "--json"])
         assert rc == 0
         document = json.loads(capsys.readouterr().out)
-        assert document["format"] == 5
+        assert document["format"] == 6
         assert document["num_arrays"] >= 1
         assert document["sidecar"]["bytes"] > 0
 
@@ -696,6 +729,38 @@ class TestNetServeAndClient:
         assert "drained" in out
 
 
+    @pytest.mark.parametrize("backend", ["python", "columnar"])
+    def test_net_serve_with_wal_boots_from_a_legacy_config_record(
+        self, tmp_path, capsys, backend
+    ):
+        """A generation-0 log whose config record names the index backend
+        an earlier `build --backend …` chose: `serve --wal` boots from it
+        and serves the from-scratch oracle's answers."""
+        import multiprocessing
+
+        from repro import Query, Rect
+        from repro.io import load_engine
+        from tests.durable_testlib import fill, make_uncheckpointed, oracle_answers, snapshot_of, wal_of
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs fork")
+        primary = make_uncheckpointed(tmp_path, params={"backend": backend})
+        fill(primary, 9)
+        primary.delete(4)
+        probe = Query(Rect(0.0, 0.0, 14.0, 6.0), frozenset({"coffee"}), 0.01, 0.0)
+        expected = oracle_answers(primary, probe)
+        assert expected
+        primary.close()
+        rc = main(["serve", str(snapshot_of(tmp_path)), "--net", "--wal", str(wal_of(tmp_path)),
+                   "--workers-procs", "1", "--max-seconds", "1.0",
+                   "--serving-dir", str(tmp_path / "serving")])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "wal-only" in out and "listening on" in out and "drained" in out
+        # What it booted, served and checkpointed is the oracle's engine.
+        assert load_engine(snapshot_of(tmp_path)).search_query(probe).answers == expected
+
+
 class TestPlan:
     """`build --method planned`, `plan`, and `query --explain` smoke."""
 
@@ -711,7 +776,7 @@ class TestPlan:
         # The planner wrapper takes **params; the knob validation must
         # not reject flags it cannot see in the signature.
         rc = main(["build", str(corpus_file), "--method", "planned",
-                   "--granularity", "8", "--mt", "4", "--backend", "columnar",
+                   "--granularity", "8", "--mt", "4", "--num-buckets", "64",
                    "--out", str(tmp_path / "p.pkl")])
         assert rc == 0
         assert "built planned over 7 objects" in capsys.readouterr().out

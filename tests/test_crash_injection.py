@@ -18,7 +18,7 @@ Covered ordering points:
 * between the sidecar and snapshot writes inside a checkpoint (the
   documented loud-failure window: stale snapshot + new sidecar);
 * a property test: random insert/delete/flush/compact/checkpoint/crash
-  interleavings ≡ the from-scratch oracle, on both index backends.
+  interleavings ≡ the from-scratch oracle.
 """
 
 from __future__ import annotations
@@ -109,13 +109,13 @@ class TestKillAtEveryOperationBoundary:
             assert_recovered_state(recovered, states[step])
             recovered.close()
 
-    @pytest.mark.parametrize("backend", ["python", "columnar"])
-    def test_recovery_matrix_on_both_backends(self, tmp_path, backend):
-        if backend == "columnar":
-            pytest.importorskip("numpy")
+    @pytest.mark.parametrize(
+        "method, knobs", [("seal", {"mt": 8}), ("planned", {"granularity": 8, "mt": 8})]
+    )
+    def test_recovery_matrix_on_hybrid_and_planned_segments(self, tmp_path, method, knobs):
         root = tmp_path / "live"
         root.mkdir()
-        engine = make_engine(root, backend=backend)
+        engine = make_engine(root, method=method, **knobs)
         states = []
         for i in range(8):
             engine.insert(Rect(i, 0, i + 2, 2), {"coffee", f"tag{i % 3}"})
@@ -127,7 +127,7 @@ class TestKillAtEveryOperationBoundary:
         for i in range(8):
             image = tmp_path / f"crash-{i}"
             recovered = recover(snapshot_of(image), wal_of(image))
-            assert_recovered_state(recovered, states[i], backend=backend)
+            assert_recovered_state(recovered, states[i], method=method, **knobs)
             recovered.close()
 
 
@@ -198,7 +198,7 @@ class TestKillInsideCheckpoint:
         pytest.importorskip("numpy")
         root = tmp_path / "live"
         root.mkdir()
-        engine = make_engine(root, backend="columnar", buffer_capacity=2)
+        engine = make_engine(root, buffer_capacity=2)
         for i in range(4):
             engine.insert(Rect(i, 0, i + 2, 2), {"coffee", f"tag{i % 3}"})
         engine.checkpoint()
@@ -227,7 +227,6 @@ class TestKillInsideCheckpoint:
 
 
 class TestRandomizedCrashRecoveryProperty:
-    @pytest.mark.parametrize("backend", ["python", "columnar"])
     @settings(
         max_examples=12,
         deadline=None,
@@ -248,13 +247,9 @@ class TestRandomizedCrashRecoveryProperty:
             max_size=24,
         ),
     )
-    def test_random_interleavings_match_oracle(self, tmp_path_factory, backend, seed, ops):
-        if backend == "columnar":
-            pytest.importorskip("numpy")
+    def test_random_interleavings_match_oracle(self, tmp_path_factory, seed, ops):
         root = tmp_path_factory.mktemp("wal-prop")
-        engine = make_engine(
-            root, backend=backend, buffer_capacity=4, sync="batch"
-        )
+        engine = make_engine(root, buffer_capacity=4, sync="batch")
         inserted = 0
         try:
             for op, arg in ops:
@@ -288,7 +283,7 @@ class TestRandomizedCrashRecoveryProperty:
                 assert observed_state(recovered) == state
                 for query in PROBES:
                     assert recovered.search_query(query).answers == oracle_answers(
-                        recovered, query, "token", backend=backend
+                        recovered, query, "token"
                     )
             finally:
                 recovered.close()

@@ -14,7 +14,13 @@ from repro.io import read_manifest, save_engine, validate_snapshot
 from repro.io.wal import WALError, WriteAheadLog, read_wal
 from repro.service import EngineManager, QueryService
 
-from tests.durable_testlib import fill, make_durable, oracle_answers
+from tests.durable_testlib import (
+    LEGACY_BACKEND_PARAMS,
+    fill,
+    make_durable,
+    make_uncheckpointed,
+    oracle_answers,
+)
 
 PROBE = Query(Rect(0.0, 0.0, 14.0, 6.0), frozenset({"coffee"}), 0.01, 0.0)
 
@@ -222,9 +228,8 @@ class TestRecovery:
             )
         recovered.close()
 
-    def test_recover_on_columnar_backend_with_mmap(self, tmp_path):
-        pytest.importorskip("numpy")
-        engine = make_durable(tmp_path, backend="columnar")
+    def test_recover_with_mmap(self, tmp_path):
+        engine = make_durable(tmp_path)
         fill(engine, 9)
         engine.checkpoint()
         fill(engine, 3, start=9)
@@ -232,6 +237,43 @@ class TestRecovery:
         recovered = recover(tmp_path / "engine.pkl", tmp_path / "engine.wal", mmap=True)
         assert_equivalent(recovered, engine)
         recovered.close()
+
+    @pytest.mark.parametrize("params", LEGACY_BACKEND_PARAMS, ids=lambda p: p["backend"])
+    def test_wal_only_recovery_from_a_legacy_config_record(self, tmp_path, params):
+        """The parent's config records may name an index backend; both
+        values replayed to identical answers, so the key is dropped."""
+        engine = make_uncheckpointed(tmp_path, params=params)
+        fill(engine, 9)
+        engine.delete(2)
+        engine.close()
+        assert read_wal(tmp_path / "engine.wal").config["params"] == params
+        recovered = recover(tmp_path / "engine.pkl", tmp_path / "engine.wal")
+        assert recovered.recovery["source"] == "wal-only"
+        assert recovered.config()["params"] == {}
+        assert_equivalent(recovered, engine)
+        for tau in (0.0, 0.3):
+            query = Query(PROBE.region, PROBE.tokens, 0.01, tau)
+            assert recovered.search_query(query).answers == oracle_answers(recovered, query)
+        recovered.close()
+
+    @pytest.mark.parametrize(
+        "params, named",
+        [({"bogus": 1}, "'bogus'"), ({"backend": "python", "granularity": 8}, "'granularity'")],
+    )
+    def test_config_record_with_an_unknown_param_fails_at_open(self, tmp_path, params, named):
+        """... with the typed error, naming the log and the key — not at
+        the first replayed seal, and without touching the log."""
+        engine = make_uncheckpointed(tmp_path, params=params)
+        fill(engine, 3)  # below the buffer capacity: nothing has sealed yet
+        engine.close()
+        wal_path = tmp_path / "engine.wal"
+        wal_path.write_bytes(wal_path.read_bytes() + b"torn")
+        before = wal_path.read_bytes()
+        with pytest.raises(WALError, match="unusable engine-config record") as error:
+            recover(tmp_path / "engine.pkl", wal_path)
+        assert str(wal_path) in str(error.value) and named in str(error.value)
+        assert "'backend'" not in str(error.value)
+        assert wal_path.read_bytes() == before  # not even the torn tail was trimmed
 
     def test_strict_recovery_refuses_torn_tail(self, tmp_path):
         engine = make_durable(tmp_path)

@@ -12,6 +12,7 @@ from repro import (
     SealSearch,
     build_method,
 )
+from repro.core.engine import accepted_params, check_params
 from repro.core.method import SearchMethod
 
 
@@ -30,6 +31,33 @@ class TestRegistry:
         assert grid.granularity == 8
         seal = build_method(figure1_objects, "seal", figure1_weighter, mt=4, max_level=3)
         assert seal.mt == 4
+
+    def test_accepted_params_is_the_constructors_keyword_only_set(self):
+        knobs = {"granularity": 8, "mt": 4, "max_entries": 8, "prefix_pruning": False,
+                 "objects": [], "weighter": None, "nonsense": 1}
+        assert accepted_params("naive", knobs) == {}
+        assert accepted_params("irtree", knobs) == {"max_entries": 8}
+        assert accepted_params("token", knobs) == {"prefix_pruning": False}
+        assert accepted_params("grid", knobs) == {"granularity": 8, "prefix_pruning": False}
+        assert accepted_params("seal", knobs) == {"mt": 4}
+        # ``planned``: its own, plus what some member of the portfolio takes.
+        assert set(accepted_params("planned", knobs)) == {"granularity", "mt", "prefix_pruning"}
+        portfolio = {**knobs, "methods": ("token", "irtree"), "coefficients": None}
+        assert set(accepted_params("planned", portfolio)) == {
+            "max_entries", "prefix_pruning", "methods", "coefficients",
+        }
+        with pytest.raises(ConfigurationError, match="unknown method 'quantum'"):
+            accepted_params("quantum", knobs)
+        with pytest.raises(ConfigurationError, match="unknown method 'nope'"):
+            accepted_params("planned", {"methods": ("token", "nope")})
+
+    def test_check_params_names_the_knobs_and_the_method(self):
+        check_params("grid", {"granularity": 8})
+        check_params("planned", {"granularity": 8, "record_to": None})
+        with pytest.raises(ConfigurationError, match="method 'grid' does not accept 'mt', 'zz'"):
+            check_params("grid", {"granularity": 8, "mt": 4, "zz": 0})
+        with pytest.raises(ConfigurationError, match="method 'planned' does not accept 'max_entries'"):
+            check_params("planned", {"max_entries": 8})
 
     def test_all_methods_agree_on_figure1(
         self, figure1_objects, figure1_weighter, figure1_query

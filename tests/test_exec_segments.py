@@ -224,12 +224,11 @@ class TestChurnOracle:
     """Randomized interleaved workloads pinned answer-identical to a
     from-scratch oracle — the acceptance criterion of the refactor."""
 
-    @pytest.mark.parametrize("backend", ["python", "columnar"])
     @pytest.mark.parametrize("seed", [3, 11])
-    def test_churn_matches_fresh_build(self, backend, seed):
+    def test_churn_matches_fresh_build(self, seed):
         rng = random.Random(seed)
         engine = SegmentedSealSearch(
-            method="token", buffer_capacity=4, merge_fanout=2, backend=backend
+            method="token", buffer_capacity=4, merge_fanout=2
         )
         live_oids: list[int] = []
         checked = 0
@@ -243,9 +242,7 @@ class TestChurnOracle:
             elif op < 0.90:
                 query = _rand_query(rng)
                 got = engine.search_query(query)
-                assert got.answers == _oracle_answers(
-                    engine, query, "token", backend=backend
-                )
+                assert got.answers == _oracle_answers(engine, query, "token")
                 assert got.stats.results == len(got.answers)
                 checked += 1
             elif op < 0.95:
@@ -277,13 +274,12 @@ class TestChurnOracle:
                     engine, query, "seal", mt=4, max_level=4, min_objects=2
                 )
 
-    @pytest.mark.parametrize("backend", ["python", "columnar"])
-    def test_churn_through_batch_executor(self, backend):
+    def test_churn_through_batch_executor(self):
         """BatchExecutor over a churned segmented engine must be
         answer-identical to per-query search."""
         rng = random.Random(23)
         engine = SegmentedSealSearch(
-            method="token", buffer_capacity=4, merge_fanout=2, backend=backend
+            method="token", buffer_capacity=4, merge_fanout=2
         )
         live = []
         for _ in range(40):

@@ -3,9 +3,9 @@
 ``tests/reference_hss.py`` keeps the per-node HSS-Greedy and the
 per-posting index assembly that ``src/`` used to run.  On seeded
 Twitter-like and USA-like corpora the batched build must select the same
-grids in the same order for every token, and freeze the same index —
+grids in the same order for every token, and load the same index —
 directory order, row boundaries, oids and both bound columns, bit for
-bit — on both storage backends.
+bit.
 
 The two greedies sum a node's Î in different association orders (NumPy
 pairwise vs the BLAS dot kernel the reference calls), so priorities can
@@ -23,12 +23,11 @@ from repro.datasets import generate_twitter, generate_usa
 from repro.filters import HierarchicalFilter, HybridFilter
 
 from tests import reference_hss as reference
-from tests.reference_hss import assert_same_index
+from tests.reference_postings import assert_same_index
 
 N = 2000
 GENERATORS = {"twitter": generate_twitter, "usa": generate_usa}
 CORPORA = [(kind, seed) for kind in GENERATORS for seed in (11, 12, 13)]
-BACKENDS = ("columnar", "python")
 
 
 @pytest.fixture(scope="module", params=CORPORA, ids=lambda p: f"{p[0]}-{p[1]}")
@@ -41,42 +40,29 @@ def corpus(request):
 @pytest.mark.parametrize("budget_scaling", [None, 0.05], ids=["flat-mt", "budget-scaling"])
 def test_seal_build_matches_scalar_reference(corpus, budget_scaling):
     objects, weighter = corpus
-    built = {
-        backend: HierarchicalFilter(
-            objects, weighter, budget_scaling=budget_scaling, backend=backend
-        )
-        for backend in BACKENDS
-    }
-    method = built["columnar"]
+    method = HierarchicalFilter(objects, weighter, budget_scaling=budget_scaling)
     grids = reference.token_grids(
         objects, method.hierarchy, mt=method.mt, min_objects=4, budget_scaling=budget_scaling
     )
-    for backend, candidate in built.items():
-        assert set(candidate.token_grids) == set(grids)
-        for token, expected in grids.items():
-            ours = candidate.token_grids[token]
-            assert ours.cells == expected.cells, token
-            assert ours.boxes == expected.boxes, token
-            assert ours.ranks == expected.ranks, token
-        assert_same_index(
-            candidate.index,
-            reference.hierarchical_index(objects, method.textual, grids, backend),
-            backend,
-        )
+    assert set(method.token_grids) == set(grids)
+    for token, expected in grids.items():
+        ours = method.token_grids[token]
+        assert ours.cells == expected.cells, token
+        assert ours.boxes == expected.boxes, token
+        assert ours.ranks == expected.ranks, token
+    assert_same_index(
+        method.index, reference.hierarchical_index(objects, method.textual, grids)
+    )
     # Frequent tokens really were refined: this is not a corpus of roots.
     assert max(len(g) for g in grids.values()) > 4
 
 
 @pytest.mark.parametrize("num_buckets", [None, 4096], ids=["exact-keys", "bucketed"])
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_hybrid_build_matches_scalar_reference(corpus, backend, num_buckets):
+def test_hybrid_build_matches_scalar_reference(corpus, num_buckets):
     objects, weighter = corpus
-    method = HybridFilter(
-        objects, weighter, granularity=64, num_buckets=num_buckets, backend=backend
-    )
-    expected = reference.hybrid_index(objects, method, backend)
-    assert_same_index(method.index, expected, backend)
-    if num_buckets is not None and backend == "columnar":
+    method = HybridFilter(objects, weighter, granularity=64, num_buckets=num_buckets)
+    assert_same_index(method.index, reference.hybrid_index(objects, method))
+    if num_buckets is not None:
         # Collisions put one object twice in a list: the tie on
-        # (bound, oid) must keep staging order, and the store must know.
-        assert not method.index.store.rows_unique
+        # (bound, oid) must keep staging order, and the index must know.
+        assert not method.index.rows_unique

@@ -26,7 +26,7 @@ from repro.signatures.hierarchical import (
 
 from tests import reference_hss as reference
 from tests.strategies import rects
-from tests.reference_hss import assert_same_index
+from tests.reference_postings import assert_same_index
 
 SPACE = Rect(0.0, 0.0, 128.0, 128.0)
 
@@ -156,25 +156,22 @@ def test_filter_matches_reference_and_naive(mt, max_level):
     weighter = TokenWeighter(obj.tokens for obj in corpus)
     params = {"mt": mt, "max_level": max_level, "space": SPACE, "min_objects": 4}
     naive = build_method(corpus, "naive", weighter)
-    for backend in ("columnar", "python"):
-        method = build_method(corpus, "seal", weighter, backend=backend, **params)
-        grids = reference.token_grids(
-            corpus, method.hierarchy, mt=mt, min_objects=4, budget_scaling=None
-        )
-        assert {t: g.cells for t, g in method.token_grids.items()} == {
-            t: g.cells for t, g in grids.items()
-        }
-        assert_same_index(
-            method.index,
-            reference.hierarchical_index(corpus, method.textual, grids, backend),
-            backend,
-        )
-        for region in (Rect(0, 0, 128, 128), Rect(30, 30, 66, 66), Rect(64, 64, 64, 64),
-                       Rect(16, 16, 48, 48), Rect(5, 5, 5, 40), Rect(60, 0, 128, 70)):
-            for tokens in ({"everywhere"}, {"all-identical", "everywhere"}, {"zero-area"}):
-                for tau_r, tau_t in ((0.0, 0.3), (0.1, 0.1), (0.5, 0.2), (1.0, 0.0)):
-                    query = Query(region, frozenset(tokens), tau_r, tau_t)
-                    assert method.search(query).answers == naive.search(query).answers
+    method = build_method(corpus, "seal", weighter, **params)
+    grids = reference.token_grids(
+        corpus, method.hierarchy, mt=mt, min_objects=4, budget_scaling=None
+    )
+    assert {t: g.cells for t, g in method.token_grids.items()} == {
+        t: g.cells for t, g in grids.items()
+    }
+    assert_same_index(
+        method.index, reference.hierarchical_index(corpus, method.textual, grids)
+    )
+    for region in (Rect(0, 0, 128, 128), Rect(30, 30, 66, 66), Rect(64, 64, 64, 64),
+                   Rect(16, 16, 48, 48), Rect(5, 5, 5, 40), Rect(60, 0, 128, 70)):
+        for tokens in ({"everywhere"}, {"all-identical", "everywhere"}, {"zero-area"}):
+            for tau_r, tau_t in ((0.0, 0.3), (0.1, 0.1), (0.5, 0.2), (1.0, 0.0)):
+                query = Query(region, frozenset(tokens), tau_r, tau_t)
+                assert method.search(query).answers == naive.search(query).answers
 
 
 @settings(max_examples=60, deadline=None)

@@ -173,10 +173,11 @@ class TestSnapshot:
         with pytest.raises(SnapshotError, match="format 99"):
             load_engine(path)
 
-    @pytest.mark.parametrize("stale", [1, 2, 3, 4])
+    @pytest.mark.parametrize("stale", [1, 2, 3, 4, 5])
     def test_earlier_formats_rejected(self, tmp_path, stale):
-        """Formats 1–4 (pre keyword-only constructors, pre sidecar, pre
-        segment manifest, pre WAL block) fail loudly at the envelope."""
+        """Formats 1–5 (pre keyword-only constructors, pre sidecar, pre
+        segment manifest, pre WAL block, pre one-posting-store) fail
+        loudly at the envelope."""
         import pickle
 
         path = tmp_path / "stale.pkl"
@@ -207,9 +208,8 @@ class TestSnapshot:
         with pytest.raises(SnapshotError, match="incompatible snapshot"):
             load_engine(path)
 
-    @pytest.mark.parametrize("backend", ["python", "columnar"])
     def test_snapshot_bytes_unchanged_by_serving(self, tmp_path, twitter_small,
-                                                 twitter_small_weighter, backend):
+                                                 twitter_small_weighter):
         """The verifier's coordinate columns are transient: an engine
         that has answered large-candidate queries pickles to the same
         bytes (snapshot and sidecar) as it did fresh from the build."""
@@ -217,7 +217,7 @@ class TestSnapshot:
         from repro.io.snapshot import sidecar_path
 
         engine = build_method(
-            twitter_small, "planned", twitter_small_weighter, backend=backend,
+            twitter_small, "planned", twitter_small_weighter,
             granularity=32, mt=8, max_level=6, min_objects=4,
         )
 
@@ -252,8 +252,7 @@ class TestSnapshot:
             synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
             return real_fsync(fd)
 
-        method = build_method(figure1_objects, "token", figure1_weighter,
-                             backend="columnar")
+        method = build_method(figure1_objects, "token", figure1_weighter)
         path = tmp_path / "engine.pkl"
         from unittest import mock
 
@@ -276,8 +275,7 @@ class TestSnapshot:
 
         from unittest import mock
 
-        method = build_method(figure1_objects, "token", figure1_weighter,
-                             backend="python")
+        method = build_method(figure1_objects, "token", figure1_weighter)
         with mock.patch("os.fsync", lambda fd: (events.append("fsync"), real_fsync(fd))[1]), \
              mock.patch("os.replace", lambda a, b: (events.append("replace"),
                                                     real_replace(a, b))[1]):
@@ -297,7 +295,7 @@ class TestSnapshot:
 
         engine = SegmentedSealSearch(
             method="seal", buffer_capacity=4, merge_fanout=2,
-            mt=4, max_level=4, backend="columnar",
+            mt=4, max_level=4,
         )
         for i in range(11):
             engine.insert(Rect(i, 0, i + 2, 2), {"coffee", f"tag{i % 3}"})
@@ -319,8 +317,8 @@ class TestSnapshot:
             assert restored.search_query(probe).answers == expected
             assert len(restored) == len(engine)
             assert restored.tombstones == 1
-            store = restored.segment_methods()[0].index.store
-            assert isinstance(store.oids, np.memmap) == mmap
+            index = restored.segment_methods()[0].index
+            assert isinstance(index.oids, np.memmap) == mmap
         # The restored engine keeps taking writes.
         restored = load_engine(path)
         oid = restored.insert(Rect(20, 0, 22, 2), {"coffee"})
@@ -339,7 +337,7 @@ class TestSnapshot:
 
     def test_format3_sidecar_round_trip(self, tmp_path, figure1_objects,
                                          figure1_weighter, figure1_query):
-        """Columnar engines externalise CSR arrays to an .npz sidecar;
+        """Signature indexes externalise CSR arrays to an .npz sidecar;
         loads resolve them back — eagerly or memory-mapped — with
         identical answers, and a true ``np.memmap`` under ``mmap=True``."""
         import numpy as np
@@ -347,8 +345,7 @@ class TestSnapshot:
         from repro.io.snapshot import sidecar_path
 
         method = build_method(
-            figure1_objects, "seal", figure1_weighter, mt=8, max_level=4,
-            backend="columnar",
+            figure1_objects, "seal", figure1_weighter, mt=8, max_level=4
         )
         expected = method.search(figure1_query).answers
         path = tmp_path / "columnar.pkl"
@@ -358,8 +355,7 @@ class TestSnapshot:
         for mmap in (False, True):
             restored = load_engine(path, mmap=mmap)
             assert restored.search(figure1_query).answers == expected
-            oids = restored.index.store.oids
-            assert isinstance(oids, np.memmap) == mmap
+            assert isinstance(restored.index.oids, np.memmap) == mmap
         # The pair travels together: a missing sidecar fails loudly.
         sidecar.unlink()
         with pytest.raises(SnapshotError, match="sidecar missing"):
@@ -373,8 +369,7 @@ class TestSnapshot:
         truncate the sidecar its arrays are mapped from (regression: this
         crashed the process with SIGBUS before the atomic replace)."""
         method = build_method(
-            figure1_objects, "seal", figure1_weighter, mt=8, max_level=4,
-            backend="columnar",
+            figure1_objects, "seal", figure1_weighter, mt=8, max_level=4
         )
         expected = method.search(figure1_query).answers
         path = tmp_path / "engine.pkl"
@@ -384,15 +379,13 @@ class TestSnapshot:
         assert mapped.search(figure1_query).answers == expected
         assert load_engine(path, mmap=True).search(figure1_query).answers == expected
 
-    def test_format3_python_backend_writes_no_sidecar(self, tmp_path, figure1_objects,
-                                                      figure1_weighter, figure1_query):
+    def test_format3_method_without_posting_store_writes_no_sidecar(
+        self, tmp_path, figure1_objects, figure1_weighter, figure1_query
+    ):
         from repro.io.snapshot import sidecar_path
 
-        method = build_method(
-            figure1_objects, "seal", figure1_weighter, mt=8, max_level=4,
-            backend="python",
-        )
-        path = tmp_path / "python.pkl"
+        method = build_method(figure1_objects, "spatial-first", figure1_weighter)
+        path = tmp_path / "rtree.pkl"
         save_engine(method, path)
         assert not sidecar_path(path).exists()
         restored = load_engine(path, mmap=True)  # mmap is a no-op here
@@ -407,10 +400,8 @@ class TestSnapshot:
 
         from repro.io.snapshot import sidecar_path
 
-        small = build_method(figure1_objects, "token", figure1_weighter,
-                             backend="columnar")
-        big = build_method(figure1_objects, "seal", figure1_weighter,
-                           mt=8, max_level=4, backend="columnar")
+        small = build_method(figure1_objects, "token", figure1_weighter)
+        big = build_method(figure1_objects, "seal", figure1_weighter, mt=8, max_level=4)
         a, b = tmp_path / "a.pkl", tmp_path / "b.pkl"
         save_engine(small, a)
         save_engine(big, b)
@@ -423,13 +414,54 @@ class TestSnapshot:
         from repro.io.snapshot import sidecar_path
 
         path = tmp_path / "engine.pkl"
-        columnar = build_method(
-            figure1_objects, "token", figure1_weighter, backend="columnar"
-        )
-        save_engine(columnar, path)
+        save_engine(build_method(figure1_objects, "token", figure1_weighter), path)
         assert sidecar_path(path).exists()
-        python = build_method(
-            figure1_objects, "token", figure1_weighter, backend="python"
-        )
-        save_engine(python, path)
+        save_engine(build_method(figure1_objects, "naive", figure1_weighter), path)
         assert not sidecar_path(path).exists()
+
+
+@pytest.mark.parametrize("consumer", ["load_engine", "validate_snapshot", "pre-swap gate", "recover"])
+def test_format5_checkpoint_is_refused_at_the_envelope(tmp_path, consumer):
+    """What the parent commit wrote: a format-5 envelope around an engine
+    blob that pickles ``repro.index.postings`` / ``repro.index.columnar``
+    classes this library no longer has.  Every way in refuses it by its
+    format number with the "rebuild the index" error — the blob is never
+    (half-)unpickled — and leaves what was live untouched."""
+    import pickle
+
+    from repro.exec.durable import recover
+    from repro.io import validate_snapshot
+    from repro.io.snapshot import SNAPSHOT_FORMAT
+    from repro.service import EngineManager
+    from tests.durable_testlib import fill, make_durable, snapshot_of, wal_of
+
+    assert SNAPSHOT_FORMAT == 6
+    engine = make_durable(tmp_path)
+    fill(engine, 6)
+    engine.checkpoint()
+    fill(engine, 2, start=6)
+    engine.close()
+    path = snapshot_of(tmp_path)
+    envelope = pickle.loads(path.read_bytes())
+    envelope["format"] = 5
+    envelope["engine"] = b"crepro.index.postings\nPostingList\n."
+    path.write_bytes(pickle.dumps(envelope))
+    wal_before = wal_of(tmp_path).read_bytes()
+
+    refusal = pytest.raises(SnapshotError, match="format 5.*reads format 6; rebuild the index")
+    if consumer == "load_engine":
+        with refusal:
+            load_engine(path)
+    elif consumer == "validate_snapshot":
+        with refusal:
+            validate_snapshot(path)
+    elif consumer == "pre-swap gate":
+        live = SealSearch([(Rect(0, 0, 1, 1), {"a"})], method="token")
+        manager = EngineManager(live)
+        with refusal:
+            manager.load_snapshot(path)
+        assert manager.engine is live and manager.epoch == 0
+    else:
+        with refusal:
+            recover(path, wal_of(tmp_path))
+        assert wal_of(tmp_path).read_bytes() == wal_before

@@ -3,7 +3,7 @@
 The single-process threaded server is the answer-identity oracle for the
 multi-process pool, so it first has to be pinned against the thing *it*
 wraps: every networked answer must be bit-identical to calling the same
-:class:`QueryService` directly, on both index backends.
+:class:`QueryService` directly.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.core.errors import (
     ProtocolError,
     ServiceError,
 )
-from repro.index.columnar import BACKENDS
 from repro.service import NetworkClient, NetworkServer, QueryService
 from service_testlib import (
     Caller,
@@ -31,12 +30,10 @@ from service_testlib import (
 )
 
 
-@pytest.fixture(params=BACKENDS)
-def service(request, twitter_small):
+@pytest.fixture()
+def service(twitter_small):
     pairs = [(obj.region, obj.tokens) for obj in twitter_small]
-    engine = SegmentedSealSearch(
-        pairs, "token", buffer_capacity=64, backend=request.param
-    )
+    engine = SegmentedSealSearch(pairs, "token", buffer_capacity=64)
     with QueryService(engine, enable_cache=False) as svc:
         yield svc
 

@@ -22,7 +22,6 @@ import pytest
 
 from repro import Query, Rect, SegmentedSealSearch
 from repro.core.errors import ProtocolError
-from repro.index.columnar import BACKENDS
 from repro.io import GenerationError, publish_snapshot, save_engine
 from repro.service import NetworkClient, ProcessSupervisor
 from service_testlib import ThreadReportingEngine, decode_threads
@@ -36,9 +35,9 @@ pytestmark = pytest.mark.skipif(
 WORKERS = 2
 
 
-def _build_engine(corpus, backend: str = "columnar") -> SegmentedSealSearch:
+def _build_engine(corpus) -> SegmentedSealSearch:
     pairs = [(obj.region, obj.tokens) for obj in corpus]
-    return SegmentedSealSearch(pairs, "token", buffer_capacity=64, backend=backend)
+    return SegmentedSealSearch(pairs, "token", buffer_capacity=64)
 
 
 def _oracle(engine, queries):
@@ -69,9 +68,8 @@ def _wait_until(predicate, timeout: float = 20.0, message: str = "condition"):
     raise AssertionError(f"timed out waiting for {message}")
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_workers_match_local_oracle(backend, twitter_small, twitter_small_queries, tmp_path):
-    engine = _build_engine(twitter_small, backend)
+def test_workers_match_local_oracle(twitter_small, twitter_small_queries, tmp_path):
+    engine = _build_engine(twitter_small)
     expected = _oracle(engine, twitter_small_queries)
     publish_snapshot(tmp_path / "serving", engine=engine)
     with ProcessSupervisor(
@@ -88,11 +86,10 @@ def test_workers_match_local_oracle(backend, twitter_small, twitter_small_querie
                 assert client.last_meta["pid"] in pids
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_epoch_bump_mid_traffic_never_serves_stale(
-    backend, twitter_small, twitter_small_queries, tmp_path
+    twitter_small, twitter_small_queries, tmp_path
 ):
-    engine = _build_engine(twitter_small, backend)
+    engine = _build_engine(twitter_small)
     queries = list(twitter_small_queries)
     oracle = {1: _oracle(engine, queries)}
 

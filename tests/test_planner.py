@@ -4,9 +4,8 @@ The planner's entire value rests on one invariant — dispatching to *any*
 registry method yields bit-identical answers, so choosing per query is
 free — and on its observability being truthful.  These tests pin:
 
-* answer identity against every fixed registry method, on both index
-  backends, including the degenerate-threshold regimes where methods
-  fall back to full scans;
+* answer identity against every fixed registry method, including the
+  degenerate-threshold regimes where methods fall back to full scans;
 * dispatch sanity: vacuous thresholds steer the planner *away* from the
   degenerate methods;
 * the record → fit → serve calibration workflow, including the JSONL
@@ -43,9 +42,8 @@ from repro.exec.planner import (
     load_coefficients,
     save_coefficients,
 )
-from repro.index.columnar import BACKENDS
 
-#: Small knobs so each (backend-parameterized) portfolio builds fast.
+#: Small knobs so each portfolio builds fast.
 KNOBS = dict(granularity=32, mt=8, max_level=6, min_objects=4)
 
 
@@ -57,27 +55,18 @@ def _mixed_queries(base_queries):
     return out
 
 
-@pytest.fixture(scope="module", params=BACKENDS)
-def backend(request):
-    return request.param
+@pytest.fixture(scope="module")
+def planner(twitter_small, twitter_small_weighter):
+    return PlannedSealSearch(twitter_small, twitter_small_weighter, **KNOBS)
 
 
 @pytest.fixture(scope="module")
-def planner(backend, twitter_small, twitter_small_weighter):
-    return PlannedSealSearch(
-        twitter_small, twitter_small_weighter, backend=backend, **KNOBS
-    )
-
-
-@pytest.fixture(scope="module")
-def fixed_methods(backend, twitter_small, twitter_small_weighter):
+def fixed_methods(twitter_small, twitter_small_weighter):
     """Every registry method (not just the portfolio), same knobs."""
     out = {}
     for name in ("naive", "keyword-first", "spatial-first", "irtree",
                  "token", "grid", "hash-hybrid", "seal"):
         params = {}
-        if name in ("token", "grid", "hash-hybrid", "seal"):
-            params["backend"] = backend
         if name in ("grid", "hash-hybrid"):
             params["granularity"] = KNOBS["granularity"]
         if name == "seal":
@@ -191,6 +180,36 @@ class TestConfiguration:
     def test_duplicate_methods_rejected(self, twitter_small):
         with pytest.raises(ConfigurationError):
             PlannedSealSearch(twitter_small, methods=("token", "token"))
+
+    @pytest.mark.parametrize(
+        "methods, knobs, unknown",
+        [
+            (None, {"granularty": 16}, "granularty"),            # a typo
+            (None, {"mt": 4, "max_entries": 8}, "max_entries"),   # no R-tree in the default portfolio
+            (("token", "spatial-first"), {"granularity": 16}, "granularity"),
+            (None, {"backend": "python"}, "backend"),             # the option this library dropped
+        ],
+    )
+    def test_knob_no_member_accepts_rejected_before_any_build(
+        self, twitter_small, methods, knobs, unknown
+    ):
+        """A knob used to vanish silently when no portfolio member took it."""
+        no_index = mock.patch(
+            "repro.index.inverted.InvertedIndex.from_postings", side_effect=AssertionError
+        )
+        with no_index, pytest.raises(
+            ConfigurationError, match=f"'planned'.*'{unknown}'"
+        ) as error:
+            build_method(twitter_small, "planned", methods=methods, **knobs)
+        assert all(repr(knob) not in str(error.value) for knob in knobs if knob != unknown)
+
+    def test_each_member_gets_the_knobs_it_accepts(self, twitter_small):
+        planner = PlannedSealSearch(
+            twitter_small[:50], methods=("token", "grid", "spatial-first"),
+            granularity=16, max_entries=8,
+        )
+        assert planner.methods["grid"].granularity == 16
+        assert planner.methods["spatial-first"].rtree.max_entries == 8
 
     def test_bad_coefficient_arity_rejected(self, twitter_small):
         planner = PlannedSealSearch(twitter_small, methods=("token", "grid"),
@@ -485,14 +504,11 @@ class TestStatsAttribution:
 
 class TestSegmentedChurn:
     def test_planned_segmented_matches_token_segmented_under_churn(
-        self, backend, twitter_small, twitter_small_queries
+        self, twitter_small, twitter_small_queries
     ):
         pairs = [(o.region, o.tokens) for o in twitter_small[:200]]
-        planned = SegmentedSealSearch(
-            pairs, "planned", buffer_capacity=64, backend=backend, **KNOBS
-        )
-        oracle = SegmentedSealSearch(pairs, "token", buffer_capacity=64,
-                                     backend=backend)
+        planned = SegmentedSealSearch(pairs, "planned", buffer_capacity=64, **KNOBS)
+        oracle = SegmentedSealSearch(pairs, "token", buffer_capacity=64)
         for engine in (planned, oracle):
             for obj in twitter_small[200:260]:
                 engine.insert(obj.region, obj.tokens)

@@ -1,4 +1,5 @@
-"""Tests for threshold-bounded posting lists and the inverted index."""
+"""Tests for the reference posting lists (``tests/reference_postings.py``)
+and the directory surface of the inverted index they are the oracle of."""
 
 from __future__ import annotations
 
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.stats import SearchStats
 from repro.index.inverted import InvertedIndex
-from repro.index.postings import DualBoundPostingList, PostingList
+
+from tests.reference_postings import DualBoundPostingList, PostingList, ReferenceIndex
 
 
 class TestPostingList:
@@ -104,13 +107,38 @@ class TestDualBoundPostingList:
         assert list(plist) == [(1, 2.0, 3.0)]
 
 
-class TestInvertedIndex:
-    def test_lifecycle(self):
-        index = InvertedIndex(PostingList)
-        index.list_for("a").add(0, 1.5)
-        index.list_for("a").add(1, 0.5)
-        index.list_for("b").add(0, 2.0)
+class TestReferenceIndex:
+    def test_lists_are_created_in_posting_order(self):
+        index = ReferenceIndex()
+        index.add("b", 0, 2.0)
+        index.add("a", 0, 1.5)
+        index.add("b", 1, 0.5)
         index.freeze()
+        assert list(index.lists) == ["b", "a"]
+        assert index.lists["b"].columns() == ([0, 1], [-2.0, -0.5])
+
+    def test_single_bound_miss_counts_as_a_probe(self):
+        index = ReferenceIndex()
+        index.add("a", 0, 1.5)
+        index.add("a", 1, 0.5)
+        stats = SearchStats()
+        assert index.freeze().union_heads(["a", "missing"], 1.0, None, stats) == {0}
+        assert (stats.lists_probed, stats.entries_retrieved, stats.entries_matched) == (2, 1, 1)
+
+    def test_dual_bound_miss_does_not(self):
+        index = ReferenceIndex(dual=True)
+        index.add("a", 0, 1.5, 0.2)
+        index.add("a", 1, 1.5, 0.9)
+        stats = SearchStats()
+        assert index.freeze().union_heads(["a", "missing"], 1.0, 0.5, stats) == {1}
+        assert (stats.lists_probed, stats.entries_retrieved, stats.entries_matched) == (1, 2, 1)
+
+
+class TestInvertedIndex:
+    def test_directory_surface(self):
+        index = InvertedIndex.from_postings(
+            ["a", "b"], [0, 0, 1], [0, 1, 0], [1.5, 0.5, 2.0]
+        )
         assert list(index.probe("a", 1.0)) == [0]
         assert list(index.probe("missing", 0.0)) == []
         assert "a" in index and "missing" not in index
@@ -119,11 +147,19 @@ class TestInvertedIndex:
         assert index.list_length("a") == 2
         assert index.list_length("missing") == 0
 
-    def test_new_list_after_freeze_rejected(self):
-        index = InvertedIndex(PostingList)
-        index.freeze()
-        with pytest.raises(RuntimeError):
-            index.list_for("new")
+        assert index.list_lengths().tolist() == [2, 1]
+        assert index.average_list_length() == 1.5
+        assert index.t_bounds is None and index.rows_unique
+
+    def test_empty_index(self):
+        index = InvertedIndex.from_postings([], [], [], [])
+        assert len(index) == 0 and index.num_postings() == 0
+        assert index.average_list_length() == 0.0
+        assert index.list_lengths().tolist() == []
+        assert list(index.probe("anything", 0.0)) == []
+        stats = SearchStats()
+        assert len(index.union_heads(["x", "y"], 0.0, None, stats)) == 0
+        assert (stats.lists_probed, stats.entries_retrieved) == (2, 0)
 
 
 @given(

@@ -6,10 +6,10 @@ every member from one ``TextualScheme.query_prefix`` in O(|prefix|) and
 hands that prefix to the member it picks.  These tests pin both:
 
 * a golden table whose answers and per-member work were written by the
-  parent commit (``tests/fixtures/make_planner_golden.py``) replays on
-  both index backends — every filter run directly, and the planner's
-  choice and estimates as exact floats;
-* per filter × backend × query shape, ``probes`` run through the one
+  parent commit (``tests/fixtures/make_planner_golden.py``) replays —
+  every filter run directly, and the planner's choice and estimates as
+  exact floats;
+* per filter × query shape, ``probes`` run through the one
   probe loop is ``candidates``, statistics included, and
   ``probes(query, text)`` is ``probes(query)``;
 * a planned search sorts and sums the query's tokens once, ``plan()``
@@ -46,7 +46,6 @@ from repro.filters.grid_filter import GridFilter
 from repro.filters.hierarchical_filter import HierarchicalFilter
 from repro.filters.hybrid_filter import HybridFilter
 from repro.filters.token_filter import TokenFilter
-from repro.index.columnar import BACKENDS
 from repro.io.corpus_io import save_queries
 from repro.io.snapshot import load_engine, save_engine
 from repro.service.protocol import query_from_wire
@@ -66,9 +65,9 @@ def corpus():
     return generate_twitter(**{**GOLDEN["corpus"], "space": Rect(*GOLDEN["corpus"]["space"])})
 
 
-@pytest.fixture(scope="module", params=BACKENDS)
-def planner(request, corpus):
-    return PlannedSealSearch(corpus, backend=request.param, **GOLDEN["knobs"])
+@pytest.fixture(scope="module")
+def planner(corpus):
+    return PlannedSealSearch(corpus, **GOLDEN["knobs"])
 
 
 @pytest.fixture(scope="module")
@@ -138,8 +137,7 @@ def _shapes(corpus) -> dict:
 def filters(planner, corpus):
     """The four portfolio filters plus a bucketed hybrid (colliding keys)."""
     bucketed = build_method(
-        corpus, "hash-hybrid", planner.weighter, granularity=64, num_buckets=97,
-        backend=planner.methods["hash-hybrid"].backend,
+        corpus, "hash-hybrid", planner.weighter, granularity=64, num_buckets=97
     )
     return {**planner.methods, "hash-hybrid-bucketed": bucketed}
 
@@ -324,14 +322,17 @@ def test_seal_grids_are_walked_once_per_planned_search(planner, golden_queries):
 
 
 @pytest.mark.parametrize(
-    "portfolio", [("grid", "hash-hybrid", "keyword-first"), ("spatial-first", "naive")]
+    "portfolio, knobs",
+    [
+        (("grid", "hash-hybrid", "keyword-first"), {"granularity": GOLDEN["knobs"]["granularity"]}),
+        (("spatial-first", "naive"), {}),
+    ],
+    ids=["portfolio0", "portfolio1"],
 )
-def test_member_without_probes_is_called_with_two_arguments(corpus, portfolio):
+def test_member_without_probes_is_called_with_two_arguments(corpus, portfolio, knobs):
     """A member whose estimate hands nothing back — it filters without
     text, or not at all — keeps the two-argument ``candidates`` call."""
-    planner = PlannedSealSearch(
-        corpus, methods=portfolio, granularity=GOLDEN["knobs"]["granularity"]
-    )
+    planner = PlannedSealSearch(corpus, methods=portfolio, **knobs)
     query = query_from_wire(GOLDEN["rows"][0]["query"])
     expected = build_method(corpus, "naive", planner.weighter).search(query).answers
     for name, member in planner.methods.items():
@@ -438,7 +439,7 @@ def four_regimes(corpus):
 def test_parent_written_snapshot_loads_plans_and_answers_alike(
     planner, four_regimes, tmp_path, mmap
 ):
-    """What a format-5 planner snapshot from before the change holds: the
+    """What a planner snapshot from before the change holds: the
     hand-set tuple as every member's live coefficients, and no attribute
     this change added — it added none, to the planner or to a member, and
     the key set below is the parent's."""

@@ -14,9 +14,9 @@ Covered here:
 
 * :class:`WALCursor` frame shipping — sealed-tail reads, batching,
   the ``end`` cap, off-grid offsets, generation lineage errors;
-* network differential: replica ≡ primary ≡ oracle on both index
-  backends, through bootstrap-from-snapshot, bootstrap-from-config,
-  live ingest, and checkpoint adoption;
+* network differential: replica ≡ primary ≡ oracle, through
+  bootstrap-from-snapshot, bootstrap-from-config, live ingest, and
+  checkpoint adoption;
 * the divergence taxonomy — behind-a-checkpoint re-bootstrap, replicas
   refusing ``repl-*`` ops, non-durable primaries refused;
 * crash safety: a state-dir image taken after *every* ship/ack
@@ -42,7 +42,6 @@ from repro import Query, Rect
 from repro.core.errors import ProtocolError, ReplicationError
 from repro.exec.durable import DurableSegmentedSealSearch
 from repro.exec.segments import SegmentedSealSearch
-from repro.index.columnar import BACKENDS
 from repro.io.wal import (
     HEADER_SIZE,
     WALCursor,
@@ -57,7 +56,14 @@ from repro.service.replication import (
     read_replica_status,
 )
 
-from tests.durable_testlib import make_durable, oracle_answers, snapshot_of, wal_of
+from tests.durable_testlib import (
+    LEGACY_BACKEND_PARAMS,
+    make_durable,
+    make_uncheckpointed,
+    oracle_answers,
+    snapshot_of,
+    wal_of,
+)
 
 PROBES = [
     Query(Rect(0.0, 0.0, 20.0, 6.0), frozenset({"coffee"}), 0.01, 0.0),
@@ -204,11 +210,8 @@ class TestWALCursor:
 
 
 class TestReplicaDifferential:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_snapshot_bootstrap_matches_primary_and_oracle(self, tmp_path, backend):
-        if backend == "columnar":
-            pytest.importorskip("numpy")
-        primary = durable_primary(tmp_path / "primary", backend=backend)
+    def test_snapshot_bootstrap_matches_primary_and_oracle(self, tmp_path):
+        primary = durable_primary(tmp_path / "primary")
         fill(primary, 8)
         primary.checkpoint()
         fill(primary, 6, start=8)
@@ -224,15 +227,12 @@ class TestReplicaDifferential:
                 primary.stable_position["generation"],
                 primary.stable_position["offset"],
             )
-            assert_replica_matches(applier, primary, backend=backend)
+            assert_replica_matches(applier, primary)
             applier.stop()
         primary.close()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_replica_follows_live_ingest(self, tmp_path, backend):
-        if backend == "columnar":
-            pytest.importorskip("numpy")
-        primary = durable_primary(tmp_path / "primary", backend=backend)
+    def test_replica_follows_live_ingest(self, tmp_path):
+        primary = durable_primary(tmp_path / "primary")
         fill(primary, 4)
         with primary_server(primary) as (host, port, _publisher):
             applier = make_replica(host, port, tmp_path / "replica")
@@ -242,7 +242,7 @@ class TestReplicaDifferential:
                 fill(primary, 6, start=round_start)
                 primary.delete(round_start)
                 applier.catch_up()
-                assert_replica_matches(applier, primary, backend=backend)
+                assert_replica_matches(applier, primary)
             applier.stop()
         primary.close()
 
@@ -265,6 +265,39 @@ class TestReplicaDifferential:
             applier.catch_up()
             assert applier.source == "config"
             assert_replica_matches(applier, primary)
+            applier.stop()
+        primary.close()
+
+    @pytest.mark.parametrize("params", LEGACY_BACKEND_PARAMS, ids=lambda p: p["backend"])
+    def test_config_bootstrap_from_a_legacy_config_record(self, tmp_path, params):
+        """The primary ships its log's config record verbatim; one written
+        when there were two index backends still bootstraps a replica."""
+        root = tmp_path / "primary"
+        root.mkdir()
+        primary = make_uncheckpointed(root, params=params)
+        fill(primary, 9)
+        primary.delete(3)
+        with primary_server(primary) as (host, port, _publisher):
+            applier = make_replica(host, port, tmp_path / "replica")
+            applier.bootstrap()
+            applier.catch_up()
+            assert applier.source == "config"
+            assert_replica_matches(applier, primary)
+            applier.stop()
+        primary.close()
+
+    def test_config_bootstrap_refuses_an_unknown_param(self, tmp_path):
+        """Any other key nothing accepts fails the bootstrap with the
+        typed error, before a single record is replayed."""
+        root = tmp_path / "primary"
+        root.mkdir()
+        primary = make_uncheckpointed(root, params={"bogus": 1})
+        fill(primary, 3)
+        with primary_server(primary) as (host, port, _publisher):
+            applier = make_replica(host, port, tmp_path / "replica")
+            with pytest.raises(WALError, match=f"primary {host}:{port}.*'bogus'"):
+                applier.bootstrap()
+            assert applier.bootstraps == 0
             applier.stop()
         primary.close()
 
@@ -406,18 +439,15 @@ def _replica_image(root: Path, dest: Path) -> Path:
 
 
 class TestCrashInjection:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("checkpoint_records", [1, None])
     def test_kill_at_every_ship_boundary_resumes_and_converges(
-        self, tmp_path, backend, checkpoint_records
+        self, tmp_path, checkpoint_records
     ):
         """Single-record shipments; after every applied batch the state
         dir is imaged.  Every image — whether its local checkpoint is
         per-batch fresh (checkpoint_records=1) or bootstrap-stale
         (None) — must resume and converge to the primary exactly."""
-        if backend == "columnar":
-            pytest.importorskip("numpy")
-        primary = durable_primary(tmp_path / "primary", backend=backend)
+        primary = durable_primary(tmp_path / "primary")
         fill(primary, 3)
         primary.checkpoint()
         fill(primary, 5, start=3)
@@ -441,7 +471,7 @@ class TestCrashInjection:
                     _replica_image(root, tmp_path / f"crash-{len(images)}")
                 )
             assert len(images) >= 8, "the sweep must cover every record"
-            assert_replica_matches(applier, primary, backend=backend)
+            assert_replica_matches(applier, primary)
             applier.stop()
             for image in images:
                 revived = make_replica(host, port, image)
@@ -452,7 +482,7 @@ class TestCrashInjection:
                         if time.monotonic() > deadline:
                             raise AssertionError(f"{image} never caught up")
                         time.sleep(0.02)
-                    assert_replica_matches(revived, primary, backend=backend)
+                    assert_replica_matches(revived, primary)
                 finally:
                     revived.stop()
         primary.close()

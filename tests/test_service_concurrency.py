@@ -1,7 +1,6 @@
 """Concurrency stress tests: threaded service answers == serial answers.
 
-Satellite of the serving-layer PR.  Three escalating regimes, each run
-on both index storage backends:
+Satellite of the serving-layer PR.  Three escalating regimes:
 
 * **static hammer** — N client threads over one engine must produce
   exactly the serial run's answers (pins PR 2's thread-local probe
@@ -20,8 +19,6 @@ from __future__ import annotations
 import random
 import threading
 
-import pytest
-
 from repro import (
     Query,
     Rect,
@@ -30,7 +27,6 @@ from repro import (
     build_method,
     execute_query,
 )
-from repro.index.columnar import BACKENDS
 from repro.service import QueryService
 from repro.text.weights import TokenWeighter
 
@@ -90,11 +86,10 @@ def _hammer(service: QueryService, queries, threads: int, repeats: int):
     return observed, errors
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestStaticHammer:
-    def test_threaded_answers_identical_to_serial(self, twitter_small, backend):
+    def test_threaded_answers_identical_to_serial(self, twitter_small):
         weighter = TokenWeighter(obj.tokens for obj in twitter_small)
-        method = build_method(twitter_small, "seal", weighter, backend=backend)
+        method = build_method(twitter_small, "seal", weighter)
         rng = random.Random(31)
         queries = [_rand_query(rng) for _ in range(16)]
         serial = [execute_query(method, query).answers for query in queries]
@@ -110,11 +105,11 @@ class TestStaticHammer:
         assert metrics["requests"]["total"] == 6 * 3 * 16
         assert metrics["cache"]["hits"] > 0
 
-    def test_threaded_answers_identical_without_cache(self, twitter_small, backend):
+    def test_threaded_answers_identical_without_cache(self, twitter_small):
         """Same pin with the cache off: every request runs the engine, so
         this isolates the thread-local probe scratch under contention."""
         weighter = TokenWeighter(obj.tokens for obj in twitter_small)
-        method = build_method(twitter_small, "seal", weighter, backend=backend)
+        method = build_method(twitter_small, "seal", weighter)
         rng = random.Random(57)
         queries = [_rand_query(rng) for _ in range(8)]
         serial = [execute_query(method, query).answers for query in queries]
@@ -127,16 +122,14 @@ class TestStaticHammer:
             assert all(answers == expected for answers in observed[index])
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestChurn:
-    def test_phased_churn_never_serves_stale_answers(self, backend):
+    def test_phased_churn_never_serves_stale_answers(self):
         rng = random.Random(11)
         engine = SegmentedSealSearch(
             [_rand_object(rng) for _ in range(40)],
             method="token",
             buffer_capacity=8,
             merge_fanout=2,
-            backend=backend,
         )
         queries = [_rand_query(rng) for _ in range(10)]
         with QueryService(engine, workers=4, max_queue=256) as service:
@@ -157,14 +150,13 @@ class TestChurn:
                     service.delete(oid)
             assert epochs == sorted(set(epochs)), "each phase saw a fresh epoch"
 
-    def test_chaos_churn_quiesces_to_oracle(self, backend):
+    def test_chaos_churn_quiesces_to_oracle(self):
         rng = random.Random(23)
         engine = SegmentedSealSearch(
             [_rand_object(rng) for _ in range(30)],
             method="token",
             buffer_capacity=6,
             merge_fanout=2,
-            backend=backend,
         )
         queries = [_rand_query(rng) for _ in range(8)]
         service = QueryService(engine, workers=4, max_queue=512)

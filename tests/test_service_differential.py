@@ -12,7 +12,6 @@ or any divergence between the cached and computed paths fails here.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import (
@@ -22,7 +21,6 @@ from repro import (
     build_method,
     execute_query,
 )
-from repro.index.columnar import BACKENDS
 from repro.service import QueryService
 from tests.strategies import nonempty_token_sets, rects, thresholds
 
@@ -61,16 +59,15 @@ def _oracle_answers(engine: SegmentedSealSearch, query: Query):
     return sorted(live[i].oid for i in result.answers)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @settings(
     max_examples=20,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(steps=ops)
-def test_cached_service_matches_from_scratch_oracle(backend, steps):
+def test_cached_service_matches_from_scratch_oracle(steps):
     engine = SegmentedSealSearch(
-        method="token", buffer_capacity=3, merge_fanout=2, backend=backend
+        method="token", buffer_capacity=3, merge_fanout=2
     )
     with QueryService(engine, workers=2, max_queue=64) as service:
         epoch_before = service.epoch
@@ -110,17 +107,16 @@ def test_cached_service_matches_from_scratch_oracle(backend, steps):
                 assert service.query(query).answers == expected
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(steps=ops)
-def test_cached_and_uncached_services_agree(backend, steps):
+def test_cached_and_uncached_services_agree(steps):
     """Two services over identical engines — cache on vs cache off —
     driven through the same interleaving must agree on every answer."""
     cached_engine = SegmentedSealSearch(
-        method="token", buffer_capacity=3, merge_fanout=2, backend=backend
+        method="token", buffer_capacity=3, merge_fanout=2
     )
     plain_engine = SegmentedSealSearch(
-        method="token", buffer_capacity=3, merge_fanout=2, backend=backend
+        method="token", buffer_capacity=3, merge_fanout=2
     )
     with QueryService(cached_engine, workers=2, max_queue=64) as cached, QueryService(
         plain_engine, enable_cache=False, workers=2, max_queue=64

@@ -206,7 +206,7 @@ class TestHotSwap:
     def test_missing_sidecar_rejected_before_swap(self, tmp_path):
         pytest.importorskip("numpy")
         corpus = [(Rect(i, 0, i + 1, 1), {"a", f"t{i}"}) for i in range(12)]
-        engine = SealSearch(corpus, method="token", backend="columnar")
+        engine = SealSearch(corpus, method="token")
         path = tmp_path / "columnar.pkl"
         save_engine(engine, path)
         sidecar_path(path).unlink()

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.index.inverted import InvertedIndex
-from repro.index.postings import DualBoundPostingList, PostingList
 from repro.index.storage import (
     BOUND_BYTES,
     OFFSET_BYTES,
@@ -33,12 +32,12 @@ class TestKeyBytes:
 
 class TestMeasureIndex:
     def _index(self):
-        index = InvertedIndex(PostingList)
-        for oid in range(10):
-            index.list_for("tea").add(oid, float(oid))
-        index.list_for("coffee").add(0, 1.0)
-        index.freeze()
-        return index
+        return InvertedIndex.from_postings(
+            ["tea", "coffee"],
+            [0] * 10 + [1],
+            list(range(10)) + [0],
+            [float(oid) for oid in range(10)] + [1.0],
+        )
 
     def test_counts(self):
         report = measure_index(self._index(), bounds_per_posting=1)
@@ -71,11 +70,8 @@ class TestMeasureIndex:
         assert report.total_mb == pytest.approx(report.total_bytes / 1048576)
 
     def test_dual_bound_sizes_larger(self):
-        single = InvertedIndex(PostingList)
-        dual = InvertedIndex(DualBoundPostingList)
-        for oid in range(5):
-            single.list_for("k").add(oid, 1.0)
-            dual.list_for("k").add(oid, 1.0, 1.0)
+        single = InvertedIndex.from_postings(["k"], [0] * 5, range(5), [1.0] * 5)
+        dual = InvertedIndex.from_postings(["k"], [0] * 5, range(5), [1.0] * 5, [1.0] * 5)
         s = measure_index(single, bounds_per_posting=1, paged=False)
         d = measure_index(dual, bounds_per_posting=2, paged=False)
         assert d.posting_bytes > s.posting_bytes

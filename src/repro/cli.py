@@ -564,8 +564,10 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     print(f"segments:           {len(segments)} "
           f"({manifest.get('compactions')} compactions)")
     for i, segment in enumerate(segments):
+        # Snapshots written before the key existed lack "method".
+        built = f", {segment['method']} index" if "method" in segment else ""
         print(f"  segment {i}: {segment['objects']} objects "
-              f"({segment['live']} live), tier {segment['tier']}")
+              f"({segment['live']} live), tier {segment['tier']}{built}")
     return 0
 
 
@@ -914,8 +916,11 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     # all and fitted coefficients are installed on every one below.
     planners = list(iter_planners(engine))
     if not planners:
-        print(f"error: {args.engine} holds no query planner; "
-              "build with --method planned", file=sys.stderr)
+        hint = "build with --method planned"
+        if isinstance(engine, SegmentedSealSearch) and engine.config()["method"] == "planned":
+            hint = ("every segment is below the size from which a segmented "
+                    "engine builds its configured method (see `inspect`)")
+        print(f"error: {args.engine} holds no query planner; {hint}", file=sys.stderr)
         return 2
     queries = _queries_from_args(args, "or --queries")
     if queries is None:

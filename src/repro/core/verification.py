@@ -45,6 +45,31 @@ class Verifier:
         self._token_totals = [weighter.total_weight(obj.tokens) for obj in corpus]
         self._columns = None
 
+    def append(self, obj: SpatioTextualObject) -> None:
+        """Grow the corpus by one object, answered as oid ``len(corpus)``.
+
+        Only for a verifier built over a list it may extend (the write
+        buffer's scan, which would otherwise be rebuilt per insert):
+        one token total and, once the columns exist, one row of them —
+        the values a fresh verifier over the longer corpus would hold.
+        Not safe beside a running :meth:`verify`; the caller holds the
+        engine's write lock.
+        """
+        row = len(self.corpus)
+        self.corpus.append(obj)
+        self._token_totals.append(self.weighter.total_weight(obj.tokens))
+        columns = self._columns
+        if columns is None:
+            return
+        if row == len(columns[0]):
+            # Rows past the corpus are spare capacity no oid reaches.
+            columns = self._columns = tuple(
+                np.concatenate((column, np.empty_like(column))) for column in columns
+            )
+        x1, y1, x2, y2 = obj.region.as_tuple()
+        for column, value in zip(columns, (x1, y1, x2, y2, (x2 - x1) * (y2 - y1))):
+            column[row] = value
+
     def verify(self, query: Query, candidates: Iterable[int], stats: SearchStats | None = None) -> List[int]:
         """oids among ``candidates`` with ``simR ≥ τR`` and ``simT ≥ τT``.
 

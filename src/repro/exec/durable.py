@@ -27,11 +27,16 @@ the standard write-ahead-logging contract:
 * **Recovery is exact.**  :func:`recover` rebuilds ``snapshot + WAL
   tail`` by replaying operations in their original order.  Buffer
   seals, size-tiered merges and weighter-refresh (full compaction)
-  points are all deterministic functions of that order, so the
-  recovered engine reproduces the pre-crash engine's segment layout
-  *and* idf-weighter state — its answers are pinned identical to the
-  pre-crash engine's, and (via the engine's own invariant) to a
-  from-scratch ``build_method`` oracle over the live set.
+  points are all deterministic functions of that order, and which
+  index a replayed seal or merge builds is a function of the segment's
+  size alone (:data:`repro.exec.segments.FULL_INDEX_MIN_OBJECTS` —
+  nothing the log or its config record has to carry).  So the
+  recovered engine reproduces the pre-crash engine's segment layout,
+  per-segment indexes *and* idf-weighter state — its answers are
+  pinned identical to the pre-crash engine's, and (via the engine's
+  own invariant) to a from-scratch ``build_method`` oracle over the
+  live set.  (Segments loaded from a snapshot keep the index they were
+  pickled with, whatever rule built it.)
 
 Known loud-failure window: a crash *between the sidecar and snapshot
 writes of a checkpoint* leaves the previous snapshot paired with the

@@ -7,10 +7,18 @@ module is the standard streaming-systems design (FAST, Mahmood et al.):
 
 * **Write buffer** — inserts append to a small in-memory pool that is
   scanned *exactly* at query time (the pool is bounded, so this is
-  cheap and always answer-correct);
+  cheap and always answer-correct).  The scan's state (token totals,
+  coordinate columns, the local→global oid list) grows by one row per
+  insert; it is rebuilt only when the weighter it was computed against
+  is replaced or a buffered object is deleted;
 * **Immutable segments** — when the buffer reaches ``buffer_capacity``
-  it is *sealed*: a full index (any registry method) is built over just
-  those objects;
+  it is *sealed*: an index is built over just those objects.  Which
+  index is a function of the segment's size alone (**size-tiered
+  indexing**): below :data:`FULL_INDEX_MIN_OBJECTS` objects the
+  :data:`LIGHT_METHOD` filter at its defaults, from there up the
+  configured method with its knobs — usually first met by a merge
+  output.  Every registry method yields a candidate superset for the
+  one verifier, so the tier moves build cost and never an answer;
 * **Tombstones** — deletes mark a global oid dead; dead oids are masked
   out of every answer and physically dropped the next time a merge
   touches their segment;
@@ -47,12 +55,15 @@ tracks it exactly and there is no drift at all.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Set
 
 from repro.baselines.naive import NaiveSearch
 from repro.core.engine import build_method, check_params
 from repro.core.objects import Query, SpatioTextualObject
 from repro.core.stats import SearchResult, SearchStats
+from repro.core.verification import Verifier
 from repro.exec.batch import BatchExecutor, BatchResult
 from repro.exec.pipeline import execute_query
 from repro.geometry import Rect
@@ -61,6 +72,22 @@ from repro.text.weights import TokenWeighter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.method import SearchMethod
+
+#: A segment of at least this many objects is indexed with the engine's
+#: configured method; a smaller one with :data:`LIGHT_METHOD`.  Measured
+#: against the default ``planned`` portfolio (table in README "Updates:
+#: segmented engine"): the light filter builds 15-22× faster at every
+#: size; up to 1024 objects it answers as fast or faster in every query
+#: regime, at 2048 it wins three of four (and their mean by 9 %) and
+#: loses spatial-only 1.6×, at 4096 the means are level.  With
+#: the default ``buffer_capacity × merge_fanout`` = 1024 a first-tier
+#: merge stays below it; at 512 that merge built the portfolio inline,
+#: 0.3 s under the write lock.
+FULL_INDEX_MIN_OBJECTS = 2048
+
+#: What a segment below :data:`FULL_INDEX_MIN_OBJECTS` is indexed with,
+#: at the method's default knobs.
+LIGHT_METHOD = "token"
 
 
 def _empty_weighter() -> TokenWeighter:
@@ -73,8 +100,17 @@ def _empty_weighter() -> TokenWeighter:
     return TokenWeighter.from_counts({}, 1)
 
 
+def _relabelled(objects: Sequence[SpatioTextualObject]) -> List[SpatioTextualObject]:
+    """``objects`` under dense local oids 0..n-1, as every index and the
+    buffer scan address them."""
+    return [
+        SpatioTextualObject(i, obj.region, obj.tokens) for i, obj in enumerate(objects)
+    ]
+
+
 class _Segment:
-    """One immutable sealed index plus its local→global oid mapping."""
+    """One query source — a sealed index, or the write buffer's scan —
+    plus its local→global oid mapping."""
 
     __slots__ = ("method", "to_global")
 
@@ -84,6 +120,21 @@ class _Segment:
 
     def __len__(self) -> int:
         return len(self.to_global)
+
+
+class _BufferScan:
+    """The write buffer as a query source: every buffered object is a
+    candidate of the one exact :class:`Verifier` (the two steps
+    ``execute_query`` needs, no index)."""
+
+    __slots__ = ("verifier",)
+    name = NaiveSearch.name
+
+    def __init__(self, verifier: Verifier) -> None:
+        self.verifier = verifier
+
+    def candidates(self, query: Query, stats: SearchStats) -> range:
+        return range(len(self.verifier.corpus))
 
 
 class SegmentedSealSearch:
@@ -97,7 +148,9 @@ class SegmentedSealSearch:
     Args:
         data: Initial ``(region, tokens)`` pairs; sealed into one segment
             (a full compaction point).  May be empty.
-        method: Registry method name built per segment (default ``seal``).
+        method: Registry method name (default ``seal``) built over
+            every segment of at least :data:`FULL_INDEX_MIN_OBJECTS`
+            objects; smaller segments get :data:`LIGHT_METHOD`.
         buffer_capacity: Seal the write buffer into a segment once it
             holds this many objects.  ``None`` disables auto-sealing —
             the caller then controls sealing via :meth:`flush` /
@@ -105,8 +158,8 @@ class SegmentedSealSearch:
         merge_fanout: Merge whenever this many segments share a size
             tier (tier ``t`` holds segments of ``capacity·fanout^t`` to
             ``capacity·fanout^(t+1)`` objects).
-        **params: Method constructor knobs, passed to every segment
-            build (``granularity=...``, ``mt=...``, …).
+        **params: Constructor knobs of ``method``, passed to every
+            build of it (``granularity=...``, ``mt=...``, …).
 
     Raises:
         ConfigurationError: For an unknown method, or a knob it does not
@@ -120,6 +173,11 @@ class SegmentedSealSearch:
         >>> len(engine)
         0
     """
+
+    #: The buffer as a query source (see ``_buffer_scan``).  Derived and
+    #: never pickled: an instance without one, fresh or just loaded from
+    #: a snapshot of any age, reads this default and rebuilds on demand.
+    _scan: _Segment | None = None
 
     def __init__(
         self,
@@ -143,7 +201,6 @@ class SegmentedSealSearch:
         self.compactions = 0
         self._live: Dict[int, SpatioTextualObject] = {}
         self._buffer: List[SpatioTextualObject] = []
-        self._buffer_method: NaiveSearch | None = None
         self._tombstones: Set[int] = set()
         self._segments: List[_Segment] = []
         self._next_oid = 0
@@ -192,7 +249,6 @@ class SegmentedSealSearch:
         obj = SpatioTextualObject(oid, region, frozenset(tokens))
         self._live[oid] = obj
         self._buffer.append(obj)
-        self._buffer_method = None
         stale = self._weights_stale
         self._bookkeep_weights()
         if (
@@ -206,10 +262,17 @@ class SegmentedSealSearch:
                 self._next_oid = oid
                 del self._live[oid]
                 self._buffer.pop()
-                self._buffer_method = None
                 self._weights_stale = stale
                 self._weighter_dirty = not self._segments
                 raise
+        elif self._scan is not None:
+            # Not reached by an insert that seals: the scan never sees
+            # an object a failed seal has to take back.
+            scan = self._scan
+            scan.method.verifier.append(
+                SpatioTextualObject(len(scan.to_global), obj.region, obj.tokens)
+            )
+            scan.to_global.append(oid)
         return oid
 
     def delete(self, oid: int) -> bool:
@@ -222,11 +285,12 @@ class SegmentedSealSearch:
         obj = self._live.pop(oid, None)
         if obj is None:
             return False
-        for i, pending in enumerate(self._buffer):
-            if pending.oid == oid:
-                del self._buffer[i]
-                self._buffer_method = None
-                break
+        buffer = self._buffer
+        # Oids are sequential and a seal empties the buffer, so the
+        # buffer is sorted by oid and everything sealed sorts before it.
+        if buffer and oid >= buffer[0].oid:
+            del buffer[bisect_left(buffer, oid, key=attrgetter("oid"))]
+            self._scan = None  # local ids past the gap shifted
         else:
             self._tombstones.add(oid)
         self._bookkeep_weights()
@@ -255,7 +319,7 @@ class SegmentedSealSearch:
         weighter = TokenWeighter(obj.tokens for obj in live) if live else _empty_weighter()
         self._segments = [self._build_segment(live, weighter)] if live else []
         self._buffer = []
-        self._buffer_method = None
+        self._scan = None
         self._tombstones = set()
         self._weighter = weighter
         self._weighter_dirty = False
@@ -285,12 +349,17 @@ class SegmentedSealSearch:
     def _build_segment(
         self, objects: Sequence[SpatioTextualObject], weighter: TokenWeighter
     ) -> _Segment:
-        """An index over ``objects`` (re-oided locally); moves no engine state."""
-        local = [
-            SpatioTextualObject(i, obj.region, obj.tokens)
-            for i, obj in enumerate(objects)
-        ]
-        method = build_method(local, self._method_name, weighter, **self._params)
+        """An index over ``objects`` (re-oided locally); moves no engine state.
+
+        The one place a segment is made, and the one place the tier rule
+        is read: which index is a pure function of ``len(objects)``, so
+        WAL replay and replicas rebuild the layout the primary built.
+        """
+        local = _relabelled(objects)
+        if len(local) < FULL_INDEX_MIN_OBJECTS:
+            method = build_method(local, LIGHT_METHOD, weighter)
+        else:
+            method = build_method(local, self._method_name, weighter, **self._params)
         return _Segment(method, [obj.oid for obj in objects])
 
     def _seal_buffer(self) -> None:
@@ -330,7 +399,7 @@ class SegmentedSealSearch:
         # Every index exists: adopt the layout.
         self._segments = segments
         self._buffer = []
-        self._buffer_method = None
+        self._scan = None
         tombstones -= dropped
         if refreshed:
             self._weighter = weighter
@@ -367,30 +436,35 @@ class SegmentedSealSearch:
         out.extend(self._buffer)
         return out
 
-    def _buffer_scan_method(self) -> NaiveSearch:
-        if self._buffer_method is None:
-            local = [
-                SpatioTextualObject(i, obj.region, obj.tokens)
-                for i, obj in enumerate(self._buffer)
-            ]
-            self._buffer_method = NaiveSearch(local, self.weighter)
-        return self._buffer_method
+    def _buffer_scan(self) -> _Segment:
+        """The write buffer as a query source.
+
+        Kept across inserts (``insert`` appends a row) and rebuilt here
+        only when missing — first query, snapshot load, a buffered
+        delete — or computed against a weighter since replaced (every
+        bootstrap-phase mutation, a compaction).
+        """
+        weighter = self.weighter
+        scan = self._scan
+        if scan is None or scan.method.verifier.weighter is not weighter:
+            scan = self._scan = _Segment(
+                _BufferScan(Verifier(_relabelled(self._buffer), weighter)),
+                [obj.oid for obj in self._buffer],
+            )
+        return scan
 
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
 
-    def _sources(self):
-        """(method, to_global) pairs to fan a query out over."""
-        sources = [(segment.method, segment.to_global) for segment in self._segments]
-        if self._buffer:
-            sources.append(
-                (self._buffer_scan_method(), [obj.oid for obj in self._buffer])
-            )
-        return sources
+    def _sources(self) -> List[_Segment]:
+        """What a query fans out over: every segment, then the buffer."""
+        if not self._buffer:
+            return self._segments
+        return self._segments + [self._buffer_scan()]
 
     def _merge_source_results(
-        self, results: Sequence[SearchResult], mappings: Sequence[List[int]]
+        self, results: Sequence[SearchResult], sources: Sequence[_Segment]
     ) -> SearchResult:
         tombstones = self._tombstones
         answers: List[int] = []
@@ -399,7 +473,8 @@ class SegmentedSealSearch:
         # survives in ``per_source``, so training rows and observability
         # can tell which segment index did the work.
         stats = SearchStats(method=f"segmented:{self._method_name}")
-        for result, to_global in zip(results, mappings):
+        for result, source in zip(results, sources):
+            to_global = source.to_global
             stats.merge(result.stats)
             stats.per_source.append(result.stats.copy())
             answers.extend(
@@ -414,8 +489,8 @@ class SegmentedSealSearch:
     def search_query(self, query: Query) -> SearchResult:
         """Fan one query over every segment plus the buffer; merge answers."""
         sources = self._sources()
-        results = [execute_query(method, query) for method, _ in sources]
-        return self._merge_source_results(results, [m for _, m in sources])
+        results = [execute_query(source.method, query) for source in sources]
+        return self._merge_source_results(results, sources)
 
     def search(
         self,
@@ -506,7 +581,13 @@ class SegmentedSealSearch:
         )
 
     def index_size(self) -> IndexSizeReport | None:
-        """Summed per-segment accounting; None if any segment lacks it."""
+        """Summed per-segment accounting; None if any segment lacks it.
+
+        Each segment reports the index its size tier built (see
+        :data:`FULL_INDEX_MIN_OBJECTS`; ``snapshot_manifest()`` names it
+        per segment), so bytes per object depend on how the corpus is
+        split across tiers, not only on the configured method.
+        """
         reports = [segment.method.index_size() for segment in self._segments]
         if not reports or any(report is None for report in reports):
             return None
@@ -534,6 +615,7 @@ class SegmentedSealSearch:
                     "objects": len(segment),
                     "live": sum(1 for oid in segment.to_global if oid not in tombstones),
                     "tier": self._tier(len(segment)),
+                    "method": segment.method.name,
                 }
                 for segment in self._segments
             ],
@@ -546,9 +628,9 @@ class SegmentedSealSearch:
             f"tombstones={len(self._tombstones)})"
         )
 
-    # The buffer-scan method is derived state; rebuild it lazily after a
+    # The buffer scan is derived state; rebuild it lazily after a
     # snapshot load rather than pickling a second copy of the buffer.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        state["_buffer_method"] = None
+        state.pop("_scan", None)
         return state

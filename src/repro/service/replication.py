@@ -3,7 +3,8 @@
 The write-ahead log (:mod:`repro.io.wal`) already *is* a replication
 log: every acknowledged mutation is a checksummed frame, replay is
 deterministic (segment layout and idf-weighter refresh points are pure
-functions of the op order — :mod:`repro.exec.durable` pins that), and a
+functions of the op order, the index a segment gets a pure function of
+its size — :mod:`repro.exec.durable` pins that), and a
 checkpoint names an exact ``(generation, offset)`` cut.  This module
 ships those frames over the PR 6 wire protocol so read traffic scales
 across machines while writes stay on one primary::

@@ -571,6 +571,8 @@ class TestInspect:
         assert "not a segmented engine" in out
 
     def test_inspect_segmented_shows_manifest(self, corpus_file, tmp_path, capsys):
+        import json
+
         engine = tmp_path / "live.pkl"
         main(["build", str(corpus_file), "--method", "token", "--segmented",
               "--buffer-capacity", "4", "--out", str(engine)])
@@ -581,6 +583,10 @@ class TestInspect:
         out = capsys.readouterr().out
         assert "1 tombstones" in out
         assert "segments:" in out
+        assert "tier 0, token index" in out
+        main(["inspect", str(engine), "--json"])
+        segments = json.loads(capsys.readouterr().out)["manifest"]["segments"]
+        assert segments and all(segment["method"] == "token" for segment in segments)
 
     def test_inspect_serving_directory(self, plain_engine, tmp_path, capsys):
         from repro.io import publish_snapshot
@@ -856,6 +862,17 @@ class TestPlan:
         rc = main(["plan", str(engine), "--region", "0,0,1,1", "--tokens", "t1"])
         assert rc == 2
         assert "no query planner" in capsys.readouterr().err
+
+    def test_plan_says_why_a_small_segmented_planned_engine_has_no_planner(
+            self, corpus_file, tmp_path, capsys):
+        engine = tmp_path / "live.pkl"
+        main(["build", str(corpus_file), "--method", "planned", "--segmented",
+              "--out", str(engine)])
+        capsys.readouterr()
+        rc = main(["plan", str(engine), "--region", "0,0,1,1", "--tokens", "t1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "no query planner" in err and "every segment is below the size" in err
 
     def test_plan_fit_requires_record(self, planned_engine, capsys):
         rc = main(["plan", str(planned_engine), "--region", "0,0,1,1",

@@ -176,10 +176,13 @@ def test_failed_build_through_the_durable_engine(scenario, monkeypatch, tmp_path
     recovered.close()
 
 
-def test_knob_the_method_rejects_fails_at_construction_not_at_the_first_seal():
+def test_knob_the_method_rejects_fails_at_construction_not_at_the_first_seal(monkeypatch):
     """The reproduction from the issue: the engine used to construct fine
     and blow up inside the 4th insert's seal."""
     from repro.core.errors import ConfigurationError
+
+    # About the tier that builds the configured method, at this size.
+    monkeypatch.setattr(segments, "FULL_INDEX_MIN_OBJECTS", 0)
 
     with pytest.raises(ConfigurationError, match="'token'.*'granularity'"):
         SegmentedSealSearch(method="token", buffer_capacity=4, granularity=16)

@@ -522,7 +522,9 @@ class TestSegmentedChurn:
             )
 
     def test_collect_metrics_aggregates_segments(self, twitter_small,
-                                                 twitter_small_queries):
+                                                 twitter_small_queries, monkeypatch):
+        # Segments this small hold planners only above the tier boundary.
+        monkeypatch.setattr("repro.exec.segments.FULL_INDEX_MIN_OBJECTS", 0)
         pairs = [(o.region, o.tokens) for o in twitter_small]
         engine = SegmentedSealSearch(pairs[:300], "planned", buffer_capacity=512,
                                      merge_fanout=8, **KNOBS)
@@ -609,9 +611,11 @@ class TestServiceAndSnapshots:
                     assert member.search(query).answers == fixed_methods[name].search(query).answers
 
     def test_network_server_serves_planned_engine(self, twitter_small,
-                                                  twitter_small_queries):
+                                                  twitter_small_queries, monkeypatch):
         from repro.service import NetworkClient, NetworkServer, QueryService
 
+        # A corpus this small is planned only above the tier boundary.
+        monkeypatch.setattr("repro.exec.segments.FULL_INDEX_MIN_OBJECTS", 0)
         pairs = [(o.region, o.tokens) for o in twitter_small]
         engine = SegmentedSealSearch(pairs, "planned", buffer_capacity=150, **KNOBS)
         with QueryService(engine, enable_cache=False) as service:

@@ -619,8 +619,12 @@ class TestServeWhileApplying:
                 for start in range(4, 40, 4):
                     fill(primary, 4, start=start)
                     time.sleep(0.01)
+                # Not ``lag_bytes() == 0``: lag is measured against the
+                # primary position of the replica's *last fetch*, which a
+                # fetch from before the final fill makes a stale zero.
+                target = primary.stable_position
                 deadline = time.monotonic() + 20.0
-                while applier_lag(applier) != 0:
+                while applier.lineage != (target["generation"], target["offset"]):
                     if time.monotonic() > deadline:
                         raise AssertionError("replica never caught up under load")
                     time.sleep(0.02)

@@ -1,6 +1,9 @@
 """The built-in checker suite — importing this module populates the registry."""
 
-from repro.analysis.lint.checkers.determinism import ReplayDeterminismChecker
+from repro.analysis.lint.checkers.determinism import (
+    HashOrderedSumChecker,
+    ReplayDeterminismChecker,
+)
 from repro.analysis.lint.checkers.errors import ErrorTransportChecker
 from repro.analysis.lint.checkers.forksafety import ForkSafetyChecker
 from repro.analysis.lint.checkers.locks import LockOrderChecker
@@ -12,6 +15,7 @@ __all__ = [
     "ErrorTransportChecker",
     "ForkSafetyChecker",
     "FsyncOrderingChecker",
+    "HashOrderedSumChecker",
     "LockOrderChecker",
     "NoPickleChecker",
     "ReplayDeterminismChecker",

@@ -6,6 +6,12 @@ log.  Both must land bit-identical engines, so the replay paths in
 clocks, entropy sources, or iterate sets in hash order (set iteration
 order varies across processes with ``PYTHONHASHSEED``) — the primary and
 a replica would silently diverge.
+
+``hash-ordered-sum``: the same divergence through arithmetic.  A float
+sum over a set's iteration order differs across processes in the last
+ulp, which is enough to flip an answer sitting exactly on ``τT``; the
+similarity code sums exactly (``math.fsum``) or in the global token
+order instead.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from typing import List, Optional, Tuple
 
 from repro.analysis.lint.framework import Checker, Finding, register
 
-__all__ = ["ReplayDeterminismChecker"]
+__all__ = ["HashOrderedSumChecker", "ReplayDeterminismChecker"]
 
 #: ``module.attr`` calls that read clocks or entropy.
 _NONDETERMINISTIC_CALLS = {
@@ -59,6 +65,16 @@ def _is_set_expr(node: ast.expr) -> bool:
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
         and node.func.id in ("set", "frozenset")
+    )
+
+
+#: ``a & b``, ``a | b``, ``a - b``, ``a ^ b``: on sets, a new set.
+_SET_OPERATORS = (ast.BitAnd, ast.BitOr, ast.Sub, ast.BitXor)
+
+
+def _is_set_operation(node: ast.expr) -> bool:
+    return _is_set_expr(node) or (
+        isinstance(node, ast.BinOp) and isinstance(node.op, _SET_OPERATORS)
     )
 
 
@@ -108,6 +124,43 @@ class ReplayDeterminismChecker(Checker):
                         "iterating a set directly is hash-ordered (varies with "
                         "PYTHONHASHSEED); iterate sorted(...) so replay order "
                         "is deterministic",
+                    )
+                )
+        return findings
+
+
+@register
+class HashOrderedSumChecker(Checker):
+    """``sum`` over a set's hash order in the similarity arithmetic."""
+
+    name = "hash-ordered-sum"
+    description = (
+        "no sum(...) over a comprehension that iterates a set expression "
+        "(set()/frozenset(), a set literal or comprehension, a & | - ^ b) in "
+        "the similarity paths — float addition is not associative, so the "
+        "total, and an answer at simT = τ, would move with PYTHONHASHSEED"
+    )
+    scope = ("core/", "text/", "signatures/", "filters/", "exec/")
+
+    def check(self, tree: ast.Module, source: str, path: str) -> List[Finding]:
+        findings: List[Finding] = []
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "sum"
+                and node.args
+                and isinstance(node.args[0], (ast.GeneratorExp, ast.ListComp))
+            ):
+                continue
+            if any(_is_set_operation(loop.iter) for loop in node.args[0].generators):
+                findings.append(
+                    self.finding(
+                        path,
+                        node,
+                        "sum() over a set iterates in hash order (varies with "
+                        "PYTHONHASHSEED) and float sums depend on order; use "
+                        "math.fsum, or sum in the weighter's global token order",
                     )
                 )
         return findings

@@ -266,10 +266,15 @@ class PlannedSealSearch(SearchMethod):
             member = build_method(
                 self.corpus, method_name, self.weighter, **accepted_params(method_name, params)
             )
-            # Same corpus, same weighter: one verifier (and one set of
-            # lazily built coordinate columns) serves the whole portfolio.
+            # Same corpus, same weighter: one verifier (one set of lazily
+            # built columns and token CSR) serves the whole portfolio.
+            # The member's own, replaced before it verified anything,
+            # never computed its token totals.
             member.verifier = self.verifier
             self.methods[method_name] = member
+        # The portfolio's one totals pass, paid with the indexes rather
+        # than by the first query.
+        self.verifier.token_totals()
         self.coefficients: Dict[str, List[float]] = {
             method_name: list(DEFAULT_COEFFICIENTS.get(method_name, UNFITTED_COEFFICIENTS))
             for method_name in names
@@ -315,7 +320,7 @@ class PlannedSealSearch(SearchMethod):
         ]
         # More candidates than entries retrieved is a full scan: the same
         # work whichever member runs it, and what a fit prices worst —
-        # verifying an object costs 20× more under a vacuous spatial
+        # verifying an object costs ≈ 4× more under a vacuous spatial
         # threshold than under a vacuous textual one, one coefficient
         # serves both, and it is 0 when no recorded query degenerated.
         # So a full scan never outranks a filter.

@@ -53,27 +53,42 @@ class TextualScheme:
         bounds to the bit, without a sort and a list per object.
 
         Returns:
-            ``(vocabulary, sizes, tokens, bounds)`` — the distinct tokens
-            (ids index into this list), ``|o.T|`` per object, and flat
-            token ids and threshold bounds, object after object, each
-            object's tokens in global order.
+            ``(vocabulary, sizes, tokens, bounds)`` — :meth:`corpus_rows`
+            and each token's threshold bound, in the same flat order.
         """
-        sizes = [len(obj.tokens) for obj in objects]
+        vocabulary, sizes, tokens = self.corpus_rows(objects)
+        weighter = self.weighter
+        weight = np.array([weighter.weight(token) for token in vocabulary], dtype=np.float64)
+        return vocabulary, sizes, tokens, segmented_suffix_bounds(weight[tokens], sizes)
+
+    def corpus_rows(
+        self, objects: Sequence[SpatioTextualObject]
+    ) -> Tuple[List[str], np.ndarray, np.ndarray]:
+        """Every object's tokens in global order, as one CSR.
+
+        Returns:
+            ``(vocabulary, sizes, tokens)`` — the distinct tokens in
+            order of first appearance, iterating each object's token set
+            (ids index into this list), ``|o.T|`` per object, and flat
+            token ids, object after object, each object's in global order.
+        """
         occurrences = [token for obj in objects for token in obj.tokens]
         vocabulary = list(dict.fromkeys(occurrences))
         ids: Dict[str, int] = {token: i for i, token in enumerate(vocabulary)}
-        flat = list(map(ids.__getitem__, occurrences))
-        weighter = self.weighter
         rank = np.empty(len(vocabulary), dtype=np.int64)
-        rank[[ids[token] for token in weighter.sort_tokens(vocabulary)]] = np.arange(
+        rank[[ids[token] for token in self.weighter.sort_tokens(vocabulary)]] = np.arange(
             len(vocabulary)
         )
-        weight = np.array([weighter.weight(token) for token in vocabulary], dtype=np.float64)
-        size_array = np.array(sizes, dtype=np.int64)
-        tokens = np.array(flat, dtype=np.int64)
-        owner = np.repeat(np.arange(len(sizes)), size_array)
-        tokens = tokens[np.lexsort((rank[tokens], owner))]
-        return vocabulary, size_array, tokens, segmented_suffix_bounds(weight[tokens], size_array)
+        sizes = np.fromiter(
+            (len(obj.tokens) for obj in objects), dtype=np.int64, count=len(objects)
+        )
+        tokens = np.fromiter(
+            map(ids.__getitem__, occurrences), dtype=np.int64, count=len(occurrences)
+        )
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        # One key per (object, token), all distinct: the object, then the
+        # token's global rank.
+        return vocabulary, sizes, tokens[np.argsort(owner * len(vocabulary) + rank[tokens])]
 
     def query_prefix(self, query: Query) -> Tuple[List[str], float]:
         """The query's Lemma-2 prefix tokens, in global order, and ``c_T``.

@@ -87,10 +87,15 @@ class TokenWeighter:
         return self._counts.get(token, 0)
 
     def total_weight(self, tokens: Iterable[str]) -> float:
-        """``Σ_{t∈tokens} w(t)`` — e.g. the textual threshold base for a query."""
+        """``Σ_{t∈tokens} w(t)`` — e.g. the textual threshold base for a query.
+
+        Exact (``math.fsum``), so the total does not depend on the order
+        ``tokens`` iterates in — a frozenset's varies with
+        ``PYTHONHASHSEED``, and a sequential sum with it in the last ulp.
+        """
         weight = self._weights
         unknown = self._unknown_weight
-        return sum(weight.get(t, unknown) for t in tokens)
+        return math.fsum([weight.get(t, unknown) for t in tokens])
 
     def vocabulary(self) -> Sequence[str]:
         """All corpus tokens in global (descending-idf) order."""

@@ -8,6 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     METHOD_REGISTRY,
@@ -23,9 +24,10 @@ from repro import (
 from repro.core import verification
 from repro.datasets import generate_queries
 
-from tests.strategies import corpora, queries as query_strategy
+from tests.strategies import corpora, queries as query_strategy, rects, token_sets
 
-#: The verifier's two private spatial branches, forced by moving its cut.
+#: The verifier's two private branches — loops or NumPy kernels, for the
+#: spatial and the textual check alike — forced by moving its one cut.
 BRANCHES = {"loop": sys.maxsize, "mask": 0}
 
 
@@ -71,9 +73,9 @@ class TestBatchEqualsPerQuery:
     def test_each_verifier_branch_forced(
         self, name, branch, twitter_small, twitter_small_weighter, workload
     ):
-        """Pushing every candidate set through one spatial branch — the
-        per-object loop or the NumPy mask — must not change an answer,
-        single query or batch."""
+        """Pushing every candidate set through one branch — the
+        per-object loops or the NumPy kernels — must not change an
+        answer, single query or batch."""
         method = build_method(
             twitter_small, name, twitter_small_weighter, **METHOD_PARAMS.get(name, {})
         )
@@ -106,6 +108,30 @@ class TestVerifierBranchProperty:
         with forced("mask"):
             assert method.search(query).answers == expected
             assert BatchExecutor().run(method, [query]).answers() == [expected]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(rects(), token_sets), min_size=1, max_size=40),
+        seen=st.integers(min_value=1, max_value=40),
+        query=query_strategy(),
+        extra=st.frozensets(st.sampled_from(["unseen0", "unseen1"])),
+        vacuous_r=st.booleans(),
+    )
+    def test_kernel_equals_loop_on_unseen_and_empty_tokens(self, pairs, seen, query, extra,
+                                                           vacuous_r):
+        """Objects and queries with empty token sets, tokens the weighter
+        never saw (a stale segment weighter: built from a prefix of the
+        corpus), and τR = 0 so every candidate reaches the textual check."""
+        objects = make_corpus(pairs)
+        weighter = TokenWeighter(o.tokens for o in objects[:seen])
+        query = Query(query.region, query.tokens | extra,
+                      0.0 if vacuous_r else query.tau_r, query.tau_t)
+        verifier = verification.Verifier(objects, weighter)
+        with forced("loop"):
+            expected = verifier.verify(query, range(len(objects)))
+        with forced("mask"):
+            assert verifier.verify(query, range(len(objects))) == expected
+        assert verifier.verify(query, np.arange(len(objects))) == expected
 
 
 def _boundary_corpus():
@@ -192,32 +218,57 @@ class TestVerifierBoundaries:
         kept = self._three_ways(naive, query, range(40))
         assert sorted({oid % 8 for oid in kept}) == archetypes
 
-    def test_textual_similarity_on_tau(self, naive):
-        """τT set to an object's own simT, computed the verifier's way:
-        whichever side rounding puts it on, all three agree."""
-        weight = naive.weighter.weight
-        assert weight("a") == weight("b")
-        q_total = naive.weighter.total_weight(self.TOKENS)
-        for oid in (1, 6):  # {a} ⊂ q.T, and {a, b, c} ⊃ q.T
-            tokens = naive.corpus[oid].tokens
-            inter_w = sum(weight(t) for t in tokens & self.TOKENS)
-            union_w = q_total + naive.weighter.total_weight(tokens) - inter_w
-            for tau_t in (inter_w / union_w, np.nextafter(inter_w / union_w, 1.0)):
-                query = Query(self.REGION, self.TOKENS, 0.0, float(tau_t))
-                self._three_ways(naive, query, range(40))
+    def _sim_t(self, naive, oid) -> float:
+        """An object's simT against ``TOKENS``, the canonical way: the
+        intersection summed in the global order, exact totals."""
+        weighter = naive.weighter
+        tokens = naive.corpus[oid].tokens
+        inter_w = sum(weighter.weight(t) for t in weighter.sort_tokens(tokens & self.TOKENS))
+        union_w = weighter.total_weight(self.TOKENS) + weighter.total_weight(tokens) - inter_w
+        return inter_w / union_w
+
+    @pytest.mark.parametrize("oid", [1, 6])  # {a} ⊂ q.T, and {a, b, c} ⊃ q.T
+    @pytest.mark.parametrize("above", [False, True])
+    @pytest.mark.parametrize("size", [31, 32, 33])
+    @pytest.mark.parametrize("kind", ["list", "range", "set", "int32"])
+    def test_textual_similarity_exactly_tau_around_the_cut(self, naive, kind, size, above, oid):
+        """The simT = τ twin of the simR cases: τT set to an object's
+        simT and to the next float above it, τR = 0 so every candidate
+        reaches the textual check — 31 survivors take the loop, 32 and
+        33 the CSR kernel.  Whichever side rounding puts the object on,
+        all three agree; where simT is exact (½), it is kept on τ and
+        dropped just above."""
+        assert naive.weighter.weight("a") == naive.weighter.weight("b")
+        tau_t = self._sim_t(naive, oid)
+        if above:
+            tau_t = float(np.nextafter(tau_t, 1.0))
+        candidates = {
+            "list": list(range(size)),
+            "range": range(size),
+            "set": set(range(size)),
+            "int32": np.arange(size, dtype=np.int32),
+        }[kind]
+        kept = self._three_ways(naive, Query(self.REGION, self.TOKENS, 0.0, tau_t), candidates)
+        if oid == 1:
+            # simT ½: {a} or {b} against {a, b}; 1: identical token sets.
+            assert sorted({o % 8 for o in kept}) == ([0, 4] if above else [0, 1, 2, 3, 4, 7])
 
 
 class TestLazyColumnsUnderThreads:
     def test_first_large_verifies_race_to_build_the_columns(self, twitter_small,
                                                             twitter_small_weighter):
-        """The coordinate columns are built by whichever service worker
-        first sees ≥ 32 candidates; racing builders must all answer like
-        the loop branch, every round, on a fresh verifier."""
+        """The coordinate columns and the token CSR (and the totals under
+        them) are built by whichever service worker first sees ≥ 32
+        candidates or survivors; racing builders must all answer like
+        the loop branch, every round, on a fresh verifier — each thread
+        with its own membership scratch."""
         import threading
         from concurrent.futures import ThreadPoolExecutor
 
         queries = list(generate_queries(
             twitter_small, "large", num_queries=8, seed=13, tau_r=0.05, tau_t=0.0
+        )) + list(generate_queries(
+            twitter_small, "small", num_queries=8, seed=13, tau_r=0.0, tau_t=0.2
         ))
         with forced("loop"):
             reference = build_method(twitter_small, "naive", twitter_small_weighter)
@@ -238,6 +289,7 @@ class TestLazyColumnsUnderThreads:
                     futures = [pool.submit(client) for _ in range(workers)]
                     assert all(f.result(timeout=60) == expected for f in futures)
                     assert method.verifier._columns is not None
+                    assert method.verifier._token_rows is not None
         finally:
             sys.setswitchinterval(previous)
 

@@ -210,9 +210,10 @@ class TestSnapshot:
 
     def test_snapshot_bytes_unchanged_by_serving(self, tmp_path, twitter_small,
                                                  twitter_small_weighter):
-        """The verifier's coordinate columns are transient: an engine
-        that has answered large-candidate queries pickles to the same
-        bytes (snapshot and sidecar) as it did fresh from the build."""
+        """The verifier's coordinate columns and token CSR are transient:
+        an engine that has answered large-candidate queries pickles to
+        the same bytes (snapshot and sidecar) as it did fresh from the
+        build."""
         from repro.core.verification import VECTOR_MIN_CANDIDATES
         from repro.io.snapshot import sidecar_path
 
@@ -231,9 +232,11 @@ class TestSnapshot:
         query = Query(Rect(0, 0, 1, 1), frozenset(), 0.0, 0.0)
         assert engine.search(query).stats.candidates >= VECTOR_MIN_CANDIDATES
         assert engine.verifier._columns is not None
+        assert engine.verifier._token_rows is not None
         assert saved(tmp_path / "served.pkl") == fresh
         restored = load_engine(tmp_path / "served.pkl")
         assert restored.verifier._columns is None
+        assert restored.verifier._token_rows is None
         assert restored.search(query).answers == engine.search(query).answers
 
     def test_save_engine_fsyncs_files_and_directory(self, tmp_path, figure1_objects,

@@ -97,6 +97,24 @@ class TestReplayDeterminism:
         assert lint_fixture("good_determinism.py", "replay-determinism") == []
 
 
+class TestHashOrderedSum:
+    def test_flags_sums_over_every_set_expression(self):
+        findings = lint_fixture("bad_hash_ordered_sum.py", "hash-ordered-sum")
+        assert lines(findings) == [5, 6, 7, 8, 9, 10, 11, 12]
+
+    def test_fsum_and_ordered_sums_pass(self):
+        assert lint_fixture("good_hash_ordered_sum.py", "hash-ordered-sum") == []
+
+    def test_scoped_to_the_similarity_paths(self):
+        checker = REGISTRY["hash-ordered-sum"]()
+        for path in ("src/repro/core/verification.py", "src/repro/text/weights.py",
+                     "src/repro/signatures/textual.py", "src/repro/filters/base.py",
+                     "src/repro/exec/planner.py"):
+            assert checker.applies_to(path)
+        assert not checker.applies_to("src/repro/baselines/keyword_first.py")
+        assert not checker.applies_to("tests/test_verification.py")
+
+
 class TestErrorTransport:
     def test_flags_unregistered_raises_and_broad_swallow(self):
         findings = lint_fixture("bad_error_transport.py", "error-transport")

@@ -37,6 +37,7 @@ from repro.exec.pipeline import execute_query
 from tests.durable_testlib import make_durable, snapshot_of, wal_of
 from tests.test_failed_builds import fail_nth_build, obj
 from tests.test_replication import make_replica, primary_server
+from tests.test_verification import token_rows
 
 KNOBS = dict(granularity=4)
 TIER_BOUNDARIES = [0, 6, None, 10**9]  # None: the shipped constant
@@ -207,13 +208,18 @@ def assert_scan_is_fresh(engine) -> None:
     assert scan.to_global == [o.oid for o in buffer]
     assert list(verifier.corpus) == list(fresh.corpus)
     assert verifier.weighter is engine.weighter
-    assert verifier._token_totals == fresh.verifier._token_totals
     for query in SCAN_PROBES:
         assert execute_query(scan.method, query).answers == fresh.search(query).answers
+    # The first probe keeps every object, so both computed their totals.
+    assert verifier._token_totals == fresh.verifier._token_totals
     if verifier._columns is not None:
         assert fresh.verifier._columns is not None  # 32+ candidates built both
         for kept, built in zip(verifier._columns, fresh.verifier._columns):
             assert np.array_equal(kept[: len(buffer)], built)
+    if verifier._token_rows is not None:
+        assert fresh.verifier._token_rows is not None  # 32+ survivors built both
+        assert token_rows(verifier) == token_rows(fresh.verifier)
+
 
 
 def test_scan_state_survives_inserts_and_equals_a_fresh_scan():
@@ -221,12 +227,16 @@ def test_scan_state_survives_inserts_and_equals_a_fresh_scan():
     engine = SegmentedSealSearch(pairs[:20], "token", buffer_capacity=None)
     engine.insert(*pairs[20])
     kept = engine._buffer_scan()
-    for pair in pairs[21:100]:                   # crosses 32: columns appear and grow
+    for pair in pairs[21:100]:                   # crosses 32: columns and CSR appear and grow
         engine.insert(*pair)
         assert engine._buffer_scan() is kept
         assert_scan_is_fresh(engine)
-    assert kept.method.verifier._columns is not None
-    assert len(kept.method.verifier._columns[0]) > engine.pending  # spare capacity
+    verifier = kept.method.verifier
+    assert verifier._columns is not None and verifier._token_rows is not None
+    assert len(verifier._columns[0]) > engine.pending  # spare capacity
+    assert len(verifier._token_rows[2]) > engine.pending + 1
+    # Buffered objects carry tokens the sealed segment's weighter never saw.
+    assert any(t not in engine.weighter for o in engine._buffer for t in o.tokens)
 
     assert engine.delete(engine._buffer[3].oid)  # a buffered delete shifts local ids
     assert engine._buffer_scan() is not kept
@@ -264,21 +274,22 @@ def test_scan_state_follows_the_bootstrap_phase_weighter():
 def test_failed_seal_leaves_the_scan_state_without_the_insert(bootstrap, monkeypatch):
     pairs = [(o.region, o.tokens) for o in CORPUS]
     engine = SegmentedSealSearch(
-        [] if bootstrap else pairs[:10], "token", buffer_capacity=4, merge_fanout=8
+        [] if bootstrap else pairs[:10], "token", buffer_capacity=36, merge_fanout=8
     )
-    for pair in pairs[10:13]:
+    for pair in pairs[10:45]:
         engine.insert(*pair)
     assert_scan_is_fresh(engine)
+    assert engine._buffer_scan().method.verifier._token_rows is not None
     before = [engine.search_query(query).answers for query in SCAN_PROBES]
     fail_nth_build(monkeypatch, 1)
     with pytest.raises(MemoryError):
-        engine.insert(*pairs[13])
-    assert engine.pending == 3
+        engine.insert(*pairs[45])
+    assert engine.pending == 35
     assert_scan_is_fresh(engine)
     assert [engine.search_query(query).answers for query in SCAN_PROBES] == before
-    engine.insert(*pairs[13])                    # the retry seals
+    engine.insert(*pairs[45])                    # the retry seals
     assert engine.pending == 0
-    engine.insert(*pairs[14])
+    engine.insert(*pairs[46])
     assert_scan_is_fresh(engine)
 
 

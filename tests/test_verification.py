@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
-from repro import Query, Rect, TokenWeighter, make_corpus
+import repro
+from repro import Query, Rect, SpatioTextualObject, TokenWeighter, make_corpus
 from repro.core.verification import Verifier
+
+from tests.test_exec_batch import _boundary_corpus, forced
 
 
 @pytest.fixture()
@@ -74,3 +84,141 @@ class TestVerifier:
         verifier = Verifier(corpus, TokenWeighter(o.tokens for o in corpus))
         q = Query(Rect(0, 0, 1, 1), frozenset({"x"}), 0.5, 1.0)
         assert verifier.verify(q, range(2)) == [0, 1]
+
+
+def _large_corpus():
+    """Forty objects: enough for both NumPy kernels at the default cut."""
+    return make_corpus(
+        (Rect(i % 7, i % 5, i % 7 + 3, i % 5 + 2), {f"t{i % 6}", f"u{i % 4}", f"v{i % 9}"})
+        for i in range(40)
+    )
+
+
+class TestVerifierState:
+    """What a verifier pickles, and what it answers with after a load."""
+
+    VACUOUS = Query(Rect(0, 0, 10, 10), frozenset({"t1", "u2", "v3", "unseen"}), 0.0, 0.0)
+
+    def test_pickle_carries_the_totals_and_neither_derived_structure(self):
+        corpus = _large_corpus()
+        weighter = TokenWeighter(o.tokens for o in corpus)
+        verifier = Verifier(corpus, weighter)
+        assert verifier.verify(self.VACUOUS, range(40)) == list(range(40))
+        assert verifier._columns is not None and verifier._token_rows is not None
+        state = verifier.__getstate__()[1]
+        assert sorted(state) == ["_token_totals", "corpus", "weighter"]
+        assert state["_token_totals"] == [weighter.total_weight(o.tokens) for o in corpus]
+        clone = pickle.loads(pickle.dumps(verifier))
+        assert clone._columns is None and clone._token_rows is None
+        assert clone.verify(self.VACUOUS, range(40)) == list(range(40))
+        # A never-used verifier computes its (lazy) totals to pickle them.
+        assert Verifier(corpus, weighter).__getstate__()[1]["_token_totals"] == (
+            state["_token_totals"]
+        )
+
+    def test_saved_totals_are_the_ones_answered_with(self):
+        """A snapshot written before totals were exact holds sums taken
+        in some hash order — an ulp or so off.  A loaded verifier answers
+        with the totals it was saved with, on both branches."""
+        corpus = _boundary_corpus()
+        weighter = TokenWeighter(o.tokens for o in corpus)
+        canonical = Verifier(corpus, weighter)
+        query = Query(Rect(0, 0, 4, 4), frozenset({"a", "b"}), 0.0, 0.5)
+        kept = canonical.verify(query, range(40))
+        assert 1 in kept                             # {a} against {a, b}: simT = 0.5
+        # Off by more than an ulp, so the flip below is certain.
+        nudged = [weighter.total_weight(o.tokens) + 1e-9 for o in corpus]
+        loaded = Verifier.__new__(Verifier)
+        loaded.__setstate__((None, {"corpus": corpus, "weighter": weighter,
+                                    "_token_totals": nudged}))
+        for branch in ("loop", "mask"):
+            with forced(branch):
+                answers = loaded.verify(query, range(40))
+            assert 1 not in answers and set(answers) < set(kept)
+        assert loaded._token_rows[4].tolist() == nudged
+
+
+def token_rows(verifier) -> tuple:
+    """The verifier's token CSR without its spare capacity, as lists."""
+    vocabulary, weights, offsets, ids, totals = verifier._token_rows
+    rows = len(verifier.corpus)
+    return (
+        list(vocabulary.items()),
+        weights[: len(vocabulary)].tolist(),
+        offsets[: rows + 1].tolist(),
+        ids[: offsets[rows]].tolist(),
+        totals[:rows].tolist(),
+    )
+
+
+class TestVerifierAppend:
+    def test_appends_equal_a_fresh_verifier(self):
+        """80 appends — new tokens included, against a weighter that never
+        saw them — leave the CSR, the columns and the totals equal to a
+        fresh verifier's over the same corpus, with the same answers."""
+        objects = list(_large_corpus()) + list(make_corpus(
+            (Rect(i % 11, i % 3, i % 11 + 4, i % 3 + 5), {f"t{i % 6}", f"new{i % 13}"})
+            for i in range(80)
+        ))
+        objects = [SpatioTextualObject(i, o.region, o.tokens) for i, o in enumerate(objects)]
+        weighter = TokenWeighter(o.tokens for o in objects[:40])
+        grown = Verifier(list(objects[:40]), weighter)
+        queries = [
+            Query(Rect(0, 0, 10, 10), frozenset({"t1", "new3", "u0"}), 0.0, 0.2),
+            Query(Rect(1, 1, 5, 5), frozenset({"new4", "v2"}), 0.1, 0.1),
+            Query(Rect(0, 0, 20, 20), frozenset(), 0.0, 0.0),
+        ]
+        for query in queries:                        # builds columns and CSR
+            grown.verify(query, range(40))
+        assert grown._columns is not None and grown._token_rows is not None
+        for obj in objects[40:]:
+            grown.append(obj)
+        fresh = Verifier(list(objects), weighter)
+        for query in queries:
+            with forced("loop"):
+                expected = fresh.verify(query, range(120))
+            assert grown.verify(query, range(120)) == fresh.verify(query, range(120)) == expected
+        assert grown._token_totals == fresh._token_totals
+        assert token_rows(grown) == token_rows(fresh)
+        for kept, built in zip(grown._columns, fresh._columns):
+            assert np.array_equal(kept[:120], built)
+
+
+class TestHashSeedIndependence:
+    SCRIPT = (
+        "from repro import Query, TokenWeighter\n"
+        "from repro.core.verification import Verifier\n"
+        "from repro.datasets import generate_twitter\n"
+        "corpus = generate_twitter(2000, seed=7)\n"
+        "weighter = TokenWeighter(o.tokens for o in corpus)\n"
+        "verifier = Verifier(corpus, weighter)\n"
+        "print(repr([weighter.total_weight(o.tokens) for o in corpus]))\n"
+        "for anchor, other in zip(corpus[::50], corpus[25::50]):\n"
+        "    tokens = frozenset(sorted(anchor.tokens)[::2]) | other.tokens\n"
+        "    shared = weighter.sort_tokens(tokens & anchor.tokens)\n"
+        "    inter = sum(weighter.weight(t) for t in shared)\n"
+        "    union = weighter.total_weight(tokens) + weighter.total_weight(anchor.tokens) - inter\n"
+        "    query = Query(anchor.region, tokens, 0.0, inter / union)\n"
+        "    near = [oid for oid in range(anchor.oid - 5, anchor.oid + 5) if 0 <= oid < 2000]\n"
+        "    print(repr(query.tau_t), verifier.verify(query, range(2000)),\n"
+        "          verifier.verify(query, near))\n"
+    )
+
+    def test_totals_and_answers_at_sim_t_equal_tau_do_not_move(self):
+        """Totals and the answers to queries sitting exactly on simT = τT,
+        through both branches, are byte-identical under three hash seeds
+        — what a primary and its replica, or a process and its recovered
+        successor, each compute."""
+        outputs = []
+        for hash_seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(Path(repro.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", self.SCRIPT],
+                env=env, capture_output=True, text=True, timeout=120, check=True,
+            )
+            outputs.append(done.stdout)
+        assert outputs[0].count("\n") == 41
+        assert outputs[0] == outputs[1] == outputs[2]

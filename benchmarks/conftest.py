@@ -142,7 +142,7 @@ def usa_small_queries(usa_corpus):
 class MethodMatrix:
     """Lazily-built canonical method configurations, shared across benches.
 
-    The filter-comparison benches (Figures 12/14/15, the planner bench)
+    The filter-comparison benches (Figures 12/14/15)
     used to each build their own copies of the same indexes — the token
     filter, grids and hybrids at the canonical granularities, the SEAL
     configuration — multiplying session setup time.  This matrix builds

@@ -25,6 +25,7 @@ from typing import Collection, Dict, FrozenSet, List, Sequence
 
 from repro.core.method import SearchMethod
 from repro.core.objects import Query, SpatioTextualObject
+from repro.core.similarity import filter_threshold
 from repro.core.stats import SearchStats
 from repro.index.storage import IndexSizeReport, rtree_size_bytes
 from repro.rtree import Node, RTree
@@ -79,8 +80,8 @@ class IRTreeSearch(SearchMethod):
     def candidates(self, query: Query, stats: SearchStats) -> Collection[int]:
         if not len(self.rtree):
             return []
-        c_r = query.tau_r * query.region.area
-        c_t = query.tau_t * self.weighter.total_weight(query.tokens)
+        c_r = filter_threshold(query.tau_r, query.region.area)
+        c_t = filter_threshold(query.tau_t, self.weighter.total_weight(query.tokens))
         q_region = query.region
         q_tokens = query.tokens
         weight = self.weighter.weight

@@ -15,8 +15,9 @@ from typing import Collection, Dict, List, Sequence
 
 import numpy as np
 
-from repro.core.method import SearchMethod, WorkEstimate
+from repro.core.method import SearchMethod
 from repro.core.objects import Query, SpatioTextualObject
+from repro.core.similarity import filter_threshold
 from repro.core.stats import SearchStats
 from repro.index.inverted import InvertedIndex
 from repro.index.storage import IndexSizeReport, measure_index
@@ -72,14 +73,11 @@ class KeywordFirstSearch(SearchMethod):
         out: List[int] = []
         for oid, inter_w in overlap.items():
             union_w = q_total + totals[oid] - inter_w
-            if union_w <= 0.0 or inter_w >= tau_t * union_w:
+            # The exact check, held to the filter-bound contract: the
+            # overlap is summed in query-set order, not the verifier's.
+            if union_w <= 0.0 or inter_w >= filter_threshold(tau_t, union_w):
                 out.append(oid)
         return out
-
-    def estimate_work(self, query: Query, text=None) -> WorkEstimate:
-        """One full list per query token: the document-frequency sum."""
-        entries = float(sum(self.weighter.count(token) for token in query.tokens))
-        return float(len(query.tokens)), entries, min(float(len(self.corpus)), entries), None
 
     def index_size(self) -> IndexSizeReport:
         return measure_index(self.index, bounds_per_posting=0)

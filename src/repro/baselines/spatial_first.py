@@ -14,8 +14,8 @@ from typing import Collection, List, Sequence
 
 from repro.core.method import SearchMethod
 from repro.core.objects import Query, SpatioTextualObject
+from repro.core.similarity import filter_threshold
 from repro.core.stats import SearchStats
-from repro.geometry.rect import spatial_jaccard
 from repro.index.storage import PAGE_BYTES, IndexSizeReport
 from repro.rtree import RTree
 from repro.text.weights import TokenWeighter
@@ -48,15 +48,23 @@ class SpatialFirstSearch(SearchMethod):
         if query.tau_r <= 0.0:
             # A vacuous spatial predicate admits spatially disjoint objects.
             return self.all_oids()
-        c_r = query.tau_r * query.region.area
         q_region = query.region
+        q_area = q_region.area
         tau_r = query.tau_r
-        hits = self.rtree.search_min_overlap(q_region, c_r)
+        hits = self.rtree.search_min_overlap(q_region, filter_threshold(tau_r, q_area))
         stats.entries_retrieved += len(hits)
         corpus = self.corpus
         out: List[int] = []
         for oid in hits:
-            if spatial_jaccard(q_region, corpus[oid].region) >= tau_r:
+            # The exact spatial Jaccard, held to the filter-bound contract.
+            region = corpus[oid].region
+            inter = q_region.intersection_area(region)
+            union = q_area + region.area - inter
+            if union > 0.0:
+                similar = inter >= filter_threshold(tau_r, union)
+            else:  # two degenerate regions: similar only when identical
+                similar = region == q_region
+            if similar:
                 out.append(oid)
         return out
 

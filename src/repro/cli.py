@@ -124,9 +124,9 @@ def _build_parser() -> argparse.ArgumentParser:
     build.add_argument("corpus")
     build.add_argument(
         "--method", choices=sorted(METHOD_REGISTRY), default="planned",
-        help="engine method (default: planned — the cost-model planner "
-             "dispatching per query over the fixed-method portfolio; answers "
-             "are bit-identical to every fixed method)",
+        help="engine method (default: planned — a threshold rule sending each "
+             "query to the token filter, or to the grid filter when its textual "
+             "bound is vacuous; answers are bit-identical to every fixed method)",
     )
     build.add_argument("--out", required=True, help="snapshot path (.pkl)")
     build.add_argument(
@@ -145,16 +145,6 @@ def _build_parser() -> argparse.ArgumentParser:
         build,
         wal_help="create a write-ahead log here; the snapshot becomes its "
                  "checkpoint base (requires --segmented)",
-    )
-    build.add_argument(
-        "--planner-methods",
-        help="comma-separated method portfolio for --method planned "
-             "(default: token,grid,hash-hybrid,seal)",
-    )
-    build.add_argument(
-        "--coefficients",
-        help="planner cost coefficients JSON (from `plan --fit`) for "
-             "--method planned",
     )
     for name, type_ in _METHOD_PARAMS.items():
         build.add_argument(f"--{name.replace('_', '-')}", type=type_, default=None)
@@ -238,8 +228,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     plan = sub.add_parser(
         "plan",
-        help="explain or calibrate a planned engine: per-query method ranking, "
-             "record training rows, least-squares-fit cost coefficients",
+        help="explain a planned engine's dispatch: per query, the member the "
+             "threshold rule picks, the branch that fired and why",
     )
     plan.add_argument("engine", help="snapshot built with --method planned")
     plan.add_argument("--region", help="x1,y1,x2,y2 of a single query")
@@ -249,20 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--queries", help="JSONL workload instead of a single query")
     plan.add_argument("--json", action="store_true",
                       help="emit one machine-readable JSON document")
-    plan.add_argument(
-        "--record",
-        help="run every portfolio method per query and write "
-             "(features, predictions, observations) training rows here (JSONL)",
-    )
-    plan.add_argument(
-        "--fit",
-        help="least-squares-fit cost coefficients from the recorded rows and "
-             "write them here as JSON (requires --record)",
-    )
-    plan.add_argument(
-        "--apply", action="store_true",
-        help="rewrite the snapshot with the fitted coefficients (requires --fit)",
-    )
     plan.set_defaults(handler=_cmd_plan)
 
     serve = sub.add_parser(
@@ -549,10 +525,9 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     if manifest.get("kind") == "planned":
         print(f"engine:             planned over {manifest.get('methods')}")
         print(f"objects:            {manifest.get('objects')}")
-        coefficients = manifest.get("coefficients") or {}
-        for name, values in sorted(coefficients.items()):
-            rendered = ", ".join(f"{v:.3g}" for v in values)
-            print(f"  cost[{name}]: [{rendered}]")
+        # Snapshots written before the threshold rule carry coefficients.
+        if "rule" in manifest:
+            print(f"rule:               {manifest['rule']}")
         return 0
     print(f"engine:             {manifest.get('kind')} over "
           f"{manifest.get('method')!r}")
@@ -578,22 +553,10 @@ def _cmd_build(args: argparse.Namespace) -> int:
         for name in _METHOD_PARAMS
         if getattr(args, name, None) is not None
     }
-    if (args.planner_methods or args.coefficients) and args.method != "planned":
-        print("error: --planner-methods/--coefficients require --method planned",
-              file=sys.stderr)
-        return 2
-    if args.planner_methods:
-        params["methods"] = tuple(
-            m.strip() for m in args.planner_methods.split(",") if m.strip()
-        )
-    # Knobs are method-specific: a flag the method (for ``planned``, every
-    # member of its portfolio) has no use for is an error, not a
-    # constructor TypeError traceback and not a silent no-op.
+    # Knobs are method-specific: a flag the method (for ``planned``, both
+    # of its members) has no use for is an error, not a constructor
+    # TypeError traceback and not a silent no-op.
     check_params(args.method, params)
-    if args.coefficients:
-        from repro.exec.planner import load_coefficients
-
-        params["coefficients"] = load_coefficients(args.coefficients)
     if not args.segmented and (
         args.buffer_capacity is not None or args.merge_fanout is not None
     ):
@@ -819,13 +782,10 @@ def _service_summary(service: QueryService) -> str:
 
 
 def _plan_summary(decision: dict) -> str:
-    """One planner decision: the chosen method and the ranked cost
-    estimates (``query --explain`` and ``plan`` print the same text)."""
-    costs = ", ".join(
-        f"{name} {1000.0 * decision['estimates'][name]['cost_s']:.3f} ms"
-        for name in decision["ranking"]
-    )
-    return f"{decision['chosen']}  [{costs}]"
+    """One planner decision: the chosen member, the branch of the rule
+    that fired and why (``query --explain`` and ``plan`` print the same
+    text)."""
+    return f"{decision['chosen']}  [{decision['branch']}: {decision['why']}]"
 
 
 def _queries_from_args(args: argparse.Namespace, alternatives: str) -> List[Query] | None:
@@ -901,21 +861,13 @@ def _cmd_query(args: argparse.Namespace) -> int:
 def _cmd_plan(args: argparse.Namespace) -> int:
     import json
 
-    from repro.exec.planner import fit_coefficients, iter_planners, save_coefficients
+    from repro.exec.planner import iter_planners
 
-    if args.fit and not args.record:
-        print("error: --fit requires --record (it calibrates from the "
-              "recorded rows)", file=sys.stderr)
-        return 2
-    if args.apply and not args.fit:
-        print("error: --apply requires --fit", file=sys.stderr)
-        return 2
     engine = load_engine(args.engine)
-    # A segmented planned engine embeds one planner per segment; they
-    # share portfolio and coefficients, so the first one explains for
-    # all and fitted coefficients are installed on every one below.
-    planners = list(iter_planners(engine))
-    if not planners:
+    # A segmented planned engine embeds one planner per full-tier
+    # segment; they share the rule, so the first one explains for all.
+    planner = next(iter_planners(engine), None)
+    if planner is None:
         hint = "build with --method planned"
         if isinstance(engine, SegmentedSealSearch) and engine.config()["method"] == "planned":
             hint = ("every segment is below the size from which a segmented "
@@ -926,37 +878,10 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     if queries is None:
         return 2
 
-    document: dict = {"engine": args.engine, "queries": []}
-    planner = planners[0]
-    for query in queries:
-        document["queries"].append(planner.explain(query))
-
-    record_note = fit_note = ""
-    if args.record:
-        for p in planners:
-            p.start_recording(args.record)
-        for query in queries:
-            run_query(engine, query)
-        rows = [row for p in planners for row in p.recorded_rows]
-        # One combined write: with several embedded planners the
-        # auto-flush would otherwise interleave partial files.
-        atomic_write_text(
-            args.record,
-            "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows),
-        )
-        document["recorded"] = {"rows": len(rows), "path": args.record}
-        record_note = f"recorded {len(rows)} training rows to {args.record}"
-        if args.fit:
-            fitted = fit_coefficients(rows)
-            save_coefficients(fitted, args.fit)
-            for p in planners:
-                p.set_coefficients(fitted)
-            document["fitted"] = {"methods": sorted(fitted), "path": args.fit}
-            fit_note = f"fitted coefficients for {sorted(fitted)} -> {args.fit}"
-            if args.apply:
-                save_engine(engine, args.engine)
-                fit_note += f"; snapshot {args.engine} updated"
-
+    document = {
+        "engine": args.engine,
+        "queries": [planner.explain(query) for query in queries],
+    }
     if args.json:
         print(json.dumps(document, indent=2, sort_keys=True))
         return 0
@@ -967,10 +892,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     if len(queries) > 1:
         summary = ", ".join(f"{name}: {count}" for name, count in sorted(tally.items()))
         print(f"selections over {len(queries)} queries: {summary}")
-    if record_note:
-        print(record_note)
-    if fit_note:
-        print(fit_note)
     return 0
 
 

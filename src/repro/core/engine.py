@@ -31,8 +31,8 @@ def _build_planned(objects, weighter=None, **params) -> SearchMethod:
     """Registry wrapper for the query planner.
 
     Deferred import: the planner lives in :mod:`repro.exec.planner` and
-    itself calls :func:`build_method` to assemble its method portfolio,
-    so a top-level import here would cycle.
+    itself calls :func:`build_method` to build its members, so a
+    top-level import here would cycle.
     """
     from repro.exec.planner import PlannedSealSearch
 
@@ -66,28 +66,23 @@ def accepted_params(name: str, params: Mapping[str, Any]) -> Dict[str, Any]:
     """The subset of ``params`` that method ``name`` accepts.
 
     A method accepts its constructor's keyword-only parameters.
-    ``planned`` exposes one flat knob namespace and hands each portfolio
-    member its share, so it accepts its own parameters plus whatever at
-    least one member of its portfolio (``params["methods"]``, else the
-    default one) accepts.
+    ``planned`` exposes one flat knob namespace and hands each of its
+    members its share, so it accepts whatever one of them accepts.
 
     Raises:
         ConfigurationError: For an unknown method name.
     """
     ctor = _constructor(name)
-    accepted = set()
     if ctor is _build_planned:
-        from repro.exec.planner import DEFAULT_METHODS, PlannedSealSearch
+        from repro.exec.planner import DEFAULT_METHODS
 
-        ctor = PlannedSealSearch
-        for member in params.get("methods") or DEFAULT_METHODS:
-            if member != name:  # the planner itself refuses to plan over itself
-                accepted.update(accepted_params(member, params))
-    accepted.update(
-        knob
-        for knob, parameter in inspect.signature(ctor).parameters.items()
-        if parameter.kind is inspect.Parameter.KEYWORD_ONLY
-    )
+        accepted = set().union(*(accepted_params(member, params) for member in DEFAULT_METHODS))
+    else:
+        accepted = {
+            knob
+            for knob, parameter in inspect.signature(ctor).parameters.items()
+            if parameter.kind is inspect.Parameter.KEYWORD_ONLY
+        }
     return {knob: value for knob, value in params.items() if knob in accepted}
 
 
@@ -120,7 +115,7 @@ def build_method(
         objects: The corpus (dense oids).
         name: One of ``naive``, ``keyword-first``, ``spatial-first``,
             ``irtree``, ``token``, ``grid``, ``hash-hybrid``, ``seal``,
-            ``planned`` (cost-model dispatch over a method portfolio).
+            ``planned`` (threshold-rule dispatch over ``token`` and ``grid``).
         weighter: Shared idf statistics; building several methods over the
             same corpus with one weighter keeps similarity semantics (and
             work) shared.

@@ -12,7 +12,7 @@ segment fan-out drive any method through the exact same path.
 from __future__ import annotations
 
 import abc
-from typing import Collection, Sequence, Tuple
+from typing import Collection, Sequence
 
 from repro.core.objects import Corpus, Query, SpatioTextualObject
 from repro.core.stats import SearchResult, SearchStats
@@ -20,9 +20,6 @@ from repro.core.verification import Verifier
 from repro.exec.pipeline import execute_query
 from repro.index.storage import IndexSizeReport
 from repro.text.weights import TokenWeighter
-
-#: What :meth:`SearchMethod.estimate_work` returns.
-WorkEstimate = Tuple[float, float, float, object]
 
 
 class SearchMethod(abc.ABC):
@@ -63,33 +60,6 @@ class SearchMethod(abc.ABC):
         One query through the canonical execution pipeline.
         """
         return execute_query(self, query)
-
-    def estimate_work(self, query: Query, text=None) -> WorkEstimate:
-        """Predicted filter-step work for ``query``, for the planner to price.
-
-        Args:
-            query: The query to price.
-            text: ``TextualScheme.query_prefix(query)`` — the query's
-                textual prefix and ``c_T`` — when the caller already has
-                it (the planner derives it once for the whole portfolio);
-                a method that filters on text derives it itself
-                otherwise, every other method ignores it.
-
-        Returns:
-            ``(lists, entries, candidates, text)`` — inverted lists
-            probed, posting entries retrieved and candidates handed to
-            verification, as floats, from directory-level statistics only
-            (no posting is read); and the ``text`` the method worked
-            from, which it takes back as the third positional argument of
-            its ``candidates`` — ``None`` from a method whose
-            ``candidates`` takes two.
-
-        The default is a full scan — no list opened, every object a
-        candidate — which the planner ranks after every estimate that
-        filters, so it picks a method without a modelled probe structure
-        only when every other member degenerates too.
-        """
-        return 0.0, 0.0, float(len(self.corpus)), None
 
     # ------------------------------------------------------------------
     # Introspection

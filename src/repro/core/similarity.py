@@ -17,6 +17,53 @@ from repro.geometry.rect import spatial_jaccard as _spatial_jaccard
 from repro.text.weights import TokenWeighter
 
 
+#: Relative downward slack of every filter bound (see :func:`filter_threshold`):
+#: 2⁻³⁰ ≈ 9.3e-10, exactly representable, so ``1 - FILTER_SLACK`` is too.
+FILTER_SLACK = 2.0 ** -30
+
+
+def filter_threshold(tau: float, total: float) -> float:
+    """The filter-side bound ``c = τ · total``, a few ulps looser.
+
+    Every filter prunes with a bound of this shape — ``c_T = τT·Q`` over
+    the query's token weight, ``c_R = τR·|q.R|`` over its area (Lemma 1),
+    a baseline's node overlap, a join's per-object bound — and the one
+    :class:`~repro.core.verification.Verifier` then tests ``I ≥ τ·U`` with
+    ``U = (Q + T) − I`` computed in floats.  Mathematically ``U ≥ Q``, so
+    ``I ≥ τ·Q`` is implied; in floats ``(Q + T) − I`` can round *below*
+    ``Q``, and a filter cutting at exactly ``τ·Q`` then drops an object
+    the verifier (and the naive scan) accepts.  Every filter bound goes
+    through here instead, and the verifier is left as it is.
+
+    Why ``τ·total·(1 − 2⁻³⁰)`` is never above what the verifier accepts,
+    with ``u = 2⁻⁵³`` and ``γₙ = n·u / (1 − n·u)``: a float sum of ``n``
+    non-negative terms, in any order, is within ``γₙ`` of its exact value
+    (``math.fsum`` totals within ``u``), and a product or difference of
+    exact coordinates within ``u`` per operation.  Exactly, ``I ≤ min(Q,
+    T)``, so ``Q + T ≤ 2U``; the rounding of the verifier's ``U`` is then
+    at most ``(5u + γₖ)·U`` for ``k`` common elements, and acceptance
+    implies an exact ``I ≥ τ·U·(1 − 6u − 2γₖ) ≥ τ·Q·(1 − 6u − 2γₖ)``.
+    Every sum a filter holds against ``c`` — a Lemma-3 suffix bound, a
+    Lemma-2 prefix suffix, a node's overlap — adds at most ``n``
+    non-negative terms whose exact total is at least ``I`` (spatial cells
+    tile the space, so their clipped areas add up to the overlap), so it
+    is at least ``I·(1 − γₙ)``.  The returned bound is at most ``τ·Q·(1 +
+    u)³·(1 − 2⁻³⁰)``, which stays below that for every signature of up to
+    2²⁰ elements by a margin of thousands of ulps.  The spatial side has
+    the same shape with areas for weights (three roundings per area), and
+    so do the division forms ``I / U ≥ τ`` of the join and the predicates.
+
+    The cost is at most a boundary object more per query: one whose
+    bound lies within ``2⁻³⁰`` (relative) below ``τ·total``, which the
+    verifier then rejects as before.
+
+    Args:
+        tau: A similarity threshold in ``[0, 1]``.
+        total: The query-side total it scales (a token weight, an area).
+    """
+    return tau * total * (1.0 - FILTER_SLACK)
+
+
 def spatial_similarity(a: Rect, b: Rect) -> float:
     """Spatial Jaccard ``|a∩b| / |a∪b|`` (Definition 1)."""
     return _spatial_jaccard(a, b)

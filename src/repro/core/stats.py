@@ -38,11 +38,11 @@ class SearchStats:
             ``per_source``.
         per_source: For fan-out engines (segments + write buffer): one
             stats entry per probed source, in source order, each carrying
-            its own ``method`` label — so planner training rows and
-            observability stay attributable after the counters are
-            summed.  Empty for single-index engines, and deliberately
-            *not* accumulated by :meth:`merge` (workload totals would
-            otherwise grow one entry per query).
+            its own ``method`` label — so observability stays
+            attributable after the counters are summed.  Empty for
+            single-index engines, and deliberately *not* accumulated by
+            :meth:`merge` (workload totals would otherwise grow one
+            entry per query).
     """
 
     lists_probed: int = 0

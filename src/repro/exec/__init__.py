@@ -13,8 +13,8 @@
   segmented engine behind a write-ahead log — mutations logged before
   applied, checkpoint/recovery via ``snapshot + WAL tail``.
 * :mod:`repro.exec.planner` — :class:`PlannedSealSearch`: per-query
-  cost-model dispatch over a portfolio of answer-identical methods, with
-  a record→fit→serve calibration loop and planner decision metrics.
+  dispatch over two answer-identical filters by a threshold rule, with
+  planner decision metrics.
 
 Every path preserves exact answer semantics: batching, planning and
 segmentation change *throughput*, never results.
@@ -33,7 +33,6 @@ __all__ = [
     "SegmentedSealSearch",
     "collect_planner_metrics",
     "execute_query",
-    "fit_coefficients",
     "recover",
     "run_query",
 ]
@@ -47,7 +46,6 @@ _LAZY = {
     "PlannerMetrics": "repro.exec.planner",
     "SegmentedSealSearch": "repro.exec.segments",
     "collect_planner_metrics": "repro.exec.planner",
-    "fit_coefficients": "repro.exec.planner",
     "recover": "repro.exec.durable",
 }
 

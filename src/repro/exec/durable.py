@@ -53,7 +53,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, Optional, Union
 
 from repro.core.errors import ConfigurationError
-from repro.exec.segments import SegmentedSealSearch
+from repro.exec.segments import SegmentedSealSearch, current_params
 from repro.geometry import Rect
 from repro.io.snapshot import load_engine, save_engine, validate_snapshot
 from repro.io.wal import DEFAULT_GROUP_SIZE, WALError, WriteAheadLog, read_wal
@@ -73,21 +73,19 @@ def engine_from_config(config: Dict, *, source: Any = "stream") -> SegmentedSeal
         config: The decoded ``config`` record.
         source: A label for error messages (a path or peer name).
 
+    Knobs an older version wrote and this one no longer takes are
+    dropped (:func:`~repro.exec.segments.current_params`).
+
     Raises:
         WALError: If the record names a method or a knob this library
             does not build with — before anything is replayed.
     """
-    params = dict(config.get("params") or {})
-    # Logs written before snapshot format 6 may name an index storage
-    # backend; both values always replayed to identical answers and
-    # statistics, and there is one store now.
-    params.pop("backend", None)
     try:
         return SegmentedSealSearch(
             method=config["method"],
             buffer_capacity=config["buffer_capacity"],
             merge_fanout=config["merge_fanout"],
-            **params,
+            **current_params(config["method"], config.get("params") or {}),
         )
     except ConfigurationError as exc:
         raise WALError(f"{source}: unusable engine-config record: {exc}") from exc

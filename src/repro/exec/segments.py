@@ -60,7 +60,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Set
 
 from repro.baselines.naive import NaiveSearch
-from repro.core.engine import build_method, check_params
+from repro.core.engine import accepted_params, build_method, check_params
 from repro.core.objects import Query, SpatioTextualObject
 from repro.core.stats import SearchResult, SearchStats
 from repro.core.verification import Verifier
@@ -75,19 +75,33 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: A segment of at least this many objects is indexed with the engine's
 #: configured method; a smaller one with :data:`LIGHT_METHOD`.  Measured
-#: against the default ``planned`` portfolio (table in README "Updates:
-#: segmented engine"): the light filter builds 15-22× faster at every
-#: size; up to 1024 objects it answers as fast or faster in every query
-#: regime, at 2048 it wins three of four (and their mean by 9 %) and
-#: loses spatial-only 1.6×, at 4096 the means are level.  With
-#: the default ``buffer_capacity × merge_fanout`` = 1024 a first-tier
-#: merge stays below it; at 512 that merge built the portfolio inline,
-#: 0.3 s under the write lock.
+#: against the four-member ``planned`` portfolio that preceded the
+#: threshold rule (tables in README "Updates: segmented engine"): the
+#: light filter built 15-22× faster at every size; up to 1024 objects it
+#: answered as fast or faster in every query regime, at 2048 it won three
+#: of four (and their mean by 9 %) and lost spatial-only 1.6×.  With the
+#: default ``buffer_capacity × merge_fanout`` = 1024 a first-tier merge
+#: stays below it.
 FULL_INDEX_MIN_OBJECTS = 2048
 
 #: What a segment below :data:`FULL_INDEX_MIN_OBJECTS` is indexed with,
 #: at the method's default knobs.
 LIGHT_METHOD = "token"
+
+
+def current_params(method: str, params: Dict) -> Dict:
+    """Stored engine knobs (a WAL config record, a snapshot's) as this
+    version builds ``method`` with them.
+
+    Both were validated when written, so what no longer applies is
+    dropped, not refused: ``backend`` named one of two index stores that
+    always answered alike, and a ``planned`` engine configured before its
+    threshold rule may name the cost model's knobs (``methods``,
+    ``coefficients``, ``record_to``) or those only its evicted members
+    took (``mt``, ``num_buckets``, …) — a member choice, never an answer.
+    """
+    params = {knob: value for knob, value in params.items() if knob != "backend"}
+    return accepted_params(method, params) if method == "planned" else params
 
 
 def _empty_weighter() -> TokenWeighter:
@@ -634,3 +648,7 @@ class SegmentedSealSearch:
         state = self.__dict__.copy()
         state.pop("_scan", None)
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._params = current_params(self._method_name, self._params)

@@ -25,7 +25,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.objects import SpatioTextualObject
-from repro.core.similarity import textual_similarity
+from repro.core.similarity import filter_threshold, textual_similarity
 from repro.geometry.rect import mbr_of, spatial_jaccard
 from repro.signatures.prefix import select_prefix, suffix_bounds
 from repro.signatures.spatial import GridScheme
@@ -111,8 +111,8 @@ def similarity_join(
         # Thresholds with this object in the "query" role.  simT(a,b) ≥ τT
         # implies common weight ≥ τT·max(W_a, W_b) ≥ τT·W_obj; similarly
         # the spatial overlap is ≥ τR·|obj.R|.
-        c_t = tau_t * token_totals[pos]
-        c_r = tau_r * obj.region.area
+        c_t = filter_threshold(tau_t, token_totals[pos])
+        c_r = filter_threshold(tau_r, obj.region.area)
         token_prefix_len = select_prefix([w for _, w in token_sig], c_t)
         cell_prefix_len = select_prefix([w for _, w in cell_sig], c_r)
 

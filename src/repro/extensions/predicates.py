@@ -27,6 +27,7 @@ from typing import List, Sequence, Tuple
 from repro.core.method import SearchMethod
 from repro.core.objects import Query, SpatioTextualObject
 from repro.core.similarity import (
+    filter_threshold,
     textual_cosine_similarity,
     textual_dice_similarity,
     textual_similarity,
@@ -67,7 +68,7 @@ class JaccardPredicate(TextualPredicate):
         return self.weighter.weight(token)
 
     def threshold(self, query: Query) -> float:
-        return query.tau_t * self.weighter.total_weight(query.tokens)
+        return filter_threshold(query.tau_t, self.weighter.total_weight(query.tokens))
 
     def similarity(self, a, b) -> float:
         return textual_similarity(a, b, self.weighter)
@@ -85,7 +86,7 @@ class DicePredicate(TextualPredicate):
         if query.tau_t >= 2.0:  # unreachable given tau ∈ [0, 1]
             raise ValueError("dice threshold must be < 2")
         q_total = self.weighter.total_weight(query.tokens)
-        return query.tau_t * q_total / (2.0 - query.tau_t)
+        return filter_threshold(query.tau_t, q_total / (2.0 - query.tau_t))
 
     def similarity(self, a, b) -> float:
         return textual_dice_similarity(a, b, self.weighter)
@@ -102,7 +103,7 @@ class CosinePredicate(TextualPredicate):
 
     def threshold(self, query: Query) -> float:
         q2 = sum(self.element_weight(t) for t in query.tokens)
-        return query.tau_t * query.tau_t * q2
+        return filter_threshold(query.tau_t * query.tau_t, q2)
 
     def similarity(self, a, b) -> float:
         return textual_cosine_similarity(a, b, self.weighter)

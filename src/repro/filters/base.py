@@ -27,20 +27,9 @@ bounds it on the latter); the I/O model charges the pages of the same
 heads (:mod:`repro.index.iomodel`).
 
 The three filters that read the query's text (``token``, ``hash-hybrid``,
-``seal``) take it as ``probes(query, text)`` too: ``text`` is
-:meth:`TextualScheme.query_prefix <repro.signatures.textual.
-TextualScheme.query_prefix>` — the Lemma-2 prefix tokens and ``c_T`` —
-which they derive themselves when it is not handed in.  The planner
-derives it once per query, prices every member with it, and hands it to
-the ``candidates`` of the one it picks.
-
-The planner's work estimate never walks what ``probes`` walks: it costs
-O(|prefix|) per member.  ``token``'s probes *are* its prefix, so its
-estimate is read off them — the lists and their directory lengths
-(:func:`work_from_probes`); ``grid``, ``hash-hybrid`` and ``seal`` price
-the lists they would open — (prefix tokens ×) the predicted prefix over
-the region's cells, from O(1) ``cell_span`` arithmetic — at the index's
-mean list length (:func:`work_from_lists`).
+``seal``) derive it with :meth:`TextualScheme.query_prefix
+<repro.signatures.textual.TextualScheme.query_prefix>` — the Lemma-2
+prefix tokens and ``c_T`` from one sort and one weight sum.
 
 :class:`SingleSchemeFilter` is ``TokenFilter`` and ``GridFilter`` — the
 same filter instantiated with different signature schemes — in two
@@ -61,7 +50,7 @@ from __future__ import annotations
 
 from typing import Collection, Dict, Hashable, List, Optional, Protocol, Sequence, Tuple
 
-from repro.core.method import SearchMethod, WorkEstimate
+from repro.core.method import SearchMethod
 from repro.core.objects import Query, SpatioTextualObject
 from repro.core.stats import SearchStats
 from repro.index.inverted import InvertedIndex
@@ -76,43 +65,12 @@ Probes = Tuple[List[Hashable], float, Optional[float]]
 #: then every oid, and nothing is opened, priced or charged.
 FULL_SCAN = object()
 
-#: What ``TextualScheme.query_prefix`` returns: the query's Lemma-2 prefix
-#: tokens in global order, and ``c_T``.
-TextPrefix = Tuple[List[str], float]
-
-
-def candidates_from_probes(
-    method, query: Query, stats: SearchStats, text: TextPrefix | None = None
-) -> Collection[int]:
-    """``candidates`` of every signature filter: ``probes`` → the probe loop.
-
-    ``text`` is the query's textual prefix when the caller already has it
-    (the planner derives one per query and hands it to the member it
-    picks), for the ``probes`` that take one.
-    """
-    probes = method.probes(query) if text is None else method.probes(query, text)
+def candidates_from_probes(method, query: Query, stats: SearchStats) -> Collection[int]:
+    """``candidates`` of every signature filter: ``probes`` → the probe loop."""
+    probes = method.probes(query)
     if probes is FULL_SCAN:
         return method.all_oids()
     return method.index.union_heads(*probes, stats)
-
-
-def work_from_probes(method, query: Query, text: TextPrefix | None = None) -> WorkEstimate:
-    """``estimate_work`` read straight off ``probes``: the lists it names
-    and their full lengths (an upper bound on the heads)."""
-    probes = method.probes(query) if text is None else method.probes(query, text)
-    if probes is FULL_SCAN:
-        return 0.0, 0.0, float(len(method.corpus)), text
-    elements = probes[0]
-    entries = float(sum(map(method.index.list_length, elements)))
-    return float(len(elements)), entries, min(float(len(method.corpus)), entries), text
-
-
-def work_from_lists(method, lists: float, text: TextPrefix | None = None) -> WorkEstimate:
-    """``estimate_work`` of a filter that prices its probes instead of
-    enumerating them: ``lists`` predicted lists of the index's mean
-    length."""
-    entries = lists * method.index.average_list_length()
-    return lists, entries, min(float(len(method.corpus)), entries), text
 
 
 class SignatureScheme(Protocol):
@@ -185,18 +143,14 @@ class SingleSchemeFilter(SearchMethod):
         threshold = self.scheme.threshold(query)
         return [element for element, _ in prefix_elements(signature, threshold)], threshold, None
 
-    def candidates(
-        self, query: Query, stats: SearchStats, text: TextPrefix | None = None
-    ) -> Collection[int]:
+    def candidates(self, query: Query, stats: SearchStats) -> Collection[int]:
         if self.prefix_pruning:
-            return candidates_from_probes(self, query, stats, text)
+            return candidates_from_probes(self, query, stats)
         if self._is_degenerate(query):
             return self.all_oids()
         return self._candidates_plain(
             self.scheme.query_signature(query), self.scheme.threshold(query), stats
         )
-
-    estimate_work = work_from_probes
 
     def _candidates_plain(
         self,

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.method import SearchMethod, WorkEstimate
 from repro.core.objects import Query, SpatioTextualObject
-from repro.filters.base import SingleSchemeFilter, work_from_lists
+from repro.filters.base import SingleSchemeFilter
 from repro.geometry import Rect
 from repro.signatures.spatial import GridScheme
 from repro.text.weights import TokenWeighter
@@ -55,10 +54,3 @@ class GridFilter(SingleSchemeFilter):
 
     def _is_degenerate(self, query: Query) -> bool:
         return query.tau_r <= 0.0
-
-    def estimate_work(self, query: Query, text=None) -> WorkEstimate:
-        """O(1): predicted prefix cells × the mean list length, instead of
-        the base class's walk over the region's cell signature."""
-        if self._is_degenerate(query):
-            return SearchMethod.estimate_work(self, query)
-        return work_from_lists(self, self.scheme.expected_prefix_len(query))

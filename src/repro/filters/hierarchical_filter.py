@@ -7,9 +7,6 @@ large-region tokens get coarse cells that avoid useless signature
 elements.  The filtering algorithm is ``Hybrid-Sig-Filter+`` run
 per-token against that token's grids (Example 5 / Figure 10): ``probes``
 walks ``G_t`` of each prefix token for the cells the query region meets.
-The planner's ``estimate_work`` does not — like ``grid`` and
-``hash-hybrid`` it prices the query in O(|prefix|) arithmetic, so a
-``G_t`` is walked only by a ``seal`` that was chosen to answer.
 
 This is the method labelled **SEAL** in the paper's method-comparison
 experiments (Figures 16–17).
@@ -22,22 +19,17 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.errors import ConfigurationError
-from repro.core.method import SearchMethod, WorkEstimate
+from repro.core.method import SearchMethod
 from repro.core.objects import Query, SpatioTextualObject
-from repro.filters.base import (
-    FULL_SCAN,
-    Probes,
-    TextPrefix,
-    candidates_from_probes,
-    work_from_lists,
-)
+from repro.core.similarity import filter_threshold
+from repro.filters.base import FULL_SCAN, Probes, candidates_from_probes
 from repro.geometry import Rect
 from repro.geometry.rect import mbr_of
 from repro.grid.hierarchy import GridHierarchy, HierCell
 from repro.index.inverted import InvertedIndex, directory_rows
 from repro.index.storage import IndexSizeReport, measure_index
 from repro.signatures.hierarchical import TokenGrids, select_token_grids_many
-from repro.signatures.prefix import expected_prefix_len, prefix_elements
+from repro.signatures.prefix import prefix_elements
 from repro.signatures.textual import TextualScheme
 from repro.text.weights import TokenWeighter
 
@@ -226,11 +218,11 @@ class HierarchicalFilter(SearchMethod):
     # Filter step
     # ------------------------------------------------------------------
 
-    def probes(self, query: Query, text: TextPrefix | None = None) -> Probes:
-        tokens, c_t = text if text is not None else self.textual.query_prefix(query)
+    def probes(self, query: Query) -> Probes:
+        tokens, c_t = self.textual.query_prefix(query)
         if c_t <= 0.0 or query.tau_r <= 0.0:
             return FULL_SCAN
-        c_r = query.tau_r * query.region.area
+        c_r = filter_threshold(query.tau_r, query.region.area)
         elements = []
         for token in tokens:
             grids = self.token_grids.get(token)
@@ -244,18 +236,6 @@ class HierarchicalFilter(SearchMethod):
         return elements, c_r, c_t
 
     candidates = candidates_from_probes
-
-    def estimate_work(self, query: Query, text: TextPrefix | None = None) -> WorkEstimate:
-        """O(|prefix|), no ``G_t`` walked: prefix tokens that own grids ×
-        the predicted prefix over the region's cells at the finest level
-        (an upper bound on the cells of any ``G_t`` the region meets) ×
-        the mean list length."""
-        tokens, c_t = text if text is not None else self.textual.query_prefix(query)
-        if c_t <= 0.0 or query.tau_r <= 0.0:
-            return 0.0, 0.0, float(len(self.corpus)), text
-        finest = self.hierarchy.level_grid(self.hierarchy.max_level)
-        cells = expected_prefix_len(finest.cell_count(query.region), query.tau_r)
-        return work_from_lists(self, sum(map(self.token_grids.__contains__, tokens)) * cells, text)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -21,15 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.method import SearchMethod, WorkEstimate
+from repro.core.method import SearchMethod
 from repro.core.objects import Query, SpatioTextualObject
-from repro.filters.base import (
-    FULL_SCAN,
-    Probes,
-    TextPrefix,
-    candidates_from_probes,
-    work_from_lists,
-)
+from repro.filters.base import FULL_SCAN, Probes, candidates_from_probes
 from repro.geometry import Rect
 from repro.index.inverted import InvertedIndex, directory_rows
 from repro.index.storage import IndexSizeReport, measure_index
@@ -126,8 +120,8 @@ class HybridFilter(SearchMethod):
     # Filter step (Hybrid-Sig-Filter+, Figure 8)
     # ------------------------------------------------------------------
 
-    def probes(self, query: Query, text: TextPrefix | None = None) -> Probes:
-        tokens, c_t = text if text is not None else self.textual.query_prefix(query)
+    def probes(self, query: Query) -> Probes:
+        tokens, c_t = self.textual.query_prefix(query)
         # Hybrid lists can only reach objects sharing a token AND a cell
         # with the query; either predicate being vacuous breaks that.
         if c_t <= 0.0 or query.tau_r <= 0.0:
@@ -142,14 +136,6 @@ class HybridFilter(SearchMethod):
         return list(keys), c_r, c_t
 
     candidates = candidates_from_probes
-
-    def estimate_work(self, query: Query, text: TextPrefix | None = None) -> WorkEstimate:
-        """O(|prefix|): prefix tokens × predicted prefix cells × the mean
-        list length — the cross product is priced, not enumerated."""
-        tokens, c_t = text if text is not None else self.textual.query_prefix(query)
-        if c_t <= 0.0 or query.tau_r <= 0.0:
-            return 0.0, 0.0, float(len(self.corpus)), text
-        return work_from_lists(self, len(tokens) * self.spatial.expected_prefix_len(query), text)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.objects import Query, SpatioTextualObject
-from repro.filters.base import FULL_SCAN, Probes, SingleSchemeFilter, TextPrefix
+from repro.filters.base import FULL_SCAN, Probes, SingleSchemeFilter
 from repro.signatures.textual import TextualScheme
 from repro.text.weights import TokenWeighter
 
@@ -41,10 +41,10 @@ class TokenFilter(SingleSchemeFilter):
         scheme = TextualScheme(weighter)
         super().__init__(objects, scheme, weighter, prefix_pruning=prefix_pruning)
 
-    def probes(self, query: Query, text: TextPrefix | None = None) -> Probes:
+    def probes(self, query: Query) -> Probes:
         if not self.prefix_pruning:
             return super().probes(query)
-        tokens, c_t = text if text is not None else self.scheme.query_prefix(query)
+        tokens, c_t = self.scheme.query_prefix(query)
         if c_t <= 0.0:
             return FULL_SCAN
         return tokens, c_t, None

@@ -185,14 +185,6 @@ class UniformGrid:
                 out.append((base + col, dx * dy))
         return out
 
-    def cell_count(self, rect: Rect) -> int:
-        """How many cells ``rect`` intersects, without materialising them."""
-        span = self.cell_span(rect)
-        if span is None:
-            return 0
-        row_lo, row_hi, col_lo, col_hi = span
-        return (row_hi - row_lo + 1) * (col_hi - col_lo + 1)
-
     def iter_cells(self) -> Iterator[int]:
         return iter(range(self.num_cells))
 

@@ -311,15 +311,6 @@ class InvertedIndex:
         ``rows`` iterates its keys in)."""
         return _np.diff(self.offsets)
 
-    def average_list_length(self) -> float:
-        """Mean postings per list (0.0 for an empty index), in O(1); the
-        grid and hash-hybrid filters price a probe with it
-        (``estimate_work``) without touching postings."""
-        num_lists = len(self.rows)
-        if num_lists == 0:
-            return 0.0
-        return self._starts[-1] / num_lists
-
     # ------------------------------------------------------------------
     # Probe kernels
     # ------------------------------------------------------------------

@@ -27,6 +27,7 @@ from repro.baselines.spatial_first import SpatialFirstSearch
 from repro.core.errors import ConfigurationError
 from repro.core.method import SearchMethod
 from repro.core.objects import Query
+from repro.core.similarity import filter_threshold
 from repro.filters.base import FULL_SCAN
 from repro.index.storage import BOUND_BYTES, OID_BYTES, PAGE_BYTES
 from repro.rtree import Node
@@ -185,8 +186,8 @@ def _charge_probes(method: SearchMethod, query: Query, pool: BufferPool) -> None
 
 
 def _charge_irtree(method: IRTreeSearch, query: Query, pool: BufferPool) -> None:
-    c_r = query.tau_r * query.region.area
-    c_t = query.tau_t * method.weighter.total_weight(query.tokens)
+    c_r = filter_threshold(query.tau_r, query.region.area)
+    c_t = filter_threshold(query.tau_t, method.weighter.total_weight(query.tokens))
     weight = method.weighter.weight
     node_tokens = method._node_tokens
     stack: List[Node] = [method.rtree.root] if len(method.rtree) else []
@@ -210,7 +211,7 @@ def _charge_irtree(method: IRTreeSearch, query: Query, pool: BufferPool) -> None
 def _charge_rtree_nodes(method: SpatialFirstSearch, query: Query, pool: BufferPool) -> None:
     if query.tau_r <= 0.0:
         return
-    c_r = query.tau_r * query.region.area
+    c_r = filter_threshold(query.tau_r, query.region.area)
     stack: List[Node] = [method.rtree.root] if len(method.rtree) else []
     while stack:
         node = stack.pop()

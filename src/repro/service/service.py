@@ -116,14 +116,14 @@ class QueryService:
         """Build a service straight from ``(region, tokens)`` pairs.
 
         The default engine is the query planner (``method="planned"``):
-        a fresh deployment gets per-query method dispatch — and the
-        ``planner`` metrics block — without choosing a filter up front.
+        a fresh deployment gets per-query dispatch between the token and
+        grid filters — and the ``planner`` metrics block — without
+        choosing a filter up front.
 
         Args:
             data: The ROIs to index.
             method: Engine method registry name.
-            engine_params: Method-constructor knobs (``granularity``,
-                ``methods``, ``coefficients``, …).
+            engine_params: Method-constructor knobs (``granularity``, …).
             **service_params: Passed to :class:`QueryService`.
         """
         from repro.core.engine import SealSearch
@@ -301,11 +301,13 @@ class QueryService:
         (totals/batches/errors), ``cache`` (hit/miss/eviction counters,
         or ``None`` with the cache disabled), ``admission``
         (workers/queue/rejections), ``latency_ms`` (histogram with
-        mean/max and interpolated p50/p90/p99), ``planner`` (aggregated
-        decision counts, per-method filter latency, and mispredicts
-        when the engine embeds query planners — ``None`` otherwise).
+        mean/max and interpolated p50/p90/p99), ``planner`` (when the
+        engine embeds query planners: ``decisions``, ``selections`` per
+        member and ``filter_latency_ms`` per member, summed over every
+        planner — one per full-tier segment of a segmented engine;
+        ``None`` otherwise).
         """
-        # Deferred import: repro.exec.planner builds its portfolio via
+        # Deferred import: repro.exec.planner builds its members via
         # the engine registry, which this module's engines feed into.
         from repro.exec.planner import collect_planner_metrics
 

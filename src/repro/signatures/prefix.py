@@ -115,19 +115,6 @@ def select_prefix(weights: Sequence[float], threshold: float) -> int:
     return p
 
 
-def expected_prefix_len(num_cells: int, tau_r: float) -> float:
-    """Predicted Lemma-2 prefix over the ``num_cells`` grid cells a query
-    region meets — what a filter prices a query's spatial side with
-    instead of building its signature.
-
-    Cell weights are intersection areas summing to ~the region area; the
-    prefix drops the lightest suffix whose weight stays under
-    ``c_R = τ_R·area``, so under roughly uniform weights it keeps a
-    ``(1 - τ_R)`` fraction (plus the boundary element).
-    """
-    return min(float(num_cells), num_cells * max(0.0, 1.0 - tau_r) + 1.0)
-
-
 def prefix_elements(
     signature: Sequence[Tuple[Element, float]], threshold: float
 ) -> Sequence[Tuple[Element, float]]:

@@ -22,11 +22,11 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.objects import Query, SpatioTextualObject
+from repro.core.similarity import filter_threshold
 from repro.geometry import Rect
 from repro.geometry.rect import mbr_of
 from repro.grid.uniform import UniformGrid
 from repro.signatures.orders import get_order_builder
-from repro.signatures.prefix import expected_prefix_len
 
 
 class GridScheme:
@@ -116,14 +116,9 @@ class GridScheme:
         return pairs
 
     def threshold(self, query: Query) -> float:
-        """``c_R = τ_R · |q.R|`` (Lemma 1)."""
-        return query.tau_r * query.region.area
-
-    def expected_prefix_len(self, query: Query) -> float:
-        """Predicted Lemma-2 prefix over the query region's cells, from
-        the grid's O(1) ``cell_span`` arithmetic (see
-        :func:`repro.signatures.prefix.expected_prefix_len`)."""
-        return expected_prefix_len(self.grid.cell_count(query.region), query.tau_r)
+        """``c_R = τ_R · |q.R|`` (Lemma 1), through the filter-bound
+        contract (:func:`~repro.core.similarity.filter_threshold`)."""
+        return filter_threshold(query.tau_r, query.region.area)
 
 
 def min_weight_similarity(

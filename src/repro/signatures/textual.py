@@ -17,6 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.objects import Query, SpatioTextualObject
+from repro.core.similarity import filter_threshold
 from repro.signatures.prefix import segmented_suffix_bounds, select_prefix
 from repro.text.weights import TokenWeighter
 
@@ -110,5 +111,6 @@ class TextualScheme:
         return [(t, weighter.weight(t)) for t in ordered]
 
     def threshold(self, query: Query) -> float:
-        """``c_T = τ_T · Σ_{t∈q.T} w(t)`` (Section 3.2)."""
-        return query.tau_t * self.weighter.total_weight(query.tokens)
+        """``c_T = τ_T · Σ_{t∈q.T} w(t)`` (Section 3.2), through the
+        filter-bound contract (:func:`~repro.core.similarity.filter_threshold`)."""
+        return filter_threshold(query.tau_t, self.weighter.total_weight(query.tokens))

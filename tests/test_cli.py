@@ -149,14 +149,16 @@ class TestBuildAndQuery:
         [
             ("keyword-first", "--granularity", "granularity"),
             ("token", "--mt", "mt"),
-            # No member of the default portfolio is an R-tree.
+            # Neither of the planner's members is an R-tree or takes a
+            # per-token grid budget.
             ("planned", "--max-entries", "max_entries"),
+            ("planned", "--mt", "mt"),
         ],
     )
     def test_build_unsupported_knob_errors_cleanly(
         self, corpus_file, tmp_path, capsys, method, flag, knob, segmented
     ):
-        """A knob the method (for ``planned``, every portfolio member) has
+        """A knob the method (for ``planned``, both of its members) has
         no use for exits 2 naming the knob and the method — not a
         constructor TypeError traceback, not a silent no-op — and writes
         no snapshot."""
@@ -167,16 +169,24 @@ class TestBuildAndQuery:
         assert err.startswith("error:") and repr(knob) in err and repr(method) in err
         assert not (tmp_path / "x.pkl").exists()
 
-    def test_build_planned_knob_follows_the_portfolio(self, corpus_file, tmp_path, capsys):
-        """``--max-entries`` is a knob of ``planned`` exactly when its
-        portfolio holds an R-tree member."""
-        rc = main(["build", str(corpus_file), "--method", "planned", "--max-entries", "8",
-                   "--planner-methods", "token,spatial-first", "--out", str(tmp_path / "p.pkl")])
-        assert rc == 0
-        rc = main(["build", str(corpus_file), "--method", "planned", "--granularity", "8",
-                   "--planner-methods", "token,spatial-first", "--out", str(tmp_path / "q.pkl")])
-        assert rc == 2
-        assert "'granularity'" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("build", ["--planner-methods", "token,grid"]),
+            ("build", ["--coefficients", "c.json"]),
+            ("plan", ["--record", "rows.jsonl"]),
+            ("plan", ["--fit", "c.json"]),
+            ("plan", ["--apply"]),
+        ],
+    )
+    def test_the_cost_models_flags_are_gone(self, corpus_file, tmp_path, capsys,
+                                            command, flags):
+        target = str(corpus_file) if command == "build" else str(tmp_path / "p.pkl")
+        with pytest.raises(SystemExit) as usage:
+            main([command, target, "--out", str(tmp_path / "x.pkl"), *flags])
+        assert usage.value.code == 2
+        assert flags[0] in capsys.readouterr().err
+        assert not (tmp_path / "x.pkl").exists()
 
     def test_query_batch_file(self, corpus_file, tmp_path, capsys, figure1_query):
         engine = tmp_path / "engine.pkl"
@@ -774,16 +784,15 @@ class TestPlan:
     def planned_engine(self, corpus_file, tmp_path):
         engine = tmp_path / "planned.pkl"
         rc = main(["build", str(corpus_file), "--method", "planned",
-                   "--granularity", "8", "--mt", "4", "--out", str(engine)])
+                   "--granularity", "8", "--out", str(engine)])
         assert rc == 0
         return engine
 
-    def test_build_accepts_all_knobs_for_planned(self, corpus_file, tmp_path, capsys):
+    def test_build_accepts_the_members_knobs_for_planned(self, corpus_file, tmp_path, capsys):
         # The planner wrapper takes **params; the knob validation must
         # not reject flags it cannot see in the signature.
         rc = main(["build", str(corpus_file), "--method", "planned",
-                   "--granularity", "8", "--mt", "4", "--num-buckets", "64",
-                   "--out", str(tmp_path / "p.pkl")])
+                   "--granularity", "8", "--out", str(tmp_path / "p.pkl")])
         assert rc == 0
         assert "built planned over 7 objects" in capsys.readouterr().out
 
@@ -791,8 +800,8 @@ class TestPlan:
         rc = main(["inspect", str(planned_engine)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "planned over" in out
-        assert "cost[seal]" in out
+        assert "planned over ['token', 'grid']" in out
+        assert "rule:" in out and "-> grid" in out
 
     def test_inspect_json_manifest_kind(self, planned_engine, capsys):
         import json
@@ -801,7 +810,7 @@ class TestPlan:
         assert rc == 0
         document = json.loads(capsys.readouterr().out)
         assert document["manifest"]["kind"] == "planned"
-        assert "token" in document["manifest"]["methods"]
+        assert document["manifest"]["methods"] == ["token", "grid"]
 
     def test_query_explain(self, planned_engine, capsys):
         rc = main(["query", str(planned_engine), "--region", "35,10,75,70",
@@ -810,7 +819,14 @@ class TestPlan:
         assert rc == 0
         out = capsys.readouterr().out
         assert "1 answers [1]" in out
-        assert "plan:" in out
+        assert "plan: token  [tau_t > 0 and query tokens: c_T > 0" in out
+
+    def test_query_explain_names_the_spatial_branch(self, planned_engine, capsys):
+        rc = main(["query", str(planned_engine), "--region", "35,10,75,70",
+                   "--tokens", "t1,t2,t3", "--tau-r", "0.25", "--tau-t", "0",
+                   "--explain"])
+        assert rc == 0
+        assert "plan: grid  [tau_t = 0: c_T = 0" in capsys.readouterr().out
 
     def test_query_explain_rejects_unplanned_engine(self, corpus_file, tmp_path,
                                                     capsys):
@@ -828,23 +844,16 @@ class TestPlan:
         assert rc == 0
         assert "query 0: ->" in capsys.readouterr().out
 
-    def test_plan_record_fit_apply(self, planned_engine, corpus_file, tmp_path,
-                                   capsys, figure1_query):
+    def test_plan_workload_tallies_the_rule(self, planned_engine, tmp_path, capsys,
+                                            figure1_query):
         queries = tmp_path / "q.jsonl"
-        save_queries([figure1_query], queries)
-        rows = tmp_path / "rows.jsonl"
-        coeffs = tmp_path / "coeffs.json"
-        rc = main(["plan", str(planned_engine), "--queries", str(queries),
-                   "--record", str(rows), "--fit", str(coeffs), "--apply"])
+        save_queries([figure1_query, figure1_query.with_thresholds(tau_r=0.25, tau_t=0.0)],
+                     queries)
+        rc = main(["plan", str(planned_engine), "--queries", str(queries)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "recorded 1 training rows" in out
-        assert "snapshot" in out and "updated" in out
-        assert rows.exists() and coeffs.exists()
-        # The rewritten snapshot still answers (and carries coefficients).
-        rc = main(["query", str(planned_engine), "--queries", str(queries)])
-        assert rc == 0
-        assert "1 answers [1]" in capsys.readouterr().out
+        assert "query 1: -> grid  [tau_t = 0: c_T = 0" in out
+        assert "selections over 2 queries: grid: 1, token: 1" in out
 
     def test_plan_json_document(self, planned_engine, capsys):
         import json
@@ -852,8 +861,26 @@ class TestPlan:
         rc = main(["plan", str(planned_engine), "--region", "35,10,75,70",
                    "--tokens", "t1", "--json"])
         assert rc == 0
+        (decision,) = json.loads(capsys.readouterr().out)["queries"]
+        assert decision["chosen"] == "token" and decision["branch"] == "tau_t > 0 and query tokens"
+        assert set(decision) == {"chosen", "branch", "why"}
+
+    def test_plan_workload_json_document(self, planned_engine, tmp_path, capsys,
+                                         figure1_query):
+        import json
+
+        queries = tmp_path / "q.jsonl"
+        save_queries([figure1_query, figure1_query.with_thresholds(tau_r=0.25, tau_t=0.0),
+                      figure1_query.with_thresholds(tau_r=0.0, tau_t=0.3)], queries)
+        rc = main(["plan", str(planned_engine), "--queries", str(queries), "--json"])
+        assert rc == 0
         document = json.loads(capsys.readouterr().out)
-        assert document["queries"][0]["chosen"] in document["queries"][0]["ranking"]
+        assert document["engine"] == str(planned_engine)
+        assert [(d["chosen"], d["branch"]) for d in document["queries"]] == [
+            ("token", "tau_t > 0 and query tokens"),
+            ("grid", "tau_t = 0"),
+            ("token", "tau_t > 0 and query tokens"),
+        ]
 
     def test_plan_rejects_unplanned_engine(self, corpus_file, tmp_path, capsys):
         engine = tmp_path / "grid.pkl"
@@ -873,31 +900,3 @@ class TestPlan:
         assert rc == 2
         err = capsys.readouterr().err
         assert "no query planner" in err and "every segment is below the size" in err
-
-    def test_plan_fit_requires_record(self, planned_engine, capsys):
-        rc = main(["plan", str(planned_engine), "--region", "0,0,1,1",
-                   "--tokens", "t1", "--fit", "c.json"])
-        assert rc == 2
-        assert "--fit requires --record" in capsys.readouterr().err
-
-    def test_planner_flags_require_planned_method(self, corpus_file, tmp_path,
-                                                  capsys):
-        rc = main(["build", str(corpus_file), "--method", "token",
-                   "--planner-methods", "token,grid",
-                   "--out", str(tmp_path / "x.pkl")])
-        assert rc == 2
-        assert "--method planned" in capsys.readouterr().err
-
-    def test_build_with_planner_methods_subset(self, corpus_file, tmp_path, capsys):
-        engine = tmp_path / "duo.pkl"
-        rc = main(["build", str(corpus_file), "--method", "planned",
-                   "--planner-methods", "token,grid", "--granularity", "8",
-                   "--out", str(engine)])
-        assert rc == 0
-        capsys.readouterr()
-        rc = main(["inspect", str(engine), "--json"])
-        assert rc == 0
-        import json
-
-        document = json.loads(capsys.readouterr().out)
-        assert document["manifest"]["methods"] == ["token", "grid"]

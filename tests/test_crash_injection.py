@@ -110,7 +110,7 @@ class TestKillAtEveryOperationBoundary:
             recovered.close()
 
     @pytest.mark.parametrize(
-        "method, knobs", [("seal", {"mt": 8}), ("planned", {"granularity": 8, "mt": 8})]
+        "method, knobs", [("seal", {"mt": 8}), ("planned", {"granularity": 8})]
     )
     def test_recovery_matrix_on_hybrid_and_planned_segments(self, tmp_path, method, knobs):
         root = tmp_path / "live"

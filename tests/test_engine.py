@@ -40,20 +40,16 @@ class TestRegistry:
         assert accepted_params("token", knobs) == {"prefix_pruning": False}
         assert accepted_params("grid", knobs) == {"granularity": 8, "prefix_pruning": False}
         assert accepted_params("seal", knobs) == {"mt": 4}
-        # ``planned``: its own, plus what some member of the portfolio takes.
-        assert set(accepted_params("planned", knobs)) == {"granularity", "mt", "prefix_pruning"}
-        portfolio = {**knobs, "methods": ("token", "irtree"), "coefficients": None}
-        assert set(accepted_params("planned", portfolio)) == {
-            "max_entries", "prefix_pruning", "methods", "coefficients",
-        }
+        # ``planned``: what one of its two members (token, grid) takes.
+        assert set(accepted_params("planned", knobs)) == {"granularity", "prefix_pruning"}
         with pytest.raises(ConfigurationError, match="unknown method 'quantum'"):
             accepted_params("quantum", knobs)
-        with pytest.raises(ConfigurationError, match="unknown method 'nope'"):
-            accepted_params("planned", {"methods": ("token", "nope")})
 
     def test_check_params_names_the_knobs_and_the_method(self):
         check_params("grid", {"granularity": 8})
-        check_params("planned", {"granularity": 8, "record_to": None})
+        check_params("planned", {"granularity": 8})
+        with pytest.raises(ConfigurationError, match="'planned' does not accept 'record_to'"):
+            check_params("planned", {"granularity": 8, "record_to": None})
         with pytest.raises(ConfigurationError, match="method 'grid' does not accept 'mt', 'zz'"):
             check_params("grid", {"granularity": 8, "mt": 4, "zz": 0})
         with pytest.raises(ConfigurationError, match="method 'planned' does not accept 'max_entries'"):

@@ -462,7 +462,6 @@ def test_edge_builds_equal_reference_and_naive(corpus_name, filter_name):
     if "token" in corpus_name and filter_name != "grid":
         # A corpus yielding zero postings: an index with no list at all.
         assert len(method.index) == method.index.num_postings() == 0
-        assert method.index.average_list_length() == 0.0
     naive = build_method(objects, "naive", weighter)
     verify = getattr(method, "predicate", None)
     for region in (Rect(0, 0, 3, 3), Rect(1, 1, 1, 1), Rect(50, 50, 60, 60)):
@@ -520,17 +519,13 @@ def test_concurrent_queries_share_one_engine(twitter_small, twitter_small_weight
     """Probe state is thread-local per index, so threads sharing one
     engine get exactly the per-query answers (regression: an index-global
     scratch let one thread clear another's union mid-query).  The planned
-    engine adds the textual prefix ``plan()`` hands to the member it
-    picks: per-call data, never state on the shared filters."""
+    engine's two members share one verifier across the threads."""
     method = build_method(
         twitter_small, name, twitter_small_weighter,
-        **({"granularity": 8, "mt": 8, "max_level": 5} if name == "planned" else {}),
+        **({"granularity": 8} if name == "planned" else {}),
     )
     serial = [method.search(q) for q in parity_workload]
     expected = [result.answers for result in serial]
-    if name == "planned":
-        handed = {"planned:token", "planned:hash-hybrid", "planned:seal"}
-        assert handed & {r.stats.method for r in serial}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:

@@ -218,8 +218,7 @@ class TestSnapshot:
         from repro.io.snapshot import sidecar_path
 
         engine = build_method(
-            twitter_small, "planned", twitter_small_weighter,
-            granularity=32, mt=8, max_level=6, min_objects=4,
+            twitter_small, "planned", twitter_small_weighter, granularity=32,
         )
 
         def saved(path):

@@ -1,464 +1,502 @@
-"""PlannedSealSearch: differential identity, dispatch, record→fit, metrics.
+"""PlannedSealSearch: the threshold rule, answer identity, every execution shape.
 
-The planner's entire value rests on one invariant — dispatching to *any*
-registry method yields bit-identical answers, so choosing per query is
-free — and on its observability being truthful.  These tests pin:
+The planner may pick any member because every member hands the one
+verifier a candidate superset: the pick moves time, never an answer.
+These tests pin:
 
-* answer identity against every fixed registry method, including the
-  degenerate-threshold regimes where methods fall back to full scans;
-* dispatch sanity: vacuous thresholds steer the planner *away* from the
-  degenerate methods;
-* the record → fit → serve calibration workflow, including the JSONL
-  row schema, coefficient persistence, and the mispredict counter;
-* stats attribution (PR 7's satellite bugfix): ``SearchStats.method``
-  labels survive pipelines and segment fan-out keeps per-source
-  breakdowns instead of erasing them in the merge;
-* the planner inside every execution shape: BatchExecutor, segmented
-  engine under churn, QueryService (``planner`` metrics block), network
-  server, snapshot save/load.
+* the rule as a dispatch table, read off ``SearchStats.method``;
+* ``planned`` ≡ ``naive`` on the perf ledger's four query regimes,
+  through ``BatchExecutor``, under segmented churn and over a
+  ``NetworkServer``;
+* what ``plan()`` costs: no textual prefix, no weight, no posting list;
+* the members: ``token`` and ``grid`` built, the comparison filters
+  built only on request and never persisted, one verifier for all;
+* state written before the rule (four members, cost coefficients,
+  the cost model's knobs) loading, dispatching by the rule, answering
+  alike;
+* stats attribution and the service's ``planner`` metrics block.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import ExitStack
 from unittest import mock
 
 import pytest
 
-from repro import Query, Rect, SealSearch, SegmentedSealSearch, build_method
+from benchmarks.ledger.inputs import REGIMES, make_corpus, make_queries
+from repro import METHOD_REGISTRY, Query, Rect, SealSearch, SegmentedSealSearch, build_method
+from repro.core.engine import accepted_params
 from repro.core.errors import ConfigurationError
 from repro.core.stats import SearchStats
 from repro.exec.batch import BatchExecutor
-from repro.datasets import generate_twitter
 from repro.exec.planner import (
-    COST_TERMS,
-    DEFAULT_COEFFICIENTS,
+    COMPARISON_METHODS,
     DEFAULT_METHODS,
-    UNFITTED_COEFFICIENTS,
+    WHY,
     PlannedSealSearch,
+    Portfolio,
     collect_planner_metrics,
-    fit_coefficients,
     iter_planners,
-    load_coefficients,
-    save_coefficients,
+    rule,
 )
+from repro.filters.hierarchical_filter import HierarchicalFilter
+from repro.filters.hybrid_filter import HybridFilter
+from repro.index.inverted import InvertedIndex
+from repro.signatures.textual import TextualScheme
+from repro.text.weights import TokenWeighter
 
-#: Small knobs so each portfolio builds fast.
-KNOBS = dict(granularity=32, mt=8, max_level=6, min_objects=4)
-
-
-def _mixed_queries(base_queries):
-    """The base workload plus its degenerate-threshold variants."""
-    out = list(base_queries)
-    out.extend(q.with_thresholds(tau_r=0.3, tau_t=0.0) for q in base_queries[:3])
-    out.extend(q.with_thresholds(tau_r=0.0, tau_t=0.3) for q in base_queries[:3])
-    return out
-
-
-@pytest.fixture(scope="module")
-def planner(twitter_small, twitter_small_weighter):
-    return PlannedSealSearch(twitter_small, twitter_small_weighter, **KNOBS)
+KNOBS = dict(granularity=32)
+REGIME_NAMES = ("large", "small", "spatial-only", "textual-only")
+#: Where the rule sends each ledger regime.
+REGIME_MEMBER = {"large": "token", "small": "token", "spatial-only": "grid",
+                 "textual-only": "token"}
 
 
 @pytest.fixture(scope="module")
-def fixed_methods(twitter_small, twitter_small_weighter):
-    """Every registry method (not just the portfolio), same knobs."""
-    out = {}
-    for name in ("naive", "keyword-first", "spatial-first", "irtree",
-                 "token", "grid", "hash-hybrid", "seal"):
-        params = {}
-        if name in ("grid", "hash-hybrid"):
-            params["granularity"] = KNOBS["granularity"]
-        if name == "seal":
-            params.update(mt=KNOBS["mt"], max_level=KNOBS["max_level"],
-                          min_objects=KNOBS["min_objects"])
-        out[name] = build_method(twitter_small, name, twitter_small_weighter, **params)
-    return out
+def corpus():
+    return make_corpus(1200, 7)
 
 
-class TestDifferentialIdentity:
-    def test_bit_identical_to_every_registry_method(
-        self, planner, fixed_methods, twitter_small_queries
-    ):
-        for query in _mixed_queries(list(twitter_small_queries)):
-            expected = None
-            for name, method in fixed_methods.items():
-                answers = method.search(query).answers
-                if expected is None:
-                    expected = answers
-                assert answers == expected, f"{name} diverged on {query}"
-            assert planner.search(query).answers == expected
-
-    def test_batch_executor_matches_per_query(self, planner, twitter_small_queries):
-        queries = _mixed_queries(list(twitter_small_queries))
-        batched = BatchExecutor().run(planner, queries)
-        assert [r.answers for r in batched] == [
-            planner.search(q).answers for q in queries
-        ]
+@pytest.fixture(scope="module")
+def weighter(corpus):
+    return TokenWeighter(obj.tokens for obj in corpus)
 
 
-class TestPlanning:
-    def test_plan_ranks_all_methods_cheapest_first(self, planner, twitter_small_queries):
-        estimates = planner.plan(twitter_small_queries[0])
-        assert sorted(e.method for e in estimates) == sorted(DEFAULT_METHODS)
-        costs = [e.cost for e in estimates]
-        assert costs == sorted(costs)
+@pytest.fixture(scope="module")
+def planner(corpus, weighter):
+    return PlannedSealSearch(corpus, weighter, **KNOBS)
 
-    def test_explain_document(self, planner, twitter_small_queries):
-        decision = planner.explain(twitter_small_queries[0])
-        assert decision["chosen"] == decision["ranking"][0]
-        assert set(decision["estimates"]) == set(DEFAULT_METHODS)
-        for estimate in decision["estimates"].values():
-            assert set(estimate) == {"lists", "entries", "candidates", "cost_s"}
-        features = decision["features"]
-        assert features["num_tokens"] == len(twitter_small_queries[0].tokens)
-        assert features["tau_r"] == twitter_small_queries[0].tau_r
-        # The document must be JSON-ready as-is (the CLI prints it).
-        json.dumps(decision)
 
-    def test_vacuous_textual_threshold_avoids_token(self, planner, twitter_small_queries):
-        query = twitter_small_queries[0].with_thresholds(tau_r=0.3, tau_t=0.0)
-        # token/hybrid/seal all degenerate to a full scan here; only the
-        # grid filter still prunes, and the estimator knows it exactly.
-        assert planner.choose(query) == "grid"
+@pytest.fixture(scope="module")
+def naive(corpus, weighter):
+    return build_method(corpus, "naive", weighter)
 
-    def test_vacuous_spatial_threshold_avoids_grid(self, planner, twitter_small_queries):
-        query = twitter_small_queries[0].with_thresholds(tau_r=0.0, tau_t=0.3)
-        assert planner.choose(query) == "token"
 
-    def test_full_scan_never_outranks_a_filter_whatever_its_price(
-        self, planner, twitter_small_queries
-    ):
-        # What a fit returns when no recorded query degenerated: nothing
-        # identifies the candidate price, so it is 0 and a full scan
-        # costs the intercept.
-        free_scans = {name: [1e-5, 1e-5, 1e-8, 0.0] for name in planner.methods}
-        query = twitter_small_queries[0]
-        with mock.patch.dict(planner.coefficients, free_scans):
-            assert planner.choose(query.with_thresholds(tau_r=0.3, tau_t=0.0)) == "grid"
-            assert planner.choose(query.with_thresholds(tau_r=0.0, tau_t=0.3)) == "token"
-            # No member can filter: by price again (equal here, so the
-            # first registered).
-            ranking = planner.plan(query.with_thresholds(tau_r=0.0, tau_t=0.0))
-            assert [e.method for e in ranking] == list(planner.methods)
+@pytest.fixture(scope="module")
+def regimes(corpus):
+    return {
+        name: make_queries(corpus, kind, 12, tau_r, tau_t, seed)
+        for seed, (name, (kind, tau_r, tau_t)) in enumerate(zip(REGIME_NAMES, REGIMES))
+    }
 
-    def test_stats_method_label_refined_to_chosen(self, planner, twitter_small_queries):
-        query = twitter_small_queries[0]
+
+@pytest.fixture(scope="module")
+def workload(regimes):
+    return [query for name in REGIME_NAMES for query in regimes[name]]
+
+
+# ----------------------------------------------------------------------
+# The rule
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "case, tau_r, tau_t, tokens, member",
+    [
+        ("vacuous textual", 0.3, 0.0, "known", "grid"),
+        ("vacuous spatial", 0.0, 0.3, "known", "token"),
+        ("both biting", 0.4, 0.4, "known", "token"),
+        ("unknown tokens only", 0.4, 0.4, {"no-such-token", "nope"}, "token"),
+        ("both vacuous", 0.0, 0.0, "known", "grid"),
+        ("empty token set", 0.4, 0.4, set(), "grid"),
+    ],
+)
+def test_dispatch_table(planner, naive, corpus, case, tau_r, tau_t, tokens, member):
+    tokens = corpus[0].tokens if tokens == "known" else tokens
+    query = Query(corpus[0].region, frozenset(tokens), tau_r, tau_t)
+    result = planner.search(query)
+    assert result.stats.method == f"planned:{member}", case
+    assert result.answers == naive.search(query).answers, case
+    decision = planner.explain(query)
+    assert decision["chosen"] == member
+    assert decision["branch"] and decision["why"]
+    json.dumps(decision)  # the CLI prints it as is
+
+
+@pytest.mark.parametrize(
+    "tau_r, tau_t, tokens, expected",
+    [
+        (0.3, 0.0, {"a", "b"}, ("grid", "tau_t = 0")),
+        (1.0, 0.0, {"a"}, ("grid", "tau_t = 0")),
+        (0.4, 0.0, set(), ("grid", "tau_t = 0")),              # the first branch wins
+        (0.4, 0.4, set(), ("grid", "no query tokens")),
+        (0.0, 5e-324, {"a"}, ("token", "tau_t > 0 and query tokens")),
+        (0.0, 1.0, {"a", "b"}, ("token", "tau_t > 0 and query tokens")),
+    ],
+    ids=["tau_t-zero", "tau_r-one-tau_t-zero", "tau_t-zero-no-tokens", "no-tokens",
+         "smallest-positive-tau_t", "tau_t-one"],
+)
+def test_rule_branches(tau_r, tau_t, tokens, expected):
+    """The rule reads only the thresholds and whether the query has
+    tokens: any positive τT with a token goes to ``token``."""
+    query = Query(Rect(0, 0, 1, 1), frozenset(tokens), tau_r, tau_t)
+    assert rule(query) == expected
+
+
+def test_explain_document(planner, workload):
+    for query in workload:
+        chosen, branch = rule(query)
+        assert planner.explain(query) == {"chosen": chosen, "branch": branch,
+                                          "why": WHY[chosen]}
+    assert set(WHY) == set(DEFAULT_METHODS)
+
+
+@pytest.mark.parametrize("regime", REGIME_NAMES)
+def test_planned_is_naive_on_every_ledger_regime(planner, naive, regimes, regime):
+    for query in regimes[regime]:
         result = planner.search(query)
-        assert result.stats.method == f"planned:{planner.choose(query)}"
-
-    def test_selection_metrics_count_dispatches(self, twitter_small, twitter_small_weighter,
-                                                twitter_small_queries):
-        fresh = PlannedSealSearch(twitter_small, twitter_small_weighter, **KNOBS)
-        for query in twitter_small_queries:
-            fresh.search(query)
-        metrics = fresh.metrics.as_dict()
-        assert metrics["decisions"] == len(twitter_small_queries)
-        assert sum(metrics["selections"].values()) == len(twitter_small_queries)
-        for latency in metrics["filter_latency_ms"].values():
-            assert latency["count"] > 0
-
-    def test_index_size_sums_portfolio(self, planner):
-        report = planner.index_size()
-        total = sum(m.index_size().num_postings for m in planner.methods.values())
-        assert report.num_postings == total
+        assert result.stats.method == f"planned:{REGIME_MEMBER[regime]}"
+        assert result.answers == naive.search(query).answers, query
 
 
-class TestConfiguration:
-    def test_empty_portfolio_rejected(self, twitter_small):
-        with pytest.raises(ConfigurationError):
-            PlannedSealSearch(twitter_small, methods=())
-
-    def test_unknown_method_rejected(self, twitter_small):
-        with pytest.raises(ConfigurationError):
-            PlannedSealSearch(twitter_small, methods=("token", "nope"))
-
-    def test_planner_over_itself_rejected(self, twitter_small):
-        with pytest.raises(ConfigurationError):
-            PlannedSealSearch(twitter_small, methods=("planned",))
-
-    def test_duplicate_methods_rejected(self, twitter_small):
-        with pytest.raises(ConfigurationError):
-            PlannedSealSearch(twitter_small, methods=("token", "token"))
-
-    @pytest.mark.parametrize(
-        "methods, knobs, unknown",
-        [
-            (None, {"granularty": 16}, "granularty"),            # a typo
-            (None, {"mt": 4, "max_entries": 8}, "max_entries"),   # no R-tree in the default portfolio
-            (("token", "spatial-first"), {"granularity": 16}, "granularity"),
-            (None, {"backend": "python"}, "backend"),             # the option this library dropped
-        ],
-    )
-    def test_knob_no_member_accepts_rejected_before_any_build(
-        self, twitter_small, methods, knobs, unknown
-    ):
-        """A knob used to vanish silently when no portfolio member took it."""
-        no_index = mock.patch(
-            "repro.index.inverted.InvertedIndex.from_postings", side_effect=AssertionError
-        )
-        with no_index, pytest.raises(
-            ConfigurationError, match=f"'planned'.*'{unknown}'"
-        ) as error:
-            build_method(twitter_small, "planned", methods=methods, **knobs)
-        assert all(repr(knob) not in str(error.value) for knob in knobs if knob != unknown)
-
-    def test_each_member_gets_the_knobs_it_accepts(self, twitter_small):
-        planner = PlannedSealSearch(
-            twitter_small[:50], methods=("token", "grid", "spatial-first"),
-            granularity=16, max_entries=8,
-        )
-        assert planner.methods["grid"].granularity == 16
-        assert planner.methods["spatial-first"].rtree.max_entries == 8
-
-    def test_bad_coefficient_arity_rejected(self, twitter_small):
-        planner = PlannedSealSearch(twitter_small, methods=("token", "grid"),
-                                    granularity=16)
-        with pytest.raises(ConfigurationError):
-            planner.set_coefficients({"token": [1.0, 2.0]})
-
-    def test_registry_and_facade_build_planned(self, twitter_small):
-        method = build_method(twitter_small, "planned", granularity=16, mt=4)
-        assert sorted(method.methods) == sorted(DEFAULT_METHODS)
-        facade = SealSearch(
-            [(o.region, o.tokens) for o in twitter_small],
-            method="planned", granularity=16, mt=4,
-        )
-        assert isinstance(facade.method, PlannedSealSearch)
+@pytest.mark.parametrize("name", sorted(set(METHOD_REGISTRY) - {"planned"}))
+def test_bit_identical_to_every_registry_method(planner, corpus, weighter, workload, name):
+    method = build_method(corpus, name, weighter, **accepted_params(name, KNOBS))
+    for query in workload:
+        assert planner.search(query).answers == method.search(query).answers, query
 
 
-class TestRecordFitServe:
-    @pytest.fixture()
-    def recording_planner(self, tmp_path, twitter_small, twitter_small_weighter):
-        return PlannedSealSearch(
-            twitter_small, twitter_small_weighter,
-            record_to=str(tmp_path / "rows.jsonl"), **KNOBS,
-        )
+def test_batch_executor_matches_naive(planner, naive, workload):
+    batched = BatchExecutor().run(planner, workload)
+    assert [r.answers for r in batched] == [naive.search(q).answers for q in workload]
 
-    def test_rows_schema_and_flush(self, recording_planner, twitter_small_queries):
-        for query in twitter_small_queries[:4]:
-            recording_planner.search(query)
-        path = recording_planner.flush_recording()
-        rows = [json.loads(line) for line in open(path, encoding="utf-8")]
-        assert len(rows) == 4
-        for row in rows:
-            assert set(row) == {"features", "chosen", "predicted", "observed"}
-            assert set(row["observed"]) == set(DEFAULT_METHODS)
-            for truth in row["observed"].values():
-                assert truth["seconds"] >= 0.0
-                assert set(truth) == {"lists", "entries", "candidates",
-                                      "results", "seconds"}
 
-    def test_fit_updates_coefficients(self, recording_planner, twitter_small_queries):
-        for query in twitter_small_queries:
-            recording_planner.search(query)
-        before = {m: list(v) for m, v in recording_planner.coefficients.items()}
-        fitted = recording_planner.fit()
-        assert set(fitted) == set(DEFAULT_METHODS)
-        assert all(len(v) == 4 for v in fitted.values())
-        assert recording_planner.coefficients != before
+def test_plan_derives_no_prefix_and_reads_no_list(planner, workload):
+    refuse = mock.Mock(side_effect=AssertionError("plan() did more than read thresholds"))
+    with mock.patch.object(TextualScheme, "query_prefix", refuse), mock.patch.object(
+        InvertedIndex, "union_heads", refuse
+    ), mock.patch.multiple(TokenWeighter, total_weight=refuse, sort_tokens=refuse):
+        for query in workload:
+            assert planner.plan(query) in DEFAULT_METHODS
+            planner.explain(query)
+    assert not refuse.called
 
-    def test_coefficients_roundtrip(self, tmp_path, recording_planner,
-                                    twitter_small_queries):
-        for query in twitter_small_queries[:6]:
-            recording_planner.search(query)
-        fitted = recording_planner.fit()
-        path = str(tmp_path / "coeffs.json")
-        save_coefficients(fitted, path)
-        assert load_coefficients(path) == {
-            m: [float(v) for v in vals] for m, vals in fitted.items()
-        }
 
-    def test_load_coefficients_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"schema": 99}')
-        with pytest.raises(ConfigurationError):
-            load_coefficients(str(path))
+def test_one_plan_then_one_member_per_query(planner, workload):
+    calls = []
 
-    def test_fit_from_path(self, recording_planner, twitter_small_queries):
-        for query in twitter_small_queries[:5]:
-            recording_planner.search(query)
-        path = recording_planner.flush_recording()
-        fitted = fit_coefficients(path)
-        assert set(fitted) == set(DEFAULT_METHODS)
+    def spy(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        return call
 
-    def test_mispredicts_counted_under_perverse_coefficients(
-        self, tmp_path, twitter_small, twitter_small_weighter, twitter_small_queries
-    ):
-        # Force the planner to always pick naive-worst estimates: zero
-        # cost for seal, huge for everything else.  Recording measures
-        # the truth, so mispredicts must accumulate.
-        planner = PlannedSealSearch(
-            twitter_small, twitter_small_weighter,
-            record_to=str(tmp_path / "rows.jsonl"),
-            coefficients={
-                "seal": [0.0, 0.0, 0.0, 0.0],
-                "token": [1e9, 0.0, 0.0, 0.0],
-                "grid": [1e9, 0.0, 0.0, 0.0],
-                "hash-hybrid": [1e9, 0.0, 0.0, 0.0],
-            },
-            **KNOBS,
-        )
-        for query in twitter_small_queries:
-            assert planner.choose(query) == "seal"
+    with ExitStack() as patches:
+        patches.enter_context(mock.patch.object(planner, "plan", spy("plan", planner.plan)))
+        for name, member in planner.methods.rule_members().items():
+            patches.enter_context(
+                mock.patch.object(member, "candidates", spy(name, member.candidates))
+            )
+        for query in workload:
+            del calls[:]
             planner.search(query)
-        assert planner.metrics.as_dict()["mispredicts"] > 0
-
-    def test_default_coefficients_are_positive(self):
-        from repro.core.engine import METHOD_REGISTRY
-
-        assert set(DEFAULT_COEFFICIENTS) == set(DEFAULT_METHODS)
-        for name, row in {**DEFAULT_COEFFICIENTS, "naive": UNFITTED_COEFFICIENTS}.items():
-            assert name in METHOD_REGISTRY
-            assert len(row) == len(COST_TERMS) == 4
-            assert row[0] > 0 and all(c >= 0 for c in row), name
-
-    def test_method_without_a_fitted_row_gets_the_old_tuple(self, twitter_small):
-        planner = PlannedSealSearch(twitter_small, methods=("token", "naive"))
-        assert planner.coefficients == {
-            "token": list(DEFAULT_COEFFICIENTS["token"]),
-            "naive": list(UNFITTED_COEFFICIENTS),
-        }
+            assert calls == ["plan", rule(query)[0]]
 
 
-def _rows(method, work_and_seconds):
-    """Training rows for one method from ``((lists, entries, candidates),
-    seconds)`` pairs."""
-    return [
-        {
-            "predicted": {method: {"lists": l, "entries": e, "candidates": c}},
-            "observed": {method: {"seconds": seconds}},
-        }
-        for (l, e, c), seconds in work_and_seconds
-    ]
+# ----------------------------------------------------------------------
+# The members
+# ----------------------------------------------------------------------
 
 
-class TestFitIsNonNegativeAndRelative:
-    """The first two fail at the parent's plain least squares."""
-
-    def test_negative_least_squares_term_is_fitted_out(self):
-        import numpy as np
-
-        # seconds = 50 µs + 2 µs per list, plus an entries column that
-        # runs *against* the residual: plain least squares prices an
-        # entry below zero.
-        rng = np.random.default_rng(5)
-        lists = rng.integers(1, 20, size=200).astype(float)
-        noise = rng.normal(0.0, 2e-6, size=200)
-        entries = 40.0 * lists - noise * 4e6
-        seconds = 5e-5 + 2e-6 * lists + noise
-        rows = _rows("grid", zip(zip(lists, entries, entries), seconds))
-        x = np.column_stack([np.ones(200), lists, entries, entries])
-        plain, *_ = np.linalg.lstsq(x[:, :3], seconds, rcond=None)
-        assert plain.min() < 0.0  # the parent's answer
-        (fitted,) = fit_coefficients(rows).values()
-        assert len(fitted) == 4 and all(c >= 0.0 for c in fitted)
-        assert fitted[0] > 0.0
-        predicted = x @ np.array(fitted)
-        assert np.median(np.abs(predicted - seconds) / seconds) < 0.1
-
-    def test_microsecond_intercept_survives_millisecond_rows(self):
-        import numpy as np
-
-        # seconds = 50 µs + 2 µs per list + 0.5 µs per candidate: 150
-        # probes of 50-90 µs (± 5 %) and 50 full scans of 2.5-10 ms
-        # (± 40 %).  Unweighted, the scans' millisecond residuals own
-        # the fit and the intercept lands anywhere (-233 µs here).
-        rng = np.random.default_rng(4)
-
-        def seconds(lists, candidates, spread):
-            exact = 5e-5 + 2e-6 * lists + 5e-7 * candidates
-            return exact * rng.uniform(1.0 - spread, 1.0 + spread)
-
-        probes = [
-            ((float(l), float(e), float(e)), seconds(l, e, 0.05))
-            for l, e in zip(rng.integers(1, 7, size=150), rng.integers(5, 60, size=150))
-        ]
-        scans = [
-            ((0.0, 0.0, float(n)), seconds(0, n, 0.4))
-            for n in rng.integers(5_000, 20_000, size=50)
-        ]
-        (fitted,) = fit_coefficients(_rows("token", probes + scans)).values()
-        assert all(c >= 0.0 for c in fitted)
-        assert abs(fitted[0] - 5e-5) <= 0.2 * 5e-5
+def test_only_the_rule_members_are_built(corpus, weighter):
+    refuse = mock.Mock(side_effect=AssertionError("a comparison member was built"))
+    with mock.patch.object(HybridFilter, "__init__", refuse), mock.patch.object(
+        HierarchicalFilter, "__init__", refuse
+    ):
+        planner = build_method(corpus[:300], "planned", weighter)
+    assert list(planner.methods) == list(DEFAULT_METHODS + COMPARISON_METHODS)
+    assert "seal" in planner.methods and "naive" not in planner.methods
+    report = planner.index_size()
+    members = planner.methods.rule_members()
+    assert report.num_postings == sum(m.index_size().num_postings for m in members.values())
 
 
-    def test_rows_weigh_by_the_query_not_by_the_fitted_method(self):
-        # Two methods, the same predicted work on every query.  "steady"
-        # always takes 50 µs; "tailed" takes 50 µs on half of the queries
-        # and 500 µs on the other half, and nothing predicted tells them
-        # apart.  Every row weighs 1 / 50 µs (its fastest method), so
-        # "tailed" is priced at its mean, 275 µs — weighing its rows by
-        # its own seconds would price it at 54 µs, level with "steady".
-        work = {"lists": 2.0, "entries": 10.0, "candidates": 10.0}
-        rows = [
-            {
-                "predicted": {"steady": work, "tailed": work},
-                "observed": {"steady": {"seconds": 5e-5},
-                             "tailed": {"seconds": 5e-4 if i % 2 else 5e-5}},
-            }
-            for i in range(40)
-        ]
-        fitted = fit_coefficients(rows)
-        price = {
-            name: c[0] + 2.0 * c[1] + 10.0 * (c[2] + c[3]) for name, c in fitted.items()
-        }
-        assert price["steady"] == pytest.approx(5e-5)
-        assert price["tailed"] == pytest.approx(2.75e-4)
+def test_index_size_sums_the_rule_members(planner):
+    report = planner.index_size()
+    members = planner.methods.rule_members().values()
+    for field in ("num_lists", "num_postings", "directory_bytes", "posting_bytes",
+                  "page_bytes"):
+        assert getattr(report, field) == sum(getattr(m.index_size(), field) for m in members)
+    assert report.num_postings > 0
 
 
-MALFORMED = {
-    "no-coefficients": {"schema": 1},
-    "not-a-number": {"schema": 1, "coefficients": {"token": ["a", 1, 2, 3]}},
-    "not-a-mapping": {"schema": 1, "coefficients": [1, 2]},
-    "two-values": {"schema": 1, "coefficients": {"token": [1, 2]}},
-    "boolean": {"schema": 1, "coefficients": {"token": [True, 1, 2, 3]}},
-    "not-finite": {"schema": 1, "coefficients": {"token": [1, 2, float("nan"), 3]}},
-    "past-the-floats": {"schema": 1, "coefficients": {"token": [1, 2, 10 ** 400, 3]}},
-    "not-json": "{",
-}
+def test_portfolio_names_every_filter_and_builds_none_twice(planner):
+    portfolio = planner.methods
+    assert len(portfolio) == len(list(portfolio)) == 4
+    assert all(name in portfolio for name in DEFAULT_METHODS + COMPARISON_METHODS)
+    assert "naive" not in portfolio and "planned" not in portfolio
+    assert set(portfolio.rule_members()) == set(DEFAULT_METHODS)
+    for name in DEFAULT_METHODS:
+        assert portfolio[name] is portfolio.rule_members()[name]
+        assert type(portfolio[name]).name == name
+    with pytest.raises(KeyError):
+        portfolio["planned"]
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED))
-class TestMalformedCoefficientsFile:
-    """Outside input: a bad file is a ``ConfigurationError`` naming it —
-    ``error: …`` and exit 2 from the CLI — never a traceback."""
+def test_comparison_members_are_built_on_request_and_not_persisted(
+    tmp_path, corpus, weighter, workload, naive
+):
+    from repro.io import load_engine, save_engine
 
-    @pytest.fixture()
-    def bad(self, tmp_path, case):
-        path = tmp_path / "bad.json"
-        document = MALFORMED[case]
-        path.write_text(document if isinstance(document, str) else json.dumps(document))
-        return path
+    planner = PlannedSealSearch(corpus[:600], weighter, **KNOBS)
+    seal = planner.methods["seal"]
+    assert planner.methods["seal"] is seal            # built once
+    assert seal.verifier is planner.verifier
+    oracle = build_method(corpus[:600], "naive", weighter)
+    for query in workload[::6]:
+        assert seal.search(query).answers == oracle.search(query).answers
+    save_engine(planner, tmp_path / "p.pkl")
+    loaded = load_engine(tmp_path / "p.pkl")
+    builds = []
+    real = Portfolio._build
+    with mock.patch.object(Portfolio, "_build", lambda self, name: builds.append(name)
+                           or real(self, name)):
+        loaded.methods["hash-hybrid"]
+    assert builds == ["hash-hybrid"]
+    with pytest.raises(KeyError):
+        loaded.methods["naive"]
 
-    def test_load_raises_configuration_error(self, bad, case):
-        with pytest.raises(ConfigurationError) as caught:
-            load_coefficients(str(bad))
-        assert "bad.json" in str(caught.value)
-        if "token" in json.dumps(MALFORMED[case]):
-            assert "'token'" in str(caught.value)
 
-    def test_build_exits_2_with_one_error_line(self, bad, tmp_path, capsys):
-        from repro.cli import main
-        from repro.io.corpus_io import save_corpus
+def test_one_verifier_for_every_member(tmp_path, planner, workload):
+    from repro.io import load_engine, save_engine
 
-        corpus = tmp_path / "corpus.jsonl"
-        save_corpus(generate_twitter(40, seed=1), corpus)
-        code = main(["build", str(corpus), "--method", "planned", "--coefficients", str(bad),
-                     "--out", str(tmp_path / "engine.pkl")])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert "Traceback" not in captured.err
-        assert not (tmp_path / "engine.pkl").exists()
+    save_engine(planner, tmp_path / "planned.pkl")
+    for engine in (planner, load_engine(tmp_path / "planned.pkl")):
+        for member in engine.methods.rule_members().values():
+            assert member.verifier is engine.verifier
+
+
+# ----------------------------------------------------------------------
+# Configuration
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "knobs, unknown",
+    [
+        ({"granularty": 16}, "granularty"),                  # a typo
+        ({"granularity": 16, "max_entries": 8}, "max_entries"),
+        ({"mt": 8}, "mt"),                                   # only seal took it
+        ({"methods": ("token", "grid")}, "methods"),         # the cost model's knobs
+        ({"coefficients": {}}, "coefficients"),
+        ({"record_to": "rows.jsonl"}, "record_to"),
+    ],
+)
+def test_knob_neither_member_accepts_rejected_before_any_build(corpus, knobs, unknown):
+    no_index = mock.patch(
+        "repro.index.inverted.InvertedIndex.from_postings", side_effect=AssertionError
+    )
+    with no_index, pytest.raises(ConfigurationError, match=f"'planned'.*'{unknown}'"):
+        build_method(corpus, "planned", **knobs)
+
+
+def test_each_member_gets_the_knobs_it_accepts(corpus):
+    planner = PlannedSealSearch(corpus[:50], granularity=16, prefix_pruning=False)
+    assert planner.methods["grid"].granularity == 16
+    assert planner.methods["hash-hybrid"].granularity == 16
+    assert not planner.methods["token"].prefix_pruning
+
+
+def test_registry_and_facade_build_planned(corpus):
+    method = build_method(corpus[:200], "planned", granularity=16)
+    assert isinstance(method, PlannedSealSearch)
+    facade = SealSearch([(o.region, o.tokens) for o in corpus[:200]], method="planned")
+    assert isinstance(facade.method, PlannedSealSearch)
+
+
+# ----------------------------------------------------------------------
+# State written before the rule
+# ----------------------------------------------------------------------
+
+
+def _parent_state(self) -> dict:
+    """What a planner pickled before the rule: four members, the cost
+    model's coefficients and recording state, no knobs."""
+    return {
+        "corpus": self.corpus, "weighter": self.weighter, "verifier": self.verifier,
+        "methods": {name: self.methods[name] for name in DEFAULT_METHODS + COMPARISON_METHODS},
+        "coefficients": {name: [3e-5, 3e-6, 2e-8, 1.2e-6] for name in self.methods},
+        "metrics": None, "_record_path": None, "_rows": [],
+    }
+
+
+@pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+def test_parent_written_planned_snapshot_loads_and_answers_alike(
+    tmp_path, planner, naive, workload, mmap
+):
+    from repro.io import load_engine, save_engine
+
+    with mock.patch.object(PlannedSealSearch, "__getstate__", _parent_state):
+        save_engine(planner, tmp_path / "parent.pkl")
+    loaded = load_engine(tmp_path / "parent.pkl", mmap=mmap)
+    assert not hasattr(loaded, "coefficients")
+    builds = []
+    real = Portfolio._build
+    with mock.patch.object(Portfolio, "_build", lambda self, name: builds.append(name)
+                           or real(self, name)):
+        for query in workload:
+            result = loaded.search(query)
+            assert result.stats.method == f"planned:{planner.plan(query)}"
+            assert result.answers == naive.search(query).answers
+        loaded.methods["seal"]
+    assert builds == ["seal"]  # dropped at load, built again only on request
+
+
+def test_parent_written_configs_drop_the_cost_models_knobs(tmp_path, corpus, workload):
+    """A WAL config record and a segmented snapshot written before the
+    rule name the cost model's knobs and those of the evicted members:
+    both recover, dispatch by the rule and answer like a fresh engine."""
+    from repro.exec.durable import DurableSegmentedSealSearch, recover
+    from repro.io import load_engine, save_engine
+    from repro.io.wal import WriteAheadLog
+
+    legacy = {"granularity": 16, "methods": ["token", "grid", "hash-hybrid", "seal"],
+              "coefficients": {"token": [1e-5, 0, 0, 0]}, "record_to": None,
+              "mt": 8, "max_level": 5, "min_objects": 4, "num_buckets": 97}
+    pairs = [(o.region, o.tokens) for o in corpus[:300]]
+    knobs = dict(buffer_capacity=64, granularity=16)
+
+    def inserted(engine):
+        for region, tokens in pairs:
+            engine.insert(region, tokens)
+        return engine
+
+    fresh = inserted(SegmentedSealSearch(method="planned", **knobs))
+    config = {**fresh.config(), "params": legacy}
+    durable = DurableSegmentedSealSearch(
+        SegmentedSealSearch(method="planned", **knobs),
+        WriteAheadLog.create(tmp_path / "w.wal", config=config),
+    )
+    inserted(durable).close()
+    replayed = recover(tmp_path / "none.pkl", tmp_path / "w.wal")
+
+    built = SegmentedSealSearch(pairs, "planned", **knobs)
+    built._params = dict(legacy)
+    save_engine(built, tmp_path / "seg.pkl")
+    loaded = inserted(load_engine(tmp_path / "seg.pkl"))  # seals under the loaded knobs
+    oracle = inserted(SegmentedSealSearch(pairs, "planned", **knobs))
+    try:
+        for engine in (replayed, loaded):
+            assert engine.config()["params"] == {"granularity": 16}
+        for query in workload:
+            assert replayed.search_query(query).answers == fresh.search_query(query).answers
+            assert loaded.search_query(query).answers == oracle.search_query(query).answers
+    finally:
+        replayed.close()
+
+
+# ----------------------------------------------------------------------
+# Execution shapes and observability
+# ----------------------------------------------------------------------
+
+
+def test_planned_segments_match_token_segments_under_churn(corpus, workload, monkeypatch):
+    monkeypatch.setattr("repro.exec.segments.FULL_INDEX_MIN_OBJECTS", 0)
+    pairs = [(o.region, o.tokens) for o in corpus[:200]]
+    planned = SegmentedSealSearch(pairs, "planned", buffer_capacity=64, merge_fanout=8,
+                                  **KNOBS)
+    oracle = SegmentedSealSearch(pairs, "token", buffer_capacity=64, merge_fanout=8)
+    for engine in (planned, oracle):
+        for obj in corpus[200:330]:
+            engine.insert(obj.region, obj.tokens)
+        for oid in (3, 17, 42, 210):
+            engine.delete(oid)
+        engine.flush()
+    assert sum(1 for _ in iter_planners(planned)) >= 2
+    for query in workload:
+        assert planned.search_query(query).answers == oracle.search_query(query).answers
+    metrics = collect_planner_metrics(planned)
+    # Every planned segment dispatches per query.
+    assert metrics["decisions"] >= len(workload)
+    assert sum(metrics["selections"].values()) == metrics["decisions"]
+
+
+def test_collect_metrics_aggregates_segments(corpus, workload, monkeypatch):
+    monkeypatch.setattr("repro.exec.segments.FULL_INDEX_MIN_OBJECTS", 0)
+    pairs = [(o.region, o.tokens) for o in corpus[:400]]
+    engine = SegmentedSealSearch(pairs[:300], "planned", buffer_capacity=512,
+                                 merge_fanout=8, **KNOBS)
+    for region, tokens in pairs[300:]:
+        engine.insert(region, tokens)
+    engine.flush()
+    planners = list(iter_planners(engine))
+    assert len(planners) >= 2
+    for query in workload[:4]:
+        engine.search_query(query)
+    metrics = collect_planner_metrics(engine)
+    # One decision per segment per query, tallied across every segment.
+    assert metrics["decisions"] == 4 * len(planners)
+    assert metrics["decisions"] == sum(p.metrics.as_dict()["decisions"] for p in planners)
+    assert set(metrics["selections"]) <= set(DEFAULT_METHODS)
+
+
+def test_network_server_serves_planned_segments(corpus, workload, naive, monkeypatch):
+    from repro.service import NetworkClient, NetworkServer, QueryService
+
+    monkeypatch.setattr("repro.exec.segments.FULL_INDEX_MIN_OBJECTS", 0)
+    pairs = [(o.region, o.tokens) for o in corpus]
+    engine = SegmentedSealSearch(pairs, "planned", buffer_capacity=500, **KNOBS)
+    with QueryService(engine, enable_cache=False) as service:
+        with NetworkServer(service) as server:
+            with NetworkClient(*server.address, timeout=10.0) as client:
+                for query in workload[::4]:
+                    assert client.query(query).answers == naive.search(query).answers
+        assert service.metrics()["planner"]["decisions"] > 0
+
+
+def test_selection_metrics_count_dispatches(corpus, weighter, workload):
+    fresh = PlannedSealSearch(corpus, weighter, **KNOBS)
+    for query in workload:
+        fresh.search(query)
+    metrics = fresh.metrics.as_dict()
+    assert set(metrics) == {"decisions", "selections", "filter_latency_ms"}
+    assert metrics["decisions"] == len(workload)
+    assert metrics["selections"] == {"grid": 12, "token": 36}
+    for latency in metrics["filter_latency_ms"].values():
+        assert latency["count"] > 0
+
+
+def test_service_metrics_planner_block(corpus, workload):
+    from repro.service import QueryService
+
+    service = QueryService.from_data(
+        [(o.region, o.tokens) for o in corpus], engine_params=KNOBS, enable_cache=False
+    )
+    with service:
+        for query in workload[:5]:
+            assert service.query(query).stats.method.startswith("planned:")
+        metrics = service.metrics()
+    assert metrics["planner"]["decisions"] == 5
+    json.dumps(metrics)
+
+
+def test_service_metrics_planner_none_without_planner(corpus):
+    from repro.service import QueryService
+
+    facade = SealSearch([(o.region, o.tokens) for o in corpus[:100]], method="token")
+    with QueryService(facade, enable_cache=False) as service:
+        assert service.metrics()["planner"] is None
+
+
+def test_snapshot_roundtrip(tmp_path, planner, workload):
+    from repro.io import load_engine, save_engine
+    from repro.io.snapshot import read_manifest
+
+    save_engine(planner, tmp_path / "planned.pkl")
+    manifest = read_manifest(tmp_path / "planned.pkl")
+    assert manifest["kind"] == "planned"
+    assert manifest["methods"] == list(DEFAULT_METHODS)
+    loaded = load_engine(tmp_path / "planned.pkl")
+    for query in workload[:8]:
+        assert loaded.search(query).answers == planner.search(query).answers
+    assert loaded.metrics.as_dict()["decisions"] == 8  # fresh counters
 
 
 class TestStatsAttribution:
-    """PR 7's satellite bugfix: method labels + per-source breakdowns."""
-
-    def test_fixed_method_stamps_registry_name(self, fixed_methods,
-                                               twitter_small_queries):
-        result = fixed_methods["token"].search(twitter_small_queries[0])
+    def test_fixed_method_stamps_registry_name(self, corpus, workload):
+        result = build_method(corpus[:200], "token").search(workload[0])
         assert result.stats.method == "token"
 
     def test_copy_preserves_attribution(self):
@@ -490,140 +528,11 @@ class TestStatsAttribution:
             engine.insert(region, tokens)
         engine.flush()
         assert engine.num_segments >= 2
-        result = engine.search_query(twitter_small_queries[0])
-        stats = result.stats
+        stats = engine.search_query(twitter_small_queries[0]).stats
         assert stats.method == "segmented:token"
         assert len(stats.per_source) >= 2
         for source in stats.per_source:
             assert source.method == "token"
-        # The aggregate is exactly the sum of its sources — attribution
-        # came back without breaking the totals.
+        # The aggregate is exactly the sum of its sources.
         assert stats.lists_probed == sum(s.lists_probed for s in stats.per_source)
         assert stats.candidates == sum(s.candidates for s in stats.per_source)
-
-
-class TestSegmentedChurn:
-    def test_planned_segmented_matches_token_segmented_under_churn(
-        self, twitter_small, twitter_small_queries
-    ):
-        pairs = [(o.region, o.tokens) for o in twitter_small[:200]]
-        planned = SegmentedSealSearch(pairs, "planned", buffer_capacity=64, **KNOBS)
-        oracle = SegmentedSealSearch(pairs, "token", buffer_capacity=64)
-        for engine in (planned, oracle):
-            for obj in twitter_small[200:260]:
-                engine.insert(obj.region, obj.tokens)
-            for oid in (3, 17, 42, 210):
-                engine.delete(oid)
-            engine.flush()
-        for query in _mixed_queries(list(twitter_small_queries)):
-            assert (
-                planned.search_query(query).answers
-                == oracle.search_query(query).answers
-            )
-
-    def test_collect_metrics_aggregates_segments(self, twitter_small,
-                                                 twitter_small_queries, monkeypatch):
-        # Segments this small hold planners only above the tier boundary.
-        monkeypatch.setattr("repro.exec.segments.FULL_INDEX_MIN_OBJECTS", 0)
-        pairs = [(o.region, o.tokens) for o in twitter_small]
-        engine = SegmentedSealSearch(pairs[:300], "planned", buffer_capacity=512,
-                                     merge_fanout=8, **KNOBS)
-        for region, tokens in pairs[300:]:
-            engine.insert(region, tokens)
-        engine.flush()
-        assert sum(1 for _ in iter_planners(engine)) >= 2
-        for query in twitter_small_queries[:4]:
-            engine.search_query(query)
-        metrics = collect_planner_metrics(engine)
-        # Every segment dispatches per query, so decisions >= queries.
-        assert metrics["decisions"] >= 4
-        assert sum(metrics["selections"].values()) == metrics["decisions"]
-
-
-class TestServiceAndSnapshots:
-    def test_service_metrics_planner_block(self, twitter_small, twitter_small_queries):
-        from repro.service import QueryService
-
-        facade = SealSearch(
-            [(o.region, o.tokens) for o in twitter_small], method="planned", **KNOBS
-        )
-        with QueryService(facade, enable_cache=False) as service:
-            for query in twitter_small_queries[:5]:
-                service.query(query)
-            metrics = service.metrics()
-        block = metrics["planner"]
-        assert block is not None
-        assert block["decisions"] == 5
-        assert set(block) == {"decisions", "selections", "mispredicts",
-                              "filter_latency_ms"}
-        json.dumps(metrics)  # the whole document stays JSON-ready
-
-    def test_service_metrics_planner_none_without_planner(self, twitter_small):
-        from repro.service import QueryService
-
-        facade = SealSearch([(o.region, o.tokens) for o in twitter_small],
-                            method="token")
-        with QueryService(facade, enable_cache=False) as service:
-            assert service.metrics()["planner"] is None
-
-    def test_from_data_defaults_to_planner(self, twitter_small, twitter_small_queries):
-        from repro.service import QueryService
-
-        service = QueryService.from_data(
-            [(o.region, o.tokens) for o in twitter_small],
-            engine_params=KNOBS, enable_cache=False,
-        )
-        with service:
-            result = service.query(twitter_small_queries[0])
-            assert result.stats.method.startswith("planned:")
-            assert service.metrics()["planner"]["decisions"] == 1
-
-    def test_snapshot_roundtrip(self, tmp_path, planner, twitter_small_queries):
-        from repro.io import load_engine, save_engine
-        from repro.io.snapshot import read_manifest
-
-        path = tmp_path / "planned.pkl"
-        save_engine(planner, path)
-        manifest = read_manifest(path)
-        assert manifest["kind"] == "planned"
-        assert sorted(manifest["methods"]) == sorted(DEFAULT_METHODS)
-        loaded = load_engine(path)
-        for query in twitter_small_queries[:4]:
-            assert loaded.search(query).answers == planner.search(query).answers
-        # Fresh counters, recording off: transient state is not persisted.
-        assert loaded.metrics.as_dict()["decisions"] == 4
-        assert loaded.flush_recording() is None
-
-    def test_one_verifier_for_the_whole_portfolio(self, tmp_path, planner, fixed_methods,
-                                                  twitter_small_queries):
-        """Members verify through the planner's instance — one set of
-        token totals and coordinate columns, not five — before and after
-        a snapshot round-trip, and a member searched on its own (the
-        ledger's regret probe) still answers like the stand-alone build."""
-        from repro.io import load_engine, save_engine
-
-        path = tmp_path / "planned.pkl"
-        save_engine(planner, path)
-        for engine in (planner, load_engine(path)):
-            for name, member in engine.methods.items():
-                assert member.verifier is engine.verifier
-                for query in _mixed_queries(twitter_small_queries):
-                    assert member.search(query).answers == fixed_methods[name].search(query).answers
-
-    def test_network_server_serves_planned_engine(self, twitter_small,
-                                                  twitter_small_queries, monkeypatch):
-        from repro.service import NetworkClient, NetworkServer, QueryService
-
-        # A corpus this small is planned only above the tier boundary.
-        monkeypatch.setattr("repro.exec.segments.FULL_INDEX_MIN_OBJECTS", 0)
-        pairs = [(o.region, o.tokens) for o in twitter_small]
-        engine = SegmentedSealSearch(pairs, "planned", buffer_capacity=150, **KNOBS)
-        with QueryService(engine, enable_cache=False) as service:
-            with NetworkServer(service) as server:
-                host, port = server.address
-                with NetworkClient(host, port, timeout=10.0) as client:
-                    for query in twitter_small_queries[:5]:
-                        networked = client.query(query)
-                        direct = service.query(query)
-                        assert networked.answers == direct.answers
-            assert service.metrics()["planner"]["decisions"] > 0

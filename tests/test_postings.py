@@ -148,13 +148,11 @@ class TestInvertedIndex:
         assert index.list_length("missing") == 0
 
         assert index.list_lengths().tolist() == [2, 1]
-        assert index.average_list_length() == 1.5
         assert index.t_bounds is None and index.rows_unique
 
     def test_empty_index(self):
         index = InvertedIndex.from_postings([], [], [], [])
         assert len(index) == 0 and index.num_postings() == 0
-        assert index.average_list_length() == 0.0
         assert index.list_lengths().tolist() == []
         assert list(index.probe("anything", 0.0)) == []
         stats = SearchStats()

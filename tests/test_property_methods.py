@@ -11,9 +11,10 @@ single-object corpora — and asserts the two framework invariants:
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro import METHOD_REGISTRY, build_method
+from repro import METHOD_REGISTRY, Query, Rect, build_method, make_corpus
 from repro.core.stats import SearchStats
 from repro.text.weights import TokenWeighter
 
@@ -64,3 +65,18 @@ def test_candidates_superset_of_answers(corpus_query):
         assert expected <= candidates, (
             f"{name} lost answers: {expected - candidates} for {query}"
         )
+
+
+@pytest.mark.parametrize("name", sorted(METHOD_REGISTRY))
+def test_threshold_boundary_regression(name):
+    """Objects {t0} and {t0, t1, t2} on one point, a query on that point
+    with {t1, …, t5} at τR = 0, τT = 0.4: object 1 sits on simT = τT, and
+    the verifier's float union ``(Q + T) − I`` rounds below ``Q``.  A
+    filter cutting at exactly ``τT·Q`` dropped it (``token``, ``irtree``
+    and the planner returned ``[]``); every filter bound now goes through
+    ``filter_threshold``, and every method keeps it."""
+    corpus = make_corpus([(Rect(0, 0, 0, 0), {"t0"}), (Rect(0, 0, 0, 0), {"t0", "t1", "t2"})])
+    query = Query(Rect(0, 0, 0, 0), frozenset({"t1", "t2", "t3", "t4", "t5"}), 0.0, 0.4)
+    method = _methods(corpus)[name]
+    assert method.search(query).answers == [1]
+    assert 1 in set(method.candidates(query, SearchStats()))

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro import Rect, TokenWeighter, spatial_similarity, textual_similarity
 from repro.core.similarity import (
+    filter_threshold,
     spatial_dice_similarity,
     textual_cosine_similarity,
     textual_dice_similarity,
@@ -123,3 +127,35 @@ def test_spatial_dice_range(a, b):
 def test_cosine_range(a, b):
     s = textual_cosine_similarity(a, b, _W)
     assert 0.0 <= s <= 1.0 + 1e-9
+
+
+@given(
+    st.lists(st.floats(0.01, 20.0), min_size=1, max_size=10),
+    st.lists(st.floats(0.01, 20.0), max_size=10),
+    st.lists(st.floats(0.01, 20.0), max_size=10),
+    st.sampled_from([-1, 0, 1]),
+)
+# The registry regression's weights: idf ln 2 for t1…t5, 0 for t0.
+@example([math.log(2.0)] * 2, [math.log(2.0)] * 3, [0.0], 0)
+def test_filter_threshold_is_never_above_what_the_verifier_accepts(common, query_only,
+                                                                   object_only, step):
+    """τ is set on the pair's own similarity (and an ulp either side):
+    whenever the verifier's check ``I ≥ τ·((Q + T) − I)`` passes, every
+    float sum of the common weights a filter might hold reaches the
+    bound."""
+    q_total = math.fsum(common + query_only)
+    o_total = math.fsum(common + object_only)
+    inter = sum(common)
+    union = q_total + o_total - inter
+    tau = min(1.0, math.nextafter(inter / union, math.inf * step) if step else inter / union)
+    if inter < tau * union:
+        return  # the verifier rejects: nothing to keep
+    bound = filter_threshold(tau, q_total)
+    assert bound <= tau * q_total
+    for held in (sum(common), sum(reversed(common)), sum(sorted(common))):
+        assert held >= bound
+
+
+def test_filter_threshold_is_zero_only_for_a_vacuous_threshold():
+    assert filter_threshold(0.0, 5.0) == filter_threshold(0.4, 0.0) == 0.0
+    assert 0.0 < filter_threshold(0.4, 5.0) < 0.4 * 5.0

@@ -31,7 +31,7 @@ from repro.service import QueryService
 
 from tests.strategies import nonempty_token_sets, queries, rects
 
-KNOBS = dict(granularity=8, mt=4, max_level=3, min_objects=2)
+KNOBS = dict(granularity=8)
 
 #: Asked after every step: vacuous thresholds reach every source, the
 #: third filters on both axes.

@@ -87,7 +87,6 @@ class TestCellSpan:
         assert grid.cell_span(Rect(-10, -10, 200, 200)) == (0, 3, 0, 3)
 
     def test_cells_overlapping_count(self, grid):
-        assert grid.cell_count(Rect(10, 10, 60, 60)) == 9
         assert len(grid.cells_overlapping(Rect(10, 10, 60, 60))) == 9
 
 

@@ -8,6 +8,7 @@ from repro.analysis.lint.checkers.errors import ErrorTransportChecker
 from repro.analysis.lint.checkers.forksafety import ForkSafetyChecker
 from repro.analysis.lint.checkers.locks import LockOrderChecker
 from repro.analysis.lint.checkers.pickles import NoPickleChecker
+from repro.analysis.lint.checkers.thresholds import ThresholdContractChecker
 from repro.analysis.lint.checkers.writes import AtomicWriteChecker, FsyncOrderingChecker
 
 __all__ = [
@@ -19,4 +20,5 @@ __all__ = [
     "LockOrderChecker",
     "NoPickleChecker",
     "ReplayDeterminismChecker",
+    "ThresholdContractChecker",
 ]

@@ -11,7 +11,7 @@ information could have pruned.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Collection, Dict, List, Sequence
+from typing import Collection, List, Sequence
 
 import numpy as np
 
@@ -21,11 +21,16 @@ from repro.core.similarity import filter_threshold
 from repro.core.stats import SearchStats
 from repro.index.inverted import InvertedIndex
 from repro.index.storage import IndexSizeReport, measure_index
+from repro.signatures.textual import TextualScheme
 from repro.text.weights import TokenWeighter
 
 
 class KeywordFirstSearch(SearchMethod):
-    """Textual-predicate-first baseline (``Keyword`` in Figures 16–17)."""
+    """Textual-predicate-first baseline (``Keyword`` in Figures 16–17).
+
+    A token's list is keyed by its id in ``token_ids`` (see
+    :meth:`~repro.signatures.textual.TextualScheme.corpus_rows`).
+    """
 
     name = "keyword-first"
 
@@ -36,14 +41,9 @@ class KeywordFirstSearch(SearchMethod):
     ) -> None:
         super().__init__(objects, weighter)
         # Plain postings: no bounds, bound slot reused as 0.0.
-        directory: Dict[str, int] = {}
-        rows: List[int] = []
-        oids: List[int] = []
-        for obj in self.corpus:
-            rows.extend(directory.setdefault(token, len(directory)) for token in obj.tokens)
-            oids.extend([obj.oid] * len(obj.tokens))
+        self.token_ids, sizes, tokens = TextualScheme(self.weighter).corpus_rows(self.corpus)
         self.index = InvertedIndex.from_postings(
-            list(directory), rows, oids, np.zeros(len(oids))
+            tokens, np.repeat(np.arange(len(sizes)), sizes), np.zeros(len(tokens))
         )
         self._token_totals = [self.weighter.total_weight(obj.tokens) for obj in self.corpus]
 
@@ -56,11 +56,12 @@ class KeywordFirstSearch(SearchMethod):
             # cannot reach those objects; scan instead.
             return self.all_oids()
         weight = self.weighter.weight
+        token_ids = self.token_ids
         overlap: defaultdict[int, float] = defaultdict(float)
         for token in query.tokens:
             # Every posting's bound is 0.0, so the head is the whole
             # list — and empty exactly when the token has none.
-            head = self.index.probe(token, 0.0).tolist()
+            head = self.index.probe(token_ids.get(token, -1), 0.0).tolist()
             if not head:
                 continue
             stats.lists_probed += 1
@@ -80,4 +81,4 @@ class KeywordFirstSearch(SearchMethod):
         return out
 
     def index_size(self) -> IndexSizeReport:
-        return measure_index(self.index, bounds_per_posting=0)
+        return measure_index(self.index, bounds_per_posting=0, tokens=list(self.token_ids))

@@ -525,9 +525,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     if manifest.get("kind") == "planned":
         print(f"engine:             planned over {manifest.get('methods')}")
         print(f"objects:            {manifest.get('objects')}")
-        # Snapshots written before the threshold rule carry coefficients.
-        if "rule" in manifest:
-            print(f"rule:               {manifest['rule']}")
+        print(f"rule:               {manifest['rule']}")
         return 0
     print(f"engine:             {manifest.get('kind')} over "
           f"{manifest.get('method')!r}")
@@ -539,10 +537,9 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     print(f"segments:           {len(segments)} "
           f"({manifest.get('compactions')} compactions)")
     for i, segment in enumerate(segments):
-        # Snapshots written before the key existed lack "method".
-        built = f", {segment['method']} index" if "method" in segment else ""
         print(f"  segment {i}: {segment['objects']} objects "
-              f"({segment['live']} live), tier {segment['tier']}{built}")
+              f"({segment['live']} live), tier {segment['tier']}, "
+              f"{segment['method']} index")
     return 0
 
 
@@ -663,9 +660,7 @@ def _segmented_summary(engine) -> str:
 
 
 def _cmd_update(args: argparse.Namespace) -> int:
-    engine = _open_for_update(args)
-    if engine is None:
-        return 2
+    # Arguments first: a usage error must not leave a recovered WAL open.
     if not args.from_corpus and not args.region and args.tokens is None:
         print("error: provide --region/--tokens and/or --from", file=sys.stderr)
         return 2
@@ -681,11 +676,16 @@ def _cmd_update(args: argparse.Namespace) -> int:
             print("error: --region needs x1,y1,x2,y2", file=sys.stderr)
             return 2
         inserts.append((region, frozenset(t for t in args.tokens.split(",") if t)))
+    engine = _open_for_update(args)
+    if engine is None:
+        return 2
     if not inserts:
         # An explicitly-given --from file that held zero objects is a
         # successful no-op, not a usage error.
         print(f"inserted 0 objects ({args.from_corpus} is empty); "
               f"{_segmented_summary(engine)}")
+        if isinstance(engine, DurableSegmentedSealSearch):
+            engine.close()
         return 0
     oids = [engine.insert(region, tokens) for region, tokens in inserts]
     note = _persist_updated(engine, args)
@@ -695,9 +695,7 @@ def _cmd_update(args: argparse.Namespace) -> int:
 
 
 def _cmd_delete(args: argparse.Namespace) -> int:
-    engine = _open_for_update(args)
-    if engine is None:
-        return 2
+    # Arguments first: a usage error must not leave a recovered WAL open.
     try:
         oids = [int(v) for v in args.oids.split(",") if v]
     except ValueError:
@@ -705,6 +703,9 @@ def _cmd_delete(args: argparse.Namespace) -> int:
         return 2
     if not oids:
         print("error: --oids needs at least one oid", file=sys.stderr)
+        return 2
+    engine = _open_for_update(args)
+    if engine is None:
         return 2
     deleted, missing = [], []
     for oid in oids:
@@ -788,6 +789,23 @@ def _plan_summary(decision: dict) -> str:
     return f"{decision['chosen']}  [{decision['branch']}: {decision['why']}]"
 
 
+def _planner_of(engine, path: str):
+    """The planner that explains ``engine``'s dispatch, or ``None`` after
+    printing why there is none.  A segmented planned engine embeds one
+    per full-tier segment; they share the rule, so the first one
+    explains for all."""
+    from repro.exec.planner import iter_planners
+
+    planner = next(iter_planners(engine), None)
+    if planner is None:
+        hint = "rebuild it as a planned engine (build --method planned)"
+        if isinstance(engine, SegmentedSealSearch) and engine.config()["method"] == "planned":
+            hint = ("every segment is below the size from which a segmented "
+                    "engine builds its configured method (see `inspect`)")
+        print(f"error: {path} holds no query planner; {hint}", file=sys.stderr)
+    return planner
+
+
 def _queries_from_args(args: argparse.Namespace, alternatives: str) -> List[Query] | None:
     """The ``--queries`` workload, else the one query spelled by
     ``--region/--tokens/--tau-r/--tau-t``; ``None`` after printing the
@@ -809,12 +827,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
     engine = load_engine(args.engine, mmap=args.mmap)
     planner = None
     if args.explain:
-        from repro.exec.planner import iter_planners
-
-        planner = next(iter_planners(engine), None)
+        planner = _planner_of(engine, args.engine)
         if planner is None:
-            print("error: --explain needs a planned engine "
-                  "(build --method planned)", file=sys.stderr)
             return 2
     service = QueryService(engine) if args.via_service else None
     try:
@@ -861,18 +875,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
 def _cmd_plan(args: argparse.Namespace) -> int:
     import json
 
-    from repro.exec.planner import iter_planners
-
-    engine = load_engine(args.engine)
-    # A segmented planned engine embeds one planner per full-tier
-    # segment; they share the rule, so the first one explains for all.
-    planner = next(iter_planners(engine), None)
+    planner = _planner_of(load_engine(args.engine), args.engine)
     if planner is None:
-        hint = "build with --method planned"
-        if isinstance(engine, SegmentedSealSearch) and engine.config()["method"] == "planned":
-            hint = ("every segment is below the size from which a segmented "
-                    "engine builds its configured method (see `inspect`)")
-        print(f"error: {args.engine} holds no query planner; {hint}", file=sys.stderr)
         return 2
     queries = _queries_from_args(args, "or --queries")
     if queries is None:
@@ -931,18 +935,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if not args.queries:
         print("error: --queries is required without --net", file=sys.stderr)
         return 2
+    # Arguments first: a usage error must not leave a recovered WAL open.
+    if args.threads < 1 or args.repeat < 1:
+        print("error: --threads and --repeat must be positive", file=sys.stderr)
+        return 2
+    queries = load_queries(args.queries)
+    if not queries:
+        print("error: the workload file holds no queries", file=sys.stderr)
+        return 2
     if args.wal:
         engine = recover_engine(args.engine, args.wal, sync=args.wal_sync, mmap=args.mmap)
         print(_recovery_summary(engine))
     else:
         engine = load_engine(args.engine, mmap=args.mmap)
-    queries = load_queries(args.queries)
-    if not queries:
-        print("error: the workload file holds no queries", file=sys.stderr)
-        return 2
-    if args.threads < 1 or args.repeat < 1:
-        print("error: --threads and --repeat must be positive", file=sys.stderr)
-        return 2
     service = QueryService(engine, **_service_config(args))
     failures: List[BaseException] = []
 

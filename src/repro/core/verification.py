@@ -114,12 +114,13 @@ class Verifier:
         token_rows = self._token_rows
         if token_rows is not None:
             vocabulary, weights, offsets, ids, totals = token_rows
-            unseen = [t for t in obj.tokens if t not in vocabulary]
+            ordered = weighter.sort_tokens(obj.tokens)
+            unseen = [t for t in ordered if t not in vocabulary]
             weights = _reserve(weights, len(vocabulary) + len(unseen))
             for t in unseen:
                 weights[len(vocabulary)] = weighter.weight(t)
                 vocabulary[t] = len(vocabulary)
-            row_ids = [vocabulary[t] for t in weighter.sort_tokens(obj.tokens)]
+            row_ids = [vocabulary[t] for t in ordered]
             start = int(offsets[row])
             end = start + len(row_ids)
             offsets = _reserve(offsets, row + 2)
@@ -287,15 +288,16 @@ class Verifier:
         """``(vocabulary, weights, offsets, ids, totals)``: token → local
         id, one weight per id, row offsets, every object's ids in the
         global order, and the token totals as an array.  Ids are handed
-        out in order of first appearance, object after object, exactly
-        as :meth:`append` extends them."""
+        out in order of first appearance, object after object, each
+        object's tokens in global order, exactly as :meth:`append`
+        extends them."""
         weighter = self.weighter
-        tokens, sizes, ids = TextualScheme(weighter).corpus_rows(self.corpus)
+        vocabulary, sizes, ids = TextualScheme(weighter).corpus_rows(self.corpus)
         offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
         return (
-            {token: i for i, token in enumerate(tokens)},
-            np.array([weighter.weight(t) for t in tokens], dtype=np.float64),
+            vocabulary,
+            np.array([weighter.weight(t) for t in vocabulary], dtype=np.float64),
             offsets,
             ids.astype(np.int32),
             np.array(self.token_totals(), dtype=np.float64),

@@ -52,8 +52,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Dict, Iterable, Optional, Union
 
+from repro.core.engine import accepted_params
 from repro.core.errors import ConfigurationError
-from repro.exec.segments import SegmentedSealSearch, current_params
+from repro.exec.segments import SegmentedSealSearch
 from repro.geometry import Rect
 from repro.io.snapshot import load_engine, save_engine, validate_snapshot
 from repro.io.wal import DEFAULT_GROUP_SIZE, WALError, WriteAheadLog, read_wal
@@ -74,18 +75,22 @@ def engine_from_config(config: Dict, *, source: Any = "stream") -> SegmentedSeal
         source: A label for error messages (a path or peer name).
 
     Knobs an older version wrote and this one no longer takes are
-    dropped (:func:`~repro.exec.segments.current_params`).
+    dropped, not refused: ``backend`` (two index stores that answered
+    alike) and a ``planned`` knob neither rule member takes.
 
     Raises:
         WALError: If the record names a method or a knob this library
             does not build with — before anything is replayed.
     """
+    method = config["method"]
+    params = {knob: value for knob, value in (config.get("params") or {}).items()
+              if knob != "backend"}
     try:
         return SegmentedSealSearch(
-            method=config["method"],
+            method=method,
             buffer_capacity=config["buffer_capacity"],
             merge_fanout=config["merge_fanout"],
-            **current_params(config["method"], config.get("params") or {}),
+            **(accepted_params(method, params) if method == "planned" else params),
         )
     except ConfigurationError as exc:
         raise WALError(f"{source}: unusable engine-config record: {exc}") from exc

@@ -254,14 +254,8 @@ class PlannedSealSearch(SearchMethod):
         planned engine keeps built)."""
         from repro.index.storage import IndexSizeReport
 
-        reports = [member.index_size() for member in self.methods.rule_members().values()]
-        return IndexSizeReport(
-            num_lists=sum(r.num_lists for r in reports),
-            num_postings=sum(r.num_postings for r in reports),
-            directory_bytes=sum(r.directory_bytes for r in reports),
-            posting_bytes=sum(r.posting_bytes for r in reports),
-            page_bytes=sum(r.page_bytes for r in reports),
-        )
+        members = self.methods.rule_members().values()
+        return IndexSizeReport.total(member.index_size() for member in members)
 
     def snapshot_manifest(self) -> dict:
         """Planner configuration stored in snapshot envelopes, so
@@ -286,13 +280,7 @@ class PlannedSealSearch(SearchMethod):
         return state
 
     def __setstate__(self, state: dict) -> None:
-        # A snapshot written before the rule also holds ``hash-hybrid``,
-        # ``seal``, cost coefficients and recording state: the rule's
-        # members are kept and the rest dropped (none changes an answer).
-        self.corpus, self.weighter, self.verifier = (
-            state["corpus"], state["weighter"], state["verifier"]
-        )
-        self._params = state.get("_params", {})
+        self.__dict__.update(state)
         self.methods = Portfolio(
             self.corpus, self.weighter, self.verifier, self._params, state["methods"]
         )

@@ -60,7 +60,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Set
 
 from repro.baselines.naive import NaiveSearch
-from repro.core.engine import accepted_params, build_method, check_params
+from repro.core.engine import build_method, check_params
 from repro.core.objects import Query, SpatioTextualObject
 from repro.core.stats import SearchResult, SearchStats
 from repro.core.verification import Verifier
@@ -87,21 +87,6 @@ FULL_INDEX_MIN_OBJECTS = 2048
 #: What a segment below :data:`FULL_INDEX_MIN_OBJECTS` is indexed with,
 #: at the method's default knobs.
 LIGHT_METHOD = "token"
-
-
-def current_params(method: str, params: Dict) -> Dict:
-    """Stored engine knobs (a WAL config record, a snapshot's) as this
-    version builds ``method`` with them.
-
-    Both were validated when written, so what no longer applies is
-    dropped, not refused: ``backend`` named one of two index stores that
-    always answered alike, and a ``planned`` engine configured before its
-    threshold rule may name the cost model's knobs (``methods``,
-    ``coefficients``, ``record_to``) or those only its evicted members
-    took (``mt``, ``num_buckets``, …) — a member choice, never an answer.
-    """
-    params = {knob: value for knob, value in params.items() if knob != "backend"}
-    return accepted_params(method, params) if method == "planned" else params
 
 
 def _empty_weighter() -> TokenWeighter:
@@ -605,13 +590,7 @@ class SegmentedSealSearch:
         reports = [segment.method.index_size() for segment in self._segments]
         if not reports or any(report is None for report in reports):
             return None
-        return IndexSizeReport(
-            num_lists=sum(r.num_lists for r in reports),
-            num_postings=sum(r.num_postings for r in reports),
-            directory_bytes=sum(r.directory_bytes for r in reports),
-            posting_bytes=sum(r.posting_bytes for r in reports),
-            page_bytes=sum(r.page_bytes for r in reports),
-        )
+        return IndexSizeReport.total(reports)
 
     def snapshot_manifest(self) -> dict:
         """Segment/tombstone accounting stored in snapshot envelopes."""
@@ -648,7 +627,3 @@ class SegmentedSealSearch:
         state = self.__dict__.copy()
         state.pop("_scan", None)
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._params = current_params(self._method_name, self._params)

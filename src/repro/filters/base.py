@@ -7,9 +7,10 @@ four signature filters (``token`` and ``grid`` through
 :class:`SingleSchemeFilter`, ``hash-hybrid``, ``seal``) differ only in
 *which* lists a query opens, and each says so in one method:
 
-``probes(query)`` returns plain data, ``(elements, bound, t_bound)`` —
-the directory keys of the lists to open, in probe order and without
-repeats; the primary bound a posting must reach (``c_T`` for tokens,
+``probes(query)`` returns plain data, ``(codes, bound, t_bound)`` — the
+int64 element codes of the lists to open (see
+:mod:`repro.index.inverted`), in probe order and without repeats; the
+primary bound a posting must reach (``c_T`` for tokens,
 ``c_R`` for everything spatial); and the textual bound of a dual-bound
 index, else ``None`` — or :data:`FULL_SCAN` when the scheme cannot
 filter the query (a vacuous derived threshold, under which objects
@@ -22,7 +23,7 @@ Everything downstream reads that one description.  ``candidates`` is
 :meth:`InvertedIndex.union_heads <repro.index.inverted.InvertedIndex.
 union_heads>`, which owns the accounting rule (a
 single-bound probe of a missing list counts as a probe, a dual-bound one
-does not, so ``len(elements)`` equals ``lists_probed`` on the former and
+does not, so ``len(codes)`` equals ``lists_probed`` on the former and
 bounds it on the latter); the I/O model charges the pages of the same
 heads (:mod:`repro.index.iomodel`).
 
@@ -48,18 +49,18 @@ variants:
 
 from __future__ import annotations
 
-from typing import Collection, Dict, Hashable, List, Optional, Protocol, Sequence, Tuple
+from typing import Collection, List, Optional, Protocol, Sequence, Tuple
 
 from repro.core.method import SearchMethod
 from repro.core.objects import Query, SpatioTextualObject
 from repro.core.stats import SearchStats
 from repro.index.inverted import InvertedIndex
-from repro.index.storage import IndexSizeReport, measure_index
+from repro.index.storage import CELL_KEY_BYTES, IndexSizeReport, measure_index
 from repro.signatures.prefix import prefix_elements, suffix_bounds
 from repro.text.weights import TokenWeighter
 
-#: What ``probes`` returns: ``(elements, bound, t_bound)`` …
-Probes = Tuple[List[Hashable], float, Optional[float]]
+#: What ``probes`` returns: ``(codes, bound, t_bound)`` …
+Probes = Tuple[List[int], float, Optional[float]]
 
 #: … or this, when the scheme cannot filter the query: the filter step is
 #: then every oid, and nothing is opened, priced or charged.
@@ -88,6 +89,9 @@ class SignatureScheme(Protocol):
 class SingleSchemeFilter(SearchMethod):
     """Sig-Filter(+) over one signature scheme.
 
+    A cell's code is its id; a token's, its id in ``token_ids``, the
+    corpus tokens in order of first appearance in signature order.
+
     Args:
         objects: The corpus.
         scheme: Signature scheme (textual or grid).
@@ -107,19 +111,30 @@ class SingleSchemeFilter(SearchMethod):
         super().__init__(objects, weighter)
         self.scheme = scheme
         self.prefix_pruning = prefix_pruning
-        # Every posting as flat columns, object after object in signature
-        # order; the directory numbers elements as they first appear.
-        directory: Dict[Hashable, int] = {}
-        rows: List[int] = []
+        # Every posting as flat columns, object after object in signature order.
+        elements: List = []
         oids: List[int] = []
         bounds: List[float] = []
         for obj in self.corpus:
             signature = scheme.object_signature(obj)
             weights = [w for _, w in signature]
-            rows.extend(directory.setdefault(element, len(directory)) for element, _ in signature)
+            elements.extend(element for element, _ in signature)
             oids.extend([obj.oid] * len(signature))
             bounds.extend(suffix_bounds(weights) if prefix_pruning else weights)
-        self.index = InvertedIndex.from_postings(list(directory), rows, oids, bounds)
+        self.token_ids = None
+        if scheme.element_kind == "token":
+            self.token_ids = {token: i for i, token in enumerate(dict.fromkeys(elements))}
+            elements = list(map(self.token_ids.__getitem__, elements))
+        self.index = InvertedIndex.from_postings(elements, oids, bounds)
+
+    def encode(self, elements: Sequence) -> List[int]:
+        """Signature elements as the index's codes.  Each token outside
+        the vocabulary gets a negative code of its own: a directory miss
+        that still counts as one probe."""
+        ids = self.token_ids
+        if ids is None:
+            return list(elements)
+        return [ids.get(token, -1 - i) for i, token in enumerate(elements)]
 
     # ------------------------------------------------------------------
     # Filter step
@@ -139,9 +154,10 @@ class SingleSchemeFilter(SearchMethod):
             return FULL_SCAN
         signature = self.scheme.query_signature(query)
         if not self.prefix_pruning:
-            return [element for element, _ in signature], float("-inf"), None
+            return self.encode([element for element, _ in signature]), float("-inf"), None
         threshold = self.scheme.threshold(query)
-        return [element for element, _ in prefix_elements(signature, threshold)], threshold, None
+        prefix = prefix_elements(signature, threshold)
+        return self.encode([element for element, _ in prefix]), threshold, None
 
     def candidates(self, query: Query, stats: SearchStats) -> Collection[int]:
         if self.prefix_pruning:
@@ -167,8 +183,9 @@ class SingleSchemeFilter(SearchMethod):
         index = self.index
         scratch = index.begin_union()
         acc = scratch.accumulator(len(self.corpus))
-        for element, query_weight in signature:
-            entries = index.accumulate(acc, element, query_weight, scratch)
+        codes = self.encode([element for element, _ in signature])
+        for code, (_, query_weight) in zip(codes, signature):
+            entries = index.accumulate(acc, code, query_weight, scratch)
             if entries is None:
                 continue
             stats.lists_probed += 1
@@ -184,4 +201,6 @@ class SingleSchemeFilter(SearchMethod):
     # ------------------------------------------------------------------
 
     def index_size(self) -> IndexSizeReport:
-        return measure_index(self.index, bounds_per_posting=1)
+        if self.token_ids is None:
+            return measure_index(self.index, bounds_per_posting=1, cell_bytes=CELL_KEY_BYTES)
+        return measure_index(self.index, bounds_per_posting=1, tokens=list(self.token_ids))

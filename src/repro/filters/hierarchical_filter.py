@@ -7,6 +7,10 @@ large-region tokens get coarse cells that avoid useless signature
 elements.  The filtering algorithm is ``Hybrid-Sig-Filter+`` run
 per-token against that token's grids (Example 5 / Figure 10): ``probes``
 walks ``G_t`` of each prefix token for the cells the query region meets.
+A ``(token, cell)`` pair's code packs the token's id in the index's own
+vocabulary and the cell's number in the grid tree
+(:func:`~repro.grid.hierarchy.cell_code`):
+``token_id · cells_per_tree + cell_code``.
 
 This is the method labelled **SEAL** in the paper's method-comparison
 experiments (Figures 16–17).
@@ -25,9 +29,9 @@ from repro.core.similarity import filter_threshold
 from repro.filters.base import FULL_SCAN, Probes, candidates_from_probes
 from repro.geometry import Rect
 from repro.geometry.rect import mbr_of
-from repro.grid.hierarchy import GridHierarchy, HierCell
-from repro.index.inverted import InvertedIndex, directory_rows
-from repro.index.storage import IndexSizeReport, measure_index
+from repro.grid.hierarchy import GridHierarchy, HierCell, cell_code
+from repro.index.inverted import InvertedIndex
+from repro.index.storage import HIER_CELL_KEY_BYTES, IndexSizeReport, measure_index
 from repro.signatures.hierarchical import TokenGrids, select_token_grids_many
 from repro.signatures.prefix import prefix_elements
 from repro.signatures.textual import TextualScheme
@@ -108,7 +112,8 @@ class HierarchicalFilter(SearchMethod):
             filtering power at a smaller total budget.
 
     Raises:
-        ConfigurationError: On an empty corpus or ``mt < 1``.
+        ConfigurationError: On an empty corpus, ``mt < 1``, or a
+            vocabulary × cells-per-tree code space beyond int64.
     """
 
     name = "seal"
@@ -145,13 +150,19 @@ class HierarchicalFilter(SearchMethod):
         # Pass 1: every object's textual signature with its Lemma-3
         # bounds, as flat arrays, then the same occurrences grouped by
         # token — the paper's I(t), each token's objects in corpus order.
-        vocabulary, sizes, tokens, t_bounds = self.textual.corpus_signatures(self.corpus)
+        self.token_ids, sizes, tokens, t_bounds = self.textual.corpus_signatures(self.corpus)
+        span = self.hierarchy.num_cells
+        if len(self.token_ids) * span > np.iinfo(np.int64).max:
+            raise ConfigurationError(
+                f"{len(self.token_ids)} tokens × {span} cells per grid tree overflow "
+                f"a 64-bit element code; lower max_level (now {max_level})"
+            )
         regions = np.array(
             [obj.region.as_tuple() for obj in self.corpus], dtype=np.float64
         ).reshape(len(self.corpus), 4)
         owner = np.repeat(np.arange(len(self.corpus)), sizes)
         by_token = np.argsort(tokens, kind="stable")
-        list_sizes = np.bincount(tokens, minlength=len(vocabulary))
+        list_sizes = np.bincount(tokens, minlength=len(self.token_ids))
         offsets = np.concatenate([[0], np.cumsum(list_sizes)])
         rows = regions[owner[by_token]]
 
@@ -169,30 +180,18 @@ class HierarchicalFilter(SearchMethod):
             [token_budget(size) for size in list_sizes.tolist()],
             min_objects=min_objects,
         )
-        self.token_grids: Dict[str, TokenGrids] = dict(zip(vocabulary, grids))
+        self.token_grids: Dict[str, TokenGrids] = dict(zip(self.token_ids, grids))
 
         # Pass 3: the (token, cell) postings with dual bounds, then one
-        # bulk load.
+        # bulk load.  `cell` is each posting's rank in its token's grids.
         found, cell, r_bounds = _token_cell_postings(rows, offsets, tokens[by_token], grids)
         found = by_token[found]
-        # The scalar build staged postings object by object, each object's
-        # tokens in signature order, each token's cells in global order:
-        # `found` indexes exactly that (object, token) sequence, so sorting
-        # on (found, cell) replays the staging order and with it the
-        # directory's.
-        span = max(map(len, grids), default=1)
-        staged = np.argsort(found * span + cell)
-        found, cell = found[staged], cell[staged]
-        posting_rows, first = directory_rows(tokens[found] * span + cell)
+        grid_cells = np.array([c for grid in grids for c in grid.cells], dtype=np.int64)
+        first_cell = np.cumsum([0] + [len(grid) for grid in grids])
+        token_of = tokens[found]
+        level, row, col = grid_cells.reshape(-1, 3)[first_cell[token_of] + cell].T
         self.index = InvertedIndex.from_postings(
-            [
-                (vocabulary[token], grids[token].cells[rank])
-                for token, rank in zip(tokens[found[first]].tolist(), cell[first].tolist())
-            ],
-            posting_rows,
-            owner[found],
-            r_bounds[staged],
-            t_bounds[found],
+            token_of * span + cell_code(level, row, col), owner[found], r_bounds, t_bounds[found]
         )
 
     @staticmethod
@@ -223,7 +222,8 @@ class HierarchicalFilter(SearchMethod):
         if c_t <= 0.0 or query.tau_r <= 0.0:
             return FULL_SCAN
         c_r = filter_threshold(query.tau_r, query.region.area)
-        elements = []
+        span = self.hierarchy.num_cells
+        codes = []
         for token in tokens:
             grids = self.token_grids.get(token)
             if grids is None:
@@ -231,9 +231,10 @@ class HierarchicalFilter(SearchMethod):
                 # answer can hinge on it (it contributes weight only to
                 # the union, which the threshold already accounts for).
                 continue
+            base = self.token_ids[token] * span
             cells = prefix_elements(self._region_cells(grids, query.region), c_r)
-            elements.extend((token, cell) for cell, _ in cells)
-        return elements, c_r, c_t
+            codes.extend(base + cell_code(*cell) for cell, _ in cells)
+        return codes, c_r, c_t
 
     candidates = candidates_from_probes
 
@@ -242,4 +243,5 @@ class HierarchicalFilter(SearchMethod):
     # ------------------------------------------------------------------
 
     def index_size(self) -> IndexSizeReport:
-        return measure_index(self.index, bounds_per_posting=2)
+        return measure_index(self.index, bounds_per_posting=2, tokens=list(self.token_ids),
+                             span=self.hierarchy.num_cells, cell_bytes=HIER_CELL_KEY_BYTES)

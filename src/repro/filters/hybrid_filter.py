@@ -16,7 +16,6 @@ both axes.
 
 from __future__ import annotations
 
-import zlib
 from typing import Sequence
 
 import numpy as np
@@ -25,30 +24,35 @@ from repro.core.method import SearchMethod
 from repro.core.objects import Query, SpatioTextualObject
 from repro.filters.base import FULL_SCAN, Probes, candidates_from_probes
 from repro.geometry import Rect
-from repro.index.inverted import InvertedIndex, directory_rows
-from repro.index.storage import IndexSizeReport, measure_index
+from repro.index.inverted import InvertedIndex
+from repro.index.storage import CELL_KEY_BYTES, IndexSizeReport, measure_index
 from repro.signatures.prefix import prefix_elements, segmented_suffix_bounds
 from repro.signatures.spatial import GridScheme
 from repro.signatures.textual import TextualScheme
 from repro.text.weights import TokenWeighter
 
-#: Key type in the hybrid index: an exact (token, cell) pair, or an int
-#: bucket when hashing is enabled.
-HybridKey = "tuple[str, int] | int"
 
+def bucket(codes: np.ndarray, num_buckets: int) -> np.ndarray:
+    """The hash bucket of each ``(token, cell)`` code.
 
-def _bucket(token: str, cell: int, num_buckets: int) -> int:
-    """Stable hash of a (token, cell) pair into ``num_buckets`` buckets.
-
-    CRC32 rather than ``hash()``: Python randomises string hashing per
-    process, which would make index layouts — and benchmark numbers —
-    non-reproducible.
+    A fixed integer mix (the SplitMix64 finaliser) of the code, mod
+    ``num_buckets``: the same buckets in every process, whatever
+    ``PYTHONHASHSEED`` says, so index layouts and benchmark numbers
+    reproduce.
     """
-    return zlib.crc32(f"{token}\x1f{cell}".encode("utf-8")) % num_buckets
+    z = np.asarray(codes, dtype=np.int64).astype(np.uint64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return ((z ^ (z >> np.uint64(31))) % np.uint64(num_buckets)).astype(np.int64)
 
 
 class HybridFilter(SearchMethod):
     """Hash-based hybrid signature filtering (``HybridFilter(p)``).
+
+    A ``(token, cell)`` pair's code is ``token_id · num_cells + cell``,
+    ``token_id`` its token's id in the index's own vocabulary
+    (``token_ids``); with ``num_buckets`` the code is that pair's
+    :func:`bucket`.
 
     Args:
         objects: The corpus.
@@ -81,9 +85,10 @@ class HybridFilter(SearchMethod):
         self.spatial = GridScheme.from_corpus(objects, granularity, space=space, order=order)
         # Both signature halves of every object as flat arrays, then the
         # per-object cross product by index arithmetic: postings come out
-        # object by object, token-major, in signature order — the order
-        # the directory is numbered in.
-        vocabulary, num_tokens, tokens, t_bounds = self.textual.corpus_signatures(self.corpus)
+        # object by object, token-major, in signature order.
+        self.token_ids, num_tokens, tokens, t_bounds = self.textual.corpus_signatures(
+            self.corpus
+        )
         cell_sigs = [self.spatial.object_signature(obj) for obj in self.corpus]
         num_cells = np.array([len(sig) for sig in cell_sigs], dtype=np.int64)
         cells = np.array([cell for sig in cell_sigs for cell, _ in sig], dtype=np.int64)
@@ -96,25 +101,13 @@ class HybridFilter(SearchMethod):
         within = np.arange(len(oids)) - np.repeat(np.cumsum(per_object) - per_object, per_object)
         token_at = (np.cumsum(num_tokens) - num_tokens)[oids] + within // num_cells[oids]
         cell_at = (np.cumsum(num_cells) - num_cells)[oids] + within % num_cells[oids]
-        span = self.spatial.grid.num_cells
-        rows, first = directory_rows(tokens[token_at] * span + cells[cell_at])
-        elements = [
-            self._key(vocabulary[token], cell)
-            for token, cell in zip(tokens[token_at[first]].tolist(), cells[cell_at[first]].tolist())
-        ]
-        if num_buckets is not None:
-            # Colliding pairs share a list: renumber by bucket.
-            buckets = np.array(elements, dtype=np.int64)[rows]
-            rows, first = directory_rows(buckets)
-            elements = buckets[first].tolist()
-        self.index = InvertedIndex.from_postings(
-            elements, rows, oids, r_bounds[cell_at], t_bounds[token_at]
-        )
+        codes = self._codes(tokens[token_at], cells[cell_at])
+        self.index = InvertedIndex.from_postings(codes, oids, r_bounds[cell_at], t_bounds[token_at])
 
-    def _key(self, token: str, cell: int):
-        if self.num_buckets is None:
-            return (token, cell)
-        return _bucket(token, cell, self.num_buckets)
+    def _codes(self, token_ids, cells) -> np.ndarray:
+        """The codes of the pairs ``(token_ids[i], cells[i])``."""
+        codes = token_ids * self.spatial.grid.num_cells + cells
+        return codes if self.num_buckets is None else bucket(codes, self.num_buckets)
 
     # ------------------------------------------------------------------
     # Filter step (Hybrid-Sig-Filter+, Figure 8)
@@ -128,12 +121,18 @@ class HybridFilter(SearchMethod):
             return FULL_SCAN
         c_r = self.spatial.threshold(query)
         cell_prefix = prefix_elements(self.spatial.query_signature(query), c_r)
-        # Bucketed keys can collide across (t, g) pairs; one probe with
-        # the same thresholds covers them all, so each key is named once.
-        keys = dict.fromkeys(
-            self._key(token, cell) for token in tokens for cell, _ in cell_prefix
+        # A token outside the vocabulary was posted with no cell: no list
+        # to open (a dual-bound miss is not a probe either way).
+        ids = [self.token_ids[token] for token in tokens if token in self.token_ids]
+        codes = self._codes(
+            np.repeat(np.array(ids, dtype=np.int64), len(cell_prefix)),
+            np.tile(np.array([cell for cell, _ in cell_prefix], dtype=np.int64), len(ids)),
         )
-        return list(keys), c_r, c_t
+        if self.num_buckets is not None:
+            # Bucketed codes can collide across (t, g) pairs; one probe
+            # with the same thresholds covers them all.
+            codes = np.unique(codes)
+        return codes.tolist(), c_r, c_t
 
     candidates = candidates_from_probes
 
@@ -142,4 +141,7 @@ class HybridFilter(SearchMethod):
     # ------------------------------------------------------------------
 
     def index_size(self) -> IndexSizeReport:
-        return measure_index(self.index, bounds_per_posting=2)
+        # A bucket's key is its id alone; an exact pair's, token + cell.
+        tokens = list(self.token_ids) if self.num_buckets is None else None
+        return measure_index(self.index, bounds_per_posting=2, tokens=tokens,
+                             span=self.spatial.grid.num_cells, cell_bytes=CELL_KEY_BYTES)

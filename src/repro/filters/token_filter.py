@@ -47,4 +47,4 @@ class TokenFilter(SingleSchemeFilter):
         tokens, c_t = self.scheme.query_prefix(query)
         if c_t <= 0.0:
             return FULL_SCAN
-        return tokens, c_t, None
+        return self.encode(tokens), c_t, None

@@ -7,14 +7,15 @@ materialises no nodes, so both the granularity-selection cost model
 (Section 4.3) and HSS-Greedy (Section 5.2) can walk arbitrarily deep
 without paying for the full 4^l fan-out.
 
-Hierarchical cells are identified by ``HierCell = (level, row, col)``
-tuples, ordered first by level so that the paper's hierarchical global
-order ("ascending order of their levels") falls out of tuple comparison.
+A cell is ``HierCell = (level, row, col)``, ordered first by level so the
+paper's hierarchical global order ("ascending order of their levels")
+falls out of tuple comparison; :func:`cell_code` numbers a tree's cells
+breadth first, each level row-major — a signature index's element code.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -24,6 +25,13 @@ from repro.grid.uniform import UniformGrid
 
 #: A hierarchical grid cell: (level, row, col).
 HierCell = Tuple[int, int, int]
+
+
+def cell_code(level, row, col):
+    """The cell's number in its tree: the cells of the levels above it,
+    then its row-major position in its own level.  Works on ints and on
+    integer arrays alike."""
+    return ((1 << (2 * level)) - 1) // 3 + (row << level) + col
 
 
 class GridHierarchy:
@@ -63,8 +71,10 @@ class GridHierarchy:
             self._levels[level] = grid
         return grid
 
-    def granularity(self, level: int) -> int:
-        return 1 << level
+    @property
+    def num_cells(self) -> int:
+        """Cells of every level of the tree (the span of :func:`cell_code`)."""
+        return ((1 << (2 * (self.max_level + 1))) - 1) // 3
 
     # ------------------------------------------------------------------
     # Cell geometry
@@ -97,68 +107,6 @@ class GridHierarchy:
         x1 = self.space.x1 + col * cell_w
         y1 = self.space.y1 + row * cell_h
         return np.stack([x1, y1, x1 + cell_w, y1 + cell_h], axis=1)
-
-    def cell_area(self, cell: HierCell) -> float:
-        level = cell[0]
-        side = 1 << level
-        return (self.space.width / side) * (self.space.height / side)
-
-    def children(self, cell: HierCell) -> List[HierCell]:
-        """The four level+1 cells tiling ``cell`` (empty at max_level)."""
-        level, row, col = cell
-        if level >= self.max_level:
-            return []
-        r2, c2 = row * 2, col * 2
-        return [
-            (level + 1, r2, c2),
-            (level + 1, r2, c2 + 1),
-            (level + 1, r2 + 1, c2),
-            (level + 1, r2 + 1, c2 + 1),
-        ]
-
-    def parent(self, cell: HierCell) -> HierCell | None:
-        level, row, col = cell
-        if level == 0:
-            return None
-        return (level - 1, row // 2, col // 2)
-
-    def is_leaf(self, cell: HierCell) -> bool:
-        return cell[0] >= self.max_level
-
-    # ------------------------------------------------------------------
-    # Region <-> cells
-    # ------------------------------------------------------------------
-
-    def cells_overlapping(self, rect: Rect, level: int) -> List[HierCell]:
-        """Level-``level`` cells whose half-open extent intersects ``rect``."""
-        grid = self.level_grid(level)
-        span = grid.cell_span(rect)
-        if span is None:
-            return []
-        row_lo, row_hi, col_lo, col_hi = span
-        return [
-            (level, row, col)
-            for row in range(row_lo, row_hi + 1)
-            for col in range(col_lo, col_hi + 1)
-        ]
-
-    def cell_weight(self, cell: HierCell, rect: Rect) -> float:
-        """``|g ∩ rect|`` for a hierarchical cell — Equation (1) weights."""
-        return self.cell_rect(cell).intersection_area(rect)
-
-    def descend(self, rect: Rect) -> Iterator[HierCell]:
-        """Depth-first walk of all cells (any level) intersecting ``rect``.
-
-        Yields parents before children, which is the traversal order
-        HSS-Greedy's grid-tree construction wants.
-        """
-        stack: List[HierCell] = [self.ROOT]
-        while stack:
-            cell = stack.pop()
-            if not self.cell_rect(cell).intersects(rect):
-                continue
-            yield cell
-            stack.extend(reversed(self.children(cell)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GridHierarchy(max_level={self.max_level}, space={self.space.as_tuple()})"

@@ -3,21 +3,25 @@
 The paper has one index structure — an inverted list per signature
 element (token, cell id, or hybrid key), sorted by threshold bound and
 probed by a cut (Section 4.2, Lemma 3, Figure 5; the hybrid lists of
-Section 5.1 add a second bound column).  :class:`InvertedIndex` holds
-*every* list of one index in one set of contiguous parallel NumPy arrays
-in CSR layout:
+Section 5.1 add a second bound column), keyed here by an int64 *code*
+each filter derives from its element: a token's id in the index's own
+vocabulary, a cell id, a packed ``(token, cell)`` pair or its hash
+bucket.  :class:`InvertedIndex` holds *every* list of one index in one
+set of contiguous parallel NumPy arrays in CSR layout:
 
+* ``codes`` is the directory: row ``r`` is the list of element
+  ``codes[r]``, codes ascending;
 * ``offsets[row] .. offsets[row + 1]`` delimits one list's postings;
 * ``oids`` holds the object ids, ``neg_bounds`` the negated primary
   (threshold) bounds — negated so each row is *ascending* and a probe is
   one ``searchsorted``; ``t_bounds`` carries the second (textual) bound
-  column of a dual-bound hybrid index and is ``None`` otherwise;
-* an element → row interning dict is the directory.
+  column of a dual-bound hybrid index and is ``None`` otherwise.
 
 There is one way in: :meth:`InvertedIndex.from_postings` takes flat
-posting columns (one row id, oid and bound(s) per posting, in any order)
-and sorts every row into ``(-bound, oid)`` order in one ``lexsort``.
-Every filter gathers its postings as such columns and loads once.
+posting columns (one code, oid and bound(s) per posting, in any order),
+numbers the rows in ascending code order and sorts every row into
+``(-bound, oid)`` order, all in one ``lexsort``.  Every filter gathers
+its postings as such columns and loads once.
 
 There is one probe loop: :meth:`InvertedIndex.union_heads` — what every
 signature filter's ``candidates`` runs — opens each named list, takes
@@ -51,7 +55,7 @@ from __future__ import annotations
 import contextlib
 import threading
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as _np
 
@@ -93,25 +97,6 @@ def resolve_arrays(source: Sequence):
         yield
     finally:
         _EXTERN_SOURCE = previous
-
-
-def directory_rows(codes):
-    """Number posting lists in order of first appearance.
-
-    The directory lists each element where it is first posted to.  Given
-    one integer element code per posting, in posting order, this returns
-    that numbering.
-
-    Returns:
-        ``(rows, first)`` — the row of every posting, and per row the
-        index of its first posting (``codes[first]`` are the rows' codes
-        in directory order).
-    """
-    _, first, inverse = _np.unique(codes, return_index=True, return_inverse=True)
-    order = _np.argsort(first)
-    rank = _np.empty(len(order), dtype=_np.int64)
-    rank[order] = _np.arange(len(order))
-    return rank[inverse], first[order]
 
 
 class CandidateScratch:
@@ -182,13 +167,14 @@ class CandidateScratch:
 
 
 class InvertedIndex:
-    """element → bound-sorted posting list, all lists in CSR columns.
+    """element code → bound-sorted posting list, all lists in CSR columns.
 
     Build with :meth:`from_postings`; the constructor takes columns that
     are already in CSR layout.
 
     Attributes:
-        rows: element → row interning table (directory order preserved).
+        codes: ``int64[num_rows]`` the directory — row ``r`` is the list
+            of element ``codes[r]``; ascending, no repeats.
         offsets: ``int64[num_rows + 1]`` CSR row boundaries.
         oids: ``int32[num_postings]`` object ids, row-major — the 4-byte
             oid of the storage model (Table 1); also what keeps the
@@ -202,24 +188,21 @@ class InvertedIndex:
             of one object land in the same list.
 
     Examples:
-        >>> index = InvertedIndex.from_postings(["tea"], [0, 0], [0, 1], [1.5, 0.5])
-        >>> index.probe("tea", 1.0).tolist()
+        >>> index = InvertedIndex.from_postings([7, 7], [0, 1], [1.5, 0.5])
+        >>> index.probe(7, 1.0).tolist()
         [0]
     """
 
     __slots__ = (
-        "rows", "offsets", "oids", "neg_bounds", "t_bounds", "rows_unique",
-        "_starts", "_scratch",
+        "codes", "offsets", "oids", "neg_bounds", "t_bounds", "rows_unique",
+        "_row_of", "_starts", "_scratch",
     )
 
     def __init__(
-        self, rows, offsets, oids, neg_bounds, t_bounds=None, *, rows_unique=False
+        self, codes, offsets, oids, neg_bounds, t_bounds=None, *, rows_unique=False
     ) -> None:
-        self.rows: Dict[Hashable, int] = rows
         self.rows_unique = rows_unique
-        self._attach(offsets, oids, neg_bounds, t_bounds)
-
-    def _attach(self, offsets, oids, neg_bounds, t_bounds) -> None:
+        self.codes = codes
         self.offsets = offsets
         self.oids = oids
         self.neg_bounds = neg_bounds
@@ -228,12 +211,14 @@ class InvertedIndex:
         # them so a caller mutating a returned head (e.g. sorting it)
         # cannot silently corrupt the index.  Internal kernels copy
         # before mutating, so this costs nothing.
-        for column in (offsets, oids, neg_bounds, t_bounds):
+        for column in (codes, offsets, oids, neg_bounds, t_bounds):
             if column is not None:
                 column.setflags(write=False)
-        # Row boundaries as plain ints: probes slice with them constantly,
-        # and Python-int slicing beats NumPy-scalar indexing.  Derived,
-        # never pickled.
+        # The directory as an int-keyed dict and the row boundaries as
+        # plain ints: a probe looks up and slices with them constantly,
+        # and Python ints beat NumPy scalars at both.  Derived, never
+        # pickled.
+        self._row_of: Dict[int, int] = dict(zip(codes.tolist(), range(len(codes))))
         self._starts: List[int] = offsets.tolist()
         # One scratch per thread: concurrent queries against one index
         # (e.g. user threads sharing an engine) must not share union
@@ -242,86 +227,89 @@ class InvertedIndex:
         self._scratch = threading.local()
 
     @classmethod
-    def from_postings(
-        cls, elements: Sequence[Hashable], rows, oids, bounds, t_bounds=None
-    ) -> "InvertedIndex":
+    def from_postings(cls, codes, oids, bounds, t_bounds=None) -> "InvertedIndex":
         """Build from flat posting columns — the one way in.
 
         Args:
-            elements: Directory keys, one per posting list, in directory
-                order (the order elements are first posted to).
-            rows: Index into ``elements`` of each posting's list; every
-                list must own at least one posting.
+            codes: Element code of each posting; the postings of one code
+                form one list.
             oids: Object id of each posting.
             bounds: Threshold bound of each posting (the spatial bound of
                 a dual-bound index).
             t_bounds: Textual bound of each posting; its presence is what
                 makes the index dual-bound.
 
-        Postings may arrive in any order.  Each row ends up in
-        ``(-bound, oid)`` order, postings that tie on both keeping their
-        arrival order (a stable sort) — exactly what staging them one by
-        one into per-element lists and sorting each list produces.
+        Postings may arrive in any order.  Rows are numbered in ascending
+        code order, and each row ends up in ``(-bound, oid)`` order,
+        postings that tie on both keeping their arrival order (a stable
+        sort) — exactly what staging them one by one into per-element
+        lists and sorting each list produces.
+
+        Raises:
+            ValueError: When the columns differ in length.
         """
-        rows = _np.asarray(rows, dtype=_np.int64)
+        codes = _np.asarray(codes, dtype=_np.int64)
         oids = _np.asarray(oids, dtype=_np.int32)
         neg_bounds = -_np.asarray(bounds, dtype=_np.float64)
-        lengths = _np.bincount(rows, minlength=len(elements))
-        if len(lengths) != len(elements) or (len(lengths) and lengths.min() == 0):
-            raise ValueError("every directory row needs at least one posting, and no others")
-        order = _np.lexsort((oids, neg_bounds, rows))
-        offsets = _np.zeros(len(elements) + 1, dtype=_np.int64)
-        _np.cumsum(lengths, out=offsets[1:])
+        if t_bounds is not None:
+            t_bounds = _np.asarray(t_bounds, dtype=_np.float64)
+        if any(len(column) != len(codes) for column in (oids, neg_bounds, t_bounds)
+               if column is not None):
+            raise ValueError("every posting needs one code, oid and bound per column")
+        order = _np.lexsort((oids, neg_bounds, codes))
+        codes = codes[order]
+        oids = oids[order]
+        opens = _np.ones(len(codes), dtype=bool)
+        _np.not_equal(codes[1:], codes[:-1], out=opens[1:])
+        starts = _np.flatnonzero(opens)
         # A row repeats an oid iff some (row, oid) pair occurs twice.
-        pairs = rows * (int(oids.max()) + 1 if len(oids) else 1) + oids
+        pairs = (_np.cumsum(opens) - 1) * (int(oids.max()) + 1 if len(oids) else 1) + oids
         pairs.sort()
-        rows_unique = not bool((pairs[1:] == pairs[:-1]).any())
         return cls(
-            {element: row for row, element in enumerate(elements)},
-            offsets,
-            oids[order],
+            codes[starts],
+            _np.append(starts, len(codes)).astype(_np.int64),
+            oids,
             neg_bounds[order],
-            None if t_bounds is None else _np.asarray(t_bounds, dtype=_np.float64)[order],
-            rows_unique=rows_unique,
+            None if t_bounds is None else t_bounds[order],
+            rows_unique=not bool((pairs[1:] == pairs[:-1]).any()),
         )
 
     # ------------------------------------------------------------------
     # Shape and statistics
     # ------------------------------------------------------------------
 
-    def __contains__(self, element) -> bool:
-        return element in self.rows
+    def __contains__(self, code: int) -> bool:
+        return code in self._row_of
 
     def __len__(self) -> int:
         """Number of posting lists."""
-        return len(self.rows)
+        return len(self.codes)
 
     def num_postings(self) -> int:
         return self._starts[-1]
 
-    def list_length(self, element) -> int:
-        """Postings in ``element``'s list (0 when it has none)."""
-        row = self.rows.get(element)
+    def list_length(self, code: int) -> int:
+        """Postings in the list of ``code`` (0 when it has none)."""
+        row = self._row_of.get(code)
         if row is None:
             return 0
         return self._starts[row + 1] - self._starts[row]
 
     def list_lengths(self):
-        """Postings per list, as an array in directory order (the order
-        ``rows`` iterates its keys in)."""
+        """Postings per list, as an array in directory (= code) order."""
         return _np.diff(self.offsets)
 
     # ------------------------------------------------------------------
     # Probe kernels
     # ------------------------------------------------------------------
 
-    def probe(self, element, min_bound: float):
-        """One list's head: the oids of ``element``'s postings whose
+    def probe(self, code: int, min_bound: float):
+        """One list's head: the oids of ``code``'s postings whose
         primary bound reaches ``min_bound`` — the paper's ``I_c(s)``
         (Section 4.2) — as a zero-copy int32 view, empty on a directory
         miss.  On a dual-bound index this is the head the spatial bound
         cuts, before the textual bound is checked."""
-        row = self.rows.get(element)
+        row = self._row_of.get(code)
         if row is None:
             return _EMPTY_OIDS
         start = self._starts[row]
@@ -334,21 +322,21 @@ class InvertedIndex:
 
     def union_heads(
         self,
-        elements: Sequence[Hashable],
+        codes: Sequence[int],
         bound: float,
         t_bound: float | None,
         stats: SearchStats,
     ):
         """The filter step of Sig-Filter+ and Hybrid-Sig-Filter+: open each
-        element's list, take the head its bound(s) qualify, union the heads.
+        code's list, take the head its bound(s) qualify, union the heads.
 
         Args:
-            elements: The lists to open, in probe order.
+            codes: The lists to open, in probe order, without repeats.
             bound: Primary threshold (the spatial one of a dual-bound index).
             t_bound: Textual threshold of a dual-bound index, else ``None``.
             stats: Receives the probe accounting.
 
-        A single-bound probe of an element with no list still counts as a
+        A single-bound probe of a code with no list still counts as a
         probe (the directory lookup happens either way) and retrieves an
         empty head; a dual-bound one does not — a hybrid key nothing was
         posted to is no list at all.  ``entries_retrieved`` is the head
@@ -361,12 +349,12 @@ class InvertedIndex:
         """
         scratch = self.begin_union()
         heads = scratch.heads
-        row_of = self.rows.get
+        row_of = self._row_of.get
         starts, oids, neg_bounds, t_bounds = self._starts, self.oids, self.neg_bounds, self.t_bounds
         neg_bound = -bound
         opened = retrieved = matched = 0
-        for element in elements:
-            row = row_of(element)
+        for code in codes:
+            row = row_of(code)
             if row is None:
                 continue
             opened += 1
@@ -385,12 +373,12 @@ class InvertedIndex:
                     continue
             matched += len(head)
             heads.append(head)
-        stats.lists_probed += len(elements) if t_bound is None else opened
+        stats.lists_probed += len(codes) if t_bound is None else opened
         stats.entries_retrieved += retrieved
         stats.entries_matched += matched
         return scratch.result()
 
-    def accumulate(self, acc, element, query_weight: float, scratch) -> int | None:
+    def accumulate(self, acc, code: int, query_weight: float, scratch) -> int | None:
         """Plain Sig-Filter kernel: ``acc[oid] += min(weight, query_weight)``
         over one *full* list, marking the touched oids in ``scratch``.
 
@@ -399,7 +387,7 @@ class InvertedIndex:
         indexed add never collides.  Returns the entry count, or ``None``
         on a directory miss.
         """
-        row = self.rows.get(element)
+        row = self._row_of.get(code)
         if row is None:
             return None
         start = self._starts[row]
@@ -425,7 +413,7 @@ class InvertedIndex:
     # ------------------------------------------------------------------
 
     def __getstate__(self):
-        arrays = [self.offsets, self.oids, self.neg_bounds, self.t_bounds]
+        arrays = [self.codes, self.offsets, self.oids, self.neg_bounds, self.t_bounds]
         if _EXTERN_SINK is not None:
             packed = []
             for array in arrays:
@@ -435,11 +423,9 @@ class InvertedIndex:
                     _EXTERN_SINK.append(array)
                     packed.append(_ExternArray(len(_EXTERN_SINK) - 1))
             arrays = packed
-        return {"rows": self.rows, "arrays": arrays, "rows_unique": self.rows_unique}
+        return {"arrays": arrays, "rows_unique": self.rows_unique}
 
     def __setstate__(self, state) -> None:
-        self.rows = state["rows"]
-        self.rows_unique = state["rows_unique"]
         arrays = []
         for item in state["arrays"]:
             if isinstance(item, _ExternArray):
@@ -451,7 +437,7 @@ class InvertedIndex:
                 arrays.append(_EXTERN_SOURCE[item.index])
             else:
                 arrays.append(item)
-        self._attach(*arrays)
+        self.__init__(*arrays, rows_unique=state["rows_unique"])
 
 
 #: Shared empty probe result (read-only so a view cannot be mutated).

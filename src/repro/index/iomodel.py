@@ -158,7 +158,7 @@ def _charge_one(method: SearchMethod, query: Query, pool: BufferPool) -> None:
         _charge_probes(method, query, pool)
     elif isinstance(method, KeywordFirstSearch):
         for token in query.tokens:
-            entries = method.index.list_length(token)
+            entries = method.index.list_length(method.token_ids.get(token, -1))
             if entries:
                 pool.access_run(("kw", token), _posting_pages(entries, 0))
     elif isinstance(method, IRTreeSearch):
@@ -176,13 +176,13 @@ def _charge_probes(method: SearchMethod, query: Query, pool: BufferPool) -> None
     probes = method.probes(query)
     if probes is FULL_SCAN:
         return
-    elements, bound, t_bound = probes
+    codes, bound, t_bound = probes
     index = method.index
-    for element in elements:
-        if t_bound is not None and element not in index:
+    for code in codes:
+        if t_bound is not None and code not in index:
             continue
-        scanned = len(index.probe(element, bound))
-        pool.access_run(("sig", element), _posting_pages(scanned, 1 if t_bound is None else 2))
+        scanned = len(index.probe(code, bound))
+        pool.access_run(("sig", code), _posting_pages(scanned, 1 if t_bound is None else 2))
 
 
 def _charge_irtree(method: IRTreeSearch, query: Query, pool: BufferPool) -> None:

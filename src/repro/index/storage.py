@@ -5,8 +5,10 @@ sizes for the IR-tree and each signature index.  We run in memory, so we
 reproduce the *sizes* with an explicit serialization model instead:
 
 * a posting = 4-byte object id + one 4-byte float per threshold bound;
-* a directory entry per inverted list = key bytes (UTF-8 for tokens,
-  4/12 bytes for cell keys) + an 8-byte disk offset — the in-memory
+* a directory entry per inverted list = the bytes of the element its
+  code stands for (UTF-8 for a token, 4 for a cell id or hash bucket,
+  12 for a hierarchical ``(level, row, col)`` cell, their sum for a
+  ``(token, cell)`` pair) + an 8-byte disk offset — the in-memory
   element → offset map the paper keeps (19 MB for Twitter);
 * lists are *packed* end-to-end by default (``paged=False``); pass
   ``paged=True`` to round every list up to whole 4 KB pages instead.
@@ -22,8 +24,10 @@ paper's numbers: posting counts and per-posting payloads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable
+from dataclasses import astuple, dataclass
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro.index.inverted import InvertedIndex
 
@@ -31,6 +35,10 @@ PAGE_BYTES = 4096
 OID_BYTES = 4
 BOUND_BYTES = 4
 OFFSET_BYTES = 8
+#: Directory key bytes of a uniform-grid cell id or a hash bucket.
+CELL_KEY_BYTES = 4
+#: Directory key bytes of a hierarchical ``(level, row, col)`` cell.
+HIER_CELL_KEY_BYTES = 12
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,6 +59,11 @@ class IndexSizeReport:
     posting_bytes: int
     page_bytes: int
 
+    @classmethod
+    def total(cls, reports: Iterable["IndexSizeReport"]) -> "IndexSizeReport":
+        """Field-wise sum of several indexes' reports (at least one)."""
+        return cls(*map(sum, zip(*map(astuple, reports))))
+
     @property
     def total_bytes(self) -> int:
         """Directory + paged postings — the number Table 1 compares."""
@@ -61,36 +74,37 @@ class IndexSizeReport:
         return self.total_bytes / (1024.0 * 1024.0)
 
 
-def key_bytes(key: Hashable) -> int:
-    """Serialized size of one directory key."""
-    if isinstance(key, str):
-        return len(key.encode("utf-8"))
-    if isinstance(key, tuple):
-        return sum(key_bytes(part) for part in key)
-    # ints (cell ids, hash buckets) and anything else fixed-width.
-    return 4
-
-
 def measure_index(
     index: InvertedIndex,
     *,
     bounds_per_posting: int,
+    tokens: Sequence[str] | None = None,
+    span: int = 1,
+    cell_bytes: int = 0,
     paged: bool = False,
 ) -> IndexSizeReport:
     """Measure an inverted index under the storage model.
 
-    Only the directory keys and the row lengths are read.  The
-    serialization model matches what the index materialises — oid + bound
-    columns per posting plus a key directory — so the measured bytes are
-    the snapshot-sidecar payload shape.
+    Only the codes and row lengths are read.  The model matches what
+    the index materialises — oid + bound columns per posting plus a key
+    directory — so the measured bytes are the snapshot-sidecar payload
+    shape.
 
     Args:
         index: The inverted index to measure.
         bounds_per_posting: 0 for plain lists (keyword-first baseline),
             1 for single-bound lists, 2 for hybrid dual-bound lists.
+        tokens: The index's vocabulary when its elements carry a token:
+            list ``code`` names token ``tokens[code // span]``.
+        span: Codes per token.
+        cell_bytes: Key bytes of the cell part of each element.
         paged: Round each list's payload up to whole 4 KB pages instead
             of packing lists end-to-end.
     """
+    key_bytes = cell_bytes * len(index)
+    if tokens is not None:
+        sizes = np.array([len(token.encode("utf-8")) for token in tokens], dtype=np.int64)
+        key_bytes += int(sizes[index.codes // span].sum())
     posting_size = OID_BYTES + bounds_per_posting * BOUND_BYTES
     raw = index.num_postings() * posting_size
     pages = raw
@@ -100,7 +114,7 @@ def measure_index(
     return IndexSizeReport(
         num_lists=len(index),
         num_postings=index.num_postings(),
-        directory_bytes=sum(map(key_bytes, index.rows)) + len(index) * OFFSET_BYTES,
+        directory_bytes=key_bytes + len(index) * OFFSET_BYTES,
         posting_bytes=raw,
         page_bytes=pages,
     )

@@ -8,8 +8,8 @@ envelope records the library version for a clear error message.
 
 **Layout.**  Index payloads stay out of the pickle stream: while the
 engine pickles, every :class:`~repro.index.inverted.InvertedIndex`
-externalises its CSR arrays (offsets, oids, bound columns) into an
-uncompressed ``<snapshot>.npz`` sidecar next to the
+externalises its CSR arrays (directory codes, offsets, oids, bound
+columns) into an uncompressed ``<snapshot>.npz`` sidecar next to the
 snapshot file, leaving only small markers in the pickle.  Loading
 resolves the markers back from the sidecar — eagerly by default, or as
 zero-copy memory maps with ``load_engine(path, mmap=True)``.  Engines
@@ -47,7 +47,7 @@ from repro.index.inverted import externalize_arrays, resolve_arrays
 
 #: Bump when index internals change incompatibly; any other format is
 #: rejected at the envelope with "rebuild the index".
-SNAPSHOT_FORMAT = 6
+SNAPSHOT_FORMAT = 7
 
 _MAGIC = "repro-seal-snapshot"
 

@@ -382,22 +382,15 @@ class TokenGrids:
 
     Attributes:
         cells: Selected cells in global order.
-        ranks: ``cell -> position`` in that order.
         boxes: Cell rectangles as bare tuples, aligned with ``cells``
             (kept for the filter's hot probe path).
     """
 
-    __slots__ = ("cells", "ranks", "boxes")
+    __slots__ = ("cells", "boxes")
 
-    def __init__(
-        self, cells: Tuple[HierCell, ...], ranks: dict, boxes: Tuple[_Box, ...]
-    ) -> None:
+    def __init__(self, cells: Tuple[HierCell, ...], boxes: Tuple[_Box, ...]) -> None:
         self.cells = cells
-        self.ranks = ranks
         self.boxes = boxes
-
-    def rank(self, cell: HierCell) -> int:
-        return self.ranks[cell]
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -423,11 +416,7 @@ def _ordered_grids(
     # tolist(): plain ints and floats, so the probe path does Python
     # arithmetic and a snapshot pickles 9-byte floats whatever scalar
     # type the corpus coordinates arrived as.
-    return TokenGrids(
-        cells=tuple(cells),
-        ranks={cell: i for i, cell in enumerate(cells)},
-        boxes=tuple(map(tuple, boxes.tolist())),
-    )
+    return TokenGrids(tuple(cells), tuple(map(tuple, boxes.tolist())))
 
 
 def select_token_grids_many(
@@ -460,7 +449,7 @@ def select_token_grids_many(
     )
     root = hierarchy.ROOT
     root_box = tuple(map(float, hierarchy.cell_rect(root).as_tuple()))
-    grids = [TokenGrids((root,), {root: 0}, (root_box,)) for _ in sizes]
+    grids = [TokenGrids((root,), (root_box,)) for _ in sizes]
     for token, cells in zip(np.flatnonzero(greedy).tolist(), frontiers):
         grids[token] = _ordered_grids(cells, rows[offsets[token] : offsets[token + 1]], hierarchy)
     return grids

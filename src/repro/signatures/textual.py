@@ -46,7 +46,7 @@ class TextualScheme:
 
     def corpus_signatures(
         self, objects: Sequence[SpatioTextualObject]
-    ) -> Tuple[List[str], np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Tuple[Dict[str, int], np.ndarray, np.ndarray, np.ndarray]:
         """Every object's signature with its Lemma-3 bounds, as arrays.
 
         The build-side twin of :meth:`object_signature` followed by
@@ -54,42 +54,45 @@ class TextualScheme:
         bounds to the bit, without a sort and a list per object.
 
         Returns:
-            ``(vocabulary, sizes, tokens, bounds)`` — :meth:`corpus_rows`
-            and each token's threshold bound, in the same flat order.
+            ``(ids, sizes, tokens, bounds)`` — :meth:`corpus_rows` and
+            each token's threshold bound, in the same flat order.
         """
-        vocabulary, sizes, tokens = self.corpus_rows(objects)
+        ids, sizes, tokens = self.corpus_rows(objects)
         weighter = self.weighter
-        weight = np.array([weighter.weight(token) for token in vocabulary], dtype=np.float64)
-        return vocabulary, sizes, tokens, segmented_suffix_bounds(weight[tokens], sizes)
+        weight = np.array([weighter.weight(token) for token in ids], dtype=np.float64)
+        return ids, sizes, tokens, segmented_suffix_bounds(weight[tokens], sizes)
 
     def corpus_rows(
         self, objects: Sequence[SpatioTextualObject]
-    ) -> Tuple[List[str], np.ndarray, np.ndarray]:
+    ) -> Tuple[Dict[str, int], np.ndarray, np.ndarray]:
         """Every object's tokens in global order, as one CSR.
 
         Returns:
-            ``(vocabulary, sizes, tokens)`` — the distinct tokens in
-            order of first appearance, iterating each object's token set
-            (ids index into this list), ``|o.T|`` per object, and flat
-            token ids, object after object, each object's in global order.
+            ``(ids, sizes, tokens)`` — token → id, ids numbering the
+            distinct tokens by first appearance in the flat order below
+            (so not by how a token set iterates), ``|o.T|`` per object,
+            and flat token ids, object after object, each object's in
+            global order.
         """
         occurrences = [token for obj in objects for token in obj.tokens]
-        vocabulary = list(dict.fromkeys(occurrences))
-        ids: Dict[str, int] = {token: i for i, token in enumerate(vocabulary)}
-        rank = np.empty(len(vocabulary), dtype=np.int64)
-        rank[[ids[token] for token in self.weighter.sort_tokens(vocabulary)]] = np.arange(
-            len(vocabulary)
-        )
+        by_rank = self.weighter.sort_tokens(set(occurrences))
+        rank: Dict[str, int] = {token: i for i, token in enumerate(by_rank)}
         sizes = np.fromiter(
             (len(obj.tokens) for obj in objects), dtype=np.int64, count=len(objects)
         )
-        tokens = np.fromiter(
-            map(ids.__getitem__, occurrences), dtype=np.int64, count=len(occurrences)
+        ranks = np.fromiter(
+            map(rank.__getitem__, occurrences), dtype=np.int64, count=len(occurrences)
         )
         owner = np.repeat(np.arange(len(sizes)), sizes)
         # One key per (object, token), all distinct: the object, then the
         # token's global rank.
-        return vocabulary, sizes, tokens[np.argsort(owner * len(vocabulary) + rank[tokens])]
+        ranks = ranks[np.argsort(owner * len(by_rank) + ranks)]
+        _, first = np.unique(ranks, return_index=True)
+        order = np.argsort(first)
+        renumber = np.empty(len(order), dtype=np.int64)
+        renumber[order] = np.arange(len(order))
+        ids = {by_rank[r]: i for i, r in enumerate(order.tolist())}
+        return ids, sizes, renumber[ranks]
 
     def query_prefix(self, query: Query) -> Tuple[List[str], float]:
         """The query's Lemma-2 prefix tokens, in global order, and ``c_T``.

@@ -21,10 +21,10 @@ import numpy as np
 from repro.core.errors import ConfigurationError
 from repro.core.objects import SpatioTextualObject
 from repro.geometry import Rect
-from repro.grid.hierarchy import GridHierarchy, HierCell
+from repro.filters.hybrid_filter import bucket
+from repro.grid.hierarchy import GridHierarchy, HierCell, cell_code
 from repro.signatures.hierarchical import TokenGrids
 from repro.signatures.prefix import suffix_bounds
-from repro.signatures.textual import TextualScheme
 
 from tests.reference_postings import ReferenceIndex
 
@@ -71,6 +71,12 @@ def _error(box: _Box, ihat: float, regions: np.ndarray, levels_below: int) -> fl
     return total
 
 
+def _children(cell: HierCell) -> List[HierCell]:
+    """The four next-level cells tiling ``cell``, row-major."""
+    level, row, col = cell
+    return [(level + 1, 2 * row + dy, 2 * col + dx) for dy in (0, 1) for dx in (0, 1)]
+
+
 def _filter_regions(box: _Box, regions: np.ndarray) -> np.ndarray:
     bx1, by1, bx2, by2 = box
     mask = (
@@ -111,7 +117,7 @@ def hss_greedy(
             selected.append(cell)
             continue
         children: List[Tuple[HierCell, _Box, np.ndarray]] = []
-        for child_cell, child_box in zip(hierarchy.children(cell), _quarters(box)):
+        for child_cell, child_box in zip(_children(cell), _quarters(box)):
             sub = _filter_regions(child_box, cell_regions)
             if len(sub):
                 children.append((child_cell, child_box, sub))
@@ -156,11 +162,7 @@ def select_token_grids(
 
     counts = {cell: count(cell) for cell in cells}
     ordered = sorted(cells, key=lambda cell: (cell[0], counts[cell], cell))
-    return TokenGrids(
-        cells=tuple(ordered),
-        ranks={c: i for i, c in enumerate(ordered)},
-        boxes=tuple(boxes[c] for c in ordered),
-    )
+    return TokenGrids(tuple(ordered), tuple(boxes[c] for c in ordered))
 
 
 def token_grids(
@@ -202,26 +204,29 @@ def region_cells(grids: TokenGrids, region: Rect) -> List[Tuple[HierCell, float]
 
 
 def hierarchical_index(
-    corpus: Sequence[SpatioTextualObject],
-    textual: TextualScheme,
-    grids: Dict[str, TokenGrids],
+    corpus: Sequence[SpatioTextualObject], method, grids: Dict[str, TokenGrids]
 ) -> ReferenceIndex:
-    """Pass 3 of ``HierarchicalFilter`` as it was: one ``add`` per posting."""
+    """Pass 3 of ``HierarchicalFilter`` as it was: one ``add`` per posting,
+    keyed by the pair's code ``token_id · cells_per_tree + cell_code``."""
     index = ReferenceIndex(dual=True)
+    span = method.hierarchy.num_cells
     for obj in corpus:
-        token_sig = textual.object_signature(obj)
+        token_sig = method.textual.object_signature(obj)
         token_bounds = suffix_bounds([w for _, w in token_sig])
         for (token, _), t_bound in zip(token_sig, token_bounds):
             cells = region_cells(grids[token], obj.region)
             cell_bounds = suffix_bounds([w for _, w in cells])
             for (cell, _), r_bound in zip(cells, cell_bounds):
-                index.add((token, cell), obj.oid, r_bound, t_bound)
+                code = method.token_ids[token] * span + cell_code(*cell)
+                index.add(code, obj.oid, r_bound, t_bound)
     return index.freeze()
 
 
 def hybrid_index(corpus: Sequence[SpatioTextualObject], method) -> ReferenceIndex:
-    """``HybridFilter``'s triple loop as it was, keyed by ``method._key``."""
+    """``HybridFilter``'s triple loop as it was, keyed by the pair's code
+    ``token_id · num_cells + cell``, or its bucket."""
     index = ReferenceIndex(dual=True)
+    span = method.spatial.grid.num_cells
     for obj in corpus:
         token_sig = method.textual.object_signature(obj)
         token_bounds = suffix_bounds([w for _, w in token_sig])
@@ -229,5 +234,8 @@ def hybrid_index(corpus: Sequence[SpatioTextualObject], method) -> ReferenceInde
         cell_bounds = suffix_bounds([w for _, w in cell_sig])
         for (token, _), t_bound in zip(token_sig, token_bounds):
             for (cell, _), r_bound in zip(cell_sig, cell_bounds):
-                index.add(method._key(token, cell), obj.oid, r_bound, t_bound)
+                code = method.token_ids[token] * span + cell
+                if method.num_buckets is not None:
+                    code = int(bucket(np.array([code]), method.num_buckets)[0])
+                index.add(code, obj.oid, r_bound, t_bound)
     return index.freeze()

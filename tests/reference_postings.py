@@ -12,15 +12,17 @@ Figure 5):
   posting, for the hybrid ``(token, cell)`` lists of Section 5.1; sorted
   by the spatial bound (binary-searched), the textual bound checked on
   the qualifying head.
-* :class:`ReferenceIndex` — a dict of those lists with the probe loop
-  and its accounting in plain Python.
+* :class:`ReferenceIndex` — a dict of those lists, keyed by element
+  code, with the probe loop and its accounting in plain Python.
 
 The differential tests build every filter's index both ways —
 ``reference_*`` here and in ``tests/reference_hss.py`` stage posting by
-posting exactly as the filters once did — and require the bulk-loaded
-:class:`~repro.index.inverted.InvertedIndex` to be the same index,
-posting for posting (:func:`assert_same_index`), and to answer every
-probe with the same heads and statistics.
+posting exactly as the filters once did, keyed by the filter's element
+codes — and require the bulk-loaded
+:class:`~repro.index.inverted.InvertedIndex` to be the same index, list
+by list in code order and posting for posting
+(:func:`assert_same_index`), and to answer every probe with the same
+heads and statistics.
 
 Nothing under ``src/`` imports this module.
 """
@@ -222,15 +224,15 @@ def _float64_bytes(values) -> bytes:
 
 
 def assert_same_index(built: InvertedIndex, expected: ReferenceIndex) -> None:
-    """The bulk-loaded index is the staged one: directory order, row
-    boundaries, oids and every bound column, bit for bit; ties on
-    ``(bound, oid)`` in arrival order; ``rows_unique`` iff no list
-    repeats an oid."""
+    """The bulk-loaded index is the staged one, list by list in code
+    order: the code column, row boundaries, oids and every bound column,
+    bit for bit; ties on ``(bound, oid)`` in arrival order;
+    ``rows_unique`` iff no list repeats an oid."""
     assert (built.t_bounds is not None) == expected.dual
-    assert list(built.rows.items()) == [
-        (element, row) for row, element in enumerate(expected.lists)
-    ]
-    columns = [plist.columns() for plist in expected.lists.values()]
+    codes = sorted(expected.lists)
+    assert built.codes.tolist() == codes
+    assert built.codes.dtype == np.int64
+    columns = [expected.lists[code].columns() for code in codes]
     cuts = [0]
     for oids, *_ in columns:
         cuts.append(cuts[-1] + len(oids))
@@ -242,7 +244,7 @@ def assert_same_index(built: InvertedIndex, expected: ReferenceIndex) -> None:
     else:
         assert built.t_bounds is None
     assert built.rows_unique == all(len(set(oids)) == len(oids) for oids, *_ in columns)
-    for column in (built.offsets, built.oids, built.neg_bounds, built.t_bounds):
+    for column in (built.codes, built.offsets, built.oids, built.neg_bounds, built.t_bounds):
         assert column is None or not column.flags.writeable
 
 
@@ -255,8 +257,9 @@ def single_scheme_index(method) -> ReferenceIndex:
         signature = method.scheme.object_signature(obj)
         weights = [w for _, w in signature]
         bounds = suffix_bounds(weights) if method.prefix_pruning else weights
-        for (element, _), bound in zip(signature, bounds):
-            index.add(element, obj.oid, bound)
+        codes = method.encode([element for element, _ in signature])
+        for code, bound in zip(codes, bounds):
+            index.add(code, obj.oid, bound)
     return index.freeze()
 
 
@@ -265,5 +268,5 @@ def keyword_index(method) -> ReferenceIndex:
     index = ReferenceIndex()
     for obj in method.corpus:
         for token in obj.tokens:
-            index.add(token, obj.oid, 0.0)
+            index.add(method.token_ids[token], obj.oid, 0.0)
     return index.freeze()

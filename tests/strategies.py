@@ -8,10 +8,14 @@ degenerate (zero-width/height) rectangles and boundary alignments.
 
 from __future__ import annotations
 
+import math
+
 from hypothesis import strategies as st
 
 from repro.core.objects import Query, SpatioTextualObject, make_corpus
+from repro.core.similarity import spatial_similarity, textual_similarity
 from repro.geometry import Rect
+from repro.text.weights import TokenWeighter
 
 #: Exact-in-binary coordinates.
 coords = st.integers(min_value=0, max_value=400).map(lambda n: n * 0.25)
@@ -67,3 +71,34 @@ def queries(draw) -> Query:
 def corpus_and_query(draw, min_size: int = 1, max_size: int = 12):
     corpus = draw(corpora(min_size=min_size, max_size=max_size))
     return corpus, draw(queries())
+
+
+@st.composite
+def boundary_cases(draw, min_size: int = 1, max_size: int = 10):
+    """A corpus and a query whose thresholds sit on one object's boundary.
+
+    Pick an object, draw a query near it (its own region or any other,
+    some of its tokens plus any others), and set ``τR`` and/or ``τT`` to
+    that object's canonical ``simR`` / ``simT``
+    (:mod:`repro.core.similarity`, under the corpus weighter) — exactly,
+    or ``math.nextafter`` one ulp below or above.  Those are the floats
+    where a filter bound an ulp stricter than the verifier's loses the
+    object.  A threshold not put on the boundary is drawn as usual.
+    """
+    corpus = draw(corpora(min_size=min_size, max_size=max_size))
+    target = corpus[draw(st.integers(0, len(corpus) - 1))]
+    region = draw(st.one_of(st.just(target.region), rects()))
+    tokens = draw(st.frozensets(st.sampled_from(sorted(target.tokens)))) | draw(token_sets)
+    weighter = TokenWeighter(obj.tokens for obj in corpus)
+    step = draw(st.sampled_from([None, -math.inf, math.inf]))
+
+    def on_boundary(sim: float) -> float:
+        tau = sim if step is None else math.nextafter(sim, step)
+        return min(max(tau, 0.0), 1.0)
+
+    axes = draw(st.sampled_from(["r", "t", "rt"]))
+    tau_r = (on_boundary(spatial_similarity(region, target.region)) if "r" in axes
+             else draw(thresholds))
+    tau_t = (on_boundary(textual_similarity(tokens, target.tokens, weighter)) if "t" in axes
+             else draw(thresholds))
+    return corpus, Query(region, tokens, tau_r, tau_t)

@@ -13,9 +13,7 @@ from repro.index.inverted import InvertedIndex
 
 class TestIndexStats:
     def test_basic(self):
-        index = InvertedIndex.from_postings(
-            ["heavy", "light"], [0] * 10 + [1], list(range(10)) + [0], [0.0] * 11
-        )
+        index = InvertedIndex.from_postings([0] * 10 + [1], list(range(10)) + [0], [0.0] * 11)
         stats = index_stats(index)
         assert stats.num_lists == 2
         assert stats.num_postings == 11
@@ -24,7 +22,7 @@ class TestIndexStats:
 
     def test_empty_index_rejected(self):
         with pytest.raises(ConfigurationError):
-            index_stats(InvertedIndex.from_postings([], [], [], []))
+            index_stats(InvertedIndex.from_postings([], [], []))
 
     def test_on_real_filter(self, figure1_objects, figure1_weighter):
         f = TokenFilter(figure1_objects, figure1_weighter)

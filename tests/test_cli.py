@@ -382,6 +382,65 @@ class TestWALCommands:
 
         assert [r.payload["op"] for r in read_wal(wal).operations()] == ["compact"]
 
+    @pytest.fixture()
+    def recovered(self, monkeypatch):
+        """Every engine a command recovers from its WAL, in order."""
+        import repro.cli as cli
+
+        engines = []
+        real = cli.recover_engine
+
+        def recording(*args, **kwargs):
+            engines.append(real(*args, **kwargs))
+            return engines[-1]
+
+        monkeypatch.setattr(cli, "recover_engine", recording)
+        return engines
+
+    @pytest.mark.parametrize("usage_error", [
+        ["update", "--region", "35,10,75,70"],
+        ["update", "--region", "not-a-region", "--tokens", "t1"],
+        ["update"],
+    ], ids=["tokens-missing", "bad-region", "nothing-to-insert"])
+    def test_update_usage_error_leaves_no_wal_open(self, durable_engine, recovered,
+                                                  usage_error, capsys):
+        engine, wal = durable_engine
+        command, *flags = usage_error
+        rc = main([command, str(engine), "--wal", str(wal), *flags])
+        assert rc == 2 and "error:" in capsys.readouterr().err
+        assert all(durable.wal.closed for durable in recovered)
+        # Nothing holds the log: the next command recovers it as usual.
+        assert main(["recover", str(engine), "--wal", str(wal), "--no-checkpoint"]) == 0
+
+    def test_update_from_an_empty_file_closes_the_wal(self, durable_engine, recovered,
+                                                     tmp_path, capsys):
+        engine, wal = durable_engine
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        rc = main(["update", str(engine), "--wal", str(wal), "--from", str(empty)])
+        assert rc == 0 and "inserted 0 objects" in capsys.readouterr().out
+        assert len(recovered) == 1 and recovered[0].wal.closed
+
+    @pytest.mark.parametrize("oids", ["1,x", ","])
+    def test_delete_usage_error_leaves_no_wal_open(self, durable_engine, recovered, oids,
+                                                  capsys):
+        engine, wal = durable_engine
+        rc = main(["delete", str(engine), "--wal", str(wal), "--oids", oids])
+        assert rc == 2 and "--oids needs" in capsys.readouterr().err
+        assert all(durable.wal.closed for durable in recovered)
+
+    @pytest.mark.parametrize("flags", [["--threads", "0"], ["--repeat", "0"], ["--empty"]],
+                             ids=["threads-0", "repeat-0", "no-queries"])
+    def test_serve_usage_error_leaves_no_wal_open(self, durable_engine, recovered, flags,
+                                                 tmp_path, figure1_query, capsys):
+        engine, wal = durable_engine
+        workload = tmp_path / "q.jsonl"
+        save_queries([] if flags == ["--empty"] else [figure1_query], workload)
+        flags = [] if flags == ["--empty"] else flags
+        rc = main(["serve", str(engine), "--queries", str(workload), "--wal", str(wal), *flags])
+        assert rc == 2 and "error:" in capsys.readouterr().err
+        assert all(durable.wal.closed for durable in recovered)
+
     def test_recover_missing_wal_fails_loudly(self, durable_engine, capsys):
         engine, _ = durable_engine
         rc = main(["recover", str(engine), "--wal", str(engine) + ".nope"])
@@ -576,7 +635,7 @@ class TestInspect:
         rc = main(["inspect", str(plain_engine)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "format:             6" in out
+        assert "format:             7" in out
         assert "columnar arrays:" in out
         assert "not a segmented engine" in out
 
@@ -615,7 +674,7 @@ class TestInspect:
         rc = main(["inspect", str(plain_engine), "--json"])
         assert rc == 0
         document = json.loads(capsys.readouterr().out)
-        assert document["format"] == 6
+        assert document["format"] == 7
         assert document["num_arrays"] >= 1
         assert document["sidecar"]["bytes"] > 0
 
@@ -889,6 +948,22 @@ class TestPlan:
         rc = main(["plan", str(engine), "--region", "0,0,1,1", "--tokens", "t1"])
         assert rc == 2
         assert "no query planner" in capsys.readouterr().err
+
+    def test_query_explain_says_why_a_small_segmented_planned_engine_has_no_planner(
+            self, corpus_file, tmp_path, capsys):
+        """The engine was built with --method planned: the hint is the
+        segment size, not "build a planned engine" (as ``plan`` says)."""
+        engine = tmp_path / "live.pkl"
+        main(["build", str(corpus_file), "--method", "planned", "--segmented",
+              "--out", str(engine)])
+        capsys.readouterr()
+        for command in (["query", "--explain"], ["plan"]):
+            rc = main([command[0], str(engine), "--region", "0,0,1,1", "--tokens", "t1",
+                       *command[1:]])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert "holds no query planner" in err and "every segment is below" in err
+            assert "--method planned" not in err
 
     def test_plan_says_why_a_small_segmented_planned_engine_has_no_planner(
             self, corpus_file, tmp_path, capsys):

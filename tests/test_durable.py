@@ -256,6 +256,42 @@ class TestRecovery:
             assert recovered.search_query(query).answers == oracle_answers(recovered, query)
         recovered.close()
 
+    def test_generation0_wal_from_before_element_codes_recovers_to_the_oracle(
+        self, tmp_path, monkeypatch
+    ):
+        """``tests/fixtures/seal_generation0.wal`` was written by the
+        library at snapshot format 6, when directories were keyed by
+        ``(token, cell)`` tuples: a segmented ``seal`` engine's config
+        record, 48 inserts, 3 deletes and a compaction, no snapshot.
+        Replay builds this version's code-keyed indexes from it — every
+        segment a ``seal`` index here — and answers like the oracle."""
+        import shutil
+        from pathlib import Path
+
+        from repro.datasets import generate_queries
+
+        monkeypatch.setattr("repro.exec.segments.FULL_INDEX_MIN_OBJECTS", 0)
+        wal = tmp_path / "engine.wal"
+        shutil.copy(Path(__file__).parent / "fixtures" / "seal_generation0.wal", wal)
+        assert read_wal(wal).generation == 0
+        recovered = recover(tmp_path / "engine.pkl", wal)
+        try:
+            assert recovered.recovery["source"] == "wal-only" and len(recovered) == 45
+            methods = recovered.engine.segment_methods()
+            assert methods and {method.name for method in methods} == {"seal"}
+            live = [recovered.object(oid) for oid in sorted(recovered.engine._live)]
+            queries = [
+                query.with_thresholds(tau_r=tau_r, tau_t=tau_t)
+                for query in generate_queries(live, "large", num_queries=6, seed=2)
+                for tau_r, tau_t in ((0.05, 0.1), (0.0, 0.3), (0.2, 0.0))
+            ]
+            for query in queries:
+                expected = oracle_answers(recovered, query, "naive")
+                assert recovered.search_query(query).answers == expected
+            assert any(oracle_answers(recovered, query, "naive") for query in queries)
+        finally:
+            recovered.close()
+
     @pytest.mark.parametrize(
         "params, named",
         [({"bogus": 1}, "'bogus'"), ({"backend": "python", "granularity": 8}, "'granularity'")],

@@ -89,12 +89,10 @@ class TestSelectTokenGrids:
         grids = select_token_grids(regions, h, mt=12, min_objects=0)
         levels = [c[0] for c in grids.cells]
         assert levels == sorted(levels)
-        for i, cell in enumerate(grids.cells):
-            assert grids.rank(cell) == i
 
     def test_payload_is_plain_python(self):
         """What a snapshot pickles: tuples of int and float, whichever
-        kernel produced them — the shape format-5 snapshots hold."""
+        kernel produced them, and no per-token rank dict."""
         f = np.float64  # generated corpora carry NumPy scalars
         h = GridHierarchy(Rect(f(0.0), f(0.0), f(100.0), f(100.0)), 4)
         regions = [Rect(f(5), f(5), f(20), f(20)), Rect(60, 60, 95, 95), Rect(70, 70, 90, 90)]
@@ -106,8 +104,7 @@ class TestSelectTokenGrids:
             assert all(type(v) is int for cell in grids.cells for v in cell)
             assert all(type(v) is float for box in grids.boxes for v in box)
             assert all(type(c) is tuple for c in grids.cells + grids.boxes)
-            assert grids.ranks == {cell: i for i, cell in enumerate(grids.cells)}
-            assert grids.__slots__ == ("cells", "ranks", "boxes")
+            assert grids.__slots__ == ("cells", "boxes")
 
     def test_len(self):
         h = GridHierarchy(SPACE, 3)

@@ -87,8 +87,8 @@ def test_frontier_matches_reference(name, mt, max_level):
     assert max(level for level, _, _ in cells) <= max_level
     grids = select_token_grids(regions, hierarchy, mt)
     expected = reference.select_token_grids(regions, hierarchy, mt)
-    assert (grids.cells, grids.boxes, grids.ranks) == (
-        expected.cells, expected.boxes, expected.ranks,
+    assert (grids.cells, grids.boxes) == (
+        expected.cells, expected.boxes,
     )
 
 
@@ -164,7 +164,7 @@ def test_filter_matches_reference_and_naive(mt, max_level):
         t: g.cells for t, g in grids.items()
     }
     assert_same_index(
-        method.index, reference.hierarchical_index(corpus, method.textual, grids)
+        method.index, reference.hierarchical_index(corpus, method, grids)
     )
     for region in (Rect(0, 0, 128, 128), Rect(30, 30, 66, 66), Rect(64, 64, 64, 64),
                    Rect(16, 16, 48, 48), Rect(5, 5, 5, 40), Rect(60, 0, 128, 70)):

@@ -11,7 +11,8 @@ filter:
   (exact and bucketed keys), ``seal``, ``predicate-token``, the plain
   Sig-Filter and ``keyword-first`` — on seeded Twitter-like and USA-like
   corpora: the bulk-loaded index equals the reference staged posting by
-  posting, and the probe loop returns the same heads with the same
+  posting under the filter's element codes, list by list in code order,
+  and the probe loop returns the same heads with the same
   ``lists_probed`` / ``entries_retrieved`` / ``entries_matched`` across
   the five regimes of the golden planner workload, directory misses
   included;
@@ -35,7 +36,7 @@ from repro.core.stats import SearchStats
 from repro.datasets import generate_queries
 from repro.extensions.predicates import DicePredicate, PredicateSearch
 from repro.filters.base import FULL_SCAN
-from repro.index.inverted import InvertedIndex, directory_rows
+from repro.index.inverted import InvertedIndex
 
 from tests import reference_hss
 from tests.fixtures.make_planner_golden import REGIMES
@@ -75,23 +76,25 @@ dual_postings = st.lists(
 )
 
 
+#: The code of the one list :func:`_load` builds.
+E = 7
+
+
 def _load(entries, *, dual: bool):
-    """One list ``"e"`` holding ``entries``, both ways."""
+    """One list ``E`` holding ``entries``, both ways."""
     reference = ReferenceIndex(dual=dual)
     for entry in entries:
-        reference.add("e", *entry)
+        reference.add(E, *entry)
     columns = list(zip(*entries)) or [[], [], []]
-    index = InvertedIndex.from_postings(
-        ["e"] if entries else [], [0] * len(entries), *columns[: 3 if dual else 2]
-    )
+    index = InvertedIndex.from_postings([E] * len(entries), *columns[: 3 if dual else 2])
     return index, reference.freeze()
 
 
 @given(postings, st.floats(0, 100))
 def test_probe_equals_reference_and_brute_force(entries, threshold):
     index, reference = _load(entries, dual=False)
-    head = index.probe("e", threshold)
-    expected = reference.lists["e"].retrieve(threshold) if entries else []
+    head = index.probe(E, threshold)
+    expected = reference.lists[E].retrieve(threshold) if entries else []
     # Same oids, same (bound-desc, oid-asc) order — not just same set.
     assert head.tolist() == list(expected)
     assert sorted(head.tolist()) == sorted(oid for oid, bound in entries if bound >= threshold)
@@ -109,98 +112,99 @@ def _one_list(index, element, bound, t_bound):
 def test_dual_probe_equals_reference_and_brute_force(entries, min_r, min_t):
     index, reference = _load(entries, dual=True)
     if not entries:  # no list at all: not even a probe
-        assert _one_list(index, "e", min_r, min_t) == ([], [0, 0, 0])
+        assert _one_list(index, E, min_r, min_t) == ([], [0, 0, 0])
         return
-    head, (lists, scanned, matched) = _one_list(index, "e", min_r, min_t)
-    expected, expected_scanned = reference.lists["e"].retrieve(min_r, min_t)
+    head, (lists, scanned, matched) = _one_list(index, E, min_r, min_t)
+    expected, expected_scanned = reference.lists[E].retrieve(min_r, min_t)
     assert head == sorted(set(expected))  # this list may repeat an oid
     assert (lists, scanned, matched) == (1, expected_scanned, len(expected))
     assert head == sorted({oid for oid, r, t in entries if r >= min_r and t >= min_t})
     # The spatial head on its own is what ``probe`` cuts.
-    assert len(index.probe("e", min_r)) == scanned >= matched
+    assert len(index.probe(E, min_r)) == scanned >= matched
 
 
-@given(st.lists(st.tuples(st.sampled_from("abcde"), st.integers(0, 9),
+@given(st.lists(st.tuples(st.sampled_from([-5, 0, 3, 7, 2**40]), st.integers(0, 9),
                           st.sampled_from([0.0, 0.5, 1.0, 2.5]), st.floats(0, 10)),
                 min_size=0, max_size=40))
 def test_from_postings_equals_staging_and_freezing(entries):
-    """Same directory order, same (-bound, oid) rows, ties on both keys in
-    arrival order, same rows_unique — both list kinds."""
-    elements = list(dict.fromkeys(element for element, *_ in entries))
-    rows = [elements.index(element) for element, *_ in entries]
+    """Rows in code order, (-bound, oid) within a row, ties on both keys
+    in arrival order, same rows_unique — both list kinds."""
     columns = [list(column) for column in zip(*entries)] or [[], [], [], []]
     for dual in (True, False):
         staged = ReferenceIndex(dual=dual)
-        for element, oid, r, t in entries:
-            staged.add(element, oid, r, *([t] if dual else []))
-        loaded = InvertedIndex.from_postings(
-            elements, rows, columns[1], columns[2], *([columns[3]] if dual else [])
-        )
+        for code, oid, r, t in entries:
+            staged.add(code, oid, r, *([t] if dual else []))
+        loaded = InvertedIndex.from_postings(*columns[: 4 if dual else 3])
         assert_same_index(loaded, staged.freeze())
     # Arrival order is free: any permutation that keeps ties in place
     # loads the same index.
-    order = sorted(range(len(entries)), key=lambda i: entries[i][0])
-    shuffled = InvertedIndex.from_postings(
-        elements,
-        [rows[i] for i in order],
-        [columns[1][i] for i in order],
-        [columns[2][i] for i in order],
-    )
+    order = sorted(range(len(entries)), key=lambda i: -entries[i][0])
+    shuffled = InvertedIndex.from_postings(*([column[i] for i in order] for column in columns[:3]))
     assert_same_index(shuffled, staged)
 
 
 def test_from_postings_rejects_misuse():
-    with pytest.raises(ValueError):  # a row without postings
-        InvertedIndex.from_postings(["e", "f"], [0], [1], [2.0], [3.0])
-    with pytest.raises(ValueError):  # a posting without a row
-        InvertedIndex.from_postings(["e"], [0, 1], [1, 2], [2.0, 2.0], [3.0, 3.0])
-    assert InvertedIndex.from_postings(["e"], [0], [1], [2.0], [3.0]).t_bounds is not None
-    assert InvertedIndex.from_postings(["e"], [0], [1], [2.0]).t_bounds is None
+    with pytest.raises(ValueError):  # an oid without a code
+        InvertedIndex.from_postings([4], [1, 2], [2.0, 2.0])
+    with pytest.raises(ValueError):  # a textual bound too many
+        InvertedIndex.from_postings([4, 5], [1, 2], [2.0, 2.0], [3.0, 3.0, 3.0])
+    assert InvertedIndex.from_postings([4], [1], [2.0], [3.0]).t_bounds is not None
+    assert InvertedIndex.from_postings([4], [1], [2.0]).t_bounds is None
 
 
-def test_directory_rows_numbers_by_first_appearance():
-    rows, first = directory_rows(np.array([7, 3, 7, 9, 3, 1]))
-    assert rows.tolist() == [0, 1, 0, 2, 1, 3]
-    assert first.tolist() == [0, 1, 3, 5]
-    rows, first = directory_rows(np.empty(0, dtype=np.int64))
-    assert len(rows) == len(first) == 0
+def test_directory_is_the_sorted_code_column():
+    index = InvertedIndex.from_postings([7, 3, 7, 9, 3, -1], range(6), [1.0] * 6)
+    assert index.codes.tolist() == [-1, 3, 7, 9]
+    assert index.list_lengths().tolist() == [1, 2, 2, 1]
+    assert [index.list_length(code) for code in (3, 4)] == [2, 0]
+    assert 9 in index and 8 not in index and len(index) == 4
+    empty = InvertedIndex.from_postings([], [], [])
+    assert empty.codes.dtype == np.int64 and len(empty) == empty.num_postings() == 0
+
+
+def test_each_unseen_token_gets_a_miss_of_its_own():
+    objects = make_corpus([(Rect(0, 0, 1, 1), {"tea"}), (Rect(0, 0, 1, 1), {"cake"})])
+    method = build_method(objects, "token")
+    codes = method.encode(["cake", "x", "tea", "y"])
+    assert codes == [method.token_ids["cake"], -2, method.token_ids["tea"], -4]
+    stats = SearchStats()
+    assert oids(method.index.union_heads(codes, 0.5, None, stats)) == [0, 1]
+    assert counters(stats) == [4, 2, 2]  # every unseen token is one probe
 
 
 def test_probe_miss_returns_empty_of_consistent_type():
-    index = InvertedIndex.from_postings(["e"], [0], [1], [2.0])
-    hit, miss = index.probe("e", 0.0), index.probe("absent", 0.0)
+    index = InvertedIndex.from_postings([4], [1], [2.0])
+    hit, miss = index.probe(4, 0.0), index.probe(5, 0.0)
     assert isinstance(hit, np.ndarray) and isinstance(miss, np.ndarray)
     assert hit.dtype == miss.dtype and len(miss) == 0
     # A dual-bound miss is not counted as a probe; a list the spatial
     # bound cuts to nothing is an opened list with an empty head.
-    dual = InvertedIndex.from_postings(["k"], [0], [1], [2.0], [3.0])
-    assert _one_list(dual, "absent", 0.0, 0.0) == ([], [0, 0, 0])
-    assert _one_list(dual, "k", 5.0, 0.0) == ([], [1, 0, 0])
-    assert _one_list(dual, "k", 1.0, 5.0) == ([], [1, 1, 0])
-    assert _one_list(dual, "k", 1.0, 1.0) == ([1], [1, 1, 1])
+    dual = InvertedIndex.from_postings([4], [1], [2.0], [3.0])
+    assert _one_list(dual, 5, 0.0, 0.0) == ([], [0, 0, 0])
+    assert _one_list(dual, 4, 5.0, 0.0) == ([], [1, 0, 0])
+    assert _one_list(dual, 4, 1.0, 5.0) == ([], [1, 1, 0])
+    assert _one_list(dual, 4, 1.0, 1.0) == ([1], [1, 1, 1])
 
 
 def test_tie_break_is_oid_ascending():
     """Equal bounds retrieve in ascending oid order, so answers and
     ``entries_retrieved`` do not depend on insertion order."""
-    single = InvertedIndex.from_postings(
-        ["e"], [0] * 5, [9, 3, 7, 1, 4], [5.0, 5.0, 5.0, 5.0, 8.0]
-    )
-    assert single.probe("e", 5.0).tolist() == [4, 1, 3, 7, 9]
-    dual = InvertedIndex.from_postings(["e"], [0] * 4, [9, 3, 7, 1], [5.0] * 4, [1.0] * 4)
-    assert dual.probe("e", 5.0).tolist() == [1, 3, 7, 9]
+    single = InvertedIndex.from_postings([4] * 5, [9, 3, 7, 1, 4], [5.0, 5.0, 5.0, 5.0, 8.0])
+    assert single.probe(4, 5.0).tolist() == [4, 1, 3, 7, 9]
+    dual = InvertedIndex.from_postings([4] * 4, [9, 3, 7, 1], [5.0] * 4, [1.0] * 4)
+    assert dual.probe(4, 5.0).tolist() == [1, 3, 7, 9]
 
 
 def test_index_pickles_self_contained():
     import pickle
 
-    index = InvertedIndex.from_postings(["a", "b"], [0, 0, 1], [0, 1, 2], [2.0, 3.0, 1.0], [1.0, 0.5, 1.0])
+    index = InvertedIndex.from_postings([2, 2, 8], [0, 1, 2], [2.0, 3.0, 1.0], [1.0, 0.5, 1.0])
     restored = pickle.loads(pickle.dumps(index))
-    for column in ("offsets", "oids", "neg_bounds", "t_bounds"):
+    for column in ("codes", "offsets", "oids", "neg_bounds", "t_bounds"):
         assert getattr(restored, column).tobytes() == getattr(index, column).tobytes()
         assert not getattr(restored, column).flags.writeable
-    assert restored.rows == index.rows and restored.rows_unique == index.rows_unique
-    assert _one_list(restored, "a", 2.5, 0.0) == ([1], [1, 1, 1])
+    assert restored.rows_unique == index.rows_unique
+    assert _one_list(restored, 2, 2.5, 0.0) == ([1], [1, 1, 1])
 
 
 # ----------------------------------------------------------------------
@@ -230,7 +234,7 @@ FILTERS = {
     "seal": (
         lambda corpus, w: build_method(corpus, "seal", w, mt=8, max_level=6),
         lambda method: reference_hss.hierarchical_index(
-            method.corpus, method.textual, method.token_grids
+            method.corpus, method, method.token_grids
         ),
     ),
     "predicate-token": (
@@ -300,14 +304,14 @@ def test_index_equals_reference(built, name):
     assert (method.index.t_bounds is not None) == name.startswith(("hash-hybrid", "seal"))
     assert method.index.rows_unique == (name != "hash-hybrid-bucketed")
     assert method.index.num_postings() == sum(map(len, reference.lists.values())) > 0
-    assert method.index.list_lengths().tolist() == [len(p) for p in reference.lists.values()]
+    assert method.index.list_lengths().tolist() == [
+        len(reference.lists[code]) for code in sorted(reference.lists)
+    ]
 
 
-def _missing(element):
-    """A directory key of the same shape that nothing was posted to."""
-    if isinstance(element, tuple):
-        return ("no-such-token", element[1])
-    return "no-such-token" if isinstance(element, str) else -1 - element
+def _missing(code):
+    """A code, distinct per ``code``, that nothing was posted to."""
+    return code - (1 << 62)
 
 
 @pytest.mark.parametrize("name", sorted(set(FILTERS) - {"keyword-first"}))
@@ -320,28 +324,28 @@ def test_probe_loop_equals_reference(built, workload, name):
         if probes is FULL_SCAN:
             full_scans += 1
             continue
-        elements, bound, t_bound = probes
+        codes, bound, t_bound = probes
         # Interleave keys nothing was posted to: a single-bound miss
         # counts as a probe, a dual-bound one does not.
-        elements = [e for element in elements for e in (element, _missing(element))]
+        codes = [c for code in codes for c in (code, _missing(code))]
         ours, theirs = SearchStats(), SearchStats()
-        union = index.union_heads(elements, bound, t_bound, ours)
-        assert oids(union) == sorted(reference.union_heads(elements, bound, t_bound, theirs))
+        union = index.union_heads(codes, bound, t_bound, ours)
+        assert oids(union) == sorted(reference.union_heads(codes, bound, t_bound, theirs))
         assert counters(ours) == counters(theirs)
-        expected_lists = sum(e in reference.lists for e in elements)
-        assert ours.lists_probed == (len(elements) if t_bound is None else expected_lists)
-        misses += len(elements) - expected_lists
+        expected_lists = sum(c in reference.lists for c in codes)
+        assert ours.lists_probed == (len(codes) if t_bound is None else expected_lists)
+        misses += len(codes) - expected_lists
         # Head by head, in list order.
-        for element in elements:
-            plist = reference.lists.get(element)
+        for code in codes:
+            plist = reference.lists.get(code)
             if plist is None:
-                assert len(index.probe(element, bound)) == 0 and element not in index
+                assert len(index.probe(code, bound)) == 0 and code not in index
             elif t_bound is None:
-                assert index.probe(element, bound).tolist() == list(plist.retrieve(bound))
+                assert index.probe(code, bound).tolist() == list(plist.retrieve(bound))
             else:
                 matched, scanned = plist.retrieve(bound, t_bound)
-                assert index.probe(element, bound).tolist() == plist.oids[:scanned]
-                assert _one_list(index, element, bound, t_bound) == (
+                assert index.probe(code, bound).tolist() == plist.oids[:scanned]
+                assert _one_list(index, code, bound, t_bound) == (
                     sorted(set(matched)), [1, scanned, len(matched)],
                 )
         # And the filter's own candidates are that loop over its probes.
@@ -361,8 +365,10 @@ def _reference_sig_filter(method, reference, query, stats):
     ``Σ min(w(s|q), w(s|o))`` over every full list, keep what reaches
     the threshold."""
     acc = defaultdict(float)
-    for element, query_weight in method.scheme.query_signature(query):
-        plist = reference.lists.get(element)
+    signature = method.scheme.query_signature(query)
+    codes = method.encode([element for element, _ in signature])
+    for code, (_, query_weight) in zip(codes, signature):
+        plist = reference.lists.get(code)
         if plist is None:
             continue
         stats.lists_probed += 1
@@ -379,7 +385,7 @@ def _reference_keyword_first(method, reference, query, stats):
     q_total = method.weighter.total_weight(query.tokens)
     overlap = defaultdict(float)
     for token in query.tokens:
-        plist = reference.lists.get(token)
+        plist = reference.lists.get(method.token_ids.get(token))
         if plist is None:
             continue
         stats.lists_probed += 1

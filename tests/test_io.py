@@ -173,11 +173,11 @@ class TestSnapshot:
         with pytest.raises(SnapshotError, match="format 99"):
             load_engine(path)
 
-    @pytest.mark.parametrize("stale", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("stale", [1, 2, 3, 4, 5, 6])
     def test_earlier_formats_rejected(self, tmp_path, stale):
-        """Formats 1–5 (pre keyword-only constructors, pre sidecar, pre
-        segment manifest, pre WAL block, pre one-posting-store) fail
-        loudly at the envelope."""
+        """Formats 1–6 (pre keyword-only constructors, pre sidecar, pre
+        segment manifest, pre WAL block, pre one-posting-store, pre element
+        codes) fail loudly at the envelope."""
         import pickle
 
         path = tmp_path / "stale.pkl"
@@ -363,6 +363,26 @@ class TestSnapshot:
         with pytest.raises(SnapshotError, match="sidecar missing"):
             load_engine(path)
 
+    def test_directory_codes_travel_in_the_sidecar(self, tmp_path, figure1_objects,
+                                                   figure1_weighter, figure1_query):
+        """The directory is one more sidecar array — the code column — and
+        an mmap load maps it read-only."""
+        import numpy as np
+
+        from repro.io.snapshot import sidecar_path
+
+        method = build_method(figure1_objects, "hash-hybrid", figure1_weighter, granularity=4)
+        path = tmp_path / "hybrid.pkl"
+        save_engine(method, path)
+        with np.load(sidecar_path(path)) as npz:
+            stored = [npz[name] for name in npz.files]
+        assert any(np.array_equal(array, method.index.codes) for array in stored)
+        restored = load_engine(path, mmap=True)
+        assert isinstance(restored.index.codes, np.memmap)
+        assert not restored.index.codes.flags.writeable
+        assert restored.index.codes.tolist() == method.index.codes.tolist()
+        assert restored.search(figure1_query).answers == method.search(figure1_query).answers
+
     def test_format3_resave_mmap_loaded_engine_to_same_path(self, tmp_path,
                                                             figure1_objects,
                                                             figure1_weighter,
@@ -437,7 +457,7 @@ def test_format5_checkpoint_is_refused_at_the_envelope(tmp_path, consumer):
     from repro.service import EngineManager
     from tests.durable_testlib import fill, make_durable, snapshot_of, wal_of
 
-    assert SNAPSHOT_FORMAT == 6
+    assert SNAPSHOT_FORMAT == 7
     engine = make_durable(tmp_path)
     fill(engine, 6)
     engine.checkpoint()
@@ -450,7 +470,7 @@ def test_format5_checkpoint_is_refused_at_the_envelope(tmp_path, consumer):
     path.write_bytes(pickle.dumps(envelope))
     wal_before = wal_of(tmp_path).read_bytes()
 
-    refusal = pytest.raises(SnapshotError, match="format 5.*reads format 6; rebuild the index")
+    refusal = pytest.raises(SnapshotError, match="format 5.*reads format 7; rebuild the index")
     if consumer == "load_engine":
         with refusal:
             load_engine(path)
@@ -467,3 +487,36 @@ def test_format5_checkpoint_is_refused_at_the_envelope(tmp_path, consumer):
         with refusal:
             recover(path, wal_of(tmp_path))
         assert wal_of(tmp_path).read_bytes() == wal_before
+
+
+@pytest.mark.parametrize("consumer", ["load_engine", "read_manifest", "inspect", "query"])
+def test_format6_snapshot_is_refused_with_rebuild(tmp_path, consumer, figure1_objects,
+                                                  figure1_weighter, capsys):
+    """Format 6 keyed its directories by token strings and tuples: such a
+    snapshot (what the previous version wrote for every engine) is
+    refused at the envelope, by its format number, before the blob is
+    touched."""
+    import pickle
+
+    from repro.cli import main
+    from repro.io.snapshot import read_manifest
+
+    path = tmp_path / "format6.pkl"
+    save_engine(build_method(figure1_objects, "planned", figure1_weighter, granularity=4), path)
+    envelope = pickle.loads(path.read_bytes())
+    envelope["format"] = 6
+    envelope["engine"] = b"not an engine this library could unpickle"
+    path.write_bytes(pickle.dumps(envelope))
+    refusal = pytest.raises(SnapshotError, match="format 6.*reads format 7; rebuild the index")
+    if consumer == "load_engine":
+        with refusal:
+            load_engine(path, mmap=True)
+    elif consumer == "read_manifest":
+        with refusal:
+            read_manifest(path)
+    else:
+        argv = [consumer, str(path)]
+        if consumer == "query":
+            argv += ["--region", "0,0,1,1", "--tokens", "t1"]
+        assert main(argv) == 2
+        assert "rebuild the index" in capsys.readouterr().err

@@ -115,6 +115,24 @@ class TestHashOrderedSum:
         assert not checker.applies_to("tests/test_verification.py")
 
 
+class TestThresholdContract:
+    def test_flags_products_formed_outside_filter_threshold(self):
+        findings = lint_fixture("bad_threshold_contract.py", "threshold-contract")
+        assert lines(findings) == [5, 6, 8, 9]
+
+    def test_products_routed_through_filter_threshold_pass(self):
+        assert lint_fixture("good_threshold_contract.py", "threshold-contract") == []
+
+    def test_scoped_to_the_filter_side(self):
+        checker = REGISTRY["threshold-contract"]()
+        for path in ("src/repro/filters/base.py", "src/repro/signatures/spatial.py",
+                     "src/repro/baselines/keyword_first.py", "src/repro/extensions/predicates.py",
+                     "src/repro/index/iomodel.py"):
+            assert checker.applies_to(path)
+        # The verifier is the other side of the contract.
+        assert not checker.applies_to("src/repro/core/verification.py")
+
+
 class TestErrorTransport:
     def test_flags_unregistered_raises_and_broad_swallow(self):
         findings = lint_fixture("bad_error_transport.py", "error-transport")

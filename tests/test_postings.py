@@ -136,27 +136,25 @@ class TestReferenceIndex:
 
 class TestInvertedIndex:
     def test_directory_surface(self):
-        index = InvertedIndex.from_postings(
-            ["a", "b"], [0, 0, 1], [0, 1, 0], [1.5, 0.5, 2.0]
-        )
-        assert list(index.probe("a", 1.0)) == [0]
-        assert list(index.probe("missing", 0.0)) == []
-        assert "a" in index and "missing" not in index
+        index = InvertedIndex.from_postings([5, 5, 2], [0, 1, 0], [1.5, 0.5, 2.0])
+        assert list(index.probe(5, 1.0)) == [0]
+        assert list(index.probe(3, 0.0)) == []
+        assert 5 in index and 3 not in index
         assert len(index) == 2
         assert index.num_postings() == 3
-        assert index.list_length("a") == 2
-        assert index.list_length("missing") == 0
+        assert index.list_length(5) == 2
+        assert index.list_length(3) == 0
 
-        assert index.list_lengths().tolist() == [2, 1]
+        assert index.list_lengths().tolist() == [1, 2]  # code order: 2, then 5
         assert index.t_bounds is None and index.rows_unique
 
     def test_empty_index(self):
-        index = InvertedIndex.from_postings([], [], [], [])
+        index = InvertedIndex.from_postings([], [], [])
         assert len(index) == 0 and index.num_postings() == 0
         assert index.list_lengths().tolist() == []
-        assert list(index.probe("anything", 0.0)) == []
+        assert list(index.probe(0, 0.0)) == []
         stats = SearchStats()
-        assert len(index.union_heads(["x", "y"], 0.0, None, stats)) == 0
+        assert len(index.union_heads([1, 2], 0.0, None, stats)) == 0
         assert (stats.lists_probed, stats.entries_retrieved) == (2, 0)
 
 

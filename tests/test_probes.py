@@ -23,6 +23,7 @@ import json
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from repro import Query, Rect, build_method
@@ -153,8 +154,30 @@ def test_probes_through_the_loop_is_candidates(filters, corpus, golden_queries, 
         if shape == "empty-prefix" and name != "token":
             assert elements == [] and len(got) == 0
         if shape == "unknown-token" and name == "token":
-            assert "no-such-token" in elements
+            # The unseen token keeps a code of its own outside the
+            # directory: one more single-bound probe, as before codes.
+            unseen = [code for code in elements if code not in method.index]
+            assert len(unseen) == 1 and unseen[0] < 0
+        if shape == "only-unknown-tokens" and name == "token":
+            assert sorted(elements) == [-2, -1] and stats.lists_probed == 2
     assert seen_full_scan and seen_probes
+
+
+@pytest.mark.parametrize("name", FILTERS + ("hash-hybrid-bucketed",))
+def test_probes_name_lists_by_plain_int_codes(filters, golden_queries, name):
+    """The directory is an int-keyed dict: probe codes are Python ints
+    (a NumPy scalar would hash alike but look up slower), and every code
+    the directory holds is an int64 of the index's code column."""
+    method = filters[name]
+    seen = 0
+    for query in golden_queries:
+        probes = method.probes(query)
+        if probes is FULL_SCAN:
+            continue
+        codes = probes[0]
+        assert all(type(code) is int for code in codes)
+        seen += sum(code in method.index for code in codes)
+    assert seen and method.index.codes.dtype == np.int64
 
 
 def test_probes_take_the_query_alone():

@@ -7,18 +7,22 @@ single-object corpora — and asserts the two framework invariants:
 1. every method's answers equal the naive scan's answers;
 2. every filter's candidate set contains every naive answer (candidates
    are a superset — "no false negatives", Section 3.1's key property).
+
+A third property constructs the threshold boundaries instead of hoping
+to draw them (:func:`tests.strategies.boundary_cases`): τ on an object's
+exact simR / simT, or one ulp either side.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from repro import METHOD_REGISTRY, Query, Rect, build_method, make_corpus
 from repro.core.stats import SearchStats
 from repro.text.weights import TokenWeighter
 
-from tests.strategies import corpus_and_query
+from tests.strategies import boundary_cases, corpus_and_query
 
 _SETTINGS = settings(
     max_examples=25,
@@ -65,6 +69,36 @@ def test_candidates_superset_of_answers(corpus_query):
         assert expected <= candidates, (
             f"{name} lost answers: {expected - candidates} for {query}"
         )
+
+
+#: What the strategy found against a filter bound with no slack
+#: (``filter_threshold`` returning exactly ``τ·total``): ``token`` lost
+#: object 2, which sits on simT = τT.
+_NO_SLACK_FINDING = (
+    make_corpus([(Rect(0, 0, 0, 0), {"t0"}), (Rect(0, 0, 0, 0), {"t0"}),
+                 (Rect(0, 0, 0, 0), {"t1"})]),
+    Query(Rect(0, 0, 0, 0), frozenset({"t0", "t1"}), 1.0, 0.7304227103091853),
+)
+
+
+@settings(_SETTINGS, max_examples=60)
+@given(boundary_cases())
+@example(case=_NO_SLACK_FINDING)
+def test_constructed_threshold_boundaries_match_naive(case):
+    """Every registry member, plus a bucketed ``hash-hybrid`` (colliding
+    bucket codes), answers a boundary query as the naive scan does; the
+    ``seal`` built here always refines below the root, so its packed
+    codes span more than one grid level."""
+    corpus, query = case
+    methods = _methods(corpus)
+    methods["hash-hybrid-bucketed"] = build_method(
+        corpus, "hash-hybrid", methods["naive"].weighter, granularity=8, num_buckets=7
+    )
+    assert any(cell[0] > 0 for grids in methods["seal"].token_grids.values()
+               for cell in grids.cells)
+    expected = methods["naive"].search(query).answers
+    for name, method in methods.items():
+        assert method.search(query).answers == expected, f"{name} at {query}"
 
 
 @pytest.mark.parametrize("name", sorted(METHOD_REGISTRY))

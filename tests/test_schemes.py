@@ -53,7 +53,8 @@ class TestTextualScheme:
             sig = scheme.object_signature(obj)
             expected_tokens.extend(token for token, _ in sig)
             expected_bounds.extend(suffix_bounds([w for _, w in sig]))
-        assert [vocabulary[i] for i in tokens.tolist()] == expected_tokens
+        assert [list(vocabulary)[i] for i in tokens.tolist()] == expected_tokens
+        assert list(vocabulary.values()) == list(range(len(vocabulary)))
         assert bounds.tolist() == expected_bounds
 
     def test_corpus_signatures_with_foreign_weighter(self, figure1_objects):
@@ -61,7 +62,8 @@ class TestTextualScheme:
         be unknown to the weighter and then sort first, by name."""
         weighter = TokenWeighter.from_counts({"t1": 2, "t2": 3}, 7)
         scheme = TextualScheme(weighter)
-        vocabulary, _, tokens, bounds = scheme.corpus_signatures(figure1_objects)
+        ids, _, tokens, bounds = scheme.corpus_signatures(figure1_objects)
+        vocabulary = list(ids)
         flat = iter(zip(tokens.tolist(), bounds.tolist()))
         for obj in figure1_objects:
             sig = scheme.object_signature(obj)

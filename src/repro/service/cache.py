@@ -22,17 +22,35 @@ the result, so the client that computed it can mutate its own copy
 (e.g. merge stats into workload totals) without poisoning the cache;
 ``get`` hands every hit a *fresh* copy, so two clients hitting the same
 entry never alias one mutable :class:`~repro.core.stats.SearchStats`.
+
+**An entry can also keep its answer's wire bytes.**  :meth:`get_encoded`
+serves a hit as the bytes an ``encode`` callable made of the cached
+result, computed on the entry's first such hit and kept beside the
+result until the entry leaves — by eviction, :meth:`drop_stale` or
+:meth:`clear`.  Bytes are immutable, so a hit served this way needs no
+copy; the cache never learns what the encoding is.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.objects import Query
 from repro.core.stats import SearchResult
+
+
+class _Entry:
+    """One cached answer: the private result, and its encoded form once
+    a :meth:`ResultCache.get_encoded` hit has asked for it."""
+
+    __slots__ = ("result", "encoded")
+
+    def __init__(self, result: SearchResult) -> None:
+        self.result = result
+        self.encoded: Optional[bytes] = None
 
 
 class ResultCache:
@@ -51,7 +69,7 @@ class ResultCache:
             raise ConfigurationError("cache capacity must be a positive int")
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[Tuple[int, Query], SearchResult]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple[int, Query], _Entry]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -64,15 +82,40 @@ class ResultCache:
 
     def get(self, epoch: int, query: Query) -> Optional[SearchResult]:
         """A fresh copy of the cached result, or None on a miss."""
+        entry = self._lookup((epoch, query))
+        return entry.result.copy() if entry is not None else None
+
+    def get_encoded(
+        self, epoch: int, query: Query, encode: Callable[[SearchResult], bytes]
+    ) -> Optional[bytes]:
+        """The cached result as ``encode`` turns it into bytes, or None
+        on a miss.
+
+        The first such hit on an entry encodes outside the lock (the
+        cached result is private and never mutated, so that is safe) and
+        keeps the bytes only if the entry is still cached by then.
+        """
         key = (epoch, query)
+        entry = self._lookup(key)
+        if entry is None:
+            return None
+        encoded = entry.encoded
+        if encoded is None:
+            encoded = encode(entry.result)
+            with self._lock:
+                if self._entries.get(key) is entry:
+                    entry.encoded = encoded
+        return encoded
+
+    def _lookup(self, key: Tuple[int, Query]) -> Optional[_Entry]:
         with self._lock:
-            result = self._entries.get(key)
-            if result is None:
+            entry = self._entries.get(key)
+            if entry is None:
                 self.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            return result.copy()
+            return entry
 
     def put(self, epoch: int, query: Query, result: SearchResult) -> None:
         """Store a defensive copy of ``result`` under the epoch-keyed slot.
@@ -89,7 +132,7 @@ class ResultCache:
             if epoch < self._epoch_floor:
                 self.stale_puts += 1
                 return
-            self._entries[key] = result.copy()
+            self._entries[key] = _Entry(result.copy())
             self._entries.move_to_end(key)
             self.stores += 1
             while len(self._entries) > self.capacity:
@@ -134,6 +177,7 @@ class ResultCache:
             lookups = self.hits + self.misses
             return {
                 "size": len(self._entries),
+                "encoded": sum(entry.encoded is not None for entry in self._entries.values()),
                 "capacity": self.capacity,
                 "hits": self.hits,
                 "misses": self.misses,

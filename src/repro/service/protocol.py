@@ -40,6 +40,13 @@ hierarchy client-side, so a networked
 :class:`~repro.core.errors.AdmissionRejected` raises exactly like a
 local one.
 
+A query's ok-response can also be built from bytes: :func:`result_members`
+encodes its ``"answers":…,"stats":…`` members once (the result cache
+keeps them), and :func:`result_frame` splices the
+``{"ok":true,"epoch":…,"generation":…,"pid":…,`` envelope of
+:func:`result_envelope` in front — byte-identical to encoding the whole
+object again.
+
 This module is pure codec — no sockets.  The transport loops (server
 accept/drain, client blocking reads) live in
 :mod:`repro.service.server`.
@@ -98,6 +105,12 @@ ERROR_KINDS: Dict[str, type] = {
 }
 
 
+#: The one compact encoder every frame goes through (``json.dumps`` with
+#: ``separators`` would build a fresh encoder per call).  Stateless
+#: between calls, so threads share it.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def encode_frame(payload: Mapping[str, Any], *, max_frame: int = MAX_FRAME_BYTES) -> bytes:
     """One wire frame: 4-byte big-endian length + compact JSON bytes.
 
@@ -105,7 +118,34 @@ def encode_frame(payload: Mapping[str, Any], *, max_frame: int = MAX_FRAME_BYTES
         ProtocolError: The encoded payload exceeds ``max_frame`` — the
             sender finds out locally instead of the peer dropping it.
     """
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    return _framed(_ENCODER.encode(payload).encode("utf-8"), max_frame)
+
+
+def result_members(result: SearchResult) -> bytes:
+    """The ``"answers":…,"stats":…`` members of a query response, encoded
+    once: the part of the frame a cached answer can keep as bytes."""
+    return _ENCODER.encode(result_to_wire(result))[1:-1].encode("utf-8")
+
+
+def result_envelope(meta: Mapping[str, Any]) -> bytes:
+    """The ``{"ok":true,<meta>,`` head of a query's ok-response; it
+    changes only when the serving identity does, so a connection keeps
+    it across responses."""
+    return _ENCODER.encode({"ok": True, **meta})[:-1].encode("utf-8") + b","
+
+
+def result_frame(envelope: bytes, members: bytes, *, max_frame: int = MAX_FRAME_BYTES) -> bytes:
+    """A query's ok-response frame: :func:`result_envelope` spliced in
+    front of the encoded :func:`result_members`, byte-identical to
+    ``encode_frame({"ok": True, **meta, **result_to_wire(result)})``.
+
+    Raises:
+        ProtocolError: As :func:`encode_frame`.
+    """
+    return _framed(envelope + members + b"}", max_frame)
+
+
+def _framed(body: bytes, max_frame: int) -> bytes:
     if len(body) > max_frame:
         raise ProtocolError(
             f"frame of {len(body)} bytes exceeds the {max_frame}-byte limit"
@@ -195,15 +235,14 @@ def query_from_wire(fields: Mapping[str, Any]) -> Query:
 
 #: The stats fields that travel; mirrors SearchStats so a networked
 #: result carries the same instrumentation a local one does.
-_STATS_FIELDS = (
+_COUNTER_FIELDS = (
     "lists_probed",
     "entries_retrieved",
     "entries_matched",
     "candidates",
     "results",
-    "filter_seconds",
-    "verify_seconds",
 )
+_STATS_FIELDS = _COUNTER_FIELDS + ("filter_seconds", "verify_seconds")
 
 
 def result_to_wire(result: SearchResult) -> Dict[str, Any]:
@@ -219,19 +258,26 @@ def result_from_wire(fields: Mapping[str, Any]) -> SearchResult:
     """Rebuild a :class:`SearchResult` from wire fields.
 
     Raises:
-        ProtocolError: Missing/malformed answers — a server that sends
-            half a result is a protocol violation, not a quiet [].
+        ProtocolError: Missing/malformed answers or stats — a server
+            that sends half a result is a protocol violation, not a
+            quiet [].  JSON ``true`` is an ``int`` to Python but never
+            an oid or a counter here.
     """
     answers = fields.get("answers")
-    if not isinstance(answers, list) or not all(isinstance(a, int) for a in answers):
+    if not isinstance(answers, list) or not all(type(a) is int for a in answers):
         raise ProtocolError("'answers' must be a list of integer oids")
     stats_fields = fields.get("stats") or {}
     if not isinstance(stats_fields, Mapping):
         raise ProtocolError("'stats' must be an object")
-    stats = SearchStats(
-        **{name: stats_fields[name] for name in _STATS_FIELDS if name in stats_fields}
-    )
-    return SearchResult(answers=list(answers), stats=stats)
+    stats = {name: stats_fields[name] for name in _STATS_FIELDS if name in stats_fields}
+    for name, value in stats.items():
+        whole = name in _COUNTER_FIELDS
+        if isinstance(value, bool) or not isinstance(value, int if whole else (int, float)):
+            raise ProtocolError(
+                f"stat {name!r} must be {'an integer' if whole else 'a number'}, "
+                f"got {type(value).__name__}"
+            )
+    return SearchResult(answers=list(answers), stats=SearchStats(**stats))
 
 
 def results_from_wire(items: Sequence[Mapping[str, Any]]) -> List[SearchResult]:

@@ -50,6 +50,8 @@ from repro.service.protocol import (
     query_from_wire,
     query_to_wire,
     raise_from_wire,
+    result_envelope,
+    result_frame,
     result_from_wire,
     result_to_wire,
     results_from_wire,
@@ -65,6 +67,14 @@ _POLL_SECONDS = 0.2
 #: Seconds a draining connection keeps waiting for the remainder of a
 #: frame the client already started sending; past it the drain wins.
 _DRAIN_GRACE = 5.0
+
+#: Request-body bytes one connection's query memo may hold; it starts
+#: over when the next body would pass this.  What it keeps grows with
+#: the body: a typical ~200-byte query costs ~1.7 KiB, and the worst
+#: measured case (4 KiB of two-character tokens: a frozenset plus one
+#: str per token) ~19× its body — so a connection holds at most
+#: ~2.5 MiB, or ~650 typical queries.
+QUERY_MEMO_BYTES = 128 * 1024
 
 
 # ----------------------------------------------------------------------
@@ -117,17 +127,17 @@ def _recv_bytes(
     return b"".join(chunks)
 
 
-def recv_frame(
+def recv_body(
     conn: socket.socket,
     stop: threading.Event,
     *,
     max_frame: int = MAX_FRAME_BYTES,
-) -> Optional[Dict[str, Any]]:
-    """One request frame, or ``None`` on clean EOF / drain between frames.
+) -> Optional[bytes]:
+    """One request frame's body bytes, or ``None`` on clean EOF / drain
+    between frames.
 
     Raises:
-        ProtocolError: Truncated frame, oversized/zero length prefix, or
-            undecodable body.
+        ProtocolError: Truncated frame or oversized/zero length prefix.
     """
     header = _recv_bytes(conn, HEADER_BYTES, stop, mid_frame=False)
     if header is None:
@@ -135,11 +145,7 @@ def recv_frame(
     length = check_frame_length(int.from_bytes(header, "big"), max_frame=max_frame)
     body = _recv_bytes(conn, length, stop, mid_frame=True)
     assert body is not None  # mid_frame reads never return None
-    return decode_payload(body)
-
-
-def _send_frame(conn: socket.socket, payload: Dict[str, Any], *, max_frame: int) -> None:
-    conn.sendall(encode_frame(payload, max_frame=max_frame))
+    return body
 
 
 # ----------------------------------------------------------------------
@@ -148,11 +154,9 @@ def _send_frame(conn: socket.socket, payload: Dict[str, Any], *, max_frame: int)
 
 
 def _dispatch(service: Any, request: Dict[str, Any]) -> Dict[str, Any]:
-    """Execute one request against the service; returns the ok-payload."""
+    """Execute one non-``query`` request against the service; returns
+    the ok-payload."""
     op = request.get("op")
-    if op == "query":
-        result = service.query(query_from_wire(request))
-        return result_to_wire(result)
     if op == "batch":
         items = request.get("queries")
         if not isinstance(items, list):
@@ -192,30 +196,63 @@ def serve_connection(
     """Serve one client connection until EOF, drain, or a framing error.
 
     Requests run in lockstep (read → execute → respond).  Service-level
-    failures (admission rejection, deadline, bad query fields) answer an
-    error frame and the conversation continues; framing violations
-    answer an error frame *and close* — after garbage bytes there is no
-    reliable way back to a frame boundary.  When ``stop`` sets, the
-    in-flight request finishes and its response is sent before the
-    close, so a drained client never loses an answered query.
+    failures (admission rejection, deadline, bad query fields, an answer
+    too large for one frame) answer an error frame and the conversation
+    continues; framing violations answer an error frame *and close* —
+    after garbage bytes there is no reliable way back to a frame
+    boundary.  When ``stop`` sets, the in-flight request finishes and
+    its response is sent before the close, so a drained client never
+    loses an answered query.
+
+    A ``query`` op is answered by ``service.query_wire`` spliced into
+    its frame.  The connection remembers the :class:`Query` each
+    distinct ``query`` body validated to (up to :data:`QUERY_MEMO_BYTES`
+    of bodies, then it starts over), so a byte-identical repeat skips
+    JSON decode and validation; a body that failed either is never
+    stored.
     """
     conn.settimeout(_POLL_SECONDS)
+    memo: Dict[bytes, Query] = {}
+    memo_bytes = 0
+    # The serving identity and its encoded response envelope, re-encoded
+    # only when the identity changes (an epoch bump, a new generation).
+    identity: Optional[Dict[str, Any]] = None
+    envelope = b""
     try:
         while True:
             try:
-                request = recv_frame(conn, stop, max_frame=max_frame)
+                body = recv_body(conn, stop, max_frame=max_frame)
+                if body is None:
+                    return
+                query = memo.get(body)
+                request = decode_payload(body) if query is None else None
             except ProtocolError as exc:
-                _best_effort_send(conn, {**error_to_wire(exc), **meta()}, max_frame)
-                return
-            if request is None:
+                _send_error(conn, exc, meta, max_frame)
                 return
             try:
-                payload = _dispatch(service, request)
-                response = {"ok": True, **meta(), **payload}
+                if request is not None and request.get("op") == "query":
+                    query = query_from_wire(request)
+                    if len(body) <= QUERY_MEMO_BYTES:
+                        if memo_bytes + len(body) > QUERY_MEMO_BYTES:
+                            memo.clear()
+                            memo_bytes = 0
+                        memo[body] = query
+                        memo_bytes += len(body)
+                if query is not None:
+                    members = service.query_wire(query)
+                    current = meta()
+                    if current != identity:
+                        identity, envelope = current, result_envelope(current)
+                    frame = result_frame(envelope, members, max_frame=max_frame)
+                else:
+                    payload = _dispatch(service, request)
+                    frame = encode_frame({"ok": True, **meta(), **payload}, max_frame=max_frame)
             except SealError as exc:
                 # Expected service-level failure (rejection, deadline,
-                # bad query): answer the error frame and keep serving.
-                response = {**error_to_wire(exc), **meta()}
+                # bad query, oversized answer): answer the error frame
+                # and keep serving.
+                if not _send_error(conn, exc, meta, max_frame):
+                    return
             # repro-lint: disable=error-transport -- outermost connection boundary: the failure must cross as a frame; unexpected types are logged loudly here and the connection drops
             except Exception as exc:  # noqa: BLE001
                 # Unexpected failure: this is a bug, not a client error.
@@ -225,16 +262,13 @@ def serve_connection(
                 _LOG.exception(
                     "unexpected %s serving op %r; closing connection",
                     type(exc).__name__,
-                    request.get("op") if isinstance(request, dict) else request,
+                    request.get("op") if request is not None else "query",
                 )
-                _best_effort_send(conn, {**error_to_wire(exc), **meta()}, max_frame)
+                _send_error(conn, exc, meta, max_frame)
                 return
-            try:
-                _send_frame(conn, response, max_frame=max_frame)
-            except (OSError, ProtocolError):
-                # Client went away mid-response (or the response itself
-                # exceeds the frame cap): nothing left to say to them.
-                return
+            else:
+                if not _send(conn, frame):
+                    return
             if stop.is_set():
                 return
     finally:
@@ -279,11 +313,28 @@ def accept_connections(
         thread.join(timeout=_DRAIN_GRACE + 2.0)
 
 
-def _best_effort_send(conn: socket.socket, payload: Dict[str, Any], max_frame: int) -> None:
+def _send(conn: socket.socket, frame: bytes) -> bool:
+    """Send one frame; False when the client went away mid-response."""
     try:
-        _send_frame(conn, payload, max_frame=max_frame)
-    except (OSError, ProtocolError):  # pragma: no cover - peer already gone
-        pass
+        conn.sendall(frame)
+    except OSError:
+        return False
+    return True
+
+
+def _send_error(
+    conn: socket.socket,
+    exc: BaseException,
+    meta: Callable[[], Dict[str, Any]],
+    max_frame: int,
+) -> bool:
+    """Answer ``exc`` as an error frame; False when it could not go out
+    (the client is gone, or the message alone exceeds the frame cap)."""
+    try:
+        frame = encode_frame({**error_to_wire(exc), **meta()}, max_frame=max_frame)
+    except ProtocolError:
+        return False
+    return _send(conn, frame)
 
 
 def _close_socket(conn: socket.socket) -> None:

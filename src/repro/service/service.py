@@ -5,6 +5,8 @@ the serving primitives into one request path::
 
     client ──> QueryService            (every step on the caller's thread)
                  │  1. ResultCache.get(epoch, query)          — hit? done.
+                 │       (query_wire: the hit is the cached answer's
+                 │        encoded wire bytes, no copy)
                  │  2. AdmissionController.run(...)           — reject now,
                  │       expire at the deadline, or hold an execution slot
                  │  3. EngineManager.reading() → (engine, E)  — shared lock
@@ -24,7 +26,8 @@ Correctness properties the tests pin:
   every answer-affecting mutation bumps it (see
   :mod:`repro.service.cache` and :mod:`repro.service.manager`);
 * results handed to clients are private copies — two clients never
-  share one mutable :class:`~repro.core.stats.SearchStats`;
+  share one mutable :class:`~repro.core.stats.SearchStats` (the wire
+  path hands out immutable bytes instead);
 * overload rejects loudly at admission instead of queueing unboundedly.
 
 Single queries reach the engine through
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.core.objects import Query
 from repro.core.stats import SearchResult
@@ -50,6 +53,13 @@ from repro.service.admission import AdmissionController
 from repro.service.cache import ResultCache
 from repro.service.manager import EngineManager
 from repro.service.metrics import LatencyHistogram, RequestCounters
+from repro.service.protocol import result_members
+
+_T = TypeVar("_T")
+
+
+def _same(result: SearchResult) -> SearchResult:
+    return result
 
 
 class QueryService:
@@ -148,13 +158,42 @@ class QueryService:
             DeadlineExceeded: The deadline lapsed before an execution
                 slot was free.
         """
+        return self._serve(query, deadline, self._cache_lookup, _same)
+
+    def query_wire(self, query: Query) -> bytes:
+        """:meth:`query`, answered as the response's encoded
+        :func:`~repro.service.protocol.result_members` — what a network
+        server splices into its frame.
+
+        A hit returns the bytes the cache keeps beside the entry (encoded
+        on its first wire hit), so a repeated request re-encodes and
+        copies nothing; a miss runs the engine once and encodes its
+        result.  Counters, admission and latency are :meth:`query`'s.
+
+        Raises:
+            AdmissionRejected: As :meth:`query`.
+            DeadlineExceeded: As :meth:`query`.
+        """
+        return self._serve(query, None, self._cached_members, result_members)
+
+    def _serve(
+        self,
+        query: Query,
+        deadline: float | None,
+        lookup: Callable[[Query], Optional[_T]],
+        finish: Callable[[SearchResult], _T],
+    ) -> _T:
+        """The one single-query path: count, ``lookup`` the cache, else
+        run admitted and ``finish`` the engine's result."""
         started = time.perf_counter()
         self._counters.request()
-        hit = self._cache_lookup(query)
+        hit = lookup(query)
         if hit is not None:
             self._histogram.observe(time.perf_counter() - started)
             return hit
-        return self._admission.run(self._timed_execute, query, started, deadline=deadline)
+        return finish(
+            self._admission.run(self._timed_execute, query, started, deadline=deadline)
+        )
 
     def search(
         self, region: Rect, tokens: Iterable[str], tau_r: float, tau_t: float
@@ -213,6 +252,11 @@ class QueryService:
         if self._cache is None:
             return None
         return self._cache.get(self._manager.epoch, query)
+
+    def _cached_members(self, query: Query) -> Optional[bytes]:
+        if self._cache is None:
+            return None
+        return self._cache.get_encoded(self._manager.epoch, query, result_members)
 
     def _timed_execute(self, query: Query, started: float) -> SearchResult:
         try:

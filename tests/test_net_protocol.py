@@ -10,9 +10,13 @@ without binding a port.
 from __future__ import annotations
 
 import socket
+import string
 import threading
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Query, Rect
 from repro.core.errors import (
@@ -33,9 +37,13 @@ from repro.service.protocol import (
     query_from_wire,
     query_to_wire,
     raise_from_wire,
+    result_envelope,
+    result_frame,
     result_from_wire,
+    result_members,
     result_to_wire,
 )
+from repro.service import server
 from repro.service.server import serve_connection
 
 
@@ -99,6 +107,50 @@ class TestCodec:
         with pytest.raises(ProtocolError):
             query_from_wire(fields)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {},
+            {"answers": "1,2", "stats": {}},
+            {"answers": [1, 2.0], "stats": {}},
+            {"answers": [True, False], "stats": {}},
+            {"answers": [1], "stats": [1]},
+            {"answers": [1], "stats": {"lists_probed": "lots"}},
+            {"answers": [1], "stats": {"candidates": True}},
+            {"answers": [1], "stats": {"results": 2.0}},
+            {"answers": [1], "stats": {"filter_seconds": "fast"}},
+            {"answers": [1], "stats": {"verify_seconds": False}},
+        ],
+    )
+    def test_result_from_wire_rejects_malformed_fields(self, fields):
+        with pytest.raises(ProtocolError):
+            result_from_wire(fields)
+
+
+#: Any JSON-encodable stats float, non-finite ones included (the encoder
+#: spells them NaN / Infinity on both paths alike).
+_seconds = st.floats(allow_nan=True, allow_infinity=True)
+_counter = st.integers(min_value=0, max_value=2**63)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    answers=st.lists(st.integers(min_value=-(2**63), max_value=2**63)),
+    counters=st.tuples(*[_counter] * 5),
+    seconds=st.tuples(_seconds, _seconds),
+    epoch=st.integers(min_value=0, max_value=2**63),
+    generation=st.none() | st.integers(min_value=0, max_value=2**63),
+    pid=st.integers(min_value=0, max_value=2**31),
+)
+def test_spliced_result_frame_is_byte_identical(answers, counters, seconds, epoch, generation, pid):
+    """The cached-bytes path encodes exactly what the dict path does."""
+    stats = SearchStats(*counters, *seconds)
+    result = SearchResult(answers=answers, stats=stats)
+    meta = {"epoch": epoch, "generation": generation, "pid": pid}
+    assert result_frame(result_envelope(meta), result_members(result)) == encode_frame(
+        {"ok": True, **meta, **result_to_wire(result)}
+    )
+
 
 class TestErrorEnvelopes:
     @pytest.mark.parametrize(
@@ -136,6 +188,9 @@ class StubService:
         self.calls += 1
         return SearchResult(answers=[1, 2], stats=SearchStats(results=2))
 
+    def query_wire(self, query):
+        return result_members(self.query(query))
+
     def query_batch(self, queries):
         return [self.query(q) for q in queries]
 
@@ -167,6 +222,15 @@ def conversation():
     client_side.close()
     thread.join(timeout=10.0)
     assert not thread.is_alive(), "serve_connection failed to terminate"
+
+
+@pytest.fixture()
+def decoded(monkeypatch):
+    """The request fields the server validated into a Query, in order."""
+    calls = []
+    real = server.query_from_wire
+    monkeypatch.setattr(server, "query_from_wire", lambda fields: calls.append(fields) or real(fields))
+    return calls
 
 
 def _read_frame(sock: socket.socket) -> dict:
@@ -261,6 +325,72 @@ class TestServeConnection:
         assert response["ok"] is False
         assert "region" in response["error"]
         assert service.calls == 0
+
+    def test_invalid_body_is_never_memoized(self, conversation):
+        client, service, _ = conversation
+        frame = encode_frame({**VALID_QUERY, "tau_r": 5.0})
+        errors = []
+        for _ in range(2):
+            client.sendall(frame)
+            response = _read_frame(client)
+            assert response["ok"] is False and response["kind"] == "ProtocolError"
+            errors.append(response["error"])
+        assert errors[0] == errors[1] and "tau_r" in errors[0]
+        assert service.calls == 0
+
+    def test_repeated_body_is_decoded_once(self, conversation, decoded):
+        client, service, _ = conversation
+        frame = encode_frame(VALID_QUERY)
+        for _ in range(3):
+            client.sendall(frame)
+            assert _read_frame(client)["answers"] == [1, 2]
+        assert len(decoded) == 1 and service.calls == 3
+        # The same query spelled differently is a different body.
+        client.sendall(encode_frame({**VALID_QUERY, "tokens": ["a", "a"]}))
+        assert _read_frame(client)["ok"] is True
+        assert len(decoded) == 2
+
+    def test_memo_starts_over_at_its_byte_budget(self, conversation, decoded, monkeypatch):
+        client, _, _ = conversation
+        frames = [encode_frame({**VALID_QUERY, "tau_t": tau}) for tau in (0.1, 0.2, 0.3)]
+        monkeypatch.setattr(server, "QUERY_MEMO_BYTES", 2 * (len(frames[0]) - HEADER_BYTES))
+        for frame in frames + frames[:1]:
+            client.sendall(frame)
+            assert _read_frame(client)["ok"] is True
+        # The third body would have passed the budget, so the memo
+        # started over and the first one is decoded again.
+        assert len(decoded) == 4
+
+    def test_a_body_over_the_budget_is_not_memoized(self, conversation, decoded, monkeypatch):
+        client, _, _ = conversation
+        frame = encode_frame(VALID_QUERY)
+        monkeypatch.setattr(server, "QUERY_MEMO_BYTES", len(frame) - HEADER_BYTES - 1)
+        for _ in range(2):
+            client.sendall(frame)
+            assert _read_frame(client)["answers"] == [1, 2]
+        assert len(decoded) == 2
+
+    def test_token_heavy_bodies_keep_the_memo_to_a_few_mib(self, conversation):
+        """A remembered Query costs many times its body (one str per
+        token), so the memo is bounded by the bytes it keeps: 200
+        distinct ~4 KiB bodies of 780 two-character tokens would pin
+        ~15 MB with no bound; the budget keeps ~32 of them."""
+        client, _, _ = conversation
+        alphabet = string.ascii_letters + string.digits
+        tokens = [alphabet[i % 62] + alphabet[i // 62] for i in range(780)]
+
+        def heavy(k: int) -> bytes:
+            return encode_frame({**VALID_QUERY, "tokens": tokens, "tau_t": (k + 1) / 256})
+
+        tracemalloc.start()
+        try:
+            for k in range(200):
+                client.sendall(heavy(k))
+                assert _read_frame(client)["ok"] is True
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_client_disconnect_between_frames_is_clean(self, conversation):
         client, _, _ = conversation

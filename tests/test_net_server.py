@@ -13,7 +13,7 @@ import threading
 
 import pytest
 
-from repro import Query, Rect, SegmentedSealSearch
+from repro import Query, Rect, SegmentedSealSearch, SpatioTextualObject, build_method
 from repro.core.errors import (
     AdmissionRejected,
     DeadlineExceeded,
@@ -124,6 +124,47 @@ class TestIdentityAndErrors:
                 with pytest.raises((ServiceError, ProtocolError)):
                     client._rpc({"op": "query", "region": [0, 0, 1, 1],
                                  "tokens": ["a"], "tau_r": 0.1, "tau_t": 0.1})
+
+
+class TestCachedWirePath:
+    """A cached answer goes out as stored bytes; a repeat skips decode."""
+
+    def test_identical_request_across_an_epoch_bump(self, twitter_small, twitter_small_queries):
+        pairs = [(obj.region, obj.tokens) for obj in twitter_small]
+        engine = SegmentedSealSearch(pairs, "token", buffer_capacity=64)
+        query = twitter_small_queries[0]
+        with QueryService(engine) as service, NetworkServer(service) as server, \
+                NetworkClient(*server.address, timeout=10.0) as client:
+            # The client encodes a query deterministically, so each of
+            # these requests is byte-identical to the first.
+            before = client.query(query).answers
+            assert client.query(query).answers == before
+            assert service.cache.counters()["encoded"] == 1
+            oid = service.insert(query.region, query.tokens)
+            after = client.query(query)
+            assert client.last_meta["epoch"] == service.epoch
+            assert oid in after.answers and oid not in before
+            live = [SpatioTextualObject(i, r, t) for i, (r, t) in enumerate(pairs)]
+            live.append(SpatioTextualObject(oid, query.region, query.tokens))
+            naive = build_method(live, "naive", engine.weighter)
+            assert after.answers == naive.search(query).answers
+            assert client.query(query).answers == after.answers
+            assert service.cache.counters()["hits"] == 2
+
+    def test_oversized_answer_fails_the_request_not_the_connection(self):
+        objects = [(Rect(0, 0, 10, 10), {"a"})] * 200
+        query = Query(Rect(0, 0, 10, 10), frozenset({"a"}), 0.5, 0.5)
+        with QueryService(SegmentedSealSearch(objects, "token")) as service, \
+                NetworkServer(service, max_frame=600) as server, \
+                NetworkClient(*server.address, timeout=10.0) as client:
+            for _ in range(2):  # the miss, then the cached bytes
+                with pytest.raises(ProtocolError, match="exceeds the 600-byte limit"):
+                    client.query(query)
+                assert client.ping()["ok"] is True
+            with pytest.raises(ProtocolError, match="exceeds"):
+                client.query_batch([query])
+            assert client.ping()["ok"] is True
+            assert len(service.query(query).answers) == 200
 
 
 class TestAdmissionOverTheWire:

@@ -149,12 +149,69 @@ class TestInvalidation:
         cache.get(0, make_query())
         counters = cache.counters()
         assert set(counters) == {
-            "size", "capacity", "hits", "misses", "hit_rate", "stores",
+            "size", "encoded", "capacity", "hits", "misses", "hit_rate", "stores",
             "evictions", "invalidated", "stale_puts",
         }
         assert counters["size"] == 1 and counters["capacity"] == 8
         assert counters["hits"] == 1 and counters["misses"] == 0
         assert counters["hit_rate"] == 1.0
+
+
+def encode(result: SearchResult) -> bytes:
+    return repr(result.answers).encode()
+
+
+class TestEncodedSlot:
+    """``get_encoded`` keeps a hit's bytes beside its entry."""
+
+    def test_encodes_on_the_first_hit_only(self):
+        cache = ResultCache(capacity=4)
+        q = make_query()
+        calls = []
+
+        def counting(result):
+            calls.append(result)
+            return encode(result)
+
+        assert cache.get_encoded(0, q, counting) is None
+        cache.put(0, q, make_result())
+        first = cache.get_encoded(0, q, counting)
+        assert first == b"[1, 2, 3]"
+        assert cache.get_encoded(0, q, counting) is first
+        assert len(calls) == 1
+        assert cache.hits == 2 and cache.misses == 1
+        assert cache.get(0, q).answers == [1, 2, 3]  # the result is still served too
+        assert cache.counters()["encoded"] == 1
+
+    def test_a_put_during_encoding_keeps_the_new_entry_bare(self):
+        cache = ResultCache(capacity=4)
+        q = make_query()
+        cache.put(0, q, make_result(answers=(1,)))
+
+        def racing(result):
+            cache.put(0, q, make_result(answers=(2,)))  # replaced mid-encode
+            return encode(result)
+
+        assert cache.get_encoded(0, q, racing) == b"[1]"
+        assert cache.counters()["encoded"] == 0
+        assert cache.get_encoded(0, q, encode) == b"[2]"
+
+    def test_the_slot_leaves_with_its_entry(self):
+        cache = ResultCache(capacity=2)
+        for epoch, x in ((0, 0.0), (0, 1.0), (1, 2.0), (1, 3.0)):
+            cache.put(epoch, make_query(x), make_result())
+            cache.get_encoded(epoch, make_query(x), encode)
+            counters = cache.counters()
+            assert counters["encoded"] <= counters["size"]
+        assert cache.evictions == 2 and cache.counters()["encoded"] == 2
+        cache.put(2, make_query(4.0), make_result())
+        cache.drop_stale(2)
+        assert cache.counters()["size"] == 1 and cache.counters()["encoded"] == 0
+        cache.get_encoded(2, make_query(4.0), encode)
+        assert cache.counters()["encoded"] == 1
+        cache.clear()
+        assert cache.counters()["encoded"] == 0
+        assert cache.get_encoded(2, make_query(4.0), encode) is None
 
 
 class TestDefensiveCopies:

@@ -5,8 +5,9 @@ A hypothesis ``RuleBasedStateMachine`` drives ``QueryService`` over
 victims), flush, compact, checkpoint, close-and-recover, query — against
 a dict of the acknowledged live set, with one invariant:
 
-    every answer equals a from-scratch ``naive`` scan of the
-    acknowledged live set under the engine's own weighter.
+    every answer — in-process and as the encoded wire bytes — equals a
+    from-scratch ``naive`` scan of the acknowledged live set under the
+    engine's own weighter.
 
 Run per ``buffer_capacity`` ∈ {2, 4} with the index tier boundary
 patched to 0 (every segment gets the configured method), 6 (seals stay
@@ -28,6 +29,7 @@ from repro import Query, Rect, SpatioTextualObject, build_method
 from repro.exec import segments
 from repro.exec.durable import DurableSegmentedSealSearch
 from repro.service import QueryService
+from repro.service.protocol import decode_payload, result_from_wire
 
 from tests.strategies import nonempty_token_sets, queries, rects
 
@@ -74,6 +76,9 @@ class StackMachine(RuleBasedStateMachine):
         )
         expected = [live[i] for i in scan.search(query).answers]
         assert self.service.query(query).answers == expected
+        # The wire path: the cached entry's encoded bytes, once warm.
+        members = self.service.query_wire(query)
+        assert result_from_wire(decode_payload(b"{" + members + b"}")).answers == expected
 
     @property
     def pending(self) -> int:

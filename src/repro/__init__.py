@@ -26,7 +26,10 @@ through the canonical filter→verify pipeline
 (:func:`repro.exec.pipeline.execute_query`); the same pipeline drives:
 
 * ``engine.search_batch(queries)`` — a :class:`~repro.exec.BatchExecutor`
-  runs the workload through that path and aggregates
+  runs the workload through its batched twin
+  (:func:`repro.exec.pipeline.execute_batch`: one filter and one verify
+  pass per batch, for ``token``, ``grid`` and ``planned``) or, on any
+  other engine, through that path query by query, and aggregates
   :class:`~repro.exec.BatchStats`;
 * :class:`~repro.exec.SegmentedSealSearch` — the updatable engine: a
   write buffer sealed into immutable segments, deletes as tombstones,

@@ -187,6 +187,13 @@ class Verifier:
             oids = candidates
         else:
             oids = np.fromiter(candidates, dtype=np.intp, count=len(candidates))
+        q_rect = query.region
+        return oids[self._spatial_pass(oids, *q_rect.as_tuple(), q_rect.area, query.tau_r)]
+
+    def _spatial_pass(self, oids, qx1, qy1, qx2, qy2, q_area, tau_r) -> np.ndarray:
+        """The spatial mask over ``oids``; the query's fields are scalars
+        (one query) or arrays parallel to ``oids`` (a batch's pairs), and
+        either way every element sees the same float64 operations."""
         columns = self._columns
         if columns is None:
             # Built on first use, never in __init__: most verifiers (one
@@ -197,26 +204,20 @@ class Verifier:
             ).reshape(-1, 4)
             x1, y1, x2, y2 = np.ascontiguousarray(coords.T)
             columns = self._columns = (x1, y1, x2, y2, (x2 - x1) * (y2 - y1))
-        q_rect = query.region
-        qx1, qy1, qx2, qy2 = q_rect.as_tuple()
-        tau_r = query.tau_r
         x1, y1, x2, y2, areas = (column.take(oids) for column in columns)
         dx = np.minimum(qx2, x2) - np.maximum(qx1, x1)
         dy = np.minimum(qy2, y2) - np.maximum(qy1, y1)
         inter = dx * dy
         inter[(dx <= 0.0) | (dy <= 0.0)] = 0.0
-        union = (q_rect.area + areas) - inter
+        union = (q_area + areas) - inter
         mask = inter >= tau_r * union
         degenerate = union <= 0.0
         if degenerate.any():
-            if tau_r > 0.0:
-                mask[degenerate] = (
-                    (x1[degenerate] == qx1) & (y1[degenerate] == qy1)
-                    & (x2[degenerate] == qx2) & (y2[degenerate] == qy2)
-                )
-            else:
-                mask[degenerate] = True
-        return oids[mask]
+            # Two degenerate regions: similar only when identical, unless
+            # τR is vacuous.
+            identical = (x1 == qx1) & (y1 == qy1) & (x2 == qx2) & (y2 == qy2)
+            mask[degenerate] = (identical | (tau_r <= 0.0))[degenerate]
+        return mask
 
     def _textual_loop(self, query: Query, survivors) -> List[int]:
         """The survivors passing the textual threshold, one at a time;
@@ -253,11 +254,32 @@ class Verifier:
         (``np.add.reduceat`` sums pairwise and would not be)."""
         if not len(oids):
             return []
+        token_rows = self._token_csr()
+        vocabulary = token_rows[0]
+        q_ids = np.array([vocabulary[t] for t in query.tokens if t in vocabulary], dtype=np.intp)
+        keep = self._textual_pass(
+            token_rows, oids, q_ids, None, 1, self.weighter.total_weight(query.tokens),
+            query.tau_t,
+        )
+        return oids[keep].tolist()
+
+    def _token_csr(self):
+        """The token CSR, built on first use (racing threads build equal
+        tuples)."""
         token_rows = self._token_rows
         if token_rows is None:
             token_rows = self._token_rows = self._build_token_rows()
-        vocabulary, weights, offsets, ids, totals = token_rows
-        q_ids = np.array([vocabulary[t] for t in query.tokens if t in vocabulary], dtype=np.intp)
+        return token_rows
+
+    def _textual_pass(self, token_rows, oids, member_keys, row_keys, slots, q_total, tau_t):
+        """The textual mask over ``oids``.  Membership is one boolean
+        per ``slot · V + token id`` (V the CSR's id space): ``member_keys``
+        are the held tokens' keys, ``row_keys`` each oid's slot offset —
+        ``None`` (slot 0 of one) for a single query, ``slot · V`` per
+        pair for a batch.  The thread keeps the scratch at its largest
+        ``slots × V`` bytes.  ``q_total`` and ``tau_t`` are scalars or
+        per-oid."""
+        _, weights, offsets, ids, totals = token_rows
         # ``take``, not ``[]``: it gathers through int32 indices (the
         # CSR's ids, a filter's candidates) without widening them first.
         starts = offsets.take(oids)
@@ -266,23 +288,86 @@ class Verifier:
         # Entry j of the gathered run sits j - (its row's run start)
         # entries into that row.
         entries = ids.take(np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths))
-        # One boolean per local id, kept all-False between calls and
-        # reused by the thread: membership costs O(|q.T|) to set up, not
-        # an allocation the size of the vocabulary per query.
+        keys = entries if row_keys is None else entries + np.repeat(row_keys, lengths)
+        # One boolean per key, kept all-False between calls and reused by
+        # the thread: membership costs O(|q.T|) to set up, not an
+        # allocation the size of the vocabulary per query.
         scratch = self._scratch
         member = getattr(scratch, "member", None)
-        if member is None or len(member) < len(weights):
-            member = scratch.member = np.zeros(len(weights), dtype=bool)
-        member[q_ids] = True
+        if member is None or len(member) < slots * len(weights):
+            member = scratch.member = np.zeros(slots * len(weights), dtype=bool)
+        member[member_keys] = True
         try:
-            held = np.flatnonzero(member.take(entries))
+            held = np.flatnonzero(member.take(keys))
         finally:
-            member[q_ids] = False
+            member[member_keys] = False
         row = np.repeat(np.arange(len(oids)), lengths).take(held)
         inter = np.bincount(row, weights=weights.take(entries.take(held)), minlength=len(oids))
-        union = self.weighter.total_weight(query.tokens) + totals.take(oids) - inter
-        failed = (union > 0.0) & (inter < query.tau_t * union)
-        return oids[~failed].tolist()
+        union = q_total + totals.take(oids) - inter
+        return ~((union > 0.0) & (inter < tau_t * union))
+
+    def verify_batch(
+        self,
+        queries: Sequence[Query],
+        pair_queries: np.ndarray,
+        pair_oids: np.ndarray,
+        stats: Sequence[SearchStats] | None = None,
+    ) -> List[List[int]]:
+        """:meth:`verify` of many queries over their ``(query position,
+        candidate oid)`` pairs, grouped by query, in one pass per check.
+
+        Both checks are the kernels of :meth:`verify`, each pair seeing
+        its own query's coordinates, area and thresholds — the same
+        float64 operations, so the answers are those of :meth:`verify`
+        bit for bit.  The textual membership test keys every held token
+        ``slot · V + id``, a slot per query with a spatial survivor, so
+        the thread's scratch is at most batch × V bytes; each pair's held
+        weights are added with
+        ``np.bincount`` in row (= global token) order, the sum every
+        branch takes.
+
+        Returns:
+            Each query's answers, in the order of its pairs.
+        """
+        fields = np.array(
+            [q.region.as_tuple() + (q.region.area, q.tau_r, q.tau_t) for q in queries],
+            dtype=np.float64,
+        ).reshape(-1, 7)
+        kept = self._spatial_pass(
+            pair_oids, *(column.take(pair_queries) for column in fields[:, :6].T)
+        )
+        pair_queries = pair_queries[kept]
+        pair_oids = pair_oids[kept]
+        if len(pair_oids):
+            token_rows = self._token_csr()
+            vocabulary, stride = token_rows[0], len(token_rows[1])
+            # Only the queries with a spatial survivor need their tokens,
+            # and a membership slot: the one numbered by its rank among them.
+            live = np.flatnonzero(np.bincount(pair_queries)).tolist()
+            member_keys = [
+                slot * stride + vocabulary[t]
+                for slot, position in enumerate(live)
+                for t in queries[position].tokens if t in vocabulary
+            ]
+            slots = np.zeros(len(queries), dtype=np.intp)
+            slots[live] = np.arange(len(live))
+            total_weight = self.weighter.total_weight
+            q_totals = np.zeros(len(queries))
+            q_totals[live] = [total_weight(queries[position].tokens) for position in live]
+            kept = self._textual_pass(
+                token_rows, pair_oids, np.array(member_keys, dtype=np.intp),
+                slots.take(pair_queries) * stride, len(live), q_totals.take(pair_queries),
+                fields[:, 6].take(pair_queries),
+            )
+            pair_queries = pair_queries[kept]
+            pair_oids = pair_oids[kept]
+        answers = pair_oids.tolist()
+        bounds = np.cumsum(np.bincount(pair_queries, minlength=len(queries))).tolist()
+        out = [answers[start:end] for start, end in zip([0] + bounds, bounds)]
+        if stats is not None:
+            for entry, kept_oids in zip(stats, out):
+                entry.results = len(kept_oids)
+        return out
 
     def _build_token_rows(self):
         """``(vocabulary, weights, offsets, ids, totals)``: token → local

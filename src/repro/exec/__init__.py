@@ -1,10 +1,12 @@
 """The execution layer: how queries run, separate from what filters compute.
 
 * :mod:`repro.exec.pipeline` — the canonical filter→verify pipeline
-  (``execute_query``) and ``run_query``, the one way the layers above
-  reach it through any engine shape.
+  (``execute_query``), its batched twin (``execute_batch``) and
+  ``run_query``, the one way the layers above reach it through any
+  engine shape.
 * :mod:`repro.exec.batch` — :class:`BatchExecutor`: a workload through
-  that same path, aggregated into :class:`BatchStats`.
+  ``execute_batch`` where the engine has a batched filter step, else
+  query by query, aggregated into :class:`BatchStats`.
 * :mod:`repro.exec.segments` — :class:`SegmentedSealSearch`: the
   updatable engine (write buffer + immutable segments + tombstones with
   size-tiered merges), searches fanned over segments through the same

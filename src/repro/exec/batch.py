@@ -1,13 +1,18 @@
 """Batched query execution: a workload in, per-query results and totals out.
 
-:class:`BatchExecutor` runs each query of a batch through
-:func:`~repro.exec.pipeline.run_query` — the same path a single query
-takes, against any engine shape — and aggregates the per-query
+:class:`BatchExecutor` runs a batch through
+:func:`~repro.exec.pipeline.execute_batch` — one filter pass and one
+verify pass over all (query, candidate) pairs — when the engine has a
+batched filter step and a batched verifier (``token``, ``grid``,
+``planned``), and otherwise each query through
+:func:`~repro.exec.pipeline.run_query`, the path a single query takes
+against any engine shape (hybrids, baselines, the segmented and durable
+engines, the textual-predicate extension).  Either way each result equals the
+single query's, answers and counters alike.  It aggregates the per-query
 :class:`~repro.core.stats.SearchResult` objects into one
-:class:`BatchStats`.  A batch is therefore answer-identical to a loop of
-single queries by construction; what the callers (the service's burst
-coalescing, ``search_batch`` on the facades, the CLI's ``--batch-file``)
-get from it is the aggregate and one timing around the whole workload.
+:class:`BatchStats`; its callers are the service's burst coalescing (and
+through it the wire ``batch`` op), ``search_batch`` on the facades and
+the CLI's ``--batch-file``.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Any, Iterator, List, Sequence
 
 from repro.core.objects import Query
 from repro.core.stats import SearchResult, SearchStats
-from repro.exec.pipeline import run_query
+from repro.exec.pipeline import execute_batch, run_query
 
 
 @dataclass(slots=True)
@@ -81,7 +86,13 @@ class BatchExecutor:
     def run(self, engine: Any, queries: Sequence[Query]) -> BatchResult:
         queries = list(queries)
         started = time.perf_counter()
-        results = [run_query(engine, query) for query in queries]
+        # A filter whose verifier has no batched pass (a textual
+        # predicate's, which is not Jaccard) keeps the loop.
+        verifier = getattr(engine, "verifier", None)
+        if hasattr(engine, "candidates_batch") and hasattr(verifier, "verify_batch"):
+            results = execute_batch(engine, queries)
+        else:
+            results = [run_query(engine, query) for query in queries]
         elapsed = time.perf_counter() - started
         totals = SearchStats()
         for result in results:

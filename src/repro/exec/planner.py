@@ -24,6 +24,11 @@ candidates but lose on the clock at this scale; they remain registry
 methods, and :class:`Portfolio` still reaches them by name for
 comparisons, without the planner building them.
 
+A batch is grouped by the rule's member, and each group goes through
+that member's batched filter pass (which declines a group too small to
+batch); the members share one verifier, so the whole batch is then
+verified in one pass.
+
 Observability lives in :class:`PlannerMetrics` (per-member selection
 counts and filter latency histograms); :func:`collect_planner_metrics`
 aggregates every planner inside an engine (facade, segmented) into the
@@ -34,7 +39,9 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Collection, Dict, Iterator, Mapping, Sequence, Tuple
+from typing import Any, Collection, Dict, Iterator, List, Mapping, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.method import SearchMethod
 from repro.core.objects import Query, SpatioTextualObject
@@ -248,6 +255,44 @@ class PlannedSealSearch(SearchMethod):
         candidate_oids = self.methods[chosen].candidates(query, stats)
         self.metrics.observe(chosen, time.perf_counter() - started)
         return candidate_oids
+
+    def candidates_batch(self, queries: Sequence[Query], stats: Sequence[SearchStats]):
+        """The filter step of a batch (see
+        :func:`~repro.exec.pipeline.execute_batch`): the queries grouped
+        by :func:`rule` member, each group through that member's
+        ``candidates_batch``, labelled ``planned:<member>`` and recorded
+        as one selection per query.  Whatever a member declines (its
+        ``FULL_SCAN`` queries, or a group too small to batch) is declined
+        to the single path."""
+        groups: Dict[str, List[int]] = {}
+        for position, query in enumerate(queries):
+            groups.setdefault(rule(query)[0], []).append(position)
+        declined: List[int] = []
+        pair_queries, pair_oids = [], []
+        for chosen, positions in groups.items():
+            label = f"{self.name}:{chosen}"
+            for position in positions:
+                stats[position].method = label
+            started = time.perf_counter()
+            refused, member_queries, member_oids = self.methods[chosen].candidates_batch(
+                [queries[position] for position in positions],
+                [stats[position] for position in positions],
+            )
+            share = (time.perf_counter() - started) / max(1, len(positions) - len(refused))
+            for _ in range(len(positions) - len(refused)):
+                self.metrics.observe(chosen, share)
+            declined.extend(positions[i] for i in refused)
+            pair_queries.append(np.array(positions, dtype=np.int64).take(member_queries))
+            pair_oids.append(member_oids)
+        if not pair_queries:
+            empty = np.empty(0, dtype=np.int64)
+            return declined, empty, empty
+        if len(pair_queries) == 1:
+            # One group's positions ascend, so its pairs are in order.
+            return declined, pair_queries[0], pair_oids[0]
+        pair_queries = np.concatenate(pair_queries)
+        order = pair_queries.argsort(kind="stable")
+        return declined, pair_queries.take(order), np.concatenate(pair_oids).take(order)
 
     def index_size(self):
         """Summed accounting over the rule's members (the indexes a

@@ -25,7 +25,9 @@ union_heads>`, which owns the accounting rule (a
 single-bound probe of a missing list counts as a probe, a dual-bound one
 does not, so ``len(codes)`` equals ``lists_probed`` on the former and
 bounds it on the latter); the I/O model charges the pages of the same
-heads (:mod:`repro.index.iomodel`).
+heads (:mod:`repro.index.iomodel`).  The single-scheme filters also
+answer a batch: ``candidates_batch`` hands every query's ``probes`` to
+one ``union_heads_batch`` (see :func:`repro.exec.pipeline.execute_batch`).
 
 The three filters that read the query's text (``token``, ``hash-hybrid``,
 ``seal``) derive it with :meth:`TextualScheme.query_prefix
@@ -51,9 +53,12 @@ from __future__ import annotations
 
 from typing import Collection, List, Optional, Protocol, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.method import SearchMethod
 from repro.core.objects import Query, SpatioTextualObject
 from repro.core.stats import SearchStats
+from repro.exec import pipeline
 from repro.index.inverted import InvertedIndex
 from repro.index.storage import CELL_KEY_BYTES, IndexSizeReport, measure_index
 from repro.signatures.prefix import prefix_elements, suffix_bounds
@@ -167,6 +172,34 @@ class SingleSchemeFilter(SearchMethod):
         return self._candidates_plain(
             self.scheme.query_signature(query), self.scheme.threshold(query), stats
         )
+
+    def candidates_batch(self, queries: Sequence[Query], stats: Sequence[SearchStats]):
+        """The filter step of a batch (see
+        :func:`~repro.exec.pipeline.execute_batch`): every query's
+        ``probes`` through one :meth:`InvertedIndex.union_heads_batch
+        <repro.index.inverted.InvertedIndex.union_heads_batch>`.  A
+        :data:`FULL_SCAN` query, and every query of a plain Sig-Filter,
+        is declined to the single path — and so is the whole batch when
+        fewer than :data:`~repro.exec.pipeline.BATCH_MIN_QUERIES` of its
+        queries have probes."""
+        declined: List[int] = []
+        batched: List[int] = []
+        probes = []
+        for position, query in enumerate(queries):
+            # A plain Sig-Filter's candidates are no union of heads.
+            probe = self.probes(query) if self.prefix_pruning else FULL_SCAN
+            if probe is FULL_SCAN:
+                declined.append(position)
+            else:
+                batched.append(position)
+                probes.append(probe)
+        if len(batched) < pipeline.BATCH_MIN_QUERIES:
+            empty = np.empty(0, dtype=np.int64)
+            return list(range(len(queries))), empty, empty
+        pair_queries, pair_oids = self.index.union_heads_batch(
+            probes, [stats[position] for position in batched]
+        )
+        return declined, np.array(batched, dtype=np.int64).take(pair_queries), pair_oids
 
     def _candidates_plain(
         self,

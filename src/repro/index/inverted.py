@@ -29,7 +29,10 @@ the head its bound(s) qualify as a zero-copy view and unions the heads
 through a reusable :class:`CandidateScratch` buffer (heads collected per
 query, one concatenate + dedup) instead of a per-query Python set.
 :meth:`probe` is its single-list form, for the callers that want one
-head (the I/O model, the keyword-first baseline).
+head (the I/O model, the keyword-first baseline), and
+:meth:`~InvertedIndex.union_heads_batch` its batch form: the same cuts
+and accounting for many single-bound queries, their heads gathered and
+deduplicated as one column.
 
 The per-list reference — staged Python posting lists sorted at freeze,
 probed with ``bisect`` — lives in ``tests/reference_postings.py``; the
@@ -377,6 +380,65 @@ class InvertedIndex:
         stats.entries_retrieved += retrieved
         stats.entries_matched += matched
         return scratch.result()
+
+    def union_heads_batch(self, probes: Sequence[tuple], stats: Sequence[SearchStats]):
+        """:meth:`union_heads` of many single-bound queries in one pass.
+
+        Args:
+            probes: One ``(codes, bound, None)`` per query.
+            stats: One :class:`SearchStats` per query, receiving exactly
+                the accounting :meth:`union_heads` gives that query.
+
+        Each ``(query, code)`` pair whose list exists is cut on its
+        query's bound by the probe loop's own ``searchsorted(side=
+        "right")``; what the batch shares is everything after the cut:
+        every head is gathered with one index and deduplicated as one
+        sorted ``query << 32 | oid`` key column, where :meth:`union_heads`
+        pays a union per query.
+
+        Returns:
+            ``(queries, oids)``: parallel int64 arrays of the (query
+            position, candidate oid) pairs, sorted by query, then oid.
+        """
+        row_of = self._row_of.get
+        starts, neg_bounds = self._starts, self.neg_bounds
+        head_queries: List[int] = []
+        head_starts: List[int] = []
+        head_lengths: List[int] = []
+        for position, (codes, bound, _) in enumerate(probes):
+            neg_bound = -bound
+            retrieved = 0
+            for code in codes:
+                row = row_of(code)
+                if row is None:
+                    continue
+                start = starts[row]
+                # int(): a NumPy scalar must not leak into the statistics.
+                scanned = int(
+                    neg_bounds[start : starts[row + 1]].searchsorted(neg_bound, side="right")
+                )
+                if scanned:
+                    retrieved += scanned
+                    head_queries.append(position)
+                    head_starts.append(start)
+                    head_lengths.append(scanned)
+            entry = stats[position]
+            entry.lists_probed += len(codes)
+            entry.entries_retrieved += retrieved
+            entry.entries_matched += retrieved
+        lengths = _np.array(head_lengths, dtype=_np.int64)
+        # Entry j of the gathered run sits j - (its head's run start)
+        # entries into that head.
+        offsets = _np.array(head_starts, dtype=_np.int64) - _np.cumsum(lengths) + lengths
+        keys = _np.repeat(_np.array(head_queries, dtype=_np.int64) << 32, lengths)
+        keys |= self.oids.take(_np.arange(len(keys)) + _np.repeat(offsets, lengths))
+        keys.sort()
+        if len(keys) > 1:
+            keep = _np.empty(len(keys), dtype=bool)
+            keep[0] = True
+            _np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+            keys = keys[keep]
+        return keys >> 32, keys & 0xFFFFFFFF
 
     def accumulate(self, acc, code: int, query_weight: float, scratch) -> int | None:
         """Plain Sig-Filter kernel: ``acc[oid] += min(weight, query_weight)``

@@ -161,7 +161,14 @@ def _dispatch(service: Any, request: Dict[str, Any]) -> Dict[str, Any]:
         items = request.get("queries")
         if not isinstance(items, list):
             raise ProtocolError("'queries' must be a list of query objects")
-        queries = [query_from_wire(item if isinstance(item, dict) else {}) for item in items]
+        queries = []
+        for position, item in enumerate(items):
+            if not isinstance(item, dict):
+                raise ProtocolError(f"'queries'[{position}] must be a query object")
+            try:
+                queries.append(query_from_wire(item))
+            except ProtocolError as exc:
+                raise ProtocolError(f"'queries'[{position}]: {exc}") from exc
         results = service.query_batch(queries)
         return {"results": [result_to_wire(result) for result in results]}
     if op == "ping":

@@ -34,8 +34,8 @@ Single queries reach the engine through
 :func:`~repro.exec.pipeline.run_query` (any engine shape); bursts
 submitted via :meth:`QueryService.query_batch` deduplicate identical
 queries, check the cache per member, and run the misses as one admitted
-:class:`~repro.exec.batch.BatchExecutor` trip over the same path,
-filling the cache on the way out.
+:class:`~repro.exec.batch.BatchExecutor` trip — one batched filter and
+verify pass where the engine has one — filling the cache on the way out.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -23,8 +24,17 @@ from repro import (
 )
 from repro.core import verification
 from repro.datasets import generate_queries
+from repro.exec import pipeline
+from repro.exec.planner import rule
+from repro.index.inverted import InvertedIndex
 
-from tests.strategies import corpora, queries as query_strategy, rects, token_sets
+from tests.strategies import (
+    boundary_cases,
+    corpora,
+    queries as query_strategy,
+    rects,
+    token_sets,
+)
 
 #: The verifier's two private branches — loops or NumPy kernels, for the
 #: spatial and the textual check alike — forced by moving its one cut.
@@ -34,6 +44,22 @@ BRANCHES = {"loop": sys.maxsize, "mask": 0}
 def forced(branch: str):
     """While open, every candidate set verifies through ``branch``."""
     return mock.patch.object(verification, "VECTOR_MIN_CANDIDATES", BRANCHES[branch])
+
+
+#: The batched pass's group-size cut, forced: every member group takes
+#: the batched pass, or none does (a loop of singles).
+GROUP_CUTS = {"batched": 1, "loop": sys.maxsize}
+
+
+def grouped(cut: str):
+    """While open, ``execute_batch`` and the filters batch by ``cut``."""
+    return mock.patch.object(pipeline, "BATCH_MIN_QUERIES", GROUP_CUTS[cut])
+
+
+def _counters(stats):
+    return (stats.method, stats.lists_probed, stats.entries_retrieved,
+            stats.entries_matched, stats.candidates, stats.results)
+
 
 #: Keep indexes small and the threshold grid low enough that candidate
 #: sets exceed the vectorisation cutoff on the 400-object corpus.
@@ -93,6 +119,110 @@ class TestBatchEqualsPerQuery:
             assert result.stats.results == reference.stats.results
             assert result.stats.lists_probed == reference.stats.lists_probed
             assert result.stats.entries_retrieved == reference.stats.entries_retrieved
+
+
+@st.composite
+def query_batches(draw):
+    """A corpus and a batch against it: a :func:`boundary_cases` query
+    (τ on an object's simR / simT, or one ulp either side) among drawn
+    ones — zero-area regions, empty token sets (an empty prefix), tokens
+    no object has, τT = 0 and τR = 0 (the ``FULL_SCAN`` routes), so both
+    rule branches — some of them repeated, in any order."""
+    corpus, boundary = draw(boundary_cases())
+    unseen = st.frozensets(st.sampled_from(["unseen0", "unseen1"]), max_size=2)
+    drawn = draw(st.lists(
+        st.tuples(query_strategy(), unseen).map(
+            lambda pair: Query(pair[0].region, pair[0].tokens | pair[1],
+                               pair[0].tau_r, pair[0].tau_t)
+        ),
+        max_size=12,
+    ))
+    batch = [boundary] + drawn
+    repeats = draw(st.lists(st.sampled_from(batch), max_size=4))
+    return corpus, draw(st.permutations(batch + repeats))
+
+
+class TestBatchedPassEqualsLoop:
+    """``token``, ``grid`` and ``planned`` answer a batch in batched
+    passes; each query's result must be the single query's — answers,
+    ``method`` and all five counters — and ``naive``'s answers, with the
+    verifier cut, the group-size cut and the chunk size each forced."""
+
+    @pytest.mark.parametrize("name", ["planned", "token", "grid"])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=query_batches(),
+        branch=st.sampled_from(sorted(BRANCHES)),
+        cut=st.sampled_from(sorted(GROUP_CUTS)),
+        chunk=st.sampled_from([3, pipeline.BATCH_MAX_QUERIES]),
+    )
+    def test_batch_equals_singles_equals_naive(self, name, case, branch, cut, chunk):
+        corpus, queries = case
+        method = build_method(corpus, name, **({} if name == "token" else {"granularity": 16}))
+        naive = build_method(corpus, "naive", method.weighter)
+        with forced(branch):
+            singles = [method.search(query) for query in queries]
+            with grouped(cut), mock.patch.object(pipeline, "BATCH_MAX_QUERIES", chunk):
+                batch = BatchExecutor().run(method, queries)
+        assert [_counters(r.stats) for r in batch] == [_counters(r.stats) for r in singles]
+        assert batch.answers() == [r.answers for r in singles]
+        assert batch.answers() == [naive.search(query).answers for query in queries]
+        assert all(type(oid) is int for answers in batch.answers() for oid in answers)
+
+    def test_planner_records_one_selection_per_query(self, twitter_small,
+                                                     twitter_small_weighter, workload):
+        planner = build_method(twitter_small, "planned", twitter_small_weighter)
+        with grouped("batched"):
+            BatchExecutor().run(planner, workload)
+        selections = planner.metrics.as_dict()["selections"]
+        assert selections == Counter(rule(query)[0] for query in workload)
+
+    def test_a_batch_past_the_chunk_size(self, twitter_small, twitter_small_weighter, workload):
+        """Seventy queries: three near-equal passes of a planned engine."""
+        planner = build_method(twitter_small, "planned", twitter_small_weighter)
+        queries = (workload * 3)[:70]
+        expected = [planner.search(query) for query in queries]
+        batch = BatchExecutor().run(planner, queries)
+        assert [_counters(r.stats) for r in batch] == [_counters(r.stats) for r in expected]
+        assert batch.answers() == [r.answers for r in expected]
+
+    @pytest.mark.parametrize("name", ["planned", "token", "grid"])
+    def test_full_scan_queries_do_not_count_toward_the_group_cut(
+        self, name, twitter_small, twitter_small_weighter, workload
+    ):
+        """Four queries bound for one filter, three of them ``FULL_SCAN``
+        (τR = τT = 0): one query to probe is below the cut, so no
+        batched pass runs, and the results are the singles'."""
+        method = build_method(twitter_small, name, twitter_small_weighter)
+        base = workload[0]
+        # τT = 0 sends a planned query to grid, with the three below.
+        probing = Query(base.region, base.tokens, 0.3, 0.3 if name == "token" else 0.0)
+        queries = [probing] + [Query(base.region, base.tokens, 0.0, 0.0)] * 3
+        assert len(queries) >= pipeline.BATCH_MIN_QUERIES
+        expected = [method.search(query) for query in queries]
+        with mock.patch.object(InvertedIndex, "union_heads_batch", side_effect=AssertionError):
+            batch = BatchExecutor().run(method, queries)
+        assert [_counters(r.stats) for r in batch] == [_counters(r.stats) for r in expected]
+        assert batch.answers() == [r.answers for r in expected]
+
+    def test_membership_scratch_has_a_slot_per_live_query_only(
+        self, twitter_small, twitter_small_weighter, workload
+    ):
+        """Only a query with a spatial survivor takes a slot of the
+        thread's membership scratch: a batch in which one query has one
+        grows it to one vocabulary, not to batch × vocabulary."""
+        method = build_method(twitter_small, "token", twitter_small_weighter)
+        tokens = workload[0].tokens
+        live = Query(workload[0].region, tokens, 0.0, 0.1)
+        # A point far from the corpus: simR = 0 with every object.
+        dead = Query(Rect(-1e6, -1e6, -1e6, -1e6), tokens, 0.5, 0.1)
+        queries = [live] + [dead] * 7
+        with grouped("batched"):
+            batch = BatchExecutor().run(method, queries)
+        assert batch.answers() == [method.search(query).answers for query in queries]
+        assert batch[0].answers and not any(batch.answers()[1:])
+        vocabulary = len(method.verifier._token_rows[1])
+        assert len(method.verifier._scratch.member) == vocabulary
 
 
 class TestVerifierBranchProperty:
@@ -290,6 +420,40 @@ class TestLazyColumnsUnderThreads:
                     assert all(f.result(timeout=60) == expected for f in futures)
                     assert method.verifier._columns is not None
                     assert method.verifier._token_rows is not None
+        finally:
+            sys.setswitchinterval(previous)
+
+    def test_batches_and_singles_race_on_one_planner(self, twitter_small,
+                                                     twitter_small_weighter, workload):
+        """A batched pass grows the thread's membership scratch to batch
+        × vocabulary and shares it with that thread's single queries;
+        threads interleaving both on one fresh planner — its columns and
+        CSR built by whichever comes first — all answer like the loop."""
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        with forced("loop"):
+            reference = build_method(twitter_small, "planned", twitter_small_weighter)
+            expected = [reference.search(q).answers for q in workload]
+        workers = 6
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                for _ in range(5):
+                    planner = build_method(twitter_small, "planned", twitter_small_weighter)
+                    barrier = threading.Barrier(workers)
+
+                    def client(batched: bool):
+                        barrier.wait(timeout=30)
+                        if batched:
+                            return BatchExecutor().run(planner, workload).answers()
+                        return [planner.search(q).answers for q in workload]
+
+                    futures = [pool.submit(client, i % 2 == 0) for i in range(workers)]
+                    assert all(f.result(timeout=60) == expected for f in futures)
+                    decisions = planner.metrics.as_dict()["decisions"]
+                    assert decisions == workers * len(workload)
         finally:
             sys.setswitchinterval(previous)
 

@@ -17,6 +17,7 @@ from repro.extensions.predicates import (
     JaccardPredicate,
     PredicateSearch,
 )
+from repro.exec import pipeline
 from repro.exec.batch import BatchExecutor
 from repro.exec.pipeline import run_query
 from repro.geometry.rect import spatial_jaccard
@@ -116,6 +117,8 @@ def test_every_pipeline_verifies_with_the_predicate(predicate_cls, tau_t):
         execute_query(engine, query),
         run_query(engine, query),
         BatchExecutor().run(engine, [query])[0],
+        # Large enough for a batched pass, which this verifier must not take.
+        *BatchExecutor().run(engine, [query] * pipeline.BATCH_MAX_QUERIES),
     ]
     for result in results:
         assert result.answers == expected

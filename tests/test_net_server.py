@@ -107,6 +107,25 @@ class TestIdentityAndErrors:
                          "tokens": ["a"], "tau_r": "high", "tau_t": 0.1})
         assert client.ping()["ok"] is True
 
+    def test_batch_item_errors_name_their_position(self, served, twitter_small_queries):
+        """A malformed ``batch`` entry comes back as a typed error that
+        names the entry — a non-object is not validated as ``{}`` (which
+        blamed a 'region' the client never sent) — and the connection
+        keeps serving."""
+        from repro.service.protocol import query_to_wire
+
+        client, service = served
+        query = twitter_small_queries[0]
+        good = query_to_wire(query)
+        with pytest.raises(ProtocolError, match=r"^'queries'\[1\] must be a query object$"):
+            client._rpc({"op": "batch", "queries": [good, ["region", "tokens"]]})
+        assert client.ping()["ok"] is True
+        with pytest.raises(ProtocolError, match=r"^'queries'\[2\]: 'tau_t' must be a number"):
+            client._rpc({"op": "batch", "queries": [good, good, dict(good, tau_t="high")]})
+        assert [r.answers for r in client.query_batch([query, query])] == (
+            [service.query(query).answers] * 2
+        )
+
     def test_unknown_op_raises_protocol_error(self, served):
         client, _ = served
         with pytest.raises(ProtocolError, match="unknown op"):

@@ -186,6 +186,7 @@ class TestVerifierAppend:
 
 class TestHashSeedIndependence:
     SCRIPT = (
+        "import numpy as np\n"
         "from repro import Query, TokenWeighter\n"
         "from repro.core.verification import Verifier\n"
         "from repro.datasets import generate_twitter\n"
@@ -193,6 +194,7 @@ class TestHashSeedIndependence:
         "weighter = TokenWeighter(o.tokens for o in corpus)\n"
         "verifier = Verifier(corpus, weighter)\n"
         "print(repr([weighter.total_weight(o.tokens) for o in corpus]))\n"
+        "queries, singles = [], []\n"
         "for anchor, other in zip(corpus[::50], corpus[25::50]):\n"
         "    tokens = frozenset(sorted(anchor.tokens)[::2]) | other.tokens\n"
         "    shared = weighter.sort_tokens(tokens & anchor.tokens)\n"
@@ -200,13 +202,19 @@ class TestHashSeedIndependence:
         "    union = weighter.total_weight(tokens) + weighter.total_weight(anchor.tokens) - inter\n"
         "    query = Query(anchor.region, tokens, 0.0, inter / union)\n"
         "    near = [oid for oid in range(anchor.oid - 5, anchor.oid + 5) if 0 <= oid < 2000]\n"
-        "    print(repr(query.tau_t), verifier.verify(query, range(2000)),\n"
-        "          verifier.verify(query, near))\n"
+        "    queries.append(query)\n"
+        "    singles.append(verifier.verify(query, range(2000)))\n"
+        "    print(repr(query.tau_t), singles[-1], verifier.verify(query, near))\n"
+        "pairs = np.repeat(np.arange(len(queries)), 2000), np.tile(np.arange(2000), len(queries))\n"
+        "batched = verifier.verify_batch(queries, *pairs)\n"
+        "assert batched == singles\n"
+        "print(batched)\n"
     )
 
     def test_totals_and_answers_at_sim_t_equal_tau_do_not_move(self):
         """Totals and the answers to queries sitting exactly on simT = τT,
-        through both branches, are byte-identical under three hash seeds
+        through both branches and the batched verify (which must equal
+        the single answers), are byte-identical under three hash seeds
         — what a primary and its replica, or a process and its recovered
         successor, each compute."""
         outputs = []
@@ -220,5 +228,5 @@ class TestHashSeedIndependence:
                 env=env, capture_output=True, text=True, timeout=120, check=True,
             )
             outputs.append(done.stdout)
-        assert outputs[0].count("\n") == 41
+        assert outputs[0].count("\n") == 42
         assert outputs[0] == outputs[1] == outputs[2]

@@ -102,11 +102,18 @@ def query_to_record(query: Query) -> Dict[str, Any]:
     }
 
 
+_REGION_COMPLAINT = "'region' must be [x1, y1, x2, y2] numbers"
+_STR_ONLY = frozenset({str})
+
+
 def _number(value: Any, complaint: str) -> float:
-    """A decoded JSON number as a float.  ``true`` is an ``int`` to
-    Python but not a number here, and neither is an integer literal too
+    """A decoded JSON number as a float, by its exact type: ``true`` is
+    a ``bool``, not a number here, and neither is an integer literal too
     large for a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    kind = type(value)
+    if kind is float:
+        return value
+    if kind is not int:
         raise InvalidQueryError(complaint)
     try:
         return float(value)
@@ -120,10 +127,13 @@ def region_from_record(value: Any) -> Rect:
     Raises:
         InvalidQueryError: Not four numbers, or not a rectangle.
     """
-    complaint = "'region' must be [x1, y1, x2, y2] numbers"
-    if not isinstance(value, (list, tuple)) or len(value) != 4:
-        raise InvalidQueryError(complaint)
-    corners = [_number(v, complaint) for v in value]
+    if (type(value) is not list and type(value) is not tuple) or len(value) != 4:
+        raise InvalidQueryError(_REGION_COMPLAINT)
+    x1, y1, x2, y2 = value
+    corners = (
+        _number(x1, _REGION_COMPLAINT), _number(y1, _REGION_COMPLAINT),
+        _number(x2, _REGION_COMPLAINT), _number(y2, _REGION_COMPLAINT),
+    )
     try:
         return Rect(*corners)
     except ValueError as exc:
@@ -132,20 +142,18 @@ def region_from_record(value: Any) -> Rect:
 
 def query_from_record(fields: Mapping[str, Any]) -> Query:
     """Validate a decoded query record (input from outside the program)
-    into a :class:`Query`.  ``tokens`` may be absent (no tokens); the
-    thresholds may not.
+    into a :class:`Query`, in one pass of exact-type checks.  ``tokens``
+    may be absent (no tokens); the thresholds may not.
 
     Raises:
         InvalidQueryError: Any field is missing, mistyped or out of range.
     """
     region = region_from_record(fields.get("region"))
     tokens = fields.get("tokens", [])
-    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+    if type(tokens) is not list or not set(map(type, tokens)) <= _STR_ONLY:
         raise InvalidQueryError("'tokens' must be a list of strings")
-    tau_r, tau_t = (
-        _number(fields.get(name), f"'{name}' must be a number in [0, 1]")
-        for name in ("tau_r", "tau_t")
-    )
+    tau_r = _number(fields.get("tau_r"), "'tau_r' must be a number in [0, 1]")
+    tau_t = _number(fields.get("tau_t"), "'tau_t' must be a number in [0, 1]")
     return Query(region, frozenset(tokens), tau_r, tau_t)
 
 

@@ -54,6 +54,15 @@ def _reserve(array: np.ndarray, size: int) -> np.ndarray:
     return grown
 
 
+def _oid_array(candidates) -> np.ndarray:
+    """``candidates`` as an integer array.  ``take`` gathers through any
+    integer array as-is, so a signature filter's int32 candidate array is
+    never copied or widened."""
+    if isinstance(candidates, np.ndarray):
+        return candidates
+    return np.fromiter(candidates, dtype=np.intp, count=len(candidates))
+
+
 class Verifier:
     """Exact threshold checks over candidate oids.
 
@@ -135,11 +144,15 @@ class Verifier:
         """oids among ``candidates`` with ``simR ≥ τR`` and ``simT ≥ τT``.
 
         The spatial check runs first — it is a handful of float ops, while
-        the textual check intersects token sets.
+        the textual check intersects token sets.  At ``τR = 0`` it would
+        keep every candidate (infinite regions included: both branches
+        drop only on a true comparison), so it is skipped.
         """
         if not hasattr(candidates, "__len__"):
             candidates = list(candidates)
-        if len(candidates) >= VECTOR_MIN_CANDIDATES:
+        if query.tau_r == 0.0:
+            survivors = candidates
+        elif len(candidates) >= VECTOR_MIN_CANDIDATES:
             survivors = self._spatial_mask(query, candidates)
         else:
             survivors = self._spatial_loop(query, candidates)
@@ -180,13 +193,7 @@ class Verifier:
         """:meth:`_spatial_loop` as one mask over the candidate array:
         the same float64 operations elementwise, degenerate zero-union
         branch included, so the survivors are identical bit for bit."""
-        if isinstance(candidates, np.ndarray):
-            # ``take`` gathers through any integer array as-is, so a
-            # signature filter's int32 candidate array is never copied or
-            # widened.
-            oids = candidates
-        else:
-            oids = np.fromiter(candidates, dtype=np.intp, count=len(candidates))
+        oids = _oid_array(candidates)
         q_rect = query.region
         return oids[self._spatial_pass(oids, *q_rect.as_tuple(), q_rect.area, query.tau_r)]
 
@@ -210,8 +217,11 @@ class Verifier:
         inter = dx * dy
         inter[(dx <= 0.0) | (dy <= 0.0)] = 0.0
         union = (q_area + areas) - inter
-        mask = inter >= tau_r * union
-        degenerate = union <= 0.0
+        # The exact negation of the loop's drop tests, so a NaN on either
+        # side (an infinite region: 0·inf, inf − inf) decides as it does
+        # there: kept unless a comparison is true.
+        mask = ~(inter < tau_r * union)
+        degenerate = ~(union > 0.0)
         if degenerate.any():
             # Two degenerate regions: similar only when identical, unless
             # τR is vacuous.
@@ -246,14 +256,15 @@ class Verifier:
             answers.append(oid)
         return answers
 
-    def _textual_mask(self, query: Query, oids: np.ndarray) -> List[int]:
+    def _textual_mask(self, query: Query, survivors) -> List[int]:
         """:meth:`_textual_loop` as one segmented kernel over the token CSR:
         gather the survivors' rows, keep the entries the query holds, and
         add each row's kept weights in row (= global) order with
         ``np.bincount`` — sequential, so bit-identical to the loop's sum
         (``np.add.reduceat`` sums pairwise and would not be)."""
-        if not len(oids):
+        if not len(survivors):
             return []
+        oids = _oid_array(survivors)
         token_rows = self._token_csr()
         vocabulary = token_rows[0]
         q_ids = np.array([vocabulary[t] for t in query.tokens if t in vocabulary], dtype=np.intp)

@@ -20,6 +20,11 @@ caller): at most ``workers`` requests execute at once, at most
   Deadlines bound *queue wait*, the component of latency admission
   control owns; once execution starts the request runs to completion (a
   half-executed query has no useful refund).
+
+The execution slots are a counter under the controller's one lock, and
+a request waits on a condition of that lock only when every slot is
+busy: an uncontended request takes the lock once on its way in and once
+on its way out.
 """
 
 from __future__ import annotations
@@ -65,11 +70,14 @@ class AdmissionController:
         self.workers = workers
         self.max_queue = max_queue
         self.default_deadline = default_deadline
-        self._executing = threading.Semaphore(workers)
-        # Guards the counters and ``_closed``; never held while a request
-        # waits for an execution slot or runs.
+        # Guards the counters, the slots and ``_closed``; released while a
+        # request waits for an execution slot (inside ``_slot_freed``) or
+        # runs.
         self._lock = threading.Lock()
+        self._slot_freed = threading.Condition(self._lock)
         self._drained = threading.Condition(self._lock)
+        self._executing = 0
+        self._waiting = 0
         self._in_flight = 0
         self.submitted = 0
         self.rejected = 0
@@ -106,23 +114,45 @@ class AdmissionController:
                 )
             self.submitted += 1
             self._in_flight += 1
-        try:
-            if not self._executing.acquire(timeout=deadline):
-                with self._lock:
-                    self.expired += 1
+            if self._executing >= self.workers and not self._wait_for_slot(deadline):
+                self.expired += 1
                 raise DeadlineExceeded(
                     f"request waited past its {deadline:.3f}s deadline "
                     "before a worker was free"
                 )
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                self._executing.release()
+            self._executing += 1
+        try:
+            return fn(*args, **kwargs)
         finally:
             with self._lock:
-                self._in_flight -= 1
-                if not self._in_flight:
-                    self._drained.notify_all()
+                self._executing -= 1
+                if self._waiting:
+                    self._slot_freed.notify()
+                self._leave()
+
+    def _wait_for_slot(self, deadline: float | None) -> bool:
+        """Wait, ``_lock`` released meanwhile, until a slot is free or
+        ``deadline`` lapses (caller holds ``_lock``).  A request that
+        gets no slot gives its place in line back here."""
+        self._waiting += 1
+        free = False
+        try:
+            free = self._slot_freed.wait_for(self._has_slot, deadline)
+        finally:
+            self._waiting -= 1
+            if not free:
+                self._leave()
+        return free
+
+    def _has_slot(self) -> bool:
+        return self._executing < self.workers
+
+    def _leave(self) -> None:
+        """One admitted request is done (caller holds ``_lock``); only a
+        closed controller can have a :meth:`shutdown` waiting on it."""
+        self._in_flight -= 1
+        if self._closed and not self._in_flight:
+            self._drained.notify_all()
 
     @property
     def in_flight(self) -> int:

@@ -51,30 +51,29 @@ class _ReadWriteLock:
 
     Readers share; a writer excludes everyone.  Arriving writers block
     *new* readers (writer preference), so a steady query stream cannot
-    starve a mutation or a snapshot swap indefinitely.
+    starve a mutation or a snapshot swap indefinitely.  The last reader
+    out notifies only when a writer is waiting for it.
     """
 
     __slots__ = ("_cond", "_readers", "_writer_active", "_writers_waiting")
 
     def __init__(self) -> None:
-        self._cond = threading.Condition()
+        self._cond = threading.Condition(threading.Lock())
         self._readers = 0
         self._writer_active = False
         self._writers_waiting = 0
 
-    @contextmanager
-    def reading(self) -> Iterator[None]:
+    def acquire_read(self) -> None:
         with self._cond:
             while self._writer_active or self._writers_waiting:
                 self._cond.wait()
             self._readers += 1
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._readers -= 1
-                if self._readers == 0:
-                    self._cond.notify_all()
+
+    def release_read(self) -> None:
+        with self._cond:
+            self._readers -= 1
+            if not self._readers and self._writers_waiting:
+                self._cond.notify_all()
 
     @contextmanager
     def writing(self) -> Iterator[None]:
@@ -90,6 +89,27 @@ class _ReadWriteLock:
             with self._cond:
                 self._writer_active = False
                 self._cond.notify_all()
+
+
+class _Reading:
+    """The context :meth:`EngineManager.reading` returns: the shared lock
+    held from ``__enter__``, which answers the ``(engine, epoch)`` pair,
+    to ``__exit__``.  One per read, so the manager never refers back to
+    it: a reference cycle would keep a dropped manager's engine alive
+    until the collector's next full pass."""
+
+    __slots__ = ("_manager",)
+
+    def __init__(self, manager: "EngineManager") -> None:
+        self._manager = manager
+
+    def __enter__(self) -> Tuple[Any, int]:
+        manager = self._manager
+        manager._lock.acquire_read()
+        return manager._current
+
+    def __exit__(self, *exc_info) -> None:
+        self._manager._lock.release_read()
 
 
 class EngineManager:
@@ -155,15 +175,13 @@ class EngineManager:
         observability reads; use :meth:`reading` to actually query."""
         return self._current
 
-    @contextmanager
-    def reading(self) -> Iterator[Tuple[Any, int]]:
+    def reading(self) -> _Reading:
         """Shared-lock access to an atomic ``(engine, epoch)`` pair.
 
         Hold it for the duration of one query: in-place mutators and
         swaps wait for the lock, so the engine cannot change underneath.
         """
-        with self._lock.reading():
-            yield self._current
+        return _Reading(self)
 
     # ------------------------------------------------------------------
     # Mutation (exclusive lock; every answer-affecting change bumps)
@@ -294,8 +312,7 @@ class EngineManager:
                 wrapped by the durability layer).
         """
         with self._checkpoint_lock:
-            with self._lock.reading():
-                engine = self._current[0]
+            with self.reading() as (engine, _):
                 op = getattr(engine, "checkpoint", None)
                 if op is None:
                     raise ServiceError(

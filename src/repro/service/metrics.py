@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left
 from typing import Dict, List
 
 from repro.core.errors import ConfigurationError
@@ -50,11 +51,9 @@ class LatencyHistogram:
     def observe(self, seconds: float) -> None:
         """Record one request latency (wall seconds)."""
         ms = seconds * 1000.0
-        index = len(BUCKET_BOUNDS_MS)
-        for i, bound in enumerate(BUCKET_BOUNDS_MS):
-            if ms <= bound:
-                index = i
-                break
+        # The first bucket whose bound is >= ms: a latency exactly on a
+        # bound counts in that bound's bucket.
+        index = bisect_left(BUCKET_BOUNDS_MS, ms)
         with self._lock:
             self._counts[index] += 1
             self._count += 1

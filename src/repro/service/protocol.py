@@ -45,7 +45,16 @@ encodes its ``"answers":…,"stats":…`` members once (the result cache
 keeps them), and :func:`result_frame` splices the
 ``{"ok":true,"epoch":…,"generation":…,"pid":…,`` envelope of
 :func:`result_envelope` in front — byte-identical to encoding the whole
-object again.
+object again.  A batch's ok-response splices its results' members the
+same way (:func:`batch_members`).
+
+The frames every query pays for are formatted, not encoded from a dict:
+:func:`query_frame` and :func:`batch_frame` (the client's requests) and
+:func:`result_members` are one ``%``-format each over the fields, with
+numbers spelled as the JSON encoder spells them and token lists encoded
+by it — byte-identical to :func:`encode_frame` of the dict forms
+(:func:`query_to_wire`, :func:`result_to_wire`), which stay the
+reference.
 
 This module is pure codec — no sockets.  The transport loops (server
 accept/drain, client blocking reads) live in
@@ -121,23 +130,100 @@ def encode_frame(payload: Mapping[str, Any], *, max_frame: int = MAX_FRAME_BYTES
     return _framed(_ENCODER.encode(payload).encode("utf-8"), max_frame)
 
 
+# ----------------------------------------------------------------------
+# Formatted frames: the hot requests and responses, byte-identical to
+# encode_frame of their dict forms, without walking a dict
+# ----------------------------------------------------------------------
+
+
+#: How JSON spells the floats ``repr`` spells ``inf`` / ``-inf`` / ``nan``.
+_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _number(value: Any) -> str:
+    """``value`` as :data:`_ENCODER` spells it: ``float.__repr__`` for
+    any float (``Infinity`` / ``-Infinity`` / ``NaN`` when not finite),
+    ``int.__repr__`` for any int but a bool, and the encoder itself for
+    anything else — a bool, or a type it refuses with its own
+    ``TypeError``."""
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    if isinstance(value, int) and value.__class__ is not bool:
+        return int.__repr__(value)
+    return _ENCODER.encode(value)
+
+
+#: A query's wire fields (:func:`query_to_wire`) as one format.
+_QUERY_FIELDS = '"region":[%s,%s,%s,%s],"tokens":[%s],"tau_r":%s,"tau_t":%s'
+
+
+def _query_fields(query: Query) -> str:
+    region = query.region
+    return _QUERY_FIELDS % (
+        _number(region.x1), _number(region.y1), _number(region.x2), _number(region.y2),
+        # The encoder spells a lone string without building its list
+        # machinery, and exactly as it spells one inside the list.
+        ",".join(map(_ENCODER.encode, sorted(query.tokens))),
+        _number(query.tau_r), _number(query.tau_t),
+    )
+
+
+def query_frame(query: Query, *, max_frame: int = MAX_FRAME_BYTES) -> bytes:
+    """A ``query`` request frame, byte-identical to
+    ``encode_frame({"op": "query", **query_to_wire(query)})``.
+
+    Raises:
+        ProtocolError: As :func:`encode_frame`.
+    """
+    return _framed(('{"op":"query",%s}' % _query_fields(query)).encode("utf-8"), max_frame)
+
+
+def batch_frame(queries: Sequence[Query], *, max_frame: int = MAX_FRAME_BYTES) -> bytes:
+    """A ``batch`` request frame, byte-identical to
+    ``encode_frame({"op": "batch", "queries": [query_to_wire(q) for q in queries]})``.
+
+    Raises:
+        ProtocolError: As :func:`encode_frame`.
+    """
+    items = ",".join(["{%s}" % _query_fields(query) for query in queries])
+    return _framed(('{"op":"batch","queries":[%s]}' % items).encode("utf-8"), max_frame)
+
+
 def result_members(result: SearchResult) -> bytes:
-    """The ``"answers":…,"stats":…`` members of a query response, encoded
+    """The ``"answers":…,"stats":…`` members of a query response (the
+    object :func:`result_to_wire` makes, without its braces), encoded
     once: the part of the frame a cached answer can keep as bytes."""
-    return _ENCODER.encode(result_to_wire(result))[1:-1].encode("utf-8")
+    stats = result.stats
+    answers = result.answers
+    return (_RESULT_MEMBERS % (
+        # "%d" is int(oid) spelled by int.__repr__, NumPy integers included.
+        ("%d," * len(answers) % tuple(answers))[:-1],
+        _number(stats.lists_probed), _number(stats.entries_retrieved),
+        _number(stats.entries_matched), _number(stats.candidates), _number(stats.results),
+        _number(stats.filter_seconds), _number(stats.verify_seconds),
+    )).encode("utf-8")
+
+
+def batch_members(results: Sequence[SearchResult]) -> bytes:
+    """The ``"results":[…]`` member of a batch response, each result's
+    object spliced from its :func:`result_members`."""
+    return b'"results":[%s]' % b",".join([b"{%s}" % result_members(r) for r in results])
 
 
 def result_envelope(meta: Mapping[str, Any]) -> bytes:
-    """The ``{"ok":true,<meta>,`` head of a query's ok-response; it
-    changes only when the serving identity does, so a connection keeps
-    it across responses."""
+    """The ``{"ok":true,<meta>,`` head of an ok-response; it changes
+    only when the serving identity does, so a connection keeps it across
+    responses."""
     return _ENCODER.encode({"ok": True, **meta})[:-1].encode("utf-8") + b","
 
 
 def result_frame(envelope: bytes, members: bytes, *, max_frame: int = MAX_FRAME_BYTES) -> bytes:
-    """A query's ok-response frame: :func:`result_envelope` spliced in
-    front of the encoded :func:`result_members`, byte-identical to
-    ``encode_frame({"ok": True, **meta, **result_to_wire(result)})``.
+    """An ok-response frame: :func:`result_envelope` spliced in front of
+    encoded members — a query's :func:`result_members`, byte-identical to
+    ``encode_frame({"ok": True, **meta, **result_to_wire(result)})``, or
+    a batch's :func:`batch_members`, byte-identical to ``encode_frame({"ok":
+    True, **meta, "results": [result_to_wire(r) for r in results]})``.
 
     Raises:
         ProtocolError: As :func:`encode_frame`.
@@ -244,6 +330,23 @@ _COUNTER_FIELDS = (
 )
 _STATS_FIELDS = _COUNTER_FIELDS + ("filter_seconds", "verify_seconds")
 
+#: The object :func:`result_to_wire` makes, without its braces, as one
+#: format: the answers, then each stats field in order.
+_RESULT_MEMBERS = '"answers":[%s],"stats":{' + ",".join(
+    f'"{name}":%s' for name in _STATS_FIELDS
+) + "}"
+
+#: Each stats field with the value a missing one takes, the exact types
+#: a present one may have (JSON ``true`` is a ``bool``, never an ``int``
+#: here) and their name in the complaint.
+_STATS_CHECKS = tuple(
+    (name, 0, (int,), "an integer") for name in _COUNTER_FIELDS
+) + tuple(
+    (name, 0.0, (int, float), "a number") for name in _STATS_FIELDS[len(_COUNTER_FIELDS):]
+)
+
+_INT_ONLY = frozenset({int})
+
 
 def result_to_wire(result: SearchResult) -> Dict[str, Any]:
     """A result's wire fields: answer oids + flat stats counters."""
@@ -255,7 +358,8 @@ def result_to_wire(result: SearchResult) -> Dict[str, Any]:
 
 
 def result_from_wire(fields: Mapping[str, Any]) -> SearchResult:
-    """Rebuild a :class:`SearchResult` from wire fields.
+    """Rebuild a :class:`SearchResult` from wire fields, in one pass of
+    exact-type checks.
 
     Raises:
         ProtocolError: Missing/malformed answers or stats — a server
@@ -264,20 +368,18 @@ def result_from_wire(fields: Mapping[str, Any]) -> SearchResult:
             an oid or a counter here.
     """
     answers = fields.get("answers")
-    if not isinstance(answers, list) or not all(type(a) is int for a in answers):
+    if type(answers) is not list or not set(map(type, answers)) <= _INT_ONLY:
         raise ProtocolError("'answers' must be a list of integer oids")
     stats_fields = fields.get("stats") or {}
-    if not isinstance(stats_fields, Mapping):
+    if type(stats_fields) is not dict:
         raise ProtocolError("'stats' must be an object")
-    stats = {name: stats_fields[name] for name in _STATS_FIELDS if name in stats_fields}
-    for name, value in stats.items():
-        whole = name in _COUNTER_FIELDS
-        if isinstance(value, bool) or not isinstance(value, int if whole else (int, float)):
-            raise ProtocolError(
-                f"stat {name!r} must be {'an integer' if whole else 'a number'}, "
-                f"got {type(value).__name__}"
-            )
-    return SearchResult(answers=list(answers), stats=SearchStats(**stats))
+    values = []
+    for name, missing, kinds, noun in _STATS_CHECKS:
+        value = stats_fields.get(name, missing)
+        if type(value) not in kinds:
+            raise ProtocolError(f"stat {name!r} must be {noun}, got {type(value).__name__}")
+        values.append(value)
+    return SearchResult(list(answers), SearchStats(*values))
 
 
 def results_from_wire(items: Sequence[Mapping[str, Any]]) -> List[SearchResult]:

@@ -43,17 +43,18 @@ from repro.service.protocol import (
     HEADER_BYTES,
     MAX_FRAME_BYTES,
     REPL_PREFIX,
+    batch_frame,
+    batch_members,
     check_frame_length,
     decode_payload,
     encode_frame,
     error_to_wire,
+    query_frame,
     query_from_wire,
-    query_to_wire,
     raise_from_wire,
     result_envelope,
     result_frame,
     result_from_wire,
-    result_to_wire,
     results_from_wire,
 )
 
@@ -153,24 +154,26 @@ def recv_body(
 # ----------------------------------------------------------------------
 
 
+def _batch_queries(request: Dict[str, Any]) -> List[Query]:
+    """The validated queries of a ``batch`` request."""
+    items = request.get("queries")
+    if not isinstance(items, list):
+        raise ProtocolError("'queries' must be a list of query objects")
+    queries = []
+    for position, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise ProtocolError(f"'queries'[{position}] must be a query object")
+        try:
+            queries.append(query_from_wire(item))
+        except ProtocolError as exc:
+            raise ProtocolError(f"'queries'[{position}]: {exc}") from exc
+    return queries
+
+
 def _dispatch(service: Any, request: Dict[str, Any]) -> Dict[str, Any]:
-    """Execute one non-``query`` request against the service; returns
-    the ok-payload."""
+    """Execute one request that is neither ``query`` nor ``batch``
+    against the service; returns the ok-payload."""
     op = request.get("op")
-    if op == "batch":
-        items = request.get("queries")
-        if not isinstance(items, list):
-            raise ProtocolError("'queries' must be a list of query objects")
-        queries = []
-        for position, item in enumerate(items):
-            if not isinstance(item, dict):
-                raise ProtocolError(f"'queries'[{position}] must be a query object")
-            try:
-                queries.append(query_from_wire(item))
-            except ProtocolError as exc:
-                raise ProtocolError(f"'queries'[{position}]: {exc}") from exc
-        results = service.query_batch(queries)
-        return {"results": [result_to_wire(result) for result in results]}
     if op == "ping":
         return {}
     if op == "metrics":
@@ -212,7 +215,8 @@ def serve_connection(
     loses an answered query.
 
     A ``query`` op is answered by ``service.query_wire`` spliced into
-    its frame.  The connection remembers the :class:`Query` each
+    its frame, a ``batch`` op by its results' members spliced the same
+    way.  The connection remembers the :class:`Query` each
     distinct ``query`` body validated to (up to :data:`QUERY_MEMO_BYTES`
     of bodies, then it starts over), so a byte-identical repeat skips
     JSON decode and validation; a body that failed either is never
@@ -245,15 +249,18 @@ def serve_connection(
                             memo_bytes = 0
                         memo[body] = query
                         memo_bytes += len(body)
-                if query is not None:
-                    members = service.query_wire(query)
+                if query is None and request.get("op") != "batch":
+                    payload = _dispatch(service, request)
+                    frame = encode_frame({"ok": True, **meta(), **payload}, max_frame=max_frame)
+                else:
+                    members = (
+                        service.query_wire(query) if query is not None
+                        else batch_members(service.query_batch(_batch_queries(request)))
+                    )
                     current = meta()
                     if current != identity:
                         identity, envelope = current, result_envelope(current)
                     frame = result_frame(envelope, members, max_frame=max_frame)
-                else:
-                    payload = _dispatch(service, request)
-                    frame = encode_frame({"ok": True, **meta(), **payload}, max_frame=max_frame)
             except SealError as exc:
                 # Expected service-level failure (rejection, deadline,
                 # bad query, oversized answer): answer the error frame
@@ -505,9 +512,9 @@ class NetworkClient:
             received += len(chunk)
         return b"".join(chunks)
 
-    def _rpc(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _rpc(self, frame: bytes) -> Dict[str, Any]:
         try:
-            self._sock.sendall(encode_frame(request, max_frame=self._max_frame))
+            self._sock.sendall(frame)
         except OSError as exc:
             raise ProtocolError(f"connection lost while sending: {exc}") from exc
         header = self._recv_exact(HEADER_BYTES)
@@ -524,8 +531,7 @@ class NetworkClient:
 
     def query(self, query: Query) -> SearchResult:
         """One query over the wire; answers match a local engine call."""
-        payload = self._rpc({"op": "query", **query_to_wire(query)})
-        return result_from_wire(payload)
+        return result_from_wire(self._rpc(query_frame(query, max_frame=self._max_frame)))
 
     def search(self, region, tokens, tau_r: float, tau_t: float) -> SearchResult:
         """Convenience single query from raw parts (mirrors the engines)."""
@@ -533,9 +539,7 @@ class NetworkClient:
 
     def query_batch(self, queries: Sequence[Query]) -> List[SearchResult]:
         """A burst in one frame, coalesced server-side by the service."""
-        payload = self._rpc(
-            {"op": "batch", "queries": [query_to_wire(q) for q in queries]}
-        )
+        payload = self._rpc(batch_frame(queries, max_frame=self._max_frame))
         items = payload.get("results")
         if not isinstance(items, list) or len(items) != len(queries):
             raise ProtocolError(
@@ -552,16 +556,15 @@ class NetworkClient:
         conversation through this.  Server errors re-raise exactly like
         the typed methods.
         """
-        return dict(self._rpc(request))
+        return dict(self._rpc(encode_frame(request, max_frame=self._max_frame)))
 
     def ping(self) -> Dict[str, Any]:
         """Round-trip returning the serving identity (epoch/generation/pid)."""
-        return dict(self._rpc({"op": "ping"}))
+        return self.call({"op": "ping"})
 
     def metrics(self) -> Dict[str, Any]:
         """The serving process's metrics document."""
-        payload = self._rpc({"op": "metrics"})
-        metrics = payload.get("metrics")
+        metrics = self.call({"op": "metrics"}).get("metrics")
         if not isinstance(metrics, dict):
             raise ProtocolError("metrics response carried no metrics object")
         return metrics

@@ -228,7 +228,9 @@ class TestSnapshot:
 
         fresh = saved(tmp_path / "fresh.pkl")
         assert engine.verifier._columns is None
-        query = Query(Rect(0, 0, 1, 1), frozenset(), 0.0, 0.0)
+        # Over the whole corpus, and τR > 0: the spatial check (which
+        # builds the columns) is skipped at τR = 0.
+        query = Query(Rect(0, 0, 40_000, 40_000), frozenset(), 1e-9, 0.0)
         assert engine.search(query).stats.candidates >= VECTOR_MIN_CANDIDATES
         assert engine.verifier._columns is not None
         assert engine.verifier._token_rows is not None

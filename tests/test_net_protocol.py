@@ -14,6 +14,7 @@ import string
 import threading
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,10 +31,13 @@ from repro.core.stats import SearchResult, SearchStats
 from repro.service.protocol import (
     HEADER_BYTES,
     MAX_FRAME_BYTES,
+    batch_frame,
+    batch_members,
     check_frame_length,
     decode_payload,
     encode_frame,
     error_to_wire,
+    query_frame,
     query_from_wire,
     query_to_wire,
     raise_from_wire,
@@ -149,6 +153,67 @@ def test_spliced_result_frame_is_byte_identical(answers, counters, seconds, epoc
     meta = {"epoch": epoch, "generation": generation, "pid": pid}
     assert result_frame(result_envelope(meta), result_members(result)) == encode_frame(
         {"ok": True, **meta, **result_to_wire(result)}
+    )
+
+
+#: Coordinates as they reach the encoder: ints, floats (±inf included),
+#: and the NumPy floats a generated corpus carries.
+_coordinate = st.one_of(
+    st.integers(min_value=-(2**53), max_value=2**53),
+    st.floats(allow_nan=False, allow_infinity=True),
+    st.floats(allow_nan=False, allow_infinity=True).map(np.float64),
+)
+
+#: Tokens the encoder must escape: quote, backslash, control
+#: characters and non-ASCII, beside anything else.
+_token = st.text(
+    alphabet=st.one_of(st.sampled_from('"\\\x00\x07\n\x1f\x7fé漢\U0001f600a'), st.characters()),
+    max_size=6,
+)
+
+#: τ at both ends, spelled as int, float and bool (JSON ``false`` /
+#: ``true``, which the server then refuses), and anything between.
+_tau = st.one_of(st.sampled_from([0, 1, 0.0, 1.0, False, True]),
+                 st.floats(min_value=0.0, max_value=1.0))
+
+
+@st.composite
+def _queries(draw) -> Query:
+    x1, x2 = sorted(draw(st.tuples(_coordinate, _coordinate)))
+    y1, y2 = sorted(draw(st.tuples(_coordinate, _coordinate)))
+    return Query(Rect(x1, y1, x2, y2), draw(st.frozensets(_token, max_size=5)),
+                 draw(_tau), draw(_tau))
+
+
+@st.composite
+def _results(draw) -> SearchResult:
+    kind = draw(st.sampled_from([int, np.int64, np.int32]))
+    answers = draw(st.lists(st.integers(min_value=0, max_value=2**31 - 1), max_size=8))
+    seconds = st.one_of(st.sampled_from([0, 0.0]), _seconds)
+    stats = SearchStats(*draw(st.tuples(*[_counter] * 5)), draw(seconds), draw(seconds))
+    return SearchResult(answers=[kind(a) for a in answers], stats=stats)
+
+
+@settings(max_examples=200, deadline=None)
+@given(queries=st.lists(_queries(), max_size=4), results=st.lists(_results(), max_size=4),
+       generation=st.none() | st.integers(min_value=0, max_value=2**63))
+def test_formatted_frames_are_byte_identical_to_the_dict_encoding(queries, results, generation):
+    """Every formatted frame is ``encode_frame`` of its dict form: the
+    ``query`` and ``batch`` requests, a result's members, and the
+    spliced ``batch`` response."""
+    for query in queries:
+        assert query_frame(query) == encode_frame({"op": "query", **query_to_wire(query)})
+    assert batch_frame(queries) == encode_frame(
+        {"op": "batch", "queries": [query_to_wire(query) for query in queries]}
+    )
+    meta = {"epoch": 3, "generation": generation, "pid": 42}
+    envelope = result_envelope(meta)
+    for result in results:
+        assert result_frame(envelope, result_members(result)) == encode_frame(
+            {"ok": True, **meta, **result_to_wire(result)}
+        )
+    assert result_frame(envelope, batch_members(results)) == encode_frame(
+        {"ok": True, **meta, "results": [result_to_wire(result) for result in results]}
     )
 
 

@@ -103,7 +103,7 @@ class TestIdentityAndErrors:
         from repro.service.protocol import query_to_wire  # noqa: F401  (doc aid)
 
         with pytest.raises(ProtocolError, match="tau_r"):
-            client._rpc({"op": "query", "region": [0, 0, 1, 1],
+            client.call({"op": "query", "region": [0, 0, 1, 1],
                          "tokens": ["a"], "tau_r": "high", "tau_t": 0.1})
         assert client.ping()["ok"] is True
 
@@ -118,10 +118,10 @@ class TestIdentityAndErrors:
         query = twitter_small_queries[0]
         good = query_to_wire(query)
         with pytest.raises(ProtocolError, match=r"^'queries'\[1\] must be a query object$"):
-            client._rpc({"op": "batch", "queries": [good, ["region", "tokens"]]})
+            client.call({"op": "batch", "queries": [good, ["region", "tokens"]]})
         assert client.ping()["ok"] is True
         with pytest.raises(ProtocolError, match=r"^'queries'\[2\]: 'tau_t' must be a number"):
-            client._rpc({"op": "batch", "queries": [good, good, dict(good, tau_t="high")]})
+            client.call({"op": "batch", "queries": [good, good, dict(good, tau_t="high")]})
         assert [r.answers for r in client.query_batch([query, query])] == (
             [service.query(query).answers] * 2
         )
@@ -129,7 +129,7 @@ class TestIdentityAndErrors:
     def test_unknown_op_raises_protocol_error(self, served):
         client, _ = served
         with pytest.raises(ProtocolError, match="unknown op"):
-            client._rpc({"op": "teleport"})
+            client.call({"op": "teleport"})
 
     def test_admission_shutdown_maps_to_service_error(self, twitter_small):
         pairs = [(obj.region, obj.tokens) for obj in twitter_small[:50]]
@@ -141,7 +141,7 @@ class TestIdentityAndErrors:
                 assert client.ping()["ok"] is True
                 service.close()  # the service dies under the server
                 with pytest.raises((ServiceError, ProtocolError)):
-                    client._rpc({"op": "query", "region": [0, 0, 1, 1],
+                    client.call({"op": "query", "region": [0, 0, 1, 1],
                                  "tokens": ["a"], "tau_r": 0.1, "tau_t": 0.1})
 
 

@@ -467,6 +467,10 @@ class TestStatsAttribution:
         clone.per_source[0].lists_probed = 99
         assert stats.per_source[0].lists_probed == 1  # deep, not shared
 
+    def test_copy_keeps_every_field_in_its_place(self):
+        stats = SearchStats(1, 2, 3, 4, 5, 6.5, 7.5, "m", [SearchStats(results=8)])
+        assert stats.copy() == stats
+
     def test_merge_does_not_concatenate_sources(self):
         a = SearchStats(method="a")
         a.per_source.append(SearchStats(method="x"))

@@ -464,6 +464,24 @@ class TestLatencyHistogram:
         with pytest.raises(ValueError):
             histogram.percentile(0.0)
 
+    def test_a_latency_on_a_bound_counts_in_that_bounds_bucket(self):
+        """A bucket is ``<= le_ms``: a latency exactly on a bound counts
+        there, and the next float up in the bucket after it."""
+        import math
+
+        from repro.service.metrics import BUCKET_BOUNDS_MS
+
+        for i, bound in enumerate(BUCKET_BOUNDS_MS):
+            seconds = bound / 1000.0
+            assert seconds * 1000.0 == bound  # observe() sees the bound itself
+            above = math.nextafter(seconds, math.inf)
+            assert above * 1000.0 > bound
+            histogram = LatencyHistogram()
+            histogram.observe(seconds)
+            histogram.observe(above)
+            counts = [bucket["count"] for bucket in histogram.as_dict()["buckets"]]
+            assert counts[i] == 1 and counts[i + 1] == 1 and sum(counts) == 2
+
     def test_overflow_bucket_reports_observed_max(self):
         histogram = LatencyHistogram()
         histogram.observe(10.0)  # 10 000 ms: beyond the last bound

@@ -9,8 +9,10 @@ pinned.
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -331,6 +333,32 @@ class TestReadWriteLock:
         for thread in (t_first, t_writer, t_second):
             thread.join(timeout=10.0)
         assert order == ["writer", "reader"]
+
+    def test_a_read_that_raises_releases_the_lock(self):
+        manager = EngineManager(make_segmented())
+        with pytest.raises(KeyError):
+            with manager.reading():
+                raise KeyError("boom")
+        done = threading.Thread(target=manager.insert, args=(Rect(50, 0, 51, 1), {"a"}))
+        done.start()
+        done.join(timeout=10.0)
+        assert not done.is_alive() and manager.epoch == 1
+
+    def test_a_dropped_manager_frees_its_engine_at_once(self):
+        """Nothing the manager holds refers back to it, so dropping it
+        frees the engine then, not at the collector's next pass."""
+        engine = make_segmented()
+        freed = weakref.ref(engine)
+        manager = EngineManager(engine)
+        with manager.reading() as (pinned, _):
+            assert pinned is engine
+        del engine, pinned
+        gc.disable()
+        try:
+            del manager
+            assert freed() is None
+        finally:
+            gc.enable()
 
 
 class TestWrappedEngineFlavors:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import subprocess
@@ -10,12 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro import Query, Rect, SpatioTextualObject, TokenWeighter, make_corpus
 from repro.core.verification import Verifier
 
-from tests.test_exec_batch import _boundary_corpus, forced
+from tests.test_exec_batch import BRANCHES, _boundary_corpus, forced
 
 
 @pytest.fixture()
@@ -86,6 +89,68 @@ class TestVerifier:
         assert verifier.verify(q, range(2)) == [0, 1]
 
 
+#: Coordinates around a few unit squares, and past every one of them.
+_edges = st.sampled_from([-math.inf, -2.0, -1.0, 0.0, 1.0, 2.0, math.inf])
+
+
+@st.composite
+def _unbounded_rects(draw) -> Rect:
+    """A rectangle whose corners may sit at ±inf: the ``Infinity`` a wire
+    frame may carry.  Its area or union can be inf or NaN (0·inf,
+    inf − inf)."""
+    x1, x2 = sorted(draw(st.tuples(_edges, _edges)))
+    y1, y2 = sorted(draw(st.tuples(_edges, _edges)))
+    return Rect(x1, y1, x2, y2)
+
+
+#: NumPy warns on the NaNs an infinite region produces; they are expected.
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestUnboundedRegions:
+    """The spatial mask and the batched pass keep exactly what the
+    per-object loop keeps, when a region is infinite."""
+
+    EVERYWHERE = Rect(-math.inf, -math.inf, math.inf, math.inf)
+
+    @pytest.mark.parametrize("n", [10, 100])
+    def test_an_everywhere_query_at_tau_r_zero_answers_every_object(self, n):
+        """simR of the plane against a unit square is 0 (intersection 1,
+        union inf), so at τR = 0 every object answers.  The loop (N = 10)
+        kept them; the mask (N = 100) compared against 0·inf = NaN and
+        dropped them all."""
+        corpus = make_corpus([(Rect(i, 0, i + 1, 1), {"a"}) for i in range(n)])
+        weighter = TokenWeighter(o.tokens for o in corpus)
+        query = Query(self.EVERYWHERE, frozenset({"a"}), 0.0, 0.0)
+        assert repro.build_method(corpus, "naive", weighter).search(query).answers == list(range(n))
+        verifier = Verifier(corpus, weighter)
+        oids = np.arange(n)
+        assert verifier._spatial_mask(query, oids).tolist() == list(range(n))
+        assert verifier.verify_batch([query], np.zeros(n, dtype=np.intp), oids) == [list(range(n))]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        regions=st.lists(_unbounded_rects(), min_size=1, max_size=40),
+        query_regions=st.lists(_unbounded_rects(), min_size=1, max_size=3),
+        tau_r=st.sampled_from([0.0, 0.5]),
+    )
+    def test_loop_mask_and_batch_agree(self, regions, query_regions, tau_r):
+        corpus = make_corpus([(region, {"a"}) for region in regions])
+        verifier = Verifier(corpus, TokenWeighter(o.tokens for o in corpus))
+        n = len(corpus)
+        # τT = 0 keeps every spatial survivor: each answer list is the
+        # spatial check's.
+        queries = [Query(region, frozenset({"a"}), tau_r, 0.0) for region in query_regions]
+        loops = [verifier._spatial_loop(query, range(n)) for query in queries]
+        if tau_r == 0.0:
+            assert loops == [list(range(n))] * len(queries)
+        for query, loop in zip(queries, loops):
+            assert verifier._spatial_mask(query, np.arange(n)).tolist() == loop
+            for branch in BRANCHES:
+                with forced(branch):
+                    assert verifier.verify(query, range(n)) == loop
+        pairs = np.repeat(np.arange(len(queries)), n), np.tile(np.arange(n), len(queries))
+        assert verifier.verify_batch(queries, *pairs) == loops
+
+
 def _large_corpus():
     """Forty objects: enough for both NumPy kernels at the default cut."""
     return make_corpus(
@@ -97,20 +162,22 @@ def _large_corpus():
 class TestVerifierState:
     """What a verifier pickles, and what it answers with after a load."""
 
-    VACUOUS = Query(Rect(0, 0, 10, 10), frozenset({"t1", "u2", "v3", "unseen"}), 0.0, 0.0)
+    #: Every object lies inside the query region (simR = 6/100), so a
+    #: τR > 0 that still keeps them all runs the spatial check.
+    KEEPS_ALL = Query(Rect(0, 0, 10, 10), frozenset({"t1", "u2", "v3", "unseen"}), 0.05, 0.0)
 
     def test_pickle_carries_the_totals_and_neither_derived_structure(self):
         corpus = _large_corpus()
         weighter = TokenWeighter(o.tokens for o in corpus)
         verifier = Verifier(corpus, weighter)
-        assert verifier.verify(self.VACUOUS, range(40)) == list(range(40))
+        assert verifier.verify(self.KEEPS_ALL, range(40)) == list(range(40))
         assert verifier._columns is not None and verifier._token_rows is not None
         state = verifier.__getstate__()[1]
         assert sorted(state) == ["_token_totals", "corpus", "weighter"]
         assert state["_token_totals"] == [weighter.total_weight(o.tokens) for o in corpus]
         clone = pickle.loads(pickle.dumps(verifier))
         assert clone._columns is None and clone._token_rows is None
-        assert clone.verify(self.VACUOUS, range(40)) == list(range(40))
+        assert clone.verify(self.KEEPS_ALL, range(40)) == list(range(40))
         # A never-used verifier computes its (lazy) totals to pickle them.
         assert Verifier(corpus, weighter).__getstate__()[1]["_token_totals"] == (
             state["_token_totals"]

@@ -155,7 +155,7 @@ def test_replica_catchup_keeps_pace_with_ingest(
 
             # Differential: the caught-up replica answers identically.
             expected = [primary.search_query(q).answers for q in repl_queries]
-            with applier.manager.reading() as (engine, _epoch):
+            with applier.service.reading() as (engine, _epoch):
                 got = [engine.search_query(q).answers for q in repl_queries]
             assert got == expected, "replica answers diverged from the primary"
             status = applier.status()

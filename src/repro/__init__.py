@@ -66,7 +66,6 @@ from repro.service import (
     AdmissionController,
     AdmissionRejected,
     DeadlineExceeded,
-    EngineManager,
     NetworkClient,
     NetworkServer,
     ProcessSupervisor,
@@ -90,7 +89,6 @@ __all__ = [
     "Corpus",
     "DeadlineExceeded",
     "DurableSegmentedSealSearch",
-    "EngineManager",
     "GridFilter",
     "HierarchicalFilter",
     "HybridFilter",

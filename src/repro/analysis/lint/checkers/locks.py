@@ -2,7 +2,7 @@
 
 Builds, per class, a lock-acquisition graph from ``with self._lock``-style
 contexts (including ``with self._lock.reading()`` / ``.writing()`` on the
-manager's RW lock) propagated through the intraprocedural ``self.method()``
+service's RW lock) propagated through the intraprocedural ``self.method()``
 call graph, then fails on:
 
 * **re-acquisition** — taking a lock already held on the same path (the
@@ -11,7 +11,7 @@ call graph, then fails on:
   orders (classic ABBA deadlock);
 * **checkpoint ordering** — acquiring a checkpoint mutex while holding
   any other lock.  The canonical order, established by
-  ``EngineManager.checkpoint()``/``recover()``, is checkpoint mutex
+  ``QueryService.checkpoint()``/``recover()``, is checkpoint mutex
   *first*, RW lock second; the reverse order deadlocks against them.
 
 Attributes count as locks when their name contains ``lock`` or ``mutex``
@@ -212,7 +212,7 @@ class LockOrderChecker(Checker):
                             line,
                             f"{class_name}.{method} acquires checkpoint mutex "
                             f"{inner!r} while holding {outer!r}; the canonical "
-                            "order (EngineManager.checkpoint/recover) takes the "
+                            "order (QueryService.checkpoint/recover) takes the "
                             "checkpoint mutex first",
                         )
                     )

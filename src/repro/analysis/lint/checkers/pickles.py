@@ -67,7 +67,7 @@ class NoPickleChecker(Checker):
                         path,
                         node,
                         f"{node.value.id}.{node.attr} outside io/snapshot.py: "
-                        "live handles (DurableSegmentedSealSearch, managers) "
+                        "live handles (DurableSegmentedSealSearch, services) "
                         "are not picklable; go through save_engine/load_engine",
                     )
                 )

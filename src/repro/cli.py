@@ -900,7 +900,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _service_config(args: argparse.Namespace) -> dict:
-    """The QueryService keyword arguments both serve modes share."""
+    """The QueryService keyword arguments every serve mode shares."""
     return {
         "enable_cache": not args.no_cache,
         "cache_capacity": args.cache_capacity,
@@ -1069,7 +1069,7 @@ def _serve_replica(args: argparse.Namespace) -> int:
     import threading
     from pathlib import Path
 
-    from repro.service import NetworkServer, QueryService
+    from repro.service import NetworkServer
     from repro.service.replication import ReplicaApplier
 
     host, _, port_text = args.replica_of.rpartition(":")
@@ -1085,6 +1085,7 @@ def _serve_replica(args: argparse.Namespace) -> int:
         poll_interval=args.replica_poll,
         checkpoint_records=args.replica_checkpoint_records,
         mmap=args.mmap,
+        service_config=_service_config(args),
     )
     try:
         applier.start()
@@ -1093,7 +1094,7 @@ def _serve_replica(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     try:
-        service = QueryService(applier.manager, **_service_config(args))
+        service = applier.service
         # Route repl-* ops to the applier: it refuses them loudly (no
         # chained replication), and metrics gain the replica block.
         service.replication = applier

@@ -161,8 +161,8 @@ class DurableSegmentedSealSearch:
     Facade-compatible with the wrapped engine: every read-side method
     (``search``, ``search_query``, ``search_batch``, ``object``,
     ``len``, stats/introspection properties) delegates
-    untouched, so the wrapper drops into :class:`~repro.service.manager.
-    EngineManager`, :class:`~repro.exec.batch.BatchExecutor` and the CLI
+    untouched, so the wrapper drops into :class:`~repro.service.service.
+    QueryService`, :class:`~repro.exec.batch.BatchExecutor` and the CLI
     exactly like the raw engine.  Mutations are intercepted and logged
     first.
 

@@ -1,6 +1,6 @@
 """Snapshot generations: the cross-process edition of the epoch counter.
 
-Inside one process, :class:`~repro.service.manager.EngineManager` bumps
+Inside one process, :class:`~repro.service.service.QueryService` bumps
 an epoch integer and swaps an object reference.  Across processes there
 is no shared reference to swap — what the supervisor and its workers
 share is a *directory*, and this module gives that directory the same

@@ -52,7 +52,7 @@ a loud error rather than a silent truncation.
   only checkpoints, :meth:`sync` and :meth:`close` force durability.
 
 The appender is single-writer by design (the service serializes
-mutations behind the :class:`~repro.service.manager.EngineManager`
+mutations behind the :class:`~repro.service.service.QueryService`
 write lock); an internal lock still guards it so misuse degrades to
 serialization, not corruption.
 """

@@ -6,9 +6,6 @@ indexes); this package is the first layer whose correctness is
 and survives updates and snapshot hot-swaps without handing out stale
 answers.
 
-* :mod:`repro.service.manager` — :class:`EngineManager`: the versioned
-  engine holder (epoch counter bumped by every answer-affecting
-  mutation, readers-writer discipline, atomic snapshot hot-swap).
 * :mod:`repro.service.cache` — :class:`ResultCache`: LRU, keyed on
   ``(epoch, query)`` so churn invalidates by construction; entries are
   defensive copies both ways.
@@ -18,7 +15,10 @@ answers.
 * :mod:`repro.service.metrics` — latency histogram and counters behind
   the JSON metrics surface.
 * :mod:`repro.service.service` — :class:`QueryService`: the facade
-  composing all of the above (cache → admission → engine).
+  composing all of the above (cache → admission → engine) and the
+  versioned engine holder (epoch counter bumped by every
+  answer-affecting mutation, which purges the cache's stale entries;
+  readers-writer discipline; atomic snapshot hot-swap).
 * :mod:`repro.service.protocol` — the length-prefixed JSON wire format
   (pure codec, dependency-free).
 * :mod:`repro.service.server` — the socket edge: per-connection request
@@ -44,7 +44,6 @@ from repro.core.errors import (
 from repro.service.replication import ReplicaApplier, ReplicationPrimary
 from repro.service.admission import AdmissionController
 from repro.service.cache import ResultCache
-from repro.service.manager import EngineManager
 from repro.service.metrics import LatencyHistogram, RequestCounters
 from repro.service.server import NetworkClient, NetworkServer
 from repro.service.service import QueryService
@@ -54,7 +53,6 @@ __all__ = [
     "AdmissionController",
     "AdmissionRejected",
     "DeadlineExceeded",
-    "EngineManager",
     "LatencyHistogram",
     "NetworkClient",
     "NetworkServer",

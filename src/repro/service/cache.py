@@ -9,12 +9,12 @@ serving layer is built around:
 **Invalidation is by construction, not by bookkeeping.**  A key is the
 frozen :class:`~repro.core.objects.Query` itself — equal as a value
 however its token set was built or its coordinates were spelled — paired
-with the engine *epoch* (the :class:`~repro.service.manager.
-EngineManager` version counter, bumped by every answer-affecting
+with the engine *epoch* (the :class:`~repro.service.service.
+QueryService` version counter, bumped by every answer-affecting
 mutation).  A cached entry therefore can never be served after the
 engine changed: the post-mutation epoch produces different keys, and the
 stale entries simply stop being reachable.  :meth:`drop_stale` lets the
-manager additionally free them eagerly on a bump — an optimisation, not
+service additionally free them eagerly on a bump — an optimisation, not
 a correctness requirement.
 
 **Entries are defensive copies, both ways.**  ``put`` stores a copy of
@@ -143,7 +143,7 @@ class ResultCache:
         """Eagerly free entries whose epoch is not ``epoch``.
 
         Purely a memory optimisation — stale epochs are unreachable by
-        keying either way — called by the manager on epoch bumps so a
+        keying either way — called by the service on epoch bumps so a
         churn-heavy service doesn't hold dead answers until LRU pressure
         evicts them.  Returns the number of entries dropped.
         """

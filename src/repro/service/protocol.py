@@ -49,12 +49,13 @@ object again.  A batch's ok-response splices its results' members the
 same way (:func:`batch_members`).
 
 The frames every query pays for are formatted, not encoded from a dict:
-:func:`query_frame` and :func:`batch_frame` (the client's requests) and
-:func:`result_members` are one ``%``-format each over the fields, with
-numbers spelled as the JSON encoder spells them and token lists encoded
-by it — byte-identical to :func:`encode_frame` of the dict forms
-(:func:`query_to_wire`, :func:`result_to_wire`), which stay the
-reference.
+:func:`query_frame` (the client's request) and :func:`result_members`
+are one ``%``-format each over the fields, with numbers spelled as the
+JSON encoder spells them and token lists encoded by it — byte-identical
+to :func:`encode_frame` of the dict forms (:func:`query_to_wire`,
+:func:`result_to_wire`), which stay the reference.
+
+Every frame, in both directions, is capped at :data:`MAX_FRAME_BYTES`.
 
 This module is pure codec — no sockets.  The transport loops (server
 accept/drain, client blocking reads) live in
@@ -120,14 +121,15 @@ ERROR_KINDS: Dict[str, type] = {
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
-def encode_frame(payload: Mapping[str, Any], *, max_frame: int = MAX_FRAME_BYTES) -> bytes:
+def encode_frame(payload: Mapping[str, Any]) -> bytes:
     """One wire frame: 4-byte big-endian length + compact JSON bytes.
 
     Raises:
-        ProtocolError: The encoded payload exceeds ``max_frame`` — the
-            sender finds out locally instead of the peer dropping it.
+        ProtocolError: The encoded payload exceeds
+            :data:`MAX_FRAME_BYTES` — the sender finds out locally
+            instead of the peer dropping it.
     """
-    return _framed(_ENCODER.encode(payload).encode("utf-8"), max_frame)
+    return _framed(_ENCODER.encode(payload).encode("utf-8"))
 
 
 # ----------------------------------------------------------------------
@@ -169,25 +171,14 @@ def _query_fields(query: Query) -> str:
     )
 
 
-def query_frame(query: Query, *, max_frame: int = MAX_FRAME_BYTES) -> bytes:
+def query_frame(query: Query) -> bytes:
     """A ``query`` request frame, byte-identical to
     ``encode_frame({"op": "query", **query_to_wire(query)})``.
 
     Raises:
         ProtocolError: As :func:`encode_frame`.
     """
-    return _framed(('{"op":"query",%s}' % _query_fields(query)).encode("utf-8"), max_frame)
-
-
-def batch_frame(queries: Sequence[Query], *, max_frame: int = MAX_FRAME_BYTES) -> bytes:
-    """A ``batch`` request frame, byte-identical to
-    ``encode_frame({"op": "batch", "queries": [query_to_wire(q) for q in queries]})``.
-
-    Raises:
-        ProtocolError: As :func:`encode_frame`.
-    """
-    items = ",".join(["{%s}" % _query_fields(query) for query in queries])
-    return _framed(('{"op":"batch","queries":[%s]}' % items).encode("utf-8"), max_frame)
+    return _framed(('{"op":"query",%s}' % _query_fields(query)).encode("utf-8"))
 
 
 def result_members(result: SearchResult) -> bytes:
@@ -218,7 +209,7 @@ def result_envelope(meta: Mapping[str, Any]) -> bytes:
     return _ENCODER.encode({"ok": True, **meta})[:-1].encode("utf-8") + b","
 
 
-def result_frame(envelope: bytes, members: bytes, *, max_frame: int = MAX_FRAME_BYTES) -> bytes:
+def result_frame(envelope: bytes, members: bytes) -> bytes:
     """An ok-response frame: :func:`result_envelope` spliced in front of
     encoded members — a query's :func:`result_members`, byte-identical to
     ``encode_frame({"ok": True, **meta, **result_to_wire(result)})``, or
@@ -228,14 +219,11 @@ def result_frame(envelope: bytes, members: bytes, *, max_frame: int = MAX_FRAME_
     Raises:
         ProtocolError: As :func:`encode_frame`.
     """
-    return _framed(envelope + members + b"}", max_frame)
+    return _framed(envelope + members + b"}")
 
 
-def _framed(body: bytes, max_frame: int) -> bytes:
-    if len(body) > max_frame:
-        raise ProtocolError(
-            f"frame of {len(body)} bytes exceeds the {max_frame}-byte limit"
-        )
+def _framed(body: bytes) -> bytes:
+    check_frame_length(len(body))
     return len(body).to_bytes(HEADER_BYTES, "big") + body
 
 
@@ -257,13 +245,13 @@ def decode_payload(body: bytes) -> Dict[str, Any]:
     return payload
 
 
-def check_frame_length(length: int, *, max_frame: int = MAX_FRAME_BYTES) -> int:
+def check_frame_length(length: int) -> int:
     """Validate a decoded length prefix before any allocation happens."""
     if length <= 0:
         raise ProtocolError(f"invalid frame length {length} (must be positive)")
-    if length > max_frame:
+    if length > MAX_FRAME_BYTES:
         raise ProtocolError(
-            f"frame of {length} bytes exceeds the {max_frame}-byte limit"
+            f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
         )
     return length
 

@@ -78,7 +78,6 @@ from repro.io.snapshot import (
     validate_snapshot,
 )
 from repro.io.wal import HEADER_SIZE, WALCursor, WALError, WALLineageError, decode_frames
-from repro.service.manager import EngineManager
 from repro.service.protocol import (
     REPL_FETCH,
     REPL_SNAPSHOT,
@@ -87,6 +86,7 @@ from repro.service.protocol import (
     bytes_to_wire,
 )
 from repro.service.server import NetworkClient
+from repro.service.service import QueryService
 
 PathLike = Union[str, Path]
 
@@ -345,10 +345,10 @@ class ReplicaApplier:
     """A read replica: bootstraps from the primary, tails its WAL, and
     replays every shipped record into a local segmented engine.
 
-    The applier owns an :class:`~repro.service.manager.EngineManager`
-    so a :class:`~repro.service.service.QueryService` (and a
-    :class:`~repro.service.server.NetworkServer`) can serve reads off
-    the same versioned engine while the apply thread mutates it — each
+    The applier owns the :class:`~repro.service.service.QueryService`
+    that serves its engine (:attr:`service`; hand it to a
+    :class:`~repro.service.server.NetworkServer`), so reads run off the
+    same versioned engine while the apply thread mutates it — each
     shipped batch applies under one exclusive section and one epoch
     bump.  Call :meth:`start` to bootstrap synchronously (loudly) and
     begin tailing in a daemon thread; :meth:`step` drives one
@@ -367,6 +367,9 @@ class ReplicaApplier:
         max_batch_bytes: Fetch size hint passed to the primary.
         mmap: Memory-map the bootstrap snapshot's sidecar.
         timeout: Socket timeout for primary RPCs.
+        service_config: Keyword arguments for the replica's
+            :class:`~repro.service.service.QueryService` (cache knobs,
+            admission limits, …).  Defaults to the service defaults.
     """
 
     def __init__(
@@ -381,6 +384,7 @@ class ReplicaApplier:
         max_batch_bytes: int = DEFAULT_MAX_BATCH_BYTES,
         mmap: bool = False,
         timeout: float = 30.0,
+        service_config: Optional[Dict[str, Any]] = None,
     ) -> None:
         self._host = host
         self._port = port
@@ -395,8 +399,9 @@ class ReplicaApplier:
         self._max_batch_bytes = max_batch_bytes
         self._mmap = mmap
         self._timeout = timeout
+        self._service_config = dict(service_config or {})
         self._client: Optional[NetworkClient] = None
-        self._manager: Optional[EngineManager] = None
+        self._service: Optional[QueryService] = None
         self._lineage: Optional[Tuple[int, int]] = None
         self._primary_position: Optional[Dict[str, int]] = None
         self._since_checkpoint = 0
@@ -415,14 +420,14 @@ class ReplicaApplier:
         return self._root
 
     @property
-    def manager(self) -> EngineManager:
-        """The versioned engine holder serving layers share; available
-        once bootstrapped."""
-        if self._manager is None:
+    def service(self) -> QueryService:
+        """The service over the replica's engine; available once
+        bootstrapped."""
+        if self._service is None:
             raise ReplicationError(
                 "replica has no engine yet; start() or bootstrap() first"
             )
-        return self._manager
+        return self._service
 
     @property
     def lineage(self) -> Optional[Tuple[int, int]]:
@@ -471,10 +476,10 @@ class ReplicaApplier:
         return self._root / REPLICA_STATUS_NAME
 
     def _install(self, engine: Any, lineage: Tuple[int, int], source: str) -> None:
-        if self._manager is None:
-            self._manager = EngineManager(engine)
+        if self._service is None:
+            self._service = QueryService(engine, **self._service_config)
         else:
-            self._manager.swap(engine)
+            self._service.swap_engine(engine)
         self._lineage = lineage
         self._since_checkpoint = 0
         self.source = source
@@ -633,7 +638,7 @@ class ReplicaApplier:
             payloads = [record.payload for record in records]
             source = f"{self._host}:{self._port}"
             try:
-                applied = self.manager.apply(
+                applied = self.service.apply(
                     lambda engine: replay_records(engine, payloads, source=source)
                 )
             except SealError as exc:
@@ -683,7 +688,7 @@ class ReplicaApplier:
         backoff = self._poll_interval
         while not self._stop.is_set():
             try:
-                if self._manager is None and not self.resume():
+                if self._service is None and not self.resume():
                     self.bootstrap()
                 applied = self.step()
                 self.last_error = None
@@ -697,14 +702,14 @@ class ReplicaApplier:
                 backoff = min(backoff * 2, 2.0)
             except SealError as exc:
                 self.last_error = f"{type(exc).__name__}: {exc}"
-                self._manager_poisoned()
+                self._rebootstrap()
                 self._stop.wait(backoff)
 
-    def _manager_poisoned(self) -> None:
+    def _rebootstrap(self) -> None:
         """After divergence the installed engine is untrustworthy:
-        forget it so the next loop iteration re-bootstraps (the manager
-        object survives — serving layers keep their reference — only
-        the engine is replaced)."""
+        forget it so the next loop iteration re-bootstraps (the service
+        survives — serving layers keep their reference — only the
+        engine is replaced)."""
         self._lineage = None
         try:
             self.bootstrap()
@@ -721,7 +726,7 @@ class ReplicaApplier:
         """Bootstrap (or resume) synchronously — loud on failure — then
         tail the primary in a daemon thread (idempotent)."""
         if self._thread is None or not self._thread.is_alive():
-            if self._manager is None and not self.resume():
+            if self._service is None and not self.resume():
                 self.bootstrap()
             self._stop.clear()
             self._thread = threading.Thread(
@@ -736,7 +741,7 @@ class ReplicaApplier:
         if self._thread is not None:
             self._thread.join(timeout=10.0)
             self._thread = None
-        if self._manager is not None and self._lineage is not None:
+        if self._service is not None and self._lineage is not None:
             self.checkpoint_local()
             self._write_status()
         self._disconnect()
@@ -755,8 +760,7 @@ class ReplicaApplier:
         from.  Runs under the shared read lock: the applier thread is
         the only mutator, so excluding it is all that is needed."""
         generation, offset = self._lineage  # type: ignore[misc]
-        manager = self.manager
-        with manager.reading() as (engine, _epoch):
+        with self.service.reading() as (engine, _epoch):
             save_engine(
                 engine,
                 self.snapshot_file,

@@ -41,9 +41,7 @@ from repro.core.objects import Query
 from repro.core.stats import SearchResult
 from repro.service.protocol import (
     HEADER_BYTES,
-    MAX_FRAME_BYTES,
     REPL_PREFIX,
-    batch_frame,
     batch_members,
     check_frame_length,
     decode_payload,
@@ -51,6 +49,7 @@ from repro.service.protocol import (
     error_to_wire,
     query_frame,
     query_from_wire,
+    query_to_wire,
     raise_from_wire,
     result_envelope,
     result_frame,
@@ -61,6 +60,9 @@ from repro.service.protocol import (
 DEFAULT_HOST = "127.0.0.1"
 
 _LOG = logging.getLogger(__name__)
+
+#: Listen backlog of every serving socket.
+BACKLOG = 128
 
 #: Seconds between stop-event checks while a server socket blocks.
 _POLL_SECONDS = 0.2
@@ -128,12 +130,7 @@ def _recv_bytes(
     return b"".join(chunks)
 
 
-def recv_body(
-    conn: socket.socket,
-    stop: threading.Event,
-    *,
-    max_frame: int = MAX_FRAME_BYTES,
-) -> Optional[bytes]:
+def recv_body(conn: socket.socket, stop: threading.Event) -> Optional[bytes]:
     """One request frame's body bytes, or ``None`` on clean EOF / drain
     between frames.
 
@@ -143,7 +140,7 @@ def recv_body(
     header = _recv_bytes(conn, HEADER_BYTES, stop, mid_frame=False)
     if header is None:
         return None
-    length = check_frame_length(int.from_bytes(header, "big"), max_frame=max_frame)
+    length = check_frame_length(int.from_bytes(header, "big"))
     body = _recv_bytes(conn, length, stop, mid_frame=True)
     assert body is not None  # mid_frame reads never return None
     return body
@@ -178,14 +175,14 @@ def _dispatch(service: Any, request: Dict[str, Any]) -> Dict[str, Any]:
         return {}
     if op == "metrics":
         metrics = service.metrics()
-        replication = getattr(service, "replication", None)
+        replication = service.replication
         if replication is not None:
             metrics = dict(metrics, replication=replication.status())
         return {"metrics": metrics}
     if isinstance(op, str) and op.startswith(REPL_PREFIX):
         # The replication plane: a primary attaches its publisher to the
         # service (service.replication) and every repl-* op routes there.
-        replication = getattr(service, "replication", None)
+        replication = service.replication
         if replication is None:
             raise ProtocolError(
                 f"this server has no replication source attached "
@@ -201,7 +198,6 @@ def serve_connection(
     *,
     stop: threading.Event,
     meta: Callable[[], Dict[str, Any]],
-    max_frame: int = MAX_FRAME_BYTES,
 ) -> None:
     """Serve one client connection until EOF, drain, or a framing error.
 
@@ -232,13 +228,13 @@ def serve_connection(
     try:
         while True:
             try:
-                body = recv_body(conn, stop, max_frame=max_frame)
+                body = recv_body(conn, stop)
                 if body is None:
                     return
                 query = memo.get(body)
                 request = decode_payload(body) if query is None else None
             except ProtocolError as exc:
-                _send_error(conn, exc, meta, max_frame)
+                _send_error(conn, exc, meta)
                 return
             try:
                 if request is not None and request.get("op") == "query":
@@ -251,7 +247,7 @@ def serve_connection(
                         memo_bytes += len(body)
                 if query is None and request.get("op") != "batch":
                     payload = _dispatch(service, request)
-                    frame = encode_frame({"ok": True, **meta(), **payload}, max_frame=max_frame)
+                    frame = encode_frame({"ok": True, **meta(), **payload})
                 else:
                     members = (
                         service.query_wire(query) if query is not None
@@ -260,12 +256,12 @@ def serve_connection(
                     current = meta()
                     if current != identity:
                         identity, envelope = current, result_envelope(current)
-                    frame = result_frame(envelope, members, max_frame=max_frame)
+                    frame = result_frame(envelope, members)
             except SealError as exc:
                 # Expected service-level failure (rejection, deadline,
                 # bad query, oversized answer): answer the error frame
                 # and keep serving.
-                if not _send_error(conn, exc, meta, max_frame):
+                if not _send_error(conn, exc, meta):
                     return
             # repro-lint: disable=error-transport -- outermost connection boundary: the failure must cross as a frame; unexpected types are logged loudly here and the connection drops
             except Exception as exc:  # noqa: BLE001
@@ -278,7 +274,7 @@ def serve_connection(
                     type(exc).__name__,
                     request.get("op") if request is not None else "query",
                 )
-                _send_error(conn, exc, meta, max_frame)
+                _send_error(conn, exc, meta)
                 return
             else:
                 if not _send(conn, frame):
@@ -295,7 +291,6 @@ def accept_connections(
     *,
     stop: threading.Event,
     meta: Callable[[], Dict[str, Any]],
-    max_frame: int,
     thread_name: str,
 ) -> None:
     """The accept loop every server flavor runs: one
@@ -314,7 +309,7 @@ def accept_connections(
         thread = threading.Thread(
             target=serve_connection,
             args=(conn, service),
-            kwargs={"stop": stop, "meta": meta, "max_frame": max_frame},
+            kwargs={"stop": stop, "meta": meta},
             name=thread_name,
             daemon=True,
         )
@@ -340,12 +335,11 @@ def _send_error(
     conn: socket.socket,
     exc: BaseException,
     meta: Callable[[], Dict[str, Any]],
-    max_frame: int,
 ) -> bool:
     """Answer ``exc`` as an error frame; False when it could not go out
     (the client is gone, or the message alone exceeds the frame cap)."""
     try:
-        frame = encode_frame({**error_to_wire(exc), **meta()}, max_frame=max_frame)
+        frame = encode_frame({**error_to_wire(exc), **meta()})
     except ProtocolError:
         return False
     return _send(conn, frame)
@@ -379,8 +373,6 @@ class NetworkServer:
             leaves the service usable (the CLI owns both lifetimes).
         host: Interface to bind.
         port: TCP port (0 picks a free one; see :attr:`address`).
-        max_frame: Per-frame byte cap, both directions.
-        backlog: Listen backlog.
         generation: Optional zero-arg callable supplying the
             ``generation`` field of every response's serving identity —
             ``None`` for single-process servers, a replica passes its
@@ -394,18 +386,15 @@ class NetworkServer:
         *,
         host: str = DEFAULT_HOST,
         port: int = 0,
-        max_frame: int = MAX_FRAME_BYTES,
-        backlog: int = 128,
         generation: Optional[Callable[[], Any]] = None,
     ) -> None:
         self._service = service
         self._generation = generation
-        self._max_frame = max_frame
         self._stop = threading.Event()
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
-        self._listener.listen(backlog)
+        self._listener.listen(BACKLOG)
         self._accept_thread: Optional[threading.Thread] = None
 
     @property
@@ -429,7 +418,6 @@ class NetworkServer:
                 kwargs={
                     "stop": self._stop,
                     "meta": self._meta,
-                    "max_frame": self._max_frame,
                     "thread_name": "seal-net-conn",
                 },
                 name="seal-net-accept",
@@ -484,9 +472,7 @@ class NetworkClient:
         port: int,
         *,
         timeout: float = 30.0,
-        max_frame: int = MAX_FRAME_BYTES,
     ) -> None:
-        self._max_frame = max_frame
         self.last_meta: Dict[str, Any] = {}
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._sock.settimeout(timeout)
@@ -518,9 +504,7 @@ class NetworkClient:
         except OSError as exc:
             raise ProtocolError(f"connection lost while sending: {exc}") from exc
         header = self._recv_exact(HEADER_BYTES)
-        length = check_frame_length(
-            int.from_bytes(header, "big"), max_frame=self._max_frame
-        )
+        length = check_frame_length(int.from_bytes(header, "big"))
         payload = decode_payload(self._recv_exact(length))
         self.last_meta = {
             key: payload.get(key) for key in ("epoch", "generation", "pid")
@@ -531,7 +515,7 @@ class NetworkClient:
 
     def query(self, query: Query) -> SearchResult:
         """One query over the wire; answers match a local engine call."""
-        return result_from_wire(self._rpc(query_frame(query, max_frame=self._max_frame)))
+        return result_from_wire(self._rpc(query_frame(query)))
 
     def search(self, region, tokens, tau_r: float, tau_t: float) -> SearchResult:
         """Convenience single query from raw parts (mirrors the engines)."""
@@ -539,7 +523,9 @@ class NetworkClient:
 
     def query_batch(self, queries: Sequence[Query]) -> List[SearchResult]:
         """A burst in one frame, coalesced server-side by the service."""
-        payload = self._rpc(batch_frame(queries, max_frame=self._max_frame))
+        payload = self._rpc(encode_frame(
+            {"op": "batch", "queries": [query_to_wire(query) for query in queries]}
+        ))
         items = payload.get("results")
         if not isinstance(items, list) or len(items) != len(queries):
             raise ProtocolError(
@@ -556,7 +542,7 @@ class NetworkClient:
         conversation through this.  Server errors re-raise exactly like
         the typed methods.
         """
-        return dict(self._rpc(encode_frame(request, max_frame=self._max_frame)))
+        return dict(self._rpc(encode_frame(request)))
 
     def ping(self) -> Dict[str, Any]:
         """Round-trip returning the serving identity (epoch/generation/pid)."""

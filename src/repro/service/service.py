@@ -9,7 +9,7 @@ the serving primitives into one request path::
                  │        encoded wire bytes, no copy)
                  │  2. AdmissionController.run(...)           — reject now,
                  │       expire at the deadline, or hold an execution slot
-                 │  3. EngineManager.reading() → (engine, E)  — shared lock
+                 │  3. reading() → (engine, E)                — shared lock
                  │  4. run_query / BatchExecutor().run        — the work
                  │  5. ResultCache.put(E, query, result)
                  └─ metrics: latency histogram + counters, JSON export
@@ -18,13 +18,38 @@ No request changes threads inside the service: behind a
 :class:`~repro.service.server.NetworkServer` the engine runs on the
 connection's own thread, in-process on the caller's.
 
+The service also owns its engine's versioning.  Every engine in this
+library is safe for concurrent *reads* but none is safe for a read
+racing an in-place mutation — a query fanning over a
+:class:`~repro.exec.segments.SegmentedSealSearch` must not observe the
+write buffer mid-append:
+
+* **Readers** enter :meth:`QueryService.reading` and receive an atomic
+  ``(engine, epoch)`` pair under a shared lock — any number run
+  concurrently;
+* **Mutators** (:meth:`~QueryService.insert`, :meth:`~QueryService.
+  delete`, :meth:`~QueryService.compact`, :meth:`~QueryService.
+  swap_engine`, …) take the lock exclusively, apply the change, and bump
+  the **epoch** — the version counter the result cache keys on, which is
+  what makes cache invalidation structural (see
+  :mod:`repro.service.cache`).  The bump purges the cache's stale
+  entries while the write lock is still held;
+* **Hot swap** replaces the engine *reference*:
+  :meth:`~QueryService.load_snapshot` pre-validates the snapshot
+  envelope (magic, format, sidecar pairing —
+  :func:`repro.io.snapshot.validate_snapshot`) and deserialises the new
+  engine entirely *outside* the lock, so traffic keeps flowing during
+  the load; only the final reference flip excludes readers.  In-flight
+  queries that pinned the old pair complete against the old engine
+  object — it stays alive as long as anyone holds it — while every
+  request admitted after the flip sees the new engine and a new epoch.
+
 Correctness properties the tests pin:
 
 * answers through the service are **identical** to calling the engine
   directly, serial, from any number of client threads;
 * a cached answer can never be stale: keys embed the engine epoch and
-  every answer-affecting mutation bumps it (see
-  :mod:`repro.service.cache` and :mod:`repro.service.manager`);
+  every answer-affecting mutation bumps it;
 * results handed to clients are private copies — two clients never
   share one mutable :class:`~repro.core.stats.SearchStats` (the wire
   path hands out immutable bytes instead);
@@ -41,17 +66,22 @@ verify pass where the engine has one — filling the cache on the way out.
 from __future__ import annotations
 
 import json
+import threading
 import time
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
+from repro.core.errors import ServiceError
 from repro.core.objects import Query
 from repro.core.stats import SearchResult
 from repro.exec.batch import BatchExecutor
+from repro.exec.durable import recover as recover_durable_engine
 from repro.exec.pipeline import run_query
 from repro.geometry import Rect
+from repro.io.snapshot import load_engine, validate_snapshot
 from repro.service.admission import AdmissionController
 from repro.service.cache import ResultCache
-from repro.service.manager import EngineManager
 from repro.service.metrics import LatencyHistogram, RequestCounters
 from repro.service.protocol import result_members
 
@@ -62,16 +92,85 @@ def _same(result: SearchResult) -> SearchResult:
     return result
 
 
+class _ReadWriteLock:
+    """A writer-preferring readers-writer lock.
+
+    Readers share; a writer excludes everyone.  Arriving writers block
+    *new* readers (writer preference), so a steady query stream cannot
+    starve a mutation or a snapshot swap indefinitely.  The last reader
+    out notifies only when a writer is waiting for it.
+    """
+
+    __slots__ = ("_cond", "_readers", "_writer_active", "_writers_waiting")
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition(threading.Lock())
+        self._readers = 0
+        self._writer_active = False
+        self._writers_waiting = 0
+
+    def acquire_read(self) -> None:
+        with self._cond:
+            while self._writer_active or self._writers_waiting:
+                self._cond.wait()
+            self._readers += 1
+
+    def release_read(self) -> None:
+        with self._cond:
+            self._readers -= 1
+            if not self._readers and self._writers_waiting:
+                self._cond.notify_all()
+
+    @contextmanager
+    def writing(self) -> Iterator[None]:
+        with self._cond:
+            self._writers_waiting += 1
+            while self._writer_active or self._readers:
+                self._cond.wait()
+            self._writers_waiting -= 1
+            self._writer_active = True
+        try:
+            yield
+        finally:
+            with self._cond:
+                self._writer_active = False
+                self._cond.notify_all()
+
+
+class _Reading:
+    """The context :meth:`QueryService.reading` returns: the shared lock
+    held from ``__enter__``, which answers the ``(engine, epoch)`` pair,
+    to ``__exit__``.  One per read, so the service never refers back to
+    it: a reference cycle would keep a dropped service's engine alive
+    until the collector's next full pass."""
+
+    __slots__ = ("_service",)
+
+    def __init__(self, service: "QueryService") -> None:
+        self._service = service
+
+    def __enter__(self) -> Tuple[Any, int]:
+        service = self._service
+        service._lock.acquire_read()
+        return service._current
+
+    def __exit__(self, *exc_info) -> None:
+        self._service._lock.release_read()
+
+
 class QueryService:
     """A thread-safe serving facade over any SEAL engine.
 
+    Update methods delegate to the engine when it supports them and
+    raise a clear :class:`~repro.core.errors.ServiceError` when it does
+    not.
+
     Args:
-        engine: The engine to serve — any of :class:`~repro.core.engine.
-            SealSearch`, :class:`~repro.exec.segments.SegmentedSealSearch`,
-            a bare :class:`~repro.core.method.SearchMethod`, anything else
-            :func:`~repro.exec.pipeline.run_query` accepts — or an existing
-            :class:`~repro.service.manager.EngineManager` to share one
-            versioned engine between services.
+        engine: The engine to serve (epoch 0) — any of
+            :class:`~repro.core.engine.SealSearch`,
+            :class:`~repro.exec.segments.SegmentedSealSearch`, a bare
+            :class:`~repro.core.method.SearchMethod`, anything else
+            :func:`~repro.exec.pipeline.run_query` accepts.
         cache_capacity: Result-cache entries (LRU past it).
         enable_cache: ``False`` serves every request from the engine —
             the differential-test oracle mode and the bench baseline.
@@ -83,6 +182,13 @@ class QueryService:
         default_deadline: Per-request queue-wait deadline in seconds
             (None: no deadline unless a request brings one).
 
+    Attributes:
+        replication: The replication source a network server routes
+            ``repl-*`` ops to and adds to ``metrics`` — a
+            :class:`~repro.service.replication.ReplicationPrimary` or
+            :class:`~repro.service.replication.ReplicaApplier` — or
+            ``None`` (the default) when the service replicates nothing.
+
     Examples:
         >>> from repro import Rect, SealSearch
         >>> service = QueryService(SealSearch([(Rect(0, 0, 2, 2), {"a"})]))
@@ -91,6 +197,8 @@ class QueryService:
         >>> result.answers
         [0]
     """
+
+    replication: Any = None
 
     def __init__(
         self,
@@ -102,12 +210,14 @@ class QueryService:
         max_queue: int = 32,
         default_deadline: float | None = None,
     ) -> None:
-        self._manager = engine if isinstance(engine, EngineManager) else EngineManager(engine)
+        self._lock = _ReadWriteLock()
+        # Serializes checkpoints against each other without excluding
+        # readers (a checkpoint is answer-preserving; see checkpoint()).
+        self._checkpoint_lock = threading.Lock()
+        self._current: Tuple[Any, int] = (engine, 0)
         self._cache: Optional[ResultCache] = (
             ResultCache(cache_capacity) if enable_cache else None
         )
-        if self._cache is not None:
-            self._manager.add_epoch_listener(self._cache.drop_stale)
         self._admission = AdmissionController(
             workers=workers, max_queue=max_queue, default_deadline=default_deadline
         )
@@ -251,16 +361,16 @@ class QueryService:
     def _cache_lookup(self, query: Query) -> Optional[SearchResult]:
         if self._cache is None:
             return None
-        return self._cache.get(self._manager.epoch, query)
+        return self._cache.get(self._current[1], query)
 
     def _cached_members(self, query: Query) -> Optional[bytes]:
         if self._cache is None:
             return None
-        return self._cache.get_encoded(self._manager.epoch, query, result_members)
+        return self._cache.get_encoded(self._current[1], query, result_members)
 
     def _timed_execute(self, query: Query, started: float) -> SearchResult:
         try:
-            with self._manager.reading() as (engine, epoch):
+            with self.reading() as (engine, epoch):
                 result = run_query(engine, query)
         except Exception:
             self._counters.error()
@@ -272,59 +382,246 @@ class QueryService:
 
     def _execute_batch(self, queries: List[Query]) -> Tuple[int, List[SearchResult]]:
         try:
-            with self._manager.reading() as (engine, epoch):
+            with self.reading() as (engine, epoch):
                 return epoch, BatchExecutor().run(engine, queries).results
         except Exception:
             self._counters.error()
             raise
 
+    def reading(self) -> _Reading:
+        """Shared-lock access to an atomic ``(engine, epoch)`` pair.
+
+        Hold it for the duration of one query: in-place mutators and
+        swaps wait for the lock, so the engine cannot change underneath.
+        """
+        return _Reading(self)
+
     # ------------------------------------------------------------------
-    # Engine lifecycle (delegated to the manager; epoch bumps invalidate)
+    # Mutation (exclusive lock; every answer-affecting change bumps)
     # ------------------------------------------------------------------
+
+    def _bump(self, engine: Any) -> int:
+        epoch = self._current[1] + 1
+        self._current = (engine, epoch)
+        if self._cache is not None:
+            self._cache.drop_stale(epoch)
+        return epoch
+
+    def _updatable(self, name: str) -> Callable:
+        engine = self._current[0]
+        op = getattr(engine, name, None)
+        if op is None:
+            raise ServiceError(
+                f"{type(engine).__name__} does not support in-place {name}; "
+                "serve a segmented engine (build --segmented) for updates"
+            )
+        return op
 
     def insert(self, region: Rect, tokens: Iterable[str]) -> int:
-        """Insert into the live engine (updatable engines only)."""
-        return self._manager.insert(region, tokens)
+        """Insert one object into the live engine (updatable engines
+        only); bumps the epoch."""
+        with self._lock.writing():
+            oid = self._updatable("insert")(region, tokens)
+            self._bump(self._current[0])
+            return oid
+
+    def insert_many(self, pairs: Iterable[Tuple[Rect, Iterable[str]]]) -> List[int]:
+        """Insert a batch under one exclusive section and a single bump.
+
+        If an insert raises mid-batch the earlier ones are already live
+        in the engine, so the bump still happens — otherwise cached
+        answers from before the batch would keep being served against a
+        corpus that has visibly changed.
+        """
+        with self._lock.writing():
+            insert = self._updatable("insert")
+            oids: List[int] = []
+            try:
+                for region, tokens in pairs:
+                    oids.append(insert(region, tokens))
+            finally:
+                if oids:
+                    self._bump(self._current[0])
+            return oids
 
     def delete(self, oid: int) -> bool:
-        """Tombstone an object in the live engine (updatable engines only)."""
-        return self._manager.delete(oid)
+        """Tombstone one object in the live engine (updatable engines
+        only); bumps the epoch only if it was live."""
+        with self._lock.writing():
+            deleted = self._updatable("delete")(oid)
+            if deleted:
+                self._bump(self._current[0])
+            return deleted
 
     def compact(self) -> None:
-        """Fully compact the live engine (updatable engines only)."""
-        self._manager.compact()
+        """Fully compact the live engine (updatable engines only); bumps
+        (an idf refresh can change answers)."""
+        with self._lock.writing():
+            self._updatable("compact")()
+            self._bump(self._current[0])
+
+    def apply(self, mutator: Callable[[Any], Any]) -> Any:
+        """Run an arbitrary engine mutation under the exclusive lock.
+
+        The generic mutation primitive the typed methods above are
+        special cases of: ``mutator(engine)`` runs with every reader
+        excluded, and the epoch bumps afterwards — even when the mutator
+        raises partway, for the same reason :meth:`insert_many` bumps on
+        a partial batch (the engine may have visibly changed).  The
+        replication applier replays whole shipped WAL batches through
+        one ``apply`` call, so replicas pay one epoch bump (one cache
+        purge) per shipment rather than per record.
+
+        Returns whatever ``mutator`` returns.
+        """
+        with self._lock.writing():
+            try:
+                return mutator(self._current[0])
+            finally:
+                self._bump(self._current[0])
 
     def flush(self) -> None:
-        """Seal the live engine's write buffer (answer-preserving)."""
-        self._manager.flush()
+        """Seal the live engine's write buffer; bumps only if answers
+        may move.
 
-    def swap_engine(self, engine: Any) -> int:
-        """Hot-swap to ``engine``; returns the new epoch."""
-        return self._manager.swap(engine)
+        A plain seal is answer-preserving (same live set, same weighter)
+        so the cache stays warm.  But a seal can *cascade*: size-tiered
+        merging may collapse every segment into one, which is a full
+        compaction point that refreshes the idf weighter — and refreshed
+        weights can change answers.  The engine's ``compactions``
+        counter (every engine with a ``flush`` has one) detects exactly
+        that, and we bump iff it moved.
+        """
+        with self._lock.writing():
+            engine = self._current[0]
+            flush = self._updatable("flush")
+            before = engine.compactions
+            flush()
+            if engine.compactions != before:
+                self._bump(engine)
 
-    def load_snapshot(self, path, *, mmap: bool = False) -> int:
-        """Hot-swap to a pre-validated snapshot loaded off-lock."""
-        return self._manager.load_snapshot(path, mmap=mmap)
+    # ------------------------------------------------------------------
+    # Durability
+    # ------------------------------------------------------------------
 
     def checkpoint(self, path=None):
-        """Durable WAL checkpoint of the live engine (durable engines
-        only): answer-preserving, concurrent with queries, no epoch
-        bump — the cache stays warm.  Returns the snapshot path."""
-        return self._manager.checkpoint(path)
+        """Durable WAL checkpoint of the live engine (durable engines only).
+
+        Runs under the *shared* lock: a checkpoint never changes answers
+        (the live set and weighter are untouched), so queries keep
+        flowing while the snapshot writes; mutators wait — exactly the
+        exclusion the snapshot pickling needs (the save cannot run
+        off-lock: serialising an engine a mutator is changing would
+        corrupt the snapshot).  Honest caveat on a *mixed* workload:
+        the RW lock is writer-preferring, so a mutator arriving mid-
+        checkpoint queues new readers behind it until the checkpoint's
+        disk write finishes — pure-read traffic is unaffected.
+        Concurrent checkpoints (and recoveries) serialize on a
+        dedicated mutex.  The epoch does not move, by the same argument
+        that keeps plain ``flush`` bump-free: cached results stay valid
+        across a checkpoint.
+
+        Returns the snapshot path written.
+
+        Raises:
+            ServiceError: The engine has no ``checkpoint`` (it is not
+                wrapped by the durability layer).
+        """
+        with self._checkpoint_lock:
+            with self.reading() as (engine, _):
+                op = getattr(engine, "checkpoint", None)
+                if op is None:
+                    raise ServiceError(
+                        f"{type(engine).__name__} does not support checkpoint; "
+                        "serve a durable engine (build --wal / recover()) for "
+                        "WAL checkpoints"
+                    )
+                return op(path) if path is not None else op()
 
     def recover(self, snapshot_path, wal_path, *, mmap: bool = False,
                 sync: str = "always") -> int:
-        """Hot-swap to an engine recovered from ``snapshot + WAL tail``
-        (replayed off-lock; bumps the epoch).  Returns the new epoch."""
-        return self._manager.recover(snapshot_path, wal_path, mmap=mmap, sync=sync)
+        """Hot-swap to the engine recovered from ``snapshot + WAL tail``.
+
+        Replay runs entirely *off-lock* — traffic keeps flowing on the
+        old engine, and a recovery failure (torn snapshot, misaligned
+        WAL) raises loudly while the old engine keeps serving, exactly
+        like :meth:`load_snapshot`.  The final reference flip bumps the
+        epoch, so every cached pre-recovery answer is invalidated by
+        construction.
+
+        Refused when the *live* engine still owns an open appender on
+        the same WAL file: recovery would open a second writer whose
+        appends land at a stale offset, overwriting records the live
+        engine already fsync-acknowledged.  Checkpoint or close the
+        live engine first.  Recoveries serialize with each other (and
+        with checkpoints) on the checkpoint mutex, and the guard is
+        re-validated under the write lock at the reference flip — a
+        concurrent :meth:`swap_engine` installing a durable engine on
+        the same WAL mid-replay is caught there, not just at entry.
+
+        Returns the new epoch.
+        """
+
+        def guard() -> None:
+            live_wal = getattr(self._current[0], "wal", None)
+            if (
+                live_wal is not None
+                and not live_wal.closed
+                and Path(wal_path).resolve() == Path(live_wal.path).resolve()
+            ):
+                raise ServiceError(
+                    f"the live engine still holds an open appender on {wal_path}; "
+                    "recovering from it would put two writers on one log — "
+                    "checkpoint or close the live engine first"
+                )
+
+        with self._checkpoint_lock:
+            guard()  # fail fast before paying for the replay
+            engine = recover_durable_engine(
+                snapshot_path, wal_path, mmap=mmap, sync=sync
+            )
+            with self._lock.writing():
+                try:
+                    guard()  # re-validate: a swap may have raced the replay
+                except ServiceError:
+                    engine.close()  # release the just-opened appender
+                    raise
+                return self._bump(engine)
+
+    # ------------------------------------------------------------------
+    # Hot swap
+    # ------------------------------------------------------------------
+
+    def swap_engine(self, engine: Any) -> int:
+        """Atomically replace the engine reference; returns the new epoch.
+
+        In-flight readers keep the old engine object (alive while they
+        hold it); readers admitted after the swap see the new one.
+        """
+        with self._lock.writing():
+            return self._bump(engine)
+
+    def load_snapshot(self, path, *, mmap: bool = False) -> int:
+        """Hot-swap to an engine snapshot, pre-validated, loaded off-lock.
+
+        The envelope (magic, :data:`~repro.io.snapshot.SNAPSHOT_FORMAT`,
+        sidecar pairing) is validated *before* anything is deserialised
+        and the engine blob loads entirely outside the lock — a bad or
+        stale snapshot raises :class:`~repro.io.snapshot.SnapshotError`
+        while the old engine keeps serving, untouched.  (The explicit
+        pre-gate costs one extra envelope read per swap — deliberate:
+        swaps are rare, and rejecting before the deserialiser ever runs
+        is the operational contract this method documents.)
+
+        Returns the new epoch.
+        """
+        validate_snapshot(path)
+        engine = load_engine(path, mmap=mmap)
+        return self.swap_engine(engine)
 
     # ------------------------------------------------------------------
     # Observability and lifecycle
     # ------------------------------------------------------------------
-
-    @property
-    def manager(self) -> EngineManager:
-        return self._manager
 
     @property
     def cache(self) -> Optional[ResultCache]:
@@ -332,11 +629,14 @@ class QueryService:
 
     @property
     def epoch(self) -> int:
-        return self._manager.epoch
+        """The current engine version (reads are atomic under the GIL)."""
+        return self._current[1]
 
     @property
     def engine(self) -> Any:
-        return self._manager.engine
+        """The current engine reference (unguarded peek; use
+        :meth:`reading` when you will actually query it)."""
+        return self._current[0]
 
     def metrics(self) -> Dict[str, object]:
         """The service's JSON-serializable metrics document.
@@ -355,7 +655,7 @@ class QueryService:
         # the engine registry, which this module's engines feed into.
         from repro.exec.planner import collect_planner_metrics
 
-        engine, epoch = self._manager.current
+        engine, epoch = self._current
         return {
             "epoch": epoch,
             "engine": type(engine).__name__,
@@ -371,15 +671,8 @@ class QueryService:
         return json.dumps(self.metrics(), indent=indent)
 
     def close(self) -> None:
-        """Stop accepting requests and wait for the admitted ones.
-
-        Also detaches this service's cache from the manager's epoch
-        listeners, so a shared long-lived :class:`EngineManager` never
-        keeps notifying (and keeping alive) a closed service's cache.
-        """
+        """Stop accepting requests and wait for the admitted ones."""
         self._admission.shutdown(wait=True)
-        if self._cache is not None:
-            self._manager.remove_epoch_listener(self._cache.drop_stale)
 
     def __enter__(self) -> "QueryService":
         return self
@@ -388,7 +681,7 @@ class QueryService:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        engine, epoch = self._manager.current
+        engine, epoch = self._current
         cache = "on" if self._cache is not None else "off"
         return (
             f"QueryService(engine={type(engine).__name__}, epoch={epoch}, "

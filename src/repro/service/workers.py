@@ -49,8 +49,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.errors import ConfigurationError, ServiceError
 from repro.io.generations import current_snapshot, publish_snapshot
 from repro.io.snapshot import load_engine
-from repro.service.protocol import MAX_FRAME_BYTES
-from repro.service.server import DEFAULT_HOST, _POLL_SECONDS, accept_connections
+from repro.service.server import BACKLOG, DEFAULT_HOST, _POLL_SECONDS, accept_connections
 from repro.service.service import QueryService
 
 _LOG = logging.getLogger(__name__)
@@ -69,7 +68,6 @@ def _worker_main(
     control,
     serving_dir,
     service_config: Dict[str, Any],
-    max_frame: int,
 ) -> None:
     """A worker process: discover the generation, mmap it, serve.
 
@@ -106,7 +104,6 @@ def _worker_main(
                 service,
                 stop=stop,
                 meta=meta,
-                max_frame=max_frame,
                 thread_name="seal-worker-conn",
             )
     finally:
@@ -140,7 +137,6 @@ class ProcessSupervisor:
         service_config: Keyword arguments for each worker's in-process
             :class:`~repro.service.service.QueryService` (cache knobs,
             admission limits, …).  Defaults to the service defaults.
-        max_frame: Wire-protocol frame cap, both directions.
         respawn: Automatically refork workers that die (the crash-
             containment property the kill tests pin).  Recycled workers
             are never respawned — only unexpected deaths.
@@ -160,7 +156,6 @@ class ProcessSupervisor:
         host: str = DEFAULT_HOST,
         port: int = 0,
         service_config: Optional[Dict[str, Any]] = None,
-        max_frame: int = MAX_FRAME_BYTES,
         respawn: bool = True,
     ) -> None:
         if workers < 1:
@@ -177,7 +172,6 @@ class ProcessSupervisor:
         self._host = host
         self._port = port
         self._service_config = dict(service_config or {})
-        self._max_frame = max_frame
         self._respawn = respawn
         self.respawns = 0
         self.generation, _ = current_snapshot(serving_dir)  # fail loudly now
@@ -199,7 +193,7 @@ class ProcessSupervisor:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self._host, self._port))
-        listener.listen(128)
+        listener.listen(BACKLOG)
         self._listener = listener
         with self._lock:
             self._pool = [self._spawn() for _ in range(self.workers)]
@@ -236,7 +230,6 @@ class ProcessSupervisor:
                 child_end,
                 self._serving_dir,
                 self._service_config,
-                self._max_frame,
             ),
             name=f"seal-worker-gen{generation}",
             daemon=True,

@@ -32,7 +32,7 @@ class CycleEngine:
 
 class InvertedCheckpoint:
     """Acquires the checkpoint mutex while already holding the RW lock —
-    the reverse of EngineManager.checkpoint's canonical order."""
+    the reverse of QueryService.checkpoint's canonical order."""
 
     def __init__(self):
         self._lock = threading.Lock()

@@ -717,43 +717,91 @@ class TestNetServeAndClient:
         assert rc == 2
         assert "failed" in capsys.readouterr().err
 
-    def test_net_serve_client_oracle_round_trip(self, engine_and_workload, tmp_path):
+    @staticmethod
+    def _serve_process(*args):
+        """``serve *args`` in a subprocess; returns it and the address
+        it reports listening on."""
         import re
-        import signal as signal_module
         import subprocess
         import sys
 
-        engine, workload = engine_and_workload
         env = dict(os.environ, PYTHONPATH="src", PYTHONUNBUFFERED="1")
         server = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "serve", str(engine), "--net",
-             "--workers-procs", "2", "--port", "0", "--max-seconds", "120",
-             "--serving-dir", str(tmp_path / "serving")],
+            [sys.executable, "-m", "repro.cli", "serve", *map(str, args),
+             "--port", "0", "--max-seconds", "120"],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
             cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         )
+        for line in server.stdout:
+            match = re.search(r"listening on ([\d.]+):(\d+)", line)
+            if match:
+                return server, (match.group(1), int(match.group(2)))
+        server.kill()
+        out, _ = server.communicate()
+        pytest.fail(f"server never reported its address: {out}")
+
+    @staticmethod
+    def _interrupt(server) -> str:
+        """SIGINT ``server``; returns the rest of its output once it
+        exited cleanly."""
+        import signal as signal_module
+
         try:
-            address = None
-            for line in server.stdout:
-                match = re.search(r"listening on ([\d.]+):(\d+)", line)
-                if match:
-                    address = match.group(1), int(match.group(2))
-                    break
-            assert address, "server never reported its address"
-
-            rc = main(["client", "--host", address[0], "--port", str(address[1]),
-                       "--queries", str(workload), "--connections", "2",
-                       "--repeat", "3", "--oracle", str(engine)])
-            assert rc == 0
-
             server.send_signal(signal_module.SIGINT)
             out, _ = server.communicate(timeout=60)
-            assert "drained" in out
-            assert server.returncode == 0
+            assert server.returncode == 0, out
+            return out
         finally:
             if server.poll() is None:
                 server.kill()
                 server.communicate()
+
+    def test_net_serve_client_oracle_round_trip(self, engine_and_workload, tmp_path):
+        engine, workload = engine_and_workload
+        server, (host, port) = self._serve_process(
+            engine, "--net", "--workers-procs", "2", "--serving-dir", tmp_path / "serving"
+        )
+        try:
+            rc = main(["client", "--host", host, "--port", str(port),
+                       "--queries", str(workload), "--connections", "2",
+                       "--repeat", "3", "--oracle", str(engine)])
+            assert rc == 0
+        finally:
+            assert "drained" in self._interrupt(server)
+
+    def test_net_replica_serves_the_primary_answers(self, corpus_file, figure1_query,
+                                                    tmp_path, capsys):
+        """`serve --replica-of` bootstraps from a `--replicate` primary and
+        answers like the oracle; its state directory reports the role."""
+        import json
+
+        engine, wal = tmp_path / "live.pkl", tmp_path / "live.wal"
+        state = tmp_path / "replica-state"
+        assert main(["build", str(corpus_file), "--method", "token", "--segmented",
+                     "--out", str(engine), "--wal", str(wal)]) == 0
+        workload = tmp_path / "q.jsonl"
+        save_queries([figure1_query], workload)
+        primary, (host, port) = self._serve_process(
+            engine, "--net", "--wal", wal, "--replicate"
+        )
+        try:
+            replica, (r_host, r_port) = self._serve_process(
+                state, "--net", "--replica-of", f"{host}:{port}"
+            )
+            try:
+                rc = main(["client", "--host", r_host, "--port", str(r_port),
+                           "--queries", str(workload), "--connections", "2",
+                           "--repeat", "2", "--oracle", str(engine)])
+                assert rc == 0
+            finally:
+                assert "replica stopped" in self._interrupt(replica)
+        finally:
+            assert "shipped" in self._interrupt(primary)
+        capsys.readouterr()
+        assert main(["inspect", str(state), "--json"]) == 0
+        replica_status = json.loads(capsys.readouterr().out)["replica"]
+        assert replica_status["role"] == "replica"
+        assert replica_status["bootstraps"] == 1
 
     def test_net_serve_client_oracle_output(self, engine_and_workload, tmp_path, capsys):
         # The in-process half of the round trip: drive `client` against a

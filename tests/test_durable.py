@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+import threading
 
 import pytest
 
@@ -12,7 +13,7 @@ from repro.exec.durable import DurableSegmentedSealSearch, recover
 from repro.exec.segments import SegmentedSealSearch
 from repro.io import read_manifest, save_engine, validate_snapshot
 from repro.io.wal import WALError, WriteAheadLog, read_wal
-from repro.service import EngineManager, QueryService
+from repro.service import QueryService
 
 from tests.durable_testlib import (
     LEGACY_BACKEND_PARAMS,
@@ -423,55 +424,100 @@ class TestRecoveryFailsLoudly:
 
 
 class TestServiceIntegration:
-    def test_manager_checkpoint_preserves_epoch(self, tmp_path):
+    def test_service_checkpoint_preserves_epoch(self, tmp_path):
         engine = make_durable(tmp_path)
         fill(engine, 5)
-        manager = EngineManager(engine)
-        epoch_before = manager.epoch
-        path = manager.checkpoint()
+        service = QueryService(engine)
+        epoch_before = service.epoch
+        path = service.checkpoint()
         assert path == tmp_path / "engine.pkl"
-        assert manager.epoch == epoch_before
+        assert service.epoch == epoch_before
         assert read_wal(engine.wal.path).operations() == []
         engine.close()
 
-    def test_manager_checkpoint_requires_durable_engine(self):
-        manager = EngineManager(SegmentedSealSearch(method="token"))
+    def test_service_checkpoint_requires_durable_engine(self):
+        service = QueryService(SegmentedSealSearch(method="token"))
         with pytest.raises(ServiceError, match="does not support checkpoint"):
-            manager.checkpoint()
+            service.checkpoint()
 
-    def test_manager_recover_swaps_and_bumps(self, tmp_path):
+    def test_service_recover_swaps_and_bumps(self, tmp_path):
         engine = make_durable(tmp_path)
         fill(engine, 6)
         engine.close()
-        manager = EngineManager(SegmentedSealSearch(method="token"))
-        epoch = manager.recover(tmp_path / "engine.pkl", tmp_path / "engine.wal")
-        assert epoch == 1 and manager.epoch == 1
-        assert len(manager.engine) == 6
-        manager.engine.close()
+        service = QueryService(SegmentedSealSearch(method="token"))
+        epoch = service.recover(tmp_path / "engine.pkl", tmp_path / "engine.wal")
+        assert epoch == 1 and service.epoch == 1
+        assert len(service.engine) == 6
+        service.engine.close()
 
-    def test_manager_mutations_flow_through_wal(self, tmp_path):
+    def test_service_mutations_flow_through_wal(self, tmp_path):
         engine = make_durable(tmp_path)
-        manager = EngineManager(engine)
-        manager.insert(Rect(0, 0, 2, 2), {"coffee"})
-        manager.delete(0)
-        manager.flush()
-        manager.compact()
+        service = QueryService(engine)
+        service.insert(Rect(0, 0, 2, 2), {"coffee"})
+        service.delete(0)
+        service.flush()
+        service.compact()
         ops = [r.payload["op"] for r in read_wal(engine.wal.path).operations()]
         assert ops == ["insert", "delete", "seal", "compact"]
         engine.close()
 
-    def test_manager_recover_refuses_live_appender_on_same_wal(self, tmp_path):
+    def test_service_recover_refuses_live_appender_on_same_wal(self, tmp_path):
         """Two appenders on one log overwrite each other; recovery from
         the WAL the live engine still owns must be refused loudly."""
         engine = make_durable(tmp_path)
         fill(engine, 3)
-        manager = EngineManager(engine)
+        service = QueryService(engine)
         with pytest.raises(ServiceError, match="two writers"):
-            manager.recover(tmp_path / "engine.pkl", tmp_path / "engine.wal")
+            service.recover(tmp_path / "engine.pkl", tmp_path / "engine.wal")
         engine.close()  # released: now the recovery may proceed
-        epoch = manager.recover(tmp_path / "engine.pkl", tmp_path / "engine.wal")
-        assert epoch == 1 and len(manager.engine) == 3
-        manager.engine.close()
+        epoch = service.recover(tmp_path / "engine.pkl", tmp_path / "engine.wal")
+        assert epoch == 1 and len(service.engine) == 3
+        service.engine.close()
+
+    def test_service_checkpoint_runs_beside_readers(self, tmp_path):
+        """A checkpoint takes the shared lock: it completes while a
+        reader holds the engine, where a writer would wait for it."""
+        engine = make_durable(tmp_path)
+        fill(engine, 5)
+        service = QueryService(engine)
+        with service.reading():
+            worker = threading.Thread(target=service.checkpoint)
+            worker.start()
+            worker.join(timeout=10.0)
+            assert not worker.is_alive()
+        assert service.epoch == 0
+        assert read_wal(engine.wal.path).operations() == []
+        engine.close()
+
+    def test_service_recover_rechecks_the_guard_at_the_flip(self, tmp_path, monkeypatch):
+        """A swap that installs a live appender on the same WAL while the
+        replay runs is refused at the reference flip, and the replayed
+        engine's appender is released."""
+        import repro.service.service as service_module
+
+        engine = make_durable(tmp_path)
+        fill(engine, 3)
+        engine.close()
+        wal_path = tmp_path / "engine.wal"
+
+        class HoldsTheLog:
+            class wal:
+                closed = False
+                path = wal_path
+
+        service = QueryService(SegmentedSealSearch(method="token"))
+        replayed = []
+
+        def replay_while_a_swap_lands(*args, **kwargs):
+            replayed.append(recover(*args, **kwargs))
+            service.swap_engine(HoldsTheLog())
+            return replayed[0]
+
+        monkeypatch.setattr(service_module, "recover_durable_engine", replay_while_a_swap_lands)
+        with pytest.raises(ServiceError, match="two writers"):
+            service.recover(tmp_path / "engine.pkl", wal_path)
+        assert isinstance(service.engine, HoldsTheLog) and service.epoch == 1
+        assert replayed[0].wal.closed
 
     def test_service_checkpoint_and_recover_passthrough(self, tmp_path):
         engine = make_durable(tmp_path)

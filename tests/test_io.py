@@ -456,7 +456,7 @@ def test_format5_checkpoint_is_refused_at_the_envelope(tmp_path, consumer):
     from repro.exec.durable import recover
     from repro.io import validate_snapshot
     from repro.io.snapshot import SNAPSHOT_FORMAT
-    from repro.service import EngineManager
+    from repro.service import QueryService
     from tests.durable_testlib import fill, make_durable, snapshot_of, wal_of
 
     assert SNAPSHOT_FORMAT == 7
@@ -481,10 +481,10 @@ def test_format5_checkpoint_is_refused_at_the_envelope(tmp_path, consumer):
             validate_snapshot(path)
     elif consumer == "pre-swap gate":
         live = SealSearch([(Rect(0, 0, 1, 1), {"a"})], method="token")
-        manager = EngineManager(live)
+        service = QueryService(live)
         with refusal:
-            manager.load_snapshot(path)
-        assert manager.engine is live and manager.epoch == 0
+            service.load_snapshot(path)
+        assert service.engine is live and service.epoch == 0
     else:
         with refusal:
             recover(path, wal_of(tmp_path))

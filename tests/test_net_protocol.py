@@ -31,7 +31,6 @@ from repro.core.stats import SearchResult, SearchStats
 from repro.service.protocol import (
     HEADER_BYTES,
     MAX_FRAME_BYTES,
-    batch_frame,
     batch_members,
     check_frame_length,
     decode_payload,
@@ -47,7 +46,7 @@ from repro.service.protocol import (
     result_members,
     result_to_wire,
 )
-from repro.service import server
+from repro.service import protocol, server
 from repro.service.server import serve_connection
 
 
@@ -73,9 +72,10 @@ class TestCodec:
         assert length == len(frame) - HEADER_BYTES
         assert decode_payload(frame[HEADER_BYTES:]) == {"op": "ping"}
 
-    def test_encode_rejects_oversized_payload(self):
-        with pytest.raises(ProtocolError, match="exceeds"):
-            encode_frame({"blob": "x" * 64}, max_frame=32)
+    def test_encode_rejects_oversized_payload(self, monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 32)
+        with pytest.raises(ProtocolError, match="exceeds the 32-byte limit"):
+            encode_frame({"blob": "x" * 64})
 
     @pytest.mark.parametrize("length", [0, -1, MAX_FRAME_BYTES + 1])
     def test_check_frame_length_rejects(self, length):
@@ -199,13 +199,10 @@ def _results(draw) -> SearchResult:
        generation=st.none() | st.integers(min_value=0, max_value=2**63))
 def test_formatted_frames_are_byte_identical_to_the_dict_encoding(queries, results, generation):
     """Every formatted frame is ``encode_frame`` of its dict form: the
-    ``query`` and ``batch`` requests, a result's members, and the
-    spliced ``batch`` response."""
+    ``query`` request, a result's members, and the spliced ``batch``
+    response."""
     for query in queries:
         assert query_frame(query) == encode_frame({"op": "query", **query_to_wire(query)})
-    assert batch_frame(queries) == encode_frame(
-        {"op": "batch", "queries": [query_to_wire(query) for query in queries]}
-    )
     meta = {"epoch": 3, "generation": generation, "pid": 42}
     envelope = result_envelope(meta)
     for result in results:
@@ -245,6 +242,7 @@ class StubService:
     """Answers every query with a fixed result; counts calls."""
 
     epoch = 7
+    replication = None
 
     def __init__(self) -> None:
         self.calls = 0
@@ -264,12 +262,13 @@ class StubService:
 
 
 @pytest.fixture()
-def conversation():
+def conversation(monkeypatch):
     """A served socketpair: (client socket, stub service, stop event).
 
     The server side runs in a thread; the fixture joins it on teardown so
     a hung connection loop fails the test instead of leaking.
     """
+    monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 4096)
     server_side, client_side = socket.socketpair()
     service = StubService()
     stop = threading.Event()
@@ -277,7 +276,7 @@ def conversation():
     thread = threading.Thread(
         target=serve_connection,
         args=(server_side, service),
-        kwargs={"stop": stop, "meta": meta, "max_frame": 4096},
+        kwargs={"stop": stop, "meta": meta},
         daemon=True,
     )
     thread.start()

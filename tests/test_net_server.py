@@ -20,7 +20,7 @@ from repro.core.errors import (
     ProtocolError,
     ServiceError,
 )
-from repro.service import NetworkClient, NetworkServer, QueryService
+from repro.service import NetworkClient, NetworkServer, QueryService, protocol
 from service_testlib import (
     Caller,
     GatedEngine,
@@ -170,11 +170,12 @@ class TestCachedWirePath:
             assert client.query(query).answers == after.answers
             assert service.cache.counters()["hits"] == 2
 
-    def test_oversized_answer_fails_the_request_not_the_connection(self):
+    def test_oversized_answer_fails_the_request_not_the_connection(self, monkeypatch):
         objects = [(Rect(0, 0, 10, 10), {"a"})] * 200
         query = Query(Rect(0, 0, 10, 10), frozenset({"a"}), 0.5, 0.5)
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 600)
         with QueryService(SegmentedSealSearch(objects, "token")) as service, \
-                NetworkServer(service, max_frame=600) as server, \
+                NetworkServer(service) as server, \
                 NetworkClient(*server.address, timeout=10.0) as client:
             for _ in range(2):  # the miss, then the cached bytes
                 with pytest.raises(ProtocolError, match="exceeds the 600-byte limit"):

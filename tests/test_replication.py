@@ -87,7 +87,7 @@ def answers_of(engine):
 
 
 def replica_answers(applier: ReplicaApplier):
-    with applier.manager.reading() as (engine, _epoch):
+    with applier.service.reading() as (engine, _epoch):
         return answers_of(engine)
 
 
@@ -98,7 +98,7 @@ def assert_replica_matches(applier, primary, **params):
     assert got == expected
     for query, answer in zip(PROBES, expected):
         assert answer == oracle_answers(primary, query, "token", **params)
-    with applier.manager.reading() as (engine, _epoch):
+    with applier.service.reading() as (engine, _epoch):
         assert sorted(engine._live) == sorted(primary.engine._live)
 
 
@@ -377,12 +377,13 @@ class TestDivergence:
         primary = durable_primary(tmp_path / "primary")
         fill(primary, 3)
         with primary_server(primary) as (host, port, _publisher):
-            applier = make_replica(host, port, tmp_path / "replica")
+            applier = make_replica(host, port, tmp_path / "replica",
+                                   service_config={"enable_cache": False})
             applier.bootstrap()
             applier.catch_up()
             # Serve the replica itself, repl ops routed to the applier:
             # chaining a second replica off it must fail loudly.
-            service = QueryService(applier.manager, enable_cache=False)
+            service = applier.service
             service.replication = applier
             with service, NetworkServer(service) as replica_server:
                 r_host, r_port = replica_server.address
@@ -590,9 +591,10 @@ class TestServeWhileApplying:
         primary = durable_primary(tmp_path / "primary")
         fill(primary, 4)
         with primary_server(primary) as (host, port, _publisher):
-            applier = make_replica(host, port, tmp_path / "replica")
+            applier = make_replica(host, port, tmp_path / "replica",
+                                   service_config={"enable_cache": False, "workers": 2})
             applier.start()
-            service = QueryService(applier.manager, enable_cache=False, workers=2)
+            service = applier.service
             errors: list = []
             # One counts list PER reader: interleaving two threads'
             # appends into a shared list can record a phantom "shrink"

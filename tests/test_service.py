@@ -25,7 +25,7 @@ from repro import (
 )
 from repro.core.errors import ServiceError
 from repro.core.stats import SearchResult, SearchStats
-from repro.service import AdmissionController, EngineManager, QueryService
+from repro.service import AdmissionController, QueryService
 from repro.service.metrics import LatencyHistogram
 from service_testlib import Caller, GatedEngine, ThreadReportingEngine, wait_until
 
@@ -134,24 +134,6 @@ class TestAnswers:
     def test_empty_batch(self):
         with QueryService(make_engine(), workers=2) as service:
             assert service.query_batch([]) == []
-
-    def test_service_over_shared_manager(self):
-        manager = EngineManager(make_engine())
-        with QueryService(manager, workers=2) as service:
-            assert service.manager is manager
-            service.query(workload(1)[0])
-            assert service.epoch == 0
-
-    def test_close_detaches_cache_from_shared_manager(self):
-        manager = EngineManager(make_engine())
-        service = QueryService(manager, workers=1)
-        assert len(manager._epoch_listeners) == 1
-        service.close()
-        assert manager._epoch_listeners == []
-        # Cache-off services never attach, so close stays symmetric.
-        plain = QueryService(manager, enable_cache=False, workers=1)
-        plain.close()
-        assert manager._epoch_listeners == []
 
 
 class TestResultPrivacy:

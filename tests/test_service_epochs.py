@@ -1,4 +1,4 @@
-"""Tests for the versioned engine manager: epochs, locking, hot-swap.
+"""Tests for the service's versioned engine: epochs, locking, hot-swap.
 
 Pins the serving layer's version contract: every answer-affecting
 mutation bumps the epoch exactly once, answer-preserving maintenance
@@ -25,7 +25,7 @@ from repro import (
 )
 from repro.io import save_engine
 from repro.io.snapshot import SnapshotError, sidecar_path, validate_snapshot
-from repro.service import EngineManager
+from repro.service import QueryService
 
 
 def make_segmented(n: int = 6) -> SegmentedSealSearch:
@@ -41,56 +41,56 @@ QUERY = Query(Rect(0, 0, 50, 1), frozenset({"a"}), 0.01, 0.0)
 
 class TestEpochs:
     def test_starts_at_zero(self):
-        manager = EngineManager(make_segmented())
-        assert manager.epoch == 0
+        service = QueryService(make_segmented())
+        assert service.epoch == 0
 
     def test_insert_bumps(self):
-        manager = EngineManager(make_segmented())
-        manager.insert(Rect(20, 0, 21, 1), {"a"})
-        assert manager.epoch == 1
+        service = QueryService(make_segmented())
+        service.insert(Rect(20, 0, 21, 1), {"a"})
+        assert service.epoch == 1
 
     def test_insert_many_bumps_once(self):
-        manager = EngineManager(make_segmented())
-        oids = manager.insert_many([(Rect(20, 0, 21, 1), {"a"}), (Rect(22, 0, 23, 1), {"a"})])
+        service = QueryService(make_segmented())
+        oids = service.insert_many([(Rect(20, 0, 21, 1), {"a"}), (Rect(22, 0, 23, 1), {"a"})])
         assert len(oids) == 2
-        assert manager.epoch == 1
-        assert manager.insert_many([]) == []
-        assert manager.epoch == 1  # empty batch: no bump
+        assert service.epoch == 1
+        assert service.insert_many([]) == []
+        assert service.epoch == 1  # empty batch: no bump
 
     def test_insert_many_bumps_even_when_a_later_insert_fails(self):
         """Partially-applied batches changed the corpus, so the epoch
         must still move — else old cache entries would keep serving."""
-        manager = EngineManager(make_segmented())
+        service = QueryService(make_segmented())
         with pytest.raises(TypeError):
-            manager.insert_many([(Rect(20, 0, 21, 1), {"a"}), (Rect(22, 0, 23, 1), None)])
-        assert manager.epoch == 1  # the successful insert is live
+            service.insert_many([(Rect(20, 0, 21, 1), {"a"}), (Rect(22, 0, 23, 1), None)])
+        assert service.epoch == 1  # the successful insert is live
 
     def test_delete_bumps_only_when_live(self):
-        manager = EngineManager(make_segmented())
-        assert manager.delete(0) is True
-        assert manager.epoch == 1
-        assert manager.delete(0) is False  # already dead: answers unchanged
-        assert manager.epoch == 1
+        service = QueryService(make_segmented())
+        assert service.delete(0) is True
+        assert service.epoch == 1
+        assert service.delete(0) is False  # already dead: answers unchanged
+        assert service.epoch == 1
 
     def test_compact_bumps(self):
-        manager = EngineManager(make_segmented())
-        manager.compact()
-        assert manager.epoch == 1
+        service = QueryService(make_segmented())
+        service.compact()
+        assert service.epoch == 1
 
     def test_flush_preserves_answers_and_does_not_bump(self):
         engine = make_segmented(6)  # buffer_capacity 4: 6 initial → sealed, then 2 pending
-        manager = EngineManager(engine)
-        manager.insert(Rect(30, 0, 31, 1), {"a"})
-        manager.insert(Rect(32, 0, 33, 1), {"a"})
-        epoch = manager.epoch
+        service = QueryService(engine)
+        service.insert(Rect(30, 0, 31, 1), {"a"})
+        service.insert(Rect(32, 0, 33, 1), {"a"})
+        epoch = service.epoch
         compactions = engine.compactions
-        with manager.reading() as (live, _):
+        with service.reading() as (live, _):
             before = live.search_query(QUERY).answers
-        manager.flush()
+        service.flush()
         assert engine.compactions == compactions  # a plain seal, no cascade
-        assert manager.epoch == epoch
+        assert service.epoch == epoch
         assert engine.pending == 0
-        with manager.reading() as (live, _):
+        with service.reading() as (live, _):
             assert live.search_query(QUERY).answers == before
 
     def test_flush_that_cascades_into_full_compaction_bumps(self):
@@ -103,86 +103,92 @@ class TestEpochs:
             buffer_capacity=None,  # manual sealing: flush() does the cascade
             merge_fanout=2,
         )
-        manager = EngineManager(engine)
+        service = QueryService(engine)
         for i in range(4):  # stale weights + a same-tier segment pending
-            manager.insert(Rect(10 + i, 0, 11 + i, 1), {"a", f"x{i}"})
-        epoch = manager.epoch
+            service.insert(Rect(10 + i, 0, 11 + i, 1), {"a", f"x{i}"})
+        epoch = service.epoch
         compactions = engine.compactions
-        manager.flush()  # seals → two same-tier segments → merge-all → compaction
+        service.flush()  # seals → two same-tier segments → merge-all → compaction
         assert engine.compactions == compactions + 1
-        assert manager.epoch == epoch + 1
+        assert service.epoch == epoch + 1
 
-    def test_flush_on_engine_without_compaction_counter_bumps(self):
-        class OpaqueUpdatable:
-            def flush(self):
-                pass
+    @pytest.mark.parametrize("mutate", [
+        pytest.param(lambda s: s.insert(Rect(20, 0, 21, 1), {"a"}), id="insert"),
+        pytest.param(lambda s: s.insert_many([(Rect(20, 0, 21, 1), {"a"})]), id="insert_many"),
+        pytest.param(lambda s: s.delete(0), id="delete"),
+        pytest.param(lambda s: s.compact(), id="compact"),
+        pytest.param(lambda s: s.apply(lambda engine: engine.delete(1)), id="apply"),
+        pytest.param(lambda s: s.swap_engine(make_segmented(9)), id="swap_engine"),
+    ])
+    def test_every_bump_purges_the_cache_at_once(self, mutate):
+        """The bump itself drops the older epochs' entries, under the
+        write lock, so no stale answer outlives the mutation in memory;
+        the next query misses and answers from the mutated engine."""
+        service = QueryService(make_segmented())
+        service.query(QUERY)
+        assert len(service.cache) == 1
+        mutate(service)
+        assert service.epoch == 1
+        assert len(service.cache) == 0
+        with service.reading() as (engine, _):
+            expected = engine.search_query(QUERY).answers
+        assert service.query(QUERY).answers == expected
+        assert service.cache.counters()["misses"] == 2
 
-        manager = EngineManager(OpaqueUpdatable())
-        manager.flush()  # cannot prove answer preservation: bump
-        assert manager.epoch == 1
+    def test_flush_without_a_bump_keeps_the_cache_warm(self):
+        service = QueryService(make_segmented(6))
+        service.insert(Rect(30, 0, 31, 1), {"a"})  # one pending, epoch 1
+        first = service.query(QUERY).answers
+        service.flush()
+        assert service.epoch == 1 and len(service.cache) == 1
+        assert service.query(QUERY).answers == first
+        assert service.cache.counters()["hits"] == 1
 
-    def test_epoch_listeners_fire_on_every_bump(self):
-        seen = []
-        manager = EngineManager(make_segmented(), on_epoch_bump=seen.append)
-        manager.add_epoch_listener(lambda epoch: seen.append(-epoch))
-        manager.insert(Rect(20, 0, 21, 1), {"a"})
-        manager.compact()
-        assert seen == [1, -1, 2, -2]
-
-    def test_remove_epoch_listener_detaches(self):
-        seen = []
-        manager = EngineManager(make_segmented())
-        manager.add_epoch_listener(seen.append)
-        manager.insert(Rect(20, 0, 21, 1), {"a"})
-        manager.remove_epoch_listener(seen.append)
-        manager.remove_epoch_listener(seen.append)  # absent: no-op
-        manager.insert(Rect(22, 0, 23, 1), {"a"})
-        assert seen == [1]
-
-    def test_current_is_an_atomic_pair(self):
-        manager = EngineManager(make_segmented())
-        engine, epoch = manager.current
-        assert engine is manager.engine and epoch == 0
-        manager.insert(Rect(20, 0, 21, 1), {"a"})
-        assert manager.current == (engine, 1)
+    def test_reading_pins_an_atomic_pair(self):
+        service = QueryService(make_segmented())
+        with service.reading() as (engine, epoch):
+            assert engine is service.engine and epoch == 0
+        service.insert(Rect(20, 0, 21, 1), {"a"})
+        with service.reading() as pair:
+            assert pair == (engine, 1)
 
     def test_non_updatable_engine_raises_service_error(self):
-        manager = EngineManager(SealSearch([(Rect(0, 0, 1, 1), {"a"})], method="token"))
+        service = QueryService(SealSearch([(Rect(0, 0, 1, 1), {"a"})], method="token"))
         with pytest.raises(ServiceError, match="does not support in-place insert"):
-            manager.insert(Rect(0, 0, 1, 1), {"b"})
+            service.insert(Rect(0, 0, 1, 1), {"b"})
         with pytest.raises(ServiceError, match="segmented"):
-            manager.delete(0)
-        assert manager.epoch == 0
+            service.delete(0)
+        assert service.epoch == 0
 
 
 class TestHotSwap:
     def test_swap_replaces_engine_and_bumps(self):
         old = make_segmented(3)
         new = make_segmented(8)
-        manager = EngineManager(old)
-        assert manager.swap(new) == 1
-        assert manager.engine is new
+        service = QueryService(old)
+        assert service.swap_engine(new) == 1
+        assert service.engine is new
 
     def test_load_snapshot_swaps_to_saved_engine(self, tmp_path):
-        manager = EngineManager(make_segmented(3))
+        service = QueryService(make_segmented(3))
         bigger = make_segmented(9)
         path = tmp_path / "next.pkl"
         save_engine(bigger, path)
-        epoch = manager.load_snapshot(path)
+        epoch = service.load_snapshot(path)
         assert epoch == 1
-        with manager.reading() as (engine, _):
+        with service.reading() as (engine, _):
             assert len(engine) == 9
 
     def test_bad_snapshot_rejected_before_swap(self, tmp_path):
         old = make_segmented(3)
-        manager = EngineManager(old)
+        service = QueryService(old)
         path = tmp_path / "corrupt.pkl"
         path.write_bytes(b"not a snapshot at all")
         with pytest.raises(SnapshotError):
-            manager.load_snapshot(path)
+            service.load_snapshot(path)
         # The live engine was never displaced and the epoch never moved.
-        assert manager.engine is old
-        assert manager.epoch == 0
+        assert service.engine is old
+        assert service.epoch == 0
 
     def test_snapshot_of_a_removed_class_refused_before_swap(self, tmp_path):
         """A well-formed format-5 envelope whose engine blob names a
@@ -200,10 +206,10 @@ class TestHotSwap:
         }))
         assert validate_snapshot(path)["format"] == SNAPSHOT_FORMAT
         old = make_segmented(3)
-        manager = EngineManager(old)
+        service = QueryService(old)
         with pytest.raises(SnapshotError, match="incompatible snapshot"):
-            manager.load_snapshot(path)
-        assert manager.engine is old and manager.epoch == 0
+            service.load_snapshot(path)
+        assert service.engine is old and service.epoch == 0
 
     def test_missing_sidecar_rejected_before_swap(self, tmp_path):
         pytest.importorskip("numpy")
@@ -214,10 +220,10 @@ class TestHotSwap:
         sidecar_path(path).unlink()
         info = None
         old = make_segmented(3)
-        manager = EngineManager(old)
+        service = QueryService(old)
         with pytest.raises(SnapshotError, match="sidecar"):
-            info = manager.load_snapshot(path)
-        assert info is None and manager.engine is old and manager.epoch == 0
+            info = service.load_snapshot(path)
+        assert info is None and service.engine is old and service.epoch == 0
 
     def test_validate_snapshot_reports_manifest(self, tmp_path):
         engine = make_segmented(6)
@@ -241,13 +247,13 @@ class TestHotSwap:
         """
         old = make_segmented(4)
         new = make_segmented(9)
-        manager = EngineManager(old)
+        service = QueryService(old)
         reader_entered = threading.Event()
         release_reader = threading.Event()
         observed = {}
 
         def reader():
-            with manager.reading() as (engine, epoch):
+            with service.reading() as (engine, epoch):
                 reader_entered.set()
                 release_reader.wait(timeout=10.0)
                 # The engine must still be the pinned one even though a
@@ -256,7 +262,7 @@ class TestHotSwap:
                 observed["answers"] = engine.search_query(QUERY).answers
 
         def swapper():
-            manager.swap(new)
+            service.swap_engine(new)
 
         reader_thread = threading.Thread(target=reader)
         reader_thread.start()
@@ -266,7 +272,7 @@ class TestHotSwap:
         # The swap must be parked behind the in-flight reader.
         swap_thread.join(timeout=0.2)
         assert swap_thread.is_alive()
-        assert manager.engine is old
+        assert service.engine is old
         release_reader.set()
         reader_thread.join(timeout=10.0)
         swap_thread.join(timeout=10.0)
@@ -275,18 +281,18 @@ class TestHotSwap:
         assert observed["epoch"] == 0
         assert observed["answers"] == [0, 1, 2, 3]
         # ... and post-swap requests see the new engine and epoch.
-        with manager.reading() as (engine, epoch):
+        with service.reading() as (engine, epoch):
             assert engine is new and epoch == 1
             assert engine.search_query(QUERY).answers == list(range(9))
 
 
 class TestReadWriteLock:
     def test_concurrent_readers_share(self):
-        manager = EngineManager(make_segmented())
+        service = QueryService(make_segmented())
         inside = threading.Barrier(3, timeout=10.0)
 
         def reader():
-            with manager.reading():
+            with service.reading():
                 inside.wait()  # all three readers inside simultaneously
 
         threads = [threading.Thread(target=reader) for _ in range(3)]
@@ -299,23 +305,23 @@ class TestReadWriteLock:
     def test_waiting_writer_blocks_new_readers(self):
         """Writer preference: a parked mutation gates later readers, so a
         steady query stream cannot starve updates forever."""
-        manager = EngineManager(make_segmented())
+        service = QueryService(make_segmented())
         first_reader_in = threading.Event()
         release_first_reader = threading.Event()
         second_reader_in = threading.Event()
         order = []
 
         def first_reader():
-            with manager.reading():
+            with service.reading():
                 first_reader_in.set()
                 release_first_reader.wait(timeout=10.0)
 
         def writer():
-            manager.insert(Rect(50, 0, 51, 1), {"a"})
+            service.insert(Rect(50, 0, 51, 1), {"a"})
             order.append("writer")
 
         def second_reader():
-            with manager.reading():
+            with service.reading():
                 order.append("reader")
                 second_reader_in.set()
 
@@ -335,38 +341,41 @@ class TestReadWriteLock:
         assert order == ["writer", "reader"]
 
     def test_a_read_that_raises_releases_the_lock(self):
-        manager = EngineManager(make_segmented())
+        service = QueryService(make_segmented())
         with pytest.raises(KeyError):
-            with manager.reading():
+            with service.reading():
                 raise KeyError("boom")
-        done = threading.Thread(target=manager.insert, args=(Rect(50, 0, 51, 1), {"a"}))
+        done = threading.Thread(target=service.insert, args=(Rect(50, 0, 51, 1), {"a"}))
         done.start()
         done.join(timeout=10.0)
-        assert not done.is_alive() and manager.epoch == 1
+        assert not done.is_alive() and service.epoch == 1
 
-    def test_a_dropped_manager_frees_its_engine_at_once(self):
-        """Nothing the manager holds refers back to it, so dropping it
-        frees the engine then, not at the collector's next pass."""
+    def test_a_dropped_service_frees_its_engine_at_once(self):
+        """Nothing the service holds refers back to it, so dropping it
+        frees the engine then, not at the collector's next pass — cache,
+        admission and metrics included, after a query and a bump."""
         engine = make_segmented()
         freed = weakref.ref(engine)
-        manager = EngineManager(engine)
-        with manager.reading() as (pinned, _):
+        service = QueryService(engine)
+        with service.reading() as (pinned, _):
             assert pinned is engine
+        service.query(QUERY)
+        service.insert(Rect(20, 0, 21, 1), {"a"})
         del engine, pinned
         gc.disable()
         try:
-            del manager
+            del service
             assert freed() is None
         finally:
             gc.enable()
 
 
 class TestWrappedEngineFlavors:
-    def test_manager_wraps_bare_method(self):
+    def test_service_wraps_bare_method(self):
         corpus = SealSearch([(Rect(0, 0, 1, 1), {"a"})], method="token")
         method = corpus.method
-        manager = EngineManager(method)
-        with manager.reading() as (engine, epoch):
+        service = QueryService(method)
+        with service.reading() as (engine, epoch):
             assert epoch == 0
             result = engine.search(Query(Rect(0, 0, 1, 1), frozenset({"a"}), 0.5, 0.5))
             assert result.answers == [0]

@@ -114,7 +114,7 @@ def _replica(tmp_path):
             applier.bootstrap()
             oids = run_script(primary)
             applier.catch_up()
-            with applier.manager.reading() as (engine, _epoch):
+            with applier.service.reading() as (engine, _epoch):
                 seen = observe(engine)
             applier.stop()
         assert seen == observe(primary)

@@ -36,29 +36,60 @@ Everything the library does, scriptable without writing Python::
     seal-repro sweep corpus.jsonl --methods seal,irtree --axis tau_r
 
 (Also reachable as ``python -m repro``.)
+
+Every refusal leaves through one path: a handler raises
+:class:`CommandError` (or the library raises a :class:`SealError`), and
+:func:`main` prints ``error: <message>`` on stderr and exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import signal
 import sys
+import threading
 import time
-from typing import List, Sequence
+from pathlib import Path
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
 from repro import Query, Rect, SealError, TokenWeighter, build_method
-from repro.bench import format_series_table, measure_workload, sweep as run_sweep
+from repro.bench import format_series_table, sweep as run_sweep
 from repro.core.engine import METHOD_REGISTRY, check_params
+from repro.core.errors import ProtocolError
+from repro.datasets import generate_queries, generate_twitter, generate_usa
 from repro.exec.batch import BatchExecutor
 from repro.exec.durable import DurableSegmentedSealSearch, recover as recover_engine
 from repro.exec.pipeline import run_query
+from repro.exec.planner import iter_planners
 from repro.exec.segments import SegmentedSealSearch
-from repro.io.atomic import atomic_write_text
+from repro.geometry.rect import mbr_of
+from repro.io import (
+    atomic_write_text,
+    current_snapshot,
+    list_generations,
+    load_corpus,
+    load_engine,
+    load_queries,
+    publish_snapshot,
+    save_corpus,
+    save_engine,
+    save_queries,
+    validate_snapshot,
+)
+from repro.io.snapshot import sidecar_path
 from repro.io.wal import SYNC_POLICIES, WriteAheadLog
-from repro.service import QueryService
-from repro.datasets import generate_queries, generate_twitter, generate_usa
-from repro.io import load_corpus, load_engine, load_queries, save_corpus, save_engine, save_queries
+from repro.service import (
+    NetworkClient,
+    NetworkServer,
+    ProcessSupervisor,
+    QueryService,
+    ReplicaApplier,
+    ReplicationPrimary,
+)
+from repro.service.replication import REPLICA_SNAPSHOT_NAME, read_replica_status
 
 #: Method-constructor knobs the CLI exposes, with parsers.
 _METHOD_PARAMS = {
@@ -72,16 +103,16 @@ _METHOD_PARAMS = {
 }
 
 
+class CommandError(SealError):
+    """A command refused its arguments or could not finish its work."""
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except SealError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (SealError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -147,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
                  "checkpoint base (requires --segmented)",
     )
     for name, type_ in _METHOD_PARAMS.items():
-        build.add_argument(f"--{name.replace('_', '-')}", type=type_, default=None)
+        build.add_argument(_flag(name), type=type_, default=None)
     build.set_defaults(handler=_cmd_build)
 
     recover_cmd = sub.add_parser(
@@ -199,11 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     query = sub.add_parser("query", help="query an engine snapshot")
     query.add_argument("engine")
-    query.add_argument("--region", help="x1,y1,x2,y2")
-    query.add_argument("--tokens", help="comma-separated tokens")
-    query.add_argument("--tau-r", type=float, default=0.4)
-    query.add_argument("--tau-t", type=float, default=0.4)
-    query.add_argument("--queries", help="JSONL workload instead of a single query")
+    _add_query_args(query)
     query.add_argument(
         "--batch-file",
         help="JSONL workload run as one batch (throughput summary) "
@@ -232,11 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "threshold rule picks, the branch that fired and why",
     )
     plan.add_argument("engine", help="snapshot built with --method planned")
-    plan.add_argument("--region", help="x1,y1,x2,y2 of a single query")
-    plan.add_argument("--tokens", help="comma-separated tokens of that query")
-    plan.add_argument("--tau-r", type=float, default=0.4)
-    plan.add_argument("--tau-t", type=float, default=0.4)
-    plan.add_argument("--queries", help="JSONL workload instead of a single query")
+    _add_query_args(plan)
     plan.add_argument("--json", action="store_true",
                       help="emit one machine-readable JSON document")
     plan.set_defaults(handler=_cmd_plan)
@@ -375,6 +398,70 @@ def _add_wal_args(parser, *, required: bool = False, wal_help: str | None = None
     )
 
 
+def _add_query_args(parser) -> None:
+    """The shared query flags: one query spelled by ``--region/--tokens/
+    --tau-r/--tau-t``, or a ``--queries`` workload file."""
+    parser.add_argument("--region", help="x1,y1,x2,y2 of a single query")
+    parser.add_argument("--tokens", help="comma-separated tokens of that query")
+    parser.add_argument("--tau-r", type=float, default=0.4)
+    parser.add_argument("--tau-t", type=float, default=0.4)
+    parser.add_argument("--queries", help="JSONL workload instead of a single query")
+
+
+# ----------------------------------------------------------------------
+# Argument helpers
+# ----------------------------------------------------------------------
+
+
+def _flag(name: str) -> str:
+    """The command-line spelling of an ``args`` attribute."""
+    return "--" + name.replace("_", "-")
+
+
+def _csv(text: str) -> List[str]:
+    """The non-empty items of a comma-separated flag value."""
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
+def _given(args: argparse.Namespace, names) -> dict:
+    """The flags among ``names`` the command line set."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
+def _require_positive(args: argparse.Namespace, *names: str) -> None:
+    """Refuse unless every named numeric flag is above zero."""
+    if any(getattr(args, name) <= 0 for name in names):
+        raise CommandError(f"{' and '.join(map(_flag, names))} must be positive")
+
+
+def _region_and_tokens(args: argparse.Namespace, missing: str) -> Tuple[Rect, frozenset]:
+    """The region and token set spelled by ``--region x1,y1,x2,y2`` and
+    ``--tokens a,b`` (``missing`` is the error when either is absent)."""
+    if not args.region or args.tokens is None:
+        raise CommandError(missing)
+    try:
+        region = Rect(*(float(v) for v in args.region.split(",")))
+    except (TypeError, ValueError):
+        raise CommandError("--region needs x1,y1,x2,y2") from None
+    return region, frozenset(_csv(args.tokens))
+
+
+def _workload(path: str) -> List[Query]:
+    """A query workload a command needs at least one query of."""
+    queries = load_queries(path)
+    if not queries:
+        raise CommandError("the workload file holds no queries")
+    return queries
+
+
+def _print_json(document: dict) -> None:
+    print(json.dumps(document, indent=2, sort_keys=True))
+
+
+def _rate(count: int, elapsed: float) -> float:
+    return count / elapsed if elapsed else 0.0
+
+
 # ----------------------------------------------------------------------
 # Command handlers
 # ----------------------------------------------------------------------
@@ -407,8 +494,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     areas = np.array([obj.region.area for obj in objects])
     tokens = np.array([len(obj.tokens) for obj in objects])
     vocab = {t for obj in objects for t in obj.tokens}
-    from repro.geometry.rect import mbr_of
-
     space = mbr_of([obj.region for obj in objects])
     print(f"objects:            {len(objects)}")
     print(f"space:              {space.as_tuple()} ({space.area:.4g} area units)")
@@ -436,67 +521,53 @@ def _print_replica_status(status: dict) -> None:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.io.generations import current_snapshot, list_generations
-    from repro.io.snapshot import sidecar_path, validate_snapshot
-    from repro.service.replication import (
-        REPLICA_SNAPSHOT_NAME,
-        read_replica_status,
-    )
-
-    path = Path(args.snapshot)
+    root = path = Path(args.snapshot)
     document: dict = {}
-    if path.is_dir():
-        replica_status = read_replica_status(path)
+    if root.is_dir():
+        replica_status = read_replica_status(root)
         if replica_status is not None:
             # A replica state directory: report the tailing status, then
             # inspect the local resume checkpoint (if one landed yet).
             document["replica"] = replica_status
-            snapshot = path / REPLICA_SNAPSHOT_NAME
-            if not snapshot.exists():
-                document["snapshot"] = None
-                if args.json:
-                    print(json.dumps(document, indent=2, sort_keys=True))
-                else:
-                    _print_replica_status(replica_status)
-                    print("snapshot:           none (no local checkpoint yet)")
-                return 0
-            path = snapshot
+            path = root / REPLICA_SNAPSHOT_NAME
         else:
             # A serving directory: report the generation catalog, then
             # inspect the generation workers would boot from.
-            generation, snapshot = current_snapshot(path)
+            generation, path = current_snapshot(root)
             document["serving_dir"] = {
-                "path": str(path),
+                "path": str(root),
                 "generation": generation,
-                "snapshot": str(snapshot),
-                "generations_on_disk": [p.name for p in list_generations(path)],
+                "snapshot": str(path),
+                "generations_on_disk": [p.name for p in list_generations(root)],
             }
-            path = snapshot
-    info = validate_snapshot(path)
-    sidecar = sidecar_path(path)
-    document.update(
-        {
-            "snapshot": str(path),
-            "format": info["format"],
-            "library_version": info["library_version"],
-            "num_arrays": info["num_arrays"],
-            "sidecar": (
-                {"path": str(sidecar), "bytes": sidecar.stat().st_size}
-                if sidecar.exists()
-                else None
-            ),
-            "wal": info["wal"],
-            "manifest": info["manifest"],
-        }
-    )
+    if "replica" in document and not path.exists():
+        document["snapshot"] = None
+    else:
+        info = validate_snapshot(path)
+        sidecar = sidecar_path(path)
+        document.update(
+            {
+                "snapshot": str(path),
+                "format": info["format"],
+                "library_version": info["library_version"],
+                "num_arrays": info["num_arrays"],
+                "sidecar": (
+                    {"path": str(sidecar), "bytes": sidecar.stat().st_size}
+                    if sidecar.exists()
+                    else None
+                ),
+                "wal": info["wal"],
+                "manifest": info["manifest"],
+            }
+        )
     if args.json:
-        print(json.dumps(document, indent=2, sort_keys=True))
+        _print_json(document)
         return 0
     if "replica" in document:
         _print_replica_status(document["replica"])
+    if document["snapshot"] is None:
+        print("snapshot:           none (no local checkpoint yet)")
+        return 0
     if "serving_dir" in document:
         catalog = document["serving_dir"]
         print(f"serving dir:        {catalog['path']}")
@@ -545,34 +616,19 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     objects = load_corpus(args.corpus)
-    params = {
-        name: getattr(args, name)
-        for name in _METHOD_PARAMS
-        if getattr(args, name, None) is not None
-    }
+    params = _given(args, _METHOD_PARAMS)
     # Knobs are method-specific: a flag the method (for ``planned``, both
     # of its members) has no use for is an error, not a constructor
     # TypeError traceback and not a silent no-op.
     check_params(args.method, params)
-    if not args.segmented and (
-        args.buffer_capacity is not None or args.merge_fanout is not None
-    ):
-        print(
-            "error: --buffer-capacity/--merge-fanout require --segmented",
-            file=sys.stderr,
-        )
-        return 2
+    knobs = _given(args, ("buffer_capacity", "merge_fanout"))
+    if knobs and not args.segmented:
+        raise CommandError("--buffer-capacity/--merge-fanout require --segmented")
     if args.wal and not args.segmented:
-        print("error: --wal requires --segmented (only the updatable engine "
-              "takes mutations to log)", file=sys.stderr)
-        return 2
+        raise CommandError("--wal requires --segmented (only the updatable engine "
+                           "takes mutations to log)")
     started = time.perf_counter()
     if args.segmented:
-        knobs = {}
-        if args.buffer_capacity is not None:
-            knobs["buffer_capacity"] = args.buffer_capacity
-        if args.merge_fanout is not None:
-            knobs["merge_fanout"] = args.merge_fanout
         engine = SegmentedSealSearch(
             ((obj.region, obj.tokens) for obj in objects),
             args.method,
@@ -602,56 +658,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_region(text: str) -> Rect | None:
-    try:
-        coords = [float(v) for v in text.split(",")]
-    except ValueError:
-        return None
-    if len(coords) != 4:
-        return None
-    return Rect(*coords)
-
-
-def _load_segmented(path: str):
-    """Load a snapshot that must hold a segmented (updatable) engine."""
-    engine = load_engine(path)
-    if not isinstance(engine, SegmentedSealSearch):
-        print(
-            f"error: {path} does not hold a segmented engine; "
-            "rebuild it with `build --segmented`",
-            file=sys.stderr,
-        )
-        return None
-    return engine
-
-
-def _open_for_update(args: argparse.Namespace):
-    """The engine an update command mutates.
-
-    Without ``--wal``: the plain snapshot engine (the command rewrites
-    the whole snapshot afterwards).  With ``--wal``: the engine
-    recovered from ``snapshot + WAL tail`` — mutations then append to
-    the log at O(1) cost and the snapshot is left alone (the durability
-    win), unless ``--out`` asks for a checkpoint.
-    """
-    if args.wal:
-        return recover_engine(args.engine, args.wal, sync=args.wal_sync)
-    return _load_segmented(args.engine)
-
-
-def _persist_updated(engine, args: argparse.Namespace) -> str:
-    """Make an update command's mutations durable; returns a note."""
-    if isinstance(engine, DurableSegmentedSealSearch):
-        if args.out:
-            engine.checkpoint(args.out)
-            engine.close()
-            return f"; checkpointed to {args.out} (WAL truncated)"
-        engine.close()  # syncs pending appends
-        return f"; logged to {args.wal} (snapshot unchanged)"
-    save_engine(engine, args.out or args.engine)
-    return ""
-
-
 def _segmented_summary(engine) -> str:
     return (
         f"{len(engine)} live objects, {engine.num_segments} segments, "
@@ -659,78 +665,90 @@ def _segmented_summary(engine) -> str:
     )
 
 
+def _mutate(args: argparse.Namespace, mutation: Callable[..., Tuple[str, bool]]) -> int:
+    """The one path of ``update``, ``delete`` and ``compact``: open the
+    engine, apply ``mutation``, make it durable, print one line.
+
+    Without ``--wal`` the engine is the plain snapshot's, and a mutation
+    rewrites the whole snapshot (at ``--out`` if given).  With ``--wal``
+    it is recovered from ``snapshot + WAL tail``: mutations append to the
+    log at O(1) cost and leave the snapshot alone (the durability win),
+    unless ``--out`` asks for a checkpoint.  ``mutation(engine)`` returns
+    its report and whether there is anything to persist.
+    """
+    if args.wal:
+        engine = recover_engine(args.engine, args.wal, sync=args.wal_sync)
+    else:
+        engine = load_engine(args.engine)
+        if not isinstance(engine, SegmentedSealSearch):
+            raise CommandError(f"{args.engine} does not hold a segmented engine; "
+                               "rebuild it with `build --segmented`")
+    note = ""
+    try:
+        report, persist = mutation(engine)
+        if persist and args.wal and args.out:
+            engine.checkpoint(args.out)
+            note = f"; checkpointed to {args.out} (WAL truncated)"
+        elif persist and args.wal:
+            note = f"; logged to {args.wal} (snapshot unchanged)"
+        elif persist:
+            save_engine(engine, args.out or args.engine)
+    finally:
+        if args.wal:
+            engine.close()  # syncs pending appends
+    print(f"{report}; {_segmented_summary(engine)}{note}")
+    return 0
+
+
 def _cmd_update(args: argparse.Namespace) -> int:
     # Arguments first: a usage error must not leave a recovered WAL open.
     if not args.from_corpus and not args.region and args.tokens is None:
-        print("error: provide --region/--tokens and/or --from", file=sys.stderr)
-        return 2
+        raise CommandError("provide --region/--tokens and/or --from")
     inserts: List[tuple] = []
     if args.from_corpus:
         inserts.extend((obj.region, obj.tokens) for obj in load_corpus(args.from_corpus))
     if args.region or args.tokens is not None:
-        if not args.region or args.tokens is None:
-            print("error: --region and --tokens go together", file=sys.stderr)
-            return 2
-        region = _parse_region(args.region)
-        if region is None:
-            print("error: --region needs x1,y1,x2,y2", file=sys.stderr)
-            return 2
-        inserts.append((region, frozenset(t for t in args.tokens.split(",") if t)))
-    engine = _open_for_update(args)
-    if engine is None:
-        return 2
-    if not inserts:
-        # An explicitly-given --from file that held zero objects is a
-        # successful no-op, not a usage error.
-        print(f"inserted 0 objects ({args.from_corpus} is empty); "
-              f"{_segmented_summary(engine)}")
-        if isinstance(engine, DurableSegmentedSealSearch):
-            engine.close()
-        return 0
-    oids = [engine.insert(region, tokens) for region, tokens in inserts]
-    note = _persist_updated(engine, args)
-    span = f"oid {oids[0]}" if len(oids) == 1 else f"oids {oids[0]}..{oids[-1]}"
-    print(f"inserted {len(oids)} objects ({span}); {_segmented_summary(engine)}{note}")
-    return 0
+        inserts.append(_region_and_tokens(args, "--region and --tokens go together"))
+
+    def insert(engine) -> Tuple[str, bool]:
+        if not inserts:
+            # An explicitly-given --from file that held zero objects is a
+            # successful no-op, not a usage error.
+            return f"inserted 0 objects ({args.from_corpus} is empty)", False
+        oids = [engine.insert(region, tokens) for region, tokens in inserts]
+        span = f"oid {oids[0]}" if len(oids) == 1 else f"oids {oids[0]}..{oids[-1]}"
+        return f"inserted {len(oids)} objects ({span})", True
+
+    return _mutate(args, insert)
 
 
 def _cmd_delete(args: argparse.Namespace) -> int:
     # Arguments first: a usage error must not leave a recovered WAL open.
     try:
-        oids = [int(v) for v in args.oids.split(",") if v]
+        oids = [int(v) for v in _csv(args.oids)]
     except ValueError:
-        print("error: --oids needs comma-separated integers", file=sys.stderr)
-        return 2
+        raise CommandError("--oids needs comma-separated integers") from None
     if not oids:
-        print("error: --oids needs at least one oid", file=sys.stderr)
-        return 2
-    engine = _open_for_update(args)
-    if engine is None:
-        return 2
-    deleted, missing = [], []
-    for oid in oids:
-        (deleted if engine.delete(oid) else missing).append(oid)
-    if deleted or args.out or args.wal:
+        raise CommandError("--oids needs at least one oid")
+
+    def delete(engine) -> Tuple[str, bool]:
+        deleted, missing = [], []
+        for oid in oids:
+            (deleted if engine.delete(oid) else missing).append(oid)
+        note = f" (not live: {missing})" if missing else ""
         # Nothing deleted, no destination, no log: skip the rewrite.
-        persist_note = _persist_updated(engine, args)
-    else:
-        persist_note = ""
-    note = f" (not live: {missing})" if missing else ""
-    print(f"deleted {len(deleted)} objects{note}; "
-          f"{_segmented_summary(engine)}{persist_note}")
-    return 0
+        return f"deleted {len(deleted)} objects{note}", bool(deleted or args.out or args.wal)
+
+    return _mutate(args, delete)
 
 
 def _cmd_compact(args: argparse.Namespace) -> int:
-    engine = _open_for_update(args)
-    if engine is None:
-        return 2
-    started = time.perf_counter()
-    engine.compact()
-    elapsed = time.perf_counter() - started
-    note = _persist_updated(engine, args)
-    print(f"compacted in {elapsed:.1f}s; {_segmented_summary(engine)}{note}")
-    return 0
+    def compact(engine) -> Tuple[str, bool]:
+        started = time.perf_counter()
+        engine.compact()
+        return f"compacted in {time.perf_counter() - started:.1f}s", True
+
+    return _mutate(args, compact)
 
 
 def _recovery_summary(engine: DurableSegmentedSealSearch) -> str:
@@ -746,6 +764,13 @@ def _recovery_summary(engine: DurableSegmentedSealSearch) -> str:
     )
 
 
+def _recovered(args: argparse.Namespace, mmap: bool = False) -> DurableSegmentedSealSearch:
+    """The engine ``snapshot + WAL tail`` replays into a serve mode's."""
+    engine = recover_engine(args.engine, args.wal, sync=args.wal_sync, mmap=mmap)
+    print(_recovery_summary(engine))
+    return engine
+
+
 def _cmd_recover(args: argparse.Namespace) -> int:
     engine = recover_engine(args.engine, args.wal, sync=args.wal_sync)
     print(f"{_recovery_summary(engine)}; {_segmented_summary(engine)}")
@@ -759,7 +784,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_answers(i: int, result, show: int) -> str:
+def _answers_line(i: int, result, show: int) -> str:
     shown = result.answers[:show]
     more = f" (+{len(result) - len(shown)} more)" if len(result) > len(shown) else ""
     return f"query {i}: {len(result)} answers {shown}{more}"
@@ -790,46 +815,34 @@ def _plan_summary(decision: dict) -> str:
 
 
 def _planner_of(engine, path: str):
-    """The planner that explains ``engine``'s dispatch, or ``None`` after
-    printing why there is none.  A segmented planned engine embeds one
-    per full-tier segment; they share the rule, so the first one
-    explains for all."""
-    from repro.exec.planner import iter_planners
-
+    """The planner that explains ``engine``'s dispatch.  A segmented
+    planned engine embeds one per full-tier segment; they share the
+    rule, so the first one explains for all."""
     planner = next(iter_planners(engine), None)
     if planner is None:
         hint = "rebuild it as a planned engine (build --method planned)"
         if isinstance(engine, SegmentedSealSearch) and engine.config()["method"] == "planned":
             hint = ("every segment is below the size from which a segmented "
                     "engine builds its configured method (see `inspect`)")
-        print(f"error: {path} holds no query planner; {hint}", file=sys.stderr)
+        raise CommandError(f"{path} holds no query planner; {hint}")
     return planner
 
 
-def _queries_from_args(args: argparse.Namespace, alternatives: str) -> List[Query] | None:
+def _queries_from_args(args: argparse.Namespace, alternatives: str) -> List[Query]:
     """The ``--queries`` workload, else the one query spelled by
-    ``--region/--tokens/--tau-r/--tau-t``; ``None`` after printing the
-    usage error (``alternatives`` names the command's other inputs)."""
+    ``--region/--tokens/--tau-r/--tau-t`` (``alternatives`` names the
+    command's other inputs in the error when neither is given)."""
     if args.queries:
         return load_queries(args.queries)
-    if not args.region or args.tokens is None:
-        print(f"error: provide --region and --tokens, {alternatives}", file=sys.stderr)
-        return None
-    region = _parse_region(args.region)
-    if region is None:
-        print("error: --region needs x1,y1,x2,y2", file=sys.stderr)
-        return None
-    tokens = frozenset(t for t in args.tokens.split(",") if t)
+    region, tokens = _region_and_tokens(
+        args, f"provide --region and --tokens, {alternatives}"
+    )
     return [Query(region, tokens, args.tau_r, args.tau_t)]
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
     engine = load_engine(args.engine, mmap=args.mmap)
-    planner = None
-    if args.explain:
-        planner = _planner_of(engine, args.engine)
-        if planner is None:
-            return 2
+    planner = _planner_of(engine, args.engine) if args.explain else None
     service = QueryService(engine) if args.via_service else None
     try:
         if args.batch_file:
@@ -840,30 +853,22 @@ def _cmd_query(args: argparse.Namespace) -> int:
             else:
                 results = BatchExecutor().run(engine, queries).results
             elapsed = time.perf_counter() - started
-            for i, result in enumerate(results):
-                print(_print_answers(i, result, args.show))
-                if planner is not None:
-                    print(f"  plan: {_plan_summary(planner.explain(queries[i]))}")
-            qps = len(results) / elapsed if elapsed else 0.0
-            mean_ms = 1000.0 * elapsed / len(results) if results else 0.0
-            print(f"batch: {len(results)} queries in {elapsed:.3f}s "
-                  f"({qps:.0f} q/s, {mean_ms:.2f} ms/query)")
-            if service is not None:
-                print(_service_summary(service))
-            return 0
-        queries = _queries_from_args(args, "--queries, or --batch-file")
-        if queries is None:
-            return 2
-        for i, query in enumerate(queries):
-            if service is not None:
-                result = service.query(query)
-            else:
-                result = run_query(engine, query)
-            print(f"{_print_answers(i, result, args.show)} — "
-                  f"{1000 * result.stats.total_seconds:.2f} ms, "
-                  f"{result.stats.candidates} candidates")
+        else:
+            queries = _queries_from_args(args, "--queries, or --batch-file")
+            run = service.query if service is not None else lambda q: run_query(engine, q)
+            results = [run(query) for query in queries]
+        for i, (query, result) in enumerate(zip(queries, results)):
+            line = _answers_line(i, result, args.show)
+            if not args.batch_file:
+                line += (f" — {1000 * result.stats.total_seconds:.2f} ms, "
+                         f"{result.stats.candidates} candidates")
+            print(line)
             if planner is not None:
                 print(f"  plan: {_plan_summary(planner.explain(query))}")
+        if args.batch_file:
+            mean_ms = 1000.0 * elapsed / len(results) if results else 0.0
+            print(f"batch: {len(results)} queries in {elapsed:.3f}s "
+                  f"({_rate(len(results), elapsed):.0f} q/s, {mean_ms:.2f} ms/query)")
         if service is not None:
             print(_service_summary(service))
         return 0
@@ -873,21 +878,14 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    import json
-
     planner = _planner_of(load_engine(args.engine), args.engine)
-    if planner is None:
-        return 2
     queries = _queries_from_args(args, "or --queries")
-    if queries is None:
-        return 2
-
     document = {
         "engine": args.engine,
         "queries": [planner.explain(query) for query in queries],
     }
     if args.json:
-        print(json.dumps(document, indent=2, sort_keys=True))
+        _print_json(document)
         return 0
     tally: dict = {}
     for i, decision in enumerate(document["queries"]):
@@ -912,46 +910,61 @@ def _service_config(args: argparse.Namespace) -> dict:
     }
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import threading
+def _run_threads(count: int, target: Callable[[int], None], name: str) -> float:
+    """Run ``target(i)`` on ``count`` threads; the seconds until all joined."""
+    started = time.perf_counter()
+    threads = [
+        threading.Thread(target=target, args=(i,), name=f"{name}-{i}")
+        for i in range(count)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return time.perf_counter() - started
 
-    if args.deadline_ms is not None and args.deadline_ms <= 0:
-        print("error: --deadline-ms must be positive", file=sys.stderr)
-        return 2
+
+def _stop_event() -> threading.Event:
+    """The event a ``serve --net`` mode waits on (``--max-seconds`` bounds
+    the wait): SIGINT/SIGTERM set it.  Handlers go in on the main thread
+    only — tests call the serve handlers from worker threads, where
+    signal() would raise — and before any fork, so forked workers
+    inherit them rather than the default dispositions."""
+    stop = threading.Event()
+    if threading.current_thread() is threading.main_thread():
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            signal.signal(signum, lambda *_: stop.set())
+    return stop
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    if args.deadline_ms is not None:
+        _require_positive(args, "deadline_ms")
+    for mode in ("replica_of", "replicate"):
+        if getattr(args, mode) and not args.net:
+            raise CommandError(f"{_flag(mode)} requires --net")
     if args.replica_of:
-        if not args.net:
-            print("error: --replica-of requires --net", file=sys.stderr)
-            return 2
         if args.wal:
-            print("error: a replica keeps no local WAL; it resumes from its "
-                  "state directory and the primary's log", file=sys.stderr)
-            return 2
+            raise CommandError("a replica keeps no local WAL; it resumes from its "
+                               "state directory and the primary's log")
         return _serve_replica(args)
-    if args.replicate and not args.net:
-        print("error: --replicate requires --net", file=sys.stderr)
-        return 2
+    if args.replicate:
+        return _serve_primary(args)
     if args.net:
         return _serve_net(args)
     if not args.queries:
-        print("error: --queries is required without --net", file=sys.stderr)
-        return 2
+        raise CommandError("--queries is required without --net")
     # Arguments first: a usage error must not leave a recovered WAL open.
-    if args.threads < 1 or args.repeat < 1:
-        print("error: --threads and --repeat must be positive", file=sys.stderr)
-        return 2
-    queries = load_queries(args.queries)
-    if not queries:
-        print("error: the workload file holds no queries", file=sys.stderr)
-        return 2
+    _require_positive(args, "threads", "repeat")
+    queries = _workload(args.queries)
     if args.wal:
-        engine = recover_engine(args.engine, args.wal, sync=args.wal_sync, mmap=args.mmap)
-        print(_recovery_summary(engine))
+        engine = _recovered(args, mmap=args.mmap)
     else:
         engine = load_engine(args.engine, mmap=args.mmap)
     service = QueryService(engine, **_service_config(args))
     failures: List[BaseException] = []
 
-    def client() -> None:
+    def client(thread_id: int) -> None:
         try:
             for _ in range(args.repeat):
                 for query in queries:
@@ -963,21 +976,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(f"serving {type(engine).__name__} to {args.threads} client threads "
           f"× {args.repeat} repeats × {len(queries)} queries "
           f"(cache {'off' if args.no_cache else 'on'}, {args.workers} workers)")
-    started = time.perf_counter()
     try:
         # The context manager is the teardown guarantee: the service
         # stops admitting on every exit path (checkpoint failure
         # included).
         with service:
-            threads = [
-                threading.Thread(target=client, name=f"client-{i}")
-                for i in range(args.threads)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            elapsed = time.perf_counter() - started
+            elapsed = _run_threads(args.threads, client, "client")
             if args.wal and not failures:
                 # Clean shutdown is the natural checkpoint boundary: the
                 # replayed tail (and any recovery repair) lands in the
@@ -989,10 +993,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.wal:
             engine.close()
     if failures:
-        print(f"error: {len(failures)} client(s) failed: {failures[0]}", file=sys.stderr)
-        return 2
-    qps = total / elapsed if elapsed else 0.0
-    print(f"served {total} requests in {elapsed:.3f}s ({qps:.0f} q/s)")
+        raise CommandError(f"{len(failures)} client(s) failed: {failures[0]}")
+    print(f"served {total} requests in {elapsed:.3f}s ({_rate(total, elapsed):.0f} q/s)")
     print(_service_summary(service))
     metrics_text = service.metrics_json()
     if args.metrics_out:
@@ -1005,42 +1007,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _install_stop_signals(stop) -> None:
-    """SIGINT/SIGTERM set the event (main thread only — tests call the
-    serve handlers from worker threads, where signal() would raise)."""
-    import signal
-    import threading
-
-    def on_signal(signum, frame) -> None:
-        stop.set()
-
-    if threading.current_thread() is threading.main_thread():
-        signal.signal(signal.SIGINT, on_signal)
-        signal.signal(signal.SIGTERM, on_signal)
-
-
-def _wait_until_stopped(stop, max_seconds) -> None:
-    deadline = time.monotonic() + max_seconds if max_seconds is not None else None
-    while not stop.is_set():
-        if deadline is not None and time.monotonic() >= deadline:
-            return
-        time.sleep(0.2)
-
-
 def _serve_primary(args: argparse.Namespace) -> int:
     """A single durable process shipping its WAL to subscribing replicas."""
-    import threading
-
-    from repro.service import NetworkServer, QueryService, ReplicationPrimary
-
     if not args.wal:
-        print("error: --replicate requires --wal (replication ships the "
-              "write-ahead log)", file=sys.stderr)
-        return 2
-    durable = recover_engine(args.engine, args.wal, sync=args.wal_sync, mmap=args.mmap)
-    print(_recovery_summary(durable))
-    stop = threading.Event()
-    _install_stop_signals(stop)
+        raise CommandError("--replicate requires --wal (replication ships the "
+                           "write-ahead log)")
+    durable = _recovered(args, mmap=args.mmap)
+    stop = _stop_event()
     service = QueryService(durable, **_service_config(args))
     replication = ReplicationPrimary(durable)
     service.replication = replication
@@ -1051,7 +1024,7 @@ def _serve_primary(args: argparse.Namespace) -> int:
             print(f"listening on {host}:{port} — durable primary shipping WAL "
                   f"generation {position['generation']} (replicas join with "
                   f"--replica-of {host}:{port})", flush=True)
-            _wait_until_stopped(stop, args.max_seconds)
+            stop.wait(args.max_seconds)
             status = replication.status()
             print(f"shipped {status['records_shipped']} records over "
                   f"{status['shipments']} shipments to "
@@ -1066,18 +1039,10 @@ def _serve_primary(args: argparse.Namespace) -> int:
 
 def _serve_replica(args: argparse.Namespace) -> int:
     """A read replica: tail the primary's WAL, serve queries locally."""
-    import threading
-    from pathlib import Path
-
-    from repro.service import NetworkServer
-    from repro.service.replication import ReplicaApplier
-
     host, _, port_text = args.replica_of.rpartition(":")
     if not host or not port_text.isdigit():
-        print("error: --replica-of takes HOST:PORT", file=sys.stderr)
-        return 2
-    stop = threading.Event()
-    _install_stop_signals(stop)
+        raise CommandError("--replica-of takes HOST:PORT")
+    stop = _stop_event()
     applier = ReplicaApplier(
         host,
         int(port_text),
@@ -1090,9 +1055,7 @@ def _serve_replica(args: argparse.Namespace) -> int:
     try:
         applier.start()
     except (SealError, OSError) as exc:
-        print(f"error: could not bootstrap from {args.replica_of}: {exc}",
-              file=sys.stderr)
-        return 2
+        raise CommandError(f"could not bootstrap from {args.replica_of}: {exc}") from exc
     try:
         service = applier.service
         # Route repl-* ops to the applier: it refuses them loudly (no
@@ -1109,7 +1072,7 @@ def _serve_replica(args: argparse.Namespace) -> int:
             print(f"listening on {bind_host}:{bind_port} — read replica "
                   f"tailing {args.replica_of} "
                   f"(cache {'off' if args.no_cache else 'on'})", flush=True)
-            _wait_until_stopped(stop, args.max_seconds)
+            stop.wait(args.max_seconds)
     finally:
         applier.stop()
     status = applier.status()
@@ -1122,24 +1085,13 @@ def _serve_replica(args: argparse.Namespace) -> int:
 
 def _serve_net(args: argparse.Namespace) -> int:
     """The multi-process network server: publish, fork, serve, drain."""
-    import threading
-    from pathlib import Path
-
-    from repro.io.generations import publish_snapshot
-    from repro.service import ProcessSupervisor
-
-    if args.replicate:
-        return _serve_primary(args)
-    if args.workers_procs < 1:
-        print("error: --workers-procs must be positive", file=sys.stderr)
-        return 2
+    _require_positive(args, "workers_procs")
     engine_path = Path(args.engine)
     if args.wal:
         # Boot from the recovered checkpoint: replay the WAL tail into
         # the snapshot first, so workers memory-map the exact pre-crash
-        # state (PR 5's recover path feeding PR 6's workers).
-        durable = recover_engine(args.engine, args.wal, sync=args.wal_sync)
-        print(_recovery_summary(durable))
+        # state.
+        durable = _recovered(args)
         durable.checkpoint()
         durable.close()
         print(f"checkpointed to {engine_path}; WAL {args.wal} truncated")
@@ -1149,8 +1101,7 @@ def _serve_net(args: argparse.Namespace) -> int:
         else engine_path.with_name(engine_path.name + ".serving")
     )
     generation, snapshot = publish_snapshot(serving_dir, source_path=engine_path)
-    stop = threading.Event()
-    _install_stop_signals(stop)
+    stop = _stop_event()
     supervisor = ProcessSupervisor(
         serving_dir,
         workers=args.workers_procs,
@@ -1165,25 +1116,15 @@ def _serve_net(args: argparse.Namespace) -> int:
               f"processes over one mmap-shared snapshot "
               f"(cache {'off' if args.no_cache else 'on'}, "
               f"{args.workers} threads/worker)", flush=True)
-        _wait_until_stopped(stop, args.max_seconds)
+        stop.wait(args.max_seconds)
     print(f"drained: generation {supervisor.generation}, "
           f"{supervisor.respawns} worker respawns")
     return 0
 
 
 def _cmd_client(args: argparse.Namespace) -> int:
-    import threading
-
-    from repro.core.errors import ProtocolError
-    from repro.service import NetworkClient
-
-    queries = load_queries(args.queries)
-    if not queries:
-        print("error: the workload file holds no queries", file=sys.stderr)
-        return 2
-    if args.connections < 1 or args.repeat < 1:
-        print("error: --connections and --repeat must be positive", file=sys.stderr)
-        return 2
+    queries = _workload(args.queries)
+    _require_positive(args, "connections", "repeat")
     expected = None
     if args.oracle:
         oracle = load_engine(args.oracle)
@@ -1229,28 +1170,15 @@ def _cmd_client(args: argparse.Namespace) -> int:
                 client.close()
 
     total = args.connections * args.repeat * len(queries)
-    started = time.perf_counter()
-    threads = [
-        threading.Thread(target=drive, args=(i,), name=f"net-client-{i}")
-        for i in range(args.connections)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    elapsed = time.perf_counter() - started
-    qps = total / elapsed if elapsed else 0.0
+    elapsed = _run_threads(args.connections, drive, "net-client")
     note = f", {reconnects[0]} reconnects" if reconnects[0] else ""
     print(f"drove {total} requests over {args.connections} connections "
-          f"in {elapsed:.3f}s ({qps:.0f} q/s{note})")
+          f"in {elapsed:.3f}s ({_rate(total, elapsed):.0f} q/s{note})")
     if failures:
-        print(f"error: {len(failures)} connection(s) failed: {failures[0]}",
-              file=sys.stderr)
-        return 2
+        raise CommandError(f"{len(failures)} connection(s) failed: {failures[0]}")
     if mismatches:
-        print(f"error: {len(mismatches)} answer(s) diverged from the oracle: "
-              f"{mismatches[0]}", file=sys.stderr)
-        return 2
+        raise CommandError(f"{len(mismatches)} answer(s) diverged from the oracle: "
+                           f"{mismatches[0]}")
     if expected is not None:
         print(f"all {total} answers identical to the {args.oracle} oracle")
     return 0
@@ -1259,13 +1187,12 @@ def _cmd_client(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     objects = load_corpus(args.corpus)
     weighter = TokenWeighter(obj.tokens for obj in objects)
-    names: List[str] = [m.strip() for m in args.methods.split(",") if m.strip()]
-    taus = [float(v) for v in args.taus.split(",")]
+    taus = [float(v) for v in _csv(args.taus)]
     workload = generate_queries(
         objects, args.kind, num_queries=args.num_queries, seed=args.seed
     )
     series = {}
-    for name in names:
+    for name in _csv(args.methods):
         method = build_method(objects, name, weighter)
         series[name] = run_sweep(method, list(workload), taus, args.axis)
     print(format_series_table(
@@ -1291,14 +1218,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         for row in describe_rules():
             print(f"{row['rule']:<{width}}  {row['description']}")
         return 0
-    rules = None
-    if args.rules:
-        rules = [name.strip() for name in args.rules.split(",") if name.strip()]
     try:
-        driver = LintDriver(rules=rules)
+        driver = LintDriver(rules=_csv(args.rules) if args.rules else None)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise CommandError(str(exc)) from exc
     findings, checked = driver.lint_paths(args.paths)
     if args.as_json:
         print(render_json(findings, checked))

@@ -298,6 +298,86 @@ class TestSegmentedCommands:
             assert "does not hold a segmented engine" in capsys.readouterr().err
 
 
+class TestOneErrorPath:
+    """Every refusal is exit status 2, nothing on stdout and exactly one
+    ``error: <message>`` line on stderr."""
+
+    @pytest.fixture()
+    def paths(self, corpus_file, tmp_path, figure1_query, capsys):
+        static, live = tmp_path / "static.pkl", tmp_path / "live.pkl"
+        assert main(["build", str(corpus_file), "--method", "token",
+                     "--out", str(static)]) == 0
+        assert main(["build", str(corpus_file), "--method", "token", "--segmented",
+                     "--out", str(live)]) == 0
+        save_queries([figure1_query], tmp_path / "q.jsonl")
+        save_queries([], tmp_path / "empty.jsonl")
+        capsys.readouterr()
+        return {"corpus": corpus_file, "static": static, "live": live,
+                "workload": tmp_path / "q.jsonl", "empty": tmp_path / "empty.jsonl",
+                "tmp": tmp_path}
+
+    NOT_SEGMENTED = ("{static} does not hold a segmented engine; "
+                     "rebuild it with `build --segmented`")
+    NO_PLANNER = ("{static} holds no query planner; rebuild it as a planned "
+                  "engine (build --method planned)")
+
+    @pytest.mark.parametrize("argv, message", [
+        ("query {static}", "provide --region and --tokens, --queries, or --batch-file"),
+        ("query {static} --region 1,2,3,4", "provide --region and --tokens, --queries, "
+                                             "or --batch-file"),
+        ("query {static} --region 1,2,3 --tokens a", "--region needs x1,y1,x2,y2"),
+        ("query {static} --region 5,5,1,1 --tokens a", "--region needs x1,y1,x2,y2"),
+        ("query {static} --queries {workload} --explain", NO_PLANNER),
+        ("plan {static} --queries {workload}", NO_PLANNER),
+        ("plan {static}", NO_PLANNER),
+        ("update {live}", "provide --region/--tokens and/or --from"),
+        ("update {live} --tokens a", "--region and --tokens go together"),
+        ("update {live} --region 0,0,1,x --tokens a", "--region needs x1,y1,x2,y2"),
+        ("update {static} --region 0,0,1,1 --tokens a", NOT_SEGMENTED),
+        ("delete {live} --oids 1,x", "--oids needs comma-separated integers"),
+        ("delete {live} --oids ,", "--oids needs at least one oid"),
+        ("delete {static} --oids 1", NOT_SEGMENTED),
+        ("compact {static}", NOT_SEGMENTED),
+        ("build {corpus} --method token --merge-fanout 2 --out {tmp}/x.pkl",
+         "--buffer-capacity/--merge-fanout require --segmented"),
+        ("build {corpus} --method token --wal {tmp}/x.wal --out {tmp}/x.pkl",
+         "--wal requires --segmented (only the updatable engine takes mutations to log)"),
+        ("serve {static}", "--queries is required without --net"),
+        ("serve {static} --queries {workload} --repeat 0",
+         "--threads and --repeat must be positive"),
+        ("serve {static} --queries {workload} --deadline-ms -1",
+         "--deadline-ms must be positive"),
+        ("serve {static} --queries {empty}", "the workload file holds no queries"),
+        ("serve {static} --replica-of h:1", "--replica-of requires --net"),
+        ("serve {static} --replicate", "--replicate requires --net"),
+        ("serve {static} --net --replicate",
+         "--replicate requires --wal (replication ships the write-ahead log)"),
+        ("serve {static} --net --replica-of nonsense", "--replica-of takes HOST:PORT"),
+        ("serve {static} --net --replica-of h:1 --wal {tmp}/x.wal",
+         "a replica keeps no local WAL; it resumes from its state directory and the "
+         "primary's log"),
+        ("serve {static} --net --workers-procs 0", "--workers-procs must be positive"),
+        ("client --port 1 --queries {empty}", "the workload file holds no queries"),
+        ("client --port 1 --queries {workload} --connections 0",
+         "--connections and --repeat must be positive"),
+        ("stats {tmp}/nope.jsonl", "[Errno 2] No such file or directory: '{tmp}/nope.jsonl'"),
+        ("inspect {tmp}/nope.pkl", "snapshot not found: {tmp}/nope.pkl"),
+    ])
+    def test_refusal_is_one_stderr_line(self, paths, argv, message, capsys):
+        rc = main([word.format(**paths) for word in argv.split()])
+        out, err = capsys.readouterr()
+        assert (rc, out, err) == (2, "", f"error: {message.format(**paths)}\n")
+
+    def test_comma_lists_ignore_blanks_around_items(self, paths, capsys):
+        """``--tokens``, ``--oids``, ``--methods``, ``--taus`` and
+        ``--rules`` split one way: blanks around an item do not count."""
+        figure1 = ["--region", "35,10,75,70", "--tau-r", "0.25", "--tau-t", "0.3"]
+        assert main(["query", str(paths["static"]), "--tokens", "t1, t2 ,t3,", *figure1]) == 0
+        assert "1 answers [1]" in capsys.readouterr().out
+        assert main(["delete", str(paths["live"]), "--oids", " 1, 99"]) == 0
+        assert "deleted 1 objects (not live: [99])" in capsys.readouterr().out
+
+
 class TestWALCommands:
     @pytest.fixture()
     def durable_engine(self, corpus_file, tmp_path, capsys):
@@ -440,6 +520,21 @@ class TestWALCommands:
         rc = main(["serve", str(engine), "--queries", str(workload), "--wal", str(wal), *flags])
         assert rc == 2 and "error:" in capsys.readouterr().err
         assert all(durable.wal.closed for durable in recovered)
+
+    def test_failed_mutation_still_closes_the_wal(self, durable_engine, recovered,
+                                                  monkeypatch, capsys):
+        from repro import SealError
+        from repro.exec.durable import DurableSegmentedSealSearch
+
+        def refuse(self, region, tokens):
+            raise SealError("insert refused")
+
+        monkeypatch.setattr(DurableSegmentedSealSearch, "insert", refuse)
+        engine, wal = durable_engine
+        rc = main(["update", str(engine), "--wal", str(wal),
+                   "--region", "35,10,75,70", "--tokens", "t1"])
+        assert rc == 2 and capsys.readouterr().err == "error: insert refused\n"
+        assert len(recovered) == 1 and recovered[0].wal.closed
 
     def test_recover_missing_wal_fails_loudly(self, durable_engine, capsys):
         engine, _ = durable_engine
@@ -718,7 +813,7 @@ class TestNetServeAndClient:
         assert "failed" in capsys.readouterr().err
 
     @staticmethod
-    def _serve_process(*args):
+    def _serve_process(*args, max_seconds=120):
         """``serve *args`` in a subprocess; returns it and the address
         it reports listening on."""
         import re
@@ -726,9 +821,10 @@ class TestNetServeAndClient:
         import sys
 
         env = dict(os.environ, PYTHONPATH="src", PYTHONUNBUFFERED="1")
+        deadline = [] if max_seconds is None else ["--max-seconds", str(max_seconds)]
         server = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve", *map(str, args),
-             "--port", "0", "--max-seconds", "120"],
+             "--port", "0", *deadline],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
             cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         )
@@ -741,13 +837,13 @@ class TestNetServeAndClient:
         pytest.fail(f"server never reported its address: {out}")
 
     @staticmethod
-    def _interrupt(server) -> str:
-        """SIGINT ``server``; returns the rest of its output once it
-        exited cleanly."""
+    def _interrupt(server, signum: str = "SIGINT") -> str:
+        """Signal ``server`` (SIGINT by default); returns the rest of its
+        output once it exited cleanly."""
         import signal as signal_module
 
         try:
-            server.send_signal(signal_module.SIGINT)
+            server.send_signal(getattr(signal_module, signum))
             out, _ = server.communicate(timeout=60)
             assert server.returncode == 0, out
             return out
@@ -768,6 +864,18 @@ class TestNetServeAndClient:
             assert rc == 0
         finally:
             assert "drained" in self._interrupt(server)
+
+    @pytest.mark.parametrize("signum", ["SIGINT", "SIGTERM"])
+    def test_net_serve_without_max_seconds_stops_on_a_signal(self, engine_and_workload,
+                                                             tmp_path, signum):
+        """Without --max-seconds the server waits on its stop event alone;
+        either signal ends that wait and the pool drains cleanly."""
+        engine, _ = engine_and_workload
+        server, _ = self._serve_process(
+            engine, "--net", "--workers-procs", "1", "--serving-dir", tmp_path / "serving",
+            max_seconds=None,
+        )
+        assert "drained" in self._interrupt(server, signum)
 
     def test_net_replica_serves_the_primary_answers(self, corpus_file, figure1_query,
                                                     tmp_path, capsys):

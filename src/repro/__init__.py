@@ -25,12 +25,13 @@ from *what* the filters compute.  ``SearchMethod.search`` is one trip
 through the canonical filter→verify pipeline
 (:func:`repro.exec.pipeline.execute_query`); the same pipeline drives:
 
-* ``engine.search_batch(queries)`` — a :class:`~repro.exec.BatchExecutor`
-  runs the workload through its batched twin
+* ``engine.search_batch(queries)`` — a list of per-query results; the
+  facade runs its method through :class:`~repro.exec.BatchExecutor` and
+  so through the pipeline's batched twin
   (:func:`repro.exec.pipeline.execute_batch`: one filter and one verify
   pass per batch, for ``token``, ``grid`` and ``planned``) or, on any
-  other engine, through that path query by query, and aggregates
-  :class:`~repro.exec.BatchStats`;
+  other method, through that path query by query.  A workload's
+  per-query means come from :func:`repro.bench.measure_workload`;
 * :class:`~repro.exec.SegmentedSealSearch` — the updatable engine: a
   write buffer sealed into immutable segments, deletes as tombstones,
   size-tiered merges, queries fanned over segments through the same
@@ -56,9 +57,8 @@ from repro.core.errors import ConfigurationError, IndexBuildError, InvalidQueryE
 from repro.core.objects import Corpus, Query, SpatioTextualObject, make_corpus
 from repro.core.similarity import spatial_similarity, textual_similarity
 from repro.core.stats import SearchResult, SearchStats
-from repro.exec.batch import BatchExecutor, BatchResult, BatchStats
 from repro.exec.durable import DurableSegmentedSealSearch
-from repro.exec.pipeline import execute_query
+from repro.exec.pipeline import BatchExecutor, execute_query
 from repro.exec.segments import SegmentedSealSearch
 from repro.filters import GridFilter, HierarchicalFilter, HybridFilter, TokenFilter
 from repro.geometry import Rect
@@ -83,8 +83,6 @@ __all__ = [
     "AdmissionController",
     "AdmissionRejected",
     "BatchExecutor",
-    "BatchResult",
-    "BatchStats",
     "ConfigurationError",
     "Corpus",
     "DeadlineExceeded",

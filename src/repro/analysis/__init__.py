@@ -1,16 +1,6 @@
-"""Analysis utilities: signature statistics and filtering-power reports.
+"""Static analysis: the ``repro lint`` invariant checkers.
 
-Benchmarks report *times*; understanding why a filter wins needs the
-structural numbers underneath — list-length distributions, signature
-sizes, probe selectivities.  This package computes them for any built
-method, and the EXPERIMENTS narrative quotes them.
+This package holds :mod:`repro.analysis.lint` only.  A workload's
+per-query filter and verify figures (candidates, lists probed, answers,
+times) come from :func:`repro.bench.measure_workload`.
 """
-
-from repro.analysis.signature_stats import (
-    FilterPowerReport,
-    IndexStats,
-    filtering_power,
-    index_stats,
-)
-
-__all__ = ["FilterPowerReport", "IndexStats", "filtering_power", "index_stats"]

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Sequence
 
+from repro.core.errors import ConfigurationError
 from repro.core.method import SearchMethod
 from repro.core.objects import Query
 from repro.core.stats import SearchStats
@@ -36,9 +37,16 @@ class WorkloadMeasurement:
 
 
 def measure_workload(method: SearchMethod, queries: Sequence[Query]) -> WorkloadMeasurement:
-    """Run every query once and average the per-query stats."""
+    """Run every query once and average the per-query stats.
+
+    This is the library's one workload summary; batch APIs return
+    per-query results only.
+
+    Raises:
+        ConfigurationError: On an empty workload.
+    """
     if not queries:
-        raise ValueError("measure_workload requires a non-empty workload")
+        raise ConfigurationError("measure_workload requires a non-empty workload")
     totals = SearchStats()
     for query in queries:
         result = method.search(query)
@@ -70,9 +78,12 @@ def sweep(
         taus: Threshold values to sweep.
         axis: ``"tau_r"`` (vary spatial) or ``"tau_t"`` (vary textual) —
             the x-axes of Figures 12, 14, 16 and 17.
+
+    Raises:
+        ConfigurationError: On an unknown axis or an empty workload.
     """
     if axis not in ("tau_r", "tau_t"):
-        raise ValueError(f"axis must be 'tau_r' or 'tau_t', got {axis!r}")
+        raise ConfigurationError(f"axis must be 'tau_r' or 'tau_t', got {axis!r}")
     out: Dict[float, WorkloadMeasurement] = {}
     for tau in taus:
         stamped = [

@@ -60,9 +60,8 @@ from repro.bench import format_series_table, sweep as run_sweep
 from repro.core.engine import METHOD_REGISTRY, check_params
 from repro.core.errors import ProtocolError
 from repro.datasets import generate_queries, generate_twitter, generate_usa
-from repro.exec.batch import BatchExecutor
 from repro.exec.durable import DurableSegmentedSealSearch, recover as recover_engine
-from repro.exec.pipeline import run_query
+from repro.exec.pipeline import BatchExecutor, run_query
 from repro.exec.planner import iter_planners
 from repro.exec.segments import SegmentedSealSearch
 from repro.geometry.rect import mbr_of
@@ -851,7 +850,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             if service is not None:
                 results = service.query_batch(queries)
             else:
-                results = BatchExecutor().run(engine, queries).results
+                results = BatchExecutor().run(engine, queries)
             elapsed = time.perf_counter() - started
         else:
             queries = _queries_from_args(args, "--queries, or --batch-file")
@@ -1185,14 +1184,20 @@ def _cmd_client(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    _require_positive(args, "num_queries")
+    taus = [float(v) for v in _csv(args.taus)]
+    methods = _csv(args.methods)
+    if not taus:
+        raise CommandError("--taus needs at least one threshold")
+    if not methods:
+        raise CommandError("--methods needs at least one method")
     objects = load_corpus(args.corpus)
     weighter = TokenWeighter(obj.tokens for obj in objects)
-    taus = [float(v) for v in _csv(args.taus)]
     workload = generate_queries(
         objects, args.kind, num_queries=args.num_queries, seed=args.seed
     )
     series = {}
-    for name in _csv(args.methods):
+    for name in methods:
         method = build_method(objects, name, weighter)
         series[name] = run_sweep(method, list(workload), taus, args.axis)
     print(format_series_table(

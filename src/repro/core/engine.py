@@ -9,7 +9,7 @@ regions, token iterables and thresholds without touching internal types.
 from __future__ import annotations
 
 import inspect
-from typing import Any, Callable, Dict, Iterable, Mapping, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Sequence
 
 from repro.baselines.irtree import IRTreeSearch
 from repro.baselines.keyword_first import KeywordFirstSearch
@@ -19,7 +19,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.method import SearchMethod
 from repro.core.objects import Query, SpatioTextualObject, make_corpus
 from repro.core.stats import SearchResult
-from repro.exec.batch import BatchExecutor, BatchResult
+from repro.exec.pipeline import BatchExecutor
 from repro.filters.grid_filter import GridFilter
 from repro.filters.hierarchical_filter import HierarchicalFilter
 from repro.filters.hybrid_filter import HybridFilter
@@ -175,10 +175,9 @@ class SealSearch:
         """Search with a prebuilt :class:`~repro.core.objects.Query`."""
         return self.method.search(query)
 
-    def search_batch(self, queries: Sequence[Query]) -> BatchResult:
-        """Run many queries and aggregate a
-        :class:`~repro.exec.batch.BatchStats`; answers are those of
-        :meth:`search_query` per query, in order."""
+    def search_batch(self, queries: Sequence[Query]) -> List[SearchResult]:
+        """Each query's :meth:`search_query` result, in order — for
+        ``token``, ``grid`` and ``planned`` in batched passes."""
         return BatchExecutor().run(self.method, queries)
 
     def object(self, oid: int) -> SpatioTextualObject:

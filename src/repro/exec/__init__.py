@@ -1,12 +1,12 @@
 """The execution layer: how queries run, separate from what filters compute.
 
 * :mod:`repro.exec.pipeline` — the canonical filter→verify pipeline
-  (``execute_query``), its batched twin (``execute_batch``) and
+  (``execute_query``), its batched twin (``execute_batch``),
   ``run_query``, the one way the layers above reach it through any
-  engine shape.
-* :mod:`repro.exec.batch` — :class:`BatchExecutor`: a workload through
-  ``execute_batch`` where the engine has a batched filter step, else
-  query by query, aggregated into :class:`BatchStats`.
+  engine shape, and :class:`BatchExecutor`, its batch twin: an engine's
+  own ``search_batch``, else ``execute_batch`` where the engine has a
+  batched filter step, else ``run_query`` per query — a list of
+  per-query results either way.
 * :mod:`repro.exec.segments` — :class:`SegmentedSealSearch`: the
   updatable engine (write buffer + immutable segments + tombstones with
   size-tiered merges), searches fanned over segments through the same
@@ -22,13 +22,10 @@ Every path preserves exact answer semantics: batching, planning and
 segmentation change *throughput*, never results.
 """
 
-from repro.exec.batch import BatchExecutor, BatchResult, BatchStats
-from repro.exec.pipeline import execute_query, run_query
+from repro.exec.pipeline import BatchExecutor, execute_query, run_query
 
 __all__ = [
     "BatchExecutor",
-    "BatchResult",
-    "BatchStats",
     "DurableSegmentedSealSearch",
     "PlannedSealSearch",
     "PlannerMetrics",

@@ -162,9 +162,9 @@ class DurableSegmentedSealSearch:
     (``search``, ``search_query``, ``search_batch``, ``object``,
     ``len``, stats/introspection properties) delegates
     untouched, so the wrapper drops into :class:`~repro.service.service.
-    QueryService`, :class:`~repro.exec.batch.BatchExecutor` and the CLI
-    exactly like the raw engine.  Mutations are intercepted and logged
-    first.
+    QueryService`, :class:`~repro.exec.pipeline.BatchExecutor` (which
+    takes a batch through ``search_batch``) and the CLI exactly like the
+    raw engine.  Mutations are intercepted and logged first.
 
     Build one with :meth:`create` (fresh engine + fresh WAL + initial
     checkpoint) or :func:`recover` (reconstruct from disk); the plain

@@ -13,7 +13,9 @@ one filter pass and one verify pass over every (query, candidate) pair of
 up to :data:`BATCH_MAX_QUERIES` queries, instead of that many trips
 through the per-query interpreter and NumPy dispatch cost.  Each query's
 result — answers, ``method`` and every counter — is the one
-:func:`execute_query` returns.
+:func:`execute_query` returns.  :class:`BatchExecutor` is the batched
+twin of :func:`run_query`: a batch against any engine shape, returned as
+a list of per-query results.
 """
 
 from __future__ import annotations
@@ -135,3 +137,26 @@ def run_query(engine: Any, query: Query) -> SearchResult:
         if run is not None:
             return run(query)
     return execute_query(engine, query)
+
+
+class BatchExecutor:
+    """A batch against any engine shape, probe for probe like :func:`run_query`.
+
+    An engine with its own ``search_batch`` (the facades) runs it; a
+    method with a batched filter step and a batched verifier goes
+    through :func:`execute_batch`; anything else runs :func:`run_query`
+    per query.  Either way the result is one :class:`SearchResult` per
+    query, in input order, each equal to the single query's.
+    """
+
+    def run(self, engine: Any, queries: Sequence[Query]) -> List[SearchResult]:
+        queries = list(queries)
+        search_batch = getattr(engine, "search_batch", None)
+        if search_batch is not None:
+            return search_batch(queries)
+        # A filter whose verifier has no batched pass (a textual
+        # predicate's, which is not Jaccard) keeps the loop.
+        verifier = getattr(engine, "verifier", None)
+        if hasattr(engine, "candidates_batch") and hasattr(verifier, "verify_batch"):
+            return execute_batch(engine, queries)
+        return [run_query(engine, query) for query in queries]

@@ -64,7 +64,6 @@ from repro.core.engine import build_method, check_params
 from repro.core.objects import Query, SpatioTextualObject
 from repro.core.stats import SearchResult, SearchStats
 from repro.core.verification import Verifier
-from repro.exec.batch import BatchExecutor, BatchResult
 from repro.exec.pipeline import execute_query
 from repro.geometry import Rect
 from repro.index.storage import IndexSizeReport
@@ -140,9 +139,10 @@ class SegmentedSealSearch:
     """An updatable SEAL engine: write buffer, sealed segments, tombstones.
 
     Facade-compatible with :class:`~repro.core.engine.SealSearch`
-    (``search``, ``search_query``, ``search_batch``, ``object``,
-    ``len``) and additionally accepts :meth:`insert`, :meth:`delete`,
-    :meth:`flush` and :meth:`compact`.  May start empty.
+    (``search``, ``search_query``, ``search_batch`` — a list of
+    per-query results, ``object``, ``len``) and additionally accepts
+    :meth:`insert`, :meth:`delete`, :meth:`flush` and :meth:`compact`.
+    May start empty.
 
     Args:
         data: Initial ``(region, tokens)`` pairs; sealed into one segment
@@ -502,10 +502,15 @@ class SegmentedSealSearch:
         query = Query(region=region, tokens=frozenset(tokens), tau_r=tau_r, tau_t=tau_t)
         return self.search_query(query)
 
-    def search_batch(self, queries: Sequence[Query]) -> BatchResult:
-        """Run many queries and aggregate a :class:`BatchStats`; answers
-        are those of :meth:`search_query` per query."""
-        return BatchExecutor().run(self, queries)
+    def search_batch(self, queries: Sequence[Query]) -> List[SearchResult]:
+        """Each query's :meth:`search_query` result, in order.
+
+        A loop of singles: each query fans out over the segments on its
+        own.  This is :class:`~repro.exec.pipeline.BatchExecutor`'s hook
+        for this engine (and the durable one), so it must not call back
+        into it.
+        """
+        return [self.search_query(query) for query in queries]
 
     # ------------------------------------------------------------------
     # Introspection

@@ -59,8 +59,9 @@ Single queries reach the engine through
 :func:`~repro.exec.pipeline.run_query` (any engine shape); bursts
 submitted via :meth:`QueryService.query_batch` deduplicate identical
 queries, check the cache per member, and run the misses as one admitted
-:class:`~repro.exec.batch.BatchExecutor` trip — one batched filter and
-verify pass where the engine has one — filling the cache on the way out.
+:class:`~repro.exec.pipeline.BatchExecutor` trip — the facade's own
+``search_batch``, or one batched filter and verify pass where a bare
+method has one — filling the cache on the way out.
 """
 
 from __future__ import annotations
@@ -75,9 +76,8 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequ
 from repro.core.errors import ServiceError
 from repro.core.objects import Query
 from repro.core.stats import SearchResult
-from repro.exec.batch import BatchExecutor
 from repro.exec.durable import recover as recover_durable_engine
-from repro.exec.pipeline import run_query
+from repro.exec.pipeline import BatchExecutor, run_query
 from repro.geometry import Rect
 from repro.io.snapshot import load_engine, validate_snapshot
 from repro.service.admission import AdmissionController
@@ -383,7 +383,7 @@ class QueryService:
     def _execute_batch(self, queries: List[Query]) -> Tuple[int, List[SearchResult]]:
         try:
             with self.reading() as (engine, epoch):
-                return epoch, BatchExecutor().run(engine, queries).results
+                return epoch, BatchExecutor().run(engine, queries)
         except Exception:
             self._counters.error()
             raise

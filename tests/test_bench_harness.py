@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import NaiveSearch, TokenFilter
+from repro import ConfigurationError, GridFilter, NaiveSearch, TokenFilter, build_method
 from repro.bench import format_series_table, format_table, measure_workload, sweep
 from repro.bench.harness import WorkloadMeasurement
 
@@ -21,8 +21,46 @@ class TestMeasureWorkload:
 
     def test_empty_workload_rejected(self, figure1_objects, figure1_weighter):
         method = NaiveSearch(figure1_objects, figure1_weighter)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             measure_workload(method, [])
+
+
+class TestFilteringPower:
+    """A filter's selectivity, read off the workload summary: candidates
+    per query, and answers per candidate (1.0 is a perfect filter)."""
+
+    def test_naive_has_no_filtering(self, figure1_objects, figure1_weighter, figure1_query):
+        m = measure_workload(NaiveSearch(figure1_objects, figure1_weighter), [figure1_query])
+        assert m.candidates == len(figure1_objects) == 7
+        assert m.results / m.candidates == pytest.approx(1 / 7)
+
+    def test_token_filter_stronger_than_naive(
+        self, figure1_objects, figure1_weighter, figure1_query
+    ):
+        m = measure_workload(TokenFilter(figure1_objects, figure1_weighter), [figure1_query])
+        assert m.candidates < len(figure1_objects)
+        assert m.results / m.candidates > 1 / 7
+
+    def test_single_axis_filters_admit_the_answer(
+        self, figure1_objects, figure1_weighter, figure1_query
+    ):
+        from tests.conftest import FIGURE1_SPACE
+
+        for method in (
+            TokenFilter(figure1_objects, figure1_weighter),
+            GridFilter(figure1_objects, figure1_weighter, granularity=4, space=FIGURE1_SPACE),
+        ):
+            assert measure_workload(method, [figure1_query]).results == 1.0
+
+    def test_hybrid_candidates_at_most_single_axis(
+        self, twitter_small, twitter_small_weighter, twitter_small_queries
+    ):
+        queries = list(twitter_small_queries)
+        token = build_method(twitter_small, "token", twitter_small_weighter)
+        hybrid = build_method(twitter_small, "hash-hybrid", twitter_small_weighter, granularity=16)
+        assert measure_workload(hybrid, queries).candidates <= measure_workload(
+            token, queries
+        ).candidates
 
     def test_counts_are_per_query_means(self, figure1_objects, figure1_weighter, figure1_query):
         method = TokenFilter(figure1_objects, figure1_weighter)
@@ -47,7 +85,7 @@ class TestSweep:
 
     def test_bad_axis(self, figure1_objects, figure1_weighter, figure1_query):
         method = NaiveSearch(figure1_objects, figure1_weighter)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             sweep(method, [figure1_query], [0.1], "tau_x")
 
 

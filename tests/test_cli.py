@@ -362,6 +362,10 @@ class TestOneErrorPath:
          "--connections and --repeat must be positive"),
         ("stats {tmp}/nope.jsonl", "[Errno 2] No such file or directory: '{tmp}/nope.jsonl'"),
         ("inspect {tmp}/nope.pkl", "snapshot not found: {tmp}/nope.pkl"),
+        ("sweep {corpus} --num-queries 0", "--num-queries must be positive"),
+        ("sweep {corpus} --num-queries -3", "--num-queries must be positive"),
+        ("sweep {corpus} --taus ,", "--taus needs at least one threshold"),
+        ("sweep {corpus} --methods ,", "--methods needs at least one method"),
     ])
     def test_refusal_is_one_stderr_line(self, paths, argv, message, capsys):
         rc = main([word.format(**paths) for word in argv.split()])

@@ -95,7 +95,9 @@ class TestLogging:
         fill(engine, 5)
         assert engine.search(PROBE.region, PROBE.tokens, 0.01, 0.0).answers
         assert engine.object(0).oid == 0
-        assert len(engine.search_batch([PROBE, PROBE]).results) == 2
+        assert [r.answers for r in engine.search_batch([PROBE, PROBE])] == [
+            engine.search_query(PROBE).answers
+        ] * 2
         assert engine.snapshot_manifest()["kind"] == "segmented"
         assert engine.next_oid == 5
         with pytest.raises(AttributeError):

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from repro import (
     METHOD_REGISTRY,
     BatchExecutor,
-    BatchResult,
     Query,
+    QueryService,
     Rect,
     SealSearch,
     TokenWeighter,
@@ -25,7 +25,7 @@ from repro import (
 from repro.core import verification
 from repro.datasets import generate_queries
 from repro.exec import pipeline
-from repro.exec.planner import rule
+from repro.exec.planner import PlannedSealSearch, rule
 from repro.index.inverted import InvertedIndex
 
 from tests.strategies import (
@@ -92,7 +92,7 @@ class TestBatchEqualsPerQuery:
         )
         expected = [method.search(q).answers for q in workload]
         batch = BatchExecutor().run(method, workload)
-        assert batch.answers() == expected, name
+        assert [r.answers for r in batch] == expected, name
 
     @pytest.mark.parametrize("branch", sorted(BRANCHES))
     @pytest.mark.parametrize("name", sorted(METHOD_REGISTRY))
@@ -108,7 +108,7 @@ class TestBatchEqualsPerQuery:
         expected = [method.search(q).answers for q in workload]
         with forced(branch):
             assert [method.search(q).answers for q in workload] == expected, name
-            assert BatchExecutor().run(method, workload).answers() == expected, name
+            assert [r.answers for r in BatchExecutor().run(method, workload)] == expected, name
 
     def test_per_query_stats_counters_match(self, twitter_small, twitter_small_weighter, workload):
         method = build_method(twitter_small, "token", twitter_small_weighter)
@@ -165,9 +165,10 @@ class TestBatchedPassEqualsLoop:
             with grouped(cut), mock.patch.object(pipeline, "BATCH_MAX_QUERIES", chunk):
                 batch = BatchExecutor().run(method, queries)
         assert [_counters(r.stats) for r in batch] == [_counters(r.stats) for r in singles]
-        assert batch.answers() == [r.answers for r in singles]
-        assert batch.answers() == [naive.search(query).answers for query in queries]
-        assert all(type(oid) is int for answers in batch.answers() for oid in answers)
+        answers = [r.answers for r in batch]
+        assert answers == [r.answers for r in singles]
+        assert answers == [naive.search(query).answers for query in queries]
+        assert all(type(oid) is int for found in answers for oid in found)
 
     def test_planner_records_one_selection_per_query(self, twitter_small,
                                                      twitter_small_weighter, workload):
@@ -184,7 +185,7 @@ class TestBatchedPassEqualsLoop:
         expected = [planner.search(query) for query in queries]
         batch = BatchExecutor().run(planner, queries)
         assert [_counters(r.stats) for r in batch] == [_counters(r.stats) for r in expected]
-        assert batch.answers() == [r.answers for r in expected]
+        assert [r.answers for r in batch] == [r.answers for r in expected]
 
     @pytest.mark.parametrize("name", ["planned", "token", "grid"])
     def test_full_scan_queries_do_not_count_toward_the_group_cut(
@@ -203,7 +204,7 @@ class TestBatchedPassEqualsLoop:
         with mock.patch.object(InvertedIndex, "union_heads_batch", side_effect=AssertionError):
             batch = BatchExecutor().run(method, queries)
         assert [_counters(r.stats) for r in batch] == [_counters(r.stats) for r in expected]
-        assert batch.answers() == [r.answers for r in expected]
+        assert [r.answers for r in batch] == [r.answers for r in expected]
 
     def test_membership_scratch_has_a_slot_per_live_query_only(
         self, twitter_small, twitter_small_weighter, workload
@@ -219,8 +220,8 @@ class TestBatchedPassEqualsLoop:
         queries = [live] + [dead] * 7
         with grouped("batched"):
             batch = BatchExecutor().run(method, queries)
-        assert batch.answers() == [method.search(query).answers for query in queries]
-        assert batch[0].answers and not any(batch.answers()[1:])
+        assert [r.answers for r in batch] == [method.search(query).answers for query in queries]
+        assert batch[0].answers and not any(r.answers for r in batch[1:])
         vocabulary = len(method.verifier._token_rows[1])
         assert len(method.verifier._scratch.member) == vocabulary
 
@@ -237,7 +238,7 @@ class TestVerifierBranchProperty:
             expected = method.search(query).answers
         with forced("mask"):
             assert method.search(query).answers == expected
-            assert BatchExecutor().run(method, [query]).answers() == [expected]
+            assert [r.answers for r in BatchExecutor().run(method, [query])] == [expected]
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -447,7 +448,7 @@ class TestLazyColumnsUnderThreads:
                     def client(batched: bool):
                         barrier.wait(timeout=30)
                         if batched:
-                            return BatchExecutor().run(planner, workload).answers()
+                            return [r.answers for r in BatchExecutor().run(planner, workload)]
                         return [planner.search(q).answers for q in workload]
 
                     futures = [pool.submit(client, i % 2 == 0) for i in range(workers)]
@@ -458,31 +459,23 @@ class TestLazyColumnsUnderThreads:
             sys.setswitchinterval(previous)
 
 
-class TestBatchResultAndStats:
-    def test_aggregate_totals(self, twitter_small, twitter_small_weighter, workload):
+class TestBatchIsAList:
+    """A batch is its per-query results, nothing more: the workload
+    summary is :func:`repro.bench.measure_workload`'s."""
+
+    def test_results_in_input_order(self, twitter_small, twitter_small_weighter, workload):
         method = build_method(twitter_small, "token", twitter_small_weighter)
-        batch = BatchExecutor().run(method, workload)
-        stats = batch.stats
-        assert stats.queries == len(workload) == len(batch)
-        assert stats.totals.results == sum(len(r.answers) for r in batch)
-        assert stats.totals.candidates == sum(r.stats.candidates for r in batch)
-        assert stats.elapsed_seconds > 0.0
-        assert stats.qps > 0.0
-        assert stats.mean_ms == pytest.approx(1000.0 * stats.elapsed_seconds / stats.queries)
+        for queries in (workload, workload[::-1]):
+            batch = BatchExecutor().run(method, queries)
+            assert isinstance(batch, list) and len(batch) == len(queries)
+            assert [_counters(r.stats) for r in batch] == [
+                _counters(method.search(query).stats) for query in queries
+            ]
 
     def test_empty_batch(self, twitter_small, twitter_small_weighter):
         method = build_method(twitter_small, "token", twitter_small_weighter)
-        batch = BatchExecutor().run(method, [])
-        assert isinstance(batch, BatchResult)
-        assert len(batch) == 0
-        assert batch.stats.queries == 0
-        assert batch.stats.qps == 0.0
-        assert batch.stats.mean_ms == 0.0
-
-    def test_indexing_and_iteration(self, twitter_small, twitter_small_weighter, workload):
-        method = build_method(twitter_small, "token", twitter_small_weighter)
-        batch = BatchExecutor().run(method, workload)
-        assert batch[0].answers == list(batch)[0].answers
+        assert BatchExecutor().run(method, []) == []
+        assert SealSearch([(Rect(0, 0, 1, 1), {"a"})], method="token").search_batch([]) == []
 
 
 class TestSearchBatchFacade:
@@ -501,4 +494,20 @@ class TestSearchBatchFacade:
             Query(Rect(0, 0, 60, 60), frozenset({"coffee", "tea"}), 0.0, 0.0),
         ]
         batch = engine.search_batch(batch_queries)
-        assert batch.answers() == [engine.search_query(q).answers for q in batch_queries]
+        assert [r.answers for r in batch] == [engine.search_query(q).answers for q in batch_queries]
+
+    def test_service_over_a_facade_takes_the_batched_pass(self, twitter_small):
+        """Regression: ``QueryService.from_data`` serves a ``SealSearch``
+        facade, which has no ``candidates_batch`` of its own, so every
+        burst through it ran as a loop of singles.  The facade's
+        ``search_batch`` is the hook that reaches the planner's pass."""
+        queries = list(generate_queries(twitter_small, "large", num_queries=32, seed=5,
+                                        tau_r=0.2, tau_t=0.2))
+        pairs = [(obj.region, obj.tokens) for obj in twitter_small]
+        naive = build_method(twitter_small, "naive")
+        spy = mock.patch.object(PlannedSealSearch, "candidates_batch", autospec=True,
+                                side_effect=PlannedSealSearch.candidates_batch)
+        with QueryService.from_data(pairs, enable_cache=False) as service, spy as calls:
+            results = service.query_batch(queries)
+        assert calls.call_count == 1
+        assert [r.answers for r in results] == [naive.search(q).answers for q in queries]

@@ -9,6 +9,7 @@ from repro import (
     BatchExecutor,
     QueryService,
     SealSearch,
+    SegmentedSealSearch,
     build_method,
     execute_query,
 )
@@ -108,12 +109,17 @@ class TestEngineShapes:
     def test_every_shape_answers_like_naive(self, shape, method, workload, expected):
         engine = shape(method)
         assert [run_query(engine, q).answers for q in workload] == expected
-        assert BatchExecutor().run(engine, workload).answers() == expected
+        assert [r.answers for r in BatchExecutor().run(engine, workload)] == expected
 
-    def test_facade_goes_through_search_query(self, twitter_small, workload, expected):
+    @pytest.mark.parametrize("facade", [SealSearch, SegmentedSealSearch])
+    def test_facade_goes_through_search_query(self, facade, twitter_small, workload, expected):
+        """Singles through ``search_query``; batches through the facade's
+        own ``search_batch``, which ``BatchExecutor`` probes first."""
         pairs = [(obj.region, obj.tokens) for obj in twitter_small]
-        engine = SealSearch(pairs, method="token")
+        engine = facade(pairs, method="token")
         assert [run_query(engine, q).answers for q in workload] == expected
+        assert [r.answers for r in engine.search_batch(workload)] == expected
+        assert [r.answers for r in BatchExecutor().run(engine, workload)] == expected
 
     @pytest.mark.parametrize("shape", [_OnlySearch, _OnlySteps, _StepsAndSearch])
     def test_duck_typed_engine_through_the_service(self, shape, method, workload, expected):
@@ -124,7 +130,7 @@ class TestEngineShapes:
         with QueryService(engine, workers=2, enable_cache=False) as service:
             assert [service.query(q).answers for q in workload] == expected
             assert [r.answers for r in service.query_batch(workload)] == expected
-        assert BatchExecutor().run(engine, workload).answers() == expected
+        assert [r.answers for r in BatchExecutor().run(engine, workload)] == expected
         if hasattr(engine, "verifier"):
             assert engine.verifier.calls == 3 * len(workload)
 

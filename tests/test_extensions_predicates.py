@@ -18,7 +18,7 @@ from repro.extensions.predicates import (
     PredicateSearch,
 )
 from repro.exec import pipeline
-from repro.exec.batch import BatchExecutor
+from repro.exec.pipeline import BatchExecutor
 from repro.exec.pipeline import run_query
 from repro.geometry.rect import spatial_jaccard
 

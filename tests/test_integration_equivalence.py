@@ -60,7 +60,7 @@ def test_all_methods_equal_naive_usa(usa_small, tau_r, tau_t):
             assert method.search(q).answers == expected, (name, tau_r, tau_t)
 
 
-def test_candidate_counts_ordered_by_filtering_power(
+def test_candidate_sets_ordered_by_filter_strength(
     twitter_small, twitter_small_weighter, twitter_methods
 ):
     """Per-query candidate sets should reflect the paper's story: exact

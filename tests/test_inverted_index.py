@@ -160,6 +160,23 @@ def test_directory_is_the_sorted_code_column():
     assert 9 in index and 8 not in index and len(index) == 4
     empty = InvertedIndex.from_postings([], [], [])
     assert empty.codes.dtype == np.int64 and len(empty) == empty.num_postings() == 0
+    assert empty.list_lengths().size == 0
+
+
+def test_list_lengths_describe_the_postings():
+    index = InvertedIndex.from_postings([0] * 10 + [1], list(range(10)) + [0], [0.0] * 11)
+    lengths = index.list_lengths()
+    assert len(index) == lengths.size == 2
+    assert index.num_postings() == lengths.sum() == 11
+    assert lengths.max() == 10 and lengths.mean() == pytest.approx(5.5)
+
+
+def test_token_filter_has_one_list_per_token(figure1_objects, figure1_weighter):
+    index = build_method(figure1_objects, "token", figure1_weighter).index
+    assert len(index) == 5  # t1..t5
+    assert index.num_postings() == index.list_lengths().sum() == sum(
+        len(obj.tokens) for obj in figure1_objects
+    )
 
 
 def test_each_unseen_token_gets_a_miss_of_its_own():

@@ -30,7 +30,7 @@ from repro import METHOD_REGISTRY, Query, Rect, SealSearch, SegmentedSealSearch,
 from repro.core.engine import accepted_params
 from repro.core.errors import ConfigurationError
 from repro.core.stats import SearchStats
-from repro.exec.batch import BatchExecutor
+from repro.exec.pipeline import BatchExecutor
 from repro.exec.planner import (
     COMPARISON_METHODS,
     DEFAULT_METHODS,

@@ -15,8 +15,8 @@
   segmented engine behind a write-ahead log — mutations logged before
   applied, checkpoint/recovery via ``snapshot + WAL tail``.
 * :mod:`repro.exec.planner` — :class:`PlannedSealSearch`: per-query
-  dispatch over two answer-identical filters by a threshold rule, with
-  planner decision metrics.
+  dispatch over two answer-identical filters by a threshold rule, each
+  query's stats labelled ``planned:<member>``.
 
 Every path preserves exact answer semantics: batching, planning and
 segmentation change *throughput*, never results.
@@ -28,9 +28,7 @@ __all__ = [
     "BatchExecutor",
     "DurableSegmentedSealSearch",
     "PlannedSealSearch",
-    "PlannerMetrics",
     "SegmentedSealSearch",
-    "collect_planner_metrics",
     "execute_query",
     "recover",
     "run_query",
@@ -42,9 +40,7 @@ __all__ = [
 _LAZY = {
     "DurableSegmentedSealSearch": "repro.exec.durable",
     "PlannedSealSearch": "repro.exec.planner",
-    "PlannerMetrics": "repro.exec.planner",
     "SegmentedSealSearch": "repro.exec.segments",
-    "collect_planner_metrics": "repro.exec.planner",
     "recover": "repro.exec.durable",
 }
 

@@ -29,16 +29,16 @@ that member's batched filter pass (which declines a group too small to
 batch); the members share one verifier, so the whole batch is then
 verified in one pass.
 
-Observability lives in :class:`PlannerMetrics` (per-member selection
-counts and filter latency histograms); :func:`collect_planner_metrics`
-aggregates every planner inside an engine (facade, segmented) into the
-``planner`` block of ``QueryService.metrics_json``.
+What ran is recorded once, in each query's ``SearchStats``: the planner
+labels it ``planned:<member>``, and the pipeline times its filter step.
+A serving ``QueryService`` builds its ``planner`` metrics block from
+those labels on the results it executes; the planner itself keeps only
+a per-member count (:class:`Selections`).
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from typing import Any, Collection, Dict, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -47,7 +47,6 @@ from repro.core.method import SearchMethod
 from repro.core.objects import Query, SpatioTextualObject
 from repro.core.stats import SearchStats
 from repro.core.verification import Verifier
-from repro.service.metrics import LatencyHistogram
 from repro.text.weights import TokenWeighter
 
 #: The rule's members, built with every planner: the textual filter, then
@@ -78,62 +77,26 @@ def rule(query: Query) -> Tuple[str, str]:
     return TEXTUAL, "tau_t > 0 and query tokens"
 
 
-class PlannerMetrics:
-    """Thread-safe planner decision counters + per-member latency.
-
-    ``observe`` records which member answered and how long its filter
-    step took.  Everything exports as one JSON-serializable dict for the
-    service metrics document.
+class Selections:
+    """How many queries one planner has sent to each member: a count,
+    no clock.  A service's ``planner`` metrics block is folded from the
+    results it executed, not from this; a direct caller (the perf
+    ledger's tracing check) reads it.  A loaded planner starts at zero.
     """
 
-    __slots__ = ("_lock", "selections", "histograms")
+    __slots__ = ("_lock", "_counts")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.selections: Dict[str, int] = {}
-        self.histograms: Dict[str, LatencyHistogram] = {}
+        self._counts: Dict[str, int] = {}
 
-    def observe(self, method: str, seconds: float) -> None:
+    def add(self, member: str, queries: int = 1) -> None:
         with self._lock:
-            self.selections[method] = self.selections.get(method, 0) + 1
-            histogram = self.histograms.get(method)
-            if histogram is None:
-                histogram = self.histograms[method] = LatencyHistogram()
-        histogram.observe(seconds)
+            self._counts[member] = self._counts.get(member, 0) + queries
 
-    def merge(self, other: "PlannerMetrics") -> None:
-        """Fold another planner's decisions into this aggregate."""
-        with other._lock:
-            selections = dict(other.selections)
-            histograms = dict(other.histograms)
+    def as_dict(self) -> Dict[str, int]:
         with self._lock:
-            for method, count in selections.items():
-                self.selections[method] = self.selections.get(method, 0) + count
-            own = {
-                method: self.histograms.setdefault(method, LatencyHistogram())
-                for method in histograms
-            }
-        for method, histogram in histograms.items():
-            own[method].merge(histogram)
-
-    def as_dict(self) -> Dict[str, object]:
-        with self._lock:
-            selections = dict(self.selections)
-            histograms = dict(self.histograms)
-        latency: Dict[str, object] = {}
-        for method, histogram in sorted(histograms.items()):
-            snapshot = histogram.as_dict()
-            latency[method] = {
-                "count": snapshot["count"],
-                "mean_ms": snapshot["mean_ms"],
-                "p50_ms": snapshot["p50_ms"],
-                "p99_ms": snapshot["p99_ms"],
-            }
-        return {
-            "decisions": sum(selections.values()),
-            "selections": dict(sorted(selections.items())),
-            "filter_latency_ms": latency,
-        }
+            return dict(sorted(self._counts.items()))
 
 
 class Portfolio(Mapping[str, SearchMethod]):
@@ -236,7 +199,7 @@ class PlannedSealSearch(SearchMethod):
         # The shared verifier's one totals pass, paid with the indexes
         # rather than by the first query.
         self.verifier.token_totals()
-        self.metrics = PlannerMetrics()
+        self.metrics = Selections()
 
     def plan(self, query: Query) -> str:
         """The registry name of the member :func:`rule` sends ``query`` to."""
@@ -251,19 +214,17 @@ class PlannedSealSearch(SearchMethod):
     def candidates(self, query: Query, stats: SearchStats) -> Collection[int]:
         chosen = self.plan(query)
         stats.method = f"{self.name}:{chosen}"
-        started = time.perf_counter()
-        candidate_oids = self.methods[chosen].candidates(query, stats)
-        self.metrics.observe(chosen, time.perf_counter() - started)
-        return candidate_oids
+        self.metrics.add(chosen)
+        return self.methods[chosen].candidates(query, stats)
 
     def candidates_batch(self, queries: Sequence[Query], stats: Sequence[SearchStats]):
         """The filter step of a batch (see
         :func:`~repro.exec.pipeline.execute_batch`): the queries grouped
         by :func:`rule` member, each group through that member's
-        ``candidates_batch``, labelled ``planned:<member>`` and recorded
-        as one selection per query.  Whatever a member declines (its
-        ``FULL_SCAN`` queries, or a group too small to batch) is declined
-        to the single path."""
+        ``candidates_batch``, labelled ``planned:<member>`` and counted
+        as one selection per query it answers.  Whatever a member
+        declines (its ``FULL_SCAN`` queries, or a group too small to
+        batch) is declined to the single path, which counts it."""
         groups: Dict[str, List[int]] = {}
         for position, query in enumerate(queries):
             groups.setdefault(rule(query)[0], []).append(position)
@@ -273,14 +234,11 @@ class PlannedSealSearch(SearchMethod):
             label = f"{self.name}:{chosen}"
             for position in positions:
                 stats[position].method = label
-            started = time.perf_counter()
             refused, member_queries, member_oids = self.methods[chosen].candidates_batch(
                 [queries[position] for position in positions],
                 [stats[position] for position in positions],
             )
-            share = (time.perf_counter() - started) / max(1, len(positions) - len(refused))
-            for _ in range(len(positions) - len(refused)):
-                self.metrics.observe(chosen, share)
+            self.metrics.add(chosen, len(positions) - len(refused))
             declined.extend(positions[i] for i in refused)
             pair_queries.append(np.array(positions, dtype=np.int64).take(member_queries))
             pair_oids.append(member_oids)
@@ -316,8 +274,9 @@ class PlannedSealSearch(SearchMethod):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PlannedSealSearch(|O|={len(self.corpus)}, methods={list(DEFAULT_METHODS)})"
 
-    # Metrics hold locks (unpicklable), and a comparison member is built
-    # again when asked for: snapshots carry the rule's members and knobs.
+    # The tally holds a lock (unpicklable), and a comparison member is
+    # built again when asked for: snapshots carry the rule's members and
+    # knobs.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["methods"] = self.methods.rule_members()
@@ -329,52 +288,22 @@ class PlannedSealSearch(SearchMethod):
         self.methods = Portfolio(
             self.corpus, self.weighter, self.verifier, self._params, state["methods"]
         )
-        self.metrics = PlannerMetrics()
+        self.metrics = Selections()
 
 
-# ----------------------------------------------------------------------
-# Metrics aggregation over arbitrary engine shapes
-# ----------------------------------------------------------------------
 
 
 def iter_planners(engine: Any) -> Iterator[PlannedSealSearch]:
-    """Every planner reachable inside an engine, deduplicated.
-
-    Walks the shapes the service layer serves: a bare method, the
-    ``SealSearch`` facade (``.method``) and the segmented engine
-    (``segment_methods()``).
-    """
-    seen: set[int] = set()
-
-    def walk(node: Any) -> Iterator[PlannedSealSearch]:
-        if node is None or id(node) in seen:
-            return
-        seen.add(id(node))
-        if isinstance(node, PlannedSealSearch):
-            yield node
-            return
-        inner = getattr(node, "method", None)
-        if inner is not None:
-            yield from walk(inner)
-        segment_methods = getattr(node, "segment_methods", None)
-        if callable(segment_methods):
-            for method in segment_methods():
-                yield from walk(method)
-
-    yield from walk(engine)
-
-
-def collect_planner_metrics(engine: Any) -> Dict[str, object] | None:
-    """The aggregated ``planner`` metrics block for an engine, or None.
-
-    Returns None when the engine contains no planner (the service then
-    reports ``"planner": null``), otherwise the merged
-    :meth:`PlannerMetrics.as_dict` across every embedded planner —
-    e.g. one per live segment of a segmented engine.
-    """
-    aggregate: PlannerMetrics | None = None
-    for planner in iter_planners(engine):
-        if aggregate is None:
-            aggregate = PlannerMetrics()
-        aggregate.merge(planner.metrics)
-    return aggregate.as_dict() if aggregate is not None else None
+    """Every planner inside an engine: a bare planner, the ``SealSearch``
+    facade's (``.method``) and a segmented engine's, one per planned
+    segment (``segment_methods()``)."""
+    if isinstance(engine, PlannedSealSearch):
+        yield engine
+        return
+    inner = getattr(engine, "method", None)
+    if inner is not None:
+        yield from iter_planners(inner)
+    segment_methods = getattr(engine, "segment_methods", None)
+    if callable(segment_methods):
+        for method in segment_methods():
+            yield from iter_planners(method)

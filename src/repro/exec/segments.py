@@ -475,7 +475,7 @@ class SegmentedSealSearch:
         for result, source in zip(results, sources):
             to_global = source.to_global
             stats.merge(result.stats)
-            stats.per_source.append(result.stats.copy())
+            stats.per_source.append(result.stats)
             answers.extend(
                 oid
                 for oid in (to_global[local] for local in result.answers)

@@ -1,4 +1,4 @@
-"""Service observability: a latency histogram plus request counters.
+"""Service observability: a latency histogram, request and planner counters.
 
 The serving layer's contract is *measurable*: every request lands in a
 fixed-bucket latency histogram (log-spaced bounds, so microsecond cache
@@ -19,9 +19,10 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_left
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.core.errors import ConfigurationError
+from repro.core.stats import SearchStats
 
 #: Histogram bucket upper bounds, in milliseconds.  Log-spaced from the
 #: cache-hit regime (tens of microseconds) to multi-second outliers; the
@@ -30,6 +31,10 @@ BUCKET_BOUNDS_MS = (
     0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
     25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0,
 )
+
+#: What :class:`~repro.exec.planner.PlannedSealSearch` prefixes to the
+#: member it dispatched a query to, in that query's ``SearchStats.method``.
+PLANNED = "planned:"
 
 
 class LatencyHistogram:
@@ -65,27 +70,6 @@ class LatencyHistogram:
     def count(self) -> int:
         with self._lock:
             return self._count
-
-    def merge(self, other: "LatencyHistogram") -> None:
-        """Fold another histogram's observations into this one.
-
-        Bucket counts and sums add exactly; percentiles of the merged
-        histogram are therefore as accurate as if every observation had
-        landed here.  Snapshot-then-apply keeps the two locks from ever
-        being held together (no ordering, no deadlock).
-        """
-        with other._lock:
-            counts = list(other._counts)
-            count = other._count
-            sum_ms = other._sum_ms
-            max_ms = other._max_ms
-        with self._lock:
-            for i, bucket_count in enumerate(counts):
-                self._counts[i] += bucket_count
-            self._count += count
-            self._sum_ms += sum_ms
-            if max_ms > self._max_ms:
-                self._max_ms = max_ms
 
     def percentile(self, q: float) -> float:
         """Estimated q-th percentile in milliseconds (``0 < q <= 100``).
@@ -177,3 +161,46 @@ class RequestCounters:
                 "batch_members": self.batch_requests,
                 "errors": self.errors,
             }
+
+
+class PlannerCounters:
+    """The ``planner`` block, folded from each result the service executed.
+
+    Each entry of its stats' ``per_source`` (one per segment), else the
+    stats themselves, labelled ``planned:<member>`` is one selection of
+    that member, its ``filter_seconds`` observed in the member's histogram.
+    """
+
+    __slots__ = ("_lock", "_histograms")
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._histograms: Dict[str, LatencyHistogram] = {}
+
+    def observe(self, stats: SearchStats) -> None:
+        for entry in stats.per_source or (stats,):
+            if entry.method.startswith(PLANNED):
+                member = entry.method[len(PLANNED):]
+                histogram = self._histograms.get(member)
+                if histogram is None:
+                    with self._lock:
+                        histogram = self._histograms.setdefault(member, LatencyHistogram())
+                histogram.observe(entry.filter_seconds)
+
+    def as_dict(self) -> Optional[Dict[str, object]]:
+        """``decisions``, ``selections`` and ``filter_latency_ms`` per
+        member, or None before the first planned dispatch."""
+        with self._lock:
+            histograms = sorted(self._histograms.items())
+        if not histograms:
+            return None
+        latency: Dict[str, Dict[str, object]] = {}
+        for member, histogram in histograms:
+            snapshot = histogram.as_dict()
+            latency[member] = {key: snapshot[key] for key in ("count", "mean_ms", "p50_ms", "p99_ms")}
+        selections = {member: snapshot["count"] for member, snapshot in latency.items()}
+        return {
+            "decisions": sum(selections.values()),
+            "selections": selections,
+            "filter_latency_ms": latency,
+        }

@@ -82,7 +82,7 @@ from repro.geometry import Rect
 from repro.io.snapshot import load_engine, validate_snapshot
 from repro.service.admission import AdmissionController
 from repro.service.cache import ResultCache
-from repro.service.metrics import LatencyHistogram, RequestCounters
+from repro.service.metrics import LatencyHistogram, PlannerCounters, RequestCounters
 from repro.service.protocol import result_members
 
 _T = TypeVar("_T")
@@ -223,6 +223,7 @@ class QueryService:
         )
         self._histogram = LatencyHistogram()
         self._counters = RequestCounters()
+        self._planner = PlannerCounters()
 
     @classmethod
     def from_data(
@@ -237,8 +238,8 @@ class QueryService:
 
         The default engine is the query planner (``method="planned"``):
         a fresh deployment gets per-query dispatch between the token and
-        grid filters — and the ``planner`` metrics block — without
-        choosing a filter up front.
+        grid filters without choosing a filter up front, and its
+        ``planner`` metrics block counts each dispatch it serves.
 
         Args:
             data: The ROIs to index.
@@ -375,6 +376,7 @@ class QueryService:
         except Exception:
             self._counters.error()
             raise
+        self._planner.observe(result.stats)
         if self._cache is not None:
             self._cache.put(epoch, query, result)
         self._histogram.observe(time.perf_counter() - started)
@@ -383,10 +385,13 @@ class QueryService:
     def _execute_batch(self, queries: List[Query]) -> Tuple[int, List[SearchResult]]:
         try:
             with self.reading() as (engine, epoch):
-                return epoch, BatchExecutor().run(engine, queries)
+                results = BatchExecutor().run(engine, queries)
         except Exception:
             self._counters.error()
             raise
+        for result in results:
+            self._planner.observe(result.stats)
+        return epoch, results
 
     def reading(self) -> _Reading:
         """Shared-lock access to an atomic ``(engine, epoch)`` pair.
@@ -645,16 +650,13 @@ class QueryService:
         (totals/batches/errors), ``cache`` (hit/miss/eviction counters,
         or ``None`` with the cache disabled), ``admission``
         (workers/queue/rejections), ``latency_ms`` (histogram with
-        mean/max and interpolated p50/p90/p99), ``planner`` (when the
-        engine embeds query planners: ``decisions``, ``selections`` per
-        member and ``filter_latency_ms`` per member, summed over every
-        planner — one per full-tier segment of a segmented engine;
-        ``None`` otherwise).
+        mean/max and interpolated p50/p90/p99), ``planner``
+        (``decisions``, ``selections`` and ``filter_latency_ms`` per
+        member of every planned dispatch the service executed — one per
+        planned segment of a segmented engine; ``None`` until the
+        first).  Like ``requests``, it survives engine swaps and counts
+        no cache hit, duplicate batch member or call around the service.
         """
-        # Deferred import: repro.exec.planner builds its members via
-        # the engine registry, which this module's engines feed into.
-        from repro.exec.planner import collect_planner_metrics
-
         engine, epoch = self._current
         return {
             "epoch": epoch,
@@ -663,7 +665,7 @@ class QueryService:
             "cache": self._cache.counters() if self._cache is not None else None,
             "admission": self._admission.counters(),
             "latency_ms": self._histogram.as_dict(),
-            "planner": collect_planner_metrics(engine),
+            "planner": self._planner.as_dict(),
         }
 
     def metrics_json(self, *, indent: int | None = 2) -> str:

@@ -174,9 +174,9 @@ class TestBatchedPassEqualsLoop:
                                                      twitter_small_weighter, workload):
         planner = build_method(twitter_small, "planned", twitter_small_weighter)
         with grouped("batched"):
-            BatchExecutor().run(planner, workload)
-        selections = planner.metrics.as_dict()["selections"]
-        assert selections == Counter(rule(query)[0] for query in workload)
+            batch = BatchExecutor().run(planner, workload)
+        assert Counter(r.stats.method for r in batch) == Counter(
+            f"planned:{rule(query)[0]}" for query in workload)
 
     def test_a_batch_past_the_chunk_size(self, twitter_small, twitter_small_weighter, workload):
         """Seventy queries: three near-equal passes of a planned engine."""
@@ -429,7 +429,8 @@ class TestLazyColumnsUnderThreads:
         """A batched pass grows the thread's membership scratch to batch
         × vocabulary and shares it with that thread's single queries;
         threads interleaving both on one fresh planner — its columns and
-        CSR built by whichever comes first — all answer like the loop."""
+        CSR built by whichever comes first — all answer like the loop,
+        through one cache-off service that counts every dispatch."""
         import threading
         from concurrent.futures import ThreadPoolExecutor
 
@@ -443,17 +444,19 @@ class TestLazyColumnsUnderThreads:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 for _ in range(5):
                     planner = build_method(twitter_small, "planned", twitter_small_weighter)
+                    service = QueryService(planner, enable_cache=False, workers=workers)
                     barrier = threading.Barrier(workers)
 
                     def client(batched: bool):
                         barrier.wait(timeout=30)
                         if batched:
-                            return [r.answers for r in BatchExecutor().run(planner, workload)]
-                        return [planner.search(q).answers for q in workload]
+                            return [r.answers for r in service.query_batch(workload)]
+                        return [service.query(q).answers for q in workload]
 
-                    futures = [pool.submit(client, i % 2 == 0) for i in range(workers)]
-                    assert all(f.result(timeout=60) == expected for f in futures)
-                    decisions = planner.metrics.as_dict()["decisions"]
+                    with service:
+                        futures = [pool.submit(client, i % 2 == 0) for i in range(workers)]
+                        assert all(f.result(timeout=60) == expected for f in futures)
+                        decisions = service.metrics()["planner"]["decisions"]
                     assert decisions == workers * len(workload)
         finally:
             sys.setswitchinterval(previous)

@@ -14,7 +14,8 @@ These tests pin:
 * state written before the rule (four members, cost coefficients,
   the cost model's knobs) loading, dispatching by the rule, answering
   alike;
-* stats attribution and the service's ``planner`` metrics block.
+* stats attribution and the service's ``planner`` metrics block: the
+  dispatches the service executed, kept across mutations and swaps.
 """
 
 from __future__ import annotations
@@ -37,13 +38,13 @@ from repro.exec.planner import (
     WHY,
     PlannedSealSearch,
     Portfolio,
-    collect_planner_metrics,
     iter_planners,
     rule,
 )
 from repro.filters.hierarchical_filter import HierarchicalFilter
 from repro.filters.hybrid_filter import HybridFilter
 from repro.index.inverted import InvertedIndex
+from repro.service import QueryService
 from repro.signatures.textual import TextualScheme
 from repro.text.weights import TokenWeighter
 
@@ -363,16 +364,20 @@ def test_planned_segments_match_token_segments_under_churn(corpus, workload, mon
         for oid in (3, 17, 42, 210):
             engine.delete(oid)
         engine.flush()
-    assert sum(1 for _ in iter_planners(planned)) >= 2
-    for query in workload:
-        assert planned.search_query(query).answers == oracle.search_query(query).answers
-    metrics = collect_planner_metrics(planned)
+    planners = sum(1 for _ in iter_planners(planned))
+    assert planners >= 2
+    with QueryService(planned, enable_cache=False) as service:
+        for query in workload:
+            assert service.query(query).answers == oracle.search_query(query).answers
+        metrics = service.metrics()["planner"]
     # Every planned segment dispatches per query.
-    assert metrics["decisions"] >= len(workload)
+    assert metrics["decisions"] == planners * len(workload)
     assert sum(metrics["selections"].values()) == metrics["decisions"]
 
 
-def test_collect_metrics_aggregates_segments(corpus, workload, monkeypatch):
+@pytest.fixture
+def segmented(corpus, monkeypatch):
+    """A planned engine of two planned segments."""
     monkeypatch.setattr("repro.exec.segments.FULL_INDEX_MIN_OBJECTS", 0)
     pairs = [(o.region, o.tokens) for o in corpus[:400]]
     engine = SegmentedSealSearch(pairs[:300], "planned", buffer_capacity=512,
@@ -380,19 +385,69 @@ def test_collect_metrics_aggregates_segments(corpus, workload, monkeypatch):
     for region, tokens in pairs[300:]:
         engine.insert(region, tokens)
     engine.flush()
-    planners = list(iter_planners(engine))
-    assert len(planners) >= 2
-    for query in workload[:4]:
-        engine.search_query(query)
-    metrics = collect_planner_metrics(engine)
+    assert sum(1 for _ in iter_planners(engine)) == 2
+    return engine
+
+
+def _decisions(service) -> int:
+    return service.metrics()["planner"]["decisions"]
+
+
+def test_planner_block_counts_every_segment(segmented, workload):
+    with QueryService(segmented, enable_cache=False) as service:
+        for query in workload[:4]:
+            service.query(query)
+        metrics = service.metrics()["planner"]
     # One decision per segment per query, tallied across every segment.
-    assert metrics["decisions"] == 4 * len(planners)
-    assert metrics["decisions"] == sum(p.metrics.as_dict()["decisions"] for p in planners)
+    assert metrics["decisions"] == 4 * 2
     assert set(metrics["selections"]) <= set(DEFAULT_METHODS)
+    assert sum(entry["count"] for entry in metrics["filter_latency_ms"].values()) == 8
+
+
+def test_planner_block_survives_compaction(segmented, workload):
+    with QueryService(segmented, enable_cache=False) as service:
+        for query in workload[:10]:
+            service.query(query)
+        assert _decisions(service) == 20
+        service.compact()
+        assert _decisions(service) == 20
+        service.query(workload[0])  # one segment left
+        assert _decisions(service) == 21
+
+
+def test_planner_block_survives_an_engine_swap(corpus, workload):
+    pairs = [(o.region, o.tokens) for o in corpus]
+    with QueryService.from_data(pairs, engine_params=KNOBS, enable_cache=False) as service:
+        for query in workload[:10]:
+            service.query(query)
+        service.swap_engine(SealSearch(pairs, method="planned", **KNOBS))
+        assert service.metrics()["requests"]["total"] == 10
+        assert _decisions(service) == 10
+
+
+def test_planner_block_skips_calls_that_bypass_the_service(segmented, workload):
+    with QueryService(segmented, enable_cache=False) as service:
+        for query in workload[:10]:
+            service.query(query)
+        segmented.search_query(workload[0])
+        segmented.search_batch(workload[:3])
+        assert _decisions(service) == 20
+
+
+def test_planner_block_skips_cache_hits_and_duplicates(corpus, workload):
+    pairs = [(o.region, o.tokens) for o in corpus]
+    with QueryService.from_data(pairs, engine_params=KNOBS) as service:
+        for query in workload[:5]:
+            service.query(query)
+            service.query(query)
+        # Five hits, then three queries twice each: three executions.
+        service.query_batch(workload[:5] + workload[5:8] * 2)
+        assert service.metrics()["cache"]["hits"] == 10
+        assert _decisions(service) == 8
 
 
 def test_network_server_serves_planned_segments(corpus, workload, naive, monkeypatch):
-    from repro.service import NetworkClient, NetworkServer, QueryService
+    from repro.service import NetworkClient, NetworkServer
 
     monkeypatch.setattr("repro.exec.segments.FULL_INDEX_MIN_OBJECTS", 0)
     pairs = [(o.region, o.tokens) for o in corpus]
@@ -405,21 +460,21 @@ def test_network_server_serves_planned_segments(corpus, workload, naive, monkeyp
         assert service.metrics()["planner"]["decisions"] > 0
 
 
-def test_selection_metrics_count_dispatches(corpus, weighter, workload):
-    fresh = PlannedSealSearch(corpus, weighter, **KNOBS)
-    for query in workload:
-        fresh.search(query)
-    metrics = fresh.metrics.as_dict()
+def test_selection_metrics_count_dispatches(corpus, workload):
+    pairs = [(o.region, o.tokens) for o in corpus]
+    with QueryService.from_data(pairs, engine_params=KNOBS, enable_cache=False) as service:
+        for query in workload:
+            service.query(query)
+        metrics = service.metrics()["planner"]
     assert set(metrics) == {"decisions", "selections", "filter_latency_ms"}
     assert metrics["decisions"] == len(workload)
     assert metrics["selections"] == {"grid": 12, "token": 36}
-    for latency in metrics["filter_latency_ms"].values():
-        assert latency["count"] > 0
+    for member, latency in metrics["filter_latency_ms"].items():
+        assert set(latency) == {"count", "mean_ms", "p50_ms", "p99_ms"}
+        assert latency["count"] == metrics["selections"][member]
 
 
 def test_service_metrics_planner_block(corpus, workload):
-    from repro.service import QueryService
-
     service = QueryService.from_data(
         [(o.region, o.tokens) for o in corpus], engine_params=KNOBS, enable_cache=False
     )
@@ -432,8 +487,6 @@ def test_service_metrics_planner_block(corpus, workload):
 
 
 def test_service_metrics_planner_none_without_planner(corpus):
-    from repro.service import QueryService
-
     facade = SealSearch([(o.region, o.tokens) for o in corpus[:100]], method="token")
     with QueryService(facade, enable_cache=False) as service:
         assert service.metrics()["planner"] is None
@@ -450,7 +503,6 @@ def test_snapshot_roundtrip(tmp_path, planner, workload):
     loaded = load_engine(tmp_path / "planned.pkl")
     for query in workload[:8]:
         assert loaded.search(query).answers == planner.search(query).answers
-    assert loaded.metrics.as_dict()["decisions"] == 8  # fresh counters
 
 
 class TestStatsAttribution:

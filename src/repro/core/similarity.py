@@ -57,11 +57,44 @@ def filter_threshold(tau: float, total: float) -> float:
     bound lies within ``2⁻³⁰`` (relative) below ``τ·total``, which the
     verifier then rejects as before.
 
+    The verifier applies Lemma 1 per candidate too, before its exact
+    spatial check, under a guard: ``|q|`` finite and ``c_R =
+    filter_threshold(τR, |q|) ≥ sys.float_info.min`` (so ``τR > 0`` and
+    the query's box is finite).  Neither reject drops what the exact
+    test keeps:
+
+    * **Box.** A candidate whose closed box misses the query's has
+      ``inter = 0`` on both branches.  Under the guard ``union ≥ |q|``,
+      so ``0 < τR·union`` is true and the exact test drops it.  A NaN
+      area (``0·inf``) takes the degenerate branch, which keeps only a
+      region identical to the query — and the query is finite.
+    * **Band.** Under the guard the degenerate branch keeps nothing.
+      Acceptance implies ``|o| ≥ I ≥ τR·U`` and ``|q| ≥ I`` (``U ≥
+      |q|``, ``U ≥ |o|``), so ``c_R ≤ |o| ≤ |q|/τR`` within the rounding
+      bounded above: the lower edge is this bound, the upper one
+      :func:`filter_ceiling`.
+    * **NaN.** Every reject is a true comparison, so a NaN area falls
+      through to the exact test; a query outside the guard runs the
+      exact test alone.
+
     Args:
         tau: A similarity threshold in ``[0, 1]``.
         total: The query-side total it scales (a token weight, an area).
     """
     return tau * total * (1.0 - FILTER_SLACK)
+
+
+def filter_ceiling(tau: float, total: float) -> float:
+    """The mirror of :func:`filter_threshold`: ``total / τ``, a few ulps
+    looser upward — the largest candidate size (an area) that can still
+    reach ``simR ≥ τ`` against a query of size ``total``, since
+    ``τ·|o| ≤ τ·U ≤ I ≤ |q|``.  Same slack, same argument.
+
+    Args:
+        tau: A similarity threshold in ``(0, 1]``.
+        total: The query-side total (an area).
+    """
+    return total / tau * (1.0 + FILTER_SLACK)
 
 
 def spatial_similarity(a: Rect, b: Rect) -> float:

@@ -5,10 +5,16 @@ candidate and keeps those meeting both thresholds.  It is the complexity
 bottleneck the signature filters exist to shrink (Section 6.3), so the
 implementation keeps per-object token-weight totals and picks each check
 by set size: a per-object loop for small sets, one NumPy kernel from
-:data:`VECTOR_MIN_CANDIDATES` up — the spatial check over coordinate
-columns, the textual check over a CSR of token ids.  Both branches run
+:data:`VECTOR_MIN_CANDIDATES` up — the spatial check over one block of
+box rows, the textual check over a CSR of token ids.  Both branches run
 the same float64 operations in the same order, so the choice changes
 speed and never an answer.
+
+Before the exact spatial check, a query with a finite, non-tiny bound
+``c_R`` (see :func:`~repro.core.similarity.filter_threshold`) drops the
+candidates Lemma 1 rules out: a box that misses the query's, and — on
+the vector branch — an area outside ``[c_R, |q|/τR]``.  Neither drops an
+object the exact check keeps, so it too changes speed, never an answer.
 
 Every textual sum has one order that does not depend on the process's
 string hashing: token totals are exact (``math.fsum``, see
@@ -23,44 +29,75 @@ exactly on ``τT`` alike.
 
 from __future__ import annotations
 
+import math
+import sys
 import threading
 from typing import Iterable, List, Sequence
 
 import numpy as np
 
 from repro.core.objects import Query, SpatioTextualObject
+from repro.core.similarity import filter_ceiling, filter_threshold
 from repro.core.stats import SearchStats
 from repro.signatures.textual import TextualScheme
 from repro.text.weights import TokenWeighter
 
-#: Candidate (spatial check) and survivor (textual check) sets at least
-#: this large take the NumPy kernels; below it array setup costs more
-#: than the per-object loop it replaces.
+#: Candidate sets at least this large take the spatial reject and the
+#: NumPy spatial kernel; reject survivors (exact spatial check) and
+#: spatial survivors (textual check) at least this large take the NumPy
+#: kernels.  Below it array setup costs more than the per-object loop it
+#: replaces.
 VECTOR_MIN_CANDIDATES = 32
 
-#: What a pickled verifier holds.  The coordinate columns and the token
-#: CSR are derived and rebuilt on demand, so snapshots neither carry nor
-#: depend on them.
+#: What a pickled verifier holds.  The box block and the token CSR are
+#: derived and rebuilt on demand, so snapshots neither carry nor depend
+#: on them.
 _PERSISTENT = ("corpus", "weighter", "_token_totals")
 
 
 def _reserve(array: np.ndarray, size: int) -> np.ndarray:
-    """``array``, or a copy with room for ``size`` entries — at least twice
-    its length, so a run of appends copies O(1) times per entry."""
-    if size <= len(array):
+    """``array``, or a copy with room for ``size`` entries along its last
+    axis — at least twice its length, so a run of appends copies O(1)
+    times per entry."""
+    length = array.shape[-1]
+    if size <= length:
         return array
-    grown = np.empty(max(size, 2 * len(array)), dtype=array.dtype)
-    grown[: len(array)] = array
+    grown = np.empty(array.shape[:-1] + (max(size, 2 * length),), dtype=array.dtype)
+    grown[..., :length] = array
     return grown
 
 
 def _oid_array(candidates) -> np.ndarray:
     """``candidates`` as an integer array.  ``take`` gathers through any
     integer array as-is, so a signature filter's int32 candidate array is
-    never copied or widened."""
+    never copied or widened; a ``range`` (the write buffer's scan) becomes
+    one without a Python pass."""
     if isinstance(candidates, np.ndarray):
         return candidates
+    if isinstance(candidates, range):
+        return np.arange(candidates.start, candidates.stop, candidates.step)
     return np.fromiter(candidates, dtype=np.intp, count=len(candidates))
+
+
+def _box_rows(x1, y1, x2, y2):
+    """One object's (or, over arrays, every object's) column of the box
+    block: ``x1, y1, −x2, −y2, |o|, −|o|``.  Negation is exact, so every
+    upper edge compares as ``>`` against a negated lower bound and the
+    kernels read the true coordinates back bit for bit."""
+    area = (x2 - x1) * (y2 - y1)
+    return (x1, y1, -x2, -y2, area, -area)
+
+
+def _lemma1_band(query: Query) -> tuple[float, float] | None:
+    """``(c_R, |q|/τR)`` loosened by ``FILTER_SLACK`` — the areas a
+    candidate may have and still reach ``simR ≥ τR`` — when the query
+    passes the reject's guard (``|q|`` finite, ``c_R ≥
+    sys.float_info.min``), else ``None``: the exact test runs alone."""
+    q_area = query.region.area
+    c_r = filter_threshold(query.tau_r, q_area)
+    if sys.float_info.min <= c_r and q_area < math.inf:
+        return c_r, filter_ceiling(query.tau_r, q_area)
+    return None
 
 
 class Verifier:
@@ -75,7 +112,7 @@ class Verifier:
     planner's shared one — costs no pass over the corpus.
     """
 
-    __slots__ = _PERSISTENT + ("_columns", "_token_rows", "_scratch")
+    __slots__ = _PERSISTENT + ("_boxes", "_token_rows", "_scratch")
 
     def __init__(self, corpus: Sequence[SpatioTextualObject], weighter: TokenWeighter) -> None:
         self.corpus = corpus
@@ -85,7 +122,7 @@ class Verifier:
 
     def _reset_derived(self) -> None:
         """Drop (or start without) everything rebuilt on demand."""
-        self._columns = None
+        self._boxes = None
         self._token_rows = None
         self._scratch = threading.local()
 
@@ -103,9 +140,9 @@ class Verifier:
 
         Only for a verifier built over a list it may extend (the write
         buffer's scan, which would otherwise be rebuilt per insert):
-        one token total and, once they exist, one row of the coordinate
-        columns and of the token CSR — the values a fresh verifier over
-        the longer corpus would hold.  Not safe beside a running
+        one token total and, once they exist, one column of the box
+        block and one row of the token CSR — the values a fresh verifier
+        over the longer corpus would hold.  Not safe beside a running
         :meth:`verify`; the caller holds the engine's write lock.
         """
         row = len(self.corpus)
@@ -113,13 +150,11 @@ class Verifier:
         weighter = self.weighter
         if self._token_totals is not None:
             self._token_totals.append(weighter.total_weight(obj.tokens))
-        # Array rows past the corpus are spare capacity no oid reaches.
-        columns = self._columns
-        if columns is not None:
-            columns = self._columns = tuple(_reserve(column, row + 1) for column in columns)
-            x1, y1, x2, y2 = obj.region.as_tuple()
-            for column, value in zip(columns, (x1, y1, x2, y2, (x2 - x1) * (y2 - y1))):
-                column[row] = value
+        # Array entries past the corpus are spare capacity no oid reaches.
+        boxes = self._boxes
+        if boxes is not None:
+            boxes = self._boxes = _reserve(boxes, row + 1)
+            boxes[:, row] = _box_rows(*obj.region.as_tuple())
         token_rows = self._token_rows
         if token_rows is not None:
             vocabulary, weights, offsets, ids, totals = token_rows
@@ -144,9 +179,10 @@ class Verifier:
         """oids among ``candidates`` with ``simR ≥ τR`` and ``simT ≥ τT``.
 
         The spatial check runs first — it is a handful of float ops, while
-        the textual check intersects token sets.  At ``τR = 0`` it would
-        keep every candidate (infinite regions included: both branches
-        drop only on a true comparison), so it is skipped.
+        the textual check intersects token sets — behind Lemma 1's reject
+        (:func:`_lemma1_band`).  At ``τR = 0`` it would keep every
+        candidate (infinite regions included: both branches drop only on
+        a true comparison), so it is skipped.
         """
         if not hasattr(candidates, "__len__"):
             candidates = list(candidates)
@@ -155,7 +191,7 @@ class Verifier:
         elif len(candidates) >= VECTOR_MIN_CANDIDATES:
             survivors = self._spatial_mask(query, candidates)
         else:
-            survivors = self._spatial_loop(query, candidates)
+            survivors = self._spatial_loop(query, candidates, _lemma1_band(query) is not None)
         if len(survivors) >= VECTOR_MIN_CANDIDATES:
             answers = self._textual_mask(query, survivors)
         else:
@@ -164,20 +200,26 @@ class Verifier:
             stats.results = len(answers)
         return answers
 
-    def _spatial_loop(self, query: Query, candidates: Iterable[int]) -> List[int]:
-        """The candidates passing the spatial threshold, one at a time."""
+    def _spatial_loop(self, query: Query, candidates: Iterable[int], boxed: bool) -> List[int]:
+        """The candidates passing the spatial threshold, one at a time.
+        ``boxed`` (the query passes the guard of :func:`_lemma1_band`):
+        a box missing the query's is dropped before its exact overlap is
+        computed."""
         if hasattr(candidates, "tolist"):
             # Columnar filters hand over integer arrays; convert once so
             # the loop sees plain ints (faster indexing, and answers never
             # leak NumPy scalar types to callers or snapshots).
             candidates = candidates.tolist()
         q_rect = query.region
+        qx1, qy1, qx2, qy2 = q_rect.as_tuple()
         q_area = q_rect.area
         tau_r = query.tau_r
         corpus = self.corpus
         survivors: List[int] = []
         for oid in candidates:
             region = corpus[oid].region
+            if boxed and (region.x1 > qx2 or region.y1 > qy2 or region.x2 < qx1 or region.y2 < qy1):
+                continue
             inter = q_rect.intersection_area(region)
             union = q_area + region.area - inter
             if union > 0.0:
@@ -189,34 +231,58 @@ class Verifier:
             survivors.append(oid)
         return survivors
 
-    def _spatial_mask(self, query: Query, candidates) -> np.ndarray:
-        """:meth:`_spatial_loop` as one mask over the candidate array:
-        the same float64 operations elementwise, degenerate zero-union
-        branch included, so the survivors are identical bit for bit."""
+    def _spatial_mask(self, query: Query, candidates):
+        """:meth:`_spatial_loop` over the candidate array: Lemma 1's reject
+        as one comparison of the gathered box columns against the query's
+        bound column, then the exact test on what is left — the loop below
+        :data:`VECTOR_MIN_CANDIDATES`, the kernel from it up, the same
+        float64 operations either way, so the survivors are identical bit
+        for bit."""
         oids = _oid_array(candidates)
+        boxes = self._box_block().take(oids, axis=1)
         q_rect = query.region
-        return oids[self._spatial_pass(oids, *q_rect.as_tuple(), q_rect.area, query.tau_r)]
+        qx1, qy1, qx2, qy2 = q_rect.as_tuple()
+        band = _lemma1_band(query)
+        if band is not None:
+            # Rejected: a closed box missing the query's, or an area
+            # outside the band.  Only a true ``>`` rejects, so a NaN area
+            # falls through to the exact test.
+            lower, upper = band
+            bound = np.array((qx2, qy2, -qx1, -qy1, upper, -lower)).reshape(6, 1)
+            near = ~(boxes > bound).any(axis=0)
+            oids = oids[near]
+            if len(oids) < VECTOR_MIN_CANDIDATES:
+                return self._spatial_loop(query, oids, False)
+            boxes = boxes[:, near]
+        q_box = np.array((qx1, qy1, -qx2, -qy2)).reshape(4, 1)
+        return oids[self._spatial_pass(boxes, q_box, q_rect.area, query.tau_r)]
 
-    def _spatial_pass(self, oids, qx1, qy1, qx2, qy2, q_area, tau_r) -> np.ndarray:
-        """The spatial mask over ``oids``; the query's fields are scalars
-        (one query) or arrays parallel to ``oids`` (a batch's pairs), and
-        either way every element sees the same float64 operations."""
-        columns = self._columns
-        if columns is None:
-            # Built on first use, never in __init__: most verifiers (one
-            # per write-buffer rebuild, per portfolio member) never see a
-            # large candidate set.  Racing threads build equal tuples.
+    def _box_block(self) -> np.ndarray:
+        """The box block, one column per object (rows of
+        :func:`_box_rows`), built on first use, never in ``__init__``:
+        most verifiers (one per write-buffer rebuild, per portfolio
+        member) never see a large candidate set.  Racing threads build
+        equal blocks."""
+        boxes = self._boxes
+        if boxes is None:
             coords = np.array(
                 [obj.region.as_tuple() for obj in self.corpus], dtype=np.float64
             ).reshape(-1, 4)
-            x1, y1, x2, y2 = np.ascontiguousarray(coords.T)
-            columns = self._columns = (x1, y1, x2, y2, (x2 - x1) * (y2 - y1))
-        x1, y1, x2, y2, areas = (column.take(oids) for column in columns)
-        dx = np.minimum(qx2, x2) - np.maximum(qx1, x1)
-        dy = np.minimum(qy2, y2) - np.maximum(qy1, y1)
-        inter = dx * dy
-        inter[(dx <= 0.0) | (dy <= 0.0)] = 0.0
-        union = (q_area + areas) - inter
+            boxes = self._boxes = np.stack(_box_rows(*coords.T))
+        return boxes
+
+    @staticmethod
+    def _spatial_pass(boxes, q_box, q_area, tau_r) -> np.ndarray:
+        """The exact spatial mask over gathered box columns ``boxes``.  The
+        query's ``q_box`` (``x1, y1, −x2, −y2``), area and ``τR`` are one
+        column and scalars (one query) or parallel to the columns (a
+        batch's pairs); either way every element sees the float64
+        operations of the loop.  ``gap`` is ``−dx, −dy``: ``min(qx2, x2)
+        − max(qx1, x1)`` negated, which rounding preserves exactly."""
+        gap = np.maximum(boxes[:2], q_box[:2]) + np.maximum(boxes[2:4], q_box[2:4])
+        inter = gap[0] * gap[1]
+        inter[(gap >= 0.0).any(axis=0)] = 0.0
+        union = (q_area + boxes[4]) - inter
         # The exact negation of the loop's drop tests, so a NaN on either
         # side (an infinite region: 0·inf, inf − inf) decides as it does
         # there: kept unless a comparison is true.
@@ -225,7 +291,7 @@ class Verifier:
         if degenerate.any():
             # Two degenerate regions: similar only when identical, unless
             # τR is vacuous.
-            identical = (x1 == qx1) & (y1 == qy1) & (x2 == qx2) & (y2 == qy2)
+            identical = (boxes[:4] == q_box).all(axis=0)
             mask[degenerate] = (identical | (tau_r <= 0.0))[degenerate]
         return mask
 
@@ -341,11 +407,12 @@ class Verifier:
             Each query's answers, in the order of its pairs.
         """
         fields = np.array(
-            [q.region.as_tuple() + (q.region.area, q.tau_r, q.tau_t) for q in queries],
+            [_box_rows(*q.region.as_tuple())[:5] + (q.tau_r, q.tau_t) for q in queries],
             dtype=np.float64,
-        ).reshape(-1, 7)
+        ).reshape(-1, 7).T
+        per_pair = fields[:6].take(pair_queries, axis=1)
         kept = self._spatial_pass(
-            pair_oids, *(column.take(pair_queries) for column in fields[:, :6].T)
+            self._box_block().take(pair_oids, axis=1), per_pair[:4], per_pair[4], per_pair[5]
         )
         pair_queries = pair_queries[kept]
         pair_oids = pair_oids[kept]
@@ -368,7 +435,7 @@ class Verifier:
             kept = self._textual_pass(
                 token_rows, pair_oids, np.array(member_keys, dtype=np.intp),
                 slots.take(pair_queries) * stride, len(live), q_totals.take(pair_queries),
-                fields[:, 6].take(pair_queries),
+                fields[6].take(pair_queries),
             )
             pair_queries = pair_queries[kept]
             pair_oids = pair_oids[kept]

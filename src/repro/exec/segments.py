@@ -8,7 +8,7 @@ module is the standard streaming-systems design (FAST, Mahmood et al.):
 * **Write buffer** — inserts append to a small in-memory pool that is
   scanned *exactly* at query time (the pool is bounded, so this is
   cheap and always answer-correct).  The scan's state (token totals,
-  coordinate columns, the local→global oid list) grows by one row per
+  box block, the local→global oid list) grows by one entry per
   insert; it is rebuilt only when the weighter it was computed against
   is replaced or a buffered object is deleted;
 * **Immutable segments** — when the buffer reaches ``buffer_capacity``

@@ -386,13 +386,14 @@ class TestVerifierBoundaries:
 
 
 class TestLazyColumnsUnderThreads:
-    def test_first_large_verifies_race_to_build_the_columns(self, twitter_small,
-                                                            twitter_small_weighter):
-        """The coordinate columns and the token CSR (and the totals under
-        them) are built by whichever service worker first sees ≥ 32
-        candidates or survivors; racing builders must all answer like
-        the loop branch, every round, on a fresh verifier — each thread
-        with its own membership scratch."""
+    def test_first_large_verifies_race_to_build_the_box_block(self, twitter_small,
+                                                              twitter_small_weighter):
+        """The box block and the token CSR (and the totals under them)
+        are built by whichever service worker first sees ≥ 32 candidates
+        or survivors; racing builders must all answer like the loop
+        branch, every round, on a fresh verifier — each thread with its
+        own membership scratch — and leave the block a fresh build
+        holds."""
         import threading
         from concurrent.futures import ThreadPoolExecutor
 
@@ -419,8 +420,9 @@ class TestLazyColumnsUnderThreads:
 
                     futures = [pool.submit(client) for _ in range(workers)]
                     assert all(f.result(timeout=60) == expected for f in futures)
-                    assert method.verifier._columns is not None
                     assert method.verifier._token_rows is not None
+                    built = verification.Verifier(twitter_small, twitter_small_weighter)._box_block()
+                    assert np.array_equal(method.verifier._boxes, built)
         finally:
             sys.setswitchinterval(previous)
 

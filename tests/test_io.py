@@ -210,7 +210,7 @@ class TestSnapshot:
 
     def test_snapshot_bytes_unchanged_by_serving(self, tmp_path, twitter_small,
                                                  twitter_small_weighter):
-        """The verifier's coordinate columns and token CSR are transient:
+        """The verifier's box block and token CSR are transient:
         an engine that has answered large-candidate queries pickles to
         the same bytes (snapshot and sidecar) as it did fresh from the
         build."""
@@ -227,16 +227,16 @@ class TestSnapshot:
             return path.read_bytes(), sidecar.read_bytes() if sidecar.exists() else None
 
         fresh = saved(tmp_path / "fresh.pkl")
-        assert engine.verifier._columns is None
+        assert engine.verifier._boxes is None
         # Over the whole corpus, and τR > 0: the spatial check (which
-        # builds the columns) is skipped at τR = 0.
+        # builds the box block) is skipped at τR = 0.
         query = Query(Rect(0, 0, 40_000, 40_000), frozenset(), 1e-9, 0.0)
         assert engine.search(query).stats.candidates >= VECTOR_MIN_CANDIDATES
-        assert engine.verifier._columns is not None
+        assert engine.verifier._boxes is not None
         assert engine.verifier._token_rows is not None
         assert saved(tmp_path / "served.pkl") == fresh
         restored = load_engine(tmp_path / "served.pkl")
-        assert restored.verifier._columns is None
+        assert restored.verifier._boxes is None
         assert restored.verifier._token_rows is None
         assert restored.search(query).answers == engine.search(query).answers
 

@@ -212,10 +212,9 @@ def assert_scan_is_fresh(engine) -> None:
         assert execute_query(scan.method, query).answers == fresh.search(query).answers
     # The first probe keeps every object, so both computed their totals.
     assert verifier._token_totals == fresh.verifier._token_totals
-    if verifier._columns is not None:
-        assert fresh.verifier._columns is not None  # 32+ candidates built both
-        for kept, built in zip(verifier._columns, fresh.verifier._columns):
-            assert np.array_equal(kept[: len(buffer)], built)
+    if verifier._boxes is not None:
+        assert fresh.verifier._boxes is not None  # 32+ candidates built both
+        assert np.array_equal(verifier._boxes[:, : len(buffer)], fresh.verifier._boxes)
     if verifier._token_rows is not None:
         assert fresh.verifier._token_rows is not None  # 32+ survivors built both
         assert token_rows(verifier) == token_rows(fresh.verifier)
@@ -227,13 +226,13 @@ def test_scan_state_survives_inserts_and_equals_a_fresh_scan():
     engine = SegmentedSealSearch(pairs[:20], "token", buffer_capacity=None)
     engine.insert(*pairs[20])
     kept = engine._buffer_scan()
-    for pair in pairs[21:100]:                   # crosses 32: columns and CSR appear and grow
+    for pair in pairs[21:100]:                   # crosses 32: box block and CSR appear and grow
         engine.insert(*pair)
         assert engine._buffer_scan() is kept
         assert_scan_is_fresh(engine)
     verifier = kept.method.verifier
-    assert verifier._columns is not None and verifier._token_rows is not None
-    assert len(verifier._columns[0]) > engine.pending  # spare capacity
+    assert verifier._boxes is not None and verifier._token_rows is not None
+    assert verifier._boxes.shape[1] > engine.pending  # spare capacity
     assert len(verifier._token_rows[2]) > engine.pending + 1
     # Buffered objects carry tokens the sealed segment's weighter never saw.
     assert any(t not in engine.weighter for o in engine._buffer for t in o.tokens)

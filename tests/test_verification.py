@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import pickle
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,8 +18,10 @@ from hypothesis import strategies as st
 
 import repro
 from repro import Query, Rect, SpatioTextualObject, TokenWeighter, make_corpus
+from repro.core.similarity import filter_ceiling, filter_threshold
 from repro.core.verification import Verifier
 
+from tests import reference_verify as reference
 from tests.test_exec_batch import BRANCHES, _boundary_corpus, forced
 
 
@@ -139,16 +143,179 @@ class TestUnboundedRegions:
         # τT = 0 keeps every spatial survivor: each answer list is the
         # spatial check's.
         queries = [Query(region, frozenset({"a"}), tau_r, 0.0) for region in query_regions]
-        loops = [verifier._spatial_loop(query, range(n)) for query in queries]
+        loops = [reference.spatial_survivors(query, corpus) for query in queries]
         if tau_r == 0.0:
             assert loops == [list(range(n))] * len(queries)
         for query, loop in zip(queries, loops):
-            assert verifier._spatial_mask(query, np.arange(n)).tolist() == loop
+            assert np.asarray(verifier._spatial_mask(query, np.arange(n))).tolist() == loop
             for branch in BRANCHES:
                 with forced(branch):
                     assert verifier.verify(query, range(n)) == loop
         pairs = np.repeat(np.arange(len(queries)), n), np.tile(np.arange(n), len(queries))
         assert verifier.verify_batch(queries, *pairs) == loops
+
+
+#: Every way ``verify`` can go: each forced branch, and the default cut.
+PATHS = ("default",) + tuple(sorted(BRANCHES))
+
+
+def along(path: str):
+    """While open, every candidate set verifies through ``path``."""
+    return contextlib.nullcontext() if path == "default" else forced(path)
+
+
+#: Coordinates of the grid the free regions of ``_lemma1_cases`` sit on.
+_grid = st.sampled_from([-3.0, -1.0, 0.0, 1.0, 2.5, 4.0, 6.0])
+
+
+def _rect_with_area(x1: float, y1: float, height: float, area: float) -> Rect:
+    """``[x1, x2] × [y1, y1 + height]`` with the float area (as the
+    verifier computes it) ``area``, or the nearest a few ulps of ``x2``
+    reach."""
+    y2 = y1 + height
+    x2 = x1 + area / (y2 - y1)
+    for _ in range(8):
+        got = (x2 - x1) * (y2 - y1)
+        if got == area:
+            break
+        x2 = math.nextafter(x2, math.inf if got < area else -math.inf)
+    return Rect(x1, y1, max(x2, x1), y2)
+
+
+@st.composite
+def _lemma1_cases(draw):
+    """A query and up to 40 regions around it, where Lemma 1's reject
+    could part from the exact test: edges that touch, boxes one ulp
+    apart or one ulp overlapping, objects inside the query on ``simR =
+    τR``, areas one ulp either side of both band edges (the slack's and
+    the exact ones), zero-area and infinite regions, at coordinates
+    scaled by 1, 1e-150 and 1e150.  ``τR = 1e-9`` at the small scale
+    puts ``c_R`` below ``sys.float_info.min``, outside the guard, and so
+    does a zero-area query."""
+    scale = draw(st.sampled_from([1.0, 1e-150, 1e150]))
+    tau_r = draw(st.sampled_from([1.0, 0.5, 0.25, 0.3, 1e-9]))
+    qx1 = draw(st.sampled_from([0.0, -2.0, 1.5])) * scale
+    qy1 = draw(st.sampled_from([0.0, 3.0])) * scale
+    width = draw(st.sampled_from([0.0, 1.0, 3.0, 4.0])) * scale
+    height = draw(st.sampled_from([1.0, 2.0, 5.0])) * scale
+    q = Rect(qx1, qy1, qx1 + width, qy1 + height)
+    q_area = q.area
+    inf = math.inf
+    up, down = (lambda v: math.nextafter(v, inf)), (lambda v: math.nextafter(v, -inf))
+    # Areas a region sharing the query's lower-left corner and height
+    # may take: both band edges, with and without the slack, ±1 ulp.
+    edges = [q_area * tau_r, filter_threshold(tau_r, q_area)]
+    if tau_r > 0.0:
+        edges += [q_area / tau_r, filter_ceiling(tau_r, q_area)]
+    areas = [f(edge) for edge in edges for f in (down, float, up) if 0.0 <= f(edge) < inf]
+    unit = scale * draw(st.sampled_from([0.5, 1.0, 2.0]))
+    kinds = [
+        # Touching the query on one edge, or a corner.
+        lambda: Rect(q.x2, q.y1, q.x2 + unit, q.y2),
+        lambda: Rect(q.x1 - unit, q.y1, q.x1, q.y2),
+        lambda: Rect(q.x1, q.y2, q.x2, q.y2 + unit),
+        lambda: Rect(q.x1, q.y1 - unit, q.x2, q.y1),
+        lambda: Rect(q.x2, q.y2, q.x2 + unit, q.y2 + unit),
+        # One ulp apart, or one ulp overlapping.
+        lambda: Rect(up(q.x2), q.y1, up(q.x2) + unit, q.y2),
+        lambda: Rect(down(q.x2), q.y1, down(q.x2) + unit, q.y2),
+        lambda: Rect(q.x1 - unit, q.y1, down(q.x1), q.y2),
+        lambda: Rect(q.x1, up(q.y2), q.x2, up(q.y2) + unit),
+        lambda: Rect(q.x1, q.y1 - unit, q.x2, up(q.y1)),
+        # On a band edge: inside the query below |q|, containing it above.
+        lambda: _rect_with_area(q.x1, q.y1, q.height, draw(st.sampled_from(areas))),
+        # Inside the query with simR = τR where τR·|q| is exact.
+        lambda: _rect_with_area(q.x1, q.y1, q.height, tau_r * q_area),
+        # Zero-area: a point inside, a segment on an edge.
+        lambda: Rect(q.x1, q.y1, q.x1, q.y1),
+        lambda: Rect(q.x1, q.y2, q.x2, q.y2),
+        # Infinite: the plane, a half-plane, an infinite line (NaN area).
+        lambda: Rect(-inf, -inf, inf, inf),
+        lambda: Rect(q.x1, -inf, inf, inf),
+        lambda: Rect(-inf, q.y1, inf, q.y1),
+        lambda: Rect(inf, q.y1, inf, q.y2),
+        # Anywhere on a small grid around the query, or the query itself.
+        lambda: Rect.from_center(draw(_grid) * scale, draw(_grid) * scale, unit, 2 * unit),
+        lambda: q,
+    ]
+    picks = draw(st.lists(st.integers(0, len(kinds) - 1), min_size=1, max_size=40))
+    return q, tau_r, [kinds[i]() for i in picks]
+
+
+def _assert_reference_set(case) -> None:
+    """Every verify path keeps exactly :mod:`tests.reference_verify`'s
+    spatial survivors: both forced branches, the default cut (over a
+    ``range`` and over a filter's int32 array), and the batched pass
+    (τT = 0 keeps every spatial survivor)."""
+    q_region, tau_r, regions = case
+    corpus = make_corpus([(region, {"a"}) for region in regions])
+    verifier = Verifier(corpus, TokenWeighter(o.tokens for o in corpus))
+    query = Query(q_region, frozenset({"a"}), tau_r, 0.0)
+    n = len(corpus)
+    expected = reference.spatial_survivors(query, corpus)
+    for path in PATHS:
+        with along(path):
+            assert verifier.verify(query, range(n)) == expected, path
+    assert verifier.verify(query, np.arange(n, dtype=np.int32)) == expected
+    assert verifier.verify_batch([query], np.zeros(n, dtype=np.intp), np.arange(n)) == [expected]
+
+
+#: NumPy warns on the NaNs an infinite region produces, and on areas that
+#: overflow to inf at the 1e150 scale; both are expected.
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestLemma1Reject:
+    """Lemma 1's reject drops nothing the exact test keeps: every path
+    keeps exactly the set of the reference, which has no reject."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_lemma1_cases())
+    def test_verify_keeps_the_reference_set(self, case):
+        _assert_reference_set(case)
+
+    @pytest.mark.slow
+    @settings(max_examples=2000, deadline=None)
+    @given(case=_lemma1_cases())
+    def test_verify_keeps_the_reference_set_more_examples(self, case):
+        _assert_reference_set(case)
+
+    def test_objects_on_both_band_edges_answer(self):
+        """``simR = τR`` at both edges of the band: an object inside the
+        query with ``|o| = τR·|q|``, and one containing it with ``|o| =
+        |q|/τR`` — exact in floats, so every branch must keep both."""
+        corpus = make_corpus([(Rect(0, 0, 2, 2), {"a"}), (Rect(0, 0, 8, 8), {"a"})] * 20)
+        verifier = Verifier(corpus, TokenWeighter(o.tokens for o in corpus))
+        query = Query(Rect(0, 0, 4, 4), frozenset({"a"}), 0.25, 0.0)
+        for path in PATHS:
+            with along(path):
+                assert verifier.verify(query, range(40)) == list(range(40)), path
+
+    def test_the_reject_leaves_one_candidate_to_the_exact_test(self):
+        """Forty pairwise-disjoint boxes, the query overlapping one: on
+        every branch the exact test sees exactly that one."""
+        corpus = make_corpus([(Rect(3 * i, 0, 3 * i + 2, 2), {"a"}) for i in range(40)])
+        verifier = Verifier(corpus, TokenWeighter(o.tokens for o in corpus))
+        query = Query(Rect(15.5, 0.5, 16.5, 1.5), frozenset({"a"}), 0.1, 0.0)
+        exact = Verifier._spatial_pass
+        seen = []
+
+        def kernel(boxes, *args):
+            seen.append(boxes.shape[1])
+            return exact(boxes, *args)
+
+        overlap = Rect.intersection_area
+
+        def counted(self, other):
+            seen.append(other)
+            return overlap(self, other)
+
+        with mock.patch.object(Verifier, "_spatial_pass", staticmethod(kernel)), \
+                mock.patch.object(Rect, "intersection_area", counted):
+            for path in PATHS:
+                seen.clear()
+                with along(path):
+                    assert verifier.verify(query, range(40)) == [5]
+                assert seen == ([1] if path == "mask" else [corpus[5].region]), path
 
 
 def _large_corpus():
@@ -171,12 +338,12 @@ class TestVerifierState:
         weighter = TokenWeighter(o.tokens for o in corpus)
         verifier = Verifier(corpus, weighter)
         assert verifier.verify(self.KEEPS_ALL, range(40)) == list(range(40))
-        assert verifier._columns is not None and verifier._token_rows is not None
+        assert verifier._boxes is not None and verifier._token_rows is not None
         state = verifier.__getstate__()[1]
         assert sorted(state) == ["_token_totals", "corpus", "weighter"]
         assert state["_token_totals"] == [weighter.total_weight(o.tokens) for o in corpus]
         clone = pickle.loads(pickle.dumps(verifier))
-        assert clone._columns is None and clone._token_rows is None
+        assert clone._boxes is None and clone._token_rows is None
         assert clone.verify(self.KEEPS_ALL, range(40)) == list(range(40))
         # A never-used verifier computes its (lazy) totals to pickle them.
         assert Verifier(corpus, weighter).__getstate__()[1]["_token_totals"] == (
@@ -221,7 +388,7 @@ def token_rows(verifier) -> tuple:
 class TestVerifierAppend:
     def test_appends_equal_a_fresh_verifier(self):
         """80 appends — new tokens included, against a weighter that never
-        saw them — leave the CSR, the columns and the totals equal to a
+        saw them — leave the CSR, the box block and the totals equal to a
         fresh verifier's over the same corpus, with the same answers."""
         objects = list(_large_corpus()) + list(make_corpus(
             (Rect(i % 11, i % 3, i % 11 + 4, i % 3 + 5), {f"t{i % 6}", f"new{i % 13}"})
@@ -235,9 +402,9 @@ class TestVerifierAppend:
             Query(Rect(1, 1, 5, 5), frozenset({"new4", "v2"}), 0.1, 0.1),
             Query(Rect(0, 0, 20, 20), frozenset(), 0.0, 0.0),
         ]
-        for query in queries:                        # builds columns and CSR
+        for query in queries:                        # builds box block and CSR
             grown.verify(query, range(40))
-        assert grown._columns is not None and grown._token_rows is not None
+        assert grown._boxes is not None and grown._token_rows is not None
         for obj in objects[40:]:
             grown.append(obj)
         fresh = Verifier(list(objects), weighter)
@@ -247,8 +414,8 @@ class TestVerifierAppend:
             assert grown.verify(query, range(120)) == fresh.verify(query, range(120)) == expected
         assert grown._token_totals == fresh._token_totals
         assert token_rows(grown) == token_rows(fresh)
-        for kept, built in zip(grown._columns, fresh._columns):
-            assert np.array_equal(kept[:120], built)
+        assert grown._boxes.shape[1] > 120              # spare capacity
+        assert np.array_equal(grown._boxes[:, :120], fresh._boxes)
 
 
 class TestHashSeedIndependence:

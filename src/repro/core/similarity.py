@@ -1,18 +1,15 @@
 """Spatial and textual similarity functions (Definitions 1 and 2).
 
 These are the *exact* similarities used in verification; the signature
-similarities used in filtering live with their signature schemes.  The
-module also exposes Dice/Cosine textual variants for the extension hooks
-the paper's conclusion calls out.
+similarities used in filtering live with their signature schemes, and
+every filter bound goes through :func:`filter_threshold`.
 """
 
 from __future__ import annotations
 
-import math
-from typing import AbstractSet, Iterable
+from typing import AbstractSet
 
 from repro.geometry import Rect
-from repro.geometry.rect import spatial_dice as _spatial_dice
 from repro.geometry.rect import spatial_jaccard as _spatial_jaccard
 from repro.text.weights import TokenWeighter
 
@@ -27,7 +24,7 @@ def filter_threshold(tau: float, total: float) -> float:
 
     Every filter prunes with a bound of this shape — ``c_T = τT·Q`` over
     the query's token weight, ``c_R = τR·|q.R|`` over its area (Lemma 1),
-    a baseline's node overlap, a join's per-object bound — and the one
+    a baseline's node overlap — and the one
     :class:`~repro.core.verification.Verifier` then tests ``I ≥ τ·U`` with
     ``U = (Q + T) − I`` computed in floats.  Mathematically ``U ≥ Q``, so
     ``I ≥ τ·Q`` is implied; in floats ``(Q + T) − I`` can round *below*
@@ -50,8 +47,7 @@ def filter_threshold(tau: float, total: float) -> float:
     is at least ``I·(1 − γₙ)``.  The returned bound is at most ``τ·Q·(1 +
     u)³·(1 − 2⁻³⁰)``, which stays below that for every signature of up to
     2²⁰ elements by a margin of thousands of ulps.  The spatial side has
-    the same shape with areas for weights (three roundings per area), and
-    so do the division forms ``I / U ≥ τ`` of the join and the predicates.
+    the same shape with areas for weights (three roundings per area).
 
     The cost is at most a boundary object more per query: one whose
     bound lies within ``2⁻³⁰`` (relative) below ``τ·total``, which the
@@ -102,11 +98,6 @@ def spatial_similarity(a: Rect, b: Rect) -> float:
     return _spatial_jaccard(a, b)
 
 
-def spatial_dice_similarity(a: Rect, b: Rect) -> float:
-    """Spatial Dice ``2|a∩b| / (|a|+|b|)`` (extension mentioned in Sec. 2.1)."""
-    return _spatial_dice(a, b)
-
-
 def textual_similarity(
     a: AbstractSet[str],
     b: AbstractSet[str],
@@ -130,48 +121,3 @@ def textual_similarity(
         return 1.0
     return inter_weight / union_weight
 
-
-def textual_dice_similarity(
-    a: AbstractSet[str],
-    b: AbstractSet[str],
-    weighter: TokenWeighter,
-) -> float:
-    """Weighted Dice ``2Σ_{a∩b} w / (Σ_a w + Σ_b w)``."""
-    if not a and not b:
-        return 1.0
-    inter_weight = weighter.total_weight(a & b)
-    denom = weighter.total_weight(a) + weighter.total_weight(b)
-    if denom <= 0.0:
-        return 1.0
-    return 2.0 * inter_weight / denom
-
-
-def textual_cosine_similarity(
-    a: AbstractSet[str],
-    b: AbstractSet[str],
-    weighter: TokenWeighter,
-) -> float:
-    """Weighted Cosine ``Σ_{a∩b} w² / sqrt(Σ_a w² · Σ_b w²)``.
-
-    Treats each set as a binary vector scaled by token weights, the common
-    set-cosine used by the string-similarity literature the paper cites.
-    """
-    if not a and not b:
-        return 1.0
-    inter = a & b
-    num = sum(weighter.weight(t) ** 2 for t in inter)
-    denom_a = sum(weighter.weight(t) ** 2 for t in a)
-    denom_b = sum(weighter.weight(t) ** 2 for t in b)
-    denom = math.sqrt(denom_a * denom_b)
-    if denom <= 0.0:
-        return 1.0 if not (a ^ b) else 0.0
-    return num / denom
-
-
-def token_overlap_weight(
-    a: AbstractSet[str],
-    b: Iterable[str],
-    weighter: TokenWeighter,
-) -> float:
-    """``Σ_{t ∈ a∩b} w(t)`` — the textual *signature similarity* (Sec. 3.2)."""
-    return sum(weighter.weight(t) for t in b if t in a)

@@ -143,9 +143,9 @@ class BatchExecutor:
     """A batch against any engine shape, probe for probe like :func:`run_query`.
 
     An engine with its own ``search_batch`` (the facades) runs it; a
-    method with a batched filter step and a batched verifier goes
-    through :func:`execute_batch`; anything else runs :func:`run_query`
-    per query.  Either way the result is one :class:`SearchResult` per
+    method with a batched filter step goes through
+    :func:`execute_batch`; anything else runs :func:`run_query` per
+    query.  Either way the result is one :class:`SearchResult` per
     query, in input order, each equal to the single query's.
     """
 
@@ -154,9 +154,6 @@ class BatchExecutor:
         search_batch = getattr(engine, "search_batch", None)
         if search_batch is not None:
             return search_batch(queries)
-        # A filter whose verifier has no batched pass (a textual
-        # predicate's, which is not Jaccard) keeps the loop.
-        verifier = getattr(engine, "verifier", None)
-        if hasattr(engine, "candidates_batch") and hasattr(verifier, "verify_batch"):
+        if hasattr(engine, "candidates_batch"):
             return execute_batch(engine, queries)
         return [run_query(engine, query) for query in queries]

@@ -134,13 +134,9 @@ class Rect:
         )
 
     def overlaps(self, other: "Rect") -> bool:
-        """True when the rectangles share *positive area* (not just a boundary)."""
-        return (
-            self.x1 < other.x2
-            and other.x1 < self.x2
-            and self.y1 < other.y2
-            and other.y1 < self.y2
-        )
+        """True when the rectangles share *positive area* (not just a boundary,
+        and not a point or segment inside the other)."""
+        return self.intersection_area(other) > 0.0
 
     def contains_point(self, x: float, y: float) -> bool:
         return self.x1 <= x <= self.x2 and self.y1 <= y <= self.y2
@@ -266,15 +262,3 @@ def spatial_jaccard(a: Rect, b: Rect) -> float:
         return 1.0 if a == b else 0.0
     return inter / union
 
-
-def spatial_dice(a: Rect, b: Rect) -> float:
-    """Spatial Dice similarity: ``2|a∩b| / (|a| + |b|)``.
-
-    Mentioned in the paper ("our method can be easily extended to other
-    overlap-based functions, such as Dice Similarity").
-    """
-    inter = a.intersection_area(b)
-    denom = a.area + b.area
-    if denom <= 0.0:
-        return 1.0 if a == b else 0.0
-    return 2.0 * inter / denom

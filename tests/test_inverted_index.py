@@ -8,8 +8,8 @@ filter:
 * single-list probes on both index kinds and the bulk loader against
   the reference and against brute force (hypothesis);
 * every filter that owns an index — ``token``, ``grid``, ``hash-hybrid``
-  (exact and bucketed keys), ``seal``, ``predicate-token``, the plain
-  Sig-Filter and ``keyword-first`` — on seeded Twitter-like and USA-like
+  (exact and bucketed keys), ``seal``, the plain Sig-Filter and
+  ``keyword-first`` — on seeded Twitter-like and USA-like
   corpora: the bulk-loaded index equals the reference staged posting by
   posting under the filter's element codes, list by list in code order,
   and the probe loop returns the same heads with the same
@@ -34,7 +34,6 @@ from hypothesis import strategies as st
 from repro import Query, Rect, TokenWeighter, build_method, make_corpus
 from repro.core.stats import SearchStats
 from repro.datasets import generate_queries
-from repro.extensions.predicates import DicePredicate, PredicateSearch
 from repro.filters.base import FULL_SCAN
 from repro.index.inverted import InvertedIndex
 
@@ -254,10 +253,6 @@ FILTERS = {
             method.corpus, method, method.token_grids
         ),
     ),
-    "predicate-token": (
-        lambda corpus, w: PredicateSearch(corpus, DicePredicate(w), w),
-        single_scheme_index,
-    ),
     "sig-filter-token": (
         lambda corpus, w: build_method(corpus, "token", w, prefix_pruning=False),
         single_scheme_index,
@@ -459,8 +454,7 @@ EDGE_CORPORA = {
     "one-object-no-tokens": [(Rect(0, 0, 2, 2), set())],
 }
 EDGE_FILTERS = {
-    **{name: FILTERS[name] for name in ("token", "predicate-token", "sig-filter-token",
-                                        "keyword-first")},
+    **{name: FILTERS[name] for name in ("token", "sig-filter-token", "keyword-first")},
     "grid": (lambda c, w: build_method(c, "grid", w, granularity=8), single_scheme_index),
     "hash-hybrid": (
         lambda c, w: build_method(c, "hash-hybrid", w, granularity=8),
@@ -486,14 +480,11 @@ def test_edge_builds_equal_reference_and_naive(corpus_name, filter_name):
         # A corpus yielding zero postings: an index with no list at all.
         assert len(method.index) == method.index.num_postings() == 0
     naive = build_method(objects, "naive", weighter)
-    verify = getattr(method, "predicate", None)
     for region in (Rect(0, 0, 3, 3), Rect(1, 1, 1, 1), Rect(50, 50, 60, 60)):
         for tokens in ({"a"}, {"a", "b", "zzz"}, set()):
             for tau_r, tau_t in ((0.0, 0.0), (0.1, 0.1), (0.0, 0.5), (0.5, 0.0), (1.0, 1.0)):
                 query = Query(region, frozenset(tokens), tau_r, tau_t)
-                got = method.search(query).answers
-                if verify is None:  # Dice verifies differently from the naive Jaccard
-                    assert got == naive.search(query).answers, query
+                assert method.search(query).answers == naive.search(query).answers, query
 
 
 @settings(max_examples=40, deadline=None)

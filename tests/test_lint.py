@@ -126,7 +126,7 @@ class TestThresholdContract:
     def test_scoped_to_the_filter_side(self):
         checker = REGISTRY["threshold-contract"]()
         for path in ("src/repro/filters/base.py", "src/repro/signatures/spatial.py",
-                     "src/repro/baselines/keyword_first.py", "src/repro/extensions/predicates.py",
+                     "src/repro/baselines/keyword_first.py", "src/repro/filters/hybrid_filter.py",
                      "src/repro/index/iomodel.py"):
             assert checker.applies_to(path)
         # The verifier is the other side of the contract.
@@ -214,6 +214,20 @@ class TestSuppressions:
 # ----------------------------------------------------------------------
 
 
+#: One file each rule lints and one it leaves alone, both in the tree.
+SCOPE_ROWS = [
+    ("replay-determinism", "src/repro/exec/durable.py", "src/repro/exec/planner.py"),
+    ("hash-ordered-sum", "src/repro/text/weights.py", "src/repro/service/cache.py"),
+    ("error-transport", "src/repro/service/protocol.py", "src/repro/io/wal.py"),
+    ("fork-safety", "src/repro/service/workers.py", "src/repro/exec/segments.py"),
+    ("lock-order", "src/repro/io/wal.py", "src/repro/io/snapshot.py"),
+    ("no-pickle", "src/repro/service/workers.py", "src/repro/io/snapshot.py"),
+    ("threshold-contract", "src/repro/signatures/textual.py", "src/repro/core/verification.py"),
+    ("atomic-write", "src/repro/io/corpus_io.py", "src/repro/io/atomic.py"),
+    ("fsync-ordering", "src/repro/io/generations.py", "src/repro/io/atomic.py"),
+]
+
+
 class TestDriver:
     def test_unknown_rule_selection_raises(self):
         with pytest.raises(ValueError, match="unknown lint rules"):
@@ -230,6 +244,29 @@ class TestDriver:
         assert checker.applies_to("src/repro/io/corpus_io.py")
         assert not checker.applies_to("src/repro/io/atomic.py")  # exempt
         assert not checker.applies_to("tests/test_wal.py")  # out of scope
+
+    def test_every_scope_fragment_matches_a_file(self):
+        """A deleted or renamed module cannot leave a dead scope entry."""
+        paths = [path.relative_to(REPO_ROOT).as_posix()
+                 for path in (REPO_ROOT / "src" / "repro").rglob("*.py")]
+        dead = {
+            (name, fragment)
+            for name, checker in REGISTRY.items()
+            for fragment in checker.scope + checker.exclude
+            if not any(fragment in path for path in paths)
+        }
+        assert dead == set()
+
+    @pytest.mark.parametrize("rule, inside, outside", SCOPE_ROWS)
+    def test_each_rule_covers_a_file_and_skips_another(self, rule, inside, outside):
+        checker = REGISTRY[rule]()
+        assert (REPO_ROOT / inside).is_file() and (REPO_ROOT / outside).is_file()
+        assert checker.applies_to(inside)
+        assert not checker.applies_to(outside)
+        assert not checker.applies_to("tests/test_lint.py")
+
+    def test_every_rule_has_a_scope_row(self):
+        assert sorted(rule for rule, _, _ in SCOPE_ROWS) == sorted(REGISTRY)
 
     def test_lint_paths_skips_fixture_trees(self):
         driver = LintDriver(rules=["atomic-write"])

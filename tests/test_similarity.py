@@ -1,4 +1,4 @@
-"""Tests for Definitions 1 and 2 (and the extension similarity functions)."""
+"""Tests for Definitions 1 and 2 and the filter-side bound."""
 
 from __future__ import annotations
 
@@ -8,14 +8,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro import Rect, TokenWeighter, spatial_similarity, textual_similarity
-from repro.core.similarity import (
-    filter_threshold,
-    spatial_dice_similarity,
-    textual_cosine_similarity,
-    textual_dice_similarity,
-    token_overlap_weight,
-)
+from repro import TokenWeighter, spatial_similarity, textual_similarity
+from repro.core.similarity import filter_ceiling, filter_threshold
 
 from tests.strategies import rects, token_sets
 
@@ -72,31 +66,6 @@ class TestTextualEdgeCases:
         # "x" appears everywhere -> weight 0 -> sets indistinguishable.
         assert textual_similarity(frozenset({"x"}), frozenset({"x"}), w) == 1.0
 
-    def test_overlap_weight(self, weighter):
-        ov = token_overlap_weight(frozenset({"a", "b"}), ["b", "c"], weighter)
-        assert ov == pytest.approx(weighter.weight("b"))
-
-
-class TestVariants:
-    @pytest.fixture()
-    def weighter(self):
-        return TokenWeighter([{"a", "b"}, {"b", "c"}, {"d"}])
-
-    def test_dice_geq_jaccard(self, weighter):
-        a, b = frozenset({"a", "b"}), frozenset({"b", "c"})
-        assert textual_dice_similarity(a, b, weighter) >= textual_similarity(a, b, weighter)
-
-    def test_cosine_identical(self, weighter):
-        a = frozenset({"a", "b"})
-        assert textual_cosine_similarity(a, a, weighter) == pytest.approx(1.0)
-
-    def test_cosine_disjoint(self, weighter):
-        assert textual_cosine_similarity(frozenset({"a"}), frozenset({"d"}), weighter) == 0.0
-
-    def test_spatial_dice_geq_jaccard(self):
-        a, b = Rect(0, 0, 2, 1), Rect(1, 0, 3, 1)
-        assert spatial_dice_similarity(a, b) >= spatial_similarity(a, b)
-
 
 # ----------------------------------------------------------------------
 # Property tests
@@ -115,18 +84,6 @@ def test_textual_similarity_range_and_symmetry(a, b):
 @given(token_sets)
 def test_textual_similarity_reflexive(a):
     assert textual_similarity(a, a, _W) == pytest.approx(1.0)
-
-
-@given(rects(), rects())
-def test_spatial_dice_range(a, b):
-    s = spatial_dice_similarity(a, b)
-    assert 0.0 <= s <= 1.0
-
-
-@given(token_sets, token_sets)
-def test_cosine_range(a, b):
-    s = textual_cosine_similarity(a, b, _W)
-    assert 0.0 <= s <= 1.0 + 1e-9
 
 
 @given(
@@ -159,3 +116,57 @@ def test_filter_threshold_is_never_above_what_the_verifier_accepts(common, query
 def test_filter_threshold_is_zero_only_for_a_vacuous_threshold():
     assert filter_threshold(0.0, 5.0) == filter_threshold(0.4, 0.0) == 0.0
     assert 0.0 < filter_threshold(0.4, 5.0) < 0.4 * 5.0
+
+
+# ----------------------------------------------------------------------
+# Definition 2 on hand-set weights, and Lemma 1's band
+# ----------------------------------------------------------------------
+
+#: |O| = 8: w(a) = ln 8 = 3·ln 2, w(b) = ln 4 = 2·ln 2, w(c) = ln 2, w(d) = 0;
+#: an unseen token weighs ln |O| = 3·ln 2.
+_HAND = TokenWeighter.from_counts({"a": 1, "b": 2, "c": 4, "d": 8}, num_objects=8)
+
+
+@pytest.mark.parametrize("q, o, expected", [
+    ({"a"}, {"a", "b"}, 3 / 5),
+    ({"a", "b"}, {"b", "c"}, 2 / 6),
+    ({"a", "b", "c"}, {"c"}, 1 / 6),
+    ({"a", "d"}, {"a"}, 1.0),          # a weight-0 token is neutral
+    ({"b", "d"}, {"c", "d"}, 0.0),     # sharing only a weight-0 token
+    ({"a", "unseen"}, {"a"}, 3 / 6),   # an unseen query token weighs ln |O|
+    ({"b"}, {"c"}, 0.0),
+], ids=["subset", "partial", "light-common", "zero-weight-extra", "zero-weight-common",
+        "unseen-token", "disjoint"])
+def test_weighted_jaccard_on_hand_weights(q, o, expected):
+    assert textual_similarity(frozenset(q), frozenset(o), _HAND) == pytest.approx(expected)
+    assert textual_similarity(frozenset(o), frozenset(q), _HAND) == pytest.approx(expected)
+
+
+@given(token_sets, token_sets)
+def test_a_corpus_wide_token_is_neutral(a, b):
+    weighter = TokenWeighter([{"t0", "every"}, {"t1", "every"}, {"t2", "t3", "every"}])
+    assert weighter.weight("every") == 0.0
+    if weighter.total_weight(a | b) > 0.0:
+        assert textual_similarity(a | {"every"}, b, weighter) == pytest.approx(
+            textual_similarity(a, b, weighter))
+
+
+@given(token_sets, token_sets, st.sampled_from(sorted(f"t{i}" for i in range(12))))
+def test_a_token_only_one_side_has_never_raises_similarity(a, b, extra):
+    if extra not in b:
+        assert textual_similarity(a | {extra}, b, _W) <= textual_similarity(a, b, _W) + 1e-12
+
+
+@pytest.mark.parametrize("tau, total", [(0.25, 40.0), (0.5, 1.0), (1.0, 3.0), (0.1, 1e-300)])
+def test_filter_ceiling_is_just_above_the_exact_ceiling(tau, total):
+    ceiling = filter_ceiling(tau, total)
+    assert total / tau <= ceiling <= total / tau * (1.0 + 2.0 ** -29)
+    assert filter_threshold(tau, total) <= tau * total <= ceiling
+
+
+@given(rects(allow_degenerate=False), rects(), st.sampled_from([0.1, 0.25, 0.4, 0.5, 0.75, 1.0]))
+def test_lemma1_band_holds_every_accepted_region(q, o, tau):
+    """simR(q, o) ≥ τR implies τR·|q| ≤ |o| ≤ |q|/τR, and the filter-side
+    bounds are looser still."""
+    if spatial_similarity(q, o) >= tau:
+        assert filter_threshold(tau, q.area) <= o.area <= filter_ceiling(tau, q.area)

@@ -16,7 +16,6 @@ import pytest
 from repro import TokenWeighter, build_method
 from repro.core.engine import METHOD_REGISTRY
 from repro.datasets import generate_queries
-from repro.extensions.predicates import DicePredicate, PredicateSearch
 from repro.index.iomodel import compare_methods_io
 
 #: corpus -> method -> (num_lists, num_postings, directory_bytes,
@@ -29,7 +28,6 @@ SIZES = {
         "keyword-first": (931, 5744, 11204, 22976, 22976),
         "naive": None,
         "planned": (1251, 6181, 15044, 49448, 49448),
-        "predicate-token": (931, 5744, 11204, 45952, 45952),
         "seal": (3972, 6048, 95864, 72576, 72576),
         "spatial-first": (14, 400, 0, 57344, 57344),
         "token": (931, 5744, 11204, 45952, 45952),
@@ -41,7 +39,6 @@ SIZES = {
         "keyword-first": (759, 4961, 9128, 19844, 19844),
         "naive": None,
         "planned": (1048, 5395, 12596, 43160, 43160),
-        "predicate-token": (759, 4961, 9128, 39688, 39688),
         "seal": (2925, 5115, 70659, 61380, 61380),
         "spatial-first": (14, 400, 0, 57344, 57344),
         "token": (759, 4961, 9128, 39688, 39688),
@@ -55,7 +52,6 @@ READS = {
         "grid": (17, 17),
         "hash-hybrid": (50, 50),
         "irtree": (121, 35),
-        "predicate-token": (119, 117),
         "seal": (91, 90),
         "spatial-first": (34, 11),
         "token": (99, 98),
@@ -64,7 +60,6 @@ READS = {
         "grid": (20, 17),
         "hash-hybrid": (41, 38),
         "irtree": (96, 28),
-        "predicate-token": (102, 97),
         "seal": (78, 74),
         "spatial-first": (32, 10),
         "token": (82, 78),
@@ -77,7 +72,6 @@ def built(request, twitter_small, usa_small):
     corpus = twitter_small if request.param == "twitter" else usa_small
     weighter = TokenWeighter(obj.tokens for obj in corpus)
     methods = {name: build_method(corpus, name, weighter) for name in METHOD_REGISTRY}
-    methods["predicate-token"] = PredicateSearch(corpus, DicePredicate(weighter), weighter)
     return request.param, corpus, methods
 
 

@@ -11,8 +11,8 @@ call graph, then fails on:
   orders (classic ABBA deadlock);
 * **checkpoint ordering** — acquiring a checkpoint mutex while holding
   any other lock.  The canonical order, established by
-  ``QueryService.checkpoint()``/``recover()``, is checkpoint mutex
-  *first*, RW lock second; the reverse order deadlocks against them.
+  ``QueryService.checkpoint()``, is checkpoint mutex *first*, RW lock
+  second; the reverse order deadlocks against it.
 
 Attributes count as locks when their name contains ``lock`` or ``mutex``
 (``_lock``, ``_checkpoint_lock``, ``_metrics_lock``...).  The analysis is
@@ -212,7 +212,7 @@ class LockOrderChecker(Checker):
                             line,
                             f"{class_name}.{method} acquires checkpoint mutex "
                             f"{inner!r} while holding {outer!r}; the canonical "
-                            "order (QueryService.checkpoint/recover) takes the "
+                            "order (QueryService.checkpoint) takes the "
                             "checkpoint mutex first",
                         )
                     )

@@ -68,7 +68,6 @@ from repro.geometry.rect import mbr_of
 from repro.io import (
     atomic_write_text,
     current_snapshot,
-    list_generations,
     load_corpus,
     load_engine,
     load_queries,
@@ -537,7 +536,6 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
                 "path": str(root),
                 "generation": generation,
                 "snapshot": str(path),
-                "generations_on_disk": [p.name for p in list_generations(root)],
             }
     if "replica" in document and not path.exists():
         document["snapshot"] = None
@@ -571,8 +569,6 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         catalog = document["serving_dir"]
         print(f"serving dir:        {catalog['path']}")
         print(f"current generation: {catalog['generation']} -> {catalog['snapshot']}")
-        if catalog["generations_on_disk"]:
-            print(f"generations kept:   {', '.join(catalog['generations_on_disk'])}")
     print(f"snapshot:           {document['snapshot']}")
     print(f"format:             {document['format']} "
           f"(library {document['library_version']})")
@@ -1144,7 +1140,7 @@ def _cmd_client(args: argparse.Namespace) -> int:
                             result = client.query(query)
                             break
                         except ProtocolError:
-                            # Worker recycled or crashed mid-conversation:
+                            # Worker drained or crashed mid-conversation:
                             # reconnect and retry — loud past 3 strikes.
                             client.close()
                             if attempt == 3:

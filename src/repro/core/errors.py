@@ -58,6 +58,6 @@ class ProtocolError(ServiceError):
     Raised on both sides of the socket: servers reject truncated,
     oversized, or undecodable frames with it (then close the
     connection — framing cannot resynchronise after garbage), and
-    clients raise it when a connection dies mid-response (a recycled
-    or crashed worker) — loudly, never by inventing an answer.
+    clients raise it when a connection dies mid-response (a draining
+    server or a crashed worker) — loudly, never by inventing an answer.
     """

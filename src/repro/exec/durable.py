@@ -99,12 +99,12 @@ def engine_from_config(config: Dict, *, source: Any = "stream") -> SegmentedSeal
 def apply_record(engine: SegmentedSealSearch, payload: Dict, *, source: Any = "stream") -> None:
     """Replay one WAL operation record onto ``engine``.
 
-    The replay-from-stream hook: replication replicas feed shipped
-    records through this so a streamed apply is *bit-identical* to a
-    crash recovery's replay of the same log — oid determinism is
-    verified the same way, and an unknown or drifted record raises
-    :class:`~repro.io.wal.WALError` loudly (the caller re-bootstraps
-    rather than serving wrong answers).
+    Recovery and replication replicas both replay through
+    :func:`replay_records`, which lands here, so a streamed apply is
+    *bit-identical* to a crash recovery's replay of the same log: oid
+    determinism is verified the same way, and an unknown or drifted
+    record raises :class:`~repro.io.wal.WALError` loudly (the caller
+    re-bootstraps rather than serving wrong answers).
 
     Args:
         engine: The segmented engine to mutate (the *raw* engine — the
@@ -112,7 +112,23 @@ def apply_record(engine: SegmentedSealSearch, payload: Dict, *, source: Any = "s
         payload: One decoded record (``{"op": ..., ...}``).
         source: A label for error messages (a path or peer name).
     """
-    _apply(engine, payload, path=source)
+    op = payload["op"]
+    if op == "insert":
+        oid = engine.insert(Rect(*payload["region"]), frozenset(payload["tokens"]))
+        if oid != payload["oid"]:
+            raise WALError(
+                f"{source}: replay drift — insert produced oid {oid} but the log "
+                f"recorded oid {payload['oid']}; snapshot and WAL are not from "
+                "the same lineage"
+            )
+    elif op == "delete":
+        engine.delete(payload["oid"])
+    elif op == "seal":
+        engine.flush()
+    elif op == "compact":
+        engine.compact()
+    else:
+        raise WALError(f"{source}: unknown WAL operation {op!r}")
 
 
 def replay_records(
@@ -131,27 +147,6 @@ def replay_records(
         apply_record(engine, payload, source=source)
         applied += 1
     return applied
-
-
-def _apply(engine: SegmentedSealSearch, payload: Dict, *, path: Any) -> None:
-    """Replay one logged operation onto ``engine``, verifying determinism."""
-    op = payload["op"]
-    if op == "insert":
-        oid = engine.insert(Rect(*payload["region"]), frozenset(payload["tokens"]))
-        if oid != payload["oid"]:
-            raise WALError(
-                f"{path}: replay drift — insert produced oid {oid} but the log "
-                f"recorded oid {payload['oid']}; snapshot and WAL are not from "
-                "the same lineage"
-            )
-    elif op == "delete":
-        engine.delete(payload["oid"])
-    elif op == "seal":
-        engine.flush()
-    elif op == "compact":
-        engine.compact()
-    else:
-        raise WALError(f"{path}: unknown WAL operation {op!r}")
 
 
 class DurableSegmentedSealSearch:
@@ -524,10 +519,9 @@ def recover(
             )
         engine = engine_from_config(config, source=wal_path)
         start = 0
-    replayed = 0
-    for record in contents.operations(start):
-        _apply(engine, record.payload, path=wal_path)
-        replayed += 1
+    replayed = replay_records(
+        engine, (record.payload for record in contents.operations(start)), source=wal_path
+    )
     # Reuse the scan above: open() would otherwise re-read and re-CRC
     # the whole log just to find the truncation point.
     wal = WriteAheadLog.open(wal_path, sync=sync, group_size=group_size,

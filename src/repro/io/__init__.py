@@ -14,8 +14,6 @@ from repro.io.corpus_io import load_corpus, load_queries, save_corpus, save_quer
 from repro.io.generations import (
     GenerationError,
     current_snapshot,
-    list_generations,
-    prune_generations,
     publish_snapshot,
     read_current,
 )
@@ -42,11 +40,9 @@ __all__ = [
     "atomic_write_bytes",
     "atomic_write_text",
     "current_snapshot",
-    "list_generations",
     "load_corpus",
     "load_engine",
     "load_queries",
-    "prune_generations",
     "publish_snapshot",
     "read_current",
     "read_manifest",

@@ -6,7 +6,7 @@ is no shared reference to swap — what the supervisor and its workers
 share is a *directory*, and this module gives that directory the same
 semantics:
 
-* a **generation** is one immutable snapshot (plus sidecar) the format-6
+* a **generation** is one immutable snapshot (plus sidecar) the
   loader can ``load_engine(mmap=True)`` — published once, never mutated;
 * ``CURRENT`` is a tiny JSON pointer file naming the active generation,
   replaced atomically (:mod:`repro.io.atomic`), so a worker booting at
@@ -15,30 +15,27 @@ semantics:
 * workers *discover* their engine: they read ``CURRENT`` at boot and
   memory-map the snapshot it names — N workers share one copy of the
   columnar arrays through the page cache;
-* a publish bumps the generation number monotonically; the supervisor
-  then recycles workers onto it, which is the cross-process epoch bump.
+* a publish records an existing snapshot file by its absolute path
+  instead of copying gigabytes, and numbers it one past the pointer.
 
-Generations published from a live engine are written into the serving
-directory as ``gen-NNNNNN.pkl``; publishing an existing snapshot file
-records its absolute path instead of copying gigabytes.  Old in-
-directory generations are pruned once no worker can be pinned to them.
+``serve --net`` publishes once at boot; its workers serve that
+generation until shutdown.  A pointer may also name a snapshot relative
+to the directory (older serving directories do), and
+:func:`current_snapshot` resolves it there.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.core.errors import SealError
 from repro.io.atomic import atomic_write_text
-from repro.io.snapshot import save_engine, sidecar_path, validate_snapshot
+from repro.io.snapshot import validate_snapshot
 
 #: The pointer file naming the active generation.
 CURRENT_NAME = "CURRENT"
-
-#: In-directory generation snapshots: ``gen-000001.pkl`` etc.
-GENERATION_PREFIX = "gen-"
 
 
 class GenerationError(SealError, RuntimeError):
@@ -93,109 +90,33 @@ def current_snapshot(directory: "str | Path") -> Tuple[int, Path]:
     return document["generation"], snapshot
 
 
-def publish_snapshot(
-    directory: "str | Path",
-    *,
-    source_path: "str | Path | None" = None,
-    engine: Any = None,
-) -> Tuple[int, Path]:
-    """Publish the next generation and atomically repoint ``CURRENT``.
+def publish_snapshot(directory: "str | Path", *, source_path: "str | Path") -> Tuple[int, Path]:
+    """Publish ``source_path`` as the next generation and atomically
+    repoint ``CURRENT`` at it.
 
-    Exactly one source: an ``engine`` object (saved into the directory
-    as ``gen-NNNNNN.pkl``) or an existing ``source_path`` snapshot
-    (validated, then referenced by absolute path — no copy).  The
-    snapshot is durably in place *before* the pointer flips, so a crash
-    between the two leaves the old generation serving.
+    The snapshot is validated, then referenced by absolute path — no
+    copy.  It is in place *before* the pointer flips, so a crash
+    between the two leaves the old generation serving.  The next
+    generation is the pointer's plus one, or 1 when the pointer is
+    missing or corrupt: nothing is ever written into the directory
+    but the pointer, so no file can be overwritten.
 
     Returns:
         The new ``(generation, snapshot path)``.
 
     Raises:
-        GenerationError: Neither or both sources given.
         SnapshotError: ``source_path`` is not a loadable snapshot.
     """
     directory = Path(directory)
-    if (engine is None) == (source_path is None):
-        raise GenerationError("publish exactly one of engine= or source_path=")
+    snapshot = Path(source_path).resolve()
+    validate_snapshot(snapshot)  # reject garbage before repointing
     directory.mkdir(parents=True, exist_ok=True)
-    # The next generation derives from *both* lineage witnesses — the
-    # pointer and the gen-* files already on disk.  A lost or corrupt
-    # CURRENT must not restart the counter at 1: that would overwrite
-    # gen-000001.pkl under workers still mmapping it and regress the
-    # monotonic cross-process epoch the supervisor (and replication
-    # lineage markers) depend on.
     try:
-        pointer_generation = read_current(directory)["generation"]
+        generation = read_current(directory)["generation"] + 1
     except GenerationError:
-        pointer_generation = 0
-    generation = max(pointer_generation, _highest_generation_file(directory)) + 1
-    if engine is not None:
-        snapshot = directory / f"{GENERATION_PREFIX}{generation:06d}.pkl"
-        save_engine(engine, snapshot)
-        pointer_target = snapshot.name
-    else:
-        snapshot = Path(source_path).resolve()
-        validate_snapshot(snapshot)  # reject garbage before repointing
-        pointer_target = str(snapshot)
+        generation = 1
     atomic_write_text(
         directory / CURRENT_NAME,
-        json.dumps({"generation": generation, "snapshot": pointer_target}) + "\n",
+        json.dumps({"generation": generation, "snapshot": str(snapshot)}) + "\n",
     )
     return generation, snapshot
-
-
-def _highest_generation_file(directory: Path) -> int:
-    """The largest ``gen-NNNNNN.pkl`` number on disk (0 when none parse)."""
-    highest = 0
-    for entry in list_generations(directory):
-        digits = entry.stem[len(GENERATION_PREFIX):]
-        if digits.isdigit():
-            highest = max(highest, int(digits))
-    return highest
-
-
-def list_generations(directory: "str | Path") -> List[Path]:
-    """In-directory generation snapshots, oldest first (pointer targets
-    outside the directory are not listed — they are not ours to manage)."""
-    directory = Path(directory)
-    if not directory.is_dir():
-        return []
-    return sorted(
-        entry
-        for entry in directory.iterdir()
-        if entry.name.startswith(GENERATION_PREFIX) and entry.suffix == ".pkl"
-    )
-
-
-def prune_generations(directory: "str | Path", *, keep: int = 2) -> List[Path]:
-    """Delete old in-directory generations, keeping the newest ``keep``.
-
-    The active generation is always kept regardless of age.  Call this
-    *after* a recycle completes: workers pinned to an old generation
-    hold their arrays via mmap, so on POSIX an unlink under a straggler
-    is survivable, but the contract is that pruned generations have no
-    readers.  Returns the snapshots removed.
-    """
-    if keep < 1:
-        raise ValueError("keep must be >= 1")
-    directory = Path(directory)
-    try:
-        _, active = current_snapshot(directory)
-    except GenerationError:
-        active = None
-    # Compare *resolved* paths: publish_snapshot(source_path=...) stores
-    # a resolve()d absolute target while list_generations yields
-    # directory-relative entries, so under a symlinked serving dir the
-    # same file has two spellings — an unresolved == would prune the
-    # active snapshot out from under live workers.
-    active = active.resolve() if active is not None else None
-    removed: List[Path] = []
-    for snapshot in list_generations(directory)[:-keep]:
-        if active is not None and snapshot.resolve() == active:
-            continue
-        sidecar = sidecar_path(snapshot)
-        snapshot.unlink()
-        if sidecar.exists():
-            sidecar.unlink()
-        removed.append(snapshot)
-    return removed

@@ -3,7 +3,7 @@
 Everything below the service boundary is a library (engines, executors,
 indexes); this package is the first layer whose correctness is
 *concurrency-dependent* — it holds one engine for many client threads
-and survives updates and snapshot hot-swaps without handing out stale
+and survives updates and engine swaps without handing out stale
 answers.
 
 * :mod:`repro.service.cache` — :class:`ResultCache`: LRU, keyed on
@@ -18,15 +18,15 @@ answers.
   composing all of the above (cache → admission → engine) and the
   versioned engine holder (epoch counter bumped by every
   answer-affecting mutation, which purges the cache's stale entries;
-  readers-writer discipline; atomic snapshot hot-swap).
+  readers-writer discipline; atomic engine swap).
 * :mod:`repro.service.protocol` — the length-prefixed JSON wire format
   (pure codec, dependency-free).
 * :mod:`repro.service.server` — the socket edge: per-connection request
   loop, the single-process threaded :class:`NetworkServer`, and the
   blocking :class:`NetworkClient`.
 * :mod:`repro.service.workers` — :class:`ProcessSupervisor`: the
-  pre-fork worker pool serving one mmap-shared snapshot generation per
-  epoch, recycled on publish (the cross-process epoch bump).
+  pre-fork worker pool serving one mmap-shared snapshot generation,
+  respawning workers that die.
 * :mod:`repro.service.replication` — WAL-shipping replication:
   :class:`ReplicationPrimary` publishes a durable primary's sealed WAL
   frames over the wire protocol; :class:`ReplicaApplier` bootstraps

@@ -630,6 +630,13 @@ class ReplicaApplier:
             )
         frames = bytes_from_wire(body.get("frames"))
         end = _require_int(body, "end")
+        if end != offset + len(frames):
+            # The primary ships whole frames from ``offset``: any other
+            # end would skip (or re-read) bytes no frame accounts for.
+            raise ReplicationError(
+                f"primary shipped {len(frames)} bytes at {generation}/{offset} "
+                f"but claims they end at {end}"
+            )
         try:
             records = decode_frames(frames, base_offset=offset)
         except WALError as exc:

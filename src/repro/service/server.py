@@ -457,7 +457,7 @@ class NetworkClient:
     Not thread-safe: requests on one connection run in lockstep, so give
     each client thread its own instance (connections are cheap).  Server
     errors re-raise as their local exception types; a vanished peer
-    (worker recycled onto a new snapshot generation, or killed) raises
+    (a server shutting down, or a killed worker) raises
     :class:`~repro.core.errors.ProtocolError` — reconnect and retry.
 
     Attributes:
@@ -492,7 +492,7 @@ class NetworkClient:
             if not chunk:
                 raise ProtocolError(
                     "connection closed by the server mid-response "
-                    "(worker recycled or crashed); reconnect and retry"
+                    "(server drained or worker crashed); reconnect and retry"
                 )
             chunks.append(chunk)
             received += len(chunk)

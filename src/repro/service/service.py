@@ -28,18 +28,17 @@ write buffer mid-append:
   ``(engine, epoch)`` pair under a shared lock — any number run
   concurrently;
 * **Mutators** (:meth:`~QueryService.insert`, :meth:`~QueryService.
-  delete`, :meth:`~QueryService.compact`, :meth:`~QueryService.
-  swap_engine`, …) take the lock exclusively, apply the change, and bump
+  delete`, :meth:`~QueryService.apply`, :meth:`~QueryService.
+  swap_engine`) take the lock exclusively, apply the change, and bump
   the **epoch** — the version counter the result cache keys on, which is
   what makes cache invalidation structural (see
   :mod:`repro.service.cache`).  The bump purges the cache's stale
   entries while the write lock is still held;
-* **Hot swap** replaces the engine *reference*:
-  :meth:`~QueryService.load_snapshot` pre-validates the snapshot
-  envelope (magic, format, sidecar pairing —
-  :func:`repro.io.snapshot.validate_snapshot`) and deserialises the new
-  engine entirely *outside* the lock, so traffic keeps flowing during
-  the load; only the final reference flip excludes readers.  In-flight
+* **Hot swap** replaces the engine *reference*: build or load the new
+  engine first — ``swap_engine(load_engine(path))`` or
+  ``swap_engine(recover(snapshot, wal))``, where a bad snapshot raises
+  before anything is swapped — so traffic keeps flowing during the
+  load; only the final reference flip excludes readers.  In-flight
   queries that pinned the old pair complete against the old engine
   object — it stays alive as long as anyone holds it — while every
   request admitted after the flip sees the new engine and a new epoch.
@@ -70,16 +69,13 @@ import json
 import threading
 import time
 from contextlib import contextmanager
-from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.core.errors import ServiceError
 from repro.core.objects import Query
 from repro.core.stats import SearchResult
-from repro.exec.durable import recover as recover_durable_engine
 from repro.exec.pipeline import BatchExecutor, run_query
 from repro.geometry import Rect
-from repro.io.snapshot import load_engine, validate_snapshot
 from repro.service.admission import AdmissionController
 from repro.service.cache import ResultCache
 from repro.service.metrics import LatencyHistogram, PlannerCounters, RequestCounters
@@ -430,25 +426,6 @@ class QueryService:
             self._bump(self._current[0])
             return oid
 
-    def insert_many(self, pairs: Iterable[Tuple[Rect, Iterable[str]]]) -> List[int]:
-        """Insert a batch under one exclusive section and a single bump.
-
-        If an insert raises mid-batch the earlier ones are already live
-        in the engine, so the bump still happens — otherwise cached
-        answers from before the batch would keep being served against a
-        corpus that has visibly changed.
-        """
-        with self._lock.writing():
-            insert = self._updatable("insert")
-            oids: List[int] = []
-            try:
-                for region, tokens in pairs:
-                    oids.append(insert(region, tokens))
-            finally:
-                if oids:
-                    self._bump(self._current[0])
-            return oids
-
     def delete(self, oid: int) -> bool:
         """Tombstone one object in the live engine (updatable engines
         only); bumps the epoch only if it was live."""
@@ -458,22 +435,17 @@ class QueryService:
                 self._bump(self._current[0])
             return deleted
 
-    def compact(self) -> None:
-        """Fully compact the live engine (updatable engines only); bumps
-        (an idf refresh can change answers)."""
-        with self._lock.writing():
-            self._updatable("compact")()
-            self._bump(self._current[0])
-
     def apply(self, mutator: Callable[[Any], Any]) -> Any:
         """Run an arbitrary engine mutation under the exclusive lock.
 
         The generic mutation primitive the typed methods above are
         special cases of: ``mutator(engine)`` runs with every reader
         excluded, and the epoch bumps afterwards — even when the mutator
-        raises partway, for the same reason :meth:`insert_many` bumps on
-        a partial batch (the engine may have visibly changed).  The
-        replication applier replays whole shipped WAL batches through
+        raises partway, since the engine may have visibly changed.
+        Batches and maintenance go through it:
+        ``apply(lambda e: [e.insert(r, t) for r, t in pairs])``,
+        ``apply(lambda e: e.flush())``, ``apply(lambda e: e.compact())``.
+        The replication applier replays whole shipped WAL batches through
         one ``apply`` call, so replicas pay one epoch bump (one cache
         purge) per shipment rather than per record.
 
@@ -484,26 +456,6 @@ class QueryService:
                 return mutator(self._current[0])
             finally:
                 self._bump(self._current[0])
-
-    def flush(self) -> None:
-        """Seal the live engine's write buffer; bumps only if answers
-        may move.
-
-        A plain seal is answer-preserving (same live set, same weighter)
-        so the cache stays warm.  But a seal can *cascade*: size-tiered
-        merging may collapse every segment into one, which is a full
-        compaction point that refreshes the idf weighter — and refreshed
-        weights can change answers.  The engine's ``compactions``
-        counter (every engine with a ``flush`` has one) detects exactly
-        that, and we bump iff it moved.
-        """
-        with self._lock.writing():
-            engine = self._current[0]
-            flush = self._updatable("flush")
-            before = engine.compactions
-            flush()
-            if engine.compactions != before:
-                self._bump(engine)
 
     # ------------------------------------------------------------------
     # Durability
@@ -521,10 +473,9 @@ class QueryService:
         the RW lock is writer-preferring, so a mutator arriving mid-
         checkpoint queues new readers behind it until the checkpoint's
         disk write finishes — pure-read traffic is unaffected.
-        Concurrent checkpoints (and recoveries) serialize on a
-        dedicated mutex.  The epoch does not move, by the same argument
-        that keeps plain ``flush`` bump-free: cached results stay valid
-        across a checkpoint.
+        Concurrent checkpoints serialize on a dedicated mutex.  The
+        epoch does not move: cached results stay valid across a
+        checkpoint.
 
         Returns the snapshot path written.
 
@@ -543,56 +494,6 @@ class QueryService:
                     )
                 return op(path) if path is not None else op()
 
-    def recover(self, snapshot_path, wal_path, *, mmap: bool = False,
-                sync: str = "always") -> int:
-        """Hot-swap to the engine recovered from ``snapshot + WAL tail``.
-
-        Replay runs entirely *off-lock* — traffic keeps flowing on the
-        old engine, and a recovery failure (torn snapshot, misaligned
-        WAL) raises loudly while the old engine keeps serving, exactly
-        like :meth:`load_snapshot`.  The final reference flip bumps the
-        epoch, so every cached pre-recovery answer is invalidated by
-        construction.
-
-        Refused when the *live* engine still owns an open appender on
-        the same WAL file: recovery would open a second writer whose
-        appends land at a stale offset, overwriting records the live
-        engine already fsync-acknowledged.  Checkpoint or close the
-        live engine first.  Recoveries serialize with each other (and
-        with checkpoints) on the checkpoint mutex, and the guard is
-        re-validated under the write lock at the reference flip — a
-        concurrent :meth:`swap_engine` installing a durable engine on
-        the same WAL mid-replay is caught there, not just at entry.
-
-        Returns the new epoch.
-        """
-
-        def guard() -> None:
-            live_wal = getattr(self._current[0], "wal", None)
-            if (
-                live_wal is not None
-                and not live_wal.closed
-                and Path(wal_path).resolve() == Path(live_wal.path).resolve()
-            ):
-                raise ServiceError(
-                    f"the live engine still holds an open appender on {wal_path}; "
-                    "recovering from it would put two writers on one log — "
-                    "checkpoint or close the live engine first"
-                )
-
-        with self._checkpoint_lock:
-            guard()  # fail fast before paying for the replay
-            engine = recover_durable_engine(
-                snapshot_path, wal_path, mmap=mmap, sync=sync
-            )
-            with self._lock.writing():
-                try:
-                    guard()  # re-validate: a swap may have raced the replay
-                except ServiceError:
-                    engine.close()  # release the just-opened appender
-                    raise
-                return self._bump(engine)
-
     # ------------------------------------------------------------------
     # Hot swap
     # ------------------------------------------------------------------
@@ -605,24 +506,6 @@ class QueryService:
         """
         with self._lock.writing():
             return self._bump(engine)
-
-    def load_snapshot(self, path, *, mmap: bool = False) -> int:
-        """Hot-swap to an engine snapshot, pre-validated, loaded off-lock.
-
-        The envelope (magic, :data:`~repro.io.snapshot.SNAPSHOT_FORMAT`,
-        sidecar pairing) is validated *before* anything is deserialised
-        and the engine blob loads entirely outside the lock — a bad or
-        stale snapshot raises :class:`~repro.io.snapshot.SnapshotError`
-        while the old engine keeps serving, untouched.  (The explicit
-        pre-gate costs one extra envelope read per swap — deliberate:
-        swaps are rare, and rejecting before the deserialiser ever runs
-        is the operational contract this method documents.)
-
-        Returns the new epoch.
-        """
-        validate_snapshot(path)
-        engine = load_engine(path, mmap=mmap)
-        return self.swap_engine(engine)
 
     # ------------------------------------------------------------------
     # Observability and lifecycle

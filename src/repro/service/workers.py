@@ -5,9 +5,9 @@ overlap their socket waits but not their queries — those serialize on
 one core.  This module escapes the process boundary with the classic
 pre-fork topology (the nginx/gunicorn shape):
 
-* the **supervisor** binds the listening socket, publishes snapshot
-  generations (:mod:`repro.io.generations`), forks workers, and
-  respawns any that die;
+* the **supervisor** binds the listening socket, forks workers onto
+  the serving directory's published generation
+  (:mod:`repro.io.generations`), and respawns any that die;
 * each **worker** inherits the listening socket through ``fork``,
   *discovers* the current generation from the serving directory, and
   ``load_engine(mmap=True)``s it — N workers map the same ``.npz``
@@ -17,18 +17,12 @@ pre-fork topology (the nginx/gunicorn shape):
 * the kernel's ``accept`` queue load-balances connections across
   whichever workers are listening — no routing tier.
 
-**The cross-process epoch contract.**  Workers are read-only; the
-supervisor owns change.  A mutation or hot-swap publishes a new
-generation (snapshot durably on disk *before* the ``CURRENT`` pointer
-flips) and then **recycles** the pool: every old worker drains —
-finishes the request it is serving, answers it, closes its connections,
-exits — and a fresh pool boots onto the new generation.  When
-:meth:`ProcessSupervisor.swap_snapshot` returns, no process that ever
-served the old generation is accepting, so every subsequent answer
-comes from the new snapshot: the PR 4 guarantee ("in-flight requests
-finish on their pinned engine; requests admitted after the flip see the
-new engine"), process edition.  Clients see a closed connection, not a
-stale answer, and reconnect.
+**Workers are read-only.**  ``serve --net`` publishes one generation
+at boot and the pool serves it until shutdown; a worker that dies is
+reforked onto the same generation.  A connection to a killed worker
+fails loudly (a closed connection, never a wrong answer) and the
+client reconnects.  To serve a changed engine, publish it and start a
+new pool.
 
 Requires a POSIX ``fork`` start method (the listening socket crosses by
 inheritance, never by pickling); :class:`ProcessSupervisor` refuses
@@ -47,7 +41,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError, ServiceError
-from repro.io.generations import current_snapshot, publish_snapshot
+from repro.io.generations import current_snapshot
 from repro.io.snapshot import load_engine
 from repro.service.server import BACKLOG, DEFAULT_HOST, _POLL_SECONDS, accept_connections
 from repro.service.service import QueryService
@@ -117,16 +111,15 @@ def _worker_main(
 class _Worker:
     """Supervisor-side handle: the process plus its control pipe."""
 
-    __slots__ = ("process", "control", "generation")
+    __slots__ = ("process", "control")
 
-    def __init__(self, process, control, generation: int) -> None:
+    def __init__(self, process, control) -> None:
         self.process = process
         self.control = control
-        self.generation = generation
 
 
 class ProcessSupervisor:
-    """Forks, feeds, recycles, and respawns the worker pool.
+    """Forks, feeds, drains, and respawns the worker pool.
 
     Args:
         serving_dir: A serving directory with at least one published
@@ -138,14 +131,14 @@ class ProcessSupervisor:
             :class:`~repro.service.service.QueryService` (cache knobs,
             admission limits, …).  Defaults to the service defaults.
         respawn: Automatically refork workers that die (the crash-
-            containment property the kill tests pin).  Recycled workers
-            are never respawned — only unexpected deaths.
+            containment property the kill tests pin).  Workers drained
+            by :meth:`close` are never respawned — only unexpected deaths.
 
     Examples:
         >>> generation, _ = publish_snapshot(dir, source_path=snap)  # doctest: +SKIP
         >>> with ProcessSupervisor(dir, workers=4) as sup:           # doctest: +SKIP
         ...     host, port = sup.address
-        ...     ...  # clients connect; sup.swap_snapshot(new) recycles
+        ...     ...  # clients connect
     """
 
     def __init__(
@@ -177,7 +170,6 @@ class ProcessSupervisor:
         self.generation, _ = current_snapshot(serving_dir)  # fail loudly now
         self._lock = threading.Lock()
         self._pool: List[_Worker] = []
-        self._recycling = False
         self._closed = False
         self._listener: Optional[socket.socket] = None
         self._monitor: Optional[threading.Thread] = None
@@ -253,7 +245,7 @@ class ProcessSupervisor:
         if not isinstance(message, dict) or "ready" not in message:
             process.terminate()
             raise ServiceError(f"worker sent unexpected boot message {message!r}")
-        return _Worker(process, parent_end, generation)
+        return _Worker(process, parent_end)
 
     def _monitor_loop(self) -> None:
         while not self._closed:
@@ -261,7 +253,7 @@ class ProcessSupervisor:
             if not self._respawn:
                 continue
             with self._lock:
-                if self._recycling or self._closed:
+                if self._closed:
                     continue
                 for i, worker in enumerate(self._pool):
                     if worker.process.is_alive():
@@ -281,50 +273,6 @@ class ProcessSupervisor:
                         )
                         continue
                     self.respawns += 1
-
-    # ------------------------------------------------------------------
-    # The cross-process epoch bump: publish + recycle
-    # ------------------------------------------------------------------
-
-    def swap_snapshot(self, snapshot_path) -> int:
-        """Publish an existing snapshot as the next generation and
-        recycle the pool onto it.  Returns the new generation."""
-        generation, _ = publish_snapshot(self._serving_dir, source_path=snapshot_path)
-        self._recycle()
-        return generation
-
-    def publish_engine(self, engine) -> int:
-        """Snapshot a live engine object into the serving directory as
-        the next generation and recycle onto it.  Returns the new
-        generation.  This is how supervisor-side mutations become
-        visible: apply them to your authoritative engine, then publish."""
-        generation, _ = publish_snapshot(self._serving_dir, engine=engine)
-        self._recycle()
-        return generation
-
-    def recycle(self) -> int:
-        """Drain every worker and refork the pool onto the *current*
-        generation (e.g. after an out-of-band publish).  Returns it."""
-        self._recycle()
-        return self.generation
-
-    def _recycle(self) -> None:
-        if self._listener is None:
-            raise ServiceError("supervisor not started")
-        with self._lock:
-            if self._closed:
-                raise ServiceError("supervisor is closed")
-            self._recycling = True
-            old = list(self._pool)
-        try:
-            self._drain(old)
-            fresh = [self._spawn() for _ in range(self.workers)]
-            with self._lock:
-                self._pool = fresh
-                self.generation, _ = current_snapshot(self._serving_dir)
-        finally:
-            with self._lock:
-                self._recycling = False
 
     @staticmethod
     def _drain(workers: List[_Worker]) -> None:

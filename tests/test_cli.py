@@ -757,6 +757,8 @@ class TestInspect:
         assert segments and all(segment["method"] == "token" for segment in segments)
 
     def test_inspect_serving_directory(self, plain_engine, tmp_path, capsys):
+        import json
+
         from repro.io import publish_snapshot
 
         serving = tmp_path / "serving"
@@ -766,6 +768,18 @@ class TestInspect:
         out = capsys.readouterr().out
         assert "current generation: 1" in out
         assert str(plain_engine.resolve()) in out
+        assert main(["inspect", str(serving), "--json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["serving_dir"] == {
+            "path": str(serving),
+            "generation": 1,
+            "snapshot": str(plain_engine.resolve()),
+        }
+
+    def test_inspect_unpublished_directory_is_friendly(self, tmp_path, capsys):
+        rc = main(["inspect", str(tmp_path)])
+        assert rc == 2
+        assert "publish a snapshot first" in capsys.readouterr().err
 
     def test_inspect_json_mode(self, plain_engine, capsys):
         import json

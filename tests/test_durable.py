@@ -9,7 +9,13 @@ import pytest
 
 from repro import Query, Rect, build_method
 from repro.core.errors import ServiceError
-from repro.exec.durable import DurableSegmentedSealSearch, recover
+from repro.exec.durable import (
+    DurableSegmentedSealSearch,
+    apply_record,
+    engine_from_config,
+    recover,
+    replay_records,
+)
 from repro.exec.segments import SegmentedSealSearch
 from repro.io import read_manifest, save_engine, validate_snapshot
 from repro.io.wal import WALError, WriteAheadLog, read_wal
@@ -328,6 +334,77 @@ class TestRecovery:
         recovered.close()
 
 
+def _layout(engine):
+    return (engine.segment_sizes(), engine.pending, engine.tombstones,
+            engine.next_oid, engine.compactions)
+
+
+class TestReplayRecords:
+    """The one replay path recovery and replicas share."""
+
+    @pytest.mark.parametrize("payload, call", [
+        pytest.param({"op": "insert", "region": [3, 0, 5, 2], "tokens": ["coffee"], "oid": 6},
+                     lambda e: e.insert(Rect(3, 0, 5, 2), {"coffee"}), id="insert"),
+        pytest.param({"op": "delete", "oid": 4}, lambda e: e.delete(4), id="delete"),
+        pytest.param({"op": "delete", "oid": 40}, lambda e: e.delete(40), id="delete-dead"),
+        pytest.param({"op": "seal"}, lambda e: e.flush(), id="seal"),
+        pytest.param({"op": "compact"}, lambda e: e.compact(), id="compact"),
+    ])
+    def test_a_record_replays_as_its_engine_call(self, payload, call):
+        replayed, direct = (SegmentedSealSearch(method="token", buffer_capacity=4)
+                            for _ in range(2))
+        fill(replayed, 6)
+        fill(direct, 6)
+        apply_record(replayed, payload, source="test")
+        call(direct)
+        assert _layout(replayed) == _layout(direct)
+        assert replayed.search_query(PROBE).answers == direct.search_query(PROBE).answers
+
+    def test_an_unknown_op_is_loud_and_names_its_source(self):
+        engine = SegmentedSealSearch(method="token")
+        with pytest.raises(WALError, match="peer-7: unknown WAL operation 'rename'"):
+            apply_record(engine, {"op": "rename"}, source="peer-7")
+
+    def test_an_insert_that_lands_on_another_oid_is_drift(self):
+        engine = SegmentedSealSearch(method="token")
+        record = {"op": "insert", "region": [0, 0, 1, 1], "tokens": ["a"], "oid": 3}
+        with pytest.raises(WALError, match="log.wal: replay drift"):
+            apply_record(engine, record, source="log.wal")
+
+    def test_config_records_are_skipped_and_not_counted(self):
+        engine = SegmentedSealSearch(method="token")
+        payloads = [
+            {"op": "config", **engine.config()},
+            {"op": "insert", "region": [0, 0, 1, 1], "tokens": ["a"], "oid": 0},
+            {"op": "seal"},
+        ]
+        assert replay_records(engine, payloads) == 2
+        assert len(engine) == 1 and engine.pending == 0
+
+    def test_recovery_and_a_replica_replay_build_the_same_engine(self, tmp_path):
+        """A wal-only recovery and a replica starting from the same
+        config record and fed the same records end identical."""
+        wal_path = tmp_path / "e.wal"
+        base = SegmentedSealSearch(method="token", buffer_capacity=3)
+        engine = DurableSegmentedSealSearch(
+            base, WriteAheadLog.create(wal_path, config=base.config()),
+            snapshot_path=tmp_path / "missing.pkl")
+        fill(engine, 8)
+        engine.delete(2)
+        engine.compact()
+        fill(engine, 4, start=8)
+        engine.delete(9)
+        engine.close()
+        contents = read_wal(wal_path)
+        replica = engine_from_config(contents.config)
+        count = replay_records(replica, [record.payload for record in contents.records])
+        recovered = recover(tmp_path / "missing.pkl", wal_path)
+        assert recovered.recovery["records_replayed"] == count == 15
+        assert _layout(recovered) == _layout(replica) == _layout(engine)
+        assert recovered.search_query(PROBE).answers == replica.search_query(PROBE).answers
+        recovered.close()
+
+
 class TestRecoveryFailsLoudly:
     def test_snapshot_without_wal_position(self, tmp_path):
         engine = SegmentedSealSearch(method="token")
@@ -442,12 +519,12 @@ class TestServiceIntegration:
         with pytest.raises(ServiceError, match="does not support checkpoint"):
             service.checkpoint()
 
-    def test_service_recover_swaps_and_bumps(self, tmp_path):
+    def test_service_swaps_to_a_recovered_engine(self, tmp_path):
         engine = make_durable(tmp_path)
         fill(engine, 6)
         engine.close()
         service = QueryService(SegmentedSealSearch(method="token"))
-        epoch = service.recover(tmp_path / "engine.pkl", tmp_path / "engine.wal")
+        epoch = service.swap_engine(recover(tmp_path / "engine.pkl", tmp_path / "engine.wal"))
         assert epoch == 1 and service.epoch == 1
         assert len(service.engine) == 6
         service.engine.close()
@@ -457,24 +534,11 @@ class TestServiceIntegration:
         service = QueryService(engine)
         service.insert(Rect(0, 0, 2, 2), {"coffee"})
         service.delete(0)
-        service.flush()
-        service.compact()
+        service.apply(lambda live: live.flush())
+        service.apply(lambda live: live.compact())
         ops = [r.payload["op"] for r in read_wal(engine.wal.path).operations()]
         assert ops == ["insert", "delete", "seal", "compact"]
         engine.close()
-
-    def test_service_recover_refuses_live_appender_on_same_wal(self, tmp_path):
-        """Two appenders on one log overwrite each other; recovery from
-        the WAL the live engine still owns must be refused loudly."""
-        engine = make_durable(tmp_path)
-        fill(engine, 3)
-        service = QueryService(engine)
-        with pytest.raises(ServiceError, match="two writers"):
-            service.recover(tmp_path / "engine.pkl", tmp_path / "engine.wal")
-        engine.close()  # released: now the recovery may proceed
-        epoch = service.recover(tmp_path / "engine.pkl", tmp_path / "engine.wal")
-        assert epoch == 1 and len(service.engine) == 3
-        service.engine.close()
 
     def test_service_checkpoint_runs_beside_readers(self, tmp_path):
         """A checkpoint takes the shared lock: it completes while a
@@ -491,36 +555,6 @@ class TestServiceIntegration:
         assert read_wal(engine.wal.path).operations() == []
         engine.close()
 
-    def test_service_recover_rechecks_the_guard_at_the_flip(self, tmp_path, monkeypatch):
-        """A swap that installs a live appender on the same WAL while the
-        replay runs is refused at the reference flip, and the replayed
-        engine's appender is released."""
-        import repro.service.service as service_module
-
-        engine = make_durable(tmp_path)
-        fill(engine, 3)
-        engine.close()
-        wal_path = tmp_path / "engine.wal"
-
-        class HoldsTheLog:
-            class wal:
-                closed = False
-                path = wal_path
-
-        service = QueryService(SegmentedSealSearch(method="token"))
-        replayed = []
-
-        def replay_while_a_swap_lands(*args, **kwargs):
-            replayed.append(recover(*args, **kwargs))
-            service.swap_engine(HoldsTheLog())
-            return replayed[0]
-
-        monkeypatch.setattr(service_module, "recover_durable_engine", replay_while_a_swap_lands)
-        with pytest.raises(ServiceError, match="two writers"):
-            service.recover(tmp_path / "engine.pkl", wal_path)
-        assert isinstance(service.engine, HoldsTheLog) and service.epoch == 1
-        assert replayed[0].wal.closed
-
     def test_service_checkpoint_and_recover_passthrough(self, tmp_path):
         engine = make_durable(tmp_path)
         fill(engine, 5)
@@ -529,6 +563,6 @@ class TestServiceIntegration:
             service.checkpoint()
         engine.close()
         with QueryService(SegmentedSealSearch(method="token")) as service:
-            service.recover(tmp_path / "engine.pkl", tmp_path / "engine.wal")
+            service.swap_engine(recover(tmp_path / "engine.pkl", tmp_path / "engine.wal"))
             assert service.query(PROBE).answers == answers
             service.engine.close()

@@ -12,13 +12,10 @@ from repro.io.snapshot import SnapshotError
 from repro.io import (
     GenerationError,
     current_snapshot,
-    list_generations,
-    prune_generations,
     publish_snapshot,
     read_current,
     save_engine,
 )
-from repro.io.snapshot import sidecar_path
 
 
 @pytest.fixture()
@@ -27,31 +24,28 @@ def engine(figure1_objects):
     return SegmentedSealSearch(pairs, "token", buffer_capacity=4)
 
 
-class TestPublish:
-    def test_first_publish_from_engine(self, engine, tmp_path):
-        serving = tmp_path / "serving"
-        generation, snapshot = publish_snapshot(serving, engine=engine)
-        assert generation == 1
-        assert snapshot == serving / "gen-000001.pkl"
-        assert snapshot.exists()
-        assert current_snapshot(serving) == (1, snapshot)
+@pytest.fixture()
+def source(engine, tmp_path):
+    path = tmp_path / "engine.pkl"
+    save_engine(engine, path)
+    return path
 
-    def test_generation_numbers_are_monotonic(self, engine, tmp_path):
+
+class TestPublish:
+    def test_generation_numbers_are_monotonic(self, source, tmp_path):
         serving = tmp_path / "serving"
-        assert publish_snapshot(serving, engine=engine)[0] == 1
-        assert publish_snapshot(serving, engine=engine)[0] == 2
-        assert publish_snapshot(serving, engine=engine)[0] == 3
+        assert publish_snapshot(serving, source_path=source)[0] == 1
+        assert publish_snapshot(serving, source_path=source)[0] == 2
+        assert publish_snapshot(serving, source_path=source)[0] == 3
         assert read_current(serving)["generation"] == 3
 
-    def test_publish_existing_snapshot_by_reference(self, engine, tmp_path):
-        source = tmp_path / "engine.pkl"
-        save_engine(engine, source)
+    def test_publish_existing_snapshot_by_reference(self, source, tmp_path):
         serving = tmp_path / "serving"
         generation, snapshot = publish_snapshot(serving, source_path=source)
         assert generation == 1
         # Referenced in place, not copied into the serving directory.
         assert snapshot == source.resolve()
-        assert list_generations(serving) == []
+        assert [p.name for p in serving.iterdir()] == ["CURRENT"]
         assert current_snapshot(serving) == (1, source.resolve())
 
     def test_publish_rejects_garbage_source(self, tmp_path):
@@ -63,55 +57,51 @@ class TestPublish:
         with pytest.raises(GenerationError):
             read_current(tmp_path / "serving")
 
-    def test_publish_needs_exactly_one_source(self, engine, tmp_path):
-        with pytest.raises(GenerationError):
-            publish_snapshot(tmp_path / "serving")
-        with pytest.raises(GenerationError):
-            publish_snapshot(
-                tmp_path / "serving", engine=engine, source_path=tmp_path / "x.pkl"
-            )
+    def test_publish_rejects_a_missing_source(self, tmp_path):
+        with pytest.raises(SnapshotError):
+            publish_snapshot(tmp_path / "serving", source_path=tmp_path / "gone.pkl")
+        assert not (tmp_path / "serving").exists()
 
-    def test_lost_pointer_does_not_restart_the_counter(self, engine, tmp_path):
-        """Regression: a lost CURRENT must not make the next publish
-        overwrite gen-000001.pkl (workers may still be mmapping it) or
-        regress the monotonic cross-process epoch."""
+    def test_the_pointer_names_the_resolved_source(self, source, tmp_path, monkeypatch):
+        """A relative source path is recorded absolute, so the pointer
+        means the same file whatever directory a worker starts in."""
+        monkeypatch.chdir(tmp_path)
+        serving = tmp_path / "serving"
+        publish_snapshot(serving, source_path="engine.pkl")
+        document = json.loads((serving / "CURRENT").read_text(encoding="utf-8"))
+        assert document == {"generation": 1, "snapshot": str(source.resolve())}
+
+    @pytest.mark.parametrize("pointer", [None, "{torn"])
+    def test_a_missing_or_corrupt_pointer_restarts_at_one(self, source, tmp_path, pointer):
+        """The pointer is the only lineage witness: the directory holds
+        no snapshot a restarted count could overwrite."""
         serving = tmp_path / "serving"
         for _ in range(3):
-            publish_snapshot(serving, engine=engine)
-        first_bytes = (serving / "gen-000001.pkl").read_bytes()
-        (serving / "CURRENT").unlink()
-        generation, snapshot = publish_snapshot(serving, engine=engine)
-        assert generation == 4
-        assert snapshot == serving / "gen-000004.pkl"
-        assert (serving / "gen-000001.pkl").read_bytes() == first_bytes
+            publish_snapshot(serving, source_path=source)
+        if pointer is None:
+            (serving / "CURRENT").unlink()
+        else:
+            (serving / "CURRENT").write_text(pointer, encoding="utf-8")
+        assert publish_snapshot(serving, source_path=source) == (1, source.resolve())
+        assert read_current(serving)["generation"] == 1
 
-    def test_corrupt_pointer_does_not_restart_the_counter(self, engine, tmp_path):
+    def test_relative_pointer_resolves_inside_the_directory(self, engine, tmp_path):
+        """Older serving directories name their snapshot relative to
+        the directory; workers still boot from them."""
         serving = tmp_path / "serving"
-        publish_snapshot(serving, engine=engine)
-        publish_snapshot(serving, engine=engine)
-        (serving / "CURRENT").write_text("{torn", encoding="utf-8")
-        generation, _ = publish_snapshot(serving, engine=engine)
-        assert generation == 3
-        assert read_current(serving)["generation"] == 3
-
-    def test_stale_pointer_behind_files_still_advances(self, engine, tmp_path):
-        """A pointer regressed behind the on-disk files (e.g. restored
-        from backup) must not cause an overwrite either."""
-        serving = tmp_path / "serving"
-        for _ in range(3):
-            publish_snapshot(serving, engine=engine)
+        serving.mkdir()
+        save_engine(engine, serving / "gen-000004.pkl")
         (serving / "CURRENT").write_text(
-            json.dumps({"generation": 1, "snapshot": "gen-000001.pkl"}),
+            json.dumps({"generation": 4, "snapshot": "gen-000004.pkl"}),
             encoding="utf-8",
         )
-        generation, snapshot = publish_snapshot(serving, engine=engine)
-        assert generation == 4
-        assert snapshot == serving / "gen-000004.pkl"
+        assert current_snapshot(serving) == (4, serving / "gen-000004.pkl")
+        assert publish_snapshot(serving, source_path=serving / "gen-000004.pkl")[0] == 5
 
-    def test_roundtrip_through_loader(self, engine, figure1_query, tmp_path):
+    def test_roundtrip_through_loader(self, engine, source, figure1_query, tmp_path):
         from repro.io import load_engine
 
-        _, snapshot = publish_snapshot(tmp_path / "serving", engine=engine)
+        _, snapshot = publish_snapshot(tmp_path / "serving", source_path=source)
         loaded = load_engine(snapshot, mmap=True)
         q = figure1_query
         assert (
@@ -154,58 +144,3 @@ class TestReadCurrent:
 
     def test_generation_error_is_a_seal_error(self):
         assert issubclass(GenerationError, SealError)
-
-
-class TestPrune:
-    def test_prune_keeps_newest_and_active(self, engine, tmp_path):
-        serving = tmp_path / "serving"
-        for _ in range(4):
-            publish_snapshot(serving, engine=engine)
-        removed = prune_generations(serving, keep=2)
-        assert [p.name for p in removed] == ["gen-000001.pkl", "gen-000002.pkl"]
-        survivors = [p.name for p in list_generations(serving)]
-        assert survivors == ["gen-000003.pkl", "gen-000004.pkl"]
-        # The active generation still loads.
-        assert current_snapshot(serving)[0] == 4
-
-    def test_prune_removes_sidecars(self, engine, tmp_path):
-        serving = tmp_path / "serving"
-        publish_snapshot(serving, engine=engine)
-        publish_snapshot(serving, engine=engine)
-        publish_snapshot(serving, engine=engine)
-        first = serving / "gen-000001.pkl"
-        assert sidecar_path(first).exists()
-        removed = prune_generations(serving, keep=1)
-        assert first in removed
-        assert not sidecar_path(first).exists()
-
-    def test_prune_never_removes_active(self, engine, tmp_path):
-        serving = tmp_path / "serving"
-        publish_snapshot(serving, engine=engine)
-        assert prune_generations(serving, keep=1) == []
-        assert current_snapshot(serving)[0] == 1
-
-    def test_prune_validates_keep(self, tmp_path):
-        with pytest.raises(ValueError):
-            prune_generations(tmp_path, keep=0)
-
-    def test_prune_spares_active_under_symlinked_directory(self, engine, tmp_path):
-        """Regression: the active snapshot published by resolved
-        source_path must survive pruning when the serving directory is
-        reached through a symlink (resolved-vs-relative path mismatch)."""
-        real = tmp_path / "real"
-        real.mkdir()
-        serving = tmp_path / "serving"
-        serving.symlink_to(real, target_is_directory=True)
-        for _ in range(3):
-            publish_snapshot(serving, engine=engine)
-        # Re-point CURRENT at the oldest generation via source_path: the
-        # pointer now stores the resolve()d absolute spelling while
-        # list_generations yields symlinked-directory entries.
-        publish_snapshot(serving, source_path=serving / "gen-000001.pkl")
-        removed = prune_generations(serving, keep=1)
-        assert (serving / "gen-000001.pkl").exists()
-        assert all(p.name != "gen-000001.pkl" for p in removed)
-        # The active generation still resolves and loads.
-        _, active = current_snapshot(serving)
-        assert active.exists()

@@ -483,7 +483,7 @@ def test_format5_checkpoint_is_refused_at_the_envelope(tmp_path, consumer):
         live = SealSearch([(Rect(0, 0, 1, 1), {"a"})], method="token")
         service = QueryService(live)
         with refusal:
-            service.load_snapshot(path)
+            service.swap_engine(load_engine(path))
         assert service.engine is live and service.epoch == 0
     else:
         with refusal:

@@ -409,7 +409,7 @@ def test_planner_block_survives_compaction(segmented, workload):
         for query in workload[:10]:
             service.query(query)
         assert _decisions(service) == 20
-        service.compact()
+        service.apply(lambda engine: engine.compact())
         assert _decisions(service) == 20
         service.query(workload[0])  # one segment left
         assert _decisions(service) == 21

@@ -408,6 +408,84 @@ class TestDivergence:
         with pytest.raises(ReplicationError, match="durable"):
             ReplicationPrimary(SegmentedSealSearch((), "token"))
 
+    @pytest.mark.parametrize("skew", [1, -1], ids=["one-byte-long", "one-byte-short"])
+    def test_a_shipment_end_off_its_frames_is_divergence(self, tmp_path, skew):
+        """A shipment's ``end`` is ``start`` plus its frame bytes.  Any
+        other value would move the lineage past bytes never applied (a
+        skipped delete is never noticed) or short of bytes applied; the
+        replica refuses it before replaying anything."""
+        primary = durable_primary(tmp_path / "primary")
+        fill(primary, 2)
+        with primary_server(primary) as (host, port, _publisher):
+            applier = make_replica(host, port, tmp_path / "replica")
+            applier.bootstrap()
+            applier.catch_up()
+            fill(primary, 3, start=2)
+            primary.delete(0)
+            lineage, applied = applier.lineage, applier.applied_records
+            shipped = []
+            real_rpc = applier._rpc
+
+            def skewed_rpc(request):
+                body = real_rpc(request)
+                shipped.append(body["frames"])
+                body["end"] = body["end"] + skew
+                return body
+
+            applier._rpc = skewed_rpc
+            with pytest.raises(ReplicationError, match="claims they end at"):
+                applier.step()
+            assert shipped and shipped[0]  # a valid, non-empty frame run
+            assert applier.lineage == lineage
+            assert applier.applied_records == applied
+            del applier._rpc
+            applier.bootstrap()
+            applier.catch_up()
+            assert_replica_matches(applier, primary)
+            applier.stop()
+        primary.close()
+
+    @pytest.mark.parametrize("field", ["start", "generation"])
+    def test_a_shipment_for_another_position_is_divergence(self, tmp_path, field):
+        primary = durable_primary(tmp_path / "primary")
+        fill(primary, 2)
+        with primary_server(primary) as (host, port, _publisher):
+            applier = make_replica(host, port, tmp_path / "replica")
+            applier.bootstrap()
+            applier.catch_up()
+            fill(primary, 2, start=2)
+            lineage = applier.lineage
+            real_rpc = applier._rpc
+
+            def moved_rpc(request):
+                body = real_rpc(request)
+                body[field] = body[field] + 1
+                return body
+
+            applier._rpc = moved_rpc
+            with pytest.raises(ReplicationError, match="for a fetch at"):
+                applier.step()
+            assert applier.lineage == lineage
+            applier.stop()
+        primary.close()
+
+    def test_a_caught_up_poll_ships_nothing_and_keeps_the_lineage(self, tmp_path):
+        """An empty shipment ends where it starts: the end check lets it
+        through and nothing moves."""
+        primary = durable_primary(tmp_path / "primary")
+        fill(primary, 3)
+        with primary_server(primary) as (host, port, _publisher):
+            applier = make_replica(host, port, tmp_path / "replica")
+            applier.bootstrap()
+            applier.catch_up()
+            lineage, shipments = applier.lineage, applier.shipments
+            assert applier.step() == 0
+            assert applier.lineage == lineage
+            assert applier.shipments == shipments + 1
+            assert_replica_matches(applier, primary)
+            applier.stop()
+        primary.close()
+
     def test_divergent_fetch_offset_is_a_loud_error(self, tmp_path):
         primary = durable_primary(tmp_path / "primary")
         fill(primary, 4)

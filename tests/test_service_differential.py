@@ -98,7 +98,7 @@ def test_cached_service_matches_from_scratch_oracle(steps):
         # Converge: compaction refreshes idf weights, bumps the epoch,
         # and the (invalidated, refilled) cache must agree again.
         if len(engine) or engine.tombstones:
-            service.compact()
+            service.apply(lambda live: live.compact())
         for step in steps:
             if step[0] == "query":
                 query = step[1]

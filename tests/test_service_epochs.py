@@ -1,10 +1,9 @@
 """Tests for the service's versioned engine: epochs, locking, hot-swap.
 
 Pins the serving layer's version contract: every answer-affecting
-mutation bumps the epoch exactly once, answer-preserving maintenance
-does not, and a snapshot hot-swap pre-validates before it displaces a
-live engine — with in-flight readers finishing on the engine they
-pinned.
+mutation bumps the epoch exactly once, and a snapshot that fails to
+load never displaces the live engine — with in-flight readers
+finishing on the engine they pinned.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from repro import (
     SegmentedSealSearch,
     ServiceError,
 )
-from repro.io import save_engine
+from repro.io import load_engine, save_engine
 from repro.io.snapshot import SnapshotError, sidecar_path, validate_snapshot
 from repro.service import QueryService
 
@@ -49,21 +48,22 @@ class TestEpochs:
         service.insert(Rect(20, 0, 21, 1), {"a"})
         assert service.epoch == 1
 
-    def test_insert_many_bumps_once(self):
+    def test_a_batch_through_apply_bumps_once(self):
         service = QueryService(make_segmented())
-        oids = service.insert_many([(Rect(20, 0, 21, 1), {"a"}), (Rect(22, 0, 23, 1), {"a"})])
-        assert len(oids) == 2
+        pairs = [(Rect(20, 0, 21, 1), {"a"}), (Rect(22, 0, 23, 1), {"a"})]
+        oids = service.apply(lambda engine: [engine.insert(r, t) for r, t in pairs])
+        assert oids == [6, 7]
         assert service.epoch == 1
-        assert service.insert_many([]) == []
-        assert service.epoch == 1  # empty batch: no bump
 
-    def test_insert_many_bumps_even_when_a_later_insert_fails(self):
+    def test_apply_bumps_even_when_a_later_insert_fails(self):
         """Partially-applied batches changed the corpus, so the epoch
         must still move — else old cache entries would keep serving."""
         service = QueryService(make_segmented())
+        pairs = [(Rect(20, 0, 21, 1), {"a"}), (Rect(22, 0, 23, 1), None)]
         with pytest.raises(TypeError):
-            service.insert_many([(Rect(20, 0, 21, 1), {"a"}), (Rect(22, 0, 23, 1), None)])
-        assert service.epoch == 1  # the successful insert is live
+            service.apply(lambda engine: [engine.insert(r, t) for r, t in pairs])
+        assert service.epoch == 1
+        assert len(service.engine) == 7  # the successful insert is live
 
     def test_delete_bumps_only_when_live(self):
         service = QueryService(make_segmented())
@@ -72,51 +72,9 @@ class TestEpochs:
         assert service.delete(0) is False  # already dead: answers unchanged
         assert service.epoch == 1
 
-    def test_compact_bumps(self):
-        service = QueryService(make_segmented())
-        service.compact()
-        assert service.epoch == 1
-
-    def test_flush_preserves_answers_and_does_not_bump(self):
-        engine = make_segmented(6)  # buffer_capacity 4: 6 initial → sealed, then 2 pending
-        service = QueryService(engine)
-        service.insert(Rect(30, 0, 31, 1), {"a"})
-        service.insert(Rect(32, 0, 33, 1), {"a"})
-        epoch = service.epoch
-        compactions = engine.compactions
-        with service.reading() as (live, _):
-            before = live.search_query(QUERY).answers
-        service.flush()
-        assert engine.compactions == compactions  # a plain seal, no cascade
-        assert service.epoch == epoch
-        assert engine.pending == 0
-        with service.reading() as (live, _):
-            assert live.search_query(QUERY).answers == before
-
-    def test_flush_that_cascades_into_full_compaction_bumps(self):
-        """A seal can trigger a merge-all, which refreshes the idf
-        weighter — answers may change, so the epoch must move (the
-        stale-cache bug the medium review caught)."""
-        engine = SegmentedSealSearch(
-            [(Rect(i, 0, i + 1, 1), {"a", f"t{i}"}) for i in range(4)],
-            method="token",
-            buffer_capacity=None,  # manual sealing: flush() does the cascade
-            merge_fanout=2,
-        )
-        service = QueryService(engine)
-        for i in range(4):  # stale weights + a same-tier segment pending
-            service.insert(Rect(10 + i, 0, 11 + i, 1), {"a", f"x{i}"})
-        epoch = service.epoch
-        compactions = engine.compactions
-        service.flush()  # seals → two same-tier segments → merge-all → compaction
-        assert engine.compactions == compactions + 1
-        assert service.epoch == epoch + 1
-
     @pytest.mark.parametrize("mutate", [
         pytest.param(lambda s: s.insert(Rect(20, 0, 21, 1), {"a"}), id="insert"),
-        pytest.param(lambda s: s.insert_many([(Rect(20, 0, 21, 1), {"a"})]), id="insert_many"),
         pytest.param(lambda s: s.delete(0), id="delete"),
-        pytest.param(lambda s: s.compact(), id="compact"),
         pytest.param(lambda s: s.apply(lambda engine: engine.delete(1)), id="apply"),
         pytest.param(lambda s: s.swap_engine(make_segmented(9)), id="swap_engine"),
     ])
@@ -134,15 +92,6 @@ class TestEpochs:
             expected = engine.search_query(QUERY).answers
         assert service.query(QUERY).answers == expected
         assert service.cache.counters()["misses"] == 2
-
-    def test_flush_without_a_bump_keeps_the_cache_warm(self):
-        service = QueryService(make_segmented(6))
-        service.insert(Rect(30, 0, 31, 1), {"a"})  # one pending, epoch 1
-        first = service.query(QUERY).answers
-        service.flush()
-        assert service.epoch == 1 and len(service.cache) == 1
-        assert service.query(QUERY).answers == first
-        assert service.cache.counters()["hits"] == 1
 
     def test_reading_pins_an_atomic_pair(self):
         service = QueryService(make_segmented())
@@ -169,12 +118,12 @@ class TestHotSwap:
         assert service.swap_engine(new) == 1
         assert service.engine is new
 
-    def test_load_snapshot_swaps_to_saved_engine(self, tmp_path):
+    def test_swap_to_a_loaded_snapshot(self, tmp_path):
         service = QueryService(make_segmented(3))
         bigger = make_segmented(9)
         path = tmp_path / "next.pkl"
         save_engine(bigger, path)
-        epoch = service.load_snapshot(path)
+        epoch = service.swap_engine(load_engine(path))
         assert epoch == 1
         with service.reading() as (engine, _):
             assert len(engine) == 9
@@ -185,15 +134,15 @@ class TestHotSwap:
         path = tmp_path / "corrupt.pkl"
         path.write_bytes(b"not a snapshot at all")
         with pytest.raises(SnapshotError):
-            service.load_snapshot(path)
+            service.swap_engine(load_engine(path))
         # The live engine was never displaced and the epoch never moved.
         assert service.engine is old
         assert service.epoch == 0
 
     def test_snapshot_of_a_removed_class_refused_before_swap(self, tmp_path):
-        """A well-formed format-5 envelope whose engine blob names a
-        class this library no longer has passes the envelope pre-gate;
-        the load itself must still refuse it as a ``SnapshotError``."""
+        """A well-formed envelope whose engine blob names a class this
+        library no longer has passes the envelope check; the load itself
+        must still refuse it as a ``SnapshotError``, before the swap."""
         import pickle
 
         from repro.io.snapshot import SNAPSHOT_FORMAT
@@ -208,7 +157,7 @@ class TestHotSwap:
         old = make_segmented(3)
         service = QueryService(old)
         with pytest.raises(SnapshotError, match="incompatible snapshot"):
-            service.load_snapshot(path)
+            service.swap_engine(load_engine(path))
         assert service.engine is old and service.epoch == 0
 
     def test_missing_sidecar_rejected_before_swap(self, tmp_path):
@@ -218,12 +167,11 @@ class TestHotSwap:
         path = tmp_path / "columnar.pkl"
         save_engine(engine, path)
         sidecar_path(path).unlink()
-        info = None
         old = make_segmented(3)
         service = QueryService(old)
         with pytest.raises(SnapshotError, match="sidecar"):
-            info = service.load_snapshot(path)
-        assert info is None and service.engine is old and service.epoch == 0
+            service.swap_engine(load_engine(path))
+        assert service.engine is old and service.epoch == 0
 
     def test_validate_snapshot_reports_manifest(self, tmp_path):
         engine = make_segmented(6)

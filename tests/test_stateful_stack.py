@@ -27,7 +27,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from repro import Query, Rect, SpatioTextualObject, build_method
 from repro.exec import segments
-from repro.exec.durable import DurableSegmentedSealSearch
+from repro.exec.durable import DurableSegmentedSealSearch, recover
 from repro.service import QueryService
 from repro.service.protocol import decode_payload, result_from_wire
 
@@ -117,11 +117,11 @@ class StackMachine(RuleBasedStateMachine):
 
     @rule()
     def flush(self):
-        self.service.flush()
+        self.service.apply(lambda engine: engine.flush())
 
     @rule()
     def compact(self):
-        self.service.compact()
+        self.service.apply(lambda engine: engine.compact())
 
     # -- durability -----------------------------------------------------
 
@@ -134,7 +134,7 @@ class StackMachine(RuleBasedStateMachine):
         before = self.service.engine
         layout = before.segment_sizes(), before.pending, before.tombstones, before.next_oid
         before.close()
-        self.service.recover(self.snapshot, self.wal, sync="batch")
+        self.service.swap_engine(recover(self.snapshot, self.wal, sync="batch"))
         after = self.service.engine
         assert after is not before
         assert (after.segment_sizes(), after.pending, after.tombstones, after.next_oid) == layout

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
 from typing import Iterable, List, Sequence
 
 import numpy as np
@@ -112,7 +111,7 @@ class Verifier:
     planner's shared one — costs no pass over the corpus.
     """
 
-    __slots__ = _PERSISTENT + ("_boxes", "_token_rows", "_scratch")
+    __slots__ = _PERSISTENT + ("_boxes", "_token_rows")
 
     def __init__(self, corpus: Sequence[SpatioTextualObject], weighter: TokenWeighter) -> None:
         self.corpus = corpus
@@ -124,7 +123,6 @@ class Verifier:
         """Drop (or start without) everything rebuilt on demand."""
         self._boxes = None
         self._token_rows = None
-        self._scratch = threading.local()
 
     def token_totals(self) -> List[float]:
         """``Σ w(t)`` over each object's tokens, by oid — one pass over
@@ -353,9 +351,9 @@ class Verifier:
         per ``slot · V + token id`` (V the CSR's id space): ``member_keys``
         are the held tokens' keys, ``row_keys`` each oid's slot offset —
         ``None`` (slot 0 of one) for a single query, ``slot · V`` per
-        pair for a batch.  The thread keeps the scratch at its largest
-        ``slots × V`` bytes.  ``q_total`` and ``tau_t`` are scalars or
-        per-oid."""
+        pair for a batch.  The ``slots × V`` booleans are allocated per
+        call, so no state outlives it.  ``q_total`` and ``tau_t`` are
+        scalars or per-oid."""
         _, weights, offsets, ids, totals = token_rows
         # ``take``, not ``[]``: it gathers through int32 indices (the
         # CSR's ids, a filter's candidates) without widening them first.
@@ -366,18 +364,9 @@ class Verifier:
         # entries into that row.
         entries = ids.take(np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths))
         keys = entries if row_keys is None else entries + np.repeat(row_keys, lengths)
-        # One boolean per key, kept all-False between calls and reused by
-        # the thread: membership costs O(|q.T|) to set up, not an
-        # allocation the size of the vocabulary per query.
-        scratch = self._scratch
-        member = getattr(scratch, "member", None)
-        if member is None or len(member) < slots * len(weights):
-            member = scratch.member = np.zeros(slots * len(weights), dtype=bool)
+        member = np.zeros(slots * len(weights), dtype=bool)
         member[member_keys] = True
-        try:
-            held = np.flatnonzero(member.take(keys))
-        finally:
-            member[member_keys] = False
+        held = np.flatnonzero(member.take(keys))
         row = np.repeat(np.arange(len(oids)), lengths).take(held)
         inter = np.bincount(row, weights=weights.take(entries.take(held)), minlength=len(oids))
         union = q_total + totals.take(oids) - inter
@@ -398,10 +387,9 @@ class Verifier:
         float64 operations, so the answers are those of :meth:`verify`
         bit for bit.  The textual membership test keys every held token
         ``slot · V + id``, a slot per query with a spatial survivor, so
-        the thread's scratch is at most batch × V bytes; each pair's held
-        weights are added with
-        ``np.bincount`` in row (= global token) order, the sum every
-        branch takes.
+        its boolean array is at most batch × V bytes; each pair's held
+        weights are added with ``np.bincount`` in row (= global token)
+        order, the sum every branch takes.
 
         Returns:
             Each query's answers, in the order of its pairs.
@@ -465,10 +453,6 @@ class Verifier:
             ids.astype(np.int32),
             np.array(self.token_totals(), dtype=np.float64),
         )
-
-    def verify_pair(self, query: Query, obj: SpatioTextualObject) -> bool:
-        """Exact check for one object (convenience for tests/examples)."""
-        return bool(self.verify(query, [obj.oid]))
 
     def __getstate__(self):
         # The shape slotted classes pickle to by default, minus the

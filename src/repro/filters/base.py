@@ -209,25 +209,32 @@ class SingleSchemeFilter(SearchMethod):
     ) -> Collection[int]:
         """Sig-Filter: accumulate exact signature similarity over all lists.
 
-        ``Σ min(w(s|q), w(s|o))`` accumulates in float64, lists visited
-        in signature order with one entry per oid per list, as array
-        kernels over the CSR columns.
+        Each list's oids and ``min(w(s|q), w(s|o))`` are concatenated in
+        signature order and summed per oid by ``np.bincount``, which adds
+        in input order — ``Σ`` in float64, list after list, one entry per
+        oid per list.  Only an oid some list holds can qualify: a zero
+        threshold (a zero-area query region) would otherwise admit every
+        oid below the largest one listed.
         """
         index = self.index
-        scratch = index.begin_union()
-        acc = scratch.accumulator(len(self.corpus))
+        oid_parts: List[np.ndarray] = []
+        weight_parts: List[np.ndarray] = []
         codes = self.encode([element for element, _ in signature])
         for code, (_, query_weight) in zip(codes, signature):
-            entries = index.accumulate(acc, code, query_weight, scratch)
-            if entries is None:
+            posting = index.posting_list(code)
+            if posting is None:
                 continue
+            oids, weights = posting
+            oid_parts.append(oids)
+            weight_parts.append(np.minimum(weights, query_weight, out=weights))
             stats.lists_probed += 1
-            stats.entries_retrieved += entries
-            stats.entries_matched += entries
-        touched = scratch.result()
-        out = touched[acc[touched] >= threshold]
-        acc[touched] = 0.0  # keep the reusable accumulator zeroed
-        return out
+            stats.entries_retrieved += len(oids)
+            stats.entries_matched += len(oids)
+        if not oid_parts:
+            return []
+        all_oids = np.concatenate(oid_parts)
+        sums = np.bincount(all_oids, weights=np.concatenate(weight_parts))
+        return np.flatnonzero((np.bincount(all_oids) > 0) & (sums >= threshold))
 
     # ------------------------------------------------------------------
     # Introspection

@@ -26,8 +26,8 @@ its postings as such columns and loads once.
 There is one probe loop: :meth:`InvertedIndex.union_heads` — what every
 signature filter's ``candidates`` runs — opens each named list, takes
 the head its bound(s) qualify as a zero-copy view and unions the heads
-through a reusable :class:`CandidateScratch` buffer (heads collected per
-query, one concatenate + dedup) instead of a per-query Python set.
+once per query (one concatenate, one sort + neighbour-mask dedup)
+instead of through a Python set.
 :meth:`probe` is its single-list form, for the callers that want one
 head (the I/O model, the keyword-first baseline), and
 :meth:`~InvertedIndex.union_heads_batch` its batch form: the same cuts
@@ -47,16 +47,14 @@ with :class:`_ExternArray` markers and appends the arrays to the sink
 (optionally memory-mapped) sidecar.  Outside those contexts indexes
 pickle self-contained, arrays inline.
 
-Concurrency: the columns are read-only once loaded, and all mutable
-probe state (:class:`CandidateScratch`) is thread-local per index, so
-concurrent queries against one engine stay correct while each thread
-reuses its own buffers query after query.
+Concurrency: the columns are read-only once loaded and a probe keeps
+no state on the index, so concurrent queries against one engine need
+no coordination.
 """
 
 from __future__ import annotations
 
 import contextlib
-import threading
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
@@ -102,71 +100,16 @@ def resolve_arrays(source: Sequence):
         _EXTERN_SOURCE = previous
 
 
-class CandidateScratch:
-    """Reusable candidate-union buffer: collect heads, dedup once.
-
-    A probe only appends its zero-copy head view to ``heads`` (a Python
-    ``list.append``, no array work); ``result`` concatenates every head
-    into one reusable buffer and deduplicates with a single sort.  Doing
-    the union once per query instead of once per probed list is what
-    keeps short-head probes cheap while long heads get full
-    vectorisation.  One instance serves every query a thread runs against
-    its index; the buffer grows to the high-water total head length and
-    is then reused round after round.
-    """
-
-    __slots__ = ("heads", "buffer", "acc", "rows_unique")
-
-    def __init__(self, *, rows_unique: bool = False) -> None:
-        self.heads: List = []
-        self.buffer = _np.empty(0, dtype=_np.int32)
-        #: Similarity accumulator for the plain Sig-Filter kernel; zeroed
-        #: lazily, then kept zeroed by resetting only the touched oids.
-        self.acc = None
-        #: The owning index guarantees no single head repeats an oid, so
-        #: a one-head round needs no dedup at all (cross-head duplicates
-        #: are the only other source, and one head has no "cross").
-        self.rows_unique = rows_unique
-
-    def result(self):
-        """The deduplicated union as an owned array."""
-        heads = self.heads
-        if not heads:
-            return _EMPTY_OIDS
-        if len(heads) == 1 and self.rows_unique:
-            out = heads[0].copy()  # heads are views into the index
-            heads.clear()
-            return out
-        total = sum(map(len, heads))
-        if len(self.buffer) < total:
-            self.buffer = _np.empty(total, dtype=_np.int32)
-        gathered = self.buffer[:total]
-        if len(heads) == 1:
-            # Copy even a single head: probe heads are views into the
-            # index's oids column, and the dedup sorts in place.
-            _np.copyto(gathered, heads[0])
-        else:
-            _np.concatenate(heads, out=gathered)
-        heads.clear()
-        # Sort + neighbour mask, not np.unique: NumPy's hash-based unique
-        # kernel is an order of magnitude slower at candidate-set sizes.
-        gathered.sort()
-        if total == 1:
-            return gathered.copy()
-        keep = _np.empty(total, dtype=bool)
-        keep[0] = True
-        _np.not_equal(gathered[1:], gathered[:-1], out=keep[1:])
-        return gathered[keep]
-
-    def accumulator(self, size: int):
-        """A zeroed float64 accumulator over ``size`` oids, reused across
-        rounds — the caller must zero the slots it touched when done
-        (``acc[touched] = 0.0``), which keeps the per-query reset cost
-        O(touched) instead of O(corpus)."""
-        acc = self.acc
-        if acc is None or len(acc) < size:
-            acc = self.acc = _np.zeros(size, dtype=_np.float64)
-        return acc
+def _drop_repeats(keys):
+    """``keys`` (sorted) without repeats: a neighbour mask, not
+    ``np.unique`` — NumPy's hash-based unique kernel is an order of
+    magnitude slower at candidate-set sizes."""
+    if len(keys) < 2:
+        return keys
+    keep = _np.empty(len(keys), dtype=bool)
+    keep[0] = True
+    _np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
 
 
 class InvertedIndex:
@@ -198,7 +141,7 @@ class InvertedIndex:
 
     __slots__ = (
         "codes", "offsets", "oids", "neg_bounds", "t_bounds", "rows_unique",
-        "_row_of", "_starts", "_scratch",
+        "_row_of", "_starts",
     )
 
     def __init__(
@@ -223,11 +166,6 @@ class InvertedIndex:
         # pickled.
         self._row_of: Dict[int, int] = dict(zip(codes.tolist(), range(len(codes))))
         self._starts: List[int] = offsets.tolist()
-        # One scratch per thread: concurrent queries against one index
-        # (e.g. user threads sharing an engine) must not share union
-        # state, while each thread still reuses its buffers query after
-        # query.
-        self._scratch = threading.local()
 
     @classmethod
     def from_postings(cls, codes, oids, bounds, t_bounds=None) -> "InvertedIndex":
@@ -350,8 +288,7 @@ class InvertedIndex:
             The union as a deduplicated array (sorted whenever more than
             one head went into it).
         """
-        scratch = self.begin_union()
-        heads = scratch.heads
+        heads: List = []
         row_of = self._row_of.get
         starts, oids, neg_bounds, t_bounds = self._starts, self.oids, self.neg_bounds, self.t_bounds
         neg_bound = -bound
@@ -379,7 +316,17 @@ class InvertedIndex:
         stats.lists_probed += len(codes) if t_bound is None else opened
         stats.entries_retrieved += retrieved
         stats.entries_matched += matched
-        return scratch.result()
+        if not heads:
+            return _EMPTY_OIDS
+        if len(heads) == 1 and self.rows_unique:
+            # One head of a row without repeats needs no dedup; copy it
+            # all the same, as heads are views into the index.
+            return heads[0].copy()
+        # concatenate copies even a single head, so the sort is in place
+        # on an array the caller owns.
+        gathered = _np.concatenate(heads)
+        gathered.sort()
+        return _drop_repeats(gathered)
 
     def union_heads_batch(self, probes: Sequence[tuple], stats: Sequence[SearchStats]):
         """:meth:`union_heads` of many single-bound queries in one pass.
@@ -433,42 +380,20 @@ class InvertedIndex:
         keys = _np.repeat(_np.array(head_queries, dtype=_np.int64) << 32, lengths)
         keys |= self.oids.take(_np.arange(len(keys)) + _np.repeat(offsets, lengths))
         keys.sort()
-        if len(keys) > 1:
-            keep = _np.empty(len(keys), dtype=bool)
-            keep[0] = True
-            _np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-            keys = keys[keep]
+        keys = _drop_repeats(keys)
         return keys >> 32, keys & 0xFFFFFFFF
 
-    def accumulate(self, acc, code: int, query_weight: float, scratch) -> int | None:
-        """Plain Sig-Filter kernel: ``acc[oid] += min(weight, query_weight)``
-        over one *full* list, marking the touched oids in ``scratch``.
-
-        Sound because single-scheme lists hold at most one posting per
-        oid (signature elements are unique per object), so the fancy-
-        indexed add never collides.  Returns the entry count, or ``None``
-        on a directory miss.
-        """
+    def posting_list(self, code: int):
+        """``code``'s whole list as ``(oids, bounds)`` — zero-copy oids,
+        the primary bounds as a fresh float64 array — or ``None`` on a
+        directory miss.  What the plain Sig-Filter sums: its bounds are
+        the raw element weights."""
         row = self._row_of.get(code)
         if row is None:
             return None
         start = self._starts[row]
         end = self._starts[row + 1]
-        weights = -self.neg_bounds[start:end]
-        _np.minimum(weights, query_weight, out=weights)
-        oids = self.oids[start:end]
-        acc[oids] += weights
-        scratch.heads.append(oids)
-        return end - start
-
-    def begin_union(self) -> CandidateScratch:
-        """This thread's (lazily created) scratch, reset for a new round."""
-        local = self._scratch
-        scratch = getattr(local, "scratch", None)
-        if scratch is None:
-            scratch = local.scratch = CandidateScratch(rows_unique=self.rows_unique)
-        scratch.heads.clear()
-        return scratch
+        return self.oids[start:end], -self.neg_bounds[start:end]
 
     # ------------------------------------------------------------------
     # Pickling (snapshots externalise the arrays)

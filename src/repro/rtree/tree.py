@@ -34,10 +34,6 @@ class Entry:
     child: "Node | None" = None
     oid: int | None = None
 
-    @property
-    def is_leaf_entry(self) -> bool:
-        return self.child is None
-
 
 class Node:
     """An R-tree node; ``is_leaf`` nodes hold oid entries, others children."""

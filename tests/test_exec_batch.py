@@ -206,24 +206,31 @@ class TestBatchedPassEqualsLoop:
         assert [_counters(r.stats) for r in batch] == [_counters(r.stats) for r in expected]
         assert [r.answers for r in batch] == [r.answers for r in expected]
 
-    def test_membership_scratch_has_a_slot_per_live_query_only(
+    def test_membership_has_a_slot_per_live_query_only(
         self, twitter_small, twitter_small_weighter, workload
     ):
         """Only a query with a spatial survivor takes a slot of the
-        thread's membership scratch: a batch in which one query has one
-        grows it to one vocabulary, not to batch × vocabulary."""
+        textual pass's membership array: a batch in which one query has
+        one runs the pass over one slot, not one per query."""
         method = build_method(twitter_small, "token", twitter_small_weighter)
         tokens = workload[0].tokens
         live = Query(workload[0].region, tokens, 0.0, 0.1)
         # A point far from the corpus: simR = 0 with every object.
         dead = Query(Rect(-1e6, -1e6, -1e6, -1e6), tokens, 0.5, 0.1)
         queries = [live] + [dead] * 7
-        with grouped("batched"):
+        textual_pass = verification.Verifier._textual_pass
+        slots = []
+
+        def spy(verifier, token_rows, oids, member_keys, row_keys, slot_count, *totals):
+            slots.append(slot_count)
+            return textual_pass(verifier, token_rows, oids, member_keys, row_keys, slot_count,
+                                *totals)
+
+        with grouped("batched"), mock.patch.object(verification.Verifier, "_textual_pass", spy):
             batch = BatchExecutor().run(method, queries)
+        assert slots == [1]
         assert [r.answers for r in batch] == [method.search(query).answers for query in queries]
         assert batch[0].answers and not any(r.answers for r in batch[1:])
-        vocabulary = len(method.verifier._token_rows[1])
-        assert len(method.verifier._scratch.member) == vocabulary
 
 
 class TestVerifierBranchProperty:
@@ -391,9 +398,8 @@ class TestLazyColumnsUnderThreads:
         """The box block and the token CSR (and the totals under them)
         are built by whichever service worker first sees ≥ 32 candidates
         or survivors; racing builders must all answer like the loop
-        branch, every round, on a fresh verifier — each thread with its
-        own membership scratch — and leave the block a fresh build
-        holds."""
+        branch, every round, on a fresh verifier, and leave the block a
+        fresh build holds."""
         import threading
         from concurrent.futures import ThreadPoolExecutor
 
@@ -428,11 +434,10 @@ class TestLazyColumnsUnderThreads:
 
     def test_batches_and_singles_race_on_one_planner(self, twitter_small,
                                                      twitter_small_weighter, workload):
-        """A batched pass grows the thread's membership scratch to batch
-        × vocabulary and shares it with that thread's single queries;
-        threads interleaving both on one fresh planner — its columns and
-        CSR built by whichever comes first — all answer like the loop,
-        through one cache-off service that counts every dispatch."""
+        """Threads interleaving batched passes and single queries on one
+        fresh planner — its columns and CSR built by whichever comes
+        first — all answer like the loop, through one cache-off service
+        that counts every dispatch."""
         import threading
         from concurrent.futures import ThreadPoolExecutor
 

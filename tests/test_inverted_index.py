@@ -423,8 +423,13 @@ def test_accumulating_filters_equal_reference(built, workload, name):
         filters = lambda q: not method._is_degenerate(q)
     naive = build_method(method.corpus, "naive", method.weighter)
     filtered = 0
-    unknown = Query(workload[0].region, workload[0].tokens | {"no-such-token"}, 0.3, 0.3)
-    for query in workload + [unknown]:
+    first = workload[0]
+    unknown = Query(first.region, first.tokens | {"no-such-token"}, 0.3, 0.3)
+    # A zero-area region: every grid weight of the query is 0, and so is
+    # the grid threshold; only objects some list holds may still qualify.
+    x, y = first.region.center
+    point = Query(Rect(x, y, x, y), first.tokens, 0.3, 0.3)
+    for query in workload + [unknown, point]:
         ours, theirs = SearchStats(), SearchStats()
         got = method.candidates(query, ours)
         if not filters(query):
@@ -530,10 +535,10 @@ def parity_workload(twitter_small):
 @pytest.mark.parametrize("name, threads", [("token", 4), ("planned", 8)])
 def test_concurrent_queries_share_one_engine(twitter_small, twitter_small_weighter,
                                              parity_workload, name, threads):
-    """Probe state is thread-local per index, so threads sharing one
+    """A probe keeps no state on the index, so threads sharing one
     engine get exactly the per-query answers (regression: an index-global
-    scratch let one thread clear another's union mid-query).  The planned
-    engine's two members share one verifier across the threads."""
+    scratch once let one thread clear another's union mid-query).  The
+    planned engine's two members share one verifier across the threads."""
     method = build_method(
         twitter_small, name, twitter_small_weighter,
         **({"granularity": 8} if name == "planned" else {}),

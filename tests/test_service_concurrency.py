@@ -107,7 +107,7 @@ class TestStaticHammer:
 
     def test_threaded_answers_identical_without_cache(self, twitter_small):
         """Same pin with the cache off: every request runs the engine, so
-        this isolates the thread-local probe scratch under contention."""
+        this isolates the shared read-only engine under contention."""
         weighter = TokenWeighter(obj.tokens for obj in twitter_small)
         method = build_method(twitter_small, "seal", weighter)
         rng = random.Random(57)

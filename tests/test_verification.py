@@ -72,10 +72,10 @@ class TestVerifier:
         q = Query(Rect(99, 99, 100, 100), frozenset({"a", "b"}), 0.0, 0.5)
         assert verifier.verify(q, range(4)) == [0, 2]
 
-    def test_verify_pair(self, verifier, corpus):
+    def test_verify_one_candidate(self, verifier):
         q = Query(Rect(0, 0, 10, 10), frozenset({"a", "b"}), 0.5, 0.5)
-        assert verifier.verify_pair(q, corpus[0])
-        assert not verifier.verify_pair(q, corpus[1])
+        assert verifier.verify(q, [0])
+        assert not verifier.verify(q, [1])
 
     def test_stats_results_updated(self, verifier):
         from repro.core.stats import SearchStats

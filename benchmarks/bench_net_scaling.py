@@ -33,7 +33,7 @@ import pytest
 from repro import TokenWeighter, build_method
 from repro.bench import format_table
 from repro.datasets import generate_queries
-from repro.io import publish_snapshot, save_engine
+from repro.io import save_engine
 from repro.service import NetworkClient, ProcessSupervisor
 
 from benchmarks.conftest import emit, make_twitter_corpus, report_json
@@ -113,16 +113,14 @@ def _drive(address, queries, expected, connections: int, repeats: int):
 
 
 @pytest.mark.benchmark(group="net")
-def test_net_worker_scaling(benchmark, engine, snapshot, net_queries, tmp_path):
-    serving = tmp_path / "serving"
-    publish_snapshot(serving, source_path=snapshot)
+def test_net_worker_scaling(benchmark, engine, snapshot, net_queries):
     expected = [engine.search(q).answers for q in net_queries]
 
     def run():
         rows = {}
         for procs in PROC_COUNTS:
             with ProcessSupervisor(
-                serving,
+                snapshot,
                 workers=procs,
                 service_config={"enable_cache": False, "workers": 4},
             ) as supervisor:

@@ -55,9 +55,10 @@ class IRTreeSearch(SearchMethod):
             [(obj.region, obj.oid) for obj in self.corpus], max_entries=max_entries
         )
         # Decorate every node with its subtree token set (the node
-        # inverted file).  Keyed by id(node): the tree is static after
-        # bulk load and the decoration lives exactly as long as the tree.
-        self._node_tokens: Dict[int, FrozenSet[str]] = {}
+        # inverted file).  Keyed by the node itself (identity hash), not
+        # by id(node): the mapping then survives a snapshot round trip,
+        # where every node is rebuilt at a new address.
+        self._node_tokens: Dict[Node, FrozenSet[str]] = {}
         if len(self.rtree):
             self._collect_tokens(self.rtree.root)
 
@@ -70,7 +71,7 @@ class IRTreeSearch(SearchMethod):
             tokens = frozenset().union(
                 *(self._collect_tokens(entry.child) for entry in node.entries)
             )
-        self._node_tokens[id(node)] = tokens
+        self._node_tokens[node] = tokens
         return tokens
 
     # ------------------------------------------------------------------
@@ -91,7 +92,7 @@ class IRTreeSearch(SearchMethod):
         while stack:
             node = stack.pop()
             stats.lists_probed += 1  # one inverted-file consultation per node
-            tokens = node_tokens[id(node)]
+            tokens = node_tokens[node]
             if c_t > 0.0:
                 overlap_w = sum(weight(t) for t in q_tokens if t in tokens)
                 if overlap_w < c_t:
@@ -117,7 +118,7 @@ class IRTreeSearch(SearchMethod):
         tokens_indexed = 0
         for node in self.rtree.iter_nodes():
             node_count += 1
-            tokens_indexed += len(self._node_tokens[id(node)])
+            tokens_indexed += len(self._node_tokens[node])
         total = rtree_size_bytes(node_count, len(self.rtree), tokens_indexed)
         return IndexSizeReport(
             num_lists=node_count,

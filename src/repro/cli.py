@@ -6,7 +6,6 @@ Everything the library does, scriptable without writing Python::
         --queries queries.jsonl --kind small
     seal-repro stats corpus.jsonl
     seal-repro inspect engine.pkl
-    seal-repro inspect live.pkl.serving --json
     seal-repro build corpus.jsonl --method seal --out engine.pkl
     seal-repro build corpus.jsonl --method seal --segmented \\
         --out live.pkl
@@ -67,11 +66,9 @@ from repro.exec.segments import SegmentedSealSearch
 from repro.geometry.rect import mbr_of
 from repro.io import (
     atomic_write_text,
-    current_snapshot,
     load_corpus,
     load_engine,
     load_queries,
-    publish_snapshot,
     save_corpus,
     save_engine,
     save_queries,
@@ -141,10 +138,10 @@ def _build_parser() -> argparse.ArgumentParser:
     inspect_cmd = sub.add_parser(
         "inspect",
         help="print a snapshot's envelope without loading the engine: format, "
-             "WAL lineage, segment/tombstone manifest, sidecar — or a serving "
-             "directory's generation catalog",
+             "WAL lineage, segment/tombstone manifest, sidecar — or a replica "
+             "state directory's tailing status",
     )
-    inspect_cmd.add_argument("snapshot", help="snapshot path or serving directory")
+    inspect_cmd.add_argument("snapshot", help="snapshot path or replica state directory")
     inspect_cmd.add_argument("--json", action="store_true",
                              help="emit one machine-readable JSON document")
     inspect_cmd.set_defaults(handler=_cmd_inspect)
@@ -273,19 +270,14 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--net", action="store_true",
         help="serve over TCP with a supervisor + forked worker processes, each "
-             "memory-mapping the published snapshot generation (shared page "
-             "cache, parallel across cores)",
+             "memory-mapping the engine snapshot (shared page cache, "
+             "parallel across cores)",
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind interface (--net)")
     serve.add_argument("--port", type=int, default=0,
                        help="TCP port; 0 picks a free one and prints it (--net)")
     serve.add_argument("--workers-procs", type=int, default=2,
                        help="worker processes sharing the listening socket (--net)")
-    serve.add_argument(
-        "--serving-dir",
-        help="snapshot-generation directory workers discover their engine from "
-             "(default: <engine>.serving next to the snapshot)",
-    )
     serve.add_argument("--max-seconds", type=float, default=None,
                        help="exit after this long instead of serving until a signal (--net)")
     serve.add_argument("--threads", type=int, default=4,
@@ -519,24 +511,16 @@ def _print_replica_status(status: dict) -> None:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    root = path = Path(args.snapshot)
+    path = Path(args.snapshot)
     document: dict = {}
-    if root.is_dir():
-        replica_status = read_replica_status(root)
-        if replica_status is not None:
-            # A replica state directory: report the tailing status, then
-            # inspect the local resume checkpoint (if one landed yet).
-            document["replica"] = replica_status
-            path = root / REPLICA_SNAPSHOT_NAME
-        else:
-            # A serving directory: report the generation catalog, then
-            # inspect the generation workers would boot from.
-            generation, path = current_snapshot(root)
-            document["serving_dir"] = {
-                "path": str(root),
-                "generation": generation,
-                "snapshot": str(path),
-            }
+    if path.is_dir():
+        # A replica state directory: report the tailing status, then
+        # inspect the local resume checkpoint (if one landed yet).
+        replica_status = read_replica_status(path)
+        if replica_status is None:
+            raise CommandError(f"{path} is a directory but no replica state directory")
+        document["replica"] = replica_status
+        path = path / REPLICA_SNAPSHOT_NAME
     if "replica" in document and not path.exists():
         document["snapshot"] = None
     else:
@@ -565,10 +549,6 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     if document["snapshot"] is None:
         print("snapshot:           none (no local checkpoint yet)")
         return 0
-    if "serving_dir" in document:
-        catalog = document["serving_dir"]
-        print(f"serving dir:        {catalog['path']}")
-        print(f"current generation: {catalog['generation']} -> {catalog['snapshot']}")
     print(f"snapshot:           {document['snapshot']}")
     print(f"format:             {document['format']} "
           f"(library {document['library_version']})")
@@ -1079,7 +1059,7 @@ def _serve_replica(args: argparse.Namespace) -> int:
 
 
 def _serve_net(args: argparse.Namespace) -> int:
-    """The multi-process network server: publish, fork, serve, drain."""
+    """The multi-process network server: fork, serve, drain."""
     _require_positive(args, "workers_procs")
     engine_path = Path(args.engine)
     if args.wal:
@@ -1090,15 +1070,9 @@ def _serve_net(args: argparse.Namespace) -> int:
         durable.checkpoint()
         durable.close()
         print(f"checkpointed to {engine_path}; WAL {args.wal} truncated")
-    serving_dir = (
-        Path(args.serving_dir)
-        if args.serving_dir
-        else engine_path.with_name(engine_path.name + ".serving")
-    )
-    generation, snapshot = publish_snapshot(serving_dir, source_path=engine_path)
     stop = _stop_event()
     supervisor = ProcessSupervisor(
-        serving_dir,
+        engine_path,
         workers=args.workers_procs,
         host=args.host,
         port=args.port,
@@ -1106,14 +1080,12 @@ def _serve_net(args: argparse.Namespace) -> int:
     )
     with supervisor:
         host, port = supervisor.address
-        print(f"published generation {generation} ({snapshot}) in {serving_dir}")
         print(f"listening on {host}:{port} — {args.workers_procs} worker "
-              f"processes over one mmap-shared snapshot "
+              f"processes over one mmap-shared snapshot {engine_path} "
               f"(cache {'off' if args.no_cache else 'on'}, "
               f"{args.workers} threads/worker)", flush=True)
         stop.wait(args.max_seconds)
-    print(f"drained: generation {supervisor.generation}, "
-          f"{supervisor.respawns} worker respawns")
+    print(f"drained: {supervisor.respawns} worker respawns")
     return 0
 
 

@@ -14,8 +14,7 @@ id is what the inverted indexes key on.
 
 from __future__ import annotations
 
-import math
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.geometry import Rect
@@ -74,27 +73,6 @@ class UniformGrid:
         x1 = self.space.x1 + col * self._cell_w
         y1 = self.space.y1 + row * self._cell_h
         return Rect(x1, y1, x1 + self._cell_w, y1 + self._cell_h)
-
-    def cell_containing(self, x: float, y: float) -> int | None:
-        """The cell owning point ``(x, y)`` under half-open semantics."""
-        g = self.granularity
-        col = self._axis_index(x - self.space.x1, self._cell_w)
-        row = self._axis_index(y - self.space.y1, self._cell_h)
-        if col is None or row is None:
-            return None
-        return row * g + col
-
-    def _axis_index(self, offset: float, step: float) -> int | None:
-        if offset < 0.0:
-            return None
-        index = int(offset / step)
-        if index >= self.granularity:
-            # The top/right boundary belongs to the last cell; beyond it is
-            # outside the space.
-            if offset <= self.granularity * step:
-                return self.granularity - 1
-            return None
-        return index
 
     # ------------------------------------------------------------------
     # Region <-> cells
@@ -184,9 +162,6 @@ class UniformGrid:
                     dx = 0.0
                 out.append((base + col, dx * dy))
         return out
-
-    def iter_cells(self) -> Iterator[int]:
-        return iter(range(self.num_cells))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"UniformGrid({self.granularity}x{self.granularity} over {self.space.as_tuple()})"

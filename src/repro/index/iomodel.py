@@ -194,7 +194,7 @@ def _charge_irtree(method: IRTreeSearch, query: Query, pool: BufferPool) -> None
     while stack:
         node = stack.pop()
         pool.access(("irnode", id(node)))
-        tokens = node_tokens[id(node)]
+        tokens = node_tokens[node]
         # The node inverted file: one key+pointer pair per distinct token.
         pool.access_run(("irtok", id(node)), _pages_for_bytes(len(tokens) * 16))
         if c_t > 0.0:

@@ -11,13 +11,7 @@ a crash.
 
 from repro.io.atomic import atomic_write, atomic_write_bytes, atomic_write_text
 from repro.io.corpus_io import load_corpus, load_queries, save_corpus, save_queries
-from repro.io.generations import (
-    GenerationError,
-    current_snapshot,
-    publish_snapshot,
-    read_current,
-)
-from repro.io.snapshot import load_engine, read_manifest, save_engine, validate_snapshot
+from repro.io.snapshot import load_engine, save_engine, validate_snapshot
 from repro.io.wal import (
     WALCursor,
     WALError,
@@ -29,7 +23,6 @@ from repro.io.wal import (
 )
 
 __all__ = [
-    "GenerationError",
     "WALCursor",
     "WALError",
     "WALLineageError",
@@ -39,13 +32,9 @@ __all__ = [
     "atomic_write",
     "atomic_write_bytes",
     "atomic_write_text",
-    "current_snapshot",
     "load_corpus",
     "load_engine",
     "load_queries",
-    "publish_snapshot",
-    "read_current",
-    "read_manifest",
     "read_wal",
     "save_corpus",
     "save_engine",

@@ -17,7 +17,7 @@ without a posting store (the naive, spatial-first and IR-tree
 baselines) write no sidecar.  The envelope around the engine blob carries a *manifest*
 (a segmented engine's per-segment object/live counts, size tiers,
 buffer and tombstone accounting; a planner's portfolio) readable via
-:func:`read_manifest` without deserialising the engine, and a ``wal``
+:func:`validate_snapshot` without deserialising the engine, and a ``wal``
 block — the ``{"generation", "offset"}`` position a durability
 *checkpoint* (:meth:`~repro.exec.durable.DurableSegmentedSealSearch.
 checkpoint`) was taken at, which is what lets recovery align
@@ -95,7 +95,7 @@ def save_engine(
         "library_version": __version__,
         # Engines that publish one (segmented engines) get their
         # segment/tombstone accounting into the envelope, readable via
-        # read_manifest without touching the engine blob.
+        # validate_snapshot without touching the engine blob.
         "manifest": manifest_fn() if callable(manifest_fn) else None,
         # The WAL checkpoint position this snapshot was taken at, or
         # None outside the durability layer (see repro.io.wal).
@@ -192,8 +192,9 @@ def validate_snapshot(path: str | Path) -> dict:
     Checks everything :func:`load_engine` would reject *before* paying
     for (or trusting) the engine bytes: envelope magic, snapshot format,
     and — when the engine carries columnar arrays — that the sidecar
-    file is present next to the snapshot.  The serving layer runs this
-    as the pre-swap gate, so a bad file never displaces a live engine.
+    file is present next to the snapshot.  Recovery, ``inspect``,
+    replication bootstrap and the worker-pool supervisor run this as
+    their gate, so a bad file fails loudly before anything acts on it.
 
     Returns:
         The envelope metadata: ``format``, ``library_version``,
@@ -222,17 +223,6 @@ def validate_snapshot(path: str | Path) -> dict:
         "wal": envelope.get("wal"),
         "num_arrays": envelope.get("num_arrays", 0),
     }
-
-
-def read_manifest(path: str | Path) -> Any:
-    """The snapshot's manifest block, without loading the engine.
-
-    Segmented engines store their segment/tombstone accounting here;
-    plain methods store ``None``.  Validates the
-    envelope (magic + format) exactly like :func:`load_engine` but never
-    touches the engine blob or the sidecar.
-    """
-    return _read_envelope(Path(path)).get("manifest")
 
 
 def _read_envelope(path: Path) -> dict:

@@ -25,8 +25,8 @@ answers.
   loop, the single-process threaded :class:`NetworkServer`, and the
   blocking :class:`NetworkClient`.
 * :mod:`repro.service.workers` — :class:`ProcessSupervisor`: the
-  pre-fork worker pool serving one mmap-shared snapshot generation,
-  respawning workers that die.
+  pre-fork worker pool serving one mmap-shared snapshot path,
+  respawning workers that die onto the same path.
 * :mod:`repro.service.replication` — WAL-shipping replication:
   :class:`ReplicationPrimary` publishes a durable primary's sealed WAL
   frames over the wire protocol; :class:`ReplicaApplier` bootstraps

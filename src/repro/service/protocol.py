@@ -29,8 +29,8 @@ frames, snapshot chunks) cross inside the JSON envelope as base64 text
 via :func:`bytes_to_wire` / :func:`bytes_from_wire`.
 
 Every response carries ``ok`` plus the serving identity — ``epoch``
-(the in-process engine version), ``generation`` (the cross-process
-snapshot version, ``None`` for single-process servers) and ``pid`` —
+(the in-process engine version), ``generation`` (a replica's upstream
+WAL generation, else ``None``) and ``pid`` —
 so a client can always tell *which* engine answered.  Success adds the
 op's payload (``answers`` + ``stats`` for a query, ``results`` for a
 batch, ``metrics`` for metrics); failure is ``{"ok": false, "kind":

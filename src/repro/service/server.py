@@ -19,12 +19,11 @@ sees a socket); this module is the network edge that speaks
   :class:`~repro.core.errors.ProtocolError` (never a silent empty
   answer).
 
-Drain semantics (the cross-process epoch contract's building block):
-when a server's ``stop`` event sets, each connection finishes the
-request it is currently serving — the response goes out — and then the
-connection closes instead of reading another frame.  A client mid-
-conversation sees EOF on its *next* request and reconnects, landing on
-whatever is serving the new generation.
+Drain semantics: when a server's ``stop`` event sets, each connection
+finishes the request it is currently serving — the response goes out —
+and then the connection closes instead of reading another frame.  A
+client mid-conversation sees EOF on its *next* request and reconnects,
+landing on whichever worker is still listening.
 """
 
 from __future__ import annotations
@@ -222,7 +221,8 @@ def serve_connection(
     memo: Dict[bytes, Query] = {}
     memo_bytes = 0
     # The serving identity and its encoded response envelope, re-encoded
-    # only when the identity changes (an epoch bump, a new generation).
+    # only when the identity changes (an epoch bump, a replica's new
+    # upstream generation).
     identity: Optional[Dict[str, Any]] = None
     envelope = b""
     try:

@@ -5,24 +5,21 @@ overlap their socket waits but not their queries — those serialize on
 one core.  This module escapes the process boundary with the classic
 pre-fork topology (the nginx/gunicorn shape):
 
-* the **supervisor** binds the listening socket, forks workers onto
-  the serving directory's published generation
-  (:mod:`repro.io.generations`), and respawns any that die;
-* each **worker** inherits the listening socket through ``fork``,
-  *discovers* the current generation from the serving directory, and
-  ``load_engine(mmap=True)``s it — N workers map the same ``.npz``
+* the **supervisor** validates one snapshot path, binds the listening
+  socket, forks workers onto that snapshot, and respawns any that die;
+* each **worker** inherits the listening socket through ``fork`` and
+  ``load_engine(mmap=True)``s the snapshot — N workers map the same ``.npz``
   sidecar, so the kernel keeps **one** physical copy of the CSR posting
   arrays in the page cache and queries run genuinely parallel across
   cores;
 * the kernel's ``accept`` queue load-balances connections across
   whichever workers are listening — no routing tier.
 
-**Workers are read-only.**  ``serve --net`` publishes one generation
-at boot and the pool serves it until shutdown; a worker that dies is
-reforked onto the same generation.  A connection to a killed worker
-fails loudly (a closed connection, never a wrong answer) and the
-client reconnects.  To serve a changed engine, publish it and start a
-new pool.
+**Workers are read-only.**  The pool serves the snapshot it was given
+until shutdown; a worker that dies is reforked onto the same path.  A
+connection to a killed worker fails loudly (a closed connection, never
+a wrong answer) and the client reconnects.  To serve a changed engine,
+save it and start a new pool.
 
 Requires a POSIX ``fork`` start method (the listening socket crosses by
 inheritance, never by pickling); :class:`ProcessSupervisor` refuses
@@ -41,8 +38,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError, ServiceError
-from repro.io.generations import current_snapshot
-from repro.io.snapshot import load_engine
+from repro.io.snapshot import load_engine, validate_snapshot
 from repro.service.server import BACKLOG, DEFAULT_HOST, _POLL_SECONDS, accept_connections
 from repro.service.service import QueryService
 
@@ -60,10 +56,10 @@ BOOT_TIMEOUT = 60.0
 def _worker_main(
     listener: socket.socket,
     control,
-    serving_dir,
+    snapshot,
     service_config: Dict[str, Any],
 ) -> None:
-    """A worker process: discover the generation, mmap it, serve.
+    """A worker process: mmap the snapshot, serve.
 
     Runs in the forked child.  ``control`` is this worker's end of the
     supervisor pipe: the worker announces readiness on it, then watches
@@ -72,7 +68,6 @@ def _worker_main(
     """
     # The supervisor owns Ctrl-C; workers drain via the control pipe.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    generation, snapshot = current_snapshot(serving_dir)
     engine = load_engine(snapshot, mmap=True)
     service = QueryService(engine, **service_config)
     stop = threading.Event()
@@ -88,11 +83,11 @@ def _worker_main(
     watcher.start()
 
     def meta() -> Dict[str, Any]:
-        return {"epoch": service.epoch, "generation": generation, "pid": os.getpid()}
+        return {"epoch": service.epoch, "generation": None, "pid": os.getpid()}
 
     try:
         with service:
-            control.send({"ready": os.getpid(), "generation": generation})
+            control.send({"ready": os.getpid()})
             accept_connections(
                 listener,
                 service,
@@ -122,34 +117,36 @@ class ProcessSupervisor:
     """Forks, feeds, drains, and respawns the worker pool.
 
     Args:
-        serving_dir: A serving directory with at least one published
-            generation (:func:`repro.io.generations.publish_snapshot`).
+        snapshot: An engine snapshot (:func:`repro.io.save_engine`);
+            every worker, respawns included, memory-maps this path.
         workers: Worker process count (≥ 1).
         host: Interface the shared listening socket binds.
         port: TCP port (0 picks a free one; see :attr:`address`).
         service_config: Keyword arguments for each worker's in-process
             :class:`~repro.service.service.QueryService` (cache knobs,
             admission limits, …).  Defaults to the service defaults.
-        respawn: Automatically refork workers that die (the crash-
-            containment property the kill tests pin).  Workers drained
-            by :meth:`close` are never respawned — only unexpected deaths.
+
+    Workers that die are reforked; workers drained by :meth:`close`
+    are not.
+
+    Raises:
+        SnapshotError: ``snapshot`` is missing or not a loadable
+            snapshot (checked before any fork).
 
     Examples:
-        >>> generation, _ = publish_snapshot(dir, source_path=snap)  # doctest: +SKIP
-        >>> with ProcessSupervisor(dir, workers=4) as sup:           # doctest: +SKIP
+        >>> with ProcessSupervisor("engine.pkl", workers=4) as sup:  # doctest: +SKIP
         ...     host, port = sup.address
         ...     ...  # clients connect
     """
 
     def __init__(
         self,
-        serving_dir,
+        snapshot,
         *,
         workers: int = 2,
         host: str = DEFAULT_HOST,
         port: int = 0,
         service_config: Optional[Dict[str, Any]] = None,
-        respawn: bool = True,
     ) -> None:
         if workers < 1:
             raise ConfigurationError("workers must be a positive int")
@@ -159,15 +156,14 @@ class ProcessSupervisor:
                 "(the listening socket is inherited, not pickled); use "
                 "NetworkServer on this platform"
             )
+        validate_snapshot(snapshot)  # fail loudly before any fork
         self._ctx = multiprocessing.get_context("fork")
-        self._serving_dir = serving_dir
+        self._snapshot = snapshot
         self.workers = workers
         self._host = host
         self._port = port
         self._service_config = dict(service_config or {})
-        self._respawn = respawn
         self.respawns = 0
-        self.generation, _ = current_snapshot(serving_dir)  # fail loudly now
         self._lock = threading.Lock()
         self._pool: List[_Worker] = []
         self._closed = False
@@ -212,18 +208,17 @@ class ProcessSupervisor:
             ]
 
     def _spawn(self) -> _Worker:
-        """Fork one worker onto the current generation; await readiness."""
-        generation, _ = current_snapshot(self._serving_dir)
+        """Fork one worker onto the snapshot; await readiness."""
         parent_end, child_end = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_worker_main,
             args=(
                 self._listener,
                 child_end,
-                self._serving_dir,
+                self._snapshot,
                 self._service_config,
             ),
-            name=f"seal-worker-gen{generation}",
+            name="seal-worker",
             daemon=True,
         )
         process.start()
@@ -232,14 +227,14 @@ class ProcessSupervisor:
             process.terminate()
             raise ServiceError(
                 f"worker failed to become ready within {BOOT_TIMEOUT}s "
-                f"(generation {generation})"
+                f"({self._snapshot})"
             )
         try:
             message = parent_end.recv()
         except EOFError as exc:
             process.join(timeout=1.0)
             raise ServiceError(
-                f"worker died while booting generation {generation} "
+                f"worker died while booting {self._snapshot} "
                 f"(exitcode {process.exitcode})"
             ) from exc
         if not isinstance(message, dict) or "ready" not in message:
@@ -250,8 +245,6 @@ class ProcessSupervisor:
     def _monitor_loop(self) -> None:
         while not self._closed:
             time.sleep(2 * _POLL_SECONDS)
-            if not self._respawn:
-                continue
             with self._lock:
                 if self._closed:
                     continue
@@ -312,8 +305,8 @@ class ProcessSupervisor:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "closed" if self._closed else f"gen {self.generation}"
+        state = "closed" if self._closed else "serving"
         return (
-            f"ProcessSupervisor(workers={self.workers}, {state}, "
-            f"respawns={self.respawns})"
+            f"ProcessSupervisor({str(self._snapshot)!r}, workers={self.workers}, "
+            f"{state}, respawns={self.respawns})"
         )

@@ -132,7 +132,7 @@ class TestIRTree:
 
     def test_node_tokens_union_of_children(self, figure1_objects, figure1_weighter):
         ir = IRTreeSearch(figure1_objects, figure1_weighter, max_entries=3)
-        root_tokens = ir._node_tokens[id(ir.rtree.root)]
+        root_tokens = ir._node_tokens[ir.rtree.root]
         assert root_tokens == {"t1", "t2", "t3", "t4", "t5"}
 
     def test_zero_thresholds_visit_everything(self, figure1_objects, figure1_weighter):

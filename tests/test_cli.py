@@ -756,30 +756,21 @@ class TestInspect:
         segments = json.loads(capsys.readouterr().out)["manifest"]["segments"]
         assert segments and all(segment["method"] == "token" for segment in segments)
 
-    def test_inspect_serving_directory(self, plain_engine, tmp_path, capsys):
-        import json
-
-        from repro.io import publish_snapshot
-
-        serving = tmp_path / "serving"
-        publish_snapshot(serving, source_path=plain_engine)
-        rc = main(["inspect", str(serving)])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "current generation: 1" in out
-        assert str(plain_engine.resolve()) in out
-        assert main(["inspect", str(serving), "--json"]) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["serving_dir"] == {
-            "path": str(serving),
-            "generation": 1,
-            "snapshot": str(plain_engine.resolve()),
-        }
-
     def test_inspect_unpublished_directory_is_friendly(self, tmp_path, capsys):
         rc = main(["inspect", str(tmp_path)])
         assert rc == 2
-        assert "publish a snapshot first" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path} is a directory but no replica state directory\n"
+        )
+
+    def test_inspect_directory_json_mode_is_friendly(self, tmp_path, capsys):
+        rc = main(["inspect", str(tmp_path), "--json"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {tmp_path} is a directory but no replica state directory\n"
+        )
 
     def test_inspect_json_mode(self, plain_engine, capsys):
         import json
@@ -870,10 +861,10 @@ class TestNetServeAndClient:
                 server.kill()
                 server.communicate()
 
-    def test_net_serve_client_oracle_round_trip(self, engine_and_workload, tmp_path):
+    def test_net_serve_client_oracle_round_trip(self, engine_and_workload):
         engine, workload = engine_and_workload
         server, (host, port) = self._serve_process(
-            engine, "--net", "--workers-procs", "2", "--serving-dir", tmp_path / "serving"
+            engine, "--net", "--workers-procs", "2"
         )
         try:
             rc = main(["client", "--host", host, "--port", str(port),
@@ -884,14 +875,12 @@ class TestNetServeAndClient:
             assert "drained" in self._interrupt(server)
 
     @pytest.mark.parametrize("signum", ["SIGINT", "SIGTERM"])
-    def test_net_serve_without_max_seconds_stops_on_a_signal(self, engine_and_workload,
-                                                             tmp_path, signum):
+    def test_net_serve_without_max_seconds_stops_on_a_signal(self, engine_and_workload, signum):
         """Without --max-seconds the server waits on its stop event alone;
         either signal ends that wait and the pool drains cleanly."""
         engine, _ = engine_and_workload
         server, _ = self._serve_process(
-            engine, "--net", "--workers-procs", "1", "--serving-dir", tmp_path / "serving",
-            max_seconds=None,
+            engine, "--net", "--workers-procs", "1", max_seconds=None,
         )
         assert "drained" in self._interrupt(server, signum)
 
@@ -929,20 +918,17 @@ class TestNetServeAndClient:
         assert replica_status["role"] == "replica"
         assert replica_status["bootstraps"] == 1
 
-    def test_net_serve_client_oracle_output(self, engine_and_workload, tmp_path, capsys):
+    def test_net_serve_client_oracle_output(self, engine_and_workload, capsys):
         # The in-process half of the round trip: drive `client` against a
         # ProcessSupervisor started through the library, checking output.
         import multiprocessing
 
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("needs fork")
-        from repro.io import publish_snapshot
         from repro.service import ProcessSupervisor
 
         engine, workload = engine_and_workload
-        serving = tmp_path / "serving"
-        publish_snapshot(serving, source_path=engine)
-        with ProcessSupervisor(serving, workers=1) as supervisor:
+        with ProcessSupervisor(engine, workers=1) as supervisor:
             host, port = supervisor.address
             rc = main(["client", "--host", host, "--port", str(port),
                        "--queries", str(workload), "--connections", "1",
@@ -968,14 +954,39 @@ class TestNetServeAndClient:
               "--tokens", "t9"])
         capsys.readouterr()
         rc = main(["serve", str(engine), "--net", "--wal", str(wal),
-                   "--workers-procs", "1", "--max-seconds", "1.0",
-                   "--serving-dir", str(tmp_path / "serving")])
+                   "--workers-procs", "1", "--max-seconds", "1.0"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "recovered" in out
         assert f"checkpointed to {engine}" in out
-        assert "listening on" in out
+        assert f"mmap-shared snapshot {engine} " in out
         assert "drained" in out
+
+    def test_net_serve_boot_and_exit_lines_name_the_snapshot(self, engine_and_workload, capsys):
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs fork")
+        engine, _ = engine_and_workload
+        rc = main(["serve", str(engine), "--net", "--workers-procs", "1",
+                   "--max-seconds", "0.5"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert out.startswith("listening on 127.0.0.1:")
+        assert f"1 worker processes over one mmap-shared snapshot {engine} " in out
+        assert out.endswith("drained: 0 worker respawns\n")
+
+    def test_net_serve_refuses_a_missing_snapshot_before_forking(self, tmp_path, capsys):
+        import multiprocessing
+
+        children = set(multiprocessing.active_children())
+        rc = main(["serve", str(tmp_path / "nope.pkl"), "--net", "--workers-procs", "1",
+                   "--max-seconds", "0.5"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "snapshot not found" in captured.err
+        assert "listening on" not in captured.out
+        assert set(multiprocessing.active_children()) == children
 
 
     @pytest.mark.parametrize("backend", ["python", "columnar"])
@@ -1001,8 +1012,7 @@ class TestNetServeAndClient:
         assert expected
         primary.close()
         rc = main(["serve", str(snapshot_of(tmp_path)), "--net", "--wal", str(wal_of(tmp_path)),
-                   "--workers-procs", "1", "--max-seconds", "1.0",
-                   "--serving-dir", str(tmp_path / "serving")])
+                   "--workers-procs", "1", "--max-seconds", "1.0"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "wal-only" in out and "listening on" in out and "drained" in out

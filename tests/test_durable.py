@@ -17,7 +17,7 @@ from repro.exec.durable import (
     replay_records,
 )
 from repro.exec.segments import SegmentedSealSearch
-from repro.io import read_manifest, save_engine, validate_snapshot
+from repro.io import save_engine, validate_snapshot
 from repro.io.wal import WALError, WriteAheadLog, read_wal
 from repro.service import QueryService
 
@@ -156,7 +156,7 @@ class TestCheckpoint:
         info = validate_snapshot(path)
         assert info["wal"] == {"generation": 1, "offset": info["wal"]["offset"]}
         assert info["wal"]["offset"] > 0
-        assert read_manifest(path)["live"] == 6
+        assert info["manifest"]["live"] == 6
         engine.close()
 
     def test_checkpoint_requires_a_path(self, tmp_path):

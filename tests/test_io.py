@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Query, Rect, SealSearch, build_method, make_corpus
+from repro import METHOD_REGISTRY, Query, Rect, SealSearch, build_method, make_corpus
 from repro.io import load_corpus, load_engine, load_queries, save_corpus, save_engine, save_queries
 from repro.io.corpus_io import CorpusFormatError
 from repro.io.snapshot import SnapshotError
@@ -294,7 +294,7 @@ class TestSnapshot:
         import numpy as np
 
         from repro import SegmentedSealSearch
-        from repro.io import read_manifest
+        from repro.io import validate_snapshot
         from repro.io.snapshot import sidecar_path
 
         engine = SegmentedSealSearch(
@@ -312,7 +312,7 @@ class TestSnapshot:
         path = tmp_path / "segmented.pkl"
         save_engine(engine, path)
         assert sidecar_path(path).exists()
-        manifest = read_manifest(path)
+        manifest = validate_snapshot(path)["manifest"]
         assert manifest["kind"] == "segmented"
         assert manifest["tombstones"] == 1
         assert manifest["live"] == len(engine)
@@ -332,12 +332,58 @@ class TestSnapshot:
 
     def test_format4_plain_method_manifest_is_none(self, tmp_path, figure1_objects,
                                                    figure1_weighter):
-        from repro.io import read_manifest
+        from repro.io import validate_snapshot
 
         method = build_method(figure1_objects, "token", figure1_weighter)
         path = tmp_path / "plain.pkl"
         save_engine(method, path)
-        assert read_manifest(path) is None
+        assert validate_snapshot(path)["manifest"] is None
+
+    @pytest.mark.parametrize("method", sorted(METHOD_REGISTRY))
+    def test_validate_snapshot_describes_what_load_engine_restores(
+        self, tmp_path, method, figure1_objects, figure1_weighter, figure1_query
+    ):
+        """For every method, the envelope ``validate_snapshot`` reads
+        without unpickling the engine matches the files on disk, and the
+        snapshot it passed memory-maps back to the same answers."""
+        from repro.io import validate_snapshot
+        from repro.io.snapshot import SNAPSHOT_FORMAT, sidecar_path
+
+        built = build_method(figure1_objects, method, figure1_weighter)
+        path = tmp_path / f"{method}.pkl"
+        save_engine(built, path)
+        info = validate_snapshot(path)
+        assert info["format"] == SNAPSHOT_FORMAT
+        manifest = getattr(built, "snapshot_manifest", None)
+        assert info["manifest"] == (manifest() if manifest else None)
+        assert info["wal"] is None
+        assert (info["num_arrays"] > 0) == sidecar_path(path).exists()
+        restored = load_engine(path, mmap=True)
+        assert restored.search(figure1_query).answers == built.search(figure1_query).answers
+
+    @pytest.mark.parametrize("case", ["missing", "garbage", "wrong-magic", "missing-sidecar"])
+    def test_validate_snapshot_refuses_what_load_engine_refuses(self, tmp_path, case):
+        """The gate and the loader agree: a file ``validate_snapshot``
+        refuses is one ``load_engine`` refuses, with the same message."""
+        import pickle
+
+        from repro.io import validate_snapshot
+        from repro.io.snapshot import sidecar_path
+
+        path = tmp_path / "engine.pkl"
+        if case == "garbage":
+            path.write_bytes(b"not a pickle at all")
+        elif case == "wrong-magic":
+            path.write_bytes(pickle.dumps({"magic": "something-else"}))
+        elif case == "missing-sidecar":
+            save_engine(SealSearch([(Rect(i, 0, i + 1, 1), {"a", f"t{i}"}) for i in range(12)],
+                                   method="token"), path)
+            sidecar_path(path).unlink()
+        with pytest.raises(SnapshotError) as gate:
+            validate_snapshot(path)
+        with pytest.raises(SnapshotError) as loader:
+            load_engine(path)
+        assert str(gate.value) == str(loader.value)
 
     def test_format3_sidecar_round_trip(self, tmp_path, figure1_objects,
                                          figure1_weighter, figure1_query):
@@ -491,7 +537,7 @@ def test_format5_checkpoint_is_refused_at_the_envelope(tmp_path, consumer):
         assert wal_of(tmp_path).read_bytes() == wal_before
 
 
-@pytest.mark.parametrize("consumer", ["load_engine", "read_manifest", "inspect", "query"])
+@pytest.mark.parametrize("consumer", ["load_engine", "validate_snapshot", "inspect", "query"])
 def test_format6_snapshot_is_refused_with_rebuild(tmp_path, consumer, figure1_objects,
                                                   figure1_weighter, capsys):
     """Format 6 keyed its directories by token strings and tuples: such a
@@ -501,7 +547,7 @@ def test_format6_snapshot_is_refused_with_rebuild(tmp_path, consumer, figure1_ob
     import pickle
 
     from repro.cli import main
-    from repro.io.snapshot import read_manifest
+    from repro.io.snapshot import validate_snapshot
 
     path = tmp_path / "format6.pkl"
     save_engine(build_method(figure1_objects, "planned", figure1_weighter, granularity=4), path)
@@ -513,9 +559,9 @@ def test_format6_snapshot_is_refused_with_rebuild(tmp_path, consumer, figure1_ob
     if consumer == "load_engine":
         with refusal:
             load_engine(path, mmap=True)
-    elif consumer == "read_manifest":
+    elif consumer == "validate_snapshot":
         with refusal:
-            read_manifest(path)
+            validate_snapshot(path)
     else:
         argv = [consumer, str(path)]
         if consumer == "query":

@@ -224,7 +224,7 @@ SCOPE_ROWS = [
     ("no-pickle", "src/repro/service/workers.py", "src/repro/io/snapshot.py"),
     ("threshold-contract", "src/repro/signatures/textual.py", "src/repro/core/verification.py"),
     ("atomic-write", "src/repro/io/corpus_io.py", "src/repro/io/atomic.py"),
-    ("fsync-ordering", "src/repro/io/generations.py", "src/repro/io/atomic.py"),
+    ("fsync-ordering", "src/repro/io/snapshot.py", "src/repro/io/atomic.py"),
 ]
 
 

@@ -1,16 +1,18 @@
 """ProcessSupervisor tests: fork, differential, kill, drain.
 
-Every worker serves the published generation and answers exactly as
-the engine it was saved from; a SIGKILLed worker surfaces as a loud
+Every worker memory-maps the supervisor's snapshot and answers exactly
+as the engine it was saved from; a SIGKILLed worker surfaces as a loud
 :class:`ProtocolError` on its connections (never a wrong or empty
-answer) and is respawned.  Every response carries ``(generation,
-pid)``, so each answer is attributed to the process that produced it.
+answer) and is respawned onto the same path.  Every response carries
+the worker's ``pid``, so each answer is attributed to the process that
+produced it.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import signal
 import time
 
@@ -18,7 +20,8 @@ import pytest
 
 from repro import Query, Rect, SegmentedSealSearch
 from repro.core.errors import ConfigurationError, ProtocolError, ServiceError
-from repro.io import GenerationError, publish_snapshot, save_engine
+from repro.io import load_engine, save_engine
+from repro.io.snapshot import SnapshotError, sidecar_path
 from repro.service import NetworkClient, ProcessSupervisor
 from service_testlib import ThreadReportingEngine, decode_threads
 
@@ -36,19 +39,17 @@ def _build_engine(corpus) -> SegmentedSealSearch:
     return SegmentedSealSearch(pairs, "token", buffer_capacity=64)
 
 
-def _publish(engine, tmp_path) -> None:
-    """Save ``engine`` and publish it as generation 1 of
-    ``tmp_path / "serving"``."""
-    source = tmp_path / "engine.pkl"
-    save_engine(engine, source)
-    publish_snapshot(tmp_path / "serving", source_path=source)
+def _save(engine, tmp_path):
+    """Save ``engine`` to ``tmp_path / "engine.pkl"`` and return the path."""
+    path = tmp_path / "engine.pkl"
+    save_engine(engine, path)
+    return path
 
 
 @pytest.fixture()
-def engine_dir(twitter_small, tmp_path):
-    """A serving directory publishing a small engine as generation 1."""
-    _publish(_build_engine(twitter_small[:20]), tmp_path)
-    return tmp_path / "serving"
+def snapshot(twitter_small, tmp_path):
+    """A saved small engine."""
+    return _save(_build_engine(twitter_small[:20]), tmp_path)
 
 
 def _oracle(engine, queries):
@@ -82,9 +83,8 @@ def _wait_until(predicate, timeout: float = 20.0, message: str = "condition"):
 def test_workers_match_local_oracle(twitter_small, twitter_small_queries, tmp_path):
     engine = _build_engine(twitter_small)
     expected = _oracle(engine, twitter_small_queries)
-    _publish(engine, tmp_path)
     with ProcessSupervisor(
-        tmp_path / "serving", workers=WORKERS,
+        _save(engine, tmp_path), workers=WORKERS,
         service_config={"enable_cache": False},
     ) as supervisor:
         pids = supervisor.worker_pids()
@@ -93,18 +93,27 @@ def test_workers_match_local_oracle(twitter_small, twitter_small_queries, tmp_pa
             for i, query in enumerate(twitter_small_queries):
                 result = client.query(query)
                 assert result.answers == expected[i]
-                assert client.last_meta["generation"] == 1
+                assert client.last_meta["generation"] is None
                 assert client.last_meta["pid"] in pids
 
 
 def test_killed_worker_raises_loudly_and_is_respawned(
-    twitter_small, twitter_small_queries, tmp_path
+    twitter_small, twitter_small_queries, tmp_path, monkeypatch
 ):
     engine = _build_engine(twitter_small)
     expected = _oracle(engine, twitter_small_queries)
-    _publish(engine, tmp_path)
+    path = _save(engine, tmp_path)
+    loads = tmp_path / "loads"
+    loads.mkdir()
+
+    def recording_load(snapshot, mmap=False):
+        # Forked workers inherit this loader: each notes the path it maps.
+        (loads / str(os.getpid())).write_text(str(snapshot))
+        return load_engine(snapshot, mmap=mmap)
+
+    monkeypatch.setattr("repro.service.workers.load_engine", recording_load)
     with ProcessSupervisor(
-        tmp_path / "serving", workers=WORKERS,
+        path, workers=WORKERS,
         service_config={"enable_cache": False},
     ) as supervisor:
         client = _connect(supervisor.address)
@@ -132,6 +141,9 @@ def test_killed_worker_raises_loudly_and_is_respawned(
             message="the supervisor to respawn the killed worker",
         )
 
+        # The respawned worker maps the supervisor's own path.
+        for pid in supervisor.worker_pids():
+            assert (loads / str(pid)).read_text() == str(path)
         # The pool is whole again and still answer-correct.
         with _connect(supervisor.address) as fresh:
             for i, query in enumerate(twitter_small_queries):
@@ -141,7 +153,7 @@ def test_killed_worker_raises_loudly_and_is_respawned(
 def test_worker_runs_the_engine_on_its_connection_thread(twitter_small, tmp_path, monkeypatch):
     """No hand-off inside a worker either: the engine call happens on
     the ``seal-worker-conn`` thread that read the frame."""
-    _publish(_build_engine(twitter_small[:20]), tmp_path)
+    path = _save(_build_engine(twitter_small[:20]), tmp_path)
     # Forked workers inherit the patched loader, so each serves an engine
     # that answers with the names of its own process's threads.
     monkeypatch.setattr(
@@ -149,7 +161,7 @@ def test_worker_runs_the_engine_on_its_connection_thread(twitter_small, tmp_path
         lambda path, mmap=False: ThreadReportingEngine(),
     )
     with ProcessSupervisor(
-        tmp_path / "serving", workers=1, service_config={"enable_cache": False},
+        path, workers=1, service_config={"enable_cache": False},
     ) as supervisor:
         with _connect(supervisor.address) as client:
             result = client.query(Query(Rect(0, 0, 1, 1), frozenset({"a"}), 0.1, 0.1))
@@ -161,9 +173,7 @@ def test_worker_runs_the_engine_on_its_connection_thread(twitter_small, tmp_path
 
 
 def test_close_reaps_every_worker(twitter_small, tmp_path):
-    engine = _build_engine(twitter_small)
-    _publish(engine, tmp_path)
-    supervisor = ProcessSupervisor(tmp_path / "serving", workers=WORKERS)
+    supervisor = ProcessSupervisor(_save(_build_engine(twitter_small), tmp_path), workers=WORKERS)
     supervisor.start()
     pids = supervisor.worker_pids()
     assert len(pids) == WORKERS
@@ -176,20 +186,50 @@ def test_close_reaps_every_worker(twitter_small, tmp_path):
     supervisor.close()
 
 
-def test_supervisor_refuses_an_empty_pool(engine_dir):
+def test_supervisor_refuses_an_empty_pool(snapshot):
     with pytest.raises(ConfigurationError, match="workers"):
-        ProcessSupervisor(engine_dir, workers=0)
+        ProcessSupervisor(snapshot, workers=0)
 
 
-def test_an_unstarted_supervisor_has_no_address_or_workers(engine_dir):
-    supervisor = ProcessSupervisor(engine_dir, workers=1)
-    assert supervisor.generation == 1
+def test_an_unstarted_supervisor_has_no_address_or_workers(snapshot):
+    supervisor = ProcessSupervisor(snapshot, workers=1)
     assert supervisor.worker_pids() == []
     with pytest.raises(ServiceError, match="not started"):
         supervisor.address
     supervisor.close()  # nothing forked: closing is a no-op
 
 
-def test_supervisor_refuses_unpublished_directory(tmp_path):
-    with pytest.raises(GenerationError):
-        ProcessSupervisor(tmp_path / "nothing-here", workers=1)
+@pytest.mark.parametrize("case", ["missing", "garbage", "stale-format", "missing-sidecar"])
+def test_supervisor_refuses_a_bad_snapshot_before_forking(twitter_small, tmp_path, case):
+    path = tmp_path / "engine.pkl"
+    if case == "garbage":
+        path.write_bytes(b"not a snapshot")
+    elif case == "stale-format":
+        _save(_build_engine(twitter_small[:20]), tmp_path)
+        envelope = pickle.loads(path.read_bytes())
+        envelope["format"] -= 1
+        path.write_bytes(pickle.dumps(envelope))
+    elif case == "missing-sidecar":
+        # A worker would die booting it; the supervisor refuses first.
+        _save(_build_engine(twitter_small[:20]), tmp_path)
+        sidecar_path(path).unlink()
+    children = set(multiprocessing.active_children())
+    with pytest.raises(SnapshotError):
+        ProcessSupervisor(path, workers=1)
+    assert set(multiprocessing.active_children()) == children
+
+
+def test_supervisor_serves_a_relative_snapshot_path(twitter_small, twitter_small_queries,
+                                                    tmp_path, monkeypatch):
+    """Forked workers inherit the supervisor's working directory, so a
+    relative path names the same file in every worker."""
+    engine = _build_engine(twitter_small[:20])
+    expected = _oracle(engine, twitter_small_queries)
+    _save(engine, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    with ProcessSupervisor(
+        "engine.pkl", workers=1, service_config={"enable_cache": False},
+    ) as supervisor:
+        with _connect(supervisor.address) as client:
+            for i, query in enumerate(twitter_small_queries):
+                assert client.query(query).answers == expected[i]

@@ -494,10 +494,10 @@ def test_service_metrics_planner_none_without_planner(corpus):
 
 def test_snapshot_roundtrip(tmp_path, planner, workload):
     from repro.io import load_engine, save_engine
-    from repro.io.snapshot import read_manifest
+    from repro.io.snapshot import validate_snapshot
 
     save_engine(planner, tmp_path / "planned.pkl")
-    manifest = read_manifest(tmp_path / "planned.pkl")
+    manifest = validate_snapshot(tmp_path / "planned.pkl")["manifest"]
     assert manifest["kind"] == "planned"
     assert manifest["methods"] == list(DEFAULT_METHODS)
     loaded = load_engine(tmp_path / "planned.pkl")

@@ -47,20 +47,22 @@ class TestCellGeometry:
 
     def test_completeness_and_disjointness(self, grid):
         """The paper's two grid properties (Section 4.1)."""
-        total = sum(grid.cell_rect(c).area for c in grid.iter_cells())
+        total = sum(grid.cell_rect(c).area for c in range(grid.num_cells))
         assert total == pytest.approx(SPACE.area)
-        cells = [grid.cell_rect(c) for c in grid.iter_cells()]
+        cells = [grid.cell_rect(c) for c in range(grid.num_cells)]
         for i in range(len(cells)):
             for j in range(i + 1, len(cells)):
                 assert cells[i].intersection_area(cells[j]) == 0.0
 
-    def test_cell_containing(self, grid):
-        assert grid.cell_containing(0, 0) == 0
-        assert grid.cell_containing(30, 30) == 5
-        # Top-right corner belongs to the last cell.
-        assert grid.cell_containing(100, 100) == 15
-        assert grid.cell_containing(101, 50) is None
-        assert grid.cell_containing(-1, 50) is None
+    @pytest.mark.parametrize("granularity", [1, 3, 7, 16])
+    def test_cell_centre_lies_in_its_own_cell(self, granularity):
+        """Point location through ``cells_overlapping`` agrees with
+        ``cell_rect``, also on a space whose edges are not round."""
+        grid = UniformGrid(Rect(-3.7, 1.1, 11.3, 9.9), granularity)
+        for cell in range(grid.num_cells):
+            box = grid.cell_rect(cell)
+            x, y = (box.x1 + box.x2) / 2, (box.y1 + box.y2) / 2
+            assert grid.cells_overlapping(Rect(x, y, x, y)) == [cell]
 
 
 class TestCellSpan:

@@ -15,6 +15,7 @@ Everything the library does, scriptable without writing Python::
     seal-repro query engine.pkl --region 10,10,20,20 --tokens coffee,tea \\
         --tau-r 0.3 --tau-t 0.3
     seal-repro query engine.pkl --queries queries.jsonl
+    seal-repro query engine.pkl --queries queries.jsonl --explain
     seal-repro query engine.pkl --batch-file queries.jsonl
     seal-repro query engine.pkl --batch-file queries.jsonl --mmap
     seal-repro query engine.pkl --queries queries.jsonl --via-service
@@ -58,10 +59,11 @@ from repro import Query, Rect, SealError, TokenWeighter, build_method
 from repro.bench import format_series_table, sweep as run_sweep
 from repro.core.engine import METHOD_REGISTRY, check_params
 from repro.core.errors import ProtocolError
+from repro.core.stats import SearchStats
 from repro.datasets import generate_queries, generate_twitter, generate_usa
 from repro.exec.durable import DurableSegmentedSealSearch, recover as recover_engine
 from repro.exec.pipeline import BatchExecutor, run_query
-from repro.exec.planner import iter_planners
+from repro.exec.planner import WHY
 from repro.exec.segments import SegmentedSealSearch
 from repro.geometry.rect import mbr_of
 from repro.io import (
@@ -84,6 +86,7 @@ from repro.service import (
     ReplicaApplier,
     ReplicationPrimary,
 )
+from repro.service.metrics import PLANNED
 from repro.service.replication import REPLICA_SNAPSHOT_NAME, read_replica_status
 
 #: Method-constructor knobs the CLI exposes, with parsers.
@@ -225,7 +228,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     query = sub.add_parser("query", help="query an engine snapshot")
     query.add_argument("engine")
-    _add_query_args(query)
+    query.add_argument("--region", help="x1,y1,x2,y2 of a single query")
+    query.add_argument("--tokens", help="comma-separated tokens of that query")
+    query.add_argument("--tau-r", type=float, default=0.4)
+    query.add_argument("--tau-t", type=float, default=0.4)
+    query.add_argument("--queries", help="JSONL workload instead of a single query")
     query.add_argument(
         "--batch-file",
         help="JSONL workload run as one batch (throughput summary) "
@@ -244,20 +251,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--explain", action="store_true",
-        help="print the query planner's decision per query (planned engines)",
+        help="print under each answer line what ran, as the result records "
+             "it: method label and candidates, one line per segment and the "
+             "write buffer of a segmented engine",
     )
     query.set_defaults(handler=_cmd_query)
-
-    plan = sub.add_parser(
-        "plan",
-        help="explain a planned engine's dispatch: per query, the member the "
-             "threshold rule picks, the branch that fired and why",
-    )
-    plan.add_argument("engine", help="snapshot built with --method planned")
-    _add_query_args(plan)
-    plan.add_argument("--json", action="store_true",
-                      help="emit one machine-readable JSON document")
-    plan.set_defaults(handler=_cmd_plan)
 
     serve = sub.add_parser(
         "serve",
@@ -386,16 +384,6 @@ def _add_wal_args(parser, *, required: bool = False, wal_help: str | None = None
         help="WAL durability policy: fsync every append (always), group-commit "
              "batches (batch), or leave flushing to the OS (none)",
     )
-
-
-def _add_query_args(parser) -> None:
-    """The shared query flags: one query spelled by ``--region/--tokens/
-    --tau-r/--tau-t``, or a ``--queries`` workload file."""
-    parser.add_argument("--region", help="x1,y1,x2,y2 of a single query")
-    parser.add_argument("--tokens", help="comma-separated tokens of that query")
-    parser.add_argument("--tau-r", type=float, default=0.4)
-    parser.add_argument("--tau-t", type=float, default=0.4)
-    parser.add_argument("--queries", help="JSONL workload instead of a single query")
 
 
 # ----------------------------------------------------------------------
@@ -782,42 +770,18 @@ def _service_summary(service: QueryService) -> str:
     )
 
 
-def _plan_summary(decision: dict) -> str:
-    """One planner decision: the chosen member, the branch of the rule
-    that fired and why (``query --explain`` and ``plan`` print the same
-    text)."""
-    return f"{decision['chosen']}  [{decision['branch']}: {decision['why']}]"
-
-
-def _planner_of(engine, path: str):
-    """The planner that explains ``engine``'s dispatch.  A segmented
-    planned engine embeds one per full-tier segment; they share the
-    rule, so the first one explains for all."""
-    planner = next(iter_planners(engine), None)
-    if planner is None:
-        hint = "rebuild it as a planned engine (build --method planned)"
-        if isinstance(engine, SegmentedSealSearch) and engine.config()["method"] == "planned":
-            hint = ("every segment is below the size from which a segmented "
-                    "engine builds its configured method (see `inspect`)")
-        raise CommandError(f"{path} holds no query planner; {hint}")
-    return planner
-
-
-def _queries_from_args(args: argparse.Namespace, alternatives: str) -> List[Query]:
-    """The ``--queries`` workload, else the one query spelled by
-    ``--region/--tokens/--tau-r/--tau-t`` (``alternatives`` names the
-    command's other inputs in the error when neither is given)."""
-    if args.queries:
-        return load_queries(args.queries)
-    region, tokens = _region_and_tokens(
-        args, f"provide --region and --tokens, {alternatives}"
-    )
-    return [Query(region, tokens, args.tau_r, args.tau_t)]
+def _ran_line(stats: SearchStats) -> str:
+    """What one source's stats record of its run: the method label and
+    the candidate count, a ``planned:<member>`` label glossed by why the
+    threshold rule picks that member."""
+    line = f"  ran: {stats.method}, {stats.candidates} candidates"
+    if stats.method.startswith(PLANNED):
+        line += f" ({WHY[stats.method[len(PLANNED):]]})"
+    return line
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
     engine = load_engine(args.engine, mmap=args.mmap)
-    planner = _planner_of(engine, args.engine) if args.explain else None
     service = QueryService(engine) if args.via_service else None
     try:
         if args.batch_file:
@@ -829,17 +793,26 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 results = BatchExecutor().run(engine, queries)
             elapsed = time.perf_counter() - started
         else:
-            queries = _queries_from_args(args, "--queries, or --batch-file")
+            if args.queries:
+                queries = load_queries(args.queries)
+            else:
+                region, tokens = _region_and_tokens(
+                    args, "provide --region and --tokens, --queries, or --batch-file"
+                )
+                queries = [Query(region, tokens, args.tau_r, args.tau_t)]
             run = service.query if service is not None else lambda q: run_query(engine, q)
             results = [run(query) for query in queries]
-        for i, (query, result) in enumerate(zip(queries, results)):
+        for i, result in enumerate(results):
             line = _answers_line(i, result, args.show)
             if not args.batch_file:
                 line += (f" — {1000 * result.stats.total_seconds:.2f} ms, "
                          f"{result.stats.candidates} candidates")
             print(line)
-            if planner is not None:
-                print(f"  plan: {_plan_summary(planner.explain(query))}")
+            if args.explain:
+                # A segmented engine keeps each source's stats, in source
+                # order (its segments, then the write buffer).
+                for stats in result.stats.per_source or (result.stats,):
+                    print(_ran_line(stats))
         if args.batch_file:
             mean_ms = 1000.0 * elapsed / len(results) if results else 0.0
             print(f"batch: {len(results)} queries in {elapsed:.3f}s "
@@ -850,26 +823,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     finally:
         if service is not None:
             service.close()
-
-
-def _cmd_plan(args: argparse.Namespace) -> int:
-    planner = _planner_of(load_engine(args.engine), args.engine)
-    queries = _queries_from_args(args, "or --queries")
-    document = {
-        "engine": args.engine,
-        "queries": [planner.explain(query) for query in queries],
-    }
-    if args.json:
-        _print_json(document)
-        return 0
-    tally: dict = {}
-    for i, decision in enumerate(document["queries"]):
-        tally[decision["chosen"]] = tally.get(decision["chosen"], 0) + 1
-        print(f"query {i}: -> {_plan_summary(decision)}")
-    if len(queries) > 1:
-        summary = ", ".join(f"{name}: {count}" for name, count in sorted(tally.items()))
-        print(f"selections over {len(queries)} queries: {summary}")
-    return 0
 
 
 def _service_config(args: argparse.Namespace) -> dict:

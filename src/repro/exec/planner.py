@@ -32,8 +32,9 @@ verified in one pass.
 What ran is recorded once, in each query's ``SearchStats``: the planner
 labels it ``planned:<member>``, and the pipeline times its filter step.
 A serving ``QueryService`` builds its ``planner`` metrics block from
-those labels on the results it executes; the planner itself keeps only
-a per-member count (:class:`Selections`).
+those labels on the results it executes, and ``seal-repro query
+--explain`` prints them, each glossed by :data:`WHY`; the planner itself
+keeps only a per-member count (:class:`Selections`).
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ TEXTUAL, SPATIAL = DEFAULT_METHODS
 #: rule never dispatches to them.
 COMPARISON_METHODS: Tuple[str, ...] = ("hash-hybrid", "seal")
 
-#: Why the rule sends a query to each member (``explain`` reports it).
+#: Why the rule sends a query to each member: ``query --explain`` glosses
+#: each ``planned:<member>`` label a result records with it.
 WHY: Dict[str, str] = {
     SPATIAL: "c_T = 0: every object passes the textual check, so the token "
              "filter could only scan; the grid filter prunes on c_R",
@@ -67,14 +69,12 @@ WHY: Dict[str, str] = {
 }
 
 
-def rule(query: Query) -> Tuple[str, str]:
-    """``(member, branch)``: where the rule sends ``query``, and which of
-    its branches fired."""
-    if query.tau_t <= 0.0:
-        return SPATIAL, "tau_t = 0"
-    if not query.tokens:
-        return SPATIAL, "no query tokens"
-    return TEXTUAL, "tau_t > 0 and query tokens"
+def rule(query: Query) -> str:
+    """The member the rule sends ``query`` to: ``grid`` when ``τT = 0``
+    or the query has no tokens (both mean ``c_T = 0``), else ``token``."""
+    if query.tau_t <= 0.0 or not query.tokens:
+        return SPATIAL
+    return TEXTUAL
 
 
 class Selections:
@@ -203,13 +203,7 @@ class PlannedSealSearch(SearchMethod):
 
     def plan(self, query: Query) -> str:
         """The registry name of the member :func:`rule` sends ``query`` to."""
-        return rule(query)[0]
-
-    def explain(self, query: Query) -> Dict[str, object]:
-        """A JSON-ready account of one query's dispatch: the member, the
-        branch of the rule that fired, and why that member."""
-        chosen, branch = rule(query)
-        return {"chosen": chosen, "branch": branch, "why": WHY[chosen]}
+        return rule(query)
 
     def candidates(self, query: Query, stats: SearchStats) -> Collection[int]:
         chosen = self.plan(query)
@@ -227,7 +221,7 @@ class PlannedSealSearch(SearchMethod):
         batch) is declined to the single path, which counts it."""
         groups: Dict[str, List[int]] = {}
         for position, query in enumerate(queries):
-            groups.setdefault(rule(query)[0], []).append(position)
+            groups.setdefault(rule(query), []).append(position)
         declined: List[int] = []
         pair_queries, pair_oids = [], []
         for chosen, positions in groups.items():
@@ -289,21 +283,3 @@ class PlannedSealSearch(SearchMethod):
             self.corpus, self.weighter, self.verifier, self._params, state["methods"]
         )
         self.metrics = Selections()
-
-
-
-
-def iter_planners(engine: Any) -> Iterator[PlannedSealSearch]:
-    """Every planner inside an engine: a bare planner, the ``SealSearch``
-    facade's (``.method``) and a segmented engine's, one per planned
-    segment (``segment_methods()``)."""
-    if isinstance(engine, PlannedSealSearch):
-        yield engine
-        return
-    inner = getattr(engine, "method", None)
-    if inner is not None:
-        yield from iter_planners(inner)
-    segment_methods = getattr(engine, "segment_methods", None)
-    if callable(segment_methods):
-        for method in segment_methods():
-            yield from iter_planners(method)

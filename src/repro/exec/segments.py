@@ -469,8 +469,9 @@ class SegmentedSealSearch:
         answers: List[int] = []
         # The aggregate sums counters but keeps attribution: each source's
         # stats (with its own ``method`` label, stamped by execute_query)
-        # survives in ``per_source``, so training rows and observability
-        # can tell which segment index did the work.
+        # survives in ``per_source``, which the service's ``planner``
+        # metrics block and ``query --explain`` read to tell which
+        # segment index did the work.
         stats = SearchStats(method=f"segmented:{self._method_name}")
         for result, source in zip(results, sources):
             to_global = source.to_global

@@ -104,9 +104,11 @@ class GridHierarchy:
             raise ValueError("cell position out of range for its level")
         cell_w = self.space.width / side
         cell_h = self.space.height / side
-        x1 = self.space.x1 + col * cell_w
-        y1 = self.space.y1 + row * cell_h
-        return np.stack([x1, y1, x1 + cell_w, y1 + cell_h], axis=1)
+        x1, y1 = self.space.x1, self.space.y1
+        return np.stack(
+            [x1 + col * cell_w, y1 + row * cell_h, x1 + (col + 1) * cell_w, y1 + (row + 1) * cell_h],
+            axis=1,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GridHierarchy(max_level={self.max_level}, space={self.space.as_tuple()})"

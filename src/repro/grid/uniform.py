@@ -8,6 +8,11 @@ half-open cells ``[x_lo, x_hi) × [y_lo, y_hi)`` (the last row/column is
 closed), so a region whose edge lies exactly on a grid line belongs to one
 side only.
 
+Column ``k``'s left edge is ``space.x1 + k * (width / granularity)``
+(rows likewise): :meth:`UniformGrid.cell_rect`, :meth:`~UniformGrid.cell_span`
+and :meth:`~UniformGrid.signature` all cut on that one edge, so a cell's
+own rectangle spans exactly that cell.
+
 Cells are identified by the integer ``row * granularity + col``; the cell
 id is what the inverted indexes key on.
 """
@@ -70,9 +75,9 @@ class UniformGrid:
         row, col = divmod(cell, g)
         if not (0 <= row < g and 0 <= col < g):
             raise ValueError(f"cell id {cell} out of range for granularity {g}")
-        x1 = self.space.x1 + col * self._cell_w
-        y1 = self.space.y1 + row * self._cell_h
-        return Rect(x1, y1, x1 + self._cell_w, y1 + self._cell_h)
+        x1, y1 = self.space.x1, self.space.y1
+        cw, ch = self._cell_w, self._cell_h
+        return Rect(x1 + col * cw, y1 + row * ch, x1 + (col + 1) * cw, y1 + (row + 1) * ch)
 
     # ------------------------------------------------------------------
     # Region <-> cells
@@ -94,32 +99,42 @@ class UniformGrid:
             or rect.y1 > space.y2
         ):
             return None
-        g = self.granularity
-        col_lo = self._lo_index(rect.x1 - space.x1, self._cell_w)
-        row_lo = self._lo_index(rect.y1 - space.y1, self._cell_h)
-        col_hi = self._hi_index(rect.x1, rect.x2, space.x1, self._cell_w)
-        row_hi = self._hi_index(rect.y1, rect.y2, space.y1, self._cell_h)
-        if col_hi < col_lo or row_hi < row_lo:
-            return None
+        col_lo, col_hi = self._axis_span(rect.x1, rect.x2, space.x1, self._cell_w)
+        row_lo, row_hi = self._axis_span(rect.y1, rect.y2, space.y1, self._cell_h)
         return (row_lo, row_hi, col_lo, col_hi)
 
-    def _lo_index(self, offset: float, step: float) -> int:
-        if offset <= 0.0:
-            return 0
-        index = int(offset / step)
-        return min(index, self.granularity - 1)
+    def _axis_span(self, lo: float, hi: float, origin: float, step: float) -> Tuple[int, int]:
+        """The first and last cell ``[lo, hi]`` reaches along one axis
+        (``hi >= origin``), clamped to the grid.
 
-    def _hi_index(self, lo: float, hi: float, origin: float, step: float) -> int:
-        offset = hi - origin
-        if offset < 0.0:
-            return -1
-        index = int(offset / step)
-        # Exact-boundary case: a positive-width rect ending exactly on a
-        # cell boundary stops at the previous cell (half-open cells).  A
-        # degenerate rect *on* the boundary stays in the owning cell.
-        if hi > lo and index > 0 and offset == index * step:
-            index -= 1
-        return min(index, self.granularity - 1)
+        The first is the cell whose half-open extent holds ``lo``.  The
+        last is the same cell for a degenerate extent, else the last cell
+        whose left edge lies below ``hi`` — an extent ending exactly on an
+        edge does not reach the cell beyond it.  ``int(offset / step)``
+        can round to a neighbouring cell, so each index is corrected by
+        one step against the edge ``origin + k * step`` itself.
+        """
+        last = self.granularity - 1
+        first = 0
+        if lo > origin:
+            first = int((lo - origin) / step)
+            if first > last:
+                first = last
+            if origin + first * step > lo:
+                first -= 1
+            elif first < last and origin + (first + 1) * step <= lo:
+                first += 1
+        if hi == lo:
+            return first, first
+        end = int((hi - origin) / step)
+        if end > last:
+            end = last
+        if origin + end * step >= hi:
+            if end > 0:
+                end -= 1
+        elif end < last and origin + (end + 1) * step < hi:
+            end += 1
+        return first, end
 
     def cells_overlapping(self, rect: Rect) -> List[int]:
         """All cell ids whose half-open extent intersects ``rect``."""
@@ -145,21 +160,21 @@ class UniformGrid:
         if span is None:
             return []
         row_lo, row_hi, col_lo, col_hi = span
-        space = self.space
+        x1, y1 = self.space.x1, self.space.y1
         cw, ch = self._cell_w, self._cell_h
         g = self.granularity
+        # A cell's overlap is its column's width times its row's height.
+        widths = []
+        for col in range(col_lo, col_hi + 1):
+            dx = min(rect.x2, x1 + (col + 1) * cw) - max(rect.x1, x1 + col * cw)
+            widths.append((col, dx if dx > 0.0 else 0.0))
         out: List[Tuple[int, float]] = []
         for row in range(row_lo, row_hi + 1):
-            cy1 = space.y1 + row * ch
-            dy = min(rect.y2, cy1 + ch) - max(rect.y1, cy1)
+            dy = min(rect.y2, y1 + (row + 1) * ch) - max(rect.y1, y1 + row * ch)
             if dy < 0.0:
                 dy = 0.0
             base = row * g
-            for col in range(col_lo, col_hi + 1):
-                cx1 = space.x1 + col * cw
-                dx = min(rect.x2, cx1 + cw) - max(rect.x1, cx1)
-                if dx < 0.0:
-                    dx = 0.0
+            for col, dx in widths:
                 out.append((base + col, dx * dy))
         return out
 

@@ -126,7 +126,9 @@ def min_weight_similarity(
 ) -> float:
     """``Σ_{g∈common} min(w(g|a), w(g|b))`` — the grid signature similarity.
 
-    Used by the plain ``Sig-Filter`` path and by tests of Lemma 1.
+    The per-pair reference for tests of Lemma 1; the plain ``Sig-Filter``
+    path sums the same ``min`` weights for every oid at once with
+    ``np.bincount`` (:meth:`~repro.filters.base.SingleSchemeFilter._candidates_plain`).
     """
     weights_a = dict(sig_a)
     total = 0.0

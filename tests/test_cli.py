@@ -174,19 +174,26 @@ class TestBuildAndQuery:
         [
             ("build", ["--planner-methods", "token,grid"]),
             ("build", ["--coefficients", "c.json"]),
-            ("plan", ["--record", "rows.jsonl"]),
-            ("plan", ["--fit", "c.json"]),
-            ("plan", ["--apply"]),
         ],
     )
     def test_the_cost_models_flags_are_gone(self, corpus_file, tmp_path, capsys,
                                             command, flags):
-        target = str(corpus_file) if command == "build" else str(tmp_path / "p.pkl")
         with pytest.raises(SystemExit) as usage:
-            main([command, target, "--out", str(tmp_path / "x.pkl"), *flags])
+            main([command, str(corpus_file), "--out", str(tmp_path / "x.pkl"), *flags])
         assert usage.value.code == 2
         assert flags[0] in capsys.readouterr().err
         assert not (tmp_path / "x.pkl").exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--json"], ["--record", "rows.jsonl"],
+                                       ["--fit", "c.json"], ["--apply"]])
+    def test_plan_is_gone(self, tmp_path, capsys, flags):
+        """`query --explain` prints what ran; the `plan` command that
+        predicted it, with every flag it ever took, is a usage error."""
+        with pytest.raises(SystemExit) as usage:
+            main(["plan", str(tmp_path / "p.pkl"), "--region", "0,0,1,1", "--tokens", "t1",
+                  *flags])
+        assert usage.value.code == 2
+        assert "invalid choice: 'plan'" in capsys.readouterr().err
 
     def test_query_batch_file(self, corpus_file, tmp_path, capsys, figure1_query):
         engine = tmp_path / "engine.pkl"
@@ -318,8 +325,6 @@ class TestOneErrorPath:
 
     NOT_SEGMENTED = ("{static} does not hold a segmented engine; "
                      "rebuild it with `build --segmented`")
-    NO_PLANNER = ("{static} holds no query planner; rebuild it as a planned "
-                  "engine (build --method planned)")
 
     @pytest.mark.parametrize("argv, message", [
         ("query {static}", "provide --region and --tokens, --queries, or --batch-file"),
@@ -327,9 +332,6 @@ class TestOneErrorPath:
                                              "or --batch-file"),
         ("query {static} --region 1,2,3 --tokens a", "--region needs x1,y1,x2,y2"),
         ("query {static} --region 5,5,1,1 --tokens a", "--region needs x1,y1,x2,y2"),
-        ("query {static} --queries {workload} --explain", NO_PLANNER),
-        ("plan {static} --queries {workload}", NO_PLANNER),
-        ("plan {static}", NO_PLANNER),
         ("update {live}", "provide --region/--tokens and/or --from"),
         ("update {live} --tokens a", "--region and --tokens go together"),
         ("update {live} --region 0,0,1,x --tokens a", "--region needs x1,y1,x2,y2"),
@@ -1020,8 +1022,9 @@ class TestNetServeAndClient:
         assert load_engine(snapshot_of(tmp_path)).search_query(probe).answers == expected
 
 
-class TestPlan:
-    """`build --method planned`, `plan`, and `query --explain` smoke."""
+class TestExplain:
+    """`build --method planned`, `inspect`, and `query --explain`: under
+    each answer line, what the result's stats record of the run."""
 
     @pytest.fixture()
     def planned_engine(self, corpus_file, tmp_path):
@@ -1055,107 +1058,102 @@ class TestPlan:
         assert document["manifest"]["kind"] == "planned"
         assert document["manifest"]["methods"] == ["token", "grid"]
 
+    TOKEN = ("  ran: planned:token, 5 candidates (c_T > 0: the token filter probes "
+             "only the lists of the query's Lemma-2 token prefix)")
+    GRID = ("  ran: planned:grid, 3 candidates (c_T = 0: every object passes the "
+            "textual check, so the token filter could only scan; the grid filter "
+            "prunes on c_R)")
+
+    @pytest.fixture()
+    def workload(self, tmp_path, figure1_query):
+        path = tmp_path / "q.jsonl"
+        save_queries([figure1_query, figure1_query.with_thresholds(tau_r=0.25, tau_t=0.0),
+                      figure1_query.with_thresholds(tau_r=0.0, tau_t=0.3)], path)
+        return path
+
     def test_query_explain(self, planned_engine, capsys):
         rc = main(["query", str(planned_engine), "--region", "35,10,75,70",
                    "--tokens", "t1,t2,t3", "--tau-r", "0.25", "--tau-t", "0.3",
                    "--explain"])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "1 answers [1]" in out
-        assert "plan: token  [tau_t > 0 and query tokens: c_T > 0" in out
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("query 0: 1 answers [1]")
+        assert out[1:] == [self.TOKEN]
 
-    def test_query_explain_names_the_spatial_branch(self, planned_engine, capsys):
+    def test_query_explain_names_the_spatial_member(self, planned_engine, capsys):
         rc = main(["query", str(planned_engine), "--region", "35,10,75,70",
                    "--tokens", "t1,t2,t3", "--tau-r", "0.25", "--tau-t", "0",
                    "--explain"])
         assert rc == 0
-        assert "plan: grid  [tau_t = 0: c_T = 0" in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines()[1:] == [self.GRID]
 
-    def test_query_explain_rejects_unplanned_engine(self, corpus_file, tmp_path,
-                                                    capsys):
-        engine = tmp_path / "token.pkl"
-        main(["build", str(corpus_file), "--method", "token", "--out", str(engine)])
+    def test_query_explain_workload_follows_the_rule(self, planned_engine, workload, capsys):
+        rc = main(["query", str(planned_engine), "--queries", str(workload), "--explain"])
+        assert rc == 0
+        ran = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  ")]
+        assert ran == [self.TOKEN, self.GRID, self.TOKEN]
+
+    @pytest.mark.parametrize("route", [[], ["--via-service"]])
+    def test_a_batch_explains_like_its_queries(self, planned_engine, workload, capsys, route):
+        """The batched pass labels each result with its rule member, as
+        the single path does (directly and through the service)."""
+        def lines(mode):
+            assert main(["query", str(planned_engine), mode, str(workload), "--explain",
+                         *route]) == 0
+            out = capsys.readouterr().out.splitlines()
+            return [line.split(" — ")[0] for line in out if line.startswith(("query ", "  "))]
+
+        singles = lines("--queries")
+        assert singles == lines("--batch-file")
+        assert [line for line in singles if line.startswith("  ")] == [
+            self.TOKEN, self.GRID, self.TOKEN]
+
+    @pytest.mark.parametrize("method", ["seal", "naive", "token", "grid"])
+    def test_query_explain_names_any_engines_method(self, corpus_file, tmp_path, workload,
+                                                     capsys, method):
+        """An engine without a planner is explained by its method label."""
+        engine = tmp_path / f"{method}.pkl"
+        assert main(["build", str(corpus_file), "--method", method, "--out", str(engine)]) == 0
         capsys.readouterr()
-        rc = main(["query", str(engine), "--region", "35,10,75,70",
-                   "--tokens", "t1", "--explain"])
-        assert rc == 2
-        assert "planned engine" in capsys.readouterr().err
-
-    def test_plan_single_query(self, planned_engine, capsys):
-        rc = main(["plan", str(planned_engine), "--region", "35,10,75,70",
-                   "--tokens", "t1,t2,t3", "--tau-r", "0.25", "--tau-t", "0.3"])
+        rc = main(["query", str(engine), "--queries", str(workload), "--explain"])
         assert rc == 0
-        assert "query 0: ->" in capsys.readouterr().out
+        ran = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  ")]
+        assert len(ran) == 3
+        assert all(line.startswith(f"  ran: {method}, ") for line in ran)
+        assert all(line.endswith(" candidates") for line in ran)
 
-    def test_plan_workload_tallies_the_rule(self, planned_engine, tmp_path, capsys,
-                                            figure1_query):
-        queries = tmp_path / "q.jsonl"
-        save_queries([figure1_query, figure1_query.with_thresholds(tau_r=0.25, tau_t=0.0)],
-                     queries)
-        rc = main(["plan", str(planned_engine), "--queries", str(queries)])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "query 1: -> grid  [tau_t = 0: c_T = 0" in out
-        assert "selections over 2 queries: grid: 1, token: 1" in out
-
-    def test_plan_json_document(self, planned_engine, capsys):
-        import json
-
-        rc = main(["plan", str(planned_engine), "--region", "35,10,75,70",
-                   "--tokens", "t1", "--json"])
-        assert rc == 0
-        (decision,) = json.loads(capsys.readouterr().out)["queries"]
-        assert decision["chosen"] == "token" and decision["branch"] == "tau_t > 0 and query tokens"
-        assert set(decision) == {"chosen", "branch", "why"}
-
-    def test_plan_workload_json_document(self, planned_engine, tmp_path, capsys,
-                                         figure1_query):
-        import json
-
-        queries = tmp_path / "q.jsonl"
-        save_queries([figure1_query, figure1_query.with_thresholds(tau_r=0.25, tau_t=0.0),
-                      figure1_query.with_thresholds(tau_r=0.0, tau_t=0.3)], queries)
-        rc = main(["plan", str(planned_engine), "--queries", str(queries), "--json"])
-        assert rc == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["engine"] == str(planned_engine)
-        assert [(d["chosen"], d["branch"]) for d in document["queries"]] == [
-            ("token", "tau_t > 0 and query tokens"),
-            ("grid", "tau_t = 0"),
-            ("token", "tau_t > 0 and query tokens"),
-        ]
-
-    def test_plan_rejects_unplanned_engine(self, corpus_file, tmp_path, capsys):
-        engine = tmp_path / "grid.pkl"
-        main(["build", str(corpus_file), "--method", "grid", "--out", str(engine)])
-        capsys.readouterr()
-        rc = main(["plan", str(engine), "--region", "0,0,1,1", "--tokens", "t1"])
-        assert rc == 2
-        assert "no query planner" in capsys.readouterr().err
-
-    def test_query_explain_says_why_a_small_segmented_planned_engine_has_no_planner(
+    def test_query_explain_names_the_segment_of_a_small_segmented_engine(
             self, corpus_file, tmp_path, capsys):
-        """The engine was built with --method planned: the hint is the
-        segment size, not "build a planned engine" (as ``plan`` says)."""
+        """Built with --method planned, a segment this small is indexed
+        with ``token``: that is what the explanation names."""
         engine = tmp_path / "live.pkl"
         main(["build", str(corpus_file), "--method", "planned", "--segmented",
               "--out", str(engine)])
         capsys.readouterr()
-        for command in (["query", "--explain"], ["plan"]):
-            rc = main([command[0], str(engine), "--region", "0,0,1,1", "--tokens", "t1",
-                       *command[1:]])
-            assert rc == 2
-            err = capsys.readouterr().err
-            assert "holds no query planner" in err and "every segment is below" in err
-            assert "--method planned" not in err
+        rc = main(["query", str(engine), "--region", "35,10,75,70", "--tokens", "t1,t2,t3",
+                   "--tau-r", "0.25", "--tau-t", "0.3", "--explain"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[1:] == ["  ran: token, 5 candidates"]
 
-    def test_plan_says_why_a_small_segmented_planned_engine_has_no_planner(
-            self, corpus_file, tmp_path, capsys):
-        engine = tmp_path / "live.pkl"
-        main(["build", str(corpus_file), "--method", "planned", "--segmented",
-              "--out", str(engine)])
-        capsys.readouterr()
-        rc = main(["plan", str(engine), "--region", "0,0,1,1", "--tokens", "t1"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "no query planner" in err and "every segment is below the size" in err
+    def test_query_explain_names_every_source_of_a_segmented_engine(self, tmp_path, capsys):
+        """A planned segment, a ``token`` segment and the write buffer each
+        answer a tau_t = 0 query their own way, and each is named."""
+        from repro import SegmentedSealSearch
+        from repro.datasets import generate_queries, generate_twitter
+        from repro.io import save_engine
+
+        objs = generate_twitter(3000, seed=3)
+        engine = SegmentedSealSearch([(o.region, o.tokens) for o in objs], "planned",
+                                     buffer_capacity=256)
+        for obj in generate_twitter(300, seed=4):
+            engine.insert(obj.region, obj.tokens)
+        query = generate_queries(objs, "small", num_queries=1, seed=1, tau_r=0.1, tau_t=0.0)[0]
+        save_engine(engine, tmp_path / "live.pkl")
+        save_queries([query], tmp_path / "q.jsonl")
+        rc = main(["query", str(tmp_path / "live.pkl"), "--queries", str(tmp_path / "q.jsonl"),
+                   "--explain"])
+        assert rc == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].endswith(", 310 candidates")
+        assert out[1:] == [self.GRID.replace("3 candidates", "10 candidates"),
+                           "  ran: token, 256 candidates", "  ran: naive, 44 candidates"]

@@ -176,7 +176,7 @@ class TestBatchedPassEqualsLoop:
         with grouped("batched"):
             batch = BatchExecutor().run(planner, workload)
         assert Counter(r.stats.method for r in batch) == Counter(
-            f"planned:{rule(query)[0]}" for query in workload)
+            f"planned:{rule(query)}" for query in workload)
 
     def test_a_batch_past_the_chunk_size(self, twitter_small, twitter_small_weighter, workload):
         """Seventy queries: three near-equal passes of a planned engine."""

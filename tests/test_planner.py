@@ -4,7 +4,8 @@ The planner may pick any member because every member hands the one
 verifier a candidate superset: the pick moves time, never an answer.
 These tests pin:
 
-* the rule as a dispatch table, read off ``SearchStats.method``;
+* the rule as a dispatch table, read off ``SearchStats.method``, and
+  ``query --explain`` printing that label;
 * ``planned`` ≡ ``naive`` on the perf ledger's four query regimes,
   through ``BatchExecutor``, under segmented churn and over a
   ``NetworkServer``;
@@ -38,7 +39,6 @@ from repro.exec.planner import (
     WHY,
     PlannedSealSearch,
     Portfolio,
-    iter_planners,
     rule,
 )
 from repro.filters.hierarchical_filter import HierarchicalFilter
@@ -110,21 +110,18 @@ def test_dispatch_table(planner, naive, corpus, case, tau_r, tau_t, tokens, memb
     result = planner.search(query)
     assert result.stats.method == f"planned:{member}", case
     assert result.answers == naive.search(query).answers, case
-    decision = planner.explain(query)
-    assert decision["chosen"] == member
-    assert decision["branch"] and decision["why"]
-    json.dumps(decision)  # the CLI prints it as is
+    assert rule(query) == member, case
 
 
 @pytest.mark.parametrize(
     "tau_r, tau_t, tokens, expected",
     [
-        (0.3, 0.0, {"a", "b"}, ("grid", "tau_t = 0")),
-        (1.0, 0.0, {"a"}, ("grid", "tau_t = 0")),
-        (0.4, 0.0, set(), ("grid", "tau_t = 0")),              # the first branch wins
-        (0.4, 0.4, set(), ("grid", "no query tokens")),
-        (0.0, 5e-324, {"a"}, ("token", "tau_t > 0 and query tokens")),
-        (0.0, 1.0, {"a", "b"}, ("token", "tau_t > 0 and query tokens")),
+        (0.3, 0.0, {"a", "b"}, "grid"),
+        (1.0, 0.0, {"a"}, "grid"),
+        (0.4, 0.0, set(), "grid"),
+        (0.4, 0.4, set(), "grid"),
+        (0.0, 5e-324, {"a"}, "token"),
+        (0.0, 1.0, {"a", "b"}, "token"),
     ],
     ids=["tau_t-zero", "tau_r-one-tau_t-zero", "tau_t-zero-no-tokens", "no-tokens",
          "smallest-positive-tau_t", "tau_t-one"],
@@ -136,12 +133,24 @@ def test_rule_branches(tau_r, tau_t, tokens, expected):
     assert rule(query) == expected
 
 
-def test_explain_document(planner, workload):
-    for query in workload:
-        chosen, branch = rule(query)
-        assert planner.explain(query) == {"chosen": chosen, "branch": branch,
-                                          "why": WHY[chosen]}
+@pytest.mark.parametrize("mode", ["--queries", "--batch-file"])
+def test_query_explain_prints_each_results_label(tmp_path, capsys, planner, workload, mode):
+    """``query --explain`` prints, under each answer line, the label the
+    result records, glossed by why the rule picks that member."""
+    from repro.cli import main
+    from repro.io import save_engine, save_queries
+
     assert set(WHY) == set(DEFAULT_METHODS)
+    save_engine(planner, tmp_path / "planned.pkl")
+    save_queries(workload, tmp_path / "q.jsonl")
+    assert main(["query", str(tmp_path / "planned.pkl"), mode, str(tmp_path / "q.jsonl"),
+                 "--explain"]) == 0
+    ran = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  ")]
+    assert ran == [
+        f"  ran: planned:{rule(query)}, {planner.search(query).stats.candidates} candidates "
+        f"({WHY[rule(query)]})"
+        for query in workload
+    ]
 
 
 @pytest.mark.parametrize("regime", REGIME_NAMES)
@@ -171,7 +180,6 @@ def test_plan_derives_no_prefix_and_reads_no_list(planner, workload):
     ), mock.patch.multiple(TokenWeighter, total_weight=refuse, sort_tokens=refuse):
         for query in workload:
             assert planner.plan(query) in DEFAULT_METHODS
-            planner.explain(query)
     assert not refuse.called
 
 
@@ -193,7 +201,7 @@ def test_one_plan_then_one_member_per_query(planner, workload):
         for query in workload:
             del calls[:]
             planner.search(query)
-            assert calls == ["plan", rule(query)[0]]
+            assert calls == ["plan", rule(query)]
 
 
 # ----------------------------------------------------------------------
@@ -352,6 +360,10 @@ def test_parent_written_configs_drop_the_cost_models_knobs(tmp_path, corpus, wor
 # ----------------------------------------------------------------------
 
 
+def _planned_segments(engine) -> int:
+    return sum(isinstance(method, PlannedSealSearch) for method in engine.segment_methods())
+
+
 def test_planned_segments_match_token_segments_under_churn(corpus, workload, monkeypatch):
     monkeypatch.setattr("repro.exec.segments.FULL_INDEX_MIN_OBJECTS", 0)
     pairs = [(o.region, o.tokens) for o in corpus[:200]]
@@ -364,7 +376,7 @@ def test_planned_segments_match_token_segments_under_churn(corpus, workload, mon
         for oid in (3, 17, 42, 210):
             engine.delete(oid)
         engine.flush()
-    planners = sum(1 for _ in iter_planners(planned))
+    planners = _planned_segments(planned)
     assert planners >= 2
     with QueryService(planned, enable_cache=False) as service:
         for query in workload:
@@ -385,7 +397,7 @@ def segmented(corpus, monkeypatch):
     for region, tokens in pairs[300:]:
         engine.insert(region, tokens)
     engine.flush()
-    assert sum(1 for _ in iter_planners(engine)) == 2
+    assert _planned_segments(engine) == 2
     return engine
 
 

@@ -90,7 +90,7 @@ def test_golden_table_replays(filters, planner):
                     name, counter, row["query"],
                 )
         result = planner.search(query)
-        chosen = rule(query)[0]
+        chosen = rule(query)
         assert result.stats.method == f"planned:{chosen}"
         assert result.answers == row["answers"]
         for counter in COUNTERS + ("candidates",):
@@ -198,7 +198,7 @@ def test_plan_enumerates_no_probes(planner, corpus, golden_queries):
         HierarchicalFilter, probes=refuse, _region_cells=refuse
     ):
         for query in list(_shapes(corpus).values()) + golden_queries:
-            assert planner.plan(query) == rule(query)[0]
+            assert planner.plan(query) == rule(query)
     assert not refuse.called
 
 
@@ -232,7 +232,7 @@ def test_planned_search_sorts_and_sums_the_query_tokens_at_most_once(
     ), mock.patch.object(Verifier, "verify", verify):
         for query in list(_shapes(corpus).values()) + golden_queries:
             del sorts[:], sums[:], before_verify[:]
-            chosen = rule(query)[0]
+            chosen = rule(query)
             planner.search(query)
             seen.add(chosen)
             once = [query.tokens] if chosen == "token" else []

@@ -126,6 +126,45 @@ class TestSignature:
 # ----------------------------------------------------------------------
 
 
+@st.composite
+def spaces(draw) -> Rect:
+    """A space anywhere in ±1e4 with sides from 1e-3 to 1e4: cell edges
+    that are rarely exact in binary floating point."""
+    coordinate = st.floats(min_value=-1e4, max_value=1e4)
+    side = st.floats(min_value=1e-3, max_value=1e4)
+    x1, y1 = draw(coordinate), draw(coordinate)
+    return Rect(x1, y1, x1 + draw(side), y1 + draw(side))
+
+
+def _cells_not_spanning_themselves(grid: UniformGrid) -> list:
+    g = grid.granularity
+    return [
+        cell for cell in range(grid.num_cells)
+        if grid.cell_span(grid.cell_rect(cell)) != (cell // g, cell // g, cell % g, cell % g)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(spaces(), st.integers(min_value=1, max_value=40))
+def test_a_cells_rectangle_spans_exactly_that_cell(space, granularity):
+    """``cell_rect`` and ``cell_span`` cut on one edge, so a cell's own
+    rectangle reaches no neighbour."""
+    assert _cells_not_spanning_themselves(UniformGrid(space, granularity)) == []
+
+
+@pytest.mark.parametrize("space, granularity", [
+    (Rect(-3.7, 1.1, 11.3, 9.9), 7),
+    # The MBR of the perf ledger's 10 000-object corpus at seed 7.
+    (Rect(0.0, 7.298250142042699, 3660.1038894412304, 3660.8778093926016), 64),
+])
+def test_cells_span_themselves_where_edges_are_not_round(space, granularity):
+    grid = UniformGrid(space, granularity)
+    assert _cells_not_spanning_themselves(grid) == []
+    for cell in range(grid.num_cells):
+        (only, weight), = grid.signature(grid.cell_rect(cell))
+        assert only == cell and weight == pytest.approx(grid.cell_area)
+
+
 @settings(max_examples=60, deadline=None)
 @given(rects(), st.sampled_from([1, 2, 3, 4, 7, 16]))
 def test_signature_covers_clipped_area(region, granularity):

@@ -7,9 +7,9 @@ fewer candidates) with diminishing returns, while filter time eventually
 *rises* (more lists to probe), giving the U-shaped total that motivates
 the Section 4.3 cost model.
 
-We sweep p over powers of two scaled to the bench corpus; the cost-model
-ablation (``bench_ablation_costmodel``) checks that Equation 4 picks a
-level near this sweep's empirical optimum.
+We sweep p over powers of two scaled to the bench corpus.  This sweep is
+the repository's granularity study: the Equation 4 cost model itself is
+not built, and the granularity stays a build knob.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ class ThresholdContractChecker(Checker):
         "argument of core/similarity.py::filter_threshold — an inline bound "
         "can round an ulp above the verifier's and drop an answer at sim = τ"
     )
-    scope = ("filters/", "signatures/", "baselines/", "index/iomodel.py")
+    scope = ("filters/", "signatures/", "baselines/")
 
     def check(self, tree: ast.Module, source: str, path: str) -> List[Finding]:
         routed = {

@@ -125,8 +125,10 @@ def build_method(
             call — the planner and the segmented engine rely on that.
 
     Raises:
-        ConfigurationError: For unknown method names.
+        ConfigurationError: For unknown method names, and for knobs the
+            method does not accept (:func:`check_params`).
     """
+    check_params(name, params)
     return _constructor(name)(objects, weighter, **params)
 
 

@@ -75,8 +75,10 @@ def engine_from_config(config: Dict, *, source: Any = "stream") -> SegmentedSeal
         source: A label for error messages (a path or peer name).
 
     Knobs an older version wrote and this one no longer takes are
-    dropped, not refused: ``backend`` (two index stores that answered
-    alike) and a ``planned`` knob neither rule member takes.
+    dropped, not refused: ``backend`` (two index stores),
+    ``prefix_pruning`` (the plain Sig-Filter) and ``order`` (alternative
+    grid cell orders), whose values all answered alike, and a ``planned``
+    knob neither rule member takes.
 
     Raises:
         WALError: If the record names a method or a knob this library
@@ -84,7 +86,7 @@ def engine_from_config(config: Dict, *, source: Any = "stream") -> SegmentedSeal
     """
     method = config["method"]
     params = {knob: value for knob, value in (config.get("params") or {}).items()
-              if knob != "backend"}
+              if knob not in ("backend", "prefix_pruning", "order")}
     try:
         return SegmentedSealSearch(
             method=method,

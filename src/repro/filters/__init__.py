@@ -9,8 +9,8 @@
 * :class:`~repro.filters.hierarchical_filter.HierarchicalFilter` — the
   full SEAL method with HSS-selected per-token hierarchical grids.
 
-Each accepts ``prefix_pruning=False`` to fall back to the plain
-``Sig-Filter`` (no prefixes, no bounds) for ablation, where applicable.
+All four are the threshold-aware ``+`` filters (Lemma 2 prefixes over
+Lemma 3 bounds); the plain ``Sig-Filter`` of Figure 3 is not built.
 """
 
 from repro.filters.grid_filter import GridFilter

@@ -24,10 +24,9 @@ Everything downstream reads that one description.  ``candidates`` is
 union_heads>`, which owns the accounting rule (a
 single-bound probe of a missing list counts as a probe, a dual-bound one
 does not, so ``len(codes)`` equals ``lists_probed`` on the former and
-bounds it on the latter); the I/O model charges the pages of the same
-heads (:mod:`repro.index.iomodel`).  The single-scheme filters also
-answer a batch: ``candidates_batch`` hands every query's ``probes`` to
-one ``union_heads_batch`` (see :func:`repro.exec.pipeline.execute_batch`).
+bounds it on the latter).  The single-scheme filters also answer a
+batch: ``candidates_batch`` hands every query's ``probes`` to one
+``union_heads_batch`` (see :func:`repro.exec.pipeline.execute_batch`).
 
 The three filters that read the query's text (``token``, ``hash-hybrid``,
 ``seal``) derive it with :meth:`TextualScheme.query_prefix
@@ -35,18 +34,11 @@ The three filters that read the query's text (``token``, ``hash-hybrid``,
 prefix tokens and ``c_T`` from one sort and one weight sum.
 
 :class:`SingleSchemeFilter` is ``TokenFilter`` and ``GridFilter`` — the
-same filter instantiated with different signature schemes — in two
-variants:
-
-* **Sig-Filter+** (default, Figure 6): postings carry Lemma 3 suffix
-  bounds, the query probes only its Lemma 2 prefix, and each probed list
-  returns only the head whose bound reaches the threshold.
-* **Sig-Filter** (``prefix_pruning=False``, Figure 3): postings carry raw
-  element weights, the query opens its *whole* signature's lists in full
-  (which is what its ``probes`` says: every element, bound ``-inf``),
-  and the filter accumulates the exact signature similarity
-  ``Σ min(w(s|q), w(s|o))``, keeping objects that reach the threshold.
-  Kept for the pruning ablation — it shows precisely what the `+` buys.
+same Sig-Filter+ (Figure 6) instantiated with different signature
+schemes: postings carry Lemma 3 suffix bounds, the query probes only its
+Lemma 2 prefix, and each probed list returns only the head whose bound
+reaches the threshold.  The paper's plain Sig-Filter (Figure 3), which
+opens whole lists and sums ``Σ min(w(s|q), w(s|o))``, is not built.
 """
 
 from __future__ import annotations
@@ -92,7 +84,7 @@ class SignatureScheme(Protocol):
 
 
 class SingleSchemeFilter(SearchMethod):
-    """Sig-Filter(+) over one signature scheme.
+    """Sig-Filter+ over one signature scheme.
 
     A cell's code is its id; a token's, its id in ``token_ids``, the
     corpus tokens in order of first appearance in signature order.
@@ -101,8 +93,6 @@ class SingleSchemeFilter(SearchMethod):
         objects: The corpus.
         scheme: Signature scheme (textual or grid).
         weighter: Corpus idf statistics (built if omitted).
-        prefix_pruning: True → Sig-Filter+ (threshold-aware); False →
-            plain Sig-Filter.
     """
 
     def __init__(
@@ -110,12 +100,9 @@ class SingleSchemeFilter(SearchMethod):
         objects: Sequence[SpatioTextualObject],
         scheme: SignatureScheme,
         weighter: TokenWeighter | None = None,
-        *,
-        prefix_pruning: bool = True,
     ) -> None:
         super().__init__(objects, weighter)
         self.scheme = scheme
-        self.prefix_pruning = prefix_pruning
         # Every posting as flat columns, object after object in signature order.
         elements: List = []
         oids: List[int] = []
@@ -125,7 +112,7 @@ class SingleSchemeFilter(SearchMethod):
             weights = [w for _, w in signature]
             elements.extend(element for element, _ in signature)
             oids.extend([obj.oid] * len(signature))
-            bounds.extend(suffix_bounds(weights) if prefix_pruning else weights)
+            bounds.extend(suffix_bounds(weights))
         self.token_ids = None
         if scheme.element_kind == "token":
             self.token_ids = {token: i for i, token in enumerate(dict.fromkeys(elements))}
@@ -157,37 +144,26 @@ class SingleSchemeFilter(SearchMethod):
     def probes(self, query: Query) -> Probes:
         if self._is_degenerate(query):
             return FULL_SCAN
-        signature = self.scheme.query_signature(query)
-        if not self.prefix_pruning:
-            return self.encode([element for element, _ in signature]), float("-inf"), None
         threshold = self.scheme.threshold(query)
-        prefix = prefix_elements(signature, threshold)
+        prefix = prefix_elements(self.scheme.query_signature(query), threshold)
         return self.encode([element for element, _ in prefix]), threshold, None
 
-    def candidates(self, query: Query, stats: SearchStats) -> Collection[int]:
-        if self.prefix_pruning:
-            return candidates_from_probes(self, query, stats)
-        if self._is_degenerate(query):
-            return self.all_oids()
-        return self._candidates_plain(
-            self.scheme.query_signature(query), self.scheme.threshold(query), stats
-        )
+    candidates = candidates_from_probes
 
     def candidates_batch(self, queries: Sequence[Query], stats: Sequence[SearchStats]):
         """The filter step of a batch (see
         :func:`~repro.exec.pipeline.execute_batch`): every query's
         ``probes`` through one :meth:`InvertedIndex.union_heads_batch
         <repro.index.inverted.InvertedIndex.union_heads_batch>`.  A
-        :data:`FULL_SCAN` query, and every query of a plain Sig-Filter,
-        is declined to the single path — and so is the whole batch when
-        fewer than :data:`~repro.exec.pipeline.BATCH_MIN_QUERIES` of its
-        queries have probes."""
+        :data:`FULL_SCAN` query is declined to the single path — and so
+        is the whole batch when fewer than
+        :data:`~repro.exec.pipeline.BATCH_MIN_QUERIES` of its queries have
+        probes."""
         declined: List[int] = []
         batched: List[int] = []
         probes = []
         for position, query in enumerate(queries):
-            # A plain Sig-Filter's candidates are no union of heads.
-            probe = self.probes(query) if self.prefix_pruning else FULL_SCAN
+            probe = self.probes(query)
             if probe is FULL_SCAN:
                 declined.append(position)
             else:
@@ -200,41 +176,6 @@ class SingleSchemeFilter(SearchMethod):
             probes, [stats[position] for position in batched]
         )
         return declined, np.array(batched, dtype=np.int64).take(pair_queries), pair_oids
-
-    def _candidates_plain(
-        self,
-        signature: Sequence[Tuple[object, float]],
-        threshold: float,
-        stats: SearchStats,
-    ) -> Collection[int]:
-        """Sig-Filter: accumulate exact signature similarity over all lists.
-
-        Each list's oids and ``min(w(s|q), w(s|o))`` are concatenated in
-        signature order and summed per oid by ``np.bincount``, which adds
-        in input order — ``Σ`` in float64, list after list, one entry per
-        oid per list.  Only an oid some list holds can qualify: a zero
-        threshold (a zero-area query region) would otherwise admit every
-        oid below the largest one listed.
-        """
-        index = self.index
-        oid_parts: List[np.ndarray] = []
-        weight_parts: List[np.ndarray] = []
-        codes = self.encode([element for element, _ in signature])
-        for code, (_, query_weight) in zip(codes, signature):
-            posting = index.posting_list(code)
-            if posting is None:
-                continue
-            oids, weights = posting
-            oid_parts.append(oids)
-            weight_parts.append(np.minimum(weights, query_weight, out=weights))
-            stats.lists_probed += 1
-            stats.entries_retrieved += len(oids)
-            stats.entries_matched += len(oids)
-        if not oid_parts:
-            return []
-        all_oids = np.concatenate(oid_parts)
-        sums = np.bincount(all_oids, weights=np.concatenate(weight_parts))
-        return np.flatnonzero((np.bincount(all_oids) > 0) & (sums >= threshold))
 
     # ------------------------------------------------------------------
     # Introspection

@@ -1,4 +1,4 @@
-"""``GridFilter`` — Sig-Filter(+) over grid-based signatures (Section 4).
+"""``GridFilter`` — Sig-Filter+ over grid-based signatures (Section 4).
 
 Grid cells intersecting a region form its spatial signature (Definition
 4); weights are intersection areas, the threshold is ``c_R = τ_R·|q.R|``
@@ -26,9 +26,6 @@ class GridFilter(SingleSchemeFilter):
         weighter: Corpus idf statistics (verification needs them).
         granularity: Cells per side ``p`` (the paper sweeps 64 … 8192).
         space: Partitioned space; defaults to the corpus MBR.
-        order: Global cell order (ablation hook; paper uses
-            ``"count_asc"``).
-        prefix_pruning: False reverts to the plain Sig-Filter.
 
     Only ``τR == 0`` is degenerate for grids: a query region with zero
     area still owns a cell, and any object tying a positive spatial
@@ -45,11 +42,9 @@ class GridFilter(SingleSchemeFilter):
         *,
         granularity: int = 256,
         space: Rect | None = None,
-        order: str = "count_asc",
-        prefix_pruning: bool = True,
     ) -> None:
-        scheme = GridScheme.from_corpus(objects, granularity, space=space, order=order)
-        super().__init__(objects, scheme, weighter, prefix_pruning=prefix_pruning)
+        scheme = GridScheme.from_corpus(objects, granularity, space=space)
+        super().__init__(objects, scheme, weighter)
         self.granularity = granularity
 
     def _is_degenerate(self, query: Query) -> bool:

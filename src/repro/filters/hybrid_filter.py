@@ -63,7 +63,6 @@ class HybridFilter(SearchMethod):
             only extra candidates — never missed answers — because every
             posting is verified.
         space: Grid space override (defaults to the corpus MBR).
-        order: Global cell order name.
     """
 
     name = "hash-hybrid"
@@ -76,13 +75,12 @@ class HybridFilter(SearchMethod):
         granularity: int = 256,
         num_buckets: int | None = None,
         space: Rect | None = None,
-        order: str = "count_asc",
     ) -> None:
         super().__init__(objects, weighter)
         self.granularity = granularity
         self.num_buckets = num_buckets
         self.textual = TextualScheme(self.weighter)
-        self.spatial = GridScheme.from_corpus(objects, granularity, space=space, order=order)
+        self.spatial = GridScheme.from_corpus(objects, granularity, space=space)
         # Both signature halves of every object as flat arrays, then the
         # per-object cross product by index arithmetic: postings come out
         # object by object, token-major, in signature order.

@@ -3,8 +3,7 @@
 Figure 4's running example: tokens are the signature elements, weighted by
 idf, with threshold ``c_T = τ_T · Σ_{t∈q.T} w(t)``; Section 4.2 notes the
 algorithm "can be also applied to textual signatures" with tokens sorted
-descending by idf — that is exactly this class with the default
-``prefix_pruning=True``.
+descending by idf — that is exactly this class.
 """
 
 from __future__ import annotations
@@ -33,17 +32,13 @@ class TokenFilter(SingleSchemeFilter):
         self,
         objects: Sequence[SpatioTextualObject],
         weighter: TokenWeighter | None = None,
-        *,
-        prefix_pruning: bool = True,
     ) -> None:
         if weighter is None:
             weighter = TokenWeighter(obj.tokens for obj in objects)
         scheme = TextualScheme(weighter)
-        super().__init__(objects, scheme, weighter, prefix_pruning=prefix_pruning)
+        super().__init__(objects, scheme, weighter)
 
     def probes(self, query: Query) -> Probes:
-        if not self.prefix_pruning:
-            return super().probes(query)
         tokens, c_t = self.scheme.query_prefix(query)
         if c_t <= 0.0:
             return FULL_SCAN

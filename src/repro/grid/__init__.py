@@ -7,10 +7,12 @@ cells it intersects, weighted by intersection area.
 * :class:`~repro.grid.uniform.UniformGrid` — one 2^l × 2^l (or p × p)
   partition of the whole space (Section 4.1).
 * :class:`~repro.grid.hierarchy.GridHierarchy` — the level-indexed grid
-  tree behind granularity selection (Section 4.3, Figure 7) and the
-  hierarchical hybrid signatures (Section 5.2, Figure 10).
-* :mod:`~repro.grid.granularity` — the probabilistic cost model and the
-  benefit-threshold level-selection algorithm (Section 4.3).
+  tree (Figure 7) behind the hierarchical hybrid signatures (Section 5.2,
+  Figure 10).
+
+Section 4.3's cost model for picking a granularity is not built: the
+granularity is a build knob, and ``benchmarks/bench_fig13_granularity.py``
+sweeps it empirically.
 """
 
 from repro.grid.hierarchy import GridHierarchy, HierCell

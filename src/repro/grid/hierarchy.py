@@ -3,9 +3,8 @@
 Level ``l`` partitions the space into ``2^l × 2^l`` cells; the four
 children of cell ``(l, row, col)`` are the level-``l+1`` cells covering
 the same extent.  :class:`GridHierarchy` is a pure coordinate system — it
-materialises no nodes, so both the granularity-selection cost model
-(Section 4.3) and HSS-Greedy (Section 5.2) can walk arbitrarily deep
-without paying for the full 4^l fan-out.
+materialises no nodes, so HSS-Greedy (Section 5.2) can walk arbitrarily
+deep without paying for the full 4^l fan-out.
 
 A cell is ``HierCell = (level, row, col)``, ordered first by level so the
 paper's hierarchical global order ("ascending order of their levels")

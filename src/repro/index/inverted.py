@@ -28,8 +28,8 @@ signature filter's ``candidates`` runs — opens each named list, takes
 the head its bound(s) qualify as a zero-copy view and unions the heads
 once per query (one concatenate, one sort + neighbour-mask dedup)
 instead of through a Python set.
-:meth:`probe` is its single-list form, for the callers that want one
-head (the I/O model, the keyword-first baseline), and
+:meth:`probe` is its single-list form, for the one caller that wants
+one head (the keyword-first baseline), and
 :meth:`~InvertedIndex.union_heads_batch` its batch form: the same cuts
 and accounting for many single-bound queries, their heads gathered and
 deduplicated as one column.
@@ -229,13 +229,6 @@ class InvertedIndex:
     def num_postings(self) -> int:
         return self._starts[-1]
 
-    def list_length(self, code: int) -> int:
-        """Postings in the list of ``code`` (0 when it has none)."""
-        row = self._row_of.get(code)
-        if row is None:
-            return 0
-        return self._starts[row + 1] - self._starts[row]
-
     def list_lengths(self):
         """Postings per list, as an array in directory (= code) order."""
         return _np.diff(self.offsets)
@@ -382,18 +375,6 @@ class InvertedIndex:
         keys.sort()
         keys = _drop_repeats(keys)
         return keys >> 32, keys & 0xFFFFFFFF
-
-    def posting_list(self, code: int):
-        """``code``'s whole list as ``(oids, bounds)`` — zero-copy oids,
-        the primary bounds as a fresh float64 array — or ``None`` on a
-        directory miss.  What the plain Sig-Filter sums: its bounds are
-        the raw element weights."""
-        row = self._row_of.get(code)
-        if row is None:
-            return None
-        start = self._starts[row]
-        end = self._starts[row + 1]
-        return self.oids[start:end], -self.neg_bounds[start:end]
 
     # ------------------------------------------------------------------
     # Pickling (snapshots externalise the arrays)

@@ -10,9 +10,10 @@ upper-bounds the true overlap ``|q.R ∩ o.R|`` (each term bounds the
 overlap inside its cell), so ``sim_R(q,o) ≥ τ_R`` implies the signature
 similarity reaches ``c_R = τ_R · |q.R|`` — Lemma 1.
 
-The global cell order defaults to the paper's ascending ``count(g)``
-(cells touched by few objects first); alternatives from
-:mod:`repro.signatures.orders` support the grid-order ablation.
+The global cell order is the paper's ascending ``count(g)`` (cells
+touched by few objects first, Section 4.2), ties broken by cell id.  The
+paper leaves other orders to future work (footnote 4), and so does this
+repository.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.core.similarity import filter_threshold
 from repro.geometry import Rect
 from repro.geometry.rect import mbr_of
 from repro.grid.uniform import UniformGrid
-from repro.signatures.orders import get_order_builder
 
 
 class GridScheme:
@@ -34,7 +34,7 @@ class GridScheme:
 
     Build with :meth:`from_corpus`, which derives the space (the MBR of
     all object regions), counts ``count(g)`` per cell, and fixes the
-    global order.
+    global order: ascending ``count(g)``, then cell id.
 
     Args:
         grid: The uniform partition generating signature elements.
@@ -60,7 +60,6 @@ class GridScheme:
         granularity: int,
         *,
         space: Rect | None = None,
-        order: str = "count_asc",
     ) -> "GridScheme":
         """Build a scheme from the corpus (Section 4.1 + the 4.2 order).
 
@@ -69,10 +68,9 @@ class GridScheme:
             granularity: Cells per side.
             space: Partitioned space; defaults to the corpus MBR, buffered
                 slightly when degenerate so cells have positive area.
-            order: Global-order name (see :mod:`repro.signatures.orders`).
 
         Raises:
-            ConfigurationError: On an empty corpus or unknown order name.
+            ConfigurationError: On an empty corpus.
         """
         regions = [
             obj.region if isinstance(obj, SpatioTextualObject) else obj for obj in objects
@@ -88,8 +86,8 @@ class GridScheme:
         for region in regions:
             for cell in grid.cells_overlapping(region):
                 counts[cell] += 1
-        ranks = get_order_builder(order)(counts, granularity)
-        return cls(grid, ranks)
+        ordered = sorted(counts, key=lambda cell: (counts[cell], cell))
+        return cls(grid, {cell: rank for rank, cell in enumerate(ordered)})
 
     # ------------------------------------------------------------------
     # Scheme interface
@@ -126,9 +124,8 @@ def min_weight_similarity(
 ) -> float:
     """``Σ_{g∈common} min(w(g|a), w(g|b))`` — the grid signature similarity.
 
-    The per-pair reference for tests of Lemma 1; the plain ``Sig-Filter``
-    path sums the same ``min`` weights for every oid at once with
-    ``np.bincount`` (:meth:`~repro.filters.base.SingleSchemeFilter._candidates_plain`).
+    The per-pair reference for tests of Lemma 1: the filters never sum
+    it, they cut the Lemma-3 bounds that upper-bound it.
     """
     weights_a = dict(sig_a)
     total = 0.0

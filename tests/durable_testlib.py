@@ -41,21 +41,42 @@ def make_durable(
     )
 
 
-def make_uncheckpointed(root: Path, *, params: dict, buffer_capacity: int = 4):
-    """A generation-0 durable ``token`` engine with no snapshot yet, whose
-    WAL config record carries ``params`` verbatim — whatever an earlier
-    version of this library (or anyone else) may have written there."""
+def make_uncheckpointed(
+    root: Path, *, params: dict, method: str = "token", buffer_capacity: int = 4
+):
+    """A generation-0 durable engine (``method`` at its defaults) with no
+    snapshot yet, whose WAL config record carries ``params`` verbatim —
+    whatever an earlier version of this library (or anyone else) may
+    have written there."""
     from repro import SegmentedSealSearch
     from repro.io.wal import WriteAheadLog
 
-    engine = SegmentedSealSearch((), "token", buffer_capacity=buffer_capacity)
+    engine = SegmentedSealSearch((), method, buffer_capacity=buffer_capacity)
     wal = WriteAheadLog.create(wal_of(root), config={**engine.config(), "params": params})
     return DurableSegmentedSealSearch(engine, wal, snapshot_path=snapshot_of(root))
 
 
-#: ``"params"`` of config records `build --segmented --wal --backend …`
-#: wrote before there was one posting store.
-LEGACY_BACKEND_PARAMS = [{"backend": "python"}, {"backend": "columnar"}]
+#: ``(method, params)`` of config records earlier versions wrote with a
+#: knob this one drops, every value of which answered alike: an index
+#: ``backend`` (`build --segmented --wal --backend …`, before there was
+#: one posting store), ``prefix_pruning`` (the plain Sig-Filter) and
+#: ``order`` (alternative grid cell orders).
+LEGACY_CONFIGS = [
+    ("token", {"backend": "python"}),
+    ("token", {"backend": "columnar"}),
+    ("token", {"prefix_pruning": False}),
+    ("grid", {"prefix_pruning": False}),
+    ("planned", {"prefix_pruning": False}),
+    ("grid", {"order": "hilbert"}),
+    ("hash-hybrid", {"order": "count_desc"}),
+]
+
+
+def legacy_config_id(value) -> str:
+    """Test id part of a :data:`LEGACY_CONFIGS` entry."""
+    if isinstance(value, str):
+        return value
+    return "-".join(f"{knob}={setting}" for knob, setting in value.items())
 
 
 def fill(engine, count: int = 9, start: int = 0) -> None:

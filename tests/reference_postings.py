@@ -250,13 +250,11 @@ def assert_same_index(built: InvertedIndex, expected: ReferenceIndex) -> None:
 
 def single_scheme_index(method) -> ReferenceIndex:
     """``SingleSchemeFilter``'s build as it was: one ``add`` per signature
-    element of every object, Lemma-3 bounds under prefix pruning and raw
-    weights without."""
+    element of every object, with its Lemma-3 bound."""
     index = ReferenceIndex()
     for obj in method.corpus:
         signature = method.scheme.object_signature(obj)
-        weights = [w for _, w in signature]
-        bounds = suffix_bounds(weights) if method.prefix_pruning else weights
+        bounds = suffix_bounds([w for _, w in signature])
         codes = method.encode([element for element, _ in signature])
         for code, bound in zip(codes, bounds):
             index.add(code, obj.oid, bound)

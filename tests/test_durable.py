@@ -22,8 +22,9 @@ from repro.io.wal import WALError, WriteAheadLog, read_wal
 from repro.service import QueryService
 
 from tests.durable_testlib import (
-    LEGACY_BACKEND_PARAMS,
+    LEGACY_CONFIGS,
     fill,
+    legacy_config_id,
     make_durable,
     make_uncheckpointed,
     oracle_answers,
@@ -247,23 +248,32 @@ class TestRecovery:
         assert_equivalent(recovered, engine)
         recovered.close()
 
-    @pytest.mark.parametrize("params", LEGACY_BACKEND_PARAMS, ids=lambda p: p["backend"])
-    def test_wal_only_recovery_from_a_legacy_config_record(self, tmp_path, params):
-        """The parent's config records may name an index backend; both
-        values replayed to identical answers, so the key is dropped."""
-        engine = make_uncheckpointed(tmp_path, params=params)
+    @pytest.mark.parametrize("method, params", LEGACY_CONFIGS, ids=legacy_config_id)
+    def test_wal_only_recovery_from_a_legacy_config_record(self, tmp_path, monkeypatch,
+                                                           method, params):
+        """An earlier version's config record may name a knob this one
+        dropped (``backend``, ``prefix_pruning``, ``order``): every value
+        of it answered alike, so the knob is dropped, each segment is
+        rebuilt with the method at its defaults, and the recovered engine
+        answers like the naive scan."""
+        monkeypatch.setattr("repro.exec.segments.FULL_INDEX_MIN_OBJECTS", 0)
+        engine = make_uncheckpointed(tmp_path, method=method, params=params)
         fill(engine, 9)
         engine.delete(2)
         engine.close()
         assert read_wal(tmp_path / "engine.wal").config["params"] == params
         recovered = recover(tmp_path / "engine.pkl", tmp_path / "engine.wal")
-        assert recovered.recovery["source"] == "wal-only"
-        assert recovered.config()["params"] == {}
-        assert_equivalent(recovered, engine)
-        for tau in (0.0, 0.3):
-            query = Query(PROBE.region, PROBE.tokens, 0.01, tau)
-            assert recovered.search_query(query).answers == oracle_answers(recovered, query)
-        recovered.close()
+        try:
+            assert recovered.recovery["source"] == "wal-only"
+            assert recovered.config()["params"] == {}
+            assert {m.name for m in recovered.engine.segment_methods()} == {method}
+            assert_equivalent(recovered, engine)
+            for tau_r, tau_t in ((0.01, 0.0), (0.01, 0.3), (0.0, 0.3)):
+                query = Query(PROBE.region, PROBE.tokens | {"tag1"}, tau_r, tau_t)
+                expected = oracle_answers(recovered, query, "naive")
+                assert recovered.search_query(query).answers == expected
+        finally:
+            recovered.close()
 
     def test_generation0_wal_from_before_element_codes_recovers_to_the_oracle(
         self, tmp_path, monkeypatch

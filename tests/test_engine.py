@@ -37,11 +37,11 @@ class TestRegistry:
                  "objects": [], "weighter": None, "nonsense": 1}
         assert accepted_params("naive", knobs) == {}
         assert accepted_params("irtree", knobs) == {"max_entries": 8}
-        assert accepted_params("token", knobs) == {"prefix_pruning": False}
-        assert accepted_params("grid", knobs) == {"granularity": 8, "prefix_pruning": False}
+        assert accepted_params("token", knobs) == {}
+        assert accepted_params("grid", knobs) == {"granularity": 8}
         assert accepted_params("seal", knobs) == {"mt": 4}
         # ``planned``: what one of its two members (token, grid) takes.
-        assert set(accepted_params("planned", knobs)) == {"granularity", "prefix_pruning"}
+        assert set(accepted_params("planned", knobs)) == {"granularity"}
         with pytest.raises(ConfigurationError, match="unknown method 'quantum'"):
             accepted_params("quantum", knobs)
 
@@ -54,6 +54,22 @@ class TestRegistry:
             check_params("grid", {"granularity": 8, "mt": 4, "zz": 0})
         with pytest.raises(ConfigurationError, match="method 'planned' does not accept 'max_entries'"):
             check_params("planned", {"max_entries": 8})
+
+    @pytest.mark.parametrize("name, knob, value", [
+        ("token", "prefix_pruning", False),
+        ("grid", "prefix_pruning", False),
+        ("planned", "prefix_pruning", False),
+        ("grid", "order", "hilbert"),
+        ("hash-hybrid", "order", "count_desc"),
+    ])
+    def test_deleted_knobs_are_refused_by_name(self, figure1_objects, figure1_weighter,
+                                               name, knob, value):
+        """The plain Sig-Filter (``prefix_pruning=False``) and the
+        alternative cell orders (``order=``) are not built: asking for
+        one is a configuration error naming the knob, not a build that
+        quietly ignores it."""
+        with pytest.raises(ConfigurationError, match=f"method '{name}' does not accept '{knob}'"):
+            build_method(figure1_objects, name, figure1_weighter, **{knob: value})
 
     def test_all_methods_agree_on_figure1(
         self, figure1_objects, figure1_weighter, figure1_query

@@ -50,14 +50,6 @@ class TestBehaviour:
             for q in twitter_small_queries:
                 assert f.search(q).answers == naive.search(q).answers, granularity
 
-    def test_plain_variant_equals_naive(
-        self, twitter_small, twitter_small_weighter, twitter_small_queries
-    ):
-        naive = NaiveSearch(twitter_small, twitter_small_weighter)
-        f = GridFilter(twitter_small, twitter_small_weighter, granularity=16, prefix_pruning=False)
-        for q in twitter_small_queries:
-            assert f.search(q).answers == naive.search(q).answers
-
     def test_finer_grid_fewer_or_equal_candidates(
         self, twitter_small, twitter_small_weighter, twitter_small_queries
     ):
@@ -88,12 +80,3 @@ class TestBehaviour:
         f = GridFilter(objs, granularity=4, space=FIGURE1_SPACE)
         q = Query(Rect(10, 10, 10, 10), frozenset({"t1"}), 0.5, 0.0)
         assert f.search(q).answers == [0]
-
-    def test_alternate_orders_stay_correct(
-        self, twitter_small, twitter_small_weighter, twitter_small_queries
-    ):
-        naive = NaiveSearch(twitter_small, twitter_small_weighter)
-        for order in ("count_desc", "cell_id", "hilbert"):
-            f = GridFilter(twitter_small, twitter_small_weighter, granularity=16, order=order)
-            for q in twitter_small_queries:
-                assert f.search(q).answers == naive.search(q).answers, order

@@ -8,14 +8,13 @@ filter:
 * single-list probes on both index kinds and the bulk loader against
   the reference and against brute force (hypothesis);
 * every filter that owns an index — ``token``, ``grid``, ``hash-hybrid``
-  (exact and bucketed keys), ``seal``, the plain Sig-Filter and
-  ``keyword-first`` — on seeded Twitter-like and USA-like
-  corpora: the bulk-loaded index equals the reference staged posting by
-  posting under the filter's element codes, list by list in code order,
-  and the probe loop returns the same heads with the same
-  ``lists_probed`` / ``entries_retrieved`` / ``entries_matched`` across
-  the five regimes of the golden planner workload, directory misses
-  included;
+  (exact and bucketed keys), ``seal`` and ``keyword-first`` — on seeded
+  Twitter-like and USA-like corpora: the bulk-loaded index equals the
+  reference staged posting by posting under the filter's element codes,
+  list by list in code order, and the probe loop returns the same heads
+  with the same ``lists_probed`` / ``entries_retrieved`` /
+  ``entries_matched`` across the five regimes of the golden planner
+  workload, directory misses included;
 * edge builds (all-empty token sets, zero-area regions, one object, no
   postings at all) and a hypothesis sweep over random tiny corpora.
 """
@@ -155,7 +154,6 @@ def test_directory_is_the_sorted_code_column():
     index = InvertedIndex.from_postings([7, 3, 7, 9, 3, -1], range(6), [1.0] * 6)
     assert index.codes.tolist() == [-1, 3, 7, 9]
     assert index.list_lengths().tolist() == [1, 2, 2, 1]
-    assert [index.list_length(code) for code in (3, 4)] == [2, 0]
     assert 9 in index and 8 not in index and len(index) == 4
     empty = InvertedIndex.from_postings([], [], [])
     assert empty.codes.dtype == np.int64 and len(empty) == empty.num_postings() == 0
@@ -253,16 +251,6 @@ FILTERS = {
             method.corpus, method, method.token_grids
         ),
     ),
-    "sig-filter-token": (
-        lambda corpus, w: build_method(corpus, "token", w, prefix_pruning=False),
-        single_scheme_index,
-    ),
-    "sig-filter-grid": (
-        lambda corpus, w: build_method(
-            corpus, "grid", w, granularity=16, prefix_pruning=False
-        ),
-        single_scheme_index,
-    ),
     "keyword-first": (
         lambda corpus, w: build_method(corpus, "keyword-first", w),
         keyword_index,
@@ -303,10 +291,6 @@ def built(corpus):
         return cache[name]
 
     return get
-
-
-#: The two filters that walk whole lists instead of cutting heads.
-ACCUMULATING = ("keyword-first", "sig-filter-grid", "sig-filter-token")
 
 
 @pytest.mark.parametrize("name", sorted(FILTERS))
@@ -361,35 +345,14 @@ def test_probe_loop_equals_reference(built, workload, name):
                     sorted(set(matched)), [1, scanned, len(matched)],
                 )
         # And the filter's own candidates are that loop over its probes.
-        if name not in ACCUMULATING:
-            direct, stats = SearchStats(), SearchStats()
-            expected = reference.union_heads(*probes, direct)
-            assert oids(method.candidates(query, stats)) == sorted(expected)
-            assert counters(stats) == counters(direct)
+        direct, stats = SearchStats(), SearchStats()
+        expected = reference.union_heads(*probes, direct)
+        assert oids(method.candidates(query, stats)) == sorted(expected)
+        assert counters(stats) == counters(direct)
         probed += 1
     assert probed and misses
     # The vacuous-threshold regimes degenerate on the axis the filter reads.
-    assert full_scans or name in ("sig-filter-grid",)
-
-
-def _reference_sig_filter(method, reference, query, stats):
-    """Plain Sig-Filter as it ran on the per-list backend: accumulate
-    ``Σ min(w(s|q), w(s|o))`` over every full list, keep what reaches
-    the threshold."""
-    acc = defaultdict(float)
-    signature = method.scheme.query_signature(query)
-    codes = method.encode([element for element, _ in signature])
-    for code, (_, query_weight) in zip(codes, signature):
-        plist = reference.lists.get(code)
-        if plist is None:
-            continue
-        stats.lists_probed += 1
-        for oid, weight in plist:
-            stats.entries_retrieved += 1
-            stats.entries_matched += 1
-            acc[oid] += weight if weight < query_weight else query_weight
-    threshold = method.scheme.threshold(query)
-    return [oid for oid, sim in acc.items() if sim >= threshold]
+    assert full_scans
 
 
 def _reference_keyword_first(method, reference, query, stats):
@@ -412,21 +375,16 @@ def _reference_keyword_first(method, reference, query, stats):
     ]
 
 
-@pytest.mark.parametrize("name", ACCUMULATING)
-def test_accumulating_filters_equal_reference(built, workload, name):
-    method, reference = built(name)
-    if name == "keyword-first":
-        run = _reference_keyword_first
-        filters = lambda q: q.tau_t > 0.0 and method.weighter.total_weight(q.tokens) > 0.0
-    else:
-        run = _reference_sig_filter
-        filters = lambda q: not method._is_degenerate(q)
+def test_keyword_first_equals_reference(built, workload):
+    """``keyword-first`` walks whole lists instead of cutting heads."""
+    method, reference = built("keyword-first")
+    filters = lambda q: q.tau_t > 0.0 and method.weighter.total_weight(q.tokens) > 0.0
     naive = build_method(method.corpus, "naive", method.weighter)
     filtered = 0
     first = workload[0]
     unknown = Query(first.region, first.tokens | {"no-such-token"}, 0.3, 0.3)
-    # A zero-area region: every grid weight of the query is 0, and so is
-    # the grid threshold; only objects some list holds may still qualify.
+    # A zero-area query region: the keyword walk is unchanged, and the
+    # verifier still has to agree with the naive scan on it.
     x, y = first.region.center
     point = Query(Rect(x, y, x, y), first.tokens, 0.3, 0.3)
     for query in workload + [unknown, point]:
@@ -436,11 +394,8 @@ def test_accumulating_filters_equal_reference(built, workload, name):
             assert got == method.all_oids() and counters(ours) == [0, 0, 0]
             continue
         filtered += 1
-        expected = run(method, reference, query, theirs)
-        if name == "keyword-first":
-            assert got == expected  # accumulation order and all
-        else:
-            assert oids(got) == sorted(expected)
+        expected = _reference_keyword_first(method, reference, query, theirs)
+        assert got == expected  # accumulation order and all
         assert counters(ours)[:2] == counters(theirs)[:2]
         assert method.search(query).answers == naive.search(query).answers
     assert filtered
@@ -459,7 +414,7 @@ EDGE_CORPORA = {
     "one-object-no-tokens": [(Rect(0, 0, 2, 2), set())],
 }
 EDGE_FILTERS = {
-    **{name: FILTERS[name] for name in ("token", "sig-filter-token", "keyword-first")},
+    **{name: FILTERS[name] for name in ("token", "keyword-first")},
     "grid": (lambda c, w: build_method(c, "grid", w, granularity=8), single_scheme_index),
     "hash-hybrid": (
         lambda c, w: build_method(c, "hash-hybrid", w, granularity=8),

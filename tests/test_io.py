@@ -505,7 +505,7 @@ def test_format5_checkpoint_is_refused_at_the_envelope(tmp_path, consumer):
     from repro.service import QueryService
     from tests.durable_testlib import fill, make_durable, snapshot_of, wal_of
 
-    assert SNAPSHOT_FORMAT == 7
+    assert SNAPSHOT_FORMAT == 8
     engine = make_durable(tmp_path)
     fill(engine, 6)
     engine.checkpoint()
@@ -518,7 +518,7 @@ def test_format5_checkpoint_is_refused_at_the_envelope(tmp_path, consumer):
     path.write_bytes(pickle.dumps(envelope))
     wal_before = wal_of(tmp_path).read_bytes()
 
-    refusal = pytest.raises(SnapshotError, match="format 5.*reads format 7; rebuild the index")
+    refusal = pytest.raises(SnapshotError, match="format 5.*reads format 8; rebuild the index")
     if consumer == "load_engine":
         with refusal:
             load_engine(path)
@@ -537,31 +537,45 @@ def test_format5_checkpoint_is_refused_at_the_envelope(tmp_path, consumer):
         assert wal_of(tmp_path).read_bytes() == wal_before
 
 
-@pytest.mark.parametrize("consumer", ["load_engine", "validate_snapshot", "inspect", "query"])
-def test_format6_snapshot_is_refused_with_rebuild(tmp_path, consumer, figure1_objects,
-                                                  figure1_weighter, capsys):
-    """Format 6 keyed its directories by token strings and tuples: such a
-    snapshot (what the previous version wrote for every engine) is
-    refused at the envelope, by its format number, before the blob is
-    touched."""
+@pytest.mark.parametrize("fmt", [6, 7])
+@pytest.mark.parametrize("consumer", ["load_engine", "validate_snapshot", "inspect", "query",
+                                      "recover"])
+def test_old_format_snapshot_is_refused_with_rebuild(tmp_path, consumer, fmt, capsys):
+    """Format 6 keyed its directories by token strings and tuples; format
+    7 could pickle a plain Sig-Filter whose postings hold raw element
+    weights where Sig-Filter+ reads Lemma-3 suffix bounds.  Either
+    envelope is refused by its format number, before the blob — here a
+    real, loadable engine — is unpickled, and recovery leaves the WAL as
+    it was."""
     import pickle
 
     from repro.cli import main
+    from repro.exec.durable import recover
     from repro.io.snapshot import validate_snapshot
+    from tests.durable_testlib import fill, make_durable, snapshot_of, wal_of
 
-    path = tmp_path / "format6.pkl"
-    save_engine(build_method(figure1_objects, "planned", figure1_weighter, granularity=4), path)
+    engine = make_durable(tmp_path)
+    fill(engine, 6)
+    engine.checkpoint()
+    engine.close()
+    path = snapshot_of(tmp_path)
     envelope = pickle.loads(path.read_bytes())
-    envelope["format"] = 6
-    envelope["engine"] = b"not an engine this library could unpickle"
+    envelope["format"] = fmt
     path.write_bytes(pickle.dumps(envelope))
-    refusal = pytest.raises(SnapshotError, match="format 6.*reads format 7; rebuild the index")
+    wal_before = wal_of(tmp_path).read_bytes()
+    refusal = pytest.raises(
+        SnapshotError, match=f"format {fmt}.*reads format 8; rebuild the index"
+    )
     if consumer == "load_engine":
         with refusal:
             load_engine(path, mmap=True)
     elif consumer == "validate_snapshot":
         with refusal:
             validate_snapshot(path)
+    elif consumer == "recover":
+        with refusal:
+            recover(path, wal_of(tmp_path))
+        assert wal_of(tmp_path).read_bytes() == wal_before
     else:
         argv = [consumer, str(path)]
         if consumer == "query":

@@ -126,8 +126,7 @@ class TestThresholdContract:
     def test_scoped_to_the_filter_side(self):
         checker = REGISTRY["threshold-contract"]()
         for path in ("src/repro/filters/base.py", "src/repro/signatures/spatial.py",
-                     "src/repro/baselines/keyword_first.py", "src/repro/filters/hybrid_filter.py",
-                     "src/repro/index/iomodel.py"):
+                     "src/repro/baselines/keyword_first.py", "src/repro/filters/hybrid_filter.py"):
             assert checker.applies_to(path)
         # The verifier is the other side of the contract.
         assert not checker.applies_to("src/repro/core/verification.py")

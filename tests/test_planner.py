@@ -302,10 +302,9 @@ def test_knob_neither_member_accepts_rejected_before_any_build(corpus, knobs, un
 
 
 def test_each_member_gets_the_knobs_it_accepts(corpus):
-    planner = PlannedSealSearch(corpus[:50], granularity=16, prefix_pruning=False)
+    planner = PlannedSealSearch(corpus[:50], granularity=16)
     assert planner.methods["grid"].granularity == 16
     assert planner.methods["hash-hybrid"].granularity == 16
-    assert not planner.methods["token"].prefix_pruning
 
 
 def test_registry_and_facade_build_planned(corpus):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -132,3 +134,24 @@ def test_prefix_filtering_no_false_negatives(sig_a_raw, sig_b_raw, threshold):
         for i, (element, _) in enumerate(sig_b)
     )
     assert hit, "prefix filtering lost a qualifying pair"
+
+
+@pytest.mark.parametrize("cut", ["select_prefix", "prefix_elements"])
+@pytest.mark.parametrize("step", ["below", "on", "above"])
+@given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=12), st.data())
+def test_cut_on_a_suffix_sum_is_the_per_element_prefix(cut, step, weights, data):
+    """``c`` on one of the signature's own suffix sums, to the bit, or
+    one ulp either side: the cut keeps exactly the elements whose
+    Lemma-3 bound (that suffix sum, added as ``suffix_bounds`` adds it)
+    reaches ``c`` — the test a posting's bound gets on the index side —
+    and a ``c ≤ 0`` keeps them all."""
+    bounds = suffix_bounds(weights)
+    c = data.draw(st.sampled_from(bounds))
+    if step != "on":
+        c = math.nextafter(c, -math.inf if step == "below" else math.inf)
+    expected = len(weights) if c <= 0.0 else sum(bound >= c for bound in bounds)
+    if cut == "select_prefix":
+        assert select_prefix(weights, c) == expected
+    else:
+        signature = [(f"e{i}", w) for i, w in enumerate(weights)]
+        assert list(prefix_elements(signature, c)) == signature[:expected]

@@ -1,7 +1,6 @@
 """One ``probes()`` per filter, replayed against the parent's work counts.
 
-``candidates`` and the I/O model read a signature filter's
-``probes(query)`` (see :mod:`repro.filters.base`).  These tests pin:
+``candidates`` reads a signature filter's ``probes(query)`` (see :mod:`repro.filters.base`).  These tests pin:
 
 * a golden table whose answers and per-filter work were written by an
   earlier commit (``tests/fixtures/make_planner_golden.py``) replays —

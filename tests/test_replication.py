@@ -57,7 +57,8 @@ from repro.service.replication import (
 )
 
 from tests.durable_testlib import (
-    LEGACY_BACKEND_PARAMS,
+    LEGACY_CONFIGS,
+    legacy_config_id,
     make_durable,
     make_uncheckpointed,
     oracle_answers,
@@ -91,13 +92,13 @@ def replica_answers(applier: ReplicaApplier):
         return answers_of(engine)
 
 
-def assert_replica_matches(applier, primary, **params):
-    """Replica ≡ primary ≡ from-scratch oracle, over every probe."""
+def assert_replica_matches(applier, primary, oracle="token", **params):
+    """Replica ≡ primary ≡ from-scratch ``oracle`` build, over every probe."""
     expected = answers_of(primary)
     got = replica_answers(applier)
     assert got == expected
     for query, answer in zip(PROBES, expected):
-        assert answer == oracle_answers(primary, query, "token", **params)
+        assert answer == oracle_answers(primary, query, oracle, **params)
     with applier.service.reading() as (engine, _epoch):
         assert sorted(engine._live) == sorted(primary.engine._live)
 
@@ -268,13 +269,17 @@ class TestReplicaDifferential:
             applier.stop()
         primary.close()
 
-    @pytest.mark.parametrize("params", LEGACY_BACKEND_PARAMS, ids=lambda p: p["backend"])
-    def test_config_bootstrap_from_a_legacy_config_record(self, tmp_path, params):
-        """The primary ships its log's config record verbatim; one written
-        when there were two index backends still bootstraps a replica."""
+    @pytest.mark.parametrize("method, params", LEGACY_CONFIGS, ids=legacy_config_id)
+    def test_config_bootstrap_from_a_legacy_config_record(self, tmp_path, monkeypatch,
+                                                          method, params):
+        """The primary ships its log's config record verbatim; one naming
+        a knob this version dropped (``backend``, ``prefix_pruning``,
+        ``order``) still bootstraps a replica whose segments are that
+        method at its defaults, answering like the naive scan."""
+        monkeypatch.setattr("repro.exec.segments.FULL_INDEX_MIN_OBJECTS", 0)
         root = tmp_path / "primary"
         root.mkdir()
-        primary = make_uncheckpointed(root, params=params)
+        primary = make_uncheckpointed(root, method=method, params=params)
         fill(primary, 9)
         primary.delete(3)
         with primary_server(primary) as (host, port, _publisher):
@@ -282,7 +287,9 @@ class TestReplicaDifferential:
             applier.bootstrap()
             applier.catch_up()
             assert applier.source == "config"
-            assert_replica_matches(applier, primary)
+            assert_replica_matches(applier, primary, oracle="naive")
+            with applier.service.reading() as (engine, _epoch):
+                assert {m.name for m in engine.segment_methods()} == {method}
             applier.stop()
         primary.close()
 

@@ -110,6 +110,17 @@ class TestGridScheme:
         ranks = [scheme.rank(c) for c, _ in sig]
         assert ranks == sorted(ranks)
 
+    def test_cells_rank_by_ascending_count_then_id(self):
+        """Section 4.2's global order: cells touched by fewer objects
+        first, ties by cell id.  On a 2×2 grid the counts are cell 0: 5,
+        cell 1: 1, cell 2: 3, cell 3: 1."""
+        boxes = {0: (0.2, 0.2), 1: (1.2, 0.2), 2: (0.2, 1.2), 3: (1.2, 1.2)}
+        counts = {0: 5, 1: 1, 2: 3, 3: 1}
+        regions = [Rect(x, y, x + 0.5, y + 0.5)
+                   for cell, (x, y) in boxes.items() for _ in range(counts[cell])]
+        scheme = GridScheme.from_corpus(regions, 2, space=Rect(0, 0, 2, 2))
+        assert sorted(range(4), key=scheme.rank) == [1, 3, 2, 0]
+
     def test_unseen_cells_rank_last_and_stably(self, figure1_objects):
         scheme = GridScheme.from_corpus(figure1_objects, 4, space=FIGURE1_SPACE)
         seen_max = max(scheme.rank(c) for c, _ in scheme.signature_of_region(FIGURE1_SPACE))

@@ -1,12 +1,9 @@
-"""Table 1's storage model and the I/O model, pinned to fixed numbers.
+"""Table 1's storage model, pinned to fixed numbers.
 
 Element codes changed how an index keys its lists, not what the storage
 model charges: every registry method's ``index_size()`` at default knobs
 reports the five fields it reported while directories were keyed by
-token strings and ``(token, cell)`` tuples, and ``compare_methods_io``
-reads the same pages on a fixed workload.  ``keyword-first``'s reads are
-left out: it charges query tokens in set iteration order through an LRU
-pool, so its physical reads move with ``PYTHONHASHSEED``.
+token strings and ``(token, cell)`` tuples.
 """
 
 from __future__ import annotations
@@ -15,8 +12,6 @@ import pytest
 
 from repro import TokenWeighter, build_method
 from repro.core.engine import METHOD_REGISTRY
-from repro.datasets import generate_queries
-from repro.index.iomodel import compare_methods_io
 
 #: corpus -> method -> (num_lists, num_postings, directory_bytes,
 #: posting_bytes, page_bytes).
@@ -45,38 +40,17 @@ SIZES = {
     },
 }
 
-#: corpus -> method -> (logical reads, physical reads) through a
-#: 16-page pool.
-READS = {
-    "twitter": {
-        "grid": (17, 17),
-        "hash-hybrid": (50, 50),
-        "irtree": (121, 35),
-        "seal": (91, 90),
-        "spatial-first": (34, 11),
-        "token": (99, 98),
-    },
-    "usa": {
-        "grid": (20, 17),
-        "hash-hybrid": (41, 38),
-        "irtree": (96, 28),
-        "seal": (78, 74),
-        "spatial-first": (32, 10),
-        "token": (82, 78),
-    },
-}
-
 
 @pytest.fixture(scope="module", params=["twitter", "usa"])
 def built(request, twitter_small, usa_small):
     corpus = twitter_small if request.param == "twitter" else usa_small
     weighter = TokenWeighter(obj.tokens for obj in corpus)
     methods = {name: build_method(corpus, name, weighter) for name in METHOD_REGISTRY}
-    return request.param, corpus, methods
+    return request.param, methods
 
 
 def test_every_index_size_is_pinned(built):
-    kind, _, methods = built
+    kind, methods = built
     sizes = {}
     for name, method in methods.items():
         report = method.index_size()
@@ -85,18 +59,3 @@ def test_every_index_size_is_pinned(built):
             report.posting_bytes, report.page_bytes,
         )
     assert sizes == SIZES[kind]
-
-
-def test_io_model_reads_are_pinned(built):
-    kind, corpus, methods = built
-    queries = [
-        query
-        for regime, seed in (("small", 3), ("large", 4))
-        for query in generate_queries(corpus, regime, num_queries=8, seed=seed,
-                                      tau_r=0.3, tau_t=0.3)
-    ]
-    reports = compare_methods_io({name: methods[name] for name in READS[kind]}, queries,
-                                 pool_pages=16)
-    assert {name: (r.logical_reads, r.physical_reads) for name, r in reports.items()} == (
-        READS[kind]
-    )

@@ -29,13 +29,6 @@ class TestPaperExample2:
         f.candidates(figure1_query, stats)
         assert stats.lists_probed == 2
 
-    def test_plain_sig_filter_probes_all_lists(self, figure1_objects, figure1_weighter, figure1_query):
-        f = TokenFilter(figure1_objects, figure1_weighter, prefix_pruning=False)
-        stats = SearchStats()
-        candidates = set(f.candidates(figure1_query, stats))
-        assert stats.lists_probed == 3
-        assert candidates == {0, 1, 2, 3, 4}
-
 
 class TestBehaviour:
     def test_equals_naive(self, twitter_small, twitter_small_weighter, twitter_small_queries):
@@ -43,26 +36,6 @@ class TestBehaviour:
         naive = NaiveSearch(twitter_small, twitter_small_weighter)
         for q in twitter_small_queries:
             assert f.search(q).answers == naive.search(q).answers
-
-    def test_plain_variant_equals_naive(
-        self, twitter_small, twitter_small_weighter, twitter_small_queries
-    ):
-        f = TokenFilter(twitter_small, twitter_small_weighter, prefix_pruning=False)
-        naive = NaiveSearch(twitter_small, twitter_small_weighter)
-        for q in twitter_small_queries:
-            assert f.search(q).answers == naive.search(q).answers
-
-    def test_plain_candidates_subset_of_prefix_union(
-        self, twitter_small, twitter_small_weighter, twitter_small_queries
-    ):
-        """The plain Sig-Filter computes exact signature similarity, so its
-        candidate set can only be tighter than Sig-Filter+'s union."""
-        plus = TokenFilter(twitter_small, twitter_small_weighter)
-        plain = TokenFilter(twitter_small, twitter_small_weighter, prefix_pruning=False)
-        for q in twitter_small_queries:
-            c_plus = set(plus.candidates(q, SearchStats()))
-            c_plain = set(plain.candidates(q, SearchStats()))
-            assert c_plain <= c_plus
 
     def test_degenerate_tau_t_zero_full_scan(self, figure1_objects, figure1_weighter):
         f = TokenFilter(figure1_objects, figure1_weighter)

@@ -32,15 +32,16 @@ through the canonical filter→verify pipeline
   pass per batch, for ``token``, ``grid`` and ``planned``) or, on any
   other method, through that path query by query.  A workload's
   per-query means come from :func:`repro.bench.measure_workload`;
-* :class:`~repro.exec.SegmentedSealSearch` — the updatable engine: a
-  write buffer sealed into immutable segments, deletes as tombstones,
-  size-tiered merges, queries fanned over segments through the same
-  pipeline (may start empty; amortised O(log n) rebuilds per object).
-* :class:`~repro.exec.DurableSegmentedSealSearch` — the updatable
-  engine behind a write-ahead log (:mod:`repro.io.wal`): mutations
-  logged before applied, ``checkpoint()`` = snapshot + log truncation,
-  :func:`repro.exec.durable.recover` replays ``snapshot + WAL tail``
-  into the exact pre-crash engine.
+* :class:`~repro.exec.segments.SegmentedSealSearch` — the updatable
+  engine: a write buffer sealed into immutable segments, deletes as
+  tombstones, size-tiered merges, queries fanned over segments through
+  the same pipeline (may start empty; amortised O(log n) rebuilds per
+  object).
+* :class:`~repro.exec.durable.DurableSegmentedSealSearch` — the
+  updatable engine behind a write-ahead log (:mod:`repro.io.wal`):
+  mutations logged before applied, ``checkpoint()`` = snapshot + log
+  truncation, :func:`repro.exec.durable.recover` replays ``snapshot +
+  WAL tail`` into the exact pre-crash engine.
 
 Verification is one step on every path
 (:class:`~repro.core.verification.Verifier`), so batched, planned and

@@ -199,9 +199,3 @@ class Corpus(Sequence[SpatioTextualObject]):
 
     def __iter__(self) -> Iterator[SpatioTextualObject]:
         return iter(self._objects)
-
-    def regions(self) -> list[Rect]:
-        return [obj.region for obj in self._objects]
-
-    def token_sets(self) -> list[FrozenSet[str]]:
-        return [obj.tokens for obj in self._objects]

@@ -8,13 +8,12 @@ at configurable scale, which is what the filtering algorithms actually
 respond to.  All generators are deterministic given a seed.
 """
 
-from repro.datasets.queries import QueryWorkload, generate_queries
+from repro.datasets.queries import generate_queries
 from repro.datasets.twitter import generate_twitter
 from repro.datasets.usa import generate_usa
 from repro.datasets.zipf import ZipfVocabulary
 
 __all__ = [
-    "QueryWorkload",
     "ZipfVocabulary",
     "generate_queries",
     "generate_twitter",

@@ -17,58 +17,19 @@ area.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.core.errors import ConfigurationError
 from repro.core.objects import Query, SpatioTextualObject
 from repro.datasets.spatial_gen import rect_from_center_area
-from repro.geometry import Rect
 from repro.geometry.rect import mbr_of
 
 
-@dataclass(frozen=True, slots=True)
-class WorkloadSpec:
-    """Target statistics of one query workload."""
-
-    name: str
-    mean_area: float
-    mean_tokens: float
-
-
-#: The paper's two workloads (Twitter numbers; USA reuses the same shapes).
-LARGE_REGION = WorkloadSpec(name="large", mean_area=554.0, mean_tokens=6.97)
-SMALL_REGION = WorkloadSpec(name="small", mean_area=0.44, mean_tokens=12.9)
-
-_SPECS = {"large": LARGE_REGION, "small": SMALL_REGION}
-
-
-class QueryWorkload(Sequence[Query]):
-    """An immutable list of queries with workload metadata.
-
-    ``with_thresholds`` re-stamps every query for threshold sweeps, which
-    is how the benchmark harness walks the paper's x-axes.
-    """
-
-    def __init__(self, queries: Sequence[Query], spec: WorkloadSpec) -> None:
-        self._queries = list(queries)
-        self.spec = spec
-
-    def __getitem__(self, index):  # type: ignore[override]
-        return self._queries[index]
-
-    def __len__(self) -> int:
-        return len(self._queries)
-
-    def __iter__(self) -> Iterator[Query]:
-        return iter(self._queries)
-
-    def with_thresholds(self, tau_r: float | None = None, tau_t: float | None = None) -> "QueryWorkload":
-        return QueryWorkload(
-            [q.with_thresholds(tau_r, tau_t) for q in self._queries], self.spec
-        )
+#: The paper's two workloads as ``kind -> (mean area in km², mean tokens)``
+#: (Twitter numbers; USA reuses the same shapes).
+SHAPES = {"large": (554.0, 6.97), "small": (0.44, 12.9)}
 
 
 def generate_queries(
@@ -81,7 +42,7 @@ def generate_queries(
     tau_t: float = 0.4,
     mean_area: float | None = None,
     mean_tokens: float | None = None,
-) -> QueryWorkload:
+) -> List[Query]:
     """Generate a query workload anchored at corpus objects.
 
     Args:
@@ -91,22 +52,22 @@ def generate_queries(
         seed: Determinism.
         tau_r: Default spatial threshold stamped on the queries.
         tau_t: Default textual threshold stamped on the queries.
-        mean_area: Override the spec's mean region area (km²).
-        mean_tokens: Override the spec's mean token count.
+        mean_area: Override the kind's mean region area (km²).
+        mean_tokens: Override the kind's mean token count.
 
     Raises:
         ConfigurationError: On unknown kind or empty corpus.
     """
     try:
-        spec = _SPECS[kind]
+        shape_area, shape_tokens = SHAPES[kind]
     except KeyError:
         raise ConfigurationError(
             f"unknown workload kind {kind!r}; expected 'large' or 'small'"
         ) from None
     if not objects:
         raise ConfigurationError("generate_queries requires a non-empty corpus")
-    target_area = mean_area if mean_area is not None else spec.mean_area
-    target_tokens = mean_tokens if mean_tokens is not None else spec.mean_tokens
+    target_area = mean_area if mean_area is not None else shape_area
+    target_tokens = mean_tokens if mean_tokens is not None else shape_tokens
 
     rng = np.random.default_rng(seed)
     space = mbr_of([obj.region for obj in objects])
@@ -139,4 +100,4 @@ def generate_queries(
         while len(tokens) < count:
             tokens.add(all_tokens[int(rng.integers(0, len(all_tokens)))])
         queries.append(Query(region=region, tokens=frozenset(tokens), tau_r=tau_r, tau_t=tau_t))
-    return QueryWorkload(queries, spec)
+    return queries

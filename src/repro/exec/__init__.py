@@ -7,16 +7,19 @@
   own ``search_batch``, else ``execute_batch`` where the engine has a
   batched filter step, else ``run_query`` per query — a list of
   per-query results either way.
-* :mod:`repro.exec.segments` — :class:`SegmentedSealSearch`: the
-  updatable engine (write buffer + immutable segments + tombstones with
+* :mod:`repro.exec.segments` —
+  :class:`~repro.exec.segments.SegmentedSealSearch`: the updatable
+  engine (write buffer + immutable segments + tombstones with
   size-tiered merges), searches fanned over segments through the same
   pipeline.
-* :mod:`repro.exec.durable` — :class:`DurableSegmentedSealSearch`: the
+* :mod:`repro.exec.durable` —
+  :class:`~repro.exec.durable.DurableSegmentedSealSearch`: the
   segmented engine behind a write-ahead log — mutations logged before
   applied, checkpoint/recovery via ``snapshot + WAL tail``.
-* :mod:`repro.exec.planner` — :class:`PlannedSealSearch`: per-query
-  dispatch over two answer-identical filters by a threshold rule, each
-  query's stats labelled ``planned:<member>``.
+* :mod:`repro.exec.planner` —
+  :class:`~repro.exec.planner.PlannedSealSearch`: per-query dispatch
+  over two answer-identical filters by a threshold rule, each query's
+  stats labelled ``planned:<member>``.
 
 Every path preserves exact answer semantics: batching, planning and
 segmentation change *throughput*, never results.
@@ -24,31 +27,4 @@ segmentation change *throughput*, never results.
 
 from repro.exec.pipeline import BatchExecutor, execute_query, run_query
 
-__all__ = [
-    "BatchExecutor",
-    "DurableSegmentedSealSearch",
-    "PlannedSealSearch",
-    "SegmentedSealSearch",
-    "execute_query",
-    "recover",
-    "run_query",
-]
-
-#: Names resolved lazily (PEP 562): the engines import the method base
-#: class, which imports this package for the pipeline — an eager import
-#: here would cycle.
-_LAZY = {
-    "DurableSegmentedSealSearch": "repro.exec.durable",
-    "PlannedSealSearch": "repro.exec.planner",
-    "SegmentedSealSearch": "repro.exec.segments",
-    "recover": "repro.exec.durable",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
+__all__ = ["BatchExecutor", "execute_query", "run_query"]

@@ -18,7 +18,7 @@ the standard write-ahead-logging contract:
   rolled back off the log tail, keeping log ≡ engine for the caller
   that just saw the error.
 * **Checkpoint = snapshot + log truncation.**  :meth:`checkpoint`
-  fsyncs the WAL, records its ``(generation, offset)`` into the format-6
+  fsyncs the WAL, records its ``(generation, offset)`` into the
   snapshot envelope, durably saves the snapshot, and only then resets
   the log to ``generation + 1``.  Recovery aligns the two files on that
   pair, so a crash at *any* instant inside the checkpoint leaves a

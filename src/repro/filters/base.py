@@ -53,7 +53,7 @@ from repro.core.stats import SearchStats
 from repro.exec import pipeline
 from repro.index.inverted import InvertedIndex
 from repro.index.storage import CELL_KEY_BYTES, IndexSizeReport, measure_index
-from repro.signatures.prefix import prefix_elements, suffix_bounds
+from repro.signatures.prefix import suffix_bounds
 from repro.text.weights import TokenWeighter
 
 #: What ``probes`` returns: ``(codes, bound, t_bound)`` …
@@ -72,19 +72,16 @@ def candidates_from_probes(method, query: Query, stats: SearchStats) -> Collecti
 
 
 class SignatureScheme(Protocol):
-    """What a signature scheme must provide (see :mod:`repro.signatures`)."""
+    """What :class:`SingleSchemeFilter` reads of a signature scheme (see
+    :mod:`repro.signatures`); each subclass probes its own scheme."""
 
     element_kind: str
 
     def object_signature(self, obj: SpatioTextualObject) -> List[Tuple[object, float]]: ...
 
-    def query_signature(self, query: Query) -> List[Tuple[object, float]]: ...
-
-    def threshold(self, query: Query) -> float: ...
-
 
 class SingleSchemeFilter(SearchMethod):
-    """Sig-Filter+ over one signature scheme.
+    """Sig-Filter+ over one signature scheme; a subclass supplies ``probes``.
 
     A cell's code is its id; a token's, its id in ``token_ids``, the
     corpus tokens in order of first appearance in signature order.
@@ -131,22 +128,6 @@ class SingleSchemeFilter(SearchMethod):
     # ------------------------------------------------------------------
     # Filter step
     # ------------------------------------------------------------------
-
-    def _is_degenerate(self, query: Query) -> bool:
-        """True when the scheme cannot see some legitimate answers.
-
-        Subclasses refine this; the safe default is a vacuous (≤ 0)
-        derived threshold, under which objects sharing *no* signature
-        element with the query may still satisfy the similarity predicate.
-        """
-        return self.scheme.threshold(query) <= 0.0
-
-    def probes(self, query: Query) -> Probes:
-        if self._is_degenerate(query):
-            return FULL_SCAN
-        threshold = self.scheme.threshold(query)
-        prefix = prefix_elements(self.scheme.query_signature(query), threshold)
-        return self.encode([element for element, _ in prefix]), threshold, None
 
     candidates = candidates_from_probes
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.objects import Query, SpatioTextualObject
-from repro.filters.base import SingleSchemeFilter
+from repro.filters.base import FULL_SCAN, Probes, SingleSchemeFilter
 from repro.geometry import Rect
+from repro.signatures.prefix import prefix_elements
 from repro.signatures.spatial import GridScheme
 from repro.text.weights import TokenWeighter
 
@@ -25,7 +26,8 @@ class GridFilter(SingleSchemeFilter):
         objects: The corpus.
         weighter: Corpus idf statistics (verification needs them).
         granularity: Cells per side ``p`` (the paper sweeps 64 … 8192).
-        space: Partitioned space; defaults to the corpus MBR.
+        space: Partitioned space; defaults to
+            :func:`~repro.geometry.rect.corpus_space` of the regions.
 
     Only ``τR == 0`` is degenerate for grids: a query region with zero
     area still owns a cell, and any object tying a positive spatial
@@ -47,5 +49,9 @@ class GridFilter(SingleSchemeFilter):
         super().__init__(objects, scheme, weighter)
         self.granularity = granularity
 
-    def _is_degenerate(self, query: Query) -> bool:
-        return query.tau_r <= 0.0
+    def probes(self, query: Query) -> Probes:
+        if query.tau_r <= 0.0:
+            return FULL_SCAN
+        threshold = self.scheme.threshold(query)
+        prefix = prefix_elements(self.scheme.query_signature(query), threshold)
+        return [cell for cell, _ in prefix], threshold, None

@@ -28,7 +28,7 @@ from repro.core.objects import Query, SpatioTextualObject
 from repro.core.similarity import filter_threshold
 from repro.filters.base import FULL_SCAN, Probes, candidates_from_probes
 from repro.geometry import Rect
-from repro.geometry.rect import mbr_of
+from repro.geometry.rect import corpus_space
 from repro.grid.hierarchy import GridHierarchy, HierCell, cell_code
 from repro.index.inverted import InvertedIndex
 from repro.index.storage import HIER_CELL_KEY_BYTES, IndexSizeReport, measure_index
@@ -99,7 +99,8 @@ class HierarchicalFilter(SearchMethod):
             With ``budget_scaling`` this becomes the *cap*.
         max_level: Finest grid-tree level HSS may refine to; level ``l``
             cells have side ``space_side / 2^l``.
-        space: Grid-tree space; defaults to the corpus MBR.
+        space: Grid-tree space; defaults to
+            :func:`~repro.geometry.rect.corpus_space` of the regions.
         min_objects: Tokens appearing in at most this many objects keep
             the trivial root partition (their lists are short already).
         budget_scaling: Optional α; when set, token ``t`` gets budget
@@ -142,9 +143,7 @@ class HierarchicalFilter(SearchMethod):
         self.budget_scaling = budget_scaling
         self.textual = TextualScheme(self.weighter)
         if space is None:
-            space = mbr_of([obj.region for obj in self.corpus])
-            if space.width <= 0.0 or space.height <= 0.0:
-                space = space.buffer(max(space.width, space.height, 1.0) * 0.5)
+            space = corpus_space([obj.region for obj in self.corpus])
         self.hierarchy = GridHierarchy(space, max_level)
 
         # Pass 1: every object's textual signature with its Lemma-3

@@ -3,24 +3,24 @@
 SEAL models every spatial extent — object regions, query regions, grid
 cells, and R-tree node boxes — as a *minimum bounding rectangle* given by
 its bottom-left and top-right corners.  All the spatial reasoning in the
-paper reduces to four rectangle operations: area, intersection test,
-intersection area, and union (bounding-box) construction.  We implement
-them exactly with plain floats; there is no tolerance fudging anywhere, so
-the filter lemmas (which rely on ``min(w(g|q), w(g|o))`` being a true upper
-bound of ``|q∩o∩g|``) hold bit-for-bit.
+paper reduces to three rectangle operations: area, intersection area,
+and union (bounding-box) construction.  We implement them exactly with
+plain floats; there is no tolerance fudging anywhere, so the filter
+lemmas (which rely on ``min(w(g|q), w(g|o))`` being a true upper bound of
+``|q∩o∩g|``) hold bit-for-bit.
 
 Rectangles are closed sets: two rectangles sharing only a boundary edge
-*touch* (``intersects`` is True) but their intersection area is zero.  The
-paper's grid signatures use open-interval semantics for cell assignment so
-that a region lying exactly on a grid line is not assigned to both sides;
-that policy lives in :mod:`repro.grid`, not here.
+*touch*, but their intersection area is zero.  The paper's grid
+signatures use open-interval semantics for cell assignment so that a
+region lying exactly on a grid line is not assigned to both sides; that
+policy lives in :mod:`repro.grid`, not here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,34 +56,6 @@ class Rect:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_points(cls, points: Iterable[tuple[float, float]]) -> "Rect":
-        """Build the MBR of a non-empty point cloud.
-
-        This is how the Twitter dataset derives a user's active region from
-        her tweet locations (Section 6.1 of the paper).
-
-        Raises:
-            ValueError: If ``points`` is empty.
-        """
-        iterator = iter(points)
-        try:
-            x, y = next(iterator)
-        except StopIteration:
-            raise ValueError("Rect.from_points requires at least one point") from None
-        x1 = x2 = x
-        y1 = y2 = y
-        for px, py in iterator:
-            if px < x1:
-                x1 = px
-            elif px > x2:
-                x2 = px
-            if py < y1:
-                y1 = py
-            elif py > y2:
-                y2 = py
-        return cls(x1, y1, x2, y2)
-
-    @classmethod
     def from_center(cls, cx: float, cy: float, width: float, height: float) -> "Rect":
         """Build a rectangle centred on ``(cx, cy)``.
 
@@ -115,58 +87,9 @@ class Rect:
     def center(self) -> tuple[float, float]:
         return ((self.x1 + self.x2) / 2.0, (self.y1 + self.y2) / 2.0)
 
-    @property
-    def margin(self) -> float:
-        """Perimeter half-sum (width + height), used by R-tree heuristics."""
-        return (self.x2 - self.x1) + (self.y2 - self.y1)
-
-    # ------------------------------------------------------------------
-    # Predicates
-    # ------------------------------------------------------------------
-
-    def intersects(self, other: "Rect") -> bool:
-        """True when the closed rectangles share at least one point."""
-        return (
-            self.x1 <= other.x2
-            and other.x1 <= self.x2
-            and self.y1 <= other.y2
-            and other.y1 <= self.y2
-        )
-
-    def overlaps(self, other: "Rect") -> bool:
-        """True when the rectangles share *positive area* (not just a boundary,
-        and not a point or segment inside the other)."""
-        return self.intersection_area(other) > 0.0
-
-    def contains_point(self, x: float, y: float) -> bool:
-        return self.x1 <= x <= self.x2 and self.y1 <= y <= self.y2
-
-    def contains(self, other: "Rect") -> bool:
-        """True when ``other`` lies entirely inside ``self`` (closed semantics)."""
-        return (
-            self.x1 <= other.x1
-            and self.y1 <= other.y1
-            and other.x2 <= self.x2
-            and other.y2 <= self.y2
-        )
-
     # ------------------------------------------------------------------
     # Combinators
     # ------------------------------------------------------------------
-
-    def intersection(self, other: "Rect") -> "Rect | None":
-        """The intersection rectangle ``self ∩ other``, or None if disjoint.
-
-        A shared edge yields a degenerate (zero-area) rectangle rather than
-        None, consistent with closed-set semantics.
-        """
-        x1 = self.x1 if self.x1 > other.x1 else other.x1
-        y1 = self.y1 if self.y1 > other.y1 else other.y1
-        x2 = self.x2 if self.x2 < other.x2 else other.x2
-        y2 = self.y2 if self.y2 < other.y2 else other.y2
-        if x1 > x2 or y1 > y2:
-            return None
-        return Rect(x1, y1, x2, y2)
 
     def intersection_area(self, other: "Rect") -> float:
         """``|self ∩ other|`` — the paper's spatial overlap, without allocating."""
@@ -178,10 +101,6 @@ class Rect:
             return 0.0
         return dx * dy
 
-    def union_area(self, other: "Rect") -> float:
-        """``|self ∪ other| = |self| + |other| − |self ∩ other|`` (Definition 1)."""
-        return self.area + other.area - self.intersection_area(other)
-
     def union(self, other: "Rect") -> "Rect":
         """The MBR enclosing both rectangles (R-tree node expansion)."""
         return Rect(
@@ -191,25 +110,9 @@ class Rect:
             max(self.y2, other.y2),
         )
 
-    def enlargement(self, other: "Rect") -> float:
-        """Area growth of ``self`` needed to also cover ``other`` (R-tree ChooseLeaf)."""
-        return self.union(other).area - self.area
-
     def buffer(self, amount: float) -> "Rect":
-        """Grow (or shrink, for negative ``amount``) every side by ``amount``.
-
-        Shrinking collapses to the centre point rather than inverting.
-        """
-        x1, y1 = self.x1 - amount, self.y1 - amount
-        x2, y2 = self.x2 + amount, self.y2 + amount
-        if x1 > x2:
-            x1 = x2 = (x1 + x2) / 2.0
-        if y1 > y2:
-            y1 = y2 = (y1 + y2) / 2.0
-        return Rect(x1, y1, x2, y2)
-
-    def translate(self, dx: float, dy: float) -> "Rect":
-        return Rect(self.x1 + dx, self.y1 + dy, self.x2 + dx, self.y2 + dy)
+        """Grow every side by ``amount >= 0``."""
+        return Rect(self.x1 - amount, self.y1 - amount, self.x2 + amount, self.y2 + amount)
 
     def scale(self, factor: float) -> "Rect":
         """Scale about the centre by ``factor >= 0``."""
@@ -247,6 +150,20 @@ def mbr_of(rects: Sequence[Rect]) -> Rect:
     x2 = max(r.x2 for r in rects)
     y2 = max(r.y2 for r in rects)
     return Rect(x1, y1, x2, y2)
+
+
+def corpus_space(regions: Sequence[Rect]) -> Rect:
+    """The space a grid partitions when none is given: :func:`mbr_of` the
+    corpus regions, buffered by half its longer side (at least 0.5) when
+    it has no area, so that every cell has positive area.
+
+    Raises:
+        ValueError: If ``regions`` is empty.
+    """
+    space = mbr_of(regions)
+    if space.width <= 0.0 or space.height <= 0.0:
+        space = space.buffer(max(space.width, space.height, 1.0) * 0.5)
+    return space
 
 
 def spatial_jaccard(a: Rect, b: Rect) -> float:

@@ -62,10 +62,6 @@ class UniformGrid:
     def num_cells(self) -> int:
         return self.granularity * self.granularity
 
-    @property
-    def cell_area(self) -> float:
-        return self._cell_w * self._cell_h
-
     def cell_id(self, row: int, col: int) -> int:
         return row * self.granularity + col
 

@@ -2,9 +2,9 @@
 
 The paper's spatial-first baseline and the IR-tree comparison method both
 sit on a classic R-tree.  Since no spatial library is assumed, this is a
-from-scratch implementation: Guttman insertion with quadratic split plus
-Sort-Tile-Recursive (STR) bulk loading, which is what one would use to
-build a static index over a full corpus.
+from-scratch implementation: a static tree packed by Sort-Tile-Recursive
+(STR) bulk loading, which is what one would use to build an index over a
+full, unchanging corpus.
 """
 
 from repro.rtree.tree import Entry, Node, RTree

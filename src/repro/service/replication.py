@@ -25,7 +25,7 @@ CRC-by-CRC on arrival via :func:`repro.io.wal.decode_frames`), so the
 replica inherits the primary's own byte offsets as its clock.
 
 **Bootstrap.**  A fresh replica subscribes, downloads the primary's
-format-6 checkpoint snapshot (chunked, with its embedded WAL position),
+checkpoint snapshot (chunked, with its embedded WAL position),
 loads it, and starts fetching from that position.  A primary that has
 never checkpointed but still owns its complete generation-0 log instead
 ships its WAL config record and the replica replays from an empty
@@ -99,7 +99,7 @@ DEFAULT_POLL_SECONDS = 0.05
 DEFAULT_MAX_BATCH_BYTES = WALCursor.DEFAULT_MAX_BYTES
 
 #: Per-response byte cap on shipped snapshot chunks (pre-base64).
-DEFAULT_SNAPSHOT_CHUNK_BYTES = 2 * 1024 * 1024
+SNAPSHOT_CHUNK_BYTES = 2 * 1024 * 1024
 
 #: Applied records between a replica's local checkpoints.
 DEFAULT_CHECKPOINT_RECORDS = 1024
@@ -144,7 +144,6 @@ class ReplicationPrimary:
     Args:
         engine: The durable engine whose WAL is the replication log.
         max_batch_bytes: Frame bytes per fetch response (pre-base64).
-        snapshot_chunk_bytes: Snapshot bytes per bootstrap chunk.
     """
 
     def __init__(
@@ -152,7 +151,6 @@ class ReplicationPrimary:
         engine: DurableSegmentedSealSearch,
         *,
         max_batch_bytes: int = DEFAULT_MAX_BATCH_BYTES,
-        snapshot_chunk_bytes: int = DEFAULT_SNAPSHOT_CHUNK_BYTES,
     ) -> None:
         if not isinstance(engine, DurableSegmentedSealSearch):
             raise ReplicationError(
@@ -162,7 +160,6 @@ class ReplicationPrimary:
         self._durable = engine
         self._cursor = WALCursor(engine.wal.path)
         self._max_batch_bytes = max_batch_bytes
-        self._snapshot_chunk_bytes = snapshot_chunk_bytes
         self._lock = threading.Lock()
         self._replicas: Dict[str, Dict[str, Any]] = {}
         self.shipments = 0
@@ -296,7 +293,7 @@ class ReplicationPrimary:
         size = target.stat().st_size
         with target.open("rb") as handle:
             handle.seek(offset)
-            data = handle.read(self._snapshot_chunk_bytes)
+            data = handle.read(SNAPSHOT_CHUNK_BYTES)
         return {
             "replication": {
                 "file": which,

@@ -12,7 +12,7 @@ Four schemes realise the paper's designs:
 * hash-based hybrid ``(token, cell)`` pairs (Section 5.1) — handled by
   :class:`repro.filters.hybrid_filter.HybridFilter`.
 * hierarchical hybrid per-token grids (Section 5.2) — built by
-  :func:`~repro.signatures.hierarchical.select_token_grids` (HSS-Greedy).
+  :func:`~repro.signatures.hierarchical.select_token_grids_many` (HSS-Greedy).
 
 :mod:`~repro.signatures.prefix` implements Lemma 2 (query prefix
 selection) and Lemma 3 (per-posting threshold bounds); both are shared by

@@ -64,7 +64,6 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.core.errors import ConfigurationError
-from repro.geometry import Rect
 from repro.grid.hierarchy import GridHierarchy, HierCell
 
 #: Bare-tuple rectangle used in the probe path.
@@ -74,11 +73,6 @@ _Box = Tuple[float, float, float, float]
 #: fixed constant, not a knob: it caps the kernels' temporaries, and a
 #: token with more rows than this simply gets a batch to itself.
 _BATCH_ROWS = 1 << 16
-
-
-def _as_array(regions: Sequence[Rect] | Sequence[_Box]) -> np.ndarray:
-    rows = [r.as_tuple() if isinstance(r, Rect) else tuple(r) for r in regions]
-    return np.asarray(rows, dtype=np.float64).reshape(len(rows), 4)
 
 
 def _edges(boxes: np.ndarray):
@@ -363,17 +357,6 @@ def hss_greedy_many(
     return frontiers
 
 
-def hss_greedy(
-    regions: Sequence[Rect] | Sequence[_Box],
-    hierarchy: GridHierarchy,
-    mt: int,
-) -> List[HierCell]:
-    """Algorithm 2 for a single token: ≤ ``mt`` hierarchical grids of
-    ``regions`` (see :func:`hss_greedy_many`)."""
-    rows = _as_array(regions)
-    return hss_greedy_many(rows, [0, len(rows)], hierarchy, [mt])[0]
-
-
 class TokenGrids:
     """The selected hierarchical grids of one token, with their global order.
 
@@ -454,16 +437,3 @@ def select_token_grids_many(
         grids[token] = _ordered_grids(cells, rows[offsets[token] : offsets[token + 1]], hierarchy)
     return grids
 
-
-def select_token_grids(
-    regions: Sequence[Rect] | Sequence[_Box],
-    hierarchy: GridHierarchy,
-    mt: int,
-    *,
-    min_objects: int = 0,
-) -> TokenGrids:
-    """:func:`select_token_grids_many` for a single token's regions."""
-    rows = _as_array(regions)
-    return select_token_grids_many(
-        rows, [0, len(rows)], hierarchy, [mt], min_objects=min_objects
-    )[0]

@@ -19,13 +19,13 @@ repository.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.objects import Query, SpatioTextualObject
 from repro.core.similarity import filter_threshold
 from repro.geometry import Rect
-from repro.geometry.rect import mbr_of
+from repro.geometry.rect import corpus_space
 from repro.grid.uniform import UniformGrid
 
 
@@ -66,8 +66,8 @@ class GridScheme:
         Args:
             objects: Corpus objects or bare regions.
             granularity: Cells per side.
-            space: Partitioned space; defaults to the corpus MBR, buffered
-                slightly when degenerate so cells have positive area.
+            space: Partitioned space; defaults to
+                :func:`~repro.geometry.rect.corpus_space` of the regions.
 
         Raises:
             ConfigurationError: On an empty corpus.
@@ -77,11 +77,7 @@ class GridScheme:
         ]
         if not regions:
             raise ConfigurationError("GridScheme.from_corpus requires a non-empty corpus")
-        if space is None:
-            space = mbr_of(regions)
-            if space.width <= 0.0 or space.height <= 0.0:
-                space = space.buffer(max(space.width, space.height, 1.0) * 0.5)
-        grid = UniformGrid(space, granularity)
+        grid = UniformGrid(space if space is not None else corpus_space(regions), granularity)
         counts: Counter[int] = Counter()
         for region in regions:
             for cell in grid.cells_overlapping(region):
@@ -118,19 +114,3 @@ class GridScheme:
         contract (:func:`~repro.core.similarity.filter_threshold`)."""
         return filter_threshold(query.tau_r, query.region.area)
 
-
-def min_weight_similarity(
-    sig_a: Iterable[Tuple[int, float]], sig_b: Iterable[Tuple[int, float]]
-) -> float:
-    """``Σ_{g∈common} min(w(g|a), w(g|b))`` — the grid signature similarity.
-
-    The per-pair reference for tests of Lemma 1: the filters never sum
-    it, they cut the Lemma-3 bounds that upper-bound it.
-    """
-    weights_a = dict(sig_a)
-    total = 0.0
-    for cell, weight_b in sig_b:
-        weight_a = weights_a.get(cell)
-        if weight_a is not None:
-            total += weight_a if weight_a < weight_b else weight_b
-    return total

@@ -4,14 +4,15 @@ Section 2.1 fixes token weights to inverse document frequency,
 ``w(t) = ln(|O| / count(t, O))``, and Section 4.2 sorts tokens "in
 descending order of their idfs" to form the global order used for prefix
 selection.  :class:`TokenWeighter` owns both: it is built once from the
-object corpus and then answers weight and rank queries in O(1).
+object corpus, answers weight queries in O(1), and sorts token sets by
+the global order (:meth:`TokenWeighter.sort_tokens`).
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Dict, Iterable, Mapping, Sequence
+from typing import Dict, Iterable, Mapping
 
 
 class TokenWeighter:
@@ -43,36 +44,27 @@ class TokenWeighter:
             counts.update(set(tokens))
         if num_objects == 0:
             raise ValueError("TokenWeighter requires a non-empty corpus")
-        self.num_objects = num_objects
-        self._counts: Dict[str, int] = dict(counts)
-        log_n = math.log(num_objects)
-        self._weights: Dict[str, float] = {
-            token: log_n - math.log(count) for token, count in counts.items()
-        }
-        # Global order: descending idf == ascending document count; token
-        # string breaks ties.  Rarest (highest-weight) tokens come first so
-        # prefixes carry the most selective elements.
-        ordered = sorted(self._weights, key=lambda t: (-self._weights[t], t))
-        self._ranks: Dict[str, int] = {token: i for i, token in enumerate(ordered)}
-        self._unknown_weight = log_n
+        self._set_weights(counts, num_objects)
 
     @classmethod
     def from_counts(cls, counts: Mapping[str, int], num_objects: int) -> "TokenWeighter":
         """Build directly from document-frequency counts (for tests/tools)."""
-        weighter = cls.__new__(cls)
         if num_objects <= 0:
             raise ValueError("num_objects must be positive")
         bad = [t for t, c in counts.items() if c <= 0 or c > num_objects]
         if bad:
             raise ValueError(f"counts out of range [1, num_objects] for tokens: {bad[:5]}")
-        weighter.num_objects = num_objects
-        weighter._counts = dict(counts)
-        log_n = math.log(num_objects)
-        weighter._weights = {t: log_n - math.log(c) for t, c in counts.items()}
-        ordered = sorted(weighter._weights, key=lambda t: (-weighter._weights[t], t))
-        weighter._ranks = {token: i for i, token in enumerate(ordered)}
-        weighter._unknown_weight = log_n
+        weighter = cls.__new__(cls)
+        weighter._set_weights(counts, num_objects)
         return weighter
+
+    def _set_weights(self, counts: Mapping[str, int], num_objects: int) -> None:
+        self.num_objects = num_objects
+        log_n = math.log(num_objects)
+        self._weights: Dict[str, float] = {
+            token: log_n - math.log(count) for token, count in counts.items()
+        }
+        self._unknown_weight = log_n
 
     # ------------------------------------------------------------------
     # Weights
@@ -81,10 +73,6 @@ class TokenWeighter:
     def weight(self, token: str) -> float:
         """``w(t) = ln(|O| / count(t, O))``; unseen tokens get ``ln(|O|)``."""
         return self._weights.get(token, self._unknown_weight)
-
-    def count(self, token: str) -> int:
-        """Document frequency ``count(t, O)`` (0 for unseen tokens)."""
-        return self._counts.get(token, 0)
 
     def total_weight(self, tokens: Iterable[str]) -> float:
         """``Σ_{t∈tokens} w(t)`` — e.g. the textual threshold base for a query.
@@ -97,25 +85,17 @@ class TokenWeighter:
         unknown = self._unknown_weight
         return math.fsum([weight.get(t, unknown) for t in tokens])
 
-    def vocabulary(self) -> Sequence[str]:
-        """All corpus tokens in global (descending-idf) order."""
-        return sorted(self._ranks, key=self._ranks.__getitem__)
-
     # ------------------------------------------------------------------
     # Global order
     # ------------------------------------------------------------------
 
-    def rank(self, token: str) -> int:
-        """Position of ``token`` in the global order (unseen tokens rank first).
-
-        Unseen tokens have maximal idf, hence belong before every corpus
-        token; we map them all to rank -1.  They never appear in any
-        object's signature, so sharing a rank is harmless.
-        """
-        return self._ranks.get(token, -1)
-
     def sort_tokens(self, tokens: Iterable[str]) -> list[str]:
-        """Sort tokens by the global order (descending idf, then token)."""
+        """Sort tokens by the global order: descending idf, then token.
+
+        Rarest (highest-weight) tokens come first, so prefixes carry the
+        most selective elements; an unseen token sorts as a token of
+        count 1.
+        """
         weight = self._weights
         unknown = self._unknown_weight
         return sorted(tokens, key=lambda t: (-weight.get(t, unknown), t))

@@ -8,6 +8,11 @@ from repro import Query, Rect, TokenWeighter, make_corpus
 from repro.datasets import generate_queries, generate_twitter, generate_usa
 
 
+def touches(a: Rect, b: Rect) -> bool:
+    """True when the closed rectangles share at least one point."""
+    return max(a.x1, b.x1) <= min(a.x2, b.x2) and max(a.y1, b.y1) <= min(a.y2, b.y2)
+
+
 @pytest.fixture(scope="session")
 def figure1_objects():
     """The seven objects of the paper's Figure 1, with geometry

@@ -12,6 +12,7 @@ import pytest
 
 import repro
 from repro.core.errors import ConfigurationError
+from repro.core.objects import Query
 from repro.datasets import ZipfVocabulary, generate_queries, generate_twitter, generate_usa
 from repro.datasets.spatial_gen import rect_from_center_area, sample_log_area
 from repro.datasets.twitter import TWITTER_SPACE
@@ -70,12 +71,12 @@ class TestSpatialGen:
         space = Rect(0, 0, 100, 100)
         r = rect_from_center_area(50, 50, 25.0, 1.0, space)
         assert r.area == pytest.approx(25.0)
-        assert space.contains(r)
+        assert space.union(r) == space
 
     def test_rect_clamped_into_space(self):
         space = Rect(0, 0, 100, 100)
         r = rect_from_center_area(1, 1, 100.0, 1.0, space)
-        assert space.contains(r)
+        assert space.union(r) == space
         assert r.area == pytest.approx(100.0)
 
 
@@ -94,7 +95,7 @@ class TestTwitter:
 
     def test_regions_inside_space(self):
         for obj in generate_twitter(100, seed=1):
-            assert TWITTER_SPACE.contains(obj.region)
+            assert TWITTER_SPACE.union(obj.region) == TWITTER_SPACE
 
     def test_statistics_match_paper(self):
         objs = generate_twitter(3000, seed=7)
@@ -124,7 +125,7 @@ class TestUsa:
 
     def test_regions_inside_space(self):
         for obj in generate_usa(100, seed=1):
-            assert USA_SPACE.contains(obj.region)
+            assert USA_SPACE.union(obj.region) == USA_SPACE
 
 
 class TestQueries:
@@ -177,11 +178,10 @@ class TestQueries:
         w = generate_queries(twitter_small, "large", 5, seed=1, tau_r=0.3, tau_t=0.2)
         assert all(q.tau_r == 0.3 and q.tau_t == 0.2 for q in w)
 
-    def test_with_thresholds_sweep(self, twitter_small):
-        w = generate_queries(twitter_small, "large", 5, seed=1)
-        swept = w.with_thresholds(tau_r=0.1)
-        assert all(q.tau_r == 0.1 for q in swept)
-        assert all(a.tokens == b.tokens for a, b in zip(w, swept))
+    def test_returns_a_list_of_queries(self, twitter_small):
+        w = generate_queries(twitter_small, "small", 3, seed=1)
+        assert type(w) is list and len(w) == 3
+        assert all(isinstance(q, Query) for q in w)
 
     def test_queries_have_answers_at_low_thresholds(self, twitter_small, twitter_small_weighter):
         """Anchored queries should not all be empty — otherwise benches

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from repro.core.errors import ConfigurationError
 from repro.geometry import Rect
 from repro.grid.hierarchy import GridHierarchy
-from repro.signatures.hierarchical import hss_greedy, select_token_grids
 
+from tests.conftest import touches
+from tests.hss_testlib import hss_greedy, select_token_grids
 from tests.strategies import rects
 
 SPACE = Rect(0.0, 0.0, 100.0, 100.0)
@@ -74,7 +75,7 @@ class TestHssGreedy:
         # All selected cells intersect the lone region; empty quadrants
         # were never enqueued.
         for cell in cells:
-            assert h.cell_rect(cell).intersects(regions[0])
+            assert touches(h.cell_rect(cell), regions[0])
 
 
 class TestSelectTokenGrids:

@@ -410,6 +410,11 @@ EDGE_CORPORA = {
     "zero-area-regions": [
         (Rect(1, 1, 1, 1), {"a", "b"}), (Rect(2, 2, 2, 5), {"a"}), (Rect(1, 1, 1, 1), {"b"}),
     ],
+    # Degenerate corpus MBRs: the grids partition a buffered space.
+    "one-point": [(Rect(1, 1, 1, 1), {"a", "b"}), (Rect(1, 1, 1, 1), {"a"}),
+                  (Rect(1, 1, 1, 1), {"b"})],
+    "one-line": [(Rect(0, 1, 2, 1), {"a", "b"}), (Rect(1, 1, 3, 1), {"a"}),
+                 (Rect(2.5, 1, 2.5, 1), {"b"})],
     "one-object": [(Rect(0, 0, 2, 2), {"a"})],
     "one-object-no-tokens": [(Rect(0, 0, 2, 2), set())],
 }
@@ -439,12 +444,27 @@ def test_edge_builds_equal_reference_and_naive(corpus_name, filter_name):
     if "token" in corpus_name and filter_name != "grid":
         # A corpus yielding zero postings: an index with no list at all.
         assert len(method.index) == method.index.num_postings() == 0
+    _assert_edge_answers_are_naive(method, objects, weighter)
+
+
+def _assert_edge_answers_are_naive(method, objects, weighter):
     naive = build_method(objects, "naive", weighter)
-    for region in (Rect(0, 0, 3, 3), Rect(1, 1, 1, 1), Rect(50, 50, 60, 60)):
+    for region in (Rect(0, 0, 3, 3), Rect(1, 1, 1, 1), Rect(0, 1, 2, 1), Rect(50, 50, 60, 60)):
         for tokens in ({"a"}, {"a", "b", "zzz"}, set()):
             for tau_r, tau_t in ((0.0, 0.0), (0.1, 0.1), (0.0, 0.5), (0.5, 0.0), (1.0, 1.0)):
                 query = Query(region, frozenset(tokens), tau_r, tau_t)
                 assert method.search(query).answers == naive.search(query).answers, query
+
+
+@pytest.mark.parametrize("method_name", ["irtree", "spatial-first"])
+@pytest.mark.parametrize("corpus_name", sorted(EDGE_CORPORA))
+def test_rtree_baselines_on_edge_corpora(corpus_name, method_name):
+    """The two baselines over the static R-tree, at fan-out 2 so even
+    these corpora get internal nodes: every answer is the naive scan's."""
+    objects = make_corpus(EDGE_CORPORA[corpus_name])
+    weighter = TokenWeighter(obj.tokens for obj in objects)
+    method = build_method(objects, method_name, weighter, max_entries=2)
+    _assert_edge_answers_are_naive(method, objects, weighter)
 
 
 @settings(max_examples=40, deadline=None)

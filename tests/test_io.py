@@ -145,6 +145,35 @@ class TestSnapshot:
         restored = load_engine(path)
         assert restored.search(figure1_query).answers == [1]
 
+    @pytest.mark.parametrize("method_name", ["irtree", "spatial-first", "token"])
+    def test_snapshot_with_retired_tree_and_weighter_state_loads(
+        self, tmp_path, twitter_small, twitter_small_queries, method_name
+    ):
+        """A format-8 snapshot written while the R-tree still had Guttman
+        insertion and the weighter its rank table pickles
+        ``RTree.min_entries``/``_height`` and
+        ``TokenWeighter._ranks``/``_counts``.  Neither class is slotted,
+        so that state loads as inert attributes, and answers are the
+        method's."""
+        from repro.text.weights import TokenWeighter
+
+        weighter = TokenWeighter(obj.tokens for obj in twitter_small)
+        method = build_method(twitter_small, method_name, weighter)
+        ordered = weighter.sort_tokens({t for obj in twitter_small for t in obj.tokens})
+        weighter._ranks = {token: rank for rank, token in enumerate(ordered)}
+        weighter._counts = {token: 1 for token in ordered}
+        if method_name != "token":
+            method.rtree.min_entries = method.rtree.max_entries // 2
+            method.rtree._height = 2
+        path = tmp_path / "retired.pkl"
+        save_engine(method, path)
+        restored = load_engine(path)
+        fresh = build_method(
+            twitter_small, method_name, TokenWeighter(obj.tokens for obj in twitter_small)
+        )
+        for query in twitter_small_queries:
+            assert restored.search(query).answers == fresh.search(query).answers
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(SnapshotError, match="not found"):
             load_engine(tmp_path / "nope.pkl")

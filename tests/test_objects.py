@@ -68,8 +68,3 @@ class TestCorpus:
         assert objs[1].tokens == {"b"}
         assert len(objs) == 2
         assert [o.oid for o in objs] == [0, 1]
-
-    def test_corpus_helpers(self):
-        objs = Corpus(make_corpus([(Rect(0, 0, 1, 1), {"a"})]))
-        assert objs.regions() == [Rect(0, 0, 1, 1)]
-        assert objs.token_sets() == [frozenset({"a"})]

@@ -30,7 +30,8 @@ from repro.core.stats import SearchStats
 from repro.core.verification import Verifier
 from repro.datasets import generate_queries, generate_twitter
 from repro.exec.planner import PlannedSealSearch, rule
-from repro.filters.base import FULL_SCAN, SingleSchemeFilter
+from repro.filters.base import FULL_SCAN
+from repro.filters.grid_filter import GridFilter
 from repro.filters.hierarchical_filter import HierarchicalFilter
 from repro.filters.hybrid_filter import HybridFilter
 from repro.filters.token_filter import TokenFilter
@@ -182,7 +183,7 @@ def test_probes_name_lists_by_plain_int_codes(filters, golden_queries, name):
 def test_probes_take_the_query_alone():
     """Every filter derives what it probes from the query; nothing is
     handed in from outside."""
-    for cls in (SingleSchemeFilter, TokenFilter, HybridFilter, HierarchicalFilter):
+    for cls in (GridFilter, TokenFilter, HybridFilter, HierarchicalFilter):
         assert list(inspect.signature(cls.probes).parameters) == ["self", "query"]
         assert list(inspect.signature(cls.candidates).parameters)[1:] == ["query", "stats"]
 
@@ -191,7 +192,7 @@ def test_plan_enumerates_no_probes(planner, corpus, golden_queries):
     """``plan()`` calls no filter's ``probes``: it builds no cell
     signature, walks no ``G_t`` and derives no token prefix."""
     refuse = mock.Mock(side_effect=AssertionError("plan() enumerated probes"))
-    with mock.patch.object(SingleSchemeFilter, "probes", refuse), mock.patch.object(
+    with mock.patch.object(GridFilter, "probes", refuse), mock.patch.object(
         TokenFilter, "probes", refuse
     ), mock.patch.object(HybridFilter, "probes", refuse), mock.patch.multiple(
         HierarchicalFilter, probes=refuse, _region_cells=refuse

@@ -1,4 +1,4 @@
-"""Tests for the from-scratch R-tree substrate."""
+"""Tests for the from-scratch static R-tree substrate."""
 
 from __future__ import annotations
 
@@ -13,77 +13,97 @@ from repro.rtree import RTree
 from tests.strategies import rects
 
 
-def brute_intersecting(items, rect):
-    return sorted(oid for r, oid in items if r.intersects(rect))
-
-
 def brute_min_overlap(items, rect, min_area):
     return sorted(oid for r, oid in items if r.intersection_area(rect) >= min_area)
+
+
+def assert_invariants(tree):
+    """The structure STR packing promises, checked from the public nodes.
+
+    * every internal entry's MBR is its child's tight MBR;
+    * all leaves sit at one depth;
+    * every node holds between 1 and ``max_entries`` entries (STR packs
+      tightly and may leave one underfull tail node per level);
+    * the leaves hold exactly the ``len(tree)`` items.
+
+    Returns the leaf depth (1 for a tree that is a single leaf).
+    """
+    if len(tree) == 0:
+        assert list(tree.iter_nodes()) == []
+        return 0
+    leaf_depths = set()
+    leaf_items = 0
+    stack = [(tree.root, 1)]
+    while stack:
+        node, depth = stack.pop()
+        assert 1 <= len(node) <= tree.max_entries, (
+            f"occupancy {len(node)} outside [1, {tree.max_entries}]"
+        )
+        if node.is_leaf:
+            leaf_depths.add(depth)
+            leaf_items += len(node)
+            continue
+        for entry in node.entries:
+            assert entry.child is not None and entry.oid is None
+            assert entry.mbr == entry.child.mbr(), "stale internal MBR"
+            stack.append((entry.child, depth + 1))
+    assert len(leaf_depths) == 1, f"leaves at multiple depths: {leaf_depths}"
+    assert leaf_items == len(tree)
+    return leaf_depths.pop()
 
 
 class TestConstruction:
     def test_empty(self):
         tree = RTree()
         assert len(tree) == 0
-        assert tree.search_intersecting(Rect(0, 0, 1, 1)) == []
+        assert tree.search_min_overlap(Rect(0, 0, 1, 1), 0.0) == []
+        assert assert_invariants(tree) == 0
 
     def test_bad_max_entries(self):
         with pytest.raises(ConfigurationError):
             RTree(max_entries=1)
-
-    def test_bad_min_entries(self):
         with pytest.raises(ConfigurationError):
-            RTree(max_entries=4, min_entries=3)
+            RTree.bulk_load([(Rect(0, 0, 1, 1), 0)], max_entries=1)
 
     def test_bulk_load_empty(self):
         tree = RTree.bulk_load([])
         assert len(tree) == 0
+        assert tree.node_count() == 0
 
     def test_bulk_load_single(self):
         tree = RTree.bulk_load([(Rect(0, 0, 1, 1), 7)])
-        assert tree.search_intersecting(Rect(0, 0, 2, 2)) == [7]
-        tree.check_invariants()
+        assert tree.search_min_overlap(Rect(0, 0, 2, 2), 0.0) == [7]
+        assert tree.search_min_overlap(Rect(0, 0, 2, 2), 1.0) == [7]
+        assert tree.search_min_overlap(Rect(0, 0, 2, 2), 1.5) == []
+        assert assert_invariants(tree) == 1
 
-    def test_bulk_load_packs_levels(self):
+    @pytest.mark.parametrize("fanout, level_sizes", [
+        (2, [50, 25, 13, 7, 4, 2, 1]),
+        (3, [34, 12, 4, 2, 1]),
+        (4, [25, 7, 2, 1]),
+        (8, [13, 2, 1]),
+        (100, [1]),
+    ], ids=["fanout-2", "fanout-3", "fanout-4", "fanout-8", "one-leaf"])
+    def test_bulk_load_packs_levels(self, fanout, level_sizes):
+        """STR fills every node but the last of a level: ``ceil(n / M)``
+        nodes per level, up to one root."""
         items = [(Rect(i, 0, i + 0.5, 1), i) for i in range(100)]
-        tree = RTree.bulk_load(items, max_entries=4)
+        tree = RTree.bulk_load(items, max_entries=fanout)
         assert len(tree) == 100
-        assert tree.height >= 3
-        tree.check_invariants()
+        assert assert_invariants(tree) == len(level_sizes)
+        assert tree.node_count() == sum(level_sizes)
 
-
-class TestInsert:
-    def test_insert_and_query(self):
-        tree = RTree(max_entries=4)
-        for i in range(30):
-            tree.insert(Rect(i, i, i + 2, i + 2), i)
-        tree.check_invariants()
-        assert sorted(tree.search_intersecting(Rect(0, 0, 5, 5))) == [0, 1, 2, 3, 4, 5]
-
-    def test_insert_duplicates_allowed(self):
-        tree = RTree(max_entries=2)
-        for i in range(10):
-            tree.insert(Rect(1, 1, 2, 2), i)
-        tree.check_invariants()
-        assert sorted(tree.search_intersecting(Rect(1, 1, 2, 2))) == list(range(10))
-
-    def test_min_fanout_split(self):
-        tree = RTree(max_entries=2)
-        for i in range(50):
-            tree.insert(Rect(i % 7, i // 7, i % 7 + 1, i // 7 + 1), i)
-        tree.check_invariants()
-        assert len(tree) == 50
+    def test_duplicate_rects_are_kept_apart(self):
+        items = [(Rect(1, 1, 2, 2), i) for i in range(10)]
+        tree = RTree.bulk_load(items, max_entries=2)
+        assert_invariants(tree)
+        assert sorted(tree.search_min_overlap(Rect(1, 1, 2, 2), 1.0)) == list(range(10))
 
 
 class TestQueries:
     @pytest.fixture()
     def items(self):
         return [(Rect(2 * i, 0, 2 * i + 1, 10), i) for i in range(20)]
-
-    def test_search_matches_brute_force(self, items):
-        tree = RTree.bulk_load(items, max_entries=4)
-        probe = Rect(3, 2, 9, 4)
-        assert sorted(tree.search_intersecting(probe)) == brute_intersecting(items, probe)
 
     def test_min_overlap_prunes(self, items):
         tree = RTree.bulk_load(items, max_entries=4)
@@ -99,34 +119,31 @@ class TestQueries:
     def test_node_count_and_iter(self, items):
         tree = RTree.bulk_load(items, max_entries=4)
         nodes = list(tree.iter_nodes())
+        assert nodes[0] is tree.root
         assert tree.node_count() == len(nodes)
         leaves = [n for n in nodes if n.is_leaf]
         assert sum(len(n.entries) for n in leaves) == len(items)
 
 
 # ----------------------------------------------------------------------
-# Property tests: tree answers == brute force, for both build paths
+# Property tests: tree answers == brute force
 # ----------------------------------------------------------------------
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(rects(), min_size=0, max_size=40), rects(), st.integers(0, 3))
-def test_bulk_load_search_equiv(random_rects, probe, fanout_choice):
+@given(
+    st.lists(rects(), min_size=0, max_size=40),
+    rects(),
+    st.sampled_from([2, 3, 4, 8]),
+    st.sampled_from([0.0, 0.25, 4.0, 50.0]),
+)
+def test_bulk_load_search_equiv(random_rects, probe, fanout, min_area):
     items = [(r, i) for i, r in enumerate(random_rects)]
-    tree = RTree.bulk_load(items, max_entries=(2, 3, 4, 8)[fanout_choice])
-    tree.check_invariants()
-    assert sorted(tree.search_intersecting(probe)) == brute_intersecting(items, probe)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(rects(), min_size=0, max_size=30), rects())
-def test_insert_search_equiv(random_rects, probe):
-    items = [(r, i) for i, r in enumerate(random_rects)]
-    tree = RTree(max_entries=4)
-    for r, oid in items:
-        tree.insert(r, oid)
-    tree.check_invariants()
-    assert sorted(tree.search_intersecting(probe)) == brute_intersecting(items, probe)
+    tree = RTree.bulk_load(items, max_entries=fanout)
+    assert_invariants(tree)
+    assert sorted(tree.search_min_overlap(probe, min_area)) == brute_min_overlap(
+        items, probe, min_area
+    )
 
 
 @settings(max_examples=40, deadline=None)

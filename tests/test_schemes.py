@@ -11,11 +11,12 @@ from repro.core.objects import Query, SpatioTextualObject, make_corpus
 from repro.geometry import Rect
 from repro.geometry.rect import spatial_jaccard
 from repro.signatures.prefix import suffix_bounds
-from repro.signatures.spatial import GridScheme, min_weight_similarity
+from repro.signatures.spatial import GridScheme
 from repro.signatures.textual import TextualScheme
 from repro.text.weights import TokenWeighter
 
 from tests.conftest import FIGURE1_SPACE
+from tests.reference_signatures import min_weight_similarity
 from tests.strategies import rects
 
 

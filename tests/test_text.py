@@ -46,15 +46,15 @@ class TestTokenWeighter:
         w = TokenWeighter([{"a"}, {"b"}])
         assert w.weight("zzz") == pytest.approx(math.log(2))
 
-    def test_count(self):
+    def test_document_frequency(self):
+        # count(a) = 2 of 2 objects, count(b) = 1.
         w = TokenWeighter([{"a", "b"}, {"a"}])
-        assert w.count("a") == 2
-        assert w.count("b") == 1
-        assert w.count("zzz") == 0
+        assert w.weight("a") == 0.0
+        assert w.weight("b") == pytest.approx(math.log(2))
 
     def test_duplicates_within_object_count_once(self):
         w = TokenWeighter([["a", "a", "a"], ["b"]])
-        assert w.count("a") == 1
+        assert w.weight("a") == pytest.approx(math.log(2))
 
     def test_total_weight(self):
         w = TokenWeighter([{"a"}, {"b"}])
@@ -67,26 +67,23 @@ class TestTokenWeighter:
     def test_global_order_descending_idf(self):
         sets = [{"rare", "mid"}, {"mid", "common"}, {"common"}, {"common"}]
         w = TokenWeighter(sets)
-        assert w.rank("rare") < w.rank("mid") < w.rank("common")
+        assert w.sort_tokens({"common", "mid", "rare"}) == ["rare", "mid", "common"]
 
-    def test_rank_tie_broken_by_token(self):
+    def test_order_tie_broken_by_token(self):
         w = TokenWeighter([{"a", "b"}])
-        assert w.rank("a") < w.rank("b")
+        assert w.sort_tokens(["b", "a"]) == ["a", "b"]
 
-    def test_unknown_tokens_rank_first(self):
-        w = TokenWeighter([{"a"}])
-        assert w.rank("zzz") < w.rank("a")
+    def test_unknown_tokens_sort_as_count_one(self):
+        # Unseen "zzz" has the maximal idf, tied with "b" (count 1): the
+        # tie goes by token string; "a" (count 2) comes last.
+        w = TokenWeighter([{"a"}, {"a", "b"}])
+        assert w.sort_tokens({"a", "b", "zzz"}) == ["b", "zzz", "a"]
+        assert w.sort_tokens({"a", "0"}) == ["0", "a"]
 
     def test_sort_tokens(self):
         sets = [{"rare", "common"}, {"common"}, {"common"}]
         w = TokenWeighter(sets)
         assert w.sort_tokens({"common", "rare"}) == ["rare", "common"]
-
-    def test_vocabulary_in_order(self):
-        sets = [{"x", "y"}, {"y"}]
-        w = TokenWeighter(sets)
-        vocab = w.vocabulary()
-        assert list(vocab) == ["x", "y"]
 
     def test_contains_and_len(self):
         w = TokenWeighter([{"a", "b"}])
@@ -129,12 +126,13 @@ def test_weights_nonnegative_and_bounded(token_sets):
 
 
 @given(st.lists(st.frozensets(st.sampled_from("abcdef"), min_size=1, max_size=4), min_size=1, max_size=20))
-def test_rank_is_total_order(token_sets):
+def test_global_order_is_total(token_sets):
     w = TokenWeighter(token_sets)
-    vocab = list(w.vocabulary())
-    ranks = [w.rank(t) for t in vocab]
-    assert ranks == sorted(ranks)
-    assert len(set(ranks)) == len(ranks)
-    # Descending weight along the order.
-    weights = [w.weight(t) for t in vocab]
-    assert all(weights[i] >= weights[i + 1] - 1e-12 for i in range(len(weights) - 1))
+    vocab = sorted({t for token_set in token_sets for t in token_set})
+    order = w.sort_tokens(vocab)
+    # Any input order sorts to the same list: the order is total.
+    assert w.sort_tokens(reversed(vocab)) == order
+    assert sorted(order) == vocab
+    # Descending weight along the order, ties by token.
+    keys = [(-w.weight(t), t) for t in order]
+    assert keys == sorted(keys)

@@ -45,7 +45,6 @@ class KeywordFirstSearch(SearchMethod):
         self.index = InvertedIndex.from_postings(
             tokens, np.repeat(np.arange(len(sizes)), sizes), np.zeros(len(tokens))
         )
-        self._token_totals = [self.weighter.total_weight(obj.tokens) for obj in self.corpus]
 
     def candidates(self, query: Query, stats: SearchStats) -> Collection[int]:
         q_total = self.weighter.total_weight(query.tokens)
@@ -70,7 +69,7 @@ class KeywordFirstSearch(SearchMethod):
             for oid in head:
                 overlap[oid] += w
         tau_t = query.tau_t
-        totals = self._token_totals
+        totals = self.verifier.token_totals()
         out: List[int] = []
         for oid, inter_w in overlap.items():
             union_w = q_total + totals[oid] - inter_w

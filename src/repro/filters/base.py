@@ -39,22 +39,23 @@ schemes: postings carry Lemma 3 suffix bounds, the query probes only its
 Lemma 2 prefix, and each probed list returns only the head whose bound
 reaches the threshold.  The paper's plain Sig-Filter (Figure 3), which
 opens whole lists and sums ``Σ min(w(s|q), w(s|o))``, is not built.
+
+No filter builds its postings here: each hands ``InvertedIndex.from_postings``
+flat columns, every object's signature in global order with its Lemma-3
+bounds, from one build per signature axis — ``TextualScheme.corpus_signatures``
+for tokens, ``GridScheme.from_corpus`` for uniform grid cells.
 """
 
 from __future__ import annotations
 
-from typing import Collection, List, Optional, Protocol, Sequence, Tuple
+from typing import Collection, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.method import SearchMethod
-from repro.core.objects import Query, SpatioTextualObject
+from repro.core.objects import Query
 from repro.core.stats import SearchStats
 from repro.exec import pipeline
-from repro.index.inverted import InvertedIndex
-from repro.index.storage import CELL_KEY_BYTES, IndexSizeReport, measure_index
-from repro.signatures.prefix import suffix_bounds
-from repro.text.weights import TokenWeighter
 
 #: What ``probes`` returns: ``(codes, bound, t_bound)`` …
 Probes = Tuple[List[int], float, Optional[float]]
@@ -71,63 +72,10 @@ def candidates_from_probes(method, query: Query, stats: SearchStats) -> Collecti
     return method.index.union_heads(*probes, stats)
 
 
-class SignatureScheme(Protocol):
-    """What :class:`SingleSchemeFilter` reads of a signature scheme (see
-    :mod:`repro.signatures`); each subclass probes its own scheme."""
-
-    element_kind: str
-
-    def object_signature(self, obj: SpatioTextualObject) -> List[Tuple[object, float]]: ...
-
-
 class SingleSchemeFilter(SearchMethod):
-    """Sig-Filter+ over one signature scheme; a subclass supplies ``probes``.
-
-    A cell's code is its id; a token's, its id in ``token_ids``, the
-    corpus tokens in order of first appearance in signature order.
-
-    Args:
-        objects: The corpus.
-        scheme: Signature scheme (textual or grid).
-        weighter: Corpus idf statistics (built if omitted).
-    """
-
-    def __init__(
-        self,
-        objects: Sequence[SpatioTextualObject],
-        scheme: SignatureScheme,
-        weighter: TokenWeighter | None = None,
-    ) -> None:
-        super().__init__(objects, weighter)
-        self.scheme = scheme
-        # Every posting as flat columns, object after object in signature order.
-        elements: List = []
-        oids: List[int] = []
-        bounds: List[float] = []
-        for obj in self.corpus:
-            signature = scheme.object_signature(obj)
-            weights = [w for _, w in signature]
-            elements.extend(element for element, _ in signature)
-            oids.extend([obj.oid] * len(signature))
-            bounds.extend(suffix_bounds(weights))
-        self.token_ids = None
-        if scheme.element_kind == "token":
-            self.token_ids = {token: i for i, token in enumerate(dict.fromkeys(elements))}
-            elements = list(map(self.token_ids.__getitem__, elements))
-        self.index = InvertedIndex.from_postings(elements, oids, bounds)
-
-    def encode(self, elements: Sequence) -> List[int]:
-        """Signature elements as the index's codes.  Each token outside
-        the vocabulary gets a negative code of its own: a directory miss
-        that still counts as one probe."""
-        ids = self.token_ids
-        if ids is None:
-            return list(elements)
-        return [ids.get(token, -1 - i) for i, token in enumerate(elements)]
-
-    # ------------------------------------------------------------------
-    # Filter step
-    # ------------------------------------------------------------------
+    """Sig-Filter+ over one signature scheme: the single-bound filter
+    step, one query or a batch.  A subclass builds ``index`` and
+    supplies ``probes``."""
 
     candidates = candidates_from_probes
 
@@ -157,12 +105,3 @@ class SingleSchemeFilter(SearchMethod):
             probes, [stats[position] for position in batched]
         )
         return declined, np.array(batched, dtype=np.int64).take(pair_queries), pair_oids
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    def index_size(self) -> IndexSizeReport:
-        if self.token_ids is None:
-            return measure_index(self.index, bounds_per_posting=1, cell_bytes=CELL_KEY_BYTES)
-        return measure_index(self.index, bounds_per_posting=1, tokens=list(self.token_ids))

@@ -11,9 +11,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.core.objects import Query, SpatioTextualObject
 from repro.filters.base import FULL_SCAN, Probes, SingleSchemeFilter
 from repro.geometry import Rect
+from repro.index.inverted import InvertedIndex
+from repro.index.storage import CELL_KEY_BYTES, IndexSizeReport, measure_index
 from repro.signatures.prefix import prefix_elements
 from repro.signatures.spatial import GridScheme
 from repro.text.weights import TokenWeighter
@@ -21,6 +25,8 @@ from repro.text.weights import TokenWeighter
 
 class GridFilter(SingleSchemeFilter):
     """Grid signature filtering (``GridFilter(p)`` in the experiments).
+
+    A cell's code is its id.
 
     Args:
         objects: The corpus.
@@ -45,13 +51,21 @@ class GridFilter(SingleSchemeFilter):
         granularity: int = 256,
         space: Rect | None = None,
     ) -> None:
-        scheme = GridScheme.from_corpus(objects, granularity, space=space)
-        super().__init__(objects, scheme, weighter)
+        super().__init__(objects, weighter)
         self.granularity = granularity
+        self.scheme, sizes, cells, bounds = GridScheme.from_corpus(
+            self.corpus, granularity, space=space
+        )
+        self.index = InvertedIndex.from_postings(
+            cells, np.repeat(np.arange(len(sizes)), sizes), bounds
+        )
 
     def probes(self, query: Query) -> Probes:
         if query.tau_r <= 0.0:
             return FULL_SCAN
         threshold = self.scheme.threshold(query)
-        prefix = prefix_elements(self.scheme.query_signature(query), threshold)
+        prefix = prefix_elements(self.scheme.signature_of_region(query.region), threshold)
         return [cell for cell, _ in prefix], threshold, None
+
+    def index_size(self) -> IndexSizeReport:
+        return measure_index(self.index, bounds_per_posting=1, cell_bytes=CELL_KEY_BYTES)

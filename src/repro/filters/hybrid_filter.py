@@ -26,7 +26,7 @@ from repro.filters.base import FULL_SCAN, Probes, candidates_from_probes
 from repro.geometry import Rect
 from repro.index.inverted import InvertedIndex
 from repro.index.storage import CELL_KEY_BYTES, IndexSizeReport, measure_index
-from repro.signatures.prefix import prefix_elements, segmented_suffix_bounds
+from repro.signatures.prefix import prefix_elements
 from repro.signatures.spatial import GridScheme
 from repro.signatures.textual import TextualScheme
 from repro.text.weights import TokenWeighter
@@ -80,19 +80,14 @@ class HybridFilter(SearchMethod):
         self.granularity = granularity
         self.num_buckets = num_buckets
         self.textual = TextualScheme(self.weighter)
-        self.spatial = GridScheme.from_corpus(objects, granularity, space=space)
         # Both signature halves of every object as flat arrays, then the
         # per-object cross product by index arithmetic: postings come out
         # object by object, token-major, in signature order.
+        self.spatial, num_cells, cells, r_bounds = GridScheme.from_corpus(
+            self.corpus, granularity, space=space
+        )
         self.token_ids, num_tokens, tokens, t_bounds = self.textual.corpus_signatures(
             self.corpus
-        )
-        cell_sigs = [self.spatial.object_signature(obj) for obj in self.corpus]
-        num_cells = np.array([len(sig) for sig in cell_sigs], dtype=np.int64)
-        cells = np.array([cell for sig in cell_sigs for cell, _ in sig], dtype=np.int64)
-        r_bounds = segmented_suffix_bounds(
-            np.array([weight for sig in cell_sigs for _, weight in sig], dtype=np.float64),
-            num_cells,
         )
         per_object = num_tokens * num_cells
         oids = np.repeat(np.arange(len(self.corpus)), per_object)
@@ -118,7 +113,7 @@ class HybridFilter(SearchMethod):
         if c_t <= 0.0 or query.tau_r <= 0.0:
             return FULL_SCAN
         c_r = self.spatial.threshold(query)
-        cell_prefix = prefix_elements(self.spatial.query_signature(query), c_r)
+        cell_prefix = prefix_elements(self.spatial.signature_of_region(query.region), c_r)
         # A token outside the vocabulary was posted with no cell: no list
         # to open (a dual-bound miss is not a probe either way).
         ids = [self.token_ids[token] for token in tokens if token in self.token_ids]

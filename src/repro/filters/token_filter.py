@@ -8,16 +8,23 @@ descending by idf — that is exactly this class.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Sequence
+
+import numpy as np
 
 from repro.core.objects import Query, SpatioTextualObject
 from repro.filters.base import FULL_SCAN, Probes, SingleSchemeFilter
+from repro.index.inverted import InvertedIndex
+from repro.index.storage import IndexSizeReport, measure_index
 from repro.signatures.textual import TextualScheme
 from repro.text.weights import TokenWeighter
 
 
 class TokenFilter(SingleSchemeFilter):
     """Textual signature filtering (``TokenFilter`` in the experiments).
+
+    A token's code is its id in ``token_ids`` (see
+    :meth:`~repro.signatures.textual.TextualScheme.corpus_rows`).
 
     Degenerate queries — those whose derived textual threshold is ≤ 0
     (``τT == 0``, empty token set, or all-zero idf) — fall back to a full
@@ -33,13 +40,25 @@ class TokenFilter(SingleSchemeFilter):
         objects: Sequence[SpatioTextualObject],
         weighter: TokenWeighter | None = None,
     ) -> None:
-        if weighter is None:
-            weighter = TokenWeighter(obj.tokens for obj in objects)
-        scheme = TextualScheme(weighter)
-        super().__init__(objects, scheme, weighter)
+        super().__init__(objects, weighter)
+        self.scheme = TextualScheme(self.weighter)
+        self.token_ids, sizes, tokens, bounds = self.scheme.corpus_signatures(self.corpus)
+        self.index = InvertedIndex.from_postings(
+            tokens, np.repeat(np.arange(len(sizes)), sizes), bounds
+        )
+
+    def encode(self, tokens: Sequence[str]) -> List[int]:
+        """Tokens as the index's codes.  Each token outside the
+        vocabulary gets a negative code of its own: a directory miss that
+        still counts as one probe."""
+        ids = self.token_ids
+        return [ids.get(token, -1 - i) for i, token in enumerate(tokens)]
 
     def probes(self, query: Query) -> Probes:
         tokens, c_t = self.scheme.query_prefix(query)
         if c_t <= 0.0:
             return FULL_SCAN
         return self.encode(tokens), c_t, None
+
+    def index_size(self) -> IndexSizeReport:
+        return measure_index(self.index, bounds_per_posting=1, tokens=list(self.token_ids))

@@ -132,19 +132,6 @@ class UniformGrid:
             end += 1
         return first, end
 
-    def cells_overlapping(self, rect: Rect) -> List[int]:
-        """All cell ids whose half-open extent intersects ``rect``."""
-        span = self.cell_span(rect)
-        if span is None:
-            return []
-        row_lo, row_hi, col_lo, col_hi = span
-        g = self.granularity
-        return [
-            row * g + col
-            for row in range(row_lo, row_hi + 1)
-            for col in range(col_lo, col_hi + 1)
-        ]
-
     def signature(self, rect: Rect) -> List[Tuple[int, float]]:
         """Grid-based signature of ``rect`` (Definition 4) with weights.
 

@@ -16,11 +16,13 @@ Four schemes realise the paper's designs:
 
 :mod:`~repro.signatures.prefix` implements Lemma 2 (query prefix
 selection) and Lemma 3 (per-posting threshold bounds); both are shared by
-every scheme.
+every scheme.  A build reads the whole corpus at once:
+``TextualScheme.corpus_signatures`` and ``GridScheme.from_corpus`` return
+every object's signature and bounds as flat columns.
 """
 
-from repro.signatures.prefix import select_prefix, suffix_bounds
+from repro.signatures.prefix import segmented_suffix_bounds, select_prefix
 from repro.signatures.spatial import GridScheme
 from repro.signatures.textual import TextualScheme
 
-__all__ = ["GridScheme", "TextualScheme", "select_prefix", "suffix_bounds"]
+__all__ = ["GridScheme", "TextualScheme", "segmented_suffix_bounds", "select_prefix"]

@@ -14,46 +14,27 @@ threshold ``c``:
   of the two signatures sorts at or after the first common one.
 
 Both are scheme-agnostic: tokens, grid cells, and hybrid pairs all flow
-through these two functions.
+through :func:`select_prefix` at query time and
+:func:`segmented_suffix_bounds` at build time.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple, TypeVar
+from typing import Sequence, Tuple, TypeVar
 
 import numpy as np
 
 Element = TypeVar("Element")
 
 
-def suffix_bounds(weights: Sequence[float]) -> List[float]:
-    """Suffix sums ``bounds[i] = Σ_{j≥i} weights[j]`` (Lemma 3).
-
-    Args:
-        weights: Signature weights in global order.
-
-    Returns:
-        One bound per element; ``bounds[0]`` is the total signature weight.
-
-    Examples:
-        >>> suffix_bounds([3.0, 2.0, 1.0])
-        [6.0, 3.0, 1.0]
-    """
-    bounds: List[float] = [0.0] * len(weights)
-    acc = 0.0
-    for i in range(len(weights) - 1, -1, -1):
-        acc += weights[i]
-        bounds[i] = acc
-    return bounds
-
-
 def segmented_suffix_bounds(weights: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """:func:`suffix_bounds` of many signatures laid end to end.
+    """Lemma-3 bounds of many signatures laid end to end: each element's
+    suffix sum ``Σ_{j≥i} w_j`` within its own signature.
 
-    Bit-identical to calling :func:`suffix_bounds` per signature — the
-    same right-to-left additions — but signatures of equal length are
-    stacked into one matrix, so a build pays one cumulative sum per
-    distinct length instead of a Python loop per object.
+    Each signature's sums are the right-to-left additions of a scalar
+    loop, to the bit; signatures of equal length are stacked into one
+    matrix, so a build pays one cumulative sum per distinct length
+    instead of a Python loop per object.
 
     Args:
         weights: Flat signature weights, each signature in global order.

@@ -18,8 +18,9 @@ repository.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.errors import ConfigurationError
 from repro.core.objects import Query, SpatioTextualObject
@@ -27,6 +28,7 @@ from repro.core.similarity import filter_threshold
 from repro.geometry import Rect
 from repro.geometry.rect import corpus_space
 from repro.grid.uniform import UniformGrid
+from repro.signatures.prefix import segmented_suffix_bounds
 
 
 class GridScheme:
@@ -46,8 +48,6 @@ class GridScheme:
 
     __slots__ = ("grid", "_ranks", "_unseen_base")
 
-    element_kind = "cell"
-
     def __init__(self, grid: UniformGrid, ranks: Dict[int, int]) -> None:
         self.grid = grid
         self._ranks = ranks
@@ -56,34 +56,58 @@ class GridScheme:
     @classmethod
     def from_corpus(
         cls,
-        objects: Sequence[SpatioTextualObject] | Sequence[Rect],
+        objects: Sequence[SpatioTextualObject],
         granularity: int,
         *,
         space: Rect | None = None,
-    ) -> "GridScheme":
-        """Build a scheme from the corpus (Section 4.1 + the 4.2 order).
+    ) -> Tuple["GridScheme", np.ndarray, np.ndarray, np.ndarray]:
+        """Build a scheme from the corpus (Section 4.1 + the 4.2 order),
+        together with every object's signature and its Lemma-3 bounds.
+
+        The grid twin of ``TextualScheme.corpus_signatures``: one
+        ``UniformGrid.signature`` per region yields ``count(g)`` and the
+        postings both.
 
         Args:
-            objects: Corpus objects or bare regions.
+            objects: The corpus.
             granularity: Cells per side.
             space: Partitioned space; defaults to
                 :func:`~repro.geometry.rect.corpus_space` of the regions.
 
+        Returns:
+            ``(scheme, sizes, cells, bounds)`` — the scheme, ``|S_R(o)|``
+            per object, and flat cell ids with each cell's threshold
+            bound, object after object, each object's in global order.
+
         Raises:
             ConfigurationError: On an empty corpus.
         """
-        regions = [
-            obj.region if isinstance(obj, SpatioTextualObject) else obj for obj in objects
-        ]
+        regions = [obj.region for obj in objects]
         if not regions:
             raise ConfigurationError("GridScheme.from_corpus requires a non-empty corpus")
         grid = UniformGrid(space if space is not None else corpus_space(regions), granularity)
-        counts: Counter[int] = Counter()
+        # Plain ints and floats, each signature's tuples dropped once read:
+        # kept alive, all of them would go through the cyclic collector.
+        sizes, cells, weights = [], [], []
         for region in regions:
-            for cell in grid.cells_overlapping(region):
-                counts[cell] += 1
-        ordered = sorted(counts, key=lambda cell: (counts[cell], cell))
-        return cls(grid, {cell: rank for rank, cell in enumerate(ordered)})
+            signature = grid.signature(region)
+            sizes.append(len(signature))
+            for cell, weight in signature:
+                cells.append(cell)
+                weights.append(weight)
+        sizes = np.array(sizes, dtype=np.int64)
+        cells = np.array(cells, dtype=np.int64)
+        weights = np.array(weights, dtype=np.float64)
+        # count(g) of every cell some region touches; ranked by ascending
+        # (count, cell id).
+        seen, which, counts = np.unique(cells, return_inverse=True, return_counts=True)
+        by_rank = np.lexsort((seen, counts))
+        rank = np.empty_like(by_rank)
+        rank[by_rank] = np.arange(len(by_rank))
+        # Each object's cells by rank: one sort keyed by (object, rank).
+        order = np.lexsort((rank[which], np.repeat(np.arange(len(sizes)), sizes)))
+        scheme = cls(grid, dict(zip(seen[by_rank].tolist(), range(len(seen)))))
+        return scheme, sizes, cells[order], segmented_suffix_bounds(weights[order], sizes)
 
     # ------------------------------------------------------------------
     # Scheme interface
@@ -97,14 +121,9 @@ class GridScheme:
             return self._unseen_base + cell
         return rank
 
-    def object_signature(self, obj: SpatioTextualObject) -> List[Tuple[int, float]]:
-        """``S_R(o)`` as (cell, |g∩o.R|) pairs in global order (Def. 4)."""
-        return self.signature_of_region(obj.region)
-
-    def query_signature(self, query: Query) -> List[Tuple[int, float]]:
-        return self.signature_of_region(query.region)
-
     def signature_of_region(self, region: Rect) -> List[Tuple[int, float]]:
+        """``S_R(·)`` of a region as (cell, |g∩region|) pairs in global
+        order (Definition 4)."""
         pairs = self.grid.signature(region)
         pairs.sort(key=lambda item: self.rank(item[0]))
         return pairs

@@ -31,27 +31,15 @@ class TextualScheme:
 
     __slots__ = ("weighter",)
 
-    element_kind = "token"
-
     def __init__(self, weighter: TokenWeighter) -> None:
         self.weighter = weighter
-
-    def object_signature(self, obj: SpatioTextualObject) -> List[Tuple[str, float]]:
-        """``S_T(o) = o.T`` as (token, w(token)) pairs in global order."""
-        return self._signature(obj.tokens)
-
-    def query_signature(self, query: Query) -> List[Tuple[str, float]]:
-        """``S_T(q) = q.T`` — same construction as for objects."""
-        return self._signature(query.tokens)
 
     def corpus_signatures(
         self, objects: Sequence[SpatioTextualObject]
     ) -> Tuple[Dict[str, int], np.ndarray, np.ndarray, np.ndarray]:
-        """Every object's signature with its Lemma-3 bounds, as arrays.
-
-        The build-side twin of :meth:`object_signature` followed by
-        :func:`~repro.signatures.prefix.suffix_bounds`: same order, same
-        bounds to the bit, without a sort and a list per object.
+        """Every object's signature ``S_T(o) = o.T`` with its Lemma-3
+        bounds, as arrays: the postings of ``token`` and the textual half
+        of ``hash-hybrid`` and ``seal``.
 
         Returns:
             ``(ids, sizes, tokens, bounds)`` — :meth:`corpus_rows` and
@@ -98,20 +86,14 @@ class TextualScheme:
         """The query's Lemma-2 prefix tokens, in global order, and ``c_T``.
 
         Everything a textual filter needs of a query's text, from the one
-        sort and the one weight sum it costs: what
-        ``prefix_elements(query_signature(query), threshold(query))`` and
-        ``threshold(query)`` give, to the bit.  The planner derives it
-        once per query for all of its members.
+        sort and the one weight sum it costs: ``S_T(q) = q.T`` in global
+        order, cut by :func:`~repro.signatures.prefix.select_prefix` at
+        :meth:`threshold`.
         """
         weighter = self.weighter
         c_t = self.threshold(query)
         ordered = weighter.sort_tokens(query.tokens)
         return ordered[: select_prefix([weighter.weight(t) for t in ordered], c_t)], c_t
-
-    def _signature(self, tokens) -> List[Tuple[str, float]]:
-        weighter = self.weighter
-        ordered = weighter.sort_tokens(tokens)
-        return [(t, weighter.weight(t)) for t in ordered]
 
     def threshold(self, query: Query) -> float:
         """``c_T = τ_T · Σ_{t∈q.T} w(t)`` (Section 3.2), through the

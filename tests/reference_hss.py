@@ -24,9 +24,9 @@ from repro.geometry import Rect
 from repro.filters.hybrid_filter import bucket
 from repro.grid.hierarchy import GridHierarchy, HierCell, cell_code
 from repro.signatures.hierarchical import TokenGrids
-from repro.signatures.prefix import suffix_bounds
 
 from tests.reference_postings import ReferenceIndex
+from tests.reference_signatures import suffix_bounds, token_signature
 
 _Box = Tuple[float, float, float, float]
 
@@ -211,7 +211,7 @@ def hierarchical_index(
     index = ReferenceIndex(dual=True)
     span = method.hierarchy.num_cells
     for obj in corpus:
-        token_sig = method.textual.object_signature(obj)
+        token_sig = token_signature(method.weighter, obj.tokens)
         token_bounds = suffix_bounds([w for _, w in token_sig])
         for (token, _), t_bound in zip(token_sig, token_bounds):
             cells = region_cells(grids[token], obj.region)
@@ -228,9 +228,9 @@ def hybrid_index(corpus: Sequence[SpatioTextualObject], method) -> ReferenceInde
     index = ReferenceIndex(dual=True)
     span = method.spatial.grid.num_cells
     for obj in corpus:
-        token_sig = method.textual.object_signature(obj)
+        token_sig = token_signature(method.weighter, obj.tokens)
         token_bounds = suffix_bounds([w for _, w in token_sig])
-        cell_sig = method.spatial.object_signature(obj)
+        cell_sig = method.spatial.signature_of_region(obj.region)
         cell_bounds = suffix_bounds([w for _, w in cell_sig])
         for (token, _), t_bound in zip(token_sig, token_bounds):
             for (cell, _), r_bound in zip(cell_sig, cell_bounds):

@@ -36,7 +36,8 @@ import numpy as np
 
 from repro.core.stats import SearchStats
 from repro.index.inverted import InvertedIndex
-from repro.signatures.prefix import suffix_bounds
+
+from tests.reference_signatures import suffix_bounds, token_signature
 
 
 class PostingList:
@@ -249,13 +250,18 @@ def assert_same_index(built: InvertedIndex, expected: ReferenceIndex) -> None:
 
 
 def single_scheme_index(method) -> ReferenceIndex:
-    """``SingleSchemeFilter``'s build as it was: one ``add`` per signature
-    element of every object, with its Lemma-3 bound."""
+    """``token``'s or ``grid``'s build as it was: one ``add`` per
+    signature element of every object, with its Lemma-3 bound, keyed by
+    the token's id or the cell."""
     index = ReferenceIndex()
     for obj in method.corpus:
-        signature = method.scheme.object_signature(obj)
+        if method.name == "token":
+            signature = token_signature(method.weighter, obj.tokens)
+            codes = [method.token_ids[token] for token, _ in signature]
+        else:
+            signature = method.scheme.signature_of_region(obj.region)
+            codes = [cell for cell, _ in signature]
         bounds = suffix_bounds([w for _, w in signature])
-        codes = method.encode([element for element, _ in signature])
         for code, bound in zip(codes, bounds):
             index.add(code, obj.oid, bound)
     return index.freeze()

@@ -1,15 +1,80 @@
-"""The grid signature similarity, summed pair by pair (test-only oracle).
+"""Per-object signatures, summed and suffix-summed one by one (test-only
+oracles).
 
-``Σ_{g∈common} min(w(g|a), w(g|b))`` is what Lemma 1 bounds: the
-filters never sum it, they cut the Lemma-3 bounds that upper-bound it,
-so the tests of Lemma 1 compute it here.
+``src/`` builds every signature of a corpus at once, as flat columns
+(:meth:`TextualScheme.corpus_signatures
+<repro.signatures.textual.TextualScheme.corpus_signatures>`,
+:meth:`GridScheme.from_corpus <repro.signatures.spatial.GridScheme.from_corpus>`).
+The per-object API it used to carry lives on here, so the differential
+tests compare two independent builds:
+
+* :func:`token_signature` — ``S_T(·)`` of one token set as
+  ``(token, w(token))`` pairs in the global (descending-idf) order.
+* :func:`suffix_bounds` — the Lemma-3 bounds of one signature, added
+  right to left in a Python loop.
+* :func:`cells_overlapping` and :func:`cell_ranks` — the cells a region
+  touches, and the Section-4.2 global cell order counted with a
+  ``Counter`` region by region.
+* :func:`min_weight_similarity` — ``Σ_{g∈common} min(w(g|a), w(g|b))``,
+  what Lemma 1 bounds: the filters never sum it, they cut the Lemma-3
+  bounds that upper-bound it, so the tests of Lemma 1 compute it here.
 
 Nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from collections import Counter
+from typing import Dict, Iterable, List, Sequence, Tuple
+
+from repro.geometry import Rect
+from repro.grid.uniform import UniformGrid
+from repro.text.weights import TokenWeighter
+
+
+def token_signature(weighter: TokenWeighter, tokens: Iterable[str]) -> List[Tuple[str, float]]:
+    """``S_T = T`` as ``(token, w(token))`` pairs in global order."""
+    return [(t, weighter.weight(t)) for t in weighter.sort_tokens(tokens)]
+
+
+def suffix_bounds(weights: Sequence[float]) -> List[float]:
+    """Suffix sums ``bounds[i] = Σ_{j≥i} weights[j]`` (Lemma 3).
+
+    Examples:
+        >>> suffix_bounds([3.0, 2.0, 1.0])
+        [6.0, 3.0, 1.0]
+    """
+    bounds: List[float] = [0.0] * len(weights)
+    acc = 0.0
+    for i in range(len(weights) - 1, -1, -1):
+        acc += weights[i]
+        bounds[i] = acc
+    return bounds
+
+
+def cells_overlapping(grid: UniformGrid, rect: Rect) -> List[int]:
+    """All cell ids whose half-open extent intersects ``rect``."""
+    span = grid.cell_span(rect)
+    if span is None:
+        return []
+    row_lo, row_hi, col_lo, col_hi = span
+    g = grid.granularity
+    return [
+        row * g + col
+        for row in range(row_lo, row_hi + 1)
+        for col in range(col_lo, col_hi + 1)
+    ]
+
+
+def cell_ranks(grid: UniformGrid, regions: Iterable[Rect]) -> Dict[int, int]:
+    """``cell -> rank`` by ascending ``(count(g), cell id)``, inserted in
+    rank order."""
+    counts: Counter[int] = Counter()
+    for region in regions:
+        for cell in cells_overlapping(grid, region):
+            counts[cell] += 1
+    ordered = sorted(counts, key=lambda cell: (counts[cell], cell))
+    return {cell: rank for rank, cell in enumerate(ordered)}
 
 
 def min_weight_similarity(

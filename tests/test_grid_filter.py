@@ -31,7 +31,7 @@ class TestPaperExample3:
         cR = 600.  (The paper's illustration drops two cells; our
         reconstructed corpus induces different count(g) statistics, under
         which exactly one cell's weight fits below the threshold.)"""
-        sig = grid_filter.scheme.query_signature(figure1_query)
+        sig = grid_filter.scheme.signature_of_region(figure1_query.region)
         assert len(sig) == 6
         assert sum(w for _, w in sig) == pytest.approx(2400.0)  # = |q.R|
         stats = SearchStats()

@@ -77,7 +77,8 @@ class TestHybridFilter:
     def test_index_size_counts_cross_product(self, figure1_objects, figure1_weighter):
         f = HybridFilter(figure1_objects, figure1_weighter, granularity=4, space=FIGURE1_SPACE)
         expected = sum(
-            len(obj.tokens) * len(f.spatial.object_signature(obj)) for obj in figure1_objects
+            len(obj.tokens) * len(f.spatial.signature_of_region(obj.region))
+            for obj in figure1_objects
         )
         assert f.index_size().num_postings == expected
 

@@ -145,16 +145,21 @@ class TestSnapshot:
         restored = load_engine(path)
         assert restored.search(figure1_query).answers == [1]
 
-    @pytest.mark.parametrize("method_name", ["irtree", "spatial-first", "token"])
+    @pytest.mark.parametrize(
+        "method_name", ["irtree", "spatial-first", "token", "grid", "keyword-first", "planned"]
+    )
     def test_snapshot_with_retired_tree_and_weighter_state_loads(
         self, tmp_path, twitter_small, twitter_small_queries, method_name
     ):
         """A format-8 snapshot written while the R-tree still had Guttman
         insertion and the weighter its rank table pickles
         ``RTree.min_entries``/``_height`` and
-        ``TokenWeighter._ranks``/``_counts``.  Neither class is slotted,
-        so that state loads as inert attributes, and answers are the
-        method's."""
+        ``TokenWeighter._ranks``/``_counts``; one written while ``grid``
+        still shared the token filter's build pickles ``token_ids = None``
+        on every grid filter, and one written while ``keyword-first``
+        kept its own copy of the token totals pickles ``_token_totals``.
+        None of these classes is slotted, so that state loads as inert
+        attributes, and answers are the method's."""
         from repro.text.weights import TokenWeighter
 
         weighter = TokenWeighter(obj.tokens for obj in twitter_small)
@@ -162,12 +167,19 @@ class TestSnapshot:
         ordered = weighter.sort_tokens({t for obj in twitter_small for t in obj.tokens})
         weighter._ranks = {token: rank for rank, token in enumerate(ordered)}
         weighter._counts = {token: 1 for token in ordered}
-        if method_name != "token":
+        if method_name in ("irtree", "spatial-first"):
             method.rtree.min_entries = method.rtree.max_entries // 2
             method.rtree._height = 2
+        grid = {"grid": lambda m: m, "planned": lambda m: m.methods["grid"]}.get(method_name)
+        if grid is not None:
+            grid(method).token_ids = None
+        if method_name == "keyword-first":
+            method._token_totals = [weighter.total_weight(obj.tokens) for obj in twitter_small]
         path = tmp_path / "retired.pkl"
         save_engine(method, path)
         restored = load_engine(path)
+        if grid is not None:
+            assert grid(restored).token_ids is None
         fresh = build_method(
             twitter_small, method_name, TokenWeighter(obj.tokens for obj in twitter_small)
         )

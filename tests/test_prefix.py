@@ -9,34 +9,37 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.signatures.prefix import (
-    prefix_elements,
-    segmented_suffix_bounds,
-    select_prefix,
-    suffix_bounds,
-)
+from repro.signatures.prefix import prefix_elements, segmented_suffix_bounds, select_prefix
+
+from tests.reference_signatures import suffix_bounds
 
 weights_lists = st.lists(
     st.integers(min_value=0, max_value=40).map(lambda n: n * 0.25), min_size=0, max_size=12
 )
 
 
+def one_signature_bounds(weights):
+    """:func:`segmented_suffix_bounds` of a single signature."""
+    return segmented_suffix_bounds(np.array(weights, dtype=np.float64), [len(weights)]).tolist()
+
+
 class TestSuffixBounds:
     def test_basic(self):
-        assert suffix_bounds([3.0, 2.0, 1.0]) == [6.0, 3.0, 1.0]
+        assert one_signature_bounds([3.0, 2.0, 1.0]) == [6.0, 3.0, 1.0]
 
     def test_empty(self):
-        assert suffix_bounds([]) == []
+        assert one_signature_bounds([]) == []
+        assert segmented_suffix_bounds(np.array([]), np.array([0, 0])).tolist() == []
 
     def test_single(self):
-        assert suffix_bounds([5.0]) == [5.0]
+        assert one_signature_bounds([5.0]) == [5.0]
 
     def test_paper_figure5_bound(self):
         # Figure 5: object o2's grid signature {g9,g10,g11,g13,g14,g15}
         # with weights {225,450,375,150,300,250}; the bound of g14 (the
         # 5th element) is 300+250 = 550, and of g13 is 150+300+250 = 700.
         weights = [225.0, 450.0, 375.0, 150.0, 300.0, 250.0]
-        bounds = suffix_bounds(weights)
+        bounds = one_signature_bounds(weights)
         assert bounds[4] == 550.0
         assert bounds[3] == 700.0
 
@@ -104,7 +107,7 @@ def test_prefix_is_minimal(weights, threshold):
 
 @given(weights_lists)
 def test_suffix_bounds_decreasing(weights):
-    bounds = suffix_bounds(weights)
+    bounds = one_signature_bounds(weights)
     for i in range(len(bounds) - 1):
         assert bounds[i] >= bounds[i + 1]
     if weights:

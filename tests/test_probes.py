@@ -241,15 +241,19 @@ def test_planned_search_sorts_and_sums_the_query_tokens_at_most_once(
 
 
 def test_query_prefix_is_the_signature_prefix_and_threshold(corpus, golden_queries):
-    """``query_prefix`` against the two calls it replaces, to the bit."""
+    """``query_prefix`` against the prefix of the per-query signature
+    and the threshold, to the bit."""
     from repro.signatures.prefix import prefix_elements
+
+    from tests.reference_signatures import token_signature
 
     scheme = TextualScheme(TokenWeighter(obj.tokens for obj in corpus))
     for query in list(_shapes(corpus).values()) + golden_queries:
         tokens, c_t = scheme.query_prefix(query)
         assert c_t == scheme.threshold(query)
         assert tokens == [
-            token for token, _ in prefix_elements(scheme.query_signature(query), c_t)
+            token
+            for token, _ in prefix_elements(token_signature(scheme.weighter, query.tokens), c_t)
         ]
 
 

@@ -2,29 +2,42 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError
-from repro.core.objects import Query, SpatioTextualObject, make_corpus
+from repro.core.objects import Query, make_corpus
 from repro.geometry import Rect
-from repro.geometry.rect import spatial_jaccard
-from repro.signatures.prefix import suffix_bounds
+from repro.geometry.rect import corpus_space, spatial_jaccard
 from repro.signatures.spatial import GridScheme
 from repro.signatures.textual import TextualScheme
 from repro.text.weights import TokenWeighter
 
 from tests.conftest import FIGURE1_SPACE
-from tests.reference_signatures import min_weight_similarity
+from tests.reference_signatures import (
+    cell_ranks,
+    min_weight_similarity,
+    suffix_bounds,
+    token_signature,
+)
 from tests.strategies import rects
+
+
+def grid_scheme(objects, granularity, space):
+    """The scheme alone, without the corpus's signature columns."""
+    return GridScheme.from_corpus(objects, granularity, space=space)[0]
 
 
 class TestTextualScheme:
     def test_signature_in_global_order(self, figure1_objects, figure1_weighter):
-        scheme = TextualScheme(figure1_weighter)
-        sig = scheme.object_signature(figure1_objects[1])  # o2 = {t1,t2,t3}
-        elements = [e for e, _ in sig]
+        ids, sizes, tokens, _ = TextualScheme(figure1_weighter).corpus_signatures(
+            figure1_objects
+        )
+        vocabulary = list(ids)
+        start = int(sizes[0])  # o2 = {t1,t2,t3}
+        elements = [vocabulary[i] for i in tokens[start : start + sizes[1]].tolist()]
         # Global order: t1/t3 tie at idf ln(7/3) (alphabetical), then t2.
         assert elements == ["t1", "t3", "t2"]
 
@@ -37,12 +50,12 @@ class TestTextualScheme:
         rounded = 0.3 * (0.8 + 0.3 + 0.8)
         assert rounded == pytest.approx(0.57)
 
-    def test_signature_weights(self, figure1_weighter, figure1_query):
-        scheme = TextualScheme(figure1_weighter)
-        sig = scheme.query_signature(figure1_query)
-        for token, weight in sig:
-            assert weight == figure1_weighter.weight(token)
-
+    def test_query_prefix_is_the_signature_prefix(self, figure1_weighter, figure1_query):
+        """Figure 4: under ``c_T`` = 0.609 the query ``{t1, t2, t3}``
+        (weights ln(7/3), ln(7/3), ln(7/5)) keeps the two heavy tokens."""
+        tokens, c_t = TextualScheme(figure1_weighter).query_prefix(figure1_query)
+        assert c_t == pytest.approx(0.609, abs=0.001)
+        assert tokens == ["t1", "t3"]
 
     def test_corpus_signatures_match_per_object(self, twitter_small, twitter_small_weighter):
         scheme = TextualScheme(twitter_small_weighter)
@@ -51,7 +64,7 @@ class TestTextualScheme:
         assert sorted(vocabulary) == sorted({t for obj in twitter_small for t in obj.tokens})
         expected_tokens, expected_bounds = [], []
         for obj in twitter_small:
-            sig = scheme.object_signature(obj)
+            sig = token_signature(twitter_small_weighter, obj.tokens)
             expected_tokens.extend(token for token, _ in sig)
             expected_bounds.extend(suffix_bounds([w for _, w in sig]))
         assert [list(vocabulary)[i] for i in tokens.tolist()] == expected_tokens
@@ -67,7 +80,7 @@ class TestTextualScheme:
         vocabulary = list(ids)
         flat = iter(zip(tokens.tolist(), bounds.tolist()))
         for obj in figure1_objects:
-            sig = scheme.object_signature(obj)
+            sig = token_signature(weighter, obj.tokens)
             for (token, _), bound in zip(sig, suffix_bounds([w for _, w in sig])):
                 index, got = next(flat)
                 assert (vocabulary[index], got) == (token, bound)
@@ -81,33 +94,45 @@ class TestGridScheme:
     def test_figure5_object_weights(self, figure1_objects):
         """o2's grid weights on the 4×4 / 120×120 grid are exactly the
         paper's {225, 450, 375, 150, 300, 250}."""
-        scheme = GridScheme.from_corpus(figure1_objects, 4, space=FIGURE1_SPACE)
-        sig = scheme.object_signature(figure1_objects[1])
+        scheme = grid_scheme(figure1_objects, 4, FIGURE1_SPACE)
+        sig = scheme.signature_of_region(figure1_objects[1].region)
         assert sorted(w for _, w in sig) == [150.0, 225.0, 250.0, 300.0, 375.0, 450.0]
+
+    def test_figure5_object_columns(self, figure1_objects):
+        """o2's postings: its six cells in global order, each with the
+        suffix sum of the weights from it on — 1750 for the first."""
+        scheme, sizes, cells, bounds = GridScheme.from_corpus(
+            figure1_objects, 4, space=FIGURE1_SPACE
+        )
+        start, end = int(sizes[0]), int(sizes[0] + sizes[1])
+        sig = scheme.signature_of_region(figure1_objects[1].region)
+        assert cells[start:end].tolist() == [cell for cell, _ in sig]
+        assert bounds[start:end].tolist() == suffix_bounds([w for _, w in sig])
+        assert bounds[start] == 1750.0
 
     def test_figure5_query_weights(self, figure1_objects, figure1_query):
         """q's weights are the paper's {150, 750, 450, 500, 300, 250}."""
-        scheme = GridScheme.from_corpus(figure1_objects, 4, space=FIGURE1_SPACE)
-        sig = scheme.query_signature(figure1_query)
+        scheme = grid_scheme(figure1_objects, 4, FIGURE1_SPACE)
+        sig = scheme.signature_of_region(figure1_query.region)
         assert sorted(w for _, w in sig) == [150.0, 250.0, 300.0, 450.0, 500.0, 750.0]
 
     def test_threshold_figure5(self, figure1_objects, figure1_query):
         # cR = τR · |q.R| = 0.25 · 2400 = 600.
-        scheme = GridScheme.from_corpus(figure1_objects, 4, space=FIGURE1_SPACE)
+        scheme = grid_scheme(figure1_objects, 4, FIGURE1_SPACE)
         assert scheme.threshold(figure1_query) == pytest.approx(600.0)
 
     def test_signature_similarity_figure5(self, figure1_objects, figure1_query):
         # sim(S_R(q), S_R(o2)) = 1375 (Section 4.1's worked example).
-        scheme = GridScheme.from_corpus(figure1_objects, 4, space=FIGURE1_SPACE)
+        scheme = grid_scheme(figure1_objects, 4, FIGURE1_SPACE)
         sim = min_weight_similarity(
-            scheme.query_signature(figure1_query),
-            scheme.object_signature(figure1_objects[1]),
+            scheme.signature_of_region(figure1_query.region),
+            scheme.signature_of_region(figure1_objects[1].region),
         )
         assert sim == pytest.approx(1375.0)
 
     def test_signature_sorted_by_rank(self, figure1_objects):
-        scheme = GridScheme.from_corpus(figure1_objects, 4, space=FIGURE1_SPACE)
-        sig = scheme.object_signature(figure1_objects[1])
+        scheme = grid_scheme(figure1_objects, 4, FIGURE1_SPACE)
+        sig = scheme.signature_of_region(figure1_objects[1].region)
         ranks = [scheme.rank(c) for c, _ in sig]
         assert ranks == sorted(ranks)
 
@@ -117,19 +142,62 @@ class TestGridScheme:
         cell 1: 1, cell 2: 3, cell 3: 1."""
         boxes = {0: (0.2, 0.2), 1: (1.2, 0.2), 2: (0.2, 1.2), 3: (1.2, 1.2)}
         counts = {0: 5, 1: 1, 2: 3, 3: 1}
-        regions = [Rect(x, y, x + 0.5, y + 0.5)
-                   for cell, (x, y) in boxes.items() for _ in range(counts[cell])]
-        scheme = GridScheme.from_corpus(regions, 2, space=Rect(0, 0, 2, 2))
+        objects = make_corpus([(Rect(x, y, x + 0.5, y + 0.5), {"t"})
+                               for cell, (x, y) in boxes.items() for _ in range(counts[cell])])
+        scheme = grid_scheme(objects, 2, Rect(0, 0, 2, 2))
         assert sorted(range(4), key=scheme.rank) == [1, 3, 2, 0]
 
     def test_unseen_cells_rank_last_and_stably(self, figure1_objects):
-        scheme = GridScheme.from_corpus(figure1_objects, 4, space=FIGURE1_SPACE)
+        scheme = grid_scheme(figure1_objects, 4, FIGURE1_SPACE)
         seen_max = max(scheme.rank(c) for c, _ in scheme.signature_of_region(FIGURE1_SPACE))
         # A cell with no object cannot outrank seen cells.
         all_cells = set(range(16))
         seen = {c for c, _ in scheme.signature_of_region(FIGURE1_SPACE)}
         for cell in all_cells - seen:
             assert scheme.rank(cell) > seen_max
+
+
+@st.composite
+def grid_corpora(draw):
+    """A granularity of 1–16 and a corpus over the 100×100 space whose
+    coordinates are exact multiples of 0.25 or the grid's own cell edges
+    (``0`` and ``100``, the space's border, among them); extents may be
+    zero.  The space is that square or, half the time, the corpus MBR."""
+    granularity = draw(st.integers(1, 16))
+    edge = st.integers(0, granularity).map(lambda k: k * (100.0 / granularity))
+    coordinate = st.one_of(st.integers(0, 400).map(lambda n: n * 0.25), edge)
+
+    def region(_):
+        x1, x2 = sorted(draw(st.tuples(coordinate, coordinate)))
+        y1, y2 = sorted(draw(st.tuples(coordinate, coordinate)))
+        return Rect(x1, y1, x2, y2)
+
+    objects = make_corpus([(region(i), {"t"}) for i in range(draw(st.integers(1, 12)))])
+    return objects, granularity, draw(st.sampled_from([Rect(0, 0, 100, 100), None]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_corpora())
+def test_from_corpus_columns_are_the_per_object_signatures(case):
+    """One grid pass, checked against the per-object build it replaced:
+    the ranks are the ``Counter`` order (same keys, same insertion order),
+    and each object's columns are ``sorted(grid.signature(r), key=rank)``
+    with :func:`suffix_bounds` of its weights, bit for bit."""
+    objects, granularity, space = case
+    scheme, sizes, cells, bounds = GridScheme.from_corpus(objects, granularity, space=space)
+    grid = scheme.grid
+    regions = [obj.region for obj in objects]
+    assert grid.space == (space if space is not None else corpus_space(regions))
+    ranks = cell_ranks(grid, regions)
+    assert list(scheme._ranks.items()) == list(ranks.items())
+    expected_cells, expected_bounds = [], []
+    for region in regions:
+        signature = sorted(grid.signature(region), key=lambda pair: ranks[pair[0]])
+        expected_cells.extend(cell for cell, _ in signature)
+        expected_bounds.extend(suffix_bounds([w for _, w in signature]))
+    assert sizes.tolist() == [len(grid.signature(region)) for region in regions]
+    assert cells.dtype == np.int64 and cells.tolist() == expected_cells
+    assert bounds.tobytes() == np.array(expected_bounds, dtype=np.float64).tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -146,13 +214,13 @@ class TestGridScheme:
 )
 def test_lemma1_no_false_negatives(regions, query_region, tau_r, granularity):
     objects = make_corpus([(r, {"t"}) for r in regions])
-    scheme = GridScheme.from_corpus(objects, granularity, space=Rect(0, 0, 120, 120))
+    scheme = grid_scheme(objects, granularity, Rect(0, 0, 120, 120))
     query = Query(query_region, frozenset({"t"}), tau_r, 0.0)
     c_r = scheme.threshold(query)
-    q_sig = scheme.query_signature(query)
+    q_sig = scheme.signature_of_region(query_region)
     for obj in objects:
         if spatial_jaccard(query_region, obj.region) >= tau_r:
-            sim = min_weight_similarity(q_sig, scheme.object_signature(obj))
+            sim = min_weight_similarity(q_sig, scheme.signature_of_region(obj.region))
             assert sim >= c_r - 1e-9, (
                 f"Lemma 1 violated: simR >= {tau_r} but signature sim {sim} < cR {c_r}"
             )

@@ -53,13 +53,13 @@ class TestCellGeometry:
 
     @pytest.mark.parametrize("granularity", [1, 3, 7, 16])
     def test_cell_centre_lies_in_its_own_cell(self, granularity):
-        """Point location through ``cells_overlapping`` agrees with
+        """Point location through ``signature`` agrees with
         ``cell_rect``, also on a space whose edges are not round."""
         grid = UniformGrid(Rect(-3.7, 1.1, 11.3, 9.9), granularity)
         for cell in range(grid.num_cells):
             box = grid.cell_rect(cell)
             x, y = (box.x1 + box.x2) / 2, (box.y1 + box.y2) / 2
-            assert grid.cells_overlapping(Rect(x, y, x, y)) == [cell]
+            assert [c for c, _ in grid.signature(Rect(x, y, x, y))] == [cell]
 
 
 class TestCellSpan:
@@ -85,8 +85,8 @@ class TestCellSpan:
     def test_rect_covering_space(self, grid):
         assert grid.cell_span(Rect(-10, -10, 200, 200)) == (0, 3, 0, 3)
 
-    def test_cells_overlapping_count(self, grid):
-        assert len(grid.cells_overlapping(Rect(10, 10, 60, 60))) == 9
+    def test_signature_cell_count(self, grid):
+        assert len(grid.signature(Rect(10, 10, 60, 60))) == 9
 
 
 class TestSignature:

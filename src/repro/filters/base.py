@@ -40,10 +40,11 @@ Lemma 2 prefix, and each probed list returns only the head whose bound
 reaches the threshold.  The paper's plain Sig-Filter (Figure 3), which
 opens whole lists and sums ``Σ min(w(s|q), w(s|o))``, is not built.
 
-No filter builds its postings here: each hands ``InvertedIndex.from_postings``
+No filter computes signatures here: each hands ``InvertedIndex.from_postings``
 flat columns, every object's signature in global order with its Lemma-3
 bounds, from one build per signature axis — ``TextualScheme.corpus_signatures``
-for tokens, ``GridScheme.from_corpus`` for uniform grid cells.
+for tokens, ``GridScheme.from_corpus`` for uniform grid cells.  The two
+single-scheme filters load theirs through ``SingleSchemeFilter._load``.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from repro.core.method import SearchMethod
 from repro.core.objects import Query
 from repro.core.stats import SearchStats
 from repro.exec import pipeline
+from repro.index.inverted import InvertedIndex
 
 #: What ``probes`` returns: ``(codes, bound, t_bound)`` …
 Probes = Tuple[List[int], float, Optional[float]]
@@ -73,9 +75,17 @@ def candidates_from_probes(method, query: Query, stats: SearchStats) -> Collecti
 
 
 class SingleSchemeFilter(SearchMethod):
-    """Sig-Filter+ over one signature scheme: the single-bound filter
-    step, one query or a batch.  A subclass builds ``index`` and
-    supplies ``probes``."""
+    """Sig-Filter+ over one signature scheme: the bulk load and the
+    single-bound filter step, one query or a batch.  A subclass hands
+    :meth:`_load` its scheme's corpus columns and supplies ``probes``."""
+
+    def _load(self, sizes: np.ndarray, codes: np.ndarray, bounds: np.ndarray) -> None:
+        """Build ``index`` from every object's signature, object after
+        object: ``sizes[i]`` codes of oid ``i`` in global order, each with
+        its Lemma-3 bound."""
+        self.index = InvertedIndex.from_postings(
+            codes, np.repeat(np.arange(len(sizes)), sizes), bounds
+        )
 
     candidates = candidates_from_probes
 

@@ -11,12 +11,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from repro.core.objects import Query, SpatioTextualObject
 from repro.filters.base import FULL_SCAN, Probes, SingleSchemeFilter
 from repro.geometry import Rect
-from repro.index.inverted import InvertedIndex
 from repro.index.storage import CELL_KEY_BYTES, IndexSizeReport, measure_index
 from repro.signatures.prefix import prefix_elements
 from repro.signatures.spatial import GridScheme
@@ -56,9 +53,7 @@ class GridFilter(SingleSchemeFilter):
         self.scheme, sizes, cells, bounds = GridScheme.from_corpus(
             self.corpus, granularity, space=space
         )
-        self.index = InvertedIndex.from_postings(
-            cells, np.repeat(np.arange(len(sizes)), sizes), bounds
-        )
+        self._load(sizes, cells, bounds)
 
     def probes(self, query: Query) -> Probes:
         if query.tau_r <= 0.0:

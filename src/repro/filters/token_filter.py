@@ -10,11 +10,8 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-import numpy as np
-
 from repro.core.objects import Query, SpatioTextualObject
 from repro.filters.base import FULL_SCAN, Probes, SingleSchemeFilter
-from repro.index.inverted import InvertedIndex
 from repro.index.storage import IndexSizeReport, measure_index
 from repro.signatures.textual import TextualScheme
 from repro.text.weights import TokenWeighter
@@ -43,9 +40,7 @@ class TokenFilter(SingleSchemeFilter):
         super().__init__(objects, weighter)
         self.scheme = TextualScheme(self.weighter)
         self.token_ids, sizes, tokens, bounds = self.scheme.corpus_signatures(self.corpus)
-        self.index = InvertedIndex.from_postings(
-            tokens, np.repeat(np.arange(len(sizes)), sizes), bounds
-        )
+        self._load(sizes, tokens, bounds)
 
     def encode(self, tokens: Sequence[str]) -> List[int]:
         """Tokens as the index's codes.  Each token outside the

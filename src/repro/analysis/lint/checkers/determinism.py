@@ -140,7 +140,7 @@ class HashOrderedSumChecker(Checker):
         "the similarity paths — float addition is not associative, so the "
         "total, and an answer at simT = τ, would move with PYTHONHASHSEED"
     )
-    scope = ("core/", "text/", "signatures/", "filters/", "exec/")
+    scope = ("core/", "text/", "signatures/", "filters/", "exec/", "baselines/")
 
     def check(self, tree: ast.Module, source: str, path: str) -> List[Finding]:
         findings: List[Finding] = []

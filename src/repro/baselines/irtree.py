@@ -25,10 +25,10 @@ from typing import Collection, Dict, FrozenSet, List, Sequence
 
 from repro.core.method import SearchMethod
 from repro.core.objects import Query, SpatioTextualObject
-from repro.core.similarity import filter_threshold
 from repro.core.stats import SearchStats
 from repro.index.storage import IndexSizeReport, rtree_size_bytes
 from repro.rtree import Node, RTree
+from repro.signatures.query import compile_query
 from repro.text.weights import TokenWeighter
 
 
@@ -81,11 +81,8 @@ class IRTreeSearch(SearchMethod):
     def candidates(self, query: Query, stats: SearchStats) -> Collection[int]:
         if not len(self.rtree):
             return []
-        c_r = filter_threshold(query.tau_r, query.region.area)
-        c_t = filter_threshold(query.tau_t, self.weighter.total_weight(query.tokens))
-        q_region = query.region
-        q_tokens = query.tokens
-        weight = self.weighter.weight
+        query = compile_query(query, self.weighter)
+        c_r, c_t, q_region, q_weighted = query.c_r, query.c_t, query.region, query.weighted
         node_tokens = self._node_tokens
         out: List[int] = []
         stack: List[Node] = [self.rtree.root]
@@ -94,7 +91,7 @@ class IRTreeSearch(SearchMethod):
             stats.lists_probed += 1  # one inverted-file consultation per node
             tokens = node_tokens[node]
             if c_t > 0.0:
-                overlap_w = sum(weight(t) for t in q_tokens if t in tokens)
+                overlap_w = sum(w for t, w in q_weighted if t in tokens)
                 if overlap_w < c_t:
                     continue
             if node.is_leaf:

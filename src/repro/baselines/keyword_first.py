@@ -21,6 +21,7 @@ from repro.core.similarity import filter_threshold
 from repro.core.stats import SearchStats
 from repro.index.inverted import InvertedIndex
 from repro.index.storage import IndexSizeReport, measure_index
+from repro.signatures.query import compile_query
 from repro.signatures.textual import TextualScheme
 from repro.text.weights import TokenWeighter
 
@@ -47,17 +48,16 @@ class KeywordFirstSearch(SearchMethod):
         )
 
     def candidates(self, query: Query, stats: SearchStats) -> Collection[int]:
-        q_total = self.weighter.total_weight(query.tokens)
-        if query.tau_t <= 0.0 or q_total <= 0.0:
+        query = compile_query(query, self.weighter)
+        if query.tau_t <= 0.0 or query.total <= 0.0:
             # Vacuous textual predicate — or a zero-weight query token
             # set, which scores simT = 1 against any object whose tokens
             # also weigh nothing, without sharing a single token.  Lists
             # cannot reach those objects; scan instead.
             return self.all_oids()
-        weight = self.weighter.weight
         token_ids = self.token_ids
         overlap: defaultdict[int, float] = defaultdict(float)
-        for token in query.tokens:
+        for token, w in query.weighted:
             # Every posting's bound is 0.0, so the head is the whole
             # list — and empty exactly when the token has none.
             head = self.index.probe(token_ids.get(token, -1), 0.0).tolist()
@@ -65,16 +65,15 @@ class KeywordFirstSearch(SearchMethod):
                 continue
             stats.lists_probed += 1
             stats.entries_retrieved += len(head)
-            w = weight(token)
             for oid in head:
                 overlap[oid] += w
-        tau_t = query.tau_t
+        q_total, tau_t = query.total, query.tau_t
         totals = self.verifier.token_totals()
         out: List[int] = []
         for oid, inter_w in overlap.items():
             union_w = q_total + totals[oid] - inter_w
-            # The exact check, held to the filter-bound contract: the
-            # overlap is summed in query-set order, not the verifier's.
+            # The exact check, summed in the verifier's global order and
+            # held to the filter-bound contract.
             if union_w <= 0.0 or inter_w >= filter_threshold(tau_t, union_w):
                 out.append(oid)
         return out

@@ -18,6 +18,7 @@ from repro.core.similarity import filter_threshold
 from repro.core.stats import SearchStats
 from repro.index.storage import PAGE_BYTES, IndexSizeReport
 from repro.rtree import RTree
+from repro.signatures.query import compile_query
 from repro.text.weights import TokenWeighter
 
 
@@ -45,13 +46,14 @@ class SpatialFirstSearch(SearchMethod):
         )
 
     def candidates(self, query: Query, stats: SearchStats) -> Collection[int]:
+        query = compile_query(query, self.weighter)
         if query.tau_r <= 0.0:
             # A vacuous spatial predicate admits spatially disjoint objects.
             return self.all_oids()
         q_region = query.region
         q_area = q_region.area
         tau_r = query.tau_r
-        hits = self.rtree.search_min_overlap(q_region, filter_threshold(tau_r, q_area))
+        hits = self.rtree.search_min_overlap(q_region, query.c_r)
         stats.entries_retrieved += len(hits)
         corpus = self.corpus
         out: List[int] = []

@@ -19,6 +19,7 @@ from repro.core.stats import SearchResult, SearchStats
 from repro.core.verification import Verifier
 from repro.exec.pipeline import execute_query
 from repro.index.storage import IndexSizeReport
+from repro.signatures.query import compile_query
 from repro.text.weights import TokenWeighter
 
 
@@ -57,9 +58,9 @@ class SearchMethod(abc.ABC):
     def search(self, query: Query) -> SearchResult:
         """Filter, then verify; answers come back sorted by oid.
 
-        One query through the canonical execution pipeline.
+        One query, compiled once, through the canonical execution pipeline.
         """
-        return execute_query(self, query)
+        return execute_query(self, compile_query(query, self.weighter))
 
     # ------------------------------------------------------------------
     # Introspection

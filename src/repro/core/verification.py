@@ -10,17 +10,18 @@ box rows, the textual check over a CSR of token ids.  Both branches run
 the same float64 operations in the same order, so the choice changes
 speed and never an answer.
 
-Before the exact spatial check, a query with a finite, non-tiny bound
-``c_R`` (see :func:`~repro.core.similarity.filter_threshold`) drops the
-candidates Lemma 1 rules out: a box that misses the query's, and — on
-the vector branch — an area outside ``[c_R, |q|/τR]``.  Neither drops an
-object the exact check keeps, so it too changes speed, never an answer.
+What the checks read of a query comes compiled
+(:func:`~repro.signatures.query.compile_query`).  Before the exact
+spatial check, a query with a Lemma-1 ``band`` drops the candidates the
+lemma rules out: a box that misses the query's, and — on the vector
+branch — an area outside ``[c_R, |q|/τR]``.  Neither drops an object the
+exact check keeps, so it too changes speed, never an answer.
 
 Every textual sum has one order that does not depend on the process's
 string hashing: token totals are exact (``math.fsum``, see
 :meth:`~repro.text.weights.TokenWeighter.total_weight`), and an
 intersection weight is summed sequentially in the weighter's global
-token order — on the loop branch by walking the query's sorted tokens,
+token order — on the loop branch by walking the compiled query's tokens,
 on the kernel branch because every CSR row is stored in that order and
 ``np.bincount`` adds in input order.  A primary and its replica, or a
 process and its recovered successor, therefore answer a query sitting
@@ -29,15 +30,13 @@ exactly on ``τT`` alike.
 
 from __future__ import annotations
 
-import math
-import sys
 from typing import Iterable, List, Sequence
 
 import numpy as np
 
 from repro.core.objects import Query, SpatioTextualObject
-from repro.core.similarity import filter_ceiling, filter_threshold
 from repro.core.stats import SearchStats
+from repro.signatures.query import CompiledQuery, compile_query
 from repro.signatures.textual import TextualScheme
 from repro.text.weights import TokenWeighter
 
@@ -46,6 +45,11 @@ from repro.text.weights import TokenWeighter
 #: spatial survivors (textual check) at least this large take the NumPy
 #: kernels.  Below it array setup costs more than the per-object loop it
 #: replaces.
+#: Loop → kernel, µs per query, median of 3 runs, at 8/16/21/32/64 of
+#: ``grid``'s | ``token``'s candidates (ledger 10k, large, seed 7): textual
+#: 10→38 23→31 31→41 52→35 87→40 | 17→46 35→52 30→40 53→34 132→67; spatial
+#: 23→29 32→32 47→37 59→29 119→32 | 5→38 9→33 7→23 10→25 26→25.  The
+#: textual crossover is 21–32, as it was before queries were compiled.
 VECTOR_MIN_CANDIDATES = 32
 
 #: What a pickled verifier holds.  The box block and the token CSR are
@@ -85,18 +89,6 @@ def _box_rows(x1, y1, x2, y2):
     kernels read the true coordinates back bit for bit."""
     area = (x2 - x1) * (y2 - y1)
     return (x1, y1, -x2, -y2, area, -area)
-
-
-def _lemma1_band(query: Query) -> tuple[float, float] | None:
-    """``(c_R, |q|/τR)`` loosened by ``FILTER_SLACK`` — the areas a
-    candidate may have and still reach ``simR ≥ τR`` — when the query
-    passes the reject's guard (``|q|`` finite, ``c_R ≥
-    sys.float_info.min``), else ``None``: the exact test runs alone."""
-    q_area = query.region.area
-    c_r = filter_threshold(query.tau_r, q_area)
-    if sys.float_info.min <= c_r and q_area < math.inf:
-        return c_r, filter_ceiling(query.tau_r, q_area)
-    return None
 
 
 class Verifier:
@@ -178,10 +170,12 @@ class Verifier:
 
         The spatial check runs first — it is a handful of float ops, while
         the textual check intersects token sets — behind Lemma 1's reject
-        (:func:`_lemma1_band`).  At ``τR = 0`` it would keep every
-        candidate (infinite regions included: both branches drop only on
-        a true comparison), so it is skipped.
+        (the compiled query's ``band``).  At ``τR = 0`` it would keep
+        every candidate (infinite regions included: both branches drop
+        only on a true comparison), so it is skipped; so is the textual
+        check at ``τT = 0``, where ``inter_w < 0·union_w`` is never true.
         """
+        query = compile_query(query, self.weighter)
         if not hasattr(candidates, "__len__"):
             candidates = list(candidates)
         if query.tau_r == 0.0:
@@ -189,8 +183,10 @@ class Verifier:
         elif len(candidates) >= VECTOR_MIN_CANDIDATES:
             survivors = self._spatial_mask(query, candidates)
         else:
-            survivors = self._spatial_loop(query, candidates, _lemma1_band(query) is not None)
-        if len(survivors) >= VECTOR_MIN_CANDIDATES:
+            survivors = self._spatial_loop(query, candidates, query.band is not None)
+        if query.tau_t == 0.0:  # a fresh list of plain ints, as below
+            answers = survivors.tolist() if hasattr(survivors, "tolist") else list(survivors)
+        elif len(survivors) >= VECTOR_MIN_CANDIDATES:
             answers = self._textual_mask(query, survivors)
         else:
             answers = self._textual_loop(query, survivors)
@@ -198,11 +194,10 @@ class Verifier:
             stats.results = len(answers)
         return answers
 
-    def _spatial_loop(self, query: Query, candidates: Iterable[int], boxed: bool) -> List[int]:
-        """The candidates passing the spatial threshold, one at a time.
-        ``boxed`` (the query passes the guard of :func:`_lemma1_band`):
-        a box missing the query's is dropped before its exact overlap is
-        computed."""
+    def _spatial_loop(self, query: CompiledQuery, candidates: Iterable[int], boxed: bool) -> List[int]:
+        """The candidates passing the spatial threshold, one at a time;
+        ``boxed`` (the query has a Lemma-1 ``band``): a box missing the
+        query's is dropped before its exact overlap is computed."""
         if hasattr(candidates, "tolist"):
             # Columnar filters hand over integer arrays; convert once so
             # the loop sees plain ints (faster indexing, and answers never
@@ -229,7 +224,7 @@ class Verifier:
             survivors.append(oid)
         return survivors
 
-    def _spatial_mask(self, query: Query, candidates):
+    def _spatial_mask(self, query: CompiledQuery, candidates):
         """:meth:`_spatial_loop` over the candidate array: Lemma 1's reject
         as one comparison of the gathered box columns against the query's
         bound column, then the exact test on what is left — the loop below
@@ -240,7 +235,7 @@ class Verifier:
         boxes = self._box_block().take(oids, axis=1)
         q_rect = query.region
         qx1, qy1, qx2, qy2 = q_rect.as_tuple()
-        band = _lemma1_band(query)
+        band = query.band
         if band is not None:
             # Rejected: a closed box missing the query's, or an area
             # outside the band.  Only a true ``>`` rejects, so a NaN area
@@ -293,19 +288,14 @@ class Verifier:
             mask[degenerate] = (identical | (tau_r <= 0.0))[degenerate]
         return mask
 
-    def _textual_loop(self, query: Query, survivors) -> List[int]:
+    def _textual_loop(self, query: CompiledQuery, survivors) -> List[int]:
         """The survivors passing the textual threshold, one at a time;
         each intersection weight summed in the global token order."""
         if hasattr(survivors, "tolist"):
             survivors = survivors.tolist()
         if not survivors:
             return []
-        weighter = self.weighter
-        weight = weighter.weight
-        q_tokens = query.tokens
-        q_weights = [(t, weight(t)) for t in weighter.sort_tokens(q_tokens)]
-        q_total = weighter.total_weight(q_tokens)
-        tau_t = query.tau_t
+        q_weights, q_total, tau_t = query.weighted, query.total, query.tau_t
         totals = self.token_totals()
         corpus = self.corpus
         answers: List[int] = []
@@ -320,7 +310,7 @@ class Verifier:
             answers.append(oid)
         return answers
 
-    def _textual_mask(self, query: Query, survivors) -> List[int]:
+    def _textual_mask(self, query: CompiledQuery, survivors) -> List[int]:
         """:meth:`_textual_loop` as one segmented kernel over the token CSR:
         gather the survivors' rows, keep the entries the query holds, and
         add each row's kept weights in row (= global) order with
@@ -331,11 +321,8 @@ class Verifier:
         oids = _oid_array(survivors)
         token_rows = self._token_csr()
         vocabulary = token_rows[0]
-        q_ids = np.array([vocabulary[t] for t in query.tokens if t in vocabulary], dtype=np.intp)
-        keep = self._textual_pass(
-            token_rows, oids, q_ids, None, 1, self.weighter.total_weight(query.tokens),
-            query.tau_t,
-        )
+        q_ids = np.array([vocabulary[t] for t, _ in query.weighted if t in vocabulary], dtype=np.intp)
+        keep = self._textual_pass(token_rows, oids, q_ids, None, 1, query.total, query.tau_t)
         return oids[keep].tolist()
 
     def _token_csr(self):
@@ -386,7 +373,8 @@ class Verifier:
         its own query's coordinates, area and thresholds — the same
         float64 operations, so the answers are those of :meth:`verify`
         bit for bit.  The textual membership test keys every held token
-        ``slot · V + id``, a slot per query with a spatial survivor, so
+        ``slot · V + id``, a slot per query with a pair to check (a
+        ``τT = 0`` query's pairs skip the check, as in :meth:`verify`), so
         its boolean array is at most batch × V bytes; each pair's held
         weights are added with ``np.bincount`` in row (= global token)
         order, the sum every branch takes.
@@ -394,6 +382,7 @@ class Verifier:
         Returns:
             Each query's answers, in the order of its pairs.
         """
+        queries = [compile_query(query, self.weighter) for query in queries]
         fields = np.array(
             [_box_rows(*q.region.as_tuple())[:5] + (q.tau_r, q.tau_t) for q in queries],
             dtype=np.float64,
@@ -404,26 +393,27 @@ class Verifier:
         )
         pair_queries = pair_queries[kept]
         pair_oids = pair_oids[kept]
-        if len(pair_oids):
+        kept = fields[6].take(pair_queries) == 0.0  # no textual check
+        if not kept.all():
+            checked = ~kept
+            at = pair_queries[checked]
             token_rows = self._token_csr()
             vocabulary, stride = token_rows[0], len(token_rows[1])
-            # Only the queries with a spatial survivor need their tokens,
-            # and a membership slot: the one numbered by its rank among them.
-            live = np.flatnonzero(np.bincount(pair_queries)).tolist()
+            # A membership slot per query with a pair to check, numbered
+            # by its rank among them.
+            live = np.flatnonzero(np.bincount(at)).tolist()
             member_keys = [
                 slot * stride + vocabulary[t]
                 for slot, position in enumerate(live)
-                for t in queries[position].tokens if t in vocabulary
+                for t, _ in queries[position].weighted if t in vocabulary
             ]
             slots = np.zeros(len(queries), dtype=np.intp)
             slots[live] = np.arange(len(live))
-            total_weight = self.weighter.total_weight
             q_totals = np.zeros(len(queries))
-            q_totals[live] = [total_weight(queries[position].tokens) for position in live]
-            kept = self._textual_pass(
-                token_rows, pair_oids, np.array(member_keys, dtype=np.intp),
-                slots.take(pair_queries) * stride, len(live), q_totals.take(pair_queries),
-                fields[6].take(pair_queries),
+            q_totals[live] = [queries[position].total for position in live]
+            kept[checked] = self._textual_pass(
+                token_rows, pair_oids[checked], np.array(member_keys, dtype=np.intp),
+                slots.take(at) * stride, len(live), q_totals.take(at), fields[6].take(at),
             )
             pair_queries = pair_queries[kept]
             pair_oids = pair_oids[kept]

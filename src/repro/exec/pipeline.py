@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.core.objects import Query
 from repro.core.stats import SearchResult, SearchStats, Stopwatch
+from repro.signatures.query import compile_query
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.method import SearchMethod
@@ -81,7 +82,8 @@ def execute_batch(method: Any, queries: Sequence[Query]) -> List[SearchResult]:
             filter step of many queries at once, returning ``(declined,
             pair_queries, pair_oids)``: the positions it leaves to the
             single path, and the (query position, candidate oid) pairs of
-            the rest, sorted by query, then oid — and the ``verifier``.
+            the rest, sorted by query, then oid — its ``verifier`` and the
+            ``weighter`` each query is compiled under, once.
         queries: The batch.
 
     Below :data:`BATCH_MIN_QUERIES` queries this is a loop of
@@ -89,7 +91,7 @@ def execute_batch(method: Any, queries: Sequence[Query]) -> List[SearchResult]:
     cut into near-equal chunks.  Each pass's wall time is split evenly
     over the queries it answered.
     """
-    queries = list(queries)
+    queries = [compile_query(query, method.weighter) for query in queries]
     if len(queries) < BATCH_MIN_QUERIES:
         return [execute_query(method, query) for query in queries]
     chunks = -(-len(queries) // BATCH_MAX_QUERIES)

@@ -12,17 +12,18 @@ query's thresholds and token set (:func:`rule`):
   the textual check, and the token filter could only scan;
 * every other query goes to the textual filter ``token``.
 
-The rule is O(1): no prefix is derived and no list is read before the
-chosen member runs.  It was measured at one scale only — the perf
-ledger's N = 10 000 corpus, where ``token`` is the fastest member on
-large regions and in the textual-only regime, and ``grid`` on
-spatial-only queries (README "Query planning" has the table).  It
-replaced a fitted linear cost model over four members whose ``plan()``
-cost about half of the ``token`` query it most often picked.  The hybrid
-filters (``hash-hybrid``, ``seal``) hand the verifier far fewer
-candidates but lose on the clock at this scale; they remain registry
-methods, and :class:`Portfolio` still reaches them by name for
-comparisons, without the planner building them.
+The rule is O(1): it reads the query's own fields, derives nothing and
+reads no list; the chosen member and the verifier read the record the
+engine compiled once (:func:`~repro.signatures.query.compile_query`).
+It was measured at one scale only — the perf ledger's N = 10 000 corpus,
+where ``token`` is the fastest member on large regions and in the
+textual-only regime, and ``grid`` on spatial-only queries (README "Query
+planning" has the table).  It replaced a fitted linear cost model over
+four members whose ``plan()`` cost about half of the ``token`` query it
+most often picked.  The hybrid filters (``hash-hybrid``, ``seal``) hand
+the verifier far fewer candidates but lose on the clock at this scale;
+they remain registry methods, and :class:`Portfolio` still reaches them
+by name for comparisons, without the planner building them.
 
 A batch is grouped by the rule's member, and each group goes through
 that member's batched filter pass (which declines a group too small to

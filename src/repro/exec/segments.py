@@ -67,6 +67,7 @@ from repro.core.verification import Verifier
 from repro.exec.pipeline import execute_query
 from repro.geometry import Rect
 from repro.index.storage import IndexSizeReport
+from repro.signatures.query import compile_query
 from repro.text.weights import TokenWeighter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -487,8 +488,9 @@ class SegmentedSealSearch:
         return SearchResult(answers=answers, stats=stats)
 
     def search_query(self, query: Query) -> SearchResult:
-        """Fan one query over every segment plus the buffer; merge answers."""
+        """Fan one query, compiled once, over every segment plus the buffer; merge answers."""
         sources = self._sources()
+        query = compile_query(query, self.weighter)
         results = [execute_query(source.method, query) for source in sources]
         return self._merge_source_results(results, sources)
 

@@ -28,10 +28,10 @@ bounds it on the latter).  The single-scheme filters also answer a
 batch: ``candidates_batch`` hands every query's ``probes`` to one
 ``union_heads_batch`` (see :func:`repro.exec.pipeline.execute_batch`).
 
-The three filters that read the query's text (``token``, ``hash-hybrid``,
-``seal``) derive it with :meth:`TextualScheme.query_prefix
-<repro.signatures.textual.TextualScheme.query_prefix>` — the Lemma-2
-prefix tokens and ``c_T`` from one sort and one weight sum.
+Every ``probes`` reads its thresholds — and the three filters that read
+the query's text (``token``, ``hash-hybrid``, ``seal``) its Lemma-2
+prefix tokens — from the query compiled once per search
+(:func:`~repro.signatures.query.compile_query`).
 
 :class:`SingleSchemeFilter` is ``TokenFilter`` and ``GridFilter`` — the
 same Sig-Filter+ (Figure 6) instantiated with different signature

@@ -16,6 +16,7 @@ from repro.filters.base import FULL_SCAN, Probes, SingleSchemeFilter
 from repro.geometry import Rect
 from repro.index.storage import CELL_KEY_BYTES, IndexSizeReport, measure_index
 from repro.signatures.prefix import prefix_elements
+from repro.signatures.query import compile_query
 from repro.signatures.spatial import GridScheme
 from repro.text.weights import TokenWeighter
 
@@ -56,11 +57,11 @@ class GridFilter(SingleSchemeFilter):
         self._load(sizes, cells, bounds)
 
     def probes(self, query: Query) -> Probes:
+        query = compile_query(query, self.weighter)
         if query.tau_r <= 0.0:
             return FULL_SCAN
-        threshold = self.scheme.threshold(query)
-        prefix = prefix_elements(self.scheme.signature_of_region(query.region), threshold)
-        return [cell for cell, _ in prefix], threshold, None
+        prefix = prefix_elements(self.scheme.signature_of_region(query.region), query.c_r)
+        return [cell for cell, _ in prefix], query.c_r, None
 
     def index_size(self) -> IndexSizeReport:
         return measure_index(self.index, bounds_per_posting=1, cell_bytes=CELL_KEY_BYTES)

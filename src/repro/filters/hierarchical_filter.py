@@ -25,7 +25,6 @@ import numpy as np
 from repro.core.errors import ConfigurationError
 from repro.core.method import SearchMethod
 from repro.core.objects import Query, SpatioTextualObject
-from repro.core.similarity import filter_threshold
 from repro.filters.base import FULL_SCAN, Probes, candidates_from_probes
 from repro.geometry import Rect
 from repro.geometry.rect import corpus_space
@@ -34,6 +33,7 @@ from repro.index.inverted import InvertedIndex
 from repro.index.storage import HIER_CELL_KEY_BYTES, IndexSizeReport, measure_index
 from repro.signatures.hierarchical import TokenGrids, select_token_grids_many
 from repro.signatures.prefix import prefix_elements
+from repro.signatures.query import compile_query
 from repro.signatures.textual import TextualScheme
 from repro.text.weights import TokenWeighter
 
@@ -217,13 +217,12 @@ class HierarchicalFilter(SearchMethod):
     # ------------------------------------------------------------------
 
     def probes(self, query: Query) -> Probes:
-        tokens, c_t = self.textual.query_prefix(query)
-        if c_t <= 0.0 or query.tau_r <= 0.0:
+        query = compile_query(query, self.weighter)
+        if query.c_t <= 0.0 or query.tau_r <= 0.0:
             return FULL_SCAN
-        c_r = filter_threshold(query.tau_r, query.region.area)
         span = self.hierarchy.num_cells
         codes = []
-        for token in tokens:
+        for token in query.prefix_tokens():
             grids = self.token_grids.get(token)
             if grids is None:
                 # No object contains this token: nothing to probe, and no
@@ -231,9 +230,9 @@ class HierarchicalFilter(SearchMethod):
                 # the union, which the threshold already accounts for).
                 continue
             base = self.token_ids[token] * span
-            cells = prefix_elements(self._region_cells(grids, query.region), c_r)
+            cells = prefix_elements(self._region_cells(grids, query.region), query.c_r)
             codes.extend(base + cell_code(*cell) for cell, _ in cells)
-        return codes, c_r, c_t
+        return codes, query.c_r, query.c_t
 
     candidates = candidates_from_probes
 

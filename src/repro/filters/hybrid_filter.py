@@ -27,6 +27,7 @@ from repro.geometry import Rect
 from repro.index.inverted import InvertedIndex
 from repro.index.storage import CELL_KEY_BYTES, IndexSizeReport, measure_index
 from repro.signatures.prefix import prefix_elements
+from repro.signatures.query import compile_query
 from repro.signatures.spatial import GridScheme
 from repro.signatures.textual import TextualScheme
 from repro.text.weights import TokenWeighter
@@ -107,16 +108,15 @@ class HybridFilter(SearchMethod):
     # ------------------------------------------------------------------
 
     def probes(self, query: Query) -> Probes:
-        tokens, c_t = self.textual.query_prefix(query)
+        query = compile_query(query, self.weighter)
         # Hybrid lists can only reach objects sharing a token AND a cell
         # with the query; either predicate being vacuous breaks that.
-        if c_t <= 0.0 or query.tau_r <= 0.0:
+        if query.c_t <= 0.0 or query.tau_r <= 0.0:
             return FULL_SCAN
-        c_r = self.spatial.threshold(query)
-        cell_prefix = prefix_elements(self.spatial.signature_of_region(query.region), c_r)
+        cell_prefix = prefix_elements(self.spatial.signature_of_region(query.region), query.c_r)
         # A token outside the vocabulary was posted with no cell: no list
         # to open (a dual-bound miss is not a probe either way).
-        ids = [self.token_ids[token] for token in tokens if token in self.token_ids]
+        ids = [self.token_ids[token] for token in query.prefix_tokens() if token in self.token_ids]
         codes = self._codes(
             np.repeat(np.array(ids, dtype=np.int64), len(cell_prefix)),
             np.tile(np.array([cell for cell, _ in cell_prefix], dtype=np.int64), len(ids)),
@@ -125,7 +125,7 @@ class HybridFilter(SearchMethod):
             # Bucketed codes can collide across (t, g) pairs; one probe
             # with the same thresholds covers them all.
             codes = np.unique(codes)
-        return codes.tolist(), c_r, c_t
+        return codes.tolist(), query.c_r, query.c_t
 
     candidates = candidates_from_probes
 

@@ -13,6 +13,7 @@ from typing import List, Sequence
 from repro.core.objects import Query, SpatioTextualObject
 from repro.filters.base import FULL_SCAN, Probes, SingleSchemeFilter
 from repro.index.storage import IndexSizeReport, measure_index
+from repro.signatures.query import compile_query
 from repro.signatures.textual import TextualScheme
 from repro.text.weights import TokenWeighter
 
@@ -50,10 +51,10 @@ class TokenFilter(SingleSchemeFilter):
         return [ids.get(token, -1 - i) for i, token in enumerate(tokens)]
 
     def probes(self, query: Query) -> Probes:
-        tokens, c_t = self.scheme.query_prefix(query)
-        if c_t <= 0.0:
+        query = compile_query(query, self.weighter)
+        if query.c_t <= 0.0:
             return FULL_SCAN
-        return self.encode(tokens), c_t, None
+        return self.encode(query.prefix_tokens()), query.c_t, None
 
     def index_size(self) -> IndexSizeReport:
         return measure_index(self.index, bounds_per_posting=1, tokens=list(self.token_ids))

@@ -23,8 +23,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.errors import ConfigurationError
-from repro.core.objects import Query, SpatioTextualObject
-from repro.core.similarity import filter_threshold
+from repro.core.objects import SpatioTextualObject
 from repro.geometry import Rect
 from repro.geometry.rect import corpus_space
 from repro.grid.uniform import UniformGrid
@@ -127,9 +126,3 @@ class GridScheme:
         pairs = self.grid.signature(region)
         pairs.sort(key=lambda item: self.rank(item[0]))
         return pairs
-
-    def threshold(self, query: Query) -> float:
-        """``c_R = τ_R · |q.R|`` (Lemma 1), through the filter-bound
-        contract (:func:`~repro.core.similarity.filter_threshold`)."""
-        return filter_threshold(query.tau_r, query.region.area)
-

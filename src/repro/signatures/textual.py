@@ -12,13 +12,12 @@ query's own total weight.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.objects import Query, SpatioTextualObject
-from repro.core.similarity import filter_threshold
-from repro.signatures.prefix import segmented_suffix_bounds, select_prefix
+from repro.core.objects import SpatioTextualObject
+from repro.signatures.prefix import segmented_suffix_bounds
 from repro.text.weights import TokenWeighter
 
 
@@ -81,21 +80,3 @@ class TextualScheme:
         renumber[order] = np.arange(len(order))
         ids = {by_rank[r]: i for i, r in enumerate(order.tolist())}
         return ids, sizes, renumber[ranks]
-
-    def query_prefix(self, query: Query) -> Tuple[List[str], float]:
-        """The query's Lemma-2 prefix tokens, in global order, and ``c_T``.
-
-        Everything a textual filter needs of a query's text, from the one
-        sort and the one weight sum it costs: ``S_T(q) = q.T`` in global
-        order, cut by :func:`~repro.signatures.prefix.select_prefix` at
-        :meth:`threshold`.
-        """
-        weighter = self.weighter
-        c_t = self.threshold(query)
-        ordered = weighter.sort_tokens(query.tokens)
-        return ordered[: select_prefix([weighter.weight(t) for t in ordered], c_t)], c_t
-
-    def threshold(self, query: Query) -> float:
-        """``c_T = τ_T · Σ_{t∈q.T} w(t)`` (Section 3.2), through the
-        filter-bound contract (:func:`~repro.core.similarity.filter_threshold`)."""
-        return filter_threshold(query.tau_t, self.weighter.total_weight(query.tokens))

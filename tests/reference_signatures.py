@@ -18,17 +18,27 @@ tests compare two independent builds:
 * :func:`min_weight_similarity` — ``Σ_{g∈common} min(w(g|a), w(g|b))``,
   what Lemma 1 bounds: the filters never sum it, they cut the Lemma-3
   bounds that upper-bound it, so the tests of Lemma 1 compute it here.
+* :func:`query_prefix`, :func:`spatial_threshold` and :func:`lemma1_band`
+  — a query's ``c_T`` with its Lemma-2 prefix, its ``c_R``, and Lemma
+  1's area band, each derived on its own, as the schemes and the
+  verifier did before :func:`~repro.signatures.query.compile_query`
+  derived them all at once.
 
 Nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from collections import Counter
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from repro.core.objects import Query
+from repro.core.similarity import filter_ceiling, filter_threshold
 from repro.geometry import Rect
 from repro.grid.uniform import UniformGrid
+from repro.signatures.prefix import select_prefix
 from repro.text.weights import TokenWeighter
 
 
@@ -88,3 +98,26 @@ def min_weight_similarity(
         if weight_a is not None:
             total += weight_a if weight_a < weight_b else weight_b
     return total
+
+
+def query_prefix(weighter: TokenWeighter, query: Query) -> Tuple[List[str], float]:
+    """The query's Lemma-2 prefix tokens, in global order, and ``c_T =
+    τ_T · Σ_{t∈q.T} w(t)`` through the filter-bound contract."""
+    c_t = filter_threshold(query.tau_t, weighter.total_weight(query.tokens))
+    ordered = weighter.sort_tokens(query.tokens)
+    return ordered[: select_prefix([weighter.weight(t) for t in ordered], c_t)], c_t
+
+
+def spatial_threshold(query: Query) -> float:
+    """``c_R = τ_R · |q.R|`` (Lemma 1) through the filter-bound contract."""
+    return filter_threshold(query.tau_r, query.region.area)
+
+
+def lemma1_band(query: Query) -> Tuple[float, float] | None:
+    """``(c_R, |q|/τR)`` loosened by the filter slack when ``|q|`` is
+    finite and ``c_R ≥ sys.float_info.min``, else ``None``."""
+    q_area = query.region.area
+    c_r = filter_threshold(query.tau_r, q_area)
+    if sys.float_info.min <= c_r and q_area < math.inf:
+        return c_r, filter_ceiling(query.tau_r, q_area)
+    return None

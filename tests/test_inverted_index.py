@@ -365,10 +365,11 @@ def test_probe_loop_equals_reference(built, workload, name):
 
 
 def _reference_keyword_first(method, reference, query, stats):
-    """``KeywordFirstSearch.candidates`` as it ran over per-list postings."""
+    """``KeywordFirstSearch.candidates`` as it runs over per-list
+    postings: the query's tokens in the global order."""
     q_total = method.weighter.total_weight(query.tokens)
     overlap = defaultdict(float)
-    for token in query.tokens:
+    for token in method.weighter.sort_tokens(query.tokens):
         plist = reference.lists.get(method.token_ids.get(token))
         if plist is None:
             continue

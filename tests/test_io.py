@@ -269,9 +269,10 @@ class TestSnapshot:
 
         fresh = saved(tmp_path / "fresh.pkl")
         assert engine.verifier._boxes is None
-        # Over the whole corpus, and τR > 0: the spatial check (which
-        # builds the box block) is skipped at τR = 0.
-        query = Query(Rect(0, 0, 40_000, 40_000), frozenset(), 1e-9, 0.0)
+        # Over the whole corpus, and τR, τT > 0: the spatial check (which
+        # builds the box block) is skipped at τR = 0, the textual check
+        # (which builds the token CSR) at τT = 0.
+        query = Query(Rect(0, 0, 40_000, 40_000), frozenset(), 1e-9, 1e-9)
         assert engine.search(query).stats.candidates >= VECTOR_MIN_CANDIDATES
         assert engine.verifier._boxes is not None
         assert engine.verifier._token_rows is not None

@@ -109,9 +109,9 @@ class TestHashOrderedSum:
         checker = REGISTRY["hash-ordered-sum"]()
         for path in ("src/repro/core/verification.py", "src/repro/text/weights.py",
                      "src/repro/signatures/textual.py", "src/repro/filters/base.py",
-                     "src/repro/exec/planner.py"):
+                     "src/repro/exec/planner.py", "src/repro/baselines/keyword_first.py"):
             assert checker.applies_to(path)
-        assert not checker.applies_to("src/repro/baselines/keyword_first.py")
+        assert not checker.applies_to("src/repro/service/cache.py")
         assert not checker.applies_to("tests/test_verification.py")
 
 

@@ -45,7 +45,6 @@ from repro.filters.hierarchical_filter import HierarchicalFilter
 from repro.filters.hybrid_filter import HybridFilter
 from repro.index.inverted import InvertedIndex
 from repro.service import QueryService
-from repro.signatures.textual import TextualScheme
 from repro.text.weights import TokenWeighter
 
 KNOBS = dict(granularity=32)
@@ -175,7 +174,7 @@ def test_batch_executor_matches_naive(planner, naive, workload):
 
 def test_plan_derives_no_prefix_and_reads_no_list(planner, workload):
     refuse = mock.Mock(side_effect=AssertionError("plan() did more than read thresholds"))
-    with mock.patch.object(TextualScheme, "query_prefix", refuse), mock.patch.object(
+    with mock.patch("repro.signatures.query.compile_query", refuse), mock.patch.object(
         InvertedIndex, "union_heads", refuse
     ), mock.patch.multiple(TokenWeighter, total_weight=refuse, sort_tokens=refuse):
         for query in workload:

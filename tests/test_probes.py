@@ -8,10 +8,11 @@
   planner's member answering with that member's work;
 * per filter × query shape, ``probes`` run through the one probe loop is
   ``candidates``, statistics included;
-* ``plan()`` enumerates no probes, and a planned query's tokens are
-  sorted and summed once before verification (none on the ``grid``
-  branch);
-* ``query_prefix`` is the signature prefix and threshold, to the bit;
+* ``plan()`` enumerates no probes, and a query's tokens are sorted and
+  summed once per search, verification included (none at ``τT = 0``),
+  flat, segmented and batched;
+* ``compile_query``'s prefix and thresholds are the references', to the
+  bit;
 * every member, and the planner, ≡ naive on the four query regimes.
 """
 
@@ -19,16 +20,17 @@ from __future__ import annotations
 
 import inspect
 import json
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro import Query, Rect, build_method
+from repro import BatchExecutor, Query, Rect, SegmentedSealSearch, build_method
 from repro.core.stats import SearchStats
-from repro.core.verification import Verifier
 from repro.datasets import generate_queries, generate_twitter
+from repro.exec import pipeline
 from repro.exec.planner import PlannedSealSearch, rule
 from repro.filters.base import FULL_SCAN
 from repro.filters.grid_filter import GridFilter
@@ -36,7 +38,7 @@ from repro.filters.hierarchical_filter import HierarchicalFilter
 from repro.filters.hybrid_filter import HybridFilter
 from repro.filters.token_filter import TokenFilter
 from repro.service.protocol import query_from_wire
-from repro.signatures.textual import TextualScheme
+from repro.signatures.query import compile_query
 from repro.text.weights import TokenWeighter
 
 from tests.fixtures.make_planner_golden import FILTERS, build_filters
@@ -213,48 +215,88 @@ def _counting(cls, attribute: str, calls: list):
     return mock.patch.object(cls, attribute, counted)
 
 
-def test_planned_search_sorts_and_sums_the_query_tokens_at_most_once(
-    planner, corpus, golden_queries
+@pytest.fixture(scope="module")
+def segmented(corpus):
+    """A segmented planned engine over the same objects: a base segment,
+    two sealed segments and a non-empty write buffer."""
+    base = len(corpus) - 150
+    engine = SegmentedSealSearch(
+        [(obj.region, obj.tokens) for obj in corpus[:base]], "planned",
+        buffer_capacity=64, granularity=GOLDEN["knobs"]["granularity"],
+    )
+    for obj in corpus[base:]:
+        engine.insert(obj.region, obj.tokens)
+    assert engine.num_segments == 3 and engine.pending > 0
+    return engine
+
+
+def test_a_search_sorts_and_sums_the_query_tokens_at_most_once_verification_included(
+    planner, segmented, corpus, golden_queries
 ):
-    """Before verifying, a planned query's tokens are sorted and summed
-    once — by the ``token`` member's prefix — and not at all when the
-    rule sends it to ``grid``."""
-    sorts, sums, before_verify = [], [], []
-    real_verify = Verifier.verify
-
-    def verify(self, *args):
-        before_verify.append((list(sorts), list(sums)))
-        return real_verify(self, *args)
-
-    seen = set()
+    """A query's tokens are sorted once per search, filter and
+    verification together, ``total_weight`` runs at most once, and
+    neither runs at ``τT = 0``: flat, across a segmented engine's four
+    sources, and in a batch."""
+    queries = list(_shapes(corpus).values()) + golden_queries
+    engines = {"flat": planner.search, "segmented": segmented.search_query}
+    for search in engines.values():
+        for query in queries:
+            search(query)  # build what the verifiers build on first use
+    sorts, sums = [], []
     with _counting(TokenWeighter, "sort_tokens", sorts), _counting(
         TokenWeighter, "total_weight", sums
-    ), mock.patch.object(Verifier, "verify", verify):
-        for query in list(_shapes(corpus).values()) + golden_queries:
-            del sorts[:], sums[:], before_verify[:]
-            chosen = rule(query)
-            planner.search(query)
-            seen.add(chosen)
-            once = [query.tokens] if chosen == "token" else []
-            assert before_verify == [(once, once)], query
-    assert seen == {"token", "grid"}
+    ):
+        for name, search in engines.items():
+            for query in queries:
+                del sorts[:], sums[:]
+                search(query)
+                once = [query.tokens] if query.tau_t else []
+                assert sorts == once and sums in (once, []), (name, query)
+        del sorts[:], sums[:]
+        with mock.patch.object(pipeline, "BATCH_MIN_QUERIES", 1):
+            batch = BatchExecutor().run(planner, queries)
+    once = Counter(query.tokens for query in queries if query.tau_t)
+    assert Counter(sorts) == once and Counter(sums) in (once, Counter())
+    assert {result.stats.method for result in batch} == {"planned:token", "planned:grid"}
 
 
 def test_query_prefix_is_the_signature_prefix_and_threshold(corpus, golden_queries):
-    """``query_prefix`` against the prefix of the per-query signature
-    and the threshold, to the bit."""
+    """The compiled prefix and thresholds against the references, which
+    derive each on its own, to the bit; no sort or sum at ``τT = 0``."""
     from repro.signatures.prefix import prefix_elements
 
-    from tests.reference_signatures import token_signature
+    from tests.reference_signatures import (
+        lemma1_band, query_prefix, spatial_threshold, token_signature,
+    )
 
-    scheme = TextualScheme(TokenWeighter(obj.tokens for obj in corpus))
+    weighter = TokenWeighter(obj.tokens for obj in corpus)
     for query in list(_shapes(corpus).values()) + golden_queries:
-        tokens, c_t = scheme.query_prefix(query)
-        assert c_t == scheme.threshold(query)
-        assert tokens == [
-            token
-            for token, _ in prefix_elements(token_signature(scheme.weighter, query.tokens), c_t)
+        compiled = compile_query(query, weighter)
+        assert compile_query(compiled, weighter) is compiled
+        tokens, c_t = query_prefix(weighter, query)
+        assert (compiled.c_t, compiled.c_r) == (c_t, spatial_threshold(query))
+        assert compiled.band == lemma1_band(query)
+        if not query.tau_t:
+            assert compiled.weighted is compiled.total is compiled.prefix is None
+            continue
+        signature = token_signature(weighter, query.tokens)
+        assert compiled.weighted == signature
+        assert compiled.total == weighter.total_weight(query.tokens)
+        assert compiled.prefix_tokens() == tokens == [
+            token for token, _ in prefix_elements(signature, c_t)
         ]
+
+
+def test_a_record_from_another_weighter_is_compiled_again(corpus, golden_queries):
+    """``compile_query`` trusts a record only under the weighter that
+    made it."""
+    ours = TokenWeighter(obj.tokens for obj in corpus)
+    theirs = TokenWeighter(obj.tokens for obj in corpus[: len(corpus) // 2])
+    for query in golden_queries:
+        foreign = compile_query(query, theirs)
+        again = compile_query(foreign, ours)
+        assert again is not foreign and again.weighter is ours
+        assert again == compile_query(query, ours)
 
 
 # ----------------------------------------------------------------------

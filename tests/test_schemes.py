@@ -11,6 +11,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.objects import Query, make_corpus
 from repro.geometry import Rect
 from repro.geometry.rect import corpus_space, spatial_jaccard
+from repro.signatures.query import compile_query
 from repro.signatures.spatial import GridScheme
 from repro.signatures.textual import TextualScheme
 from repro.text.weights import TokenWeighter
@@ -19,6 +20,8 @@ from tests.conftest import FIGURE1_SPACE
 from tests.reference_signatures import (
     cell_ranks,
     min_weight_similarity,
+    query_prefix,
+    spatial_threshold,
     suffix_bounds,
     token_signature,
 )
@@ -45,17 +48,21 @@ class TestTextualScheme:
         # Paper: cT = τT · Σ w(q.T) = 0.57 — computed from the *displayed*
         # one-decimal weights (0.8 + 0.3 + 0.8) · 0.3.  With exact idf
         # values ln(7/3), ln(7/5), ln(7/3) the threshold is 0.609.
-        scheme = TextualScheme(figure1_weighter)
-        assert scheme.threshold(figure1_query) == pytest.approx(0.609, abs=0.001)
+        c_t = compile_query(figure1_query, figure1_weighter).c_t
+        assert c_t == query_prefix(figure1_weighter, figure1_query)[1]
+        assert c_t == pytest.approx(0.609, abs=0.001)
         rounded = 0.3 * (0.8 + 0.3 + 0.8)
         assert rounded == pytest.approx(0.57)
 
     def test_query_prefix_is_the_signature_prefix(self, figure1_weighter, figure1_query):
         """Figure 4: under ``c_T`` = 0.609 the query ``{t1, t2, t3}``
         (weights ln(7/3), ln(7/3), ln(7/5)) keeps the two heavy tokens."""
-        tokens, c_t = TextualScheme(figure1_weighter).query_prefix(figure1_query)
-        assert c_t == pytest.approx(0.609, abs=0.001)
-        assert tokens == ["t1", "t3"]
+        compiled = compile_query(figure1_query, figure1_weighter)
+        assert compiled.c_t == pytest.approx(0.609, abs=0.001)
+        assert compiled.prefix_tokens() == ["t1", "t3"]
+        assert (compiled.prefix_tokens(), compiled.c_t) == query_prefix(
+            figure1_weighter, figure1_query
+        )
 
     def test_corpus_signatures_match_per_object(self, twitter_small, twitter_small_weighter):
         scheme = TextualScheme(twitter_small_weighter)
@@ -116,10 +123,11 @@ class TestGridScheme:
         sig = scheme.signature_of_region(figure1_query.region)
         assert sorted(w for _, w in sig) == [150.0, 250.0, 300.0, 450.0, 500.0, 750.0]
 
-    def test_threshold_figure5(self, figure1_objects, figure1_query):
+    def test_threshold_figure5(self, figure1_weighter, figure1_query):
         # cR = τR · |q.R| = 0.25 · 2400 = 600.
-        scheme = grid_scheme(figure1_objects, 4, FIGURE1_SPACE)
-        assert scheme.threshold(figure1_query) == pytest.approx(600.0)
+        c_r = compile_query(figure1_query, figure1_weighter).c_r
+        assert c_r == spatial_threshold(figure1_query)
+        assert c_r == pytest.approx(600.0)
 
     def test_signature_similarity_figure5(self, figure1_objects, figure1_query):
         # sim(S_R(q), S_R(o2)) = 1375 (Section 4.1's worked example).
@@ -216,7 +224,7 @@ def test_lemma1_no_false_negatives(regions, query_region, tau_r, granularity):
     objects = make_corpus([(r, {"t"}) for r in regions])
     scheme = grid_scheme(objects, granularity, Rect(0, 0, 120, 120))
     query = Query(query_region, frozenset({"t"}), tau_r, 0.0)
-    c_r = scheme.threshold(query)
+    c_r = compile_query(query, TokenWeighter(obj.tokens for obj in objects)).c_r
     q_sig = scheme.signature_of_region(query_region)
     for obj in objects:
         if spatial_jaccard(query_region, obj.region) >= tau_r:

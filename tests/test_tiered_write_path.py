@@ -187,7 +187,7 @@ def test_a_snapshot_of_fully_indexed_small_segments_recovers(tmp_path, monkeypat
 
 CORPUS = generate_twitter(120, seed=5)
 SCAN_PROBES = [
-    Query(Rect(0.0, 0.0, 1e6, 1e6), frozenset(CORPUS[0].tokens), 0.0, 0.0),
+    Query(Rect(0.0, 0.0, 1e6, 1e6), frozenset(CORPUS[0].tokens), 0.0, 0.1),
     Query(CORPUS[40].region, frozenset(CORPUS[40].tokens), 0.3, 0.3),
     Query(CORPUS[70].region.scale(1.5), frozenset(CORPUS[71].tokens), 0.05, 0.0),
 ]
@@ -210,7 +210,8 @@ def assert_scan_is_fresh(engine) -> None:
     assert verifier.weighter is engine.weighter
     for query in SCAN_PROBES:
         assert execute_query(scan.method, query).answers == fresh.search(query).answers
-    # The first probe keeps every object, so both computed their totals.
+    # The first probe takes every object to the textual check (τR = 0,
+    # τT > 0), so both computed their totals.
     assert verifier._token_totals == fresh.verifier._token_totals
     if verifier._boxes is not None:
         assert fresh.verifier._boxes is not None  # 32+ candidates built both

@@ -20,6 +20,7 @@ import repro
 from repro import Query, Rect, SpatioTextualObject, TokenWeighter, make_corpus
 from repro.core.similarity import filter_ceiling, filter_threshold
 from repro.core.verification import Verifier
+from repro.signatures.query import compile_query
 
 from tests import reference_verify as reference
 from tests.test_exec_batch import BRANCHES, _boundary_corpus, forced
@@ -127,7 +128,8 @@ class TestUnboundedRegions:
         assert repro.build_method(corpus, "naive", weighter).search(query).answers == list(range(n))
         verifier = Verifier(corpus, weighter)
         oids = np.arange(n)
-        assert verifier._spatial_mask(query, oids).tolist() == list(range(n))
+        compiled = compile_query(query, weighter)
+        assert verifier._spatial_mask(compiled, oids).tolist() == list(range(n))
         assert verifier.verify_batch([query], np.zeros(n, dtype=np.intp), oids) == [list(range(n))]
 
     @settings(max_examples=200, deadline=None)
@@ -135,19 +137,23 @@ class TestUnboundedRegions:
         regions=st.lists(_unbounded_rects(), min_size=1, max_size=40),
         query_regions=st.lists(_unbounded_rects(), min_size=1, max_size=3),
         tau_r=st.sampled_from([0.0, 0.5]),
+        tau_t=st.sampled_from([0.0, 1.0]),
     )
-    def test_loop_mask_and_batch_agree(self, regions, query_regions, tau_r):
+    def test_loop_mask_and_batch_agree(self, regions, query_regions, tau_r, tau_t):
         corpus = make_corpus([(region, {"a"}) for region in regions])
-        verifier = Verifier(corpus, TokenWeighter(o.tokens for o in corpus))
         n = len(corpus)
-        # τT = 0 keeps every spatial survivor: each answer list is the
-        # spatial check's.
-        queries = [Query(region, frozenset({"a"}), tau_r, 0.0) for region in query_regions]
+        weighter = _one_token_weighter(n)
+        verifier = Verifier(corpus, weighter)
+        # Every token set is {a}: simT = 1, so each answer list is the
+        # spatial check's, whether τT = 0 skips the textual check or τT =
+        # 1 runs it.
+        queries = [Query(region, frozenset({"a"}), tau_r, tau_t) for region in query_regions]
         loops = [reference.spatial_survivors(query, corpus) for query in queries]
         if tau_r == 0.0:
             assert loops == [list(range(n))] * len(queries)
         for query, loop in zip(queries, loops):
-            assert np.asarray(verifier._spatial_mask(query, np.arange(n))).tolist() == loop
+            compiled = compile_query(query, weighter)
+            assert np.asarray(verifier._spatial_mask(compiled, np.arange(n))).tolist() == loop
             for branch in BRANCHES:
                 with forced(branch):
                     assert verifier.verify(query, range(n)) == loop
@@ -191,9 +197,10 @@ def _lemma1_cases(draw):
     the exact ones), zero-area and infinite regions, at coordinates
     scaled by 1, 1e-150 and 1e150.  ``τR = 1e-9`` at the small scale
     puts ``c_R`` below ``sys.float_info.min``, outside the guard, and so
-    does a zero-area query."""
+    does a zero-area query.  ``τT`` is 0 (no textual check) or 1."""
     scale = draw(st.sampled_from([1.0, 1e-150, 1e150]))
     tau_r = draw(st.sampled_from([1.0, 0.5, 0.25, 0.3, 1e-9]))
+    tau_t = draw(st.sampled_from([0.0, 1.0]))
     qx1 = draw(st.sampled_from([0.0, -2.0, 1.5])) * scale
     qy1 = draw(st.sampled_from([0.0, 3.0])) * scale
     width = draw(st.sampled_from([0.0, 1.0, 3.0, 4.0])) * scale
@@ -239,18 +246,26 @@ def _lemma1_cases(draw):
         lambda: q,
     ]
     picks = draw(st.lists(st.integers(0, len(kinds) - 1), min_size=1, max_size=40))
-    return q, tau_r, [kinds[i]() for i in picks]
+    return q, tau_r, tau_t, [kinds[i]() for i in picks]
+
+
+def _one_token_weighter(n: int) -> TokenWeighter:
+    """Weights for ``n`` objects of token set ``{a}``, ``w(a) > 0`` (as
+    if one more object lacked it), so ``τT = 1`` runs a textual check
+    that every object passes with a positive union."""
+    return TokenWeighter.from_counts({"a": n}, n + 1)
 
 
 def _assert_reference_set(case) -> None:
     """Every verify path keeps exactly :mod:`tests.reference_verify`'s
     spatial survivors: both forced branches, the default cut (over a
     ``range`` and over a filter's int32 array), and the batched pass
-    (τT = 0 keeps every spatial survivor)."""
-    q_region, tau_r, regions = case
+    (every token set is {a}, so τT = 0 skipping the textual check and
+    τT = 1 running it both keep every spatial survivor)."""
+    q_region, tau_r, tau_t, regions = case
     corpus = make_corpus([(region, {"a"}) for region in regions])
-    verifier = Verifier(corpus, TokenWeighter(o.tokens for o in corpus))
-    query = Query(q_region, frozenset({"a"}), tau_r, 0.0)
+    verifier = Verifier(corpus, _one_token_weighter(len(corpus)))
+    query = Query(q_region, frozenset({"a"}), tau_r, tau_t)
     n = len(corpus)
     expected = reference.spatial_survivors(query, corpus)
     for path in PATHS:
@@ -329,9 +344,15 @@ def _large_corpus():
 class TestVerifierState:
     """What a verifier pickles, and what it answers with after a load."""
 
-    #: Every object lies inside the query region (simR = 6/100), so a
-    #: τR > 0 that still keeps them all runs the spatial check.
-    KEEPS_ALL = Query(Rect(0, 0, 10, 10), frozenset({"t1", "u2", "v3", "unseen"}), 0.05, 0.0)
+    #: Every object lies inside the query region (simR = 6/100) and has
+    #: only tokens the query has (simT > 0.1), so a τR > 0 and a τT > 0
+    #: that still keep them all run both checks.
+    KEEPS_ALL = Query(
+        Rect(0, 0, 10, 10),
+        frozenset([f"t{i}" for i in range(6)] + [f"u{i}" for i in range(4)]
+                  + [f"v{i}" for i in range(9)] + ["unseen"]),
+        0.05, 0.01,
+    )
 
     def test_pickle_carries_the_totals_and_neither_derived_structure(self):
         corpus = _large_corpus()
@@ -421,7 +442,8 @@ class TestVerifierAppend:
 class TestHashSeedIndependence:
     SCRIPT = (
         "import numpy as np\n"
-        "from repro import Query, TokenWeighter\n"
+        "from repro import Query, TokenWeighter, build_method\n"
+        "from repro.core.stats import SearchStats\n"
         "from repro.core.verification import Verifier\n"
         "from repro.datasets import generate_twitter\n"
         "corpus = generate_twitter(2000, seed=7)\n"
@@ -443,12 +465,21 @@ class TestHashSeedIndependence:
         "batched = verifier.verify_batch(queries, *pairs)\n"
         "assert batched == singles\n"
         "print(batched)\n"
+        "for name in ('irtree', 'keyword-first'):\n"
+        "    method, rows = build_method(corpus, name, weighter), []\n"
+        "    for query in queries:\n"
+        "        stats = SearchStats()\n"
+        "        found = list(method.candidates(query, stats))\n"
+        "        rows.append((found, stats.lists_probed, stats.entries_retrieved))\n"
+        "    print(name, rows)\n"
     )
 
     def test_totals_and_answers_at_sim_t_equal_tau_do_not_move(self):
         """Totals and the answers to queries sitting exactly on simT = τT,
         through both branches and the batched verify (which must equal
-        the single answers), are byte-identical under three hash seeds
+        the single answers), and the ``irtree`` and ``keyword-first``
+        candidates and counters for them, are byte-identical under three
+        hash seeds
         — what a primary and its replica, or a process and its recovered
         successor, each compute."""
         outputs = []
@@ -462,5 +493,5 @@ class TestHashSeedIndependence:
                 env=env, capture_output=True, text=True, timeout=120, check=True,
             )
             outputs.append(done.stdout)
-        assert outputs[0].count("\n") == 42
+        assert outputs[0].count("\n") == 44
         assert outputs[0] == outputs[1] == outputs[2]

@@ -129,38 +129,94 @@ class ReplayDeterminismChecker(Checker):
         return findings
 
 
+def _counts(node: ast.expr) -> bool:
+    """An increment that is an integer, whose sum no order changes: an
+    int literal or a ``len(...)``."""
+    if isinstance(node, ast.Constant):
+        return type(node.value) is int
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "len"
+
+
+def _binds_set(node: ast.expr) -> bool:
+    """A value that makes the name bound to it a set: a set expression or
+    a ``.tokens`` attribute (every object's and query's token set)."""
+    return _is_set_operation(node) or (isinstance(node, ast.Attribute) and node.attr == "tokens")
+
+
 @register
 class HashOrderedSumChecker(Checker):
-    """``sum`` over a set's hash order in the similarity arithmetic."""
+    """Float sums in a set's hash order in the similarity arithmetic."""
 
     name = "hash-ordered-sum"
     description = (
-        "no sum(...) over a comprehension that iterates a set expression "
-        "(set()/frozenset(), a set literal or comprehension, a & | - ^ b) in "
-        "the similarity paths — float addition is not associative, so the "
-        "total, and an answer at simT = τ, would move with PYTHONHASHSEED"
+        "no sum(...) over a comprehension, and no float += in a for loop, "
+        "that iterates a set: a set expression (set()/frozenset(), a set "
+        "literal or comprehension, a & | - ^ b), a .tokens attribute, or a "
+        "name the function bound to either, in the similarity paths — float addition "
+        "is not associative, so the total, and an answer at simT = τ, "
+        "would move with PYTHONHASHSEED"
     )
     scope = ("core/", "text/", "signatures/", "filters/", "exec/", "baselines/")
 
     def check(self, tree: ast.Module, source: str, path: str) -> List[Finding]:
         findings: List[Finding] = []
-        for node in ast.walk(tree):
-            if not (
+        functions = [tree] + [
+            node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for function in functions:
+            findings.extend(self._check_scope(function, path))
+        return findings
+
+    def _check_scope(self, scope: ast.AST, path: str) -> List[Finding]:
+        """The findings in ``scope``'s own statements, in source order
+        (nested functions are scopes of their own): ``sets`` holds the
+        names bound to a set so far."""
+        findings: List[Finding] = []
+        sets: set = set()
+
+        def hashed(node: ast.expr) -> bool:
+            return _binds_set(node) or (isinstance(node, ast.Name) and node.id in sets)
+
+        for node in _own_nodes(scope):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target = node.targets[0]
+                if isinstance(target, ast.Name):
+                    (sets.add if _binds_set(node.value) else sets.discard)(target.id)
+            elif (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)
                 and node.func.id == "sum"
                 and node.args
                 and isinstance(node.args[0], (ast.GeneratorExp, ast.ListComp))
+                and any(hashed(loop.iter) for loop in node.args[0].generators)
             ):
-                continue
-            if any(_is_set_operation(loop.iter) for loop in node.args[0].generators):
-                findings.append(
-                    self.finding(
-                        path,
-                        node,
-                        "sum() over a set iterates in hash order (varies with "
-                        "PYTHONHASHSEED) and float sums depend on order; use "
-                        "math.fsum, or sum in the weighter's global token order",
-                    )
-                )
+                findings.append(self.finding(
+                    path, node,
+                    "sum() over a set iterates in hash order (varies with "
+                    "PYTHONHASHSEED) and float sums depend on order; use "
+                    "math.fsum, or sum in the weighter's global token order",
+                ))
+            elif isinstance(node, (ast.For, ast.AsyncFor)) and hashed(node.iter):
+                for inner in (n for statement in node.body for n in ast.walk(statement)):
+                    if (
+                        isinstance(inner, ast.AugAssign)
+                        and isinstance(inner.op, ast.Add)
+                        and not _counts(inner.value)
+                    ):
+                        findings.append(self.finding(
+                            path, inner,
+                            "+= in a loop over a set accumulates in hash order "
+                            "(varies with PYTHONHASHSEED) and float sums depend "
+                            "on order; loop in the weighter's global token order",
+                        ))
         return findings
+
+
+def _own_nodes(scope: ast.AST):
+    """``scope``'s nodes in source order, without descending into the
+    functions defined in it."""
+    for child in ast.iter_child_nodes(scope):
+        yield child
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _own_nodes(child)

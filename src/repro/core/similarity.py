@@ -73,11 +73,15 @@ def filter_threshold(tau: float, total: float) -> float:
       through to the exact test; a query outside the guard runs the
       exact test alone.
 
+    At ``τ = 0`` the bound is 0 whatever the total: ``0·∞`` (an unbounded
+    query region's area) would be NaN, and a NaN bound, which no
+    comparison reaches, would drop every object.
+
     Args:
         tau: A similarity threshold in ``[0, 1]``.
         total: The query-side total it scales (a token weight, an area).
     """
-    return tau * total * (1.0 - FILTER_SLACK)
+    return tau * total * (1.0 - FILTER_SLACK) if tau else 0.0
 
 
 def filter_ceiling(tau: float, total: float) -> float:

@@ -98,9 +98,10 @@ class Verifier:
         corpus: Objects addressable by oid (``corpus[oid].oid == oid``).
         weighter: Corpus idf statistics.
 
-    Per-object token totals are computed on first use (and pickled), so a
-    verifier that never verifies — a planner member's, replaced by the
-    planner's shared one — costs no pass over the corpus.
+    Per-object token totals are pickled.  A ``token`` build hands them
+    over (:meth:`hold_token_totals`); anywhere else they are computed on
+    first use, so a verifier that never verifies — a planner member's,
+    replaced by the planner's shared one — costs no pass over the corpus.
     """
 
     __slots__ = _PERSISTENT + ("_boxes", "_token_rows")
@@ -124,6 +125,11 @@ class Verifier:
             total_weight = self.weighter.total_weight
             totals = self._token_totals = [total_weight(obj.tokens) for obj in self.corpus]
         return totals
+
+    def hold_token_totals(self, totals: List[float]) -> None:
+        """Keep ``totals``: what :meth:`token_totals` computes, summed from
+        weights a build had in hand."""
+        self._token_totals = totals
 
     def append(self, obj: SpatioTextualObject) -> None:
         """Grow the corpus by one object, answered as oid ``len(corpus)``.

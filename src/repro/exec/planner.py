@@ -137,9 +137,12 @@ class Portfolio(Mapping[str, SearchMethod]):
         corpus, weighter, verifier, params = self._build_args
         member = build_method(corpus, name, weighter, **accepted_params(name, params))
         # Same corpus, same weighter: one verifier (one set of lazily
-        # built columns and token CSR) serves every member.  The member's
-        # own, replaced before it verified anything, never computed its
-        # token totals.
+        # built columns and token CSR) serves every member, and keeps the
+        # token totals the ``token`` build computed.  Any other member's
+        # own verifier, replaced before it verified anything, never
+        # computed them.
+        if name == TEXTUAL:
+            verifier.hold_token_totals(member.verifier.token_totals())
         member.verifier = verifier
         return member
 
@@ -196,10 +199,8 @@ class PlannedSealSearch(SearchMethod):
 
         check_params(self.name, params)
         self._params = dict(params)
+        # The shared verifier keeps the ``token`` build's token totals.
         self.methods = Portfolio(self.corpus, self.weighter, self.verifier, self._params)
-        # The shared verifier's one totals pass, paid with the indexes
-        # rather than by the first query.
-        self.verifier.token_totals()
         self.metrics = Selections()
 
     def plan(self, query: Query) -> str:

@@ -43,8 +43,11 @@ opens whole lists and sums ``Σ min(w(s|q), w(s|o))``, is not built.
 No filter computes signatures here: each hands ``InvertedIndex.from_postings``
 flat columns, every object's signature in global order with its Lemma-3
 bounds, from one build per signature axis — ``TextualScheme.corpus_signatures``
-for tokens, ``GridScheme.from_corpus`` for uniform grid cells.  The two
-single-scheme filters load theirs through ``SingleSchemeFilter._load``.
+for tokens, ``GridScheme.from_corpus`` (one ``UniformGrid.signatures``
+array pass over the regions' coordinates) for uniform grid cells.  The
+two single-scheme filters load theirs through ``SingleSchemeFilter._load``;
+``token`` also hands its verifier the token totals of the weights it
+gathered.
 """
 
 from __future__ import annotations

@@ -36,7 +36,9 @@ class GridFilter(SingleSchemeFilter):
     Only ``τR == 0`` is degenerate for grids: a query region with zero
     area still owns a cell, and any object tying a positive spatial
     Jaccard with it must share that cell, so ``c_R == 0`` from a
-    degenerate region needs no fallback.
+    degenerate region needs no fallback.  A query region with an infinite
+    edge has no grid signature; it too is a full scan, and the exact
+    verifier decides.
     """
 
     name = "grid"
@@ -58,7 +60,7 @@ class GridFilter(SingleSchemeFilter):
 
     def probes(self, query: Query) -> Probes:
         query = compile_query(query, self.weighter)
-        if query.tau_r <= 0.0:
+        if query.tau_r <= 0.0 or not query.region.is_finite:
             return FULL_SCAN
         prefix = prefix_elements(self.scheme.signature_of_region(query.region), query.c_r)
         return [cell for cell, _ in prefix], query.c_r, None

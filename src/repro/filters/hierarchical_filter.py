@@ -29,6 +29,7 @@ from repro.filters.base import FULL_SCAN, Probes, candidates_from_probes
 from repro.geometry import Rect
 from repro.geometry.rect import corpus_space
 from repro.grid.hierarchy import GridHierarchy, HierCell, cell_code
+from repro.grid.uniform import region_block
 from repro.index.inverted import InvertedIndex
 from repro.index.storage import HIER_CELL_KEY_BYTES, IndexSizeReport, measure_index
 from repro.signatures.hierarchical import TokenGrids, select_token_grids_many
@@ -113,8 +114,9 @@ class HierarchicalFilter(SearchMethod):
             filtering power at a smaller total budget.
 
     Raises:
-        ConfigurationError: On an empty corpus, ``mt < 1``, or a
-            vocabulary × cells-per-tree code space beyond int64.
+        ConfigurationError: On an empty corpus, a region with an infinite
+            edge, ``mt < 1``, or a vocabulary × cells-per-tree code space
+            beyond int64.
     """
 
     name = "seal"
@@ -142,8 +144,10 @@ class HierarchicalFilter(SearchMethod):
         self.mt = mt
         self.budget_scaling = budget_scaling
         self.textual = TextualScheme(self.weighter)
+        boxes = [obj.region for obj in self.corpus]
+        regions = region_block(boxes)
         if space is None:
-            space = corpus_space([obj.region for obj in self.corpus])
+            space = corpus_space(boxes)
         self.hierarchy = GridHierarchy(space, max_level)
 
         # Pass 1: every object's textual signature with its Lemma-3
@@ -156,9 +160,6 @@ class HierarchicalFilter(SearchMethod):
                 f"{len(self.token_ids)} tokens × {span} cells per grid tree overflow "
                 f"a 64-bit element code; lower max_level (now {max_level})"
             )
-        regions = np.array(
-            [obj.region.as_tuple() for obj in self.corpus], dtype=np.float64
-        ).reshape(len(self.corpus), 4)
         owner = np.repeat(np.arange(len(self.corpus)), sizes)
         by_token = np.argsort(tokens, kind="stable")
         list_sizes = np.bincount(tokens, minlength=len(self.token_ids))

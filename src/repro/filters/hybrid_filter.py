@@ -110,8 +110,9 @@ class HybridFilter(SearchMethod):
     def probes(self, query: Query) -> Probes:
         query = compile_query(query, self.weighter)
         # Hybrid lists can only reach objects sharing a token AND a cell
-        # with the query; either predicate being vacuous breaks that.
-        if query.c_t <= 0.0 or query.tau_r <= 0.0:
+        # with the query; either predicate being vacuous breaks that, and a
+        # region with an infinite edge has no cells.
+        if query.c_t <= 0.0 or query.tau_r <= 0.0 or not query.region.is_finite:
             return FULL_SCAN
         cell_prefix = prefix_elements(self.spatial.signature_of_region(query.region), query.c_r)
         # A token outside the vocabulary was posted with no cell: no list

@@ -14,7 +14,7 @@ from repro.core.objects import Query, SpatioTextualObject
 from repro.filters.base import FULL_SCAN, Probes, SingleSchemeFilter
 from repro.index.storage import IndexSizeReport, measure_index
 from repro.signatures.query import compile_query
-from repro.signatures.textual import TextualScheme
+from repro.signatures.textual import TextualScheme, object_totals
 from repro.text.weights import TokenWeighter
 
 
@@ -42,6 +42,11 @@ class TokenFilter(SingleSchemeFilter):
         self.scheme = TextualScheme(self.weighter)
         self.token_ids, sizes, tokens, bounds = self.scheme.corpus_signatures(self.corpus)
         self._load(sizes, tokens, bounds)
+        # The verifier's token totals, from the weight column gathered
+        # again once the index is loaded: held through the load, the
+        # column raised the perf ledger's peak RSS by up to 3 MB.
+        column = self.scheme.weights(self.token_ids)[tokens]
+        self.verifier.hold_token_totals(object_totals(sizes, column))
 
     def encode(self, tokens: Sequence[str]) -> List[int]:
         """Tokens as the index's codes.  Each token outside the

@@ -84,6 +84,12 @@ class Rect:
         return (self.x2 - self.x1) * (self.y2 - self.y1)
 
     @property
+    def is_finite(self) -> bool:
+        """No edge is infinite (a grid can only partition such a region)."""
+        return (math.isfinite(self.x1) and math.isfinite(self.y1)
+                and math.isfinite(self.x2) and math.isfinite(self.y2))
+
+    @property
     def center(self) -> tuple[float, float]:
         return ((self.x1 + self.x2) / 2.0, (self.y1 + self.y2) / 2.0)
 

@@ -53,7 +53,9 @@ def segmented_suffix_bounds(weights: np.ndarray, sizes: np.ndarray) -> np.ndarra
     for size in np.flatnonzero(np.bincount(sizes)).tolist():
         if size:
             block = starts[sizes == size][:, None] + np.arange(size)
-            bounds[block] = np.cumsum(weights[block][:, ::-1], axis=1)[:, ::-1]
+            # ``+ 0.0``: the loop's sum starts at ``0.0``, so a suffix of
+            # ``-0.0`` weights (a region edge at ``-0.0``) sums to ``0.0``.
+            bounds[block] = np.cumsum(weights[block][:, ::-1], axis=1)[:, ::-1] + 0.0
     return bounds
 
 

@@ -26,7 +26,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.objects import SpatioTextualObject
 from repro.geometry import Rect
 from repro.geometry.rect import corpus_space
-from repro.grid.uniform import UniformGrid
+from repro.grid.uniform import UniformGrid, region_block
 from repro.signatures.prefix import segmented_suffix_bounds
 
 
@@ -63,9 +63,9 @@ class GridScheme:
         """Build a scheme from the corpus (Section 4.1 + the 4.2 order),
         together with every object's signature and its Lemma-3 bounds.
 
-        The grid twin of ``TextualScheme.corpus_signatures``: one
-        ``UniformGrid.signature`` per region yields ``count(g)`` and the
-        postings both.
+        The grid twin of ``TextualScheme.corpus_signatures``: the regions'
+        coordinates are read once, and one :meth:`UniformGrid.signatures`
+        pass over them yields ``count(g)`` and the postings both.
 
         Args:
             objects: The corpus.
@@ -79,24 +79,15 @@ class GridScheme:
             bound, object after object, each object's in global order.
 
         Raises:
-            ConfigurationError: On an empty corpus.
+            ConfigurationError: On an empty corpus, or one holding a region
+                with an infinite edge (:func:`~repro.grid.uniform.region_block`).
         """
         regions = [obj.region for obj in objects]
         if not regions:
             raise ConfigurationError("GridScheme.from_corpus requires a non-empty corpus")
+        block = region_block(regions)
         grid = UniformGrid(space if space is not None else corpus_space(regions), granularity)
-        # Plain ints and floats, each signature's tuples dropped once read:
-        # kept alive, all of them would go through the cyclic collector.
-        sizes, cells, weights = [], [], []
-        for region in regions:
-            signature = grid.signature(region)
-            sizes.append(len(signature))
-            for cell, weight in signature:
-                cells.append(cell)
-                weights.append(weight)
-        sizes = np.array(sizes, dtype=np.int64)
-        cells = np.array(cells, dtype=np.int64)
-        weights = np.array(weights, dtype=np.float64)
+        sizes, cells, weights = grid.signatures(block)
         # count(g) of every cell some region touches; ranked by ascending
         # (count, cell id).
         seen, which, counts = np.unique(cells, return_inverse=True, return_counts=True)

@@ -12,7 +12,8 @@ query's own total weight.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+import math
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -45,9 +46,11 @@ class TextualScheme:
             each token's threshold bound, in the same flat order.
         """
         ids, sizes, tokens = self.corpus_rows(objects)
-        weighter = self.weighter
-        weight = np.array([weighter.weight(token) for token in ids], dtype=np.float64)
-        return ids, sizes, tokens, segmented_suffix_bounds(weight[tokens], sizes)
+        return ids, sizes, tokens, segmented_suffix_bounds(self.weights(ids)[tokens], sizes)
+
+    def weights(self, ids: Dict[str, int]) -> np.ndarray:
+        """``w(t)`` of every token of ``ids``, indexed by its id."""
+        return np.fromiter(map(self.weighter.weight, ids), np.float64, len(ids))
 
     def corpus_rows(
         self, objects: Sequence[SpatioTextualObject]
@@ -80,3 +83,12 @@ class TextualScheme:
         renumber[order] = np.arange(len(order))
         ids = {by_rank[r]: i for i, r in enumerate(order.tolist())}
         return ids, sizes, renumber[ranks]
+
+
+def object_totals(sizes: np.ndarray, weights: np.ndarray) -> List[float]:
+    """Each object's ``Σ w(t)`` from a flat weight column, ``sizes[i]``
+    weights of object ``i`` after those of object ``i - 1``: a
+    ``math.fsum`` per slice, exact, so equal bit for bit to
+    ``TokenWeighter.total_weight`` of the object's tokens."""
+    ends = np.cumsum(sizes).tolist()
+    return [math.fsum(weights[start:end].tolist()) for start, end in zip([0] + ends[:-1], ends)]

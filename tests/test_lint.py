@@ -105,6 +105,20 @@ class TestHashOrderedSum:
     def test_fsum_and_ordered_sums_pass(self):
         assert lint_fixture("good_hash_ordered_sum.py", "hash-ordered-sum") == []
 
+    def test_flags_sums_over_names_bound_to_sets(self):
+        findings = lint_fixture("bad_hash_ordered_sum_names.py", "hash-ordered-sum")
+        assert lines(findings) == [6, 8, 9]
+
+    def test_names_rebound_or_bound_elsewhere_pass(self):
+        assert lint_fixture("good_hash_ordered_sum_names.py", "hash-ordered-sum") == []
+
+    def test_flags_float_accumulation_over_sets(self):
+        findings = lint_fixture("bad_hash_ordered_sum_accumulate.py", "hash-ordered-sum")
+        assert lines(findings) == [12, 16]
+
+    def test_ordered_and_integer_accumulation_pass(self):
+        assert lint_fixture("good_hash_ordered_sum_accumulate.py", "hash-ordered-sum") == []
+
     def test_scoped_to_the_similarity_paths(self):
         checker = REGISTRY["hash-ordered-sum"]()
         for path in ("src/repro/core/verification.py", "src/repro/text/weights.py",

@@ -11,6 +11,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.objects import Query, make_corpus
 from repro.geometry import Rect
 from repro.geometry.rect import corpus_space, spatial_jaccard
+from repro.grid.uniform import UniformGrid, region_block
 from repro.signatures.query import compile_query
 from repro.signatures.spatial import GridScheme
 from repro.signatures.textual import TextualScheme
@@ -165,23 +166,37 @@ class TestGridScheme:
             assert scheme.rank(cell) > seen_max
 
 
+#: Explicit spaces: the 100×100 square the lattice below spans, and a
+#: smaller box that cuts some regions and leaves others wholly outside.
+GRID_SPACES = [Rect(0, 0, 100, 100), Rect(-12.5, 30.0, 55.5, 80.25)]
+
+
 @st.composite
 def grid_corpora(draw):
-    """A granularity of 1–16 and a corpus over the 100×100 space whose
-    coordinates are exact multiples of 0.25 or the grid's own cell edges
-    (``0`` and ``100``, the space's border, among them); extents may be
-    zero.  The space is that square or, half the time, the corpus MBR."""
+    """A granularity of 1–16, a space, and a corpus whose coordinates
+    are multiples of 0.25 in [0, 100], the grid's own cell edges (the
+    space's border among them), floats off that lattice in [-30, 130]
+    (negative ones included) and ``-0.0``; extents may be zero.  The
+    space is one of :data:`GRID_SPACES` or, a third of the time, the
+    corpus MBR (its edges then come from the square)."""
     granularity = draw(st.integers(1, 16))
-    edge = st.integers(0, granularity).map(lambda k: k * (100.0 / granularity))
-    coordinate = st.one_of(st.integers(0, 400).map(lambda n: n * 0.25), edge)
+    space = draw(st.sampled_from(GRID_SPACES + [None]))
+    cut = space or GRID_SPACES[0]
+
+    def axis(origin, length):
+        edge = st.integers(0, granularity).map(lambda k: origin + k * (length / granularity))
+        return st.one_of(st.integers(0, 400).map(lambda n: n * 0.25), edge,
+                         st.floats(-30.0, 130.0), st.just(-0.0))
+
+    xs, ys = axis(cut.x1, cut.width), axis(cut.y1, cut.height)
 
     def region(_):
-        x1, x2 = sorted(draw(st.tuples(coordinate, coordinate)))
-        y1, y2 = sorted(draw(st.tuples(coordinate, coordinate)))
+        x1, x2 = sorted(draw(st.tuples(xs, xs)))
+        y1, y2 = sorted(draw(st.tuples(ys, ys)))
         return Rect(x1, y1, x2, y2)
 
     objects = make_corpus([(region(i), {"t"}) for i in range(draw(st.integers(1, 12)))])
-    return objects, granularity, draw(st.sampled_from([Rect(0, 0, 100, 100), None]))
+    return objects, granularity, space
 
 
 @settings(max_examples=150, deadline=None)
@@ -206,6 +221,23 @@ def test_from_corpus_columns_are_the_per_object_signatures(case):
     assert sizes.tolist() == [len(grid.signature(region)) for region in regions]
     assert cells.dtype == np.int64 and cells.tolist() == expected_cells
     assert bounds.tobytes() == np.array(expected_bounds, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_corpora())
+def test_signatures_are_the_per_region_signature(case):
+    """``UniformGrid.signatures`` over the coordinate block is
+    ``signature`` region by region, weights to the sign of a zero."""
+    objects, granularity, space = case
+    regions = [obj.region for obj in objects]
+    grid = UniformGrid(space if space is not None else corpus_space(regions), granularity)
+    sizes, cells, weights = grid.signatures(region_block(regions))
+    expected = [grid.signature(region) for region in regions]
+    assert sizes.tolist() == [len(signature) for signature in expected]
+    assert cells.tolist() == [cell for signature in expected for cell, _ in signature]
+    assert weights.tobytes() == np.array(
+        [weight for signature in expected for _, weight in signature], dtype=np.float64
+    ).tobytes()
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,9 @@ regions, token iterables and thresholds without touching internal types.
 
 from __future__ import annotations
 
+import functools
 import inspect
+import math
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Sequence
 
 from repro.baselines.irtree import IRTreeSearch
@@ -25,6 +27,7 @@ from repro.filters.hierarchical_filter import HierarchicalFilter
 from repro.filters.hybrid_filter import HybridFilter
 from repro.filters.token_filter import TokenFilter
 from repro.geometry import Rect
+from repro.grid.uniform import region_block
 from repro.text.weights import TokenWeighter
 
 def _build_planned(objects, weighter=None, **params) -> SearchMethod:
@@ -101,6 +104,21 @@ def check_params(name: str, params: Mapping[str, Any]) -> None:
     unknown = ", ".join(repr(knob) for knob in params if knob not in accepted)
     if unknown:
         raise ConfigurationError(f"method {name!r} does not accept {unknown}")
+
+
+def check_regions(name: str, regions: Sequence[Rect]) -> None:
+    """Refuse, with the grid build's own ``ConfigurationError``, a region
+    with an infinite edge if method ``name`` partitions a space (takes a
+    ``space`` knob: ``grid``, ``hash-hybrid``, ``seal``, ``planned``)."""
+    if _partitions_space(name) and not all(
+        math.isfinite(edge) for region in regions for edge in region.as_tuple()
+    ):
+        region_block(regions)  # raises, naming the first such region
+
+
+@functools.cache
+def _partitions_space(name: str) -> bool:
+    return bool(accepted_params(name, {"space": None}))
 
 
 def build_method(

@@ -380,7 +380,8 @@ class Verifier:
         float64 operations, so the answers are those of :meth:`verify`
         bit for bit.  The textual membership test keys every held token
         ``slot · V + id``, a slot per query with a pair to check (a
-        ``τT = 0`` query's pairs skip the check, as in :meth:`verify`), so
+        ``τR = 0`` query's pairs skip the spatial check and a ``τT = 0``
+        query's the textual one, as in :meth:`verify`), so
         its boolean array is at most batch × V bytes; each pair's held
         weights are added with ``np.bincount`` in row (= global token)
         order, the sum every branch takes.
@@ -393,12 +394,16 @@ class Verifier:
             [_box_rows(*q.region.as_tuple())[:5] + (q.tau_r, q.tau_t) for q in queries],
             dtype=np.float64,
         ).reshape(-1, 7).T
-        per_pair = fields[:6].take(pair_queries, axis=1)
-        kept = self._spatial_pass(
-            self._box_block().take(pair_oids, axis=1), per_pair[:4], per_pair[4], per_pair[5]
-        )
-        pair_queries = pair_queries[kept]
-        pair_oids = pair_oids[kept]
+        kept = fields[5].take(pair_queries) == 0.0  # no spatial check
+        if not kept.all():
+            checked = ~kept
+            per_pair = fields[:6].take(pair_queries[checked], axis=1)
+            kept[checked] = self._spatial_pass(
+                self._box_block().take(pair_oids[checked], axis=1),
+                per_pair[:4], per_pair[4], per_pair[5],
+            )
+            pair_queries = pair_queries[kept]
+            pair_oids = pair_oids[kept]
         kept = fields[6].take(pair_queries) == 0.0  # no textual check
         if not kept.all():
             checked = ~kept

@@ -60,7 +60,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Set
 
 from repro.baselines.naive import NaiveSearch
-from repro.core.engine import build_method, check_params
+from repro.core.engine import build_method, check_params, check_regions
 from repro.core.objects import Query, SpatioTextualObject
 from repro.core.stats import SearchResult, SearchStats
 from repro.core.verification import Verifier
@@ -163,7 +163,8 @@ class SegmentedSealSearch:
 
     Raises:
         ConfigurationError: For an unknown method, or a knob it does not
-            accept — here, not at the first seal.
+            accept — here, not at the first seal; or, when ``method``
+            partitions a space, a ``data`` region with an infinite edge.
 
     Examples:
         >>> engine = SegmentedSealSearch(method="token")   # empty bootstrap
@@ -214,6 +215,7 @@ class SegmentedSealSearch:
             SpatioTextualObject(oid, region, frozenset(tokens))
             for oid, (region, tokens) in enumerate(data)
         ]
+        check_regions(method, [obj.region for obj in initial])
         if initial:
             self._next_oid = len(initial)
             self._live = {obj.oid: obj for obj in initial}
@@ -243,7 +245,13 @@ class SegmentedSealSearch:
     # ------------------------------------------------------------------
 
     def insert(self, region: Rect, tokens: Iterable[str]) -> int:
-        """Add one object; returns its global oid (stable forever)."""
+        """Add one object; returns its global oid (stable forever).
+
+        Raises:
+            ConfigurationError: If the configured method partitions a
+                space and ``region`` has an infinite edge; nothing moved.
+        """
+        check_regions(self._method_name, [region])
         oid = self._next_oid
         self._next_oid += 1
         obj = SpatioTextualObject(oid, region, frozenset(tokens))

@@ -18,7 +18,7 @@ experiments (Figures 16–17).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -28,11 +28,11 @@ from repro.core.objects import Query, SpatioTextualObject
 from repro.filters.base import FULL_SCAN, Probes, candidates_from_probes
 from repro.geometry import Rect
 from repro.geometry.rect import corpus_space
-from repro.grid.hierarchy import GridHierarchy, HierCell, cell_code
+from repro.grid.hierarchy import GridHierarchy, cell_code
 from repro.grid.uniform import region_block
 from repro.index.inverted import InvertedIndex
 from repro.index.storage import HIER_CELL_KEY_BYTES, IndexSizeReport, measure_index
-from repro.signatures.hierarchical import TokenGrids, select_token_grids_many
+from repro.signatures.hierarchical import select_frontiers
 from repro.signatures.prefix import prefix_elements
 from repro.signatures.query import compile_query
 from repro.signatures.textual import TextualScheme
@@ -42,7 +42,7 @@ from repro.text.weights import TokenWeighter
 def _overlap(regions: np.ndarray, boxes: np.ndarray):
     """Closed-interval intersection test and intersection area of
     ``regions[..., 4]`` against ``boxes[..., 4]`` (broadcast together) —
-    :meth:`HierarchicalFilter._region_cells` for arrays."""
+    the probe loop of :meth:`HierarchicalFilter.probes` for arrays."""
     x_lo = np.maximum(regions[..., 0], boxes[..., 0])
     y_lo = np.maximum(regions[..., 1], boxes[..., 1])
     x_hi = np.minimum(regions[..., 2], boxes[..., 2])
@@ -55,39 +55,47 @@ def _overlap(regions: np.ndarray, boxes: np.ndarray):
     )
 
 
-def _token_cell_postings(
-    rows: np.ndarray, offsets: np.ndarray, token_of: np.ndarray, grids: Sequence[TokenGrids]
-):
-    """Which (occurrence, cell) pairs post, and their spatial bounds.
+def _frontier_postings(rows: np.ndarray, offsets: np.ndarray, token_of: np.ndarray,
+                       first: np.ndarray, cells: np.ndarray, boxes: np.ndarray):
+    """Order every frontier; find which (occurrence, cell) pairs post,
+    and their spatial bounds.
 
     ``rows`` holds the region of every (object, token) occurrence,
-    grouped by token (``offsets``; ``token_of`` names each row's token).
-    Per token, one (objects × cells) matrix of closed-interval overlaps
-    and intersection areas, cells in the token's global order; a
-    right-to-left cumulative sum along the cells gives every object's
-    Lemma-3 bounds at once (cells a region misses weigh 0.0, so they
-    leave the running sum untouched).  Tokens with a single cell — the
-    whole Zipf tail — share one flat pass.
+    grouped by token (``offsets``; ``token_of`` names each row's token);
+    ``first[t] .. first[t + 1]`` delimits token ``t``'s frontier in
+    ``cells`` and ``boxes``.  Per token, one (objects × cells) matrix of
+    closed-interval overlaps and intersection areas: its column counts
+    give the global order (Section 5.2: level, regions touching the
+    cell, row, column), and a right-to-left cumulative sum along the
+    ordered cells every object's Lemma-3 bounds (cells a region misses
+    weigh 0.0).  Single-cell tokens — the Zipf tail — share one flat pass.
 
     Returns:
-        ``(row, cell rank, spatial bound)`` of every posting, as arrays.
+        ``(order, found, position, spatial bound)``: the permutation of
+        the frontier rows into global order, then per posting its row and
+        its cell's position in the ordered frontier rows.
     """
-    width = np.array([len(grid) for grid in grids], dtype=np.int64)
-    first_box = np.array([grid.boxes[0] for grid in grids]).reshape(len(grids), 4)
+    width = np.diff(first)
+    order = np.arange(first[-1])
     single = np.flatnonzero(width[token_of] == 1)
-    hit, weight = _overlap(rows[single], first_box[token_of[single]])
+    hit, weight = _overlap(rows[single], boxes[first[token_of[single]]])
     found = [single[hit]]
-    cell = [np.zeros(len(found[0]), dtype=np.int64)]
+    position = [first[token_of[found[0]]]]
     r_bounds = [weight[hit]]
     for token in np.flatnonzero(width > 1).tolist():
         lo, hi = offsets[token], offsets[token + 1]
-        hit, weight = _overlap(rows[lo:hi, None, :], np.array(grids[token].boxes))
+        start, stop = first[token], first[token + 1]
+        hit, weight = _overlap(rows[lo:hi, None, :], boxes[start:stop])
+        level, row, col = cells[start:stop].T
+        rank = np.lexsort((col, row, np.count_nonzero(hit, axis=0), level))
+        order[start:stop] = start + rank
+        hit, weight = hit[:, rank], weight[:, rank]
         suffix = np.cumsum(weight[:, ::-1], axis=1)[:, ::-1]
         which, where = np.nonzero(hit)
         found.append(lo + which)
-        cell.append(where)
+        position.append(start + where)
         r_bounds.append(suffix[which, where])
-    return np.concatenate(found), np.concatenate(cell), np.concatenate(r_bounds)
+    return order, np.concatenate(found), np.concatenate(position), np.concatenate(r_bounds)
 
 
 class HierarchicalFilter(SearchMethod):
@@ -173,66 +181,64 @@ class HierarchicalFilter(SearchMethod):
                 return mt
             return max(4, min(mt, round(budget_scaling * list_size)))
 
-        grids = select_token_grids_many(
-            rows,
-            offsets,
-            self.hierarchy,
-            [token_budget(size) for size in list_sizes.tolist()],
-            min_objects=min_objects,
+        budgets = [token_budget(size) for size in list_sizes.tolist()]
+        widths, cells = select_frontiers(
+            rows, offsets, self.hierarchy, budgets, min_objects=min_objects
         )
-        self.token_grids: Dict[str, TokenGrids] = dict(zip(self.token_ids, grids))
+        first = np.concatenate([[0], np.cumsum(widths)])
+        cell_boxes = self.hierarchy.cell_boxes(cells)
+        codes = np.repeat(np.arange(len(widths)), widths) * span + cell_code(*cells.T)
 
-        # Pass 3: the (token, cell) postings with dual bounds, then one
-        # bulk load.  `cell` is each posting's rank in its token's grids.
-        found, cell, r_bounds = _token_cell_postings(rows, offsets, tokens[by_token], grids)
+        # Pass 3: one overlap pass per token orders its frontier and
+        # finds its (token, cell) postings with their dual bounds; then
+        # one bulk load.
+        order, found, position, r_bounds = _frontier_postings(
+            rows, offsets, tokens[by_token], first, cells, cell_boxes
+        )
+        codes = codes[order]
         found = by_token[found]
-        grid_cells = np.array([c for grid in grids for c in grid.cells], dtype=np.int64)
-        first_cell = np.cumsum([0] + [len(grid) for grid in grids])
-        token_of = tokens[found]
-        level, row, col = grid_cells.reshape(-1, 3)[first_cell[token_of] + cell].T
         self.index = InvertedIndex.from_postings(
-            token_of * span + cell_code(level, row, col), owner[found], r_bounds, t_bounds[found]
+            codes[position], owner[found], r_bounds, t_bounds[found]
         )
-
-    @staticmethod
-    def _region_cells(grids: TokenGrids, region: Rect) -> List[Tuple[HierCell, float]]:
-        """Cells of one token's partition intersecting ``region``, in the
-        token's global order, weighted by intersection area.
-
-        ``G_t`` holds at most ``mt`` cells, so a linear scan with inlined
-        rectangle arithmetic beats any spatial structure here.  This is
-        the probe path's scalar form; the build runs the same test and
-        weights for all of a token's objects at once (:func:`_overlap`).
-        """
-        rx1, ry1, rx2, ry2 = region.x1, region.y1, region.x2, region.y2
-        out: List[Tuple[HierCell, float]] = []
-        for cell, (bx1, by1, bx2, by2) in zip(grids.cells, grids.boxes):
-            if rx1 <= bx2 and bx1 <= rx2 and ry1 <= by2 and by1 <= ry2:
-                dx = (bx2 if bx2 < rx2 else rx2) - (bx1 if bx1 > rx1 else rx1)
-                dy = (by2 if by2 < ry2 else ry2) - (by1 if by1 > ry1 else ry1)
-                out.append((cell, dx * dy if dx > 0.0 and dy > 0.0 else 0.0))
-        return out
+        # The frontiers as columns over token ids: ``G_t`` of token id
+        # ``i`` is rows ``frontier_offsets[i] .. frontier_offsets[i + 1]``
+        # of the box and element-code columns.  Plain ints and floats, so
+        # the probe loop does Python arithmetic and a snapshot pickles
+        # 9-byte floats whatever scalar type the coordinates arrived as.
+        self.frontier_offsets = first.tolist()
+        self.frontier_boxes = list(map(tuple, cell_boxes[order].tolist()))
+        self.frontier_codes = codes.tolist()
 
     # ------------------------------------------------------------------
     # Filter step
     # ------------------------------------------------------------------
 
     def probes(self, query: Query) -> Probes:
+        """Per prefix token, the cells of ``G_t`` the query region meets,
+        weighted by intersection area and cut at the Lemma-2 prefix for
+        ``c_R``.  ``G_t`` holds at most ``mt`` cells, so a linear scan
+        with inlined rectangle arithmetic beats any spatial structure."""
         query = compile_query(query, self.weighter)
         if query.c_t <= 0.0 or query.tau_r <= 0.0:
             return FULL_SCAN
-        span = self.hierarchy.num_cells
-        codes = []
+        rx1, ry1, rx2, ry2 = query.region.as_tuple()
+        offsets, boxes, element = self.frontier_offsets, self.frontier_boxes, self.frontier_codes
+        codes: List[int] = []
         for token in query.prefix_tokens():
-            grids = self.token_grids.get(token)
-            if grids is None:
+            token_id = self.token_ids.get(token)
+            if token_id is None:
                 # No object contains this token: nothing to probe, and no
                 # answer can hinge on it (it contributes weight only to
                 # the union, which the threshold already accounts for).
                 continue
-            base = self.token_ids[token] * span
-            cells = prefix_elements(self._region_cells(grids, query.region), query.c_r)
-            codes.extend(base + cell_code(*cell) for cell, _ in cells)
+            cells = []
+            for at in range(offsets[token_id], offsets[token_id + 1]):
+                bx1, by1, bx2, by2 = boxes[at]
+                if rx1 <= bx2 and bx1 <= rx2 and ry1 <= by2 and by1 <= ry2:
+                    dx = (bx2 if bx2 < rx2 else rx2) - (bx1 if bx1 > rx1 else rx1)
+                    dy = (by2 if by2 < ry2 else ry2) - (by1 if by1 > ry1 else ry1)
+                    cells.append((element[at], dx * dy if dx > 0.0 and dy > 0.0 else 0.0))
+            codes.extend(code for code, _ in prefix_elements(cells, query.c_r))
         return codes, query.c_r, query.c_t
 
     candidates = candidates_from_probes

@@ -47,7 +47,7 @@ from repro.index.inverted import externalize_arrays, resolve_arrays
 
 #: Bump when index internals change incompatibly; any other format is
 #: rejected at the envelope with "rebuild the index".
-SNAPSHOT_FORMAT = 8
+SNAPSHOT_FORMAT = 9
 
 _MAGIC = "repro-seal-snapshot"
 

@@ -11,8 +11,11 @@ Four schemes realise the paper's designs:
   weighted by intersection area (Section 4.1).
 * hash-based hybrid ``(token, cell)`` pairs (Section 5.1) — handled by
   :class:`repro.filters.hybrid_filter.HybridFilter`.
-* hierarchical hybrid per-token grids (Section 5.2) — built by
-  :func:`~repro.signatures.hierarchical.select_token_grids_many` (HSS-Greedy).
+* hierarchical hybrid per-token grids (Section 5.2) — selected by
+  :func:`~repro.signatures.hierarchical.select_frontiers`
+  (HSS-Greedy) as flat frontier columns, which
+  :class:`repro.filters.hierarchical_filter.HierarchicalFilter` orders
+  and posts in one overlap pass per token.
 
 :mod:`~repro.signatures.prefix` implements Lemma 2 (query prefix
 selection) and Lemma 3 (per-posting threshold bounds); both are shared by

@@ -66,9 +66,6 @@ import numpy as np
 from repro.core.errors import ConfigurationError
 from repro.grid.hierarchy import GridHierarchy, HierCell
 
-#: Bare-tuple rectangle used in the probe path.
-_Box = Tuple[float, float, float, float]
-
 #: Region rows (summed over tokens) one lock-step batch starts from.  A
 #: fixed constant, not a knob: it caps the kernels' temporaries, and a
 #: token with more rows than this simply gets a batch to itself.
@@ -357,68 +354,24 @@ def hss_greedy_many(
     return frontiers
 
 
-class TokenGrids:
-    """The selected hierarchical grids of one token, with their global order.
-
-    The order (Section 5.2): ascending tree level first, then ascending
-    number of intersecting object regions, then cell coordinates.
-
-    Attributes:
-        cells: Selected cells in global order.
-        boxes: Cell rectangles as bare tuples, aligned with ``cells``
-            (kept for the filter's hot probe path).
-    """
-
-    __slots__ = ("cells", "boxes")
-
-    def __init__(self, cells: Tuple[HierCell, ...], boxes: Tuple[_Box, ...]) -> None:
-        self.cells = cells
-        self.boxes = boxes
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-
-def _ordered_grids(
-    cells: List[HierCell], rows: np.ndarray, hierarchy: GridHierarchy
-) -> TokenGrids:
-    """Put a frontier in the hierarchical global order."""
-    grid = np.array(cells, dtype=np.int64).reshape(len(cells), 3)
-    boxes = hierarchy.cell_boxes(grid)
-    if len(cells) > 1:
-        touching = (
-            (rows[:, 0:1] <= boxes[:, 2])
-            & (boxes[:, 0] <= rows[:, 2:3])
-            & (rows[:, 1:2] <= boxes[:, 3])
-            & (boxes[:, 1] <= rows[:, 3:4])
-        )
-        counts = np.count_nonzero(touching, axis=0)
-        order = np.lexsort((grid[:, 2], grid[:, 1], counts, grid[:, 0]))
-        cells = [cells[i] for i in order.tolist()]
-        boxes = boxes[order]
-    # tolist(): plain ints and floats, so the probe path does Python
-    # arithmetic and a snapshot pickles 9-byte floats whatever scalar
-    # type the corpus coordinates arrived as.
-    return TokenGrids(tuple(cells), tuple(map(tuple, boxes.tolist())))
-
-
-def select_token_grids_many(
+def select_frontiers(
     rows: np.ndarray,
     offsets: Sequence[int],
     hierarchy: GridHierarchy,
     budgets: Sequence[int],
     *,
     min_objects: int = 0,
-) -> List[TokenGrids]:
-    """HSS-Greedy plus the hierarchical global order, for many tokens.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`hss_greedy_many` as columns, except that tokens with at
+    most ``min_objects`` regions, or a budget of 1, keep the trivial root
+    partition (see module docstring).
 
-    Args:
-        rows: Region rows, token after token (see :func:`hss_greedy_many`).
-        offsets: Token boundaries in ``rows``.
-        hierarchy: Shared grid tree.
-        budgets: Grid budget per token.
-        min_objects: Tokens with at most this many regions receive the
-            trivial root partition (see module docstring).
+    Returns:
+        ``(widths, cells)``: the number of selected cells per token, and
+        their ``(level, row, col)`` rows as one ``(Σ widths, 3)`` int64
+        array, token after token, each token's in selection order.  The
+        filter puts them in the global order: that needs each cell's
+        object count, which its posting pass computes anyway.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     sizes = np.diff(offsets)
@@ -430,10 +383,11 @@ def select_token_grids_many(
         hierarchy,
         budgets[greedy].tolist(),
     )
-    root = hierarchy.ROOT
-    root_box = tuple(map(float, hierarchy.cell_rect(root).as_tuple()))
-    grids = [TokenGrids((root,), (root_box,)) for _ in sizes]
-    for token, cells in zip(np.flatnonzero(greedy).tolist(), frontiers):
-        grids[token] = _ordered_grids(cells, rows[offsets[token] : offsets[token + 1]], hierarchy)
-    return grids
-
+    widths = np.ones(len(sizes), dtype=np.int64)
+    widths[greedy] = [len(cells) for cells in frontiers]
+    # Every other token keeps the root, which is the all-zero row.
+    cells = np.zeros((int(widths.sum()), 3), dtype=np.int64)
+    cells[np.repeat(greedy, widths)] = np.array(
+        [cell for chosen in frontiers for cell in chosen], dtype=np.int64
+    ).reshape(-1, 3)
+    return widths, cells

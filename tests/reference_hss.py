@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -23,12 +23,19 @@ from repro.core.objects import SpatioTextualObject
 from repro.geometry import Rect
 from repro.filters.hybrid_filter import bucket
 from repro.grid.hierarchy import GridHierarchy, HierCell, cell_code
-from repro.signatures.hierarchical import TokenGrids
 
 from tests.reference_postings import ReferenceIndex
 from tests.reference_signatures import suffix_bounds, token_signature
 
 _Box = Tuple[float, float, float, float]
+
+
+class Frontier(NamedTuple):
+    """One token's ``G_t`` in the hierarchical global order: its cells
+    and, aligned with them, their boxes."""
+
+    cells: Tuple[HierCell, ...]
+    boxes: Tuple[_Box, ...]
 
 
 def _as_array(regions: Sequence[Rect] | Sequence[_Box]) -> np.ndarray:
@@ -141,7 +148,7 @@ def hss_greedy(
 
 def select_token_grids(
     regions: Sequence[Rect], hierarchy: GridHierarchy, mt: int, *, min_objects: int = 0
-) -> TokenGrids:
+) -> Frontier:
     """Scalar HSS-Greedy plus the hierarchical global order."""
     if len(regions) <= min_objects or mt == 1:
         cells: List[HierCell] = [hierarchy.ROOT]
@@ -162,7 +169,7 @@ def select_token_grids(
 
     counts = {cell: count(cell) for cell in cells}
     ordered = sorted(cells, key=lambda cell: (cell[0], counts[cell], cell))
-    return TokenGrids(tuple(ordered), tuple(boxes[c] for c in ordered))
+    return Frontier(tuple(ordered), tuple(boxes[c] for c in ordered))
 
 
 def token_grids(
@@ -172,7 +179,7 @@ def token_grids(
     mt: int,
     min_objects: int,
     budget_scaling: float | None,
-) -> Dict[str, TokenGrids]:
+) -> Dict[str, Frontier]:
     """Passes 1-2 of ``HierarchicalFilter`` as they were: one greedy per token."""
     per_token_regions: Dict[str, List[Rect]] = {}
     for obj in corpus:
@@ -192,7 +199,7 @@ def token_grids(
     }
 
 
-def region_cells(grids: TokenGrids, region: Rect) -> List[Tuple[HierCell, float]]:
+def region_cells(grids: Frontier, region: Rect) -> List[Tuple[HierCell, float]]:
     rx1, ry1, rx2, ry2 = region.x1, region.y1, region.x2, region.y2
     out: List[Tuple[HierCell, float]] = []
     for cell, (bx1, by1, bx2, by2) in zip(grids.cells, grids.boxes):
@@ -204,7 +211,7 @@ def region_cells(grids: TokenGrids, region: Rect) -> List[Tuple[HierCell, float]
 
 
 def hierarchical_index(
-    corpus: Sequence[SpatioTextualObject], method, grids: Dict[str, TokenGrids]
+    corpus: Sequence[SpatioTextualObject], method, grids: Dict[str, Frontier]
 ) -> ReferenceIndex:
     """Pass 3 of ``HierarchicalFilter`` as it was: one ``add`` per posting,
     keyed by the pair's code ``token_id · cells_per_tree + cell_code``."""

@@ -736,7 +736,7 @@ class TestInspect:
         rc = main(["inspect", str(plain_engine)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "format:             8" in out
+        assert "format:             9" in out
         assert "columnar arrays:" in out
         assert "not a segmented engine" in out
 
@@ -780,7 +780,7 @@ class TestInspect:
         rc = main(["inspect", str(plain_engine), "--json"])
         assert rc == 0
         document = json.loads(capsys.readouterr().out)
-        assert document["format"] == 8
+        assert document["format"] == 9
         assert document["num_arrays"] >= 1
         assert document["sidecar"]["bytes"] > 0
 

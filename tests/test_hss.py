@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import make_corpus
 from repro.core.errors import ConfigurationError
+from repro.filters import HierarchicalFilter
 from repro.geometry import Rect
 from repro.grid.hierarchy import GridHierarchy
+from repro.signatures.hierarchical import select_frontiers
 
 from tests.conftest import touches
 from tests.hss_testlib import hss_greedy, select_token_grids
@@ -92,25 +95,32 @@ class TestSelectTokenGrids:
         assert levels == sorted(levels)
 
     def test_payload_is_plain_python(self):
-        """What a snapshot pickles: tuples of int and float, whichever
-        kernel produced them, and no per-token rank dict."""
+        """What a snapshot pickles: flat lists of int, and float 4-tuples,
+        whichever kernel produced them, and no per-token object."""
         f = np.float64  # generated corpora carry NumPy scalars
-        h = GridHierarchy(Rect(f(0.0), f(0.0), f(100.0), f(100.0)), 4)
         regions = [Rect(f(5), f(5), f(20), f(20)), Rect(60, 60, 95, 95), Rect(70, 70, 90, 90)]
-        for grids in (
-            select_token_grids(regions, h, mt=12, min_objects=0),
-            select_token_grids(regions, h, mt=12, min_objects=5),
-        ):
-            assert type(grids.cells) is tuple and type(grids.boxes) is tuple
-            assert all(type(v) is int for cell in grids.cells for v in cell)
-            assert all(type(v) is float for box in grids.boxes for v in box)
-            assert all(type(c) is tuple for c in grids.cells + grids.boxes)
-            assert grids.__slots__ == ("cells", "boxes")
+        corpus = make_corpus(zip(regions, [{"a"}, {"a", "b"}, {"a", "b"}]))
+        for min_objects in (0, 5):
+            method = HierarchicalFilter(corpus, mt=12, max_level=4, min_objects=min_objects)
+            offsets, codes = method.frontier_offsets, method.frontier_codes
+            assert type(offsets) is list and type(codes) is list
+            assert type(method.frontier_boxes) is list
+            assert all(type(v) is int for v in offsets + codes)
+            assert all(type(box) is tuple and len(box) == 4 for box in method.frontier_boxes)
+            assert all(type(v) is float for box in method.frontier_boxes for v in box)
+            assert offsets[0] == 0 and offsets[-1] == len(codes) == len(method.frontier_boxes)
+            assert len(offsets) == len(method.token_ids) + 1
 
-    def test_len(self):
+    def test_widths_count_the_cells(self):
         h = GridHierarchy(SPACE, 3)
-        grids = select_token_grids([Rect(0, 0, 50, 50)], h, mt=4, min_objects=0)
-        assert len(grids) == len(grids.cells)
+        regions = [Rect(0, 0, 50, 50), Rect(60, 60, 70, 70)]
+        rows = np.array([r.as_tuple() for r in regions * 2])
+        widths, cells = select_frontiers(rows, [0, 2, 2, 4], h, [4, 4, 1])
+        assert widths.tolist()[1:] == [1, 1] and 1 < widths[0] <= 4
+        assert cells.shape == (widths.sum(), 3) and cells.dtype == np.int64
+        # The empty token and the budget-1 token keep the root.
+        assert cells[widths[0]:].tolist() == [list(h.ROOT)] * 2
+        assert [tuple(c) for c in cells[: widths[0]].tolist()] == hss_greedy(regions, h, 4)
 
 
 @settings(max_examples=30, deadline=None)

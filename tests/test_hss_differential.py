@@ -26,6 +26,7 @@ from repro.datasets import generate_twitter, generate_usa
 from repro.filters import HierarchicalFilter, HybridFilter
 
 from tests import reference_hss as reference
+from tests.hss_testlib import frontiers
 from tests.reference_postings import assert_same_index
 
 N = 2000
@@ -51,16 +52,15 @@ def test_seal_build_matches_scalar_reference(corpus, budget_scaling):
     grids = reference.token_grids(
         objects, method.hierarchy, mt=method.mt, min_objects=4, budget_scaling=budget_scaling
     )
-    assert set(method.token_grids) == set(grids)
+    ours = frontiers(method)
+    assert set(ours) == set(grids)
     for token, expected in grids.items():
-        ours = method.token_grids[token]
-        assert ours.cells == expected.cells, token
-        assert ours.boxes == expected.boxes, token
+        assert ours[token] == expected, token
     assert_same_index(
         method.index, reference.hierarchical_index(objects, method, grids)
     )
     # Frequent tokens really were refined: this is not a corpus of roots.
-    assert max(len(g) for g in grids.values()) > 4
+    assert max(len(g.cells) for g in grids.values()) > 4
 
 
 @pytest.mark.parametrize("num_buckets", [None, 4096], ids=["exact-keys", "bucketed"])

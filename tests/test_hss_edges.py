@@ -9,21 +9,26 @@ frontiers must agree to the last tie, not merely up to rounding.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Query, TokenWeighter, build_method, make_corpus
+from repro.filters.base import FULL_SCAN
 from repro.geometry import Rect
-from repro.grid.hierarchy import GridHierarchy
+from repro.grid.hierarchy import GridHierarchy, cell_code
 from repro.signatures import hierarchical
-from repro.signatures.hierarchical import hss_greedy_many
+from repro.signatures.hierarchical import hss_greedy_many, select_frontiers
+from repro.signatures.prefix import prefix_elements
+from repro.signatures.query import compile_query
 
 from tests import reference_hss as reference
 from tests.conftest import touches
-from tests.hss_testlib import hss_greedy, select_token_grids
-from tests.strategies import rects
+from tests.hss_testlib import as_rows, frontiers, hss_greedy, select_token_grids
+from tests.strategies import corpora, nonempty_token_sets, rects
 from tests.reference_postings import assert_same_index
 
 SPACE = Rect(0.0, 0.0, 128.0, 128.0)
@@ -83,10 +88,8 @@ def test_frontier_matches_reference(name, mt, max_level):
     cells = same_frontier(regions, hierarchy, mt)
     assert 1 <= len(cells) <= mt
     assert max(level for level, _, _ in cells) <= max_level
-    grids = select_token_grids(regions, hierarchy, mt)
-    expected = reference.select_token_grids(regions, hierarchy, mt)
-    assert (grids.cells, grids.boxes) == (
-        expected.cells, expected.boxes,
+    assert select_token_grids(regions, hierarchy, mt) == reference.select_token_grids(
+        regions, hierarchy, mt
     )
 
 
@@ -119,10 +122,14 @@ def test_identical_regions_refine_in_push_order():
 def test_short_lists_keep_the_root(count):
     hierarchy = GridHierarchy(SPACE, 5)
     regions = FIXTURES["on-boundaries"][:count]
-    grids = select_token_grids(regions, hierarchy, 32, min_objects=4)
-    expected = reference.select_token_grids(regions, hierarchy, 32, min_objects=4)
-    assert grids.cells == expected.cells and grids.boxes == expected.boxes
-    assert (grids.cells == (hierarchy.ROOT,)) == (count <= 4)
+    widths, cells = select_frontiers(
+        as_rows(regions), [0, count], hierarchy, [32], min_objects=4
+    )
+    assert (cells.tolist() == [list(hierarchy.ROOT)]) == (count <= 4)
+    assert len(cells) == widths.sum()
+    if count:  # a filter only ever sees tokens some object carries
+        expected = reference.select_token_grids(regions, hierarchy, 32, min_objects=4)
+        assert select_token_grids(regions, hierarchy, 32, min_objects=4) == expected
 
 
 def test_batches_do_not_change_frontiers(monkeypatch):
@@ -158,9 +165,7 @@ def test_filter_matches_reference_and_naive(mt, max_level):
     grids = reference.token_grids(
         corpus, method.hierarchy, mt=mt, min_objects=4, budget_scaling=None
     )
-    assert {t: g.cells for t, g in method.token_grids.items()} == {
-        t: g.cells for t, g in grids.items()
-    }
+    assert frontiers(method) == grids
     assert_same_index(
         method.index, reference.hierarchical_index(corpus, method, grids)
     )
@@ -197,3 +202,51 @@ def test_frontier_properties(lists, mt, max_level):
             assert any(touches(box, region) for box in boxes)
             covered = sum(box.intersection_area(region) for box in boxes)
             assert covered == pytest.approx(region.area, rel=1e-9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    corpora(min_size=2, max_size=14),
+    rects(),
+    nonempty_token_sets,
+    st.integers(0, 63),
+    st.sampled_from([-1, 0, 1]),
+    st.integers(1, 4),
+)
+def test_probes_are_reference_cells_cut_at_the_prefix(
+    corpus, region, tokens, pick, ulps, max_level
+):
+    """``probes()`` is, per Lemma-2 prefix token, the scalar reference's
+    cells of its frontier (global order, intersection weights), cut by
+    ``prefix_elements``.  ``c_R`` sits exactly on a right-to-left suffix
+    sum of one token's cell weights, where Lemma 2's strict ``<`` decides
+    the cut, or one ulp to either side of it."""
+    method = build_method(corpus, "seal", mt=8, max_level=max_level, min_objects=0)
+    grids = reference.token_grids(
+        corpus, method.hierarchy, mt=8, min_objects=0, budget_scaling=None
+    )
+    query = compile_query(Query(region, tokens, 0.5, 0.5), method.weighter)
+    if query.c_t <= 0.0:  # only zero-idf tokens: nothing to cut
+        assert method.probes(query) is FULL_SCAN
+        return
+    cells = {
+        token: reference.region_cells(grids[token], region)
+        for token in query.prefix_tokens()
+        if token in grids
+    }
+    sums = [query.c_r]
+    for found in cells.values():
+        suffix = 0.0
+        for _, weight in reversed(found):
+            suffix += weight
+            sums.append(suffix)
+    c_r = sums[pick % len(sums)]
+    if ulps:
+        c_r = math.nextafter(c_r, ulps * math.inf)
+    span = method.hierarchy.num_cells
+    expected = [
+        method.token_ids[token] * span + cell_code(*cell)
+        for token, found in cells.items()
+        for cell, _ in prefix_elements(found, c_r)
+    ]
+    assert method.probes(query._replace(c_r=c_r)) == (expected, c_r, query.c_t)

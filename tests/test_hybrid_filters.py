@@ -17,6 +17,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.stats import SearchStats
 
 from tests.conftest import FIGURE1_SPACE
+from tests.hss_testlib import frontiers
 
 
 class TestHybridFilter:
@@ -129,16 +130,16 @@ class TestHierarchicalFilter:
             twitter_small, mt=16, max_level=6, weighter=twitter_small_weighter,
             budget_scaling=0.05, min_objects=0,
         )
-        for grids in f.token_grids.values():
-            assert 1 <= len(grids) <= 16
+        for grids in frontiers(f).values():
+            assert 1 <= len(grids.cells) <= 16
 
     def test_bad_budget_scaling(self, figure1_objects):
         with pytest.raises(ConfigurationError):
             HierarchicalFilter(figure1_objects, budget_scaling=0.0)
 
     def test_token_grids_budget(self, seal):
-        for token, grids in seal.token_grids.items():
-            assert 1 <= len(grids) <= seal.mt, token
+        for token, grids in frontiers(seal).items():
+            assert 1 <= len(grids.cells) <= seal.mt, token
 
     def test_bad_mt(self, figure1_objects):
         with pytest.raises(ConfigurationError):

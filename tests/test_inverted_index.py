@@ -39,6 +39,7 @@ from repro.index.inverted import InvertedIndex
 
 from tests import reference_hss
 from tests.fixtures.make_planner_golden import REGIMES
+from tests.hss_testlib import frontiers
 from tests.reference_postings import (
     ReferenceIndex,
     assert_same_index,
@@ -249,7 +250,7 @@ FILTERS = {
     "seal": (
         lambda corpus, w: build_method(corpus, "seal", w, mt=8, max_level=6),
         lambda method: reference_hss.hierarchical_index(
-            method.corpus, method, method.token_grids
+            method.corpus, method, frontiers(method)
         ),
     ),
     "keyword-first": (

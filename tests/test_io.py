@@ -145,13 +145,28 @@ class TestSnapshot:
         restored = load_engine(path)
         assert restored.search(figure1_query).answers == [1]
 
+    def test_seal_round_trip_keeps_frontier_columns(
+        self, tmp_path, twitter_small, twitter_small_weighter, twitter_small_queries
+    ):
+        """A ``seal`` snapshot carries its frontier columns as they were
+        built and answers every query as the live method does."""
+        method = build_method(twitter_small, "seal", twitter_small_weighter, mt=16)
+        path = tmp_path / "seal.pkl"
+        save_engine(method, path)
+        restored = load_engine(path)
+        columns = ("frontier_offsets", "frontier_boxes", "frontier_codes")
+        assert [getattr(restored, c) for c in columns] == [getattr(method, c) for c in columns]
+        for query in twitter_small_queries:
+            assert restored.probes(query) == method.probes(query)
+            assert restored.search(query).answers == method.search(query).answers
+
     @pytest.mark.parametrize(
         "method_name", ["irtree", "spatial-first", "token", "grid", "keyword-first", "planned"]
     )
     def test_snapshot_with_retired_tree_and_weighter_state_loads(
         self, tmp_path, twitter_small, twitter_small_queries, method_name
     ):
-        """A format-8 snapshot written while the R-tree still had Guttman
+        """A snapshot written while the R-tree still had Guttman
         insertion and the weighter its rank table pickles
         ``RTree.min_entries``/``_height`` and
         ``TokenWeighter._ranks``/``_counts``; one written while ``grid``
@@ -547,7 +562,7 @@ def test_format5_checkpoint_is_refused_at_the_envelope(tmp_path, consumer):
     from repro.service import QueryService
     from tests.durable_testlib import fill, make_durable, snapshot_of, wal_of
 
-    assert SNAPSHOT_FORMAT == 8
+    assert SNAPSHOT_FORMAT == 9
     engine = make_durable(tmp_path)
     fill(engine, 6)
     engine.checkpoint()
@@ -560,7 +575,7 @@ def test_format5_checkpoint_is_refused_at_the_envelope(tmp_path, consumer):
     path.write_bytes(pickle.dumps(envelope))
     wal_before = wal_of(tmp_path).read_bytes()
 
-    refusal = pytest.raises(SnapshotError, match="format 5.*reads format 8; rebuild the index")
+    refusal = pytest.raises(SnapshotError, match="format 5.*reads format 9; rebuild the index")
     if consumer == "load_engine":
         with refusal:
             load_engine(path)
@@ -579,14 +594,16 @@ def test_format5_checkpoint_is_refused_at_the_envelope(tmp_path, consumer):
         assert wal_of(tmp_path).read_bytes() == wal_before
 
 
-@pytest.mark.parametrize("fmt", [6, 7])
+@pytest.mark.parametrize("fmt", [6, 7, 8])
 @pytest.mark.parametrize("consumer", ["load_engine", "validate_snapshot", "inspect", "query",
                                       "recover"])
 def test_old_format_snapshot_is_refused_with_rebuild(tmp_path, consumer, fmt, capsys):
     """Format 6 keyed its directories by token strings and tuples; format
     7 could pickle a plain Sig-Filter whose postings hold raw element
-    weights where Sig-Filter+ reads Lemma-3 suffix bounds.  Either
-    envelope is refused by its format number, before the blob — here a
+    weights where Sig-Filter+ reads Lemma-3 suffix bounds; format 8
+    pickled each ``seal`` frontier as a per-token object, where the
+    filter now reads flat frontier columns.  Each envelope is refused by
+    its format number, before the blob — here a
     real, loadable engine — is unpickled, and recovery leaves the WAL as
     it was."""
     import pickle
@@ -606,7 +623,7 @@ def test_old_format_snapshot_is_refused_with_rebuild(tmp_path, consumer, fmt, ca
     path.write_bytes(pickle.dumps(envelope))
     wal_before = wal_of(tmp_path).read_bytes()
     refusal = pytest.raises(
-        SnapshotError, match=f"format {fmt}.*reads format 8; rebuild the index"
+        SnapshotError, match=f"format {fmt}.*reads format 9; rebuild the index"
     )
     if consumer == "load_engine":
         with refusal:

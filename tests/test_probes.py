@@ -196,8 +196,8 @@ def test_plan_enumerates_no_probes(planner, corpus, golden_queries):
     refuse = mock.Mock(side_effect=AssertionError("plan() enumerated probes"))
     with mock.patch.object(GridFilter, "probes", refuse), mock.patch.object(
         TokenFilter, "probes", refuse
-    ), mock.patch.object(HybridFilter, "probes", refuse), mock.patch.multiple(
-        HierarchicalFilter, probes=refuse, _region_cells=refuse
+    ), mock.patch.object(HybridFilter, "probes", refuse), mock.patch.object(
+        HierarchicalFilter, "probes", refuse
     ):
         for query in list(_shapes(corpus).values()) + golden_queries:
             assert planner.plan(query) == rule(query)

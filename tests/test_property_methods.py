@@ -32,6 +32,7 @@ from repro.exec.pipeline import BATCH_MIN_QUERIES
 from repro.filters.base import FULL_SCAN
 from repro.text.weights import TokenWeighter
 
+from tests.hss_testlib import frontiers
 from tests.strategies import boundary_cases, corpora, corpus_and_query, rects, token_sets
 
 _SETTINGS = settings(
@@ -104,7 +105,7 @@ def test_constructed_threshold_boundaries_match_naive(case):
     methods["hash-hybrid-bucketed"] = build_method(
         corpus, "hash-hybrid", methods["naive"].weighter, granularity=8, num_buckets=7
     )
-    assert any(cell[0] > 0 for grids in methods["seal"].token_grids.values()
+    assert any(cell[0] > 0 for grids in frontiers(methods["seal"]).values()
                for cell in grids.cells)
     expected = methods["naive"].search(query).answers
     for name, method in methods.items():

@@ -60,8 +60,8 @@ def test_fig13a_large_region(benchmark, grid_filters, twitter_large_queries):
 
 
 @pytest.mark.benchmark(group="fig13")
-def test_fig13b_small_region(benchmark, grid_filters, twitter_small_queries_bench):
+def test_fig13b_small_region(benchmark, grid_filters, twitter_small_queries):
     _panel(
-        benchmark, grid_filters, twitter_small_queries_bench,
+        benchmark, grid_filters, twitter_small_queries,
         "Figure 13(b): GridFilter filter vs verification time, small-region queries",
     )

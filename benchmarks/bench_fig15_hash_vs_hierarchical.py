@@ -93,8 +93,8 @@ def test_fig15a_large_region(benchmark, matched_methods, twitter_large_queries):
 
 
 @pytest.mark.benchmark(group="fig15")
-def test_fig15b_small_region(benchmark, matched_methods, twitter_small_queries_bench):
+def test_fig15b_small_region(benchmark, matched_methods, twitter_small_queries):
     _panel(
-        benchmark, matched_methods, list(twitter_small_queries_bench),
+        benchmark, matched_methods, list(twitter_small_queries),
         "Figure 15(b): hash vs hierarchical signatures, small-region (tauR=0.4, tauT=0.1)",
     )

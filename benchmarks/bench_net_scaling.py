@@ -8,9 +8,9 @@ snapshot — one physical copy of the columnar arrays in the page cache,
 N independent interpreters doing filter+verify — so q/s should scale
 with cores.
 
-The grid: worker processes ∈ ``REPRO_BENCH_NET_PROCS`` (default
-``1,2``), result cache **off** (we are pricing engine work, not dict
-lookups), ``2 × procs`` client connections replaying the workload.
+The grid: worker processes ∈ ``PROC_COUNTS`` (1 and 2), result cache
+**off** (we are pricing engine work, not dict lookups), ``2 × procs``
+client connections replaying the workload.
 Every answer is checked against a locally-computed oracle, so the bench
 is also a differential test.
 
@@ -41,10 +41,8 @@ from benchmarks.conftest import emit, make_twitter_corpus, report_json
 NET_N = int(os.environ.get("REPRO_BENCH_N", "10000"))
 NET_QUERIES = int(os.environ.get("REPRO_BENCH_QUERIES", "16"))
 NET_REPEATS = int(os.environ.get("REPRO_BENCH_NET_REPEATS", "6"))
-PROC_COUNTS = tuple(
-    int(v) for v in os.environ.get("REPRO_BENCH_NET_PROCS", "1,2").split(",") if v
-)
-METHOD = os.environ.get("REPRO_BENCH_NET_METHOD", "token")
+PROC_COUNTS = (1, 2)
+METHOD = "token"
 
 #: The multi-core acceptance bar: 2 workers must clear 1.5× 1 worker.
 MIN_SCALING = 1.5

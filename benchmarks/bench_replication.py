@@ -19,7 +19,7 @@ bit-identically to the primary.
 
 Asserted at every scale: the replica applied every record, answers
 match, and catch-up after ingest stops takes under
-``REPRO_BENCH_REPL_MAX_CATCHUP`` seconds (default 10).
+``MAX_CATCHUP_SECONDS`` (10 s).
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ REPL_QUERIES = int(os.environ.get("REPRO_BENCH_QUERIES", "16"))
 #: after ingest stops.  Generous — the honest claim is "bounded", and a
 #: loaded CI runner should not flake it — while still far below the
 #: ingest window at the default rate.
-MAX_CATCHUP_SECONDS = float(os.environ.get("REPRO_BENCH_REPL_MAX_CATCHUP", "10"))
+MAX_CATCHUP_SECONDS = 10.0
 
 #: Lag sampling period while ingest runs.
 SAMPLE_SECONDS = 0.05

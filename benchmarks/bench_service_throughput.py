@@ -22,8 +22,8 @@ parallel speed-up — which is the honest serving regime to measure here.
 
 Scaled by ``REPRO_BENCH_N`` (corpus; default 10000),
 ``REPRO_BENCH_QUERIES`` (distinct queries, default 16),
-``REPRO_BENCH_SERVICE_REPEATS`` (workload replays per client, default
-8) and ``REPRO_BENCH_SERVICE_CHURN`` (churn inserts, default 64).
+and ``REPRO_BENCH_SERVICE_REPEATS`` (workload replays per client,
+default 8); the churn run inserts ``CHURN_INSERTS`` (64) objects.
 Results print as a table plus a JSON report; ``REPRO_BENCH_JSON=<dir>``
 also writes the JSON for the CI artifact upload.
 """
@@ -49,8 +49,8 @@ REPEATS = int(os.environ.get("REPRO_BENCH_SERVICE_REPEATS", "8"))
 THREAD_COUNTS = tuple(
     int(v) for v in os.environ.get("REPRO_BENCH_SERVICE_THREADS", "1,4").split(",") if v
 )
-CHURN_INSERTS = int(os.environ.get("REPRO_BENCH_SERVICE_CHURN", "64"))
-METHOD = os.environ.get("REPRO_BENCH_SERVICE_METHOD", "token")
+CHURN_INSERTS = 64
+METHOD = "token"
 
 #: The cache-on/cache-off acceptance ratio on the repeated workload.
 MIN_CACHE_SPEEDUP = 2.0

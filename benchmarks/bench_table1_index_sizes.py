@@ -20,6 +20,7 @@ import pytest
 
 from repro import build_method
 from repro.bench import format_table
+from repro.geometry.rect import mbr_of
 
 from benchmarks.conftest import emit, scaled_granularity
 
@@ -56,9 +57,6 @@ def _data_size_mb(objects) -> float:
 def _collect_stats(name, objects):
     areas = np.array([o.region.area for o in objects])
     tokens = np.array([len(o.tokens) for o in objects])
-    space = objects[0].region  # replaced below
-    from repro.geometry.rect import mbr_of
-
     space = mbr_of([o.region for o in objects])
     _stats[name] = {
         "Object number": len(objects),

@@ -42,9 +42,9 @@ from repro.exec.segments import SegmentedSealSearch
 from benchmarks.conftest import emit, make_twitter_corpus, report_json
 
 WAL_N = int(os.environ.get("REPRO_BENCH_N", "10000"))
-METHOD = os.environ.get("REPRO_BENCH_WAL_METHOD", "token")
-BUFFER_CAP = int(os.environ.get("REPRO_BENCH_WAL_BUFFER", "256"))
-GROUP_SIZE = int(os.environ.get("REPRO_BENCH_WAL_GROUP", "32"))
+METHOD = "token"
+BUFFER_CAP = 256
+GROUP_SIZE = 32
 
 #: The acceptance floor: group commit must keep at least this fraction
 #: of the no-WAL insert throughput.

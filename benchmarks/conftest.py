@@ -22,7 +22,7 @@ import os
 
 import pytest
 
-from repro import TokenWeighter, build_method
+from repro import TokenWeighter
 from repro.datasets import generate_queries, generate_twitter, generate_usa
 from repro.geometry import Rect
 
@@ -103,7 +103,7 @@ def twitter_large_queries(twitter_corpus):
 
 
 @pytest.fixture(scope="session")
-def twitter_small_queries_bench(twitter_corpus):
+def twitter_small_queries(twitter_corpus):
     return generate_queries(
         twitter_corpus, "small", BENCH_QUERIES, seed=13,
         tau_r=DEFAULT_TAU, tau_t=DEFAULT_TAU,
@@ -132,94 +132,6 @@ def usa_small_queries(usa_corpus):
     return generate_queries(
         usa_corpus, "small", BENCH_QUERIES, seed=13, tau_r=DEFAULT_TAU, tau_t=DEFAULT_TAU
     )
-
-
-# ----------------------------------------------------------------------
-# Prebuilt methods (index construction excluded from query timings)
-# ----------------------------------------------------------------------
-
-
-class MethodMatrix:
-    """Lazily-built canonical method configurations, shared across benches.
-
-    The filter-comparison benches (Figures 12/14/15)
-    used to each build their own copies of the same indexes — the token
-    filter, grids and hybrids at the canonical granularities, the SEAL
-    configuration — multiplying session setup time.  This matrix builds
-    each configuration **on first access** and caches it for the session,
-    so every bench module shares one instance per configuration and a
-    module that never touches (say) ``hybrid-1024`` never pays for it.
-
-    Keys: ``token``, ``seal``, ``grid-<p>`` and ``hybrid-<p>`` for each
-    paper granularity ``p`` in :data:`GRANULARITIES` (the grids are built
-    at the bench-space-scaled equivalent).
-    """
-
-    def __init__(self, corpus, weighter) -> None:
-        self._corpus = corpus
-        self._weighter = weighter
-        self._built: dict = {}
-        self._specs: dict = {
-            "token": ("token", {}),
-            "seal": ("seal", {"mt": 32, "max_level": 8, "min_objects": 8}),
-        }
-        for g in GRANULARITIES:
-            self._specs[f"grid-{g}"] = (
-                "grid", {"granularity": scaled_granularity(g)},
-            )
-            self._specs[f"hybrid-{g}"] = (
-                "hash-hybrid",
-                {"granularity": scaled_granularity(g), "num_buckets": 1 << 20},
-            )
-
-    def __getitem__(self, key: str):
-        method = self._built.get(key)
-        if method is None:
-            name, knobs = self._specs[key]
-            method = self._built[key] = build_method(
-                self._corpus, name, self._weighter, **knobs
-            )
-        return method
-
-    def __iter__(self):
-        return iter(self._specs)
-
-    def __len__(self) -> int:
-        return len(self._specs)
-
-    def knobs(self, key: str) -> dict:
-        """The constructor knobs of one configuration (a copy)."""
-        return dict(self._specs[key][1])
-
-
-@pytest.fixture(scope="session")
-def twitter_method_matrix(twitter_corpus, twitter_weighter):
-    return MethodMatrix(twitter_corpus, twitter_weighter)
-
-
-@pytest.fixture(scope="session")
-def twitter_methods(twitter_corpus, twitter_weighter):
-    """The four comparison methods of Figures 16–18 on Twitter."""
-    return {
-        "IR-Tree": build_method(twitter_corpus, "irtree", twitter_weighter),
-        "Keyword": build_method(twitter_corpus, "keyword-first", twitter_weighter),
-        "Spatial": build_method(twitter_corpus, "spatial-first", twitter_weighter),
-        "SEAL": build_method(
-            twitter_corpus, "seal", twitter_weighter, mt=32, max_level=8, min_objects=8
-        ),
-    }
-
-
-@pytest.fixture(scope="session")
-def usa_methods(usa_corpus, usa_weighter):
-    return {
-        "IR-Tree": build_method(usa_corpus, "irtree", usa_weighter),
-        "Keyword": build_method(usa_corpus, "keyword-first", usa_weighter),
-        "Spatial": build_method(usa_corpus, "spatial-first", usa_weighter),
-        "SEAL": build_method(
-            usa_corpus, "seal", usa_weighter, mt=32, max_level=8, min_objects=8
-        ),
-    }
 
 
 #: Report tables accumulated by the bench modules; flushed to the

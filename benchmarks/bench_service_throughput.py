@@ -15,9 +15,15 @@ into a dict lookup.  The grid:
   engine during the run, bumping the epoch and invalidating the cache;
   the cache-on-under-churn row prices invalidation honestly.
 
-Reported per row: q/s over the run's wall time, p50/p99 request
-latency (from the service's own histogram), cache hit rate, rejected
-count.  Single-CPU GIL container: client threads add contention, not
+Each configuration runs as :data:`PASSES` fresh passes (a new engine
+and service each, so every pass sees the hit rate one pass gives), the
+configurations of a thread count alternating pass by pass.  Reported per
+row, from the pass with the median q/s: q/s over the pass's wall time,
+p50/p99 request latency (from the service's own histogram), cache hit
+rate, rejected count.  The cache gate compares median q/s: at CI's
+quick-mode scale one pass serves a few dozen requests in a few
+milliseconds, so thread start-up and a single slow request set one
+pass's q/s.  Single-CPU GIL container: client threads add contention, not
 parallel speed-up — which is the honest serving regime to measure here.
 
 Scaled by ``REPRO_BENCH_N`` (corpus; default 10000),
@@ -54,6 +60,9 @@ METHOD = "token"
 
 #: The cache-on/cache-off acceptance ratio on the repeated workload.
 MIN_CACHE_SPEEDUP = 2.0
+
+#: Fresh passes per configuration; rows and the gate read their median.
+PASSES = 5
 
 
 @pytest.fixture(scope="module")
@@ -129,39 +138,48 @@ def _drive(service: QueryService, queries, threads: int, churn) -> dict:
 def test_service_throughput_grid(benchmark, corpus_pairs, service_queries):
     pairs, churn = corpus_pairs
 
-    def run():
-        rows = {}
-        for threads in THREAD_COUNTS:
-            for cache_on in (False, True):
-                for churn_on in (False, True):
-                    engine = SegmentedSealSearch(pairs, METHOD, buffer_capacity=256)
-                    service = QueryService(
-                        engine,
-                        enable_cache=cache_on,
-                        cache_capacity=4 * SERVICE_QUERIES,
-                        workers=4,
-                        max_queue=max(64, 8 * threads * SERVICE_QUERIES),
-                    )
-                    try:
-                        stats = _drive(
-                            service, service_queries, threads,
-                            churn if churn_on else (),
-                        )
-                    finally:
-                        service.close()
-                    key = (
-                        f"{threads}t cache={'on' if cache_on else 'off'} "
-                        f"churn={'on' if churn_on else 'off'}"
-                    )
-                    rows[key] = stats
-        return rows
+    def one_pass(threads: int, cache_on: bool, churn_on: bool) -> dict:
+        engine = SegmentedSealSearch(pairs, METHOD, buffer_capacity=256)
+        # Warm the engine, not the service (the cache stays empty): a
+        # fresh engine's first query builds its verifier's box block.
+        engine.search_query(service_queries[0])
+        service = QueryService(
+            engine,
+            enable_cache=cache_on,
+            cache_capacity=4 * SERVICE_QUERIES,
+            workers=4,
+            max_queue=max(64, 8 * threads * SERVICE_QUERIES),
+        )
+        try:
+            return _drive(service, service_queries, threads, churn if churn_on else ())
+        finally:
+            service.close()
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    def run():
+        passes = {}
+        for threads in THREAD_COUNTS:
+            for _ in range(PASSES):
+                for cache_on in (False, True):
+                    for churn_on in (False, True):
+                        key = (
+                            f"{threads}t cache={'on' if cache_on else 'off'} "
+                            f"churn={'on' if churn_on else 'off'}"
+                        )
+                        passes.setdefault(key, []).append(
+                            one_pass(threads, cache_on, churn_on))
+        return passes
+
+    passes = benchmark.pedantic(run, rounds=1, iterations=1)
+    # Each row is its configuration's median pass by q/s.
+    rows = {
+        key: sorted(runs, key=lambda stats: stats["qps"])[len(runs) // 2]
+        for key, runs in passes.items()
+    }
 
     title = (
         f"Service throughput — {METHOD} segmented engine, {SERVICE_N} objects, "
         f"{SERVICE_QUERIES} queries × {REPEATS} repeats per client, "
-        f"{CHURN_INSERTS} churn inserts"
+        f"{CHURN_INSERTS} churn inserts, median of {PASSES} passes"
     )
     table = {
         key: [
@@ -184,11 +202,15 @@ def test_service_throughput_grid(benchmark, corpus_pairs, service_queries):
     report_json(
         "bench_service_throughput.json",
         title,
-        {"rows": rows, "cache_speedup_no_churn": speedups},
+        {
+            "rows": rows,
+            "pass_qps": {key: [stats["qps"] for stats in runs] for key, runs in passes.items()},
+            "cache_speedup_no_churn": speedups,
+        },
     )
 
     # The acceptance bar: on a repeated workload the cache must be worth
-    # at least 2× q/s over running every request through the engine.
+    # at least 2× median q/s over running every request through the engine.
     if REPEATS >= 4:
         for label, speedup in speedups.items():
             assert speedup >= MIN_CACHE_SPEEDUP, (

@@ -38,7 +38,7 @@ def main() -> None:
     engine = SealSearch(
         ((m.region, m.tokens) for m in members), method="seal", mt=16, max_level=7
     )
-    naive = build_method(engine.objects, "naive", engine.weighter)
+    naive = build_method(members, "naive", engine.weighter)
 
     # Spatial Jaccard between two user MBRs is harsh (a tiny region
     # nested inside a big one scores near zero), so recommendation walks

@@ -25,18 +25,18 @@ from *what* the filters compute.  ``SearchMethod.search`` is one trip
 through the canonical filter→verify pipeline
 (:func:`repro.exec.pipeline.execute_query`); the same pipeline drives:
 
-* ``engine.search_batch(queries)`` — a list of per-query results; the
-  facade runs its method through :class:`~repro.exec.BatchExecutor` and
-  so through the pipeline's batched twin
-  (:func:`repro.exec.pipeline.execute_batch`: one filter and one verify
-  pass per batch, for ``token``, ``grid`` and ``planned``) or, on any
-  other method, through that path query by query.  A workload's
+* :class:`~repro.exec.segments.SegmentedSealSearch`, also named
+  ``SealSearch`` — the engine: the initial data as one segment indexed
+  with the named method, a write buffer sealed into more segments,
+  deletes as tombstones, size-tiered merges, queries fanned over the
+  segments through the same pipeline (may start empty);
+* ``engine.search_batch(queries)`` — a list of per-query results: each
+  source answers the whole batch in one
+  :class:`~repro.exec.BatchExecutor` trip, and so through the
+  pipeline's batched twin (:func:`repro.exec.pipeline.execute_batch`:
+  one filter and one verify pass per batch, for ``token``, ``grid`` and
+  ``planned``) or, on any other method, query by query.  A workload's
   per-query means come from :func:`repro.bench.measure_workload`;
-* :class:`~repro.exec.segments.SegmentedSealSearch` — the updatable
-  engine: a write buffer sealed into immutable segments, deletes as
-  tombstones, size-tiered merges, queries fanned over segments through
-  the same pipeline (may start empty; amortised O(log n) rebuilds per
-  object).
 * :class:`~repro.exec.durable.DurableSegmentedSealSearch` — the
   updatable engine behind a write-ahead log (:mod:`repro.io.wal`):
   mutations logged before applied, ``checkpoint()`` = snapshot + log
@@ -53,14 +53,14 @@ benchmarks" for the reproduction of the paper's evaluation.
 """
 
 from repro.baselines import IRTreeSearch, KeywordFirstSearch, NaiveSearch, SpatialFirstSearch
-from repro.core.engine import METHOD_REGISTRY, SealSearch, build_method
+from repro.core.engine import METHOD_REGISTRY, build_method
 from repro.core.errors import ConfigurationError, IndexBuildError, InvalidQueryError, SealError
 from repro.core.objects import Corpus, Query, SpatioTextualObject, make_corpus
 from repro.core.similarity import spatial_similarity, textual_similarity
 from repro.core.stats import SearchResult, SearchStats
 from repro.exec.durable import DurableSegmentedSealSearch
 from repro.exec.pipeline import BatchExecutor, execute_query
-from repro.exec.segments import SegmentedSealSearch
+from repro.exec.segments import SealSearch, SegmentedSealSearch
 from repro.filters import GridFilter, HierarchicalFilter, HybridFilter, TokenFilter
 from repro.geometry import Rect
 from repro.service import (

@@ -1,4 +1,4 @@
-"""SEAL core: data model, similarity functions, engine facade.
+"""SEAL core: data model, similarity functions, the method registry.
 
 This package holds the paper's primary contribution — the
 filter-and-verification framework (Algorithm 1, ``SealSig``) — plus the
@@ -6,7 +6,9 @@ public entry points a downstream user touches:
 
 * :class:`~repro.core.objects.SpatioTextualObject` / :class:`~repro.core.objects.Query`
 * :func:`~repro.core.similarity.spatial_similarity` / :func:`~repro.core.similarity.textual_similarity`
-* :class:`~repro.core.engine.SealSearch` and :func:`~repro.core.engine.build_method`
+* :func:`~repro.core.engine.build_method`, which builds every search method
+  (the engine itself, ``SealSearch``, is
+  :class:`~repro.exec.segments.SegmentedSealSearch`)
 """
 
 from repro.core.objects import Query, SpatioTextualObject

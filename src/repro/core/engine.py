@@ -1,9 +1,11 @@
-"""The user-facing engine: one constructor for every search method.
+"""One constructor for every search method.
 
-:func:`build_method` is the registry-backed factory the benchmarks drive;
-:class:`SealSearch` is the convenience facade a downstream application
-uses — build once from ``(region, tokens)`` pairs, then query with
-regions, token iterables and thresholds without touching internal types.
+:func:`build_method` is the registry-backed factory the benchmarks, the
+planner and every segment build drive.  The engine a downstream
+application uses — ``SealSearch``, built once from ``(region, tokens)``
+pairs and queried with regions, token iterables and thresholds — is
+:class:`~repro.exec.segments.SegmentedSealSearch`, which builds its
+indexes here.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Sequence
+from typing import Any, Callable, Dict, Mapping, Sequence
 
 from repro.baselines.irtree import IRTreeSearch
 from repro.baselines.keyword_first import KeywordFirstSearch
@@ -19,9 +21,7 @@ from repro.baselines.naive import NaiveSearch
 from repro.baselines.spatial_first import SpatialFirstSearch
 from repro.core.errors import ConfigurationError
 from repro.core.method import SearchMethod
-from repro.core.objects import Query, SpatioTextualObject, make_corpus
-from repro.core.stats import SearchResult
-from repro.exec.pipeline import BatchExecutor
+from repro.core.objects import SpatioTextualObject
 from repro.filters.grid_filter import GridFilter
 from repro.filters.hierarchical_filter import HierarchicalFilter
 from repro.filters.hybrid_filter import HybridFilter
@@ -148,71 +148,3 @@ def build_method(
     """
     check_params(name, params)
     return _constructor(name)(objects, weighter, **params)
-
-
-class SealSearch:
-    """High-level spatio-textual similarity search over ROI data.
-
-    Args:
-        data: ``(region, tokens)`` pairs describing the ROIs.
-        method: Search method name (default: the paper's best, ``seal``).
-        **params: Passed through to the method constructor.
-
-    Examples:
-        >>> engine = SealSearch([
-        ...     (Rect(0, 0, 10, 10), {"coffee", "mocha"}),
-        ...     (Rect(40, 40, 50, 50), {"tea"}),
-        ... ], method="token")
-        >>> result = engine.search(Rect(1, 1, 9, 9), {"coffee"}, tau_r=0.2, tau_t=0.3)
-        >>> list(result)
-        [0]
-    """
-
-    def __init__(
-        self,
-        data: Iterable[tuple[Rect, Iterable[str]]],
-        method: str = "seal",
-        **params,
-    ) -> None:
-        self.objects = make_corpus(data)
-        if not self.objects:
-            raise ConfigurationError("SealSearch requires at least one object")
-        self.weighter = TokenWeighter(obj.tokens for obj in self.objects)
-        self.method = build_method(self.objects, method, self.weighter, **params)
-
-    def search(
-        self,
-        region: Rect,
-        tokens: Iterable[str],
-        tau_r: float,
-        tau_t: float,
-    ) -> SearchResult:
-        """Find all objects with ``simR ≥ tau_r`` and ``simT ≥ tau_t``."""
-        query = Query(region=region, tokens=frozenset(tokens), tau_r=tau_r, tau_t=tau_t)
-        return self.method.search(query)
-
-    def search_query(self, query: Query) -> SearchResult:
-        """Search with a prebuilt :class:`~repro.core.objects.Query`."""
-        return self.method.search(query)
-
-    def search_batch(self, queries: Sequence[Query]) -> List[SearchResult]:
-        """Each query's :meth:`search_query` result, in order — for
-        ``token``, ``grid`` and ``planned`` in batched passes."""
-        return BatchExecutor().run(self.method, queries)
-
-    def object(self, oid: int) -> SpatioTextualObject:
-        """Resolve an answer oid back to its object."""
-        return self.objects[oid]
-
-    def similarities(self, query: Query, oid: int) -> tuple[float, float]:
-        """The exact (spatial, textual) similarities of one object."""
-        from repro.core.similarity import spatial_similarity, textual_similarity
-
-        obj = self.objects[oid]
-        return (
-            spatial_similarity(query.region, obj.region),
-            textual_similarity(query.tokens, obj.tokens, self.weighter),
-        )
-
-    def __len__(self) -> int:
-        return len(self.objects)

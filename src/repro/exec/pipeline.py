@@ -128,11 +128,11 @@ def _execute_pass(method: Any, queries: List[Query]) -> List[SearchResult]:
 def run_query(engine: Any, query: Query) -> SearchResult:
     """One query against any engine shape.
 
-    Facades (``SealSearch``, the segmented and durable engines) take a
-    prebuilt query through ``search_query``; bare methods and wrappers
-    around them through ``search``; an object that only supplies the two
-    framework steps (``candidates`` + ``verifier``) goes straight through
-    :func:`execute_query`.
+    The engine (``SealSearch``, which is the segmented engine, and its
+    durable wrapper) takes a prebuilt query through ``search_query``;
+    bare methods and wrappers around them through ``search``; an object
+    that only supplies the two framework steps (``candidates`` +
+    ``verifier``) goes straight through :func:`execute_query`.
     """
     for entry in ("search_query", "search"):
         run = getattr(engine, entry, None)
@@ -144,7 +144,8 @@ def run_query(engine: Any, query: Query) -> SearchResult:
 class BatchExecutor:
     """A batch against any engine shape, probe for probe like :func:`run_query`.
 
-    An engine with its own ``search_batch`` (the facades) runs it; a
+    An engine with its own ``search_batch`` (``SealSearch`` and its
+    durable wrapper, which run one trip here per source) runs it; a
     method with a batched filter step goes through
     :func:`execute_batch`; anything else runs :func:`run_query` per
     query.  Either way the result is one :class:`SearchResult` per

@@ -1,4 +1,4 @@
-"""Segmented updatable engine: immutable segments + write buffer (LSM-style).
+"""The engine (``SealSearch``): immutable segments + write buffer (LSM-style).
 
 SEAL's signatures are corpus-dependent (idf weights, cell orders, HSS
 partitions), so the static indexes cannot absorb writes in place, and
@@ -17,8 +17,9 @@ module is the standard streaming-systems design (FAST, Mahmood et al.):
   indexing**): below :data:`FULL_INDEX_MIN_OBJECTS` objects the
   :data:`LIGHT_METHOD` filter at its defaults, from there up the
   configured method with its knobs — usually first met by a merge
-  output.  Every registry method yields a candidate superset for the
-  one verifier, so the tier moves build cost and never an answer;
+  output; only the constructor's initial segment gets the configured
+  method at any size.  Every registry method yields a candidate superset
+  for the one verifier, so the tier moves build cost and never an answer;
 * **Tombstones** — deletes mark a global oid dead; dead oids are masked
   out of every answer and physically dropped the next time a merge
   touches their segment;
@@ -35,9 +36,11 @@ raises (a bad knob, memory) loses nothing — and the durability layer
 can roll the operation's log record back knowing log ≡ engine.
 
 Searches fan out across segments plus the buffer through the canonical
-:func:`~repro.exec.pipeline.execute_query` pipeline and merge per-source
+:func:`~repro.exec.pipeline.execute_query` pipeline (a batch through one
+batched pass per source) and merge per-source
 :class:`~repro.core.stats.SearchStats` into one (counters and times sum
-— the fan-out is serial, so summed seconds are the honest cost).
+— the fan-out is serial, so summed seconds are the honest cost).  A
+single source's result is the engine's as it stands, label included.
 
 **Weighter semantics (idf drift).**  One engine-global
 :class:`~repro.text.weights.TokenWeighter` is shared by every segment
@@ -61,10 +64,10 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Set
 
 from repro.baselines.naive import NaiveSearch
 from repro.core.engine import build_method, check_params, check_regions
-from repro.core.objects import Query, SpatioTextualObject
+from repro.core.objects import Query, SpatioTextualObject, make_corpus
 from repro.core.stats import SearchResult, SearchStats
 from repro.core.verification import Verifier
-from repro.exec.pipeline import execute_query
+from repro.exec.pipeline import BatchExecutor, execute_query
 from repro.geometry import Rect
 from repro.index.storage import IndexSizeReport
 from repro.signatures.query import compile_query
@@ -137,20 +140,21 @@ class _BufferScan:
 
 
 class SegmentedSealSearch:
-    """An updatable SEAL engine: write buffer, sealed segments, tombstones.
+    """Spatio-textual similarity search over ROI data (``SealSearch``).
 
-    Facade-compatible with :class:`~repro.core.engine.SealSearch`
-    (``search``, ``search_query``, ``search_batch`` — a list of
-    per-query results, ``object``, ``len``) and additionally accepts
+    Reads: ``search``, ``search_query``, ``search_batch`` (a list of
+    per-query results), ``object``, ``similarities``, ``len``.  Writes:
     :meth:`insert`, :meth:`delete`, :meth:`flush` and :meth:`compact`.
     May start empty.
 
     Args:
-        data: Initial ``(region, tokens)`` pairs; sealed into one segment
-            (a full compaction point).  May be empty.
-        method: Registry method name (default ``seal``) built over
-            every segment of at least :data:`FULL_INDEX_MIN_OBJECTS`
-            objects; smaller segments get :data:`LIGHT_METHOD`.
+        data: Initial ``(region, tokens)`` pairs; indexed as one segment
+            with ``method`` at any size (a full compaction point).  May
+            be empty.
+        method: Registry method name (default ``seal``, the paper's
+            best) built over the initial segment and every later
+            segment of at least :data:`FULL_INDEX_MIN_OBJECTS` objects;
+            smaller later segments get :data:`LIGHT_METHOD`.
         buffer_capacity: Seal the write buffer into a segment once it
             holds this many objects.  ``None`` disables auto-sealing —
             the caller then controls sealing via :meth:`flush` /
@@ -167,7 +171,13 @@ class SegmentedSealSearch:
             partitions a space, a ``data`` region with an infinite edge.
 
     Examples:
-        >>> engine = SegmentedSealSearch(method="token")   # empty bootstrap
+        >>> engine = SealSearch([
+        ...     (Rect(0, 0, 10, 10), {"coffee", "mocha"}),
+        ...     (Rect(40, 40, 50, 50), {"tea"}),
+        ... ], method="token")
+        >>> list(engine.search(Rect(1, 1, 9, 9), {"coffee"}, tau_r=0.2, tau_t=0.3))
+        [0]
+        >>> engine = SealSearch(method="token")   # empty bootstrap
         >>> oid = engine.insert(Rect(0, 0, 10, 10), {"coffee"})
         >>> engine.delete(oid)
         True
@@ -211,16 +221,13 @@ class SegmentedSealSearch:
         #: from the buffer on next observation (see ``weighter``).
         self._weighter_dirty = False
         self._weighter = _empty_weighter()
-        initial = [
-            SpatioTextualObject(oid, region, frozenset(tokens))
-            for oid, (region, tokens) in enumerate(data)
-        ]
+        initial = make_corpus(data)
         check_regions(method, [obj.region for obj in initial])
         if initial:
             self._next_oid = len(initial)
             self._live = {obj.oid: obj for obj in initial}
             self._weighter = TokenWeighter(obj.tokens for obj in initial)
-            self._segments = [self._build_segment(initial, self._weighter)]
+            self._segments = [self._build_segment(initial, self._weighter, tiered=False)]
 
     @property
     def weighter(self) -> TokenWeighter:
@@ -355,16 +362,22 @@ class SegmentedSealSearch:
             self._weights_stale = False
 
     def _build_segment(
-        self, objects: Sequence[SpatioTextualObject], weighter: TokenWeighter
+        self,
+        objects: Sequence[SpatioTextualObject],
+        weighter: TokenWeighter,
+        *,
+        tiered: bool = True,
     ) -> _Segment:
         """An index over ``objects`` (re-oided locally); moves no engine state.
 
         The one place a segment is made, and the one place the tier rule
         is read: which index is a pure function of ``len(objects)``, so
         WAL replay and replicas rebuild the layout the primary built.
+        The initial segment (``tiered=False``) is never replayed: a log
+        without a snapshot starts empty, and a snapshot carries it.
         """
         local = _relabelled(objects)
-        if len(local) < FULL_INDEX_MIN_OBJECTS:
+        if tiered and len(local) < FULL_INDEX_MIN_OBJECTS:
             method = build_method(local, LIGHT_METHOD, weighter)
         else:
             method = build_method(local, self._method_name, weighter, **self._params)
@@ -475,6 +488,16 @@ class SegmentedSealSearch:
         self, results: Sequence[SearchResult], sources: Sequence[_Segment]
     ) -> SearchResult:
         tombstones = self._tombstones
+        if len(sources) == 1:
+            # One source answers as a single index does: its own result,
+            # label included, with ``per_source`` left empty.
+            (result,) = results
+            if result.answers:
+                to_global = sources[0].to_global
+                global_oids = (to_global[local] for local in result.answers)
+                result.answers = sorted(oid for oid in global_oids if oid not in tombstones)
+                result.stats.results = len(result.answers)
+            return result
         answers: List[int] = []
         # The aggregate sums counters but keeps attribution: each source's
         # stats (with its own ``method`` label, stamped by execute_query)
@@ -516,12 +539,19 @@ class SegmentedSealSearch:
     def search_batch(self, queries: Sequence[Query]) -> List[SearchResult]:
         """Each query's :meth:`search_query` result, in order.
 
-        A loop of singles: each query fans out over the segments on its
-        own.  This is :class:`~repro.exec.pipeline.BatchExecutor`'s hook
-        for this engine (and the durable one), so it must not call back
-        into it.
+        Each query is compiled once; each source then answers the whole
+        batch in one :class:`~repro.exec.pipeline.BatchExecutor` trip (one
+        batched filter and verify pass where its method has a batched
+        filter step), and the sources' results merge query by query.
         """
-        return [self.search_query(query) for query in queries]
+        sources = self._sources()
+        weighter = self.weighter
+        queries = [compile_query(query, weighter) for query in queries]
+        by_source = [BatchExecutor().run(source.method, queries) for source in sources]
+        return [
+            self._merge_source_results([results[i] for results in by_source], sources)
+            for i in range(len(queries))
+        ]
 
     # ------------------------------------------------------------------
     # Introspection
@@ -643,3 +673,7 @@ class SegmentedSealSearch:
         state = self.__dict__.copy()
         state.pop("_scan", None)
         return state
+
+
+#: The engine under its facade name: one class object.
+SealSearch = SegmentedSealSearch

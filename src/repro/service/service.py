@@ -58,9 +58,10 @@ Single queries reach the engine through
 :func:`~repro.exec.pipeline.run_query` (any engine shape); bursts
 submitted via :meth:`QueryService.query_batch` deduplicate identical
 queries, check the cache per member, and run the misses as one admitted
-:class:`~repro.exec.pipeline.BatchExecutor` trip — the facade's own
-``search_batch``, or one batched filter and verify pass where a bare
-method has one — filling the cache on the way out.
+:class:`~repro.exec.pipeline.BatchExecutor` trip — the engine's own
+``search_batch`` (one batched pass per source), or one batched filter
+and verify pass where a bare method has one — filling the cache on the
+way out.
 """
 
 from __future__ import annotations
@@ -162,9 +163,9 @@ class QueryService:
     not.
 
     Args:
-        engine: The engine to serve (epoch 0) — any of
-            :class:`~repro.core.engine.SealSearch`,
-            :class:`~repro.exec.segments.SegmentedSealSearch`, a bare
+        engine: The engine to serve (epoch 0) — a ``SealSearch``
+            (:class:`~repro.exec.segments.SegmentedSealSearch`), its
+            durable wrapper, a bare
             :class:`~repro.core.method.SearchMethod`, anything else
             :func:`~repro.exec.pipeline.run_query` accepts.
         cache_capacity: Result-cache entries (LRU past it).
@@ -232,10 +233,14 @@ class QueryService:
     ) -> "QueryService":
         """Build a service straight from ``(region, tokens)`` pairs.
 
-        The default engine is the query planner (``method="planned"``):
-        a fresh deployment gets per-query dispatch between the token and
-        grid filters without choosing a filter up front, and its
-        ``planner`` metrics block counts each dispatch it serves.
+        The engine is a ``SealSearch``
+        (:class:`~repro.exec.segments.SegmentedSealSearch`): the data as
+        one segment indexed with ``method``, and it takes inserts and
+        deletes.  The default method is the query planner
+        (``method="planned"``): a fresh deployment gets per-query
+        dispatch between the token and grid filters without choosing a
+        filter up front, and its ``planner`` metrics block counts each
+        dispatch it serves.
 
         Args:
             data: The ROIs to index.
@@ -243,7 +248,7 @@ class QueryService:
             engine_params: Method-constructor knobs (``granularity``, …).
             **service_params: Passed to :class:`QueryService`.
         """
-        from repro.core.engine import SealSearch
+        from repro.exec.segments import SealSearch
 
         engine = SealSearch(data, method=method, **(engine_params or {}))
         return cls(engine, **service_params)
@@ -414,7 +419,7 @@ class QueryService:
         if op is None:
             raise ServiceError(
                 f"{type(engine).__name__} does not support in-place {name}; "
-                "serve a segmented engine (build --segmented) for updates"
+                "serve a SealSearch engine (build --segmented) for updates"
             )
         return op
 

@@ -3,8 +3,8 @@
 The paper treats an object's textual side as a *set of tokens* (e.g., the
 frequent words of a user's tweets).  Real LBS pipelines would apply heavier
 NLP; for similarity search all that matters is producing a stable token
-set, so we lowercase, split on non-alphanumerics, drop a tiny stopword
-list, and optionally drop very short tokens.
+set, so we lowercase, split on non-alphanumerics and drop a tiny
+stopword list.
 """
 
 from __future__ import annotations
@@ -27,25 +27,17 @@ DEFAULT_STOPWORDS: frozenset[str] = frozenset(
 )
 
 
-def tokenize(
-    text: str,
-    *,
-    stopwords: frozenset[str] = DEFAULT_STOPWORDS,
-    min_length: int = 1,
-) -> FrozenSet[str]:
+def tokenize(text: str) -> FrozenSet[str]:
     """Turn free text into the token *set* SEAL indexes.
 
     Args:
         text: Raw description, e.g. a tweet or an interest-tag line.
-        stopwords: Tokens to drop outright.
-        min_length: Minimum token length to keep.
 
     Returns:
-        A frozenset of lowercase alphanumeric tokens.
+        A frozenset of lowercase alphanumeric tokens, stopwords dropped.
 
     Examples:
         >>> sorted(tokenize("Starbucks mocha, coffee & more coffee!"))
         ['coffee', 'mocha', 'more', 'starbucks']
     """
-    tokens = _TOKEN_RE.findall(text.lower())
-    return frozenset(t for t in tokens if len(t) >= min_length and t not in stopwords)
+    return frozenset(_TOKEN_RE.findall(text.lower())) - DEFAULT_STOPWORDS

@@ -118,13 +118,16 @@ class TestSealSearch:
     def test_len(self, engine):
         assert len(engine) == 3
 
-    def test_empty_data_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SealSearch([])
+    def test_empty_data_is_an_empty_engine(self):
+        engine = SealSearch([])
+        assert len(engine) == 0
+        assert engine.search(Rect(0, 0, 1, 1), {"a"}, tau_r=0.0, tau_t=0.0).answers == []
+        assert engine.insert(Rect(0, 0, 1, 1), {"a"}) == 0
+        assert engine.search(Rect(0, 0, 1, 1), {"a"}, tau_r=0.5, tau_t=0.5).answers == [0]
 
     def test_default_method_is_seal(self):
         engine = SealSearch([(Rect(0, 0, 1, 1), {"a"})])
-        assert engine.method.name == "seal"
+        assert [method.name for method in engine.segment_methods()] == ["seal"]
 
     def test_result_contains_and_len(self, engine):
         result = engine.search(Rect(1, 1, 9, 9), {"coffee"}, tau_r=0.1, tau_t=0.1)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro import (
     METHOD_REGISTRY,
     BatchExecutor,
@@ -506,11 +507,67 @@ class TestSearchBatchFacade:
         batch = engine.search_batch(batch_queries)
         assert [r.answers for r in batch] == [engine.search_query(q).answers for q in batch_queries]
 
+    def test_the_facade_is_the_segmented_engine(self):
+        """``SealSearch`` is one class with the segmented engine: a 3-object
+        ``seal`` engine indexes its one segment with ``seal`` (no size
+        tier), answers as the bare method does, and takes writes."""
+        assert repro.SealSearch is repro.SegmentedSealSearch
+        data = [
+            (Rect(0, 0, 10, 10), {"coffee", "mocha"}),
+            (Rect(2, 2, 12, 12), {"coffee", "starbucks"}),
+            (Rect(50, 50, 60, 60), {"tea"}),
+        ]
+        engine = SealSearch(data, "seal")
+        assert [method.name for method in engine.segment_methods()] == ["seal"]
+        flat = build_method(make_corpus(data), "seal")
+        queries = [
+            Query(Rect(1, 1, 9, 9), frozenset({"coffee", "mocha"}), 0.3, 0.3),
+            Query(Rect(49, 49, 61, 61), frozenset({"tea"}), 0.5, 0.5),
+            Query(Rect(0, 0, 60, 60), frozenset({"coffee", "tea"}), 0.0, 0.0),
+            Query(Rect(0, 0, 12, 12), frozenset({"coffee"}), 0.2, 0.1),
+        ]
+        expected = [flat.search(query) for query in queries]
+        for results in ([engine.search_query(query) for query in queries],
+                        engine.search_batch(queries)):
+            assert [r.answers for r in results] == [r.answers for r in expected]
+            assert [_counters(r.stats) for r in results] == [
+                _counters(r.stats) for r in expected]
+            assert all(r.stats.per_source == [] for r in results)
+        oid = engine.insert(Rect(0, 0, 10, 10), {"coffee", "mocha"})
+        assert oid == 3 and oid in engine.search_query(queries[0])
+        assert engine.delete(0)
+        assert 0 not in engine.search_query(queries[0])
+        assert 0 not in engine.search_batch(queries)[0]
+        assert len(engine) == 3
+
+    @pytest.mark.parametrize("name", sorted(METHOD_REGISTRY))
+    def test_every_method_answers_as_its_flat_build(self, twitter_small, workload, name):
+        """One segment of any registry method: the result of the bare
+        method, labels and counters included, single and batched."""
+        params = METHOD_PARAMS.get(name, {})
+        engine = SealSearch([(obj.region, obj.tokens) for obj in twitter_small], name, **params)
+        flat = build_method(twitter_small, name, engine.weighter, **params)
+        expected = [flat.search(query) for query in workload]
+        for results in ([engine.search_query(query) for query in workload],
+                        engine.search_batch(workload)):
+            assert [r.answers for r in results] == [r.answers for r in expected]
+            assert [_counters(r.stats) for r in results] == [
+                _counters(r.stats) for r in expected]
+
+    def test_service_from_data_takes_inserts(self):
+        data = [(Rect(0, 0, 10, 10), {"coffee"}), (Rect(50, 50, 60, 60), {"tea"})]
+        with QueryService.from_data(data, enable_cache=False) as service:
+            oid = service.insert(Rect(50, 50, 60, 60), {"tea"})
+            assert oid == 2
+            assert service.search(Rect(50, 50, 60, 60), {"tea"}, 0.5, 0.5).answers == [1, 2]
+            assert service.delete(1)
+            assert service.search(Rect(50, 50, 60, 60), {"tea"}, 0.5, 0.5).answers == [2]
+
     def test_service_over_a_facade_takes_the_batched_pass(self, twitter_small):
-        """Regression: ``QueryService.from_data`` serves a ``SealSearch``
-        facade, which has no ``candidates_batch`` of its own, so every
-        burst through it ran as a loop of singles.  The facade's
-        ``search_batch`` is the hook that reaches the planner's pass."""
+        """Regression: ``QueryService.from_data`` serves a ``SealSearch``,
+        which has no ``candidates_batch`` of its own, so every burst
+        through it ran as a loop of singles.  Its ``search_batch`` is the
+        hook that reaches the planner's pass."""
         queries = list(generate_queries(twitter_small, "large", num_queries=32, seed=5,
                                         tau_r=0.2, tau_t=0.2))
         pairs = [(obj.region, obj.tokens) for obj in twitter_small]

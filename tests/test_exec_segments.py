@@ -11,6 +11,7 @@ build.
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 
@@ -23,6 +24,8 @@ from repro import (
     build_method,
     execute_query,
 )
+from repro.datasets import generate_queries
+from repro.filters import TokenFilter
 from repro.text.weights import TokenWeighter
 
 VOCAB = [f"tok{i}" for i in range(14)]
@@ -291,6 +294,101 @@ class TestChurnOracle:
         assert batch == [engine.search_query(q).answers for q in queries]
         # And via the facade, which is the executor's hook for this engine.
         assert [r.answers for r in engine.search_batch(queries)] == batch
+
+
+def _counters(stats):
+    return (stats.method, stats.lists_probed, stats.entries_retrieved,
+            stats.entries_matched, stats.candidates, stats.results)
+
+
+class TestBatchedFanOut:
+    """``search_batch`` runs one batched pass per source and merges per
+    query: each result equals ``search_query``'s."""
+
+    @staticmethod
+    def _churned(twitter_small, method):
+        """A base segment, three sealed segments, a buffer and tombstones
+        in the base, in a sealed segment and (dropped) in the buffer."""
+        pairs = [(obj.region, obj.tokens) for obj in twitter_small]
+        engine = SegmentedSealSearch(pairs[:200], method, buffer_capacity=48, merge_fanout=8)
+        for region, tokens in pairs[200:370]:
+            engine.insert(region, tokens)
+        for oid in (3, 150, 210, 360):
+            assert engine.delete(oid)
+        assert engine.num_segments == 4 and engine.pending > 0 and engine.tombstones == 3
+        return engine
+
+    @staticmethod
+    def _queries(twitter_small):
+        queries = []
+        for tau_r, tau_t in [(0.1, 0.1), (0.3, 0.0), (0.0, 0.3)]:
+            for regime in ("small", "large"):
+                queries.extend(generate_queries(twitter_small, regime, num_queries=3, seed=8,
+                                                tau_r=tau_r, tau_t=tau_t))
+        return queries
+
+    @pytest.mark.parametrize("method", ["token", "planned", "seal"])
+    def test_batch_equals_singles(self, twitter_small, method):
+        engine = self._churned(twitter_small, method)
+        queries = self._queries(twitter_small)
+        singles = [engine.search_query(query) for query in queries]
+        batch = engine.search_batch(queries)
+        assert [r.answers for r in batch] == [r.answers for r in singles]
+        assert [_counters(r.stats) for r in batch] == [_counters(r.stats) for r in singles]
+        assert [[_counters(s) for s in r.stats.per_source] for r in batch] == [
+            [_counters(s) for s in r.stats.per_source] for r in singles]
+        assert all(len(r.stats.per_source) == 5 for r in batch)
+        assert any(r.answers for r in batch)
+        for result in batch:
+            assert not {3, 150, 210, 360} & set(result.answers)
+
+    def test_one_batched_filter_pass_per_source(self, twitter_small):
+        engine = self._churned(twitter_small, "token")
+        queries = self._queries(twitter_small)
+        spy = mock.patch.object(TokenFilter, "candidates_batch", autospec=True,
+                                side_effect=TokenFilter.candidates_batch)
+        with spy as calls:
+            engine.search_batch(queries)
+        # Four token segments; the buffer scan has no batched filter.
+        assert calls.call_count == 4
+        assert {id(call.args[0]) for call in calls.call_args_list} == {
+            id(method) for method in engine.segment_methods()}
+
+    def test_empty_engine_answers_every_query(self):
+        engine = SegmentedSealSearch(method="token")
+        queries = [_rand_query(random.Random(seed)) for seed in range(5)]
+        batch = engine.search_batch(queries)
+        assert [r.answers for r in batch] == [[]] * 5
+        assert {r.stats.method for r in batch} == {"segmented:token"}
+
+    def test_one_source_result_is_the_sources(self):
+        """An engine with one source answers through it: the source's
+        label, no ``per_source``, answers in global oids with tombstones
+        masked — for the buffer scan and for a single segment alike."""
+        engine = SegmentedSealSearch(method="token", buffer_capacity=None)
+        rng = random.Random(5)
+        for _ in range(36):
+            engine.insert(*_rand_object(rng))
+        engine.delete(0)
+        queries = [_rand_query(random.Random(seed)) for seed in range(12)]
+
+        def check(label):
+            for results in ([engine.search_query(q) for q in queries],
+                            engine.search_batch(queries)):
+                for query, result in zip(queries, results):
+                    assert result.stats.method == label and result.stats.per_source == []
+                    assert result.answers == _oracle_answers(engine, query, "token")
+                    assert result.stats.results == len(result.answers)
+
+        check("naive")  # the write buffer's scan
+        engine.compact()
+        assert engine.num_segments == 1 and engine.pending == 0
+        check("token")
+        victims = {oid for q in queries for oid in engine.search_query(q).answers}
+        for oid in sorted(victims)[::2]:
+            engine.delete(oid)
+        assert engine.tombstones
+        check("token")
 
 
 class TestManifest:

@@ -32,7 +32,8 @@ def data(twitter_small):
 class TestServiceDefault:
     def test_from_data_defaults_to_planner(self, data):
         with QueryService.from_data(data) as service:
-            assert type(service.engine.method).__name__ == "PlannedSealSearch"
+            assert [type(method).__name__ for method in service.engine.segment_methods()] == [
+                "PlannedSealSearch"]
 
     @pytest.mark.parametrize("method", FIXED_METHODS)
     def test_default_service_answers_match_fixed_method(

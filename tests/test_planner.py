@@ -310,7 +310,8 @@ def test_registry_and_facade_build_planned(corpus):
     method = build_method(corpus[:200], "planned", granularity=16)
     assert isinstance(method, PlannedSealSearch)
     facade = SealSearch([(o.region, o.tokens) for o in corpus[:200]], method="planned")
-    assert isinstance(facade.method, PlannedSealSearch)
+    (segment,) = facade.segment_methods()
+    assert isinstance(segment, PlannedSealSearch)
 
 
 # ----------------------------------------------------------------------

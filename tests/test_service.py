@@ -405,7 +405,7 @@ class TestMetrics:
         }
         assert metrics["planner"] is None  # no planned engine in play
         assert metrics["epoch"] == 0
-        assert metrics["engine"] == "SealSearch"
+        assert metrics["engine"] == "SegmentedSealSearch"  # SealSearch's class
         assert metrics["requests"]["total"] == 12
         assert metrics["requests"]["batches"] == 1
         assert metrics["requests"]["batch_members"] == 6

@@ -21,6 +21,8 @@ from repro import (
     SealSearch,
     SegmentedSealSearch,
     ServiceError,
+    build_method,
+    make_corpus,
 )
 from repro.io import load_engine, save_engine
 from repro.io.snapshot import SnapshotError, sidecar_path, validate_snapshot
@@ -102,7 +104,7 @@ class TestEpochs:
             assert pair == (engine, 1)
 
     def test_non_updatable_engine_raises_service_error(self):
-        service = QueryService(SealSearch([(Rect(0, 0, 1, 1), {"a"})], method="token"))
+        service = QueryService(build_method(make_corpus([(Rect(0, 0, 1, 1), {"a"})]), "token"))
         with pytest.raises(ServiceError, match="does not support in-place insert"):
             service.insert(Rect(0, 0, 1, 1), {"b"})
         with pytest.raises(ServiceError, match="segmented"):
@@ -320,8 +322,7 @@ class TestReadWriteLock:
 
 class TestWrappedEngineFlavors:
     def test_service_wraps_bare_method(self):
-        corpus = SealSearch([(Rect(0, 0, 1, 1), {"a"})], method="token")
-        method = corpus.method
+        method = build_method(make_corpus([(Rect(0, 0, 1, 1), {"a"})]), "token")
         service = QueryService(method)
         with service.reading() as (engine, epoch):
             assert epoch == 0

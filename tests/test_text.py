@@ -21,14 +21,8 @@ class TestTokenize:
     def test_numbers_kept(self):
         assert "24" in tokenize("open 24 hours")
 
-    def test_min_length(self):
-        assert tokenize("go x big", min_length=2) == {"go", "big"}
-
     def test_empty(self):
         assert tokenize("") == frozenset()
-
-    def test_custom_stopwords(self):
-        assert tokenize("coffee tea", stopwords=frozenset({"coffee"})) == {"tea"}
 
     def test_dedup(self):
         assert tokenize("tea tea tea") == {"tea"}

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence
+from typing import Any, Dict, Iterable, Sequence
 
 from repro.core.errors import ConfigurationError
-from repro.core.method import SearchMethod
 from repro.core.objects import Query
 from repro.core.stats import SearchStats
+from repro.exec.pipeline import run_query
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,11 +36,17 @@ class WorkloadMeasurement:
     results: float
 
 
-def measure_workload(method: SearchMethod, queries: Sequence[Query]) -> WorkloadMeasurement:
-    """Run every query once and average the per-query stats.
+def measure_workload(engine: Any, queries: Sequence[Query]) -> WorkloadMeasurement:
+    """Run every query once through :func:`~repro.exec.pipeline.run_query`
+    and average the per-query stats.
 
     This is the library's one workload summary; batch APIs return
     per-query results only.
+
+    Args:
+        engine: Any engine shape ``run_query`` takes: ``SealSearch``, a
+            registry method, or a wrapper around one.
+        queries: The workload.
 
     Raises:
         ConfigurationError: On an empty workload.
@@ -49,8 +55,7 @@ def measure_workload(method: SearchMethod, queries: Sequence[Query]) -> Workload
         raise ConfigurationError("measure_workload requires a non-empty workload")
     totals = SearchStats()
     for query in queries:
-        result = method.search(query)
-        totals.merge(result.stats)
+        totals.merge(run_query(engine, query).stats)
     n = len(queries)
     return WorkloadMeasurement(
         queries=n,
@@ -65,7 +70,7 @@ def measure_workload(method: SearchMethod, queries: Sequence[Query]) -> Workload
 
 
 def sweep(
-    method: SearchMethod,
+    engine: Any,
     queries: Sequence[Query],
     taus: Iterable[float],
     axis: str,
@@ -73,7 +78,8 @@ def sweep(
     """Measure the workload at each threshold along one axis.
 
     Args:
-        method: The search method under test.
+        engine: The engine under test (any shape :func:`measure_workload`
+            takes).
         queries: Base workload (its other-axis thresholds are kept).
         taus: Threshold values to sweep.
         axis: ``"tau_r"`` (vary spatial) or ``"tau_t"`` (vary textual) —
@@ -90,5 +96,5 @@ def sweep(
             q.with_thresholds(tau_r=tau) if axis == "tau_r" else q.with_thresholds(tau_t=tau)
             for q in queries
         ]
-        out[tau] = measure_workload(method, stamped)
+        out[tau] = measure_workload(engine, stamped)
     return out

@@ -19,6 +19,9 @@ from repro.geometry import Rect
 class SpatioTextualObject:
     """A region-of-interest: MBR region + token set (Definition in Sec. 2.1).
 
+    Pickles and copies as its three fields, rebuilt through the
+    constructor.
+
     Attributes:
         oid: Dense integer identifier within its corpus.
         region: The object's MBR ``o.R``.
@@ -36,6 +39,9 @@ class SpatioTextualObject:
         # hashing behave as a value type.
         if not isinstance(self.tokens, frozenset):
             object.__setattr__(self, "tokens", frozenset(self.tokens))
+
+    def __reduce__(self):
+        return (type(self), (self.oid, self.region, self.tokens))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         toks = ",".join(sorted(self.tokens)[:4])

@@ -22,14 +22,32 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+_isnan = math.isnan
+_set = object.__setattr__
 
-@dataclass(frozen=True, slots=True)
+
+def _plain_edge(edge: float) -> float:
+    """``edge`` as given if a ``float`` or ``int``, else ``float(edge)``
+    (``math.isnan`` first, so a string edge still raises ``TypeError``)."""
+    if type(edge) is float or type(edge) is int:
+        return edge
+    _isnan(edge)
+    return float(edge)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Rect:
     """An axis-aligned rectangle ``[x1, x2] × [y1, y2]``.
 
     Degenerate rectangles (zero width and/or height) are allowed: a point
     ROI is simply a zero-area rectangle, which matches how the Twitter
     dataset treats users whose tweets all share one location.
+
+    Every edge is a Python ``float`` or ``int``: an edge of any other
+    numeric type (a NumPy scalar, as array-fed callers pass) is stored
+    as ``float(edge)`` at construction, which keeps its value, ``==``
+    and ``hash``; ``int`` edges are kept as given.  A rectangle pickles
+    and copies as its four edges, rebuilt through this constructor.
 
     Attributes:
         x1: Left edge (must be ``<= x2``).
@@ -43,13 +61,30 @@ class Rect:
     x2: float
     y2: float
 
-    def __post_init__(self) -> None:
-        if math.isnan(self.x1) or math.isnan(self.y1) or math.isnan(self.x2) or math.isnan(self.y2):
+    # A hand-written __init__ (init=False): the edges are checked and
+    # made plain before they are stored, not read back after.
+    def __init__(self, x1: float, y1: float, x2: float, y2: float) -> None:
+        kind = type(x1)
+        if not (kind is type(y1) is type(x2) is type(y2) and (kind is float or kind is int)):
+            x1, y1, x2, y2 = map(_plain_edge, (x1, y1, x2, y2))
+        if _isnan(x1) or _isnan(y1) or _isnan(x2) or _isnan(y2):
             raise ValueError("Rect coordinates must not be NaN")
-        if self.x1 > self.x2 or self.y1 > self.y2:
+        if x1 > x2 or y1 > y2:
             raise ValueError(
-                f"Rect requires x1 <= x2 and y1 <= y2, got ({self.x1}, {self.y1}, {self.x2}, {self.y2})"
+                f"Rect requires x1 <= x2 and y1 <= y2, got ({x1}, {y1}, {x2}, {y2})"
             )
+        _set(self, "x1", x1)
+        _set(self, "y1", y1)
+        _set(self, "x2", x2)
+        _set(self, "y2", y2)
+
+    def __reduce__(self):
+        return (type(self), (self.x1, self.y1, self.x2, self.y2))
+
+    def __setstate__(self, state) -> None:
+        # Older format-9 snapshots store the dataclass state list; it goes
+        # through the constructor too, so their edges come out plain.
+        type(self).__init__(self, *state)
 
     # ------------------------------------------------------------------
     # Constructors

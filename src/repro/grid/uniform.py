@@ -77,6 +77,10 @@ class UniformGrid:
         self._cell_w = space.width / granularity
         self._cell_h = space.height / granularity
 
+    def __reduce__(self):
+        # The cell sizes are derived; a grid pickles as its arguments.
+        return (type(self), (self.space, self.granularity))
+
     # ------------------------------------------------------------------
     # Cell geometry
     # ------------------------------------------------------------------

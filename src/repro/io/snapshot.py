@@ -151,8 +151,9 @@ def load_engine(path: str | Path, *, mmap: bool = False) -> Any:
             processes; ignored when the engine has no columnar arrays.
 
     Raises:
-        SnapshotError: On missing/corrupt files, format mismatches, or a
-            missing/truncated sidecar.
+        SnapshotError: On missing/corrupt files, format mismatches, a
+            missing/truncated sidecar, or an engine blob holding a value
+            its type's constructor refuses.
     """
     path = Path(path)
     envelope = _read_envelope(path)
@@ -181,8 +182,11 @@ def load_engine(path: str | Path, *, mmap: bool = False) -> Any:
     try:
         with resolve_arrays(arrays):
             return pickle.loads(envelope["engine"])
+    # ValueError/TypeError: value types rebuild through their validating
+    # constructors, so an impossible value (a NaN or inverted edge, a
+    # negative oid) fails there.
     except (pickle.UnpicklingError, EOFError, AttributeError, ImportError, KeyError,
-            IndexError, RuntimeError) as exc:
+            IndexError, RuntimeError, ValueError, TypeError) as exc:
         raise SnapshotError(f"corrupt or incompatible snapshot {path}: {exc}") from exc
 
 

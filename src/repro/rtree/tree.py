@@ -33,6 +33,9 @@ class Entry:
     child: "Node | None" = None
     oid: int | None = None
 
+    def __reduce__(self):
+        return (type(self), (self.mbr, self.child, self.oid))
+
 
 class Node:
     """An R-tree node; ``is_leaf`` nodes hold oid entries, others children."""

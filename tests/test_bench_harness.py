@@ -70,6 +70,31 @@ class TestFilteringPower:
         assert single.lists_probed == double.lists_probed
 
 
+class TestEngineShapes:
+    """``measure_workload`` and ``sweep`` take the engine as queried."""
+
+    COUNTS = ("queries", "candidates", "entries_retrieved", "lists_probed", "results")
+
+    def test_seal_search_counts_as_its_registry_method(self, twitter_small, twitter_small_queries):
+        from repro import SealSearch
+
+        queries = list(twitter_small_queries)
+        pairs = [(obj.region, obj.tokens) for obj in twitter_small]
+        engine = measure_workload(SealSearch(pairs, "token"), queries)
+        method = measure_workload(build_method(twitter_small, "token"), queries)
+        assert [getattr(engine, name) for name in self.COUNTS] == [
+            getattr(method, name) for name in self.COUNTS
+        ]
+        assert engine.candidates > 0
+
+    def test_sweep_takes_seal_search(self, figure1_objects, figure1_query):
+        from repro import SealSearch
+
+        pairs = [(obj.region, obj.tokens) for obj in figure1_objects]
+        out = sweep(SealSearch(pairs, "token"), [figure1_query], [0.1, 0.5], "tau_t")
+        assert out[0.1].results >= out[0.5].results
+
+
 class TestSweep:
     def test_tau_r_axis(self, figure1_objects, figure1_weighter, figure1_query):
         method = NaiveSearch(figure1_objects, figure1_weighter)

@@ -17,7 +17,8 @@ sees a socket); this module is the network edge that speaks
   ``query_batch`` / ``ping`` / ``metrics``, server errors re-raised as
   their local exception types, connection loss surfaced loudly as
   :class:`~repro.core.errors.ProtocolError` (never a silent empty
-  answer).
+  answer) and closing the connection.  A repeated query sends stored
+  bytes and returns a copy of a stored decode.
 
 Drain semantics: when a server's ``stop`` event sets, each connection
 finishes the request it is currently serving — the response goes out —
@@ -77,6 +78,13 @@ _DRAIN_GRACE = 5.0
 #: str per token) ~19× its body — so a connection holds at most
 #: ~2.5 MiB, or ~650 typical queries.
 QUERY_MEMO_BYTES = 128 * 1024
+
+#: Bytes a client asks of its first ``recv`` per response: a response
+#: up to this size that has arrived whole is read in one call.
+_RECV_BYTES = 64 * 1024
+
+#: The serving-identity fields of every response.
+_META_KEYS = ("epoch", "generation", "pid")
 
 
 # ----------------------------------------------------------------------
@@ -297,7 +305,10 @@ def accept_connections(
     :func:`serve_connection` thread per accepted connection until
     ``stop`` sets (or ``listener`` is closed), then a bounded wait per
     handler for its in-flight request to be answered."""
-    listener.settimeout(_POLL_SECONDS)
+    try:
+        listener.settimeout(_POLL_SECONDS)
+    except OSError:
+        return  # closed before the loop began: nothing was accepted
     handlers: List[threading.Thread] = []
     while not stop.is_set():
         try:
@@ -323,12 +334,30 @@ def accept_connections(
 
 
 def _send(conn: socket.socket, frame: bytes) -> bool:
-    """Send one frame; False when the client went away mid-response."""
+    """Send one frame; False when the client went away mid-response.
+
+    The socket's timeout is the stop-event poll, not a deadline for the
+    frame: the send keeps going while the client takes bytes, and gives
+    up only once it has taken none for :data:`_DRAIN_GRACE` seconds.
+    """
+    stalled: Optional[float] = None
     try:
-        conn.sendall(frame)
+        while True:
+            try:
+                sent = conn.send(frame)
+            except socket.timeout:
+                now = time.monotonic()
+                if stalled is None:
+                    stalled = now
+                elif now - stalled > _DRAIN_GRACE:
+                    return False
+                continue
+            if sent == len(frame):
+                return True
+            frame = memoryview(frame)[sent:]
+            stalled = None
     except OSError:
         return False
-    return True
 
 
 def _send_error(
@@ -456,9 +485,28 @@ class NetworkClient:
 
     Not thread-safe: requests on one connection run in lockstep, so give
     each client thread its own instance (connections are cheap).  Server
-    errors re-raise as their local exception types; a vanished peer
-    (a server shutting down, or a killed worker) raises
-    :class:`~repro.core.errors.ProtocolError` — reconnect and retry.
+    errors re-raise as their local exception types; a typed error frame
+    (an :class:`~repro.core.errors.AdmissionRejected`, an answer too
+    large for one frame) leaves the connection usable.
+
+    A transport failure closes the connection: a timeout, EOF
+    mid-frame, an undecodable frame or a failed send raises
+    :class:`~repro.core.errors.ProtocolError`, and so does every later
+    call on this client — reconnect and retry.  (After a timeout the
+    late answer is still on its way; read, it would answer the next
+    request.)
+
+    A repeated query is bytes in, bytes out.  The client remembers the
+    request frame of each :class:`Query` object it has sent (by
+    identity: equal queries may spell their numbers differently, ``1``
+    and ``1.0`` or ``0.0`` and ``-0.0``, and each sends its own bytes),
+    and the validated answer, stats and serving identity of each
+    distinct ok-response body (the body carries the serving identity,
+    so an epoch bump is a new body).  Each memo keeps at most
+    :data:`QUERY_MEMO_BYTES` of frames or bodies and starts over when
+    the next would pass it; an error frame is never stored.  A hit
+    returns a private copy, and :attr:`last_meta` is fresh either way.
+    Batches and raw :meth:`call` requests bypass both memos.
 
     Attributes:
         last_meta: The serving identity of the most recent response:
@@ -476,46 +524,136 @@ class NetworkClient:
         self.last_meta: Dict[str, Any] = {}
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._sock.settimeout(timeout)
+        # Why the connection closed (None while it is open).
+        self._lost: Optional[str] = None
+        # id(query) -> its request frame; ``_asked`` keeps each of those
+        # queries alive, so no id is reused while it is a key.
+        self._frames: Dict[int, bytes] = {}
+        self._asked: List[Query] = []
+        self._frame_bytes = 0
+        # ok-response body -> None once seen, then (result, serving
+        # identity) once repeated; what they hold is never handed out.
+        self._answers: Dict[bytes, Optional[Tuple[SearchResult, Dict[str, Any]]]] = {}
+        self._answer_bytes = 0
 
-    def _recv_exact(self, count: int) -> bytes:
-        chunks: List[bytes] = []
-        received = 0
-        while received < count:
-            try:
-                chunk = self._sock.recv(count - received)
-            except socket.timeout as exc:
-                raise ProtocolError(
-                    f"timed out waiting for the server ({received}/{count} bytes)"
-                ) from exc
-            except OSError as exc:
-                raise ProtocolError(f"connection lost: {exc}") from exc
-            if not chunk:
-                raise ProtocolError(
-                    "connection closed by the server mid-response "
-                    "(server drained or worker crashed); reconnect and retry"
-                )
+    def _lose(self, exc: ProtocolError) -> ProtocolError:
+        """Close the connection after a transport failure; returns
+        ``exc`` for the caller to raise."""
+        if self._lost is None:
+            self._lost = str(exc)
+            self._frames.clear()
+            self._asked.clear()
+            self._answers.clear()
+            _close_socket(self._sock)
+        return exc
+
+    def _recv(self, limit: int, received: int, count: int) -> bytes:
+        """One ``recv`` of up to ``limit`` bytes, ``received`` of the
+        ``count`` the current read wants being in already."""
+        try:
+            chunk = self._sock.recv(limit)
+        except socket.timeout as exc:
+            raise ProtocolError(
+                f"timed out waiting for the server ({received}/{count} bytes)"
+            ) from exc
+        except OSError as exc:
+            raise ProtocolError(f"connection lost: {exc}") from exc
+        if not chunk:
+            raise ProtocolError(
+                "connection closed by the server mid-response "
+                "(server drained or worker crashed); reconnect and retry"
+            )
+        return chunk
+
+    def _read_body(self) -> bytes:
+        """The next response frame's body.  A response that has arrived
+        whole — the usual case — takes one ``recv``."""
+        head = self._recv(_RECV_BYTES, 0, HEADER_BYTES)
+        while len(head) < HEADER_BYTES:
+            head += self._recv(HEADER_BYTES - len(head), len(head), HEADER_BYTES)
+        length = check_frame_length(int.from_bytes(head[:HEADER_BYTES], "big"))
+        body = head[HEADER_BYTES:]
+        if len(body) == length:
+            return body
+        if len(body) > length:
+            raise ProtocolError(
+                f"the server sent {len(body) - length} bytes past its response"
+            )
+        chunks = [body]
+        received = len(body)
+        while received < length:
+            chunk = self._recv(length - received, received, length)
             chunks.append(chunk)
             received += len(chunk)
         return b"".join(chunks)
 
-    def _rpc(self, frame: bytes) -> Dict[str, Any]:
+    def _exchange(self, frame: bytes) -> bytes:
+        """Send one request frame and read the response body."""
+        if self._lost is not None:
+            raise ProtocolError(
+                f"this connection is closed ({self._lost}); reconnect and retry"
+            )
         try:
             self._sock.sendall(frame)
         except OSError as exc:
-            raise ProtocolError(f"connection lost while sending: {exc}") from exc
-        header = self._recv_exact(HEADER_BYTES)
-        length = check_frame_length(int.from_bytes(header, "big"))
-        payload = decode_payload(self._recv_exact(length))
-        self.last_meta = {
-            key: payload.get(key) for key in ("epoch", "generation", "pid")
-        }
+            raise self._lose(
+                ProtocolError(f"connection lost while sending: {exc}")
+            ) from exc
+        try:
+            return self._read_body()
+        except ProtocolError as exc:
+            raise self._lose(exc)
+
+    def _payload(self, body: bytes) -> Dict[str, Any]:
+        """Decode an ok-response body; an error frame raises its type."""
+        try:
+            payload = decode_payload(body)
+        except ProtocolError as exc:
+            raise self._lose(exc)
+        self.last_meta = {key: payload.get(key) for key in _META_KEYS}
         if not payload.get("ok"):
             raise_from_wire(payload)
         return payload
 
+    def _rpc(self, frame: bytes) -> Dict[str, Any]:
+        return self._payload(self._exchange(frame))
+
     def query(self, query: Query) -> SearchResult:
         """One query over the wire; answers match a local engine call."""
-        return result_from_wire(self._rpc(query_frame(query)))
+        frame = self._frames.get(id(query))
+        if frame is not None:
+            body = self._exchange(frame)
+        else:
+            frame = query_frame(query)
+            body = self._exchange(frame)
+            if len(frame) <= QUERY_MEMO_BYTES:
+                if self._frame_bytes + len(frame) > QUERY_MEMO_BYTES:
+                    self._frames.clear()
+                    self._asked.clear()
+                    self._frame_bytes = 0
+                self._frames[id(query)] = frame
+                self._asked.append(query)
+                self._frame_bytes += len(frame)
+        size = len(body)
+        answers = self._answers
+        entry = answers.get(body) if size <= QUERY_MEMO_BYTES else None
+        if entry is not None:
+            self.last_meta = entry[1].copy()
+            return entry[0].copy()
+        result = result_from_wire(self._payload(body))
+        if size <= QUERY_MEMO_BYTES:
+            if body in answers:
+                # Its second sighting: from now on, a repeat.
+                answers[body] = (result.copy(), self.last_meta.copy())
+            else:
+                # Its first: only the bytes, so a body that never
+                # repeats costs no copy.
+                if self._answer_bytes + size > QUERY_MEMO_BYTES:
+                    answers.clear()
+                    self._answer_bytes = 0
+                answers[body] = None
+                self._answer_bytes += size
+        return result
 
     def search(self, region, tokens, tau_r: float, tau_t: float) -> SearchResult:
         """Convenience single query from raw parts (mirrors the engines)."""
@@ -556,7 +694,7 @@ class NetworkClient:
         return metrics
 
     def close(self) -> None:
-        _close_socket(self._sock)
+        self._lose(ProtocolError("the client was closed"))
 
     def __enter__(self) -> "NetworkClient":
         return self

@@ -21,15 +21,14 @@ The per-node token sets also blow the index up to ``H×`` the data size
 
 from __future__ import annotations
 
-from typing import Collection, Dict, FrozenSet, List, Sequence
+from typing import Collection, Dict, FrozenSet, List
 
 from repro.core.method import SearchMethod
-from repro.core.objects import Query, SpatioTextualObject
+from repro.core.objects import Query
 from repro.core.stats import SearchStats
 from repro.index.storage import IndexSizeReport, rtree_size_bytes
 from repro.rtree import Node, RTree
 from repro.signatures.query import compile_query
-from repro.text.weights import TokenWeighter
 
 
 class IRTreeSearch(SearchMethod):
@@ -43,14 +42,7 @@ class IRTreeSearch(SearchMethod):
 
     name = "irtree"
 
-    def __init__(
-        self,
-        objects: Sequence[SpatioTextualObject],
-        weighter: TokenWeighter | None = None,
-        *,
-        max_entries: int = 32,
-    ) -> None:
-        super().__init__(objects, weighter)
+    def _build(self, *, max_entries: int = 32):
         self.rtree = RTree.bulk_load(
             [(obj.region, obj.oid) for obj in self.corpus], max_entries=max_entries
         )
@@ -61,6 +53,7 @@ class IRTreeSearch(SearchMethod):
         self._node_tokens: Dict[Node, FrozenSet[str]] = {}
         if len(self.rtree):
             self._collect_tokens(self.rtree.root)
+        return None, None
 
     def _collect_tokens(self, node: Node) -> FrozenSet[str]:
         if node.is_leaf:

@@ -11,19 +11,18 @@ information could have pruned.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Collection, List, Sequence
+from typing import Collection, List
 
 import numpy as np
 
 from repro.core.method import SearchMethod
-from repro.core.objects import Query, SpatioTextualObject
+from repro.core.objects import Query
 from repro.core.similarity import filter_threshold
 from repro.core.stats import SearchStats
 from repro.index.inverted import InvertedIndex
 from repro.index.storage import IndexSizeReport, measure_index
 from repro.signatures.query import compile_query
 from repro.signatures.textual import TextualScheme
-from repro.text.weights import TokenWeighter
 
 
 class KeywordFirstSearch(SearchMethod):
@@ -35,17 +34,13 @@ class KeywordFirstSearch(SearchMethod):
 
     name = "keyword-first"
 
-    def __init__(
-        self,
-        objects: Sequence[SpatioTextualObject],
-        weighter: TokenWeighter | None = None,
-    ) -> None:
-        super().__init__(objects, weighter)
+    def _build(self):
         # Plain postings: no bounds, bound slot reused as 0.0.
         self.token_ids, sizes, tokens = TextualScheme(self.weighter).corpus_rows(self.corpus)
         self.index = InvertedIndex.from_postings(
             tokens, np.repeat(np.arange(len(sizes)), sizes), np.zeros(len(tokens))
         )
+        return None, (self.token_ids, sizes, tokens)
 
     def candidates(self, query: Query, stats: SearchStats) -> Collection[int]:
         query = compile_query(query, self.weighter)

@@ -10,16 +10,15 @@ poorly (the paper's motivating Twitter query overlapped ~8000 ROIs).
 
 from __future__ import annotations
 
-from typing import Collection, List, Sequence
+from typing import Collection, List
 
 from repro.core.method import SearchMethod
-from repro.core.objects import Query, SpatioTextualObject
+from repro.core.objects import Query
 from repro.core.similarity import filter_threshold
 from repro.core.stats import SearchStats
 from repro.index.storage import PAGE_BYTES, IndexSizeReport
 from repro.rtree import RTree
 from repro.signatures.query import compile_query
-from repro.text.weights import TokenWeighter
 
 
 class SpatialFirstSearch(SearchMethod):
@@ -33,17 +32,11 @@ class SpatialFirstSearch(SearchMethod):
 
     name = "spatial-first"
 
-    def __init__(
-        self,
-        objects: Sequence[SpatioTextualObject],
-        weighter: TokenWeighter | None = None,
-        *,
-        max_entries: int = 32,
-    ) -> None:
-        super().__init__(objects, weighter)
+    def _build(self, *, max_entries: int = 32):
         self.rtree = RTree.bulk_load(
             [(obj.region, obj.oid) for obj in self.corpus], max_entries=max_entries
         )
+        return None, None
 
     def candidates(self, query: Query, stats: SearchStats) -> Collection[int]:
         query = compile_query(query, self.weighter)

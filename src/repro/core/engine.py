@@ -68,7 +68,8 @@ def _constructor(name: str) -> Callable[..., SearchMethod]:
 def accepted_params(name: str, params: Mapping[str, Any]) -> Dict[str, Any]:
     """The subset of ``params`` that method ``name`` accepts.
 
-    A method accepts its constructor's keyword-only parameters.
+    A method accepts its build's keyword-only parameters (the
+    ``_build`` of its class, see :class:`~repro.core.method.SearchMethod`).
     ``planned`` exposes one flat knob namespace and hands each of its
     members its share, so it accepts whatever one of them accepts.
 
@@ -83,7 +84,7 @@ def accepted_params(name: str, params: Mapping[str, Any]) -> Dict[str, Any]:
     else:
         accepted = {
             knob
-            for knob, parameter in inspect.signature(ctor).parameters.items()
+            for knob, parameter in inspect.signature(ctor._build).parameters.items()
             if parameter.kind is inspect.Parameter.KEYWORD_ONLY
         }
     return {knob: value for knob, value in params.items() if knob in accepted}
@@ -139,7 +140,7 @@ def build_method(
             work) shared.
         **params: Method-specific knobs (``granularity``, ``mt``,
             ``num_buckets``, ``max_entries``, …), all keyword-only on the
-            constructors, so any registry entry builds with one uniform
+            builds, so any registry entry builds with one uniform
             call — the planner and the segmented engine rely on that.
 
     Raises:

@@ -7,6 +7,9 @@ a query into a candidate oid collection (*filter step*), and delegates the
 ``search`` delegates the wiring of the two steps to the execution
 pipeline (:func:`repro.exec.pipeline.execute_query`), so batches and the
 segment fan-out drive any method through the exact same path.
+
+A subclass builds its index in ``_build``, which returns the columns it
+read for the verifier (see :class:`~repro.core.verification.Verifier`).
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ class SearchMethod(abc.ABC):
             by :func:`repro.core.objects.make_corpus`).
         weighter: Corpus idf statistics; built from the corpus when omitted
             so that ad-hoc use stays one-liner simple.
+        **knobs: The keyword-only parameters of the subclass's ``_build``.
     """
 
     #: Registry name; subclasses override.
@@ -40,12 +44,31 @@ class SearchMethod(abc.ABC):
         self,
         objects: Sequence[SpatioTextualObject],
         weighter: TokenWeighter | None = None,
+        **knobs,
     ) -> None:
+        self._bind(objects, weighter)
+        self.verifier = Verifier(self.corpus, self.weighter, *self._build(**knobs))
+
+    @classmethod
+    def unverified(cls, objects: Sequence[SpatioTextualObject], weighter: TokenWeighter, **knobs):
+        """``(method, coords, rows)``: the method built without a
+        verifier, and the columns its build returned (see
+        :meth:`_build`).  The caller sets ``verifier``."""
+        method = cls.__new__(cls)
+        method._bind(objects, weighter)
+        return (method, *method._build(**knobs))
+
+    def _bind(self, objects: Sequence[SpatioTextualObject], weighter: TokenWeighter | None) -> None:
         self.corpus = objects if isinstance(objects, Corpus) else Corpus(objects)
         if weighter is None:
             weighter = TokenWeighter(obj.tokens for obj in self.corpus)
         self.weighter = weighter
-        self.verifier = Verifier(self.corpus, weighter)
+
+    def _build(self):
+        """Build the index from the keyword-only knobs (what
+        :func:`~repro.core.engine.accepted_params` reads); return the
+        verifier's ``(coords, rows)``, each ``None`` unless read."""
+        return None, None
 
     # ------------------------------------------------------------------
     # The two framework steps

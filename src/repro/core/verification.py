@@ -10,6 +10,10 @@ box rows, the textual check over a CSR of token ids.  Both branches run
 the same float64 operations in the same order, so the choice changes
 speed and never an answer.
 
+A verifier holds its box block, token CSR and totals from construction
+on, built from the columns an index build read (or derived once, then),
+and a snapshot carries them: nothing is built on the read path.
+
 What the checks read of a query comes compiled
 (:func:`~repro.signatures.query.compile_query`).  Before the exact
 spatial check, a query with a Lemma-1 ``band`` drops the candidates the
@@ -36,8 +40,10 @@ import numpy as np
 
 from repro.core.objects import Query, SpatioTextualObject
 from repro.core.stats import SearchStats
+from repro.grid.uniform import coordinate_block
+from repro.index.inverted import pack_arrays, unpack_arrays
 from repro.signatures.query import CompiledQuery, compile_query
-from repro.signatures.textual import TextualScheme
+from repro.signatures.textual import TextualScheme, object_totals
 from repro.text.weights import TokenWeighter
 
 #: Candidate sets at least this large take the spatial reject and the
@@ -52,10 +58,10 @@ from repro.text.weights import TokenWeighter
 #: textual crossover is 21–32, as it was before queries were compiled.
 VECTOR_MIN_CANDIDATES = 32
 
-#: What a pickled verifier holds.  The box block and the token CSR are
-#: derived and rebuilt on demand, so snapshots neither carry nor depend
-#: on them.
-_PERSISTENT = ("corpus", "weighter", "_token_totals")
+#: What a pickled verifier holds; the arrays go to the snapshot's
+#: sidecar (:func:`~repro.index.inverted.pack_arrays`), so an mmap load
+#: maps them.
+_PERSISTENT = ("corpus", "weighter", "_token_totals", "_boxes", "_token_rows")
 
 
 def _reserve(array: np.ndarray, size: int) -> np.ndarray:
@@ -97,79 +103,80 @@ class Verifier:
     Args:
         corpus: Objects addressable by oid (``corpus[oid].oid == oid``).
         weighter: Corpus idf statistics.
+        coords: The regions' ``(x1, y1, x2, y2)`` block a build read
+            (``grid``, ``hash-hybrid``, ``seal``); ``None`` derives it
+            here (:func:`~repro.grid.uniform.coordinate_block`, which
+            keeps an infinite edge).
+        rows: ``(ids, sizes, tokens)`` of :meth:`~repro.signatures.
+            textual.TextualScheme.corpus_rows` a build ran (``token``,
+            ``hash-hybrid``, ``seal``, ``keyword-first``); ``None`` runs
+            it here.
 
-    Per-object token totals are pickled.  A ``token`` build hands them
-    over (:meth:`hold_token_totals`); anywhere else they are computed on
-    first use, so a verifier that never verifies — a planner member's,
-    replaced by the planner's shared one — costs no pass over the corpus.
+    It holds the box block (rows of :func:`_box_rows`, a column per
+    object), the token CSR ``(vocabulary, weights, offsets, ids,
+    totals)`` — ``rows``' ids, a weight per id, row offsets, each
+    object's ids in global order, the totals — and the exact totals as
+    floats (:func:`~repro.signatures.textual.object_totals`).
     """
 
-    __slots__ = _PERSISTENT + ("_boxes", "_token_rows")
+    __slots__ = _PERSISTENT
 
-    def __init__(self, corpus: Sequence[SpatioTextualObject], weighter: TokenWeighter) -> None:
+    def __init__(self, corpus: Sequence[SpatioTextualObject], weighter: TokenWeighter,
+                 coords: np.ndarray | None = None, rows: tuple | None = None) -> None:
+        if coords is None:
+            coords = coordinate_block([obj.region for obj in corpus])
+        if rows is None:
+            rows = TextualScheme(weighter).corpus_rows(corpus)
+        vocabulary, sizes, ids = rows
+        weights = TextualScheme(weighter).weights(vocabulary)
+        offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
         self.corpus = corpus
         self.weighter = weighter
-        self._token_totals = None
-        self._reset_derived()
-
-    def _reset_derived(self) -> None:
-        """Drop (or start without) everything rebuilt on demand."""
-        self._boxes = None
-        self._token_rows = None
+        self._token_totals = totals = object_totals(sizes, weights[ids])
+        self._boxes = np.stack(_box_rows(*coords.T))
+        self._token_rows = (vocabulary, weights, offsets, ids.astype(np.int32),
+                            np.array(totals, dtype=np.float64))
 
     def token_totals(self) -> List[float]:
-        """``Σ w(t)`` over each object's tokens, by oid — one pass over
-        the corpus on the first call."""
-        totals = self._token_totals
-        if totals is None:
-            total_weight = self.weighter.total_weight
-            totals = self._token_totals = [total_weight(obj.tokens) for obj in self.corpus]
-        return totals
-
-    def hold_token_totals(self, totals: List[float]) -> None:
-        """Keep ``totals``: what :meth:`token_totals` computes, summed from
-        weights a build had in hand."""
-        self._token_totals = totals
+        """``Σ w(t)`` over each object's tokens, by oid."""
+        return self._token_totals
 
     def append(self, obj: SpatioTextualObject) -> None:
         """Grow the corpus by one object, answered as oid ``len(corpus)``.
 
         Only for a verifier built over a list it may extend (the write
-        buffer's scan, which would otherwise be rebuilt per insert):
-        one token total and, once they exist, one column of the box
-        block and one row of the token CSR — the values a fresh verifier
-        over the longer corpus would hold.  Not safe beside a running
-        :meth:`verify`; the caller holds the engine's write lock.
+        buffer's scan, which would otherwise be rebuilt per insert): one
+        token total, one column of the box block and one row of the
+        token CSR — the values a fresh verifier over the longer corpus
+        would hold.  Not safe beside a running :meth:`verify`; the
+        caller holds the engine's write lock.
         """
         row = len(self.corpus)
         self.corpus.append(obj)
         weighter = self.weighter
-        if self._token_totals is not None:
-            self._token_totals.append(weighter.total_weight(obj.tokens))
+        total = weighter.total_weight(obj.tokens)
+        self._token_totals.append(total)
         # Array entries past the corpus are spare capacity no oid reaches.
-        boxes = self._boxes
-        if boxes is not None:
-            boxes = self._boxes = _reserve(boxes, row + 1)
-            boxes[:, row] = _box_rows(*obj.region.as_tuple())
-        token_rows = self._token_rows
-        if token_rows is not None:
-            vocabulary, weights, offsets, ids, totals = token_rows
-            ordered = weighter.sort_tokens(obj.tokens)
-            unseen = [t for t in ordered if t not in vocabulary]
-            weights = _reserve(weights, len(vocabulary) + len(unseen))
-            for t in unseen:
-                weights[len(vocabulary)] = weighter.weight(t)
-                vocabulary[t] = len(vocabulary)
-            row_ids = [vocabulary[t] for t in ordered]
-            start = int(offsets[row])
-            end = start + len(row_ids)
-            offsets = _reserve(offsets, row + 2)
-            offsets[row + 1] = end
-            ids = _reserve(ids, end)
-            ids[start:end] = row_ids
-            totals = _reserve(totals, row + 1)
-            totals[row] = self._token_totals[row]
-            self._token_rows = (vocabulary, weights, offsets, ids, totals)
+        boxes = self._boxes = _reserve(self._boxes, row + 1)
+        boxes[:, row] = _box_rows(*obj.region.as_tuple())
+        vocabulary, weights, offsets, ids, totals = self._token_rows
+        ordered = weighter.sort_tokens(obj.tokens)
+        unseen = [t for t in ordered if t not in vocabulary]
+        weights = _reserve(weights, len(vocabulary) + len(unseen))
+        for t in unseen:
+            weights[len(vocabulary)] = weighter.weight(t)
+            vocabulary[t] = len(vocabulary)
+        row_ids = [vocabulary[t] for t in ordered]
+        start = int(offsets[row])
+        end = start + len(row_ids)
+        offsets = _reserve(offsets, row + 2)
+        offsets[row + 1] = end
+        ids = _reserve(ids, end)
+        ids[start:end] = row_ids
+        totals = _reserve(totals, row + 1)
+        totals[row] = total
+        self._token_rows = (vocabulary, weights, offsets, ids, totals)
 
     def verify(self, query: Query, candidates: Iterable[int], stats: SearchStats | None = None) -> List[int]:
         """oids among ``candidates`` with ``simR ≥ τR`` and ``simT ≥ τT``.
@@ -238,7 +245,7 @@ class Verifier:
         float64 operations either way, so the survivors are identical bit
         for bit."""
         oids = _oid_array(candidates)
-        boxes = self._box_block().take(oids, axis=1)
+        boxes = self._boxes.take(oids, axis=1)
         q_rect = query.region
         qx1, qy1, qx2, qy2 = q_rect.as_tuple()
         band = query.band
@@ -255,20 +262,6 @@ class Verifier:
             boxes = boxes[:, near]
         q_box = np.array((qx1, qy1, -qx2, -qy2)).reshape(4, 1)
         return oids[self._spatial_pass(boxes, q_box, q_rect.area, query.tau_r)]
-
-    def _box_block(self) -> np.ndarray:
-        """The box block, one column per object (rows of
-        :func:`_box_rows`), built on first use, never in ``__init__``:
-        most verifiers (one per write-buffer rebuild, per portfolio
-        member) never see a large candidate set.  Racing threads build
-        equal blocks."""
-        boxes = self._boxes
-        if boxes is None:
-            coords = np.array(
-                [obj.region.as_tuple() for obj in self.corpus], dtype=np.float64
-            ).reshape(-1, 4)
-            boxes = self._boxes = np.stack(_box_rows(*coords.T))
-        return boxes
 
     @staticmethod
     def _spatial_pass(boxes, q_box, q_area, tau_r) -> np.ndarray:
@@ -302,7 +295,7 @@ class Verifier:
         if not survivors:
             return []
         q_weights, q_total, tau_t = query.weighted, query.total, query.tau_t
-        totals = self.token_totals()
+        totals = self._token_totals
         corpus = self.corpus
         answers: List[int] = []
         for oid in survivors:
@@ -325,19 +318,11 @@ class Verifier:
         if not len(survivors):
             return []
         oids = _oid_array(survivors)
-        token_rows = self._token_csr()
+        token_rows = self._token_rows
         vocabulary = token_rows[0]
         q_ids = np.array([vocabulary[t] for t, _ in query.weighted if t in vocabulary], dtype=np.intp)
         keep = self._textual_pass(token_rows, oids, q_ids, None, 1, query.total, query.tau_t)
         return oids[keep].tolist()
-
-    def _token_csr(self):
-        """The token CSR, built on first use (racing threads build equal
-        tuples)."""
-        token_rows = self._token_rows
-        if token_rows is None:
-            token_rows = self._token_rows = self._build_token_rows()
-        return token_rows
 
     def _textual_pass(self, token_rows, oids, member_keys, row_keys, slots, q_total, tau_t):
         """The textual mask over ``oids``.  Membership is one boolean
@@ -399,7 +384,7 @@ class Verifier:
             checked = ~kept
             per_pair = fields[:6].take(pair_queries[checked], axis=1)
             kept[checked] = self._spatial_pass(
-                self._box_block().take(pair_oids[checked], axis=1),
+                self._boxes.take(pair_oids[checked], axis=1),
                 per_pair[:4], per_pair[4], per_pair[5],
             )
             pair_queries = pair_queries[kept]
@@ -408,7 +393,7 @@ class Verifier:
         if not kept.all():
             checked = ~kept
             at = pair_queries[checked]
-            token_rows = self._token_csr()
+            token_rows = self._token_rows
             vocabulary, stride = token_rows[0], len(token_rows[1])
             # A membership slot per query with a pair to check, numbered
             # by its rank among them.
@@ -436,32 +421,28 @@ class Verifier:
                 entry.results = len(kept_oids)
         return out
 
-    def _build_token_rows(self):
-        """``(vocabulary, weights, offsets, ids, totals)``: token → local
-        id, one weight per id, row offsets, every object's ids in the
-        global order, and the token totals as an array.  Ids are handed
-        out in order of first appearance, object after object, each
-        object's tokens in global order, exactly as :meth:`append`
-        extends them."""
-        weighter = self.weighter
-        vocabulary, sizes, ids = TextualScheme(weighter).corpus_rows(self.corpus)
-        offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        return (
-            vocabulary,
-            np.array([weighter.weight(t) for t in vocabulary], dtype=np.float64),
-            offsets,
-            ids.astype(np.int32),
-            np.array(self.token_totals(), dtype=np.float64),
-        )
-
     def __getstate__(self):
-        # The shape slotted classes pickle to by default, minus the
-        # derived structures; the totals are computed now if still lazy.
-        self.token_totals()
-        return None, {name: getattr(self, name) for name in _PERSISTENT}
+        # The shape slotted classes pickle to by default, each array cut
+        # to the corpus (an appended-to verifier's spare capacity is not
+        # state) and packed for the snapshot's sidecar.
+        rows = len(self.corpus)
+        vocabulary, weights, offsets, ids, totals = self._token_rows
+        boxes, *arrays = pack_arrays([self._boxes[:, :rows], weights[: len(vocabulary)],
+                                      offsets[: rows + 1], ids[: offsets[rows]], totals[:rows]])
+        return None, {"corpus": self.corpus, "weighter": self.weighter,
+                      "_token_totals": self._token_totals,
+                      "_boxes": boxes, "_token_rows": (vocabulary, *arrays)}
 
     def __setstate__(self, state) -> None:
-        for name, value in state[1].items():
-            setattr(self, name, value)
-        self._reset_derived()
+        fields = state[1]
+        if "_token_rows" in fields:
+            vocabulary, *packed = fields["_token_rows"]
+            self._boxes, *arrays = unpack_arrays([fields["_boxes"], *packed])
+            self.corpus, self.weighter = fields["corpus"], fields["weighter"]
+            self._token_rows = (vocabulary, *arrays)
+        else:
+            # Pickled before the columns travelled with it: derive them
+            # once, now, and answer with the totals it was saved with.
+            self.__init__(fields["corpus"], fields["weighter"])
+            self._token_rows = (*self._token_rows[:4], np.array(fields["_token_totals"]))
+        self._token_totals = fields["_token_totals"]

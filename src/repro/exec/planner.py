@@ -100,17 +100,25 @@ class Selections:
             return dict(sorted(self._counts.items()))
 
 
+def _member(corpus, weighter: TokenWeighter, params: Mapping[str, Any], name: str):
+    """``(member, coords, rows)``: filter ``name`` with the planner's
+    knobs it accepts, built without a verifier
+    (:meth:`~repro.core.method.SearchMethod.unverified`)."""
+    from repro.core.engine import METHOD_REGISTRY, accepted_params
+
+    return METHOD_REGISTRY[name].unverified(corpus, weighter, **accepted_params(name, params))
+
+
 class Portfolio(Mapping[str, SearchMethod]):
     """A planner's members by registry name, over its corpus, weighter
     and verifier.
 
-    The rule's members (:data:`DEFAULT_METHODS`) are built with the
-    portfolio (``members`` hands in ones already built).  The filters of
-    :data:`COMPARISON_METHODS` are reachable by name too, each built on
-    first access and never persisted: what a caller timing or sizing a
-    planned engine against every filter reads (the perf ledger's regret
-    probe and its per-member index bytes).  Every member gets the
-    planner's knobs that its constructor accepts.
+    The rule's members (:data:`DEFAULT_METHODS`) are handed in built.
+    The filters of :data:`COMPARISON_METHODS` are reachable by name too,
+    each built on first access and never persisted: what a caller timing
+    or sizing a planned engine against every filter reads (the perf
+    ledger's regret probe and its per-member index bytes).  Every member
+    gets the planner's knobs that its build accepts, and its verifier.
     """
 
     __slots__ = ("_build_args", "_members", "_lock")
@@ -121,28 +129,15 @@ class Portfolio(Mapping[str, SearchMethod]):
         weighter: TokenWeighter,
         verifier: Verifier,
         params: Mapping[str, Any],
-        members: Mapping[str, SearchMethod] | None = None,
+        members: Mapping[str, SearchMethod],
     ) -> None:
         self._build_args = (corpus, weighter, verifier, params)
         self._lock = threading.Lock()
-        members = members or {}
-        self._members: Dict[str, SearchMethod] = {
-            name: members[name] if name in members else self._build(name)
-            for name in DEFAULT_METHODS
-        }
+        self._members: Dict[str, SearchMethod] = dict(members)
 
     def _build(self, name: str) -> SearchMethod:
-        from repro.core.engine import accepted_params, build_method
-
         corpus, weighter, verifier, params = self._build_args
-        member = build_method(corpus, name, weighter, **accepted_params(name, params))
-        # Same corpus, same weighter: one verifier (one set of lazily
-        # built columns and token CSR) serves every member, and keeps the
-        # token totals the ``token`` build computed.  Any other member's
-        # own verifier, replaced before it verified anything, never
-        # computed them.
-        if name == TEXTUAL:
-            verifier.hold_token_totals(member.verifier.token_totals())
+        member = _member(corpus, weighter, params, name)[0]
         member.verifier = verifier
         return member
 
@@ -194,13 +189,23 @@ class PlannedSealSearch(SearchMethod):
         weighter: TokenWeighter | None = None,
         **params,
     ) -> None:
-        super().__init__(objects, weighter)
         from repro.core.engine import check_params
 
         check_params(self.name, params)
+        self._bind(objects, weighter)
         self._params = dict(params)
-        # The shared verifier keeps the ``token`` build's token totals.
-        self.methods = Portfolio(self.corpus, self.weighter, self.verifier, self._params)
+        # One verifier for both members, over the token CSR ``token``
+        # read and the coordinate block ``grid`` read: neither member
+        # derives the other's column.
+        token, _, rows = _member(self.corpus, self.weighter, self._params, TEXTUAL)
+        grid, coords, _ = _member(self.corpus, self.weighter, self._params, SPATIAL)
+        self.verifier = token.verifier = grid.verifier = Verifier(
+            self.corpus, self.weighter, coords, rows
+        )
+        self.methods = Portfolio(
+            self.corpus, self.weighter, self.verifier, self._params,
+            {TEXTUAL: token, SPATIAL: grid},
+        )
         self.metrics = Selections()
 
     def plan(self, query: Query) -> str:

@@ -45,9 +45,13 @@ flat columns, every object's signature in global order with its Lemma-3
 bounds, from one build per signature axis — ``TextualScheme.corpus_signatures``
 for tokens, ``GridScheme.from_corpus`` (one ``UniformGrid.signatures``
 array pass over the regions' coordinates) for uniform grid cells.  The
-two single-scheme filters load theirs through ``SingleSchemeFilter._load``;
-``token`` also hands its verifier the token totals of the weights it
-gathered.
+two single-scheme filters load theirs through ``SingleSchemeFilter._load``.
+Each build then hands its verifier the columns it read on the way
+(``_build`` returns them, see :class:`~repro.core.method.SearchMethod`):
+``corpus_signatures``' token CSR from ``token``, ``hash-hybrid`` and
+``seal``, and ``GridScheme.from_corpus``'s coordinate block from
+``grid`` and ``hash-hybrid`` (``seal`` reads its own); the verifier
+derives the other at construction.
 """
 
 from __future__ import annotations

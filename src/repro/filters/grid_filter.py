@@ -9,16 +9,13 @@ bounds".
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.core.objects import Query, SpatioTextualObject
+from repro.core.objects import Query
 from repro.filters.base import FULL_SCAN, Probes, SingleSchemeFilter
 from repro.geometry import Rect
 from repro.index.storage import CELL_KEY_BYTES, IndexSizeReport, measure_index
 from repro.signatures.prefix import prefix_elements
 from repro.signatures.query import compile_query
 from repro.signatures.spatial import GridScheme
-from repro.text.weights import TokenWeighter
 
 
 class GridFilter(SingleSchemeFilter):
@@ -43,20 +40,13 @@ class GridFilter(SingleSchemeFilter):
 
     name = "grid"
 
-    def __init__(
-        self,
-        objects: Sequence[SpatioTextualObject],
-        weighter: TokenWeighter | None = None,
-        *,
-        granularity: int = 256,
-        space: Rect | None = None,
-    ) -> None:
-        super().__init__(objects, weighter)
+    def _build(self, *, granularity: int = 256, space: Rect | None = None):
         self.granularity = granularity
-        self.scheme, sizes, cells, bounds = GridScheme.from_corpus(
+        self.scheme, sizes, cells, bounds, block = GridScheme.from_corpus(
             self.corpus, granularity, space=space
         )
         self._load(sizes, cells, bounds)
+        return block, None
 
     def probes(self, query: Query) -> Probes:
         query = compile_query(query, self.weighter)

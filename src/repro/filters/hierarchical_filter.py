@@ -18,13 +18,13 @@ experiments (Figures 16–17).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
 from repro.core.errors import ConfigurationError
 from repro.core.method import SearchMethod
-from repro.core.objects import Query, SpatioTextualObject
+from repro.core.objects import Query
 from repro.filters.base import FULL_SCAN, Probes, candidates_from_probes
 from repro.geometry import Rect
 from repro.geometry.rect import corpus_space
@@ -36,7 +36,6 @@ from repro.signatures.hierarchical import select_frontiers
 from repro.signatures.prefix import prefix_elements
 from repro.signatures.query import compile_query
 from repro.signatures.textual import TextualScheme
-from repro.text.weights import TokenWeighter
 
 
 def _overlap(regions: np.ndarray, boxes: np.ndarray):
@@ -129,18 +128,15 @@ class HierarchicalFilter(SearchMethod):
 
     name = "seal"
 
-    def __init__(
+    def _build(
         self,
-        objects: Sequence[SpatioTextualObject],
-        weighter: TokenWeighter | None = None,
         *,
         mt: int = 32,
         max_level: int = 8,
         space: Rect | None = None,
         min_objects: int = 4,
         budget_scaling: float | None = None,
-    ) -> None:
-        super().__init__(objects, weighter)
+    ):
         if mt < 1:
             raise ConfigurationError(f"mt must be >= 1, got {mt}")
         if budget_scaling is not None and budget_scaling <= 0.0:
@@ -208,6 +204,7 @@ class HierarchicalFilter(SearchMethod):
         self.frontier_offsets = first.tolist()
         self.frontier_boxes = list(map(tuple, cell_boxes[order].tolist()))
         self.frontier_codes = codes.tolist()
+        return regions, (self.token_ids, sizes, tokens)
 
     # ------------------------------------------------------------------
     # Filter step

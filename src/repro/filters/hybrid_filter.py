@@ -16,12 +16,10 @@ both axes.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.core.method import SearchMethod
-from repro.core.objects import Query, SpatioTextualObject
+from repro.core.objects import Query
 from repro.filters.base import FULL_SCAN, Probes, candidates_from_probes
 from repro.geometry import Rect
 from repro.index.inverted import InvertedIndex
@@ -30,7 +28,6 @@ from repro.signatures.prefix import prefix_elements
 from repro.signatures.query import compile_query
 from repro.signatures.spatial import GridScheme
 from repro.signatures.textual import TextualScheme
-from repro.text.weights import TokenWeighter
 
 
 def bucket(codes: np.ndarray, num_buckets: int) -> np.ndarray:
@@ -68,23 +65,20 @@ class HybridFilter(SearchMethod):
 
     name = "hash-hybrid"
 
-    def __init__(
+    def _build(
         self,
-        objects: Sequence[SpatioTextualObject],
-        weighter: TokenWeighter | None = None,
         *,
         granularity: int = 256,
         num_buckets: int | None = None,
         space: Rect | None = None,
-    ) -> None:
-        super().__init__(objects, weighter)
+    ):
         self.granularity = granularity
         self.num_buckets = num_buckets
         self.textual = TextualScheme(self.weighter)
         # Both signature halves of every object as flat arrays, then the
         # per-object cross product by index arithmetic: postings come out
         # object by object, token-major, in signature order.
-        self.spatial, num_cells, cells, r_bounds = GridScheme.from_corpus(
+        self.spatial, num_cells, cells, r_bounds, block = GridScheme.from_corpus(
             self.corpus, granularity, space=space
         )
         self.token_ids, num_tokens, tokens, t_bounds = self.textual.corpus_signatures(
@@ -97,6 +91,7 @@ class HybridFilter(SearchMethod):
         cell_at = (np.cumsum(num_cells) - num_cells)[oids] + within % num_cells[oids]
         codes = self._codes(tokens[token_at], cells[cell_at])
         self.index = InvertedIndex.from_postings(codes, oids, r_bounds[cell_at], t_bounds[token_at])
+        return block, (self.token_ids, num_tokens, tokens)
 
     def _codes(self, token_ids, cells) -> np.ndarray:
         """The codes of the pairs ``(token_ids[i], cells[i])``."""

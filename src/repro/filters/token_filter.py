@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.core.objects import Query, SpatioTextualObject
+from repro.core.objects import Query
 from repro.filters.base import FULL_SCAN, Probes, SingleSchemeFilter
 from repro.index.storage import IndexSizeReport, measure_index
 from repro.signatures.query import compile_query
-from repro.signatures.textual import TextualScheme, object_totals
-from repro.text.weights import TokenWeighter
+from repro.signatures.textual import TextualScheme
 
 
 class TokenFilter(SingleSchemeFilter):
@@ -33,20 +32,13 @@ class TokenFilter(SingleSchemeFilter):
 
     name = "token"
 
-    def __init__(
-        self,
-        objects: Sequence[SpatioTextualObject],
-        weighter: TokenWeighter | None = None,
-    ) -> None:
-        super().__init__(objects, weighter)
+    def _build(self):
         self.scheme = TextualScheme(self.weighter)
         self.token_ids, sizes, tokens, bounds = self.scheme.corpus_signatures(self.corpus)
         self._load(sizes, tokens, bounds)
-        # The verifier's token totals, from the weight column gathered
-        # again once the index is loaded: held through the load, the
-        # column raised the perf ledger's peak RSS by up to 3 MB.
-        column = self.scheme.weights(self.token_ids)[tokens]
-        self.verifier.hold_token_totals(object_totals(sizes, column))
+        # The verifier's token CSR and totals come from these columns;
+        # its box block it derives, as this build reads no coordinates.
+        return None, (self.token_ids, sizes, tokens)
 
     def encode(self, tokens: Sequence[str]) -> List[int]:
         """Tokens as the index's codes.  Each token outside the

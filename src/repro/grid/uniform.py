@@ -28,17 +28,24 @@ from repro.core.errors import ConfigurationError
 from repro.geometry import Rect
 
 
-def region_block(regions: Sequence[Rect]) -> np.ndarray:
+def coordinate_block(regions: Sequence[Rect]) -> np.ndarray:
     """The regions' ``(x1, y1, x2, y2)`` as an ``(n, 4)`` float64 block,
     read edge by edge: no tuple per region for the cyclic collector.
+    Infinite edges are kept."""
+    block = np.empty((len(regions), 4))
+    for k, edge in enumerate(("x1", "y1", "x2", "y2")):
+        block[:, k] = np.fromiter(map(attrgetter(edge), regions), np.float64, len(regions))
+    return block
+
+
+def region_block(regions: Sequence[Rect]) -> np.ndarray:
+    """:func:`coordinate_block` of regions a grid partitions.
 
     Raises:
         ConfigurationError: If a region has an infinite edge: no grid
             can partition it.
     """
-    block = np.empty((len(regions), 4))
-    for k, edge in enumerate(("x1", "y1", "x2", "y2")):
-        block[:, k] = np.fromiter(map(attrgetter(edge), regions), np.float64, len(regions))
+    block = coordinate_block(regions)
     finite = np.isfinite(block).all(axis=1)
     if not finite.all():
         at = int(finite.argmin())

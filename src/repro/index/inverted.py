@@ -40,12 +40,13 @@ differential tests build both ways and require the same index posting
 for posting and the same heads and statistics probe for probe.
 
 The module also owns the array-externalisation hooks snapshots use:
-inside :func:`externalize_arrays` a pickled index replaces its arrays
-with :class:`_ExternArray` markers and appends the arrays to the sink
-(they are then written to an ``.npz`` sidecar); inside
-:func:`resolve_arrays` unpickling resolves the markers from the loaded
-(optionally memory-mapped) sidecar.  Outside those contexts indexes
-pickle self-contained, arrays inline.
+inside :func:`externalize_arrays` a pickled index — or verifier, both
+through :func:`pack_arrays` — replaces its arrays with
+:class:`_ExternArray` markers and appends the arrays to the sink (they
+are then written to an ``.npz`` sidecar); inside :func:`resolve_arrays`
+unpickling resolves the markers from the loaded (optionally
+memory-mapped) sidecar (:func:`unpack_arrays`).  Outside those contexts
+indexes and verifiers pickle self-contained, arrays inline.
 
 Concurrency: the columns are read-only once loaded and a probe keeps
 no state on the index, so concurrent queries against one engine need
@@ -78,7 +79,8 @@ _EXTERN_SOURCE: Sequence | None = None
 
 @contextlib.contextmanager
 def externalize_arrays(sink: List):
-    """While active, pickling an index appends its arrays to ``sink``."""
+    """While active, pickling an index or a verifier appends its arrays
+    to ``sink``."""
     global _EXTERN_SINK
     previous = _EXTERN_SINK
     _EXTERN_SINK = sink
@@ -90,7 +92,8 @@ def externalize_arrays(sink: List):
 
 @contextlib.contextmanager
 def resolve_arrays(source: Sequence):
-    """While active, unpickling an index resolves extern markers from ``source``."""
+    """While active, unpickling an index or a verifier resolves extern
+    markers from ``source``."""
     global _EXTERN_SOURCE
     previous = _EXTERN_SOURCE
     _EXTERN_SOURCE = source
@@ -98,6 +101,33 @@ def resolve_arrays(source: Sequence):
         yield
     finally:
         _EXTERN_SOURCE = previous
+
+
+def pack_arrays(arrays: Sequence) -> List:
+    """``arrays`` as a ``__getstate__`` holds them: inside
+    :func:`externalize_arrays` each array is appended to the sink and
+    stands as an :class:`_ExternArray` marker; outside it, as itself.
+    ``None`` stays ``None``."""
+    if _EXTERN_SINK is None:
+        return list(arrays)
+    packed: List = []
+    for array in arrays:
+        if array is not None:
+            _EXTERN_SINK.append(array)
+            array = _ExternArray(len(_EXTERN_SINK) - 1)
+        packed.append(array)
+    return packed
+
+
+def unpack_arrays(items: Sequence) -> List:
+    """What :func:`pack_arrays` packed, each marker resolved from the
+    loaded sidecar (:func:`resolve_arrays`)."""
+    if _EXTERN_SOURCE is None and any(isinstance(item, _ExternArray) for item in items):
+        raise RuntimeError(
+            "arrays were externalized to a snapshot sidecar; load via "
+            "repro.io.snapshot.load_engine"
+        )
+    return [_EXTERN_SOURCE[i.index] if isinstance(i, _ExternArray) else i for i in items]
 
 
 def _drop_repeats(keys):
@@ -382,30 +412,10 @@ class InvertedIndex:
 
     def __getstate__(self):
         arrays = [self.codes, self.offsets, self.oids, self.neg_bounds, self.t_bounds]
-        if _EXTERN_SINK is not None:
-            packed = []
-            for array in arrays:
-                if array is None:
-                    packed.append(None)
-                else:
-                    _EXTERN_SINK.append(array)
-                    packed.append(_ExternArray(len(_EXTERN_SINK) - 1))
-            arrays = packed
-        return {"arrays": arrays, "rows_unique": self.rows_unique}
+        return {"arrays": pack_arrays(arrays), "rows_unique": self.rows_unique}
 
     def __setstate__(self, state) -> None:
-        arrays = []
-        for item in state["arrays"]:
-            if isinstance(item, _ExternArray):
-                if _EXTERN_SOURCE is None:
-                    raise RuntimeError(
-                        "index arrays were externalized to a snapshot "
-                        "sidecar; load via repro.io.snapshot.load_engine"
-                    )
-                arrays.append(_EXTERN_SOURCE[item.index])
-            else:
-                arrays.append(item)
-        self.__init__(*arrays, rows_unique=state["rows_unique"])
+        self.__init__(*unpack_arrays(state["arrays"]), rows_unique=state["rows_unique"])
 
 
 #: Shared empty probe result (read-only so a view cannot be mutated).

@@ -74,9 +74,12 @@ class GridScheme:
                 :func:`~repro.geometry.rect.corpus_space` of the regions.
 
         Returns:
-            ``(scheme, sizes, cells, bounds)`` — the scheme, ``|S_R(o)|``
-            per object, and flat cell ids with each cell's threshold
-            bound, object after object, each object's in global order.
+            ``(scheme, sizes, cells, bounds, block)`` — the scheme,
+            ``|S_R(o)|`` per object, flat cell ids with each cell's
+            threshold bound, object after object, each object's in global
+            order, and the coordinates read
+            (:func:`~repro.grid.uniform.region_block`), which the build
+            hands its verifier.
 
         Raises:
             ConfigurationError: On an empty corpus, or one holding a region
@@ -97,7 +100,7 @@ class GridScheme:
         # Each object's cells by rank: one sort keyed by (object, rank).
         order = np.lexsort((rank[which], np.repeat(np.arange(len(sizes)), sizes)))
         scheme = cls(grid, dict(zip(seen[by_rank].tolist(), range(len(seen)))))
-        return scheme, sizes, cells[order], segmented_suffix_bounds(weights[order], sizes)
+        return scheme, sizes, cells[order], segmented_suffix_bounds(weights[order], sizes), block
 
     # ------------------------------------------------------------------
     # Scheme interface

@@ -266,9 +266,9 @@ class TestSnapshot:
 
     def test_snapshot_bytes_unchanged_by_serving(self, tmp_path, twitter_small,
                                                  twitter_small_weighter):
-        """The verifier's box block and token CSR are transient:
-        an engine that has answered large-candidate queries pickles to
-        the same bytes (snapshot and sidecar) as it did fresh from the
+        """Serving changes no state: an engine that has answered
+        large-candidate queries (the verifier's kernels) pickles to the
+        same bytes (snapshot and sidecar) as it did fresh from the
         build."""
         from repro.core.verification import VECTOR_MIN_CANDIDATES
         from repro.io.snapshot import sidecar_path
@@ -283,18 +283,13 @@ class TestSnapshot:
             return path.read_bytes(), sidecar.read_bytes() if sidecar.exists() else None
 
         fresh = saved(tmp_path / "fresh.pkl")
-        assert engine.verifier._boxes is None
         # Over the whole corpus, and τR, τT > 0: the spatial check (which
         # builds the box block) is skipped at τR = 0, the textual check
         # (which builds the token CSR) at τT = 0.
         query = Query(Rect(0, 0, 40_000, 40_000), frozenset(), 1e-9, 1e-9)
         assert engine.search(query).stats.candidates >= VECTOR_MIN_CANDIDATES
-        assert engine.verifier._boxes is not None
-        assert engine.verifier._token_rows is not None
         assert saved(tmp_path / "served.pkl") == fresh
         restored = load_engine(tmp_path / "served.pkl")
-        assert restored.verifier._boxes is None
-        assert restored.verifier._token_rows is None
         assert restored.search(query).answers == engine.search(query).answers
 
     def test_save_engine_fsyncs_files_and_directory(self, tmp_path, figure1_objects,
@@ -506,18 +501,17 @@ class TestSnapshot:
         assert mapped.search(figure1_query).answers == expected
         assert load_engine(path, mmap=True).search(figure1_query).answers == expected
 
-    def test_format3_method_without_posting_store_writes_no_sidecar(
-        self, tmp_path, figure1_objects, figure1_weighter, figure1_query
-    ):
+    def test_format3_engine_without_arrays_writes_no_sidecar(self, tmp_path, figure1_query):
+        """Every built method has arrays (its verifier's columns, at
+        least); an empty segmented engine has none."""
         from repro.io.snapshot import sidecar_path
 
-        method = build_method(figure1_objects, "spatial-first", figure1_weighter)
-        path = tmp_path / "rtree.pkl"
-        save_engine(method, path)
+        engine = SealSearch()
+        path = tmp_path / "empty.pkl"
+        save_engine(engine, path)
         assert not sidecar_path(path).exists()
         restored = load_engine(path, mmap=True)  # mmap is a no-op here
-        assert restored.search(figure1_query).answers == \
-            method.search(figure1_query).answers
+        assert restored.search_query(figure1_query).answers == []
 
     def test_format3_stale_sidecar_rejected(self, tmp_path, figure1_objects,
                                             figure1_weighter):
@@ -543,7 +537,7 @@ class TestSnapshot:
         path = tmp_path / "engine.pkl"
         save_engine(build_method(figure1_objects, "token", figure1_weighter), path)
         assert sidecar_path(path).exists()
-        save_engine(build_method(figure1_objects, "naive", figure1_weighter), path)
+        save_engine(SealSearch(), path)
         assert not sidecar_path(path).exists()
 
 

@@ -210,8 +210,8 @@ def test_one_plan_then_one_member_per_query(planner, workload):
 
 def test_only_the_rule_members_are_built(corpus, weighter):
     refuse = mock.Mock(side_effect=AssertionError("a comparison member was built"))
-    with mock.patch.object(HybridFilter, "__init__", refuse), mock.patch.object(
-        HierarchicalFilter, "__init__", refuse
+    with mock.patch.object(HybridFilter, "_build", refuse), mock.patch.object(
+        HierarchicalFilter, "_build", refuse
     ):
         planner = build_method(corpus[:300], "planned", weighter)
     assert list(planner.methods) == list(DEFAULT_METHODS + COMPARISON_METHODS)

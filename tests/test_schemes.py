@@ -109,7 +109,7 @@ class TestGridScheme:
     def test_figure5_object_columns(self, figure1_objects):
         """o2's postings: its six cells in global order, each with the
         suffix sum of the weights from it on — 1750 for the first."""
-        scheme, sizes, cells, bounds = GridScheme.from_corpus(
+        scheme, sizes, cells, bounds, _ = GridScheme.from_corpus(
             figure1_objects, 4, space=FIGURE1_SPACE
         )
         start, end = int(sizes[0]), int(sizes[0] + sizes[1])
@@ -207,7 +207,7 @@ def test_from_corpus_columns_are_the_per_object_signatures(case):
     and each object's columns are ``sorted(grid.signature(r), key=rank)``
     with :func:`suffix_bounds` of its weights, bit for bit."""
     objects, granularity, space = case
-    scheme, sizes, cells, bounds = GridScheme.from_corpus(objects, granularity, space=space)
+    scheme, sizes, cells, bounds, block = GridScheme.from_corpus(objects, granularity, space=space)
     grid = scheme.grid
     regions = [obj.region for obj in objects]
     assert grid.space == (space if space is not None else corpus_space(regions))
@@ -219,6 +219,7 @@ def test_from_corpus_columns_are_the_per_object_signatures(case):
         expected_cells.extend(cell for cell, _ in signature)
         expected_bounds.extend(suffix_bounds([w for _, w in signature]))
     assert sizes.tolist() == [len(grid.signature(region)) for region in regions]
+    assert np.array_equal(block, region_block(regions))   # what the build hands its verifier
     assert cells.dtype == np.int64 and cells.tolist() == expected_cells
     assert bounds.tobytes() == np.array(expected_bounds, dtype=np.float64).tobytes()
 

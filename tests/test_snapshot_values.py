@@ -33,6 +33,7 @@ from repro.service.protocol import query_frame
 
 from tests.durable_testlib import make_durable, snapshot_of, wal_of
 from tests.fixtures import make_snapshot_format9 as fixture
+from tests.test_verifier_columns import columns_from_objects, held_columns, verifiers
 
 #: The classes a snapshot holds once per object.
 VALUE_TYPES = {
@@ -319,6 +320,12 @@ class TestFormat9Fixture:
         for source in (self.FIXTURE, self.FIXTURE.with_name(self.FIXTURE.name + ".npz")):
             shutil.copy(source, tmp_path / source.name)
         engine = load_engine(tmp_path / self.FIXTURE.name, mmap=mmap)
+        # Before the first query, every verifier holds the columns it
+        # derived at load, around the token totals it was pickled with.
+        for verifier in verifiers(engine):
+            *held, totals = held_columns(verifier)
+            assert held == list(columns_from_objects(verifier.corpus, verifier.weighter)[:-1])
+            assert totals == verifier.token_totals()
         manifest = engine.snapshot_manifest()
         assert [segment["method"] for segment in manifest["segments"]] == ["planned", "token"]
         assert manifest["buffer"] and manifest["tombstones"]

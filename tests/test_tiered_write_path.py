@@ -210,15 +210,9 @@ def assert_scan_is_fresh(engine) -> None:
     assert verifier.weighter is engine.weighter
     for query in SCAN_PROBES:
         assert execute_query(scan.method, query).answers == fresh.search(query).answers
-    # The first probe takes every object to the textual check (τR = 0,
-    # τT > 0), so both computed their totals.
     assert verifier._token_totals == fresh.verifier._token_totals
-    if verifier._boxes is not None:
-        assert fresh.verifier._boxes is not None  # 32+ candidates built both
-        assert np.array_equal(verifier._boxes[:, : len(buffer)], fresh.verifier._boxes)
-    if verifier._token_rows is not None:
-        assert fresh.verifier._token_rows is not None  # 32+ survivors built both
-        assert token_rows(verifier) == token_rows(fresh.verifier)
+    assert np.array_equal(verifier._boxes[:, : len(buffer)], fresh.verifier._boxes)
+    assert token_rows(verifier) == token_rows(fresh.verifier)
 
 
 
@@ -227,12 +221,11 @@ def test_scan_state_survives_inserts_and_equals_a_fresh_scan():
     engine = SegmentedSealSearch(pairs[:20], "token", buffer_capacity=None)
     engine.insert(*pairs[20])
     kept = engine._buffer_scan()
-    for pair in pairs[21:100]:                   # crosses 32: box block and CSR appear and grow
+    for pair in pairs[21:100]:                   # box block and CSR grow
         engine.insert(*pair)
         assert engine._buffer_scan() is kept
         assert_scan_is_fresh(engine)
     verifier = kept.method.verifier
-    assert verifier._boxes is not None and verifier._token_rows is not None
     assert verifier._boxes.shape[1] > engine.pending  # spare capacity
     assert len(verifier._token_rows[2]) > engine.pending + 1
     # Buffered objects carry tokens the sealed segment's weighter never saw.
@@ -279,7 +272,6 @@ def test_failed_seal_leaves_the_scan_state_without_the_insert(bootstrap, monkeyp
     for pair in pairs[10:45]:
         engine.insert(*pair)
     assert_scan_is_fresh(engine)
-    assert engine._buffer_scan().method.verifier._token_rows is not None
     before = [engine.search_query(query).answers for query in SCAN_PROBES]
     fail_nth_build(monkeypatch, 1)
     with pytest.raises(MemoryError):

@@ -354,22 +354,20 @@ class TestVerifierState:
         0.05, 0.01,
     )
 
-    def test_pickle_carries_the_totals_and_neither_derived_structure(self):
+    def test_pickle_carries_the_columns(self):
+        """A plain pickle (no snapshot sidecar) carries the totals, the
+        box block and the token CSR inline, and the clone answers with
+        them."""
         corpus = _large_corpus()
         weighter = TokenWeighter(o.tokens for o in corpus)
         verifier = Verifier(corpus, weighter)
-        assert verifier.verify(self.KEEPS_ALL, range(40)) == list(range(40))
-        assert verifier._boxes is not None and verifier._token_rows is not None
         state = verifier.__getstate__()[1]
-        assert sorted(state) == ["_token_totals", "corpus", "weighter"]
+        assert sorted(state) == ["_boxes", "_token_rows", "_token_totals", "corpus", "weighter"]
         assert state["_token_totals"] == [weighter.total_weight(o.tokens) for o in corpus]
         clone = pickle.loads(pickle.dumps(verifier))
-        assert clone._boxes is None and clone._token_rows is None
+        assert np.array_equal(clone._boxes, verifier._boxes)
+        assert token_rows(clone) == token_rows(verifier)
         assert clone.verify(self.KEEPS_ALL, range(40)) == list(range(40))
-        # A never-used verifier computes its (lazy) totals to pickle them.
-        assert Verifier(corpus, weighter).__getstate__()[1]["_token_totals"] == (
-            state["_token_totals"]
-        )
 
     def test_saved_totals_are_the_ones_answered_with(self):
         """A snapshot written before totals were exact holds sums taken
@@ -423,9 +421,8 @@ class TestVerifierAppend:
             Query(Rect(1, 1, 5, 5), frozenset({"new4", "v2"}), 0.1, 0.1),
             Query(Rect(0, 0, 20, 20), frozenset(), 0.0, 0.0),
         ]
-        for query in queries:                        # builds box block and CSR
+        for query in queries:
             grown.verify(query, range(40))
-        assert grown._boxes is not None and grown._token_rows is not None
         for obj in objects[40:]:
             grown.append(obj)
         fresh = Verifier(list(objects), weighter)
